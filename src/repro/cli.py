@@ -12,8 +12,8 @@ Commands
 ``slowlog``   render a persisted slow-query log (JSON lines) as text
 ``loadtest``  drive sustained QPS (open loop) gated by a live SLO
 ``replay``    deterministically re-execute a ``--record`` journal and
-              report divergences (``--backend``/``--scoring``/
-              ``--workers`` turn it into a cross-backend audit)
+              report divergences (``--backend``/``--workers`` turn
+              it into a cross-backend audit)
 ``profile``   render a folded-stack profile written by the profiler
 ``bench``     benchmark artifact tools (``bench compare OLD NEW``)
 
@@ -64,7 +64,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from .bench.reporting import print_table
-from .core.database import FRONTIER_MODES, INDEX_KINDS, Database
+from .core.database import INDEX_KINDS, Database
 from .network.distance import DISTANCE_BACKENDS
 from .datasets.catalog import PROFILES, build_dataset
 from .datasets.io import save_dataset
@@ -156,15 +156,8 @@ def build_parser() -> argparse.ArgumentParser:
             default="dijkstra",
             help="exact pairwise-distance backend: bounded Dijkstras "
                  "(default), the Contraction-Hierarchies oracle, or "
-                 "2-hop hub labels ('hub', needs numpy) — identical "
+                 "2-hop hub labels ('hub') — identical "
                  "answers, built once per database",
-        )
-        p.add_argument(
-            "--frontier", choices=FRONTIER_MODES, default=None,
-            help="INE frontier implementation: array heap over a CSR "
-                 "snapshot ('csr', needs numpy; the default when numpy "
-                 "is present) or the adjacency-map loop ('dict') — "
-                 "identical settle order, answers and counters",
         )
 
     def add_workload_args(p: argparse.ArgumentParser) -> None:
@@ -417,17 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
              "one (cross-backend audit: identical digests expected)",
     )
     p.add_argument(
-        "--scoring", choices=("array", "scalar"), default=None,
-        help="replay under this scoring mode instead of the recorded "
-             "one",
-    )
-    p.add_argument(
-        "--frontier", choices=FRONTIER_MODES, default=None,
-        help="replay over this INE frontier ('csr' or 'dict') instead "
-             "of the recorded one (cross-frontier audit: identical "
-             "digests expected)",
-    )
-    p.add_argument(
         "--workers", type=_positive_int, default=1, metavar="N",
         help="re-execute each epoch group on N engine threads "
              "(default 1; answers must not change)",
@@ -478,9 +460,6 @@ def _build_db(args) -> Database:
     backend = getattr(args, "distance_backend", None)
     if backend:
         db.use_distance_backend(backend)
-    frontier = getattr(args, "frontier", None)
-    if frontier:
-        db.use_frontier_mode(frontier)
     return db
 
 
@@ -575,7 +554,7 @@ def _enable_recorder(db, args) -> None:
 
     The header record stamps the journal with everything ``repro
     replay`` needs to rebuild the run: dataset profile/scale/seed,
-    backend, scoring mode and starting epoch.
+    backend and starting epoch.
     """
     path = getattr(args, "record", None)
     if not path:
@@ -588,8 +567,6 @@ def _enable_recorder(db, args) -> None:
         seed=args.seed,
         index=getattr(args, "index", None),
         distance_backend=db.distance_backend,
-        scoring=db.scoring_mode,
-        frontier=db.frontier_mode,
         workers=getattr(args, "workers", 1),
         data_version=db.data_version,
     )
@@ -983,18 +960,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         db = build_dataset(profile, scale=scale, **overrides)
         backend = args.backend or header.get("distance_backend") or "dijkstra"
         db.use_distance_backend(backend)
-        scoring = args.scoring or header.get("scoring")
-        if scoring:
-            db.use_scoring_mode(scoring)
-        frontier = args.frontier or header.get("frontier")
-        if frontier:
-            db.use_frontier_mode(frontier)
         sink = _attach_metrics_sink(db, args)
         try:
             config = ReplayConfig(
                 backend=backend,
-                scoring=scoring or db.scoring_mode,
-                frontier=db.frontier_mode,
                 workers=args.workers,
                 limit=args.limit,
             )

@@ -18,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from ..nplib import np
+import numpy as np
+
 from ..obs.tracing import NULL_TRACER
 from .diversify import greedy_diversify
 from .objective import DiversificationObjective
@@ -58,7 +59,6 @@ class CorePairMaintainer:
         pair_distance: PairDistance,
         pair_distance_upper_bound: Optional[PairDistance] = None,
         tracer=NULL_TRACER,
-        array_scoring: bool = False,
     ) -> None:
         """``pair_distance_upper_bound`` optionally supplies a tighter
         upper bound on δ(a, b) than the triangle inequality through the
@@ -69,12 +69,11 @@ class CorePairMaintainer:
         insertion, so a trace shows when (and at what θ) the result set
         last changed.
 
-        ``array_scoring`` batches each arrival's θ-upper-bound row
-        through numpy (:meth:`DiversificationObjective.theta_batch`)
-        instead of looping object-by-object — same bounds bit for bit,
-        same counters, so every pruning decision is unchanged.  Only
-        engaged when no landmark bound is installed (landmark bounds
-        are per-pair callbacks and force the scalar row)."""
+        Each arrival's θ-upper-bound row is batched through numpy
+        (:meth:`DiversificationObjective.theta_batch`) — same bounds bit
+        for bit as the object-by-object loop, same counters — unless a
+        landmark bound is installed (landmark bounds are per-pair
+        callbacks and force the scalar row)."""
         if k < 2:
             raise ValueError("k must be at least 2")
         self._k = k
@@ -83,11 +82,6 @@ class CorePairMaintainer:
         self._pair_distance = pair_distance
         self._pair_distance_ub = pair_distance_upper_bound
         self._tracer = tracer
-        self._array_scoring = (
-            array_scoring
-            and np is not None
-            and pair_distance_upper_bound is None
-        )
         self._pairs: List[CorePair] = []  # descending by theta
         #: every active (non-pruned) object seen so far, by id
         self._arrived: Dict[int, ResultItem] = {}
@@ -187,13 +181,13 @@ class CorePairMaintainer:
 
         The θ upper bound (triangle inequality through the query) is
         evaluated for the whole row; only opponents whose bound clears
-        ``theta_t_now`` get the exact (network-distance) θ.  Under
-        array scoring the bound row is one ``theta_batch`` call — the
-        per-element arithmetic is identical to the scalar loop, so the
-        ``ub <= θ_T`` decisions, the counters (``ub_triangle_wins``,
+        ``theta_t_now`` get the exact (network-distance) θ.  Without a
+        landmark bound, a long enough row is one ``theta_batch`` call —
+        the per-element arithmetic is identical to the scalar loop, so
+        the ``ub <= θ_T`` decisions, the counters (``ub_triangle_wins``,
         ``theta_evaluations``) and the returned values all match.
         """
-        if self._array_scoring and len(others) >= _ARRAY_ROW_MIN:
+        if self._pair_distance_ub is None and len(others) >= _ARRAY_ROW_MIN:
             dists_v = np.fromiter(
                 (o.distance for o in others), np.float64, len(others)
             )

@@ -32,11 +32,9 @@ from ..index.sif_g import SIFGIndex
 from ..index.sif_p import SIFPIndex
 from ..network.ccam import CCAMStore
 from ..network.ch import ContractionHierarchy
-from ..network.csr import CSRGraph
 from ..network.distance import DISTANCE_BACKENDS, DistanceBackend, DistanceCache
 from ..network.graph import NetworkPosition, RoadNetwork
 from ..network.hub_labels import HubLabelBackend
-from ..nplib import HAVE_NUMPY, require_numpy
 from ..obs.metrics import MetricsRegistry
 from ..obs.slowlog import SlowQueryLog, SlowQueryThreshold
 from ..obs.tracing import NULL_TRACER, TraceCollector, Tracer
@@ -47,17 +45,13 @@ from ..spatial.rtree import RTree
 from ..spatial.zorder import ZOrderCurve
 from ..storage.pagefile import DiskManager
 from .knn import SKkNNQuery
-from .objective import SCORING_MODES
 from .queries import DiversifiedResult, DiversifiedSKQuery, QueryStats, SKQuery, SKResult
 from .updates import UpdateJournal, UpdateRecord
 
-__all__ = ["Database", "FRONTIER_MODES", "INDEX_KINDS"]
+__all__ = ["Database", "INDEX_KINDS"]
 
 #: Registry of index kinds accepted by :meth:`Database.build_index`.
 INDEX_KINDS = ("ccam", "ir", "if", "sif", "sif-p", "sif-g")
-
-#: INE frontier implementations (see :meth:`Database.use_frontier_mode`).
-FRONTIER_MODES = ("csr", "dict")
 
 
 class Database:
@@ -117,18 +111,8 @@ class Database:
         self.distance_cache: Optional[DistanceCache] = None
         self._ch_oracle: Optional[ContractionHierarchy] = None
         self._hub_oracle: Optional[HubLabelBackend] = None
-        self._csr_graph: Optional[CSRGraph] = None
         self.distance_backend = "dijkstra"
         self.use_distance_backend(distance_backend)
-        #: How diversified queries evaluate relevance/diversity scoring
-        #: (see :meth:`use_scoring_mode`).  Array mode is the default
-        #: whenever numpy is importable; the answers are identical.
-        self.scoring_mode = "array" if HAVE_NUMPY else "scalar"
-        #: Which INE frontier queries expand over (see
-        #: :meth:`use_frontier_mode`).  The CSR frontier is the default
-        #: whenever numpy is importable; settle order, counters and
-        #: answers are identical to the dict frontier.
-        self.frontier_mode = "csr" if HAVE_NUMPY else "dict"
         #: Every index built through :meth:`build_index`, for
         #: observability gauges (signature bytes / signed terms).
         self.indexes: List[ObjectIndex] = []
@@ -319,8 +303,6 @@ class Database:
             # inherit its invalidation policy too: drop, rebuild lazily.
             self._hub_oracle = None
             self.metrics.inc("hub_label.invalidations")
-        # The CSR snapshot bakes in edge weights; same drop-and-rebuild.
-        self._csr_graph = None
         ratio = weight / old.length
         if (
             self._min_weight_per_length is not None
@@ -376,10 +358,6 @@ class Database:
         """Raise unless :meth:`freeze` has been called (query precondition)."""
         if not self._frozen:
             raise ReproError("call freeze() before building indexes or querying")
-
-    # Backwards-compatible private alias (pre-engine callers).
-    def _ensure_frozen(self) -> None:
-        self.ensure_frozen()
 
     # ------------------------------------------------------------------
     # Index construction
@@ -529,10 +507,10 @@ class Database:
         settled nodes.  ``hub`` precomputes 2-hop hub labels from the
         CH ordering: point queries become sorted label merges and the
         candidate×candidate matrices SEQ needs run through one batched
-        label-join kernel (requires numpy).  Oracles are built lazily
-        on the first query that needs them (or eagerly via
-        :meth:`ch_oracle` / :meth:`hub_oracle`); switching back and
-        forth costs nothing once built.
+        label-join kernel.  Oracles are built lazily on the first query
+        that needs them (or eagerly via :meth:`ch_oracle` /
+        :meth:`hub_oracle`); switching back and forth costs nothing
+        once built.
         """
         name = name.lower()
         if name not in DISTANCE_BACKENDS:
@@ -564,7 +542,7 @@ class Database:
         return self._ch_oracle
 
     def hub_oracle(self) -> HubLabelBackend:
-        """The database's hub-label oracle (built once, needs numpy).
+        """The database's hub-label oracle (built once).
 
         The labels are the CH's upward search spaces, so construction
         reuses (or triggers) :meth:`ch_oracle` and then pays one upward
@@ -574,7 +552,6 @@ class Database:
         edge reweight drops it for lazy rebuild.
         """
         if self._hub_oracle is None:
-            require_numpy("the hub-label distance backend")
             oracle = HubLabelBackend(self.network, ch=self.ch_oracle())
             self.metrics.observe(
                 "hub_label.build_seconds", oracle.build_seconds
@@ -584,65 +561,6 @@ class Database:
             self.metrics.emit({"type": "hub_build", **oracle.stats()})
             self._hub_oracle = oracle
         return self._hub_oracle
-
-    def csr_graph(self) -> CSRGraph:
-        """The network's CSR array snapshot (built once, needs numpy).
-
-        Traversal entry points accept it anywhere they accept the
-        network (the shared seam in :mod:`repro.network.distance`
-        dispatches to the array Dijkstra kernel).  Validated against
-        the live network on first build; dropped on every edge
-        reweight, like the distance oracles.
-        """
-        if self._csr_graph is None:
-            csr = CSRGraph.from_network(self.network, store=self.store)
-            csr.validate_roundtrip(self.network, store=self.store)
-            self._csr_graph = csr
-        return self._csr_graph
-
-    def use_scoring_mode(self, name: str) -> None:
-        """Select scoring evaluation: ``"array"`` (numpy) or ``"scalar"``.
-
-        Array mode batches the greedy θ matrix (SEQ) and the core-pair
-        θ-bound rows (COM) through numpy; every answer, ordering and
-        counter is identical to scalar mode — this switches evaluation
-        strategy, not semantics.
-        """
-        name = name.lower()
-        if name not in SCORING_MODES:
-            raise QueryError(
-                f"unknown scoring mode {name!r}; "
-                f"expected one of {SCORING_MODES}"
-            )
-        if name == "array":
-            require_numpy("array scoring")
-        self.scoring_mode = name
-
-    def use_frontier_mode(self, name: str) -> None:
-        """Select the INE frontier: ``"csr"`` (arrays) or ``"dict"``.
-
-        The CSR frontier settles nodes from the cached
-        :meth:`csr_graph` arrays with per-node push pruning; the dict
-        frontier walks the provider's adjacency lists.  Settle order,
-        traversal counters and every emitted object are identical —
-        this switches the expansion's storage layout, not semantics.
-        """
-        name = name.lower()
-        if name not in FRONTIER_MODES:
-            raise QueryError(
-                f"unknown frontier mode {name!r}; "
-                f"expected one of {FRONTIER_MODES}"
-            )
-        if name == "csr":
-            require_numpy("the CSR INE frontier")
-        self.frontier_mode = name
-
-    def frontier_csr(self) -> Optional[CSRGraph]:
-        """The CSR snapshot queries should expand over (``None`` means
-        the dict frontier)."""
-        if self.frontier_mode == "csr" and HAVE_NUMPY:
-            return self.csr_graph()
-        return None
 
     def pairwise_backend(self) -> Optional[DistanceBackend]:
         """The backend queries should hand to their pairwise computer

@@ -33,10 +33,11 @@ import time
 from itertools import islice
 from typing import Callable, List, Optional
 
+import numpy as np
+
 from ..index.base import ObjectIndex
 from ..network.distance import AdjacencyProvider, PairwiseDistanceComputer
 from ..network.graph import RoadNetwork
-from ..nplib import HAVE_NUMPY, np
 from ..obs.metrics import StageClock
 from ..obs.tracing import NULL_TRACER
 from .core_pairs import CorePairMaintainer
@@ -86,11 +87,6 @@ def _make_pair_matrix_builder(computer: PairwiseDistanceComputer):
 
     build.captured = {}
     return build
-
-
-def _resolve_array_scoring(array_scoring: Optional[bool]) -> bool:
-    """``None`` means "array if numpy is importable" (the default)."""
-    return HAVE_NUMPY if array_scoring is None else bool(array_scoring)
 
 
 class _ComputerDelta:
@@ -180,26 +176,18 @@ def seq_search(
     query: DiversifiedSKQuery,
     pairwise: Optional[PairwiseDistanceComputer] = None,
     tracer=NULL_TRACER,
-    array_scoring: Optional[bool] = None,
-    csr=None,
 ) -> DiversifiedResult:
     """The straightforward SEQ implementation (paper §4.1).
 
-    ``array_scoring`` switches the greedy stage to the vectorized
-    θ-matrix path (``None``: use it whenever numpy is available).
-    Selections, ordering and per-query Dijkstra counts are identical
-    to the scalar path — only the evaluation strategy changes (a
-    backend array kernel serves the pair matrix in one call instead of
-    through the per-pair cache, so cache-hit bookkeeping may differ).
-
-    ``csr`` optionally routes the expansion over a CSR snapshot (the
-    array frontier); answers and counters are unchanged.
+    The greedy stage runs the vectorized θ-matrix path; selections,
+    ordering and per-query Dijkstra counts are identical to the scalar
+    ``greedy_diversify`` reference.
     """
     start = time.perf_counter()
     clock = StageClock()
     expansion = INEExpansion(
         provider, network, index, query.position, query.terms,
-        query.delta_max, tracer=tracer, csr=csr,
+        query.delta_max, tracer=tracer,
     )
     objective = DiversificationObjective(query.lambda_, query.delta_max)
     computer = pairwise or PairwiseDistanceComputer(
@@ -209,14 +197,9 @@ def seq_search(
 
     with clock.stage("expansion"):
         candidates = expansion.run_to_completion()
-    matrix_builder = (
-        _make_pair_matrix_builder(computer)
-        if _resolve_array_scoring(array_scoring)
-        else None
-    )
+    matrix_builder = _make_pair_matrix_builder(computer)
     array_kernel = (
-        matrix_builder is not None
-        and getattr(computer.backend, "position_matrix_array", None)
+        getattr(computer.backend, "position_matrix_array", None)
         is not None
         and len(candidates) > query.k
     )
@@ -253,7 +236,7 @@ def seq_search(
     with clock.stage("finalise"):
         result = _finalise(
             chosen, objective, computer, "SEQ", stats,
-            captured=getattr(matrix_builder, "captured", None),
+            captured=matrix_builder.captured,
         )
     delta.apply(stats)
     clock.add("object_loading", expansion.stats.load_seconds)
@@ -272,8 +255,6 @@ def com_search(
     enable_pruning: bool = True,
     landmarks=None,
     tracer=NULL_TRACER,
-    array_scoring: Optional[bool] = None,
-    csr=None,
 ) -> DiversifiedResult:
     """Algorithm 6: incremental diversified SK search.
 
@@ -286,10 +267,8 @@ def com_search(
     upper bounds tighten the θ-skip and avoid further pairwise
     Dijkstras without changing any answer (ablation A4).
 
-    ``array_scoring`` batches the core-pair maintainer's θ-bound rows
-    through numpy (``None``: whenever numpy is available); answers and
-    counters are unchanged.  Landmark bounds take precedence — with
-    ``landmarks`` installed the maintainer stays on the scalar rows.
+    The core-pair maintainer batches its θ-bound rows through numpy;
+    with ``landmarks`` installed it stays on the scalar rows.
 
     When ``tracer`` is enabled, every arrival that reaches the pruning
     decision records a ``com.round`` span (γ, θ_T, the unvisited-pair
@@ -300,7 +279,7 @@ def com_search(
     clock = StageClock()
     expansion = INEExpansion(
         provider, network, index, query.position, query.terms,
-        query.delta_max, tracer=tracer, csr=csr,
+        query.delta_max, tracer=tracer,
     )
     objective = DiversificationObjective(query.lambda_, query.delta_max)
     computer = pairwise or PairwiseDistanceComputer(
@@ -317,7 +296,6 @@ def com_search(
         _make_pair_distance(computer),
         pair_distance_upper_bound=pair_ub,
         tracer=tracer,
-        array_scoring=_resolve_array_scoring(array_scoring),
     )
     tracing = tracer.enabled
 

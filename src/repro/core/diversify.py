@@ -25,7 +25,8 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..nplib import np
+import numpy as np
+
 from .objective import DiversificationObjective
 from .queries import ResultItem
 
@@ -85,7 +86,7 @@ def greedy_diversify(
     remaining object for determinism).  Fewer than ``k`` candidates are
     returned as-is, ordered by distance.
 
-    ``pair_matrix_builder`` (with numpy available) switches the rounds
+    ``pair_matrix_builder`` switches the rounds
     to the vectorized matrix path — same selections, same order.
     """
     if k <= 0:
@@ -93,7 +94,7 @@ def greedy_diversify(
     pool = sorted(candidates, key=lambda it: (it.distance, it.object.object_id))
     if len(pool) <= k:
         return pool
-    if pair_matrix_builder is not None and np is not None:
+    if pair_matrix_builder is not None:
         return _greedy_from_matrix(pool, k, objective, pair_matrix_builder)
 
     theta_cache: Dict[Tuple[int, int], float] = {}

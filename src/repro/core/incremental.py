@@ -106,13 +106,9 @@ class IncrementalDiversifiedTopK:
         # mid-expansion is then replayed by the next refresh instead of
         # being silently half-applied.
         self._epoch = db.data_version
-        # Expand over the database's configured frontier (db is
-        # duck-typed in tests, so the CSR hook is optional).
-        frontier_csr = getattr(db, "frontier_csr", None)
         expansion = INEExpansion(
             db.ccam, db.network, self._index, q.position, q.terms,
             q.delta_max,
-            csr=frontier_csr() if callable(frontier_csr) else None,
         )
         self._pool = {
             item.object.object_id: item

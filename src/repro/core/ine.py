@@ -12,23 +12,6 @@ non-decreasing ``δ(q, o)`` order.  The plain SK search materialises the
 stream; the incremental diversified search (COM, Algorithm 6) consumes
 it lazily and may close it early, terminating the network expansion
 exactly as the paper's Algorithm 6 line 16 does.
-
-Two frontier implementations share the emission machinery:
-
-* the **dict frontier** walks the adjacency lists returned by the
-  provider (the CCAM store in measured runs);
-* the **CSR frontier** settles nodes from a
-  :class:`~repro.network.csr.CSRGraph`'s contiguous
-  ``indptr/indices/weights`` arrays, with per-node push pruning
-  (a tentative-best array) instead of unconditional duplicate pushes.
-
-Both settle the same nodes in the same order — CSR rows ascend with
-node id, so ``(distance, row)`` heap ties break exactly like
-``(distance, node_id)``, and push pruning only drops heap entries that
-could never produce a fresh pop — which keeps emission order, traversal
-counters and the early-termination point byte-identical.  The CSR loop
-still charges one provider adjacency read per settled node, so the
-CCAM I/O model sees the same access sequence.
 """
 
 from __future__ import annotations
@@ -36,10 +19,9 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Set, Tuple
 
 from ..index.base import ObjectIndex
-from ..network.csr import CSRGraph
 from ..network.distance import AdjacencyProvider, seed_distances
 from ..network.graph import NetworkPosition, RoadNetwork
 from ..network.objects import SpatioTextualObject
@@ -53,8 +35,6 @@ __all__ = ["ExpansionStats", "INEExpansion"]
 #: emitted) per this many node settlements, so span count stays
 #: proportional to log-scale progress rather than node count.
 TRACE_ROUND_NODES = 32
-
-_INF = float("inf")
 
 
 @dataclass
@@ -71,13 +51,7 @@ class ExpansionStats:
 
 
 class _RoundTrace:
-    """Per-``TRACE_ROUND_NODES`` ``ine.round`` span bookkeeping.
-
-    Shared by both frontier loops so the trace schema does not depend
-    on the frontier (the ``frontier`` attribute — the heap length — is
-    the one value allowed to differ: push pruning keeps the CSR heap
-    shorter, and replay does not compare it).
-    """
+    """Per-``TRACE_ROUND_NODES`` ``ine.round`` span bookkeeping."""
 
     __slots__ = (
         "tracer", "stats", "delta_max", "round_idx", "round_nodes",
@@ -145,12 +119,6 @@ class INEExpansion:
         expansion records one ``ine.round`` span per
         ``TRACE_ROUND_NODES`` settled nodes under the caller's current
         span, plus an ``ine.terminated`` event with the stop reason.
-    csr:
-        Optional :class:`~repro.network.csr.CSRGraph` snapshot of
-        ``network``.  When given, the frontier settles nodes from the
-        CSR arrays (same settle order, counters and emissions as the
-        dict frontier); adjacency I/O is still charged per settled
-        node through ``provider``.
     """
 
     def __init__(
@@ -162,7 +130,6 @@ class INEExpansion:
         terms: FrozenSet[str],
         delta_max: float,
         tracer=NULL_TRACER,
-        csr: Optional[CSRGraph] = None,
     ) -> None:
         self._provider = provider
         self._network = network
@@ -171,7 +138,6 @@ class INEExpansion:
         self._terms = terms
         self._delta_max = delta_max
         self._tracer = tracer
-        self._csr = csr
         self.stats = ExpansionStats()
 
     def _load_objects(
@@ -183,7 +149,7 @@ class INEExpansion:
         return matches
 
     def _object_machinery(self):
-        """Shared emission state: queue, finalisation, query-edge seed.
+        """Emission state: queue, finalisation, query-edge seed.
 
         Returns ``(queue_object, emit_upto, pinned)`` closures/state
         with the query edge already seeded (its objects queued at their
@@ -232,14 +198,6 @@ class INEExpansion:
 
     def run(self) -> Iterator[ResultItem]:
         """Yield matching objects in non-decreasing network distance."""
-        if self._csr is not None:
-            return self._run_csr()
-        return self._run_dict()
-
-    # ------------------------------------------------------------------
-    # Dict frontier (provider adjacency lists)
-    # ------------------------------------------------------------------
-    def _run_dict(self) -> Iterator[ResultItem]:
         network = self._network
         delta_max = self._delta_max
 
@@ -329,115 +287,6 @@ class INEExpansion:
                         else edge.weight - obj.position.offset
                     )
                     queue_object(obj, d_n + offset)
-
-    # ------------------------------------------------------------------
-    # CSR frontier (contiguous indptr/indices/weights)
-    # ------------------------------------------------------------------
-    def _run_csr(self) -> Iterator[ResultItem]:
-        network = self._network
-        delta_max = self._delta_max
-        query_edge = self._position.edge_id
-        provider = self._provider
-        csr = self._csr
-        indptr, indices, weights, entry_edges, entry_targets, node_ids = (
-            csr.traversal_lists()
-        )
-
-        n = csr.num_nodes
-        row_of = csr.row_of
-        #: tentative best per row: a push happens only when it improves
-        #: on every earlier push for that row, so dominated duplicates
-        #: (which the dict frontier pushes and later skips as settled)
-        #: never enter the heap — fresh pops are identical.
-        best_node = [_INF] * n
-        settled = bytearray(n)
-        visited = bytearray(network.num_edges)
-        node_heap: List[Tuple[float, int]] = []
-        edge_objects: Dict[int, List[SpatioTextualObject]] = {}
-
-        queue_object, emit_upto, pinned = self._object_machinery()
-
-        for node_id, dist in seed_distances(network, self._position).items():
-            r = row_of[node_id]
-            if dist < best_node[r]:
-                best_node[r] = dist
-            heapq.heappush(node_heap, (dist, r))
-
-        tracer = self._tracer
-        tracing = tracer.enabled
-        rounds = _RoundTrace(tracer, self.stats, delta_max) if tracing else None
-
-        stats = self.stats
-        try:
-            while node_heap:
-                d_n, r = heapq.heappop(node_heap)
-                if settled[r]:
-                    continue
-                yield from emit_upto(d_n)
-                if d_n > delta_max:
-                    if tracing:
-                        rounds.watermark = d_n
-                        tracer.event(
-                            "ine.terminated", reason="delta_max", watermark=d_n
-                        )
-                    break
-                settled[r] = 1
-                stats.nodes_accessed += 1
-                if tracing:
-                    rounds.settle(d_n, len(node_heap))
-
-                node_id = node_ids[r]
-                # I/O parity with the dict frontier: one adjacency read
-                # per settled node is charged to the provider (a CCAM
-                # page access); traversal then runs over the CSR arrays.
-                provider.neighbors(node_id)
-
-                for idx in range(indptr[r], indptr[r + 1]):
-                    other = indices[idx]
-                    if not settled[other]:
-                        nd = d_n + weights[idx]
-                        if nd < best_node[other]:
-                            best_node[other] = nd
-                            heapq.heappush(node_heap, (nd, other))
-                    edge_id = entry_edges[idx]
-                    if edge_id == query_edge:
-                        continue  # pinned objects keep their distance
-                    if not visited[edge_id]:
-                        visited[edge_id] = 1
-                        stats.edges_accessed += 1
-                        matches = self._load_objects(edge_id, self._terms)
-                        if matches:
-                            edge_objects[edge_id] = matches
-                            weight = weights[idx]
-                            # add_edge orders n1 < n2, so the settled
-                            # endpoint is n1 iff its id is the smaller.
-                            src_is_n1 = node_id < entry_targets[idx]
-                            for obj in matches:
-                                offset = (
-                                    obj.position.offset
-                                    if src_is_n1
-                                    else weight - obj.position.offset
-                                )
-                                queue_object(obj, d_n + offset)
-                    else:
-                        objs = edge_objects.get(edge_id)
-                        if objs:
-                            weight = weights[idx]
-                            src_is_n1 = node_id < entry_targets[idx]
-                            for obj in objs:
-                                if obj.object_id in pinned:
-                                    continue
-                                offset = (
-                                    obj.position.offset
-                                    if src_is_n1
-                                    else weight - obj.position.offset
-                                )
-                                queue_object(obj, d_n + offset)
-
-            yield from emit_upto(float("inf"))
-        finally:
-            if tracing:
-                rounds.flush(len(node_heap))
 
     def run_to_completion(self) -> List[ResultItem]:
         """Materialise the whole stream (plain SK search)."""

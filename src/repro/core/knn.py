@@ -90,7 +90,6 @@ def knn_search(
     index: ObjectIndex,
     query: SKkNNQuery,
     tracer=NULL_TRACER,
-    csr=None,
 ) -> SKkNNResult:
     """kNN over the INE stream with adaptive radius doubling.
 
@@ -113,7 +112,7 @@ def knn_search(
         t0 = time.perf_counter()
         expansion = INEExpansion(
             provider, network, index, query.position, query.terms, radius,
-            tracer=tracer, csr=csr,
+            tracer=tracer,
         )
         items = list(islice(expansion.run(), query.k))
         stats.nodes_accessed += expansion.stats.nodes_accessed

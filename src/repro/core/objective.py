@@ -21,16 +21,11 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Sequence
 
+import numpy as np
+
 from ..errors import QueryError
-from ..nplib import np, require_numpy
 
-__all__ = ["DiversificationObjective", "SCORING_MODES"]
-
-#: How the engine evaluates relevance/diversity scoring: ``"array"``
-#: batches whole candidate matrices through numpy (bit-identical
-#: arithmetic, same tie-breaking); ``"scalar"`` keeps the historical
-#: object-at-a-time loops.
-SCORING_MODES = ("array", "scalar")
+__all__ = ["DiversificationObjective"]
 
 
 @dataclass(frozen=True)
@@ -92,7 +87,7 @@ class DiversificationObjective:
         return 2.0 * total / (k * (k - 1))
 
     # ------------------------------------------------------------------
-    # Vectorized components (array scoring mode)
+    # Vectorized components
     # ------------------------------------------------------------------
     # Each *_array method performs the exact same IEEE-754 operations
     # as its scalar twin, in the same order, element-wise — so a theta
@@ -102,12 +97,10 @@ class DiversificationObjective:
 
     def relevance_array(self, dists_to_query):
         """Vectorized :meth:`relevance` over an array of distances."""
-        require_numpy("array scoring")
         return np.clip(1.0 - dists_to_query / self.delta_max, 0.0, 1.0)
 
     def diversity_array(self, pair_distances):
         """Vectorized :meth:`diversity` over an array of pair distances."""
-        require_numpy("array scoring")
         return np.clip(
             pair_distances / (2.0 * self.delta_max), 0.0, 1.0
         )

@@ -230,13 +230,10 @@ class QueryEngine:
             tracer=NULL_TRACER,
             backend=self._shadow_oracle(backend_name),
         )
-        array_scoring = db.scoring_mode == "array"
-        csr = db.frontier_csr()
         if plan.algorithm == "seq":
             shadow_result = seq_search(
                 db.ccam, db.network, plan.index, query,
                 pairwise=pairwise, tracer=NULL_TRACER,
-                array_scoring=array_scoring, csr=csr,
             )
         else:
             shadow_result = com_search(
@@ -245,7 +242,6 @@ class QueryEngine:
                 enable_pruning=plan.enable_pruning,
                 landmarks=plan.landmarks,
                 tracer=NULL_TRACER,
-                array_scoring=array_scoring, csr=csr,
             )
         primary_digest = result_digest(result)
         shadow_digest = result_digest(shadow_result)
@@ -290,7 +286,6 @@ class QueryEngine:
             expansion = INEExpansion(
                 db.ccam, db.network, plan.index, query.position,
                 query.terms, query.delta_max, tracer=t,
-                csr=db.frontier_csr(),
             )
             items = expansion.run_to_completion()
             wall = time.perf_counter() - start
@@ -326,7 +321,6 @@ class QueryEngine:
         ) as root:
             result = knn_search(
                 db.ccam, db.network, plan.index, query, tracer=t,
-                csr=db.frontier_csr(),
             )
             if t.enabled:
                 root.set(results=len(result))
@@ -384,13 +378,10 @@ class QueryEngine:
             delta_max=query.delta_max, k=query.k,
             lambda_=query.lambda_, backend=pairwise.backend_name,
         ) as root:
-            array_scoring = db.scoring_mode == "array"
-            csr = db.frontier_csr()
             if plan.algorithm == "seq":
                 result = seq_search(
                     db.ccam, db.network, plan.index, query,
                     pairwise=pairwise, tracer=t,
-                    array_scoring=array_scoring, csr=csr,
                 )
             else:
                 result = com_search(
@@ -399,7 +390,6 @@ class QueryEngine:
                     enable_pruning=plan.enable_pruning,
                     landmarks=plan.landmarks,
                     tracer=t,
-                    array_scoring=array_scoring, csr=csr,
                 )
             if t.enabled:
                 ctx.trace_signature_summary(len(result))

@@ -68,14 +68,6 @@ class CostHints:
     #: (bounded Dijkstras), ``"ch"`` (Contraction-Hierarchies oracle)
     #: or ``"hub"`` (2-hop hub labels, batched label-join kernel).
     distance_backend: str = "dijkstra"
-    #: How relevance/diversity scoring will be evaluated: ``"array"``
-    #: (vectorized θ matrices / bound rows) or ``"scalar"``
-    #: (object-at-a-time).  Same answers either way.
-    scoring: str = "scalar"
-    #: How the INE frontier will be expanded: ``"csr"`` (array heap
-    #: over a CSR snapshot) or ``"dict"`` (adjacency-map loop).  Same
-    #: settle order, answers and counters either way.
-    frontier: str = "dict"
     #: Data epoch the hints were computed at.  A plan built before an
     #: update executes against newer statistics; ``repro explain`` and
     #: slow-query triage can see the skew.
@@ -141,15 +133,11 @@ class QueryPlan:
         lines.append("  query: " + "  ".join(params))
         if self.kind == "diversified":
             backend = self.hints.distance_backend if self.hints else "dijkstra"
-            scoring = self.hints.scoring if self.hints else "scalar"
-            frontier = self.hints.frontier if self.hints else "dict"
             lines.append(
                 f"  pruning: {'on' if self.enable_pruning else 'off'}"
                 f"    landmarks: "
                 f"{'yes' if self.landmarks is not None else 'no'}"
                 f"    distance backend: {backend}"
-                f"    scoring: {scoring}"
-                f"    frontier: {frontier}"
             )
         h = self.hints
         if h is not None:
@@ -189,8 +177,6 @@ def _cost_hints(db: "Database", terms) -> CostHints:
         estimated_matches=estimated,
         selectivity=(estimated / num_objects) if num_objects else 0.0,
         distance_backend=getattr(db, "distance_backend", "dijkstra"),
-        scoring=getattr(db, "scoring_mode", "scalar"),
-        frontier=getattr(db, "frontier_mode", "dict"),
         data_version=getattr(db, "data_version", 0),
         recent_updates=len(getattr(db, "update_journal", ())),
     )

@@ -26,11 +26,3 @@ class QueryError(ReproError):
 class DatasetError(ReproError):
     """Raised by dataset generators and loaders."""
 
-
-class DependencyError(ReproError):
-    """Raised when an optional-at-import dependency is missing.
-
-    The array-native paths (CSR graph, hub labels, vectorized scoring)
-    require numpy; the pure-Python paths do not.  Import never fails —
-    this is raised at *use* time with a message naming the feature.
-    """

@@ -22,9 +22,7 @@ for SIF, virtual-edge slots for SIF-P).  The AND over a query's terms
 is computed once per distinct term set and cached until the next
 ``set``/``clear`` bumps the version; ``test`` then costs one
 word-index/mask probe, and :meth:`PackedBitMatrix.probe_many` answers a
-whole batch of slots with one vectorised gather.  Without numpy the
-rows fall back to arbitrary-precision Python ints, which are packed
-bitmaps with the same semantics.
+whole batch of slots with one vectorised gather.
 """
 
 from __future__ import annotations
@@ -32,8 +30,9 @@ from __future__ import annotations
 import threading
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from ..network.objects import ObjectStore
-from ..nplib import HAVE_NUMPY, np
 from ..spatial.kdtree import KDTreePartition
 from .inverted_file import InvertedFileIndex
 
@@ -54,10 +53,6 @@ class PackedBitMatrix:
     (SIF) or fails everywhere (SIF-P) — is the *caller's* concern: the
     caller selects which keys participate in :meth:`combined` and the
     matrix only ANDs the selected rows.
-
-    Rows are ``uint64`` numpy vectors when numpy is available and
-    arbitrary-precision Python ints otherwise; both are packed bitmaps
-    with identical observable semantics.
     """
 
     def __init__(self, num_slots: int) -> None:
@@ -68,16 +63,9 @@ class PackedBitMatrix:
             Tuple[int, ...], Tuple[int, object]
         ] = {}
         self._cache_lock = threading.Lock()
-        if HAVE_NUMPY:
-            self._words = max(1, (self._num_slots + 63) // 64)
-            self._rows = np.zeros((0, self._words), dtype=np.uint64)
-            self._used_rows = 0
-            self._int_rows: List[int] = []
-        else:
-            self._words = max(1, (self._num_slots + 63) // 64)
-            self._rows = None
-            self._used_rows = 0
-            self._int_rows = []
+        self._words = max(1, (self._num_slots + 63) // 64)
+        self._rows = np.zeros((0, self._words), dtype=np.uint64)
+        self._used_rows = 0
 
     # ------------------------------------------------------------------
     @property
@@ -114,12 +102,11 @@ class PackedBitMatrix:
         self._num_slots = int(num_slots)
         new_words = max(1, (self._num_slots + 63) // 64)
         if new_words > self._words:
-            if HAVE_NUMPY:
-                widened = np.zeros(
-                    (self._rows.shape[0], new_words), dtype=np.uint64
-                )
-                widened[:, : self._words] = self._rows
-                self._rows = widened
+            widened = np.zeros(
+                (self._rows.shape[0], new_words), dtype=np.uint64
+            )
+            widened[:, : self._words] = self._rows
+            self._rows = widened
             self._words = new_words
 
     def add_row(self, key: str) -> int:
@@ -127,17 +114,13 @@ class PackedBitMatrix:
         row = self._row_of.get(key)
         if row is not None:
             return row
-        if HAVE_NUMPY:
-            row = self._used_rows
-            if row >= self._rows.shape[0]:
-                capacity = max(8, self._rows.shape[0] * 2, row + 1)
-                grown = np.zeros((capacity, self._words), dtype=np.uint64)
-                grown[: self._rows.shape[0]] = self._rows
-                self._rows = grown
-            self._used_rows += 1
-        else:
-            row = len(self._int_rows)
-            self._int_rows.append(0)
+        row = self._used_rows
+        if row >= self._rows.shape[0]:
+            capacity = max(8, self._rows.shape[0] * 2, row + 1)
+            grown = np.zeros((capacity, self._words), dtype=np.uint64)
+            grown[: self._rows.shape[0]] = self._rows
+            self._rows = grown
+        self._used_rows += 1
         self._row_of[key] = row
         self._version += 1
         return row
@@ -147,10 +130,7 @@ class PackedBitMatrix:
         row = self._row_of.pop(key, None)
         if row is None:
             return
-        if HAVE_NUMPY:
-            self._rows[row, :] = 0
-        else:
-            self._int_rows[row] = 0
+        self._rows[row, :] = 0
         self._version += 1
 
     def set(self, key: str, slot: int) -> None:
@@ -160,10 +140,7 @@ class PackedBitMatrix:
         row = self._row_of.get(key)
         if row is None:
             row = self.add_row(key)
-        if HAVE_NUMPY:
-            self._rows[row, slot >> 6] |= np.uint64(1 << (slot & 63))
-        else:
-            self._int_rows[row] |= 1 << slot
+        self._rows[row, slot >> 6] |= np.uint64(1 << (slot & 63))
         self._version += 1
 
     def clear(self, key: str, slot: int) -> None:
@@ -178,10 +155,7 @@ class PackedBitMatrix:
         if row is None:
             return
         if 0 <= slot < self._num_slots:
-            if HAVE_NUMPY:
-                self._rows[row, slot >> 6] &= ~np.uint64(1 << (slot & 63))
-            else:
-                self._int_rows[row] &= ~(1 << slot)
+            self._rows[row, slot >> 6] &= ~np.uint64(1 << (slot & 63))
         self._version += 1
 
     def bulk_set(self, key: str, slots: Iterable[int]) -> None:
@@ -194,18 +168,12 @@ class PackedBitMatrix:
         if top >= self._num_slots:
             self.ensure_slots(top + 1)
         row = self.add_row(key)
-        if HAVE_NUMPY:
-            idx = np.asarray(slots, dtype=np.int64)
-            words = idx >> 6
-            masks = np.left_shift(
-                np.uint64(1), (idx & 63).astype(np.uint64)
-            )
-            np.bitwise_or.at(self._rows[row], words, masks)
-        else:
-            acc = self._int_rows[row]
-            for slot in slots:
-                acc |= 1 << slot
-            self._int_rows[row] = acc
+        idx = np.asarray(slots, dtype=np.int64)
+        words = idx >> 6
+        masks = np.left_shift(
+            np.uint64(1), (idx & 63).astype(np.uint64)
+        )
+        np.bitwise_or.at(self._rows[row], words, masks)
         self._version += 1
 
     # ------------------------------------------------------------------
@@ -226,17 +194,12 @@ class PackedBitMatrix:
         hit = self._combined_cache.get(cache_key)
         if hit is not None and hit[0] == version:
             return hit[1]
-        if HAVE_NUMPY:
-            if len(rows) == 1:
-                combined = self._rows[rows[0]]
-            else:
-                combined = np.bitwise_and.reduce(
-                    self._rows[np.asarray(rows, dtype=np.intp)], axis=0
-                )
+        if len(rows) == 1:
+            combined = self._rows[rows[0]]
         else:
-            combined = self._int_rows[rows[0]]
-            for r in rows[1:]:
-                combined &= self._int_rows[r]
+            combined = np.bitwise_and.reduce(
+                self._rows[np.asarray(rows, dtype=np.intp)], axis=0
+            )
         with self._cache_lock:
             if len(self._combined_cache) >= _COMBINED_CACHE_CAP:
                 self._combined_cache.clear()
@@ -249,43 +212,33 @@ class PackedBitMatrix:
             return True
         if slot < 0 or slot >= self._num_slots:
             return False
-        if HAVE_NUMPY:
-            return bool(
-                (int(combined[slot >> 6]) >> (slot & 63)) & 1
-            )
-        return bool((combined >> slot) & 1)
+        return bool(
+            (int(combined[slot >> 6]) >> (slot & 63)) & 1
+        )
 
     def probe_many(self, combined, slots: Sequence[int]) -> List[bool]:
         """Batched :meth:`probe` over many slots (vectorised gather)."""
         if combined is None:
             return [True] * len(slots)
-        if HAVE_NUMPY and len(slots):
-            idx = np.asarray(slots, dtype=np.int64)
-            words = combined[idx >> 6]
-            shifts = (idx & 63).astype(np.uint64)
-            bits = (words >> shifts) & np.uint64(1)
-            return bits.astype(bool).tolist()
-        return [self.probe(combined, s) for s in slots]
+        if not len(slots):
+            return []
+        idx = np.asarray(slots, dtype=np.int64)
+        words = combined[idx >> 6]
+        shifts = (idx & 63).astype(np.uint64)
+        bits = (words >> shifts) & np.uint64(1)
+        return bits.astype(bool).tolist()
 
     def probe_range(self, combined, start: int, count: int) -> List[int]:
         """Indices ``i in [0, count)`` whose slot ``start + i`` is set."""
         if combined is None:
             return list(range(count))
-        if HAVE_NUMPY and count:
-            idx = np.arange(start, start + count, dtype=np.int64)
-            words = combined[idx >> 6]
-            shifts = (idx & 63).astype(np.uint64)
-            bits = (words >> shifts) & np.uint64(1)
-            return np.flatnonzero(bits).tolist()
-        if not HAVE_NUMPY and count:
-            window = (combined >> start) & ((1 << count) - 1)
-            out: List[int] = []
-            while window:
-                low = window & -window
-                out.append(low.bit_length() - 1)
-                window ^= low
-            return out
-        return []
+        if not count:
+            return []
+        idx = np.arange(start, start + count, dtype=np.int64)
+        words = combined[idx >> 6]
+        shifts = (idx & 63).astype(np.uint64)
+        bits = (words >> shifts) & np.uint64(1)
+        return np.flatnonzero(bits).tolist()
 
     def to_bigint(self, combined) -> Optional[int]:
         """A combined row as one arbitrary-precision int (or ``None``).
@@ -297,8 +250,6 @@ class PackedBitMatrix:
         """
         if combined is None:
             return None
-        if isinstance(combined, int):
-            return combined
         return int.from_bytes(
             combined.astype("<u8", copy=False).tobytes(), "little"
         )
@@ -309,15 +260,7 @@ class PackedBitMatrix:
         if row is None:
             return frozenset()
         out: List[int] = []
-        if HAVE_NUMPY:
-            words = self._rows[row].tolist()
-        else:
-            value = self._int_rows[row]
-            words = []
-            while value:
-                words.append(value & 0xFFFFFFFFFFFFFFFF)
-                value >>= 64
-        for wi, word in enumerate(words):
+        for wi, word in enumerate(self._rows[row].tolist()):
             base = wi << 6
             while word:
                 low = word & -word

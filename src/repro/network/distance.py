@@ -18,7 +18,6 @@ from collections import OrderedDict
 from typing import Dict, Iterable, List, Optional, Protocol, Sequence, Tuple
 
 from ..obs.tracing import NULL_TRACER
-from .csr import CSRGraph
 from .graph import NetworkPosition, RoadNetwork
 
 __all__ = [
@@ -43,7 +42,7 @@ INF = math.inf
 #: the default bounded-Dijkstra path; ``ch`` is the
 #: Contraction-Hierarchies oracle (:mod:`repro.network.ch`); ``hub``
 #: is the 2-hop hub-label oracle built on the CH ordering
-#: (:mod:`repro.network.hub_labels`, requires numpy).
+#: (:mod:`repro.network.hub_labels`).
 DISTANCE_BACKENDS = ("dijkstra", "ch", "hub")
 
 
@@ -136,22 +135,12 @@ def seeded_distances(
     max_settled: Optional[int] = None,
 ) -> Dict[int, float]:
     """The shared traversal seam: bounded Dijkstra from (node → cost)
-    seeds, through *either* graph representation.
+    seeds.
 
-    A :class:`~repro.network.csr.CSRGraph` provider dispatches to its
-    array-heap kernel; every other :class:`AdjacencyProvider` runs the
-    dict kernel below.  Both kernels settle the same nodes in the same
-    order (rows are assigned in node-id order, so heap ties break
-    identically) and honour the same contract: only settled nodes
-    appear in the result, seeds above ``cutoff`` never enter,
-    ``ignore`` skips one node, ``targets`` stops once all settled,
-    ``max_settled`` caps the search.
+    Only settled nodes appear in the result, seeds above ``cutoff``
+    never enter, ``ignore`` skips one node, ``targets`` stops once all
+    settled, ``max_settled`` caps the search.
     """
-    if isinstance(provider, CSRGraph):
-        return provider.seeded_distances(
-            seeds, cutoff,
-            ignore=ignore, targets=targets, max_settled=max_settled,
-        )
     dist: Dict[int, float] = {}
     best: Dict[int, float] = {}
     for node_id, d in seeds.items():
@@ -214,8 +203,7 @@ def single_source_distances(
 
     Returns the distance of every node within ``cutoff`` of ``source``.
     Seeds the edge's two end-nodes and funnels through the shared seam,
-    so the same call works on a ``RoadNetwork``, a ``CCAMStore`` or a
-    ``CSRGraph`` provider.
+    so the same call works on a ``RoadNetwork`` or a ``CCAMStore``.
     """
     return seeded_distances(
         provider, seed_distances(network, source), cutoff

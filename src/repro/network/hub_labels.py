@@ -42,7 +42,8 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..nplib import require_numpy
+import numpy as np
+
 from .ch import ContractionHierarchy
 from .distance import INF, BackendCounters, seed_distances
 from .graph import NetworkPosition, RoadNetwork
@@ -82,7 +83,6 @@ class HubLabelBackend:
         max_witness_settled: int = 50,
         prune_labels: bool = True,
     ) -> None:
-        self._np = require_numpy("the hub-label distance backend")
         if ch is None:
             ch = ContractionHierarchy(
                 network, max_witness_settled=max_witness_settled
@@ -100,7 +100,6 @@ class HubLabelBackend:
     # Offline label construction
     # ------------------------------------------------------------------
     def _build_labels(self) -> None:
-        np = self._np
         rank = self.ch.rank
         n = self.num_nodes
         # Row r holds the label of the node with CH rank r; ranks are a
@@ -167,7 +166,6 @@ class HubLabelBackend:
         "a different hub certifies cheaper", with float comparisons on
         the very sums the query kernel would form.
         """
-        np = self._np
         indptr = self._indptr
         hubs = self._hubs
         dists = self._dists
@@ -230,7 +228,6 @@ class HubLabelBackend:
         return label
 
     def _build_position_label(self, pos: NetworkPosition):
-        np = self._np
         seeds = seed_distances(self._network, pos)
         parts = []
         for node_id, off in seeds.items():
@@ -250,7 +247,6 @@ class HubLabelBackend:
 
     def _join(self, ha, da, hb, db) -> float:
         """Minimum meeting cost of two sorted-unique labels."""
-        np = self._np
         _common, ia, ib = np.intersect1d(
             ha, hb, assume_unique=True, return_indices=True
         )
@@ -346,7 +342,6 @@ class HubLabelBackend:
         applied — no per-pair Python in the whole pass, which is what
         lets the array greedy consume it directly.
         """
-        np = self._np
         pos_list = list(positions)
         n = len(pos_list)
         if n < 2:

@@ -365,18 +365,6 @@ def database_gauges(db) -> Dict[str, float]:
             gauges[f"distance_backend.{name}"] = (
                 1.0 if backend == name else 0.0
             )
-    scoring = getattr(db, "scoring_mode", None)
-    if scoring is not None:
-        for name in ("array", "scalar"):
-            gauges[f"scoring_mode.{name}"] = (
-                1.0 if scoring == name else 0.0
-            )
-    frontier = getattr(db, "frontier_mode", None)
-    if frontier is not None:
-        for name in ("csr", "dict"):
-            gauges[f"frontier_mode.{name}"] = (
-                1.0 if frontier == name else 0.0
-            )
     indexes = getattr(db, "indexes", None)
     if indexes:
         # Packed signature footprint across every index built on this

@@ -1,14 +1,13 @@
 """Flight recorder: capture live queries for deterministic replay.
 
-Three distance backends and two scoring modes all promise
-byte-identical answers — but that equivalence is only exercised by
-tests, never by live traffic.  The flight recorder closes the gap with
-the standard production audit loop:
+Three distance backends all promise byte-identical answers — but that
+equivalence is only exercised by tests, never by live traffic.  The
+flight recorder closes the gap with the standard production audit loop:
 
 1. **Capture** — :class:`FlightRecorder` is a thread-safe bounded ring
    the query engine feeds with one record per executed query: the full
    query parameters (enough to re-plan it from scratch), the plan
-   label and cost hints (backend, scoring mode, data epoch), a stable
+   label and cost hints (backend, data epoch), a stable
    :func:`result_digest`, the latency and a complete
    :class:`~repro.core.queries.QueryStats` snapshot.  Committed
    dynamic updates are journalled inline (``flight_update`` records),
@@ -20,8 +19,8 @@ the standard production audit loop:
    journal deterministically: re-plans each query from its recorded
    parameters, re-applies the recorded updates between epoch groups,
    and diffs digests and invariant counters against the recording
-   (``repro replay FILE``, with ``--backend``/``--scoring``/
-   ``--workers`` overrides for cross-backend audits).
+   (``repro replay FILE``, with ``--backend``/``--workers``
+   overrides for cross-backend audits).
 
 3. **Shadow execution** — the engine's ``--shadow-backend`` mode runs
    a sampled fraction of queries a second time on another backend
@@ -64,9 +63,9 @@ def result_digest(result, precision: int = DIGEST_PRECISION) -> str:
     Covers the ordered object ids, each item's network distance
     (rounded to ``precision`` significant digits) and — for
     diversified results — the rounded objective value.  Identical
-    answers from different backends/scoring modes digest identically;
-    any reordering, membership change, distance drift above rounding
-    noise or objective change produces a different digest.
+    answers from different backends digest identically; any
+    reordering, membership change, distance drift above rounding noise
+    or objective change produces a different digest.
     """
     parts: List[str] = []
     for item in getattr(result, "items", ()):
@@ -170,7 +169,7 @@ class FlightRecorder:
         """Stamp the journal with its run context (emitted first).
 
         The replay CLI rebuilds the dataset from these fields (profile,
-        scale, seed) and restores the recorded backend/scoring unless
+        scale, seed) and restores the recorded backend unless
         overridden, so a journal is self-describing.
         """
         header = {"type": "flight_header", "version": 1}
@@ -219,7 +218,6 @@ class FlightRecorder:
         if hints is not None:
             record["hints"] = {
                 "distance_backend": hints.distance_backend,
-                "scoring": hints.scoring,
                 "data_version": hints.data_version,
             }
         objective = getattr(result, "objective_value", None)

@@ -19,7 +19,7 @@ outcome against the recording:
   :class:`ReplayReport` with a per-plan-label breakdown.
 
 Run unchanged, replay proves determinism.  Run with a different
-distance backend, scoring mode or worker count (``repro replay FILE
+distance backend or worker count (``repro replay FILE
 --backend hub --workers 4``), it is a cross-backend / concurrency
 audit: any digest that moves is a real divergence, localised to a
 plan label and a journal sequence number.
@@ -63,6 +63,11 @@ INDEX_KIND_BY_NAME = {
 #: Invariant counters replay compares (beyond the digest), skipped for
 #: result-cache hits — a cached answer legitimately did no expansion.
 _INVARIANT_STATS = ("candidates", "nodes_accessed")
+
+#: Header keys of modes that no longer exist (journals recorded while
+#: the engine had a CSR frontier and a scalar scoring mode carry them);
+#: replay ignores them and says so.
+_RETIRED_HEADER_KEYS = ("frontier", "scoring")
 
 
 @dataclass
@@ -115,8 +120,6 @@ class ReplayConfig:
     """Knobs of one replay run (``None`` = use the recorded value)."""
 
     backend: Optional[str] = None
-    scoring: Optional[str] = None
-    frontier: Optional[str] = None
     workers: int = 1
     limit: Optional[int] = None
 
@@ -151,8 +154,6 @@ class ReplayReport:
 
     journal_path: str = ""
     backend: str = ""
-    scoring: str = ""
-    frontier: str = ""
     workers: int = 1
     queries_replayed: int = 0
     updates_applied: Dict[str, int] = field(default_factory=dict)
@@ -160,6 +161,8 @@ class ReplayReport:
     #: label -> {"replayed": n, "diverged": m}
     per_label: Dict[str, Dict[str, int]] = field(default_factory=dict)
     skipped_lines: int = 0
+    #: ``key=value`` header entries of retired modes that were ignored.
+    ignored_header: List[str] = field(default_factory=list)
     wall_seconds: float = 0.0
 
     @property
@@ -183,8 +186,6 @@ class ReplayReport:
         return {
             "journal": self.journal_path,
             "backend": self.backend,
-            "scoring": self.scoring,
-            "frontier": self.frontier,
             "workers": self.workers,
             "queries": self.queries_replayed,
             "updates": sum(self.updates_applied.values()),
@@ -201,8 +202,7 @@ class ReplayReport:
         ) or "none"
         lines = [
             f"REPLAY  {self.journal_path}  "
-            f"(backend={self.backend}, scoring={self.scoring}, "
-            f"frontier={self.frontier}, workers={self.workers})",
+            f"(backend={self.backend}, workers={self.workers})",
             f"  {self.queries_replayed} queries re-executed, "
             f"{updates} updates re-applied ({update_mix}) "
             f"in {self.wall_seconds:.3f}s",
@@ -211,6 +211,11 @@ class ReplayReport:
             lines.append(
                 f"  warning: {self.skipped_lines} journal line(s) "
                 "skipped (malformed or foreign record types)"
+            )
+        if self.ignored_header:
+            lines.append(
+                f"  note: journal header names retired modes "
+                f"({', '.join(self.ignored_header)}); ignored"
             )
         lines.append("  per plan label:")
         for label in sorted(self.per_label):
@@ -369,8 +374,8 @@ def run_replay(
     """Re-execute a parsed journal against ``db``; diff everything.
 
     ``db`` must be freshly built from the journal header's dataset
-    profile (the CLI does this), with any backend/scoring overrides
-    already applied.  Queries are grouped by their recorded epoch;
+    profile (the CLI does this), with any backend override already
+    applied.  Queries are grouped by their recorded epoch;
     journalled updates are re-applied between groups so every query
     runs against the same ``data_version`` it was recorded at.  Within
     an epoch group queries execute through
@@ -380,10 +385,13 @@ def run_replay(
     report = ReplayReport(
         journal_path=journal_path,
         backend=db.distance_backend,
-        scoring=db.scoring_mode,
-        frontier=getattr(db, "frontier_mode", "dict"),
         workers=config.workers,
         skipped_lines=journal.skipped,
+        ignored_header=[
+            f"{key}={journal.header[key]}"
+            for key in _RETIRED_HEADER_KEYS
+            if journal.header and key in journal.header
+        ],
     )
     started = time.perf_counter()
     queries = journal.queries

@@ -175,12 +175,3 @@ class TestArrayScoring:
         assert got.tolist() == [
             obj.diversity(inf), obj.diversity(0.0), obj.diversity(250.0)
         ]
-
-    def test_requires_numpy(self, monkeypatch):
-        import repro.nplib as nplib
-        from repro.errors import DependencyError
-
-        monkeypatch.setattr(nplib, "np", None)
-        obj = DiversificationObjective(0.5, 100)
-        with pytest.raises(DependencyError, match="numpy"):
-            obj.relevance_array([1.0])

@@ -80,18 +80,6 @@ class TestBackendSelection:
         assert db.distance_backend == "hub"
         assert db.pairwise_backend() is db.hub_oracle()
 
-    def test_unknown_scoring_mode_rejected(self, restore_backend):
-        with pytest.raises(QueryError):
-            restore_backend.use_scoring_mode("gpu")
-
-    def test_scoring_mode_roundtrip(self, restore_backend):
-        db = restore_backend
-        assert db.scoring_mode == "array"  # numpy is available in tests
-        db.use_scoring_mode("scalar")
-        assert db.scoring_mode == "scalar"
-        db.use_scoring_mode("array")
-        assert db.scoring_mode == "array"
-
 
 class TestAnswerEquivalence:
     def test_seq_and_com_identical_across_backends(
@@ -125,33 +113,23 @@ class TestAnswerEquivalence:
         assert delta("query.backend.ch") == 2 * len(queries)
         assert delta("query.backend.ch") == delta("query.backend.dijkstra")
 
-    def test_all_three_backends_and_both_scorings_agree(
-        self, restore_backend, tiny_indexes
-    ):
-        """The full cross product — {dijkstra, ch, hub} × {scalar,
-        array} — returns byte-identical object ids and objective values
-        (rounded to 9 decimals, the repo's equivalence contract)."""
+    def test_all_three_backends_agree(self, restore_backend, tiny_indexes):
+        """{dijkstra, ch, hub} × {seq, com} returns byte-identical
+        object ids and objective values (rounded to 9 decimals, the
+        repo's equivalence contract)."""
         db = restore_backend
         index = tiny_indexes["sif"]
         config = WorkloadConfig(num_queries=6, num_keywords=2, k=5, seed=83)
         queries = generate_diversified_queries(db, config)
         results = {}
-        try:
-            for backend in ("dijkstra", "ch", "hub"):
-                db.use_distance_backend(backend)
-                for scoring in ("scalar", "array"):
-                    db.use_scoring_mode(scoring)
-                    for method in ("seq", "com"):
-                        results[(backend, scoring, method)] = _run_workload(
-                            db, index, queries, method
-                        )
-        finally:
-            db.use_scoring_mode("array")
-        baseline_seq = results[("dijkstra", "scalar", "seq")]
-        baseline_com = results[("dijkstra", "scalar", "com")]
-        for (backend, scoring, method), got in results.items():
-            want = baseline_seq if method == "seq" else baseline_com
-            assert got == want, (backend, scoring, method)
+        for backend in ("dijkstra", "ch", "hub"):
+            db.use_distance_backend(backend)
+            for method in ("seq", "com"):
+                results[(backend, method)] = _run_workload(
+                    db, index, queries, method
+                )
+        for (backend, method), got in results.items():
+            assert got == results[("dijkstra", method)], (backend, method)
 
     def test_hub_stats_carry_backend_counters(
         self, restore_backend, tiny_indexes
@@ -276,7 +254,6 @@ class TestObservability:
         assert gauges["hub_label.labels"] == db.network.num_nodes
         assert gauges["hub_label.label_entries"] > 0
         assert gauges["hub_label.avg_label_size"] >= 1.0
-        assert gauges["scoring_mode.array"] == 1.0
         text = prometheus_text(db.metrics, gauges=gauges)
         assert "repro_distance_backend_hub 1.0" in text
         assert "repro_hub_label_label_entries" in text
@@ -296,7 +273,6 @@ class TestObservability:
         )
         rendered = report.render()
         assert "distance backend: hub" in rendered
-        assert "scoring: array" in rendered
         # The many-to-many prefetch span narrates label-entry scans and
         # kernel hits through the hub-specific formatter.
         if "hub-label kernel" in rendered:

@@ -15,7 +15,6 @@ import networkx as nx
 import pytest
 
 from repro.datasets.synthetic import grid_network, random_planar_network
-from repro.errors import DependencyError
 from repro.network.ch import ContractionHierarchy
 from repro.network.distance import (
     BackendCounters,
@@ -69,13 +68,6 @@ class TestConstruction:
         assert stats["label_entries"] == hub.label_entries
         assert stats["build_seconds"] >= 0.0
         assert stats["ch_shortcuts_added"] == hub.ch.shortcuts_added
-
-    def test_missing_numpy_raises_dependency_error(self, monkeypatch):
-        import repro.nplib as nplib
-
-        monkeypatch.setattr(nplib, "np", None)
-        with pytest.raises(DependencyError, match="numpy"):
-            HubLabelBackend(random_planar_network(10, seed=1))
 
 
 class TestNodeDistances:

@@ -124,7 +124,6 @@ class TestFlightRecorder:
                 plans[i].query.terms
             )
             assert record["hints"]["distance_backend"] == "dijkstra"
-            assert record["hints"]["scoring"] == db.scoring_mode
             assert "candidates" in record["stats"]
         assert db.metrics.counters()["recorder.records"] >= 4
 

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -526,13 +527,32 @@ class TestFlightRecorderCLI:
             "--keywords", "2", "--k", "4", "--record", str(journal),
         ]) == 0
         assert main([
-            "replay", str(journal), "--backend", "ch",
-            "--scoring", "scalar", "--workers", "2",
+            "replay", str(journal), "--backend", "ch", "--workers", "2",
         ]) == 0
         out = capsys.readouterr().out
         assert "backend=ch" in out
-        assert "scoring=scalar" in out
         assert "verdict: PASS" in out
+
+    @pytest.mark.parametrize("backend", ["dijkstra", "ch", "hub"])
+    def test_replay_pre_refactor_journal(self, backend, capsys):
+        """tests/data/flight_pr11.jsonl was recorded before the frontier
+        and scoring modes were deleted; its header still names them."""
+        journal = Path(__file__).parent / "data" / "flight_pr11.jsonl"
+        assert main(["replay", str(journal), "--backend", backend]) == 0
+        out = capsys.readouterr().out
+        assert out.count("retired modes (frontier=csr, scoring=array)") == 1
+        assert "24 queries re-executed, 16 updates re-applied" in out
+        assert "verdict: PASS — zero divergences" in out
+
+    @pytest.mark.parametrize("argv", [
+        ["sk", "SYN", "--frontier", "dict"],
+        ["replay", "F", "--scoring", "scalar"],
+    ])
+    def test_retired_mode_flags_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_replay_catches_tampered_journal(self, tmp_path, capsys):
         journal = tmp_path / "flight.jsonl"

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +24,10 @@ from repro.workloads.replay import (
 )
 from tests.conftest import TINY_PROFILE
 
+#: Recorded at the commit before the frontier / scoring / no-numpy
+#: switches were deleted (``repro update SYN --scale 0.25 ... --record``).
+PR11_JOURNAL = Path(__file__).parents[1] / "data" / "flight_pr11.jsonl"
+
 
 def fresh_db():
     return build_dataset(TINY_PROFILE)
@@ -35,7 +40,7 @@ def record_run(path, with_updates=True):
     recorder = db.enable_flight_recorder(path=path)
     recorder.set_header(
         profile="TINY", scale=1.0, seed=TINY_PROFILE.seed,
-        distance_backend=db.distance_backend, scoring=db.scoring_mode,
+        distance_backend=db.distance_backend,
         data_version=db.data_version,
     )
     queries = generate_diversified_queries(
@@ -123,11 +128,29 @@ class TestReplayDeterminism:
         assert report.passed, [d.render() for d in report.divergences]
         assert report.backend == backend
 
-    def test_scalar_scoring_zero_divergences(self, journal_path):
-        db = fresh_db()
-        db.use_scoring_mode("scalar")
-        report = run_replay(db, load_flight_journal(journal_path))
+    @pytest.mark.parametrize("backend", ["dijkstra", "ch", "hub"])
+    def test_pre_refactor_journal_zero_divergences(self, backend):
+        """A journal recorded while the CSR frontier and the scoring
+        switch existed (its header and hints name them) replays clean:
+        the retired keys are noted and ignored."""
+        journal = load_flight_journal(PR11_JOURNAL)
+        assert journal.header["frontier"] == "csr"
+        assert journal.header["scoring"] == "array"
+        assert all("scoring" in q["hints"] for q in journal.queries)
+        db = build_dataset(
+            journal.header["profile"], scale=journal.header["scale"]
+        )
+        db.use_distance_backend(backend)
+        report = run_replay(db, journal)
         assert report.passed, [d.render() for d in report.divergences]
+        assert report.queries_replayed == 24
+        assert sum(report.updates_applied.values()) == 16
+        notes = [
+            line for line in report.render().splitlines()
+            if "retired modes" in line
+        ]
+        assert len(notes) == 1
+        assert "frontier=csr" in notes[0] and "scoring=array" in notes[0]
 
     def test_concurrent_replay_zero_divergences(self, journal_path):
         report = run_replay(
