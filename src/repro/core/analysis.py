@@ -131,5 +131,5 @@ class CostModel:
         total_objects = len(store)
         m = total_objects / max(1, network_edges)
         s = store.average_keywords_per_object()
-        vocab = len(store.vocabulary())
+        vocab = store.vocabulary_size
         return cls(m, s, vocab)

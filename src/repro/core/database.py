@@ -124,7 +124,6 @@ class Database:
         self.edge_rtree: RTree = build_edge_rtree(network, rtree_file)
         self.store = ObjectStore(network)
         self._kd_partition: Optional[KDTreePartition] = None
-        self._keyword_frequencies: Optional[Dict[str, int]] = None
         self._engine: Optional[QueryEngine] = None
         self._frozen = False
         #: Monotonic data epoch.  Every committed dynamic update —
@@ -165,7 +164,6 @@ class Database:
     ) -> SpatioTextualObject:
         """Add an object at a known network position."""
         self._ensure_not_frozen()
-        self._keyword_frequencies = None
         return self.store.add(position, keywords)
 
     def add_object_at_point(
@@ -173,7 +171,6 @@ class Database:
     ) -> SpatioTextualObject:
         """Add an object at a raw 2-d point, snapped to the closest edge."""
         self._ensure_not_frozen()
-        self._keyword_frequencies = None
         position = snap_point_to_edge(self.network, self.edge_rtree, point)
         return self.store.add(position, keywords)
 
@@ -206,7 +203,6 @@ class Database:
         cache and CH oracle stay valid.
         """
         self.ensure_frozen()
-        self._keyword_frequencies = None
         obj = self.store.add(position, keywords)
         self.store.resort_edge(position.edge_id)
         for index in indexes:
@@ -239,7 +235,6 @@ class Database:
         touching distance state.
         """
         self.ensure_frozen()
-        self._keyword_frequencies = None
         obj = self.store.remove(object_id)
         for index in indexes:
             delete = getattr(index, "delete_object", None)
@@ -442,15 +437,10 @@ class Database:
         self._engine = value
 
     def keyword_frequencies(self) -> Dict[str, int]:
-        """Document frequency of every keyword (cached; planner input).
-
-        The cache is invalidated by every object addition, so dynamic
-        insertions keep cost estimates honest.  Treat the returned
-        mapping as read-only.
-        """
-        if self._keyword_frequencies is None:
-            self._keyword_frequencies = self.store.keyword_frequencies()
-        return self._keyword_frequencies
+        """Document frequency of every keyword: a fresh O(V) snapshot of
+        the counts the object store maintains through every addition,
+        insertion and deletion (a term no object carries is absent)."""
+        return self.store.keyword_frequencies()
 
     # ------------------------------------------------------------------
     # Shared distance cache (warm-cache serving)
@@ -964,7 +954,7 @@ class Database:
         """Table-2-style statistics of the loaded dataset."""
         return {
             "num_objects": len(self.store),
-            "vocabulary_size": len(self.store.vocabulary()),
+            "vocabulary_size": self.store.vocabulary_size,
             "avg_keywords": round(self.store.average_keywords_per_object(), 2),
             "num_nodes": self.network.num_nodes,
             "num_edges": self.network.num_edges,

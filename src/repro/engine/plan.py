@@ -47,10 +47,11 @@ _SEQ_CANDIDATE_FACTOR = 2
 class CostHints:
     """Planner-time cost estimates for one query.
 
-    All numbers derive from catalogue statistics
-    (:meth:`~repro.core.database.Database.dataset_statistics` and the
-    object store's keyword document frequencies) — nothing here reads
-    index pages.  ``estimated_matches`` assumes keyword independence:
+    All numbers derive from the catalogue statistics that
+    :class:`~repro.network.objects.ObjectStore` maintains as objects
+    are added and removed (object count, vocabulary size, per-term
+    document frequency) — nothing here reads index pages or objects.
+    ``estimated_matches`` assumes keyword independence:
     ``N · Π(df_t / N)`` over the query terms, the textbook conjunctive
     selectivity estimate; the rarest term bounds it from above.
     """
@@ -159,11 +160,12 @@ class QueryPlan:
 
 
 def _cost_hints(db: "Database", terms) -> CostHints:
-    stats = db.dataset_statistics()
-    frequencies = db.keyword_frequencies()
-    num_objects = int(stats["num_objects"])
+    # O(|terms|): the store maintains these statistics as objects come
+    # and go, so planning never iterates the objects.
+    store = db.store
+    num_objects = len(store)
     tf = tuple(sorted(
-        ((term, frequencies.get(term, 0)) for term in terms),
+        ((term, store.document_frequency(term)) for term in terms),
         key=lambda pair: (pair[1], pair[0]),
     ))
     estimated = float(num_objects)
@@ -171,14 +173,14 @@ def _cost_hints(db: "Database", terms) -> CostHints:
         estimated *= (df / num_objects) if num_objects else 0.0
     return CostHints(
         num_objects=num_objects,
-        num_edges=int(stats["num_edges"]),
-        vocabulary_size=int(stats["vocabulary_size"]),
+        num_edges=db.network.num_edges,
+        vocabulary_size=store.vocabulary_size,
         term_frequencies=tf,
         estimated_matches=estimated,
         selectivity=(estimated / num_objects) if num_objects else 0.0,
-        distance_backend=getattr(db, "distance_backend", "dijkstra"),
-        data_version=getattr(db, "data_version", 0),
-        recent_updates=len(getattr(db, "update_journal", ())),
+        distance_backend=db.distance_backend,
+        data_version=db.data_version,
+        recent_updates=len(db.update_journal),
     )
 
 

@@ -78,6 +78,11 @@ class ObjectStore:
         # after a remove(), aliasing a new object with postings that
         # still reference the deleted one.
         self._next_id = 0
+        # Catalogue statistics, maintained by add() / remove() so that
+        # no reader scans the objects: objects carrying each term (a
+        # term nobody carries has no key) and keywords over all objects.
+        self._document_frequency: Dict[str, int] = {}
+        self._keyword_total = 0
 
     # ------------------------------------------------------------------
     # Construction
@@ -98,6 +103,10 @@ class ObjectStore:
         self._next_id += 1
         self._objects[obj.object_id] = obj
         self._by_edge.setdefault(position.edge_id, []).append(obj.object_id)
+        df = self._document_frequency
+        for term in kw:
+            df[term] = df.get(term, 0) + 1
+        self._keyword_total += len(kw)
         return obj
 
     def remove(self, object_id: int) -> SpatioTextualObject:
@@ -114,6 +123,13 @@ class ObjectStore:
             ids.remove(object_id)
             if not ids:
                 del self._by_edge[obj.position.edge_id]
+        df = self._document_frequency
+        for term in obj.keywords:
+            if df[term] == 1:
+                del df[term]
+            else:
+                df[term] -= 1
+        self._keyword_total -= len(obj.keywords)
         return obj
 
     def rescale_edge_offsets(self, edge_id: int, factor: float) -> None:
@@ -122,7 +138,8 @@ class ObjectStore:
         Offsets are in *weight* units, so an edge reweight from ``w`` to
         ``w'`` moves every resident object's offset by ``w'/w`` — the
         object stays at the same geometric point (same fraction along
-        the edge).  Visiting order is preserved (factor > 0).
+        the edge).  Visiting order is preserved (factor > 0).  Keyword
+        sets are untouched, so the catalogue statistics are too.
         """
         if factor <= 0:
             raise DatasetError("rescale factor must be positive")
@@ -178,23 +195,24 @@ class ObjectStore:
     # Statistics (Table 2)
     # ------------------------------------------------------------------
     def vocabulary(self) -> FrozenSet[str]:
-        vocab = set()
-        for obj in self._objects.values():
-            vocab.update(obj.keywords)
-        return frozenset(vocab)
+        return frozenset(self._document_frequency)
+
+    @property
+    def vocabulary_size(self) -> int:
+        return len(self._document_frequency)
+
+    def document_frequency(self, term: str) -> int:
+        """Number of objects containing ``term`` (0 if none does)."""
+        return self._document_frequency.get(term, 0)
 
     def keyword_frequencies(self) -> Dict[str, int]:
-        """Term frequency (number of objects containing each keyword)."""
-        freq: Dict[str, int] = {}
-        for obj in self._objects.values():
-            for term in obj.keywords:
-                freq[term] = freq.get(term, 0) + 1
-        return freq
+        """Document frequency of every keyword, as a fresh snapshot."""
+        return dict(self._document_frequency)
 
     def average_keywords_per_object(self) -> float:
         if not self._objects:
             return 0.0
-        return sum(len(o.keywords) for o in self._objects.values()) / len(self._objects)
+        return self._keyword_total / len(self._objects)
 
 
 def build_edge_rtree(network: RoadNetwork, file) -> RTree:

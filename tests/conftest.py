@@ -131,3 +131,35 @@ def paper_network() -> RoadNetwork:
 
 def pos(edge_id: int, offset: float) -> NetworkPosition:
     return NetworkPosition(edge_id, offset)
+
+
+def recount_catalogue(objects):
+    """Catalogue statistics from a pass over ``objects``: keyword
+    document frequencies, vocabulary and mean keywords per object.
+
+    The reference the object store's running counters (and the
+    planner's cost hints) must agree with.
+    """
+    objects = list(objects)
+    freq = {}
+    for obj in objects:
+        for term in obj.keywords:
+            freq[term] = freq.get(term, 0) + 1
+    vocab = set()
+    for obj in objects:
+        vocab.update(obj.keywords)
+    average = (
+        sum(len(o.keywords) for o in objects) / len(objects)
+        if objects else 0.0
+    )
+    return freq, frozenset(vocab), average
+
+
+def assert_catalogue_matches_recount(store) -> None:
+    freq, vocab, average = recount_catalogue(store)
+    assert store.keyword_frequencies() == freq
+    assert store.vocabulary() == vocab
+    assert store.vocabulary_size == len(vocab)
+    assert store.average_keywords_per_object() == average
+    for term in vocab | {"never-seen"}:
+        assert store.document_frequency(term) == freq.get(term, 0)

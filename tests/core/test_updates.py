@@ -5,6 +5,7 @@ import pytest
 from repro import Database, NetworkPosition
 from repro.core.updates import UpdateJournal, UpdateRecord
 from repro.errors import DatasetError, GraphError, QueryError
+from tests.conftest import assert_catalogue_matches_recount
 
 
 @pytest.fixture()
@@ -139,6 +140,41 @@ class TestDatabaseUpdates:
         assert rebuilt is not oracle
         counters = live_db.metrics.counters()
         assert counters["hub_label.invalidations"] == 1
+
+    def test_catalogue_statistics_track_interleaved_updates(self, live_db):
+        """The store's running df / vocabulary / keyword-total counters
+        equal a from-scratch recount after every kind of update."""
+        sif = live_db.build_index("sif")
+
+        def check():
+            assert_catalogue_matches_recount(live_db.store)
+            stats = live_db.dataset_statistics()
+            assert stats["num_objects"] == len(list(live_db.store))
+            assert stats["vocabulary_size"] == len(live_db.keyword_frequencies())
+
+        check()
+        sushi = live_db.insert_object(
+            NetworkPosition(1, 10.0), {"sushi", "bar"}, indexes=(sif,)
+        )
+        check()
+        live_db.update_edge_weight(1, 180.0, indexes=(sif,))
+        check()
+        vocabulary = live_db.store.vocabulary_size
+        live_db.delete_object(sushi.object_id, indexes=(sif,))
+        # "sushi" lost its last holder; "bar" did not.
+        assert live_db.store.vocabulary_size == vocabulary - 1
+        assert "sushi" not in live_db.keyword_frequencies()
+        assert live_db.keyword_frequencies()["bar"] == 1
+        check()
+        live_db.insert_object(NetworkPosition(1, 90.0), {"sushi"}, indexes=(sif,))
+        live_db.update_edge_weight(1, 60.0, indexes=(sif,))
+        live_db.insert_object(NetworkPosition(3, 5.0), {"pizza"}, indexes=(sif,))
+        check()
+        for object_id in [o.object_id for o in live_db.store]:
+            live_db.delete_object(object_id, indexes=(sif,))
+            check()
+        assert live_db.dataset_statistics()["vocabulary_size"] == 0
+        assert live_db.dataset_statistics()["avg_keywords"] == 0.0
 
     def test_updates_require_frozen_db(self, grid_network9):
         db = Database(grid_network9, buffer_pages=8)

@@ -2,15 +2,19 @@
 
 import pytest
 
+from repro import Database, NetworkPosition
 from repro.core.knn import SKkNNQuery
-from repro.core.queries import DiversifiedSKQuery
+from repro.core.queries import DiversifiedSKQuery, SKQuery
+from repro.datasets.catalog import build_dataset
 from repro.engine import QueryPlan, plan_diversified, plan_knn, plan_sk
+from repro.engine.plan import CostHints
 from repro.errors import QueryError
 from repro.workloads.queries import (
     WorkloadConfig,
     generate_diversified_queries,
     generate_sk_queries,
 )
+from tests.conftest import TINY_PROFILE, recount_catalogue
 
 
 @pytest.fixture(scope="module")
@@ -32,6 +36,64 @@ def div_query(tiny_db):
     )[0]
 
 
+@pytest.fixture()
+def live():
+    """A private copy of the tiny dataset that a test may update."""
+    db = build_dataset(TINY_PROFILE.scaled(0.2))
+    return db, db.build_index("sif", file_prefix="planner-live-sif")
+
+
+class _NoScan(dict):
+    """An object map that answers lookups and ``len`` but not iteration."""
+
+    def _refuse(self, *args):
+        raise AssertionError("planning iterated the object store")
+
+    __iter__ = keys = values = items = _refuse
+
+
+def recount_hints(db, terms) -> CostHints:
+    """The cost hints as a full pass over objects and edges gives them."""
+    frequencies, vocabulary, _ = recount_catalogue(db.store)
+    num_objects = sum(1 for _ in db.store)
+    tf = tuple(sorted(
+        ((term, frequencies.get(term, 0)) for term in terms),
+        key=lambda pair: (pair[1], pair[0]),
+    ))
+    estimated = float(num_objects)
+    for _term, df in tf:
+        estimated *= (df / num_objects) if num_objects else 0.0
+    return CostHints(
+        num_objects=num_objects,
+        num_edges=sum(1 for _ in db.network.edges()),
+        vocabulary_size=len(vocabulary),
+        term_frequencies=tf,
+        estimated_matches=estimated,
+        selectivity=(estimated / num_objects) if num_objects else 0.0,
+        distance_backend=db.distance_backend,
+        data_version=db.data_version,
+        recent_updates=len(db.update_journal),
+    )
+
+
+def _queries_over(db):
+    """One SK, one kNN and one diversified query over ``db``'s data."""
+    config = WorkloadConfig(num_queries=1, num_keywords=2, k=4, seed=7)
+    sk = generate_sk_queries(db, config)[0]
+    div = generate_diversified_queries(db, config)[0]
+    knn = SKkNNQuery.create(div.position, div.terms, k=3)
+    return sk, knn, div
+
+
+def _plan_all(db, index, queries):
+    sk, knn, div = queries
+    return [
+        plan_sk(db, index, sk),
+        plan_knn(db, index, knn),
+        plan_diversified(db, index, div, method=None),
+    ]
+
+
 class TestCostHints:
     def test_hints_derive_from_catalogue(self, tiny_db, sif, sk_query):
         plan = plan_sk(tiny_db, sif, sk_query)
@@ -46,10 +108,82 @@ class TestCostHints:
         assert h.estimated_matches <= min(freqs) + 1e-9
         assert 0.0 <= h.selectivity <= 1.0
 
-    def test_planning_is_pure_metadata(self, tiny_db, sif, sk_query):
-        before = tiny_db.metrics.counters().get("query.count", 0)
-        plan_sk(tiny_db, sif, sk_query)
-        assert tiny_db.metrics.counters().get("query.count", 0) == before
+    def test_planning_is_pure_metadata(self, live, monkeypatch):
+        """No plan executes a query or reads a single object — before
+        an update, after an insert and after a delete."""
+        db, sif = live
+        queries = _queries_over(db)
+        executed = db.metrics.counters().get("query.count", 0)
+
+        def plan_without_touching_objects():
+            with monkeypatch.context() as patch:
+                patch.setattr(db.store, "_objects", _NoScan(db.store._objects))
+                plans = _plan_all(db, sif, queries)
+            assert all(p.hints.num_objects == len(db.store) for p in plans)
+
+        plan_without_touching_objects()
+        position = next(iter(db.store)).position
+        inserted = db.insert_object(position, queries[0].terms, indexes=(sif,))
+        plan_without_touching_objects()
+        db.delete_object(inserted.object_id, indexes=(sif,))
+        plan_without_touching_objects()
+        assert db.metrics.counters().get("query.count", 0) == executed
+
+    def test_hints_equal_a_brute_force_recount(self, tiny_db, sif, sk_query):
+        plan = plan_sk(tiny_db, sif, sk_query)
+        assert plan.hints == recount_hints(tiny_db, sk_query.terms)
+        # Unknown terms count 0 and, their dfs being equal, order by name.
+        absent = DiversifiedSKQuery.create(
+            sk_query.position, ("zz-b", "zz-a", *sk_query.terms),
+            delta_max=sk_query.delta_max, k=4,
+        )
+        hints = plan_diversified(tiny_db, sif, absent, method=None).hints
+        assert hints == recount_hints(tiny_db, absent.terms)
+        assert hints.term_frequencies[:2] == (("zz-a", 0), ("zz-b", 0))
+
+    def test_hints_follow_updates(self, live):
+        db, sif = live
+        queries = _queries_over(db)
+
+        def check():
+            for plan in _plan_all(db, sif, queries):
+                assert plan.hints == recount_hints(db, plan.query.terms)
+
+        check()
+        position = next(iter(db.store)).position
+        rare = db.insert_object(
+            position, {"zz-only-here", *queries[0].terms}, indexes=(sif,)
+        )
+        check()
+        edge = db.network.edge(position.edge_id)
+        db.update_edge_weight(edge.edge_id, edge.weight * 1.5, indexes=(sif,))
+        check()
+        vocabulary = plan_sk(db, sif, queries[0]).hints.vocabulary_size
+        db.delete_object(rare.object_id, indexes=(sif,))
+        check()
+        after = plan_sk(db, sif, queries[0]).hints
+        assert after.vocabulary_size == vocabulary - 1
+        # Remove every holder of the query's rarest term: its df reads 0
+        # and the conjunctive estimate collapses with it.
+        term = after.rarest_term
+        for obj in [o for o in db.store if term in o.keywords]:
+            db.delete_object(obj.object_id, indexes=(sif,))
+        check()
+        emptied = plan_sk(db, sif, queries[0]).hints
+        assert emptied.term_frequencies[0] == (term, 0)
+        assert emptied.estimated_matches == 0.0
+        assert emptied.selectivity == 0.0
+
+    def test_empty_store_estimates_zero(self, grid_network9):
+        db = Database(grid_network9, buffer_pages=16)
+        db.freeze()
+        sif = db.build_index("sif")
+        query = SKQuery.create(NetworkPosition(0, 0.0), ["pizza"], 500.0)
+        hints = plan_sk(db, sif, query).hints
+        assert hints == recount_hints(db, query.terms)
+        assert (hints.num_objects, hints.vocabulary_size) == (0, 0)
+        assert hints.estimated_matches == 0.0
+        assert hints.selectivity == 0.0
 
 
 class TestPlanShapes:

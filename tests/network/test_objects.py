@@ -1,12 +1,15 @@
 """Tests for the object store and edge snapping."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import DatasetError
 from repro.network.graph import NetworkPosition
 from repro.network.objects import ObjectStore, build_edge_rtree, snap_point_to_edge
 from repro.spatial.geometry import Point
 from repro.storage.pagefile import DiskManager
+from tests.conftest import assert_catalogue_matches_recount, make_grid4
 
 
 @pytest.fixture()
@@ -61,6 +64,70 @@ class TestStore:
     def test_object_point(self, store):
         obj = store.add(NetworkPosition(0, 25.0), {"a"})
         assert store.object_point(obj.object_id) == Point(25, 0)
+
+
+# A six-term alphabet keeps keyword sets overlapping, so objects share
+# terms and removals regularly take the last holder of one.
+_KEYWORDS = st.frozensets(st.sampled_from("abcdef"), min_size=1, max_size=4)
+_OPERATIONS = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), st.integers(0, 11), _KEYWORDS),
+        st.tuples(st.just("remove"), st.integers(0, 1 << 16)),
+        st.tuples(
+            st.just("rescale"), st.integers(0, 11),
+            st.floats(0.25, 4.0, allow_nan=False),
+        ),
+    ),
+    max_size=40,
+)
+
+
+class TestCatalogueCounters:
+    @settings(max_examples=150, deadline=None)
+    @given(_OPERATIONS)
+    def test_counters_equal_a_recount(self, operations):
+        network = make_grid4()
+        store = ObjectStore(network)
+        live = []
+        assert_catalogue_matches_recount(store)
+        for op in operations:
+            if op[0] == "add":
+                offset = network.edge(op[1]).weight / 2
+                live.append(
+                    store.add(NetworkPosition(op[1], offset), op[2]).object_id
+                )
+            elif op[0] == "remove":
+                if not live:
+                    continue
+                store.remove(live.pop(op[1] % len(live)))
+            else:
+                # As Database.update_edge_weight does: the edge's weight
+                # and its objects' offsets move together.
+                weight = network.edge(op[1]).weight * op[2]
+                network.update_edge_weight(op[1], weight)
+                store.rescale_edge_offsets(op[1], op[2])
+            assert_catalogue_matches_recount(store)
+
+    def test_last_holder_takes_its_term_out_of_the_vocabulary(self, store):
+        a = store.add(NetworkPosition(0, 1.0), {"shared", "only-a"})
+        b = store.add(NetworkPosition(1, 1.0), {"shared"})
+        store.remove(a.object_id)
+        assert store.document_frequency("only-a") == 0
+        assert "only-a" not in store.keyword_frequencies()
+        assert store.vocabulary() == frozenset({"shared"})
+        assert store.vocabulary_size == 1
+        store.remove(b.object_id)
+        assert store.vocabulary_size == 0
+        assert store.keyword_frequencies() == {}
+        assert store.average_keywords_per_object() == 0.0
+
+    def test_keyword_frequencies_is_a_snapshot(self, store):
+        store.add(NetworkPosition(0, 1.0), {"a"})
+        snapshot = store.keyword_frequencies()
+        snapshot["a"] = 99
+        store.add(NetworkPosition(0, 2.0), {"a", "b"})
+        assert snapshot == {"a": 99}
+        assert store.keyword_frequencies() == {"a": 2, "b": 1}
 
 
 class TestSnapping:
