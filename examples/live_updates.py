@@ -1,22 +1,16 @@
 #!/usr/bin/env python
-"""Dynamic maintenance and landmark-accelerated diversified search.
+"""Dynamic maintenance: an insertion into a live, indexed database.
 
-Two extensions beyond the paper's static setting:
-
-1. *Dynamic insertion* — a new business opens after the index is built;
-   its postings and signature bits are pushed into the live SIF index
-   and the very next query finds it.
-2. *Landmark bounds* — an ALT-style landmark index supplies exact
-   network-distance upper bounds that tighten COM's θ-pruning, skipping
-   exact pairwise computations without changing any answer.
+An extension beyond the paper's static setting: a new business opens
+after the index is built; its postings and signature bits are pushed
+into the live SIF index and the very next query finds it.
 
 Run with::
 
     python examples/live_updates.py
 """
 
-from repro import DiversifiedSKQuery, SKQuery, datasets
-from repro.network.landmarks import LandmarkIndex
+from repro import SKQuery, datasets
 
 
 def main() -> None:
@@ -24,7 +18,6 @@ def main() -> None:
     index = db.build_index("sif")
     print(f"Dataset: {db.dataset_statistics()}")
 
-    # --- dynamic insertion -------------------------------------------
     anchor = next(iter(db.store))
     terms = ["nightmarket", "rooftop"]  # brand new keywords
     query = SKQuery.create(anchor.position, terms, delta_max=3000.0)
@@ -36,26 +29,6 @@ def main() -> None:
     print(f"After inserting one object, the same query finds "
           f"{len(result)} object(s) at distance "
           f"{result.items[0].distance:.0f}.")
-
-    # --- landmark-accelerated COM ------------------------------------
-    landmarks = LandmarkIndex(db.ccam, db.network, num_landmarks=8)
-    print(f"\nLandmark nodes: {list(landmarks.landmarks)}")
-
-    freq = db.store.keyword_frequencies()
-    top = max(freq, key=freq.get)
-    dq = DiversifiedSKQuery.create(
-        anchor.position, [top], delta_max=3000.0, k=6, lambda_=0.6
-    )
-    plain = db.diversified_search(index, dq, method="com")
-    boosted = db.diversified_search(index, dq, method="com",
-                                    landmarks=landmarks)
-    print(f"\nDiversified query on '{top}':")
-    print(f"  plain COM:    f={plain.objective_value:.4f}, "
-          f"{plain.stats.theta_evaluations} exact pair evaluations")
-    print(f"  with landmarks: f={boosted.objective_value:.4f}, "
-          f"{boosted.stats.theta_evaluations} exact pair evaluations")
-    assert plain.object_ids() == boosted.object_ids()
-    print("  identical answers, fewer (or equal) exact computations.")
 
 
 if __name__ == "__main__":

@@ -6,7 +6,7 @@ Run with::
     python examples/quickstart.py
 """
 
-from repro import DiversifiedSKQuery, SKQuery, datasets
+from repro import DiversifiedSKQuery, datasets
 
 def main() -> None:
     # 1. Build a scaled-down rendition of the paper's NA dataset:

@@ -57,30 +57,22 @@ class CorePairMaintainer:
         k: int,
         objective: DiversificationObjective,
         pair_distance: PairDistance,
-        pair_distance_upper_bound: Optional[PairDistance] = None,
         tracer=NULL_TRACER,
     ) -> None:
-        """``pair_distance_upper_bound`` optionally supplies a tighter
-        upper bound on δ(a, b) than the triangle inequality through the
-        query (e.g. landmark bounds); it must never under-estimate the
-        true distance or the pruning becomes unsound.
-
-        ``tracer`` records a ``com.core_pair`` event on every CP
+        """``tracer`` records a ``com.core_pair`` event on every CP
         insertion, so a trace shows when (and at what θ) the result set
         last changed.
 
         Each arrival's θ-upper-bound row is batched through numpy
-        (:meth:`DiversificationObjective.theta_batch`) — same bounds bit
-        for bit as the object-by-object loop, same counters — unless a
-        landmark bound is installed (landmark bounds are per-pair
-        callbacks and force the scalar row)."""
+        (:meth:`DiversificationObjective.theta_batch`) once it is long
+        enough to pay for the array setup — same bounds bit for bit as
+        the object-by-object loop, same counters."""
         if k < 2:
             raise ValueError("k must be at least 2")
         self._k = k
         self._num_pairs = k // 2
         self._objective = objective
         self._pair_distance = pair_distance
-        self._pair_distance_ub = pair_distance_upper_bound
         self._tracer = tracer
         self._pairs: List[CorePair] = []  # descending by theta
         #: every active (non-pruned) object seen so far, by id
@@ -88,11 +80,6 @@ class CorePairMaintainer:
         #: object_id -> best θ against any other active object
         self._best_theta: Dict[int, float] = {}
         self.theta_evaluations = 0
-        #: How often each upper-bound source decided a θ bound: the
-        #: triangle inequality through the query vs an installed
-        #: landmark bound (ablation A4's mechanism, now observable).
-        self.ub_triangle_wins = 0
-        self.ub_landmark_wins = 0
 
     # ------------------------------------------------------------------
     # Introspection
@@ -156,20 +143,11 @@ class CorePairMaintainer:
 
         By the triangle inequality through the query point,
         ``δ(a, b) <= δ(a, q) + δ(b, q)``; θ is monotone in the pair
-        distance, so plugging the bound in yields an upper bound.  An
-        installed custom bound (landmarks) tightens it further.
+        distance, so plugging the bound in yields an upper bound.
         """
-        ub = a.distance + b.distance
-        if self._pair_distance_ub is not None:
-            lm = self._pair_distance_ub(a, b)
-            if lm < ub:
-                ub = lm
-                self.ub_landmark_wins += 1
-            else:
-                self.ub_triangle_wins += 1
-        else:
-            self.ub_triangle_wins += 1
-        return self._objective.theta(a.distance, b.distance, ub)
+        return self._objective.theta(
+            a.distance, b.distance, a.distance + b.distance
+        )
 
     def _theta_row(
         self,
@@ -181,20 +159,19 @@ class CorePairMaintainer:
 
         The θ upper bound (triangle inequality through the query) is
         evaluated for the whole row; only opponents whose bound clears
-        ``theta_t_now`` get the exact (network-distance) θ.  Without a
-        landmark bound, a long enough row is one ``theta_batch`` call —
-        the per-element arithmetic is identical to the scalar loop, so
-        the ``ub <= θ_T`` decisions, the counters (``ub_triangle_wins``,
-        ``theta_evaluations``) and the returned values all match.
+        ``theta_t_now`` get the exact (network-distance) θ.  A long
+        enough row is one ``theta_batch`` call — the per-element
+        arithmetic is identical to the scalar loop, so the ``ub <= θ_T``
+        decisions, ``theta_evaluations`` and the returned values all
+        match.
         """
-        if self._pair_distance_ub is None and len(others) >= _ARRAY_ROW_MIN:
+        if len(others) >= _ARRAY_ROW_MIN:
             dists_v = np.fromiter(
                 (o.distance for o in others), np.float64, len(others)
             )
             ubs = self._objective.theta_batch(
                 item.distance, dists_v, item.distance + dists_v
             )
-            self.ub_triangle_wins += len(others)
             return {
                 other.object.object_id: (
                     ub if ub <= theta_t_now else self._theta(item, other)

@@ -37,7 +37,7 @@ from ..network.graph import NetworkPosition, RoadNetwork
 from ..network.hub_labels import HubLabelBackend
 from ..obs.metrics import MetricsRegistry
 from ..obs.slowlog import SlowQueryLog, SlowQueryThreshold
-from ..obs.tracing import NULL_TRACER, TraceCollector, Tracer
+from ..obs.tracing import TraceCollector, Tracer
 from ..network.objects import ObjectStore, SpatioTextualObject, build_edge_rtree, snap_point_to_edge
 from ..spatial.geometry import Point
 from ..spatial.kdtree import KDTreePartition
@@ -64,7 +64,6 @@ class Database:
         buffer_fraction: float = 0.02,
         curve: Optional[ZOrderCurve] = None,
         metrics: Optional[MetricsRegistry] = None,
-        tracer=None,
         distance_backend: str = "dijkstra",
     ) -> None:
         """Create the disk-resident network structures.
@@ -80,11 +79,9 @@ class Database:
         per-stage breakdown and counter deltas into it and emits one
         record per query to any attached sink.
 
-        ``tracer`` optionally injects a
-        :class:`~repro.obs.tracing.Tracer`; the default is the no-op
-        :data:`~repro.obs.tracing.NULL_TRACER` (tracing off, no
-        measurable overhead).  Use :meth:`enable_tracing` to switch it
-        on later.
+        Tracing is off (the no-op
+        :data:`~repro.obs.tracing.NULL_TRACER`, no measurable overhead)
+        until :meth:`enable_tracing` installs a collector.
 
         ``distance_backend`` selects how diversified queries evaluate
         exact pairwise network distances: ``"dijkstra"`` (the default —
@@ -97,7 +94,6 @@ class Database:
         self.network = network
         self.curve = curve or ZOrderCurve()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.tracer = tracer if tracer is not None else NULL_TRACER
         #: Installed by :meth:`enable_tracing`: the thread-safe store of
         #: completed per-query span trees.  When present, every
         #: execution context draws a fresh per-query tracer from it —
@@ -591,7 +587,6 @@ class Database:
     def disable_tracing(self) -> None:
         """Revert to the zero-overhead no-op path."""
         self.trace_collector = None
-        self.tracer = NULL_TRACER
 
     # ------------------------------------------------------------------
     # Slow-query log
@@ -775,7 +770,6 @@ class Database:
         query,
         method: str = "com",
         enable_pruning: bool = True,
-        landmarks=None,
         slow_threshold: Optional[SlowQueryThreshold] = None,
     ) -> "ExplainReport":
         """Plan one query, run it under a temporary tracer, explain it.
@@ -783,8 +777,8 @@ class Database:
         ``query`` may be an :class:`~repro.core.queries.SKQuery`, an
         :class:`~repro.core.knn.SKkNNQuery` or a
         :class:`~repro.core.queries.DiversifiedSKQuery` (routed through
-        ``method``).  The database's installed tracer is untouched —
-        the temporary tracer rides the execution context.  The report
+        ``method``).  An installed trace collector is untouched — the
+        temporary tracer rides the execution context.  The report
         carries the chosen :class:`~repro.engine.plan.QueryPlan` and
         the query's span tree and result (see :mod:`repro.obs.explain`).
 
@@ -798,7 +792,7 @@ class Database:
         if isinstance(query, DiversifiedSKQuery):
             plan = plan_diversified(
                 self, index, query, method=method,
-                enable_pruning=enable_pruning, landmarks=landmarks,
+                enable_pruning=enable_pruning,
             )
         elif isinstance(query, SKkNNQuery):
             plan = plan_knn(self, index, query)
@@ -927,15 +921,11 @@ class Database:
         query: DiversifiedSKQuery,
         method: Optional[str] = "com",
         enable_pruning: bool = True,
-        landmarks=None,
     ) -> DiversifiedResult:
         """Diversified SK search via ``"seq"`` or ``"com"``.
 
         ``method=None`` lets the planner choose from its cost hints
         (see :func:`repro.engine.plan.plan_diversified`).
-
-        ``landmarks`` (a :class:`repro.network.landmarks.LandmarkIndex`)
-        tightens COM's pruning bounds; ignored by SEQ.
 
         When a shared distance cache is installed
         (:meth:`use_shared_distance_cache`) the pairwise computer backs
@@ -943,7 +933,7 @@ class Database:
         stats remain per-query deltas."""
         plan = plan_diversified(
             self, index, query, method=method,
-            enable_pruning=enable_pruning, landmarks=landmarks,
+            enable_pruning=enable_pruning,
         )
         return self.engine.execute(plan)
 

@@ -253,7 +253,6 @@ def com_search(
     query: DiversifiedSKQuery,
     pairwise: Optional[PairwiseDistanceComputer] = None,
     enable_pruning: bool = True,
-    landmarks=None,
     tracer=NULL_TRACER,
 ) -> DiversifiedResult:
     """Algorithm 6: incremental diversified SK search.
@@ -262,13 +261,7 @@ def com_search(
     A2): the stream is still processed incrementally but runs to
     exhaustion, isolating the benefit of the §4.3 pruning.
 
-    ``landmarks`` optionally supplies a
-    :class:`repro.network.landmarks.LandmarkIndex`; its exact distance
-    upper bounds tighten the θ-skip and avoid further pairwise
-    Dijkstras without changing any answer (ablation A4).
-
-    The core-pair maintainer batches its θ-bound rows through numpy;
-    with ``landmarks`` installed it stays on the scalar rows.
+    The core-pair maintainer batches its θ-bound rows through numpy.
 
     When ``tracer`` is enabled, every arrival that reaches the pruning
     decision records a ``com.round`` span (γ, θ_T, the unvisited-pair
@@ -286,16 +279,8 @@ def com_search(
         provider, network, cutoff=2.0 * query.delta_max * 1.001
     )
     delta = _ComputerDelta(computer)
-    pair_ub = None
-    if landmarks is not None:
-        def pair_ub(a, b):
-            return landmarks.upper_bound(a.object.position, b.object.position)
     maintainer = CorePairMaintainer(
-        query.k,
-        objective,
-        _make_pair_distance(computer),
-        pair_distance_upper_bound=pair_ub,
-        tracer=tracer,
+        query.k, objective, _make_pair_distance(computer), tracer=tracer,
     )
     tracing = tracer.enabled
 
@@ -374,8 +359,6 @@ def com_search(
             "com.maintenance", clock.stages.get("maintenance", 0.0),
             candidates=candidates,
             theta_evaluations=maintainer.theta_evaluations,
-            ub_triangle_wins=maintainer.ub_triangle_wins,
-            ub_landmark_wins=maintainer.ub_landmark_wins,
             pruned_objects=pruned_total,
             terminated_early=terminated_early,
         )

@@ -62,7 +62,7 @@ class ExecutionContext:
             # and reads the tree off it directly.
             self.tracer = tracer
         else:
-            collector = getattr(db, "trace_collector", None)
+            collector = db.trace_collector
             if collector is not None:
                 # Tracing is on: this query gets its *own* bounded span
                 # tree on the collector's shared timeline.  Per-query
@@ -72,13 +72,13 @@ class ExecutionContext:
                 self.tracer = collector.new_tracer()
                 self._collector = collector
             else:
-                self.tracer = db.tracer if db.tracer is not None else NULL_TRACER
+                self.tracer = NULL_TRACER
         #: Data epoch this execution is pinned to, sampled once at
         #: context creation.  The pairwise computer passes it to every
         #: shared distance-cache access, so a query that started before
         #: an edge-weight update can neither read post-update maps nor
         #: write its pre-update maps back after the invalidation.
-        self.epoch = getattr(db, "data_version", 0)
+        self.epoch = db.data_version
         #: Fresh per-execution index load counters; merged into the
         #: index's lifetime counters when the context closes.
         self.counters = LoadCounters()

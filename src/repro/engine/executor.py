@@ -165,7 +165,7 @@ class QueryEngine:
         self.db._record_query(kind, plan.label, result.stats)
         # The digest is only computed when someone will consume it —
         # the recorder-off, shadow-off path stays digest-free.
-        recorder = getattr(self.db, "flight_recorder", None)
+        recorder = self.db.flight_recorder
         digest = None
         if shadow is not None:
             digest = shadow["primary_digest"]
@@ -240,7 +240,6 @@ class QueryEngine:
                 db.ccam, db.network, plan.index, query,
                 pairwise=pairwise,
                 enable_pruning=plan.enable_pruning,
-                landmarks=plan.landmarks,
                 tracer=NULL_TRACER,
             )
         primary_digest = result_digest(result)
@@ -253,7 +252,7 @@ class QueryEngine:
         else:
             m.inc("shadow.divergences")
             m.inc(f"shadow.divergence#{plan.label}")
-            log = getattr(db, "slow_query_log", None)
+            log = db.slow_query_log
             if log is not None:
                 log.note({
                     "type": "shadow_divergence",
@@ -332,7 +331,7 @@ class QueryEngine:
         db = self.db
         query = plan.query
         t = ctx.tracer
-        result_cache = getattr(db, "result_cache", None)
+        result_cache = db.result_cache
         if result_cache is not None:
             cached = result_cache.get(
                 db, plan.index.name, query, plan.algorithm
@@ -388,7 +387,6 @@ class QueryEngine:
                     db.ccam, db.network, plan.index, query,
                     pairwise=pairwise,
                     enable_pruning=plan.enable_pruning,
-                    landmarks=plan.landmarks,
                     tracer=t,
                 )
             if t.enabled:
@@ -420,7 +418,7 @@ class QueryEngine:
         Runs after the execution context closed, so the stats are final
         and the per-query span tree (when tracing is on) is complete.
         """
-        log = getattr(self.db, "slow_query_log", None)
+        log = self.db.slow_query_log
         if log is None:
             return
         trace = ctx.tracer.last_trace if ctx.tracer.enabled else None

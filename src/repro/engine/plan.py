@@ -97,7 +97,6 @@ class QueryPlan:
     index: ObjectIndex = field(repr=False)
     algorithm: str
     enable_pruning: bool = True
-    landmarks: object = field(default=None, repr=False)
     hints: Optional[CostHints] = None
     #: Why the planner picked ``algorithm`` (shown by ``repro explain``).
     rationale: str = ""
@@ -136,8 +135,6 @@ class QueryPlan:
             backend = self.hints.distance_backend if self.hints else "dijkstra"
             lines.append(
                 f"  pruning: {'on' if self.enable_pruning else 'off'}"
-                f"    landmarks: "
-                f"{'yes' if self.landmarks is not None else 'no'}"
                 f"    distance backend: {backend}"
             )
         h = self.hints
@@ -218,7 +215,6 @@ def plan_diversified(
     query: DiversifiedSKQuery,
     method: Optional[str] = None,
     enable_pruning: bool = True,
-    landmarks=None,
 ) -> QueryPlan:
     """Plan a diversified SK search.
 
@@ -256,7 +252,6 @@ def plan_diversified(
         index=index,
         algorithm=algorithm,
         enable_pruning=enable_pruning,
-        landmarks=landmarks,
         hints=hints,
         rationale=rationale,
     )

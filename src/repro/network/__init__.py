@@ -10,7 +10,6 @@ from .distance import (
     single_source_distances,
 )
 from .graph import Edge, NetworkPosition, Node, RoadNetwork
-from .landmarks import LandmarkIndex
 from .objects import ObjectStore, SpatioTextualObject, build_edge_rtree, snap_point_to_edge
 
 __all__ = [
@@ -21,7 +20,6 @@ __all__ = [
     "position_distance_from_node_map",
     "seed_distances",
     "single_source_distances",
-    "LandmarkIndex",
     "Edge",
     "NetworkPosition",
     "Node",

@@ -182,7 +182,6 @@ def node_source_distances(
     """Bounded Dijkstra from a *node* through an adjacency provider.
 
     A thin wrapper over the shared seam (:func:`seeded_distances`):
-    landmark pre-computation runs it to exhaustion,
     Contraction-Hierarchies preprocessing runs it as a *witness search*
     (``ignore`` skips the node being contracted, ``targets`` stops once
     every target settled, ``max_settled`` caps the search).

@@ -193,9 +193,7 @@ def _describe_com_maintenance(span: Span) -> str:
     line = (
         f"COM maintenance: {a.get('candidates', '?')} candidates, "
         f"{a.get('theta_evaluations', '?')} θ evaluations, "
-        f"pruned {a.get('pruned_objects', 0)} objects, "
-        f"ub wins triangle={a.get('ub_triangle_wins', 0)}"
-        f"/landmark={a.get('ub_landmark_wins', 0)}"
+        f"pruned {a.get('pruned_objects', 0)} objects"
     )
     line += (
         ", terminated early"

@@ -29,7 +29,30 @@ import time
 from contextlib import contextmanager
 from typing import Dict, List, Optional, Sequence
 
-__all__ = ["Counter", "Histogram", "StageClock", "MetricsRegistry"]
+__all__ = [
+    "Counter",
+    "Histogram",
+    "StageClock",
+    "MetricsRegistry",
+    "percentile_of_sorted",
+]
+
+
+def percentile_of_sorted(ordered: Sequence[float], p: float) -> float:
+    """The ``p``-th percentile (0..100) of a non-empty ascending
+    sequence, linearly interpolated between the two nearest ranks.
+
+    The one rank formula behind every p50/p95/p99 the library reports;
+    what an *empty* sample set means (NaN or 0.0) is each caller's
+    contract and stays at the call site.
+    """
+    if len(ordered) == 1:
+        return ordered[0]
+    rank = (p / 100.0) * (len(ordered) - 1)
+    lo = int(rank)
+    hi = min(lo + 1, len(ordered) - 1)
+    frac = rank - lo
+    return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
 
 
 class Counter:
@@ -107,13 +130,7 @@ class Histogram:
         if not self._sorted:
             self._samples.sort()
             self._sorted = True
-        if len(self._samples) == 1:
-            return self._samples[0]
-        rank = (p / 100.0) * (len(self._samples) - 1)
-        lo = int(math.floor(rank))
-        hi = min(lo + 1, len(self._samples) - 1)
-        frac = rank - lo
-        return self._samples[lo] * (1.0 - frac) + self._samples[hi] * frac
+        return percentile_of_sorted(self._samples, p)
 
     def summary(self) -> Dict[str, float]:
         if not self.count:

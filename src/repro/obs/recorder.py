@@ -204,10 +204,10 @@ class FlightRecorder:
             "algorithm": plan.algorithm,
             "index": plan.index.name,
             "query": query_to_dict(plan.query),
-            "epoch": getattr(stats, "epoch", 0),
+            "epoch": stats.epoch,
             "digest": digest,
             "results": len(result),
-            "result_cache_hit": getattr(stats, "result_cache_hit", False),
+            "result_cache_hit": stats.result_cache_hit,
             "wall_seconds": stats.wall_seconds,
             "worker": worker,
             "stats": stats_to_dict(stats),

@@ -42,6 +42,7 @@ import threading
 import time
 from typing import Any, Dict, List, Optional
 
+from .metrics import percentile_of_sorted
 from .slo import SLOCheck, SLOSpec
 
 __all__ = [
@@ -53,19 +54,6 @@ __all__ = [
 #: Default latency stream queries record into (mirrors the registry's
 #: lifetime histogram of the same name).
 DEFAULT_STREAM = "query.wall_seconds"
-
-
-def _percentile(ordered: List[float], p: float) -> float:
-    """The ``p``-th percentile of an already-sorted sample list."""
-    if not ordered:
-        return math.nan
-    if len(ordered) == 1:
-        return ordered[0]
-    rank = (p / 100.0) * (len(ordered) - 1)
-    lo = int(math.floor(rank))
-    hi = min(lo + 1, len(ordered) - 1)
-    frac = rank - lo
-    return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
 
 
 class _StreamBucket:
@@ -313,9 +301,13 @@ class SlidingWindowRollup:
                     "sum": total,
                     "mean": total / n if n else math.nan,
                     "max": worst,
-                    "p50": _percentile(samples, 50),
-                    "p95": _percentile(samples, 95),
-                    "p99": _percentile(samples, 99),
+                    **{
+                        f"p{p}": (
+                            percentile_of_sorted(samples, p)
+                            if samples else math.nan
+                        )
+                        for p in (50, 95, 99)
+                    },
                 }
         # QPS denominator: only history that exists.  The newest bucket
         # is partially filled, so cover from the oldest *requested*

@@ -185,29 +185,29 @@ class TelemetryServer:
         counters = self.db.metrics.counters()
         return self._json({
             "status": "ok",
-            "data_version": getattr(self.db, "data_version", 0),
-            "epoch": getattr(self.db, "data_version", 0),
+            "data_version": self.db.data_version,
+            "epoch": self.db.data_version,
             "uptime_seconds": round(self.db.uptime_seconds(), 3),
             "queries": counters.get("query.count", 0),
             "errors": counters.get("query.errors", 0),
-            "updates": len(getattr(self.db, "update_journal", ()) or ()),
+            "updates": len(self.db.update_journal),
         })
 
     def _vars(self, query) -> Tuple[int, str, bytes]:
         payload = self.db.metrics.snapshot()
         payload["gauges"] = database_gauges(self.db)
-        payload["data_version"] = getattr(self.db, "data_version", 0)
+        payload["data_version"] = self.db.data_version
         payload["uptime_seconds"] = round(self.db.uptime_seconds(), 3)
-        rollup = getattr(self.db, "rollup", None)
+        rollup = self.db.rollup
         payload["window"] = (
             rollup.snapshot().to_dict() if rollup is not None else None
         )
-        monitor = getattr(self.db, "live_slo", None)
+        monitor = self.db.live_slo
         payload["slo"] = monitor.verdict() if monitor is not None else None
         return self._json(payload)
 
     def _slowlog(self, query) -> Tuple[int, str, bytes]:
-        log = getattr(self.db, "slow_query_log", None)
+        log = self.db.slow_query_log
         if log is None:
             return self._json(
                 {"installed": False, "records": []}, status=200
@@ -232,20 +232,20 @@ class TelemetryServer:
         })
 
     def _profile(self, query) -> Tuple[int, str, bytes]:
-        profiler = getattr(self.db, "profiler", None)
+        profiler = self.db.profiler
         if profiler is None:
             return 404, _TEXT, b"no sampling profiler attached\n"
         return 200, _TEXT, profiler.folded_text().encode()
 
     def _slo(self, query) -> Tuple[int, str, bytes]:
-        monitor = getattr(self.db, "live_slo", None)
+        monitor = self.db.live_slo
         if monitor is None:
             return 404, _TEXT, b"no live SLO monitor installed\n"
         monitor.evaluate()
         return self._json(monitor.verdict())
 
     def _recorder(self, query) -> Tuple[int, str, bytes]:
-        recorder = getattr(self.db, "flight_recorder", None)
+        recorder = self.db.flight_recorder
         if recorder is None:
             return self._json({"installed": False, "records": []})
         records = recorder.records()

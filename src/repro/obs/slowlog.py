@@ -54,8 +54,8 @@ def stats_to_dict(stats) -> Dict[str, Any]:
         "backend_settled_nodes": stats.backend_settled_nodes,
         "backend_bucket_hits": stats.backend_bucket_hits,
         "expansion_terminated_early": stats.expansion_terminated_early,
-        "epoch": getattr(stats, "epoch", 0),
-        "result_cache_hit": getattr(stats, "result_cache_hit", False),
+        "epoch": stats.epoch,
+        "result_cache_hit": stats.result_cache_hit,
         "stage_seconds": dict(stats.stage_seconds),
         "distance_cache": {
             "hits": stats.distance_cache_hits,

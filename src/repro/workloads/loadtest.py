@@ -38,6 +38,7 @@ from ..core.queries import DiversifiedSKQuery
 from ..engine.plan import plan_diversified, plan_sk
 from ..errors import QueryError
 from ..index.base import ObjectIndex
+from ..obs.metrics import percentile_of_sorted
 from ..obs.rollup import LiveSLOMonitor
 from ..obs.slo import SLOSpec
 
@@ -109,14 +110,7 @@ class LoadTestReport:
         samples = self.service_latencies if service else self.latencies
         if not samples:
             return 0.0
-        ordered = sorted(samples)
-        if len(ordered) == 1:
-            return ordered[0]
-        rank = (p / 100.0) * (len(ordered) - 1)
-        lo = int(rank)
-        hi = min(lo + 1, len(ordered) - 1)
-        frac = rank - lo
-        return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
+        return percentile_of_sorted(sorted(samples), p)
 
     def row(self) -> Dict[str, Any]:
         row: Dict[str, Any] = {

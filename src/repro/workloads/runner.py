@@ -27,6 +27,7 @@ from ..core.queries import DiversifiedSKQuery, QueryStats, SKQuery
 from ..engine.plan import plan_diversified, plan_sk
 from ..errors import QueryError
 from ..index.base import ObjectIndex
+from ..obs.metrics import percentile_of_sorted
 
 __all__ = ["WorkloadReport", "run_sk_workload", "run_diversified_workload"]
 
@@ -139,14 +140,7 @@ class WorkloadReport:
         """The ``p``-th percentile (0..100) of per-query response time."""
         if not self.latencies:
             return 0.0
-        ordered = sorted(self.latencies)
-        if len(ordered) == 1:
-            return ordered[0]
-        rank = (p / 100.0) * (len(ordered) - 1)
-        lo = int(rank)
-        hi = min(lo + 1, len(ordered) - 1)
-        frac = rank - lo
-        return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
+        return percentile_of_sorted(sorted(self.latencies), p)
 
     def stage_breakdown_ms(self) -> Dict[str, float]:
         """Average per-query milliseconds per stage, largest first."""

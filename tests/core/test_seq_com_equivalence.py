@@ -2,7 +2,7 @@
 
 The paper argues COM's pruning and early termination are exact (given
 distinct distances, §4.3); this exercises every COM variant — pruning
-on/off, landmarks on/off — against the SEQ objective on small random
+on/off — against the SEQ objective on small random
 road networks, with all pairwise distances served through one shared
 *bounded* :class:`DistanceCache`, so cross-query reuse and LRU
 eviction cannot change any answer either.
@@ -15,7 +15,6 @@ from repro import Database, DiversifiedSKQuery
 from repro.datasets.synthetic import random_planar_network
 from repro.network.distance import single_source_distances
 from repro.network.graph import NetworkPosition
-from repro.network.landmarks import LandmarkIndex
 
 VOCAB = ["cafe", "fuel", "park", "pizza", "books"]
 CACHE_ENTRIES = 4_000
@@ -51,7 +50,6 @@ def make_query(db, rng, edges):
 def test_com_variants_match_seq_through_shared_cache(seed):
     db, index, rng, edges = build_instance(seed)
     cache = db.use_shared_distance_cache(max_entries=CACHE_ENTRIES)
-    landmarks = LandmarkIndex(db.network, db.network, num_landmarks=3)
     for _ in range(4):
         query = make_query(db, rng, edges)
         seq = db.diversified_search(index, query, method="seq")
@@ -59,9 +57,6 @@ def test_com_variants_match_seq_through_shared_cache(seed):
             "pruning": db.diversified_search(index, query, method="com"),
             "no-pruning": db.diversified_search(
                 index, query, method="com", enable_pruning=False
-            ),
-            "landmarks": db.diversified_search(
-                index, query, method="com", landmarks=landmarks
             ),
         }
         for name, com in variants.items():

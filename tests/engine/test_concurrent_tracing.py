@@ -12,7 +12,6 @@ import pytest
 
 from repro.engine import plan_diversified, plan_sk
 from repro.obs.export import chrome_trace, write_chrome_trace
-from repro.obs.tracing import NULL_TRACER
 from repro.workloads.queries import (
     WorkloadConfig,
     generate_diversified_queries,
@@ -111,7 +110,6 @@ class TestConcurrentTracing:
 
     def test_tracing_off_stays_null(self, tiny_db, sif):
         assert tiny_db.trace_collector is None
-        assert tiny_db.tracer is NULL_TRACER
         queries = generate_sk_queries(
             tiny_db, WorkloadConfig(num_queries=2, num_keywords=2, seed=73)
         )

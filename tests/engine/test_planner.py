@@ -253,4 +253,3 @@ class TestDiversifiedChoice:
             tiny_db, sif, div_query, method="com", enable_pruning=False,
         )
         assert plan.enable_pruning is False
-        assert plan.landmarks is None

@@ -162,6 +162,28 @@ class TestTolerantRendering:
         assert "span tree malformed" in text
         assert "expansion" in text
 
+    def test_retired_span_attributes_are_ignored(self):
+        """Logs written before COM's second upper-bound source was
+        retired carry ``ub_*_wins`` counters on ``com.maintenance``;
+        span attributes the renderer no longer knows are skipped."""
+        log = SlowQueryLog(SlowQueryThreshold(latency_seconds=0))
+        record = log.offer("SIF/COM", "diversified", _stats(wall=0.02))
+        record["trace"] = {
+            "name": "query.diversified", "duration": 0.02,
+            "attrs": {"method": "COM"},
+            "children": [{
+                "name": "com.maintenance", "duration": 0.01,
+                "attrs": {
+                    "candidates": 9, "theta_evaluations": 12,
+                    "ub_triangle_wins": 30, "ub_other_wins": 0,
+                },
+            }],
+        }
+        text = render_record(record)
+        assert "span tree malformed" not in text
+        assert "COM maintenance: 9 candidates, 12 θ evaluations" in text
+        assert "wins" not in text
+
     def test_header_carries_epoch_and_result_cache(self):
         stats = _stats(wall=0.02)
         stats.epoch = 7

@@ -1,14 +1,258 @@
 """Tests for the command-line interface."""
 
+import argparse
 import json
+import socket
 from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
 
+#: Every subcommand's arguments: option strings (or the positional's
+#: dest) -> (default, choices, type name).  Generated from
+#: ``build_parser()`` at commit 1ef623e, before the flags moved into
+#: shared parent parsers; a flag added, dropped or changed later is a
+#: visible diff here.
+FLAG_SURFACE = {
+    "info": {
+        "profile": (None, ("NA", "SF", "SYN", "TW"), None),
+        "--scale": (1.0, None, "float"),
+        "--seed": (None, None, "int"),
+    },
+    "generate": {
+        "profile": (None, ("NA", "SF", "SYN", "TW"), None),
+        "--scale": (1.0, None, "float"),
+        "--seed": (None, None, "int"),
+        "--out": (None, None, None),
+    },
+    "sk": {
+        "profile": (None, ("NA", "SF", "SYN", "TW"), None),
+        "--scale": (1.0, None, "float"),
+        "--seed": (None, None, "int"),
+        "--distance-backend": ("dijkstra", ("dijkstra", "ch", "hub"), None),
+        "--queries": (50, None, "int"),
+        "--keywords": (3, None, "int"),
+        "--delta-max": (None, None, "float"),
+        "--workload-seed": (101, None, "int"),
+        "--workers": (1, None, "_positive_int"),
+        "--metrics": (None, None, "_output_path"),
+        "--trace": (None, None, "_output_path"),
+        "--prom": (None, None, "_output_path"),
+        "--slow-ms": (None, None, "float"),
+        "--slow-nodes": (None, None, "_positive_int"),
+        "--slowlog": (None, None, "_output_path"),
+        "--slo": (None, None, None),
+        "--telemetry-port": (None, None, "_port"),
+        "--record": (None, None, "_output_path"),
+        "--shadow-backend": (None, ("dijkstra", "ch", "hub"), None),
+        "--shadow-rate": (1.0, None, "_rate"),
+        "--index": (
+            "sif",
+            ("ccam", "ir", "if", "sif", "sif-p", "sif-g"),
+            None,
+        ),
+    },
+    "diversify": {
+        "profile": (None, ("NA", "SF", "SYN", "TW"), None),
+        "--scale": (1.0, None, "float"),
+        "--seed": (None, None, "int"),
+        "--distance-backend": ("dijkstra", ("dijkstra", "ch", "hub"), None),
+        "--queries": (50, None, "int"),
+        "--keywords": (3, None, "int"),
+        "--delta-max": (None, None, "float"),
+        "--workload-seed": (101, None, "int"),
+        "--workers": (1, None, "_positive_int"),
+        "--metrics": (None, None, "_output_path"),
+        "--trace": (None, None, "_output_path"),
+        "--prom": (None, None, "_output_path"),
+        "--slow-ms": (None, None, "float"),
+        "--slow-nodes": (None, None, "_positive_int"),
+        "--slowlog": (None, None, "_output_path"),
+        "--slo": (None, None, None),
+        "--telemetry-port": (None, None, "_port"),
+        "--record": (None, None, "_output_path"),
+        "--shadow-backend": (None, ("dijkstra", "ch", "hub"), None),
+        "--shadow-rate": (1.0, None, "_rate"),
+        "--index": (
+            "sif",
+            ("ccam", "ir", "if", "sif", "sif-p", "sif-g"),
+            None,
+        ),
+        "--k": (6, None, "int"),
+        "--lambda": (0.8, None, "float"),
+        "--distance-cache": (None, None, "_positive_int"),
+    },
+    "update": {
+        "profile": (None, ("NA", "SF", "SYN", "TW"), None),
+        "--scale": (1.0, None, "float"),
+        "--seed": (None, None, "int"),
+        "--distance-backend": ("dijkstra", ("dijkstra", "ch", "hub"), None),
+        "--queries": (50, None, "int"),
+        "--keywords": (3, None, "int"),
+        "--delta-max": (None, None, "float"),
+        "--workload-seed": (101, None, "int"),
+        "--workers": (1, None, "_positive_int"),
+        "--metrics": (None, None, "_output_path"),
+        "--trace": (None, None, "_output_path"),
+        "--prom": (None, None, "_output_path"),
+        "--slow-ms": (None, None, "float"),
+        "--slow-nodes": (None, None, "_positive_int"),
+        "--slowlog": (None, None, "_output_path"),
+        "--slo": (None, None, None),
+        "--telemetry-port": (None, None, "_port"),
+        "--record": (None, None, "_output_path"),
+        "--shadow-backend": (None, ("dijkstra", "ch", "hub"), None),
+        "--shadow-rate": (1.0, None, "_rate"),
+        "--index": (
+            "sif",
+            ("ccam", "ir", "if", "sif", "sif-p", "sif-g"),
+            None,
+        ),
+        "--k": (6, None, "int"),
+        "--lambda": (0.8, None, "float"),
+        "--method": ("seq", ("seq", "com"), None),
+        "--batches": (4, None, "_positive_int"),
+        "--updates-per-batch": (20, None, "int"),
+        "--update-seed": (202, None, "int"),
+        "--insert-weight": (0.4, None, "float"),
+        "--delete-weight": (0.4, None, "float"),
+        "--edge-weight-weight": (0.2, None, "float"),
+        "--distance-cache": (None, None, "_positive_int"),
+        "--result-cache": (None, None, "_positive_int"),
+    },
+    "compare": {
+        "profile": (None, ("NA", "SF", "SYN", "TW"), None),
+        "--scale": (1.0, None, "float"),
+        "--seed": (None, None, "int"),
+        "--distance-backend": ("dijkstra", ("dijkstra", "ch", "hub"), None),
+        "--queries": (50, None, "int"),
+        "--keywords": (3, None, "int"),
+        "--delta-max": (None, None, "float"),
+        "--workload-seed": (101, None, "int"),
+        "--workers": (1, None, "_positive_int"),
+        "--metrics": (None, None, "_output_path"),
+        "--trace": (None, None, "_output_path"),
+        "--prom": (None, None, "_output_path"),
+        "--slow-ms": (None, None, "float"),
+        "--slow-nodes": (None, None, "_positive_int"),
+        "--slowlog": (None, None, "_output_path"),
+        "--slo": (None, None, None),
+        "--telemetry-port": (None, None, "_port"),
+        "--record": (None, None, "_output_path"),
+        "--shadow-backend": (None, ("dijkstra", "ch", "hub"), None),
+        "--shadow-rate": (1.0, None, "_rate"),
+    },
+    "explain": {
+        "profile": (None, ("NA", "SF", "SYN", "TW"), None),
+        "--scale": (1.0, None, "float"),
+        "--seed": (None, None, "int"),
+        "--distance-backend": ("dijkstra", ("dijkstra", "ch", "hub"), None),
+        "--index": (
+            "sif",
+            ("ccam", "ir", "if", "sif", "sif-p", "sif-g"),
+            None,
+        ),
+        "--method": ("com", ("com", "seq", "sk"), None),
+        "--keywords": (3, None, "int"),
+        "--delta-max": (None, None, "float"),
+        "--workload-seed": (101, None, "int"),
+        "--k": (6, None, "int"),
+        "--lambda": (0.8, None, "float"),
+        "--query": (0, None, "int"),
+        "--no-pruning": (False, None, None),
+        "--trace": (None, None, "_output_path"),
+        "--slow-ms": (None, None, "float"),
+        "--slow-nodes": (None, None, "_positive_int"),
+    },
+    "slowlog": {
+        "path": (None, None, None),
+        "--limit": (None, None, "_positive_int"),
+    },
+    "loadtest": {
+        "profile": (None, ("NA", "SF", "SYN", "TW"), None),
+        "--scale": (1.0, None, "float"),
+        "--seed": (None, None, "int"),
+        "--distance-backend": ("dijkstra", ("dijkstra", "ch", "hub"), None),
+        "--queries": (50, None, "int"),
+        "--keywords": (3, None, "int"),
+        "--delta-max": (None, None, "float"),
+        "--workload-seed": (101, None, "int"),
+        "--workers": (1, None, "_positive_int"),
+        "--metrics": (None, None, "_output_path"),
+        "--trace": (None, None, "_output_path"),
+        "--prom": (None, None, "_output_path"),
+        "--slow-ms": (None, None, "float"),
+        "--slow-nodes": (None, None, "_positive_int"),
+        "--slowlog": (None, None, "_output_path"),
+        "--slo": (None, None, None),
+        "--telemetry-port": (None, None, "_port"),
+        "--record": (None, None, "_output_path"),
+        "--shadow-backend": (None, ("dijkstra", "ch", "hub"), None),
+        "--shadow-rate": (1.0, None, "_rate"),
+        "--index": (
+            "sif",
+            ("ccam", "ir", "if", "sif", "sif-p", "sif-g"),
+            None,
+        ),
+        "--method": ("seq", ("seq", "com", "sk"), None),
+        "--k": (6, None, "int"),
+        "--lambda": (0.8, None, "float"),
+        "--qps": (20.0, None, "_positive_float"),
+        "--duration": (10.0, None, "_positive_float"),
+        "--distance-cache": (None, None, "_positive_int"),
+        "--profile-out": (None, None, "_output_path"),
+        "--profile-hz": (None, None, "_positive_float"),
+    },
+    "replay": {
+        "path": (None, None, None),
+        "--backend": (None, ("dijkstra", "ch", "hub"), None),
+        "--workers": (1, None, "_positive_int"),
+        "--limit": (None, None, "_positive_int"),
+    },
+    "profile": {
+        "path": (None, None, None),
+        "--top": (15, None, "_positive_int"),
+    },
+    "bench compare": {
+        "old": (None, None, None),
+        "new": (None, None, None),
+        "--fail-on-regression": (None, None, "float"),
+        "--threshold": (10.0, None, "float"),
+    },
+}
+
+
+def flag_surface():
+    """The live parser's arguments, in ``FLAG_SURFACE``'s shape."""
+    def walk(parser, prefix):
+        nested = [
+            action for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        if nested:
+            for name, child in nested[0].choices.items():
+                yield from walk(child, prefix + (name,))
+            return
+        yield " ".join(prefix), {
+            "/".join(action.option_strings) or action.dest: (
+                action.default,
+                tuple(action.choices) if action.choices is not None else None,
+                getattr(action.type, "__name__", None),
+            )
+            for action in parser._actions
+            if not isinstance(action, argparse._HelpAction)
+        }
+
+    return dict(walk(build_parser(), ()))
+
 
 class TestParser:
+    def test_flag_surface_is_pinned(self):
+        surface = flag_surface()
+        assert sum(len(flags) for flags in surface.values()) == 161
+        assert surface == FLAG_SURFACE
+
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
@@ -145,31 +389,66 @@ class TestObservabilityFlags:
                     ["sk", "SYN", flag, str(missing)]
                 )
 
-    def test_metrics_sink_closed_when_query_raises(self, tmp_path,
-                                                   monkeypatch):
-        import repro.cli as cli_mod
-        from repro.workloads import runner
+    def _run_raising(self, monkeypatch, target, argv):
+        """Run ``argv`` with the workload runner ``target`` replaced by
+        one that raises; returns what the harness had installed on the
+        database at that moment."""
+        seen = {}
 
-        path = tmp_path / "metrics.jsonl"
-        captured = {}
-        original = cli_mod._attach_metrics_sink
-
-        def capture_sink(db, args):
-            captured["sink"] = original(db, args)
-            return captured["sink"]
-
-        def explode(*args, **kwargs):
+        def explode(db, *args, **kwargs):
+            seen.update(
+                db=db,
+                metrics_sinks=list(db.metrics._sinks),
+                slow_log=db.slow_query_log,
+                recorder=db.flight_recorder,
+                server=db.telemetry_server,
+                profiler=db.profiler,
+            )
             raise RuntimeError("query blew up")
 
-        monkeypatch.setattr(cli_mod, "_attach_metrics_sink", capture_sink)
-        monkeypatch.setattr(runner, "run_sk_workload", explode)
-        monkeypatch.setattr(cli_mod, "run_sk_workload", explode)
-        with pytest.raises(RuntimeError):
-            main([
-                "sk", "SYN", "--scale", "0.05", "--queries", "2",
-                "--keywords", "2", "--metrics", str(path),
-            ])
-        assert captured["sink"].closed
+        monkeypatch.setattr(target, explode)
+        with pytest.raises(RuntimeError, match="query blew up"):
+            main(argv)
+        return seen
+
+    def _assert_torn_down(self, seen):
+        db = seen["db"]
+        (sink,) = seen["metrics_sinks"]
+        assert sink.closed and db.metrics._sinks == []
+        assert seen["slow_log"]._sink.closed and db.slow_query_log is None
+        assert seen["recorder"]._sink.closed and db.flight_recorder is None
+        server = seen["server"]
+        assert not server.running and db.telemetry_server is None
+        with socket.socket() as probe:  # the port is free again
+            probe.bind((server.host, server.port))
+
+    def test_metrics_sink_closed_when_query_raises(self, tmp_path,
+                                                   monkeypatch):
+        seen = self._run_raising(monkeypatch, "repro.cli.run_sk_workload", [
+            "sk", "SYN", "--scale", "0.05", "--queries", "2",
+            "--keywords", "2", "--metrics", str(tmp_path / "metrics.jsonl"),
+            "--slowlog", str(tmp_path / "slow.jsonl"),
+            "--record", str(tmp_path / "flight.jsonl"),
+            "--telemetry-port", "0",
+        ])
+        self._assert_torn_down(seen)
+
+    def test_loadtest_torn_down_when_run_raises(self, tmp_path, monkeypatch):
+        profile_path = tmp_path / "profile.folded"
+        seen = self._run_raising(
+            monkeypatch, "repro.workloads.loadtest.run_loadtest", [
+                "loadtest", "SYN", "--scale", "0.05", "--queries", "2",
+                "--keywords", "2", "--k", "4",
+                "--metrics", str(tmp_path / "metrics.jsonl"),
+                "--slowlog", str(tmp_path / "slow.jsonl"),
+                "--record", str(tmp_path / "flight.jsonl"),
+                "--telemetry-port", "0",
+                "--profile-out", str(profile_path),
+            ],
+        )
+        self._assert_torn_down(seen)
+        assert not seen["profiler"].running and seen["db"].profiler is None
+        assert not profile_path.exists()  # a failed run writes no profile
 
 
 class TestConcurrentObservability:
