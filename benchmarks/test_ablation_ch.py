@@ -6,7 +6,9 @@ of nodes instead of thousands, and serves SEQ's candidate×candidate
 matrix through one bucket-based many-to-many pass.  This ablation runs
 the same diversified workload on the standard synthetic dataset under
 both backends and records the pairwise-evaluation speedup (answers must
-be identical — CH is an oracle, not an approximation).
+be identical — CH is an oracle, not an approximation).  The default
+``csgraph`` backend (the same Dijkstras in C, in memory, nothing built)
+rides along as a third column.
 """
 
 from conftest import run_once
@@ -33,21 +35,26 @@ def test_ablation_ch_backend(ctx, benchmark, show):
 
         try:
             plain = run("dijkstra")
+            in_c = run("csgraph")
             oracle = db.ch_oracle()  # built before the timed CH run
             boosted = run("ch")
         finally:
             db.use_distance_backend("dijkstra")
 
         rows = []
-        agg = {"dijkstra_s": 0.0, "ch_s": 0.0, "mismatches": 0}
-        for i, (p, b) in enumerate(zip(plain, boosted)):
+        agg = {"dijkstra_s": 0.0, "csgraph_s": 0.0, "ch_s": 0.0,
+               "mismatches": 0}
+        for i, (p, c, b) in enumerate(zip(plain, in_c, boosted)):
             dj = p.stats.stage_seconds.get("pairwise_dijkstra", 0.0)
+            cs = c.stats.stage_seconds.get("pairwise_dijkstra", 0.0)
             ch = b.stats.stage_seconds.get("pairwise_dijkstra", 0.0)
             agg["dijkstra_s"] += dj
+            agg["csgraph_s"] += cs
             agg["ch_s"] += ch
             equal = (
-                p.object_ids() == b.object_ids()
+                p.object_ids() == c.object_ids() == b.object_ids()
                 and abs(p.objective_value - b.objective_value) < 1e-9
+                and p.objective_value == c.objective_value
             )
             if not equal:
                 agg["mismatches"] += 1
@@ -56,6 +63,7 @@ def test_ablation_ch_backend(ctx, benchmark, show):
                     "query": i,
                     "candidates": p.stats.candidates,
                     "dijkstra_pairwise_ms": round(dj * 1e3, 3),
+                    "csgraph_pairwise_ms": round(cs * 1e3, 3),
                     "ch_pairwise_ms": round(ch * 1e3, 3),
                     "speedup": round(dj / max(ch, 1e-9), 2),
                     "ch_settled_nodes": b.stats.backend_settled_nodes,

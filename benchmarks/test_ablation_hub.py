@@ -7,7 +7,9 @@ ablation runs a wide diversified workload (single keyword, large range,
 k=10 — the pools the pairwise stage actually hurts on) under all three
 backends and records hub's pairwise-evaluation speedup over both
 Dijkstra and CH.  Answers must be identical — the labels are an exact
-oracle, not an approximation.
+oracle, not an approximation.  The default ``csgraph`` backend (the
+same Dijkstras in C, in memory, nothing built) rides along as a fourth
+column.
 """
 
 from conftest import run_once
@@ -35,6 +37,7 @@ def test_ablation_hub_backend(ctx, benchmark, show):
 
         try:
             plain = run("dijkstra")
+            in_c = run("csgraph")
             db.ch_oracle()  # built before the timed CH run
             ch_runs = run("ch")
             oracle = db.hub_oracle()  # built before the timed hub run
@@ -43,17 +46,24 @@ def test_ablation_hub_backend(ctx, benchmark, show):
             db.use_distance_backend("dijkstra")
 
         rows = []
-        agg = {"dijkstra_s": 0.0, "ch_s": 0.0, "hub_s": 0.0, "mismatches": 0}
-        for i, (p, c, h) in enumerate(zip(plain, ch_runs, hub_runs)):
+        agg = {"dijkstra_s": 0.0, "csgraph_s": 0.0, "ch_s": 0.0,
+               "hub_s": 0.0, "mismatches": 0}
+        for i, (p, g, c, h) in enumerate(
+            zip(plain, in_c, ch_runs, hub_runs)
+        ):
             dj = p.stats.stage_seconds.get("pairwise_dijkstra", 0.0)
+            cs = g.stats.stage_seconds.get("pairwise_dijkstra", 0.0)
             ch = c.stats.stage_seconds.get("pairwise_dijkstra", 0.0)
             hub = h.stats.stage_seconds.get("pairwise_dijkstra", 0.0)
             agg["dijkstra_s"] += dj
+            agg["csgraph_s"] += cs
             agg["ch_s"] += ch
             agg["hub_s"] += hub
             equal = (
-                p.object_ids() == c.object_ids() == h.object_ids()
+                p.object_ids() == g.object_ids()
+                == c.object_ids() == h.object_ids()
                 and abs(p.objective_value - h.objective_value) < 1e-9
+                and p.objective_value == g.objective_value
             )
             if not equal:
                 agg["mismatches"] += 1
@@ -62,6 +72,7 @@ def test_ablation_hub_backend(ctx, benchmark, show):
                     "query": i,
                     "candidates": p.stats.candidates,
                     "dijkstra_pairwise_ms": round(dj * 1e3, 3),
+                    "csgraph_pairwise_ms": round(cs * 1e3, 3),
                     "ch_pairwise_ms": round(ch * 1e3, 3),
                     "hub_pairwise_ms": round(hub * 1e3, 3),
                     "speedup_vs_dijkstra": round(dj / max(hub, 1e-9), 2),
@@ -83,6 +94,7 @@ def test_ablation_hub_backend(ctx, benchmark, show):
         headline = [
             {
                 "dijkstra_ms": round(agg["dijkstra_s"] * 1e3, 3),
+                "csgraph_ms": round(agg["csgraph_s"] * 1e3, 3),
                 "ch_ms": round(agg["ch_s"] * 1e3, 3),
                 "hub_ms": round(agg["hub_s"] * 1e3, 3),
                 "hub_speedup_vs_dijkstra": round(

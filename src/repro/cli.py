@@ -157,10 +157,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     query = group()  # every command that runs generated queries
     query.add_argument(
-        "--distance-backend", choices=DISTANCE_BACKENDS, default="dijkstra",
-        help="exact pairwise-distance backend: bounded Dijkstras "
-             "(default), the Contraction-Hierarchies oracle, or 2-hop hub "
-             "labels ('hub') — identical answers, built once per database",
+        "--distance-backend", choices=DISTANCE_BACKENDS, default="csgraph",
+        help="exact pairwise-distance backend: bounded Dijkstras in C "
+             "over the in-memory network (default, no pairwise page "
+             "reads), the same as a Python loop through the CCAM pages "
+             "('dijkstra', the paper's I/O model), the "
+             "Contraction-Hierarchies oracle, or 2-hop hub labels "
+             "('hub') — identical answers",
     )
     query.add_argument("--keywords", type=int, default=3, metavar="L")
     query.add_argument("--delta-max", type=float, default=None)
@@ -827,6 +830,8 @@ def _cmd_replay(args) -> int:
         profile, header.get("scale", 1.0), header.get("seed"),
         origin=" from journal header",
     )
+    # A journal without a backend stamp predates the stamp, and with it
+    # every backend but the Python Dijkstra.
     backend = args.backend or header.get("distance_backend") or "dijkstra"
     db.use_distance_backend(backend)
     config = ReplayConfig(

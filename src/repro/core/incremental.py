@@ -218,7 +218,7 @@ class IncrementalDiversifiedTopK:
         db = self._db
         q = self._query
         computer = PairwiseDistanceComputer(
-            db.ccam,
+            db.pairwise_provider(),
             db.network,
             cutoff=2.0 * q.delta_max * 1.001,
             cache=db.distance_cache,

@@ -223,7 +223,7 @@ class QueryEngine:
         query = plan.query
         backend_name = self.shadow_backend
         pairwise = PairwiseDistanceComputer(
-            db.ccam,
+            db.pairwise_provider(backend_name),
             db.network,
             cutoff=2.0 * query.delta_max * 1.001,
             cache=None,
@@ -363,7 +363,7 @@ class QueryEngine:
         # (and is lock-protected), the computer never is.  The context's
         # pinned epoch gates every shared-cache read and write.
         pairwise = PairwiseDistanceComputer(
-            db.ccam,
+            db.pairwise_provider(),
             db.network,
             cutoff=2.0 * query.delta_max * 1.001,
             cache=db.distance_cache,

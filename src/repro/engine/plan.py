@@ -65,9 +65,11 @@ class CostHints:
     estimated_matches: float
     #: ``estimated_matches / num_objects`` (0 on an empty store).
     selectivity: float
-    #: How pairwise network distances will be evaluated: ``"dijkstra"``
-    #: (bounded Dijkstras), ``"ch"`` (Contraction-Hierarchies oracle)
-    #: or ``"hub"`` (2-hop hub labels, batched label-join kernel).
+    #: How pairwise network distances will be evaluated: ``"csgraph"``
+    #: (bounded Dijkstras in C, in memory), ``"dijkstra"`` (the same
+    #: through the CCAM pages), ``"ch"`` (Contraction-Hierarchies
+    #: oracle) or ``"hub"`` (2-hop hub labels, batched label-join
+    #: kernel).
     distance_backend: str = "dijkstra"
     #: Data epoch the hints were computed at.  A plan built before an
     #: update executes against newer statistics; ``repro explain`` and

@@ -2,10 +2,13 @@
 
 Distances are the cost of the least costly path.  All traversals go
 through an *adjacency provider* — either the in-memory
-:class:`~repro.network.graph.RoadNetwork` (uncharged; builders, tests)
-or the disk-resident :class:`~repro.network.ccam.CCAMStore` (every
-adjacency access charged to the I/O model, as in the paper's
-experiments).
+:class:`~repro.network.graph.RoadNetwork` (uncharged; builders, tests,
+the default pairwise path) or the disk-resident
+:class:`~repro.network.ccam.CCAMStore` (every adjacency access charged
+to the I/O model, as in the paper's experiments).  With nothing to
+charge, a single-source search need not be a Python loop:
+:func:`single_source_rows` runs it in C over the network's CSR
+snapshot and returns the same labels.
 """
 
 from __future__ import annotations
@@ -15,7 +18,11 @@ import math
 import threading
 import time
 from collections import OrderedDict
-from typing import Dict, Iterable, List, Optional, Protocol, Sequence, Tuple
+from typing import (
+    Dict, Iterable, List, Optional, Protocol, Sequence, Tuple, Union,
+)
+
+import numpy as np
 
 from ..obs.tracing import NULL_TRACER
 from .graph import NetworkPosition, RoadNetwork
@@ -29,6 +36,7 @@ __all__ = [
     "seeded_distances",
     "node_source_distances",
     "single_source_distances",
+    "single_source_rows",
     "position_distance_from_node_map",
     "network_distance",
     "DistanceCache",
@@ -38,12 +46,16 @@ __all__ = [
 INF = math.inf
 
 #: Backend names accepted wherever a distance backend is selected
-#: (``Database``, the CLI's ``--distance-backend``).  ``dijkstra`` is
-#: the default bounded-Dijkstra path; ``ch`` is the
+#: (``Database``, the CLI's ``--distance-backend``).  ``csgraph`` is
+#: the default: one bounded Dijkstra per source, run in C over the
+#: in-memory network (:func:`single_source_rows`), nothing charged to
+#: the I/O model and nothing to build; ``dijkstra`` is the same search
+#: as a Python loop through the CCAM pages — the paper's cost model,
+#: every settled node a charged page access; ``ch`` is the
 #: Contraction-Hierarchies oracle (:mod:`repro.network.ch`); ``hub``
 #: is the 2-hop hub-label oracle built on the CH ordering
 #: (:mod:`repro.network.hub_labels`).
-DISTANCE_BACKENDS = ("dijkstra", "ch", "hub")
+DISTANCE_BACKENDS = ("csgraph", "dijkstra", "ch", "hub")
 
 
 class AdjacencyProvider(Protocol):
@@ -209,6 +221,69 @@ def single_source_distances(
     )
 
 
+def single_source_rows(
+    network: RoadNetwork,
+    sources: Sequence[NetworkPosition],
+    cutoff: float = INF,
+) -> "np.ndarray":
+    """:func:`single_source_distances` over ``network`` for several
+    sources in one C call (``scipy.sparse.csgraph.dijkstra``).
+
+    Returns a ``len(sources) × N`` array over the rows of
+    ``network.csr_snapshot()``: cell ``(s, r)`` is the distance from
+    ``sources[s]`` to node ``node_ids[r]``, ``inf`` where the Python
+    loop's dict has no entry (beyond ``cutoff``, or unreachable).
+
+    Each source becomes one extra node with two directed edges, to its
+    edge's end-nodes at ``offset`` and ``weight - offset`` — the seeds
+    of :func:`seed_distances`.  A label is then the least left-to-right
+    float sum over the paths from that node in either implementation
+    (float addition is monotone, so label-setting finds that minimum
+    whatever the tie order), which is why the cells equal the dict's
+    values exactly, not merely within rounding.
+    """
+    # Imported on first use: the csgraph extension modules are 3 MiB
+    # resident, which a process that only runs boolean SK queries (no
+    # pairwise distances at all) should not carry.
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import dijkstra as csgraph_dijkstra
+
+    csr = network.csr_snapshot()
+    n, count = csr.num_nodes, len(sources)
+    heads = np.empty(2 * count, dtype=np.int32)
+    costs = np.empty(2 * count)
+    for s, pos in enumerate(sources):
+        heads[2 * s:2 * s + 2] = csr.edge_rows[pos.edge_id]
+        costs[2 * s] = pos.offset
+        costs[2 * s + 1] = network.edge(pos.edge_id).weight - pos.offset
+    if count and costs.min() < 0.0:
+        # An offset a rounding step past its edge's weight (a rescale
+        # can leave one) makes a negative seed, which scipy warns
+        # about; the Python loop takes it in its stride.
+        rows = np.full((count, n), INF)
+        for row, pos in zip(rows, sources):
+            for node_id, d in single_source_distances(
+                network, network, pos, cutoff
+            ).items():
+                row[csr.index_of[node_id]] = d
+        return rows
+    indptr = np.concatenate((
+        csr.indptr,
+        csr.indptr[-1] + np.arange(2, 2 * count + 1, 2, dtype=np.int32),
+    ))
+    graph = csr_matrix(
+        (
+            np.concatenate((csr.weights, costs)),
+            np.concatenate((csr.indices, heads)),
+            indptr,
+        ),
+        shape=(n + count, n + count),
+    )
+    return csgraph_dijkstra(
+        graph, directed=True, indices=np.arange(n, n + count), limit=cutoff
+    )[:, :n]
+
+
 def position_distance_from_node_map(
     network: RoadNetwork,
     node_dist: Dict[int, float],
@@ -296,20 +371,29 @@ def network_distance(
     return best if best <= cutoff else INF
 
 
-#: Cache key of one single-source node map.  The cutoff is part of the
-#: key: a map computed under a smaller cutoff is *truncated* and must
-#: never answer for a query with a larger one (it would report ``inf``
-#: for nodes that are actually reachable).
-CacheKey = Tuple[int, float, float]
+#: Cache key of one single-source node map: edge, offset, cutoff, and
+#: whether the map is a row.  The cutoff is part of the key: a map
+#: computed under a smaller cutoff is *truncated* and must never answer
+#: for a query with a larger one (it would report ``inf`` for nodes
+#: that are actually reachable).  Rows and dicts are read differently,
+#: so they never answer for each other either.
+CacheKey = Tuple[int, float, float, bool]
+
+#: One source's labels: ``{node_id: distance}`` over the settled nodes
+#: (the Python loop), or a dense row over the network's CSR snapshot
+#: with ``inf`` in the unsettled cells (:func:`single_source_rows`).
+NodeMap = Union[Dict[int, float], "np.ndarray"]
 
 
 class DistanceCache:
     """Bounded LRU cache of single-source node-distance maps.
 
-    Capacity is counted in *node-map entries* — the total number of
-    ``(node, distance)`` pairs across every cached map — because maps
-    from dense regions dwarf maps from sparse ones; bounding the map
-    count alone would make memory use workload-dependent.
+    Capacity is counted in *node-map entries* — the total ``len()`` of
+    every cached map — because maps from dense regions dwarf maps from
+    sparse ones; bounding the map count alone would make memory use
+    workload-dependent.  A dict map counts its ``(node, distance)``
+    pairs; a dense row (the C path) holds one cell per network node
+    whatever its cutoff, and counts as that many.
 
     ``max_entries=None`` disables the bound (the per-query private
     cache of :class:`PairwiseDistanceComputer`, matching the historic
@@ -351,7 +435,7 @@ class DistanceCache:
         if max_entries is not None and max_entries <= 0:
             raise ValueError("max_entries must be positive or None")
         self.max_entries = max_entries
-        self._maps: "OrderedDict[CacheKey, Dict[int, float]]" = OrderedDict()
+        self._maps: "OrderedDict[CacheKey, NodeMap]" = OrderedDict()
         self._entries = 0
         self._lock = threading.Lock()
         self.hits = 0
@@ -373,7 +457,7 @@ class DistanceCache:
 
     @property
     def entries(self) -> int:
-        """Total ``(node, distance)`` pairs currently cached."""
+        """Total node-map entries currently cached."""
         with self._lock:
             return self._entries
 
@@ -402,7 +486,7 @@ class DistanceCache:
     def put(
         self,
         key: CacheKey,
-        node_map: Dict[int, float],
+        node_map: NodeMap,
         epoch: Optional[int] = None,
     ) -> int:
         """Insert a map; returns how many LRU maps were evicted.
@@ -486,6 +570,13 @@ class PairwiseDistanceComputer:
     Distances are symmetric, so a pair is answered from *either*
     endpoint's cached map before any new Dijkstra runs.
 
+    When ``provider`` is the in-memory :class:`RoadNetwork` there is no
+    page access to charge, so a source's map is a row filled in C
+    (:func:`single_source_rows`) instead of a dict filled by the Python
+    loop — the same labels — and :meth:`pairwise_matrix` runs a whole
+    pool's sources in one call.  Through a ``CCAMStore`` every settled
+    node stays a charged page access, as in the paper's experiments.
+
     ``cache`` may be shared across computers (and therefore queries);
     when omitted a private unbounded cache reproduces the historic
     per-query behaviour.  ``dijkstra_runs``/``dijkstra_seconds`` and
@@ -519,6 +610,8 @@ class PairwiseDistanceComputer:
     ) -> None:
         self._provider = provider
         self._network = network
+        #: Whether sources run in C and their maps are rows.
+        self._in_memory = isinstance(provider, RoadNetwork)
         self._cutoff = cutoff
         self._cache = cache if cache is not None else DistanceCache()
         self._backend = backend
@@ -557,7 +650,9 @@ class PairwiseDistanceComputer:
     @property
     def backend_name(self) -> str:
         """The distance backend answering this computer's pairs."""
-        return self._backend.name if self._backend is not None else "dijkstra"
+        if self._backend is not None:
+            return self._backend.name
+        return "csgraph" if self._in_memory else "dijkstra"
 
     @property
     def pairwise_seconds(self) -> float:
@@ -565,26 +660,60 @@ class PairwiseDistanceComputer:
         return self.dijkstra_seconds + self.backend_seconds
 
     def _key(self, pos: NetworkPosition) -> CacheKey:
-        return (pos.edge_id, pos.offset, self._cutoff)
+        return (pos.edge_id, pos.offset, self._cutoff, self._in_memory)
 
-    def _run_dijkstra(self, pos: NetworkPosition) -> Dict[int, float]:
+    def _run_dijkstras(
+        self, sources: Sequence[NetworkPosition]
+    ) -> List[NodeMap]:
+        """One bounded Dijkstra per source; caches and returns the maps."""
         start = time.perf_counter()
-        node_map = single_source_distances(
-            self._provider, self._network, pos, cutoff=self._cutoff
-        )
+        if self._in_memory:
+            # Each row is copied out of the call's block, so evicting
+            # it from a shared cache frees what the cache counted.
+            node_maps = [
+                row.copy() for row in
+                single_source_rows(self._provider, sources, self._cutoff)
+            ]
+        else:
+            node_maps = [
+                single_source_distances(
+                    self._provider, self._network, pos, cutoff=self._cutoff
+                )
+                for pos in sources
+            ]
         elapsed = time.perf_counter() - start
         self.dijkstra_seconds += elapsed
-        self.dijkstra_runs += 1
+        self.dijkstra_runs += len(sources)
         if self.tracer.enabled:
             self.tracer.add_span(
                 "pairwise.dijkstra", elapsed, start=start,
-                source_edge=pos.edge_id, map_nodes=len(node_map),
+                source_edge=sources[0].edge_id, sources=len(sources),
+                map_nodes=sum(
+                    int(np.isfinite(m).sum()) if self._in_memory else len(m)
+                    for m in node_maps
+                ),
                 cutoff=self._cutoff,
             )
-        self.cache_evictions += self._cache.put(
-            self._key(pos), node_map, epoch=self._epoch
+        for pos, node_map in zip(sources, node_maps):
+            self.cache_evictions += self._cache.put(
+                self._key(pos), node_map, epoch=self._epoch
+            )
+        return node_maps
+
+    def _map_distance(
+        self, node_map: NodeMap, target: NetworkPosition
+    ) -> float:
+        """Equation 1 from one source's map to a target on another edge."""
+        if not self._in_memory:
+            return position_distance_from_node_map(
+                self._network, node_map, target
+            )
+        edge = self._network.edge(target.edge_id)
+        row_of = self._provider.csr_snapshot().index_of
+        return min(
+            node_map.item(row_of[edge.n1]) + target.offset,
+            node_map.item(row_of[edge.n2]) + (edge.weight - target.offset),
         )
-        return node_map
 
     def _pair_key(self, a: NetworkPosition, b: NetworkPosition) -> Tuple:
         ka, kb = (a.edge_id, a.offset), (b.edge_id, b.offset)
@@ -661,13 +790,17 @@ class PairwiseDistanceComputer:
     def pairwise_matrix(self, positions: Iterable[NetworkPosition]):
         """The full symmetric pairwise matrix as a numpy array.
 
-        Served straight from the backend's array kernel (currently the
-        hub-label join) with no per-pair Python — the array greedy
-        consumes the result as-is.  Returns ``None`` when the backend
-        has no array kernel; callers fall back to :meth:`pairwise`.
+        Served with no per-pair Python — the array greedy consumes the
+        result as-is — from the backend's array kernel (the hub-label
+        join) or, on the in-memory network with no backend, from the
+        sources' rows (:meth:`_matrix_from_rows`).  Returns ``None``
+        otherwise (CH, Dijkstra through CCAM); callers fall back to
+        :meth:`pairwise`.
         """
         array_kernel = getattr(self._backend, "position_matrix_array", None)
         if array_kernel is None:
+            if self._backend is None and self._in_memory:
+                return self._matrix_from_rows(list(positions))
             return None
         pos_list = list(positions)
         if len(pos_list) < 2:
@@ -694,6 +827,79 @@ class PairwiseDistanceComputer:
                 ),
             )
         return matrix
+
+    def _matrix_from_rows(
+        self, pos_list: List[NetworkPosition]
+    ) -> "np.ndarray":
+        """What :meth:`pairwise` answers, as a matrix, cell for cell.
+
+        :meth:`pairwise` walks the pairs ``(i, j)``, ``i < j``, in
+        lexicographic order; each cross-edge pair is read from ``i``'s
+        map if cached, else from ``j``'s if cached, else ``i``'s
+        Dijkstra runs.  On a fresh cache that is every position with a
+        later one on another edge.  Here the walk only *decides* — which
+        sources run, which cells borrow ``j``'s map — then the sources
+        run in one C call and row ``i`` fills cells ``(i, i+1:)`` in
+        one numpy expression (Equation 1, the ``> cutoff → inf`` clamp
+        and the same-edge rule included).  Counters advance as the
+        per-pair path's would: one miss per run, one hit per other
+        cross-edge pair.
+        """
+        n = len(pos_list)
+        matrix = np.zeros((n, n))
+        if n < 2:
+            return matrix
+        keys = [self._key(pos) for pos in pos_list]
+        edge_ids = np.fromiter((pos.edge_id for pos in pos_list), np.int64, n)
+        offsets = np.fromiter((pos.offset for pos in pos_list), np.float64, n)
+        same_edge = edge_ids[:, None] == edge_ids[None, :]
+
+        maps: Dict[CacheKey, NodeMap] = {}
+        for key in dict.fromkeys(keys):
+            found = self._cache.get(key, epoch=self._epoch)
+            if found is not None:
+                maps[key] = found[1]
+        known = set(maps)
+        runs: List[int] = []
+        borrowed: List[Tuple[int, int]] = []
+        for i in range(n - 1):
+            for j in np.flatnonzero(~same_edge[i, i + 1:]) + (i + 1):
+                if keys[i] in known:
+                    break
+                if keys[j] in known:
+                    borrowed.append((i, int(j)))
+                    continue
+                known.add(keys[i])
+                runs.append(i)
+                break
+        if runs:
+            for i, node_map in zip(
+                runs, self._run_dijkstras([pos_list[i] for i in runs])
+            ):
+                maps[keys[i]] = node_map
+        cross_pairs = (n * n - int(same_edge.sum())) // 2
+        self.cache_misses += len(runs)
+        self.cache_hits += cross_pairs - len(runs)
+
+        csr = self._provider.csr_snapshot()
+        heads = csr.edge_rows[edge_ids]
+        last_leg = csr.weights[csr.edge_cells[edge_ids, 0]] - offsets
+        owners = [i for i in range(n - 1) if keys[i] in maps]
+        if owners:
+            block = np.stack([maps[keys[i]] for i in owners])
+            cells = np.minimum(
+                block[:, heads[:, 0]] + offsets,
+                block[:, heads[:, 1]] + last_leg,
+            )
+            cells[cells > self._cutoff] = INF
+            matrix[owners] = cells
+        for i, j in borrowed:
+            d = self._map_distance(maps[keys[j]], pos_list[i])
+            matrix[i, j] = d if d <= self._cutoff else INF
+        along_edge = np.abs(offsets[:, None] - offsets[None, :])
+        matrix[same_edge] = along_edge[same_edge]
+        matrix = np.triu(matrix, 1)
+        return matrix + matrix.T
 
     def _all_pairs_prefetched(self, pos_list: List[NetworkPosition]) -> bool:
         """True when a prior :meth:`prefetch` already resolved every
@@ -731,14 +937,12 @@ class PairwiseDistanceComputer:
         else:
             self.cache_misses += 1
         if found is None:
-            node_map, source, target = self._run_dijkstra(a), a, b
+            node_map, target = self._run_dijkstras([a])[0], b
         elif found[0] == key_a:
-            node_map, source, target = found[1], a, b
+            node_map, target = found[1], b
         else:
-            node_map, source, target = found[1], b, a
-        d = position_distance_from_node_map(
-            self._network, node_map, target, source=source
-        )
+            node_map, target = found[1], a
+        d = self._map_distance(node_map, target)
         return d if d <= self._cutoff else INF
 
     def pairwise(

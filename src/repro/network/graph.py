@@ -15,10 +15,12 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
+import numpy as np
+
 from ..errors import GraphError
 from ..spatial.geometry import MBR, Point
 
-__all__ = ["Node", "Edge", "NetworkPosition", "RoadNetwork"]
+__all__ = ["Node", "Edge", "NetworkPosition", "CSRSnapshot", "RoadNetwork"]
 
 
 @dataclass(frozen=True)
@@ -98,6 +100,69 @@ class NetworkPosition:
             raise GraphError(f"negative offset {self.offset} on edge {self.edge_id}")
 
 
+class CSRSnapshot:
+    """The adjacency lists of a :class:`RoadNetwork` as flat arrays.
+
+    Compressed sparse rows, the layout C graph kernels
+    (``scipy.sparse.csgraph``) read: row ``r`` stands for node
+    ``node_ids[r]`` (ids need not be dense), its neighbours are
+    ``indices[indptr[r]:indptr[r + 1]]`` (as rows) at costs ``weights``
+    in the same cells.  Every edge owns two cells, one per direction;
+    ``edge_cells[edge_id]`` names them, so a reweight is two array
+    writes (:meth:`set_weight`), not a rebuild.  ``edge_rows[edge_id]``
+    are the rows of the edge's ``(n1, n2)``.
+
+    Owned by the network (:meth:`RoadNetwork.csr_snapshot`), which keeps
+    it current; everyone else only reads it.
+    """
+
+    __slots__ = (
+        "node_ids", "index_of", "indptr", "indices", "weights",
+        "edge_rows", "edge_cells",
+    )
+
+    def __init__(self, network: "RoadNetwork") -> None:
+        ids = [node.node_id for node in network.nodes()]
+        index_of = {node_id: row for row, node_id in enumerate(ids)}
+        lists = [network.neighbors(node_id) for node_id in ids]
+        cells = sum(len(adj) for adj in lists)
+        self.node_ids = np.array(ids, dtype=np.int64)
+        self.index_of: Dict[int, int] = index_of
+        self.indptr = np.zeros(len(ids) + 1, dtype=np.int32)
+        np.cumsum(
+            np.fromiter((len(adj) for adj in lists), np.int32, len(ids)),
+            out=self.indptr[1:],
+        )
+        self.indices = np.fromiter(
+            (index_of[other] for adj in lists for _e, other, _w in adj),
+            np.int32, cells,
+        )
+        self.weights = np.fromiter(
+            (weight for adj in lists for _e, _o, weight in adj),
+            np.float64, cells,
+        )
+        # Edge ids are dense (``add_edge`` numbers them) and every edge
+        # sits in exactly two adjacency lists, so sorting the cells by
+        # edge id pairs them up in edge-id order.
+        edge_of_cell = np.fromiter(
+            (edge_id for adj in lists for edge_id, _o, _w in adj),
+            np.int64, cells,
+        )
+        self.edge_cells = np.argsort(edge_of_cell, kind="stable").reshape(-1, 2)
+        self.edge_rows = np.array(
+            [(index_of[e.n1], index_of[e.n2]) for e in network.edges()],
+            dtype=np.int32,
+        ).reshape(-1, 2)
+
+    @property
+    def num_nodes(self) -> int:
+        return len(self.node_ids)
+
+    def set_weight(self, edge_id: int, weight: float) -> None:
+        """Write one edge's new cost into its two cells."""
+        self.weights[self.edge_cells[edge_id]] = weight
+
+
 class RoadNetwork:
     """In-memory road network with adjacency lists.
 
@@ -113,6 +178,10 @@ class RoadNetwork:
         self._edges: Dict[int, Edge] = {}
         self._adjacency: Dict[int, List[Tuple[int, int, float]]] = {}
         self._edge_by_nodes: Dict[Tuple[int, int], int] = {}
+        #: Array copy of the adjacency, built on first request (see
+        #: :meth:`csr_snapshot`); ``None`` until then and after the
+        #: node or edge set changed.
+        self._csr: Optional[CSRSnapshot] = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -123,6 +192,7 @@ class RoadNetwork:
         node = Node(node_id, Point(x, y))
         self._nodes[node_id] = node
         self._adjacency[node_id] = []
+        self._csr = None
         return node
 
     def add_edge(
@@ -158,6 +228,7 @@ class RoadNetwork:
         self._adjacency[n1].append((edge.edge_id, n2, weight))
         self._adjacency[n2].append((edge.edge_id, n1, weight))
         self._edge_by_nodes[(n1, n2)] = edge.edge_id
+        self._csr = None
         return edge
 
     # ------------------------------------------------------------------
@@ -183,6 +254,8 @@ class RoadNetwork:
             for i, (eid, other, _) in enumerate(adj):
                 if eid == edge_id:
                     adj[i] = (eid, other, weight)
+        if self._csr is not None:
+            self._csr.set_weight(edge_id, weight)
         return new
 
     # ------------------------------------------------------------------
@@ -220,6 +293,18 @@ class RoadNetwork:
             return self._adjacency[node_id]
         except KeyError:
             raise GraphError(f"unknown node {node_id}") from None
+
+    def csr_snapshot(self) -> CSRSnapshot:
+        """The adjacency as flat arrays, for traversals that run in C.
+
+        Built on the first call (one pass over the adjacency lists) and
+        then the same object on every call: :meth:`update_edge_weight`
+        patches it in place, only :meth:`add_node` / :meth:`add_edge`
+        drop it for a rebuild on the next request.
+        """
+        if self._csr is None:
+            self._csr = CSRSnapshot(self)
+        return self._csr
 
     def edge_between(self, node_a: int, node_b: int) -> Optional[Edge]:
         n1, n2 = (node_a, node_b) if node_a < node_b else (node_b, node_a)

@@ -77,7 +77,7 @@ def _describe_query_diversified(span: Span) -> str:
         f"{_ms(span.duration)}"
     )
     backend = a.get("backend")
-    if backend and backend != "dijkstra":
+    if backend and backend != "csgraph":  # the default goes unsaid
         line += f"  [distances via {backend}]"
     if a.get("terminated_early"):
         line += "  [expansion terminated early]"
@@ -115,9 +115,14 @@ def _describe_signature_filter(span: Span) -> str:
 
 def _describe_pairwise(span: Span) -> str:
     a = span.attrs
+    sources = a.get("sources", 1)
+    what = (
+        f"pairwise Dijkstra from edge {a.get('source_edge', '?')}"
+        if sources == 1 else f"{sources} pairwise Dijkstras in one call"
+    )
     return (
-        f"pairwise Dijkstra from edge {a.get('source_edge', '?')}: "
-        f"{a.get('map_nodes', '?')} nodes mapped in {_ms(span.duration)}"
+        f"{what}: {a.get('map_nodes', '?')} nodes mapped "
+        f"in {_ms(span.duration)}"
     )
 
 

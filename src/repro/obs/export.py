@@ -361,7 +361,10 @@ def database_gauges(db) -> Dict[str, float]:
     if backend is not None:
         # One-hot backend label: repro_distance_backend_ch 1.0 says the
         # scrape came from a CH-backed run without needing label pairs.
-        for name in ("dijkstra", "ch", "hub"):
+        # (Imported here: network.distance itself imports obs.tracing.)
+        from ..network.distance import DISTANCE_BACKENDS
+
+        for name in DISTANCE_BACKENDS:
             gauges[f"distance_backend.{name}"] = (
                 1.0 if backend == name else 0.0
             )

@@ -1,4 +1,4 @@
-"""The DistanceBackend seam: dijkstra vs CH vs hub through the engine.
+"""The DistanceBackend seam: csgraph vs dijkstra vs CH vs hub through the engine.
 
 The acceptance bar for the oracle backends is *identical answers* —
 same object ids, same objective values — on every SK/diversified
@@ -14,6 +14,7 @@ from repro.core.database import Database
 from repro.core.queries import DiversifiedSKQuery
 from repro.datasets.synthetic import random_planar_network
 from repro.errors import QueryError
+from repro.network.distance import DISTANCE_BACKENDS
 from repro.network.graph import NetworkPosition
 from repro.obs.export import database_gauges, prometheus_text
 from repro.obs.slowlog import SlowQueryThreshold
@@ -24,7 +25,7 @@ from repro.workloads.queries import WorkloadConfig, generate_diversified_queries
 def restore_backend(tiny_db):
     """Leave the session-scoped database on the default backend."""
     yield tiny_db
-    tiny_db.use_distance_backend("dijkstra")
+    tiny_db.use_distance_backend("csgraph")
 
 
 def _run_workload(db, index, queries, method):
@@ -48,9 +49,14 @@ class TestBackendSelection:
         assert db.distance_backend == "ch"
         assert db.pairwise_backend() is db.ch_oracle()
 
-    def test_default_is_dijkstra(self, tiny_db):
-        assert tiny_db.distance_backend == "dijkstra"
+    def test_default_is_csgraph(self, tiny_db):
+        assert tiny_db.distance_backend == "csgraph"
+        fresh = Database(random_planar_network(30, seed=2))
+        assert fresh.distance_backend == "csgraph"
+        # No oracle: the computer traverses the in-memory network.
         assert tiny_db.pairwise_backend() is None
+        assert tiny_db.pairwise_provider() is tiny_db.network
+        assert tiny_db.pairwise_provider("dijkstra") is tiny_db.ccam
 
     def test_oracle_built_once_and_recorded(self, restore_backend):
         db = restore_backend
@@ -114,7 +120,7 @@ class TestAnswerEquivalence:
         assert delta("query.backend.ch") == delta("query.backend.dijkstra")
 
     def test_all_three_backends_agree(self, restore_backend, tiny_indexes):
-        """{dijkstra, ch, hub} × {seq, com} returns byte-identical
+        """{csgraph, dijkstra, ch, hub} × {seq, com} returns byte-identical
         object ids and objective values (rounded to 9 decimals, the
         repo's equivalence contract)."""
         db = restore_backend
@@ -122,7 +128,7 @@ class TestAnswerEquivalence:
         config = WorkloadConfig(num_queries=6, num_keywords=2, k=5, seed=83)
         queries = generate_diversified_queries(db, config)
         results = {}
-        for backend in ("dijkstra", "ch", "hub"):
+        for backend in DISTANCE_BACKENDS:
             db.use_distance_backend(backend)
             for method in ("seq", "com"):
                 results[(backend, method)] = _run_workload(
@@ -223,10 +229,15 @@ class TestObservability:
         assert "repro_distance_backend_ch 1.0" in text
         assert "repro_ch_preprocess_seconds" in text
 
-    def test_dijkstra_run_exports_zero_ch_gauge(self, tiny_db):
-        gauges = database_gauges(tiny_db)
+    def test_dijkstra_run_exports_zero_ch_gauge(self, restore_backend):
+        restore_backend.use_distance_backend("dijkstra")
+        gauges = database_gauges(restore_backend)
         assert gauges["distance_backend.dijkstra"] == 1.0
         assert gauges["distance_backend.ch"] == 0.0
+        # One gauge per backend the program knows, exactly one hot.
+        assert sum(
+            gauges[f"distance_backend.{name}"] for name in DISTANCE_BACKENDS
+        ) == 1.0
 
     def test_explain_renders_backend(self, restore_backend, tiny_indexes):
         db = restore_backend

@@ -1,0 +1,101 @@
+"""Where a diversified query's network page reads are charged.
+
+The paper's experiments charge the pairwise Dijkstras of a diversified
+query for every CCAM page they walk; the ``dijkstra`` backend keeps
+that accounting and the figure benchmarks pin it.  The default backend
+runs the same Dijkstras in memory, so the only network reads left are
+the expansion's.  No other tier-1 test looks at this split: swap what a
+backend charges and every answer, digest and counter elsewhere stays
+the same.
+
+One fixed world, one fixed query (a single keyword, so no set order
+reaches the buffer), a two-page buffer so nearly every page switch is a
+physical read.  The ``dijkstra`` numbers were read off the commit
+before ``csgraph`` existed.
+"""
+
+from itertools import islice
+
+import pytest
+
+from repro.core.ine import INEExpansion
+from repro.core.queries import DiversifiedSKQuery, SKQuery
+from repro.datasets import build_dataset
+
+DELTA_MAX = 1500.0
+#: ``physical_by_category["network"]`` of the query below at the parent
+#: commit, where bounded Dijkstras through CCAM were the default.
+NETWORK_READS_AT_PARENT = {"seq": 485, "com": 46}
+
+
+def world(backend=None):
+    db = build_dataset("SYN", scale=0.2, buffer_pages=2)
+    if backend is not None:
+        db.use_distance_backend(backend)
+    index = db.build_index("sif")
+    freq = db.keyword_frequencies()
+    term = min(freq, key=lambda t: (-freq[t], t))
+    return db, index, db.network.node_position(7), term
+
+
+def diversified(backend, method):
+    db, index, position, term = world(backend)
+    query = DiversifiedSKQuery.create(
+        position, [term], delta_max=DELTA_MAX, k=4, lambda_=0.8
+    )
+    return db.diversified_search(index, query, method=method)
+
+
+def expansion_network_reads(items=None):
+    """Network pages the INE expansion alone reads on a cold world,
+    stopped after ``items`` objects (``None``: run to completion)."""
+    db, index, position, term = world()
+    expansion = INEExpansion(
+        db.ccam, db.network, index, position, frozenset([term]), DELTA_MAX
+    )
+    with db.disk.stats.scoped() as io:
+        stream = expansion.run()
+        list(islice(stream, items))
+        stream.close()
+    return io.physical_by_category["network"]
+
+
+@pytest.mark.parametrize("method", ["seq", "com"])
+def test_dijkstra_charges_pairwise_reads_as_the_parent_did(method):
+    result = diversified("dijkstra", method)
+    assert result.stats.distance_backend == "dijkstra"
+    assert result.stats.pairwise_dijkstras > 0
+    assert (
+        result.stats.io.physical_by_category["network"]
+        == NETWORK_READS_AT_PARENT[method]
+    )
+
+
+@pytest.mark.parametrize("method", ["seq", "com"])
+def test_default_charges_the_expansion_only(method):
+    result = diversified(None, method)
+    pinned = diversified("dijkstra", method)
+    assert result.stats.distance_backend == "csgraph"
+    # The same query in every other respect ...
+    assert result.object_ids() == pinned.object_ids()
+    assert result.objective_value == pinned.objective_value
+    assert result.stats.candidates == pinned.stats.candidates
+    assert result.stats.pairwise_dijkstras == pinned.stats.pairwise_dijkstras
+    # ... reading exactly the network pages its expansion reads: all of
+    # it under SEQ, the prefix COM consumed before it terminated.
+    consumed = None if method == "seq" else result.stats.candidates
+    reads = result.stats.io.physical_by_category["network"]
+    assert reads == expansion_network_reads(consumed)
+    assert reads < NETWORK_READS_AT_PARENT[method]
+
+
+def test_sk_query_reads_do_not_depend_on_the_backend():
+    reads = []
+    for backend in (None, "dijkstra"):
+        db, index, position, term = world(backend)
+        result = db.sk_search(
+            index, SKQuery(position, frozenset([term]), DELTA_MAX)
+        )
+        reads.append(dict(result.stats.io.physical_by_category))
+    assert reads[0] == reads[1]
+    assert reads[0]["network"] == expansion_network_reads()

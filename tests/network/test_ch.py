@@ -265,7 +265,7 @@ class TestComputerIntegration:
         plain = PairwiseDistanceComputer(network, network)
         backed = PairwiseDistanceComputer(network, network, backend=ch)
         assert backed.backend_name == "ch"
-        assert plain.backend_name == "dijkstra"
+        assert plain.backend_name == "csgraph"
         want = plain.pairwise(positions)
         got = backed.pairwise(positions)
         assert set(got) == set(want)

@@ -1,0 +1,235 @@
+"""The C pairwise path against the Python one it must equal exactly.
+
+``single_source_rows`` (scipy's Dijkstra over the network's CSR
+snapshot) has to produce the very floats ``single_source_distances``
+does, and ``PairwiseDistanceComputer.pairwise_matrix`` on the in-memory
+network the very cells, and the very counters, ``pairwise()`` does.
+Worlds are drawn by hypothesis: node ids with gaps, a second component
+nothing reaches, positions at offset 0 and at offset = weight, several
+positions on one edge, the same position twice, cutoffs that truncate.
+"""
+
+import math
+import warnings
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.network.distance import (
+    DistanceCache,
+    PairwiseDistanceComputer,
+    single_source_distances,
+    single_source_rows,
+)
+from repro.network.graph import CSRSnapshot, NetworkPosition, RoadNetwork
+from tests.conftest import make_paperlike_network
+
+weights = st.floats(0.5, 50.0, allow_nan=False).map(lambda w: w / 3.0)
+
+
+@st.composite
+def worlds(draw):
+    """``(network, positions, cutoff)``."""
+    size = draw(st.integers(3, 12))
+    island = draw(st.integers(2, 3))
+    ids = draw(st.lists(
+        st.integers(0, 400), min_size=size + island, max_size=size + island,
+        unique=True,
+    ))
+    network = RoadNetwork()
+    for k, node_id in enumerate(ids):
+        network.add_node(node_id, float(k), float(k * k % 7))
+    main, rest = ids[:size], ids[size:]
+    # A spanning tree keeps the main component connected; the island is
+    # a path no edge joins to it.
+    for k in range(1, size):
+        parent = main[draw(st.integers(0, k - 1))]
+        network.add_edge(main[k], parent, weight=draw(weights), length=1.0)
+    for a, b in zip(rest, rest[1:]):
+        network.add_edge(a, b, weight=draw(weights), length=1.0)
+    for _ in range(draw(st.integers(0, size))):
+        a, b = draw(st.sampled_from(main)), draw(st.sampled_from(main))
+        if a != b and network.edge_between(a, b) is None:
+            network.add_edge(a, b, weight=draw(weights), length=1.0)
+
+    def position(edge_id, where):
+        weight = network.edge(edge_id).weight
+        offset = {"start": 0.0, "end": weight}.get(where)
+        return NetworkPosition(
+            edge_id, offset if offset is not None else weight * where
+        )
+
+    wheres = st.one_of(
+        st.sampled_from(["start", "end"]),
+        st.floats(0.0, 1.0, allow_nan=False),
+    )
+    positions = draw(st.lists(
+        st.builds(position, st.integers(0, network.num_edges - 1), wheres),
+        min_size=0, max_size=9,
+    ))
+    if positions and draw(st.booleans()):
+        positions.append(draw(st.sampled_from(positions)))  # a duplicate
+    cutoff = draw(st.one_of(
+        st.just(math.inf), st.floats(0.1, 60.0, allow_nan=False)
+    ))
+    return network, positions, cutoff
+
+
+def row_as_dict(network, row):
+    ids = network.csr_snapshot().node_ids
+    return {
+        int(ids[r]): float(row[r]) for r in np.flatnonzero(np.isfinite(row))
+    }
+
+
+def same_arrays(a: CSRSnapshot, b: CSRSnapshot) -> bool:
+    return a.index_of == b.index_of and all(
+        np.array_equal(getattr(a, name), getattr(b, name))
+        for name in ("node_ids", "indptr", "indices", "weights",
+                     "edge_rows", "edge_cells")
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(worlds())
+def test_rows_equal_the_python_loops_dicts(world):
+    network, positions, cutoff = world
+    rows = single_source_rows(network, positions, cutoff)
+    assert rows.shape == (len(positions), network.num_nodes)
+    for row, source in zip(rows, positions):
+        assert row_as_dict(network, row) == single_source_distances(
+            network, network, source, cutoff
+        )
+
+
+@settings(max_examples=200, deadline=None)
+@given(worlds())
+def test_matrix_equals_pairwise_cell_for_cell(world):
+    network, positions, cutoff = world
+    batched = PairwiseDistanceComputer(network, network, cutoff=cutoff)
+    per_pair = PairwiseDistanceComputer(network, network, cutoff=cutoff)
+    matrix = batched.pairwise_matrix(positions)
+    pairs = per_pair.pairwise(positions)
+    n = len(positions)
+    assert matrix.shape == (n, n)
+    for i in range(n):
+        assert matrix[i, i] == 0.0
+        for j in range(i + 1, n):
+            assert matrix[i, j] == matrix[j, i] == pairs[(i, j)], (i, j)
+    assert batched.dijkstra_runs == per_pair.dijkstra_runs
+    assert batched.cache_hits == per_pair.cache_hits
+    assert batched.cache_misses == per_pair.cache_misses
+
+
+@settings(max_examples=100, deadline=None)
+@given(worlds(), st.data())
+def test_matrix_on_a_warm_cache_equals_pairwise(world, data):
+    """Maps an earlier query left in a shared cache are read as the
+    per-pair path would read them: from ``i``'s map if cached, else from
+    ``j``'s — no extra Dijkstra, the same floats."""
+    network, positions, cutoff = world
+    warm = data.draw(st.lists(st.sampled_from(positions), max_size=4)
+                     if positions else st.just([]))
+    computers = []
+    for _ in range(2):
+        cache = DistanceCache()
+        warmer = PairwiseDistanceComputer(
+            network, network, cutoff=cutoff, cache=cache
+        )
+        warmer._run_dijkstras(warm)
+        computers.append(PairwiseDistanceComputer(
+            network, network, cutoff=cutoff, cache=cache
+        ))
+    batched, per_pair = computers
+    matrix = batched.pairwise_matrix(positions)
+    pairs = per_pair.pairwise(positions)
+    for (i, j), d in pairs.items():
+        assert matrix[i, j] == matrix[j, i] == d, (i, j)
+    assert batched.dijkstra_runs == per_pair.dijkstra_runs
+    assert batched.cache_misses == per_pair.cache_misses
+    assert batched.cache_hits == per_pair.cache_hits
+
+
+@settings(max_examples=100, deadline=None)
+@given(worlds(), st.data())
+def test_c_computer_equals_the_charged_python_computer(world, data):
+    """``csgraph`` against ``dijkstra``: same distances, same number of
+    Dijkstras, whatever order the pairs are asked in."""
+    network, positions, cutoff = world
+
+    class Charged:  # any provider that is not the RoadNetwork itself
+        neighbors = staticmethod(network.neighbors)
+
+    in_c = PairwiseDistanceComputer(network, network, cutoff=cutoff)
+    in_python = PairwiseDistanceComputer(Charged, network, cutoff=cutoff)
+    assert (in_c.backend_name, in_python.backend_name) == (
+        "csgraph", "dijkstra"
+    )
+    assert in_python.pairwise_matrix(positions) is None
+    n = len(positions)
+    asked = data.draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=12
+    ) if n else st.just([]))
+    for i, j in asked:
+        assert in_c.distance(positions[i], positions[j]) == (
+            in_python.distance(positions[i], positions[j])
+        )
+    assert in_c.dijkstra_runs == in_python.dijkstra_runs
+
+
+@settings(max_examples=100, deadline=None)
+@given(worlds(), st.data())
+def test_reweight_patches_the_snapshot_in_place(world, data):
+    network, positions, cutoff = world
+    snapshot = network.csr_snapshot()
+    for _ in range(data.draw(st.integers(1, 3))):
+        edge_id = data.draw(st.integers(0, network.num_edges - 1))
+        network.update_edge_weight(edge_id, data.draw(weights))
+    assert network.csr_snapshot() is snapshot
+    assert same_arrays(snapshot, CSRSnapshot(network))
+    # ... and the traversal sees the new weights (offsets clipped to the
+    # new weight, as a reweight's rescale leaves them).
+    moved = [
+        NetworkPosition(
+            p.edge_id, min(p.offset, network.edge(p.edge_id).weight)
+        )
+        for p in positions
+    ]
+    for row, source in zip(
+        single_source_rows(network, moved, cutoff), moved
+    ):
+        assert row_as_dict(network, row) == single_source_distances(
+            network, network, source, cutoff
+        )
+
+
+def test_a_new_edge_or_node_rebuilds_the_snapshot():
+    network = make_paperlike_network()
+    before = network.csr_snapshot()
+    assert network.csr_snapshot() is before
+    network.add_edge(3, 6, weight=2.5, length=2.5)
+    after = network.csr_snapshot()
+    assert after is not before
+    assert same_arrays(after, CSRSnapshot(network))
+    assert len(after.weights) == len(before.weights) + 2
+    network.add_node(40, 5.0, 5.0)
+    assert network.csr_snapshot() is not after
+    assert network.csr_snapshot().num_nodes == after.num_nodes + 1
+
+
+def test_offset_a_rounding_step_past_the_weight():
+    """A negative seed (offset > weight) goes through the Python loop:
+    the same labels, and no negative-weight warning out of scipy."""
+    network = make_paperlike_network()
+    edge = network.edge_between(1, 4)
+    source = NetworkPosition(edge.edge_id, math.nextafter(edge.weight, math.inf))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = single_source_rows(
+            network, [NetworkPosition(0, 2.0), source], cutoff=15.0
+        )
+    for row, pos in zip(rows, [NetworkPosition(0, 2.0), source]):
+        assert row_as_dict(network, row) == single_source_distances(
+            network, network, pos, 15.0
+        )

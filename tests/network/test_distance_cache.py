@@ -10,6 +10,7 @@ from repro.network.distance import (
     DistanceCache,
     PairwiseDistanceComputer,
     network_distance,
+    single_source_distances,
 )
 from repro.network.graph import NetworkPosition
 
@@ -70,6 +71,36 @@ class TestDistanceCacheUnit:
         cache.put((2, 0.0, INF), {0: 0.0})
         assert cache.get(big) is None
         assert cache.entries == 1
+
+    def test_a_row_counts_one_entry_per_network_node(self, paper_network):
+        """The C path caches dense rows: N cells however short the
+        cutoff, so the budget holds ``max_entries // N`` of them."""
+        n = paper_network.num_nodes
+        cache = DistanceCache(max_entries=3 * n + 2)
+        comp = PairwiseDistanceComputer(
+            paper_network, paper_network, cutoff=1.0, cache=cache
+        )
+        sources = [NetworkPosition(e, 0.5) for e in range(5)]
+        comp._run_dijkstras(sources[:3])
+        assert len(cache) == 3 and cache.entries == 3 * n
+        assert comp.cache_evictions == 0
+        # Under this cutoff a row has one or two finite cells; as dicts
+        # all five maps would fit several times over.
+        assert all(
+            len(single_source_distances(
+                paper_network, paper_network, s, cutoff=1.0
+            )) <= 2
+            for s in sources
+        )
+        comp._run_dijkstras(sources[3:])  # 5 rows > budget: 2 LRU rows go
+        assert len(cache) == 3 and cache.entries == 3 * n
+        assert cache.evictions == comp.cache_evictions == 2
+        assert cache.get(comp._key(sources[0])) is None
+        assert cache.get(comp._key(sources[1])) is None
+        assert cache.get(comp._key(sources[4])) is not None
+        # A dict map beside them still counts its pairs.
+        cache.put((9, 0.0, INF, False), {1: 1.0, 2: 2.0})
+        assert cache.entries == 3 * n + 2 and cache.evictions == 2
 
     def test_clear_drops_maps_keeps_counters(self):
         cache = DistanceCache()

@@ -149,6 +149,36 @@ class TestEpochGating:
         assert cache.stats()["invalidations"] == 1
         assert cache.epoch == 2
 
+    def test_batched_matrix_is_gated_like_the_per_pair_path(self):
+        """``pairwise_matrix`` on the in-memory network reads and writes
+        the shared cache through the same epoch gate: a query pinned
+        before an invalidation neither reads the newer rows nor leaves
+        its own behind."""
+        network = random_planar_network(30, seed=2)
+        edges = list(network.edges())
+        positions = [
+            NetworkPosition(e.edge_id, 0.25 * e.weight) for e in edges[:4]
+        ]
+        cache = DistanceCache(max_entries=10_000)
+        cache.invalidate(5)
+        current = PairwiseDistanceComputer(
+            network, network, cutoff=500.0, cache=cache, epoch=5
+        )
+        want = current.pairwise_matrix(positions)
+        assert len(cache) == current.dijkstra_runs == 3
+        stale = PairwiseDistanceComputer(
+            network, network, cutoff=500.0, cache=cache, epoch=4
+        )
+        got = stale.pairwise_matrix(positions)
+        assert (got == want).all()
+        assert stale.dijkstra_runs == 3          # read nothing cached
+        assert cache.stats()["stale_puts"] == 3  # and cached nothing
+        warm = PairwiseDistanceComputer(
+            network, network, cutoff=500.0, cache=cache, epoch=5
+        )
+        assert (warm.pairwise_matrix(positions) == want).all()
+        assert warm.dijkstra_runs == 0
+
     def test_concurrent_invalidation_never_serves_stale_maps(self):
         """Readers, writers and an invalidator race; no reader may ever
         observe a map written before the last invalidation it is ahead

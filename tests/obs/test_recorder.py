@@ -123,7 +123,7 @@ class TestFlightRecorder:
             assert record["query"]["terms"] == sorted(
                 plans[i].query.terms
             )
-            assert record["hints"]["distance_backend"] == "dijkstra"
+            assert record["hints"]["distance_backend"] == "csgraph"
             assert "candidates" in record["stats"]
         assert db.metrics.counters()["recorder.records"] >= 4
 

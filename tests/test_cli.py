@@ -8,12 +8,14 @@ from pathlib import Path
 import pytest
 
 from repro.cli import build_parser, main
+from repro.network.distance import DISTANCE_BACKENDS
 
 #: Every subcommand's arguments: option strings (or the positional's
 #: dest) -> (default, choices, type name).  Generated from
 #: ``build_parser()`` at commit 1ef623e, before the flags moved into
 #: shared parent parsers; a flag added, dropped or changed later is a
-#: visible diff here.
+#: visible diff here.  (Since then: ``csgraph`` became the default
+#: distance backend; the backend choices are read from the program.)
 FLAG_SURFACE = {
     "info": {
         "profile": (None, ("NA", "SF", "SYN", "TW"), None),
@@ -30,7 +32,7 @@ FLAG_SURFACE = {
         "profile": (None, ("NA", "SF", "SYN", "TW"), None),
         "--scale": (1.0, None, "float"),
         "--seed": (None, None, "int"),
-        "--distance-backend": ("dijkstra", ("dijkstra", "ch", "hub"), None),
+        "--distance-backend": ("csgraph", DISTANCE_BACKENDS, None),
         "--queries": (50, None, "int"),
         "--keywords": (3, None, "int"),
         "--delta-max": (None, None, "float"),
@@ -45,7 +47,7 @@ FLAG_SURFACE = {
         "--slo": (None, None, None),
         "--telemetry-port": (None, None, "_port"),
         "--record": (None, None, "_output_path"),
-        "--shadow-backend": (None, ("dijkstra", "ch", "hub"), None),
+        "--shadow-backend": (None, DISTANCE_BACKENDS, None),
         "--shadow-rate": (1.0, None, "_rate"),
         "--index": (
             "sif",
@@ -57,7 +59,7 @@ FLAG_SURFACE = {
         "profile": (None, ("NA", "SF", "SYN", "TW"), None),
         "--scale": (1.0, None, "float"),
         "--seed": (None, None, "int"),
-        "--distance-backend": ("dijkstra", ("dijkstra", "ch", "hub"), None),
+        "--distance-backend": ("csgraph", DISTANCE_BACKENDS, None),
         "--queries": (50, None, "int"),
         "--keywords": (3, None, "int"),
         "--delta-max": (None, None, "float"),
@@ -72,7 +74,7 @@ FLAG_SURFACE = {
         "--slo": (None, None, None),
         "--telemetry-port": (None, None, "_port"),
         "--record": (None, None, "_output_path"),
-        "--shadow-backend": (None, ("dijkstra", "ch", "hub"), None),
+        "--shadow-backend": (None, DISTANCE_BACKENDS, None),
         "--shadow-rate": (1.0, None, "_rate"),
         "--index": (
             "sif",
@@ -87,7 +89,7 @@ FLAG_SURFACE = {
         "profile": (None, ("NA", "SF", "SYN", "TW"), None),
         "--scale": (1.0, None, "float"),
         "--seed": (None, None, "int"),
-        "--distance-backend": ("dijkstra", ("dijkstra", "ch", "hub"), None),
+        "--distance-backend": ("csgraph", DISTANCE_BACKENDS, None),
         "--queries": (50, None, "int"),
         "--keywords": (3, None, "int"),
         "--delta-max": (None, None, "float"),
@@ -102,7 +104,7 @@ FLAG_SURFACE = {
         "--slo": (None, None, None),
         "--telemetry-port": (None, None, "_port"),
         "--record": (None, None, "_output_path"),
-        "--shadow-backend": (None, ("dijkstra", "ch", "hub"), None),
+        "--shadow-backend": (None, DISTANCE_BACKENDS, None),
         "--shadow-rate": (1.0, None, "_rate"),
         "--index": (
             "sif",
@@ -125,7 +127,7 @@ FLAG_SURFACE = {
         "profile": (None, ("NA", "SF", "SYN", "TW"), None),
         "--scale": (1.0, None, "float"),
         "--seed": (None, None, "int"),
-        "--distance-backend": ("dijkstra", ("dijkstra", "ch", "hub"), None),
+        "--distance-backend": ("csgraph", DISTANCE_BACKENDS, None),
         "--queries": (50, None, "int"),
         "--keywords": (3, None, "int"),
         "--delta-max": (None, None, "float"),
@@ -140,14 +142,14 @@ FLAG_SURFACE = {
         "--slo": (None, None, None),
         "--telemetry-port": (None, None, "_port"),
         "--record": (None, None, "_output_path"),
-        "--shadow-backend": (None, ("dijkstra", "ch", "hub"), None),
+        "--shadow-backend": (None, DISTANCE_BACKENDS, None),
         "--shadow-rate": (1.0, None, "_rate"),
     },
     "explain": {
         "profile": (None, ("NA", "SF", "SYN", "TW"), None),
         "--scale": (1.0, None, "float"),
         "--seed": (None, None, "int"),
-        "--distance-backend": ("dijkstra", ("dijkstra", "ch", "hub"), None),
+        "--distance-backend": ("csgraph", DISTANCE_BACKENDS, None),
         "--index": (
             "sif",
             ("ccam", "ir", "if", "sif", "sif-p", "sif-g"),
@@ -173,7 +175,7 @@ FLAG_SURFACE = {
         "profile": (None, ("NA", "SF", "SYN", "TW"), None),
         "--scale": (1.0, None, "float"),
         "--seed": (None, None, "int"),
-        "--distance-backend": ("dijkstra", ("dijkstra", "ch", "hub"), None),
+        "--distance-backend": ("csgraph", DISTANCE_BACKENDS, None),
         "--queries": (50, None, "int"),
         "--keywords": (3, None, "int"),
         "--delta-max": (None, None, "float"),
@@ -188,7 +190,7 @@ FLAG_SURFACE = {
         "--slo": (None, None, None),
         "--telemetry-port": (None, None, "_port"),
         "--record": (None, None, "_output_path"),
-        "--shadow-backend": (None, ("dijkstra", "ch", "hub"), None),
+        "--shadow-backend": (None, DISTANCE_BACKENDS, None),
         "--shadow-rate": (1.0, None, "_rate"),
         "--index": (
             "sif",
@@ -206,7 +208,7 @@ FLAG_SURFACE = {
     },
     "replay": {
         "path": (None, None, None),
-        "--backend": (None, ("dijkstra", "ch", "hub"), None),
+        "--backend": (None, DISTANCE_BACKENDS, None),
         "--workers": (1, None, "_positive_int"),
         "--limit": (None, None, "_positive_int"),
     },
@@ -812,7 +814,7 @@ class TestFlightRecorderCLI:
         assert "backend=ch" in out
         assert "verdict: PASS" in out
 
-    @pytest.mark.parametrize("backend", ["dijkstra", "ch", "hub"])
+    @pytest.mark.parametrize("backend", DISTANCE_BACKENDS)
     def test_replay_pre_refactor_journal(self, backend, capsys):
         """tests/data/flight_pr11.jsonl was recorded before the frontier
         and scoring modes were deleted; its header still names them."""

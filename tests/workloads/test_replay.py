@@ -11,6 +11,7 @@ import pytest
 from repro.datasets import build_dataset
 from repro.engine.plan import plan_diversified
 from repro.errors import QueryError
+from repro.network.distance import DISTANCE_BACKENDS
 from repro.network.graph import NetworkPosition
 from repro.workloads.queries import (
     WorkloadConfig,
@@ -120,7 +121,7 @@ class TestReplayDeterminism:
         )
         assert "PASS — zero divergences" in report.render()
 
-    @pytest.mark.parametrize("backend", ["ch", "hub"])
+    @pytest.mark.parametrize("backend", ["dijkstra", "ch", "hub"])
     def test_cross_backend_zero_divergences(self, journal_path, backend):
         db = fresh_db()
         db.use_distance_backend(backend)
@@ -128,7 +129,7 @@ class TestReplayDeterminism:
         assert report.passed, [d.render() for d in report.divergences]
         assert report.backend == backend
 
-    @pytest.mark.parametrize("backend", ["dijkstra", "ch", "hub"])
+    @pytest.mark.parametrize("backend", DISTANCE_BACKENDS)
     def test_pre_refactor_journal_zero_divergences(self, backend):
         """A journal recorded while the CSR frontier and the scoring
         switch existed (its header and hints name them) replays clean:
