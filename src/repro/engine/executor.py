@@ -305,6 +305,7 @@ class QueryEngine:
                 "expansion": wall,
                 "object_loading": expansion.stats.load_seconds,
             },
+            distance_backend=db.distance_backend,
         )
         ctx.finalise(stats)
         return SKResult(items, stats)
@@ -324,6 +325,7 @@ class QueryEngine:
             if t.enabled:
                 root.set(results=len(result))
         result.stats.wall_seconds = time.perf_counter() - start
+        result.stats.distance_backend = db.distance_backend
         ctx.finalise(result.stats)
         return result
 

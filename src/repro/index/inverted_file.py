@@ -13,12 +13,21 @@ every query keyword requires a B+-tree descent, and the postings of
 every query keyword on the edge are fetched before the
 AND-intersection — which is exactly why false hits hurt IF and motivate
 SIF.
+
+Layout invariant: **a postings page is sorted by its leading key
+fields** — ``edge_key`` here and in SIF-G's group lists,
+``(edge_key, v_idx)`` in SIF-P.  :func:`pack_postings` writes pages
+that way, :func:`insert_posting` keeps them that way and a delete only
+removes entries, so :func:`read_run` finds an edge's postings by
+bisection instead of walking the ~180 postings of ~165 other edges that
+share its page.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from bisect import bisect_left
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..network.graph import RoadNetwork
 from ..network.objects import ObjectStore, SpatioTextualObject
@@ -27,7 +36,17 @@ from ..storage.bplustree import BPlusTree
 from ..storage.pagefile import PAGE_SIZE, DiskManager, PageFile
 from .base import ObjectIndex
 
-__all__ = ["InvertedFileIndex", "edge_zorder_key", "pack_postings", "POSTING_BYTES"]
+__all__ = [
+    "InvertedFileIndex",
+    "EdgeKeys",
+    "edge_zorder_key",
+    "pack_postings",
+    "read_run",
+    "insert_posting",
+    "rarest_first",
+    "POSTING_BYTES",
+    "POSTINGS_PER_PAGE",
+]
 
 #: Bytes per posting: edge key, object id and offset.
 POSTING_BYTES = 16
@@ -43,24 +62,101 @@ def edge_zorder_key(curve: ZOrderCurve, network: RoadNetwork, edge_id: int) -> i
     return (code << 24) | edge_id
 
 
-def pack_postings(
-    file: PageFile, postings: List[Posting]
-) -> Dict[int, List[int]]:
-    """Pack postings (sorted by edge key) into pages of ``file``.
+class EdgeKeys(dict):
+    """``edge_id -> edge_zorder_key``, each computed on first use.
 
-    Returns ``edge_key -> page numbers holding that edge's postings``.
-    Pages are shared between consecutive edges, so the map's page lists
-    overlap at the boundaries.
+    The key is a 16-step bit interleave of the edge's centre, and an
+    edge's geometry never changes, so an index computes it once per
+    edge instead of on every load, insert and delete.
     """
-    edge_pages: Dict[int, List[int]] = {}
+
+    def __init__(self, curve: ZOrderCurve, network: RoadNetwork) -> None:
+        super().__init__()
+        self._curve = curve
+        self._network = network
+
+    def __missing__(self, edge_id: int) -> int:
+        key = self[edge_id] = edge_zorder_key(
+            self._curve, self._network, edge_id
+        )
+        return key
+
+
+def pack_postings(
+    file: PageFile, postings: List[tuple], width: int = 1
+) -> Dict[tuple, List[int]]:
+    """Pack postings (sorted by their prefix) into pages of ``file``.
+
+    A posting is filed under its *prefix*, its first ``width`` fields:
+    ``(edge_key,)`` by default, ``(edge_key, v_idx)`` for SIF-P.
+    Returns ``prefix -> page numbers holding that prefix's postings`` —
+    the same tuples :func:`read_run` and :func:`insert_posting` take.
+    Pages are shared between consecutive prefixes, so the map's page
+    lists overlap at the boundaries.
+    """
+    prefix_pages: Dict[tuple, List[int]] = {}
     for start in range(0, len(postings), POSTINGS_PER_PAGE):
         chunk = postings[start : start + POSTINGS_PER_PAGE]
         page_no = file.allocate(chunk, size_bytes=len(chunk) * POSTING_BYTES)
-        for edge_key, _oid, _off in chunk:
-            pages = edge_pages.setdefault(edge_key, [])
+        for posting in chunk:
+            pages = prefix_pages.setdefault(posting[:width], [])
             if not pages or pages[-1] != page_no:
                 pages.append(page_no)
-    return edge_pages
+    return prefix_pages
+
+
+def read_run(file: PageFile, pages: Sequence[int], prefix: tuple) -> List[int]:
+    """Object ids of the postings filed under ``prefix`` on ``pages``.
+
+    Every page is read through the buffer, in order; inside it the run
+    is found by bisection — a bare prefix sorts before every posting
+    that extends it, so the comparison stays in C — and only the run is
+    touched: O(log page + matches).  The object id is the field right
+    after the prefix.
+    """
+    width = len(prefix)
+    ids: List[int] = []
+    for page_no in pages:
+        page = file.read(page_no)
+        i = bisect_left(page, prefix)
+        while i < len(page) and page[i][:width] == prefix:
+            ids.append(page[i][width])
+            i += 1
+    return ids
+
+
+def insert_posting(
+    file: PageFile, page_no: int, prefix: tuple, posting: tuple
+) -> bool:
+    """Add ``posting`` to page ``page_no`` unless the page is full.
+
+    The posting joins the end of the run of ``prefix`` — the run ends
+    where the prefix with its last field (an integer) bumped would go —
+    so the page stays sorted, and the page write is charged and the
+    page resized as a delete's is.  Returns ``False``, with nothing
+    written, if the page has no room: the caller opens a new page.
+    """
+    page = file.read_unbuffered(page_no)
+    if len(page) >= POSTINGS_PER_PAGE:
+        return False
+    after = prefix[:-1] + (prefix[-1] + 1,)
+    page.insert(bisect_left(page, after), posting)
+    file.rewrite(page_no, size_bytes=len(page) * POSTING_BYTES)
+    return True
+
+
+def rarest_first(store: ObjectStore, terms: FrozenSet[str]) -> List[str]:
+    """Query terms by ascending document frequency, ties by term.
+
+    The order an index descends and fetches its keywords in.  It has to
+    be *some* fixed order: a frozenset's follows ``PYTHONHASHSEED``, and
+    with it which pages the small LRU buffer still holds, so physical
+    reads would differ between two runs of one workload.  Rarest first
+    is the order an AND wants; every term is still descended and
+    fetched — that is IF's cost model in the paper.
+    """
+    # The second sort is stable, so equal frequencies stay in term order.
+    return sorted(sorted(terms), key=store.document_frequency)
 
 
 class InvertedFileIndex(ObjectIndex):
@@ -79,6 +175,7 @@ class InvertedFileIndex(ObjectIndex):
         self._disk = disk
         self._curve = curve or ZOrderCurve()
         self._network = store.network
+        self._edge_keys = EdgeKeys(self._curve, self._network)
         self._trees: Dict[str, BPlusTree] = {}
         self._pages_per_term: Dict[str, int] = {}
         self._postings: PageFile = disk.create_file(
@@ -97,11 +194,11 @@ class InvertedFileIndex(ObjectIndex):
     def _build(self) -> None:
         # term -> postings in edge-key order
         staged: Dict[str, List[Posting]] = {}
+        keys = self._edge_keys
         for edge_id in sorted(
-            self._store.edges_with_objects(),
-            key=lambda e: edge_zorder_key(self._curve, self._network, e),
+            self._store.edges_with_objects(), key=keys.__getitem__
         ):
-            key = edge_zorder_key(self._curve, self._network, edge_id)
+            key = keys[edge_id]
             for obj in self._store.objects_on_edge(edge_id):
                 posting = (key, obj.object_id, obj.position.offset)
                 for term in obj.keywords:
@@ -110,7 +207,9 @@ class InvertedFileIndex(ObjectIndex):
         for term in sorted(staged):
             postings = staged[term]
             edge_pages = pack_postings(self._postings, postings)
-            entries = sorted(edge_pages.items())
+            entries = sorted(
+                (edge_key, pages) for (edge_key,), pages in edge_pages.items()
+            )
             tree = BPlusTree(self._tree_file, key_bytes=8, value_bytes=8)
             tree.bulk_load(entries)
             self._trees[term] = tree
@@ -125,10 +224,10 @@ class InvertedFileIndex(ObjectIndex):
         self, edge_id: int, terms: FrozenSet[str]
     ) -> List[SpatioTextualObject]:
         self.counters.edges_probed += 1
-        key = edge_zorder_key(self._curve, self._network, edge_id)
+        key = self._edge_keys[edge_id]
         loaded_total = 0
         intersection: Optional[Set[int]] = None
-        for term in terms:
+        for term in rarest_first(self._store, terms):
             tree = self._trees.get(term)
             pages = tree.search(key) if tree is not None else None
             if pages is None:
@@ -136,12 +235,9 @@ class InvertedFileIndex(ObjectIndex):
                 # still paid, and postings already fetched are wasted.
                 intersection = set()
                 continue
-            ids: Set[int] = set()
-            for page_no in pages:
-                for edge_key, oid, _off in self._postings.read(page_no):
-                    if edge_key == key:
-                        loaded_total += 1
-                        ids.add(oid)
+            loaded = read_run(self._postings, pages, (key,))
+            loaded_total += len(loaded)
+            ids = set(loaded)
             intersection = ids if intersection is None else intersection & ids
         self.counters.objects_loaded += loaded_total
         result_ids = intersection or set()
@@ -170,14 +266,19 @@ class InvertedFileIndex(ObjectIndex):
     def insert_object(self, obj: SpatioTextualObject) -> None:
         """Insert one new object's postings (dynamic maintenance).
 
-        For each keyword the posting is appended to the edge's last
-        postings page if it has free space, otherwise a fresh page is
+        For each keyword the posting joins the end of the edge's run
+        on its last postings page if that page has free space (the
+        page stays sorted by edge key), otherwise a fresh page is
         allocated and linked from the keyword's B+-tree.  New keywords
-        get a fresh single-leaf tree.
+        get a fresh single-leaf tree.  Keywords are visited in sorted
+        order, here and in :meth:`delete_object`: the descents go
+        through the buffer and new pages are numbered as they are
+        allocated, so a frozenset's order would make later page reads
+        follow ``PYTHONHASHSEED``.
         """
-        key = edge_zorder_key(self._curve, self._network, obj.position.edge_id)
+        key = self._edge_keys[obj.position.edge_id]
         posting = (key, obj.object_id, obj.position.offset)
-        for term in obj.keywords:
+        for term in sorted(obj.keywords):
             tree = self._trees.get(term)
             if tree is None:
                 page_no = self._postings.allocate(
@@ -196,10 +297,7 @@ class InvertedFileIndex(ObjectIndex):
                 tree.insert(key, [page_no])
                 self._pages_per_term[term] = self._pages_per_term.get(term, 0) + 1
                 continue
-            last = self._postings.read_unbuffered(pages[-1])
-            if len(last) < POSTINGS_PER_PAGE:
-                last.append(posting)
-            else:
+            if not insert_posting(self._postings, pages[-1], (key,), posting):
                 page_no = self._postings.allocate(
                     [posting], size_bytes=POSTING_BYTES
                 )
@@ -214,10 +312,11 @@ class InvertedFileIndex(ObjectIndex):
         empty — like the insert path, the layout is append-only and a
         rebuild compacts it; emptied pages simply stop yielding
         postings.  Filtering keys on the edge too because postings
-        pages are shared between Z-order-adjacent edges.
+        pages are shared between Z-order-adjacent edges; it keeps the
+        survivors in order.
         """
-        key = edge_zorder_key(self._curve, self._network, obj.position.edge_id)
-        for term in obj.keywords:
+        key = self._edge_keys[obj.position.edge_id]
+        for term in sorted(obj.keywords):
             tree = self._trees.get(term)
             pages = tree.search(key) if tree is not None else None
             if pages is None:

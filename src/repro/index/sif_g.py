@@ -21,7 +21,7 @@ from ..spatial.zorder import ZOrderCurve
 from ..storage.bplustree import BPlusTree
 from ..storage.pagefile import DiskManager, PageFile
 from .base import ObjectIndex
-from .inverted_file import InvertedFileIndex, edge_zorder_key, pack_postings
+from .inverted_file import InvertedFileIndex, pack_postings, read_run
 from .signature import SignatureFile
 
 __all__ = ["SIFGIndex"]
@@ -76,12 +76,12 @@ class SIFGIndex(ObjectIndex):
     def _build_groups(self) -> None:
         top = set(self._top_terms)
         staged: Dict[FrozenSet[str], List[Tuple[int, int, float]]] = {}
+        keys = self._inverted._edge_keys
         ordered_edges = sorted(
-            self._store.edges_with_objects(),
-            key=lambda e: edge_zorder_key(self._curve, self._network, e),
+            self._store.edges_with_objects(), key=keys.__getitem__
         )
         for edge_id in ordered_edges:
-            key = edge_zorder_key(self._curve, self._network, edge_id)
+            key = keys[edge_id]
             for obj in self._store.objects_on_edge(edge_id):
                 present = sorted(obj.keywords & top)
                 for i in range(len(present)):
@@ -94,7 +94,9 @@ class SIFGIndex(ObjectIndex):
         for pair in sorted(staged, key=sorted):
             edge_pages = pack_postings(self._group_file, staged[pair])
             tree = BPlusTree(self._group_file, key_bytes=8, value_bytes=8)
-            tree.bulk_load(sorted(edge_pages.items()))
+            tree.bulk_load(sorted(
+                (edge_key, pages) for (edge_key,), pages in edge_pages.items()
+            ))
             self._group_trees[pair] = tree
 
     def _cover(self, terms: FrozenSet[str]) -> Tuple[List[FrozenSet[str]], List[str]]:
@@ -138,27 +140,20 @@ class SIFGIndex(ObjectIndex):
             return []
 
         self.counters.edges_probed += 1
-        key = edge_zorder_key(self._curve, self._network, edge_id)
+        key = self._inverted._edge_keys[edge_id]
+        # (tree, its postings file) per covering list: pairs, then singles.
+        lists = [(self._group_trees[pair], self._group_file) for pair in pairs]
+        lists += [
+            (self._inverted._trees.get(term), self._inverted._postings)
+            for term in singles
+        ]
         loaded_total = 0
         intersection: Optional[Set[int]] = None
-        for pair in pairs:
-            pages = self._group_trees[pair].search(key)
-            ids: Set[int] = set()
-            for page_no in pages or []:
-                for edge_key, oid, _off in self._group_file.read(page_no):
-                    if edge_key == key:
-                        loaded_total += 1
-                        ids.add(oid)
-            intersection = ids if intersection is None else intersection & ids
-        for term in singles:
-            tree = self._inverted._trees.get(term)
+        for tree, file in lists:
             pages = tree.search(key) if tree is not None else None
-            ids = set()
-            for page_no in pages or []:
-                for edge_key, oid, _off in self._inverted._postings.read(page_no):
-                    if edge_key == key:
-                        loaded_total += 1
-                        ids.add(oid)
+            loaded = read_run(file, pages or (), (key,))
+            loaded_total += len(loaded)
+            ids = set(loaded)
             intersection = ids if intersection is None else intersection & ids
 
         self.counters.objects_loaded += loaded_total

@@ -24,22 +24,26 @@ from ..network.objects import ObjectStore, SpatioTextualObject
 from ..spatial.kdtree import KDTreePartition
 from ..spatial.zorder import ZOrderCurve
 from ..storage.bplustree import BPlusTree
-from ..storage.pagefile import PAGE_SIZE, DiskManager, PageFile
+from ..storage.pagefile import DiskManager, PageFile
 from .base import ObjectIndex
-from .inverted_file import edge_zorder_key
+from .inverted_file import (
+    POSTING_BYTES,
+    EdgeKeys,
+    insert_posting,
+    pack_postings,
+    rarest_first,
+    read_run,
+)
 from .partition import QueryLog, dp_partition, greedy_partition, segments_from_cuts
 from .query_log import frequency_edge_log
 from .signature import PackedBitMatrix
 
 __all__ = ["SIFPIndex", "LogBuilder"]
 
-#: Bytes per posting: edge key, object id, offset.  Virtual-edge
-#: membership is positional (postings are grouped by virtual edge on
-#: the page), so SIF-P postings cost the same as SIF postings.
-_POSTING_BYTES = 16
-_POSTINGS_PER_PAGE = PAGE_SIZE // _POSTING_BYTES
-
-#: A posting: ``(edge_key, virtual_idx, object_id, offset)``.
+#: A posting: ``(edge_key, virtual_idx, object_id, offset)``, filed
+#: under its first two fields.  Virtual-edge membership is positional
+#: (pages are sorted by edge key, then virtual edge), so a SIF-P
+#: posting costs the same :data:`POSTING_BYTES` as a SIF posting.
 _Posting = Tuple[int, int, int, float]
 
 #: Builds a per-edge query log from the keyword sets of its objects.
@@ -78,6 +82,7 @@ class SIFPIndex(ObjectIndex):
         self._disk = disk
         self._curve = curve or ZOrderCurve()
         self._network = store.network
+        self._edge_keys = EdgeKeys(self._curve, self._network)
         self._max_cuts = max_cuts
         self._partition_fraction = partition_fraction
         self._method = method
@@ -173,7 +178,7 @@ class SIFPIndex(ObjectIndex):
         staged_bits: Dict[str, Set[int]] = {}
         ordered_edges = sorted(
             self._store.edges_with_objects(),
-            key=lambda e: edge_zorder_key(self._curve, self._network, e),
+            key=self._edge_keys.__getitem__,
         )
         for edge_id in ordered_edges:
             objects = self._store.objects_on_edge(edge_id)
@@ -188,7 +193,7 @@ class SIFPIndex(ObjectIndex):
                 for seg_start, _seg_end in segments[1:]
             ]
             base = self._alloc_slots(edge_id, max(1, len(segments)))
-            key = edge_zorder_key(self._curve, self._network, edge_id)
+            key = self._edge_keys[edge_id]
             for v_idx, (seg_start, seg_end) in enumerate(segments):
                 for obj in objects[seg_start : seg_end + 1]:
                     posting = (key, v_idx, obj.object_id, obj.position.offset)
@@ -197,18 +202,8 @@ class SIFPIndex(ObjectIndex):
                         staged_bits.setdefault(term, set()).add(base + v_idx)
 
         for term in sorted(staged):
-            postings = staged[term]
-            # Pack into pages; map (edge_key, v_idx) -> page numbers.
-            ve_pages: Dict[Tuple[int, int], List[int]] = {}
-            for s in range(0, len(postings), _POSTINGS_PER_PAGE):
-                chunk = postings[s : s + _POSTINGS_PER_PAGE]
-                page_no = self._postings.allocate(
-                    chunk, size_bytes=len(chunk) * _POSTING_BYTES
-                )
-                for edge_key, v_idx, _oid, _off in chunk:
-                    pages = ve_pages.setdefault((edge_key, v_idx), [])
-                    if not pages or pages[-1] != page_no:
-                        pages.append(page_no)
+            # (edge_key, v_idx) -> page numbers.
+            ve_pages = pack_postings(self._postings, staged[term], width=2)
             # Group by edge key for the tree: value = {v_idx: pages}.
             per_edge: Dict[int, Dict[int, List[int]]] = {}
             for (edge_key, v_idx), pages in ve_pages.items():
@@ -315,12 +310,13 @@ class SIFPIndex(ObjectIndex):
                 "signature.partial_prune", edge=edge_id, partition="SIF-P",
                 segments=len(segments), passing=len(passing),
             )
-        key = edge_zorder_key(self._curve, self._network, edge_id)
+        key = self._edge_keys[edge_id]
 
         # One B+-tree descent per query keyword (as in SIF), then only
         # the postings pages of passing virtual edges are read.
+        ordered = rarest_first(self._store, terms)
         per_term_pages: Dict[str, Dict[int, List[int]]] = {}
-        for term in terms:
+        for term in ordered:
             tree = self._trees.get(term)
             value = tree.search(key) if tree is not None else None
             per_term_pages[term] = dict(value) if value else {}
@@ -329,17 +325,14 @@ class SIFPIndex(ObjectIndex):
         for v_idx in passing:
             loaded = 0
             intersection: Optional[Set[int]] = None
-            for term in terms:
+            for term in ordered:
                 pages = per_term_pages[term].get(v_idx)
                 if pages is None:
                     intersection = set()
                     continue
-                ids: Set[int] = set()
-                for page_no in pages:
-                    for edge_key, pv_idx, oid, _off in self._postings.read(page_no):
-                        if edge_key == key and pv_idx == v_idx:
-                            loaded += 1
-                            ids.add(oid)
+                found = read_run(self._postings, pages, (key, v_idx))
+                loaded += len(found)
+                ids = set(found)
                 intersection = ids if intersection is None else intersection & ids
             self.counters.objects_loaded += loaded
             hits = intersection or set()
@@ -414,17 +407,18 @@ class SIFPIndex(ObjectIndex):
 
         Mirrors :meth:`InvertedFileIndex.insert_object` but the tree
         value is ``{v_idx: pages}`` and the posting carries the virtual
-        edge the object's offset falls into.
+        edge the object's offset falls into (keywords in sorted order,
+        for the same reason).
         """
         edge_id = obj.position.edge_id
-        key = edge_zorder_key(self._curve, self._network, edge_id)
+        key = self._edge_keys[edge_id]
         v_idx = self._virtual_index(edge_id, obj.position.offset)
         posting = (key, v_idx, obj.object_id, obj.position.offset)
-        for term in obj.keywords:
+        for term in sorted(obj.keywords):
             tree = self._trees.get(term)
             if tree is None:
                 page_no = self._postings.allocate(
-                    [posting], size_bytes=_POSTING_BYTES
+                    [posting], size_bytes=POSTING_BYTES
                 )
                 tree = BPlusTree(self._tree_file, key_bytes=8, value_bytes=8)
                 tree.bulk_load([(key, {v_idx: [page_no]})])
@@ -434,7 +428,7 @@ class SIFPIndex(ObjectIndex):
                 value = tree.search(key)
                 if value is None:
                     page_no = self._postings.allocate(
-                        [posting], size_bytes=_POSTING_BYTES
+                        [posting], size_bytes=POSTING_BYTES
                     )
                     tree.insert(key, {v_idx: [page_no]})
                     self._pages_per_term[term] = (
@@ -444,20 +438,18 @@ class SIFPIndex(ObjectIndex):
                     pages = value.get(v_idx)
                     if pages is None:
                         page_no = self._postings.allocate(
-                            [posting], size_bytes=_POSTING_BYTES
+                            [posting], size_bytes=POSTING_BYTES
                         )
                         value[v_idx] = [page_no]
                         self._pages_per_term[term] += 1
-                    else:
-                        last = self._postings.read_unbuffered(pages[-1])
-                        if len(last) < _POSTINGS_PER_PAGE:
-                            last.append(posting)
-                        else:
-                            page_no = self._postings.allocate(
-                                [posting], size_bytes=_POSTING_BYTES
-                            )
-                            pages.append(page_no)
-                            self._pages_per_term[term] += 1
+                    elif not insert_posting(
+                        self._postings, pages[-1], (key, v_idx), posting
+                    ):
+                        page_no = self._postings.allocate(
+                            [posting], size_bytes=POSTING_BYTES
+                        )
+                        pages.append(page_no)
+                        self._pages_per_term[term] += 1
             if term not in self._unsigned_terms:
                 self._matrix.set(term, self._slot(edge_id, v_idx))
         self._recompute_segments(edge_id)
@@ -474,8 +466,8 @@ class SIFPIndex(ObjectIndex):
         survives in it.
         """
         edge_id = obj.position.edge_id
-        key = edge_zorder_key(self._curve, self._network, edge_id)
-        for term in obj.keywords:
+        key = self._edge_keys[edge_id]
+        for term in sorted(obj.keywords):
             tree = self._trees.get(term)
             value = tree.search(key) if tree is not None else None
             if not value:
@@ -491,7 +483,7 @@ class SIFPIndex(ObjectIndex):
                     if len(kept) != len(payload):
                         self._postings.rewrite(
                             page_no, kept,
-                            size_bytes=len(kept) * _POSTING_BYTES,
+                            size_bytes=len(kept) * POSTING_BYTES,
                         )
                     if not survivors and any(
                         p[0] == key and p[1] == v_idx for p in kept

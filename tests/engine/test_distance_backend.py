@@ -11,12 +11,14 @@ import math
 import pytest
 
 from repro.core.database import Database
-from repro.core.queries import DiversifiedSKQuery
+from repro.core.knn import SKkNNQuery
+from repro.core.queries import DiversifiedSKQuery, SKQuery
 from repro.datasets.synthetic import random_planar_network
 from repro.errors import QueryError
 from repro.network.distance import DISTANCE_BACKENDS
 from repro.network.graph import NetworkPosition
 from repro.obs.export import database_gauges, prometheus_text
+from repro.obs.sinks import InMemorySink
 from repro.obs.slowlog import SlowQueryThreshold
 from repro.workloads.queries import WorkloadConfig, generate_diversified_queries
 
@@ -196,6 +198,40 @@ class TestAnswerEquivalence:
 
 
 class TestObservability:
+    @pytest.mark.parametrize("backend", ["csgraph", "ch"])
+    def test_sk_and_knn_report_the_backend_they_ran_under(
+        self, restore_backend, tiny_indexes, backend
+    ):
+        """A boolean SK or kNN query computes no pairwise distance, but
+        its stats, its ``query.backend.*`` counter and its metrics
+        record name the database's backend — not the ``QueryStats``
+        default, which used to file every one under ``dijkstra``."""
+        db = restore_backend
+        db.use_distance_backend(backend)
+        index = tiny_indexes["sif"]
+        position = db.network.node_position(3)
+        term = sorted(db.store.vocabulary())[0]
+        sink = InMemorySink()
+        db.metrics.add_sink(sink)
+        before = db.metrics.snapshot()["counters"]
+        try:
+            results = [
+                db.sk_search(index, SKQuery.create(position, [term], 2000.0)),
+                db.sk_knn(index, SKkNNQuery.create(position, [term], k=3)),
+            ]
+        finally:
+            db.metrics.remove_sink(sink)
+        after = db.metrics.snapshot()["counters"]
+        assert [r.stats.distance_backend for r in results] == [backend] * 2
+        assert [r["distance_backend"] for r in sink.of_type("query")] == (
+            [backend] * 2
+        )
+        for name in DISTANCE_BACKENDS:
+            counter = f"query.backend.{name}"
+            assert after.get(counter, 0) - before.get(counter, 0) == (
+                2 if name == backend else 0
+            )
+
     def test_slowlog_records_backend(self, restore_backend, tiny_indexes):
         db = restore_backend
         db.use_distance_backend("ch")

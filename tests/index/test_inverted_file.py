@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.index.inverted_file import InvertedFileIndex, edge_zorder_key, pack_postings
+from repro.index.inverted_file import (
+    InvertedFileIndex,
+    edge_zorder_key,
+    pack_postings,
+    rarest_first,
+)
 from repro.network.graph import NetworkPosition
 from repro.network.objects import ObjectStore
 from repro.spatial.zorder import ZOrderCurve
@@ -56,16 +61,57 @@ class TestPackPostings:
         postings = [(7, i, 0.0) for i in range(600)]
         edge_pages = pack_postings(file, postings)
         assert file.num_pages == 3
-        assert edge_pages[7] == [0, 1, 2]
+        assert edge_pages[(7,)] == [0, 1, 2]
 
     def test_boundary_edges_listed_once_per_page(self):
         disk = DiskManager()
         file = disk.create_file("p", category="inverted")
         postings = [(1, i, 0.0) for i in range(200)] + [(2, i, 0.0) for i in range(200)]
         edge_pages = pack_postings(file, postings)
-        assert len(edge_pages[1]) >= 1
+        assert len(edge_pages[(1,)]) >= 1
         for pages in edge_pages.values():
             assert len(pages) == len(set(pages))
+
+    def test_pages_hold_the_postings_in_order(self):
+        disk = DiskManager()
+        file = disk.create_file("p", category="inverted")
+        postings = [(k // 3, k, 0.0) for k in range(700)]
+        pack_postings(file, postings)
+        pages = [file.read_unbuffered(n) for n in range(file.num_pages)]
+        assert [len(page) for page in pages] == [256, 256, 188]
+        assert [p for page in pages for p in page] == postings
+        assert file._pages[2].size_bytes == 188 * 16
+
+    def test_sif_p_prefix_files_by_edge_and_virtual_edge(self):
+        """SIF-P's layout through the same packer: postings are filed
+        under their first two fields, ``(edge_key, v_idx)``."""
+        disk = DiskManager()
+        file = disk.create_file("p", category="inverted")
+        postings = (
+            [(1, 0, i, 0.0) for i in range(100)]
+            + [(1, 1, i, 0.0) for i in range(100, 300)]
+            + [(2, 0, i, 0.0) for i in range(300, 310)]
+        )
+        ve_pages = pack_postings(file, postings, width=2)
+        assert file.num_pages == 2
+        assert ve_pages == {(1, 0): [0], (1, 1): [0, 1], (2, 0): [1]}
+        assert file.read_unbuffered(1)[0] == (1, 1, 256, 0.0)
+
+
+class TestTermOrder:
+    def test_rarest_first_ties_by_term(self, store):
+        # df: cafe 1, bar 3, pizza 3, sushi 0.
+        terms = frozenset({"pizza", "cafe", "bar", "sushi"})
+        assert rarest_first(store, terms) == ["sushi", "cafe", "bar", "pizza"]
+
+    def test_an_empty_list_does_not_stop_the_and(self, index):
+        """Edge 1 carries "bar" but not the rarer "cafe": the miss
+        comes first, and the postings of "bar" are fetched all the
+        same — the descent and the load are IF's cost model."""
+        index.counters.reset()
+        assert index.load_objects(1, frozenset({"bar", "cafe"})) == []
+        assert index.counters.objects_loaded == 1
+        assert index.counters.false_hits == 1
 
 
 class TestLoadObjects:
