@@ -7,8 +7,6 @@ makes even a small buffer absorb most of the expansion's adjacency
 reads, with diminishing returns beyond a few percent.
 """
 
-from conftest import run_once
-
 from repro.workloads.queries import WorkloadConfig, generate_sk_queries
 from repro.workloads.runner import run_sk_workload
 
@@ -16,7 +14,7 @@ BUFFER_PAGES = (0, 8, 32, 128, 512, 2048)
 CONFIG = WorkloadConfig(num_queries=30, num_keywords=3, seed=333)
 
 
-def test_ablation_buffer_size(ctx, benchmark, show):
+def test_ablation_buffer_size(ctx, show):
     def sweep():
         db = ctx.database("NA")
         index = ctx.index("NA", "sif", file_prefix="bufablation-sif")
@@ -33,14 +31,14 @@ def test_ablation_buffer_size(ctx, benchmark, show):
                     {
                         "buffer_pages": pages,
                         "avg_physical_io": round(report.avg_io, 1),
-                        "avg_time_ms": round(report.avg_response_time * 1e3, 2),
+                        "cpu_ms": round(report.avg_wall_seconds * 1e3, 2),
                     }
                 )
         finally:
             db.disk.resize_buffer(original)
         return rows
 
-    rows = run_once(benchmark, sweep)
+    rows = sweep()
     show(rows, "Ablation A3: physical I/O vs LRU buffer size (NA, SIF)")
 
     ios = [r["avg_physical_io"] for r in rows]

@@ -11,15 +11,13 @@ be identical — CH is an oracle, not an approximation).  The default
 rides along as a third column.
 """
 
-from conftest import run_once
-
 from repro.workloads.queries import WorkloadConfig, generate_diversified_queries
 
 CONFIG = WorkloadConfig(num_queries=10, num_keywords=2, k=6, lambda_=0.7,
                         seed=4455)
 
 
-def test_ablation_ch_backend(ctx, benchmark, show):
+def test_ablation_ch_backend(ctx, show):
     def sweep():
         db = ctx.database("SYN")
         index = ctx.index("SYN", "sif")
@@ -80,13 +78,12 @@ def test_ablation_ch_backend(ctx, benchmark, show):
         ]
         return rows, build_rows, agg
 
-    rows, build_rows, agg = run_once(benchmark, sweep)
+    rows, build_rows, agg = sweep()
     show(rows, "Ablation A5: CH vs Dijkstra pairwise distances (SYN)")
     show(build_rows, "Ablation A5: CH oracle construction (SYN)")
 
     # CH is exact: every query returns the identical answer.
     assert agg["mismatches"] == 0
     # The acceptance bar: >= 2x faster pairwise-distance evaluation
-    # across the workload (per-query ratios are noisier; the total is
-    # what the trajectory's `speedup` headline tracks).
+    # across the workload (per-query ratios are noisier than the total).
     assert agg["dijkstra_s"] >= 2.0 * agg["ch_s"], agg

@@ -11,8 +11,6 @@ import time
 
 import numpy as np
 
-from conftest import run_once
-
 from repro.network.hub_labels import HubLabelBackend
 
 POOL = 96
@@ -25,7 +23,7 @@ def _timed(fn):
     return time.perf_counter() - start
 
 
-def test_ablation_hub_label_pruning(ctx, benchmark, show):
+def test_ablation_hub_label_pruning(ctx, show):
     def sweep():
         db = ctx.database("SYN")
         network = db.network
@@ -82,7 +80,7 @@ def test_ablation_hub_label_pruning(ctx, benchmark, show):
         ]
         return rows
 
-    rows = run_once(benchmark, sweep)
+    rows = sweep()
     show(rows, "Ablation: hub label path-cover pruning (SYN)")
     row = rows[0]
     # Exactness is the contract; the size drop is the point.

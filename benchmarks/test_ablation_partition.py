@@ -12,8 +12,6 @@ stays close to the DP optimum, and (c) the DP is never beaten.
 import time
 
 import numpy as np
-from conftest import run_once
-
 from repro.index.partition import dp_partition, greedy_partition, partition_cost
 from repro.index.query_log import frequency_edge_log
 from repro.text.zipf import ZipfSampler
@@ -27,7 +25,7 @@ def _synthetic_edge(m, rng, vocab_size=40):
             for _ in range(m)]
 
 
-def test_ablation_dp_vs_greedy(ctx, benchmark, show):
+def test_ablation_dp_vs_greedy(ctx, show):
     def sweep():
         rng = np.random.default_rng(42)
         rows = []
@@ -57,7 +55,7 @@ def test_ablation_dp_vs_greedy(ctx, benchmark, show):
             )
         return rows
 
-    rows = run_once(benchmark, sweep)
+    rows = sweep()
     show(rows, "Ablation A1: DP vs greedy partitioning, growing edge size")
 
     # The DP/greedy gap explodes with edge size (the paper's motivation

@@ -5,8 +5,6 @@ but must exhaust it, like SEQ.  The ablation isolates the benefit of
 the θ-bound pruning: same answers, fewer candidates and less I/O.
 """
 
-from conftest import run_once
-
 from repro.workloads.queries import WorkloadConfig, generate_diversified_queries
 
 
@@ -14,7 +12,7 @@ CONFIG = WorkloadConfig(num_queries=10, num_keywords=3, k=6, lambda_=0.9,
                         delta_max=2500.0, seed=4242)
 
 
-def test_ablation_diversity_pruning(ctx, benchmark, show):
+def test_ablation_diversity_pruning(ctx, show):
     def sweep():
         db = ctx.database("NA")
         index = ctx.index("NA", "sif")
@@ -46,7 +44,7 @@ def test_ablation_diversity_pruning(ctx, benchmark, show):
             )
         return rows, agg
 
-    rows, agg = run_once(benchmark, sweep)
+    rows, agg = sweep()
     show(rows, "Ablation A2: COM with and without diversity pruning (NA)")
 
     # Pruning never changes the answer quality.

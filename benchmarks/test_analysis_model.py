@@ -8,8 +8,6 @@ benchmark measures all three on a dataset matching the model's
 assumptions and prints them against the closed-form predictions.
 """
 
-from conftest import run_once
-
 from repro.core.analysis import CostModel
 from repro.core.ine import INEExpansion
 from repro.datasets.catalog import DatasetProfile, build_dataset
@@ -29,7 +27,7 @@ UNIFORM = DatasetProfile(
 )
 
 
-def test_analysis_cost_model(ctx, benchmark, show):
+def test_analysis_cost_model(ctx, show):
     def sweep():
         db = build_dataset(UNIFORM)
         indexes = {
@@ -72,7 +70,7 @@ def test_analysis_cost_model(ctx, benchmark, show):
             )
         return rows
 
-    rows = run_once(benchmark, sweep)
+    rows = sweep()
     show(rows, "Analysis (§3.2): predicted vs measured object loads")
 
     for row in rows:

@@ -12,8 +12,6 @@ of two datasets (~15 objects/edge) — the same density regime as the
 paper's NA and TW.
 """
 
-from conftest import run_once
-
 from repro.index.query_log import (
     frequency_log_builder,
     random_log_builder,
@@ -34,7 +32,7 @@ DENSE = {
 }
 
 
-def test_fig10_query_log_models(ctx, benchmark, show):
+def test_fig10_query_log_models(ctx, show):
     def sweep():
         rows = []
         for dataset in ("NA", "TW"):
@@ -66,7 +64,7 @@ def test_fig10_query_log_models(ctx, benchmark, show):
             rows.append(row)
         return rows
 
-    rows = run_once(benchmark, sweep)
+    rows = sweep()
     show(rows, "Fig 10: false-hit objects per query-log model (dense edges)")
 
     for row in rows:

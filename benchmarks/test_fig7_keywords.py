@@ -1,13 +1,14 @@
 """Fig. 7 — SK search vs the number of query keywords l (dataset NA).
 
-(a) response time and (b) disk accesses for IF / SIF / SIF-P, l = 1..4.
+Disk accesses (the paper's Fig. 7(b), and what its response time in
+7(a) is made of) and CPU ms for IF / SIF / SIF-P, l = 1..4.
 Expected shape: all degrade as l grows (each keyword costs a B+-tree
 descent and postings reads, and the search region δmax = 500·l also
 grows); SIF significantly outperforms IF; SIF-P is at least as good as
 SIF.
 """
 
-from conftest import run_once
+from conftest import sk_per_index
 
 from repro.workloads.queries import WorkloadConfig
 
@@ -15,29 +16,16 @@ INDEXES = ("if", "sif", "sif-p")
 L_VALUES = (1, 2, 3, 4)
 
 
-def test_fig7_keyword_sweep(ctx, benchmark, show):
-    def sweep():
-        time_rows, io_rows = [], []
-        for l in L_VALUES:
-            config = WorkloadConfig(num_queries=25, num_keywords=l, seed=707)
-            t_row = {"l": l}
-            io_row = {"l": l}
-            for kind in INDEXES:
-                report = ctx.sk_report("NA", kind, config)
-                t_row[kind.upper()] = round(report.avg_response_time * 1e3, 2)
-                io_row[kind.upper()] = round(report.avg_io, 1)
-            time_rows.append(t_row)
-            io_rows.append(io_row)
-        return time_rows, io_rows
+def test_fig7_keyword_sweep(ctx, show):
+    rows = []
+    for l in L_VALUES:
+        config = WorkloadConfig(num_queries=25, num_keywords=l, seed=707)
+        rows.append({"l": l, **sk_per_index(ctx, "NA", INDEXES, config)})
+    show(rows, "Fig 7: SK query cost vs l on NA")
 
-    time_rows, io_rows = run_once(benchmark, sweep)
-    show(time_rows, "Fig 7(a): SK response time (ms) vs l on NA")
-    show(io_rows, "Fig 7(b): disk accesses vs l on NA")
-
-    for rows in (time_rows, io_rows):
-        for row in rows:
-            assert row["SIF"] <= row["IF"] * 1.05, row
-            assert row["SIF-P"] <= row["SIF"] * 1.10, row
-        # Performance degrades with l (compare the sweep's endpoints).
-        for kind in ("IF", "SIF"):
-            assert rows[-1][kind] > rows[0][kind], kind
+    for row in rows:
+        assert row["SIF_pages"] <= row["IF_pages"] * 1.05, row
+        assert row["SIF-P_pages"] <= row["SIF_pages"] * 1.10, row
+    # Performance degrades with l (compare the sweep's endpoints).
+    for kind in ("IF", "SIF"):
+        assert rows[-1][f"{kind}_pages"] > rows[0][f"{kind}_pages"], kind

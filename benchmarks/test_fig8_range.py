@@ -1,12 +1,12 @@
 """Fig. 8 — SK search vs the maximal search distance δmax.
 
-(a) response time of IF / SIF / SIF-P on NA as δmax grows 250 → 1500:
-IF is much more sensitive (false hits grow with the region; IF cannot
-avoid their I/O).  (b) the number of candidate objects on all four
-datasets grows with δmax.
+(a) cost of IF / SIF / SIF-P on NA as δmax grows 250 → 1500: IF is much
+more sensitive (false hits grow with the region; IF cannot avoid their
+I/O).  The cost is page reads, with CPU ms beside them.  (b) the number
+of candidate objects on all four datasets grows with δmax.
 """
 
-from conftest import run_once
+from conftest import sk_per_index
 
 from repro.workloads.queries import WorkloadConfig
 
@@ -15,34 +15,30 @@ INDEXES = ("if", "sif", "sif-p")
 DATASETS = ("NA", "SF", "TW", "SYN")
 
 
-def test_fig8a_response_time(ctx, benchmark, show):
-    def sweep():
-        rows = []
-        for delta in DELTAS:
-            config = WorkloadConfig(
-                num_queries=25, num_keywords=3, delta_max=float(delta), seed=808
-            )
-            row = {"delta_max": delta}
-            for kind in INDEXES:
-                report = ctx.sk_report("NA", kind, config)
-                row[kind.upper()] = round(report.avg_response_time * 1e3, 2)
-            rows.append(row)
-        return rows
-
-    rows = run_once(benchmark, sweep)
-    show(rows, "Fig 8(a): SK response time (ms) vs delta_max on NA")
+def test_fig8a_response_time(ctx, show):
+    rows = []
+    for delta in DELTAS:
+        config = WorkloadConfig(
+            num_queries=25, num_keywords=3, delta_max=float(delta), seed=808
+        )
+        rows.append(
+            {"delta_max": delta, **sk_per_index(ctx, "NA", INDEXES, config)}
+        )
+    show(rows, "Fig 8(a): SK query cost vs delta_max on NA")
 
     for row in rows:
-        assert row["SIF"] <= row["IF"] * 1.05, row
-    # IF's growth across the sweep outpaces SIF's (false-hit I/O).
-    if_growth = rows[-1]["IF"] - rows[0]["IF"]
-    sif_growth = rows[-1]["SIF"] - rows[0]["SIF"]
+        assert row["SIF_pages"] <= row["IF_pages"] * 1.05, row
+    # IF's growth across the sweep outpaces SIF's: its false hits grow
+    # with the region and it pays their I/O.
+    assert rows[-1]["IF_false_hits"] > rows[0]["IF_false_hits"]
+    if_growth = rows[-1]["IF_pages"] - rows[0]["IF_pages"]
+    sif_growth = rows[-1]["SIF_pages"] - rows[0]["SIF_pages"]
     assert if_growth > sif_growth
     # Everything degrades with the search radius.
-    assert rows[-1]["SIF"] > rows[0]["SIF"]
+    assert rows[-1]["SIF_pages"] > rows[0]["SIF_pages"]
 
 
-def test_fig8b_candidates(ctx, benchmark, show):
+def test_fig8b_candidates(ctx, show):
     def sweep():
         rows = []
         for delta in DELTAS:
@@ -56,7 +52,7 @@ def test_fig8b_candidates(ctx, benchmark, show):
             rows.append(row)
         return rows
 
-    rows = run_once(benchmark, sweep)
+    rows = sweep()
     show(rows, "Fig 8(b): candidate objects vs delta_max")
 
     for dataset in DATASETS:

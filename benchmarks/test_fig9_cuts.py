@@ -11,8 +11,6 @@ edge, the paper's density regime) is used so that the cut budget is the
 binding constraint.
 """
 
-from conftest import run_once
-
 from repro.workloads.queries import WorkloadConfig, generate_sk_queries
 from repro.workloads.runner import run_sk_workload
 
@@ -24,7 +22,7 @@ CONFIG = WorkloadConfig(
 DENSE = dict(num_nodes=800, num_objects=22000)
 
 
-def test_fig9_false_hits_vs_cuts(ctx, benchmark, show):
+def test_fig9_false_hits_vs_cuts(ctx, show):
     def sweep():
         db = ctx.database("SF", **DENSE)
         queries = generate_sk_queries(db, CONFIG)
@@ -56,7 +54,7 @@ def test_fig9_false_hits_vs_cuts(ctx, benchmark, show):
         }
         return rows, extras
 
-    rows, extras = run_once(benchmark, sweep)
+    rows, extras = sweep()
     show(rows, "Fig 9: SIF-P false-hit objects vs max cuts (dense SF)")
     show([extras], "Fig 9 baselines: SIF and SIF-G")
 

@@ -12,8 +12,6 @@ import time
 
 import numpy as np
 
-from conftest import run_once
-
 from repro.core.diversify import greedy_diversify
 from repro.core.objective import DiversificationObjective
 from repro.core.queries import ResultItem
@@ -37,7 +35,7 @@ def _make_pool(rng):
     return items, pair
 
 
-def test_micro_vectorized_objective_beats_scalar(benchmark, show):
+def test_micro_vectorized_objective_beats_scalar(show):
     def sweep():
         rng = np.random.default_rng(20260808)
         items, pair = _make_pool(rng)
@@ -84,7 +82,7 @@ def test_micro_vectorized_objective_beats_scalar(benchmark, show):
         ]
         return rows
 
-    rows = run_once(benchmark, sweep)
+    rows = sweep()
     show(rows, "Micro: vectorized vs scalar greedy scoring")
     row = rows[0]
     assert row["identical_selection"]

@@ -16,8 +16,6 @@ import time
 
 import numpy as np
 
-from conftest import run_once
-
 QUERIES = 40
 TERMS_PER_QUERY = 2
 
@@ -28,7 +26,7 @@ def _timed(fn):
     return time.perf_counter() - start
 
 
-def test_micro_signature_bitset_batched_verification(ctx, benchmark, show):
+def test_micro_signature_bitset_batched_verification(ctx, show):
     def sweep():
         db = ctx.database("SYN")
         index = ctx.index("SYN", "sif")
@@ -90,7 +88,7 @@ def test_micro_signature_bitset_batched_verification(ctx, benchmark, show):
         ]
         return rows
 
-    rows = run_once(benchmark, sweep)
+    rows = sweep()
     show(rows, "Micro: packed bitset signature verification (SYN)")
     row = rows[0]
     # The acceptance bar: batched packed verification >= 5x over the

@@ -13,12 +13,10 @@ discards scheduler noise and GC pauses, interleaving cancels thermal
 and cache drift between arms.  The asserted bound is deliberately
 looser than the 5 % claim (pure-Python wall times on shared CI jitter
 by more than the effect being measured); the printed table records the
-measured ratio for the trajectory artifact.
+measured ratio.
 """
 
 from __future__ import annotations
-
-from conftest import run_once
 
 from repro.workloads.queries import WorkloadConfig, generate_diversified_queries
 
@@ -40,7 +38,7 @@ def _round_seconds(db, index, queries, method="seq"):
     return time.perf_counter() - t0
 
 
-def test_profiler_overhead_within_budget(ctx, show, benchmark):
+def test_profiler_overhead_within_budget(ctx, show):
     db = ctx.database("SYN")
     index = ctx.index("SYN", "sif")
     queries = generate_diversified_queries(
@@ -61,7 +59,7 @@ def test_profiler_overhead_within_budget(ctx, show, benchmark):
             finally:
                 db.disable_profiler()
 
-    run_once(benchmark, sweep)
+    sweep()
 
     baseline = min(off_times)
     profiled = min(on_times)

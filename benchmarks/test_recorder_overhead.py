@@ -10,12 +10,10 @@ Method mirrors the profiler-overhead benchmark: interleaved A/B rounds
 (OFF, ON, OFF, ON, ...) over the same query batch, comparing
 min-of-rounds per arm.  The asserted bound is looser than the 3 %
 claim (CI wall-clock jitter exceeds the effect); the table records the
-measured ratio for the trajectory artifact.
+measured ratio.
 """
 
 from __future__ import annotations
-
-from conftest import run_once
 
 from repro.workloads.queries import WorkloadConfig, generate_diversified_queries
 
@@ -37,7 +35,7 @@ def _round_seconds(db, index, queries, method="seq"):
     return time.perf_counter() - t0
 
 
-def test_recorder_overhead_within_budget(ctx, show, benchmark, tmp_path):
+def test_recorder_overhead_within_budget(ctx, show, tmp_path):
     db = ctx.database("SYN")
     index = ctx.index("SYN", "sif")
     queries = generate_diversified_queries(
@@ -66,7 +64,7 @@ def test_recorder_overhead_within_budget(ctx, show, benchmark, tmp_path):
             finally:
                 db.disable_flight_recorder()
 
-    run_once(benchmark, sweep)
+    sweep()
 
     baseline = min(off_times)
     ring = min(ring_times)

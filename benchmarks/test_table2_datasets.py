@@ -5,8 +5,6 @@ and checks the *relative* shape (which dataset is biggest, richest,
 densest) is preserved at ~1/100 scale.
 """
 
-from conftest import run_once
-
 #: The paper's Table 2 (original sizes, for the printed comparison).
 PAPER_TABLE2 = {
     "NA": {"objects": "2.2M", "vocab": "208K", "kw/obj": 6.8, "nodes": "176K", "edges": "179K"},
@@ -16,7 +14,7 @@ PAPER_TABLE2 = {
 }
 
 
-def test_table2_dataset_statistics(ctx, benchmark, show):
+def test_table2_dataset_statistics(ctx, show):
     def build_all():
         rows = []
         for name in ("NA", "SF", "TW", "SYN"):
@@ -38,7 +36,7 @@ def test_table2_dataset_statistics(ctx, benchmark, show):
             )
         return rows
 
-    rows = run_once(benchmark, build_all)
+    rows = build_all()
     show(rows, "Table 2: dataset statistics (reproduced vs paper)")
 
     by_name = {r["dataset"]: r for r in rows}

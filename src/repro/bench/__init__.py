@@ -1,9 +1,7 @@
 """Benchmark harness utilities."""
 
-from .compare import compare_trajectories, load_trajectory, render_comparison
 from .harness import BenchContext, bench_scale
 from .reporting import format_table, print_table, series_table
-from .trajectory import TrajectoryWriter, default_trajectory_path
 
 __all__ = [
     "BenchContext",
@@ -11,9 +9,4 @@ __all__ = [
     "format_table",
     "print_table",
     "series_table",
-    "TrajectoryWriter",
-    "default_trajectory_path",
-    "compare_trajectories",
-    "load_trajectory",
-    "render_comparison",
 ]

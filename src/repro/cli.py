@@ -15,7 +15,6 @@ Commands
               report divergences (``--backend``/``--workers`` turn
               it into a cross-backend audit)
 ``profile``   render a folded-stack profile written by the profiler
-``bench``     benchmark artifact tools (``bench compare OLD NEW``)
 
 Flags are declared once, in groups (``build_parser``), one group per
 distinct set of takers; a subcommand accepts exactly the groups it
@@ -404,26 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--top", type=_positive_int, default=15, metavar="N",
         help="show the N hottest stacks/frames (default 15)",
-    )
-
-    p = sub.add_parser("bench", help="benchmark artifact tools")
-    bench_sub = p.add_subparsers(dest="bench_command", required=True)
-    p = bench_sub.add_parser(
-        "compare",
-        help="diff two trajectory artifacts; flag headline regressions",
-    )
-    p.set_defaults(func=_cmd_bench_compare)
-    p.add_argument("old", help="baseline BENCH_*.json")
-    p.add_argument("new", help="candidate BENCH_*.json")
-    p.add_argument(
-        "--fail-on-regression", type=float, default=None, metavar="PCT",
-        help="exit non-zero when any headline metric moved in its "
-             "worse direction by at least PCT percent",
-    )
-    p.add_argument(
-        "--threshold", type=float, default=10.0, metavar="PCT",
-        help="report-only movement threshold when --fail-on-regression "
-             "is not given (default 10)",
     )
 
     return parser
@@ -910,36 +889,6 @@ def _cmd_profile(args) -> int:
         print("no profile samples found")
         return 0
     print(render_profile(table, top=args.top))
-    return 0
-
-
-def _cmd_bench_compare(args) -> int:
-    from .bench.compare import (
-        compare_trajectories,
-        load_trajectory,
-        presence_changes,
-        render_comparison,
-    )
-
-    try:
-        old_doc = load_trajectory(args.old)
-        new_doc = load_trajectory(args.new)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    deltas = compare_trajectories(old_doc, new_doc)
-    presence = presence_changes(old_doc, new_doc)
-    threshold = (
-        args.fail_on_regression
-        if args.fail_on_regression is not None
-        else args.threshold
-    )
-    print(render_comparison(deltas, threshold, presence=presence))
-    if args.fail_on_regression is not None and any(
-        d.is_regression(args.fail_on_regression) for d in deltas
-    ):
-        print("benchmark regression gate FAILED", file=sys.stderr)
-        return 1
     return 0
 
 

@@ -50,8 +50,12 @@ class SKkNNQuery:
             raise QueryError("a kNN query needs at least one keyword")
         if self.k <= 0:
             raise QueryError("k must be positive")
-        if self.horizon <= 0:
+        if not self.horizon > 0:  # rejects nan as well
             raise QueryError("horizon must be positive")
+        # knn_search doubles the radius until k matches arrive: from 0
+        # (or below, or nan) it never reaches the horizon.
+        if self.initial_radius is not None and not self.initial_radius > 0:
+            raise QueryError("initial_radius must be positive")
 
     @classmethod
     def create(

@@ -35,7 +35,7 @@ class SKQuery:
     def __post_init__(self) -> None:
         if not self.terms:
             raise QueryError("an SK query needs at least one keyword")
-        if self.delta_max <= 0:
+        if not self.delta_max > 0:  # rejects nan as well
             raise QueryError("delta_max must be positive")
 
     @classmethod
@@ -62,7 +62,7 @@ class DiversifiedSKQuery:
     def __post_init__(self) -> None:
         if not self.terms:
             raise QueryError("a diversified SK query needs at least one keyword")
-        if self.delta_max <= 0:
+        if not self.delta_max > 0:  # rejects nan as well
             raise QueryError("delta_max must be positive")
         if self.k < 2:
             raise QueryError("k must be at least 2")

@@ -26,9 +26,9 @@ concurrency contract:
 
 CPython's GIL serialises the pure-Python compute, so wall-clock
 speedup from ``workers > 1`` comes from overlapping *waits*.  The
-simulated disk charges ``physical_reads × io_latency`` arithmetically;
-``io_wait_latency`` makes that charge real — the engine sleeps it off
-after each query (releasing the GIL), which is the disk-resident
+simulated disk only counts pages (``physical_reads``); with
+``io_wait_latency`` set the engine sleeps that many seconds per page
+read after each query (releasing the GIL), which is the disk-resident
 deployment the paper models.  Concurrent workers overlap those stalls
 exactly as real outstanding I/O would.
 """
@@ -62,8 +62,8 @@ class QueryEngine:
     """Executes query plans against one database.
 
     ``io_wait_latency`` (seconds per physical page read, default 0:
-    disabled) turns the simulated disk's arithmetic I/O charge into a
-    real per-query stall, served *after* the compute with the GIL
+    disabled) turns the simulated disk's page count into a real
+    per-query stall, served *after* the compute with the GIL
     released — see the module docstring.  The sleep is excluded from
     ``stats.wall_seconds`` (which keeps measuring compute) but is part
     of the batch wall clock that ``execute_many`` callers observe.

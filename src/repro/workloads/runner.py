@@ -1,18 +1,19 @@
 """Workload execution and measurement.
 
 Runs a batch of queries against one index and aggregates the metrics
-the paper reports: average query response time, average number of disk
-accesses (physical page reads) and average number of candidate objects.
-A configurable per-I/O latency converts page counts into a simulated
-response-time component, so the reported times reflect a disk-resident
-deployment rather than this in-memory simulation alone (DESIGN.md §2).
+the paper reports, each in its own column: average number of disk
+accesses (physical page reads, ``avg_io``), average number of candidate
+objects, and average query time.  Time is CPU wall time only — what
+``QueryStats.wall_seconds`` means everywhere else (``/metrics``, the
+slow log, the flight recorder, SLO rules); the disk-resident cost of a
+query is its page count, never folded into the milliseconds.
 
-Beyond the paper's averages, a report keeps every per-query response
-time (for p50/p95/p99 tail latency) and the per-stage time breakdown
+Beyond the paper's averages, a report keeps every per-query wall time
+(for p50/p95/p99 tail latency) and the per-stage time breakdown
 (INE expansion, signature verification, pairwise Dijkstras,
-greedy/core-pair maintenance, simulated buffer I/O) recorded by the
-query path, plus distance-cache hit/miss deltas — the numbers that
-make warm-cache serving with a shared
+greedy/core-pair maintenance) recorded by the query path, plus
+distance-cache hit/miss deltas — the numbers that make warm-cache
+serving with a shared
 :class:`~repro.network.distance.DistanceCache` observable.
 """
 
@@ -31,12 +32,6 @@ from ..obs.metrics import percentile_of_sorted
 
 __all__ = ["WorkloadReport", "run_sk_workload", "run_diversified_workload"]
 
-#: Simulated latency per physical page read, seconds.  The paper's 2014
-#: testbed used spinning disks (~5 ms); we default to 1 ms so simulated
-#: I/O dominates CPU the way it did in the original experiments without
-#: inflating absolute numbers absurdly.
-DEFAULT_IO_LATENCY = 1e-3
-
 
 @dataclass
 class WorkloadReport:
@@ -50,8 +45,7 @@ class WorkloadReport:
     total_objects_loaded: int = 0
     total_false_hit_objects: int = 0
     total_results: int = 0
-    io_latency: float = DEFAULT_IO_LATENCY
-    #: Per-query response times (wall + simulated I/O), for percentiles.
+    #: Per-query CPU wall times, for percentiles.
     latencies: List[float] = field(default_factory=list)
     #: Summed per-stage seconds across every query.
     stage_totals: Dict[str, float] = field(default_factory=dict)
@@ -71,7 +65,6 @@ class WorkloadReport:
 
     def record(self, stats: QueryStats, num_results: int) -> None:
         """Absorb one query's stats into the aggregate."""
-        simulated_io = stats.physical_reads * self.io_latency
         self.num_queries += 1
         self.total_wall_seconds += stats.wall_seconds
         self.total_physical_reads += stats.physical_reads
@@ -79,13 +72,9 @@ class WorkloadReport:
         self.total_objects_loaded += stats.objects_loaded
         self.total_false_hit_objects += stats.false_hit_objects
         self.total_results += num_results
-        self.latencies.append(stats.wall_seconds + simulated_io)
+        self.latencies.append(stats.wall_seconds)
         for stage, seconds in stats.stage_seconds.items():
             self.stage_totals[stage] = self.stage_totals.get(stage, 0.0) + seconds
-        if simulated_io:
-            self.stage_totals["io_simulated"] = (
-                self.stage_totals.get("io_simulated", 0.0) + simulated_io
-            )
         self.total_pairwise_dijkstras += stats.pairwise_dijkstras
         self.total_distance_cache_hits += stats.distance_cache_hits
         self.total_distance_cache_misses += stats.distance_cache_misses
@@ -95,12 +84,9 @@ class WorkloadReport:
             self.total_early_terminations += 1
 
     @property
-    def avg_response_time(self) -> float:
-        """Average response time: CPU wall time + simulated I/O latency."""
-        if self.num_queries == 0:
-            return 0.0
-        simulated = self.total_physical_reads * self.io_latency
-        return (self.total_wall_seconds + simulated) / self.num_queries
+    def avg_wall_seconds(self) -> float:
+        """Average CPU wall time per query; page reads are ``avg_io``."""
+        return self.total_wall_seconds / self.num_queries if self.num_queries else 0.0
 
     @property
     def avg_io(self) -> float:
@@ -137,7 +123,7 @@ class WorkloadReport:
         return self.num_queries / self.wall_clock_seconds
 
     def percentile(self, p: float) -> float:
-        """The ``p``-th percentile (0..100) of per-query response time."""
+        """The ``p``-th percentile (0..100) of per-query CPU wall time."""
         if not self.latencies:
             return 0.0
         return percentile_of_sorted(sorted(self.latencies), p)
@@ -162,7 +148,7 @@ class WorkloadReport:
         row = {
             "label": self.label,
             "queries": self.num_queries,
-            "avg_time_ms": round(self.avg_response_time * 1e3, 3),
+            "avg_time_ms": round(self.avg_wall_seconds * 1e3, 3),
             "p50_ms": round(self.percentile(50) * 1e3, 3),
             "p95_ms": round(self.percentile(95) * 1e3, 3),
             "p99_ms": round(self.percentile(99) * 1e3, 3),
@@ -236,7 +222,6 @@ def run_sk_workload(
     index: ObjectIndex,
     queries: Sequence[SKQuery],
     label: str = "",
-    io_latency: float = DEFAULT_IO_LATENCY,
     cold_buffer: bool = False,
     workers: int = 1,
 ) -> WorkloadReport:
@@ -249,7 +234,7 @@ def run_sk_workload(
     ``cold_buffer`` (which clears the shared pool between queries).
     """
     _check_workers(workers, cold_buffer)
-    report = WorkloadReport(label=label or index.name, io_latency=io_latency)
+    report = WorkloadReport(label=label or index.name)
     if workers > 1:
         plans = [plan_sk(db, index, q) for q in queries]
         _run_plans(db, plans, report, workers)
@@ -274,7 +259,6 @@ def run_diversified_workload(
     queries: Sequence[DiversifiedSKQuery],
     method: str,
     label: str = "",
-    io_latency: float = DEFAULT_IO_LATENCY,
     cold_buffer: bool = False,
     enable_pruning: bool = True,
     workers: int = 1,
@@ -289,9 +273,7 @@ def run_diversified_workload(
     ``workers > 1`` (see :func:`run_sk_workload`).
     """
     _check_workers(workers, cold_buffer)
-    report = WorkloadReport(
-        label=label or f"{method.upper()}/{index.name}", io_latency=io_latency
-    )
+    report = WorkloadReport(label=label or f"{method.upper()}/{index.name}")
     if workers > 1:
         plans = [
             plan_diversified(

@@ -32,7 +32,7 @@ from ..core.queries import DiversifiedSKQuery
 from ..engine.plan import plan_diversified
 from ..errors import QueryError
 from ..index.base import ObjectIndex
-from .runner import DEFAULT_IO_LATENCY, WorkloadReport, _check_workers
+from .runner import WorkloadReport, _check_workers
 
 __all__ = [
     "UpdateWorkloadConfig",
@@ -163,7 +163,6 @@ def run_update_workload(
     config: UpdateWorkloadConfig,
     method: str = "seq",
     label: str = "",
-    io_latency: float = DEFAULT_IO_LATENCY,
     workers: int = 1,
 ) -> UpdateWorkloadReport:
     """Interleave query batches with update batches.
@@ -178,8 +177,7 @@ def run_update_workload(
     """
     _check_workers(workers, cold_buffer=False)
     query_report = WorkloadReport(
-        label=label or f"update/{method.upper()}/{index.name}",
-        io_latency=io_latency,
+        label=label or f"update/{method.upper()}/{index.name}"
     )
     rng = np.random.default_rng(config.seed)
     edge_ids = [edge.edge_id for edge in db.network.edges()]

@@ -83,6 +83,18 @@ class TestQueryValidation:
         with pytest.raises(QueryError):
             SKQuery.create(NetworkPosition(0, 0.0), ["a"], 0.0)
 
+    @pytest.mark.parametrize("delta_max", [-1.0, float("nan")])
+    def test_sk_delta_max_must_be_a_positive_number(self, delta_max):
+        with pytest.raises(QueryError):
+            SKQuery.create(NetworkPosition(0, 0.0), ["a"], delta_max)
+
+    @pytest.mark.parametrize("delta_max", [0.0, -1.0, float("nan")])
+    def test_diversified_delta_max_must_be_a_positive_number(self, delta_max):
+        with pytest.raises(QueryError):
+            DiversifiedSKQuery.create(
+                NetworkPosition(0, 0.0), ["a"], delta_max, k=4
+            )
+
     def test_bad_k(self):
         with pytest.raises(QueryError):
             DiversifiedSKQuery.create(NetworkPosition(0, 0.0), ["a"], 100.0, k=1)

@@ -38,6 +38,15 @@ class TestValidation:
         with pytest.raises(QueryError):
             SKkNNQuery.create(pos, ["a"], k=1, horizon=-5)
 
+    @pytest.mark.parametrize("field", ["horizon", "initial_radius"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan")])
+    def test_radii_must_be_positive_numbers(self, tiny_db, field, value):
+        """A zero, negative or nan radius is refused up front: doubling
+        it never reaches the horizon, so the search would not return."""
+        pos = next(iter(tiny_db.store)).position
+        with pytest.raises(QueryError):
+            SKkNNQuery.create(pos, ["a"], k=1, **{field: value})
+
 
 class TestCorrectness:
     @pytest.mark.parametrize("k", [1, 3, 8])

@@ -216,12 +216,6 @@ FLAG_SURFACE = {
         "path": (None, None, None),
         "--top": (15, None, "_positive_int"),
     },
-    "bench compare": {
-        "old": (None, None, None),
-        "new": (None, None, None),
-        "--fail-on-regression": (None, None, "float"),
-        "--threshold": (10.0, None, "float"),
-    },
 }
 
 
@@ -252,7 +246,7 @@ def flag_surface():
 class TestParser:
     def test_flag_surface_is_pinned(self):
         surface = flag_surface()
-        assert sum(len(flags) for flags in surface.values()) == 161
+        assert sum(len(flags) for flags in surface.values()) == 157
         assert surface == FLAG_SURFACE
 
     def test_requires_command(self):
@@ -558,55 +552,6 @@ class TestSLOGate:
         captured = capsys.readouterr()
         assert "FAIL  p95 latency" in captured.out
         assert "SLO VIOLATED" in captured.err
-
-
-class TestBenchCompareCommand:
-    def _write(self, path, p95_ms, qps):
-        path.write_text(json.dumps({
-            "schema": "repro-bench-trajectory/v1",
-            "artifact": path.name,
-            "figures": {
-                "fig-6": {
-                    "title": "Fig 6",
-                    "headline": {"p95_ms": p95_ms, "qps": qps, "k": 6},
-                    "rows": [],
-                },
-            },
-        }))
-
-    def test_identical_files_pass_the_gate(self, tmp_path, capsys):
-        old, new = tmp_path / "old.json", tmp_path / "new.json"
-        self._write(old, 10.0, 100.0)
-        self._write(new, 10.0, 100.0)
-        assert main([
-            "bench", "compare", str(old), str(new),
-            "--fail-on-regression", "20",
-        ]) == 0
-        assert "0 regression(s)" in capsys.readouterr().out
-
-    def test_injected_regression_fails_the_gate(self, tmp_path, capsys):
-        old, new = tmp_path / "old.json", tmp_path / "new.json"
-        self._write(old, 10.0, 100.0)
-        self._write(new, 12.5, 100.0)  # +25% p95 — past the 20% gate
-        assert main([
-            "bench", "compare", str(old), str(new),
-            "--fail-on-regression", "20",
-        ]) == 1
-        captured = capsys.readouterr()
-        assert "REGRESSION" in captured.out
-        assert "gate FAILED" in captured.err
-
-    def test_report_only_without_gate(self, tmp_path, capsys):
-        old, new = tmp_path / "old.json", tmp_path / "new.json"
-        self._write(old, 10.0, 100.0)
-        self._write(new, 12.5, 100.0)
-        assert main(["bench", "compare", str(old), str(new)]) == 0
-
-    def test_bad_schema_is_an_error(self, tmp_path, capsys):
-        old, new = tmp_path / "old.json", tmp_path / "new.json"
-        old.write_text(json.dumps({"schema": "other"}))
-        self._write(new, 10.0, 100.0)
-        assert main(["bench", "compare", str(old), str(new)]) == 2
 
 
 class TestExplainCommand:

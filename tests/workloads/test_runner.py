@@ -2,6 +2,9 @@
 
 import pytest
 
+from repro.core.queries import QueryStats
+from repro.obs.metrics import percentile_of_sorted
+from repro.storage.iostats import IOSnapshot
 from repro.workloads.queries import WorkloadConfig, generate_diversified_queries, generate_sk_queries
 from repro.workloads.runner import WorkloadReport, run_diversified_workload, run_sk_workload
 
@@ -9,19 +12,49 @@ from repro.workloads.runner import WorkloadReport, run_diversified_workload, run
 class TestReport:
     def test_empty_report(self):
         r = WorkloadReport(label="x")
-        assert r.avg_response_time == 0.0
+        assert r.avg_wall_seconds == 0.0
         assert r.avg_io == 0.0
         assert r.avg_candidates == 0.0
 
     def test_averages(self):
-        r = WorkloadReport(label="x", io_latency=0.001)
+        r = WorkloadReport(label="x")
         r.num_queries = 2
         r.total_wall_seconds = 0.2
         r.total_physical_reads = 100
         r.total_candidates = 10
         assert r.avg_io == 50.0
         assert r.avg_candidates == 5.0
-        assert r.avg_response_time == pytest.approx((0.2 + 0.1) / 2)
+        assert r.avg_wall_seconds == pytest.approx(0.2 / 2)
+
+    def test_time_and_pages_are_reported_apart(self):
+        """Page reads never leak into a time column, nor into a stage."""
+        r = WorkloadReport(label="x")
+        walls = [0.002, 0.004, 0.012]
+        for wall, reads in zip(walls, (500, 100, 900)):
+            io = IOSnapshot(
+                logical_reads=2 * reads, physical_reads=reads, writes=0,
+                buffer_hits=reads, physical_by_category={},
+            )
+            r.record(
+                QueryStats(
+                    wall_seconds=wall, io=io,
+                    stage_seconds={"expansion": wall / 2, "signature": wall / 4},
+                ),
+                num_results=1,
+            )
+        row = r.row()
+        assert row["avg_time_ms"] == pytest.approx(6.0)
+        for p in (50, 95, 99):
+            expected = percentile_of_sorted(sorted(walls), p)
+            assert r.percentile(p) == expected
+            assert row[f"p{p}_ms"] == round(expected * 1e3, 3)
+        assert row["avg_io"] == 500.0
+        stage_columns = {
+            k for k in row
+            if k.endswith("_ms")
+            and k not in ("avg_time_ms", "p50_ms", "p95_ms", "p99_ms")
+        }
+        assert stage_columns == {"expansion_ms", "signature_ms"}
 
     def test_row_keys(self):
         row = WorkloadReport(label="SIF").row()
@@ -50,13 +83,9 @@ class TestReport:
         assert "expansion_ms" in row
         assert "maintenance_ms" in row
         assert "signature_ms" in row
-        # Measured stage times are sub-intervals of query wall time:
-        # their largest member can never exceed the total (io_simulated
-        # is synthetic latency, not wall time).
-        measured = {
-            k: v for k, v in report.stage_totals.items() if k != "io_simulated"
-        }
-        assert max(measured.values()) <= report.total_wall_seconds * 1.05
+        # Stage times are sub-intervals of query wall time: their
+        # largest member can never exceed the total.
+        assert max(report.stage_totals.values()) <= report.total_wall_seconds * 1.05
 
 
 class TestRunners:

@@ -82,9 +82,7 @@ class TestRun:
         db = make_db()
         index = db.build_index("sif", file_prefix="upd-shape")
         config = UpdateWorkloadConfig(updates_per_batch=5, num_batches=3)
-        report = run_update_workload(
-            db, index, make_queries(db), config, io_latency=0.0
-        )
+        report = run_update_workload(db, index, make_queries(db), config)
         assert report.query_report.num_queries == 8
         # 2 update rounds of 5; every op resolves on a populated db.
         assert sum(report.updates_applied.values()) == 10
@@ -116,7 +114,6 @@ class TestRun:
             index,
             make_queries(db, n=4),
             UpdateWorkloadConfig(updates_per_batch=2, num_batches=2),
-            io_latency=0.0,
         )
         assert any(r.get("type") == "update_workload" for r in records)
 
@@ -129,7 +126,6 @@ class TestRun:
             index,
             make_queries(db, n=6),
             config,
-            io_latency=0.0,
             workers=4,
         )
         assert report.query_report.workers == 4
@@ -144,7 +140,6 @@ class TestRun:
             index,
             make_queries(db, n=3),
             UpdateWorkloadConfig(updates_per_batch=50, num_batches=1),
-            io_latency=0.0,
         )
         assert report.updates_applied == {}
         assert report.final_epoch == 0
@@ -165,7 +160,6 @@ class TestRun:
             index,
             queries,
             UpdateWorkloadConfig(updates_per_batch=10, num_batches=3, seed=5),
-            io_latency=0.0,
             workers=2,
         )
         for q in queries:
@@ -190,7 +184,6 @@ class TestRun:
             index,
             queries,
             UpdateWorkloadConfig(updates_per_batch=8, num_batches=3, seed=9),
-            io_latency=0.0,
         )
         counters = db.metrics.counters()
         reweights = counters.get("update.edge_weight", 0)
