@@ -522,15 +522,17 @@ def _report_run(db, args, profile_out: Optional[str]) -> None:
 def _close_run(db, sink, snapshot: bool) -> None:
     """Close everything ``_workload_run`` may have opened.
 
-    Every step is a no-op when its feature was never installed, and the
-    metrics sink goes last so a raising query still leaves a closed,
-    flushed JSON-lines file behind.  ``snapshot`` appends the final
-    registry snapshot first (a run that raised has none).
+    Every step is a no-op when its feature was never installed.  The
+    telemetry server goes first — a scrape must not find a log it
+    reads half torn down — and the metrics sink last, so a raising
+    query still leaves a closed, flushed JSON-lines file behind.
+    ``snapshot`` appends the final registry snapshot first (a run that
+    raised has none).
     """
+    db.stop_telemetry()
     db.disable_profiler()
     db.disable_slow_query_log()
     db.disable_flight_recorder()
-    db.stop_telemetry()
     if sink is None:
         return
     try:

@@ -45,7 +45,7 @@ from ..spatial.rtree import RTree
 from ..spatial.zorder import ZOrderCurve
 from ..storage.pagefile import DiskManager
 from .knn import SKkNNQuery
-from .queries import DiversifiedResult, DiversifiedSKQuery, QueryStats, SKQuery, SKResult
+from .queries import DiversifiedResult, DiversifiedSKQuery, SKQuery, SKResult
 from .updates import UpdateJournal, UpdateRecord
 
 __all__ = ["Database", "INDEX_KINDS"]
@@ -77,7 +77,7 @@ class Database:
         :class:`~repro.obs.metrics.MetricsRegistry`; by default every
         database owns its own.  Every query records its latency,
         per-stage breakdown and counter deltas into it and emits one
-        record per query to any attached sink.
+        record per query to any attached sink (see :meth:`publish`).
 
         Tracing is off (the no-op
         :data:`~repro.obs.tracing.NULL_TRACER`, no measurable overhead)
@@ -101,8 +101,17 @@ class Database:
         #: execution context draws a fresh per-query tracer from it —
         #: which is what makes tracing safe under concurrent execution.
         self.trace_collector: Optional[TraceCollector] = None
-        #: Installed by :meth:`enable_slow_query_log`; the engine offers
-        #: every finished query to it.
+        #: Who hears about each finished query (:meth:`publish`): a
+        #: tuple of callables taking the query's event, replaced —
+        #: never mutated — by ``enable_*`` / ``disable_*``, so a query
+        #: finishing on another thread walks a consistent one without
+        #: a lock.  The registry is always first, looked up at delivery
+        #: because embedders and tests swap ``db.metrics``.
+        self._subscribers: tuple = (
+            lambda event: self.metrics.on_query(event),
+        )
+        #: Installed by :meth:`enable_slow_query_log`; subscribed to
+        #: every finished query.
         self.slow_query_log: Optional[SlowQueryLog] = None
         #: Optional distance cache shared across diversified queries
         #: (see :meth:`use_shared_distance_cache`).
@@ -149,8 +158,7 @@ class Database:
         #: Live HTTP scrape endpoint (see :meth:`serve_telemetry`).
         self.telemetry_server = None
         #: Flight recorder capturing every executed query (see
-        #: :meth:`enable_flight_recorder`); ``None`` keeps the engine's
-        #: zero-overhead path.
+        #: :meth:`enable_flight_recorder`); ``None`` until enabled.
         self.flight_recorder = None
 
     # ------------------------------------------------------------------
@@ -646,7 +654,8 @@ class Database:
         JSON-lines file (render it with ``repro slowlog FILE``).
         Thread-safe; composes with ``execute_many(workers=N)``.
         """
-        self.slow_query_log = SlowQueryLog(
+        self.disable_slow_query_log()
+        self.slow_query_log = log = SlowQueryLog(
             SlowQueryThreshold(
                 latency_seconds=latency_seconds,
                 visited_nodes=visited_nodes,
@@ -654,12 +663,14 @@ class Database:
             max_records=max_records,
             path=path,
         )
-        return self.slow_query_log
+        self._subscribers += (log.offer,)
+        return log
 
     def disable_slow_query_log(self) -> None:
         """Detach and close the slow-query log, if one is installed."""
         log, self.slow_query_log = self.slow_query_log, None
         if log is not None:
+            self._unsubscribe(log.offer)
             log.close()
 
     # ------------------------------------------------------------------
@@ -681,15 +692,18 @@ class Database:
         """
         from ..obs.recorder import FlightRecorder
 
-        self.flight_recorder = FlightRecorder(
+        self.disable_flight_recorder()
+        self.flight_recorder = recorder = FlightRecorder(
             max_records=max_records, path=path, metrics=self.metrics
         )
-        return self.flight_recorder
+        self._subscribers += (recorder.record_query,)
+        return recorder
 
     def disable_flight_recorder(self) -> None:
         """Detach and close the flight recorder, if one is installed."""
         recorder, self.flight_recorder = self.flight_recorder, None
         if recorder is not None:
+            self._unsubscribe(recorder.record_query)
             recorder.close()
 
     # ------------------------------------------------------------------
@@ -720,6 +734,7 @@ class Database:
                 window_seconds=window_seconds,
                 bucket_seconds=bucket_seconds,
             )
+            self._subscribers += (self.rollup.on_query,)
         return self.rollup
 
     def use_live_slo(self, spec):
@@ -729,8 +744,9 @@ class Database:
         the rollup's window snapshot (``query.wall_seconds`` /
         ``loadtest.latency_seconds`` histograms, ``window.*``
         counters).  Breach windows are counted into the metrics
-        registry and noted into the slow-query log when one is
-        installed.  Enables the rollup on demand; returns the monitor.
+        registry and noted into whatever slow-query log is installed
+        when the breach is seen — before or after this call.  Enables
+        the rollup on demand; returns the monitor.
         """
         from ..obs.rollup import LiveSLOMonitor
 
@@ -738,7 +754,7 @@ class Database:
             spec,
             self.enable_rollup(),
             metrics=self.metrics,
-            slowlog=self.slow_query_log,
+            slowlog=lambda: self.slow_query_log,
         )
         return self.live_slo
 
@@ -846,93 +862,24 @@ class Database:
         )
 
     # ------------------------------------------------------------------
-    # Metrics recording
+    # Per-query events
     # ------------------------------------------------------------------
-    def _record_query(self, kind: str, label: str, stats: QueryStats) -> None:
-        """Aggregate one query's stats into the registry + emit a record.
+    def publish(self, event) -> None:
+        """Tell every subscriber about one finished (or failed) query.
 
-        ``label`` is the executed plan's label (index kind +
-        algorithm, e.g. ``"SIF/COM"``), so per-query records from
-        mixed workloads stay attributable.
+        Called once per execution by the engine with the query's
+        :class:`~repro.obs.events.QueryEvent`, on the thread that ran
+        it.  The metrics registry always listens; ``enable_rollup``,
+        ``enable_slow_query_log`` and ``enable_flight_recorder`` add
+        theirs and the matching ``disable_*`` removes it.
         """
-        m = self.metrics
-        m.inc("query.count")
-        # Per-plan-label counter.  The ``#`` separates the counter
-        # family from its label value; the Prometheus exporter turns
-        # these into one ``repro_query_plan_total{plan="SIF/COM"}``
-        # family with properly escaped label values.
-        m.inc(f"query.plan#{label}")
-        m.observe("query.wall_seconds", stats.wall_seconds)
-        m.observe_stages(stats.stage_seconds)
-        m.inc("pairwise.dijkstra_runs", stats.pairwise_dijkstras)
-        m.inc("distance_cache.hits", stats.distance_cache_hits)
-        m.inc("distance_cache.misses", stats.distance_cache_misses)
-        m.inc("distance_cache.evictions", stats.distance_cache_evictions)
-        m.inc("buffer.evictions", stats.buffer_evictions)
-        m.inc(f"query.backend.{stats.distance_backend}")
-        if stats.distance_backend == "ch":
-            m.inc("ch.queries", stats.backend_queries)
-            m.inc("ch.settled_nodes", stats.backend_settled_nodes)
-            m.inc("ch.bucket_hits", stats.backend_bucket_hits)
-        elif stats.distance_backend == "hub":
-            m.inc("hub_label.queries", stats.backend_queries)
-            m.inc("hub_label.entries_scanned", stats.backend_settled_nodes)
-            m.inc("hub_label.kernel_hits", stats.backend_bucket_hits)
-        if kind.startswith("diversified"):
-            # COM's §4.3 early termination is the pruning the paper's
-            # diversified-search figures measure; counting it (and the
-            # diversified denominator) lets SLO rules gate on the
-            # early-termination percentage.
-            m.inc("query.diversified_count")
-            if stats.expansion_terminated_early:
-                m.inc("query.early_terminations")
-        if stats.result_cache_hit:
-            m.inc("query.result_cache_hits")
-        if stats.io is not None:
-            m.inc("io.logical_reads", stats.io.logical_reads)
-            m.inc("io.physical_reads", stats.io.physical_reads)
-            m.inc("io.buffer_hits", stats.io.buffer_hits)
-        record = {
-            "type": "query",
-            "kind": kind,
-            "label": label,
-            "epoch": stats.epoch,
-            "result_cache_hit": stats.result_cache_hit,
-            "wall_seconds": stats.wall_seconds,
-            "stages": dict(stats.stage_seconds),
-            "candidates": stats.candidates,
-            "pairwise_dijkstras": stats.pairwise_dijkstras,
-            "distance_backend": stats.distance_backend,
-            "distance_cache": {
-                "hits": stats.distance_cache_hits,
-                "misses": stats.distance_cache_misses,
-                "evictions": stats.distance_cache_evictions,
-            },
-            "io": {
-                "logical_reads": stats.io.logical_reads,
-                "physical_reads": stats.io.physical_reads,
-                "buffer_hits": stats.io.buffer_hits,
-                "buffer_evictions": stats.buffer_evictions,
-            } if stats.io is not None else None,
-        }
-        m.emit(record)
-        if self.rollup is not None:
-            self.rollup.record(
-                stats.wall_seconds, cache_hit=stats.result_cache_hit
-            )
+        for deliver in self._subscribers:
+            deliver(event)
 
-    def _record_query_error(self, kind: str, label: str) -> None:
-        """Count one failed query execution (engine exception path).
-
-        Errors advance ``query.errors`` (plus a per-plan labelled
-        counter) and the rollup's windowed error rate, so a misbehaving
-        plan shows up on ``/metrics`` and trips ``window.error_rate``
-        SLO rules instead of vanishing with the raised exception.
-        """
-        self.metrics.inc("query.errors")
-        self.metrics.inc(f"query.error#{label}")
-        if self.rollup is not None:
-            self.rollup.record(0.0, error=True)
+    def _unsubscribe(self, deliver) -> None:
+        self._subscribers = tuple(
+            s for s in self._subscribers if s != deliver
+        )
 
     # ------------------------------------------------------------------
     # Queries (thin wrappers over the engine)

@@ -3,10 +3,11 @@
 :class:`QueryEngine` is the single place query algorithms are invoked.
 ``execute`` opens an :class:`~repro.engine.context.ExecutionContext`
 (per-query counters, I/O scope, per-query tracer), dispatches on the
-plan's ``kind``/``algorithm``, finalises the stats, records them into
-the database's metrics registry under the plan's label and offers the
-finished query to the database's slow-query log
-(:mod:`repro.obs.slowlog`) when one is installed.
+plan's ``kind``/``algorithm``, finalises the stats and publishes the
+finished (or failed) query, once, as a
+:class:`~repro.obs.events.QueryEvent` to the database's subscribers —
+the metrics registry, and whichever of the sliding-window rollup, the
+slow-query log and the flight recorder are installed.
 
 ``execute_many`` runs a batch — serially, or on a thread pool.  The
 concurrency contract:
@@ -46,6 +47,7 @@ from ..core.knn import knn_search
 from ..core.queries import QueryStats, SKResult
 from ..errors import QueryError
 from ..network.distance import DISTANCE_BACKENDS, PairwiseDistanceComputer
+from ..obs.events import QueryEvent
 from ..obs.profiler import executing_plan
 from ..obs.recorder import result_digest
 from ..obs.tracing import NULL_TRACER
@@ -92,7 +94,8 @@ class QueryEngine:
         Each sampled query is re-executed on ``backend`` inside the
         same execution context right after its primary run; the two
         :func:`~repro.obs.recorder.result_digest`\\ s are compared in
-        flight.  Matches count ``shadow.matches``; mismatches count
+        flight and the verdict rides the query's event.  Matches count
+        ``shadow.matches``; mismatches count
         ``shadow.divergences`` (plus a per-plan-label
         ``shadow.divergence#<label>`` counter) and are filed into the
         slow-query log with both digests.  ``rate`` in ``(0, 1]`` is
@@ -136,7 +139,7 @@ class QueryEngine:
         stands in (still deterministic serially).
         """
         ctx = ExecutionContext(self.db, plan, tracer)
-        shadow = None
+        result = shadow = error = None
         # Publish the plan label for the sampling profiler: stacks
         # sampled on this thread while the query runs are attributed
         # to e.g. "SIF/COM" (two dict writes per query — negligible).
@@ -156,29 +159,15 @@ class QueryEngine:
                     plan, result, sequence
                 ):
                     shadow = self._execute_shadow(plan, result)
-        except Exception:
-            self.db._record_query_error(plan.kind, plan.label)
-            raise
-        kind = plan.kind
-        if kind == "diversified":
-            kind = f"diversified/{plan.algorithm}"
-        self.db._record_query(kind, plan.label, result.stats)
-        # The digest is only computed when someone will consume it —
-        # the recorder-off, shadow-off path stays digest-free.
-        recorder = self.db.flight_recorder
-        digest = None
-        if shadow is not None:
-            digest = shadow["primary_digest"]
-        elif recorder is not None:
-            digest = result_digest(result)
-        self._offer_slow_log(plan, result, ctx, digest=digest)
-        if recorder is not None:
-            recorder.record_query(
-                plan, result, digest,
-                sequence=sequence,
-                worker=threading.current_thread().name,
-                shadow=shadow,
-            )
+        except Exception as exc:  # noqa: BLE001 — published, then re-raised
+            error, result = exc, None
+        # The one place a query is told to the world.  The context has
+        # closed, so the stats are final and the span tree complete.
+        self.db.publish(QueryEvent(
+            plan, result, error, sequence, ctx.tracer.last_trace, shadow
+        ))
+        if error is not None:
+            raise error
         self._io_wait(result.stats)
         return result
 
@@ -218,6 +207,8 @@ class QueryEngine:
         computer — the audit must recompute distances, not read back
         whatever the primary just cached.  The primary's stats are
         already finalised; shadow work only lands on lifetime counters.
+        Returns the outcome the query's event carries: the subscribers
+        count it, journal it and file a divergence.
         """
         db = self.db
         query = plan.query
@@ -244,33 +235,12 @@ class QueryEngine:
             )
         primary_digest = result_digest(result)
         shadow_digest = result_digest(shadow_result)
-        match = primary_digest == shadow_digest
-        m = db.metrics
-        m.inc("shadow.executions")
-        if match:
-            m.inc("shadow.matches")
-        else:
-            m.inc("shadow.divergences")
-            m.inc(f"shadow.divergence#{plan.label}")
-            log = db.slow_query_log
-            if log is not None:
-                log.note({
-                    "type": "shadow_divergence",
-                    "label": plan.label,
-                    "algorithm": plan.algorithm,
-                    "primary_backend": db.distance_backend,
-                    "shadow_backend": backend_name,
-                    "primary_digest": primary_digest,
-                    "shadow_digest": shadow_digest,
-                    "primary_results": len(result),
-                    "shadow_results": len(shadow_result),
-                    "worker": threading.current_thread().name,
-                })
         return {
             "backend": backend_name,
             "digest": shadow_digest,
             "primary_digest": primary_digest,
-            "match": match,
+            "match": primary_digest == shadow_digest,
+            "results": len(shadow_result),
         }
 
     def _execute_sk(self, plan: "QueryPlan", ctx: ExecutionContext) -> SKResult:
@@ -410,30 +380,6 @@ class QueryEngine:
                 db, plan.index.name, query, plan.algorithm, result
             )
         return result
-
-    def _offer_slow_log(
-        self, plan: "QueryPlan", result, ctx: ExecutionContext,
-        digest: Optional[str] = None,
-    ) -> None:
-        """Offer a finished query to the slow-query log, if installed.
-
-        Runs after the execution context closed, so the stats are final
-        and the per-query span tree (when tracing is on) is complete.
-        """
-        log = self.db.slow_query_log
-        if log is None:
-            return
-        trace = ctx.tracer.last_trace if ctx.tracer.enabled else None
-        log.offer(
-            label=plan.label,
-            kind=plan.kind,
-            algorithm=plan.algorithm,
-            stats=result.stats,
-            results=len(result),
-            trace=trace,
-            worker=threading.current_thread().name,
-            digest=digest,
-        )
 
     def _io_wait(self, stats: Optional[QueryStats]) -> None:
         if not self.io_wait_latency or stats is None or stats.io is None:

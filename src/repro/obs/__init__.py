@@ -36,6 +36,7 @@ from .export import (
     write_prometheus,
 )
 from .export import escape_label_value
+from .events import QueryEvent, stats_to_dict
 from .metrics import Counter, Histogram, MetricsRegistry, StageClock
 from .profiler import (
     SamplingProfiler,
@@ -46,13 +47,12 @@ from .profiler import (
 from .rollup import LiveSLOMonitor, SlidingWindowRollup, WindowSnapshot
 from .server import TelemetryServer
 from .sinks import InMemorySink, JsonLinesSink, Sink
-from .slo import SLOCheck, SLORule, SLOSpec, evaluate_slo
+from .slo import SLOCheck, SLORule, SLOSpec
 from .slowlog import (
     SlowQueryLog,
     SlowQueryThreshold,
     render_breach_record,
     render_record,
-    stats_to_dict,
 )
 from .tracing import (
     NULL_TRACER,
@@ -88,11 +88,11 @@ __all__ = [
     "SlowQueryThreshold",
     "render_record",
     "render_breach_record",
+    "QueryEvent",
     "stats_to_dict",
     "SLOSpec",
     "SLORule",
     "SLOCheck",
-    "evaluate_slo",
     "SlidingWindowRollup",
     "WindowSnapshot",
     "LiveSLOMonitor",

@@ -276,19 +276,18 @@ def prometheus_text(
             )
         return existing
 
-    locked = getattr(registry, "locked", None)
-    lock_cm = locked() if locked is not None else _null_cm()
-    with lock_cm:
+    def sample(raw: str, kind: str, value: str) -> None:
+        """One sample of a plain or ``family#value``-labelled name."""
+        base, label, label_value = _split_labelled(raw)
+        fam = family(base, kind)
+        labels = "" if label is None else (
+            f'{{{label}="{escape_label_value(label_value)}"}}'
+        )
+        fam.samples.append(f"{fam.metric}{labels} {value}")
+
+    with registry.locked():
         for name, value in registry.counters().items():
-            base, label, label_value = _split_labelled(name)
-            fam = family(base, "counter")
-            if label is None:
-                fam.samples.append(f"{fam.metric} {value}")
-            else:
-                fam.samples.append(
-                    f'{fam.metric}{{{label}="'
-                    f'{escape_label_value(label_value)}"}} {value}'
-                )
+            sample(name, "counter", str(value))
         for name, hist in sorted(registry.histograms().items()):
             if not hist.count:
                 continue
@@ -306,148 +305,90 @@ def prometheus_text(
             # as a measurement to downstream alerting; omit it, like
             # empty histograms.
             continue
-        base, label, label_value = _split_labelled(name)
-        fam = family(base, "gauge")
-        if label is None:
-            fam.samples.append(f"{fam.metric} {_fmt_value(value)}")
-        else:
-            fam.samples.append(
-                f'{fam.metric}{{{label}="'
-                f'{escape_label_value(label_value)}"}} {_fmt_value(value)}'
-            )
+        sample(name, "gauge", _fmt_value(value))
     lines: List[str] = []
     for fam in families.values():
         lines.extend(fam.lines())
     return "\n".join(lines) + "\n"
 
 
-class _null_cm:
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-
 def database_gauges(db) -> Dict[str, float]:
     """Point-in-time gauge values for a database's shared caches.
 
-    Duck-typed against :class:`~repro.core.database.Database`: whatever
-    of the shared distance cache and the disk buffer pool is present
-    contributes its hit/miss/eviction state, plus derived hit rates
-    (``NaN``-free: a cache that was never consulted reports rate 0).
+    ``db`` is a :class:`~repro.core.database.Database`: whatever of the
+    shared distance cache, the oracles, the flight recorder and the
+    result cache is installed contributes its hit/miss/eviction state,
+    plus derived hit rates (``NaN``-free: a cache that was never
+    consulted reports rate 0).
     """
     gauges: Dict[str, float] = {}
-    cache = getattr(db, "distance_cache", None)
-    if cache is not None:
-        stats = cache.stats()
-        lookups = stats["hits"] + stats["misses"]
-        gauges["distance_cache.entries"] = float(stats["entries"])
-        gauges["distance_cache.max_entries"] = float(stats["max_entries"])
-        gauges["distance_cache.hits"] = float(stats["hits"])
-        gauges["distance_cache.misses"] = float(stats["misses"])
-        gauges["distance_cache.evictions"] = float(stats["evictions"])
-        gauges["distance_cache.hit_rate"] = (
-            stats["hits"] / lookups if lookups else 0.0
-        )
-        gauges["distance_cache.epoch"] = float(stats.get("epoch", 0))
-        gauges["distance_cache.stale_puts"] = float(
-            stats.get("stale_puts", 0)
-        )
-        gauges["distance_cache.invalidations"] = float(
-            stats.get("invalidations", 0)
-        )
-    backend = getattr(db, "distance_backend", None)
-    if backend is not None:
-        # One-hot backend label: repro_distance_backend_ch 1.0 says the
-        # scrape came from a CH-backed run without needing label pairs.
-        # (Imported here: network.distance itself imports obs.tracing.)
-        from ..network.distance import DISTANCE_BACKENDS
 
-        for name in DISTANCE_BACKENDS:
-            gauges[f"distance_backend.{name}"] = (
-                1.0 if backend == name else 0.0
-            )
-    indexes = getattr(db, "indexes", None)
-    if indexes:
-        # Packed signature footprint across every index built on this
-        # database (SIF/SIF-G expose a SignatureFile; SIF-P accounts
-        # for its virtual-edge matrix itself).
-        sig_bytes = 0.0
-        signed_terms = 0.0
-        seen_any = False
-        for index in indexes:
-            sig = getattr(index, "signatures", None)
-            if sig is not None:
-                sig_bytes += float(sig.size_bytes())
-                signed_terms += float(sig.num_signed_terms)
-                seen_any = True
-                continue
-            size_fn = getattr(index, "signature_size_bytes", None)
-            if callable(size_fn):
-                sig_bytes += float(size_fn())
-                signed_terms += float(
-                    getattr(index, "num_signed_terms", 0)
-                )
-                seen_any = True
-        if seen_any:
-            gauges["signature.bytes"] = sig_bytes
-            gauges["signature.signed_terms"] = signed_terms
-    oracle = getattr(db, "_ch_oracle", None)
-    if oracle is not None:
-        gauges["ch.preprocess_seconds"] = float(oracle.preprocess_seconds)
-        gauges["ch.shortcuts_added"] = float(oracle.shortcuts_added)
-        gauges["ch.upward_edges"] = float(oracle.upward_edges)
-        gauges["ch.nodes"] = float(oracle.num_nodes)
-    hub = getattr(db, "_hub_oracle", None)
-    if hub is not None:
-        gauges["hub_label.build_seconds"] = float(hub.build_seconds)
-        gauges["hub_label.labels"] = float(hub.num_labels)
-        gauges["hub_label.label_entries"] = float(hub.label_entries)
-        gauges["hub_label.pruned_entries"] = float(
-            getattr(hub, "pruned_entries", 0)
-        )
-        gauges["hub_label.avg_label_size"] = float(hub.avg_label_size)
-        gauges["hub_label.max_label_size"] = float(hub.max_label_size)
-    data_version = getattr(db, "data_version", None)
-    if data_version is not None:
-        gauges["data_version"] = float(data_version)
-    journal = getattr(db, "update_journal", None)
-    if journal is not None:
-        gauges["updates.journal_length"] = float(len(journal))
-        for kind, count in journal.counts().items():
-            gauges[f"updates.{kind}"] = float(count)
-    recorder = getattr(db, "flight_recorder", None)
-    if recorder is not None:
-        stats = recorder.summary()
-        gauges["recorder.observed"] = float(stats["observed"])
-        gauges["recorder.buffered"] = float(stats["buffered"])
-        gauges["recorder.dropped"] = float(stats["dropped"])
-        gauges["recorder.updates"] = float(stats["updates"])
-        gauges["recorder.max_records"] = float(stats["max_records"])
-    result_cache = getattr(db, "result_cache", None)
-    if result_cache is not None:
-        stats = result_cache.stats()
-        lookups = stats["hits"] + stats["misses"]
-        gauges["result_cache.entries"] = float(stats["entries"])
-        gauges["result_cache.hits"] = float(stats["hits"])
-        gauges["result_cache.misses"] = float(stats["misses"])
-        gauges["result_cache.invalidated"] = float(stats["invalidated"])
-        gauges["result_cache.evictions"] = float(stats["evictions"])
-        gauges["result_cache.hit_rate"] = (
-            stats["hits"] / lookups if lookups else 0.0
-        )
-    disk = getattr(db, "disk", None)
-    buffer = getattr(disk, "buffer", None)
-    if buffer is not None:
-        lookups = buffer.hits + buffer.misses
-        gauges["buffer_pool.capacity"] = float(buffer.capacity)
-        gauges["buffer_pool.hits"] = float(buffer.hits)
-        gauges["buffer_pool.misses"] = float(buffer.misses)
-        gauges["buffer_pool.evictions"] = float(buffer.evictions)
-        gauges["buffer_pool.hit_rate"] = (
-            buffer.hits / lookups if lookups else 0.0
-        )
+    def copy(prefix: str, stats: Dict[str, float], *names: str) -> None:
+        for name in names:
+            gauges[f"{prefix}.{name}"] = float(stats[name])
+
+    def hit_rate(prefix: str, hits: int, misses: int) -> None:
+        lookups = hits + misses
+        gauges[f"{prefix}.hit_rate"] = hits / lookups if lookups else 0.0
+
+    if db.distance_cache is not None:
+        stats = db.distance_cache.stats()
+        copy("distance_cache", stats, "entries", "max_entries", "hits",
+             "misses", "evictions", "epoch", "stale_puts", "invalidations")
+        hit_rate("distance_cache", stats["hits"], stats["misses"])
+    # One-hot backend label: repro_distance_backend_ch 1.0 says the
+    # scrape came from a CH-backed run without needing label pairs.
+    # (Imported here: network.distance itself imports obs.tracing.)
+    from ..network.distance import DISTANCE_BACKENDS
+
+    for name in DISTANCE_BACKENDS:
+        gauges[f"distance_backend.{name}"] = float(db.distance_backend == name)
+    # Packed signature footprint across every index built on this
+    # database (SIF/SIF-G expose a SignatureFile; SIF-P accounts
+    # for its virtual-edge matrix itself).
+    sig_bytes = 0.0
+    signed_terms = 0.0
+    seen_any = False
+    for index in db.indexes:
+        sig = getattr(index, "signatures", None)
+        if sig is not None:
+            sig_bytes += float(sig.size_bytes())
+            signed_terms += float(sig.num_signed_terms)
+            seen_any = True
+            continue
+        size_fn = getattr(index, "signature_size_bytes", None)
+        if callable(size_fn):
+            sig_bytes += float(size_fn())
+            signed_terms += float(getattr(index, "num_signed_terms", 0))
+            seen_any = True
+    if seen_any:
+        gauges["signature.bytes"] = sig_bytes
+        gauges["signature.signed_terms"] = signed_terms
+    if db._ch_oracle is not None:
+        copy("ch", db._ch_oracle.stats(), "preprocess_seconds",
+             "shortcuts_added", "upward_edges", "nodes")
+    if db._hub_oracle is not None:
+        copy("hub_label", db._hub_oracle.stats(), "build_seconds", "labels",
+             "label_entries", "pruned_entries", "avg_label_size",
+             "max_label_size")
+    gauges["data_version"] = float(db.data_version)
+    gauges["updates.journal_length"] = float(len(db.update_journal))
+    for kind, count in db.update_journal.counts().items():
+        gauges[f"updates.{kind}"] = float(count)
+    if db.flight_recorder is not None:
+        copy("recorder", db.flight_recorder.summary(), "observed",
+             "buffered", "dropped", "updates", "max_records")
+    if db.result_cache is not None:
+        stats = db.result_cache.stats()
+        copy("result_cache", stats, "entries", "hits", "misses",
+             "invalidated", "evictions")
+        hit_rate("result_cache", stats["hits"], stats["misses"])
+    buffer = db.disk.buffer
+    gauges["buffer_pool.capacity"] = float(buffer.capacity)
+    gauges["buffer_pool.hits"] = float(buffer.hits)
+    gauges["buffer_pool.misses"] = float(buffer.misses)
+    gauges["buffer_pool.evictions"] = float(buffer.evictions)
+    hit_rate("buffer_pool", buffer.hits, buffer.misses)
     return gauges
 
 

@@ -13,12 +13,14 @@ rest of the library records into:
 
 :class:`MetricsRegistry` names and owns the counters and histograms of
 one :class:`~repro.core.database.Database` and fans per-query records
-out to sinks (:mod:`repro.obs.sinks`).
+out to sinks (:mod:`repro.obs.sinks`).  It is the first subscriber of
+the database's per-query events (:meth:`MetricsRegistry.on_query`).
 
 Instrumentation overhead matters: the hot paths (buffer accesses,
 distance-cache probes) keep plain integer attributes that are read as
-*deltas* at query granularity; only a few dozen registry calls happen
-per query, keeping the overhead well under the ~5 % budget.
+*deltas* at query granularity, and a finished query is folded into the
+registry in one lock hold, keeping the overhead well under the ~5 %
+budget.
 """
 
 from __future__ import annotations
@@ -132,6 +134,11 @@ class Histogram:
             self._sorted = True
         return percentile_of_sorted(self._samples, p)
 
+    def samples(self) -> List[float]:
+        """A copy of the kept (stride-subsampled) samples, for merging
+        several histograms into one percentile estimate."""
+        return list(self._samples)
+
     def summary(self) -> Dict[str, float]:
         if not self.count:
             return {"count": 0}
@@ -197,14 +204,23 @@ class StageClock:
                 close()
 
 
+#: What the three ``QueryStats.backend_*`` fields count, per distance
+#: backend: (queries, settled nodes / label entries, bucket / kernel hits).
+_BACKEND_COUNTERS = {
+    "ch": ("ch.queries", "ch.settled_nodes", "ch.bucket_hits"),
+    "hub": ("hub_label.queries", "hub_label.entries_scanned",
+            "hub_label.kernel_hits"),
+}
+
+
 class MetricsRegistry:
     """Named counters + histograms of one database, with record sinks.
 
     Thread-safe: recording (``inc``/``observe``/``emit``) and
     creation/lookup run under one internal re-entrant lock, so queries
     executing concurrently (``QueryEngine.execute_many``) never lose
-    increments or interleave sink writes.  Only a few dozen registry
-    calls happen per query, so the lock is off the hot path.
+    increments or interleave sink writes.  A query takes the lock once,
+    when it finishes, so the lock is off the hot path.
     """
 
     def __init__(self) -> None:
@@ -243,6 +259,74 @@ class MetricsRegistry:
         """Record one query's per-stage seconds into stage histograms."""
         for stage, seconds in stages.items():
             self.observe(f"{prefix}{stage}.seconds", seconds)
+
+    def on_query(self, event) -> None:
+        """Subscriber: fold one finished (or failed) query into the registry.
+
+        ``event`` is a :class:`~repro.obs.events.QueryEvent`.  ``counts``
+        below is the one table from ``QueryStats`` fields to lifetime
+        counters (a zero still creates its counter, so a scrape shows
+        the family before its first hit).  The ``#`` separates a counter
+        family from its label value: the Prometheus exporter turns
+        ``query.plan#SIF/COM`` into ``repro_query_plan{plan="SIF/COM"}``,
+        so mixed workloads stay attributable.  With a sink attached the
+        query is also emitted as a ``"query"`` record — the event's
+        encoding, built only then.
+        """
+        label = event.plan.label
+        if event.error is not None:
+            # A misbehaving plan shows up on /metrics instead of
+            # vanishing with the exception the engine re-raises.
+            self.inc("query.errors")
+            self.inc(f"query.error#{label}")
+            return
+        stats = event.stats
+        counts = [
+            ("query.count", 1),
+            (f"query.plan#{label}", 1),
+            (f"query.backend.{stats.distance_backend}", 1),
+            ("pairwise.dijkstra_runs", stats.pairwise_dijkstras),
+            ("distance_cache.hits", stats.distance_cache_hits),
+            ("distance_cache.misses", stats.distance_cache_misses),
+            ("distance_cache.evictions", stats.distance_cache_evictions),
+            ("buffer.evictions", stats.buffer_evictions),
+        ]
+        if stats.result_cache_hit:
+            counts.append(("query.result_cache_hits", 1))
+        counts += zip(
+            _BACKEND_COUNTERS.get(stats.distance_backend, ()),
+            (stats.backend_queries, stats.backend_settled_nodes,
+             stats.backend_bucket_hits),
+        )
+        if event.plan.kind == "diversified":
+            # COM's §4.3 early termination is the pruning the paper's
+            # diversified-search figures measure; counting it (and the
+            # diversified denominator) lets SLO rules gate on the
+            # early-termination percentage.
+            counts.append(("query.diversified_count", 1))
+            if stats.expansion_terminated_early:
+                counts.append(("query.early_terminations", 1))
+        if stats.io is not None:
+            counts += (
+                ("io.logical_reads", stats.io.logical_reads),
+                ("io.physical_reads", stats.io.physical_reads),
+                ("io.buffer_hits", stats.io.buffer_hits),
+            )
+        if event.shadow is not None:
+            verdict = "matches" if event.shadow["match"] else "divergences"
+            counts += (("shadow.executions", 1), (f"shadow.{verdict}", 1))
+            if not event.shadow["match"]:
+                counts.append((f"shadow.divergence#{label}", 1))
+        with self._lock:
+            for name, n in counts:
+                counter = self._counters.get(name)
+                if counter is None:
+                    counter = self._counters[name] = Counter(name)
+                counter.value += n
+            self.observe("query.wall_seconds", stats.wall_seconds)
+            self.observe_stages(stats.stage_seconds)
+        if self._sinks:
+            self.emit({"type": "query", **event.to_dict()})
 
     # -- sinks --------------------------------------------------------
     def add_sink(self, sink) -> None:
@@ -326,11 +410,3 @@ class MetricsRegistry:
                     if h.count
                 },
             }
-
-    def percentiles(
-        self, name: str, ps: Sequence[float] = (50, 95, 99)
-    ) -> Optional[Dict[float, float]]:
-        h = self._histograms.get(name)
-        if h is None or not h.count:
-            return None
-        return {p: h.percentile(p) for p in ps}

@@ -5,11 +5,12 @@ equivalence is only exercised by tests, never by live traffic.  The
 flight recorder closes the gap with the standard production audit loop:
 
 1. **Capture** — :class:`FlightRecorder` is a thread-safe bounded ring
-   the query engine feeds with one record per executed query: the full
-   query parameters (enough to re-plan it from scratch), the plan
-   label and cost hints (backend, data epoch), a stable
-   :func:`result_digest`, the latency and a complete
-   :class:`~repro.core.queries.QueryStats` snapshot.  Committed
+   subscribed to the database's per-query events
+   (:mod:`repro.obs.events`), one record per executed query: the
+   event's encoding — full query parameters (enough to re-plan it from
+   scratch), plan label and cost hints (backend, data epoch), latency,
+   a complete :class:`~repro.core.queries.QueryStats` snapshot — plus
+   a stable :func:`result_digest`.  Committed
    dynamic updates are journalled inline (``flight_update`` records),
    so the capture is a self-contained history of the data the queries
    saw.  An optional JSON-lines sink persists every record as it
@@ -38,11 +39,9 @@ and objective.
 from __future__ import annotations
 
 import hashlib
-import threading
 from typing import Any, Dict, List, Optional
 
-from .sinks import JsonLinesSink
-from .slowlog import stats_to_dict
+from .sinks import RecordRing
 
 __all__ = [
     "FlightRecorder",
@@ -129,7 +128,7 @@ def update_to_dict(record) -> Dict[str, Any]:
     return out
 
 
-class FlightRecorder:
+class FlightRecorder(RecordRing):
     """Thread-safe bounded ring of per-query flight records.
 
     ``max_records`` bounds the in-memory ring (oldest evicted first;
@@ -146,23 +145,12 @@ class FlightRecorder:
         path=None,
         metrics=None,
     ) -> None:
-        if max_records < 1:
-            raise ValueError("max_records must be >= 1")
-        self.max_records = max_records
+        super().__init__(max_records, path)
         self.metrics = metrics
-        self._records: List[Dict[str, Any]] = []
-        self._lock = threading.Lock()
-        self._sink = JsonLinesSink(path) if path is not None else None
-        self.header: Optional[Dict[str, Any]] = None
-        #: Lifetime counters: queries observed (== recorded), ring
-        #: evictions, updates journalled.
+        #: Lifetime counters: queries observed (== recorded), updates
+        #: journalled.
         self.observed = 0
-        self.dropped = 0
         self.updates = 0
-
-    @property
-    def path(self):
-        return self._sink.path if self._sink is not None else None
 
     # -- capture -------------------------------------------------------
     def set_header(self, **fields) -> Dict[str, Any]:
@@ -175,65 +163,33 @@ class FlightRecorder:
         header = {"type": "flight_header", "version": 1}
         header.update(fields)
         with self._lock:
-            self.header = header
             if self._sink is not None:
                 self._sink.emit(header)
         return header
 
-    def record_query(
-        self,
-        plan,
-        result,
-        digest: str,
-        sequence: Optional[int] = None,
-        worker: str = "",
-        shadow: Optional[Dict[str, Any]] = None,
-    ) -> Dict[str, Any]:
+    def record_query(self, event) -> Optional[Dict[str, Any]]:
         """Capture one finished query (engine hot path; one lock hold).
 
-        ``sequence`` is the caller's batch index when known — the
-        replay driver aligns on it; ``seq`` is the recorder's own
-        arrival counter.  ``shadow`` carries the shadow-execution
-        outcome dict when one ran alongside this query.
+        ``event`` is the query's :class:`~repro.obs.events.QueryEvent`;
+        its ``sequence`` (the caller's batch index, when known) is what
+        the replay driver aligns on, ``seq`` is the recorder's own
+        arrival counter, and ``shadow`` carries the shadow-execution
+        outcome when one ran alongside.  Failed queries are not
+        journalled (there is no answer to replay against).
         """
-        stats = result.stats
+        if event.error is not None:
+            return None
         record: Dict[str, Any] = {
             "type": "flight",
-            "kind": plan.kind,
-            "label": plan.label,
-            "algorithm": plan.algorithm,
-            "index": plan.index.name,
-            "query": query_to_dict(plan.query),
-            "epoch": stats.epoch,
-            "digest": digest,
-            "results": len(result),
-            "result_cache_hit": stats.result_cache_hit,
-            "wall_seconds": stats.wall_seconds,
-            "worker": worker,
-            "stats": stats_to_dict(stats),
+            **event.to_dict(),
+            "digest": event.digest,
         }
-        if sequence is not None:
-            record["sequence"] = sequence
-        hints = getattr(plan, "hints", None)
-        if hints is not None:
-            record["hints"] = {
-                "distance_backend": hints.distance_backend,
-                "data_version": hints.data_version,
-            }
-        objective = getattr(result, "objective_value", None)
-        if objective is not None:
-            record["objective"] = round(objective, DIGEST_PRECISION)
-        if shadow is not None:
-            record["shadow"] = shadow
+        if event.shadow is not None:
+            record["shadow"] = event.shadow
         with self._lock:
             self.observed += 1
             record["seq"] = self.observed
-            if len(self._records) >= self.max_records:
-                self._records.pop(0)
-                self.dropped += 1
-            self._records.append(record)
-            if self._sink is not None:
-                self._sink.emit(record)
+            self._push(record)
         if self.metrics is not None:
             self.metrics.inc("recorder.records")
         return record
@@ -243,29 +199,12 @@ class FlightRecorder:
         record = update_to_dict(update)
         with self._lock:
             self.updates += 1
-            if len(self._records) >= self.max_records:
-                self._records.pop(0)
-                self.dropped += 1
-            self._records.append(record)
-            if self._sink is not None:
-                self._sink.emit(record)
+            self._push(record)
         if self.metrics is not None:
             self.metrics.inc("recorder.updates")
         return record
 
     # -- inspection ----------------------------------------------------
-    def records(self, limit: Optional[int] = None) -> List[Dict[str, Any]]:
-        """Ring contents, oldest first (snapshot copy)."""
-        with self._lock:
-            records = list(self._records)
-        if limit is not None:
-            records = records[-limit:]
-        return records
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._records)
-
     def summary(self) -> Dict[str, Any]:
         with self._lock:
             return {
@@ -277,7 +216,3 @@ class FlightRecorder:
                 "max_records": self.max_records,
                 "path": str(self.path) if self.path is not None else None,
             }
-
-    def close(self) -> None:
-        if self._sink is not None:
-            self._sink.close()

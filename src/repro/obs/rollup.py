@@ -14,8 +14,8 @@ module adds the time dimension:
   aggregate the buckets that fall inside the requested window into
   QPS, p50/p95/p99 per stream, error rate and cache-hit rate.  Memory
   is bounded: the ring has a fixed number of buckets and each bucket
-  keeps a stride-subsampled latency reservoir, exactly like
-  :class:`~repro.obs.metrics.Histogram`.
+  keeps one stride-subsampled :class:`~repro.obs.metrics.Histogram`
+  per stream.
 
 * :class:`WindowSnapshot` — the aggregate over one window, with
   :meth:`WindowSnapshot.to_slo_snapshot` shaping it like a registry
@@ -30,9 +30,9 @@ module adds the time dimension:
   load driver once per tick).  Windows that fail any rule are *breach
   events*: counted into the metrics registry (``slo.breaches``, plus a
   per-rule ``slo.breach#<rule>`` labelled counter) and noted into the
-  slow-query log's record stream when one is installed, so a breach
-  shows up in the same ``repro slowlog`` file as the queries that
-  caused it.
+  record stream of whatever slow-query log is installed at that
+  moment, so a breach shows up in the same ``repro slowlog`` file as
+  the queries that caused it.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ import threading
 import time
 from typing import Any, Dict, List, Optional
 
-from .metrics import percentile_of_sorted
+from .metrics import Histogram, percentile_of_sorted
 from .slo import SLOCheck, SLOSpec
 
 __all__ = [
@@ -54,41 +54,6 @@ __all__ = [
 #: Default latency stream queries record into (mirrors the registry's
 #: lifetime histogram of the same name).
 DEFAULT_STREAM = "query.wall_seconds"
-
-
-class _StreamBucket:
-    """Per-(bucket, stream) latency aggregate with a bounded reservoir."""
-
-    __slots__ = ("count", "total", "max", "_samples", "_stride", "_pending",
-                 "_max_samples")
-
-    def __init__(self, max_samples: int) -> None:
-        self.count = 0
-        self.total = 0.0
-        self.max = 0.0
-        self._samples: List[float] = []
-        self._max_samples = max_samples
-        self._stride = 1
-        self._pending = 0
-
-    def observe(self, value: float) -> None:
-        self.count += 1
-        self.total += value
-        if value > self.max:
-            self.max = value
-        self._pending += 1
-        if self._pending < self._stride:
-            return
-        self._pending = 0
-        self._samples.append(value)
-        if len(self._samples) > self._max_samples:
-            # Halve + double the stride: what remains stays a uniform
-            # systematic subsample of the bucket's stream.
-            self._samples = self._samples[::2]
-            self._stride *= 2
-
-    def samples(self) -> List[float]:
-        return list(self._samples)
 
 
 class _Bucket:
@@ -104,7 +69,7 @@ class _Bucket:
         self.count = 0
         self.errors = 0
         self.cache_hits = 0
-        self.streams: Dict[str, _StreamBucket] = {}
+        self.streams: Dict[str, Histogram] = {}
 
 
 class WindowSnapshot:
@@ -218,9 +183,6 @@ class SlidingWindowRollup:
         self._buckets = [_Bucket(-1) for _ in range(self._num_buckets)]
         self._lock = threading.Lock()
         self._start = clock()
-        #: Lifetime totals (exact, never windowed).
-        self.total_count = 0
-        self.total_errors = 0
 
     # -- recording -----------------------------------------------------
     def _bucket_for(self, now: float) -> _Bucket:
@@ -232,28 +194,44 @@ class SlidingWindowRollup:
 
     def record(
         self,
-        latency_seconds: float,
+        latency_seconds: Optional[float],
         stream: str = DEFAULT_STREAM,
         error: bool = False,
         cache_hit: bool = False,
         now: Optional[float] = None,
     ) -> None:
-        """Record one finished query into the current bucket."""
+        """Record one finished query into the current bucket.
+
+        ``latency_seconds=None`` counts the query (and its error) but
+        observes no sample: a query that failed before it had a
+        latency must not pull the window's percentiles towards zero.
+        """
         if now is None:
             now = self._clock()
         with self._lock:
             bucket = self._bucket_for(now)
             bucket.count += 1
-            self.total_count += 1
             if error:
                 bucket.errors += 1
-                self.total_errors += 1
             if cache_hit:
                 bucket.cache_hits += 1
-            sb = bucket.streams.get(stream)
-            if sb is None:
-                sb = bucket.streams[stream] = _StreamBucket(self._max_samples)
-            sb.observe(latency_seconds)
+            if latency_seconds is None:
+                return
+            hist = bucket.streams.get(stream)
+            if hist is None:
+                hist = bucket.streams[stream] = Histogram(
+                    stream, max_samples=self._max_samples
+                )
+            hist.observe(latency_seconds)
+
+    def on_query(self, event) -> None:
+        """Subscriber form of :meth:`record`, for the engine's per-query
+        events (:class:`~repro.obs.events.QueryEvent`)."""
+        if event.error is not None:
+            self.record(None, error=True)
+        else:
+            stats = event.stats
+            self.record(stats.wall_seconds, cache_hit=stats.result_cache_hit)
 
     # -- reporting -----------------------------------------------------
     def snapshot(
@@ -275,37 +253,28 @@ class SlidingWindowRollup:
         )
         oldest = newest - span + 1
         count = errors = cache_hits = 0
-        raw_streams: Dict[str, List[_StreamBucket]] = {}
+        raw_streams: Dict[str, List[Histogram]] = {}
         with self._lock:
             for bucket in self._buckets:
                 if oldest <= bucket.index <= newest and bucket.count:
                     count += bucket.count
                     errors += bucket.errors
                     cache_hits += bucket.cache_hits
-                    for name, sb in bucket.streams.items():
-                        raw_streams.setdefault(name, []).append(sb)
+                    for name, hist in bucket.streams.items():
+                        raw_streams.setdefault(name, []).append(hist)
             streams: Dict[str, Dict[str, float]] = {}
             for name, parts in raw_streams.items():
-                samples: List[float] = []
-                total = 0.0
-                n = 0
-                worst = 0.0
-                for sb in parts:
-                    samples.extend(sb.samples())
-                    total += sb.total
-                    n += sb.count
-                    worst = max(worst, sb.max)
-                samples.sort()
+                # A bucket's histogram exists only once it has a sample.
+                samples = sorted(s for hist in parts for s in hist.samples())
+                n = sum(hist.count for hist in parts)
+                total = sum(hist.total for hist in parts)
                 streams[name] = {
                     "count": n,
                     "sum": total,
-                    "mean": total / n if n else math.nan,
-                    "max": worst,
+                    "mean": total / n,
+                    "max": max(hist.max for hist in parts),
                     **{
-                        f"p{p}": (
-                            percentile_of_sorted(samples, p)
-                            if samples else math.nan
-                        )
+                        f"p{p}": percentile_of_sorted(samples, p)
                         for p in (50, 95, 99)
                     },
                 }
@@ -333,9 +302,11 @@ class LiveSLOMonitor:
     one *breach event*: ``slo.breaches`` (plus per-rule
     ``slo.breach#<rule>`` labelled counters) in the metrics registry,
     and a ``{"type": "slo_breach", ...}`` note in the slow-query log's
-    stream when one is attached.  Callers decide the cadence: the
-    telemetry server evaluates per ``/slo`` scrape, the load driver
-    once per reporting tick.
+    stream.  ``slowlog`` is a zero-argument callable returning the log
+    installed *now* (or ``None``), asked at every breach: a monitor
+    may be installed before the log it notes into and may outlive it.
+    Callers decide the cadence: the telemetry server evaluates per
+    ``/slo`` scrape, the load driver once per reporting tick.
     """
 
     def __init__(
@@ -365,28 +336,21 @@ class LiveSLOMonitor:
                 self.breaches += 1
             self._last_checks = checks
         if failed:
+            record = {
+                "type": "slo_breach",
+                "spec": self.spec.name,
+                "window": window.to_dict(),
+                "failed": [check.to_dict() for check in failed],
+            }
             if self.metrics is not None:
                 self.metrics.inc("slo.breaches")
                 for check in failed:
                     self.metrics.inc(f"slo.breach#{check.rule.name}")
-                self.metrics.emit(self._breach_record(window, failed))
-            if self.slowlog is not None:
-                note = getattr(self.slowlog, "note", None)
-                if note is not None:
-                    note(self._breach_record(window, failed))
+                self.metrics.emit(record)
+            log = self.slowlog() if self.slowlog is not None else None
+            if log is not None:
+                log.note(record)
         return checks
-
-    def _breach_record(self, window: WindowSnapshot, failed) -> Dict[str, Any]:
-        return {
-            "type": "slo_breach",
-            "spec": self.spec.name,
-            "window": window.to_dict(),
-            "failed": [check.to_dict() for check in failed],
-        }
-
-    def last_checks(self) -> List[SLOCheck]:
-        with self._lock:
-            return list(self._last_checks)
 
     def verdict(self) -> Dict[str, Any]:
         """JSON-able state of the most recent evaluation."""

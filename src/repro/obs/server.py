@@ -46,6 +46,7 @@ from __future__ import annotations
 import json
 import threading
 import time
+from functools import partial
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
@@ -150,10 +151,10 @@ class TelemetryServer:
             "/metrics": self._metrics,
             "/healthz": self._healthz,
             "/vars": self._vars,
-            "/slowlog": self._slowlog,
+            "/slowlog": partial(self._ring, "slow_query_log", "trace"),
             "/profile": self._profile,
             "/slo": self._slo,
-            "/recorder": self._recorder,
+            "/recorder": partial(self._ring, "flight_recorder", "stats"),
         }.get(route)
         if handler is None:
             return 404, _TEXT, f"no such route {path!r}\n".encode()
@@ -206,28 +207,32 @@ class TelemetryServer:
         payload["slo"] = monitor.verdict() if monitor is not None else None
         return self._json(payload)
 
-    def _slowlog(self, query) -> Tuple[int, str, bytes]:
-        log = self.db.slow_query_log
-        if log is None:
-            return self._json(
-                {"installed": False, "records": []}, status=200
-            )
-        records = log.records()
+    def _ring(self, attr: str, bulky: str, query) -> Tuple[int, str, bytes]:
+        """``/slowlog`` and ``/recorder``: the ring ``db.<attr>`` holds.
+
+        ``bulky`` is the one key that dwarfs the rest of a record (a
+        slow record's span tree, a flight record's stats snapshot); it
+        is stripped unless the scrape asks for it (``?trace=1`` /
+        ``?stats=1``).
+        """
+        ring = getattr(self.db, attr)
+        if ring is None:
+            return self._json({"installed": False, "records": []})
+        records = ring.records()
         limit = query.get("limit")
         if limit:
             try:
                 records = records[-int(limit[0]):]
             except ValueError:
                 return 400, _TEXT, b"limit must be an integer\n"
-        want_trace = query.get("trace", ["0"])[0] not in ("0", "", "false")
-        if not want_trace:
+        if query.get(bulky, ["0"])[0] in ("0", "", "false"):
             records = [
-                {key: value for key, value in record.items() if key != "trace"}
+                {key: value for key, value in record.items() if key != bulky}
                 for record in records
             ]
         return self._json({
             "installed": True,
-            "summary": log.summary(),
+            "summary": ring.summary(),
             "records": records,
         })
 
@@ -243,28 +248,3 @@ class TelemetryServer:
             return 404, _TEXT, b"no live SLO monitor installed\n"
         monitor.evaluate()
         return self._json(monitor.verdict())
-
-    def _recorder(self, query) -> Tuple[int, str, bytes]:
-        recorder = self.db.flight_recorder
-        if recorder is None:
-            return self._json({"installed": False, "records": []})
-        records = recorder.records()
-        limit = query.get("limit")
-        if limit:
-            try:
-                records = records[-int(limit[0]):]
-            except ValueError:
-                return 400, _TEXT, b"limit must be an integer\n"
-        want_stats = query.get("stats", ["0"])[0] not in ("0", "", "false")
-        if not want_stats:
-            # Stats snapshots dwarf the rest of a flight record; strip
-            # them by default, like /slowlog strips span trees.
-            records = [
-                {k: v for k, v in record.items() if k != "stats"}
-                for record in records
-            ]
-        return self._json({
-            "installed": True,
-            "summary": recorder.summary(),
-            "records": records,
-        })

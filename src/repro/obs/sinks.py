@@ -8,15 +8,22 @@ have today:
 * :class:`JsonLinesSink` — appends one JSON object per line to a file
   (the CLI's ``--metrics <path>``), flushing on every record so a
   killed run still leaves usable data.
+
+:class:`RecordRing` is the container the slow-query log and the flight
+recorder are built on: the most recent ``max_records`` records in
+memory, each optionally streamed to a :class:`JsonLinesSink` as it
+arrives.
 """
 
 from __future__ import annotations
 
 import json
+import threading
+from collections import deque
 from pathlib import Path
-from typing import Dict, List, Optional, Protocol, Union
+from typing import Deque, Dict, List, Optional, Protocol, Union
 
-__all__ = ["Sink", "InMemorySink", "JsonLinesSink"]
+__all__ = ["Sink", "InMemorySink", "JsonLinesSink", "RecordRing"]
 
 
 class Sink(Protocol):
@@ -85,3 +92,55 @@ class JsonLinesSink:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+class RecordRing:
+    """Thread-safe bounded ring of records with an optional file sink.
+
+    The most recent ``max_records`` records are kept in memory
+    (``dropped`` counts the evicted); ``path`` also streams every
+    record to a JSON-lines file, flushing per record.  Subclasses number
+    their records under :attr:`_lock` and append with :meth:`_push`, so
+    a record's number and its place in ring and file agree.
+    """
+
+    def __init__(self, max_records: int, path=None) -> None:
+        if max_records < 1:
+            raise ValueError("max_records must be >= 1")
+        self.max_records = max_records
+        self._records: Deque[Dict] = deque(maxlen=max_records)
+        self._lock = threading.Lock()
+        self._sink = JsonLinesSink(path) if path is not None else None
+        self.dropped = 0
+
+    @property
+    def path(self):
+        return self._sink.path if self._sink is not None else None
+
+    def _push(self, record: Dict) -> None:
+        """Append one record; the caller holds :attr:`_lock`.
+
+        After :meth:`close` records land in memory only: a query in
+        flight on another thread when its log is uninstalled must not
+        raise on a closed file.
+        """
+        if len(self._records) == self.max_records:
+            self.dropped += 1
+        self._records.append(record)
+        if self._sink is not None and not self._sink.closed:
+            self._sink.emit(record)
+
+    def records(self) -> List[Dict]:
+        """Ring contents, oldest first (snapshot copy)."""
+        with self._lock:
+            return list(self._records)
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._records)
+
+    def close(self) -> None:
+        """Close the file sink (under the lock: never mid-record)."""
+        with self._lock:
+            if self._sink is not None:
+                self._sink.close()

@@ -14,9 +14,9 @@ single comparison against one derived value of a
 Rules compare with ``<=`` or ``>=`` (SLOs bound both "keep latency
 down" and "keep hit rates up").  A rule whose metric recorded no data
 passes with ``no_data`` set — an empty run should not trip a gate —
-and :func:`evaluate_slo` returns one :class:`SLOCheck` per rule so the
-caller (``repro ... --slo spec.json`` or a test) can render or gate on
-the whole set.
+and :meth:`SLOSpec.evaluate` returns one :class:`SLOCheck` per rule so
+the caller (``repro ... --slo spec.json`` or a test) can render or gate
+on the whole set.
 
 Specs round-trip through plain dicts (:meth:`SLOSpec.to_dict` /
 :meth:`SLOSpec.from_dict`) so they live in JSON files next to the
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence
 
-__all__ = ["SLORule", "SLOSpec", "SLOCheck", "evaluate_slo"]
+__all__ = ["SLORule", "SLOSpec", "SLOCheck"]
 
 _KINDS = ("histogram_quantile", "counter_ratio", "counter")
 _OPS = ("<=", ">=")
@@ -189,10 +189,3 @@ class SLOSpec:
             name=data.get("name", "slo"),
             rules=[SLORule.from_dict(r) for r in data["rules"]],
         )
-
-
-def evaluate_slo(
-    spec: SLOSpec, snapshot: Dict[str, Any]
-) -> List[SLOCheck]:
-    """Evaluate every rule; convenience wrapper over ``spec.evaluate``."""
-    return spec.evaluate(snapshot)

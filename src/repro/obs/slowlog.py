@@ -3,74 +3,36 @@
 Workload reports show the p95/p99 *numbers*; when the tail moves, an
 operator needs the *queries* that produced it.  This module keeps a
 thread-safe, bounded log of every query that crossed a configurable
-threshold — wall-clock latency, network nodes visited, or both — and
-captures, per offender:
+threshold — wall-clock latency, network nodes visited, or both.  The
+log is a subscriber of the database's per-query events
+(:mod:`repro.obs.events`); a captured record is the event's one
+encoding — plan label, kind, query parameters, full
+:class:`~repro.core.queries.QueryStats` snapshot, worker thread — plus
+the result digest, what crossed which bound, and the complete per-query
+span tree when tracing was on (:meth:`~repro.obs.tracing.Span.to_dict`).
 
-* the executed plan's label (``"SIF/COM"``-style) and kind,
-* a full :class:`~repro.core.queries.QueryStats` snapshot (stage
-  breakdown, I/O, cache deltas),
-* the complete per-query span tree when tracing was on (serialised via
-  :meth:`~repro.obs.tracing.Span.to_dict`), and
-* the worker thread that ran it.
-
-The log composes with concurrent execution: ``offer`` runs under one
-internal lock and per-query tracers are context-owned, so a 4-worker
-``execute_many`` never interleaves records.  An optional JSON-lines
-sink persists each record as it is captured (flushing per record, so a
-killed run still leaves usable data); ``repro slowlog FILE`` renders
-the file back through the EXPLAIN narrator.
+The log composes with concurrent execution: records are numbered and
+appended under one lock and per-query tracers are context-owned, so a
+4-worker ``execute_many`` never interleaves records.  An optional
+JSON-lines sink persists each record as it is captured (flushing per
+record, so a killed run still leaves usable data); ``repro slowlog
+FILE`` renders the file back through the EXPLAIN narrator.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Any, Dict, List, Optional
 
-from .sinks import JsonLinesSink
+from .sinks import RecordRing
 from .tracing import Span
 
 __all__ = [
     "SlowQueryThreshold",
     "SlowQueryLog",
-    "stats_to_dict",
     "render_record",
     "render_breach_record",
     "render_divergence_record",
 ]
-
-
-def stats_to_dict(stats) -> Dict[str, Any]:
-    """A JSON-able snapshot of one query's :class:`QueryStats`."""
-    out: Dict[str, Any] = {
-        "wall_seconds": stats.wall_seconds,
-        "nodes_accessed": stats.nodes_accessed,
-        "edges_accessed": stats.edges_accessed,
-        "objects_loaded": stats.objects_loaded,
-        "false_hit_objects": stats.false_hit_objects,
-        "candidates": stats.candidates,
-        "pairwise_dijkstras": stats.pairwise_dijkstras,
-        "distance_backend": stats.distance_backend,
-        "backend_queries": stats.backend_queries,
-        "backend_settled_nodes": stats.backend_settled_nodes,
-        "backend_bucket_hits": stats.backend_bucket_hits,
-        "expansion_terminated_early": stats.expansion_terminated_early,
-        "epoch": stats.epoch,
-        "result_cache_hit": stats.result_cache_hit,
-        "stage_seconds": dict(stats.stage_seconds),
-        "distance_cache": {
-            "hits": stats.distance_cache_hits,
-            "misses": stats.distance_cache_misses,
-            "evictions": stats.distance_cache_evictions,
-        },
-        "buffer_evictions": stats.buffer_evictions,
-    }
-    if stats.io is not None:
-        out["io"] = {
-            "logical_reads": stats.io.logical_reads,
-            "physical_reads": stats.io.physical_reads,
-            "buffer_hits": stats.io.buffer_hits,
-        }
-    return out
 
 
 class SlowQueryThreshold:
@@ -149,7 +111,7 @@ class SlowQueryThreshold:
         )
 
 
-class SlowQueryLog:
+class SlowQueryLog(RecordRing):
     """Thread-safe bounded log of threshold-crossing queries.
 
     ``max_records`` bounds memory: the most recent offenders are kept,
@@ -163,75 +125,60 @@ class SlowQueryLog:
         max_records: int = 256,
         path=None,
     ) -> None:
-        if max_records < 1:
-            raise ValueError("max_records must be >= 1")
+        super().__init__(max_records, path)
         self.threshold = threshold
-        self.max_records = max_records
-        self._records: List[Dict[str, Any]] = []
-        self._lock = threading.Lock()
-        self._sink = JsonLinesSink(path) if path is not None else None
-        #: Queries offered / captured / dropped-at-capacity, lifetime.
+        #: Queries offered / captured, lifetime.
         self.observed = 0
         self.captured = 0
-        self.dropped = 0
 
-    @property
-    def path(self):
-        return self._sink.path if self._sink is not None else None
-
-    def offer(
-        self,
-        label: str,
-        kind: str,
-        stats,
-        algorithm: str = "",
-        results: int = 0,
-        trace: Optional[Span] = None,
-        worker: str = "",
-        digest: Optional[str] = None,
-    ) -> Optional[Dict[str, Any]]:
+    def offer(self, event) -> Optional[Dict[str, Any]]:
         """Judge one finished query; capture and return it when slow.
 
-        ``digest`` optionally attaches the query's result digest (see
-        :func:`repro.obs.recorder.result_digest`) — present whenever
-        the flight recorder or shadow execution computed one, so two
-        divergent captures are diffable without re-running anything.
-
-        Returns the captured record dict, or ``None`` for fast queries.
+        ``event`` is the query's :class:`~repro.obs.events.QueryEvent`.
+        A captured record always carries the result digest, so two
+        divergent captures are diffable without re-running anything;
+        a shadow run that disagreed is filed as a ``shadow_divergence``
+        note whether or not the query was slow.  Returns the captured
+        record, or ``None`` for fast (and failed) queries.
         """
+        if event.error is not None:
+            return None
+        shadow = event.shadow
+        if shadow is not None and not shadow["match"]:
+            self.note({
+                "type": "shadow_divergence",
+                "label": event.plan.label,
+                "algorithm": event.plan.algorithm,
+                "primary_backend": event.stats.distance_backend,
+                "shadow_backend": shadow["backend"],
+                "primary_digest": shadow["primary_digest"],
+                "shadow_digest": shadow["digest"],
+                "primary_results": len(event.result),
+                "shadow_results": shadow["results"],
+                "worker": event.worker,
+            })
+        stats = event.stats
         reasons = self.threshold.exceeded(
             stats.wall_seconds, stats.nodes_accessed
         )
-        with self._lock:
-            self.observed += 1
-            if not reasons:
-                return None
-            self.captured += 1
-            record: Dict[str, Any] = {
+        record = None
+        if reasons:
+            trace = event.trace
+            record = {
                 "type": "slow_query",
-                "seq": self.captured,
-                "label": label,
-                "kind": kind,
-                "algorithm": algorithm,
-                "distance_backend": stats.distance_backend,
-                "worker": worker,
-                "wall_seconds": stats.wall_seconds,
-                "nodes_accessed": stats.nodes_accessed,
-                "results": results,
+                **event.to_dict(),
+                "digest": event.digest,
                 "exceeded": reasons,
                 "threshold": self.threshold.to_dict(),
-                "stats": stats_to_dict(stats),
                 "trace": trace.to_dict() if trace is not None else None,
             }
-            if digest is not None:
-                record["digest"] = digest
-            if len(self._records) >= self.max_records:
-                self._records.pop(0)
-                self.dropped += 1
-            self._records.append(record)
-            if self._sink is not None:
-                self._sink.emit(record)
-            return record
+        with self._lock:
+            self.observed += 1
+            if record is not None:
+                self.captured += 1
+                record["seq"] = self.captured
+                self._push(record)
+        return record
 
     def note(self, record: Dict[str, Any]) -> None:
         """Append a non-query annotation to the log's record stream.
@@ -242,21 +189,7 @@ class SlowQueryLog:
         share the record bound but do not count as captured queries.
         """
         with self._lock:
-            if len(self._records) >= self.max_records:
-                self._records.pop(0)
-                self.dropped += 1
-            self._records.append(record)
-            if self._sink is not None:
-                self._sink.emit(record)
-
-    def records(self) -> List[Dict[str, Any]]:
-        """Captured records, oldest first (snapshot copy)."""
-        with self._lock:
-            return list(self._records)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._records)
+            self._push(record)
 
     def summary(self) -> Dict[str, Any]:
         """One JSON-able roll-up (emitted with workload summaries)."""
@@ -268,10 +201,6 @@ class SlowQueryLog:
                 "dropped": self.dropped,
                 "threshold": self.threshold.to_dict(),
             }
-
-    def close(self) -> None:
-        if self._sink is not None:
-            self._sink.close()
 
 
 def render_breach_record(record: Dict[str, Any]) -> str:
@@ -341,10 +270,13 @@ def render_record(record: Dict[str, Any]) -> str:
         return render_divergence_record(record)
     stats = record.get("stats") or {}
     wall_ms = record.get("wall_seconds", 0.0) * 1e3
+    # Logs written before the one per-query encoding repeat the count
+    # at top level (and the oldest have it only there).
+    nodes = stats.get("nodes_accessed", record.get("nodes_accessed", "?"))
     header = (
         f"SLOW QUERY #{record.get('seq', '?')}  "
         f"[{record.get('label', '?')}]  {wall_ms:.3f} ms, "
-        f"{record.get('nodes_accessed', '?')} nodes visited "
+        f"{nodes} nodes visited "
         f"(exceeded: {', '.join(record.get('exceeded', ())) or '?'}; "
         f"worker {record.get('worker') or '?'})"
     )

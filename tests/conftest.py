@@ -2,11 +2,24 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
-from repro import Database, NetworkPosition, RoadNetwork
+from repro import (
+    Database,
+    DiversifiedResult,
+    DiversifiedSKQuery,
+    NetworkPosition,
+    QueryPlan,
+    QueryStats,
+    RoadNetwork,
+    SKQuery,
+    SKResult,
+)
 from repro.datasets import build_dataset
 from repro.datasets.catalog import DatasetProfile
+from repro.obs.events import QueryEvent
 
 
 def make_line_network(num_nodes: int = 5, spacing: float = 100.0) -> RoadNetwork:
@@ -127,6 +140,30 @@ def grid_network9() -> RoadNetwork:
 @pytest.fixture()
 def paper_network() -> RoadNetwork:
     return make_paperlike_network()
+
+
+def make_query_event(label: str = "SIF/COM", stats=None, **fields) -> QueryEvent:
+    """The event the engine would publish for a query planned as
+    ``label`` (``"<index>/<ALGORITHM>"``) that finished with ``stats``
+    and no results — a real plan and result, no database.  ``fields``
+    go to :class:`QueryEvent` (``error``, ``sequence``, ``trace``,
+    ``shadow``); an ``error`` makes it a failed query."""
+    index_name, algorithm = label.split("/")
+    algorithm = algorithm.lower()
+    position = NetworkPosition(0, 0.0)
+    stats = stats if stats is not None else QueryStats()
+    if algorithm in ("seq", "com"):
+        kind = "diversified"
+        query = DiversifiedSKQuery.create(position, ["t"], 100.0, k=2)
+        result = DiversifiedResult([], 0.0, algorithm.upper(), stats)
+    else:
+        kind = "sk"
+        query = SKQuery.create(position, ["t"], 100.0)
+        result = SKResult([], stats)
+    plan = QueryPlan(kind, query, SimpleNamespace(name=index_name), algorithm)
+    if fields.get("error") is not None:
+        result = None
+    return QueryEvent(plan, result, **fields)
 
 
 def pos(edge_id: int, offset: float) -> NetworkPosition:

@@ -112,7 +112,9 @@ class TestConcurrentDeterminism:
         query_records = [r for r in records if r["type"] == "query"]
         assert len(query_records) == len(div_queries)
         assert {r["label"] for r in query_records} == {f"{sif.name}/COM"}
-        assert {r["kind"] for r in query_records} == {"diversified/com"}
+        assert {(r["kind"], r["algorithm"]) for r in query_records} == {
+            ("diversified", "com")
+        }
 
     def test_shared_cache_keeps_answers_identical(
         self, tiny_db, sif, div_queries

@@ -223,9 +223,9 @@ class TestObservability:
             db.metrics.remove_sink(sink)
         after = db.metrics.snapshot()["counters"]
         assert [r.stats.distance_backend for r in results] == [backend] * 2
-        assert [r["distance_backend"] for r in sink.of_type("query")] == (
-            [backend] * 2
-        )
+        assert [
+            r["stats"]["distance_backend"] for r in sink.of_type("query")
+        ] == [backend] * 2
         for name in DISTANCE_BACKENDS:
             counter = f"query.backend.{name}"
             assert after.get(counter, 0) - before.get(counter, 0) == (
@@ -246,7 +246,6 @@ class TestObservability:
             records = log.records()
             assert records
             for record in records:
-                assert record["distance_backend"] == "ch"
                 assert record["stats"]["distance_backend"] == "ch"
                 assert "backend_settled_nodes" in record["stats"]
         finally:

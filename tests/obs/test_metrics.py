@@ -145,14 +145,6 @@ class TestMetricsRegistry:
         m.observe("b", 1.0)
         json.dumps(m.snapshot())
 
-    def test_percentiles_helper(self):
-        m = MetricsRegistry()
-        assert m.percentiles("missing") is None
-        for i in range(10):
-            m.observe("lat", float(i))
-        ps = m.percentiles("lat")
-        assert set(ps) == {50, 95, 99}
-
     def test_emit_fans_out_to_sinks(self):
         from repro.obs.sinks import InMemorySink
 

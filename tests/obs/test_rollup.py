@@ -204,7 +204,7 @@ class TestLiveSLOMonitor:
         slowlog = SlowQueryLog(SlowQueryThreshold(latency_seconds=100.0))
         monitor = LiveSLOMonitor(
             make_spec(p95_threshold=0.001), rollup,
-            metrics=metrics, slowlog=slowlog,
+            metrics=metrics, slowlog=lambda: slowlog,
         )
         for i in range(10):
             clock.t = i * 0.1

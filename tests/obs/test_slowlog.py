@@ -6,13 +6,15 @@ import pytest
 
 from repro.core.queries import QueryStats
 from repro.engine import plan_diversified
+from repro.obs.events import stats_to_dict
 from repro.obs.slowlog import (
     SlowQueryLog,
     SlowQueryThreshold,
     render_record,
-    stats_to_dict,
 )
+from repro.storage.iostats import IOSnapshot
 from repro.workloads.queries import WorkloadConfig, generate_diversified_queries
+from tests.conftest import make_query_event
 
 
 def _stats(wall=0.01, nodes=100):
@@ -48,14 +50,14 @@ class TestThreshold:
 class TestSlowQueryLog:
     def test_capture_and_skip(self):
         log = SlowQueryLog(SlowQueryThreshold(latency_seconds=0.01))
-        assert log.offer("SIF/COM", "diversified",
-                         _stats(wall=0.005)) is None
-        record = log.offer(
-            "SIF/COM", "diversified", _stats(wall=0.02),
-            algorithm="com", results=5, worker="w1",
-        )
+        assert log.offer(
+            make_query_event("SIF/COM", _stats(wall=0.005))
+        ) is None
+        record = log.offer(make_query_event("SIF/COM", _stats(wall=0.02)))
         assert record is not None
         assert record["label"] == "SIF/COM"
+        assert record["kind"] == "diversified"
+        assert record["algorithm"] == "com"
         assert record["exceeded"] == ["latency"]
         assert record["stats"]["wall_seconds"] == 0.02
         assert len(log) == 1
@@ -67,9 +69,9 @@ class TestSlowQueryLog:
             SlowQueryThreshold(latency_seconds=0), max_records=2
         )
         for i in range(4):
-            log.offer(f"L{i}", "sk", _stats())
+            log.offer(make_query_event(f"L{i}/INE", _stats()))
         records = log.records()
-        assert [r["label"] for r in records] == ["L2", "L3"]
+        assert [r["label"] for r in records] == ["L2/INE", "L3/INE"]
         assert log.dropped == 2
 
     def test_jsonl_sink_flushes_per_record(self, tmp_path):
@@ -77,19 +79,19 @@ class TestSlowQueryLog:
         log = SlowQueryLog(
             SlowQueryThreshold(latency_seconds=0), path=path
         )
-        log.offer("SIF/INE", "sk", _stats(), worker="w")
+        log.offer(make_query_event("SIF/INE", _stats()))
         lines = path.read_text().splitlines()
         assert len(lines) == 1
         record = json.loads(lines[0])
         assert record["type"] == "slow_query"
-        assert record["worker"] == "w"
+        assert record["worker"] == "MainThread"
         log.close()
 
     def test_render_without_trace_falls_back_to_stages(self):
         stats = _stats(wall=0.02)
         stats.stage_seconds["expansion"] = 0.015
         log = SlowQueryLog(SlowQueryThreshold(latency_seconds=0))
-        record = log.offer("SIF/COM", "diversified", stats)
+        record = log.offer(make_query_event("SIF/COM", stats))
         text = render_record(record)
         assert "SLOW QUERY #1" in text
         assert "expansion" in text
@@ -97,7 +99,11 @@ class TestSlowQueryLog:
 
     def test_stats_to_dict_includes_io_when_present(self):
         stats = _stats()
-        assert "io" not in stats_to_dict(stats)
+        assert stats_to_dict(stats)["io"] is None
+        stats.io = IOSnapshot(5, 2, 0, 3, {})
+        assert stats_to_dict(stats)["io"] == {
+            "logical_reads": 5, "physical_reads": 2, "buffer_hits": 3,
+        }
 
 
 class TestEngineIntegration:
@@ -155,7 +161,7 @@ class TestTolerantRendering:
         stats = _stats(wall=0.02)
         stats.stage_seconds["expansion"] = 0.015
         log = SlowQueryLog(SlowQueryThreshold(latency_seconds=0))
-        record = log.offer("SIF/COM", "diversified", stats)
+        record = log.offer(make_query_event("SIF/COM", stats))
         record["trace"] = {"not": "a span tree"}
         text = render_record(record)
         assert "SLOW QUERY #1" in text
@@ -167,7 +173,7 @@ class TestTolerantRendering:
         retired carry ``ub_*_wins`` counters on ``com.maintenance``;
         span attributes the renderer no longer knows are skipped."""
         log = SlowQueryLog(SlowQueryThreshold(latency_seconds=0))
-        record = log.offer("SIF/COM", "diversified", _stats(wall=0.02))
+        record = log.offer(make_query_event("SIF/COM", _stats(wall=0.02)))
         record["trace"] = {
             "name": "query.diversified", "duration": 0.02,
             "attrs": {"method": "COM"},
@@ -189,7 +195,7 @@ class TestTolerantRendering:
         stats.epoch = 7
         stats.result_cache_hit = True
         log = SlowQueryLog(SlowQueryThreshold(latency_seconds=0))
-        record = log.offer("SIF/COM", "diversified", stats)
+        record = log.offer(make_query_event("SIF/COM", stats))
         text = render_record(record)
         assert "[epoch 7]" in text
         assert "[result-cache HIT]" in text
@@ -206,11 +212,36 @@ class TestTolerantRendering:
         assert "SLOW QUERY #1" in text
         assert "[epoch" not in text
 
+    def test_record_from_before_the_one_encoding_renders(self):
+        """A slow record as the parent of the per-query event wrote it:
+        ``nodes_accessed`` / ``distance_backend`` repeated at top level,
+        ``stats.distance_cache`` nested, no query parameters."""
+        record = {
+            "type": "slow_query", "seq": 1, "label": "SIF/COM",
+            "kind": "diversified", "algorithm": "com",
+            "distance_backend": "csgraph", "worker": "MainThread",
+            "wall_seconds": 0.0229, "nodes_accessed": 7, "results": 3,
+            "exceeded": ["latency"],
+            "threshold": {"latency_seconds": 0.0, "visited_nodes": None},
+            "stats": {
+                "wall_seconds": 0.0229, "nodes_accessed": 7,
+                "candidates": 3, "epoch": 0, "result_cache_hit": False,
+                "stage_seconds": {"expansion": 0.0004, "maintenance": 0.0223},
+                "distance_cache": {"hits": 7, "misses": 2, "evictions": 0},
+                "io": {"logical_reads": 13, "physical_reads": 3,
+                       "buffer_hits": 10},
+            },
+            "trace": None,
+        }
+        text = render_record(record)
+        assert "SLOW QUERY #1  [SIF/COM]  22.900 ms, 7 nodes visited" in text
+        assert "stages: maintenance 22.300 ms, expansion 0.400 ms" in text
+
     def test_note_appends_and_respects_bound(self):
         log = SlowQueryLog(
             SlowQueryThreshold(latency_seconds=0), max_records=2
         )
-        log.offer("L", "sk", _stats())
+        log.offer(make_query_event("L/INE", _stats()))
         log.note({"type": "slo_breach", "spec": "s", "window": {}, "failed": []})
         log.note({"type": "slo_breach", "spec": "s2", "window": {}, "failed": []})
         records = log.records()

@@ -305,7 +305,7 @@ class TestCommands:
         query_records = [r for r in records if r["type"] == "query"]
         assert query_records
         assert all(
-            r["distance_backend"] == "ch" for r in query_records
+            r["stats"]["distance_backend"] == "ch" for r in query_records
         )
         build_records = [r for r in records if r["type"] == "ch_build"]
         assert len(build_records) == 1
@@ -340,12 +340,15 @@ class TestCommands:
         query_records = [r for r in records if r["type"] == "query"]
         assert len(query_records) == 4  # 2 queries x (SEQ, COM)
         for record in query_records:
-            assert record["kind"].startswith("diversified/")
-            assert "stages" in record
-            assert "pairwise_dijkstras" in record
-            assert set(record["distance_cache"]) == {
-                "hits", "misses", "evictions",
-            }
+            assert record["kind"] == "diversified"
+            assert record["algorithm"] in ("seq", "com")
+            stats = record["stats"]
+            assert "expansion" in stats["stage_seconds"]
+            assert "pairwise_dijkstras" in stats
+            assert {
+                "distance_cache_hits", "distance_cache_misses",
+                "distance_cache_evictions",
+            } <= set(stats)
         err = capsys.readouterr().err
         assert "Shared distance cache" in err
 
@@ -466,6 +469,45 @@ class TestConcurrentObservability:
         spans = [e for e in doc["traceEvents"] if e["ph"] == "X"]
         assert sum(1 for e in spans if e["name"] == "query.sk") == 8
         assert {e["tid"] for e in spans} <= {e["tid"] for e in meta}
+
+    def test_three_files_hold_one_encoding(self, tmp_path, capsys):
+        """One 4-worker run written to --metrics, --slowlog and
+        --record: the same queries, encoded the same, in all three —
+        and the concurrent recording replays."""
+        paths = {
+            flag: tmp_path / f"{flag}.jsonl"
+            for flag in ("metrics", "slowlog", "record")
+        }
+        assert main([
+            "diversify", "SYN", "--scale", "0.05", "--queries", "6",
+            "--keywords", "2", "--k", "4", "--workers", "4",
+            *(arg for flag, path in paths.items()
+              for arg in (f"--{flag}", str(path))),
+        ]) == 0
+
+        def queries(flag, record_type):
+            records = [
+                json.loads(line)
+                for line in paths[flag].read_text().splitlines()
+            ]
+            # SEQ and COM are two batches: the label tells them apart.
+            return {
+                (r["label"], r["sequence"]): r
+                for r in records if r["type"] == record_type
+            }
+
+        lines = queries("metrics", "query")
+        slow = queries("slowlog", "slow_query")
+        flights = queries("record", "flight")
+        assert len(lines) == 12  # 6 queries x (SEQ, COM)
+        assert set(lines) == set(slow) == set(flights)
+        for key, line in lines.items():
+            for field in ("stats", "kind", "algorithm", "label", "epoch"):
+                assert line[field] == slow[key][field] == flights[key][field]
+            assert slow[key]["digest"] == flights[key]["digest"]
+        capsys.readouterr()
+        assert main(["replay", str(paths["record"])]) == 0
+        assert "zero divergences" in capsys.readouterr().out
 
     def test_prom_includes_cache_gauges(self, tmp_path):
         prom_path = tmp_path / "metrics.prom"
