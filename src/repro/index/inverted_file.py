@@ -92,15 +92,21 @@ def pack_postings(
     Returns ``prefix -> page numbers holding that prefix's postings`` —
     the same tuples :func:`read_run` and :func:`insert_posting` take.
     Pages are shared between consecutive prefixes, so the map's page
-    lists overlap at the boundaries.
+    lists overlap at the boundaries.  The input is sorted, so a prefix
+    that ended never returns: the map comes out in prefix order.
     """
     prefix_pages: Dict[tuple, List[int]] = {}
+    last: Optional[tuple] = None
+    pages: List[int] = []
     for start in range(0, len(postings), POSTINGS_PER_PAGE):
         chunk = postings[start : start + POSTINGS_PER_PAGE]
         page_no = file.allocate(chunk, size_bytes=len(chunk) * POSTING_BYTES)
         for posting in chunk:
-            pages = prefix_pages.setdefault(posting[:width], [])
-            if not pages or pages[-1] != page_no:
+            prefix = posting[:width]
+            if prefix != last:
+                last = prefix
+                pages = prefix_pages[prefix] = [page_no]
+            elif pages[-1] != page_no:
                 pages.append(page_no)
     return prefix_pages
 
@@ -205,17 +211,15 @@ class InvertedFileIndex(ObjectIndex):
                     staged.setdefault(term, []).append(posting)
 
         for term in sorted(staged):
-            postings = staged[term]
-            edge_pages = pack_postings(self._postings, postings)
-            entries = sorted(
-                (edge_key, pages) for (edge_key,), pages in edge_pages.items()
-            )
+            # Every term starts on a fresh page.
+            first_page = self._postings.num_pages
+            edge_pages = pack_postings(self._postings, staged[term])
             tree = BPlusTree(self._tree_file, key_bytes=8, value_bytes=8)
-            tree.bulk_load(entries)
+            tree.bulk_load([
+                (edge_key, pages) for (edge_key,), pages in edge_pages.items()
+            ])
             self._trees[term] = tree
-            self._pages_per_term[term] = len(
-                {p for pages in edge_pages.values() for p in pages}
-            )
+            self._pages_per_term[term] = self._postings.num_pages - first_page
 
     # ------------------------------------------------------------------
     # Algorithm 2 (without the signature test)

@@ -94,9 +94,9 @@ class SIFGIndex(ObjectIndex):
         for pair in sorted(staged, key=sorted):
             edge_pages = pack_postings(self._group_file, staged[pair])
             tree = BPlusTree(self._group_file, key_bytes=8, value_bytes=8)
-            tree.bulk_load(sorted(
+            tree.bulk_load([
                 (edge_key, pages) for (edge_key,), pages in edge_pages.items()
-            ))
+            ])
             self._group_trees[pair] = tree
 
     def _cover(self, terms: FrozenSet[str]) -> Tuple[List[FrozenSet[str]], List[str]]:

@@ -202,19 +202,18 @@ class SIFPIndex(ObjectIndex):
                         staged_bits.setdefault(term, set()).add(base + v_idx)
 
         for term in sorted(staged):
-            # (edge_key, v_idx) -> page numbers.
+            # (edge_key, v_idx) -> page numbers, in key order; every
+            # term starts on a fresh page.
+            first_page = self._postings.num_pages
             ve_pages = pack_postings(self._postings, staged[term], width=2)
             # Group by edge key for the tree: value = {v_idx: pages}.
             per_edge: Dict[int, Dict[int, List[int]]] = {}
             for (edge_key, v_idx), pages in ve_pages.items():
                 per_edge.setdefault(edge_key, {})[v_idx] = pages
-            entries = sorted(per_edge.items())
             tree = BPlusTree(self._tree_file, key_bytes=8, value_bytes=8)
-            tree.bulk_load(entries)
+            tree.bulk_load(list(per_edge.items()))
             self._trees[term] = tree
-            self._pages_per_term[term] = len(
-                {p for pages in ve_pages.values() for p in pages}
-            )
+            self._pages_per_term[term] = self._postings.num_pages - first_page
 
         # The paper's rule: rare keywords (inverted file fits in one
         # page) carry no signature; their bits always pass.

@@ -12,6 +12,8 @@ from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
+from .zipf import cumulative, draw, draw_distinct
+
 __all__ = ["Vocabulary", "make_term_names"]
 
 
@@ -40,6 +42,7 @@ class Vocabulary:
             raise ValueError("term frequencies must be positive")
         self._index: Dict[str, int] = {t: i for i, t in enumerate(self._terms)}
         self._probs = self._freqs / self._freqs.sum()
+        self._cdf = cumulative(self._probs)
 
     @classmethod
     def from_corpus(cls, keyword_sets: Iterable[Iterable[str]]) -> "Vocabulary":
@@ -74,19 +77,8 @@ class Vocabulary:
         self, count: int, rng: np.random.Generator, distinct: bool = True
     ) -> List[str]:
         """Frequency-weighted sample of ``count`` terms."""
-        if not distinct:
-            idx = rng.choice(len(self._terms), size=count, p=self._probs)
-            return [self._terms[i] for i in idx]
-        count = min(count, len(self._terms))
-        chosen: set = set()
-        while len(chosen) < count:
-            need = count - len(chosen)
-            batch = rng.choice(len(self._terms), size=max(4, 2 * need), p=self._probs)
-            for i in batch:
-                chosen.add(int(i))
-                if len(chosen) == count:
-                    break
-        return [self._terms[i] for i in sorted(chosen)]
+        pick = draw_distinct if distinct else draw
+        return [self._terms[i] for i in pick(self._cdf, rng, count)]
 
     def items(self) -> Iterable[Tuple[str, int]]:
         for i, t in enumerate(self._terms):

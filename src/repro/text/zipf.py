@@ -5,6 +5,14 @@ term frequencies follow the Zipf distribution where the parameter z
 varies from 0.9 to 1.3".  This module provides a seeded sampler over a
 rank-based Zipf law: term of rank ``r`` (1-based) has probability
 proportional to ``1 / r^z``.
+
+Sampling inverts the distribution's CDF over ``Generator.random``:
+:func:`cumulative` once per distribution, then :func:`draw` /
+:func:`draw_distinct` per sample.  That is the draw numpy's weighted
+``choice`` makes — after re-validating the weights and rebuilding the
+CDF on every call — so the index stream is the one it would produce,
+and every generated dataset hangs on it
+(``tests/datasets/test_catalog.py`` pins the bytes).
 """
 
 from __future__ import annotations
@@ -13,7 +21,13 @@ from typing import List, Sequence
 
 import numpy as np
 
-__all__ = ["ZipfSampler", "zipf_probabilities"]
+__all__ = [
+    "ZipfSampler",
+    "zipf_probabilities",
+    "cumulative",
+    "draw",
+    "draw_distinct",
+]
 
 
 def zipf_probabilities(n: int, z: float) -> np.ndarray:
@@ -27,6 +41,38 @@ def zipf_probabilities(n: int, z: float) -> np.ndarray:
     return weights / weights.sum()
 
 
+def cumulative(probs: np.ndarray) -> np.ndarray:
+    """The normalised CDF of ``probs``, for :func:`draw`."""
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def draw(cdf: np.ndarray, rng: np.random.Generator, size: int) -> List[int]:
+    """``size`` indexes distributed by ``cdf``, with replacement."""
+    return cdf.searchsorted(rng.random(size), side="right").tolist()
+
+
+def draw_distinct(
+    cdf: np.ndarray, rng: np.random.Generator, count: int
+) -> List[int]:
+    """``count`` distinct indexes (at most all ``len(cdf)``), ascending.
+
+    Rejection sampling preserves the marginal for small draws; batches
+    keep the numpy call count low.  The batch sizes decide how much of
+    ``rng``'s stream a call consumes, so changing them changes every
+    generated dataset and workload.
+    """
+    count = min(count, len(cdf))
+    # Insertion-ordered: truncating keeps the first ``count`` distinct
+    # indexes of the stream, what adding one at a time would stop at.
+    chosen: dict = {}
+    while len(chosen) < count:
+        need = count - len(chosen)
+        chosen.update(dict.fromkeys(draw(cdf, rng, max(4, 2 * need))))
+    return sorted(list(chosen)[:count])
+
+
 class ZipfSampler:
     """Seeded sampler of vocabulary terms under a Zipf law.
 
@@ -38,7 +84,7 @@ class ZipfSampler:
         if not terms:
             raise ValueError("vocabulary must be non-empty")
         self._terms = list(terms)
-        self._probs = zipf_probabilities(len(self._terms), z)
+        self._cdf = cumulative(zipf_probabilities(len(self._terms), z))
         self._rng = np.random.default_rng(seed)
         self.z = z
 
@@ -48,22 +94,10 @@ class ZipfSampler:
 
     def sample(self, count: int) -> List[str]:
         """Draw ``count`` terms with replacement."""
-        idx = self._rng.choice(len(self._terms), size=count, p=self._probs)
-        return [self._terms[i] for i in idx]
+        return [self._terms[i] for i in draw(self._cdf, self._rng, count)]
 
     def sample_distinct(self, count: int) -> List[str]:
         """Draw ``count`` distinct terms (capped at the vocabulary size)."""
-        count = min(count, len(self._terms))
-        chosen: set = set()
-        # Rejection sampling preserves the Zipf marginal for small draws;
-        # batches keep the numpy call count low.
-        while len(chosen) < count:
-            need = count - len(chosen)
-            batch = self._rng.choice(
-                len(self._terms), size=max(4, 2 * need), p=self._probs
-            )
-            for i in batch:
-                chosen.add(int(i))
-                if len(chosen) == count:
-                    break
-        return [self._terms[i] for i in sorted(chosen)]
+        return [
+            self._terms[i] for i in draw_distinct(self._cdf, self._rng, count)
+        ]

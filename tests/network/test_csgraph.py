@@ -10,7 +10,11 @@ positions on one edge, the same position twice, cutoffs that truncate.
 """
 
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
@@ -233,3 +237,31 @@ def test_offset_a_rounding_step_past_the_weight():
         assert row_as_dict(network, row) == single_source_distances(
             network, network, pos, 15.0
         )
+
+
+SCIPY_ARRIVES_WITH_THE_FIRST_PAIRWISE_DISTANCE = """
+import sys
+from repro import datasets, workloads
+
+db = datasets.build_dataset("SYN", scale=0.1)
+index = db.build_index("sif")
+config = workloads.WorkloadConfig(num_queries=1, seed=1)
+db.sk_search(index, workloads.generate_sk_queries(db, config)[0])
+loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
+assert not loaded, f"set-up and an SK query imported {loaded[:5]}"
+db.diversified_search(index, workloads.generate_diversified_queries(db, config)[0])
+assert "scipy.sparse.csgraph" in sys.modules
+"""
+
+
+def test_nothing_before_the_first_pairwise_distance_imports_scipy():
+    """Import, dataset build, index build and boolean SK queries carry
+    no scipy (0.23 s, 24 MiB); the default pairwise backend brings
+    ``csgraph`` in.  A fresh interpreter, because this one has scipy."""
+    src = Path(__file__).resolve().parents[2] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-c", SCIPY_ARRIVES_WITH_THE_FIRST_PAIRWISE_DISTANCE],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr

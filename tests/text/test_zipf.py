@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.text.vocabulary import Vocabulary
 from repro.text.zipf import ZipfSampler, zipf_probabilities
 
 
@@ -63,3 +66,76 @@ class TestSampler:
         top = draws.count("t0")
         tail = draws.count("t99")
         assert top > 50 * max(tail, 1)
+
+
+# ----------------------------------------------------------------------
+# The sampling the generated datasets were recorded with, kept here as
+# the reference: numpy's weighted ``Generator.choice`` per batch, one
+# index added at a time.  ``repro.text`` must consume the generator's
+# stream exactly as this does, or every dataset digest, golden and
+# recorded page count moves.
+# ----------------------------------------------------------------------
+def choice_with_replacement(rng, probs, count):
+    return [int(i) for i in rng.choice(len(probs), size=count, p=probs)]
+
+
+def choice_distinct(rng, probs, count):
+    count = min(count, len(probs))
+    chosen = set()
+    while len(chosen) < count:
+        need = count - len(chosen)
+        batch = rng.choice(len(probs), size=max(4, 2 * need), p=probs)
+        for i in batch:
+            chosen.add(int(i))
+            if len(chosen) == count:
+                break
+    return sorted(chosen)
+
+
+@st.composite
+def draw_sequences(draw):
+    """(vocabulary size, seed, [(distinct?, count), ...]): counts cover
+    0, 1, the whole vocabulary and more than it."""
+    size = draw(st.integers(1, 60))
+    count = st.one_of(
+        st.sampled_from([0, 1, size, size + 1, 2 * size + 3]),
+        st.integers(0, size + 5),
+    )
+    calls = draw(st.lists(st.tuples(st.booleans(), count), min_size=1, max_size=12))
+    return size, draw(st.integers(0, 2**32 - 1)), calls
+
+
+class TestSameStreamAsChoice:
+    @given(draw_sequences(), st.floats(0.0, 2.0))
+    @settings(max_examples=300, deadline=None)
+    def test_sampler_call_after_call(self, sequence, z):
+        size, seed, calls = sequence
+        terms = [f"t{i}" for i in range(size)]
+        sampler = ZipfSampler(terms, z=z, seed=seed)
+        rng = np.random.default_rng(seed)
+        probs = zipf_probabilities(size, z)
+        for distinct, count in calls:
+            # Comparing every call compares the stream position too.
+            if distinct:
+                expected = choice_distinct(rng, probs, count)
+                got = sampler.sample_distinct(count)
+            else:
+                expected = choice_with_replacement(rng, probs, count)
+                got = sampler.sample(count)
+            assert got == [terms[i] for i in expected]
+
+    @given(draw_sequences(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_vocabulary_call_after_call(self, sequence, data):
+        size, seed, calls = sequence
+        freqs = data.draw(st.lists(st.integers(1, 50), min_size=size, max_size=size))
+        vocab = Vocabulary({f"t{i}": f for i, f in enumerate(freqs)})
+        terms = list(vocab.terms)
+        probs = np.array([vocab.frequency(t) for t in terms], dtype=np.float64)
+        probs /= probs.sum()
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        for distinct, count in calls:
+            reference = choice_distinct if distinct else choice_with_replacement
+            expected = reference(theirs, probs, count)
+            got = vocab.sample_terms(count, ours, distinct=distinct)
+            assert got == [terms[i] for i in expected]
