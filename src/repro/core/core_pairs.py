@@ -21,7 +21,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 import numpy as np
 
 from ..obs.tracing import NULL_TRACER
-from .diversify import greedy_diversify
+from .diversify import PairMatrixBuilder, greedy_rounds, matrix_from_pairs
 from .objective import DiversificationObjective
 from .queries import ResultItem
 
@@ -58,8 +58,14 @@ class CorePairMaintainer:
         objective: DiversificationObjective,
         pair_distance: PairDistance,
         tracer=NULL_TRACER,
+        pair_matrix: Optional[PairMatrixBuilder] = None,
     ) -> None:
-        """``tracer`` records a ``com.core_pair`` event on every CP
+        """``pair_distance`` answers one pair — each streamed arrival
+        against the opponents its θ bound could not rule out;
+        ``pair_matrix`` answers the bootstrap's whole set at once
+        (default: ``pair_distance`` asked pair by pair).
+
+        ``tracer`` records a ``com.core_pair`` event on every CP
         insertion, so a trace shows when (and at what θ) the result set
         last changed.
 
@@ -73,6 +79,9 @@ class CorePairMaintainer:
         self._num_pairs = k // 2
         self._objective = objective
         self._pair_distance = pair_distance
+        self._pair_matrix = pair_matrix or (
+            lambda items: matrix_from_pairs(items, pair_distance)
+        )
         self._tracer = tracer
         self._pairs: List[CorePair] = []  # descending by theta
         #: every active (non-pruned) object seen so far, by id
@@ -187,39 +196,39 @@ class CorePairMaintainer:
         return out
 
     def bootstrap(self, items: List[ResultItem]) -> None:
-        """Initialise CP on the first arrivals with the greedy algorithm."""
+        """Initialise CP on the first arrivals with the greedy algorithm.
+
+        One pair matrix over ``items`` — in arrival order, as a pair by
+        pair walk would resolve them, so the same sources run — then one
+        θ matrix over the ``(distance, id)`` sorted pool: ``best_theta``
+        is its row maxima, the core pairs are the array greedy's rounds
+        (already in non-increasing θ).
+        """
         if self._pairs or self._arrived:
             raise ValueError("bootstrap must run on an empty maintainer")
         for item in items:
             self._arrived[item.object.object_id] = item
-        # Pairwise θ for the small bootstrap set; also warms best_theta.
-        for i, a in enumerate(items):
-            for b in items[i + 1 :]:
-                t = self._theta(a, b)
-                for obj in (a, b):
-                    oid = obj.object.object_id
-                    if t > self._best_theta.get(oid, float("-inf")):
-                        self._best_theta[oid] = t
-        chosen = greedy_diversify(
-            items, 2 * self._num_pairs, self._objective, self._pair_distance
+        n = len(items)
+        if n < 2:
+            return
+        matrix = self._pair_matrix(items)
+        order = sorted(
+            range(n),
+            key=lambda i: (items[i].distance, items[i].object.object_id),
         )
-        pairs: List[CorePair] = []
-        # Re-derive the greedy pairing structure over the chosen objects.
-        remaining = list(chosen)
-        while len(remaining) >= 2:
-            best: Optional[Tuple[float, int, int]] = None
-            for i in range(len(remaining)):
-                for j in range(i + 1, len(remaining)):
-                    t = self._theta(remaining[i], remaining[j])
-                    if best is None or t > best[0]:
-                        best = (t, i, j)
-            t, i, j = best
-            pairs.append(CorePair(t, remaining[i], remaining[j]))
-            remaining = [
-                x for idx, x in enumerate(remaining) if idx not in (i, j)
-            ]
-        pairs.sort(key=lambda p: -p.theta)
-        self._pairs = pairs[: self._num_pairs]
+        pool = [items[i] for i in order]
+        if order != list(range(n)):  # arrivals tied on distance
+            matrix = matrix[np.ix_(order, order)]
+        dists = np.fromiter((it.distance for it in pool), np.float64, n)
+        theta = self._objective.theta_matrix(dists, matrix)
+        self.theta_evaluations += n * (n - 1) // 2
+        others = np.where(np.eye(n, dtype=bool), -np.inf, theta)
+        for item, best in zip(pool, others.max(axis=1).tolist()):
+            self._best_theta[item.object.object_id] = best
+        self._pairs = [
+            CorePair(float(theta[i, j]), pool[i], pool[j])
+            for i, j in greedy_rounds(theta, self._num_pairs)
+        ]
 
     def add(self, item: ResultItem) -> None:
         """Algorithm 5: process one arriving object."""

@@ -20,18 +20,24 @@ report every counter as a *per-query delta*, so a shared
 :class:`~repro.network.distance.PairwiseDistanceComputer` (warm-cache
 serving) never leaks earlier queries' work into this query's stats.
 
-The ``pairwise_dijkstra`` stage measures total pairwise-distance
-evaluation wall time whichever distance backend answers it (bounded
-Dijkstras by default, CH point / many-to-many queries under
-``--distance-backend ch``); the historical name is kept for column
-compatibility across bench trajectories.
+The ``pairwise_dijkstra`` stage is the wall time of every
+pairwise-distance evaluation, whichever backend answers it.  A *set* of
+pair distances — SEQ's pool, COM's first ``k`` arrivals, the pairs of an
+answer — is always one :meth:`PairDistances.matrix` call, which on the
+default backend is one C call (``single_source_rows``) whatever the
+set's size: one per SEQ query; for COM one at the bootstrap and at most
+one more when the answer holds objects that arrived later.  Between the
+two COM asks pair by pair, one streamed arrival at a time, and most of
+those are read off an opponent's cached row.  The standing-query
+refresh (:mod:`repro.core.incremental`) scores its pool through
+:func:`diversify_pool` like SEQ: one call.
 """
 
 from __future__ import annotations
 
 import time
 from itertools import islice
-from typing import Callable, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,52 +47,59 @@ from ..network.graph import RoadNetwork
 from ..obs.metrics import StageClock
 from ..obs.tracing import NULL_TRACER
 from .core_pairs import CorePairMaintainer
-from .diversify import greedy_diversify
+from .diversify import greedy_diversify, matrix_from_pairs
 from .ine import INEExpansion
 from .objective import DiversificationObjective
 from .queries import DiversifiedResult, DiversifiedSKQuery, QueryStats, ResultItem
 
-__all__ = ["seq_search", "com_search"]
+__all__ = ["seq_search", "com_search", "diversify_pool", "PairDistances"]
 
 
-def _make_pair_distance(
-    computer: PairwiseDistanceComputer,
-) -> Callable[[ResultItem, ResultItem], float]:
-    def pair_distance(a: ResultItem, b: ResultItem) -> float:
-        return computer.distance(a.object.position, b.object.position)
+class PairDistances:
+    """Pair distances between result items, from one query's computer.
 
-    return pair_distance
-
-
-def _make_pair_matrix_builder(computer: PairwiseDistanceComputer):
-    """Builds the symmetric pair-distance matrix for the array greedy.
-
-    A backend with an array kernel (hub labels) hands the whole matrix
-    over with no per-pair Python at all.  Otherwise
-    ``computer.pairwise`` resolves pairs in the same lexicographic
-    ``(i, j)`` order the scalar greedy's lazy θ cache would, so the
-    per-query Dijkstra counters come out identical either way.
+    A *set* of pair distances goes through :meth:`matrix`: one batched
+    call whatever the set's size (``computer.pairwise_matrix`` — one C
+    call on the default backend, the array kernel on hub labels).  The
+    last matrix is kept, so the objective of an answer that lies inside
+    it costs no further distance.  :meth:`distance` answers one pair:
+    COM's streamed arrivals, and the backends with no matrix form (CH,
+    Dijkstra through CCAM), whose sets are asked pair by pair in the
+    order ``objective()`` sums in.
     """
 
-    def build(pool) -> "np.ndarray":
-        positions = [it.object.position for it in pool]
-        matrix = computer.pairwise_matrix(positions)
+    def __init__(self, computer: PairwiseDistanceComputer) -> None:
+        self._computer = computer
+        self._matrix: Optional["np.ndarray"] = None
+        self._row_of: Dict[int, int] = {}
+
+    def distance(self, a: ResultItem, b: ResultItem) -> float:
+        return self._computer.distance(a.object.position, b.object.position)
+
+    def matrix(self, items: Sequence[ResultItem]) -> "np.ndarray":
+        matrix = self._computer.pairwise_matrix(
+            [it.object.position for it in items]
+        )
         if matrix is None:
-            pairs = computer.pairwise(positions)
-            n = len(pool)
-            matrix = np.zeros((n, n))
-            for (i, j), d in pairs.items():
-                matrix[i, j] = matrix[j, i] = d
-        # Finalisation re-reads a handful of these distances; keep the
-        # matrix so they resolve without further backend point queries.
-        build.captured["matrix"] = matrix
-        build.captured["row_of"] = {
-            it.object.object_id: i for i, it in enumerate(pool)
-        }
+            matrix = matrix_from_pairs(items, self.distance)
+        self._matrix = matrix
+        self._row_of = {it.object.object_id: i for i, it in enumerate(items)}
         return matrix
 
-    build.captured = {}
-    return build
+    def objective_value(
+        self, objective: DiversificationObjective, items: List[ResultItem]
+    ) -> float:
+        """``f(items)``, from the kept matrix when it covers ``items``,
+        else from one more over exactly them."""
+        if any(it.object.object_id not in self._row_of for it in items):
+            self.matrix(items)
+        rows = [self._row_of[it.object.object_id] for it in items]
+        matrix = self._matrix
+
+        def pd(i: int, j: int) -> float:
+            return float(matrix[rows[i], rows[j]])
+
+        return objective.objective([it.distance for it in items], pd)
 
 
 class _ComputerDelta:
@@ -139,34 +152,48 @@ class _ComputerDelta:
         stats.backend_bucket_hits = bucket_hits - b0
 
 
-def _finalise(
-    items: List[ResultItem],
+def diversify_pool(
+    candidates: List[ResultItem],
+    k: int,
     objective: DiversificationObjective,
     computer: PairwiseDistanceComputer,
-    method: str,
-    stats: QueryStats,
-    captured: Optional[dict] = None,
-) -> DiversifiedResult:
-    dists = [it.distance for it in items]
-    matrix = captured.get("matrix") if captured else None
-    row_of = captured.get("row_of") if captured else None
-    if matrix is not None and all(
-        it.object.object_id in row_of for it in items
+    clock: StageClock,
+    tracer=NULL_TRACER,
+) -> Tuple[List[ResultItem], float]:
+    """SEQ's scoring half (§4.1): pool → one pair matrix → array greedy
+    → ``f(S)``.  Returns the chosen items and their objective value.
+
+    Shared with the standing-query refresh, which maintains the pool
+    instead of expanding for it.  The greedy's selections, ordering and
+    per-query Dijkstra counts are those of the scalar
+    ``greedy_diversify`` reference.
+    """
+    if (
+        computer.backend is not None
+        and len(candidates) > 1
+        and getattr(computer.backend, "position_matrix_array", None) is None
     ):
-        rows = [row_of[it.object.object_id] for it in items]
-
-        def pd(i: int, j: int) -> float:
-            return float(matrix[rows[i], rows[j]])
-
-    else:
-
-        def pd(i: int, j: int) -> float:
-            return computer.distance(
-                items[i].object.position, items[j].object.position
-            )
-
-    value = objective.objective(dists, pd)
-    return DiversifiedResult(items, value, method, stats)
+        # A CH-style backend answers the whole candidate×candidate
+        # matrix with its many-to-many kernel in one go; the pair walk
+        # below then hits the warm pair cache instead of issuing point
+        # queries.  A backend with an array kernel (hub labels) hands
+        # the matrix over as it is asked for.
+        computer.prefetch([c.object.position for c in candidates])
+    pairs = PairDistances(computer)
+    greedy_t0 = time.perf_counter()
+    with clock.stage("greedy"):
+        chosen = greedy_diversify(
+            candidates, k, objective, pairs.distance,
+            pair_matrix_builder=pairs.matrix,
+        )
+    if tracer.enabled:
+        tracer.add_span(
+            "greedy.select", time.perf_counter() - greedy_t0,
+            start=greedy_t0, candidates=len(candidates), k=k,
+        )
+    with clock.stage("finalise"):
+        value = pairs.objective_value(objective, chosen)
+    return chosen, value
 
 
 def seq_search(
@@ -177,12 +204,8 @@ def seq_search(
     pairwise: Optional[PairwiseDistanceComputer] = None,
     tracer=NULL_TRACER,
 ) -> DiversifiedResult:
-    """The straightforward SEQ implementation (paper §4.1).
-
-    The greedy stage runs the vectorized θ-matrix path; selections,
-    ordering and per-query Dijkstra counts are identical to the scalar
-    ``greedy_diversify`` reference.
-    """
+    """The straightforward SEQ implementation (paper §4.1): Algorithm 3
+    run to completion, then :func:`diversify_pool`."""
     start = time.perf_counter()
     clock = StageClock()
     expansion = INEExpansion(
@@ -197,47 +220,15 @@ def seq_search(
 
     with clock.stage("expansion"):
         candidates = expansion.run_to_completion()
-    matrix_builder = _make_pair_matrix_builder(computer)
-    array_kernel = (
-        getattr(computer.backend, "position_matrix_array", None)
-        is not None
-        and len(candidates) > query.k
+    chosen, value = diversify_pool(
+        candidates, query.k, objective, computer, clock, tracer
     )
-    if (
-        computer.backend is not None
-        and len(candidates) > 1
-        and not array_kernel
-    ):
-        # A CH-style backend answers the whole candidate×candidate
-        # matrix with its many-to-many kernel in one go; the greedy
-        # picker then hits the warm pair cache instead of issuing
-        # point queries.  When the array greedy will pull the matrix
-        # straight from an array kernel (hub labels) the dict-shaped
-        # prefetch is skipped — the few finalisation distances resolve
-        # as cheap point label merges.
-        computer.prefetch([c.object.position for c in candidates])
-    greedy_t0 = time.perf_counter()
-    with clock.stage("greedy"):
-        chosen = greedy_diversify(
-            candidates, query.k, objective, _make_pair_distance(computer),
-            pair_matrix_builder=matrix_builder,
-        )
-    if tracer.enabled:
-        tracer.add_span(
-            "greedy.select", time.perf_counter() - greedy_t0,
-            start=greedy_t0, candidates=len(candidates), k=query.k,
-        )
-
     stats = QueryStats(
         nodes_accessed=expansion.stats.nodes_accessed,
         edges_accessed=expansion.stats.edges_accessed,
         candidates=len(candidates),
     )
-    with clock.stage("finalise"):
-        result = _finalise(
-            chosen, objective, computer, "SEQ", stats,
-            captured=matrix_builder.captured,
-        )
+    result = DiversifiedResult(chosen, value, "SEQ", stats)
     delta.apply(stats)
     clock.add("object_loading", expansion.stats.load_seconds)
     clock.add("pairwise_dijkstra", delta.pairwise_seconds)
@@ -279,8 +270,10 @@ def com_search(
         provider, network, cutoff=2.0 * query.delta_max * 1.001
     )
     delta = _ComputerDelta(computer)
+    pairs = PairDistances(computer)
     maintainer = CorePairMaintainer(
-        query.k, objective, _make_pair_distance(computer), tracer=tracer,
+        query.k, objective, pairs.distance, tracer=tracer,
+        pair_matrix=pairs.matrix,
     )
     tracing = tracer.enabled
 
@@ -370,7 +363,10 @@ def com_search(
         expansion_terminated_early=terminated_early,
     )
     with clock.stage("finalise"):
-        result = _finalise(chosen, objective, computer, "COM", stats)
+        # The bootstrap's matrix still covers an answer made of the
+        # first k arrivals; a later arrival in it costs one more.
+        value = pairs.objective_value(objective, chosen)
+    result = DiversifiedResult(chosen, value, "COM", stats)
     delta.apply(stats)
     clock.add("object_loading", expansion.stats.load_seconds)
     clock.add("pairwise_dijkstra", delta.pairwise_seconds)

@@ -8,11 +8,14 @@ SEQ baseline feeds it everything Algorithm 3 returns.
 
 Two evaluation paths produce **identical selections**:
 
-* the historical scalar path (lazy per-pair θ cache, pure Python);
-* the array path: the caller supplies ``pair_matrix_builder`` and the
-  whole θ matrix is evaluated at once
+* the scalar path (lazy per-pair θ cache, pure Python) — the readable
+  reference the tests compare against; no query runs it;
+* the array path every query runs: the caller supplies
+  ``pair_matrix_builder`` and the whole θ matrix is evaluated at once
   (:meth:`~repro.core.objective.DiversificationObjective.theta_matrix`),
-  each greedy round reduced by one masked ``argmax``.
+  each greedy round reduced by one masked ``argmax``
+  (:func:`greedy_rounds`, which COM's bootstrap reads its core pairs
+  off as well).
 
 Bit-identical tie-breaking: the scalar loop walks pairs ``(i, j)`` of
 the distance-sorted pool in lexicographic order keeping the first
@@ -23,6 +26,7 @@ with the same IEEE operations as the scalar ones.
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -30,12 +34,46 @@ import numpy as np
 from .objective import DiversificationObjective
 from .queries import ResultItem
 
-__all__ = ["greedy_diversify"]
+__all__ = ["greedy_diversify", "greedy_rounds", "matrix_from_pairs"]
 
 PairDistance = Callable[[ResultItem, ResultItem], float]
 #: Called with the distance-sorted pool; returns the n×n symmetric
 #: pair-distance matrix aligned to it (numpy array).
 PairMatrixBuilder = Callable[[Sequence[ResultItem]], "object"]
+
+
+def matrix_from_pairs(
+    items: Sequence[ResultItem], pair_distance: PairDistance
+) -> "np.ndarray":
+    """The pair matrix of ``items``, for a pair source with no batched
+    form (CH, Dijkstra through CCAM, a test's closure): asked one pair
+    at a time in lexicographic ``(i, j)`` order — the order
+    ``objective()`` sums in and the scalar greedy walks — so a caching
+    source runs the same searches either way."""
+    n = len(items)
+    matrix = np.zeros((n, n))
+    for i, j in combinations(range(n), 2):
+        matrix[i, j] = matrix[j, i] = pair_distance(items[i], items[j])
+    return matrix
+
+
+def greedy_rounds(theta: "np.ndarray", num_pairs: int) -> List[Tuple[int, int]]:
+    """Algorithm 1's rounds over the θ matrix of a sorted pool: up to
+    ``num_pairs`` disjoint pairs ``(i, j)``, ``i < j``, in pick order,
+    each the first maximum in row-major order among the pairs whose
+    members are both still unpicked."""
+    n = len(theta)
+    upper = np.triu(np.ones((n, n), dtype=bool), k=1)
+    alive = np.ones(n, dtype=bool)
+    rounds: List[Tuple[int, int]] = []
+    for _ in range(min(num_pairs, n // 2)):
+        mask = upper & alive[:, None] & alive[None, :]
+        masked = np.where(mask, theta, -np.inf)
+        flat = int(masked.argmax())  # first max in row-major order ==
+        i, j = divmod(flat, n)       # lexicographically-first strict max
+        rounds.append((i, j))
+        alive[i] = alive[j] = False
+    return rounds
 
 
 def _greedy_from_matrix(
@@ -45,28 +83,14 @@ def _greedy_from_matrix(
     pair_matrix_builder: PairMatrixBuilder,
 ) -> List[ResultItem]:
     n = len(pool)
-    pair_matrix = pair_matrix_builder(pool)
     dists = np.fromiter((it.distance for it in pool), np.float64, n)
-    theta = objective.theta_matrix(dists, pair_matrix)
-    upper = np.triu(np.ones((n, n), dtype=bool), k=1)
-    alive = np.ones(n, dtype=bool)
-    chosen: List[int] = []
-    for _ in range(k // 2):
-        mask = upper & alive[:, None] & alive[None, :]
-        if not mask.any():
-            break
-        masked = np.where(mask, theta, -np.inf)
-        flat = int(masked.argmax())  # first max in row-major order ==
-        i, j = divmod(flat, n)       # lexicographically-first strict max
-        chosen.extend((i, j))
-        alive[i] = alive[j] = False
-        if int(alive.sum()) < 2:
-            break
-    if len(chosen) < k and alive.any():
-        # Odd k (or an exhausted pool): add the closest remaining
-        # object — the lowest alive index, since the pool is sorted.
-        chosen.append(int(np.flatnonzero(alive)[0]))
-    result = [pool[i] for i in chosen[:k]]
+    theta = objective.theta_matrix(dists, pair_matrix_builder(pool))
+    chosen = [i for pair in greedy_rounds(theta, k // 2) for i in pair]
+    if len(chosen) < k:
+        # Odd k: add the closest remaining object — the lowest unpicked
+        # index, since the pool is sorted.
+        chosen.append(next(i for i in range(n) if i not in chosen))
+    result = [pool[i] for i in chosen]
     result.sort(key=lambda it: (it.distance, it.object.object_id))
     return result
 

@@ -21,14 +21,15 @@ produces) and maintains it against the database's update journal:
   edges are ignored — the same conservative Euclidean bound the
   semantic result cache uses.
 
-The answer is then *re-diversified* from the maintained pool with the
-same greedy Algorithm 1 SEQ uses.  Because the pool is kept exactly
-equal to what a fresh exhaustive expansion would return, and greedy
-diversification is deterministic in the pool contents (candidates are
-sorted by ``(distance, object_id)`` before selection), the refreshed
-answer is **identical** to re-running ``diversified_search`` from
-scratch at the current epoch — the recompute-equivalence contract the
-property tests enforce.
+The answer is then *re-diversified* from the maintained pool by the
+function SEQ scores its own pool with
+(:func:`~repro.core.diversified_search.diversify_pool`).  Because the
+pool is kept exactly equal to what a fresh exhaustive expansion would
+return, and greedy diversification is deterministic in the pool
+contents (candidates are sorted by ``(distance, object_id)`` before
+selection), the refreshed answer is **identical** to re-running
+``diversified_search`` from scratch at the current epoch — the
+recompute-equivalence contract the property tests enforce.
 
 Distance fidelity
 -----------------
@@ -47,13 +48,15 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
+from ..errors import DatasetError, GraphError
 from ..network.distance import (
     PairwiseDistanceComputer,
     position_distance_from_node_map,
     single_source_distances,
 )
+from ..obs.metrics import StageClock
 from ..spatial.geometry import project_onto_segment
-from .diversify import greedy_diversify
+from .diversified_search import diversify_pool
 from .ine import INEExpansion
 from .objective import DiversificationObjective
 from .queries import DiversifiedResult, DiversifiedSKQuery, QueryStats, ResultItem
@@ -131,7 +134,7 @@ class IncrementalDiversifiedTopK:
         q = self._query
         try:
             query_point = db.network.position_point(q.position)
-        except Exception:
+        except GraphError:
             # The query's own edge shrank beneath its offset: the
             # standing query's geometry itself is stale — recompute.
             return True
@@ -191,11 +194,9 @@ class IncrementalDiversifiedTopK:
                 continue
             try:
                 obj = db.store.get(rec.object_id)
-            except Exception:
+            except DatasetError:
                 # Inserted and deleted again later in this same batch;
                 # the delete record will keep it out of the pool.
-                obj = None
-            if obj is None:
                 continue
             dist = self._insert_distance(obj)
             if dist <= q.delta_max:
@@ -212,8 +213,10 @@ class IncrementalDiversifiedTopK:
         """Diversify the maintained pool; identical to a fresh SEQ run.
 
         Builds the same pairwise computer ``seq_search`` would (same
-        cutoff, shared distance cache, CH backend, pinned epoch) so the
-        greedy selection sees float-identical ``θ`` values.
+        cutoff, shared distance cache, backend, pinned epoch) and scores
+        the pool through the function ``seq_search`` scores its own
+        with: one batched pair matrix, the array greedy, ``f(S)`` read
+        off that matrix.
         """
         db = self._db
         q = self._query
@@ -225,25 +228,14 @@ class IncrementalDiversifiedTopK:
             backend=db.pairwise_backend(),
             epoch=self._epoch if db.distance_cache is not None else None,
         )
-        candidates = list(self._pool.values())
-        if computer.backend is not None and len(candidates) > 1:
-            computer.prefetch([c.object.position for c in candidates])
-
-        def pair_distance(a: ResultItem, b: ResultItem) -> float:
-            return computer.distance(a.object.position, b.object.position)
-
-        chosen = greedy_diversify(candidates, q.k, self._objective, pair_distance)
-        dists = [it.distance for it in chosen]
-
-        def pd(i: int, j: int) -> float:
-            return computer.distance(
-                chosen[i].object.position, chosen[j].object.position
-            )
-
-        value = self._objective.objective(dists, pd)
+        clock = StageClock()
+        chosen, value = diversify_pool(
+            list(self._pool.values()), q.k, self._objective, computer, clock
+        )
         stats = QueryStats(
-            candidates=len(candidates),
+            candidates=len(self._pool),
             pairwise_dijkstras=computer.dijkstra_runs,
+            stage_seconds=clock.stages,
             distance_backend=computer.backend_name,
             epoch=self._epoch,
         )

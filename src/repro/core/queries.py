@@ -112,6 +112,10 @@ class QueryStats:
     false_hit_objects: int = 0
     candidates: int = 0
     pairwise_dijkstras: int = 0
+    #: Exact θ values COM computed from a network pair distance: each
+    #: distinct pair of the bootstrap set once, then one per opponent an
+    #: arrival's (or a re-queued core object's) θ upper bound did not
+    #: rule out.  0 for SEQ.
     theta_evaluations: int = 0
     expansion_terminated_early: bool = False
     io: Optional[IOSnapshot] = None

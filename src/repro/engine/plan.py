@@ -36,10 +36,16 @@ _ALGORITHMS = {
     "diversified": ("seq", "com"),
 }
 
-#: Below this many estimated matching objects SEQ's flat
-#: scan-then-greedy beats COM: the candidate set is so small that the
-#: core-pair maintenance and pruning bookkeeping cost more than the
-#: pairwise distances they avoid.  2·k keeps the threshold query-sized.
+#: Up to this many *estimated* matches, times k, the planner picks SEQ;
+#: above it COM.  Seed-7 ``perf/`` streams, mean ms a query, best of 3,
+#: SEQ / COM / this rule / the best switch on the *realised* pool size:
+#: ``div_default`` 1.95 / 2.26 / 2.01 / 1.90 (600 queries), ``div_wide``
+#: 9.95 / 5.49 / 5.45 / 5.27 (216).  By realised size SEQ leads up to
+#: ≈ 4·k candidates (2.0 vs 2.7 ms at 10–20) and COM beyond (6.6 vs 19.3
+#: past 80: SEQ's matrix is quadratic, COM stops early), so the estimate
+#: gives away ≤ 6 % of the mean and none of the median to a perfect
+#: switch; always-SEQ would read 44.1 pages a query on ``div_default``
+#: against this rule's 39.1.
 _SEQ_CANDIDATE_FACTOR = 2
 
 

@@ -243,7 +243,7 @@ def single_source_rows(
     values exactly, not merely within rounding.
     """
     # Imported on first use, and nothing before the first pairwise
-    # distance imports scipy at all (a tier-1 test and CI check that):
+    # distance imports scipy at all (a tier-1 test checks that):
     # ``scipy.sparse`` + ``csgraph`` are 163 modules, ≈ 0.23 s and
     # ≈ 24 MiB resident, which a process that only runs boolean SK
     # queries should not carry.

@@ -11,11 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.core_pairs import CorePairMaintainer
+from repro.core.diversified_search import PairDistances
 from repro.core.diversify import greedy_diversify
 from repro.core.objective import DiversificationObjective
 from repro.core.queries import ResultItem
+from repro.network.distance import PairwiseDistanceComputer
 from repro.network.graph import NetworkPosition
 from repro.network.objects import SpatioTextualObject
+from tests.conftest import make_paperlike_network
 
 
 def make_stream(seed, n, delta_max=100.0):
@@ -189,3 +192,127 @@ class TestUpperBoundSkip:
         assert exact_calls < 30 * 29 / 2
         batch = objective_of(greedy_diversify(items, 6, obj, pd), pd, obj)
         assert with_skip == pytest.approx(batch, rel=1e-9)
+
+
+# ----------------------------------------------------------------------
+# The matrix bootstrap against the pair-by-pair one it replaced
+# ----------------------------------------------------------------------
+def scalar_bootstrap(items, k, objective, pair_distance):
+    """The bootstrap as it was before it went through one pair matrix:
+    every pair's θ in arrival order, the scalar greedy, then the pairing
+    re-derived over the chosen objects.  Kept here as the reference.
+
+    Returns ``(pairs, best_theta)``: ``[(θ, u_id, v_id), ...]`` in
+    descending θ and ``{object_id: best θ against any other item}``.
+    """
+    num_pairs = k // 2
+
+    def theta(a, b):
+        return objective.theta(a.distance, b.distance, pair_distance(a, b))
+
+    best_theta = {}
+    for i, a in enumerate(items):
+        for b in items[i + 1:]:
+            t = theta(a, b)
+            for it in (a, b):
+                oid = it.object.object_id
+                if t > best_theta.get(oid, float("-inf")):
+                    best_theta[oid] = t
+    remaining = greedy_diversify(items, 2 * num_pairs, objective, pair_distance)
+    pairs = []
+    while len(remaining) >= 2:
+        best = None
+        for i in range(len(remaining)):
+            for j in range(i + 1, len(remaining)):
+                t = theta(remaining[i], remaining[j])
+                if best is None or t > best[0]:
+                    best = (t, i, j)
+        t, i, j = best
+        pairs.append(
+            (t, remaining[i].object.object_id, remaining[j].object.object_id)
+        )
+        remaining = [x for n, x in enumerate(remaining) if n not in (i, j)]
+    pairs.sort(key=lambda p: -p[0])
+    return pairs[:num_pairs], best_theta
+
+
+@st.composite
+def bootstrap_arrivals(draw):
+    """``(k, items)``: up to ``k`` arrivals on the paper-like network.
+
+    Positions come from a few offsets on a few edges, so objects share
+    edges and exact positions; query distances come from a coarse grid,
+    so they tie, and ids are shuffled, so tied arrivals are not in id
+    order — as INE can emit them.
+    """
+    network = make_paperlike_network()
+    k = draw(st.integers(2, 7))
+    n = draw(st.integers(0, k))
+    ids = draw(st.permutations(range(n)))
+    items = []
+    for oid in ids:
+        edge = network.edge(draw(st.integers(0, network.num_edges - 1)))
+        offset = edge.weight * draw(st.sampled_from([0.0, 0.25, 0.5, 1.0]))
+        obj = SpatioTextualObject(
+            oid, NetworkPosition(edge.edge_id, offset), frozenset({"x"})
+        )
+        items.append(ResultItem(obj, draw(st.sampled_from(
+            [0.0, 2.5, 2.5, 7.0, 11.0, 11.0, 19.5]
+        ))))
+    items.sort(key=lambda it: it.distance)  # stable: ties keep drawn order
+    return network, k, items
+
+
+class TestMatrixBootstrap:
+    @settings(max_examples=300, deadline=None)
+    @given(bootstrap_arrivals(), st.sampled_from([0.0, 0.3, 0.8, 1.0]))
+    def test_equals_the_scalar_bootstrap(self, arrivals, lam):
+        network, k, items = arrivals
+        n = len(items)
+        obj = DiversificationObjective(lam, 20.0)
+        batched = PairwiseDistanceComputer(network, network, cutoff=40.04)
+        per_pair = PairwiseDistanceComputer(network, network, cutoff=40.04)
+        pairs = PairDistances(batched)
+        m = CorePairMaintainer(
+            k, obj, pairs.distance, pair_matrix=pairs.matrix
+        )
+        m.bootstrap(items)
+
+        want_pairs, want_best = scalar_bootstrap(
+            items, k, obj, PairDistances(per_pair).distance
+        )
+        assert [(p.theta, *p.members()) for p in m.pairs] == want_pairs
+        assert m.theta_t == (
+            want_pairs[-1][0] if len(want_pairs) == k // 2
+            else float("-inf")
+        )
+        for it in items:
+            oid = it.object.object_id
+            assert m.best_theta(oid) == want_best.get(oid, float("-inf"))
+        # Each distinct pair once, and the same sources ran.
+        assert m.theta_evaluations == n * (n - 1) // 2
+        assert batched.dijkstra_runs == per_pair.dijkstra_runs
+
+    @settings(max_examples=100, deadline=None)
+    @given(bootstrap_arrivals())
+    def test_default_pair_matrix_asks_pair_by_pair(self, arrivals):
+        """Without ``pair_matrix`` the bootstrap fills the same matrix
+        from ``pair_distance``: same pairs, each pair asked once."""
+        network, k, items = arrivals
+        obj = DiversificationObjective(0.8, 20.0)
+        computer = PairwiseDistanceComputer(network, network, cutoff=40.04)
+        pd = PairDistances(computer).distance
+        asked = []
+
+        def counting_pd(a, b):
+            asked.append((a.object.object_id, b.object.object_id))
+            return pd(a, b)
+
+        m = CorePairMaintainer(k, obj, counting_pd)
+        m.bootstrap(items)
+        want_pairs, _best = scalar_bootstrap(items, k, obj, pd)
+        assert [(p.theta, *p.members()) for p in m.pairs] == want_pairs
+        ids = [it.object.object_id for it in items]
+        assert asked == [
+            (a, b) for i, a in enumerate(ids) for b in ids[i + 1:]
+        ]

@@ -14,6 +14,7 @@ import pytest
 
 from repro.core.incremental import IncrementalDiversifiedTopK
 from repro.datasets.catalog import DatasetProfile, build_dataset
+from repro.errors import DatasetError, GraphError
 from repro.workloads.queries import WorkloadConfig, generate_diversified_queries
 
 SMALL_PROFILE = DatasetProfile(
@@ -176,3 +177,59 @@ def test_counters_and_pool_exposed():
     m.current()
     assert m.counters()["refreshes"] == 1
     assert m.epoch == db.data_version
+
+
+# ----------------------------------------------------------------------
+# The two errors refresh() expects, and nothing wider
+# ----------------------------------------------------------------------
+def standing_query(prefix):
+    db = fresh_db()
+    index = db.build_index("sif", file_prefix=prefix)
+    (query,) = generate_diversified_queries(
+        db, WorkloadConfig(num_queries=1, num_keywords=2, k=4, seed=9)
+    )
+    return db, index, query, IncrementalDiversifiedTopK(db, index, query)
+
+
+def test_matching_insert_deleted_in_the_same_batch_is_skipped():
+    """The insert record's object is gone by the time the batch is
+    folded: ``ObjectStore.get`` raises ``DatasetError`` and the record
+    is skipped, the delete record keeping it out of the pool."""
+    db, index, query, m = standing_query("incr-gone")
+    size = m.pool_size
+    obj = db.insert_object(query.position, set(query.terms), indexes=(index,))
+    db.delete_object(obj.object_id, indexes=(index,))
+    with pytest.raises(DatasetError):
+        db.store.get(obj.object_id)
+    assert m.refresh() is False
+    assert m.pool_size == size
+    assert m.counters()["full_recomputes"] == 0
+
+
+def test_query_edge_shrunk_beneath_its_offset_forces_a_recompute():
+    """``position_point`` raises ``GraphError`` once the query's own
+    edge weighs less than the query's offset: the standing query's
+    geometry is stale, so the reweight counts as relevant."""
+    db, index, query, m = standing_query("incr-shrunk")
+    edge = db.network.edge(query.position.edge_id)
+    assert query.position.offset > 0.0
+    db.update_edge_weight(edge.edge_id, query.position.offset / 2.0)
+    with pytest.raises(GraphError):
+        db.network.position_point(query.position)
+    assert m._reweight_is_relevant(edge.edge_id) is True
+
+
+@pytest.mark.parametrize("target", ["store.get", "network.position_point"])
+def test_an_unexpected_error_is_not_swallowed(target, monkeypatch):
+    db, index, query, m = standing_query("incr-boom")
+    db.insert_object(query.position, set(query.terms), indexes=(index,))
+    edge = next(iter(db.network.edges()))
+    db.update_edge_weight(edge.edge_id, edge.weight * 1.01)
+
+    def boom(*_args):
+        raise RuntimeError("not one of ours")
+
+    owner, name = target.split(".")
+    monkeypatch.setattr(getattr(db, owner), name, boom)
+    with pytest.raises(RuntimeError, match="not one of ours"):
+        m.refresh()
