@@ -45,8 +45,9 @@ class ExpansionStats:
     edges_accessed: int = 0
     objects_emitted: int = 0
     terminated_early: bool = False
-    #: Wall seconds spent inside ``index.load_objects`` (Algorithm 2:
-    #: signature tests + posting fetches), a sub-stage of expansion.
+    #: Wall seconds spent inside the index's bound loader, per edge
+    #: (Algorithm 2: signature test + posting fetch), a sub-stage of
+    #: expansion.
     load_seconds: float = 0.0
 
 
@@ -111,7 +112,8 @@ class INEExpansion:
     network:
         The logical road network (edge metadata only; no traversal).
     index:
-        Object index implementing Algorithm 2 (``load_objects``).
+        Object index implementing Algorithm 2; :meth:`run` binds its
+        ``loader(terms)`` once and calls it per edge.
     position, terms, delta_max:
         The SK query.
     tracer:
@@ -140,29 +142,29 @@ class INEExpansion:
         self._tracer = tracer
         self.stats = ExpansionStats()
 
-    def _load_objects(
-        self, edge_id: int, terms: FrozenSet[str]
-    ) -> List[SpatioTextualObject]:
-        start = time.perf_counter()
-        matches = self._index.load_objects(edge_id, terms)
-        self.stats.load_seconds += time.perf_counter() - start
-        return matches
-
-    def _object_machinery(self):
-        """Emission state: queue, finalisation, query-edge seed.
-
-        Returns ``(queue_object, emit_upto, pinned)`` closures/state
-        with the query edge already seeded (its objects queued at their
-        along-edge distance and pinned against relaxation).
-        """
+    def run(self) -> Iterator[ResultItem]:
+        """Yield matching objects in non-decreasing network distance."""
+        network = self._network
+        position = self._position
+        query_edge = position.edge_id
         delta_max = self._delta_max
+        stats = self.stats
+        neighbors = self._provider.neighbors
+        heappush, heappop = heapq.heappush, heapq.heappop
+        clock = time.perf_counter
+        # Algorithm 2's per-query half.  Bound here, not in __init__:
+        # the counters slot it resolves belongs to the executing thread.
+        load = self._index.loader(self._terms)
+
+        settled: Set[int] = set()
+        visited_edges: Set[int] = {query_edge}
+        node_heap: List[Tuple[float, int]] = []
+        #: matching objects grouped by edge, for endpoint relaxation
+        edge_objects: Dict[int, List[SpatioTextualObject]] = {}
         #: object_id -> best tentative distance
         best: Dict[int, float] = {}
         #: object_id -> object (for emission)
         loaded: Dict[int, SpatioTextualObject] = {}
-        #: objects on the query edge use the along-edge distance and are
-        #: never relaxed (paper: δ(q, p) = w(q, p) on a shared edge).
-        pinned: Set[int] = set()
         emitted: Set[int] = set()
         obj_heap: List[Tuple[float, int]] = []
 
@@ -172,59 +174,49 @@ class INEExpansion:
                 return
             best[obj.object_id] = dist
             loaded[obj.object_id] = obj
-            heapq.heappush(obj_heap, (dist, obj.object_id))
+            heappush(obj_heap, (dist, obj.object_id))
 
         def emit_upto(bound: float) -> Iterator[ResultItem]:
             """Objects whose tentative distance can no longer improve."""
             while obj_heap and obj_heap[0][0] <= bound:
-                dist, oid = heapq.heappop(obj_heap)
+                dist, oid = heappop(obj_heap)
                 if oid in emitted or dist > best[oid]:
                     continue  # stale heap entry
                 if dist > delta_max:
                     continue
                 emitted.add(oid)
-                self.stats.objects_emitted += 1
+                stats.objects_emitted += 1
                 yield ResultItem(loaded[oid], dist)
 
-        # Seed: the query's own edge.
-        self.stats.edges_accessed += 1
-        for obj in self._load_objects(self._position.edge_id, self._terms):
-            dist = abs(obj.position.offset - self._position.offset)
+        # Seed: the query's own edge.  Its objects use the along-edge
+        # distance (paper: δ(q, p) = w(q, p) on a shared edge) and are
+        # never relaxed — the loop below skips the query edge.
+        stats.edges_accessed += 1
+        started = clock()
+        matches = load(query_edge)
+        stats.load_seconds += clock() - started
+        for obj in matches:
+            dist = abs(obj.position.offset - position.offset)
             if dist <= delta_max:
                 queue_object(obj, dist)
-                pinned.add(obj.object_id)
 
-        return queue_object, emit_upto, pinned
-
-    def run(self) -> Iterator[ResultItem]:
-        """Yield matching objects in non-decreasing network distance."""
-        network = self._network
-        delta_max = self._delta_max
-
-        settled: Set[int] = set()
-        visited_edges: Set[int] = {self._position.edge_id}
-        node_heap: List[Tuple[float, int]] = []
-        #: matching objects grouped by edge, for endpoint relaxation
-        edge_objects: Dict[int, List[SpatioTextualObject]] = {}
-
-        queue_object, emit_upto, pinned = self._object_machinery()
-
-        for node_id, dist in seed_distances(network, self._position).items():
-            heapq.heappush(node_heap, (dist, node_id))
+        for node_id, dist in seed_distances(network, position).items():
+            heappush(node_heap, (dist, node_id))
 
         tracer = self._tracer
         tracing = tracer.enabled
-        rounds = _RoundTrace(tracer, self.stats, delta_max) if tracing else None
+        rounds = _RoundTrace(tracer, stats, delta_max) if tracing else None
 
         try:
             while node_heap:
-                d_n, node_id = heapq.heappop(node_heap)
+                d_n, node_id = heappop(node_heap)
                 if node_id in settled:
                     continue
                 # Every queued object with tentative distance <= d_n is
                 # final: any improvement would route through a node settled
                 # later, at distance >= d_n.
-                yield from emit_upto(d_n)
+                if obj_heap and obj_heap[0][0] <= d_n:
+                    yield from emit_upto(d_n)
                 if d_n > delta_max:
                     # δ_T exceeded δmax: no unvisited node or object can
                     # qualify any more (paper's termination condition).
@@ -235,58 +227,46 @@ class INEExpansion:
                         )
                     break
                 settled.add(node_id)
-                self.stats.nodes_accessed += 1
+                stats.nodes_accessed += 1
                 if tracing:
                     rounds.settle(d_n, len(node_heap))
 
-                self._expand_node(
-                    node_id, d_n, settled, visited_edges, node_heap,
-                    edge_objects, pinned, queue_object,
-                )
+                # Relax the settled node's incident edges (Alg. 3 lines 9-22).
+                for edge_id, other, weight in neighbors(node_id):
+                    if other not in settled:
+                        heappush(node_heap, (d_n + weight, other))
+                    if edge_id == query_edge:
+                        continue
+                    if edge_id not in visited_edges:
+                        visited_edges.add(edge_id)
+                        stats.edges_accessed += 1
+                        started = clock()
+                        matches = load(edge_id)
+                        stats.load_seconds += clock() - started
+                        if not matches:
+                            continue
+                        edge_objects[edge_id] = matches
+                    else:
+                        # Second end-node settled: relax the edge's
+                        # objects (Algorithm 3 lines 18-22).
+                        matches = edge_objects.get(edge_id)
+                        if matches is None:
+                            continue
+                    edge = network.edge(edge_id)
+                    if node_id == edge.n1:
+                        for obj in matches:
+                            queue_object(obj, d_n + obj.position.offset)
+                    else:
+                        for obj in matches:
+                            queue_object(
+                                obj, d_n + (edge.weight - obj.position.offset)
+                            )
 
-            yield from emit_upto(float("inf"))
+            if obj_heap:
+                yield from emit_upto(float("inf"))
         finally:
             if tracing:
                 rounds.flush(len(node_heap))
-
-    def _expand_node(
-        self, node_id, d_n, settled, visited_edges, node_heap,
-        edge_objects, pinned, queue_object,
-    ) -> None:
-        """Relax one settled node's incident edges (Alg. 3 lines 9-22)."""
-        network = self._network
-        query_edge = self._position.edge_id
-        for edge_id, other, weight in self._provider.neighbors(node_id):
-            if other not in settled:
-                heapq.heappush(node_heap, (d_n + weight, other))
-            if edge_id == query_edge:
-                continue  # pinned objects keep their along-edge distance
-            edge = network.edge(edge_id)
-            if edge_id not in visited_edges:
-                visited_edges.add(edge_id)
-                self.stats.edges_accessed += 1
-                matches = self._load_objects(edge_id, self._terms)
-                if matches:
-                    edge_objects[edge_id] = matches
-                for obj in matches:
-                    offset = (
-                        obj.position.offset
-                        if node_id == edge.n1
-                        else edge.weight - obj.position.offset
-                    )
-                    queue_object(obj, d_n + offset)
-            else:
-                # Second end-node settled: relax the edge's objects
-                # (Algorithm 3 lines 18-22).
-                for obj in edge_objects.get(edge_id, ()):
-                    if obj.object_id in pinned:
-                        continue
-                    offset = (
-                        obj.position.offset
-                        if node_id == edge.n1
-                        else edge.weight - obj.position.offset
-                    )
-                    queue_object(obj, d_n + offset)
 
     def run_to_completion(self) -> List[ResultItem]:
         """Materialise the whole stream (plain SK search)."""

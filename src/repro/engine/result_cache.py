@@ -39,6 +39,7 @@ from typing import Dict, Optional, Tuple
 
 from ..core.queries import DiversifiedResult, DiversifiedSKQuery
 from ..core.updates import UpdateRecord
+from ..errors import GraphError
 from ..spatial.geometry import Point, project_onto_segment
 
 __all__ = ["ResultCache", "PAIRWISE_RADIUS_FACTOR"]
@@ -150,7 +151,7 @@ class ResultCache:
         key = self._key(index_name, query, algorithm)
         try:
             query_point = db.network.position_point(query.position)
-        except Exception:
+        except GraphError:
             # An edge reweight between execution and this put can leave
             # the query's weight-unit offset beyond the shrunken edge;
             # such an answer is about to be invalid anyway — skip it.

@@ -14,7 +14,7 @@ from __future__ import annotations
 import abc
 import threading
 from dataclasses import dataclass
-from typing import FrozenSet, List, Optional, Sequence
+from typing import Callable, FrozenSet, List, Optional, Sequence
 
 from ..network.objects import ObjectStore, SpatioTextualObject
 from ..obs.tracing import NULL_TRACER
@@ -44,9 +44,10 @@ class LoadCounters:
     #: exact deltas under the merge lock.
     signature_tests_run: int = 0
     signature_tests_pruned: int = 0
-    #: Wall seconds spent in signature verification (the in-memory
-    #: bitmap tests of SIF / SIF-P / SIF-G); sampled as per-query
-    #: deltas by the metrics layer.
+    #: Wall seconds spent building the query's signature guard — the
+    #: AND of its signed rows, once per :meth:`ObjectIndex.loader`
+    #: (SIF / SIF-P / SIF-G); the per-edge test is one shift and is
+    #: not timed.  Sampled as per-query deltas by the metrics layer.
     signature_seconds: float = 0.0
 
     def reset(self) -> None:
@@ -194,6 +195,21 @@ class ObjectIndex(abc.ABC):
         Implementations charge their I/O to the shared disk manager and
         update :attr:`counters`.
         """
+
+    def loader(
+        self, terms: FrozenSet[str]
+    ) -> Callable[[int], List[SpatioTextualObject]]:
+        """The per-query half of Algorithm 2: ``load_objects`` with
+        ``terms`` applied.
+
+        An expansion binds one when it starts, on the executing thread
+        and inside its execution slot, and drops it when it ends.  The
+        signature indexes override this to resolve here what is constant
+        for the query (counters, tracer, the AND of the signed rows), so
+        a loader is never kept across queries or updates.
+        """
+        load_objects = self.load_objects
+        return lambda edge_id: load_objects(edge_id, terms)
 
     @abc.abstractmethod
     def size_bytes(self) -> int:

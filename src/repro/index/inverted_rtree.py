@@ -20,6 +20,7 @@ from ..spatial.geometry import MBR
 from ..spatial.rtree import RTree, RTreeEntry
 from ..storage.pagefile import PAGE_SIZE, DiskManager, PageFile
 from .base import ObjectIndex
+from .inverted_file import rarest_first
 
 __all__ = ["InvertedRTreeIndex"]
 
@@ -83,7 +84,7 @@ class InvertedRTreeIndex(ObjectIndex):
         region = self._store.network.edge(edge_id).mbr
         loaded_total = 0
         intersection: Optional[Set[int]] = None
-        for term in terms:
+        for term in rarest_first(self._store, terms):
             tree = self._trees.get(term)
             ids: Set[int] = set()
             if tree is not None:

@@ -4,12 +4,15 @@ SIF is the inverted file (IF) guarded by the in-memory edge signatures:
 before any B+-tree descent, the AND-semantics signature test discards
 edges that cannot contain a result.  The pruning is free (signatures
 live in memory); the cost is a slightly larger index (Fig. 6(c)).
+
+The guard is built once per query: :meth:`SIFIndex.loader` ANDs the
+signed rows into one integer, and each edge then costs a shift.
 """
 
 from __future__ import annotations
 
 import time
-from typing import FrozenSet, List, Optional
+from typing import Callable, FrozenSet, List, Optional
 
 from ..network.objects import ObjectStore, SpatioTextualObject
 from ..spatial.kdtree import KDTreePartition
@@ -62,23 +65,37 @@ class SIFIndex(ObjectIndex):
     def inverted(self) -> InvertedFileIndex:
         return self._inverted
 
+    def loader(
+        self, terms: FrozenSet[str]
+    ) -> Callable[[int], List[SpatioTextualObject]]:
+        counters = self.counters
+        tracer = self.tracer
+        start = time.perf_counter()
+        signatures = self._signatures
+        bits = signatures.matrix.to_bigint(signatures.combined_row(terms))
+        counters.signature_seconds += time.perf_counter() - start
+        fetch = self._inverted.load_objects
+
+        def load(edge_id: int) -> List[SpatioTextualObject]:
+            counters.signature_tests_run += 1
+            if bits is not None and (
+                edge_id < 0 or not (bits >> edge_id) & 1
+            ):
+                counters.signature_tests_pruned += 1
+                counters.edges_pruned_by_signature += 1
+                if tracer.enabled:
+                    tracer.event(
+                        "signature.prune", edge=edge_id, partition="SIF"
+                    )
+                return []
+            return fetch(edge_id, terms)
+
+        return load
+
     def load_objects(
         self, edge_id: int, terms: FrozenSet[str]
     ) -> List[SpatioTextualObject]:
-        start = time.perf_counter()
-        passed = self._signatures.test(edge_id, terms)
-        counters = self.counters
-        counters.signature_seconds += time.perf_counter() - start
-        counters.signature_tests_run += 1
-        if not passed:
-            counters.signature_tests_pruned += 1
-            counters.edges_pruned_by_signature += 1
-            if self.tracer.enabled:
-                self.tracer.event(
-                    "signature.prune", edge=edge_id, partition="SIF"
-                )
-            return []
-        return self._inverted.load_objects(edge_id, terms)
+        return self.loader(terms)(edge_id)
 
     def size_bytes(self) -> int:
         return self._inverted.size_bytes() + self._signatures.size_bytes()

@@ -13,7 +13,7 @@ space of SIF-P's signatures and still finds SIF-P more cost-effective).
 from __future__ import annotations
 
 import time
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..network.objects import ObjectStore, SpatioTextualObject
 from ..spatial.kdtree import KDTreePartition
@@ -118,53 +118,65 @@ class SIFGIndex(ObjectIndex):
         return pairs, sorted(remaining)
 
     # ------------------------------------------------------------------
-    def load_objects(
-        self, edge_id: int, terms: FrozenSet[str]
-    ) -> List[SpatioTextualObject]:
-        pairs, singles = self._cover(terms)
+    def loader(
+        self, terms: FrozenSet[str]
+    ) -> Callable[[int], List[SpatioTextualObject]]:
         counters = self.counters
-        # Signature test: group bits for pairs, plain bits for singles.
+        # Signature guard: group bits for pairs, plain bits for singles.
         sig_start = time.perf_counter()
-        counters.signature_tests_run += 1
-        for pair in pairs:
-            if edge_id not in self._group_bits.get(pair, ()):
-                counters.signature_seconds += time.perf_counter() - sig_start
-                counters.signature_tests_pruned += 1
-                counters.edges_pruned_by_signature += 1
-                return []
-        passed = self._signatures.test(edge_id, singles)
+        pairs, singles = self._cover(terms)
+        group_bits = [self._group_bits.get(pair, ()) for pair in pairs]
+        signatures = self._signatures
+        bits = signatures.matrix.to_bigint(signatures.combined_row(singles))
         counters.signature_seconds += time.perf_counter() - sig_start
-        if not passed:
-            counters.signature_tests_pruned += 1
-            counters.edges_pruned_by_signature += 1
-            return []
-
-        self.counters.edges_probed += 1
-        key = self._inverted._edge_keys[edge_id]
         # (tree, its postings file) per covering list: pairs, then singles.
         lists = [(self._group_trees[pair], self._group_file) for pair in pairs]
         lists += [
             (self._inverted._trees.get(term), self._inverted._postings)
             for term in singles
         ]
-        loaded_total = 0
-        intersection: Optional[Set[int]] = None
-        for tree, file in lists:
-            pages = tree.search(key) if tree is not None else None
-            loaded = read_run(file, pages or (), (key,))
-            loaded_total += len(loaded)
-            ids = set(loaded)
-            intersection = ids if intersection is None else intersection & ids
+        edge_keys = self._inverted._edge_keys
+        get_object = self._store.get
 
-        self.counters.objects_loaded += loaded_total
-        result_ids = intersection or set()
-        if not result_ids and loaded_total:
-            self.counters.false_hits += 1
-            self.counters.false_hit_objects += loaded_total
-        self.counters.results_returned += len(result_ids)
-        out = [self._store.get(oid) for oid in result_ids]
-        out.sort(key=lambda o: o.position.offset)
-        return out
+        def load(edge_id: int) -> List[SpatioTextualObject]:
+            counters.signature_tests_run += 1
+            passed = bits is None or (edge_id >= 0 and (bits >> edge_id) & 1)
+            for members in group_bits:
+                if edge_id not in members:
+                    passed = False
+                    break
+            if not passed:
+                counters.signature_tests_pruned += 1
+                counters.edges_pruned_by_signature += 1
+                return []
+
+            counters.edges_probed += 1
+            key = edge_keys[edge_id]
+            loaded_total = 0
+            intersection: Optional[Set[int]] = None
+            for tree, file in lists:
+                pages = tree.search(key) if tree is not None else None
+                loaded = read_run(file, pages or (), (key,))
+                loaded_total += len(loaded)
+                ids = set(loaded)
+                intersection = ids if intersection is None else intersection & ids
+
+            counters.objects_loaded += loaded_total
+            result_ids = intersection or set()
+            if not result_ids and loaded_total:
+                counters.false_hits += 1
+                counters.false_hit_objects += loaded_total
+            counters.results_returned += len(result_ids)
+            out = [get_object(oid) for oid in result_ids]
+            out.sort(key=lambda o: o.position.offset)
+            return out
+
+        return load
+
+    def load_objects(
+        self, edge_id: int, terms: FrozenSet[str]
+    ) -> List[SpatioTextualObject]:
+        return self.loader(terms)(edge_id)
 
     # ------------------------------------------------------------------
     def size_bytes(self) -> int:

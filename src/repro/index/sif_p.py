@@ -256,94 +256,99 @@ class SIFPIndex(ObjectIndex):
     # ------------------------------------------------------------------
     # Algorithm 2 with per-virtual-edge signatures
     # ------------------------------------------------------------------
+    def loader(
+        self, terms: FrozenSet[str]
+    ) -> Callable[[int], List[SpatioTextualObject]]:
+        counters = self.counters
+        tracer = self.tracer
+        sig_start = time.perf_counter()
+        # AND the signed terms' rows once; an edge's virtual edges are
+        # then one masked window of the result.  A non-unsigned term
+        # with no row means "absent from the whole dataset": every
+        # segment fails, which is what an all-zero row says.
+        matrix = self._matrix
+        signed = [t for t in terms if t not in self._unsigned_terms]
+        if any(t not in matrix for t in signed):
+            bits = 0
+        else:
+            bits = matrix.to_bigint(matrix.combined(signed))
+        counters.signature_seconds += time.perf_counter() - sig_start
+        # One B+-tree descent per query keyword (as in SIF), rarest first.
+        trees = [self._trees.get(t) for t in rarest_first(self._store, terms)]
+        segments_of = self._segments.get
+        slot_base = self._slot_base.get
+        edge_keys = self._edge_keys
+        postings = self._postings
+        get_object = self._store.get
+
+        def load(edge_id: int) -> List[SpatioTextualObject]:
+            segments = segments_of(edge_id)
+            if segments is None:
+                return []  # no objects on this edge at all
+            count = len(segments)
+            window = (1 << count) - 1  # all-unsigned query: all pass
+            if bits is not None:
+                # An edge that owns no slots never received a bit.
+                base = slot_base(edge_id)
+                window = 0 if base is None else (bits >> base) & window
+            counters.signature_tests_run += 1
+            if not window:
+                counters.signature_tests_pruned += 1
+                counters.edges_pruned_by_signature += 1
+                if tracer.enabled:
+                    tracer.event(
+                        "signature.prune", edge=edge_id, partition="SIF-P",
+                        segments=count,
+                    )
+                return []
+            counters.edges_probed += 1
+            passing = [v for v in range(count) if (window >> v) & 1]
+            if tracer.enabled and len(passing) < count:
+                # Partial prune: some virtual edges failed the signature
+                # test, so their postings are never read — the §3.3 win.
+                tracer.event(
+                    "signature.partial_prune", edge=edge_id,
+                    partition="SIF-P", segments=count, passing=len(passing),
+                )
+            key = edge_keys[edge_id]
+            # Only the postings pages of passing virtual edges are read.
+            per_term_pages = [
+                (tree.search(key) if tree is not None else None) or {}
+                for tree in trees
+            ]
+            result_ids: Set[int] = set()
+            for v_idx in passing:
+                loaded = 0
+                intersection: Optional[Set[int]] = None
+                for value in per_term_pages:
+                    pages = value.get(v_idx)
+                    if pages is None:
+                        intersection = set()
+                        continue
+                    found = read_run(postings, pages, (key, v_idx))
+                    loaded += len(found)
+                    ids = set(found)
+                    intersection = (
+                        ids if intersection is None else intersection & ids
+                    )
+                counters.objects_loaded += loaded
+                hits = intersection or set()
+                if not hits and loaded:
+                    counters.false_hits += 1
+                    counters.false_hit_objects += loaded
+                result_ids.update(hits)
+
+            counters.results_returned += len(result_ids)
+            out = [get_object(oid) for oid in result_ids]
+            out.sort(key=lambda o: o.position.offset)
+            return out
+
+        return load
+
     def load_objects(
         self, edge_id: int, terms: FrozenSet[str]
     ) -> List[SpatioTextualObject]:
-        segments = self._segments.get(edge_id)
-        if segments is None:
-            return []  # no objects on this edge at all
-        counters = self.counters
-        sig_start = time.perf_counter()
-        # Batched per-virtual-edge test: AND the signed terms' rows once
-        # and gather every segment's bit from the combined row in one
-        # kernel call.  A non-unsigned term with no row means "absent
-        # from the whole dataset": every segment fails.
-        matrix = self._matrix
-        signed: List[str] = []
-        absent = False
-        for term in terms:
-            if term in self._unsigned_terms:
-                continue
-            if term not in matrix:
-                absent = True
-                break
-            signed.append(term)
-        if absent:
-            passing: List[int] = []
-        else:
-            base = self._slot_base.get(edge_id)
-            if base is None:
-                # Edge owns no slots (no bit was ever set for it): only
-                # an all-unsigned query can pass.
-                passing = [] if signed else list(range(len(segments)))
-            else:
-                passing = matrix.probe_range(
-                    matrix.combined(signed), base, len(segments)
-                )
-        counters.signature_seconds += time.perf_counter() - sig_start
-        counters.signature_tests_run += 1
-        if not passing:
-            counters.signature_tests_pruned += 1
-            counters.edges_pruned_by_signature += 1
-            if self.tracer.enabled:
-                self.tracer.event(
-                    "signature.prune", edge=edge_id, partition="SIF-P",
-                    segments=len(segments),
-                )
-            return []
-        self.counters.edges_probed += 1
-        if self.tracer.enabled and len(passing) < len(segments):
-            # Partial prune: some virtual edges failed the signature
-            # test, so their postings are never read — the §3.3 win.
-            self.tracer.event(
-                "signature.partial_prune", edge=edge_id, partition="SIF-P",
-                segments=len(segments), passing=len(passing),
-            )
-        key = self._edge_keys[edge_id]
-
-        # One B+-tree descent per query keyword (as in SIF), then only
-        # the postings pages of passing virtual edges are read.
-        ordered = rarest_first(self._store, terms)
-        per_term_pages: Dict[str, Dict[int, List[int]]] = {}
-        for term in ordered:
-            tree = self._trees.get(term)
-            value = tree.search(key) if tree is not None else None
-            per_term_pages[term] = dict(value) if value else {}
-
-        result_ids: Set[int] = set()
-        for v_idx in passing:
-            loaded = 0
-            intersection: Optional[Set[int]] = None
-            for term in ordered:
-                pages = per_term_pages[term].get(v_idx)
-                if pages is None:
-                    intersection = set()
-                    continue
-                found = read_run(self._postings, pages, (key, v_idx))
-                loaded += len(found)
-                ids = set(found)
-                intersection = ids if intersection is None else intersection & ids
-            self.counters.objects_loaded += loaded
-            hits = intersection or set()
-            if not hits and loaded:
-                self.counters.false_hits += 1
-                self.counters.false_hit_objects += loaded
-            result_ids.update(hits)
-
-        self.counters.results_returned += len(result_ids)
-        out = [self._store.get(oid) for oid in result_ids]
-        out.sort(key=lambda o: o.position.offset)
-        return out
+        return self.loader(terms)(edge_id)
 
     # ------------------------------------------------------------------
     def size_bytes(self) -> int:

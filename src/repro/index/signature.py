@@ -20,9 +20,9 @@ Storage layout: one packed ``uint64`` bitset row per signed keyword,
 ``ceil(num_slots / 64)`` words wide, over a dense slot space (edge ids
 for SIF, virtual-edge slots for SIF-P).  The AND over a query's terms
 is computed once per distinct term set and cached until the next
-``set``/``clear`` bumps the version; ``test`` then costs one
-word-index/mask probe, and :meth:`PackedBitMatrix.probe_many` answers a
-whole batch of slots with one vectorised gather.
+``set``/``clear`` bumps the version — the one cache on this path.  A
+query's loader turns that row into a Python int once
+(:meth:`PackedBitMatrix.to_bigint`) and tests each edge with one shift.
 """
 
 from __future__ import annotations
@@ -216,37 +216,14 @@ class PackedBitMatrix:
             (int(combined[slot >> 6]) >> (slot & 63)) & 1
         )
 
-    def probe_many(self, combined, slots: Sequence[int]) -> List[bool]:
-        """Batched :meth:`probe` over many slots (vectorised gather)."""
-        if combined is None:
-            return [True] * len(slots)
-        if not len(slots):
-            return []
-        idx = np.asarray(slots, dtype=np.int64)
-        words = combined[idx >> 6]
-        shifts = (idx & 63).astype(np.uint64)
-        bits = (words >> shifts) & np.uint64(1)
-        return bits.astype(bool).tolist()
-
-    def probe_range(self, combined, start: int, count: int) -> List[int]:
-        """Indices ``i in [0, count)`` whose slot ``start + i`` is set."""
-        if combined is None:
-            return list(range(count))
-        if not count:
-            return []
-        idx = np.arange(start, start + count, dtype=np.int64)
-        words = combined[idx >> 6]
-        shifts = (idx & 63).astype(np.uint64)
-        bits = (words >> shifts) & np.uint64(1)
-        return np.flatnonzero(bits).tolist()
-
     def to_bigint(self, combined) -> Optional[int]:
         """A combined row as one arbitrary-precision int (or ``None``).
 
         Scalar probes on a Python int (``(bits >> slot) & 1``) beat
-        numpy scalar indexing, which pays per-element boxing; callers
-        that probe edge-at-a-time (the INE load path) convert once per
-        cached term set and shift thereafter.
+        numpy scalar indexing, which pays per-element boxing; an
+        index's loader converts once per query and shifts per edge.  A
+        slot past the last word shifts to zero: it fails, as in
+        :meth:`probe`.
         """
         if combined is None:
             return None
@@ -322,10 +299,6 @@ class SignatureFile:
                 continue
             self._matrix.bulk_set(term, edges)
         self._skipped = frozenset(skipped)
-        #: term-set → (version, combined row, bigint view); the INE
-        #: load path probes edge-at-a-time under one frozen term set,
-        #: so the per-call cost must be a dict hit plus one int shift.
-        self._query_memo: Dict[FrozenSet[str], Tuple] = {}
 
     # ------------------------------------------------------------------
     @property
@@ -339,7 +312,7 @@ class SignatureFile:
 
     @property
     def matrix(self) -> PackedBitMatrix:
-        """The packed row storage (exposed for batched callers)."""
+        """The packed row storage."""
         return self._matrix
 
     def has_signature(self, term: str) -> bool:
@@ -361,43 +334,9 @@ class SignatureFile:
         signed = [t for t in terms if t in matrix]
         return matrix.combined(signed)
 
-    def _memoised_row(self, terms: Iterable[str]) -> Tuple:
-        """``(combined, bigint)`` for a term set, memoised per version.
-
-        Keyed by the frozen term set so the per-edge ``test`` calls a
-        query issues cost one dict hit; invalidated by the matrix
-        version like the matrix's own combined-row cache.
-        """
-        key = (
-            terms if isinstance(terms, frozenset) else frozenset(terms)
-        )
-        matrix = self._matrix
-        version = matrix.version
-        hit = self._query_memo.get(key)
-        if hit is not None and hit[0] == version:
-            return hit[1], hit[2]
-        combined = self.combined_row(key)
-        bits = matrix.to_bigint(combined)
-        if len(self._query_memo) >= 64:
-            self._query_memo.clear()
-        self._query_memo[key] = (version, combined, bits)
-        return combined, bits
-
     def test(self, edge_id: int, terms: Iterable[str]) -> bool:
         """AND-semantics signature test: ``False`` means *prune the edge*."""
-        _combined, bits = self._memoised_row(terms)
-        if bits is None:
-            return True
-        if edge_id < 0:
-            return False
-        return bool((bits >> edge_id) & 1)
-
-    def test_many(
-        self, edge_ids: Sequence[int], terms: Iterable[str]
-    ) -> List[bool]:
-        """Batched :meth:`test` over many edges with one combined AND."""
-        combined, _bits = self._memoised_row(terms)
-        return self._matrix.probe_many(combined, edge_ids)
+        return self._matrix.probe(self.combined_row(terms), edge_id)
 
     def edges_of(self, term: str) -> FrozenSet[int]:
         return self._matrix.slots_of(term)

@@ -180,3 +180,33 @@ class TestConstruction:
         q = make_query()
         run(cached_db, index, q)
         assert run(cached_db, index, q).stats.result_cache_hit is False
+
+
+class TestPutWhenTheQueryPointIsGone:
+    """``put`` places the query on the network as it is *now*."""
+
+    def _answer(self, db):
+        cache, db.result_cache = db.result_cache, None
+        index = db.build_index("sif")
+        q = make_query()
+        return cache, q, run(db, index, q)
+
+    def test_offset_past_a_shrunken_edge_is_skipped(self, cached_db):
+        cache, _q, result = self._answer(cached_db)
+        weight = cached_db.network.edge(0).weight
+        beyond = DiversifiedSKQuery.create(
+            NetworkPosition(0, weight * 3.0), ["pizza"], 500.0, 2, 0.8
+        )
+        cache.put(cached_db, "SIF", beyond, "seq", result)
+        assert len(cache) == 0
+
+    def test_any_other_error_propagates(self, cached_db, monkeypatch):
+        cache, q, result = self._answer(cached_db)
+
+        def broken(position):
+            raise RuntimeError("not a GraphError")
+
+        monkeypatch.setattr(cached_db.network, "position_point", broken)
+        with pytest.raises(RuntimeError, match="not a GraphError"):
+            cache.put(cached_db, "SIF", q, "seq", result)
+        assert len(cache) == 0
