@@ -335,8 +335,26 @@ class SignatureFile:
         return matrix.combined(signed)
 
     def test(self, edge_id: int, terms: Iterable[str]) -> bool:
-        """AND-semantics signature test: ``False`` means *prune the edge*."""
+        """AND-semantics signature test: ``False`` means *prune the edge*.
+
+        The per-slot reference: the bound loaders shift one bigint
+        instead, and the tests compare that shift against this.  Keep
+        it, and keep it uncached beyond ``PackedBitMatrix.combined``.
+        """
         return self._matrix.probe(self.combined_row(terms), edge_id)
+
+    def test_many(
+        self, edge_ids: Sequence[int], terms: Iterable[str]
+    ) -> List[bool]:
+        """:meth:`test` per edge over one AND.
+
+        No caller in ``src/``: ``perf/probes.PROBES`` names it and a
+        ``perf/`` test pins that list, so it goes with that probe row
+        (ROADMAP 1b).
+        """
+        row = self.combined_row(terms)
+        probe = self._matrix.probe
+        return [probe(row, edge_id) for edge_id in edge_ids]
 
     def edges_of(self, term: str) -> FrozenSet[int]:
         return self._matrix.slots_of(term)

@@ -125,6 +125,36 @@ def sweep(db, index, bind):
     return lists, counters
 
 
+def guard_reference(db, index, kind, terms):
+    """``(signature tests, edges pruned)`` the guard owes for ``terms``.
+
+    Derived slot by slot from what the indexes keep beside the bigint
+    the loaders shift: ``SignatureFile.test``, SIF-G's group sets and
+    ``SIFPIndex._bit``.  SIF-P tests only edges that hold objects.
+    """
+    edge_ids = [edge.edge_id for edge in db.network.edges()]
+    if kind == "sif-p":
+        edge_ids = [e for e in edge_ids if db.store.objects_on_edge(e)]
+
+        def passes(e):
+            return any(
+                all(index._bit(e, v, t) for t in terms)
+                for v in range(len(index.segments_of(e)))
+            )
+    elif kind == "sif-g":
+        pairs, singles = index._cover(terms)
+
+        def passes(e):
+            return index.signatures.test(e, singles) and all(
+                e in index._group_bits.get(pair, ()) for pair in pairs
+            )
+    else:
+        def passes(e):
+            return index.signatures.test(e, terms)
+
+    return len(edge_ids), sum(not passes(e) for e in edge_ids)
+
+
 class TestBoundLoaderIsLoadObjects:
     def test_world_has_every_kind_of_term(self, world):
         _db, indexes, terms = world
@@ -164,6 +194,15 @@ class TestBoundLoaderIsLoadObjects:
                 if o.contains_all(terms)
             )
         assert bound_counters.results_returned == sum(map(len, bound))
+        # And so is the guard: on the signature kinds load_objects is
+        # the loader, so the prune counters need a reference of their own.
+        kind = INDEXES[name][0]
+        if kind.startswith("sif"):
+            tests, pruned = guard_reference(db, index, kind, terms)
+            assert bound_counters.signature_tests_run == tests
+            assert bound_counters.signature_tests_pruned == pruned
+            assert bound_counters.edges_pruned_by_signature == pruned
+            assert bound_counters.edges_probed == tests - pruned
 
 
 class TestLoaderBoundAfterAnUpdate:

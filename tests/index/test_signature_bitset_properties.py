@@ -194,6 +194,9 @@ def test_signature_file_matches_reference(placements, dyn_ops, query):
     edges = list(range(store.network.num_edges))
     expected = [ref_test(e, query) for e in edges]
     assert [sig.test(e, query) for e in edges] == expected
+    # Out-of-range edges fail closed unless nothing is signed.
+    beyond = [-1] + edges + [len(edges), 200]
+    assert sig.test_many(beyond, query) == [sig.test(e, query) for e in beyond]
     for t in TERMS:
         if sig.has_signature(t):
             assert sig.edges_of(t) == frozenset(ref.get(t, set()))
