@@ -6,11 +6,10 @@ hold to append into the ring.  No I/O on the hot path when no journal
 file is attached; with ``--record FILE`` the JSON-lines write is the
 extra cost measured here too.
 
-Method mirrors the profiler-overhead benchmark: interleaved A/B rounds
-(OFF, ON, OFF, ON, ...) over the same query batch, comparing
-min-of-rounds per arm.  The asserted bound is looser than the 3 %
-claim (CI wall-clock jitter exceeds the effect); the table records the
-measured ratio.
+Method: interleaved A/B rounds (OFF, ON, OFF, ON, ...) over the same
+query batch, comparing min-of-rounds per arm.  The asserted bound is
+looser than the 3 % claim (CI wall-clock jitter exceeds the effect);
+the table records the measured ratio.
 """
 
 from __future__ import annotations

@@ -14,7 +14,6 @@ Commands
 ``replay``    deterministically re-execute a ``--record`` journal and
               report divergences (``--backend``/``--workers`` turn
               it into a cross-backend audit)
-``profile``   render a folded-stack profile written by the profiler
 
 Flags are declared once, in groups (``build_parser``), one group per
 distinct set of takers; a subcommand accepts exactly the groups it
@@ -26,13 +25,13 @@ those flags ask for:
 ``dataset``      ``profile`` ``--scale`` ``--seed`` (also ``info``
                  ``generate`` ``explain``)
 ``query``        ``--distance-backend`` ``--keywords`` ``--delta-max``
-                 ``--workload-seed`` ``--trace`` (Chrome trace-event
-                 JSON for https://ui.perfetto.dev) ``--slow-ms``
-                 ``--slow-nodes`` (also ``explain``)
+                 ``--workload-seed`` ``--slow-ms`` ``--slow-nodes``
+                 (also ``explain``)
 ``workers``      ``--workers`` (also ``replay``)
-``run``          ``--queries`` ``--metrics`` ``--prom`` ``--slowlog``
-                 ``--slo`` ``--telemetry-port`` ``--record``
-                 ``--shadow-backend`` ``--shadow-rate``
+``run``          ``--queries`` ``--metrics`` ``--prom`` ``--trace``
+                 (span trees, for ``--slowlog`` to capture)
+                 ``--slowlog`` ``--slo`` ``--telemetry-port``
+                 ``--record`` ``--shadow-backend`` ``--shadow-rate``
 ``index``        ``--index`` (workloads but ``compare``; ``explain``)
 ``diversified``  ``--k`` ``--lambda`` (``diversify`` ``update``
                  ``loadtest`` ``explain``)
@@ -61,10 +60,8 @@ from .obs import (
     SLOSpec,
     SlowQueryThreshold,
     database_gauges,
-    parse_folded,
-    render_profile,
+    render_check,
     render_record,
-    write_chrome_trace,
     write_prometheus,
 )
 from .workloads.queries import (
@@ -85,9 +82,9 @@ def _positive_int(text: str) -> int:
 
 
 def _positive_float(text: str) -> float:
-    """A finite float > 0.  Guards rate-style flags (``--profile-hz``,
-    ``--qps``): zero or negative values would busy-loop or crash a
-    daemon thread long after parsing, so reject them up front."""
+    """A finite float > 0.  Guards rate-style flags (``--qps``,
+    ``--duration``): zero or negative values would busy-loop or crash
+    the load driver long after parsing, so reject them up front."""
     try:
         value = float(text)
     except ValueError:
@@ -121,8 +118,8 @@ def _port(text: str) -> int:
 def _output_path(text: str) -> str:
     """An output file path whose parent directory must already exist.
 
-    Validated at parse time so a typo in ``--trace``/``--prom``/
-    ``--metrics`` fails before minutes of workload run, not after.
+    Validated at parse time so a typo in ``--prom``/``--metrics``/
+    ``--slowlog`` fails before minutes of workload run, not after.
     """
     parent = Path(text).expanduser().resolve().parent
     if not parent.is_dir():
@@ -167,11 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--keywords", type=int, default=3, metavar="L")
     query.add_argument("--delta-max", type=float, default=None)
     query.add_argument("--workload-seed", type=int, default=101)
-    query.add_argument(
-        "--trace", metavar="PATH", default=None, type=_output_path,
-        help="trace every query and write the span trees as Chrome "
-             "trace-event JSON (Perfetto-loadable) to PATH",
-    )
     query.add_argument(
         "--slow-ms", type=float, default=None, metavar="MS",
         help="latency threshold, milliseconds: a workload captures "
@@ -222,6 +214,13 @@ def build_parser() -> argparse.ArgumentParser:
              "metrics registry (plus cache/buffer gauges) to PATH",
     )
     run.add_argument(
+        "--trace", action="store_true",
+        help="trace every query: each one a slow-query log captures "
+             "(--slowlog, /slowlog?trace=1) then carries its span "
+             "tree, which `repro slowlog` narrates; writes nothing "
+             "itself and costs about 1.2-1.4 x per query",
+    )
+    run.add_argument(
         "--slowlog", metavar="PATH", default=None, type=_output_path,
         help="persist captured slow queries as JSON lines to PATH "
              "(with no --slow-ms/--slow-nodes, captures every "
@@ -236,8 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--telemetry-port", type=_port, default=None, metavar="PORT",
         help="serve live telemetry over HTTP on 127.0.0.1:PORT for "
-             "the duration of the run (/metrics, /healthz, /vars, "
-             "/slowlog, /profile, /slo, /recorder); 0 picks a free port",
+             "the duration of the run (/metrics; GET / lists the "
+             "other routes); 0 picks a free port",
     )
 
     run.add_argument(
@@ -370,15 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--duration", type=_positive_float, default=10.0, metavar="SECONDS",
         help="how long to sustain the rate (default 10)",
     )
-    p.add_argument(
-        "--profile-out", metavar="PATH", default=None, type=_output_path,
-        help="sample wall-clock stacks during the run and write folded "
-             "flamegraph lines to PATH (render with `repro profile`)",
-    )
-    p.add_argument(
-        "--profile-hz", type=_positive_float, default=None, metavar="HZ",
-        help="profiler sampling rate (default 67 Hz; must be > 0)",
-    )
 
     p = command(
         "replay", _cmd_replay, [workers],
@@ -393,16 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--limit", type=_positive_int, default=None, metavar="N",
         help="replay only the first N recorded queries",
-    )
-
-    p = command(
-        "profile", _cmd_profile,
-        help="render a folded-stack profile written by --profile-out",
-    )
-    p.add_argument("path", help="folded-stack file (stack<space>count lines)")
-    p.add_argument(
-        "--top", type=_positive_int, default=15, metavar="N",
-        help="show the N hottest stacks/frames (default 15)",
     )
 
     return parser
@@ -476,28 +456,13 @@ def _report_shadow(db, backend: Optional[str]) -> int:
     return 0
 
 
-def _report_run(db, args, profile_out: Optional[str]) -> None:
+def _report_run(db, args) -> None:
     """What a finished workload prints and writes, before teardown."""
     if db.distance_cache is not None:
         print(f"Shared distance cache: {db.distance_cache.stats()}",
               file=sys.stderr)
     if db.result_cache is not None:
         print(f"Result cache: {db.result_cache.stats()}", file=sys.stderr)
-    if profile_out:
-        profiler = db.disable_profiler()
-        profiler.write_folded(profile_out)
-        pstats = profiler.stats()
-        print(f"Wrote {pstats['samples']} profile samples "
-              f"({pstats['distinct_stacks']} stacks) to "
-              f"{profile_out} (render with `repro profile`)",
-              file=sys.stderr)
-    if args.trace:
-        collector = db.trace_collector
-        write_chrome_trace(args.trace, collector)
-        print(f"Wrote {len(collector.records)} query traces "
-              f"({len(collector.workers)} worker lane(s)) to "
-              f"{args.trace} (load at https://ui.perfetto.dev)",
-              file=sys.stderr)
     if args.prom:
         write_prometheus(args.prom, db.metrics, gauges=database_gauges(db))
         print(f"Wrote Prometheus exposition to {args.prom}", file=sys.stderr)
@@ -530,7 +495,6 @@ def _close_run(db, sink, snapshot: bool) -> None:
     raised has none).
     """
     db.stop_telemetry()
-    db.disable_profiler()
     db.disable_slow_query_log()
     db.disable_flight_recorder()
     if sink is None:
@@ -549,26 +513,19 @@ def _close_run(db, sink, snapshot: bool) -> None:
 
 @contextmanager
 def _workload_run(
-    args,
-    index: Optional[str] = None,
-    *,
-    slo_at_end: bool = True,
-    profile_out: Optional[str] = None,
-    profile_hz: Optional[float] = None,
+    args, index: Optional[str] = None, *, slo_at_end: bool = True
 ):
     """Set one workload command up, and tear it down, in one place.
 
     Builds the database and installs what the shared workload flags ask
     for — metrics sink, tracing, slow-query log, flight recorder,
-    shadow execution, telemetry server — plus the sampling profiler
-    when ``profile_out`` is given (only ``loadtest`` has the flag).
-    The ``with`` body runs the workload against ``run.db`` and may set
-    ``run.rc``.  On success the run is reported (``--trace`` /
-    ``--prom`` / profile files, capture summaries) and ``run.rc``
-    becomes the first failing of: the body's own code, ``--slo``
-    against the final snapshot (``slo_at_end``; ``loadtest`` gates on
-    its live windows instead), the shadow audit.  On every exit path,
-    an exception included, everything opened here is closed.
+    shadow execution, telemetry server.  The ``with`` body runs the
+    workload against ``run.db`` and may set ``run.rc``.  On success
+    the run is reported (the ``--prom`` file, capture summaries) and
+    ``run.rc`` becomes the first failing of: the body's own code,
+    ``--slo`` against the final snapshot (``slo_at_end``; ``loadtest``
+    gates on its live windows instead), the shadow audit.  On every
+    exit path, an exception included, everything opened here is closed.
     """
     db = _build_db(args.profile, args.scale, args.seed)
     db.use_distance_backend(args.distance_backend)
@@ -579,9 +536,7 @@ def _workload_run(
             sink = JsonLinesSink(args.metrics)
             db.metrics.add_sink(sink)
         if args.trace:
-            # Each query draws its own tracer from the collector, so
-            # --trace composes with --workers N.
-            db.enable_tracing(max_traces=max(64, args.queries))
+            db.enable_tracing()
         threshold = _slow_threshold(args)
         if threshold is None and args.slowlog is not None:
             # --slowlog with neither threshold captures *every* query
@@ -612,12 +567,10 @@ def _workload_run(
             # Up before the workload, so an external scraper watches
             # counters advance while queries run.
             server = db.serve_telemetry(port=args.telemetry_port)
-            print(f"Telemetry: {server.url}/metrics (also /healthz /vars "
-                  f"/slowlog /profile /slo)", file=sys.stderr)
-        if profile_out:
-            db.enable_profiler(hz=profile_hz)
+            print(f"Telemetry: {server.url}/metrics ({server.url}/ lists "
+                  f"the other routes)", file=sys.stderr)
         yield run
-        _report_run(db, args, profile_out)
+        _report_run(db, args)
         if slo_at_end and not run.rc:
             run.rc = _check_slo(db, args.slo)
         if not run.rc:
@@ -740,10 +693,6 @@ def _cmd_explain(args) -> int:
         slow_threshold=_slow_threshold(args),
     )
     print(report.render())
-    if args.trace:
-        write_chrome_trace(args.trace, [report.trace])
-        print(f"Wrote the trace to {args.trace} "
-              "(load at https://ui.perfetto.dev)", file=sys.stderr)
     return 0
 
 
@@ -826,10 +775,7 @@ def _cmd_replay(args) -> int:
 def _cmd_loadtest(args) -> int:
     from .workloads.loadtest import LoadTestConfig, run_loadtest
 
-    with _workload_run(
-        args, args.index, slo_at_end=False,
-        profile_out=args.profile_out, profile_hz=args.profile_hz,
-    ) as run:
+    with _workload_run(args, args.index, slo_at_end=False) as run:
         db = run.db
         if args.distance_cache is not None:
             db.use_shared_distance_cache(max_entries=args.distance_cache)
@@ -857,16 +803,7 @@ def _cmd_loadtest(args) -> int:
         if spec is not None:
             verdict = report.slo or {}
             for check in verdict.get("checks", ()):
-                rule = check.get("rule", {})
-                value = check.get("value")
-                shown = (f"{value:.6g}"
-                         if isinstance(value, (int, float)) else "no data")
-                status = ("SKIP" if check.get("no_data")
-                          else "PASS" if check.get("passed") else "FAIL")
-                print(f"  {status}  {rule.get('name', '?')}: "
-                      f"{rule.get('metric', '?')} = {shown} "
-                      f"(want {rule.get('op', '?')} "
-                      f"{rule.get('threshold', '?')})")
+                print(f"  {render_check(check)}")
             print(
                 f"Live SLO [{verdict.get('spec', '?')}]: "
                 f"{verdict.get('evaluations', 0)} window evaluations, "
@@ -878,20 +815,6 @@ def _cmd_loadtest(args) -> int:
             print("live SLO gate FAILED", file=sys.stderr)
             run.rc = 1
     return run.rc
-
-
-def _cmd_profile(args) -> int:
-    path = Path(args.path)
-    if not path.exists():
-        print(f"error: {path} does not exist", file=sys.stderr)
-        return 1
-    with path.open(encoding="utf-8") as fh:
-        table = parse_folded(fh)
-    if not table:
-        print("no profile samples found")
-        return 0
-    print(render_profile(table, top=args.top))
-    return 0
 
 
 def main(argv: Optional[List[str]] = None) -> int:

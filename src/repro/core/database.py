@@ -37,7 +37,7 @@ from ..network.graph import CSRSnapshot, NetworkPosition, RoadNetwork
 from ..network.hub_labels import HubLabelBackend
 from ..obs.metrics import MetricsRegistry
 from ..obs.slowlog import SlowQueryLog, SlowQueryThreshold
-from ..obs.tracing import TraceCollector, Tracer
+from ..obs.tracing import Tracer
 from ..network.objects import ObjectStore, SpatioTextualObject, build_edge_rtree, snap_point_to_edge
 from ..spatial.geometry import Point
 from ..spatial.kdtree import KDTreePartition
@@ -81,7 +81,7 @@ class Database:
 
         Tracing is off (the no-op
         :data:`~repro.obs.tracing.NULL_TRACER`, no measurable overhead)
-        until :meth:`enable_tracing` installs a collector.
+        until :meth:`enable_tracing`.
 
         ``distance_backend`` selects how diversified queries evaluate
         exact pairwise network distances: ``"csgraph"`` (the default —
@@ -96,11 +96,11 @@ class Database:
         self.network = network
         self.curve = curve or ZOrderCurve()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        #: Installed by :meth:`enable_tracing`: the thread-safe store of
-        #: completed per-query span trees.  When present, every
-        #: execution context draws a fresh per-query tracer from it —
-        #: which is what makes tracing safe under concurrent execution.
-        self.trace_collector: Optional[TraceCollector] = None
+        #: ``None`` while tracing is off; :meth:`enable_tracing` sets the
+        #: bounds every execution context builds its query's own tracer
+        #: with — which is what makes tracing safe under concurrent
+        #: execution.
+        self.trace_bounds: Optional[Dict[str, int]] = None
         #: Who hears about each finished query (:meth:`publish`): a
         #: tuple of callables taking the query's event, replaced —
         #: never mutated — by ``enable_*`` / ``disable_*``, so a query
@@ -153,8 +153,6 @@ class Database:
         self.rollup = None
         #: Live SLO monitor over the rollup (see :meth:`use_live_slo`).
         self.live_slo = None
-        #: Sampling wall-clock profiler (see :meth:`enable_profiler`).
-        self.profiler = None
         #: Live HTTP scrape endpoint (see :meth:`serve_telemetry`).
         self.telemetry_server = None
         #: Flight recorder capturing every executed query (see
@@ -607,32 +605,28 @@ class Database:
     # Tracing
     # ------------------------------------------------------------------
     def enable_tracing(
-        self,
-        max_traces: int = 64,
-        max_children: int = 512,
-        max_events: int = 1024,
-    ) -> TraceCollector:
-        """Install a :class:`~repro.obs.tracing.TraceCollector`.
+        self, max_children: int = 512, max_events: int = 1024
+    ) -> None:
+        """Trace every subsequent query.
 
-        Every subsequent query records an *independent* per-query span
-        tree (INE rounds, signature filtering, pairwise Dijkstras, COM
-        rounds) into ``db.trace_collector`` — the execution context
-        draws a fresh tracer per query and publishes the finished tree
-        back, so tracing composes with ``execute_many(workers=N)``:
-        a traced concurrent batch yields one well-formed tree per
-        query, attributed to the worker thread that ran it.  Returns
-        the installed collector.
+        Each query records its own span tree (INE rounds, signature
+        filtering, pairwise Dijkstras, COM rounds), at most
+        ``max_children`` spans under one parent and ``max_events``
+        events on one span, on a tracer its execution context builds —
+        so tracing composes with ``execute_many(workers=N)``: a traced
+        concurrent batch yields one well-formed tree per query.  The
+        finished root rides the query's event
+        (:attr:`QueryEvent.trace <repro.obs.events.QueryEvent.trace>`)
+        and nothing else keeps it: install a slow-query log to capture
+        the trees (``repro slowlog FILE`` narrates them).
         """
-        self.trace_collector = TraceCollector(
-            max_traces=max_traces,
-            max_children=max_children,
-            max_events=max_events,
-        )
-        return self.trace_collector
+        self.trace_bounds = {
+            "max_children": max_children, "max_events": max_events,
+        }
 
     def disable_tracing(self) -> None:
         """Revert to the zero-overhead no-op path."""
-        self.trace_collector = None
+        self.trace_bounds = None
 
     # ------------------------------------------------------------------
     # Slow-query log
@@ -707,7 +701,7 @@ class Database:
             recorder.close()
 
     # ------------------------------------------------------------------
-    # Live telemetry: rollup, live SLO, profiler, HTTP endpoint
+    # Live telemetry: rollup, live SLO, HTTP endpoint
     # ------------------------------------------------------------------
     def uptime_seconds(self) -> float:
         """Seconds since this database object was created."""
@@ -758,48 +752,17 @@ class Database:
         )
         return self.live_slo
 
-    def enable_profiler(
-        self,
-        hz: Optional[float] = None,
-        only_labelled: bool = False,
-    ):
-        """Start the always-on sampling wall-clock profiler.
-
-        A daemon thread samples every live thread's stack ``hz`` times
-        per second (default :data:`repro.obs.profiler.DEFAULT_HZ`) and
-        folds them into a bounded flamegraph-ready table, attributed
-        to the plan label the sampled thread was executing.  Scrape it
-        at ``/profile``, or render with ``repro profile FILE`` after
-        :meth:`disable_profiler`.  Idempotent while running.
-        """
-        if self.profiler is not None and self.profiler.running:
-            return self.profiler
-        from ..obs.profiler import DEFAULT_HZ, SamplingProfiler
-
-        self.profiler = SamplingProfiler(
-            hz=hz if hz is not None else DEFAULT_HZ,
-            only_labelled=only_labelled,
-        ).start()
-        return self.profiler
-
-    def disable_profiler(self):
-        """Stop the profiler; returns it (with its folded table) or None."""
-        profiler, self.profiler = self.profiler, None
-        if profiler is not None:
-            profiler.stop()
-        return profiler
-
     def serve_telemetry(
         self, port: int = 0, host: str = "127.0.0.1"
     ):
         """Start the live HTTP observability endpoint for this database.
 
-        Serves ``/metrics`` (Prometheus text), ``/healthz``, ``/vars``,
-        ``/slowlog``, ``/profile`` and ``/slo`` from a daemon thread —
-        this is the per-shard scrape target the ROADMAP's serving layer
-        mounts.  ``port=0`` binds an ephemeral port; read it back from
-        the returned server's ``port``.  Enables the rollup so scrapes
-        see live windows.  Returns the running
+        Serves ``/metrics`` (Prometheus text) and the JSON routes that
+        ``GET /`` lists from a daemon thread — this is the per-shard
+        scrape target the ROADMAP's serving layer mounts.  ``port=0``
+        binds an ephemeral port; read it back from the returned
+        server's ``port``.  Enables the rollup so scrapes see live
+        windows.  Returns the running
         :class:`~repro.obs.server.TelemetryServer`.
         """
         if self.telemetry_server is not None:
@@ -831,10 +794,11 @@ class Database:
         ``query`` may be an :class:`~repro.core.queries.SKQuery`, an
         :class:`~repro.core.knn.SKkNNQuery` or a
         :class:`~repro.core.queries.DiversifiedSKQuery` (routed through
-        ``method``).  An installed trace collector is untouched — the
-        temporary tracer rides the execution context.  The report
-        carries the chosen :class:`~repro.engine.plan.QueryPlan` and
-        the query's span tree and result (see :mod:`repro.obs.explain`).
+        ``method``).  Whether tracing is on for the database does not
+        matter — the temporary tracer rides the execution context.
+        The report carries the chosen
+        :class:`~repro.engine.plan.QueryPlan` and the query's span
+        tree and result (see :mod:`repro.obs.explain`).
 
         ``slow_threshold`` adds a slow-query verdict to the rendered
         report, so a single query can be judged against an SLO without
@@ -852,7 +816,7 @@ class Database:
             plan = plan_knn(self, index, query)
         else:
             plan = plan_sk(self, index, query)
-        tracer = Tracer(max_traces=4)
+        tracer = Tracer(max_traces=1)
         result = self.engine.execute(plan, tracer=tracer)
         if slow_threshold is None and self.slow_query_log is not None:
             slow_threshold = self.slow_query_log.threshold

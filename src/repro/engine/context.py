@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from ..index.base import LoadCounters
-from ..obs.tracing import NULL_TRACER
+from ..obs.tracing import NULL_TRACER, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover — import cycle guard
     from ..core.database import Database
@@ -54,25 +54,19 @@ class ExecutionContext:
     ) -> None:
         self.db = db
         self.plan = plan
-        #: The collector this context publishes its finished trace to
-        #: (``None`` when the tracer was injected or tracing is off).
-        self._collector = None
+        bounds = db.trace_bounds
         if tracer is not None:
-            # Explicit override (EXPLAIN): the caller owns the tracer
-            # and reads the tree off it directly.
+            # Explicit override (EXPLAIN): trace this query whether or
+            # not tracing is on for the database.
             self.tracer = tracer
+        elif bounds is not None:
+            # Tracing is on: this query gets its *own* bounded span
+            # tree, whose root rides the query's event.  Per-query
+            # ownership is what makes execute_many(workers=N) with
+            # tracing sound — span stacks never cross threads.
+            self.tracer = Tracer(max_traces=1, **bounds)
         else:
-            collector = db.trace_collector
-            if collector is not None:
-                # Tracing is on: this query gets its *own* bounded span
-                # tree on the collector's shared timeline.  Per-query
-                # ownership is what makes execute_many(workers=N) with
-                # tracing sound — tracer span stacks never cross
-                # threads.
-                self.tracer = collector.new_tracer()
-                self._collector = collector
-            else:
-                self.tracer = NULL_TRACER
+            self.tracer = NULL_TRACER
         #: Data epoch this execution is pinned to, sampled once at
         #: context creation.  The pairwise computer passes it to every
         #: shared distance-cache access, so a query that started before
@@ -108,11 +102,7 @@ class ExecutionContext:
                 if self._io_cm is not None:
                     self._io_cm.__exit__(exc_type, exc, tb)
             finally:
-                try:
-                    self.plan.index.end_execution()
-                finally:
-                    if self._collector is not None:
-                        self._collector.collect(self.tracer)
+                self.plan.index.end_execution()
         return False
 
     def finalise(self, stats: "QueryStats") -> None:

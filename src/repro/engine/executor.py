@@ -18,12 +18,10 @@ concurrency contract:
   :class:`~repro.network.distance.DistanceCache` are lock-protected;
   each query builds its *own* ``PairwiseDistanceComputer`` on top of
   the shared cache.
-* Tracing is concurrency-native: each execution context draws a fresh
-  per-query :class:`~repro.obs.tracing.Tracer` from the database's
-  :class:`~repro.obs.tracing.TraceCollector` and publishes the
-  finished span tree back, so a traced ``execute_many(workers=N)``
-  yields one independent tree per query (merged into a single Chrome
-  trace with per-worker lanes by :mod:`repro.obs.export`).
+* Tracing is concurrency-native: with tracing on, each execution
+  context builds its own bounded :class:`~repro.obs.tracing.Tracer`
+  and the finished root span rides the query's event, so a traced
+  ``execute_many(workers=N)`` yields one independent tree per query.
 
 CPython's GIL serialises the pure-Python compute, so wall-clock
 speedup from ``workers > 1`` comes from overlapping *waits*.  The
@@ -48,7 +46,6 @@ from ..core.queries import QueryStats, SKResult
 from ..errors import QueryError
 from ..network.distance import DISTANCE_BACKENDS, PairwiseDistanceComputer
 from ..obs.events import QueryEvent
-from ..obs.profiler import executing_plan
 from ..obs.recorder import result_digest
 from ..obs.tracing import NULL_TRACER
 from .context import ExecutionContext
@@ -140,13 +137,8 @@ class QueryEngine:
         """
         ctx = ExecutionContext(self.db, plan, tracer)
         result = shadow = error = None
-        # Publish the plan label for the sampling profiler: stacks
-        # sampled on this thread while the query runs are attributed
-        # to e.g. "SIF/COM" (two dict writes per query — negligible).
         try:
-            with executing_plan(
-                f"{plan.label} [{self.db.distance_backend}]"
-            ), ctx:
+            with ctx:
                 if plan.kind == "sk":
                     result = self._execute_sk(plan, ctx)
                 elif plan.kind == "knn":
@@ -400,9 +392,9 @@ class QueryEngine:
         aggregates and lifetime counters are identical to a serial run
         (per-execution state is context-owned; merges are locked); only
         sink-record *order* may differ.  Tracing composes with
-        concurrency: each query draws its own tracer from the
-        database's trace collector, so a traced batch yields one span
-        tree per query regardless of the worker count.
+        concurrency: each query's context builds its own tracer, so a
+        traced batch yields one span tree per query regardless of the
+        worker count.
         """
         if workers < 1:
             raise QueryError("workers must be >= 1")

@@ -9,59 +9,38 @@ I/O) and cache/buffer counter deltas into it, and emits one JSON-able
 record per query to any attached sink.
 
 The tracing layer (:mod:`repro.obs.tracing`) complements the flat
-metrics with per-query span trees — concurrency-native via
-:class:`~repro.obs.tracing.TraceCollector`; :mod:`repro.obs.explain`
-renders them as EXPLAIN reports, :mod:`repro.obs.export` serialises
-traces to Chrome trace-event JSON and registries to Prometheus text,
+metrics with one span tree per query, built by the query's own tracer
+and carried on its :class:`~repro.obs.events.QueryEvent`;
+:mod:`repro.obs.explain` narrates a tree as an EXPLAIN report,
 :mod:`repro.obs.slowlog` captures threshold-crossing queries with
-their span trees, and :mod:`repro.obs.slo` evaluates declarative
-service-level objectives against a registry snapshot.
+their trees, :mod:`repro.obs.export` writes a registry as Prometheus
+text, and :mod:`repro.obs.slo` evaluates declarative service-level
+objectives against a registry snapshot.
 
 The live plane builds on those primitives: :mod:`repro.obs.rollup`
 keeps a sliding window of recent latency/error/cache-hit data and
 feeds the same declarative SLO rules *continuously*
-(:class:`~repro.obs.rollup.LiveSLOMonitor`);
-:mod:`repro.obs.profiler` samples wall-clock stacks and attributes
-them to the executing plan; :mod:`repro.obs.server` serves it all over
-HTTP (``/metrics``, ``/healthz``, ``/vars``, ``/slowlog``,
-``/profile``, ``/slo``) for scraping while a workload runs.
+(:class:`~repro.obs.rollup.LiveSLOMonitor`); :mod:`repro.obs.server`
+serves it all over HTTP (``/metrics``; ``GET /`` lists the routes) for
+scraping while a workload runs.
 """
 
 from .explain import ExplainReport, render_span_tree
-from .export import (
-    chrome_trace,
-    database_gauges,
-    prometheus_text,
-    write_chrome_trace,
-    write_prometheus,
-)
+from .export import database_gauges, prometheus_text, write_prometheus
 from .export import escape_label_value
 from .events import QueryEvent, stats_to_dict
 from .metrics import Counter, Histogram, MetricsRegistry, StageClock
-from .profiler import (
-    SamplingProfiler,
-    executing_plan,
-    parse_folded,
-    render_profile,
-)
 from .rollup import LiveSLOMonitor, SlidingWindowRollup, WindowSnapshot
 from .server import TelemetryServer
 from .sinks import InMemorySink, JsonLinesSink, Sink
-from .slo import SLOCheck, SLORule, SLOSpec
+from .slo import SLOCheck, SLORule, SLOSpec, render_check
 from .slowlog import (
     SlowQueryLog,
     SlowQueryThreshold,
     render_breach_record,
     render_record,
 )
-from .tracing import (
-    NULL_TRACER,
-    NullTracer,
-    Span,
-    TraceCollector,
-    TraceRecord,
-    Tracer,
-)
+from .tracing import NULL_TRACER, NullTracer, Span, Tracer
 
 __all__ = [
     "Counter",
@@ -75,13 +54,9 @@ __all__ = [
     "Tracer",
     "NullTracer",
     "NULL_TRACER",
-    "TraceCollector",
-    "TraceRecord",
     "ExplainReport",
     "render_span_tree",
-    "chrome_trace",
     "prometheus_text",
-    "write_chrome_trace",
     "write_prometheus",
     "database_gauges",
     "SlowQueryLog",
@@ -93,13 +68,10 @@ __all__ = [
     "SLOSpec",
     "SLORule",
     "SLOCheck",
+    "render_check",
     "SlidingWindowRollup",
     "WindowSnapshot",
     "LiveSLOMonitor",
-    "SamplingProfiler",
-    "executing_plan",
-    "parse_folded",
-    "render_profile",
     "TelemetryServer",
     "escape_label_value",
 ]

@@ -108,6 +108,7 @@ class QueryEvent:
             out["hints"] = {
                 "distance_backend": plan.hints.distance_backend,
                 "data_version": plan.hints.data_version,
+                "estimated_matches": plan.hints.estimated_matches,
             }
         objective = getattr(result, "objective_value", None)
         if objective is not None:

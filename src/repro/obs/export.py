@@ -1,42 +1,24 @@
-"""Trace and metric exporters for external tooling.
+"""Prometheus text exposition of a metrics registry.
 
-Two wire formats, both dependency-free:
-
-* **Chrome trace-event JSON** — the ``traceEvents`` array format that
-  `Perfetto <https://ui.perfetto.dev>`_ and ``chrome://tracing`` load
-  directly.  Each span becomes a complete ("ph": "X") event, each span
-  event an instant ("ph": "i").  A serial :class:`Tracer` lays every
-  per-query trace on its own track (``tid``); a
-  :class:`~repro.obs.tracing.TraceCollector` (possibly fed by a
-  concurrent ``execute_many``) merges into **one trace with one tid
-  lane per worker thread** — queries executed by the same worker stack
-  horizontally on that worker's lane, all on the collector's shared
-  time origin.
-
-* **Prometheus text exposition** — every registry counter becomes a
-  ``counter`` metric, every histogram a ``summary`` with quantile
-  lines plus ``_sum``/``_count``, and caller-supplied point-in-time
-  values (distance-cache hit rates, buffer-pool evictions — see
-  :func:`database_gauges`) become ``gauge`` metrics.  Names are
-  sanitised to the Prometheus grammar.  This is a point-in-time scrape
-  written to a file, not a live endpoint — enough to diff workload
-  runs or feed a pushgateway.
+Every registry counter becomes a ``counter`` metric, every histogram a
+``summary`` with quantile lines plus ``_sum``/``_count``, and
+caller-supplied point-in-time values (distance-cache hit rates,
+buffer-pool evictions — see :func:`database_gauges`) become ``gauge``
+metrics.  Names are sanitised to the Prometheus grammar.  The same text
+is written to a file at the end of a run (``--prom``) and served live
+at ``/metrics`` (:mod:`repro.obs.server`).  Dependency-free.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Union
+from typing import Dict, List, Optional, Union
 
 from .metrics import MetricsRegistry
-from .tracing import Span, TraceCollector, Tracer
 
 __all__ = [
-    "chrome_trace",
-    "write_chrome_trace",
     "prometheus_text",
     "write_prometheus",
     "database_gauges",
@@ -45,126 +27,6 @@ __all__ = [
     "VALID_LABEL_NAME",
 ]
 
-
-# ----------------------------------------------------------------------
-# Chrome trace-event JSON
-# ----------------------------------------------------------------------
-def _us(seconds: float) -> float:
-    """Trace-event timestamps are microseconds."""
-    return round(seconds * 1e6, 3)
-
-
-def _clean_args(attrs: Dict[str, Any]) -> Dict[str, Any]:
-    """JSON-safe args: tuples/frozensets become sorted lists."""
-    out: Dict[str, Any] = {}
-    for key, value in attrs.items():
-        if isinstance(value, (set, frozenset)):
-            out[key] = sorted(value)
-        elif isinstance(value, tuple):
-            out[key] = list(value)
-        else:
-            out[key] = value
-    return out
-
-
-def _span_events(span: Span, tid: int, out: List[Dict[str, Any]]) -> None:
-    out.append({
-        "name": span.name,
-        "cat": span.name.split(".", 1)[0],
-        "ph": "X",
-        "ts": _us(span.start),
-        "dur": _us(span.duration),
-        "pid": 0,
-        "tid": tid,
-        "args": _clean_args(span.attrs),
-    })
-    for name, ts, attrs in span.events:
-        out.append({
-            "name": name,
-            "cat": name.split(".", 1)[0],
-            "ph": "i",
-            "s": "t",  # thread-scoped instant
-            "ts": _us(ts),
-            "pid": 0,
-            "tid": tid,
-            "args": _clean_args(attrs),
-        })
-    for child in span.children:
-        _span_events(child, tid, out)
-
-
-def _query_label(root: Span) -> str:
-    label = root.name
-    index_name = root.attrs.get("index")
-    if index_name:
-        label = f"{label} [{index_name}]"
-    return label
-
-
-def _collector_trace(collector: TraceCollector) -> Dict[str, Any]:
-    """Merged document: one ``tid`` lane per worker thread.
-
-    Every query a worker executed lands on that worker's lane; spans
-    share the collector's time origin, so concurrent queries overlap
-    on screen exactly as they overlapped in time.
-    """
-    events: List[Dict[str, Any]] = []
-    named_lanes: Dict[int, str] = {}
-    for record in collector.records:
-        if record.lane not in named_lanes:
-            named_lanes[record.lane] = record.worker
-            events.append({
-                "name": "thread_name",
-                "ph": "M",
-                "pid": 0,
-                "tid": record.lane,
-                "args": {"name": f"worker {record.lane}: {record.worker}"},
-            })
-        _span_events(record.span, record.lane, events)
-    return {"traceEvents": events, "displayTimeUnit": "ms"}
-
-
-def chrome_trace(
-    source: Union[Tracer, TraceCollector, Iterable[Span]]
-) -> Dict[str, Any]:
-    """The trace-event document for a tracer, collector or root spans.
-
-    A :class:`TraceCollector` merges every collected query into one
-    document with a ``tid`` lane per worker; a plain :class:`Tracer`
-    (or an explicit span iterable) keeps the historic one-lane-per-
-    query layout.
-    """
-    if isinstance(source, TraceCollector):
-        return _collector_trace(source)
-    traces = list(source.traces if isinstance(source, Tracer) else source)
-    events: List[Dict[str, Any]] = []
-    for tid, root in enumerate(traces, start=1):
-        events.append({
-            "name": "thread_name",
-            "ph": "M",
-            "pid": 0,
-            "tid": tid,
-            "args": {"name": f"query {tid}: {_query_label(root)}"},
-        })
-        _span_events(root, tid, events)
-    return {"traceEvents": events, "displayTimeUnit": "ms"}
-
-
-def write_chrome_trace(
-    path: Union[str, Path],
-    source: Union[Tracer, TraceCollector, Iterable[Span]],
-) -> Path:
-    """Write the Perfetto-loadable trace JSON; returns the path."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        json.dump(chrome_trace(source), fh, indent=1)
-        fh.write("\n")
-    return path
-
-
-# ----------------------------------------------------------------------
-# Prometheus text exposition
-# ----------------------------------------------------------------------
 _NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")
 #: The exposition-format grammar for metric names (strict scrapers
 #: reject anything else); label names additionally forbid the colon.

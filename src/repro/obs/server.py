@@ -6,30 +6,11 @@ read afterwards.  A serving process (the ROADMAP's shard-per-process
 item) needs *scrape targets*: something Prometheus polls every few
 seconds while traffic flows.  :class:`TelemetryServer` is that target
 — a ``ThreadingHTTPServer`` on a daemon thread, reading the same
-registry/gauges/slowlog/rollup/profiler state the rest of
-:mod:`repro.obs` maintains, with no third-party dependencies.
+registry/gauges/slowlog/rollup state the rest of :mod:`repro.obs`
+maintains, with no third-party dependencies.
 
-Routes
-------
-``/metrics``   Prometheus text exposition (lifetime counters +
-               histogram summaries + point-in-time gauges); the
-               registry is read under its lock, so scraping a busy
-               database never sees a half-updated histogram.
-``/healthz``   liveness JSON: status, ``data_version`` (epoch),
-               uptime, lifetime query/error counts.
-``/vars``      the full JSON snapshot: registry counters + histogram
-               summaries, database gauges, the current sliding-window
-               rollup and the live SLO verdict when installed.
-``/slowlog``   recent slow-query records as JSON (``?limit=N``;
-               span trees stripped unless ``?trace=1`` — they dwarf
-               the rest of the record).
-``/profile``   the sampling profiler's folded stacks (flamegraph.pl
-               format) when a profiler is attached.
-``/slo``       evaluates the live SLO monitor against the current
-               window and returns its verdict.
-``/recorder``  the flight recorder's ring and summary as JSON
-               (``?limit=N``; stats snapshots stripped unless
-               ``?stats=1``) when one is installed.
+``/metrics`` is the Prometheus text exposition; ``GET /`` lists every
+route, and each route's handler below says what it answers.
 
 Every hit counts ``telemetry.scrapes`` plus a per-route
 ``telemetry.scrape#<route>`` labelled counter, so the scrape traffic
@@ -104,6 +85,15 @@ class TelemetryServer:
         self.host, self.port = self._httpd.server_address[:2]
         self._thread: Optional[threading.Thread] = None
         self._started_monotonic = time.monotonic()
+        #: Every route but ``/``, which lists these in this order.
+        self._routes = {
+            "/metrics": self._metrics,
+            "/healthz": self._healthz,
+            "/vars": self._vars,
+            "/slowlog": partial(self._ring, "slow_query_log", "trace"),
+            "/slo": self._slo,
+            "/recorder": partial(self._ring, "flight_recorder", "stats"),
+        }
 
     # -- lifecycle -----------------------------------------------------
     @property
@@ -146,16 +136,7 @@ class TelemetryServer:
     ) -> Tuple[int, str, bytes]:
         """Dispatch one request; returns (status, content type, body)."""
         route = path.rstrip("/") or "/"
-        handler = {
-            "/": self._index,
-            "/metrics": self._metrics,
-            "/healthz": self._healthz,
-            "/vars": self._vars,
-            "/slowlog": partial(self._ring, "slow_query_log", "trace"),
-            "/profile": self._profile,
-            "/slo": self._slo,
-            "/recorder": partial(self._ring, "flight_recorder", "stats"),
-        }.get(route)
+        handler = self._index if route == "/" else self._routes.get(route)
         if handler is None:
             return 404, _TEXT, f"no such route {path!r}\n".encode()
         self.db.metrics.inc("telemetry.scrapes")
@@ -168,13 +149,12 @@ class TelemetryServer:
 
     # -- routes --------------------------------------------------------
     def _index(self, query) -> Tuple[int, str, bytes]:
-        routes = "\n".join((
-            "/metrics", "/healthz", "/vars", "/slowlog", "/profile",
-            "/slo", "/recorder",
-        ))
-        return 200, _TEXT, (routes + "\n").encode()
+        return 200, _TEXT, "".join(f"{r}\n" for r in self._routes).encode()
 
     def _metrics(self, query) -> Tuple[int, str, bytes]:
+        """Prometheus text: lifetime counters, histogram summaries and
+        point-in-time gauges.  The registry is read under its lock, so
+        scraping a busy database never sees a half-updated histogram."""
         text = prometheus_text(
             self.db.metrics,
             prefix=self.prefix,
@@ -183,6 +163,8 @@ class TelemetryServer:
         return 200, PROMETHEUS_CONTENT_TYPE, text.encode()
 
     def _healthz(self, query) -> Tuple[int, str, bytes]:
+        """Liveness JSON: status, ``data_version`` (epoch), uptime,
+        lifetime query / error / update counts."""
         counters = self.db.metrics.counters()
         return self._json({
             "status": "ok",
@@ -195,6 +177,9 @@ class TelemetryServer:
         })
 
     def _vars(self, query) -> Tuple[int, str, bytes]:
+        """The full JSON snapshot: registry counters and histogram
+        summaries, database gauges, the current sliding-window rollup
+        and the live SLO verdict when installed."""
         payload = self.db.metrics.snapshot()
         payload["gauges"] = database_gauges(self.db)
         payload["data_version"] = self.db.data_version
@@ -208,23 +193,26 @@ class TelemetryServer:
         return self._json(payload)
 
     def _ring(self, attr: str, bulky: str, query) -> Tuple[int, str, bytes]:
-        """``/slowlog`` and ``/recorder``: the ring ``db.<attr>`` holds.
+        """``/slowlog`` and ``/recorder``: the ring ``db.<attr>`` holds,
+        as JSON, newest last (``?limit=N`` keeps the last N).
 
         ``bulky`` is the one key that dwarfs the rest of a record (a
         slow record's span tree, a flight record's stats snapshot); it
         is stripped unless the scrape asks for it (``?trace=1`` /
         ``?stats=1``).
         """
+        limit = None
+        if "limit" in query:
+            try:
+                limit = int(query["limit"][0])
+            except ValueError:
+                limit = 0
+            if limit <= 0:
+                return 400, _TEXT, b"limit must be a positive integer\n"
         ring = getattr(self.db, attr)
         if ring is None:
             return self._json({"installed": False, "records": []})
-        records = ring.records()
-        limit = query.get("limit")
-        if limit:
-            try:
-                records = records[-int(limit[0]):]
-            except ValueError:
-                return 400, _TEXT, b"limit must be an integer\n"
+        records = ring.records()[-limit:] if limit else ring.records()
         if query.get(bulky, ["0"])[0] in ("0", "", "false"):
             records = [
                 {key: value for key, value in record.items() if key != bulky}
@@ -236,13 +224,9 @@ class TelemetryServer:
             "records": records,
         })
 
-    def _profile(self, query) -> Tuple[int, str, bytes]:
-        profiler = self.db.profiler
-        if profiler is None:
-            return 404, _TEXT, b"no sampling profiler attached\n"
-        return 200, _TEXT, profiler.folded_text().encode()
-
     def _slo(self, query) -> Tuple[int, str, bytes]:
+        """Evaluates the live SLO monitor against the current window
+        and returns its verdict (404 when none is installed)."""
         monitor = self.db.live_slo
         if monitor is None:
             return 404, _TEXT, b"no live SLO monitor installed\n"

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence
 
-__all__ = ["SLORule", "SLOSpec", "SLOCheck"]
+__all__ = ["SLORule", "SLOSpec", "SLOCheck", "render_check"]
 
 _KINDS = ("histogram_quantile", "counter_ratio", "counter")
 _OPS = ("<=", ">=")
@@ -147,13 +147,7 @@ class SLOCheck:
         self.no_data = no_data
 
     def render(self) -> str:
-        if self.no_data:
-            return f"SKIP  {self.rule.name}: no data for {self.rule.metric}"
-        status = "PASS" if self.passed else "FAIL"
-        return (
-            f"{status}  {self.rule.name}: {self.rule.metric} = "
-            f"{self.value:.6g} (want {self.rule.op} {self.rule.threshold:g})"
-        )
+        return render_check(self.to_dict())
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -162,6 +156,27 @@ class SLOCheck:
             "passed": self.passed,
             "no_data": self.no_data,
         }
+
+
+def render_check(check: Dict[str, Any]) -> str:
+    """The one spelling of a check line, over :meth:`SLOCheck.to_dict`.
+
+    The dict form is what a live verdict, a load-test report and a
+    persisted ``slo_breach`` record hold, so a key missing from a file
+    written elsewhere renders as ``?`` instead of raising.
+    """
+    rule = check.get("rule") or {}
+    name, metric = rule.get("name", "?"), rule.get("metric", "?")
+    if check.get("no_data"):
+        return f"SKIP  {name}: no data for {metric}"
+    status = "PASS" if check.get("passed") else "FAIL"
+    value, threshold = check.get("value"), rule.get("threshold")
+    shown = f"{value:.6g}" if isinstance(value, (int, float)) else "?"
+    want = f"{threshold:g}" if isinstance(threshold, (int, float)) else "?"
+    return (
+        f"{status}  {name}: {metric} = {shown} "
+        f"(want {rule.get('op', '?')} {want})"
+    )
 
 
 class SLOSpec:

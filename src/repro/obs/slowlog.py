@@ -24,6 +24,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional
 
 from .sinks import RecordRing
+from .slo import render_check
 from .tracing import Span
 
 __all__ = [
@@ -213,17 +214,9 @@ def render_breach_record(record: Dict[str, Any]) -> str:
         f"qps {window.get('qps', 0.0):.1f}, "
         f"error rate {100.0 * window.get('error_rate', 0.0):.1f}%"
     )
-    lines = [header]
-    for check in record.get("failed", ()):
-        rule = check.get("rule", {})
-        value = check.get("value")
-        shown = f"{value:.6g}" if isinstance(value, (int, float)) else "?"
-        lines.append(
-            f"  FAIL {rule.get('name', '?')}: {rule.get('metric', '?')} = "
-            f"{shown} (want {rule.get('op', '?')} "
-            f"{rule.get('threshold', '?')})"
-        )
-    return "\n".join(lines)
+    return "\n".join(
+        [header, *(f"  {render_check(c)}" for c in record.get("failed", ()))]
+    )
 
 
 def render_divergence_record(record: Dict[str, Any]) -> str:
@@ -252,7 +245,8 @@ def render_divergence_record(record: Dict[str, Any]) -> str:
 def render_record(record: Dict[str, Any]) -> str:
     """Narrate one slow-query record (the ``repro slowlog`` renderer).
 
-    The header states what crossed which bound (plus the data epoch
+    The header states what crossed which bound and the planner's
+    estimate beside the realised candidate count (plus the data epoch
     and a result-cache marker when present); the body reuses the
     EXPLAIN narrator over the persisted span tree when one was
     captured, and falls back to the stage breakdown otherwise.  A
@@ -273,10 +267,17 @@ def render_record(record: Dict[str, Any]) -> str:
     # Logs written before the one per-query encoding repeat the count
     # at top level (and the oldest have it only there).
     nodes = stats.get("nodes_accessed", record.get("nodes_accessed", "?"))
+    # The planner's prediction beside what the query realised; records
+    # written before the encoding carried the estimate go without.
+    estimate = (record.get("hints") or {}).get("estimated_matches")
+    predicted = (
+        f", est. {estimate:.3g} → {stats.get('candidates', '?')} candidates"
+        if isinstance(estimate, (int, float)) else ""
+    )
     header = (
         f"SLOW QUERY #{record.get('seq', '?')}  "
         f"[{record.get('label', '?')}]  {wall_ms:.3f} ms, "
-        f"{nodes} nodes visited "
+        f"{nodes} nodes visited{predicted} "
         f"(exceeded: {', '.join(record.get('exceeded', ())) or '?'}; "
         f"worker {record.get('worker') or '?'})"
     )

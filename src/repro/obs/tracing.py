@@ -34,16 +34,14 @@ attribute read per check and allocates nothing.
 
 from __future__ import annotations
 
-import threading
 import time
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from collections import deque
+from typing import Any, Deque, Dict, Iterator, List, Optional, Tuple
 
 __all__ = [
     "Span",
     "SpanEvent",
     "Tracer",
-    "TraceRecord",
-    "TraceCollector",
     "NullTracer",
     "NULL_TRACER",
 ]
@@ -174,13 +172,15 @@ class Span:
 
 
 class Tracer:
-    """Collects per-query span trees.
+    """Collects the span tree of one query.
 
-    One tracer is owned by one :class:`~repro.core.database.Database`;
-    every query entry point opens a root span, so ``traces`` holds one
-    tree per traced query (bounded by ``max_traces``; the most recent
-    trees are kept by dropping the oldest, so EXPLAIN always sees the
-    query it just ran).
+    A tracer is a span *stack* and is never shared between threads or
+    queries: when tracing is on, each
+    :class:`~repro.engine.context.ExecutionContext` builds its own, the
+    query's entry point opens the root span on it, and the finished
+    root rides the query's event (``QueryEvent.trace``).  ``traces``
+    holds the most recent ``max_traces`` roots, oldest dropped first
+    and counted in ``dropped_traces``.
     """
 
     enabled = True
@@ -190,19 +190,13 @@ class Tracer:
         max_traces: int = 64,
         max_children: int = 512,
         max_events: int = 1024,
-        origin: Optional[float] = None,
     ) -> None:
-        self.max_traces = max_traces
         self.max_children = max_children
         self.max_events = max_events
-        self.traces: List[Span] = []
+        self.traces: Deque[Span] = deque(maxlen=max_traces)
         self.dropped_traces = 0
         self._stack: List[Span] = []
-        #: ``origin`` lets many tracers share one timeline — the
-        #: :class:`TraceCollector` hands its own origin to every
-        #: per-query tracer so concurrently-executed queries line up on
-        #: a single merged Chrome-trace time axis.
-        self._origin = time.perf_counter() if origin is None else origin
+        self._origin = time.perf_counter()
 
     # -- time ---------------------------------------------------------
     def _now(self) -> float:
@@ -235,9 +229,8 @@ class Tracer:
             else:
                 parent.children.append(span)
         else:
-            if len(self.traces) >= self.max_traces:
-                self.traces.pop(0)
-                self.dropped_traces += 1
+            if len(self.traces) == self.traces.maxlen:
+                self.dropped_traces += 1  # the deque drops the oldest
             self.traces.append(span)
 
     def add_span(
@@ -282,123 +275,6 @@ class Tracer:
     def clear(self) -> None:
         self.traces.clear()
         self.dropped_traces = 0
-
-
-class TraceRecord:
-    """One collected per-query trace with its worker attribution."""
-
-    __slots__ = ("span", "worker", "lane", "seq")
-
-    def __init__(self, span: Span, worker: str, lane: int, seq: int) -> None:
-        self.span = span
-        #: Thread name of the worker that executed the query.
-        self.worker = worker
-        #: Small dense integer per worker thread (1, 2, ...) — the
-        #: ``tid`` lane the merged Chrome trace lays this query on.
-        self.lane = lane
-        #: Collection order (drops make it non-contiguous).
-        self.seq = seq
-
-
-class TraceCollector:
-    """Thread-safe store of completed per-query span trees.
-
-    The :class:`Tracer` is a per-query span *stack* and must never be
-    shared between threads.  The collector inverts the ownership that
-    used to sit on ``Database.tracer``: each
-    :class:`~repro.engine.context.ExecutionContext` asks the collector
-    for a fresh tracer (:meth:`new_tracer`, sharing the collector's
-    time origin so all queries land on one timeline) and publishes the
-    finished tree back (:meth:`collect`) when the query ends.  That
-    makes ``QueryEngine.execute_many(workers=N)`` with tracing on
-    produce N independent, well-formed span trees — no cross-thread
-    stack tearing, no forced ``NULL_TRACER``.
-
-    Collected traces are bounded by ``max_traces`` (most recent kept,
-    ``dropped_traces`` counts the rest); each worker thread gets a
-    stable dense ``lane`` number, which is what the Chrome-trace
-    exporter uses as the per-worker ``tid``.
-    """
-
-    enabled = True
-
-    def __init__(
-        self,
-        max_traces: int = 64,
-        max_children: int = 512,
-        max_events: int = 1024,
-    ) -> None:
-        self.max_traces = max_traces
-        self.max_children = max_children
-        self.max_events = max_events
-        self.dropped_traces = 0
-        self._records: List[TraceRecord] = []
-        self._lanes: Dict[int, int] = {}
-        self._seq = 0
-        self._lock = threading.Lock()
-        self._origin = time.perf_counter()
-
-    # -- per-query tracers --------------------------------------------
-    def new_tracer(self) -> Tracer:
-        """A fresh single-query tracer on this collector's timeline."""
-        return Tracer(
-            max_traces=4,
-            max_children=self.max_children,
-            max_events=self.max_events,
-            origin=self._origin,
-        )
-
-    def collect(self, tracer: Tracer) -> None:
-        """Publish a finished per-query tracer's trees (thread-safe)."""
-        traces = tracer.traces
-        if not traces and not tracer.dropped_traces:
-            return
-        thread = threading.current_thread()
-        with self._lock:
-            lane = self._lanes.setdefault(
-                thread.ident, len(self._lanes) + 1
-            )
-            self.dropped_traces += tracer.dropped_traces
-            for span in traces:
-                if len(self._records) >= self.max_traces:
-                    self._records.pop(0)
-                    self.dropped_traces += 1
-                self._seq += 1
-                self._records.append(
-                    TraceRecord(span, thread.name, lane, self._seq)
-                )
-
-    # -- access -------------------------------------------------------
-    @property
-    def records(self) -> List[TraceRecord]:
-        """Collected records, oldest first (snapshot copy)."""
-        with self._lock:
-            return list(self._records)
-
-    @property
-    def traces(self) -> List[Span]:
-        """The collected root spans, oldest first (snapshot copy)."""
-        with self._lock:
-            return [record.span for record in self._records]
-
-    @property
-    def last_trace(self) -> Optional[Span]:
-        with self._lock:
-            return self._records[-1].span if self._records else None
-
-    @property
-    def workers(self) -> List[str]:
-        """Distinct worker thread names seen so far, by lane order."""
-        with self._lock:
-            names: Dict[int, str] = {}
-            for record in self._records:
-                names.setdefault(record.lane, record.worker)
-            return [names[lane] for lane in sorted(names)]
-
-    def clear(self) -> None:
-        with self._lock:
-            self._records.clear()
-            self.dropped_traces = 0
 
 
 class _NullSpan:

@@ -63,9 +63,14 @@ class TestOneEncoding:
         db.metrics.add_sink(sink)
         log = db.enable_slow_query_log(latency_seconds=0.0)
         recorder = db.enable_flight_recorder()
-        db.engine.execute_many(_plans(db, sif, n=3))
+        plans = _plans(db, sif, n=3)
+        db.engine.execute_many(plans)
         lines = sink.of_type("query")
         assert len(lines) == len(log) == len(recorder) == 3
+        # The planner's prediction rides beside stats.candidates.
+        assert [line["hints"]["estimated_matches"] for line in lines] == [
+            plan.hints.estimated_matches for plan in plans
+        ]
         for line, slow, flight in zip(lines, log.records(), recorder.records()):
             shared = {k: v for k, v in line.items() if k != "type"}
             assert set(slow) - set(shared) == {

@@ -12,7 +12,6 @@ by the rare-keyword rule (never tighten the AND), and slot spaces that
 straddle 64-bit word boundaries.
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

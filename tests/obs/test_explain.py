@@ -89,9 +89,9 @@ class TestDatabaseExplain:
     def test_explain_restores_the_installed_tracer(self, tiny_db,
                                                    tiny_indexes,
                                                    sk_workload):
-        assert tiny_db.trace_collector is None
+        assert tiny_db.trace_bounds is None
         tiny_db.explain(tiny_indexes["sif"], sk_workload[0])
-        assert tiny_db.trace_collector is None
+        assert tiny_db.trace_bounds is None
         assert tiny_indexes["sif"].tracer is NULL_TRACER
 
     def test_diversified_explain_has_com_nodes(self, tiny_db, tiny_indexes):

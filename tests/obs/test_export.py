@@ -1,76 +1,7 @@
-"""Tests for the Chrome-trace and Prometheus exporters (repro.obs.export)."""
+"""Tests for the Prometheus exporter (repro.obs.export)."""
 
-import json
-
-from repro.obs.export import (
-    chrome_trace,
-    prometheus_text,
-    write_chrome_trace,
-    write_prometheus,
-)
+from repro.obs.export import prometheus_text, write_prometheus
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracing import Tracer
-
-
-def make_tracer() -> Tracer:
-    tracer = Tracer()
-    with tracer.span("query.sk", index="SIF", terms=("b", "a")) as root:
-        tracer.add_span("ine.round", 0.002, round=0, frontier=3)
-        tracer.event("signature.prune", edge=7)
-        root.set(results=2)
-    with tracer.span("query.diversified", method="COM"):
-        tracer.add_span("pairwise.dijkstra", 0.001, source_edge=4)
-    return tracer
-
-
-class TestChromeTrace:
-    def test_document_shape(self):
-        doc = chrome_trace(make_tracer())
-        assert doc["displayTimeUnit"] == "ms"
-        events = doc["traceEvents"]
-        assert events, "traceEvents must be non-empty"
-        phases = {e["ph"] for e in events}
-        assert phases == {"M", "X", "i"}
-
-    def test_complete_events_carry_microsecond_times(self):
-        events = chrome_trace(make_tracer())["traceEvents"]
-        ine = next(e for e in events if e["name"] == "ine.round")
-        assert ine["ph"] == "X"
-        assert ine["dur"] == 2000.0  # 0.002 s in µs
-        assert ine["args"] == {"round": 0, "frontier": 3}
-
-    def test_each_trace_gets_its_own_track(self):
-        events = chrome_trace(make_tracer())["traceEvents"]
-        tids = {e["tid"] for e in events if e["ph"] == "X"}
-        assert len(tids) == 2
-        names = [e for e in events if e["name"] == "thread_name"]
-        assert len(names) == 2
-        assert "query.sk [SIF]" in names[0]["args"]["name"]
-
-    def test_instant_events(self):
-        events = chrome_trace(make_tracer())["traceEvents"]
-        prune = next(e for e in events if e["name"] == "signature.prune")
-        assert prune["ph"] == "i"
-        assert prune["args"] == {"edge": 7}
-
-    def test_args_are_json_safe(self):
-        doc = chrome_trace(make_tracer())
-        text = json.dumps(doc)  # tuples/frozensets must not leak through
-        sk = next(
-            e for e in doc["traceEvents"] if e["name"] == "query.sk"
-        )
-        assert sk["args"]["terms"] == ["b", "a"]
-        assert "traceEvents" in text
-
-    def test_write_round_trips(self, tmp_path):
-        path = write_chrome_trace(tmp_path / "trace.json", make_tracer())
-        loaded = json.loads(path.read_text())
-        assert loaded["traceEvents"]
-
-    def test_accepts_explicit_span_list(self):
-        tracer = make_tracer()
-        doc = chrome_trace([tracer.traces[0]])
-        assert {e["tid"] for e in doc["traceEvents"]} == {1}
 
 
 class TestPrometheus:

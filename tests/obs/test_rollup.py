@@ -11,7 +11,6 @@ from repro.obs.rollup import (
     DEFAULT_STREAM,
     LiveSLOMonitor,
     SlidingWindowRollup,
-    WindowSnapshot,
 )
 from repro.obs.slo import SLORule, SLOSpec
 from repro.obs.slowlog import SlowQueryLog, SlowQueryThreshold

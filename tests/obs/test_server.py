@@ -40,8 +40,9 @@ class TestRoutes:
         _, _, server = served
         status, _, body = get(server, "/")
         assert status == 200
-        for route in ("/metrics", "/healthz", "/vars", "/slowlog"):
-            assert route in body
+        assert body.split() == [
+            "/metrics", "/healthz", "/vars", "/slowlog", "/slo", "/recorder",
+        ]
 
     def test_unknown_route_404(self, served):
         _, _, server = served
@@ -116,28 +117,18 @@ class TestRoutes:
             assert len(doc["records"]) == 2
             # Trace payloads are stripped unless ?trace=1.
             assert all("trace" not in r for r in doc["records"])
+            # A limit that is not a positive integer is refused, not
+            # read as "everything" (0) or "all but the first N" (-N).
+            for scrape in ("/slowlog?limit=0", "/slowlog?limit=-3",
+                           "/slowlog?limit=x", "/recorder?limit=0"):
+                with pytest.raises(urllib.error.HTTPError) as err:
+                    get(server, scrape)
+                assert err.value.code == 400
+                assert err.value.read() == (
+                    b"limit must be a positive integer\n"
+                )
         finally:
             db.disable_slow_query_log()
-
-    def test_profile_route(self, served):
-        db, index, server = served
-        profiler = db.enable_profiler(hz=200.0)
-        try:
-            run_queries(db, index, n=3)
-            _, headers, body = get(server, "/profile")
-        finally:
-            db.disable_profiler()
-        assert profiler.stats()["samples"] >= 0
-        assert headers["Content-Type"].startswith("text/plain")
-        for line in body.splitlines():
-            if line:
-                int(line.rsplit(" ", 1)[1])
-
-    def test_profile_route_404_without_profiler(self, served):
-        _, _, server = served
-        with pytest.raises(urllib.error.HTTPError) as err:
-            get(server, "/profile")
-        assert err.value.code == 404
 
     def test_scrape_self_metrics(self, served):
         _, _, server = served

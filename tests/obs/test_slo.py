@@ -52,7 +52,9 @@ class TestEvaluation:
             "<=", 0.02, quantile=95,
         ).check(SNAPSHOT)
         assert not tight.passed
-        assert "FAIL" in tight.render()
+        assert tight.render() == (
+            "FAIL  p95 latency: query.wall_seconds = 0.03 (want <= 0.02)"
+        )
 
     def test_cache_hit_rate_rule(self):
         rule = SLORule(
@@ -82,7 +84,7 @@ class TestEvaluation:
         )
         check = rule.check(SNAPSHOT)
         assert check.passed and check.no_data
-        assert check.render().startswith("SKIP")
+        assert check.render() == "SKIP  absent: no data for nope"
         ratio = SLORule(
             "zero denom", "counter_ratio", "query.count", ">=", 0.5,
             denominator=("does.not.exist",),

@@ -112,7 +112,7 @@ class TestEngineIntegration:
         return tiny_db.build_index("sif", file_prefix="slowlog-sif")
 
     def test_traced_offenders_carry_span_trees(self, tiny_db, sif):
-        tiny_db.enable_tracing(max_traces=64)
+        tiny_db.enable_tracing()
         log = tiny_db.enable_slow_query_log(latency_seconds=0.0)
         try:
             queries = generate_diversified_queries(
@@ -199,6 +199,14 @@ class TestTolerantRendering:
         text = render_record(record)
         assert "[epoch 7]" in text
         assert "[result-cache HIT]" in text
+        # The planner's estimate sits beside the realised count when the
+        # record has one (this event's plan carries no hints).
+        assert "100 nodes visited (exceeded" in text
+        record["hints"] = {"estimated_matches": 12.34}
+        assert (
+            "100 nodes visited, est. 12.3 → 0 candidates (exceeded"
+            in render_record(record)
+        )
 
     def test_pre_epoch_records_render(self):
         """Records from older schemas (no epoch/result-cache) still render."""
@@ -282,6 +290,9 @@ class TestTolerantRendering:
         assert "[live]" in text
         assert "42 queries" in text
         assert "error rate 25.0%" in text
-        assert "FAIL p95" in text
+        # The one spelling of a check line (repro.obs.slo.render_check).
+        assert text.splitlines()[1] == (
+            "  FAIL  p95: query.wall_seconds = 0.5 (want <= 0.001)"
+        )
         # render_record routes breach notes to the breach renderer.
         assert render_record(record) == text

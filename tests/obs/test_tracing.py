@@ -104,7 +104,7 @@ class TestEvents:
     def test_event_without_open_span_is_dropped(self):
         tracer = Tracer()
         tracer.event("orphan")
-        assert tracer.traces == []
+        assert not tracer.traces
 
     def test_max_events_bound_with_drop_counter(self):
         tracer = Tracer(max_events=2)
@@ -140,7 +140,7 @@ class TestBounds:
         with tracer.span("b"):
             pass
         tracer.clear()
-        assert tracer.traces == []
+        assert not tracer.traces
         assert tracer.dropped_traces == 0
 
 

@@ -15,7 +15,9 @@ from repro.network.distance import DISTANCE_BACKENDS
 #: ``build_parser()`` at commit 1ef623e, before the flags moved into
 #: shared parent parsers; a flag added, dropped or changed later is a
 #: visible diff here.  (Since then: ``csgraph`` became the default
-#: distance backend; the backend choices are read from the program.)
+#: distance backend; the backend choices are read from the program;
+#: the sampling profiler's two flags and subcommand and ``explain
+#: --trace`` were retired and ``--trace`` lost its ``PATH``.)
 FLAG_SURFACE = {
     "info": {
         "profile": (None, ("NA", "SF", "SYN", "TW"), None),
@@ -39,7 +41,7 @@ FLAG_SURFACE = {
         "--workload-seed": (101, None, "int"),
         "--workers": (1, None, "_positive_int"),
         "--metrics": (None, None, "_output_path"),
-        "--trace": (None, None, "_output_path"),
+        "--trace": (False, None, None),
         "--prom": (None, None, "_output_path"),
         "--slow-ms": (None, None, "float"),
         "--slow-nodes": (None, None, "_positive_int"),
@@ -66,7 +68,7 @@ FLAG_SURFACE = {
         "--workload-seed": (101, None, "int"),
         "--workers": (1, None, "_positive_int"),
         "--metrics": (None, None, "_output_path"),
-        "--trace": (None, None, "_output_path"),
+        "--trace": (False, None, None),
         "--prom": (None, None, "_output_path"),
         "--slow-ms": (None, None, "float"),
         "--slow-nodes": (None, None, "_positive_int"),
@@ -96,7 +98,7 @@ FLAG_SURFACE = {
         "--workload-seed": (101, None, "int"),
         "--workers": (1, None, "_positive_int"),
         "--metrics": (None, None, "_output_path"),
-        "--trace": (None, None, "_output_path"),
+        "--trace": (False, None, None),
         "--prom": (None, None, "_output_path"),
         "--slow-ms": (None, None, "float"),
         "--slow-nodes": (None, None, "_positive_int"),
@@ -134,7 +136,7 @@ FLAG_SURFACE = {
         "--workload-seed": (101, None, "int"),
         "--workers": (1, None, "_positive_int"),
         "--metrics": (None, None, "_output_path"),
-        "--trace": (None, None, "_output_path"),
+        "--trace": (False, None, None),
         "--prom": (None, None, "_output_path"),
         "--slow-ms": (None, None, "float"),
         "--slow-nodes": (None, None, "_positive_int"),
@@ -163,7 +165,6 @@ FLAG_SURFACE = {
         "--lambda": (0.8, None, "float"),
         "--query": (0, None, "int"),
         "--no-pruning": (False, None, None),
-        "--trace": (None, None, "_output_path"),
         "--slow-ms": (None, None, "float"),
         "--slow-nodes": (None, None, "_positive_int"),
     },
@@ -182,7 +183,7 @@ FLAG_SURFACE = {
         "--workload-seed": (101, None, "int"),
         "--workers": (1, None, "_positive_int"),
         "--metrics": (None, None, "_output_path"),
-        "--trace": (None, None, "_output_path"),
+        "--trace": (False, None, None),
         "--prom": (None, None, "_output_path"),
         "--slow-ms": (None, None, "float"),
         "--slow-nodes": (None, None, "_positive_int"),
@@ -203,18 +204,12 @@ FLAG_SURFACE = {
         "--qps": (20.0, None, "_positive_float"),
         "--duration": (10.0, None, "_positive_float"),
         "--distance-cache": (None, None, "_positive_int"),
-        "--profile-out": (None, None, "_output_path"),
-        "--profile-hz": (None, None, "_positive_float"),
     },
     "replay": {
         "path": (None, None, None),
         "--backend": (None, DISTANCE_BACKENDS, None),
         "--workers": (1, None, "_positive_int"),
         "--limit": (None, None, "_positive_int"),
-    },
-    "profile": {
-        "path": (None, None, None),
-        "--top": (15, None, "_positive_int"),
     },
 }
 
@@ -246,7 +241,7 @@ def flag_surface():
 class TestParser:
     def test_flag_surface_is_pinned(self):
         surface = flag_surface()
-        assert sum(len(flags) for flags in surface.values()) == 157
+        assert sum(len(flags) for flags in surface.values()) == 152
         assert surface == FLAG_SURFACE
 
     def test_requires_command(self):
@@ -364,25 +359,23 @@ class TestCommands:
 
 class TestObservabilityFlags:
     def test_trace_and_prom_exports(self, tmp_path, capsys):
-        trace_path = tmp_path / "trace.json"
         prom_path = tmp_path / "metrics.prom"
         assert main([
             "diversify", "SYN", "--scale", "0.05", "--queries", "2",
             "--keywords", "2", "--k", "4",
-            "--trace", str(trace_path), "--prom", str(prom_path),
+            "--trace", "--prom", str(prom_path),
         ]) == 0
-        doc = json.loads(trace_path.read_text())
-        assert doc["traceEvents"], "trace must contain events"
-        names = {e["name"] for e in doc["traceEvents"]}
-        assert "query.diversified" in names
         prom = prom_path.read_text()
         assert "# TYPE repro_query_count counter" in prom
-        err = capsys.readouterr().err
-        assert "perfetto" in err.lower()
+        # --trace writes nothing itself, and takes no path to swallow.
+        assert list(tmp_path.iterdir()) == [prom_path]
+        with pytest.raises(SystemExit) as err:
+            main(["sk", "SYN", "--trace", str(tmp_path / "out.json")])
+        assert err.value.code == 2
 
     def test_output_paths_validated_at_parse_time(self, tmp_path):
         missing = tmp_path / "no" / "such" / "dir" / "out.json"
-        for flag in ("--trace", "--prom", "--metrics"):
+        for flag in ("--slowlog", "--prom", "--metrics"):
             with pytest.raises(SystemExit):
                 build_parser().parse_args(
                     ["sk", "SYN", flag, str(missing)]
@@ -401,7 +394,6 @@ class TestObservabilityFlags:
                 slow_log=db.slow_query_log,
                 recorder=db.flight_recorder,
                 server=db.telemetry_server,
-                profiler=db.profiler,
             )
             raise RuntimeError("query blew up")
 
@@ -433,7 +425,6 @@ class TestObservabilityFlags:
         self._assert_torn_down(seen)
 
     def test_loadtest_torn_down_when_run_raises(self, tmp_path, monkeypatch):
-        profile_path = tmp_path / "profile.folded"
         seen = self._run_raising(
             monkeypatch, "repro.workloads.loadtest.run_loadtest", [
                 "loadtest", "SYN", "--scale", "0.05", "--queries", "2",
@@ -442,33 +433,33 @@ class TestObservabilityFlags:
                 "--slowlog", str(tmp_path / "slow.jsonl"),
                 "--record", str(tmp_path / "flight.jsonl"),
                 "--telemetry-port", "0",
-                "--profile-out", str(profile_path),
             ],
         )
         self._assert_torn_down(seen)
-        assert not seen["profiler"].running and seen["db"].profiler is None
-        assert not profile_path.exists()  # a failed run writes no profile
 
 
 class TestConcurrentObservability:
     def test_trace_with_workers_merges_lanes(self, tmp_path, capsys):
-        trace_path = tmp_path / "trace.json"
+        """A traced 4-worker run: the slow log holds every query with
+        its own tree and the thread that ran it."""
+        log_path = tmp_path / "slow.jsonl"
         assert main([
             "sk", "SYN", "--scale", "0.05", "--queries", "8",
             "--keywords", "2", "--workers", "4",
-            "--trace", str(trace_path),
+            "--trace", "--slowlog", str(log_path),
         ]) == 0
-        err = capsys.readouterr().err
-        assert "serial-only" not in err
-        assert "worker lane" in err
-        doc = json.loads(trace_path.read_text())
-        meta = [e for e in doc["traceEvents"] if e["ph"] == "M"]
-        assert meta and all(
-            e["args"]["name"].startswith("worker") for e in meta
-        )
-        spans = [e for e in doc["traceEvents"] if e["ph"] == "X"]
-        assert sum(1 for e in spans if e["name"] == "query.sk") == 8
-        assert {e["tid"] for e in spans} <= {e["tid"] for e in meta}
+        assert "serial-only" not in capsys.readouterr().err
+        records = [
+            json.loads(line) for line in log_path.read_text().splitlines()
+        ]
+        assert sorted(r["sequence"] for r in records) == list(range(8))
+        for record in records:
+            trace = record["trace"]
+            assert trace["name"] == "query.sk"
+            assert trace["attrs"]["terms"] == record["query"]["terms"]
+            assert record["worker"].startswith("repro-query")
+        assert main(["slowlog", str(log_path)]) == 0
+        assert capsys.readouterr().out.count("SK range query [SIF]") == 8
 
     def test_three_files_hold_one_encoding(self, tmp_path, capsys):
         """One 4-worker run written to --metrics, --slowlog and
@@ -524,11 +515,10 @@ class TestConcurrentObservability:
 class TestSlowLogCommand:
     def test_capture_and_render(self, tmp_path, capsys):
         log_path = tmp_path / "slow.jsonl"
-        trace_path = tmp_path / "trace.json"
         assert main([
             "diversify", "SYN", "--scale", "0.05", "--queries", "2",
             "--keywords", "2", "--k", "4", "--workers", "2",
-            "--slowlog", str(log_path), "--trace", str(trace_path),
+            "--slowlog", str(log_path), "--trace",
         ]) == 0
         err = capsys.readouterr().err
         assert "Slow-query log: captured 4 of 4 queries" in err
@@ -597,18 +587,14 @@ class TestSLOGate:
 
 
 class TestExplainCommand:
-    def test_explain_diversified(self, capsys, tmp_path):
-        trace_path = tmp_path / "explain.json"
+    def test_explain_diversified(self, capsys):
         assert main([
             "explain", "SYN", "--scale", "0.05", "--method", "com",
             "--keywords", "1", "--k", "4", "--delta-max", "4000",
-            "--trace", str(trace_path),
         ]) == 0
         out = capsys.readouterr().out
         assert "EXPLAIN" in out
         assert "COM" in out
-        doc = json.loads(trace_path.read_text())
-        assert doc["traceEvents"], "explain --trace must emit events"
 
     def test_explain_sk(self, capsys):
         assert main([
@@ -682,20 +668,6 @@ class TestLoadtestCommand:
         assert "FAIL" in captured.out
         assert "live SLO gate FAILED" in captured.err
 
-    def test_loadtest_writes_profile(self, tmp_path, capsys):
-        out_path = tmp_path / "profile.folded"
-        assert main([
-            "loadtest", "SYN", "--scale", "0.05", "--queries", "10",
-            "--keywords", "2", "--k", "4", "--workers", "2",
-            "--qps", "30", "--duration", "0.5",
-            "--profile-out", str(out_path), "--profile-hz", "200",
-        ]) == 0
-        err = capsys.readouterr().err
-        assert "profile samples" in err
-        for line in out_path.read_text().splitlines():
-            stack, count = line.rsplit(" ", 1)
-            assert stack and int(count) > 0
-
     def test_loadtest_with_telemetry_port(self, capsys):
         # Port 0 binds an ephemeral port; the run must start/stop the
         # server cleanly around the workload.
@@ -706,27 +678,6 @@ class TestLoadtestCommand:
         ]) == 0
         err = capsys.readouterr().err
         assert "Telemetry: http://127.0.0.1:" in err
-
-
-class TestProfileCommand:
-    def test_renders_folded_file(self, tmp_path, capsys):
-        folded = tmp_path / "p.folded"
-        folded.write_text(
-            "SEQ;a.py:f;b.py:g 60\nCOM;a.py:f;c.py:h 40\n"
-        )
-        assert main(["profile", str(folded), "--top", "5"]) == 0
-        out = capsys.readouterr().out
-        assert "by plan label:" in out
-        assert "SEQ" in out and "COM" in out
-
-    def test_missing_file_fails(self, tmp_path):
-        assert main(["profile", str(tmp_path / "absent.folded")]) == 1
-
-    def test_empty_file(self, tmp_path, capsys):
-        folded = tmp_path / "empty.folded"
-        folded.write_text("")
-        assert main(["profile", str(folded)]) == 0
-        assert "no profile samples" in capsys.readouterr().out
 
 
 class TestTelemetryFlag:
@@ -745,8 +696,7 @@ class TestFlagValidation:
             ["loadtest", "SYN", "--qps", "0"],
             ["loadtest", "SYN", "--qps", "-5"],
             ["loadtest", "SYN", "--duration", "0"],
-            ["loadtest", "SYN", "--profile-hz", "0"],
-            ["loadtest", "SYN", "--profile-hz", "nan"],
+            ["loadtest", "SYN", "--duration", "nan"],
             ["loadtest", "SYN", "--telemetry-port", "70000"],
             ["diversify", "SYN", "--shadow-rate", "0"],
             ["diversify", "SYN", "--shadow-rate", "1.5"],
@@ -759,7 +709,6 @@ class TestFlagValidation:
     def test_valid_rates_accepted(self):
         args = build_parser().parse_args([
             "loadtest", "SYN", "--qps", "12.5", "--duration", "0.5",
-            "--profile-hz", "97",
         ])
         assert args.qps == 12.5
         args = build_parser().parse_args([
