@@ -31,7 +31,7 @@ those flags ask for:
 ``run``          ``--queries`` ``--metrics`` ``--prom`` ``--trace``
                  (span trees, for ``--slowlog`` to capture)
                  ``--slowlog`` ``--slo`` ``--telemetry-port``
-                 ``--record`` ``--shadow-backend`` ``--shadow-rate``
+                 ``--record``
 ``index``        ``--index`` (workloads but ``compare``; ``explain``)
 ``diversified``  ``--k`` ``--lambda`` (``diversify`` ``update``
                  ``loadtest`` ``explain``)
@@ -93,14 +93,6 @@ def _positive_float(text: str) -> float:
         raise argparse.ArgumentTypeError(
             "must be a positive finite number"
         )
-    return value
-
-
-def _rate(text: str) -> float:
-    """A sampling fraction in ``(0, 1]``."""
-    value = _positive_float(text)
-    if value > 1.0:
-        raise argparse.ArgumentTypeError("must be a fraction in (0, 1]")
     return value
 
 
@@ -245,19 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
              "label, result digest, stats) plus committed updates "
              "as JSON lines to PATH; re-execute and audit with "
              "`repro replay PATH`",
-    )
-    run.add_argument(
-        "--shadow-backend", choices=DISTANCE_BACKENDS, default=None,
-        help="re-run a sampled fraction of diversified queries on "
-             "this second distance backend in flight and compare "
-             "result digests (divergences are counted and filed "
-             "into the slow-query log; exit code reflects them)",
-    )
-    run.add_argument(
-        "--shadow-rate", type=_rate, default=1.0, metavar="FRACTION",
-        help="fraction of queries shadow-executed, in (0, 1] "
-             "(default 1.0; sampling is deterministic in the "
-             "query's batch index)",
     )
 
     #: What every workload command takes (and ``_workload_run`` reads).
@@ -441,21 +420,6 @@ def _check_slo(db, spec_path: Optional[str]) -> int:
     return 0
 
 
-def _report_shadow(db, backend: Optional[str]) -> int:
-    """Print the shadow verdict; non-zero when digests diverged."""
-    if backend is None:
-        return 0
-    counters = db.metrics.counters()
-    executions = counters.get("shadow.executions", 0)
-    divergences = counters.get("shadow.divergences", 0)
-    print(f"Shadow [{backend}]: {executions} shadow executions, "
-          f"{divergences} divergence(s)", file=sys.stderr)
-    if divergences:
-        print("shadow-backend audit FAILED", file=sys.stderr)
-        return 1
-    return 0
-
-
 def _report_run(db, args) -> None:
     """What a finished workload prints and writes, before teardown."""
     if db.distance_cache is not None:
@@ -519,13 +483,13 @@ def _workload_run(
 
     Builds the database and installs what the shared workload flags ask
     for — metrics sink, tracing, slow-query log, flight recorder,
-    shadow execution, telemetry server.  The ``with`` body runs the
-    workload against ``run.db`` and may set ``run.rc``.  On success
-    the run is reported (the ``--prom`` file, capture summaries) and
-    ``run.rc`` becomes the first failing of: the body's own code,
-    ``--slo`` against the final snapshot (``slo_at_end``; ``loadtest``
-    gates on its live windows instead), the shadow audit.  On every
-    exit path, an exception included, everything opened here is closed.
+    telemetry server.  The ``with`` body runs the workload against
+    ``run.db`` and may set ``run.rc``.  On success the run is reported
+    (the ``--prom`` file, capture summaries) and ``run.rc`` becomes the
+    first failing of: the body's own code, ``--slo`` against the final
+    snapshot (``slo_at_end``; ``loadtest`` gates on its live windows
+    instead).  On every exit path, an exception included, everything
+    opened here is closed.
     """
     db = _build_db(args.profile, args.scale, args.seed)
     db.use_distance_backend(args.distance_backend)
@@ -561,8 +525,6 @@ def _workload_run(
                 workers=args.workers,
                 data_version=db.data_version,
             )
-        if args.shadow_backend is not None:
-            db.engine.enable_shadow(args.shadow_backend, args.shadow_rate)
         if args.telemetry_port is not None:
             # Up before the workload, so an external scraper watches
             # counters advance while queries run.
@@ -573,8 +535,6 @@ def _workload_run(
         _report_run(db, args)
         if slo_at_end and not run.rc:
             run.rc = _check_slo(db, args.slo)
-        if not run.rc:
-            run.rc = _report_shadow(db, args.shadow_backend)
     except BaseException:
         _close_run(db, sink, snapshot=False)
         raise
@@ -713,9 +673,7 @@ def _cmd_slowlog(args) -> int:
             except ValueError:
                 skipped += 1  # truncated tail of a killed run
                 continue
-            if record.get("type") in (
-                "slow_query", "slo_breach", "shadow_divergence",
-            ):
+            if record.get("type") in ("slow_query", "slo_breach"):
                 records.append(record)
     if args.limit is not None:
         records = records[-args.limit:]

@@ -54,6 +54,21 @@ __all__ = ["Database", "INDEX_KINDS"]
 INDEX_KINDS = ("ccam", "ir", "if", "sif", "sif-p", "sif-g")
 
 
+def _update_hooks(indexes: Iterable[ObjectIndex], method: str, what: str):
+    """Each index's ``method``, resolved before the update touches
+    anything: one index that cannot take it refuses the update whole,
+    leaving store, indexes and epoch agreeing."""
+    hooks = []
+    for index in indexes:
+        hook = getattr(index, method, None)
+        if hook is None:
+            raise QueryError(
+                f"index {index.name} does not support dynamic {what}"
+            )
+        hooks.append(hook)
+    return hooks
+
+
 class Database:
     """A spatio-textual road-network database instance."""
 
@@ -206,14 +221,10 @@ class Database:
         cache and CH oracle stay valid.
         """
         self.ensure_frozen()
+        inserts = _update_hooks(indexes, "insert_object", "insertion")
         obj = self.store.add(position, keywords)
         self.store.resort_edge(position.edge_id)
-        for index in indexes:
-            insert = getattr(index, "insert_object", None)
-            if insert is None:
-                raise QueryError(
-                    f"index {index.name} does not support dynamic insertion"
-                )
+        for insert in inserts:
             insert(obj)
         self._commit_update(UpdateRecord(
             epoch=self.data_version + 1,
@@ -238,13 +249,9 @@ class Database:
         touching distance state.
         """
         self.ensure_frozen()
+        deletes = _update_hooks(indexes, "delete_object", "deletion")
         obj = self.store.remove(object_id)
-        for index in indexes:
-            delete = getattr(index, "delete_object", None)
-            if delete is None:
-                raise QueryError(
-                    f"index {index.name} does not support dynamic deletion"
-                )
+        for delete in deletes:
             delete(obj)
         self._commit_update(UpdateRecord(
             epoch=self.data_version + 1,
@@ -587,16 +594,16 @@ class Database:
             return self.hub_oracle()
         return None
 
-    def pairwise_provider(self, backend: Optional[str] = None):
+    def pairwise_provider(self):
         """The adjacency provider a pairwise computer traverses under
-        ``backend`` (default: the selected one).
+        the selected backend.
 
         The in-memory network under ``csgraph`` — its CSR snapshot is
         built here, on first use, rather than inside the first source's
         timing — and the CCAM store otherwise, so ``dijkstra`` keeps
         charging every pairwise page access.
         """
-        if (backend or self.distance_backend) == "csgraph":
+        if self.distance_backend == "csgraph":
             self.csr_graph()
             return self.network
         return self.ccam

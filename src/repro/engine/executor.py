@@ -34,7 +34,6 @@ exactly as real outstanding I/O would.
 
 from __future__ import annotations
 
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import TYPE_CHECKING, Iterable, List, Optional
@@ -44,10 +43,8 @@ from ..core.ine import INEExpansion
 from ..core.knn import knn_search
 from ..core.queries import QueryStats, SKResult
 from ..errors import QueryError
-from ..network.distance import DISTANCE_BACKENDS, PairwiseDistanceComputer
+from ..network.distance import PairwiseDistanceComputer
 from ..obs.events import QueryEvent
-from ..obs.recorder import result_digest
-from ..obs.tracing import NULL_TRACER
 from .context import ExecutionContext
 
 if TYPE_CHECKING:  # pragma: no cover — import cycle guard
@@ -75,46 +72,6 @@ class QueryEngine:
             raise ValueError("io_wait_latency must be non-negative")
         self.db = db
         self.io_wait_latency = io_wait_latency
-        #: Shadow-execution state (see :meth:`enable_shadow`): ``None``
-        #: keeps the zero-overhead path — one attribute read per query.
-        self.shadow_backend: Optional[str] = None
-        self.shadow_rate: float = 1.0
-        self._shadow_lock = threading.Lock()
-        self._shadow_counter = 0
-
-    # ------------------------------------------------------------------
-    # Shadow execution
-    # ------------------------------------------------------------------
-    def enable_shadow(self, backend: str, rate: float = 1.0) -> None:
-        """Run a sampled fraction of diversified queries twice.
-
-        Each sampled query is re-executed on ``backend`` inside the
-        same execution context right after its primary run; the two
-        :func:`~repro.obs.recorder.result_digest`\\ s are compared in
-        flight and the verdict rides the query's event.  Matches count
-        ``shadow.matches``; mismatches count
-        ``shadow.divergences`` (plus a per-plan-label
-        ``shadow.divergence#<label>`` counter) and are filed into the
-        slow-query log with both digests.  ``rate`` in ``(0, 1]`` is
-        the sampled fraction; sampling is **deterministic in the batch
-        index** (query ``i`` is sampled iff
-        ``floor((i+1)·rate) > floor(i·rate)``), so a recorded run
-        replays with the same shadow decisions regardless of worker
-        count or dispatch order.
-        """
-        backend = backend.lower()
-        if backend not in DISTANCE_BACKENDS:
-            raise QueryError(
-                f"unknown shadow backend {backend!r}; "
-                f"expected one of {DISTANCE_BACKENDS}"
-            )
-        if not 0.0 < rate <= 1.0:
-            raise QueryError("shadow rate must be in (0, 1]")
-        self.shadow_backend = backend
-        self.shadow_rate = rate
-
-    def disable_shadow(self) -> None:
-        self.shadow_backend = None
 
     # ------------------------------------------------------------------
     # Single-plan execution
@@ -129,14 +86,10 @@ class QueryEngine:
         ``sequence`` is the query's index within its batch, when the
         caller knows it.  It gives the query a dispatch-order-free
         identity: the flight recorder stamps it into the captured
-        record (so replay aligns on it) and shadow sampling derives
-        its keep/skip decision from it — which is what makes a
-        recorded ``--workers N`` run replay with identical shadow
-        decisions.  Without one, a locked engine-lifetime counter
-        stands in (still deterministic serially).
+        record, so replay aligns a ``--workers N`` run on it.
         """
         ctx = ExecutionContext(self.db, plan, tracer)
-        result = shadow = error = None
+        result = error = None
         try:
             with ctx:
                 if plan.kind == "sk":
@@ -147,93 +100,17 @@ class QueryEngine:
                     result = self._execute_diversified(plan, ctx)
                 else:  # pragma: no cover — QueryPlan validates kind
                     raise QueryError(f"unknown plan kind {plan.kind!r}")
-                if self.shadow_backend is not None and self._shadow_due(
-                    plan, result, sequence
-                ):
-                    shadow = self._execute_shadow(plan, result)
         except Exception as exc:  # noqa: BLE001 — published, then re-raised
             error, result = exc, None
         # The one place a query is told to the world.  The context has
         # closed, so the stats are final and the span tree complete.
         self.db.publish(QueryEvent(
-            plan, result, error, sequence, ctx.tracer.last_trace, shadow
+            plan, result, error, sequence, ctx.tracer.last_trace
         ))
         if error is not None:
             raise error
         self._io_wait(result.stats)
         return result
-
-    def _shadow_due(self, plan, result, sequence) -> bool:
-        """Should this query get a shadow run?  (Cheap; engine hot path.)
-
-        Only diversified queries are shadowed (they are the paths with
-        backend-dependent machinery), and result-cache hits are skipped
-        — a cached answer exercised no backend, so re-checking it
-        audits nothing.
-        """
-        if plan.kind != "diversified":
-            return False
-        if result.stats.result_cache_hit:
-            return False
-        if sequence is None:
-            with self._shadow_lock:
-                sequence = self._shadow_counter
-                self._shadow_counter += 1
-        rate = self.shadow_rate
-        return int((sequence + 1) * rate) > int(sequence * rate)
-
-    def _shadow_oracle(self, backend: str):
-        """The distance oracle a shadow run uses (seam for fault
-        injection in tests; ``None`` = bounded Dijkstra)."""
-        if backend == "ch":
-            return self.db.ch_oracle()
-        if backend == "hub":
-            return self.db.hub_oracle()
-        return None
-
-    def _execute_shadow(self, plan, result):
-        """Re-run one diversified query on the shadow backend; compare.
-
-        Runs inside the primary query's execution context (same pinned
-        epoch, same data) but with a **private, cache-free** pairwise
-        computer — the audit must recompute distances, not read back
-        whatever the primary just cached.  The primary's stats are
-        already finalised; shadow work only lands on lifetime counters.
-        Returns the outcome the query's event carries: the subscribers
-        count it, journal it and file a divergence.
-        """
-        db = self.db
-        query = plan.query
-        backend_name = self.shadow_backend
-        pairwise = PairwiseDistanceComputer(
-            db.pairwise_provider(backend_name),
-            db.network,
-            cutoff=2.0 * query.delta_max * 1.001,
-            cache=None,
-            tracer=NULL_TRACER,
-            backend=self._shadow_oracle(backend_name),
-        )
-        if plan.algorithm == "seq":
-            shadow_result = seq_search(
-                db.ccam, db.network, plan.index, query,
-                pairwise=pairwise, tracer=NULL_TRACER,
-            )
-        else:
-            shadow_result = com_search(
-                db.ccam, db.network, plan.index, query,
-                pairwise=pairwise,
-                enable_pruning=plan.enable_pruning,
-                tracer=NULL_TRACER,
-            )
-        primary_digest = result_digest(result)
-        shadow_digest = result_digest(shadow_result)
-        return {
-            "backend": backend_name,
-            "digest": shadow_digest,
-            "primary_digest": primary_digest,
-            "match": primary_digest == shadow_digest,
-            "results": len(shadow_result),
-        }
 
     def _execute_sk(self, plan: "QueryPlan", ctx: ExecutionContext) -> SKResult:
         db = self.db
@@ -399,8 +276,8 @@ class QueryEngine:
         if workers < 1:
             raise QueryError("workers must be >= 1")
         plans = list(plans)
-        # Every plan carries its batch index: flight records and shadow
-        # sampling decisions are then functions of the batch position,
+        # Every plan carries its batch index: a flight record's
+        # ``sequence`` is then a function of the batch position,
         # identical between serial, concurrent and replayed runs.
         if workers == 1 or len(plans) <= 1:
             return [

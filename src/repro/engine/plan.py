@@ -205,7 +205,7 @@ def plan_sk(db: "Database", index: ObjectIndex, query: SKQuery) -> QueryPlan:
 def plan_knn(
     db: "Database", index: ObjectIndex, query: SKkNNQuery
 ) -> QueryPlan:
-    """Plan a boolean SK kNN search (INE with adaptive radius)."""
+    """Plan a boolean SK kNN search (k items off one INE expansion)."""
     db.ensure_frozen()
     return QueryPlan(
         kind="knn",

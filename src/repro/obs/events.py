@@ -5,10 +5,10 @@ builds one :class:`QueryEvent` per finished (or failed) query and
 :meth:`Database.publish <repro.core.database.Database.publish>` hands
 it, once, to every subscriber: the metrics registry, the sliding-window
 rollup, the slow-query log, the flight recorder.  The event holds
-references — plan, result, span tree, shadow outcome; what is *derived*
-from them (worker name, result digest, the JSON encoding) is computed
-the first time a subscriber asks and kept, so a database with no log,
-recorder or sink derives nothing and one with all three encodes once.
+references — plan, result, span tree; what is *derived* from them
+(worker name, result digest, the JSON encoding) is computed the first
+time a subscriber asks and kept, so a database with no log, recorder
+or sink derives nothing and one with all three encodes once.
 
 :meth:`QueryEvent.to_dict` is the one encoding of a finished query: the
 ``"query"`` line of a ``--metrics`` file, a ``slow_query`` record and a
@@ -65,9 +65,6 @@ class QueryEvent:
     sequence: Optional[int] = None
     #: Root of the query's span tree, when it was traced.
     trace: Any = None
-    #: Outcome of the query's shadow run, when one was due: ``backend``
-    #: / ``digest`` / ``primary_digest`` / ``match`` / ``results``.
-    shadow: Optional[Dict[str, Any]] = None
 
     @property
     def stats(self):
@@ -82,8 +79,6 @@ class QueryEvent:
     @cached_property
     def digest(self) -> str:
         """The result's :func:`~repro.obs.recorder.result_digest`."""
-        if self.shadow is not None:  # its run already digested the answer
-            return self.shadow["primary_digest"]
         return result_digest(self.result)
 
     @cached_property

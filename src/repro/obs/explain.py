@@ -216,15 +216,6 @@ def _describe_greedy(span: Span) -> str:
     )
 
 
-def _describe_knn_round(span: Span) -> str:
-    a = span.attrs
-    return (
-        f"kNN round #{a.get('attempt', '?')}: radius "
-        f"{_num(a.get('radius', '?'))} → {a.get('matches', '?')} matches "
-        f"({a.get('nodes_settled', '?')} nodes settled)"
-    )
-
-
 def _describe_generic(span: Span) -> str:
     attrs = ", ".join(f"{k}={_num(v)}" for k, v in span.attrs.items())
     line = f"{span.name} ({_ms(span.duration)})"
@@ -247,7 +238,6 @@ _FORMATTERS = {
     "com.round": _describe_com_round,
     "com.maintenance": _describe_com_maintenance,
     "greedy.select": _describe_greedy,
-    "knn.round": _describe_knn_round,
 }
 
 _EVENT_LABELS = {
@@ -362,9 +352,9 @@ class ExplainReport:
         """The result's flight-recorder digest, when a result is held.
 
         The same :func:`repro.obs.recorder.result_digest` the flight
-        recorder and shadow execution compute — so an EXPLAIN of one
-        query is directly comparable against a captured flight record
-        or a divergence note, without re-running anything.
+        recorder computes — so an EXPLAIN of one query is directly
+        comparable against a captured flight record or a replay
+        divergence, without re-running anything.
         """
         if self.result is None or not hasattr(self.result, "items"):
             return None

@@ -312,11 +312,6 @@ class MetricsRegistry:
                 ("io.physical_reads", stats.io.physical_reads),
                 ("io.buffer_hits", stats.io.buffer_hits),
             )
-        if event.shadow is not None:
-            verdict = "matches" if event.shadow["match"] else "divergences"
-            counts += (("shadow.executions", 1), (f"shadow.{verdict}", 1))
-            if not event.shadow["match"]:
-                counts.append((f"shadow.divergence#{label}", 1))
         with self._lock:
             for name, n in counts:
                 counter = self._counters.get(name)

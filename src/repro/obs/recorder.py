@@ -1,8 +1,9 @@
 """Flight recorder: capture live queries for deterministic replay.
 
-Three distance backends all promise byte-identical answers — but that
-equivalence is only exercised by tests, never by live traffic.  The
-flight recorder closes the gap with the standard production audit loop:
+Every distance backend promises byte-identical answers — but tests
+alone never exercise that on live traffic.  The flight recorder closes
+the gap with one rule: *an answer is audited by recording it and
+replaying the journal*.
 
 1. **Capture** — :class:`FlightRecorder` is a thread-safe bounded ring
    subscribed to the database's per-query events
@@ -23,12 +24,7 @@ flight recorder closes the gap with the standard production audit loop:
    (``repro replay FILE``, with ``--backend``/``--workers``
    overrides for cross-backend audits).
 
-3. **Shadow execution** — the engine's ``--shadow-backend`` mode runs
-   a sampled fraction of queries a second time on another backend
-   inside the same execution context and compares digests in flight
-   (see :meth:`repro.engine.executor.QueryEngine.enable_shadow`).
-
-The digest is the contract between all three: an ordered sha256 over
+The digest is the contract between the two: an ordered sha256 over
 ``object_id:distance`` pairs (distances formatted to 9 significant
 digits, robust to last-ulp float noise across backends) plus the
 rounded diversified objective value.  Two executions agree iff they
@@ -82,8 +78,8 @@ def query_to_dict(query) -> Dict[str, Any]:
     """JSON-able query parameters, sufficient to rebuild the query.
 
     Duck-typed over the three query families (SK range / kNN /
-    diversified): whatever of ``delta_max``, ``k``, ``lambda_``,
-    ``horizon`` and ``initial_radius`` the query carries is captured.
+    diversified): whatever of ``delta_max``, ``k``, ``lambda_`` and
+    ``horizon`` the query carries is captured.
     """
     position = query.position
     out: Dict[str, Any] = {
@@ -98,7 +94,6 @@ def query_to_dict(query) -> Dict[str, Any]:
         ("k", "k"),
         ("lambda_", "lambda"),
         ("horizon", "horizon"),
-        ("initial_radius", "initial_radius"),
     ):
         value = getattr(query, attr, None)
         if value is not None:
@@ -172,10 +167,9 @@ class FlightRecorder(RecordRing):
 
         ``event`` is the query's :class:`~repro.obs.events.QueryEvent`;
         its ``sequence`` (the caller's batch index, when known) is what
-        the replay driver aligns on, ``seq`` is the recorder's own
-        arrival counter, and ``shadow`` carries the shadow-execution
-        outcome when one ran alongside.  Failed queries are not
-        journalled (there is no answer to replay against).
+        the replay driver aligns on and ``seq`` is the recorder's own
+        arrival counter.  Failed queries are not journalled (there is
+        no answer to replay against).
         """
         if event.error is not None:
             return None
@@ -184,8 +178,6 @@ class FlightRecorder(RecordRing):
             **event.to_dict(),
             "digest": event.digest,
         }
-        if event.shadow is not None:
-            record["shadow"] = event.shadow
         with self._lock:
             self.observed += 1
             record["seq"] = self.observed

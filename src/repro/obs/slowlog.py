@@ -32,7 +32,6 @@ __all__ = [
     "SlowQueryLog",
     "render_record",
     "render_breach_record",
-    "render_divergence_record",
 ]
 
 
@@ -137,27 +136,12 @@ class SlowQueryLog(RecordRing):
 
         ``event`` is the query's :class:`~repro.obs.events.QueryEvent`.
         A captured record always carries the result digest, so two
-        divergent captures are diffable without re-running anything;
-        a shadow run that disagreed is filed as a ``shadow_divergence``
-        note whether or not the query was slow.  Returns the captured
-        record, or ``None`` for fast (and failed) queries.
+        divergent captures are diffable without re-running anything.
+        Returns the captured record, or ``None`` for fast (and failed)
+        queries.
         """
         if event.error is not None:
             return None
-        shadow = event.shadow
-        if shadow is not None and not shadow["match"]:
-            self.note({
-                "type": "shadow_divergence",
-                "label": event.plan.label,
-                "algorithm": event.plan.algorithm,
-                "primary_backend": event.stats.distance_backend,
-                "shadow_backend": shadow["backend"],
-                "primary_digest": shadow["primary_digest"],
-                "shadow_digest": shadow["digest"],
-                "primary_results": len(event.result),
-                "shadow_results": shadow["results"],
-                "worker": event.worker,
-            })
         stats = event.stats
         reasons = self.threshold.exceeded(
             stats.wall_seconds, stats.nodes_accessed
@@ -219,29 +203,6 @@ def render_breach_record(record: Dict[str, Any]) -> str:
     )
 
 
-def render_divergence_record(record: Dict[str, Any]) -> str:
-    """Narrate one ``shadow_divergence`` note (from shadow execution).
-
-    Both digests are shown so the two answers are diffable straight
-    from the log — no re-execution needed to see *that* they differ
-    and by how many results.
-    """
-    header = (
-        f"SHADOW DIVERGENCE  [{record.get('label', '?')}]  "
-        f"{record.get('primary_backend', '?')} vs "
-        f"{record.get('shadow_backend', '?')} "
-        f"(worker {record.get('worker') or '?'})"
-    )
-    lines = [
-        header,
-        f"  primary digest: {record.get('primary_digest', '?')} "
-        f"({record.get('primary_results', '?')} results)",
-        f"  shadow digest:  {record.get('shadow_digest', '?')} "
-        f"({record.get('shadow_results', '?')} results)",
-    ]
-    return "\n".join(lines)
-
-
 def render_record(record: Dict[str, Any]) -> str:
     """Narrate one slow-query record (the ``repro slowlog`` renderer).
 
@@ -260,8 +221,6 @@ def render_record(record: Dict[str, Any]) -> str:
 
     if record.get("type") == "slo_breach":
         return render_breach_record(record)
-    if record.get("type") == "shadow_divergence":
-        return render_divergence_record(record)
     stats = record.get("stats") or {}
     wall_ms = record.get("wall_seconds", 0.0) * 1e3
     # Logs written before the one per-query encoding repeat the count

@@ -193,10 +193,10 @@ def run_loadtest(
         start = clock()
         error = False
         try:
-            # The send index is the query's identity: flight records
-            # and shadow-sampling decisions derive from it rather than
-            # from a shared counter consumed in dispatch order, so a
-            # recorded run replays identically under any --workers N.
+            # The send index is the query's identity: a flight record
+            # carries it rather than a shared counter consumed in
+            # dispatch order, so a recorded run replays identically
+            # under any --workers N.
             db.engine.execute(plan, sequence=sequence)
         except Exception:  # noqa: BLE001 — the driver must keep pace
             error = True

@@ -274,7 +274,6 @@ def _rebuild_query(record: Dict[str, Any]):
             terms=terms,
             k=params["k"],
             horizon=params.get("horizon", 1e9),
-            initial_radius=params.get("initial_radius"),
         )
     return SKQuery(
         position=position, terms=terms, delta_max=params["delta_max"]

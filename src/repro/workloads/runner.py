@@ -195,26 +195,28 @@ class WorkloadReport:
         }
 
 
-def _check_workers(workers: int, cold_buffer: bool) -> None:
+def _check_workers(workers: int) -> None:
     if workers < 1:
         raise QueryError("workers must be >= 1")
-    if workers > 1 and cold_buffer:
-        raise QueryError(
-            "cold_buffer clears the shared buffer pool between queries "
-            "and cannot be combined with workers > 1"
-        )
 
 
 def _run_plans(
     db: Database, plans, report: WorkloadReport, workers: int
-) -> None:
-    """Execute the plans (serially or pooled) and fill the report."""
+) -> WorkloadReport:
+    """Execute the plans (serially or pooled), fill and emit the report.
+
+    One path for any worker count: ``execute_many`` stamps every plan
+    with its batch index, so a recorded serial run replays under any
+    ``--workers N``.
+    """
     t0 = time.perf_counter()
     results = db.engine.execute_many(plans, workers=workers)
     report.wall_clock_seconds = time.perf_counter() - t0
     report.workers = workers
     for result in results:
         report.record(result.stats, len(result))
+    db.metrics.emit(report.summary_record())
+    return report
 
 
 def run_sk_workload(
@@ -222,7 +224,6 @@ def run_sk_workload(
     index: ObjectIndex,
     queries: Sequence[SKQuery],
     label: str = "",
-    cold_buffer: bool = False,
     workers: int = 1,
 ) -> WorkloadReport:
     """Execute SK queries and aggregate the paper's metrics.
@@ -230,27 +231,12 @@ def run_sk_workload(
     ``workers > 1`` runs the batch on the query engine's thread pool;
     results and aggregates match a serial run (see
     :meth:`repro.engine.executor.QueryEngine.execute_many`), only the
-    report's batch wall clock (``qps``) changes.  Incompatible with
-    ``cold_buffer`` (which clears the shared pool between queries).
+    report's batch wall clock (``qps``) changes.
     """
-    _check_workers(workers, cold_buffer)
+    _check_workers(workers)
     report = WorkloadReport(label=label or index.name)
-    if workers > 1:
-        plans = [plan_sk(db, index, q) for q in queries]
-        _run_plans(db, plans, report, workers)
-    else:
-        # Serial runs still execute plans with their batch index so
-        # flight records carry the same ``sequence`` identity either
-        # way (a recorded serial run replays under any worker count).
-        t0 = time.perf_counter()
-        for i, query in enumerate(queries):
-            if cold_buffer:
-                db.disk.clear_buffer()
-            result = db.engine.execute(plan_sk(db, index, query), sequence=i)
-            report.record(result.stats, len(result))
-        report.wall_clock_seconds = time.perf_counter() - t0
-    db.metrics.emit(report.summary_record())
-    return report
+    plans = [plan_sk(db, index, q) for q in queries]
+    return _run_plans(db, plans, report, workers)
 
 
 def run_diversified_workload(
@@ -259,7 +245,6 @@ def run_diversified_workload(
     queries: Sequence[DiversifiedSKQuery],
     method: str,
     label: str = "",
-    cold_buffer: bool = False,
     enable_pruning: bool = True,
     workers: int = 1,
 ) -> WorkloadReport:
@@ -272,30 +257,12 @@ def run_diversified_workload(
     saving.  The cache is thread-safe, so this composes with
     ``workers > 1`` (see :func:`run_sk_workload`).
     """
-    _check_workers(workers, cold_buffer)
+    _check_workers(workers)
     report = WorkloadReport(label=label or f"{method.upper()}/{index.name}")
-    if workers > 1:
-        plans = [
-            plan_diversified(
-                db, index, q, method=method, enable_pruning=enable_pruning
-            )
-            for q in queries
-        ]
-        _run_plans(db, plans, report, workers)
-    else:
-        # Same sequence-stamped path as run_sk_workload's serial branch.
-        t0 = time.perf_counter()
-        for i, query in enumerate(queries):
-            if cold_buffer:
-                db.disk.clear_buffer()
-            result = db.engine.execute(
-                plan_diversified(
-                    db, index, query,
-                    method=method, enable_pruning=enable_pruning,
-                ),
-                sequence=i,
-            )
-            report.record(result.stats, len(result))
-        report.wall_clock_seconds = time.perf_counter() - t0
-    db.metrics.emit(report.summary_record())
-    return report
+    plans = [
+        plan_diversified(
+            db, index, q, method=method, enable_pruning=enable_pruning
+        )
+        for q in queries
+    ]
+    return _run_plans(db, plans, report, workers)

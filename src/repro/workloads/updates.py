@@ -175,7 +175,7 @@ def run_update_workload(
     serial update window between batches is the documented concurrency
     contract for mutation.
     """
-    _check_workers(workers, cold_buffer=False)
+    _check_workers(workers)
     query_report = WorkloadReport(
         label=label or f"update/{method.upper()}/{index.name}"
     )

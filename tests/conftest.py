@@ -146,8 +146,8 @@ def make_query_event(label: str = "SIF/COM", stats=None, **fields) -> QueryEvent
     """The event the engine would publish for a query planned as
     ``label`` (``"<index>/<ALGORITHM>"``) that finished with ``stats``
     and no results — a real plan and result, no database.  ``fields``
-    go to :class:`QueryEvent` (``error``, ``sequence``, ``trace``,
-    ``shadow``); an ``error`` makes it a failed query."""
+    go to :class:`QueryEvent` (``error``, ``sequence``, ``trace``);
+    an ``error`` makes it a failed query."""
     index_name, algorithm = label.split("/")
     algorithm = algorithm.lower()
     position = NetworkPosition(0, 0.0)

@@ -1,7 +1,10 @@
 """Tests for the boolean SK kNN search."""
 
+from itertools import islice
+
 import pytest
 
+from repro.core.ine import INEExpansion
 from repro.core.knn import SKkNNQuery
 from repro.errors import QueryError
 from repro.network.distance import network_distance
@@ -38,11 +41,11 @@ class TestValidation:
         with pytest.raises(QueryError):
             SKkNNQuery.create(pos, ["a"], k=1, horizon=-5)
 
-    @pytest.mark.parametrize("field", ["horizon", "initial_radius"])
+    @pytest.mark.parametrize("field", ["horizon"])
     @pytest.mark.parametrize("value", [0.0, -1.0, float("nan")])
     def test_radii_must_be_positive_numbers(self, tiny_db, field, value):
-        """A zero, negative or nan radius is refused up front: doubling
-        it never reaches the horizon, so the search would not return."""
+        """A zero, negative or nan radius is refused up front: the
+        expansion it bounds would reach nothing (nan: compare false)."""
         pos = next(iter(tiny_db.store)).position
         with pytest.raises(QueryError):
             SKkNNQuery.create(pos, ["a"], k=1, **{field: value})
@@ -79,24 +82,25 @@ class TestCorrectness:
         assert len(result) <= 50
         assert all(it.object.contains_all(frozenset(terms)) for it in result)
 
-    def test_adaptive_radius_growth(self, tiny_db, sif):
-        """A tiny initial radius must still find the answers."""
-        freq = tiny_db.store.keyword_frequencies()
-        top_term = max(freq, key=freq.get)
-        obj = next(iter(tiny_db.store))
-        small = tiny_db.sk_knn(
-            sif,
-            SKkNNQuery.create(obj.position, [top_term], k=4,
-                              initial_radius=10.0),
-        )
-        large = tiny_db.sk_knn(
-            sif,
-            SKkNNQuery.create(obj.position, [top_term], k=4,
-                              initial_radius=50000.0),
-        )
-        assert [it.object.object_id for it in small] == [
-            it.object.object_id for it in large
-        ]
+    def test_is_one_expansion_stopped_at_the_kth_item(self, tiny_db, sif):
+        """kNN settles exactly the nodes a single INE expansion settles
+        on its way to the k-th arrival — no restarted rounds."""
+        for obj in list(tiny_db.store)[:5]:
+            # The object's own (often rare) keyword: 8 matches lie past
+            # any first-guess radius for two of these five.
+            term = sorted(obj.keywords)[0]
+            query = SKkNNQuery.create(obj.position, [term], k=8)
+            result = tiny_db.sk_knn(sif, query)
+            expansion = INEExpansion(
+                tiny_db.ccam, tiny_db.network, sif, query.position,
+                query.terms, query.horizon,
+            )
+            want = list(islice(expansion.run(), query.k))
+            assert [it.object.object_id for it in result] == [
+                it.object.object_id for it in want
+            ]
+            assert result.stats.nodes_accessed == expansion.stats.nodes_accessed
+            assert result.stats.edges_accessed == expansion.stats.edges_accessed
 
     def test_kth_distance(self, tiny_db, sif):
         freq = tiny_db.store.keyword_frequencies()

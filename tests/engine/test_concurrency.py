@@ -180,8 +180,4 @@ class TestRunnerWorkers:
         with pytest.raises(QueryError):
             run_sk_workload(tiny_db, sif, queries, workers=0)
         with pytest.raises(QueryError):
-            run_sk_workload(
-                tiny_db, sif, queries, workers=2, cold_buffer=True
-            )
-        with pytest.raises(QueryError):
             tiny_db.engine.execute_many([], workers=0)

@@ -56,12 +56,16 @@ class TestBackendSelection:
         fresh = Database(random_planar_network(30, seed=2))
         assert fresh.distance_backend == "csgraph"
         # No oracle: the computer traverses the in-memory network.
-        assert tiny_db.pairwise_backend() is None
-        assert tiny_db.pairwise_provider() is tiny_db.network
-        assert tiny_db.pairwise_provider("dijkstra") is tiny_db.ccam
+        assert fresh.pairwise_backend() is None
+        assert fresh.pairwise_provider() is fresh.network
+        fresh.use_distance_backend("dijkstra")
+        assert fresh.pairwise_provider() is fresh.ccam
 
-    def test_oracle_built_once_and_recorded(self, restore_backend):
-        db = restore_backend
+    # The two tests below read lifetime build counters, so each builds
+    # on a database of its own: the session-scoped ``tiny_db`` has had
+    # its oracles built (and rebuilt) by whichever tests ran before.
+    def test_oracle_built_once_and_recorded(self):
+        db = Database(random_planar_network(30, seed=2))
         db.use_distance_backend("ch")
         oracle = db.ch_oracle()
         assert db.ch_oracle() is oracle
@@ -69,8 +73,8 @@ class TestBackendSelection:
         assert counters["ch.shortcuts_added"] == oracle.shortcuts_added
         assert counters["ch.upward_edges"] == oracle.upward_edges
 
-    def test_hub_backend_selected_and_recorded(self, restore_backend):
-        db = restore_backend
+    def test_hub_backend_selected_and_recorded(self):
+        db = Database(random_planar_network(30, seed=2))
         db.use_distance_backend("hub")
         oracle = db.hub_oracle()
         assert db.pairwise_backend() is oracle

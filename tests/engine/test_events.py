@@ -84,7 +84,7 @@ class TestOneEncoding:
             assert line["stats"] is slow["stats"] is flight["stats"]
 
     def test_slow_record_always_carries_its_digest(self, db, sif):
-        """No recorder, no shadow run: the digest is still there."""
+        """No recorder installed: the digest is still there."""
         log = db.enable_slow_query_log(latency_seconds=0.0)
         result = db.engine.execute(_plans(db, sif, n=1)[0])
         (record,) = log.records()

@@ -175,10 +175,33 @@ class TestSIFPDynamic:
 
 
 class TestUnsupportedKinds:
+    @staticmethod
+    def _state(db, sif):
+        """What a refused update must leave as it was: the store, the
+        epoch, the journal, and the answers of an index that came
+        before the refusing one."""
+        answers = {
+            term: db.sk_search(
+                sif, SKQuery.create(NetworkPosition(0, 0.0), [term], 1000.0)
+            ).object_ids()
+            for term in ("pizza", "x")
+        }
+        return len(db.store), db.data_version, len(db.update_journal), answers
+
     def test_ir_rejects_dynamic_insert(self, live_db):
-        index = live_db.build_index("ir")
-        with pytest.raises(QueryError):
-            live_db.insert_object(NetworkPosition(0, 10.0), {"x"}, [index])
+        sif, ir = live_db.build_index("sif"), live_db.build_index("ir")
+        before = self._state(live_db, sif)
+        with pytest.raises(QueryError, match="IR does not support"):
+            live_db.insert_object(NetworkPosition(0, 10.0), {"x"}, [sif, ir])
+        assert self._state(live_db, sif) == before
+
+    def test_ir_rejects_dynamic_delete(self, live_db):
+        sif, ir = live_db.build_index("sif"), live_db.build_index("ir")
+        before = self._state(live_db, sif)
+        victim = next(iter(live_db.store)).object_id
+        with pytest.raises(QueryError, match="IR does not support"):
+            live_db.delete_object(victim, iter([sif, ir]))
+        assert self._state(live_db, sif) == before
 
     def test_insert_requires_frozen_db(self, grid_network9):
         db = Database(grid_network9, buffer_pages=8)

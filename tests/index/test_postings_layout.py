@@ -397,6 +397,11 @@ PINS = {
                   false_hits=2, false_hit_objects=8),
     "sif-g": dict(logical_reads=174, physical_reads=19, objects_loaded=110,
                   false_hits=1, false_hit_objects=3),
+    # The two baselines, as read when their rows were added (PR 24).
+    "ir": dict(logical_reads=851, physical_reads=199, objects_loaded=384,
+               false_hits=48, false_hit_objects=141),
+    "ccam": dict(logical_reads=265, physical_reads=187, objects_loaded=458,
+                 false_hits=103, false_hit_objects=228),
 }
 
 

@@ -49,8 +49,6 @@ FLAG_SURFACE = {
         "--slo": (None, None, None),
         "--telemetry-port": (None, None, "_port"),
         "--record": (None, None, "_output_path"),
-        "--shadow-backend": (None, DISTANCE_BACKENDS, None),
-        "--shadow-rate": (1.0, None, "_rate"),
         "--index": (
             "sif",
             ("ccam", "ir", "if", "sif", "sif-p", "sif-g"),
@@ -76,8 +74,6 @@ FLAG_SURFACE = {
         "--slo": (None, None, None),
         "--telemetry-port": (None, None, "_port"),
         "--record": (None, None, "_output_path"),
-        "--shadow-backend": (None, DISTANCE_BACKENDS, None),
-        "--shadow-rate": (1.0, None, "_rate"),
         "--index": (
             "sif",
             ("ccam", "ir", "if", "sif", "sif-p", "sif-g"),
@@ -106,8 +102,6 @@ FLAG_SURFACE = {
         "--slo": (None, None, None),
         "--telemetry-port": (None, None, "_port"),
         "--record": (None, None, "_output_path"),
-        "--shadow-backend": (None, DISTANCE_BACKENDS, None),
-        "--shadow-rate": (1.0, None, "_rate"),
         "--index": (
             "sif",
             ("ccam", "ir", "if", "sif", "sif-p", "sif-g"),
@@ -144,8 +138,6 @@ FLAG_SURFACE = {
         "--slo": (None, None, None),
         "--telemetry-port": (None, None, "_port"),
         "--record": (None, None, "_output_path"),
-        "--shadow-backend": (None, DISTANCE_BACKENDS, None),
-        "--shadow-rate": (1.0, None, "_rate"),
     },
     "explain": {
         "profile": (None, ("NA", "SF", "SYN", "TW"), None),
@@ -191,8 +183,6 @@ FLAG_SURFACE = {
         "--slo": (None, None, None),
         "--telemetry-port": (None, None, "_port"),
         "--record": (None, None, "_output_path"),
-        "--shadow-backend": (None, DISTANCE_BACKENDS, None),
-        "--shadow-rate": (1.0, None, "_rate"),
         "--index": (
             "sif",
             ("ccam", "ir", "if", "sif", "sif-p", "sif-g"),
@@ -241,7 +231,7 @@ def flag_surface():
 class TestParser:
     def test_flag_surface_is_pinned(self):
         surface = flag_surface()
-        assert sum(len(flags) for flags in surface.values()) == 152
+        assert sum(len(flags) for flags in surface.values()) == 142
         assert surface == FLAG_SURFACE
 
     def test_requires_command(self):
@@ -698,8 +688,10 @@ class TestFlagValidation:
             ["loadtest", "SYN", "--duration", "0"],
             ["loadtest", "SYN", "--duration", "nan"],
             ["loadtest", "SYN", "--telemetry-port", "70000"],
-            ["diversify", "SYN", "--shadow-rate", "0"],
-            ["diversify", "SYN", "--shadow-rate", "1.5"],
+            # Retired with shadow execution: a usage error, not a
+            # flag accepted and ignored.
+            ["diversify", "SYN", "--shadow-backend", "ch"],
+            ["diversify", "SYN", "--shadow-rate", "0.5"],
         ]
         for argv in bad:
             with pytest.raises(SystemExit) as err:
@@ -711,11 +703,6 @@ class TestFlagValidation:
             "loadtest", "SYN", "--qps", "12.5", "--duration", "0.5",
         ])
         assert args.qps == 12.5
-        args = build_parser().parse_args([
-            "diversify", "SYN", "--shadow-backend", "ch",
-            "--shadow-rate", "0.25",
-        ])
-        assert args.shadow_rate == 0.25
 
 
 class TestFlightRecorderCLI:
@@ -815,15 +802,6 @@ class TestFlightRecorderCLI:
         assert "updates re-applied" in out
         assert "verdict: PASS" in out
 
-    def test_shadow_backend_audit_passes(self, capsys):
-        assert main([
-            "diversify", "SYN", "--scale", "0.05", "--queries", "2",
-            "--keywords", "2", "--k", "4",
-            "--shadow-backend", "ch", "--shadow-rate", "1.0",
-        ]) == 0
-        err = capsys.readouterr().err
-        assert "Shadow [ch]: 4 shadow executions, 0 divergence(s)" in err
-
     def test_slowlog_records_carry_digest(self, tmp_path, capsys):
         log_path = tmp_path / "slow.jsonl"
         journal = tmp_path / "flight.jsonl"
@@ -867,13 +845,22 @@ class TestSlowlogToleranceCommand:
             "exceeded": ["latency"], "worker": "w",
             "stats": {"stage_seconds": {}},
         }
+        # A note type older logs carry and nothing renders any more:
+        # passed over like any foreign record type, not an error.
+        foreign = {
+            "type": "shadow_divergence", "label": "L",
+            "primary_digest": "a" * 16, "shadow_digest": "b" * 16,
+        }
         path.write_text(
             json.dumps(record) + "\n"
             + json.dumps(breach) + "\n"
+            + json.dumps(foreign) + "\n"
             + '{"truncated": \n'
         )
         assert main(["slowlog", str(path)]) == 0
         captured = capsys.readouterr()
         assert "SLOW QUERY #1" in captured.out
         assert "SLO BREACH" in captured.out
+        assert "shadow" not in captured.out.lower()
+        assert "2 record(s) rendered" in captured.err
         assert "skipped 1 malformed line(s)" in captured.err

@@ -34,6 +34,32 @@ def fresh_db():
     return build_dataset(TINY_PROFILE)
 
 
+class PerturbingBackend:
+    """A faulty oracle: every finite distance drifts by a relative
+    epsilon far above digest rounding — the injected fault replay
+    must catch."""
+
+    name = "perturbed"
+
+    def __init__(self, inner, epsilon: float = 1e-3) -> None:
+        self.inner = inner
+        self.epsilon = epsilon
+
+    def _warp(self, value: float) -> float:
+        if not math.isfinite(value) or value == 0.0:
+            return value
+        return value * (1.0 + self.epsilon)
+
+    def position_distance(self, a, b, cutoff=math.inf, counters=None):
+        return self._warp(
+            self.inner.position_distance(a, b, cutoff, counters)
+        )
+
+    def position_matrix(self, positions, cutoff=math.inf, counters=None):
+        matrix = self.inner.position_matrix(positions, cutoff, counters)
+        return {key: self._warp(value) for key, value in matrix.items()}
+
+
 def record_run(path, with_updates=True):
     """Capture a small mixed workload (queries + dynamic updates)."""
     db = fresh_db()
@@ -85,16 +111,29 @@ class TestLoadFlightJournal:
         assert len(journal.updates) == 3
         assert journal.skipped == 0
 
-    def test_tolerates_foreign_and_malformed_lines(self, tmp_path):
+    def test_tolerates_foreign_and_malformed_lines(
+        self, tmp_path, journal_path
+    ):
+        # A flight record from when the engine could re-run a query on
+        # a second backend in flight carries the verdict under a
+        # ``shadow`` key: it loads like any other, and replays.
+        old = dict(
+            load_flight_journal(journal_path).queries[0],
+            shadow={"backend": "ch", "digest": "0" * 16, "match": False},
+        )
         path = tmp_path / "mixed.jsonl"
         path.write_text(
             json.dumps({"type": "flight_header", "profile": "TINY"}) + "\n"
             + json.dumps({"type": "snapshot", "counters": {}}) + "\n"
+            + json.dumps(old) + "\n"
             + '{"truncated": \n'
         )
         journal = load_flight_journal(path)
         assert journal.header is not None
         assert journal.skipped == 2
+        assert [q["shadow"]["backend"] for q in journal.queries] == ["ch"]
+        report = run_replay(fresh_db(), journal)
+        assert report.passed and report.queries_replayed == 1
 
 
 class TestReplayConfig:
@@ -191,8 +230,6 @@ class TestReplayCatchesDivergence:
         assert {d.fieldname for d in report.divergences} == {"candidates"}
 
     def test_perturbed_backend_caught(self, journal_path, monkeypatch):
-        from tests.engine.test_shadow import PerturbingBackend
-
         db = fresh_db()
         db.use_distance_backend("ch")
         oracle = db.ch_oracle()

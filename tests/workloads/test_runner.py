@@ -98,16 +98,6 @@ class TestRunners:
         assert report.total_physical_reads >= 0
         assert report.label == "SIF"
 
-    def test_cold_buffer_costs_more(self, tiny_db, tiny_indexes):
-        queries = generate_sk_queries(
-            tiny_db, WorkloadConfig(num_queries=8, num_keywords=2, seed=44)
-        )
-        warm = run_sk_workload(tiny_db, tiny_indexes["if"], queries)
-        cold = run_sk_workload(
-            tiny_db, tiny_indexes["if"], queries, cold_buffer=True
-        )
-        assert cold.total_physical_reads >= warm.total_physical_reads
-
     def test_diversified_workload(self, tiny_db, tiny_indexes):
         queries = generate_diversified_queries(
             tiny_db, WorkloadConfig(num_queries=4, num_keywords=2, k=4, seed=15)
