@@ -1,15 +1,14 @@
 """Ablation A6 — hub-label distance backend.
 
-The 2-hop labels answer the same exact distances as CH but replace the
-per-query upward searches with sorted label merges, and serve SEQ's
+The 2-hop labels (built on a Contraction-Hierarchies node ordering)
+answer exact distances with sorted label merges, and serve SEQ's
 candidate×candidate matrix through one batched label-join kernel.  This
 ablation runs a wide diversified workload (single keyword, large range,
-k=10 — the pools the pairwise stage actually hurts on) under all three
-backends and records hub's pairwise-evaluation speedup over both
-Dijkstra and CH.  Answers must be identical — the labels are an exact
-oracle, not an approximation.  The default ``csgraph`` backend (the
-same Dijkstras in C, in memory, nothing built) rides along as a fourth
-column.
+k=10 — the pools the pairwise stage actually hurts on) under every
+backend and records hub's pairwise-evaluation speedup over the Python
+Dijkstra and over the default ``csgraph`` (the same Dijkstras in C, in
+memory, nothing built).  Answers must be identical — the labels are an
+exact oracle, not an approximation.
 """
 
 from repro.workloads.queries import WorkloadConfig, generate_diversified_queries
@@ -33,33 +32,31 @@ def test_ablation_hub_backend(ctx, show):
                 for q in queries
             ]
 
+        # The csgraph path imports scipy on its first pairwise distance
+        # (≈ 0.25 s, once per process); import it before the timed run,
+        # so the column does not depend on which benchmark ran first.
+        import scipy.sparse.csgraph  # noqa: F401
+
         try:
             plain = run("dijkstra")
             in_c = run("csgraph")
-            db.ch_oracle()  # built before the timed CH run
-            ch_runs = run("ch")
             oracle = db.hub_oracle()  # built before the timed hub run
             hub_runs = run("hub")
         finally:
             db.use_distance_backend("dijkstra")
 
         rows = []
-        agg = {"dijkstra_s": 0.0, "csgraph_s": 0.0, "ch_s": 0.0,
-               "hub_s": 0.0, "mismatches": 0}
-        for i, (p, g, c, h) in enumerate(
-            zip(plain, in_c, ch_runs, hub_runs)
-        ):
+        agg = {"dijkstra_s": 0.0, "csgraph_s": 0.0, "hub_s": 0.0,
+               "mismatches": 0}
+        for i, (p, g, h) in enumerate(zip(plain, in_c, hub_runs)):
             dj = p.stats.stage_seconds.get("pairwise_dijkstra", 0.0)
             cs = g.stats.stage_seconds.get("pairwise_dijkstra", 0.0)
-            ch = c.stats.stage_seconds.get("pairwise_dijkstra", 0.0)
             hub = h.stats.stage_seconds.get("pairwise_dijkstra", 0.0)
             agg["dijkstra_s"] += dj
             agg["csgraph_s"] += cs
-            agg["ch_s"] += ch
             agg["hub_s"] += hub
             equal = (
-                p.object_ids() == g.object_ids()
-                == c.object_ids() == h.object_ids()
+                p.object_ids() == g.object_ids() == h.object_ids()
                 and abs(p.objective_value - h.objective_value) < 1e-9
                 and p.objective_value == g.objective_value
             )
@@ -71,10 +68,9 @@ def test_ablation_hub_backend(ctx, show):
                     "candidates": p.stats.candidates,
                     "dijkstra_pairwise_ms": round(dj * 1e3, 3),
                     "csgraph_pairwise_ms": round(cs * 1e3, 3),
-                    "ch_pairwise_ms": round(ch * 1e3, 3),
                     "hub_pairwise_ms": round(hub * 1e3, 3),
                     "speedup_vs_dijkstra": round(dj / max(hub, 1e-9), 2),
-                    "speedup_vs_ch": round(ch / max(hub, 1e-9), 2),
+                    "speedup_vs_csgraph": round(cs / max(hub, 1e-9), 2),
                     "hub_kernel_hits": h.stats.backend_bucket_hits,
                     "f_equal": equal,
                 }
@@ -93,13 +89,12 @@ def test_ablation_hub_backend(ctx, show):
             {
                 "dijkstra_ms": round(agg["dijkstra_s"] * 1e3, 3),
                 "csgraph_ms": round(agg["csgraph_s"] * 1e3, 3),
-                "ch_ms": round(agg["ch_s"] * 1e3, 3),
                 "hub_ms": round(agg["hub_s"] * 1e3, 3),
                 "hub_speedup_vs_dijkstra": round(
                     agg["dijkstra_s"] / max(agg["hub_s"], 1e-9), 2
                 ),
-                "hub_speedup_vs_ch": round(
-                    agg["ch_s"] / max(agg["hub_s"], 1e-9), 2
+                "hub_speedup_vs_csgraph": round(
+                    agg["csgraph_s"] / max(agg["hub_s"], 1e-9), 2
                 ),
                 "mismatches": agg["mismatches"],
             }
@@ -107,16 +102,14 @@ def test_ablation_hub_backend(ctx, show):
         return rows, build_rows, headline, agg
 
     rows, build_rows, headline, agg = sweep()
-    show(rows, "Ablation A6: hub labels vs CH vs Dijkstra pairwise (SYN)")
+    show(rows, "Ablation A6: hub labels vs csgraph vs Dijkstra pairwise (SYN)")
     show(build_rows, "Ablation A6: hub label construction (SYN)")
     show(headline, "Ablation A6: hub pairwise speedup headline (SYN)")
 
     # Hub labels are exact: every query returns the identical answer.
     assert agg["mismatches"] == 0
     # The acceptance bar: >= 5x faster pairwise evaluation than plain
-    # Dijkstra across the workload (the CH ablation, A5, recorded
-    # ~5.7x on the same stage when hub labels were introduced).  The
-    # recorded ratios run far higher (typically 20-30x vs
-    # Dijkstra, 2-4x vs CH); the floor keeps the gate robust to noisy
-    # CI machines.
+    # Dijkstra across the workload.  The recorded ratios run far
+    # higher (typically 20-50x); the floor keeps the gate robust to
+    # noisy CI machines.
     assert agg["dijkstra_s"] >= 5.0 * agg["hub_s"], agg

@@ -149,8 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="exact pairwise-distance backend: bounded Dijkstras in C "
              "over the in-memory network (default, no pairwise page "
              "reads), the same as a Python loop through the CCAM pages "
-             "('dijkstra', the paper's I/O model), the "
-             "Contraction-Hierarchies oracle, or 2-hop hub labels "
+             "('dijkstra', the paper's I/O model), or 2-hop hub labels "
              "('hub') — identical answers",
     )
     query.add_argument("--keywords", type=int, default=3, metavar="L")
@@ -692,6 +691,7 @@ def _cmd_slowlog(args) -> int:
 def _cmd_replay(args) -> int:
     from .workloads.replay import (
         ReplayConfig,
+        journal_backend,
         load_flight_journal,
         run_replay,
     )
@@ -714,17 +714,18 @@ def _cmd_replay(args) -> int:
         print(f"error: unknown dataset profile {profile!r} in journal "
               "header", file=sys.stderr)
         return 2
+    recorded = journal_backend(header)
+    if recorded is None:
+        print(f"error: unknown distance backend "
+              f"{header['distance_backend']!r} in journal header",
+              file=sys.stderr)
+        return 2
     db = _build_db(
         profile, header.get("scale", 1.0), header.get("seed"),
         origin=" from journal header",
     )
-    # A journal without a backend stamp predates the stamp, and with it
-    # every backend but the Python Dijkstra.
-    backend = args.backend or header.get("distance_backend") or "dijkstra"
-    db.use_distance_backend(backend)
-    config = ReplayConfig(
-        backend=backend, workers=args.workers, limit=args.limit,
-    )
+    db.use_distance_backend(args.backend or recorded)
+    config = ReplayConfig(workers=args.workers, limit=args.limit)
     report = run_replay(db, journal, config, journal_path=str(path))
     print(report.render())
     return 0 if report.passed else 1

@@ -32,12 +32,17 @@ from ..index.sif_g import SIFGIndex
 from ..index.sif_p import SIFPIndex
 from ..network.ccam import CCAMStore
 from ..network.ch import ContractionHierarchy
-from ..network.distance import DISTANCE_BACKENDS, DistanceBackend, DistanceCache
+from ..network.distance import (
+    DISTANCE_BACKENDS,
+    PAIRWISE_CUTOFF_FACTOR,
+    DistanceCache,
+    PairwiseDistanceComputer,
+)
 from ..network.graph import CSRSnapshot, NetworkPosition, RoadNetwork
 from ..network.hub_labels import HubLabelBackend
 from ..obs.metrics import MetricsRegistry
 from ..obs.slowlog import SlowQueryLog, SlowQueryThreshold
-from ..obs.tracing import Tracer
+from ..obs.tracing import NULL_TRACER, Tracer
 from ..network.objects import ObjectStore, SpatioTextualObject, build_edge_rtree, snap_point_to_edge
 from ..spatial.geometry import Point
 from ..spatial.kdtree import KDTreePartition
@@ -102,11 +107,9 @@ class Database:
         exact pairwise network distances: ``"csgraph"`` (the default —
         bounded Dijkstras run in C over the in-memory network, no page
         reads charged), ``"dijkstra"`` (the same Dijkstras as a Python
-        loop through the CCAM pages: the paper's I/O model), ``"ch"``
-        (the Contraction-Hierarchies oracle) or ``"hub"`` (2-hop hub
-        labels on top of the CH ordering; the fastest many-to-many
-        kernel).  Oracles are built lazily on first use; see
-        :meth:`use_distance_backend`.
+        loop through the CCAM pages: the paper's I/O model) or
+        ``"hub"`` (2-hop hub labels; the fastest many-to-many kernel,
+        built lazily on first use); see :meth:`use_distance_backend`.
         """
         self.network = network
         self.curve = curve or ZOrderCurve()
@@ -151,8 +154,8 @@ class Database:
         #: insert, delete, edge reweight — advances it by one; queries
         #: pin the epoch they execute against
         #: (``ExecutionContext.epoch``) and version-gated state (the
-        #: shared distance cache, the CH oracle, the result cache)
-        #: compares against it.
+        #: shared distance cache, the result cache) compares against
+        #: it.
         self.data_version = 0
         #: Ordered history of committed updates (see
         #: :mod:`repro.core.updates`).
@@ -218,7 +221,7 @@ class Database:
         packed R-trees are rebuilt offline, as in the paper's static
         setting).  Commits bump :attr:`data_version` and journal the
         change; network distances are untouched, so the shared distance
-        cache and CH oracle stay valid.
+        cache and the hub-label oracle stay valid.
         """
         self.ensure_frozen()
         inserts = _update_hooks(indexes, "insert_object", "insertion")
@@ -278,8 +281,9 @@ class Database:
         offsets on the edge (which are in weight units) are rescaled
         so objects keep their geometric spot, indexes with
         positional state rescale theirs (SIF-P's virtual-edge cuts),
-        the CH oracle is dropped for lazy rebuild against the new
-        weights, and the shared distance cache is invalidated at the
+        the hub-label oracle and the CH ordering under it are dropped
+        for lazy rebuild against the new weights, and the shared
+        distance cache is invalidated at the
         new epoch — after which no query pinned to the new epoch can
         observe a pre-update node map (stale in-flight writers are
         rejected by the cache's epoch gate).
@@ -296,17 +300,14 @@ class Database:
             rescale = getattr(index, "rescale_edge", None)
             if rescale is not None:
                 rescale(edge_id, factor)
-        if self._ch_oracle is not None:
-            # Lazy rebuild: drop the oracle; the next query that needs
-            # it pays one preprocessing pass against current weights.
-            # Repairing affected shortcuts in place would be cheaper per
-            # update but unsound to get subtly wrong — DESIGN.md
-            # "Dynamic updates" records the trade-off.
-            self._ch_oracle = None
-            self.metrics.inc("ch.invalidations")
+        # Lazy rebuild: drop the oracle and the ordering it is built on;
+        # the next query that needs them pays one preprocessing pass
+        # against current weights.  Repairing affected shortcuts and
+        # labels in place would be cheaper per update but unsound to
+        # get subtly wrong — DESIGN.md "Dynamic updates" records the
+        # trade-off.
+        self._ch_oracle = None
         if self._hub_oracle is not None:
-            # Hub labels inherit the CH's correctness argument, so they
-            # inherit its invalidation policy too: drop, rebuild lazily.
             self._hub_oracle = None
             self.metrics.inc("hub_label.invalidations")
         ratio = weight / old.length
@@ -505,8 +506,8 @@ class Database:
     # Distance backends
     # ------------------------------------------------------------------
     def use_distance_backend(self, name: str) -> None:
-        """Select the pairwise backend: ``csgraph``, ``dijkstra``,
-        ``ch`` or ``hub``.
+        """Select the pairwise backend: ``csgraph``, ``dijkstra`` or
+        ``hub``.
 
         ``csgraph`` runs one bounded Dijkstra per source in C over the
         network's CSR snapshot (:meth:`csr_graph`): nothing to build
@@ -514,16 +515,12 @@ class Database:
         no page read charged.  ``dijkstra`` is the same evaluation as a
         Python loop through the CCAM pages, every settled node a
         charged page access — the paper's cost model; pin it to
-        reproduce the paper's I/O figures.  ``ch`` routes pairwise
-        evaluations through the
-        Contraction-Hierarchies oracle — identical answers, far fewer
-        settled nodes.  ``hub`` precomputes 2-hop hub labels from the
-        CH ordering: point queries become sorted label merges and the
+        reproduce the paper's I/O figures.  ``hub`` precomputes 2-hop
+        hub labels: point queries become sorted label merges and the
         candidate×candidate matrices SEQ needs run through one batched
-        label-join kernel.  Oracles are built lazily on the first query
-        that needs them (or eagerly via :meth:`ch_oracle` /
-        :meth:`hub_oracle`); switching back and forth costs nothing
-        once built.
+        label-join kernel.  The labels are built lazily on the first
+        query that needs them (or eagerly via :meth:`hub_oracle`);
+        switching back and forth costs nothing once built.
         """
         name = name.lower()
         if name not in DISTANCE_BACKENDS:
@@ -534,24 +531,16 @@ class Database:
         self.distance_backend = name
 
     def ch_oracle(self) -> ContractionHierarchy:
-        """The database's Contraction-Hierarchies oracle (built once).
+        """The database's Contraction Hierarchy (built once): the node
+        ordering :meth:`hub_oracle` builds its labels from.
 
-        Construction runs over the in-memory network (preprocessing is
-        CPU work, not charged I/O — like the KD partition) and records
-        ``ch.preprocess_seconds`` / ``ch.shortcuts_added`` /
-        ``ch.upward_edges`` into the metrics registry.  The oracle is
-        immutable and shared by all queries, including concurrent
-        ``execute_many`` batches.
+        No query selects it as a backend.  Construction runs over the
+        in-memory network (CPU work, not charged I/O — like the KD
+        partition); an edge reweight drops it for lazy rebuild.
+        Immutable and shared by all queries.
         """
         if self._ch_oracle is None:
-            oracle = ContractionHierarchy(self.network)
-            self.metrics.observe(
-                "ch.preprocess_seconds", oracle.preprocess_seconds
-            )
-            self.metrics.inc("ch.shortcuts_added", oracle.shortcuts_added)
-            self.metrics.inc("ch.upward_edges", oracle.upward_edges)
-            self.metrics.emit({"type": "ch_build", **oracle.stats()})
-            self._ch_oracle = oracle
+            self._ch_oracle = ContractionHierarchy(self.network)
         return self._ch_oracle
 
     def hub_oracle(self) -> HubLabelBackend:
@@ -585,28 +574,40 @@ class Database:
         """
         return self.network.csr_snapshot()
 
-    def pairwise_backend(self) -> Optional[DistanceBackend]:
-        """The backend queries should hand to their pairwise computer
-        (``None`` means bounded Dijkstras over :meth:`pairwise_provider`)."""
-        if self.distance_backend == "ch":
-            return self.ch_oracle()
-        if self.distance_backend == "hub":
-            return self.hub_oracle()
-        return None
+    def pairwise_computer(
+        self, delta_max: float, epoch: int, tracer=NULL_TRACER
+    ) -> PairwiseDistanceComputer:
+        """The pairwise computer of one diversified query — the
+        engine's and the standing query's, built here and nowhere else.
 
-    def pairwise_provider(self):
-        """The adjacency provider a pairwise computer traverses under
-        the selected backend.
-
-        The in-memory network under ``csgraph`` — its CSR snapshot is
-        built here, on first use, rather than inside the first source's
-        timing — and the CCAM store otherwise, so ``dijkstra`` keeps
-        charging every pairwise page access.
+        Under ``csgraph`` it traverses the in-memory network (whose CSR
+        snapshot is built here, on first use, rather than inside the
+        first source's timing); otherwise the CCAM store, so
+        ``dijkstra`` keeps charging every pairwise page access.  Under
+        ``hub`` the hub-label oracle answers instead.  The cutoff is
+        ``PAIRWISE_CUTOFF_FACTOR · delta_max``.  With a shared distance
+        cache installed the computer backs onto it, gated at ``epoch``
+        (the data epoch the query is pinned to); otherwise it keeps a
+        private cache.  One computer per query: the cache may be
+        shared, the computer never is.
         """
         if self.distance_backend == "csgraph":
             self.csr_graph()
-            return self.network
-        return self.ccam
+            provider = self.network
+        else:
+            provider = self.ccam
+        cache = self.distance_cache
+        return PairwiseDistanceComputer(
+            provider,
+            self.network,
+            cutoff=PAIRWISE_CUTOFF_FACTOR * delta_max,
+            cache=cache,
+            tracer=tracer,
+            backend=(
+                self.hub_oracle() if self.distance_backend == "hub" else None
+            ),
+            epoch=epoch if cache is not None else None,
+        )
 
     # ------------------------------------------------------------------
     # Tracing

@@ -42,7 +42,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..index.base import ObjectIndex
-from ..network.distance import AdjacencyProvider, PairwiseDistanceComputer
+from ..network.distance import (
+    PAIRWISE_CUTOFF_FACTOR,
+    AdjacencyProvider,
+    PairwiseDistanceComputer,
+)
 from ..network.graph import RoadNetwork
 from ..obs.metrics import StageClock
 from ..obs.tracing import NULL_TRACER
@@ -63,8 +67,8 @@ class PairDistances:
     call on the default backend, the array kernel on hub labels).  The
     last matrix is kept, so the objective of an answer that lies inside
     it costs no further distance.  :meth:`distance` answers one pair:
-    COM's streamed arrivals, and the backends with no matrix form (CH,
-    Dijkstra through CCAM), whose sets are asked pair by pair in the
+    COM's streamed arrivals, and the provider with no matrix form
+    (Dijkstra through CCAM), whose sets are asked pair by pair in the
     order ``objective()`` sums in.
     """
 
@@ -168,17 +172,6 @@ def diversify_pool(
     per-query Dijkstra counts are those of the scalar
     ``greedy_diversify`` reference.
     """
-    if (
-        computer.backend is not None
-        and len(candidates) > 1
-        and getattr(computer.backend, "position_matrix_array", None) is None
-    ):
-        # A CH-style backend answers the whole candidate×candidate
-        # matrix with its many-to-many kernel in one go; the pair walk
-        # below then hits the warm pair cache instead of issuing point
-        # queries.  A backend with an array kernel (hub labels) hands
-        # the matrix over as it is asked for.
-        computer.prefetch([c.object.position for c in candidates])
     pairs = PairDistances(computer)
     greedy_t0 = time.perf_counter()
     with clock.stage("greedy"):
@@ -214,7 +207,7 @@ def seq_search(
     )
     objective = DiversificationObjective(query.lambda_, query.delta_max)
     computer = pairwise or PairwiseDistanceComputer(
-        provider, network, cutoff=2.0 * query.delta_max * 1.001
+        provider, network, cutoff=PAIRWISE_CUTOFF_FACTOR * query.delta_max
     )
     delta = _ComputerDelta(computer)
 
@@ -267,7 +260,7 @@ def com_search(
     )
     objective = DiversificationObjective(query.lambda_, query.delta_max)
     computer = pairwise or PairwiseDistanceComputer(
-        provider, network, cutoff=2.0 * query.delta_max * 1.001
+        provider, network, cutoff=PAIRWISE_CUTOFF_FACTOR * query.delta_max
     )
     delta = _ComputerDelta(computer)
     pairs = PairDistances(computer)

@@ -46,7 +46,7 @@ def matrix_from_pairs(
     items: Sequence[ResultItem], pair_distance: PairDistance
 ) -> "np.ndarray":
     """The pair matrix of ``items``, for a pair source with no batched
-    form (CH, Dijkstra through CCAM, a test's closure): asked one pair
+    form (Dijkstra through CCAM, a test's closure): asked one pair
     at a time in lexicographic ``(i, j)`` order — the order
     ``objective()`` sums in and the scalar greedy walks — so a caching
     source runs the same searches either way."""

@@ -50,16 +50,15 @@ from typing import Dict, Optional
 
 from ..errors import DatasetError, GraphError
 from ..network.distance import (
-    PairwiseDistanceComputer,
     position_distance_from_node_map,
     single_source_distances,
 )
 from ..obs.metrics import StageClock
-from ..spatial.geometry import project_onto_segment
 from .diversified_search import diversify_pool
 from .ine import INEExpansion
 from .objective import DiversificationObjective
 from .queries import DiversifiedResult, DiversifiedSKQuery, QueryStats, ResultItem
+from .updates import reweight_is_relevant
 
 __all__ = ["IncrementalDiversifiedTopK"]
 
@@ -73,7 +72,7 @@ class IncrementalDiversifiedTopK:
         The :class:`~repro.core.database.Database` (duck-typed; needs
         ``ccam``, ``network``, ``store``, ``update_journal``,
         ``data_version``, ``min_weight_per_length`` and
-        ``pairwise_backend``).
+        ``pairwise_computer``).
     index:
         Object index the standing query reads through.
     query:
@@ -121,15 +120,7 @@ class IncrementalDiversifiedTopK:
 
     def _reweight_is_relevant(self, edge_id: int) -> bool:
         """Could reweighting ``edge_id`` change any distance we rely on?
-
-        Candidate distances stay within ``delta_max`` of the query;
-        pairwise paths between candidates (Dijkstra cutoff
-        ``2 * delta_max * 1.001``) stay within ``(1 + 2*1.001) *
-        delta_max``.  Beyond that radius — by the Euclidean lower bound
-        ``network >= r_min * euclidean`` — the edge is untouchable.
-        """
-        from ..engine.result_cache import PAIRWISE_RADIUS_FACTOR
-
+        The result cache's test (:func:`reweight_is_relevant`)."""
         db = self._db
         q = self._query
         try:
@@ -138,11 +129,7 @@ class IncrementalDiversifiedTopK:
             # The query's own edge shrank beneath its offset: the
             # standing query's geometry itself is stale — recompute.
             return True
-        edge = db.network.edge(edge_id)
-        closest, _t = project_onto_segment(query_point, edge.p1, edge.p2)
-        euclid = query_point.distance_to(closest)
-        r_min = db.min_weight_per_length()
-        return r_min * euclid <= PAIRWISE_RADIUS_FACTOR * q.delta_max
+        return reweight_is_relevant(db, query_point, q.delta_max, edge_id)
 
     def _insert_distance(self, obj) -> float:
         """``δ(q, o)`` exactly as INE would have computed it."""
@@ -212,22 +199,14 @@ class IncrementalDiversifiedTopK:
     def result(self) -> DiversifiedResult:
         """Diversify the maintained pool; identical to a fresh SEQ run.
 
-        Builds the same pairwise computer ``seq_search`` would (same
-        cutoff, shared distance cache, backend, pinned epoch) and scores
-        the pool through the function ``seq_search`` scores its own
-        with: one batched pair matrix, the array greedy, ``f(S)`` read
-        off that matrix.
+        Takes its pairwise computer from where the engine takes a
+        query's (``db.pairwise_computer``, pinned to the pool's epoch)
+        and scores the pool through the function ``seq_search`` scores
+        its own with: one batched pair matrix, the array greedy,
+        ``f(S)`` read off that matrix.
         """
-        db = self._db
         q = self._query
-        computer = PairwiseDistanceComputer(
-            db.pairwise_provider(),
-            db.network,
-            cutoff=2.0 * q.delta_max * 1.001,
-            cache=db.distance_cache,
-            backend=db.pairwise_backend(),
-            epoch=self._epoch if db.distance_cache is not None else None,
-        )
+        computer = self._db.pairwise_computer(q.delta_max, self._epoch)
         clock = StageClock()
         chosen, value = diversify_pool(
             list(self._pool.values()), q.k, self._objective, computer, clock

@@ -10,6 +10,10 @@ database advanced to.  Consumers replay the suffix they have not seen:
   its candidate pool instead of re-running search;
 * observability gauges report per-kind totals.
 
+Both query-side consumers ask one question of an edge reweight —
+could it reach this answer? — and :func:`reweight_is_relevant` is the
+one answer.
+
 The journal is append-only and thread-safe for readers; appends happen
 under the database's update path, which is single-writer by contract
 (concurrent structural mutation of the network/store is unsound — see
@@ -22,12 +26,21 @@ import threading
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional
 
+from ..network.distance import PAIRWISE_CUTOFF_FACTOR
 from ..network.graph import NetworkPosition
-from ..spatial.geometry import Point
+from ..spatial.geometry import Point, project_onto_segment
 
-__all__ = ["UpdateRecord", "UpdateJournal", "UPDATE_KINDS"]
+__all__ = [
+    "UpdateRecord", "UpdateJournal", "UPDATE_KINDS",
+    "PAIRWISE_RADIUS_FACTOR", "reweight_is_relevant",
+]
 
 UPDATE_KINDS = ("insert", "delete", "edge_weight")
+
+#: Radius, in units of ``delta_max``, of the region whose edges a
+#: diversified answer depends on: 1 for the paths from the query to its
+#: candidates, plus the pairwise cutoff for the paths between two.
+PAIRWISE_RADIUS_FACTOR = 1.0 + PAIRWISE_CUTOFF_FACTOR
 
 
 @dataclass(frozen=True)
@@ -57,6 +70,27 @@ class UpdateRecord:
                 f"unknown update kind {self.kind!r}; "
                 f"expected one of {UPDATE_KINDS}"
             )
+
+
+def reweight_is_relevant(
+    db, query_point: Point, delta_max: float, edge_id: int
+) -> bool:
+    """Could reweighting ``edge_id`` change the diversified answer of a
+    query at ``query_point``?
+
+    Conservative — "maybe" is relevant.  Every path the answer depends
+    on stays within ``PAIRWISE_RADIUS_FACTOR · delta_max`` of the query,
+    and network distance is at least ``db.min_weight_per_length()``
+    times Euclidean distance, so an edge whose whole segment lies
+    beyond that radius cannot matter.
+    """
+    edge = db.network.edge(edge_id)
+    closest, _t = project_onto_segment(query_point, edge.p1, edge.p2)
+    euclid = query_point.distance_to(closest)
+    return (
+        db.min_weight_per_length() * euclid
+        <= PAIRWISE_RADIUS_FACTOR * delta_max
+    )
 
 
 @dataclass

@@ -16,8 +16,8 @@ concurrency contract:
   live in thread-local execution slots (``ObjectIndex.begin_execution``).
 * The disk layer (buffer pool, I/O stats) and the shared
   :class:`~repro.network.distance.DistanceCache` are lock-protected;
-  each query builds its *own* ``PairwiseDistanceComputer`` on top of
-  the shared cache.
+  each query gets its *own* ``PairwiseDistanceComputer``
+  (``Database.pairwise_computer``) on top of the shared cache.
 * Tracing is concurrency-native: with tracing on, each execution
   context builds its own bounded :class:`~repro.obs.tracing.Tracer`
   and the finished root span rides the query's event, so a traced
@@ -43,7 +43,6 @@ from ..core.ine import INEExpansion
 from ..core.knn import knn_search
 from ..core.queries import QueryStats, SKResult
 from ..errors import QueryError
-from ..network.distance import PairwiseDistanceComputer
 from ..obs.events import QueryEvent
 from .context import ExecutionContext
 
@@ -200,18 +199,8 @@ class QueryEngine:
                     method=cached.method,
                     stats=stats,
                 )
-        # One computer per query; the cache behind it may be shared
-        # (and is lock-protected), the computer never is.  The context's
-        # pinned epoch gates every shared-cache read and write.
-        pairwise = PairwiseDistanceComputer(
-            db.pairwise_provider(),
-            db.network,
-            cutoff=2.0 * query.delta_max * 1.001,
-            cache=db.distance_cache,
-            tracer=t,
-            backend=db.pairwise_backend(),
-            epoch=ctx.epoch if db.distance_cache is not None else None,
-        )
+        # The context's pinned epoch gates every shared-cache access.
+        pairwise = db.pairwise_computer(query.delta_max, ctx.epoch, t)
         with t.span(
             "query.diversified", method=plan.algorithm.upper(),
             index=plan.index.name, terms=sorted(query.terms),

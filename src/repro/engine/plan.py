@@ -73,9 +73,8 @@ class CostHints:
     selectivity: float
     #: How pairwise network distances will be evaluated: ``"csgraph"``
     #: (bounded Dijkstras in C, in memory), ``"dijkstra"`` (the same
-    #: through the CCAM pages), ``"ch"`` (Contraction-Hierarchies
-    #: oracle) or ``"hub"`` (2-hop hub labels, batched label-join
-    #: kernel).
+    #: through the CCAM pages) or ``"hub"`` (2-hop hub labels, batched
+    #: label-join kernel).
     distance_backend: str = "dijkstra"
     #: Data epoch the hints were computed at.  A plan built before an
     #: update executes against newer statistics; ``repro explain`` and

@@ -18,11 +18,11 @@ Relevance predicates (conservative — "maybe relevant" invalidates):
   edges (``Database.min_weight_per_length``, maintained shrink-only so
   it stays a lower bound across reweights).
 * **edge_weight** — a reweighted edge matters if any path the query
-  evaluated could cross it: candidate-retrieval paths stay within
-  ``delta_max`` of the query, and pairwise paths between two candidates
-  (Dijkstra cutoff ``2 * delta_max * 1.001``) stay within
-  ``(1 + 2 * 1.001) * delta_max``.  The edge is irrelevant when the
-  Euclidean bound puts its whole segment beyond that radius.
+  evaluated could cross it
+  (:func:`~repro.core.updates.reweight_is_relevant`, the test the
+  standing query uses too): the edge is irrelevant when the Euclidean
+  bound puts its whole segment beyond ``PAIRWISE_RADIUS_FACTOR ·
+  delta_max`` of the query.
 
 A surviving probe advances the entry's epoch to the current
 ``data_version``, so each journal record is examined at most once per
@@ -38,16 +38,11 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from ..core.queries import DiversifiedResult, DiversifiedSKQuery
-from ..core.updates import UpdateRecord
+from ..core.updates import UpdateRecord, reweight_is_relevant
 from ..errors import GraphError
-from ..spatial.geometry import Point, project_onto_segment
+from ..spatial.geometry import Point
 
-__all__ = ["ResultCache", "PAIRWISE_RADIUS_FACTOR"]
-
-#: Region radius for edge-weight relevance, in units of ``delta_max``:
-#: 1 for the candidate region plus ``2 * 1.001`` for the pairwise
-#: Dijkstra cutoff used by SEQ/COM.
-PAIRWISE_RADIUS_FACTOR = 1.0 + 2.0 * 1.001
+__all__ = ["ResultCache"]
 
 
 @dataclass
@@ -93,19 +88,15 @@ class ResultCache:
     @staticmethod
     def _relevant(db, entry: _Entry, rec: UpdateRecord) -> bool:
         """Could this journal record have changed the entry's answer?"""
-        r_min = db.min_weight_per_length()
         if rec.kind == "edge_weight":
-            edge = db.network.edge(rec.edge_id)
-            closest, _t = project_onto_segment(
-                entry.query_point, edge.p1, edge.p2
+            return reweight_is_relevant(
+                db, entry.query_point, entry.delta_max, rec.edge_id
             )
-            euclid = entry.query_point.distance_to(closest)
-            return r_min * euclid <= PAIRWISE_RADIUS_FACTOR * entry.delta_max
         # insert / delete: keyword test first (it is exact), then region.
         if not entry.terms <= rec.terms:
             return False
         euclid = entry.query_point.distance_to(rec.point)
-        return r_min * euclid <= entry.delta_max
+        return db.min_weight_per_length() * euclid <= entry.delta_max
 
     # ------------------------------------------------------------------
     # Probe / fill

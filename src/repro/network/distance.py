@@ -32,6 +32,7 @@ __all__ = [
     "DistanceBackend",
     "BackendCounters",
     "DISTANCE_BACKENDS",
+    "PAIRWISE_CUTOFF_FACTOR",
     "seed_distances",
     "seeded_distances",
     "node_source_distances",
@@ -51,11 +52,16 @@ INF = math.inf
 #: in-memory network (:func:`single_source_rows`), nothing charged to
 #: the I/O model and nothing to build; ``dijkstra`` is the same search
 #: as a Python loop through the CCAM pages — the paper's cost model,
-#: every settled node a charged page access; ``ch`` is the
-#: Contraction-Hierarchies oracle (:mod:`repro.network.ch`); ``hub``
-#: is the 2-hop hub-label oracle built on the CH ordering
-#: (:mod:`repro.network.hub_labels`).
-DISTANCE_BACKENDS = ("csgraph", "dijkstra", "ch", "hub")
+#: every settled node a charged page access; ``hub`` is the 2-hop
+#: hub-label oracle (:mod:`repro.network.hub_labels`), built on a
+#: Contraction-Hierarchies node ordering (:mod:`repro.network.ch`).
+DISTANCE_BACKENDS = ("csgraph", "dijkstra", "hub")
+
+#: A diversified query's pairwise cutoff, in units of its ``delta_max``:
+#: two candidates within ``delta_max`` of the query are at most
+#: ``2 · delta_max`` apart, and the 0.1 % slack keeps a pair at exactly
+#: that bound from rounding to ``inf``.
+PAIRWISE_CUTOFF_FACTOR = 2.0 * 1.001
 
 
 class AdjacencyProvider(Protocol):
@@ -318,22 +324,15 @@ def network_distance(
     a: NetworkPosition,
     b: NetworkPosition,
     cutoff: float = INF,
-    backend: Optional[DistanceBackend] = None,
 ) -> float:
     """Network distance ``δ(a, b)``; ``inf`` when beyond ``cutoff``.
 
-    With ``backend=None`` runs a Dijkstra from ``a`` with early
-    termination at ``b``'s edge end-nodes; a :class:`DistanceBackend`
-    (e.g. a Contraction-Hierarchies oracle) answers instead when
-    supplied.  On a shared edge the along-edge distance short-circuits
-    either path (paper: ``δ(q, p) = w(q, p)`` if both lie on one edge).
+    Runs a Dijkstra from ``a`` with early termination at ``b``'s edge
+    end-nodes.  On a shared edge the along-edge distance short-circuits
+    it (paper: ``δ(q, p) = w(q, p)`` if both lie on one edge).
     """
     if a.edge_id == b.edge_id:
-        # Same-edge rule, applied before the backend dispatch so every
-        # backend answers shared-edge pairs identically.
         return abs(a.offset - b.offset)
-    if backend is not None:
-        return backend.position_distance(a, b, cutoff=cutoff)
     edge_b = network.edge(b.edge_id)
     targets = {edge_b.n1, edge_b.n2}
     target_dist: Dict[int, float] = {}
@@ -739,8 +738,8 @@ class PairwiseDistanceComputer:
         elapsed = time.perf_counter() - start
         self.backend_seconds += elapsed
         if self.tracer.enabled:
-            # Span named after the backend ("ch.query" / "hub.query"),
-            # so EXPLAIN narrates each oracle with its own vocabulary.
+            # Span named after the backend ("hub.query"), so EXPLAIN
+            # narrates the oracle with its own vocabulary.
             self.tracer.add_span(
                 f"{self._backend.name}.query", elapsed, start=start,
                 source_edge=a.edge_id, target_edge=b.edge_id,

@@ -241,7 +241,7 @@ class RoadNetwork:
         changes; geometry (``length``, end-points) is immutable.  The
         caller owns downstream consistency — object offsets are in
         weight units and any derived structure (CCAM pages, distance
-        caches, CH oracles) holds copies of the old weight; see
+        caches, hub labels) holds copies of the old weight; see
         ``Database.update_edge_weight`` for the orchestrated version.
         """
         old = self.edge(edge_id)

@@ -126,22 +126,6 @@ def _describe_pairwise(span: Span) -> str:
     )
 
 
-def _describe_ch_query(span: Span) -> str:
-    a = span.attrs
-    return (
-        f"CH point query edge {a.get('source_edge', '?')} → "
-        f"edge {a.get('target_edge', '?')} in {_ms(span.duration)}"
-    )
-
-
-def _describe_ch_many_to_many(span: Span) -> str:
-    a = span.attrs
-    return (
-        f"CH many-to-many: {a.get('positions', '?')} positions → "
-        f"{a.get('pairs', '?')} matrix pairs in {_ms(span.duration)}"
-    )
-
-
 def _describe_hub_query(span: Span) -> str:
     a = span.attrs
     return (
@@ -231,8 +215,6 @@ _FORMATTERS = {
     "ine.round": _describe_ine_round,
     "signature.filter": _describe_signature_filter,
     "pairwise.dijkstra": _describe_pairwise,
-    "ch.query": _describe_ch_query,
-    "ch.many_to_many": _describe_ch_many_to_many,
     "hub.query": _describe_hub_query,
     "hub.many_to_many": _describe_hub_many_to_many,
     "com.round": _describe_com_round,

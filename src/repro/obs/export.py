@@ -178,7 +178,7 @@ def database_gauges(db) -> Dict[str, float]:
     """Point-in-time gauge values for a database's shared caches.
 
     ``db`` is a :class:`~repro.core.database.Database`: whatever of the
-    shared distance cache, the oracles, the flight recorder and the
+    shared distance cache, the hub-label oracle, the flight recorder and the
     result cache is installed contributes its hit/miss/eviction state,
     plus derived hit rates (``NaN``-free: a cache that was never
     consulted reports rate 0).
@@ -198,8 +198,8 @@ def database_gauges(db) -> Dict[str, float]:
         copy("distance_cache", stats, "entries", "max_entries", "hits",
              "misses", "evictions", "epoch", "stale_puts", "invalidations")
         hit_rate("distance_cache", stats["hits"], stats["misses"])
-    # One-hot backend label: repro_distance_backend_ch 1.0 says the
-    # scrape came from a CH-backed run without needing label pairs.
+    # One-hot backend label: repro_distance_backend_hub 1.0 says the
+    # scrape came from a hub-backed run without needing label pairs.
     # (Imported here: network.distance itself imports obs.tracing.)
     from ..network.distance import DISTANCE_BACKENDS
 
@@ -226,9 +226,6 @@ def database_gauges(db) -> Dict[str, float]:
     if seen_any:
         gauges["signature.bytes"] = sig_bytes
         gauges["signature.signed_terms"] = signed_terms
-    if db._ch_oracle is not None:
-        copy("ch", db._ch_oracle.stats(), "preprocess_seconds",
-             "shortcuts_added", "upward_edges", "nodes")
     if db._hub_oracle is not None:
         copy("hub_label", db._hub_oracle.stats(), "build_seconds", "labels",
              "label_entries", "pruned_entries", "avg_label_size",

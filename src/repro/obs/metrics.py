@@ -207,7 +207,6 @@ class StageClock:
 #: What the three ``QueryStats.backend_*`` fields count, per distance
 #: backend: (queries, settled nodes / label entries, bucket / kernel hits).
 _BACKEND_COUNTERS = {
-    "ch": ("ch.queries", "ch.settled_nodes", "ch.bucket_hits"),
     "hub": ("hub_label.queries", "hub_label.entries_scanned",
             "hub_label.kernel_hits"),
 }

@@ -37,6 +37,7 @@ from ..core.knn import SKkNNQuery
 from ..core.queries import DiversifiedSKQuery, SKQuery
 from ..engine.plan import plan_diversified, plan_knn, plan_sk
 from ..errors import QueryError
+from ..network.distance import DISTANCE_BACKENDS
 from ..network.graph import NetworkPosition
 from ..obs.recorder import DIGEST_PRECISION, result_digest
 
@@ -45,6 +46,7 @@ __all__ = [
     "ReplayConfig",
     "ReplayDivergence",
     "ReplayReport",
+    "journal_backend",
     "load_flight_journal",
     "run_replay",
 ]
@@ -68,6 +70,25 @@ _INVARIANT_STATS = ("candidates", "nodes_accessed")
 #: the engine had a CSR frontier and a scalar scoring mode carry them);
 #: replay ignores them and says so.
 _RETIRED_HEADER_KEYS = ("frontier", "scoring")
+
+#: Distance backends a header may name that no longer exist; such a
+#: journal replays on ``csgraph`` (no backend ever changed an answer),
+#: and says so the same way.
+_RETIRED_BACKENDS = ("ch",)
+
+
+def journal_backend(header: Dict[str, Any]) -> Optional[str]:
+    """The distance backend a journal replays on unless overridden.
+
+    The one its header records; ``csgraph`` for a retired one; and
+    ``dijkstra`` when the header has none — it predates the stamp, and
+    with it every backend but the Python Dijkstra.  ``None`` when the
+    header names a backend this build does not know.
+    """
+    backend = header.get("distance_backend") or "dijkstra"
+    if backend in _RETIRED_BACKENDS:
+        return "csgraph"
+    return backend if backend in DISTANCE_BACKENDS else None
 
 
 @dataclass
@@ -117,9 +138,9 @@ def load_flight_journal(path) -> FlightJournal:
 
 @dataclass(frozen=True)
 class ReplayConfig:
-    """Knobs of one replay run (``None`` = use the recorded value)."""
+    """Knobs of one replay run (``limit=None``: every recorded query).
+    The distance backend is the database's (:func:`journal_backend`)."""
 
-    backend: Optional[str] = None
     workers: int = 1
     limit: Optional[int] = None
 
@@ -373,24 +394,27 @@ def run_replay(
     """Re-execute a parsed journal against ``db``; diff everything.
 
     ``db`` must be freshly built from the journal header's dataset
-    profile (the CLI does this), with any backend override already
-    applied.  Queries are grouped by their recorded epoch;
+    profile (the CLI does this), on :func:`journal_backend` or an
+    override.  Queries are grouped by their recorded epoch;
     journalled updates are re-applied between groups so every query
     runs against the same ``data_version`` it was recorded at.  Within
     an epoch group queries execute through
     ``db.engine.execute_many(workers=config.workers)`` — read-only, so
     worker count cannot change answers (and the report will prove it).
     """
+    header = journal.header or {}
+    ignored = [
+        f"{key}={header[key]}" for key in _RETIRED_HEADER_KEYS
+        if key in header
+    ]
+    if header.get("distance_backend") in _RETIRED_BACKENDS:
+        ignored.append(f"distance_backend={header['distance_backend']}")
     report = ReplayReport(
         journal_path=journal_path,
         backend=db.distance_backend,
         workers=config.workers,
         skipped_lines=journal.skipped,
-        ignored_header=[
-            f"{key}={journal.header[key]}"
-            for key in _RETIRED_HEADER_KEYS
-            if journal.header and key in journal.header
-        ],
+        ignored_header=ignored,
     )
     started = time.perf_counter()
     queries = journal.queries

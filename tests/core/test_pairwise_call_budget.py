@@ -7,7 +7,7 @@ is the number of calls: one per SEQ query whatever the pool size, one
 for a COM query whose pool fits the bootstrap, one per standing-query
 refresh.  The second half checks that asking for a whole set at once
 changed no answer and no counter: the same queries with the batched
-form switched off (the pair-by-pair fallback CH and CCAM use) return
+form switched off (the pair-by-pair fallback CCAM uses) return
 the same objects, the same ``f(S)`` bit for bit, and book the same
 Dijkstra runs, cache hits and cache misses.
 """

@@ -3,7 +3,11 @@
 import pytest
 
 from repro import Database, NetworkPosition
-from repro.core.updates import UpdateJournal, UpdateRecord
+from repro.core.updates import (
+    UpdateJournal,
+    UpdateRecord,
+    reweight_is_relevant,
+)
 from repro.errors import DatasetError, GraphError, QueryError
 from tests.conftest import assert_catalogue_matches_recount
 
@@ -123,13 +127,20 @@ class TestDatabaseUpdates:
         assert cache.epoch == live_db.data_version
 
     def test_reweight_drops_ch_oracle_for_lazy_rebuild(self, live_db):
-        live_db.use_distance_backend("ch")
-        oracle = live_db.ch_oracle()
+        """The Contraction Hierarchy is hub's ingredient: a reweight
+        drops it with the labels, and the next label build rebuilds it
+        against the new weights — without a ``ch.*`` counter."""
+        live_db.use_distance_backend("hub")
+        ordering = live_db.hub_oracle().ch
         live_db.update_edge_weight(0, 140.0)
         assert live_db._ch_oracle is None
-        rebuilt = live_db.ch_oracle()
-        assert rebuilt is not oracle
-        assert live_db.metrics.counters()["ch.invalidations"] == 1
+        rebuilt = live_db.hub_oracle().ch
+        assert rebuilt is not ordering
+        assert rebuilt is live_db.ch_oracle()
+        assert not [
+            name for name in live_db.metrics.counters()
+            if name.startswith("ch.")
+        ]
 
     def test_reweight_drops_hub_oracle_for_lazy_rebuild(self, live_db):
         live_db.use_distance_backend("hub")
@@ -190,6 +201,41 @@ class TestDatabaseUpdates:
         obj = live_db.insert_object(NetworkPosition(1, 5.0), {"x"})
         with pytest.raises(QueryError):
             live_db.delete_object(obj.object_id, indexes=(index,))
+
+
+class TestReweightRelevance:
+    """The result cache and the standing query put one question to an
+    edge reweight — could it reach this answer? — and get one answer
+    (``reweight_is_relevant``)."""
+
+    @pytest.mark.parametrize(
+        "edge_id, relevant", [(0, True), (11, False)], ids=["near", "far"]
+    )
+    def test_both_callers_classify_a_reweight_alike(
+        self, live_db, edge_id, relevant
+    ):
+        from repro.core.incremental import IncrementalDiversifiedTopK
+        from repro.core.queries import DiversifiedSKQuery
+
+        index = live_db.build_index("sif")
+        live_db.use_result_cache()
+        # Edge 0 holds the query; edge 11 is the grid's far corner,
+        # beyond the radius a 30-unit answer depends on.
+        q = DiversifiedSKQuery.create(
+            NetworkPosition(0, 0.0), ["pizza"], 30.0, 2, 0.8
+        )
+        live_db.diversified_search(index, q, method="seq")
+        standing = IncrementalDiversifiedTopK(live_db, index, q)
+        point = live_db.network.position_point(q.position)
+        assert reweight_is_relevant(
+            live_db, point, q.delta_max, edge_id
+        ) is relevant
+        weight = live_db.network.edge(edge_id).weight
+        live_db.update_edge_weight(edge_id, weight * 2.0, indexes=(index,))
+        cached = live_db.diversified_search(index, q, method="seq")
+        standing.refresh()
+        assert cached.stats.result_cache_hit is not relevant
+        assert standing.full_recomputes == int(relevant)
 
 
 class TestStaleReadSafety:

@@ -1,9 +1,11 @@
-"""The DistanceBackend seam: csgraph vs dijkstra vs CH vs hub through the engine.
+"""The DistanceBackend seam: csgraph vs dijkstra vs hub through the engine.
 
-The acceptance bar for the oracle backends is *identical answers* —
+The acceptance bar for the oracle backend is *identical answers* —
 same object ids, same objective values — on every SK/diversified
 scenario, with the backend visible in plans, stats, metrics records,
-slow-query logs and Prometheus exports.
+slow-query logs and Prometheus exports.  The Contraction Hierarchy is
+only the ordering hub labels are built from: no query selects it and
+no metric names it.
 """
 
 import math
@@ -15,7 +17,10 @@ from repro.core.knn import SKkNNQuery
 from repro.core.queries import DiversifiedSKQuery, SKQuery
 from repro.datasets.synthetic import random_planar_network
 from repro.errors import QueryError
-from repro.network.distance import DISTANCE_BACKENDS
+from repro.network.distance import (
+    DISTANCE_BACKENDS,
+    PAIRWISE_CUTOFF_FACTOR,
+)
 from repro.network.graph import NetworkPosition
 from repro.obs.export import database_gauges, prometheus_text
 from repro.obs.sinks import InMemorySink
@@ -42,42 +47,80 @@ def _run_workload(db, index, queries, method):
 
 class TestBackendSelection:
     def test_unknown_backend_rejected(self, restore_backend):
-        with pytest.raises(QueryError):
-            restore_backend.use_distance_backend("astar")
+        # ``ch`` left the query surface: the Contraction Hierarchy is
+        # only the ordering hub labels are built from.
+        for name in ("astar", "ch"):
+            with pytest.raises(QueryError):
+                restore_backend.use_distance_backend(name)
+            with pytest.raises(QueryError):
+                Database(random_planar_network(30, seed=2),
+                         distance_backend=name)
 
     def test_constructor_selects_backend(self):
         db = Database(random_planar_network(30, seed=2),
-                      distance_backend="ch")
-        assert db.distance_backend == "ch"
-        assert db.pairwise_backend() is db.ch_oracle()
+                      distance_backend="dijkstra")
+        assert db.distance_backend == "dijkstra"
+        computer = db.pairwise_computer(100.0, epoch=0)
+        assert computer.backend is None
+        assert computer.backend_name == "dijkstra"
 
     def test_default_is_csgraph(self, tiny_db):
         assert tiny_db.distance_backend == "csgraph"
         fresh = Database(random_planar_network(30, seed=2))
         assert fresh.distance_backend == "csgraph"
-        # No oracle: the computer traverses the in-memory network.
-        assert fresh.pairwise_backend() is None
-        assert fresh.pairwise_provider() is fresh.network
+        # No oracle: the computer traverses the in-memory network, and
+        # its cutoff is the one named constant.
+        computer = fresh.pairwise_computer(100.0, epoch=0)
+        assert computer.backend is None
+        assert computer.backend_name == "csgraph"
+        assert computer.cutoff == 2.0 * 100.0 * 1.001
+        assert computer.cutoff == PAIRWISE_CUTOFF_FACTOR * 100.0
         fresh.use_distance_backend("dijkstra")
-        assert fresh.pairwise_provider() is fresh.ccam
+        assert fresh.pairwise_computer(100.0, epoch=0).backend_name == (
+            "dijkstra"
+        )
+
+    def test_computer_backs_onto_the_shared_cache_at_its_epoch(self):
+        db = Database(random_planar_network(30, seed=2))
+        edges = list(db.network.edges())
+        a = NetworkPosition(edges[0].edge_id, 0.0)
+        b = NetworkPosition(edges[-1].edge_id, 0.0)
+        private = db.pairwise_computer(1e6, epoch=0)
+        assert private.cache is not db.pairwise_computer(1e6, 0).cache
+        cache = db.use_shared_distance_cache(max_entries=10_000)
+        cache.invalidate(3)
+        # A query pinned before the invalidation may not write back.
+        db.pairwise_computer(1e6, epoch=2).distance(a, b)
+        assert cache.stats()["stale_puts"] == 1 and len(cache) == 0
+        current = db.pairwise_computer(1e6, epoch=3)
+        assert current.cache is cache
+        current.distance(a, b)
+        assert len(cache) == 1
 
     # The two tests below read lifetime build counters, so each builds
     # on a database of its own: the session-scoped ``tiny_db`` has had
     # its oracles built (and rebuilt) by whichever tests ran before.
     def test_oracle_built_once_and_recorded(self):
+        """The hub oracle is built once and recorded; the Contraction
+        Hierarchy it is built from is neither a counter nor a record."""
         db = Database(random_planar_network(30, seed=2))
-        db.use_distance_backend("ch")
-        oracle = db.ch_oracle()
-        assert db.ch_oracle() is oracle
+        sink = InMemorySink()
+        db.metrics.add_sink(sink)
+        db.use_distance_backend("hub")
+        oracle = db.hub_oracle()
+        assert db.hub_oracle() is oracle
+        assert db.ch_oracle() is oracle.ch
+        assert len(sink.of_type("hub_build")) == 1
+        assert sink.of_type("ch_build") == []
         counters = db.metrics.snapshot()["counters"]
-        assert counters["ch.shortcuts_added"] == oracle.shortcuts_added
-        assert counters["ch.upward_edges"] == oracle.upward_edges
+        assert counters["hub_label.labels"] == oracle.num_labels
+        assert not [name for name in counters if name.startswith("ch.")]
 
     def test_hub_backend_selected_and_recorded(self):
         db = Database(random_planar_network(30, seed=2))
         db.use_distance_backend("hub")
         oracle = db.hub_oracle()
-        assert db.pairwise_backend() is oracle
+        assert db.pairwise_computer(100.0, epoch=0).backend is oracle
         assert db.hub_oracle() is oracle  # built once
         # The labels reuse the database's CH (same ordering, no second
         # preprocessing pass).
@@ -90,7 +133,9 @@ class TestBackendSelection:
         db = Database(random_planar_network(30, seed=2),
                       distance_backend="hub")
         assert db.distance_backend == "hub"
-        assert db.pairwise_backend() is db.hub_oracle()
+        assert db.pairwise_computer(100.0, epoch=0).backend is (
+            db.hub_oracle()
+        )
 
 
 class TestAnswerEquivalence:
@@ -109,7 +154,7 @@ class TestAnswerEquivalence:
             method: _run_workload(db, index, queries, method)
             for method in ("seq", "com")
         }
-        db.use_distance_backend("ch")
+        db.use_distance_backend("hub")
         got = {
             method: _run_workload(db, index, queries, method)
             for method in ("seq", "com")
@@ -122,11 +167,11 @@ class TestAnswerEquivalence:
         def delta(name):
             return after.get(name, 0) - before.get(name, 0)
 
-        assert delta("query.backend.ch") == 2 * len(queries)
-        assert delta("query.backend.ch") == delta("query.backend.dijkstra")
+        assert delta("query.backend.hub") == 2 * len(queries)
+        assert delta("query.backend.hub") == delta("query.backend.dijkstra")
 
     def test_all_three_backends_agree(self, restore_backend, tiny_indexes):
-        """{csgraph, dijkstra, ch, hub} × {seq, com} returns byte-identical
+        """{csgraph, dijkstra, hub} × {seq, com} returns byte-identical
         object ids and objective values (rounded to 9 decimals, the
         repo's equivalence contract)."""
         db = restore_backend
@@ -169,21 +214,21 @@ class TestAnswerEquivalence:
         assert counters["hub_label.kernel_hits"] > 0
 
     def test_stats_carry_backend_counters(self, restore_backend, tiny_indexes):
+        """Under ``dijkstra`` every pair comes from a bounded Dijkstra:
+        the oracle counters stay zero and the Dijkstra counter moves."""
         db = restore_backend
-        db.use_distance_backend("ch")
+        db.use_distance_backend("dijkstra")
         index = tiny_indexes["sif"]
         config = WorkloadConfig(num_queries=4, num_keywords=2, k=5, seed=71)
         stats = [
             db.diversified_search(index, q, method="seq").stats
             for q in generate_diversified_queries(db, config)
         ]
-        assert all(s.distance_backend == "ch" for s in stats)
-        # At least one query in the batch has >= 2 candidates and so
-        # issued CH work; its settled-node counter must move too.
-        busy = [s for s in stats if s.backend_queries]
-        assert busy
-        assert all(s.backend_settled_nodes > 0 for s in busy)
-        assert all(s.pairwise_dijkstras == 0 for s in stats)
+        assert all(s.distance_backend == "dijkstra" for s in stats)
+        assert all(
+            s.backend_queries == s.backend_settled_nodes == 0 for s in stats
+        )
+        assert any(s.pairwise_dijkstras > 0 for s in stats)
 
     def test_plan_records_backend(self, restore_backend, tiny_indexes):
         db = restore_backend
@@ -191,10 +236,10 @@ class TestAnswerEquivalence:
         query = DiversifiedSKQuery.create(
             db.network.node_position(0), ["a"], delta_max=1000.0, k=3
         )
-        db.use_distance_backend("ch")
+        db.use_distance_backend("hub")
         plan = db.plan(index, query, method="com")
-        assert plan.hints.distance_backend == "ch"
-        assert "distance backend: ch" in plan.describe()
+        assert plan.hints.distance_backend == "hub"
+        assert "distance backend: hub" in plan.describe()
         db.use_distance_backend("dijkstra")
         plan = db.plan(index, query, method="com")
         assert plan.hints.distance_backend == "dijkstra"
@@ -202,7 +247,7 @@ class TestAnswerEquivalence:
 
 
 class TestObservability:
-    @pytest.mark.parametrize("backend", ["csgraph", "ch"])
+    @pytest.mark.parametrize("backend", ["csgraph", "hub"])
     def test_sk_and_knn_report_the_backend_they_ran_under(
         self, restore_backend, tiny_indexes, backend
     ):
@@ -238,7 +283,7 @@ class TestObservability:
 
     def test_slowlog_records_backend(self, restore_backend, tiny_indexes):
         db = restore_backend
-        db.use_distance_backend("ch")
+        db.use_distance_backend("hub")
         log = db.enable_slow_query_log(latency_seconds=0.0)
         try:
             index = tiny_indexes["sif"]
@@ -250,29 +295,32 @@ class TestObservability:
             records = log.records()
             assert records
             for record in records:
-                assert record["stats"]["distance_backend"] == "ch"
+                assert record["stats"]["distance_backend"] == "hub"
                 assert "backend_settled_nodes" in record["stats"]
         finally:
             db.disable_slow_query_log()
 
     def test_prometheus_gauges_carry_backend(self, restore_backend):
+        """A hub run built its Contraction Hierarchy too, and exports
+        neither a ``ch`` gauge nor a ``ch.*`` one."""
         db = restore_backend
-        db.use_distance_backend("ch")
-        db.ch_oracle()
+        db.use_distance_backend("hub")
+        db.hub_oracle()
+        assert db.ch_oracle() is not None
         gauges = database_gauges(db)
-        assert gauges["distance_backend.ch"] == 1.0
+        assert gauges["distance_backend.hub"] == 1.0
         assert gauges["distance_backend.dijkstra"] == 0.0
-        assert gauges["ch.shortcuts_added"] >= 0.0
-        assert gauges["ch.preprocess_seconds"] > 0.0
+        assert not [name for name in gauges if name.startswith("ch.")]
         text = prometheus_text(db.metrics, gauges=gauges)
-        assert "repro_distance_backend_ch 1.0" in text
-        assert "repro_ch_preprocess_seconds" in text
+        assert "repro_distance_backend_hub 1.0" in text
+        assert "repro_ch_" not in text
+        assert "distance_backend_ch" not in text
 
     def test_dijkstra_run_exports_zero_ch_gauge(self, restore_backend):
         restore_backend.use_distance_backend("dijkstra")
         gauges = database_gauges(restore_backend)
         assert gauges["distance_backend.dijkstra"] == 1.0
-        assert gauges["distance_backend.ch"] == 0.0
+        assert "distance_backend.ch" not in gauges
         # One gauge per backend the program knows, exactly one hot.
         assert sum(
             gauges[f"distance_backend.{name}"] for name in DISTANCE_BACKENDS
@@ -280,7 +328,7 @@ class TestObservability:
 
     def test_explain_renders_backend(self, restore_backend, tiny_indexes):
         db = restore_backend
-        db.use_distance_backend("ch")
+        db.use_distance_backend("dijkstra")
         query = DiversifiedSKQuery.create(
             db.network.node_position(3),
             ["a"],
@@ -292,7 +340,7 @@ class TestObservability:
             slow_threshold=SlowQueryThreshold(latency_seconds=math.inf),
         )
         rendered = report.render()
-        assert "distance backend: ch" in rendered
+        assert "distance backend: dijkstra" in rendered
 
     def test_prometheus_gauges_carry_hub_stats(self, restore_backend):
         db = restore_backend

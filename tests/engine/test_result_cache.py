@@ -5,7 +5,8 @@ import pytest
 from repro import Database, NetworkPosition
 from repro.core.queries import DiversifiedSKQuery
 from repro.engine.plan import plan_diversified
-from repro.engine.result_cache import PAIRWISE_RADIUS_FACTOR, ResultCache
+from repro.core.updates import PAIRWISE_RADIUS_FACTOR
+from repro.engine.result_cache import ResultCache
 
 
 @pytest.fixture()

@@ -10,6 +10,19 @@ import pytest
 from repro.cli import build_parser, main
 from repro.network.distance import DISTANCE_BACKENDS
 
+#: Recorded before the frontier / scoring / no-numpy switches were
+#: deleted (``repro update SYN --scale 0.25 ... --record``).
+PR11_JOURNAL = Path(__file__).parent / "data" / "flight_pr11.jsonl"
+
+
+def _with_header(tmp_path, **fields):
+    """A copy of ``PR11_JOURNAL`` whose header carries ``fields``."""
+    lines = PR11_JOURNAL.read_text().splitlines()
+    header = dict(json.loads(lines[0]), **fields)
+    path = tmp_path / "flight.jsonl"
+    path.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
+    return path
+
 #: Every subcommand's arguments: option strings (or the positional's
 #: dest) -> (default, choices, type name).  Generated from
 #: ``build_parser()`` at commit 1ef623e, before the flags moved into
@@ -277,12 +290,16 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "SEQ" in out and "COM" in out
 
-    def test_diversify_ch_backend(self, tmp_path, capsys):
+    def test_diversify_hub_backend(self, tmp_path, capsys):
+        """Hub labels are built on a Contraction Hierarchy, and the run
+        still shows no ``ch.*`` counter, ``ch_build`` record or ``ch``
+        gauge: CH is an ingredient, not a backend."""
         path = tmp_path / "metrics.jsonl"
+        prom = tmp_path / "metrics.prom"
         assert main([
             "diversify", "SYN", "--scale", "0.05", "--queries", "3",
-            "--keywords", "2", "--k", "4", "--distance-backend", "ch",
-            "--metrics", str(path),
+            "--keywords", "2", "--k", "4", "--distance-backend", "hub",
+            "--metrics", str(path), "--prom", str(prom),
         ]) == 0
         out = capsys.readouterr().out
         assert "SEQ" in out and "COM" in out
@@ -290,25 +307,40 @@ class TestCommands:
         query_records = [r for r in records if r["type"] == "query"]
         assert query_records
         assert all(
-            r["stats"]["distance_backend"] == "ch" for r in query_records
+            r["stats"]["distance_backend"] == "hub" for r in query_records
         )
-        build_records = [r for r in records if r["type"] == "ch_build"]
+        build_records = [r for r in records if r["type"] == "hub_build"]
         assert len(build_records) == 1
-        assert build_records[0]["preprocess_seconds"] > 0
+        assert build_records[0]["build_seconds"] > 0
+        assert not [r for r in records if r["type"] == "ch_build"]
+        (snapshot,) = [r for r in records if r["type"] == "snapshot"]
+        assert not [c for c in snapshot["counters"] if c.startswith("ch.")]
+        text = prom.read_text()
+        assert "repro_distance_backend_hub 1.0" in text
+        assert "repro_ch_" not in text and "distance_backend_ch" not in text
 
-    def test_explain_ch_backend(self, capsys):
+    def test_explain_hub_backend(self, capsys):
         assert main([
             "explain", "SYN", "--scale", "0.05", "--keywords", "2",
-            "--distance-backend", "ch",
+            "--distance-backend", "hub",
         ]) == 0
         out = capsys.readouterr().out
-        assert "distance backend: ch" in out
+        assert "distance backend: hub" in out
 
-    def test_bad_backend_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["diversify", "SYN", "--distance-backend", "astar"]
-            )
+    def test_bad_backend_rejected(self, capsys):
+        """An unknown backend, and the retired ``ch``, are usage errors
+        on every command that takes a backend."""
+        commands = ("sk", "diversify", "update", "compare", "loadtest",
+                    "explain")
+        argvs = [
+            [command, "SYN", "--distance-backend", name]
+            for command in commands for name in ("astar", "ch")
+        ] + [["replay", "F", "--backend", "ch"]]
+        for argv in argvs:
+            with pytest.raises(SystemExit) as err:
+                main(argv)
+            assert err.value.code == 2, argv
+            assert "invalid choice" in capsys.readouterr().err, argv
 
     def test_metrics_file(self, tmp_path, capsys):
         path = tmp_path / "metrics.jsonl"
@@ -731,22 +763,42 @@ class TestFlightRecorderCLI:
             "--keywords", "2", "--k", "4", "--record", str(journal),
         ]) == 0
         assert main([
-            "replay", str(journal), "--backend", "ch", "--workers", "2",
+            "replay", str(journal), "--backend", "hub", "--workers", "2",
         ]) == 0
         out = capsys.readouterr().out
-        assert "backend=ch" in out
+        assert "backend=hub" in out
         assert "verdict: PASS" in out
 
     @pytest.mark.parametrize("backend", DISTANCE_BACKENDS)
     def test_replay_pre_refactor_journal(self, backend, capsys):
         """tests/data/flight_pr11.jsonl was recorded before the frontier
         and scoring modes were deleted; its header still names them."""
-        journal = Path(__file__).parent / "data" / "flight_pr11.jsonl"
-        assert main(["replay", str(journal), "--backend", backend]) == 0
+        assert main(["replay", str(PR11_JOURNAL), "--backend", backend]) == 0
         out = capsys.readouterr().out
         assert out.count("retired modes (frontier=csr, scoring=array)") == 1
         assert "24 queries re-executed, 16 updates re-applied" in out
         assert "verdict: PASS — zero divergences" in out
+
+    def test_replay_retired_backend_header(self, tmp_path, capsys):
+        """A journal whose header names the retired ``ch`` backend
+        replays on ``csgraph`` and says so with the retired modes."""
+        journal = _with_header(tmp_path, distance_backend="ch")
+        assert main(["replay", str(journal)]) == 0
+        out = capsys.readouterr().out
+        assert "backend=csgraph" in out
+        assert out.count(
+            "retired modes (frontier=csr, scoring=array, "
+            "distance_backend=ch)"
+        ) == 1
+        assert "verdict: PASS — zero divergences" in out
+
+    def test_replay_unknown_backend_header(self, tmp_path, capsys):
+        journal = _with_header(tmp_path, distance_backend="astar")
+        assert main(["replay", str(journal)]) == 2
+        assert (
+            "error: unknown distance backend 'astar' in journal header"
+            in capsys.readouterr().err
+        )
 
     @pytest.mark.parametrize("argv", [
         ["sk", "SYN", "--frontier", "dict"],

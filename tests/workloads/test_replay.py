@@ -11,7 +11,11 @@ import pytest
 from repro.datasets import build_dataset
 from repro.engine.plan import plan_diversified
 from repro.errors import QueryError
-from repro.network.distance import DISTANCE_BACKENDS
+from repro.network.distance import (
+    DISTANCE_BACKENDS,
+    PAIRWISE_CUTOFF_FACTOR,
+    PairwiseDistanceComputer,
+)
 from repro.network.graph import NetworkPosition
 from repro.workloads.queries import (
     WorkloadConfig,
@@ -20,6 +24,7 @@ from repro.workloads.queries import (
 from repro.workloads.replay import (
     FlightJournal,
     ReplayConfig,
+    journal_backend,
     load_flight_journal,
     run_replay,
 )
@@ -160,7 +165,7 @@ class TestReplayDeterminism:
         )
         assert "PASS — zero divergences" in report.render()
 
-    @pytest.mark.parametrize("backend", ["dijkstra", "ch", "hub"])
+    @pytest.mark.parametrize("backend", DISTANCE_BACKENDS)
     def test_cross_backend_zero_divergences(self, journal_path, backend):
         db = fresh_db()
         db.use_distance_backend(backend)
@@ -168,21 +173,25 @@ class TestReplayDeterminism:
         assert report.passed, [d.render() for d in report.divergences]
         assert report.backend == backend
 
-    @pytest.mark.parametrize("backend", DISTANCE_BACKENDS)
+    @pytest.mark.parametrize("backend", [*DISTANCE_BACKENDS, "ch"])
     def test_pre_refactor_journal_zero_divergences(self, backend):
         """A journal recorded while the CSR frontier and the scoring
-        switch existed (its header and hints name them) replays clean:
-        the retired keys are noted and ignored."""
+        switch existed (its header and hints name them) replays clean
+        on the backend its header names: the retired keys are noted and
+        ignored.  A header naming the retired ``ch`` backend replays on
+        ``csgraph`` and is noted the same way."""
         journal = load_flight_journal(PR11_JOURNAL)
         assert journal.header["frontier"] == "csr"
         assert journal.header["scoring"] == "array"
         assert all("scoring" in q["hints"] for q in journal.queries)
+        journal.header["distance_backend"] = backend
         db = build_dataset(
             journal.header["profile"], scale=journal.header["scale"]
         )
-        db.use_distance_backend(backend)
+        db.use_distance_backend(journal_backend(journal.header))
         report = run_replay(db, journal)
         assert report.passed, [d.render() for d in report.divergences]
+        assert report.backend == ("csgraph" if backend == "ch" else backend)
         assert report.queries_replayed == 24
         assert sum(report.updates_applied.values()) == 16
         notes = [
@@ -191,6 +200,15 @@ class TestReplayDeterminism:
         ]
         assert len(notes) == 1
         assert "frontier=csr" in notes[0] and "scoring=array" in notes[0]
+        assert ("distance_backend=ch" in notes[0]) == (backend == "ch")
+
+    def test_journal_backend(self):
+        assert journal_backend({"distance_backend": "hub"}) == "hub"
+        assert journal_backend({"distance_backend": "ch"}) == "csgraph"
+        # A header with no stamp predates it, and every backend but
+        # the Python Dijkstra.
+        assert journal_backend({}) == "dijkstra"
+        assert journal_backend({"distance_backend": "astar"}) is None
 
     def test_concurrent_replay_zero_divergences(self, journal_path):
         report = run_replay(
@@ -231,12 +249,15 @@ class TestReplayCatchesDivergence:
 
     def test_perturbed_backend_caught(self, journal_path, monkeypatch):
         db = fresh_db()
-        db.use_distance_backend("ch")
-        oracle = db.ch_oracle()
-        monkeypatch.setattr(
-            db, "pairwise_backend",
-            lambda: PerturbingBackend(oracle),
-        )
+        oracle = PerturbingBackend(db.hub_oracle())
+
+        def perturbed_computer(delta_max, epoch, tracer=None):
+            return PairwiseDistanceComputer(
+                db.ccam, db.network,
+                cutoff=PAIRWISE_CUTOFF_FACTOR * delta_max, backend=oracle,
+            )
+
+        monkeypatch.setattr(db, "pairwise_computer", perturbed_computer)
         report = run_replay(db, load_flight_journal(journal_path))
         assert not report.passed
         # The warp moves objectives/digests, never the INE search shape.
