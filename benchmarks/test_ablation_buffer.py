@@ -5,6 +5,10 @@ This ablation sweeps the buffer from nothing to generous and shows the
 physical-I/O curve that motivates the choice: CCAM's Z-order locality
 makes even a small buffer absorb most of the expansion's adjacency
 reads, with diminishing returns beyond a few percent.
+
+The sweep also runs at the capacity the database's own rule gives NA
+with SIF alone (``max(8, 2 % of network + SIF pages)``, the buffer the
+figure benchmarks measure behind), marked ``default_rule``.
 """
 
 from repro.workloads.queries import WorkloadConfig, generate_sk_queries
@@ -20,9 +24,10 @@ def test_ablation_buffer_size(ctx, show):
         index = ctx.index("NA", "sif", file_prefix="bufablation-sif")
         queries = generate_sk_queries(db, CONFIG)
         original = db.disk.buffer.capacity
+        rule = db.buffer_capacity(index)
         rows = []
         try:
-            for pages in BUFFER_PAGES:
+            for pages in sorted({*BUFFER_PAGES, rule}):
                 db.disk.resize_buffer(pages)
                 db.disk.clear_buffer()
                 index.counters.reset()
@@ -30,6 +35,7 @@ def test_ablation_buffer_size(ctx, show):
                 rows.append(
                     {
                         "buffer_pages": pages,
+                        "default_rule": pages == rule,
                         "avg_physical_io": round(report.avg_io, 1),
                         "cpu_ms": round(report.avg_wall_seconds * 1e3, 2),
                     }

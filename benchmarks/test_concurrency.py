@@ -8,8 +8,9 @@ Four workers must then overlap their I/O stalls: identical answers,
 batch wall clock cut by ≥ 1.5× (in practice close to the worker count,
 since the workload is I/O-bound exactly as the 2014 testbed was).
 
-The buffer pool is cleared before each measured run so serial and
-pooled runs pay comparable physical-read counts.
+The buffer pool is cleared before each measured run, and sized for
+SIF alone, so serial and pooled runs pay comparable physical-read
+counts whatever else the session built.
 """
 
 from repro.engine import QueryEngine
@@ -32,7 +33,7 @@ def test_concurrent_throughput(ctx, show):
     def sweep():
         rows = []
         for workers in (1, WORKERS):
-            db.disk.clear_buffer()
+            ctx.cold_buffer(db, index)
             report = run_sk_workload(
                 db, index, queries, label=f"workers={workers}",
                 workers=workers,

@@ -20,13 +20,6 @@ from repro.workloads.queries import WorkloadConfig
 DATASETS = ("NA", "SF", "TW", "SYN")
 INDEXES = ("ir", "if", "sif", "sif-p")
 CONFIG = WorkloadConfig(num_queries=25, num_keywords=3, seed=606)
-#: Per-dataset slack on "SIF / SIF-P read no more pages than IF".  The
-#: pages SIF *asks for* are a subset of IF's, but the LRU buffer holds 8
-#: pages, so a read the signature spared can be the one that would have
-#: kept a later page resident.  Worst measured: TW at scale 0.25, 13.36
-#: vs 12.72 pages a query (x 1.0503); the other three datasets at 0.25
-#: and all four at 1.0 are below 1.0.  The aggregate is asserted strictly.
-PAGE_SLACK = 1.10
 
 
 def test_fig6a_response_time(ctx, show):
@@ -42,7 +35,11 @@ def test_fig6a_response_time(ctx, show):
         assert row["IR_pages"] > row["SIF_pages"], row
         for kind in ("SIF", "SIF-P"):
             assert row[f"{kind}_false_hits"] <= row["IF_false_hits"], row
-            assert row[f"{kind}_pages"] <= row["IF_pages"] * PAGE_SLACK, row
+            # The pages SIF asks for are a subset of IF's.  Behind an
+            # 8-page buffer that did not make it read fewer (TW at scale
+            # 0.25: x 1.05), so this needed slack; behind 2 % of the
+            # pages it holds strictly on all four datasets at 0.25 and 1.0.
+            assert row[f"{kind}_pages"] <= row["IF_pages"], row
     total = {
         kind: sum(r[f"{kind}_pages"] for r in rows)
         for kind in map(str.upper, INDEXES)

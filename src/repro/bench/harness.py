@@ -45,6 +45,13 @@ class BenchContext:
     pairwise Dijkstras of a diversified query walk CCAM pages and are
     charged for them (Figs 11–16).  An ablation that compares backends
     selects them itself and returns to ``dijkstra``.
+
+    A database's own buffer rule counts every index built on it, so it
+    depends on what the session built first.  Every measurement here
+    runs from :meth:`cold_buffer` instead: an empty buffer sized from
+    the network plus the measured index alone, which makes a figure's
+    page columns the same whether its benchmark runs alone or in the
+    full suite.
     """
 
     def __init__(self, scale: Optional[float] = None) -> None:
@@ -77,6 +84,13 @@ class BenchContext:
             self._indexes[key] = index
         return index
 
+    @staticmethod
+    def cold_buffer(db: Database, index: ObjectIndex) -> None:
+        """Empty ``db``'s buffer and size it for ``index`` alone
+        (:meth:`~repro.core.database.Database.buffer_capacity`)."""
+        db.disk.resize_buffer(db.buffer_capacity(index))
+        db.disk.clear_buffer()
+
     # ------------------------------------------------------------------
     # Sweep helpers
     # ------------------------------------------------------------------
@@ -92,6 +106,7 @@ class BenchContext:
         index = self.index(profile, kind, db_overrides=db_overrides, **index_kwargs)
         queries = generate_sk_queries(db, config)
         index.counters.reset()
+        self.cold_buffer(db, index)
         return run_sk_workload(db, index, queries, label=kind.upper())
 
     def diversified_report(
@@ -108,6 +123,7 @@ class BenchContext:
         index = self.index(profile, kind, db_overrides=db_overrides, **index_kwargs)
         queries = generate_diversified_queries(db, config)
         index.counters.reset()
+        self.cold_buffer(db, index)
         return run_diversified_workload(
             db, index, queries, method=method, enable_pruning=enable_pruning
         )

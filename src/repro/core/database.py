@@ -89,9 +89,12 @@ class Database:
         """Create the disk-resident network structures.
 
         ``buffer_pages`` pins the LRU buffer size; when ``None`` the
-        buffer is sized at ``buffer_fraction`` of the dataset (the
-        paper uses 2 % of the network dataset size) once
-        :meth:`freeze` is called.
+        buffer holds ``max(8, ⌊buffer_fraction × pages on disk⌋)``
+        pages — the paper's "2 % of the dataset" (§5) — counting the
+        network's CCAM and R-tree pages and the pages of every index
+        built so far.  The rule is applied at :meth:`freeze` and again
+        after every :meth:`build_index`, so the buffer grows with the
+        indexes; see :meth:`buffer_capacity`.
 
         ``metrics`` optionally injects a shared
         :class:`~repro.obs.metrics.MetricsRegistry`; by default every
@@ -143,6 +146,10 @@ class Database:
         self.disk = DiskManager(buffer_pages=buffer_pages or 1 << 30)
         self._explicit_buffer = buffer_pages
         self._buffer_fraction = buffer_fraction
+        #: Pages on disk when :meth:`freeze` ran (CCAM + edge R-tree),
+        #: and the pages each index's build added.
+        self._network_pages = 0
+        self._index_pages: Dict[ObjectIndex, int] = {}
         self.ccam = CCAMStore(network, self.disk, curve=self.curve)
         rtree_file = self.disk.create_file("network.rtree", category="rtree")
         self.edge_rtree: RTree = build_edge_rtree(network, rtree_file)
@@ -196,16 +203,39 @@ class Database:
         return self.store.add(position, keywords)
 
     def freeze(self) -> None:
-        """Finish loading: sort edge lists and apply the buffer policy."""
+        """Finish loading: sort edge lists and apply the buffer rule.
+
+        No index exists yet, so the buffer is sized from the network's
+        pages alone — the 8-page floor on every shipped dataset until
+        :meth:`build_index` re-applies the rule.
+        """
         self.store.freeze()
         self._frozen = True
-        if self._explicit_buffer is None:
-            dataset_pages = sum(f.num_pages for f in self.disk.files())
-            self.disk.resize_buffer(
-                max(8, int(dataset_pages * self._buffer_fraction))
-            )
+        self._network_pages = self._disk_pages()
+        self._apply_buffer_rule()
+
+    def _disk_pages(self) -> int:
+        return sum(f.num_pages for f in self.disk.files())
+
+    def buffer_capacity(self, index: Optional[ObjectIndex] = None) -> int:
+        """The LRU capacity the buffer rule gives this database.
+
+        ``buffer_pages`` when pinned; otherwise ``max(8,
+        ⌊buffer_fraction × pages⌋)`` of every page on disk or, given
+        ``index``, of the network's pages plus the pages that index's
+        build added — the buffer a measurement of that one index is
+        sized from, whatever else has been built.
+        """
+        if self._explicit_buffer is not None:
+            return self._explicit_buffer
+        if index is None:
+            pages = self._disk_pages()
         else:
-            self.disk.resize_buffer(self._explicit_buffer)
+            pages = self._network_pages + self._index_pages[index]
+        return max(8, int(pages * self._buffer_fraction))
+
+    def _apply_buffer_rule(self) -> None:
+        self.disk.resize_buffer(self.buffer_capacity())
 
     def insert_object(
         self,
@@ -382,10 +412,13 @@ class Database:
 
         Extra keyword arguments are forwarded to the index constructor
         (e.g. ``max_cuts=3`` or ``log_builder=...`` for ``"sif-p"``,
-        ``top_terms=25`` for ``"sif-g"``).
+        ``top_terms=25`` for ``"sif-g"``).  The new index's pages count
+        towards the buffer rule, which is re-applied before returning
+        (see :meth:`buffer_capacity`).
         """
         self.ensure_frozen()
         kind = kind.lower()
+        pages_before = self._disk_pages()
         index: Optional[ObjectIndex] = None
         if kind == "ccam":
             index = EdgeStoreIndex(self.store, self.disk, **kwargs)
@@ -423,6 +456,8 @@ class Database:
                 f"unknown index kind {kind!r}; expected one of {INDEX_KINDS}"
             )
         self.indexes.append(index)
+        self._index_pages[index] = self._disk_pages() - pages_before
+        self._apply_buffer_rule()
         return index
 
     # ------------------------------------------------------------------

@@ -160,7 +160,10 @@ class DiskManager:
         )
 
     def resize_buffer(self, capacity_pages: int) -> None:
-        """Resize the LRU buffer (used to apply the 2 %-of-dataset rule)."""
+        """Resize the LRU buffer; shrinking evicts least recently used
+        pages first.  A :class:`~repro.core.database.Database` calls it
+        with ``max(8, 2 % of the pages on disk)`` at ``freeze()`` and
+        after every ``build_index()``, so index pages count too."""
         self.buffer.resize(capacity_pages)
 
     def clear_buffer(self) -> None:

@@ -3,9 +3,15 @@
 import pytest
 
 from repro import Database, DiversifiedSKQuery, SKQuery
+from repro.datasets.catalog import build_dataset
 from repro.errors import QueryError, ReproError
 from repro.network.graph import NetworkPosition
 from repro.spatial.geometry import Point
+from repro.workloads.queries import (
+    WorkloadConfig,
+    generate_diversified_queries,
+    generate_sk_queries,
+)
 
 
 @pytest.fixture()
@@ -32,12 +38,80 @@ class TestLifecycle:
     def test_buffer_policy_applied(self, grid_network9):
         fresh = Database(grid_network9)
         fresh.freeze()
-        assert fresh.disk.buffer.capacity >= 8
+        assert fresh.disk.buffer.capacity == 8
 
     def test_explicit_buffer_respected(self, grid_network9):
         fresh = Database(grid_network9, buffer_pages=123)
         fresh.freeze()
         assert fresh.disk.buffer.capacity == 123
+
+
+def disk_pages(db):
+    return sum(f.num_pages for f in db.disk.files())
+
+
+class TestBufferRule:
+    """``max(8, ⌊2 % × pages on disk⌋)``, applied at ``freeze()`` and
+    after every ``build_index()``; ``buffer_pages`` pins it."""
+
+    def test_each_build_grows_the_buffer(self):
+        db = build_dataset("SYN", scale=0.1)
+        # Frozen with no index: the network alone sits at the floor.
+        assert int(0.02 * disk_pages(db)) < 8
+        assert db.disk.buffer.capacity == 8
+        sif = db.build_index("sif")
+        first = db.disk.buffer.capacity
+        assert first == int(0.02 * disk_pages(db)) > 8
+        db.build_index("if")
+        assert db.disk.buffer.capacity == int(0.02 * disk_pages(db)) > first
+        # Sized for one index, the rule ignores the other one.
+        assert db.buffer_capacity(sif) == first
+
+    def test_explicit_buffer_pins_through_freeze_and_builds(self):
+        db = build_dataset("SYN", scale=0.1, buffer_pages=5)
+        assert db.disk.buffer.capacity == 5
+        sif = db.build_index("sif")
+        db.build_index("if")
+        assert db.disk.buffer.capacity == 5
+        assert db.buffer_capacity(sif) == db.buffer_capacity() == 5
+
+    def test_answers_identical_at_the_floor_and_under_the_rule(
+        self, tiny_db, tiny_indexes
+    ):
+        """Only page reads move with the buffer size."""
+        rule = tiny_db.buffer_capacity()
+        assert rule > 8
+        index = tiny_indexes["sif"]
+        config = WorkloadConfig(num_queries=12, num_keywords=2, k=4, seed=27)
+        sk = generate_sk_queries(tiny_db, config)
+        div = generate_diversified_queries(tiny_db, config)
+
+        def run(capacity):
+            tiny_db.disk.resize_buffer(capacity)
+            tiny_db.disk.clear_buffer()
+            answers, reads = [], 0
+            for q in sk:
+                result = tiny_db.sk_search(index, q)
+                answers.append(result.object_ids())
+                reads += result.stats.io.physical_reads
+            for method in ("seq", "com"):
+                for q in div:
+                    result = tiny_db.diversified_search(
+                        index, q, method=method
+                    )
+                    answers.append(
+                        (result.object_ids(), result.objective_value)
+                    )
+                    reads += result.stats.io.physical_reads
+            return answers, reads
+
+        try:
+            at_floor, floor_reads = run(8)
+            under_rule, rule_reads = run(rule)
+        finally:
+            tiny_db.disk.resize_buffer(rule)
+        assert under_rule == at_floor
+        assert rule_reads < floor_reads
 
 
 class TestQueries:
