@@ -51,7 +51,7 @@ from .errors import (
     ReproError,
     StorageError,
 )
-from .network.distance import DistanceCache, PairwiseDistanceComputer
+from .network.distance import PairwiseDistanceComputer
 from .network.graph import Edge, NetworkPosition, Node, RoadNetwork
 from .network.objects import ObjectStore, SpatioTextualObject
 from .obs import MetricsRegistry
@@ -73,7 +73,6 @@ __all__ = [
     "plan_diversified",
     "plan_knn",
     "plan_sk",
-    "DistanceCache",
     "PairwiseDistanceComputer",
     "MetricsRegistry",
     "com_search",

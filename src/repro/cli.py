@@ -35,8 +35,6 @@ those flags ask for:
 ``index``        ``--index`` (workloads but ``compare``; ``explain``)
 ``diversified``  ``--k`` ``--lambda`` (``diversify`` ``update``
                  ``loadtest`` ``explain``)
-``cache``        ``--distance-cache`` (``diversify`` ``update``
-                 ``loadtest``)
 """
 
 from __future__ import annotations
@@ -176,15 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--lambda", dest="lambda_", type=float, default=0.8
     )
 
-    cache = group()
-    cache.add_argument(
-        "--distance-cache", type=_positive_int, default=None,
-        metavar="ENTRIES",
-        help="share a bounded LRU distance cache (capacity in node-map "
-             "entries) across the run's queries (epoch-gated: edge "
-             "reweights invalidate it)",
-    )
-
     workers = group()
     workers.add_argument(
         "--workers", type=_positive_int, default=1, metavar="N",
@@ -256,11 +245,11 @@ def build_parser() -> argparse.ArgumentParser:
             help="SK workload against one index")
 
     command("diversify", _cmd_diversify,
-            workload + [index, diversified, cache],
+            workload + [index, diversified],
             help="diversified workload, SEQ and COM")
 
     p = command(
-        "update", _cmd_update, workload + [index, diversified, cache],
+        "update", _cmd_update, workload + [index, diversified],
         help="mixed update+query workload against a live database",
     )
     p.add_argument(
@@ -332,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = command(
-        "loadtest", _cmd_loadtest, workload + [index, diversified, cache],
+        "loadtest", _cmd_loadtest, workload + [index, diversified],
         help="drive sustained QPS (open loop) gated by a live SLO",
     )
     p.add_argument(
@@ -421,9 +410,6 @@ def _check_slo(db, spec_path: Optional[str]) -> int:
 
 def _report_run(db, args) -> None:
     """What a finished workload prints and writes, before teardown."""
-    if db.distance_cache is not None:
-        print(f"Shared distance cache: {db.distance_cache.stats()}",
-              file=sys.stderr)
     if db.result_cache is not None:
         print(f"Result cache: {db.result_cache.stats()}", file=sys.stderr)
     if args.prom:
@@ -572,8 +558,6 @@ def _diversified_queries(db, args):
 def _cmd_diversify(args) -> int:
     with _workload_run(args, args.index) as run:
         db = run.db
-        if args.distance_cache is not None:
-            db.use_shared_distance_cache(max_entries=args.distance_cache)
         index = db.build_index(args.index)
         queries = _diversified_queries(db, args)
         rows = []
@@ -594,8 +578,6 @@ def _cmd_update(args) -> int:
 
     with _workload_run(args, args.index) as run:
         db = run.db
-        if args.distance_cache is not None:
-            db.use_shared_distance_cache(max_entries=args.distance_cache)
         if args.result_cache is not None:
             db.use_result_cache(max_entries=args.result_cache)
         index = db.build_index(args.index)
@@ -736,8 +718,6 @@ def _cmd_loadtest(args) -> int:
 
     with _workload_run(args, args.index, slo_at_end=False) as run:
         db = run.db
-        if args.distance_cache is not None:
-            db.use_shared_distance_cache(max_entries=args.distance_cache)
         index = db.build_index(args.index)
         if args.method == "sk":
             queries = generate_sk_queries(db, _config(args, args.queries))

@@ -35,7 +35,6 @@ from ..network.ch import ContractionHierarchy
 from ..network.distance import (
     DISTANCE_BACKENDS,
     PAIRWISE_CUTOFF_FACTOR,
-    DistanceCache,
     PairwiseDistanceComputer,
 )
 from ..network.graph import CSRSnapshot, NetworkPosition, RoadNetwork
@@ -134,9 +133,6 @@ class Database:
         #: Installed by :meth:`enable_slow_query_log`; subscribed to
         #: every finished query.
         self.slow_query_log: Optional[SlowQueryLog] = None
-        #: Optional distance cache shared across diversified queries
-        #: (see :meth:`use_shared_distance_cache`).
-        self.distance_cache: Optional[DistanceCache] = None
         self._ch_oracle: Optional[ContractionHierarchy] = None
         self._hub_oracle: Optional[HubLabelBackend] = None
         self.use_distance_backend(distance_backend)
@@ -160,9 +156,8 @@ class Database:
         #: Monotonic data epoch.  Every committed dynamic update —
         #: insert, delete, edge reweight — advances it by one; queries
         #: pin the epoch they execute against
-        #: (``ExecutionContext.epoch``) and version-gated state (the
-        #: shared distance cache, the result cache) compares against
-        #: it.
+        #: (``ExecutionContext.epoch``, stamped on their stats) and the
+        #: result cache validates its answers against it.
         self.data_version = 0
         #: Ordered history of committed updates (see
         #: :mod:`repro.core.updates`).
@@ -311,12 +306,12 @@ class Database:
         offsets on the edge (which are in weight units) are rescaled
         so objects keep their geometric spot, indexes with
         positional state rescale theirs (SIF-P's virtual-edge cuts),
-        the hub-label oracle and the CH ordering under it are dropped
-        for lazy rebuild against the new weights, and the shared
-        distance cache is invalidated at the
-        new epoch — after which no query pinned to the new epoch can
-        observe a pre-update node map (stale in-flight writers are
-        rejected by the cache's epoch gate).
+        and the hub-label oracle and the CH ordering under it are
+        dropped for lazy rebuild against the new weights.  Pairwise
+        node maps need nothing: each query's computer keeps its own
+        and drops them with the query.  A weight outside ``(0, inf)``
+        — zero, negative, NaN or infinite — raises
+        :class:`~repro.errors.GraphError` before anything changes.
         """
         self.ensure_frozen()
         old = self.network.edge(edge_id)
@@ -346,12 +341,6 @@ class Database:
             and ratio < self._min_weight_per_length
         ):
             self._min_weight_per_length = ratio
-        # Invalidate BEFORE publishing the new epoch: queries pinned to
-        # the new data_version must find the cache already cleared.  In
-        # the window between the two steps, old-epoch readers just miss
-        # (their epoch is below the cache's) — safe, only slower.
-        if self.distance_cache is not None:
-            self.distance_cache.invalidate(self.data_version + 1)
         self._commit_update(UpdateRecord(
             epoch=self.data_version + 1,
             kind="edge_weight",
@@ -490,37 +479,8 @@ class Database:
         return self.store.keyword_frequencies()
 
     # ------------------------------------------------------------------
-    # Shared distance cache (warm-cache serving)
+    # Result cache
     # ------------------------------------------------------------------
-    def use_shared_distance_cache(
-        self,
-        max_entries: Optional[int] = 250_000,
-        cache: Optional[DistanceCache] = None,
-    ) -> DistanceCache:
-        """Install a :class:`DistanceCache` shared across diversified
-        queries.
-
-        Every subsequent :meth:`diversified_search` backs its pairwise
-        computer onto this cache, so node maps computed for one query
-        answer later queries' pairwise evaluations (cache keys embed
-        the Dijkstra cutoff, so queries with different ``delta_max``
-        never read each other's truncated maps).  ``max_entries``
-        bounds the cache in node-map entries (LRU eviction): a dict map
-        (``dijkstra``) counts the nodes within its cutoff, a row
-        (``csgraph``) counts every node of the network whatever the
-        cutoff — on SYN's 2 500 nodes the default 250 000 holds 100
-        rows, against some 290 dict maps at the ≈ 860 nodes a 6 000
-        cutoff reaches.  Pass an existing ``cache`` to share one
-        across databases.  Returns the
-        installed cache; ``db.distance_cache = None`` reverts to
-        per-query private caches.  The cache is thread-safe; queries
-        running concurrently may share it.
-        """
-        self.distance_cache = cache if cache is not None else DistanceCache(
-            max_entries=max_entries
-        )
-        return self.distance_cache
-
     def use_result_cache(self, max_entries: int = 256):
         """Install a semantic result cache for diversified queries.
 
@@ -610,7 +570,7 @@ class Database:
         return self.network.csr_snapshot()
 
     def pairwise_computer(
-        self, delta_max: float, epoch: int, tracer=NULL_TRACER
+        self, delta_max: float, tracer=NULL_TRACER
     ) -> PairwiseDistanceComputer:
         """The pairwise computer of one diversified query — the
         engine's and the standing query's, built here and nowhere else.
@@ -620,28 +580,22 @@ class Database:
         first source's timing); otherwise the CCAM store, so
         ``dijkstra`` keeps charging every pairwise page access.  Under
         ``hub`` the hub-label oracle answers instead.  The cutoff is
-        ``PAIRWISE_CUTOFF_FACTOR · delta_max``.  With a shared distance
-        cache installed the computer backs onto it, gated at ``epoch``
-        (the data epoch the query is pinned to); otherwise it keeps a
-        private cache.  One computer per query: the cache may be
-        shared, the computer never is.
+        ``PAIRWISE_CUTOFF_FACTOR · delta_max``.  One computer per query:
+        the node maps it keeps die with it.
         """
         if self.distance_backend == "csgraph":
             self.csr_graph()
             provider = self.network
         else:
             provider = self.ccam
-        cache = self.distance_cache
         return PairwiseDistanceComputer(
             provider,
             self.network,
             cutoff=PAIRWISE_CUTOFF_FACTOR * delta_max,
-            cache=cache,
             tracer=tracer,
             backend=(
                 self.hub_oracle() if self.distance_backend == "hub" else None
             ),
-            epoch=epoch if cache is not None else None,
         )
 
     # ------------------------------------------------------------------
@@ -859,7 +813,7 @@ class Database:
             plan = plan_knn(self, index, query)
         else:
             plan = plan_sk(self, index, query)
-        tracer = Tracer(max_traces=1)
+        tracer = Tracer()
         result = self.engine.execute(plan, tracer=tracer)
         if slow_threshold is None and self.slow_query_log is not None:
             slow_threshold = self.slow_query_log.threshold
@@ -917,12 +871,7 @@ class Database:
         """Diversified SK search via ``"seq"`` or ``"com"``.
 
         ``method=None`` lets the planner choose from its cost hints
-        (see :func:`repro.engine.plan.plan_diversified`).
-
-        When a shared distance cache is installed
-        (:meth:`use_shared_distance_cache`) the pairwise computer backs
-        onto it, so node maps survive across queries; all reported
-        stats remain per-query deltas."""
+        (see :func:`repro.engine.plan.plan_diversified`)."""
         plan = plan_diversified(
             self, index, query, method=method,
             enable_pruning=enable_pruning,

@@ -15,10 +15,9 @@ algorithm (paper §4.1 and Algorithm 6).
 
 Both entry points record a per-stage time breakdown into
 ``QueryStats.stage_seconds`` (``expansion``, ``object_loading``,
-``maintenance``/``greedy``, ``pairwise_dijkstra``, ``finalise``) and
-report every counter as a *per-query delta*, so a shared
-:class:`~repro.network.distance.PairwiseDistanceComputer` (warm-cache
-serving) never leaks earlier queries' work into this query's stats.
+``maintenance``/``greedy``, ``pairwise_dijkstra``, ``finalise``).  A
+query's :class:`~repro.network.distance.PairwiseDistanceComputer` is
+its own, so the computer's counters are the query's pairwise counters.
 
 The ``pairwise_dijkstra`` stage is the wall time of every
 pairwise-distance evaluation, whichever backend answers it.  A *set* of
@@ -28,7 +27,7 @@ default backend is one C call (``single_source_rows``) whatever the
 set's size: one per SEQ query; for COM one at the bootstrap and at most
 one more when the answer holds objects that arrived later.  Between the
 two COM asks pair by pair, one streamed arrival at a time, and most of
-those are read off an opponent's cached row.  The standing-query
+those are read off an opponent's kept row.  The standing-query
 refresh (:mod:`repro.core.incremental`) scores its pool through
 :func:`diversify_pool` like SEQ: one call.
 """
@@ -106,54 +105,19 @@ class PairDistances:
         return objective.objective([it.distance for it in items], pd)
 
 
-class _ComputerDelta:
-    """Snapshots a (possibly shared) computer's lifetime counters.
-
-    ``seq_search``/``com_search`` historically reported
-    ``computer.dijkstra_runs`` directly; with a shared ``pairwise=``
-    computer that is the *lifetime* total and over-counts earlier
-    queries' runs.  This helper pins the start values so per-query
-    stats are true deltas.
-    """
-
-    def __init__(self, computer: PairwiseDistanceComputer) -> None:
-        self._computer = computer
-        self._runs = computer.dijkstra_runs
-        self._seconds = computer.pairwise_seconds
-        # Cache hit/miss/eviction deltas come from the computer's own
-        # counters, never from the cache: the cache may be shared by
-        # queries running concurrently on other threads.
-        self._hits = computer.cache_hits
-        self._misses = computer.cache_misses
-        self._evictions = computer.cache_evictions
-        self._backend = computer.backend_counters.snapshot()
-
-    @property
-    def dijkstra_runs(self) -> int:
-        return self._computer.dijkstra_runs - self._runs
-
-    @property
-    def pairwise_seconds(self) -> float:
-        """Seconds spent evaluating pairwise distances, any backend."""
-        return self._computer.pairwise_seconds - self._seconds
-
-    def apply(self, stats: QueryStats) -> None:
-        stats.pairwise_dijkstras = self.dijkstra_runs
-        stats.distance_cache_hits = self._computer.cache_hits - self._hits
-        stats.distance_cache_misses = (
-            self._computer.cache_misses - self._misses
-        )
-        stats.distance_cache_evictions = (
-            self._computer.cache_evictions - self._evictions
-        )
-        stats.distance_backend = self._computer.backend_name
-        queries, settled, bucket_hits, _cells = (
-            self._computer.backend_counters.snapshot()
-        )
-        q0, s0, b0, _c0 = self._backend
-        stats.backend_queries = queries - q0
-        stats.backend_settled_nodes = settled - s0
-        stats.backend_bucket_hits = bucket_hits - b0
+def _record_pairwise(
+    stats: QueryStats, computer: PairwiseDistanceComputer, clock: StageClock
+) -> None:
+    """Copy the query's own computer's counters into its stats."""
+    stats.pairwise_dijkstras = computer.dijkstra_runs
+    stats.distance_cache_hits = computer.cache_hits
+    stats.distance_cache_misses = computer.cache_misses
+    stats.distance_backend = computer.backend_name
+    counters = computer.backend_counters
+    stats.backend_queries = counters.queries
+    stats.backend_settled_nodes = counters.settled_nodes
+    stats.backend_bucket_hits = counters.bucket_hits
+    clock.add("pairwise_dijkstra", computer.pairwise_seconds)
 
 
 def diversify_pool(
@@ -209,7 +173,6 @@ def seq_search(
     computer = pairwise or PairwiseDistanceComputer(
         provider, network, cutoff=PAIRWISE_CUTOFF_FACTOR * query.delta_max
     )
-    delta = _ComputerDelta(computer)
 
     with clock.stage("expansion"):
         candidates = expansion.run_to_completion()
@@ -222,9 +185,8 @@ def seq_search(
         candidates=len(candidates),
     )
     result = DiversifiedResult(chosen, value, "SEQ", stats)
-    delta.apply(stats)
     clock.add("object_loading", expansion.stats.load_seconds)
-    clock.add("pairwise_dijkstra", delta.pairwise_seconds)
+    _record_pairwise(stats, computer, clock)
     stats.stage_seconds = clock.stages
     stats.wall_seconds = time.perf_counter() - start
     return result
@@ -262,7 +224,6 @@ def com_search(
     computer = pairwise or PairwiseDistanceComputer(
         provider, network, cutoff=PAIRWISE_CUTOFF_FACTOR * query.delta_max
     )
-    delta = _ComputerDelta(computer)
     pairs = PairDistances(computer)
     maintainer = CorePairMaintainer(
         query.k, objective, pairs.distance, tracer=tracer,
@@ -360,9 +321,8 @@ def com_search(
         # first k arrivals; a later arrival in it costs one more.
         value = pairs.objective_value(objective, chosen)
     result = DiversifiedResult(chosen, value, "COM", stats)
-    delta.apply(stats)
     clock.add("object_loading", expansion.stats.load_seconds)
-    clock.add("pairwise_dijkstra", delta.pairwise_seconds)
+    _record_pairwise(stats, computer, clock)
     stats.stage_seconds = clock.stages
     stats.wall_seconds = time.perf_counter() - start
     return result

@@ -3,8 +3,8 @@
 Re-running SEQ (or COM) from scratch after every insert/delete repeats
 the expensive part — the network expansion that gathers the candidate
 set — even though a single object update changes at most one candidate.
-Following the incremental diversified top-k line of work (Drosou &
-Pitoura, arXiv 1208.0076), :class:`IncrementalDiversifiedTopK` keeps
+Following the incremental diversified top-k line of work (Qin, Yu &
+Chang, arXiv 1208.0076), :class:`IncrementalDiversifiedTopK` keeps
 the query's *full candidate pool* (every object within ``delta_max``
 matching the keywords, exactly what SEQ's exhaustive expansion
 produces) and maintains it against the database's update journal:
@@ -200,13 +200,12 @@ class IncrementalDiversifiedTopK:
         """Diversify the maintained pool; identical to a fresh SEQ run.
 
         Takes its pairwise computer from where the engine takes a
-        query's (``db.pairwise_computer``, pinned to the pool's epoch)
-        and scores the pool through the function ``seq_search`` scores
+        query's (``db.pairwise_computer``) and scores the pool through the function ``seq_search`` scores
         its own with: one batched pair matrix, the array greedy,
         ``f(S)`` read off that matrix.
         """
         q = self._query
-        computer = self._db.pairwise_computer(q.delta_max, self._epoch)
+        computer = self._db.pairwise_computer(q.delta_max)
         clock = StageClock()
         chosen, value = diversify_pool(
             list(self._pool.values()), q.k, self._objective, computer, clock

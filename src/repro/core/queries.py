@@ -97,9 +97,11 @@ class ResultItem:
 class QueryStats:
     """Measurements of one query execution.
 
-    All counters are *per-query deltas*, even when the underlying
-    machinery (pairwise computer, distance cache, buffer pool) is
-    shared across queries.  ``stage_seconds`` maps stage names
+    All counters are *per-query*: the pairwise computer is the query's
+    own, and shared machinery (the buffer pool, I/O statistics) counts
+    into a per-execution scope.  ``distance_cache_hits`` / ``_misses``
+    count lookups of the node maps the query's computer keeps.
+    ``stage_seconds`` maps stage names
     (``expansion``, ``object_loading``, ``signature``,
     ``pairwise_dijkstra``, ``maintenance``, ``finalise``, ...) to wall
     seconds; stages may nest, so they need not sum to ``wall_seconds``.
@@ -122,7 +124,6 @@ class QueryStats:
     stage_seconds: Dict[str, float] = field(default_factory=dict)
     distance_cache_hits: int = 0
     distance_cache_misses: int = 0
-    distance_cache_evictions: int = 0
     buffer_evictions: int = 0
     distance_backend: str = "dijkstra"
     backend_queries: int = 0

@@ -64,14 +64,12 @@ class ExecutionContext:
             # tree, whose root rides the query's event.  Per-query
             # ownership is what makes execute_many(workers=N) with
             # tracing sound — span stacks never cross threads.
-            self.tracer = Tracer(max_traces=1, **bounds)
+            self.tracer = Tracer(**bounds)
         else:
             self.tracer = NULL_TRACER
         #: Data epoch this execution is pinned to, sampled once at
-        #: context creation.  The pairwise computer passes it to every
-        #: shared distance-cache access, so a query that started before
-        #: an edge-weight update can neither read post-update maps nor
-        #: write its pre-update maps back after the invalidation.
+        #: context creation and stamped on the query's stats (the result
+        #: cache validates a stored answer from it).
         self.epoch = db.data_version
         #: Fresh per-execution index load counters; merged into the
         #: index's lifetime counters when the context closes.

@@ -14,10 +14,9 @@ concurrency contract:
 
 * Index structures are read-only during queries; per-query counters
   live in thread-local execution slots (``ObjectIndex.begin_execution``).
-* The disk layer (buffer pool, I/O stats) and the shared
-  :class:`~repro.network.distance.DistanceCache` are lock-protected;
-  each query gets its *own* ``PairwiseDistanceComputer``
-  (``Database.pairwise_computer``) on top of the shared cache.
+* The disk layer (buffer pool, I/O stats) is lock-protected; each
+  query gets its *own* ``PairwiseDistanceComputer``
+  (``Database.pairwise_computer``), whose node maps die with it.
 * Tracing is concurrency-native: with tracing on, each execution
   context builds its own bounded :class:`~repro.obs.tracing.Tracer`
   and the finished root span rides the query's event, so a traced
@@ -199,8 +198,7 @@ class QueryEngine:
                     method=cached.method,
                     stats=stats,
                 )
-        # The context's pinned epoch gates every shared-cache access.
-        pairwise = db.pairwise_computer(query.delta_max, ctx.epoch, t)
+        pairwise = db.pairwise_computer(query.delta_max, t)
         with t.span(
             "query.diversified", method=plan.algorithm.upper(),
             index=plan.index.name, terms=sorted(query.terms),

@@ -15,9 +15,7 @@ from __future__ import annotations
 
 import heapq
 import math
-import threading
 import time
-from collections import OrderedDict
 from typing import (
     Dict, Iterable, List, Optional, Protocol, Sequence, Tuple, Union,
 )
@@ -40,7 +38,6 @@ __all__ = [
     "single_source_rows",
     "position_distance_from_node_map",
     "network_distance",
-    "DistanceCache",
     "PairwiseDistanceComputer",
 ]
 
@@ -372,204 +369,21 @@ def network_distance(
     return best if best <= cutoff else INF
 
 
-#: Cache key of one single-source node map: edge, offset, cutoff, and
-#: whether the map is a row.  The cutoff is part of the key: a map
-#: computed under a smaller cutoff is *truncated* and must never answer
-#: for a query with a larger one (it would report ``inf`` for nodes
-#: that are actually reachable).  Rows and dicts are read differently,
-#: so they never answer for each other either.
-CacheKey = Tuple[int, float, float, bool]
-
 #: One source's labels: ``{node_id: distance}`` over the settled nodes
 #: (the Python loop), or a dense row over the network's CSR snapshot
 #: with ``inf`` in the unsettled cells (:func:`single_source_rows`).
 NodeMap = Union[Dict[int, float], "np.ndarray"]
 
 
-class DistanceCache:
-    """Bounded LRU cache of single-source node-distance maps.
-
-    Capacity is counted in *node-map entries* — the total ``len()`` of
-    every cached map — because maps from dense regions dwarf maps from
-    sparse ones; bounding the map count alone would make memory use
-    workload-dependent.  A dict map counts its ``(node, distance)``
-    pairs; a dense row (the C path) holds one cell per network node
-    whatever its cutoff, and counts as that many.
-
-    ``max_entries=None`` disables the bound (the per-query private
-    cache of :class:`PairwiseDistanceComputer`, matching the historic
-    behaviour).  A bounded instance can be shared across queries of a
-    workload (see :meth:`repro.core.database.Database.use_shared_distance_cache`);
-    sharing is safe because keys embed ``(edge_id, offset, cutoff)``,
-    so queries with different ``delta_max`` never read each other's
-    truncated maps.
-
-    Concurrency contract: one instance may be shared by queries running
-    on **multiple threads** (``QueryEngine.execute_many``).  Every
-    operation that touches the LRU ``OrderedDict`` or the
-    hit/miss/eviction counters runs under one internal lock, so reads
-    can never observe a half-applied eviction and counter increments
-    are never lost.  Cached node maps themselves are treated as
-    immutable once ``put``: callers must never mutate a map obtained
-    from :meth:`get`.  ``hits``/``misses``/``evictions`` are *lifetime*
-    totals; per-query deltas are counted by each (per-query)
-    :class:`PairwiseDistanceComputer`, never by diffing these shared
-    counters, so concurrent queries cannot contaminate each other's
-    stats.
-
-    **Epoch versioning.**  Edge-weight updates change every node map
-    that crosses the updated edge; :meth:`invalidate` drops all cached
-    maps and advances the cache's epoch to the database's new
-    ``data_version``.  Readers and writers pass the epoch their query
-    is *pinned to* (``ExecutionContext.epoch``): a :meth:`get` from an
-    epoch older than the cache's is a miss, and a :meth:`put` from an
-    older epoch is silently discarded (counted in ``stale_puts``) — an
-    in-flight query that computed its map against pre-update weights
-    must never repollute the invalidated cache.  Both checks run under
-    the same lock as the map access, so a concurrent
-    ``invalidate``/``get``/``put`` interleaving can never serve a
-    pre-update map to a post-update reader.  ``epoch=None`` (private
-    per-query caches; static databases) disables the gating.
-    """
-
-    def __init__(self, max_entries: Optional[int] = None) -> None:
-        if max_entries is not None and max_entries <= 0:
-            raise ValueError("max_entries must be positive or None")
-        self.max_entries = max_entries
-        self._maps: "OrderedDict[CacheKey, NodeMap]" = OrderedDict()
-        self._entries = 0
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        #: Epoch of the cached contents: the ``data_version`` of the
-        #: most recent :meth:`invalidate`.  Maps inside are valid for
-        #: every epoch >= this value (only invalidation advances it).
-        self.epoch = 0
-        #: Writes rejected because the writer's epoch pre-dated the
-        #: last invalidation.
-        self.stale_puts = 0
-        #: Times :meth:`invalidate` actually cleared the cache.
-        self.invalidations = 0
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._maps)
-
-    @property
-    def entries(self) -> int:
-        """Total node-map entries currently cached."""
-        with self._lock:
-            return self._entries
-
-    def get(self, *keys: CacheKey, epoch: Optional[int] = None):
-        """First cached map among ``keys`` as ``(key, node_map)``.
-
-        Probing several keys (the two endpoints of a symmetric pair)
-        counts as *one* lookup: one hit when any key is cached, one
-        miss when none is.  A reader pinned to an ``epoch`` older than
-        the cache's contents always misses (it must not observe maps
-        computed against newer edge weights).
-        """
-        with self._lock:
-            if epoch is not None and epoch < self.epoch:
-                self.misses += 1
-                return None
-            for key in keys:
-                node_map = self._maps.get(key)
-                if node_map is not None:
-                    self._maps.move_to_end(key)
-                    self.hits += 1
-                    return key, node_map
-            self.misses += 1
-            return None
-
-    def put(
-        self,
-        key: CacheKey,
-        node_map: NodeMap,
-        epoch: Optional[int] = None,
-    ) -> int:
-        """Insert a map; returns how many LRU maps were evicted.
-
-        A writer pinned to an ``epoch`` older than the cache's is
-        rejected (counted in ``stale_puts``): its map was computed
-        against edge weights an :meth:`invalidate` has since retired.
-        """
-        evicted_count = 0
-        with self._lock:
-            if epoch is not None and epoch < self.epoch:
-                self.stale_puts += 1
-                return 0
-            old = self._maps.pop(key, None)
-            if old is not None:
-                self._entries -= len(old)
-            self._maps[key] = node_map
-            self._entries += len(node_map)
-            if self.max_entries is not None:
-                # Evict LRU maps until within budget; the newly inserted
-                # map always stays (an oversized map would otherwise make
-                # every future put a no-op).
-                while self._entries > self.max_entries and len(self._maps) > 1:
-                    _, evicted = self._maps.popitem(last=False)
-                    self._entries -= len(evicted)
-                    self.evictions += 1
-                    evicted_count += 1
-        return evicted_count
-
-    def clear(self) -> None:
-        """Drop every cached map; counters keep their lifetime values."""
-        with self._lock:
-            self._maps.clear()
-            self._entries = 0
-
-    def invalidate(self, epoch: int) -> bool:
-        """Drop everything and advance the cache to ``epoch``.
-
-        Called when a distance-changing update commits.  Monotonic: an
-        ``epoch`` at or below the cache's current one is a no-op (a
-        late-arriving invalidation for an already-superseded version
-        must not resurrect staleness).  Returns whether the cache was
-        actually cleared.
-        """
-        with self._lock:
-            if epoch <= self.epoch:
-                return False
-            self._maps.clear()
-            self._entries = 0
-            self.epoch = epoch
-            self.invalidations += 1
-            return True
-
-    def counters_snapshot(self) -> Tuple[int, int, int]:
-        with self._lock:
-            return (self.hits, self.misses, self.evictions)
-
-    def stats(self) -> Dict[str, Optional[int]]:
-        """A JSON-able view for metric records and reports."""
-        with self._lock:
-            return {
-                "maps": len(self._maps),
-                "entries": self._entries,
-                "max_entries": self.max_entries,
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-                "epoch": self.epoch,
-                "stale_puts": self.stale_puts,
-                "invalidations": self.invalidations,
-            }
-
-
 class PairwiseDistanceComputer:
-    """Evaluates pairwise distances through a :class:`DistanceCache`.
+    """Evaluates the pairwise distances of one diversified query.
 
     Diversified search needs many ``δ(o_i, o_j)`` evaluations over the
     same small set of candidates (paper §4.1 calls this "cost
     expensive").  Each distinct source runs one bounded Dijkstra whose
-    node map is cached; subsequent pairs against that source are O(1).
-    Distances are symmetric, so a pair is answered from *either*
-    endpoint's cached map before any new Dijkstra runs.
+    node map the computer keeps; subsequent pairs against that source
+    are O(1).  Distances are symmetric, so a pair is answered from
+    *either* endpoint's kept map before any new Dijkstra runs.
 
     When ``provider`` is the in-memory :class:`RoadNetwork` there is no
     page access to charge, so a source's map is a row filled in C
@@ -578,21 +392,17 @@ class PairwiseDistanceComputer:
     pool's sources in one call.  Through a ``CCAMStore`` every settled
     node stays a charged page access, as in the paper's experiments.
 
-    ``cache`` may be shared across computers (and therefore queries);
-    when omitted a private unbounded cache reproduces the historic
-    per-query behaviour.  ``dijkstra_runs``/``dijkstra_seconds`` and
-    the ``cache_hits``/``cache_misses``/``cache_evictions`` counters
-    are lifetime totals of *this computer* — counted locally, not read
-    off the (possibly shared) cache, so a computer owned by one query
-    reports that query's deltas even while other threads hammer the
-    same cache.  Callers that share a computer across queries must
-    snapshot and report deltas.  A computer itself is **not**
-    thread-safe; create one per query.
+    A computer lives and dies with its query
+    (:meth:`~repro.core.database.Database.pairwise_computer` builds one
+    per query), so its maps never outlive the edge weights they were
+    computed against, and ``dijkstra_runs`` / ``dijkstra_seconds`` and
+    the ``cache_hits`` / ``cache_misses`` counters (lookups of the kept
+    maps) are that query's.  A computer is **not** thread-safe.
 
-    ``backend`` plugs in a :class:`DistanceBackend` oracle (e.g. a
-    Contraction Hierarchy): every cross-edge pair is then answered by
-    the oracle instead of the cached-Dijkstra path, with the oracle's
-    work charged to this computer's own :class:`BackendCounters` and
+    ``backend`` plugs in a :class:`DistanceBackend` oracle (e.g. hub
+    labels): every cross-edge pair is then answered by the oracle
+    instead of the Dijkstra path, with the oracle's work charged to
+    this computer's own :class:`BackendCounters` and
     ``backend_seconds``.  :meth:`prefetch` bulk-resolves a candidate
     set through the oracle's many-to-many kernel; prefetched pairs are
     served as cache hits.  The oracle itself may be shared across
@@ -604,22 +414,19 @@ class PairwiseDistanceComputer:
         provider: AdjacencyProvider,
         network: RoadNetwork,
         cutoff: float = INF,
-        cache: Optional[DistanceCache] = None,
         tracer=NULL_TRACER,
         backend: Optional[DistanceBackend] = None,
-        epoch: Optional[int] = None,
     ) -> None:
         self._provider = provider
         self._network = network
         #: Whether sources run in C and their maps are rows.
         self._in_memory = isinstance(provider, RoadNetwork)
         self._cutoff = cutoff
-        self._cache = cache if cache is not None else DistanceCache()
         self._backend = backend
-        #: Data epoch this computer's query is pinned to; gates every
-        #: shared-cache access (see ``DistanceCache`` epoch versioning).
-        #: ``None`` on static databases and private caches.
-        self._epoch = epoch
+        #: Each source's node map, keyed by its ``(edge_id, offset)``:
+        #: cutoff and provider are fixed per computer, so nothing else
+        #: tells two maps apart.
+        self._maps: Dict[Tuple[int, float], NodeMap] = {}
         #: Pair distances bulk-resolved by :meth:`prefetch`, keyed by
         #: the two positions' ``(edge_id, offset)`` pairs, sorted.
         self._pair_cache: Dict[Tuple, float] = {}
@@ -630,15 +437,10 @@ class PairwiseDistanceComputer:
         self.dijkstra_seconds = 0.0
         self.cache_hits = 0
         self.cache_misses = 0
-        self.cache_evictions = 0
-        #: Oracle-side work of *this* computer (per-query deltas even
+        #: Oracle-side work of *this* computer (per-query counts even
         #: on a shared oracle); zero on the Dijkstra backend.
         self.backend_counters = BackendCounters()
         self.backend_seconds = 0.0
-
-    @property
-    def cache(self) -> DistanceCache:
-        return self._cache
 
     @property
     def cutoff(self) -> float:
@@ -660,21 +462,19 @@ class PairwiseDistanceComputer:
         """Total pairwise-evaluation seconds, whichever backend ran."""
         return self.dijkstra_seconds + self.backend_seconds
 
-    def _key(self, pos: NetworkPosition) -> CacheKey:
-        return (pos.edge_id, pos.offset, self._cutoff, self._in_memory)
+    @staticmethod
+    def _key(pos: NetworkPosition) -> Tuple[int, float]:
+        return (pos.edge_id, pos.offset)
 
     def _run_dijkstras(
         self, sources: Sequence[NetworkPosition]
     ) -> List[NodeMap]:
-        """One bounded Dijkstra per source; caches and returns the maps."""
+        """One bounded Dijkstra per source; keeps and returns the maps."""
         start = time.perf_counter()
         if self._in_memory:
-            # Each row is copied out of the call's block, so evicting
-            # it from a shared cache frees what the cache counted.
-            node_maps = [
-                row.copy() for row in
+            node_maps = list(
                 single_source_rows(self._provider, sources, self._cutoff)
-            ]
+            )
         else:
             node_maps = [
                 single_source_distances(
@@ -696,9 +496,7 @@ class PairwiseDistanceComputer:
                 cutoff=self._cutoff,
             )
         for pos, node_map in zip(sources, node_maps):
-            self.cache_evictions += self._cache.put(
-                self._key(pos), node_map, epoch=self._epoch
-            )
+            self._maps[self._key(pos)] = node_map
         return node_maps
 
     def _map_distance(
@@ -756,8 +554,8 @@ class PairwiseDistanceComputer:
         Runs the backend oracle's bucket-based many-to-many kernel once
         and stores the matrix; later :meth:`distance` calls over these
         positions are O(1) lookups (counted as cache hits).  A no-op
-        returning 0 on the Dijkstra backend, whose per-source node-map
-        cache already amortises the matrix.
+        returning 0 on the Dijkstra backend, whose kept per-source node
+        maps already amortise the matrix.
         """
         if self._backend is None:
             return 0
@@ -836,9 +634,9 @@ class PairwiseDistanceComputer:
 
         :meth:`pairwise` walks the pairs ``(i, j)``, ``i < j``, in
         lexicographic order; each cross-edge pair is read from ``i``'s
-        map if cached, else from ``j``'s if cached, else ``i``'s
-        Dijkstra runs.  On a fresh cache that is every position with a
-        later one on another edge.  Here the walk only *decides* — which
+        map if kept, else from ``j``'s if kept, else ``i``'s Dijkstra
+        runs.  On a fresh computer that is every position with a later
+        one on another edge.  Here the walk only *decides* — which
         sources run, which cells borrow ``j``'s map — then the sources
         run in one C call and row ``i`` fills cells ``(i, i+1:)`` in
         one numpy expression (Equation 1, the ``> cutoff → inf`` clamp
@@ -855,12 +653,8 @@ class PairwiseDistanceComputer:
         offsets = np.fromiter((pos.offset for pos in pos_list), np.float64, n)
         same_edge = edge_ids[:, None] == edge_ids[None, :]
 
-        maps: Dict[CacheKey, NodeMap] = {}
-        for key in dict.fromkeys(keys):
-            found = self._cache.get(key, epoch=self._epoch)
-            if found is not None:
-                maps[key] = found[1]
-        known = set(maps)
+        maps = self._maps
+        known = {key for key in keys if key in maps}
         runs: List[int] = []
         borrowed: List[Tuple[int, int]] = []
         for i in range(n - 1):
@@ -874,10 +668,7 @@ class PairwiseDistanceComputer:
                 runs.append(i)
                 break
         if runs:
-            for i, node_map in zip(
-                runs, self._run_dijkstras([pos_list[i] for i in runs])
-            ):
-                maps[keys[i]] = node_map
+            self._run_dijkstras([pos_list[i] for i in runs])
         cross_pairs = (n * n - int(same_edge.sum())) // 2
         self.cache_misses += len(runs)
         self.cache_hits += cross_pairs - len(runs)
@@ -927,22 +718,20 @@ class PairwiseDistanceComputer:
             # see the same inf-beyond-cutoff contract on every backend.
             d = self._backend_distance(a, b)
             return d if d <= self._cutoff else INF
-        key_a = self._key(a)
-        found = self._cache.get(key_a, self._key(b), epoch=self._epoch)
-        if found is not None:
+        # One lookup, hit or miss, whichever endpoint's map answers it.
+        maps = self._maps
+        node_map, source, target = maps.get(self._key(a)), a, b
+        if node_map is None:
+            node_map, source, target = maps.get(self._key(b)), b, a
+        if node_map is None:
+            self.cache_misses += 1
+            node_map, target = self._run_dijkstras([a])[0], b
+        else:
             self.cache_hits += 1
             if self.tracer.enabled:
                 self.tracer.event(
-                    "pairwise.cache_hit", source_edge=found[0][0]
+                    "pairwise.cache_hit", source_edge=source.edge_id
                 )
-        else:
-            self.cache_misses += 1
-        if found is None:
-            node_map, target = self._run_dijkstras([a])[0], b
-        elif found[0] == key_a:
-            node_map, target = found[1], b
-        else:
-            node_map, target = found[1], a
         d = self._map_distance(node_map, target)
         return d if d <= self._cutoff else INF
 

@@ -12,6 +12,7 @@ from the edge's reference node (the end-node with the smaller id).
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -55,9 +56,11 @@ class Edge:
                 f"edge {self.edge_id}: reference node must have the smaller id "
                 f"({self.n1} >= {self.n2})"
             )
-        if self.length <= 0 or self.weight <= 0:
+        # Written so NaN fails too: every comparison with NaN is false.
+        if not (0 < self.length < math.inf and 0 < self.weight < math.inf):
             raise GraphError(
-                f"edge {self.edge_id}: length and weight must be positive"
+                f"edge {self.edge_id}: length and weight must be positive "
+                f"and finite (got {self.length}, {self.weight})"
             )
 
     @property
@@ -240,14 +243,13 @@ class RoadNetwork:
         Returns the replacement :class:`Edge`.  Only the *weight* (cost)
         changes; geometry (``length``, end-points) is immutable.  The
         caller owns downstream consistency — object offsets are in
-        weight units and any derived structure (CCAM pages, distance
-        caches, hub labels) holds copies of the old weight; see
+        weight units and any derived structure (CCAM pages, hub
+        labels) holds copies of the old weight; see
         ``Database.update_edge_weight`` for the orchestrated version.
+        A weight outside ``(0, inf)`` raises :class:`GraphError` (from
+        :class:`Edge`) before anything changes.
         """
-        old = self.edge(edge_id)
-        if weight <= 0:
-            raise GraphError(f"edge {edge_id}: weight must be positive")
-        new = dataclasses.replace(old, weight=weight)
+        new = dataclasses.replace(self.edge(edge_id), weight=weight)
         self._edges[edge_id] = new
         for node_id in (new.n1, new.n2):
             adj = self._adjacency[node_id]

@@ -2,7 +2,7 @@
 
 Every registry counter becomes a ``counter`` metric, every histogram a
 ``summary`` with quantile lines plus ``_sum``/``_count``, and
-caller-supplied point-in-time values (distance-cache hit rates,
+caller-supplied point-in-time values (result-cache hit rates,
 buffer-pool evictions — see :func:`database_gauges`) become ``gauge``
 metrics.  Names are sanitised to the Prometheus grammar.  The same text
 is written to a file at the end of a run (``--prom``) and served live
@@ -178,8 +178,9 @@ def database_gauges(db) -> Dict[str, float]:
     """Point-in-time gauge values for a database's shared caches.
 
     ``db`` is a :class:`~repro.core.database.Database`: whatever of the
-    shared distance cache, the hub-label oracle, the flight recorder and the
-    result cache is installed contributes its hit/miss/eviction state,
+    hub-label oracle, the flight recorder and the result cache is
+    installed contributes its state, the buffer pool its
+    hit/miss/eviction counts,
     plus derived hit rates (``NaN``-free: a cache that was never
     consulted reports rate 0).
     """
@@ -193,11 +194,6 @@ def database_gauges(db) -> Dict[str, float]:
         lookups = hits + misses
         gauges[f"{prefix}.hit_rate"] = hits / lookups if lookups else 0.0
 
-    if db.distance_cache is not None:
-        stats = db.distance_cache.stats()
-        copy("distance_cache", stats, "entries", "max_entries", "hits",
-             "misses", "evictions", "epoch", "stale_puts", "invalidations")
-        hit_rate("distance_cache", stats["hits"], stats["misses"])
     # One-hot backend label: repro_distance_backend_hub 1.0 says the
     # scrape came from a hub-backed run without needing label pairs.
     # (Imported here: network.distance itself imports obs.tracing.)

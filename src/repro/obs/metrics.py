@@ -17,7 +17,7 @@ out to sinks (:mod:`repro.obs.sinks`).  It is the first subscriber of
 the database's per-query events (:meth:`MetricsRegistry.on_query`).
 
 Instrumentation overhead matters: the hot paths (buffer accesses,
-distance-cache probes) keep plain integer attributes that are read as
+pairwise node-map lookups) keep plain integer attributes that are read as
 *deltas* at query granularity, and a finished query is folded into the
 registry in one lock hold, keeping the overhead well under the ~5 %
 budget.
@@ -287,7 +287,6 @@ class MetricsRegistry:
             ("pairwise.dijkstra_runs", stats.pairwise_dijkstras),
             ("distance_cache.hits", stats.distance_cache_hits),
             ("distance_cache.misses", stats.distance_cache_misses),
-            ("distance_cache.evictions", stats.distance_cache_evictions),
             ("buffer.evictions", stats.buffer_evictions),
         ]
         if stats.result_cache_hit:

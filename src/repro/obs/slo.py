@@ -7,7 +7,7 @@ single comparison against one derived value of a
 * ``histogram_quantile`` — a quantile of a recorded histogram, e.g.
   *p95 of ``query.wall_seconds`` must stay ≤ 50 ms*;
 * ``counter_ratio`` — a numerator counter over the sum of denominator
-  counters, e.g. *distance-cache hit rate ≥ 0.6* or *early-termination
+  counters, e.g. *pairwise node-map hit rate ≥ 0.6* or *early-termination
   share of diversified queries ≥ 0.3*;
 * ``counter`` — a raw counter value.
 

@@ -12,8 +12,8 @@ A :class:`Tracer` collects one span tree per query:
 
 * :meth:`Tracer.span` opens a span — a named, nestable interval with
   start time, duration and free-form attributes.  Spans opened while
-  another span is active become its children; spans opened at the top
-  level start a new per-query trace.
+  another span is active become its children; a span opened at the top
+  level is the query's root (:attr:`Tracer.last_trace`).
 * :meth:`Tracer.add_span` records an already-measured interval as a
   *completed* child of the current span.  Hot loops that are
   generators (the INE expansion, COM's incremental consumption) use
@@ -21,9 +21,9 @@ A :class:`Tracer` collects one span tree per query:
 * :meth:`Tracer.event` annotates the current span with a point-in-time
   event ("this edge was pruned", "this pair hit the cache").
 
-All capacities are bounded (``max_traces``, ``max_children``,
-``max_events``) with drop counters, so tracing a long workload cannot
-grow memory without bound.
+Both capacities are bounded (``max_children``, ``max_events``) with
+drop counters, so tracing a long query cannot grow memory without
+bound.
 
 The disabled path is :data:`NULL_TRACER` — a singleton whose ``span``
 returns one shared no-op context manager and whose ``event`` is a
@@ -35,8 +35,7 @@ attribute read per check and allocates nothing.
 from __future__ import annotations
 
 import time
-from collections import deque
-from typing import Any, Deque, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 __all__ = [
     "Span",
@@ -178,23 +177,18 @@ class Tracer:
     queries: when tracing is on, each
     :class:`~repro.engine.context.ExecutionContext` builds its own, the
     query's entry point opens the root span on it, and the finished
-    root rides the query's event (``QueryEvent.trace``).  ``traces``
-    holds the most recent ``max_traces`` roots, oldest dropped first
-    and counted in ``dropped_traces``.
+    root rides the query's event (``QueryEvent.trace``).
+    :attr:`last_trace` is the most recent top-level span.
     """
 
     enabled = True
 
     def __init__(
-        self,
-        max_traces: int = 64,
-        max_children: int = 512,
-        max_events: int = 1024,
+        self, max_children: int = 512, max_events: int = 1024
     ) -> None:
         self.max_children = max_children
         self.max_events = max_events
-        self.traces: Deque[Span] = deque(maxlen=max_traces)
-        self.dropped_traces = 0
+        self.last_trace: Optional[Span] = None
         self._stack: List[Span] = []
         self._origin = time.perf_counter()
 
@@ -229,9 +223,7 @@ class Tracer:
             else:
                 parent.children.append(span)
         else:
-            if len(self.traces) == self.traces.maxlen:
-                self.dropped_traces += 1  # the deque drops the oldest
-            self.traces.append(span)
+            self.last_trace = span
 
     def add_span(
         self,
@@ -266,15 +258,6 @@ class Tracer:
         """Annotate the current span; dropped when no span is open."""
         if self._stack:
             self._stack[-1].event(name, **attrs)
-
-    # -- access -------------------------------------------------------
-    @property
-    def last_trace(self) -> Optional[Span]:
-        return self.traces[-1] if self.traces else None
-
-    def clear(self) -> None:
-        self.traces.clear()
-        self.dropped_traces = 0
 
 
 class _NullSpan:
@@ -313,8 +296,7 @@ class NullTracer:
     """
 
     enabled = False
-    traces: Tuple = ()
-    dropped_traces = 0
+    last_trace = None
     max_events = 0
 
     def span(self, name: str, **attrs: Any) -> _NullSpan:
@@ -330,13 +312,6 @@ class NullTracer:
     @property
     def current(self) -> None:
         return None
-
-    @property
-    def last_trace(self) -> None:
-        return None
-
-    def clear(self) -> None:
-        pass
 
 
 #: The shared disabled tracer.  Identity-comparable: code may test

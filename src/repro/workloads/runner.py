@@ -11,10 +11,8 @@ query is its page count, never folded into the milliseconds.
 Beyond the paper's averages, a report keeps every per-query wall time
 (for p50/p95/p99 tail latency) and the per-stage time breakdown
 (INE expansion, signature verification, pairwise Dijkstras,
-greedy/core-pair maintenance) recorded by the query path, plus
-distance-cache hit/miss deltas — the numbers that make warm-cache
-serving with a shared
-:class:`~repro.network.distance.DistanceCache` observable.
+greedy/core-pair maintenance) recorded by the query path, plus the
+pairwise node-map hit/miss counts of each query's computer.
 """
 
 from __future__ import annotations
@@ -52,7 +50,6 @@ class WorkloadReport:
     total_pairwise_dijkstras: int = 0
     total_distance_cache_hits: int = 0
     total_distance_cache_misses: int = 0
-    total_distance_cache_evictions: int = 0
     total_buffer_evictions: int = 0
     #: Queries whose network expansion the COM §4.3 bound cut short —
     #: the pruning the diversified-search figures are really measuring.
@@ -78,7 +75,6 @@ class WorkloadReport:
         self.total_pairwise_dijkstras += stats.pairwise_dijkstras
         self.total_distance_cache_hits += stats.distance_cache_hits
         self.total_distance_cache_misses += stats.distance_cache_misses
-        self.total_distance_cache_evictions += stats.distance_cache_evictions
         self.total_buffer_evictions += stats.buffer_evictions
         if stats.expansion_terminated_early:
             self.total_early_terminations += 1
@@ -111,7 +107,7 @@ class WorkloadReport:
 
     @property
     def distance_cache_hit_rate(self) -> float:
-        """Hit fraction of the pairwise distance-cache lookups."""
+        """Hit fraction of the queries' pairwise node-map lookups."""
         lookups = self.total_distance_cache_hits + self.total_distance_cache_misses
         return self.total_distance_cache_hits / lookups if lookups else 0.0
 
@@ -184,7 +180,6 @@ class WorkloadReport:
             "distance_cache": {
                 "hits": self.total_distance_cache_hits,
                 "misses": self.total_distance_cache_misses,
-                "evictions": self.total_distance_cache_evictions,
             },
             "buffer_evictions": self.total_buffer_evictions,
             "pairwise_dijkstras": self.total_pairwise_dijkstras,
@@ -250,12 +245,8 @@ def run_diversified_workload(
 ) -> WorkloadReport:
     """Execute diversified queries via SEQ or COM and aggregate metrics.
 
-    Install a shared cache first
-    (``db.use_shared_distance_cache(...)``) to serve the workload
-    warm: pairwise node maps then persist across queries and the
-    report's ``cache_hit_pct`` / ``avg_dijkstras`` columns show the
-    saving.  The cache is thread-safe, so this composes with
-    ``workers > 1`` (see :func:`run_sk_workload`).
+    ``workers > 1`` runs the batch on the query engine's thread pool
+    (see :func:`run_sk_workload`).
     """
     _check_workers(workers)
     report = WorkloadReport(label=label or f"{method.upper()}/{index.name}")

@@ -8,9 +8,9 @@ applied serially between query batches**, never concurrently with
 queries: the update paths mutate the graph, the CCAM pages and the
 index trees in place, and the concurrency contract for queries is
 read-only index structures.  The epoch machinery (pinned query epochs,
-the distance cache's epoch gate, journal-validated result-cache
-entries) is what keeps the *cached* state honest across the
-query/update boundary.
+journal-validated result-cache entries) is what keeps the *cached*
+state honest across the query/update boundary; pairwise node maps need
+none, since each query's computer keeps its own.
 
 Update generation mirrors :mod:`repro.workloads.queries`: inserts draw
 their location and keywords from existing objects (so new objects land

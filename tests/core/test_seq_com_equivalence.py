@@ -3,21 +3,20 @@
 The paper argues COM's pruning and early termination are exact (given
 distinct distances, §4.3); this exercises every COM variant — pruning
 on/off — against the SEQ objective on small random
-road networks, with all pairwise distances served through one shared
-*bounded* :class:`DistanceCache`, so cross-query reuse and LRU
-eviction cannot change any answer either.
+road networks.  The three runs of a query share one pairwise computer,
+so each COM variant starts on node maps SEQ already computed: reading a
+kept map instead of running its Dijkstra cannot change an answer either.
 """
 
 import numpy as np
 import pytest
 
-from repro import Database, DiversifiedSKQuery
+from repro import Database, DiversifiedSKQuery, com_search, seq_search
 from repro.datasets.synthetic import random_planar_network
 from repro.network.distance import single_source_distances
 from repro.network.graph import NetworkPosition
 
 VOCAB = ["cafe", "fuel", "park", "pizza", "books"]
-CACHE_ENTRIES = 4_000
 
 
 def build_instance(seed):
@@ -49,14 +48,17 @@ def make_query(db, rng, edges):
 @pytest.mark.parametrize("seed", [3, 11, 29, 41])
 def test_com_variants_match_seq_through_shared_cache(seed):
     db, index, rng, edges = build_instance(seed)
-    cache = db.use_shared_distance_cache(max_entries=CACHE_ENTRIES)
+    reused = 0
     for _ in range(4):
         query = make_query(db, rng, edges)
-        seq = db.diversified_search(index, query, method="seq")
+        shared = db.pairwise_computer(query.delta_max)
+        args = (db.ccam, db.network, index, query)
+        seq = seq_search(*args, pairwise=shared)
+        hits = shared.cache_hits
         variants = {
-            "pruning": db.diversified_search(index, query, method="com"),
-            "no-pruning": db.diversified_search(
-                index, query, method="com", enable_pruning=False
+            "pruning": com_search(*args, pairwise=shared),
+            "no-pruning": com_search(
+                *args, pairwise=shared, enable_pruning=False
             ),
         }
         for name, com in variants.items():
@@ -64,8 +66,6 @@ def test_com_variants_match_seq_through_shared_cache(seed):
                 seq.objective_value, rel=1e-6, abs=1e-9
             ), f"seed={seed} variant={name} terms={sorted(query.terms)}"
             assert len(com) == len(seq)
-        # The shared cache honoured its bound throughout (a lone
-        # oversized map is the documented exception).
-        assert cache.entries <= CACHE_ENTRIES or len(cache) == 1
-    # The shared cache actually served cross-variant lookups.
-    assert cache.hits > 0
+        reused += shared.cache_hits - hits
+    # The variants actually read maps the shared computer kept.
+    assert reused > 0

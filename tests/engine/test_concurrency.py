@@ -12,7 +12,6 @@ import pytest
 
 from repro.engine import plan_diversified, plan_sk
 from repro.errors import QueryError
-from repro.network.distance import DistanceCache
 from repro.obs.metrics import MetricsRegistry
 from repro.workloads.queries import (
     WorkloadConfig,
@@ -28,7 +27,6 @@ INVARIANT_COUNTERS = (
     "pairwise.dijkstra_runs",
     "distance_cache.hits",
     "distance_cache.misses",
-    "distance_cache.evictions",
     "io.logical_reads",
 )
 
@@ -63,18 +61,17 @@ def _div_fingerprint(results):
     ]
 
 
-def _run_batch(db, plans, workers, cache=None):
+def _run_batch(db, plans, workers):
     """Run the batch under a fresh metrics registry; return everything."""
-    saved_metrics, saved_cache = db.metrics, db.distance_cache
+    saved_metrics = db.metrics
     sink = _ListSink()
     try:
         db.metrics = MetricsRegistry()
         db.metrics.add_sink(sink)
-        db.distance_cache = cache
         results = db.engine.execute_many(plans, workers=workers)
         return results, db.metrics.counters(), sink.records
     finally:
-        db.metrics, db.distance_cache = saved_metrics, saved_cache
+        db.metrics = saved_metrics
 
 
 class TestConcurrentDeterminism:
@@ -115,23 +112,6 @@ class TestConcurrentDeterminism:
         assert {(r["kind"], r["algorithm"]) for r in query_records} == {
             ("diversified", "com")
         }
-
-    def test_shared_cache_keeps_answers_identical(
-        self, tiny_db, sif, div_queries
-    ):
-        plans = [
-            plan_diversified(tiny_db, sif, q, method="seq")
-            for q in div_queries
-        ]
-        serial, _, _ = _run_batch(
-            tiny_db, plans, workers=1, cache=DistanceCache(max_entries=50_000)
-        )
-        concurrent, conc_counters, _ = _run_batch(
-            tiny_db, plans, workers=4, cache=DistanceCache(max_entries=50_000)
-        )
-        # Cache hit/miss totals may shift with interleaving; answers not.
-        assert _div_fingerprint(concurrent) == _div_fingerprint(serial)
-        assert conc_counters["query.count"] == len(div_queries)
 
     def test_mixed_kind_batch(self, tiny_db, sif, div_queries):
         sk_queries = generate_sk_queries(

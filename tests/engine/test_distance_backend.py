@@ -60,7 +60,7 @@ class TestBackendSelection:
         db = Database(random_planar_network(30, seed=2),
                       distance_backend="dijkstra")
         assert db.distance_backend == "dijkstra"
-        computer = db.pairwise_computer(100.0, epoch=0)
+        computer = db.pairwise_computer(100.0)
         assert computer.backend is None
         assert computer.backend_name == "dijkstra"
 
@@ -70,32 +70,15 @@ class TestBackendSelection:
         assert fresh.distance_backend == "csgraph"
         # No oracle: the computer traverses the in-memory network, and
         # its cutoff is the one named constant.
-        computer = fresh.pairwise_computer(100.0, epoch=0)
+        computer = fresh.pairwise_computer(100.0)
         assert computer.backend is None
         assert computer.backend_name == "csgraph"
         assert computer.cutoff == 2.0 * 100.0 * 1.001
         assert computer.cutoff == PAIRWISE_CUTOFF_FACTOR * 100.0
         fresh.use_distance_backend("dijkstra")
-        assert fresh.pairwise_computer(100.0, epoch=0).backend_name == (
+        assert fresh.pairwise_computer(100.0).backend_name == (
             "dijkstra"
         )
-
-    def test_computer_backs_onto_the_shared_cache_at_its_epoch(self):
-        db = Database(random_planar_network(30, seed=2))
-        edges = list(db.network.edges())
-        a = NetworkPosition(edges[0].edge_id, 0.0)
-        b = NetworkPosition(edges[-1].edge_id, 0.0)
-        private = db.pairwise_computer(1e6, epoch=0)
-        assert private.cache is not db.pairwise_computer(1e6, 0).cache
-        cache = db.use_shared_distance_cache(max_entries=10_000)
-        cache.invalidate(3)
-        # A query pinned before the invalidation may not write back.
-        db.pairwise_computer(1e6, epoch=2).distance(a, b)
-        assert cache.stats()["stale_puts"] == 1 and len(cache) == 0
-        current = db.pairwise_computer(1e6, epoch=3)
-        assert current.cache is cache
-        current.distance(a, b)
-        assert len(cache) == 1
 
     # The two tests below read lifetime build counters, so each builds
     # on a database of its own: the session-scoped ``tiny_db`` has had
@@ -120,7 +103,7 @@ class TestBackendSelection:
         db = Database(random_planar_network(30, seed=2))
         db.use_distance_backend("hub")
         oracle = db.hub_oracle()
-        assert db.pairwise_computer(100.0, epoch=0).backend is oracle
+        assert db.pairwise_computer(100.0).backend is oracle
         assert db.hub_oracle() is oracle  # built once
         # The labels reuse the database's CH (same ordering, no second
         # preprocessing pass).
@@ -133,7 +116,7 @@ class TestBackendSelection:
         db = Database(random_planar_network(30, seed=2),
                       distance_backend="hub")
         assert db.distance_backend == "hub"
-        assert db.pairwise_computer(100.0, epoch=0).backend is (
+        assert db.pairwise_computer(100.0).backend is (
             db.hub_oracle()
         )
 

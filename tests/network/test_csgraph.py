@@ -21,7 +21,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.network.distance import (
-    DistanceCache,
     PairwiseDistanceComputer,
     single_source_distances,
     single_source_rows,
@@ -129,22 +128,17 @@ def test_matrix_equals_pairwise_cell_for_cell(world):
 @settings(max_examples=100, deadline=None)
 @given(worlds(), st.data())
 def test_matrix_on_a_warm_cache_equals_pairwise(world, data):
-    """Maps an earlier query left in a shared cache are read as the
-    per-pair path would read them: from ``i``'s map if cached, else from
-    ``j``'s — no extra Dijkstra, the same floats."""
+    """Maps a computer already keeps are read as the per-pair path
+    would read them: from ``i``'s map if kept, else from ``j``'s — no
+    extra Dijkstra, the same floats."""
     network, positions, cutoff = world
     warm = data.draw(st.lists(st.sampled_from(positions), max_size=4)
                      if positions else st.just([]))
     computers = []
     for _ in range(2):
-        cache = DistanceCache()
-        warmer = PairwiseDistanceComputer(
-            network, network, cutoff=cutoff, cache=cache
-        )
-        warmer._run_dijkstras(warm)
-        computers.append(PairwiseDistanceComputer(
-            network, network, cutoff=cutoff, cache=cache
-        ))
+        computer = PairwiseDistanceComputer(network, network, cutoff=cutoff)
+        computer._run_dijkstras(warm)
+        computers.append(computer)
     batched, per_pair = computers
     matrix = batched.pairwise_matrix(positions)
     pairs = per_pair.pairwise(positions)

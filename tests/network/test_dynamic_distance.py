@@ -1,19 +1,14 @@
-"""Distance-layer dynamics: self-loop seeding, backend counter fidelity,
-cutoff clamping, and the epoch-gated shared cache under concurrency."""
+"""Distance-layer dynamics: self-loop seeding, backend counter fidelity
+and cutoff clamping."""
 
 import math
-import threading
 from types import SimpleNamespace
 
 import pytest
 
 from repro.datasets.synthetic import random_planar_network
 from repro.errors import GraphError
-from repro.network.distance import (
-    DistanceCache,
-    PairwiseDistanceComputer,
-    seed_distances,
-)
+from repro.network.distance import PairwiseDistanceComputer, seed_distances
 from repro.network.graph import NetworkPosition, RoadNetwork
 
 
@@ -118,160 +113,3 @@ class TestBackendCounterFidelity:
             network, network, cutoff=5.0, backend=_FakeBackend(4.0)
         )
         assert within.distance(a, b) == pytest.approx(4.0)
-
-
-class TestEpochGating:
-    def test_stale_put_rejected_and_counted(self):
-        cache = DistanceCache(max_entries=100)
-        assert cache.invalidate(3)
-        assert cache.put((0, 0.0, 1.0), {1: 1.0}, epoch=2) == 0
-        assert len(cache) == 0
-        assert cache.stats()["stale_puts"] == 1
-        # A writer at or past the cache epoch lands normally.
-        cache.put((0, 0.0, 1.0), {1: 1.0}, epoch=3)
-        assert len(cache) == 1
-
-    def test_old_epoch_reader_misses(self):
-        cache = DistanceCache(max_entries=100)
-        cache.put((0, 0.0, 1.0), {1: 1.0}, epoch=0)
-        assert cache.get((0, 0.0, 1.0), epoch=0) is not None
-        cache.invalidate(5)
-        cache.put((0, 0.0, 1.0), {1: 2.0}, epoch=5)
-        assert cache.get((0, 0.0, 1.0), epoch=4) is None
-        found = cache.get((0, 0.0, 1.0), epoch=5)
-        assert found is not None and found[1] == {1: 2.0}
-
-    def test_invalidate_is_monotonic(self):
-        cache = DistanceCache()
-        assert cache.invalidate(2)
-        assert not cache.invalidate(2)
-        assert not cache.invalidate(1)
-        assert cache.stats()["invalidations"] == 1
-        assert cache.epoch == 2
-
-    def test_batched_matrix_is_gated_like_the_per_pair_path(self):
-        """``pairwise_matrix`` on the in-memory network reads and writes
-        the shared cache through the same epoch gate: a query pinned
-        before an invalidation neither reads the newer rows nor leaves
-        its own behind."""
-        network = random_planar_network(30, seed=2)
-        edges = list(network.edges())
-        positions = [
-            NetworkPosition(e.edge_id, 0.25 * e.weight) for e in edges[:4]
-        ]
-        cache = DistanceCache(max_entries=10_000)
-        cache.invalidate(5)
-        current = PairwiseDistanceComputer(
-            network, network, cutoff=500.0, cache=cache, epoch=5
-        )
-        want = current.pairwise_matrix(positions)
-        assert len(cache) == current.dijkstra_runs == 3
-        stale = PairwiseDistanceComputer(
-            network, network, cutoff=500.0, cache=cache, epoch=4
-        )
-        got = stale.pairwise_matrix(positions)
-        assert (got == want).all()
-        assert stale.dijkstra_runs == 3          # read nothing cached
-        assert cache.stats()["stale_puts"] == 3  # and cached nothing
-        warm = PairwiseDistanceComputer(
-            network, network, cutoff=500.0, cache=cache, epoch=5
-        )
-        assert (warm.pairwise_matrix(positions) == want).all()
-        assert warm.dijkstra_runs == 0
-
-    def test_concurrent_invalidation_never_serves_stale_maps(self):
-        """Readers, writers and an invalidator race; no reader may ever
-        observe a map written before the last invalidation it is ahead
-        of.  Maps are tagged with their writer's epoch under sentinel
-        key -1 so a stale serve is directly detectable."""
-        cache = DistanceCache(max_entries=10_000)
-        stop = threading.Event()
-        errors = []
-        #: Highest epoch whose invalidate() has *returned*; any reader
-        #: pinned at or above it must never see an older-tagged map.
-        completed = [0]
-
-        def invalidator():
-            for epoch in range(1, 60):
-                cache.invalidate(epoch)
-                completed[0] = epoch
-            stop.set()
-
-        def worker(worker_id):
-            key = (worker_id, 0.0, 1.0)
-            while not stop.is_set():
-                epoch = cache.epoch
-                cache.put(key, {-1: float(epoch)}, epoch=epoch)
-                floor = completed[0]
-                found = cache.get(key, epoch=floor)
-                if found is not None and found[1][-1] < floor:
-                    errors.append(
-                        (worker_id, floor, found[1][-1])
-                    )  # pragma: no cover — the failure being tested for
-
-        threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
-        inv = threading.Thread(target=invalidator)
-        for t in threads:
-            t.start()
-        inv.start()
-        inv.join()
-        for t in threads:
-            t.join()
-        assert errors == []
-        stats = cache.stats()
-        assert stats["invalidations"] == 59
-        assert stats["epoch"] == 59
-
-
-class TestEpochGatingEndToEnd:
-    def test_execute_many_races_invalidations(self, tiny_db):
-        """Queries on 4 workers race pure cache invalidations (the
-        network itself is untouched, so every answer stays correct);
-        counters stay consistent and no stale-epoch map survives."""
-        from repro.engine.plan import plan_diversified
-        from repro.workloads.queries import (
-            WorkloadConfig,
-            generate_diversified_queries,
-        )
-
-        db = tiny_db
-        cache = db.use_shared_distance_cache(max_entries=100_000)
-        index = db.build_index("sif", file_prefix="epoch-race-sif")
-        try:
-            queries = generate_diversified_queries(
-                db,
-                WorkloadConfig(
-                    num_queries=24, num_keywords=2, k=4, seed=77
-                ),
-            )
-            plans = [
-                plan_diversified(db, index, q, method="seq") for q in queries
-            ]
-
-            stop = threading.Event()
-
-            def invalidate_loop():
-                epoch = db.data_version
-                while not stop.is_set():
-                    epoch += 1
-                    cache.invalidate(epoch)
-
-            inv = threading.Thread(target=invalidate_loop)
-            inv.start()
-            try:
-                results = db.engine.execute_many(plans, workers=4)
-            finally:
-                stop.set()
-                inv.join()
-            assert len(results) == len(plans)
-            stats = cache.stats()
-            # Counter consistency: every lookup was a hit or a miss.
-            assert stats["hits"] + stats["misses"] > 0
-            assert stats["invalidations"] > 0
-            # The serial re-run returns identical answers: invalidation
-            # is a pure cache event, never a correctness event.
-            serial = [db.engine.execute(p) for p in plans]
-            for got, want in zip(results, serial):
-                assert got.object_ids() == want.object_ids()
-        finally:
-            db.distance_cache = None

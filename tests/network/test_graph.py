@@ -45,6 +45,17 @@ class TestConstruction:
         with pytest.raises(GraphError):
             n.add_edge(0, 1)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0])
+    def test_weight_and_length_outside_zero_to_inf_rejected(self, value):
+        n = RoadNetwork()
+        n.add_node(0, 0, 0)
+        n.add_node(1, 10, 0)
+        with pytest.raises(GraphError):
+            n.add_edge(0, 1, weight=value)
+        with pytest.raises(GraphError):
+            n.add_edge(0, 1, length=value)
+        assert n.num_edges == 0
+
     def test_default_weight_is_length(self):
         n = RoadNetwork()
         n.add_node(0, 0, 0)

@@ -14,7 +14,6 @@ class TestSpanTree:
                     pass
             with tracer.span("child_b"):
                 pass
-        assert len(tracer.traces) == 1
         root = tracer.last_trace
         assert root.name == "root"
         assert root.attrs == {"kind": "query"}
@@ -33,11 +32,14 @@ class TestSpanTree:
 
     def test_top_level_spans_become_separate_traces(self):
         tracer = Tracer()
+        roots = []
         for i in range(3):
             with tracer.span("query", n=i):
                 pass
-        assert len(tracer.traces) == 3
-        assert [t.attrs["n"] for t in tracer.traces] == [0, 1, 2]
+            roots.append(tracer.last_trace)
+        # Each top-level span is a root of its own, never another's child.
+        assert [t.attrs["n"] for t in roots] == [0, 1, 2]
+        assert all(not t.children for t in roots)
 
     def test_set_updates_attributes(self):
         tracer = Tracer()
@@ -52,10 +54,12 @@ class TestSpanTree:
                 with tracer.span("inner"):
                     raise RuntimeError("boom")
         assert tracer.current is None
+        assert tracer.last_trace.name == "outer"
         # A new span after the exception starts a fresh trace.
         with tracer.span("next"):
             pass
-        assert [t.name for t in tracer.traces] == ["outer", "next"]
+        assert tracer.last_trace.name == "next"
+        assert not tracer.last_trace.children
 
 
 class TestAddSpan:
@@ -104,7 +108,7 @@ class TestEvents:
     def test_event_without_open_span_is_dropped(self):
         tracer = Tracer()
         tracer.event("orphan")
-        assert not tracer.traces
+        assert tracer.last_trace is None
 
     def test_max_events_bound_with_drop_counter(self):
         tracer = Tracer(max_events=2)
@@ -124,24 +128,6 @@ class TestBounds:
                 tracer.add_span("c", 0.0, n=i)
         assert len(root.children) == 2
         assert root.dropped_children == 2
-
-    def test_max_traces_drops_oldest(self):
-        tracer = Tracer(max_traces=2)
-        for i in range(4):
-            with tracer.span("q", n=i):
-                pass
-        assert [t.attrs["n"] for t in tracer.traces] == [2, 3]
-        assert tracer.dropped_traces == 2
-
-    def test_clear(self):
-        tracer = Tracer(max_traces=1)
-        with tracer.span("a"):
-            pass
-        with tracer.span("b"):
-            pass
-        tracer.clear()
-        assert not tracer.traces
-        assert tracer.dropped_traces == 0
 
 
 class TestIntrospection:
@@ -184,7 +170,6 @@ class TestNullTracer:
         NULL_TRACER.add_span("y", 1.0)
         assert NULL_TRACER.last_trace is None
         assert NULL_TRACER.current is None
-        assert list(NULL_TRACER.traces) == []
 
     def test_no_allocation_on_disabled_path(self):
         """The structural no-overhead property: every span/add_span on

@@ -94,7 +94,6 @@ FLAG_SURFACE = {
         ),
         "--k": (6, None, "int"),
         "--lambda": (0.8, None, "float"),
-        "--distance-cache": (None, None, "_positive_int"),
     },
     "update": {
         "profile": (None, ("NA", "SF", "SYN", "TW"), None),
@@ -129,7 +128,6 @@ FLAG_SURFACE = {
         "--insert-weight": (0.4, None, "float"),
         "--delete-weight": (0.4, None, "float"),
         "--edge-weight-weight": (0.2, None, "float"),
-        "--distance-cache": (None, None, "_positive_int"),
         "--result-cache": (None, None, "_positive_int"),
     },
     "compare": {
@@ -206,7 +204,6 @@ FLAG_SURFACE = {
         "--lambda": (0.8, None, "float"),
         "--qps": (20.0, None, "_positive_float"),
         "--duration": (10.0, None, "_positive_float"),
-        "--distance-cache": (None, None, "_positive_int"),
     },
     "replay": {
         "path": (None, None, None),
@@ -244,7 +241,7 @@ def flag_surface():
 class TestParser:
     def test_flag_surface_is_pinned(self):
         surface = flag_surface()
-        assert sum(len(flags) for flags in surface.values()) == 142
+        assert sum(len(flags) for flags in surface.values()) == 139
         assert surface == FLAG_SURFACE
 
     def test_requires_command(self):
@@ -347,7 +344,7 @@ class TestCommands:
         assert main([
             "diversify", "SYN", "--scale", "0.05", "--queries", "2",
             "--keywords", "2", "--k", "4",
-            "--metrics", str(path), "--distance-cache", "100000",
+            "--metrics", str(path),
         ]) == 0
         records = [json.loads(line) for line in path.read_text().splitlines()]
         types = [r["type"] for r in records]
@@ -364,10 +361,9 @@ class TestCommands:
             assert "pairwise_dijkstras" in stats
             assert {
                 "distance_cache_hits", "distance_cache_misses",
-                "distance_cache_evictions",
             } <= set(stats)
         err = capsys.readouterr().err
-        assert "Shared distance cache" in err
+        assert "Wrote" in err and "metric records" in err
 
     def test_compare(self, capsys):
         assert main([
@@ -526,12 +522,13 @@ class TestConcurrentObservability:
         prom_path = tmp_path / "metrics.prom"
         assert main([
             "diversify", "SYN", "--scale", "0.05", "--queries", "2",
-            "--keywords", "2", "--k", "4",
-            "--distance-cache", "100000", "--prom", str(prom_path),
+            "--keywords", "2", "--k", "4", "--prom", str(prom_path),
         ]) == 0
         prom = prom_path.read_text()
-        assert "# TYPE repro_distance_cache_hit_rate gauge" in prom
+        assert "# TYPE repro_buffer_pool_hit_rate gauge" in prom
         assert "# TYPE repro_buffer_pool_evictions gauge" in prom
+        # Pairwise node maps die with their query: no cache to gauge.
+        assert "repro_distance_cache_hit_rate" not in prom
 
 
 class TestSlowLogCommand:

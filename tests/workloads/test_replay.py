@@ -251,7 +251,7 @@ class TestReplayCatchesDivergence:
         db = fresh_db()
         oracle = PerturbingBackend(db.hub_oracle())
 
-        def perturbed_computer(delta_max, epoch, tracer=None):
+        def perturbed_computer(delta_max, tracer=None):
             return PairwiseDistanceComputer(
                 db.ccam, db.network,
                 cutoff=PAIRWISE_CUTOFF_FACTOR * delta_max, backend=oracle,

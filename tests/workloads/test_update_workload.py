@@ -151,7 +151,6 @@ class TestRun:
         from repro.engine.plan import plan_diversified
 
         db = make_db()
-        db.use_shared_distance_cache(max_entries=50_000)
         db.use_result_cache(max_entries=32)
         index = db.build_index("sif", file_prefix="upd-consist")
         queries = make_queries(db, n=6, seed=17)
