@@ -191,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--prom", metavar="PATH", default=None, type=_output_path,
         help="write a Prometheus text exposition of the final "
-             "metrics registry (plus cache/buffer gauges) to PATH",
+             "metrics registry (plus buffer/index gauges) to PATH",
     )
     run.add_argument(
         "--trace", action="store_true",
@@ -279,12 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--edge-weight-weight", type=float, default=0.2,
         help="relative weight of edge reweights in the mix",
-    )
-    p.add_argument(
-        "--result-cache", type=_positive_int, default=None,
-        metavar="ENTRIES",
-        help="install a semantic result cache validated against the "
-             "update journal",
     )
 
     command("compare", _cmd_compare, workload,
@@ -410,8 +404,6 @@ def _check_slo(db, spec_path: Optional[str]) -> int:
 
 def _report_run(db, args) -> None:
     """What a finished workload prints and writes, before teardown."""
-    if db.result_cache is not None:
-        print(f"Result cache: {db.result_cache.stats()}", file=sys.stderr)
     if args.prom:
         write_prometheus(args.prom, db.metrics, gauges=database_gauges(db))
         print(f"Wrote Prometheus exposition to {args.prom}", file=sys.stderr)
@@ -578,8 +570,6 @@ def _cmd_update(args) -> int:
 
     with _workload_run(args, args.index) as run:
         db = run.db
-        if args.result_cache is not None:
-            db.use_result_cache(max_entries=args.result_cache)
         index = db.build_index(args.index)
         update_config = UpdateWorkloadConfig(
             updates_per_batch=args.updates_per_batch,

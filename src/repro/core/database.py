@@ -156,15 +156,12 @@ class Database:
         #: Monotonic data epoch.  Every committed dynamic update —
         #: insert, delete, edge reweight — advances it by one; queries
         #: pin the epoch they execute against
-        #: (``ExecutionContext.epoch``, stamped on their stats) and the
-        #: result cache validates its answers against it.
+        #: (``ExecutionContext.epoch``, stamped on their stats) and a
+        #: standing query catches up from it.
         self.data_version = 0
         #: Ordered history of committed updates (see
         #: :mod:`repro.core.updates`).
         self.update_journal = UpdateJournal()
-        #: Optional semantic result cache
-        #: (see :meth:`use_result_cache`).
-        self.result_cache = None
         self._min_weight_per_length: Optional[float] = None
         #: Monotonic creation instant — the zero of ``/healthz`` uptime.
         self._created_monotonic = time.monotonic()
@@ -245,8 +242,8 @@ class Database:
         (IF, SIF and SIF-P maintain themselves incrementally; IR's
         packed R-trees are rebuilt offline, as in the paper's static
         setting).  Commits bump :attr:`data_version` and journal the
-        change; network distances are untouched, so the shared distance
-        cache and the hub-label oracle stay valid.
+        change; network distances are untouched, so the hub-label
+        oracle stays valid.
         """
         self.ensure_frozen()
         inserts = _update_hooks(indexes, "insert_object", "insertion")
@@ -260,7 +257,6 @@ class Database:
             edge_id=position.edge_id,
             terms=obj.keywords,
             position=obj.position,
-            point=self.network.position_point(obj.position),
             object_id=obj.object_id,
         ))
         return obj
@@ -287,7 +283,6 @@ class Database:
             edge_id=obj.position.edge_id,
             terms=obj.keywords,
             position=obj.position,
-            point=self.network.position_point(obj.position),
             object_id=obj.object_id,
         ))
         return obj
@@ -363,9 +358,10 @@ class Database:
         """Smallest ``weight / length`` ratio over all edges.
 
         Network distance between two points is at least this ratio
-        times their Euclidean distance, which gives the result cache a
-        cheap relevance test for updates far from a cached query's
-        region.  Computed lazily; edge reweights maintain it
+        times their Euclidean distance, which gives a standing query
+        (:class:`~repro.core.incremental.IncrementalDiversifiedTopK`) a
+        cheap relevance test for reweights far from its region.
+        Computed lazily; edge reweights maintain it
         *shrink-only* (a raised weight never raises the stored minimum),
         keeping the bound conservative without a rescan.
         """
@@ -477,25 +473,6 @@ class Database:
         the counts the object store maintains through every addition,
         insertion and deletion (a term no object carries is absent)."""
         return self.store.keyword_frequencies()
-
-    # ------------------------------------------------------------------
-    # Result cache
-    # ------------------------------------------------------------------
-    def use_result_cache(self, max_entries: int = 256):
-        """Install a semantic result cache for diversified queries.
-
-        Subsequent :meth:`diversified_search` calls probe it before
-        executing; a hit returns the cached answer with a fresh stats
-        object (``result_cache_hit=True``) and near-zero work.  Entries
-        are validated lazily against the update journal (see
-        :mod:`repro.engine.result_cache`): an update only evicts the
-        answers whose keyword/region it could actually have changed.
-        ``db.result_cache = None`` uninstalls.
-        """
-        from ..engine.result_cache import ResultCache
-
-        self.result_cache = ResultCache(max_entries=max_entries)
-        return self.result_cache
 
     # ------------------------------------------------------------------
     # Distance backends
@@ -712,9 +689,9 @@ class Database:
         """Install (or return) the sliding-window rollup.
 
         Once installed, every finished query is recorded into it
-        (latency, error flag, result-cache hit) alongside the lifetime
-        registry, giving ``/vars`` and live SLO rules a recent-window
-        view (QPS, windowed p50/p95/p99, error and cache-hit rates).
+        (latency, error flag) alongside the lifetime registry, giving
+        ``/vars`` and live SLO rules a recent-window view (QPS,
+        windowed p50/p95/p99, error rate).
         Idempotent: an existing rollup is kept, so the engine, the
         telemetry server and the load driver share one ring.
         """

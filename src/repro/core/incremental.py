@@ -18,8 +18,8 @@ produces) and maintains it against the database's update journal:
   and the pairwise distances between them; if the edge intersects the
   query's relevance region the pool is re-bootstrapped from a fresh
   expansion (counted in :attr:`full_recomputes`).  Reweights of far
-  edges are ignored — the same conservative Euclidean bound the
-  semantic result cache uses.
+  edges are ignored, by a conservative Euclidean bound
+  (:meth:`IncrementalDiversifiedTopK._reweight_is_relevant`).
 
 The answer is then *re-diversified* from the maintained pool by the
 function SEQ scores its own pool with
@@ -50,17 +50,23 @@ from typing import Dict, Optional
 
 from ..errors import DatasetError, GraphError
 from ..network.distance import (
+    PAIRWISE_CUTOFF_FACTOR,
     position_distance_from_node_map,
     single_source_distances,
 )
 from ..obs.metrics import StageClock
-from .diversified_search import diversify_pool
+from ..spatial.geometry import project_onto_segment
+from .diversified_search import _record_pairwise, diversify_pool
 from .ine import INEExpansion
 from .objective import DiversificationObjective
 from .queries import DiversifiedResult, DiversifiedSKQuery, QueryStats, ResultItem
-from .updates import reweight_is_relevant
 
 __all__ = ["IncrementalDiversifiedTopK"]
+
+#: Radius, in units of ``delta_max``, of the region whose edges a
+#: diversified answer depends on: 1 for the paths from the query to its
+#: candidates, plus the pairwise cutoff for the paths between two.
+PAIRWISE_RADIUS_FACTOR = 1.0 + PAIRWISE_CUTOFF_FACTOR
 
 
 class IncrementalDiversifiedTopK:
@@ -120,7 +126,13 @@ class IncrementalDiversifiedTopK:
 
     def _reweight_is_relevant(self, edge_id: int) -> bool:
         """Could reweighting ``edge_id`` change any distance we rely on?
-        The result cache's test (:func:`reweight_is_relevant`)."""
+
+        Conservative — "maybe" is relevant.  Every path the answer
+        depends on stays within ``PAIRWISE_RADIUS_FACTOR · delta_max``
+        of the query, and network distance is at least
+        ``db.min_weight_per_length()`` times Euclidean distance, so an
+        edge whose whole segment lies beyond that radius cannot matter.
+        """
         db = self._db
         q = self._query
         try:
@@ -129,7 +141,13 @@ class IncrementalDiversifiedTopK:
             # The query's own edge shrank beneath its offset: the
             # standing query's geometry itself is stale — recompute.
             return True
-        return reweight_is_relevant(db, query_point, q.delta_max, edge_id)
+        edge = db.network.edge(edge_id)
+        closest, _t = project_onto_segment(query_point, edge.p1, edge.p2)
+        euclid = query_point.distance_to(closest)
+        return (
+            db.min_weight_per_length() * euclid
+            <= PAIRWISE_RADIUS_FACTOR * q.delta_max
+        )
 
     def _insert_distance(self, obj) -> float:
         """``δ(q, o)`` exactly as INE would have computed it."""
@@ -200,9 +218,10 @@ class IncrementalDiversifiedTopK:
         """Diversify the maintained pool; identical to a fresh SEQ run.
 
         Takes its pairwise computer from where the engine takes a
-        query's (``db.pairwise_computer``) and scores the pool through the function ``seq_search`` scores
-        its own with: one batched pair matrix, the array greedy,
-        ``f(S)`` read off that matrix.
+        query's (``db.pairwise_computer``), scores the pool through the
+        function ``seq_search`` scores its own with (one batched pair
+        matrix, the array greedy, ``f(S)`` read off that matrix) and
+        copies the computer's counters the way ``seq_search`` does.
         """
         q = self._query
         computer = self._db.pairwise_computer(q.delta_max)
@@ -210,13 +229,9 @@ class IncrementalDiversifiedTopK:
         chosen, value = diversify_pool(
             list(self._pool.values()), q.k, self._objective, computer, clock
         )
-        stats = QueryStats(
-            candidates=len(self._pool),
-            pairwise_dijkstras=computer.dijkstra_runs,
-            stage_seconds=clock.stages,
-            distance_backend=computer.backend_name,
-            epoch=self._epoch,
-        )
+        stats = QueryStats(candidates=len(self._pool), epoch=self._epoch)
+        _record_pairwise(stats, computer, clock)
+        stats.stage_seconds = clock.stages
         return DiversifiedResult(chosen, value, "SEQ", stats)
 
     def current(self) -> DiversifiedResult:

@@ -132,8 +132,6 @@ class QueryStats:
     #: Data epoch the query executed against (``Database.data_version``
     #: pinned at context entry); 0 on a never-updated database.
     epoch: int = 0
-    #: Whether the answer was served from the semantic result cache.
-    result_cache_hit: bool = False
 
     @property
     def physical_reads(self) -> int:

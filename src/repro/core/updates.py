@@ -4,15 +4,10 @@ Every committed update — object insert, object delete, edge reweight —
 appends one :class:`UpdateRecord` stamped with the ``data_version`` the
 database advanced to.  Consumers replay the suffix they have not seen:
 
-* the semantic result cache validates an entry by checking whether any
-  record since the entry's epoch is *relevant* to its query;
-* the incremental diversified top-k maintainer folds the suffix into
-  its candidate pool instead of re-running search;
+* the incremental diversified top-k maintainer (the standing query)
+  folds the suffix into its candidate pool instead of re-running
+  search;
 * observability gauges report per-kind totals.
-
-Both query-side consumers ask one question of an edge reweight —
-could it reach this answer? — and :func:`reweight_is_relevant` is the
-one answer.
 
 The journal is append-only and thread-safe for readers; appends happen
 under the database's update path, which is single-writer by contract
@@ -26,21 +21,11 @@ import threading
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional
 
-from ..network.distance import PAIRWISE_CUTOFF_FACTOR
 from ..network.graph import NetworkPosition
-from ..spatial.geometry import Point, project_onto_segment
 
-__all__ = [
-    "UpdateRecord", "UpdateJournal", "UPDATE_KINDS",
-    "PAIRWISE_RADIUS_FACTOR", "reweight_is_relevant",
-]
+__all__ = ["UpdateRecord", "UpdateJournal", "UPDATE_KINDS"]
 
 UPDATE_KINDS = ("insert", "delete", "edge_weight")
-
-#: Radius, in units of ``delta_max``, of the region whose edges a
-#: diversified answer depends on: 1 for the paths from the query to its
-#: candidates, plus the pairwise cutoff for the paths between two.
-PAIRWISE_RADIUS_FACTOR = 1.0 + PAIRWISE_CUTOFF_FACTOR
 
 
 @dataclass(frozen=True)
@@ -54,11 +39,6 @@ class UpdateRecord:
     terms: FrozenSet[str] = frozenset()
     #: Object position for insert/delete (post-commit coordinates).
     position: Optional[NetworkPosition] = None
-    #: Geometric point of the object for insert/delete.  Stored because
-    #: ``position`` is in weight units: a later edge reweight rescales
-    #: the live coordinate system, after which the old offset no longer
-    #: resolves — the point is what region tests need anyway.
-    point: Optional[Point] = None
     #: Object id for insert/delete.
     object_id: Optional[int] = None
     #: New edge weight for edge_weight records.
@@ -70,27 +50,6 @@ class UpdateRecord:
                 f"unknown update kind {self.kind!r}; "
                 f"expected one of {UPDATE_KINDS}"
             )
-
-
-def reweight_is_relevant(
-    db, query_point: Point, delta_max: float, edge_id: int
-) -> bool:
-    """Could reweighting ``edge_id`` change the diversified answer of a
-    query at ``query_point``?
-
-    Conservative — "maybe" is relevant.  Every path the answer depends
-    on stays within ``PAIRWISE_RADIUS_FACTOR · delta_max`` of the query,
-    and network distance is at least ``db.min_weight_per_length()``
-    times Euclidean distance, so an edge whose whole segment lies
-    beyond that radius cannot matter.
-    """
-    edge = db.network.edge(edge_id)
-    closest, _t = project_onto_segment(query_point, edge.p1, edge.p2)
-    euclid = query_point.distance_to(closest)
-    return (
-        db.min_weight_per_length() * euclid
-        <= PAIRWISE_RADIUS_FACTOR * delta_max
-    )
 
 
 @dataclass

@@ -68,8 +68,9 @@ class ExecutionContext:
         else:
             self.tracer = NULL_TRACER
         #: Data epoch this execution is pinned to, sampled once at
-        #: context creation and stamped on the query's stats (the result
-        #: cache validates a stored answer from it).
+        #: context creation and stamped on the query's stats (a flight
+        #: record carries it, so replay restores the data state the
+        #: query saw).
         self.epoch = db.data_version
         #: Fresh per-execution index load counters; merged into the
         #: index's lifetime counters when the context closes.

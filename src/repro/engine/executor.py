@@ -170,34 +170,6 @@ class QueryEngine:
         db = self.db
         query = plan.query
         t = ctx.tracer
-        result_cache = db.result_cache
-        if result_cache is not None:
-            cached = result_cache.get(
-                db, plan.index.name, query, plan.algorithm
-            )
-            if cached is not None:
-                # Serve the cached answer under a fresh stats object:
-                # this execution did (almost) no work, and the original
-                # run's counters must not be double-recorded.
-                stats = QueryStats(
-                    candidates=len(cached.items),
-                    result_cache_hit=True,
-                    distance_backend=db.distance_backend,
-                )
-                ctx.finalise(stats)
-                if t.enabled:
-                    t.event(
-                        "result_cache.hit", index=plan.index.name,
-                        method=plan.algorithm.upper(),
-                    )
-                from ..core.queries import DiversifiedResult
-
-                return DiversifiedResult(
-                    items=cached.items,
-                    objective_value=cached.objective_value,
-                    method=cached.method,
-                    stats=stats,
-                )
         pairwise = db.pairwise_computer(query.delta_max, t)
         with t.span(
             "query.diversified", method=plan.algorithm.upper(),
@@ -231,10 +203,6 @@ class QueryEngine:
                     ),
                 )
         ctx.finalise(result.stats)
-        if result_cache is not None:
-            result_cache.put(
-                db, plan.index.name, query, plan.algorithm, result
-            )
         return result
 
     def _io_wait(self, stats: Optional[QueryStats]) -> None:

@@ -81,8 +81,8 @@ class CostHints:
     #: slow-query triage can see the skew.
     data_version: int = 0
     #: Journal length at plan time — how dynamic this database has been.
-    #: Many recent updates mean catalogue statistics (and any cached
-    #: answers) are more likely to be stale.
+    #: Many recent updates mean catalogue statistics are more likely
+    #: to be stale.
     recent_updates: int = 0
 
     @property

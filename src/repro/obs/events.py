@@ -92,7 +92,6 @@ class QueryEvent:
             "query": query_to_dict(plan.query),
             "epoch": stats.epoch,
             "results": len(result),
-            "result_cache_hit": stats.result_cache_hit,
             "wall_seconds": stats.wall_seconds,
             "worker": self.worker,
             "stats": stats_to_dict(stats),

@@ -2,11 +2,12 @@
 
 Every registry counter becomes a ``counter`` metric, every histogram a
 ``summary`` with quantile lines plus ``_sum``/``_count``, and
-caller-supplied point-in-time values (result-cache hit rates,
-buffer-pool evictions — see :func:`database_gauges`) become ``gauge``
-metrics.  Names are sanitised to the Prometheus grammar.  The same text
-is written to a file at the end of a run (``--prom``) and served live
-at ``/metrics`` (:mod:`repro.obs.server`).  Dependency-free.
+caller-supplied point-in-time values (buffer-pool hit rate and
+evictions, hub-label sizes — see :func:`database_gauges`) become
+``gauge`` metrics.  Names are sanitised to the Prometheus grammar.  The
+same text is written to a file at the end of a run (``--prom``) and
+served live at ``/metrics`` (:mod:`repro.obs.server`).
+Dependency-free.
 """
 
 from __future__ import annotations
@@ -177,11 +178,10 @@ def prometheus_text(
 def database_gauges(db) -> Dict[str, float]:
     """Point-in-time gauge values for a database's shared caches.
 
-    ``db`` is a :class:`~repro.core.database.Database`: whatever of the
-    hub-label oracle, the flight recorder and the result cache is
-    installed contributes its state, the buffer pool its
-    hit/miss/eviction counts,
-    plus derived hit rates (``NaN``-free: a cache that was never
+    ``db`` is a :class:`~repro.core.database.Database`: whichever of
+    the hub-label oracle and the flight recorder is installed
+    contributes its state, the buffer pool its hit/miss/eviction counts
+    plus a derived hit rate (``NaN``-free: a pool that was never
     consulted reports rate 0).
     """
     gauges: Dict[str, float] = {}
@@ -189,10 +189,6 @@ def database_gauges(db) -> Dict[str, float]:
     def copy(prefix: str, stats: Dict[str, float], *names: str) -> None:
         for name in names:
             gauges[f"{prefix}.{name}"] = float(stats[name])
-
-    def hit_rate(prefix: str, hits: int, misses: int) -> None:
-        lookups = hits + misses
-        gauges[f"{prefix}.hit_rate"] = hits / lookups if lookups else 0.0
 
     # One-hot backend label: repro_distance_backend_hub 1.0 says the
     # scrape came from a hub-backed run without needing label pairs.
@@ -233,17 +229,13 @@ def database_gauges(db) -> Dict[str, float]:
     if db.flight_recorder is not None:
         copy("recorder", db.flight_recorder.summary(), "observed",
              "buffered", "dropped", "updates", "max_records")
-    if db.result_cache is not None:
-        stats = db.result_cache.stats()
-        copy("result_cache", stats, "entries", "hits", "misses",
-             "invalidated", "evictions")
-        hit_rate("result_cache", stats["hits"], stats["misses"])
     buffer = db.disk.buffer
     gauges["buffer_pool.capacity"] = float(buffer.capacity)
     gauges["buffer_pool.hits"] = float(buffer.hits)
     gauges["buffer_pool.misses"] = float(buffer.misses)
     gauges["buffer_pool.evictions"] = float(buffer.evictions)
-    hit_rate("buffer_pool", buffer.hits, buffer.misses)
+    lookups = buffer.hits + buffer.misses
+    gauges["buffer_pool.hit_rate"] = buffer.hits / lookups if lookups else 0.0
     return gauges
 
 

@@ -289,8 +289,6 @@ class MetricsRegistry:
             ("distance_cache.misses", stats.distance_cache_misses),
             ("buffer.evictions", stats.buffer_evictions),
         ]
-        if stats.result_cache_hit:
-            counts.append(("query.result_cache_hits", 1))
         counts += zip(
             _BACKEND_COUNTERS.get(stats.distance_backend, ()),
             (stats.backend_queries, stats.backend_settled_nodes,

@@ -10,20 +10,19 @@ module adds the time dimension:
 
 * :class:`SlidingWindowRollup` — a thread-safe ring buffer of
   per-second buckets.  Each finished query is recorded once (latency,
-  error flag, cache-hit flag, named latency *stream*); snapshots
-  aggregate the buckets that fall inside the requested window into
-  QPS, p50/p95/p99 per stream, error rate and cache-hit rate.  Memory
-  is bounded: the ring has a fixed number of buckets and each bucket
-  keeps one stride-subsampled :class:`~repro.obs.metrics.Histogram`
-  per stream.
+  error flag); other named latency *streams* take samples without
+  counting a query.  Snapshots aggregate the buckets that fall inside
+  the requested window into QPS, p50/p95/p99 per stream and error
+  rate.  Memory is bounded: the ring has a fixed number of buckets and
+  each bucket keeps one stride-subsampled
+  :class:`~repro.obs.metrics.Histogram` per stream.
 
 * :class:`WindowSnapshot` — the aggregate over one window, with
   :meth:`WindowSnapshot.to_slo_snapshot` shaping it like a registry
   snapshot so the *same* declarative :class:`~repro.obs.slo.SLOSpec`
   rules that gate end-of-run reports evaluate against a live window.
-  Derived window values (``window.qps``, ``window.error_rate``,
-  ``window.cache_hit_rate``) are exposed as counters so plain
-  ``counter`` rules can bound them.
+  Derived window values (``window.qps``, ``window.error_rate``) are
+  exposed as counters so plain ``counter`` rules can bound them.
 
 * :class:`LiveSLOMonitor` — evaluates an SLO spec against the current
   window whenever asked (the telemetry server does so per scrape, the
@@ -59,7 +58,7 @@ DEFAULT_STREAM = "query.wall_seconds"
 class _Bucket:
     """One ring slot: everything recorded during one bucket interval."""
 
-    __slots__ = ("index", "count", "errors", "cache_hits", "streams")
+    __slots__ = ("index", "count", "errors", "streams")
 
     def __init__(self, index: int) -> None:
         self.reset(index)
@@ -68,7 +67,6 @@ class _Bucket:
         self.index = index
         self.count = 0
         self.errors = 0
-        self.cache_hits = 0
         self.streams: Dict[str, Histogram] = {}
 
 
@@ -76,9 +74,8 @@ class WindowSnapshot:
     """Aggregates over one sliding window, JSON-able."""
 
     __slots__ = (
-        "window_seconds", "covered_seconds", "count", "errors",
-        "cache_hits", "qps", "error_rate", "cache_hit_rate", "streams",
-        "at",
+        "window_seconds", "covered_seconds", "count", "errors", "qps",
+        "error_rate", "streams", "at",
     )
 
     def __init__(
@@ -87,7 +84,6 @@ class WindowSnapshot:
         covered_seconds: float,
         count: int,
         errors: int,
-        cache_hits: int,
         streams: Dict[str, Dict[str, float]],
         at: float,
     ) -> None:
@@ -98,10 +94,8 @@ class WindowSnapshot:
         self.covered_seconds = covered_seconds
         self.count = count
         self.errors = errors
-        self.cache_hits = cache_hits
         self.qps = count / covered_seconds if covered_seconds > 0 else 0.0
         self.error_rate = errors / count if count else 0.0
-        self.cache_hit_rate = cache_hits / count if count else 0.0
         #: Per-stream latency summaries (count/sum/mean/max/p50/p95/p99).
         self.streams = streams
         self.at = at
@@ -121,10 +115,8 @@ class WindowSnapshot:
             "covered_seconds": self.covered_seconds,
             "count": self.count,
             "errors": self.errors,
-            "cache_hits": self.cache_hits,
             "qps": self.qps,
             "error_rate": self.error_rate,
-            "cache_hit_rate": self.cache_hit_rate,
             "streams": {name: dict(s) for name, s in self.streams.items()},
         }
 
@@ -141,10 +133,8 @@ class WindowSnapshot:
         counters: Dict[str, float] = {
             "window.count": self.count,
             "window.errors": self.errors,
-            "window.cache_hits": self.cache_hits,
             "window.qps": self.qps,
             "window.error_rate": self.error_rate,
-            "window.cache_hit_rate": self.cache_hit_rate,
         }
         histograms = {
             name: dict(summary)
@@ -195,12 +185,11 @@ class SlidingWindowRollup:
     def record(
         self,
         latency_seconds: Optional[float],
-        stream: str = DEFAULT_STREAM,
         error: bool = False,
-        cache_hit: bool = False,
         now: Optional[float] = None,
     ) -> None:
-        """Record one finished query into the current bucket.
+        """Count one finished query into the current bucket and add its
+        latency to :data:`DEFAULT_STREAM`.
 
         ``latency_seconds=None`` counts the query (and its error) but
         observes no sample: a query that failed before it had a
@@ -213,16 +202,31 @@ class SlidingWindowRollup:
             bucket.count += 1
             if error:
                 bucket.errors += 1
-            if cache_hit:
-                bucket.cache_hits += 1
-            if latency_seconds is None:
-                return
-            hist = bucket.streams.get(stream)
-            if hist is None:
-                hist = bucket.streams[stream] = Histogram(
-                    stream, max_samples=self._max_samples
-                )
-            hist.observe(latency_seconds)
+            if latency_seconds is not None:
+                self._sample(bucket, DEFAULT_STREAM, latency_seconds)
+
+    def observe(
+        self, latency_seconds: float, stream: str,
+        now: Optional[float] = None,
+    ) -> None:
+        """Add one latency sample to ``stream``; counts no query.
+
+        For a second view of queries :meth:`record` already counted —
+        the load driver's queue-inclusive latency — so QPS and error
+        rate see each query once.
+        """
+        if now is None:
+            now = self._clock()
+        with self._lock:
+            self._sample(self._bucket_for(now), stream, latency_seconds)
+
+    def _sample(self, bucket: _Bucket, stream: str, seconds: float) -> None:
+        hist = bucket.streams.get(stream)
+        if hist is None:
+            hist = bucket.streams[stream] = Histogram(
+                stream, max_samples=self._max_samples
+            )
+        hist.observe(seconds)
 
     def on_query(self, event) -> None:
         """Subscriber form of :meth:`record`, for the engine's per-query
@@ -230,8 +234,7 @@ class SlidingWindowRollup:
         if event.error is not None:
             self.record(None, error=True)
         else:
-            stats = event.stats
-            self.record(stats.wall_seconds, cache_hit=stats.result_cache_hit)
+            self.record(event.stats.wall_seconds)
 
     # -- reporting -----------------------------------------------------
     def snapshot(
@@ -252,14 +255,13 @@ class SlidingWindowRollup:
             self._num_buckets,
         )
         oldest = newest - span + 1
-        count = errors = cache_hits = 0
+        count = errors = 0
         raw_streams: Dict[str, List[Histogram]] = {}
         with self._lock:
             for bucket in self._buckets:
-                if oldest <= bucket.index <= newest and bucket.count:
+                if oldest <= bucket.index <= newest:
                     count += bucket.count
                     errors += bucket.errors
-                    cache_hits += bucket.cache_hits
                     for name, hist in bucket.streams.items():
                         raw_streams.setdefault(name, []).append(hist)
             streams: Dict[str, Dict[str, float]] = {}
@@ -288,7 +290,6 @@ class SlidingWindowRollup:
             covered_seconds=min(covered, window),
             count=count,
             errors=errors,
-            cache_hits=cache_hits,
             streams=streams,
             at=now,
         )

@@ -179,15 +179,18 @@ class TelemetryServer:
     def _vars(self, query) -> Tuple[int, str, bytes]:
         """The full JSON snapshot: registry counters and histogram
         summaries, database gauges, the current sliding-window rollup
-        and the live SLO verdict when installed."""
+        and the live SLO verdict when installed.
+
+        The window is read before the registry: a query reaches the
+        registry before the rollup, so every query the window counts is
+        in ``query.count`` (or ``query.errors``) too."""
+        rollup = self.db.rollup
+        window = rollup.snapshot().to_dict() if rollup is not None else None
         payload = self.db.metrics.snapshot()
         payload["gauges"] = database_gauges(self.db)
         payload["data_version"] = self.db.data_version
         payload["uptime_seconds"] = round(self.db.uptime_seconds(), 3)
-        rollup = self.db.rollup
-        payload["window"] = (
-            rollup.snapshot().to_dict() if rollup is not None else None
-        )
+        payload["window"] = window
         monitor = self.db.live_slo
         payload["slo"] = monitor.verdict() if monitor is not None else None
         return self._json(payload)

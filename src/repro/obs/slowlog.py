@@ -208,7 +208,7 @@ def render_record(record: Dict[str, Any]) -> str:
 
     The header states what crossed which bound and the planner's
     estimate beside the realised candidate count (plus the data epoch
-    and a result-cache marker when present); the body reuses the
+    when non-zero); the body reuses the
     EXPLAIN narrator over the persisted span tree when one was
     captured, and falls back to the stage breakdown otherwise.  A
     record whose span tree is absent or malformed (tracing disabled,
@@ -243,8 +243,6 @@ def render_record(record: Dict[str, Any]) -> str:
     epoch = stats.get("epoch")
     if epoch:
         header += f"  [epoch {epoch}]"
-    if stats.get("result_cache_hit"):
-        header += "  [result-cache HIT]"
     if record.get("digest"):
         header += f"  [digest {record['digest']}]"
     lines = [header]

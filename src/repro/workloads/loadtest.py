@@ -15,7 +15,9 @@ The driver composes with the live telemetry plane:
 
 * every observed latency feeds the database's sliding-window rollup
   (stream ``loadtest.latency_seconds``) next to the engine's own
-  service-time stream, so ``/vars`` and ``/slo`` show the run live;
+  service-time stream, so ``/vars`` and ``/slo`` show the run live.
+  The engine's per-query event counts the query (and its error) in
+  the window; the observed stream adds a sample only;
 * when an SLO spec is given, a :class:`~repro.obs.rollup.LiveSLOMonitor`
   is evaluated once per rollup bucket during the run — breach windows
   are counted and recorded as they happen — and the **final live
@@ -202,9 +204,7 @@ def run_loadtest(
             error = True
         end = clock()
         latency = end - intended
-        rollup.record(
-            latency, stream=OBSERVED_STREAM, error=error, now=end
-        )
+        rollup.observe(latency, OBSERVED_STREAM, now=end)
         with lock:
             report.completed += 1
             if error:

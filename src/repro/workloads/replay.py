@@ -63,7 +63,9 @@ INDEX_KIND_BY_NAME = {
 }
 
 #: Invariant counters replay compares (beyond the digest), skipped for
-#: result-cache hits — a cached answer legitimately did no expansion.
+#: a record marked ``result_cache_hit`` — journals written while the
+#: engine had a result cache carry it, and a cached answer did no
+#: expansion.
 _INVARIANT_STATS = ("candidates", "nodes_accessed")
 
 #: Header keys of modes that no longer exist (journals recorded while
@@ -371,11 +373,9 @@ def _compare(record: Dict[str, Any], result, report: ReplayReport) -> None:
     # *search shape* must match when nothing was overridden — and for
     # candidates/nodes it matches across backends too, because backend
     # choice only changes pairwise evaluation, not INE expansion.
-    # Result-cache hits did no expansion; skip them.
+    # A recorded result-cache hit did no expansion; skip it.
     recorded_stats = record.get("stats") or {}
-    if not record.get("result_cache_hit") and not getattr(
-        result.stats, "result_cache_hit", False
-    ):
+    if not record.get("result_cache_hit"):
         for name in _INVARIANT_STATS:
             recorded = recorded_stats.get(name)
             replayed = getattr(result.stats, name, None)

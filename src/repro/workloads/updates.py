@@ -7,10 +7,9 @@ against a live database.  Queries inside a batch may run concurrently
 applied serially between query batches**, never concurrently with
 queries: the update paths mutate the graph, the CCAM pages and the
 index trees in place, and the concurrency contract for queries is
-read-only index structures.  The epoch machinery (pinned query epochs,
-journal-validated result-cache entries) is what keeps the *cached*
-state honest across the query/update boundary; pairwise node maps need
-none, since each query's computer keeps its own.
+read-only index structures.  Each query pins the epoch it executed
+against; no answer or pairwise node map outlives its query, so nothing
+cached has to be kept honest across the query/update boundary.
 
 Update generation mirrors :mod:`repro.workloads.queries`: inserts draw
 their location and keywords from existing objects (so new objects land

@@ -3,12 +3,13 @@
 ``Database.pairwise_computer`` builds one computer per query and nothing
 carries its maps to the next, so a query's pairwise counters are its
 computer's counters, and running the same query again repeats the same
-pairwise work exactly.
+pairwise work exactly.  A standing query's answer is one such query.
 """
 
 import pytest
 
 from repro.core.database import Database
+from repro.core.incremental import IncrementalDiversifiedTopK
 from repro.datasets.catalog import build_dataset
 from repro.workloads.queries import WorkloadConfig, generate_diversified_queries
 from tests.conftest import TINY_PROFILE
@@ -53,7 +54,15 @@ def test_a_repeated_query_repeats_its_pairwise_work(db, sif, queries, method):
     assert total > 0
 
 
-@pytest.mark.parametrize("method", ["seq", "com"])
+def answer(db, sif, query, method):
+    """One diversified answer: through the engine, or the standing
+    query's maintained answer."""
+    if method == "standing":
+        return IncrementalDiversifiedTopK(db, sif, query).result()
+    return db.diversified_search(sif, query, method=method)
+
+
+@pytest.mark.parametrize("method", ["seq", "com", "standing"])
 def test_stats_are_the_counters_of_the_querys_computer(
     db, sif, queries, method, monkeypatch
 ):
@@ -66,7 +75,7 @@ def test_stats_are_the_counters_of_the_querys_computer(
 
     monkeypatch.setattr(db, "pairwise_computer", spy)
     for query in queries:
-        result = db.diversified_search(sif, query, method=method)
+        result = answer(db, sif, query, method)
         (computer,) = built
         built.clear()
         assert pairwise_counts(result.stats) == (
@@ -76,3 +85,30 @@ def test_stats_are_the_counters_of_the_querys_computer(
         assert result.stats.stage_seconds["pairwise_dijkstra"] == (
             computer.pairwise_seconds
         )
+
+
+def test_a_standing_querys_backend_counters_are_seqs_under_hub():
+    """Under hub labels the maintained answer reports the label queries
+    its computer ran — the ones SEQ runs for the same pool."""
+    db = build_dataset(TINY_PROFILE)
+    db.use_distance_backend("hub")
+    sif = db.build_index("sif", file_prefix="per-query-hub")
+    queries = generate_diversified_queries(
+        db, WorkloadConfig(num_queries=6, num_keywords=2, k=5, seed=33)
+    )
+    total = 0
+    for query in queries:
+        standing = answer(db, sif, query, "standing")
+        seq = answer(db, sif, query, "seq")
+        assert standing.object_ids() == seq.object_ids()
+        assert (
+            standing.stats.backend_queries,
+            standing.stats.backend_settled_nodes,
+            standing.stats.backend_bucket_hits,
+        ) == (
+            seq.stats.backend_queries,
+            seq.stats.backend_settled_nodes,
+            seq.stats.backend_bucket_hits,
+        )
+        total += standing.stats.backend_queries
+    assert total > 0

@@ -5,11 +5,7 @@ import math
 import pytest
 
 from repro import Database, NetworkPosition
-from repro.core.updates import (
-    UpdateJournal,
-    UpdateRecord,
-    reweight_is_relevant,
-)
+from repro.core.updates import UpdateJournal, UpdateRecord
 from repro.errors import DatasetError, GraphError, QueryError
 from tests.conftest import assert_catalogue_matches_recount
 
@@ -229,38 +225,33 @@ class TestDatabaseUpdates:
 
 
 class TestReweightRelevance:
-    """The result cache and the standing query put one question to an
-    edge reweight — could it reach this answer? — and get one answer
-    (``reweight_is_relevant``)."""
+    """A standing query asks one question of an edge reweight — could it
+    reach this answer? — and re-bootstraps only when it could."""
 
     @pytest.mark.parametrize(
         "edge_id, relevant", [(0, True), (11, False)], ids=["near", "far"]
     )
-    def test_both_callers_classify_a_reweight_alike(
+    def test_standing_query_classifies_a_reweight(
         self, live_db, edge_id, relevant
     ):
         from repro.core.incremental import IncrementalDiversifiedTopK
         from repro.core.queries import DiversifiedSKQuery
 
         index = live_db.build_index("sif")
-        live_db.use_result_cache()
         # Edge 0 holds the query; edge 11 is the grid's far corner,
         # beyond the radius a 30-unit answer depends on.
         q = DiversifiedSKQuery.create(
             NetworkPosition(0, 0.0), ["pizza"], 30.0, 2, 0.8
         )
-        live_db.diversified_search(index, q, method="seq")
         standing = IncrementalDiversifiedTopK(live_db, index, q)
-        point = live_db.network.position_point(q.position)
-        assert reweight_is_relevant(
-            live_db, point, q.delta_max, edge_id
-        ) is relevant
+        assert standing._reweight_is_relevant(edge_id) is relevant
         weight = live_db.network.edge(edge_id).weight
         live_db.update_edge_weight(edge_id, weight * 2.0, indexes=(index,))
-        cached = live_db.diversified_search(index, q, method="seq")
         standing.refresh()
-        assert cached.stats.result_cache_hit is not relevant
         assert standing.full_recomputes == int(relevant)
+        assert standing.result().object_ids() == live_db.diversified_search(
+            index, q, method="seq"
+        ).object_ids()
 
 
 class TestStaleReadSafety:

@@ -60,26 +60,38 @@ class TestSlidingWindowRollup:
         assert snap.count == 1
         assert snap.percentile(50) == pytest.approx(2.0)
 
-    def test_error_and_cache_hit_rates(self):
+    def test_error_rate(self):
         rollup, clock = make_rollup()
         for i in range(10):
             clock.t = i * 0.1
-            rollup.record(0.01, error=(i < 2), cache_hit=(i % 2 == 0))
+            rollup.record(0.01, error=(i < 2))
         snap = rollup.snapshot()
         assert snap.errors == 2
         assert snap.error_rate == pytest.approx(0.2)
-        assert snap.cache_hit_rate == pytest.approx(0.5)
 
     def test_percentiles_per_stream(self):
         rollup, clock = make_rollup()
         for i in range(100):
             clock.t = i * 0.01
-            rollup.record(float(i), stream="a")
-            rollup.record(1000.0 + i, stream="b")
+            rollup.observe(float(i), "a")
+            rollup.observe(1000.0 + i, "b")
         snap = rollup.snapshot()
         assert snap.percentile(50, stream="a") == pytest.approx(49.5, abs=2.0)
         assert snap.percentile(50, stream="b") == pytest.approx(1049.5, abs=2.0)
         assert snap.percentile(99, stream="a") <= 99.0
+
+    def test_observed_samples_count_no_query(self):
+        """A second latency view of a counted query adds samples only,
+        even when it lands in a bucket the query was not counted in."""
+        rollup, clock = make_rollup()
+        rollup.record(0.01)
+        rollup.observe(0.02, "observed")
+        clock.t = 1.5
+        rollup.observe(0.03, "observed")
+        snap = rollup.snapshot()
+        assert snap.count == 1
+        assert snap.stream("observed")["count"] == 2
+        assert snap.stream()["count"] == 1
 
     def test_narrower_window_requested(self):
         rollup, clock = make_rollup(window_seconds=10.0)
@@ -132,12 +144,14 @@ class TestSlidingWindowRollup:
         rollup, clock = make_rollup()
         for i in range(20):
             clock.t = i * 0.05
-            rollup.record(0.010, error=(i == 0), cache_hit=True)
+            rollup.record(0.010, error=(i == 0))
         shaped = rollup.snapshot().to_slo_snapshot()
         assert shaped["counters"]["window.count"] == 20
         assert shaped["counters"]["window.errors"] == 1
         assert shaped["counters"]["window.error_rate"] == pytest.approx(0.05)
-        assert shaped["counters"]["window.cache_hit_rate"] == pytest.approx(1.0)
+        assert set(shaped["counters"]) == {
+            "window.count", "window.errors", "window.qps", "window.error_rate",
+        }
         hist = shaped["histograms"][DEFAULT_STREAM]
         assert hist["count"] == 20
         assert hist["p95"] == pytest.approx(0.010)

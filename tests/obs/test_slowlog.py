@@ -190,15 +190,13 @@ class TestTolerantRendering:
         assert "COM maintenance: 9 candidates, 12 θ evaluations" in text
         assert "wins" not in text
 
-    def test_header_carries_epoch_and_result_cache(self):
+    def test_header_carries_epoch(self):
         stats = _stats(wall=0.02)
         stats.epoch = 7
-        stats.result_cache_hit = True
         log = SlowQueryLog(SlowQueryThreshold(latency_seconds=0))
         record = log.offer(make_query_event("SIF/COM", stats))
         text = render_record(record)
         assert "[epoch 7]" in text
-        assert "[result-cache HIT]" in text
         # The planner's estimate sits beside the realised count when the
         # record has one (this event's plan carries no hints).
         assert "100 nodes visited (exceeded" in text
@@ -209,7 +207,7 @@ class TestTolerantRendering:
         )
 
     def test_pre_epoch_records_render(self):
-        """Records from older schemas (no epoch/result-cache) still render."""
+        """Records from older schemas (no epoch) still render."""
         record = {
             "type": "slow_query", "seq": 1, "label": "L",
             "wall_seconds": 0.01, "nodes_accessed": 5,

@@ -128,7 +128,6 @@ FLAG_SURFACE = {
         "--insert-weight": (0.4, None, "float"),
         "--delete-weight": (0.4, None, "float"),
         "--edge-weight-weight": (0.2, None, "float"),
-        "--result-cache": (None, None, "_positive_int"),
     },
     "compare": {
         "profile": (None, ("NA", "SF", "SYN", "TW"), None),
@@ -241,7 +240,7 @@ def flag_surface():
 class TestParser:
     def test_flag_surface_is_pinned(self):
         surface = flag_surface()
-        assert sum(len(flags) for flags in surface.values()) == 139
+        assert sum(len(flags) for flags in surface.values()) == 138
         assert surface == FLAG_SURFACE
 
     def test_requires_command(self):

@@ -8,6 +8,7 @@ import urllib.request
 
 import pytest
 
+from repro.datasets.catalog import build_dataset
 from repro.errors import QueryError
 from repro.obs.slo import SLORule, SLOSpec
 from repro.workloads import WorkloadConfig, generate_diversified_queries
@@ -17,6 +18,7 @@ from repro.workloads.loadtest import (
     LoadTestReport,
     run_loadtest,
 )
+from tests.conftest import TINY_PROFILE
 
 
 @pytest.fixture()
@@ -142,6 +144,23 @@ class TestRunLoadtest:
         snap = tiny_db.rollup.snapshot()
         assert OBSERVED_STREAM in snap.streams
         assert snap.streams[OBSERVED_STREAM]["count"] >= 1
+
+    def test_window_counts_each_query_once(self):
+        """The engine's event counts a query in the live window; the
+        driver's observed latency adds a sample, not a second count.
+        A database of its own: the shared one's window holds other
+        tests' queries."""
+        db = build_dataset(TINY_PROFILE)
+        index = db.build_index("sif")
+        queries = generate_diversified_queries(
+            db, WorkloadConfig(num_queries=20, k=3, seed=17)
+        )
+        config = LoadTestConfig(qps=40.0, duration_seconds=1.0, workers=4)
+        report = run_loadtest(db, index, queries, config)
+        snap = db.rollup.snapshot()
+        assert report.completed == config.total_queries
+        assert snap.count == report.completed
+        assert snap.stream(OBSERVED_STREAM)["count"] == report.completed
 
     def test_sk_method(self, tiny_db, tiny_indexes):
         from repro.workloads import generate_sk_queries

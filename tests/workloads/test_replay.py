@@ -202,6 +202,41 @@ class TestReplayDeterminism:
         assert "frontier=csr" in notes[0] and "scoring=array" in notes[0]
         assert ("distance_backend=ch" in notes[0]) == (backend == "ch")
 
+    @pytest.mark.parametrize("hit", [True, False], ids=["hit", "no-hit"])
+    def test_recorded_result_cache_hit_skips_invariant_counters(
+        self, tmp_path, hit
+    ):
+        """Journals written while the engine had a result cache mark a
+        served answer ``result_cache_hit``, with the stats of a lookup
+        that did no search.  Such a record replays clean, its answer
+        still checked; the same zeroed stats unmarked diverge."""
+        lines = PR11_JOURNAL.read_text().splitlines()
+        first = next(
+            i for i, line in enumerate(lines)
+            if json.loads(line)["type"] == "flight"
+        )
+        record = json.loads(lines[first])
+        record["result_cache_hit"] = record["stats"]["result_cache_hit"] = hit
+        for key in ("candidates", "nodes_accessed", "edges_accessed",
+                    "objects_loaded", "pairwise_dijkstras"):
+            record["stats"][key] = 0
+        lines[first] = json.dumps(record)
+        path = tmp_path / "flight_cache_hit.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        journal = load_flight_journal(path)
+        db = build_dataset(
+            journal.header["profile"], scale=journal.header["scale"]
+        )
+        db.use_distance_backend(journal_backend(journal.header))
+        report = run_replay(db, journal)
+        assert report.queries_replayed == 24
+        if hit:
+            assert report.passed, [d.render() for d in report.divergences]
+        else:
+            assert {d.fieldname for d in report.divergences} == {
+                "candidates", "nodes_accessed",
+            }
+
     def test_journal_backend(self):
         assert journal_backend({"distance_backend": "hub"}) == "hub"
         assert journal_backend({"distance_backend": "ch"}) == "csgraph"
