@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Dict, Optional
 
-from ..core.database import Database
+from ..core.database import Database, collector_paused
 from ..errors import DatasetError
 from ..network.graph import RoadNetwork
 from .generator import populate_objects
@@ -140,7 +140,8 @@ def build_dataset(
 
     ``overrides`` replace profile fields (e.g. ``num_objects=2000`` or
     ``zipf_z=1.3`` for the Fig. 16 sweeps); ``scale`` shrinks or grows
-    the whole dataset proportionally.
+    the whole dataset proportionally.  The build runs with the garbage
+    collector paused (:func:`~repro.core.database.collector_paused`).
     """
     if isinstance(profile_or_name, str):
         try:
@@ -158,16 +159,17 @@ def build_dataset(
         # Overrides are authoritative: applied after scaling.
         profile = replace(profile, **overrides)
 
-    network = build_network(profile)
-    db = Database(network, buffer_pages=buffer_pages)
-    populate_objects(
-        db.store,
-        num_objects=profile.num_objects,
-        vocabulary_size=profile.vocabulary_size,
-        avg_keywords=profile.avg_keywords,
-        zipf_z=profile.zipf_z,
-        seed=profile.seed,
-        num_topics=profile.num_topics,
-    )
-    db.freeze()
+    with collector_paused():
+        network = build_network(profile)
+        db = Database(network, buffer_pages=buffer_pages)
+        populate_objects(
+            db.store,
+            num_objects=profile.num_objects,
+            vocabulary_size=profile.vocabulary_size,
+            avg_keywords=profile.avg_keywords,
+            zipf_z=profile.zipf_z,
+            seed=profile.seed,
+            num_topics=profile.num_topics,
+        )
+        db.freeze()
     return db

@@ -27,7 +27,11 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_left
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from collections import defaultdict
+from operator import itemgetter
+from typing import (
+    Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple,
+)
 
 from ..network.graph import RoadNetwork
 from ..network.objects import ObjectStore, SpatioTextualObject
@@ -93,22 +97,33 @@ def pack_postings(
     the same tuples :func:`read_run` and :func:`insert_posting` take.
     Pages are shared between consecutive prefixes, so the map's page
     lists overlap at the boundaries.  The input is sorted, so a prefix
-    that ended never returns: the map comes out in prefix order.
+    that ended never returns: each page is filed under its distinct
+    prefixes, of which only the first can have started on an earlier
+    page, and the map comes out in prefix order.
     """
     prefix_pages: Dict[tuple, List[int]] = {}
-    last: Optional[tuple] = None
-    pages: List[int] = []
     for start in range(0, len(postings), POSTINGS_PER_PAGE):
         chunk = postings[start : start + POSTINGS_PER_PAGE]
         page_no = file.allocate(chunk, size_bytes=len(chunk) * POSTING_BYTES)
-        for posting in chunk:
-            prefix = posting[:width]
-            if prefix != last:
-                last = prefix
-                pages = prefix_pages[prefix] = [page_no]
-            elif pages[-1] != page_no:
+        prefixes = _distinct_prefixes(chunk, width)
+        if start:
+            first = next(prefixes)
+            pages = prefix_pages.get(first)
+            if pages is None:
+                prefix_pages[first] = [page_no]
+            else:
                 pages.append(page_no)
+        for prefix in prefixes:
+            prefix_pages[prefix] = [page_no]
     return prefix_pages
+
+
+def _distinct_prefixes(page: List[tuple], width: int) -> Iterator[tuple]:
+    """The distinct ``width``-field prefixes of a sorted page, in order."""
+    if width == 1:
+        # An int hashes faster than a tuple: deduplicate the bare keys.
+        return zip(dict.fromkeys(map(itemgetter(0), page)))
+    return iter(dict.fromkeys(map(itemgetter(*range(width)), page)))
 
 
 def read_run(file: PageFile, pages: Sequence[int], prefix: tuple) -> List[int]:
@@ -176,7 +191,12 @@ class InvertedFileIndex(ObjectIndex):
         disk: DiskManager,
         curve: Optional[ZOrderCurve] = None,
         file_prefix: str = "if",
+        term_edges: Optional[Dict[str, List[int]]] = None,
     ) -> None:
+        """``term_edges``, when given, is filled from the build's one
+        walk of the store: each term's edge ids, one entry per edge, in
+        edge-key order — what SIF and SIF-G build their
+        :class:`~repro.index.signature.SignatureFile` from."""
         super().__init__(store)
         self._disk = disk
         self._curve = curve or ZOrderCurve()
@@ -191,24 +211,27 @@ class InvertedFileIndex(ObjectIndex):
             f"{file_prefix}.trees", category="inverted"
         )
         start = time.perf_counter()
-        self._build()
+        self._build(term_edges)
         self.build_seconds = time.perf_counter() - start
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
-    def _build(self) -> None:
+    def _build(self, term_edges: Optional[Dict[str, List[int]]]) -> None:
         # term -> postings in edge-key order
-        staged: Dict[str, List[Posting]] = {}
+        staged: Dict[str, List[Posting]] = defaultdict(list)
         keys = self._edge_keys
+        edge_of: Dict[int, int] = {}
+        objects_on_edge = self._store.objects_on_edge
         for edge_id in sorted(
             self._store.edges_with_objects(), key=keys.__getitem__
         ):
             key = keys[edge_id]
-            for obj in self._store.objects_on_edge(edge_id):
+            edge_of[key] = edge_id
+            for obj in objects_on_edge(edge_id):
                 posting = (key, obj.object_id, obj.position.offset)
                 for term in obj.keywords:
-                    staged.setdefault(term, []).append(posting)
+                    staged[term].append(posting)
 
         for term in sorted(staged):
             # Every term starts on a fresh page.
@@ -220,6 +243,11 @@ class InvertedFileIndex(ObjectIndex):
             ])
             self._trees[term] = tree
             self._pages_per_term[term] = self._postings.num_pages - first_page
+            if term_edges is not None:
+                # The map holds the term's edge keys once each, in order.
+                term_edges[term] = [
+                    edge_of[edge_key] for (edge_key,) in edge_pages
+                ]
 
     # ------------------------------------------------------------------
     # Algorithm 2 (without the signature test)

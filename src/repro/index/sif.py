@@ -12,7 +12,7 @@ signed rows into one integer, and each edge then costs a shift.
 from __future__ import annotations
 
 import time
-from typing import Callable, FrozenSet, List, Optional
+from typing import Callable, Dict, FrozenSet, List, Optional
 
 from ..network.objects import ObjectStore, SpatioTextualObject
 from ..spatial.kdtree import KDTreePartition
@@ -41,8 +41,12 @@ class SIFIndex(ObjectIndex):
     ) -> None:
         super().__init__(store)
         start = time.perf_counter()
+        # The signatures are built from the edges IF's one walk of the
+        # store staged; nothing keeps them past this constructor.
+        term_edges: Dict[str, List[int]] = {}
         self._inverted = InvertedFileIndex(
-            store, disk, curve=curve, file_prefix=file_prefix
+            store, disk, curve=curve, file_prefix=file_prefix,
+            term_edges=term_edges,
         )
         if kd_partition is None:
             centers = [e.center for e in store.network.edges()]
@@ -52,6 +56,7 @@ class SIFIndex(ObjectIndex):
             inverted=self._inverted,
             min_postings_pages=min_postings_pages,
             kd_partition=kd_partition,
+            term_edges=term_edges,
         )
         self.build_seconds = time.perf_counter() - start
         # Counters are shared so false hits surface on the SIF object.

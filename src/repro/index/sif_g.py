@@ -46,8 +46,12 @@ class SIFGIndex(ObjectIndex):
         self._curve = curve or ZOrderCurve()
         self._network = store.network
         start = time.perf_counter()
+        # The signatures are built from the edges IF's one walk of the
+        # store staged; nothing keeps them past this constructor.
+        term_edges: Dict[str, List[int]] = {}
         self._inverted = InvertedFileIndex(
-            store, disk, curve=self._curve, file_prefix=file_prefix
+            store, disk, curve=self._curve, file_prefix=file_prefix,
+            term_edges=term_edges,
         )
         if kd_partition is None:
             centers = [e.center for e in store.network.edges()]
@@ -58,6 +62,7 @@ class SIFGIndex(ObjectIndex):
             inverted=self._inverted,
             min_postings_pages=min_postings_pages,
             kd_partition=kd_partition,
+            term_edges=term_edges,
         )
         self._inverted.share_stats_with(self)
 

@@ -28,7 +28,9 @@ query's loader turns that row into a Python int once
 from __future__ import annotations
 
 import threading
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple,
+)
 
 import numpy as np
 
@@ -259,6 +261,7 @@ class SignatureFile:
         inverted: Optional[InvertedFileIndex] = None,
         min_postings_pages: int = 1,
         kd_partition: Optional[KDTreePartition] = None,
+        term_edges: Optional[Mapping[str, Sequence[int]]] = None,
     ) -> None:
         """Build signatures from the object store.
 
@@ -280,24 +283,29 @@ class SignatureFile:
         kd_partition:
             KD-tree over edge centres used for size accounting; when
             ``None`` sizes fall back to packed-bitmap accounting.
+        term_edges:
+            Each term's edge ids as the inverted file's build staged
+            them (``InvertedFileIndex(term_edges=...)``); when ``None``
+            the store is walked for them here.
         """
         self._store = store
         self._kd = kd_partition
         self._matrix = PackedBitMatrix(store.network.num_edges)
+        if term_edges is None:
+            term_edges = {}
+            for edge_id in store.edges_with_objects():
+                objects = store.objects_on_edge(edge_id)
+                for term in set().union(*[o.keywords for o in objects]):
+                    term_edges.setdefault(term, []).append(edge_id)
         skipped: Set[str] = set()
-        staged: Dict[str, Set[int]] = {}
-        for edge_id in store.edges_with_objects():
-            for obj in store.objects_on_edge(edge_id):
-                for term in obj.keywords:
-                    staged.setdefault(term, set()).add(edge_id)
-        for term, edges in staged.items():
+        for term in sorted(term_edges):
             if (
                 inverted is not None
                 and inverted.postings_pages_of(term) < min_postings_pages
             ):
                 skipped.add(term)
                 continue
-            self._matrix.bulk_set(term, edges)
+            self._matrix.bulk_set(term, term_edges[term])
         self._skipped = frozenset(skipped)
 
     # ------------------------------------------------------------------

@@ -8,6 +8,7 @@ on-the-fly query logs of §3.3 Remark 1 use the same principle per edge.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 import numpy as np
@@ -77,8 +78,12 @@ class Vocabulary:
         self, count: int, rng: np.random.Generator, distinct: bool = True
     ) -> List[str]:
         """Frequency-weighted sample of ``count`` terms."""
-        pick = draw_distinct if distinct else draw
-        return [self._terms[i] for i in pick(self._cdf, rng, count)]
+        if distinct:
+            take = partial(draw, self._cdf, rng)
+            picked = draw_distinct(take, len(self._terms), count)
+        else:
+            picked = draw(self._cdf, rng, count)
+        return [self._terms[i] for i in picked]
 
     def items(self) -> Iterable[Tuple[str, int]]:
         for i, t in enumerate(self._terms):

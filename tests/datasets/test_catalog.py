@@ -1,11 +1,14 @@
 """Tests for the dataset catalog (Table 2 profiles)."""
 
+import gc
 import hashlib
 
 import pytest
 
+from repro.core import database
+from repro.datasets import catalog
 from repro.datasets.catalog import PROFILES, DatasetProfile, build_dataset, build_network
-from repro.errors import DatasetError
+from repro.errors import DatasetError, QueryError
 
 
 class TestProfiles:
@@ -72,6 +75,55 @@ class TestBuildDataset:
         db.sk_search(index, q)  # must not raise
 
 
+@pytest.fixture(params=[True, False], ids=["gc-enabled", "gc-disabled"])
+def collector(request):
+    """The caller's collector state, set for the test and put back."""
+    was_enabled = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was_enabled else gc.disable)()
+
+
+def spy_on_collector(monkeypatch, module, name):
+    """Record ``gc.isenabled()`` each time ``module.name`` is called."""
+    seen = []
+    real = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        seen.append(gc.isenabled())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    return seen
+
+
+class TestBulkBuildsPauseTheCollector:
+    """Both builders run with the cyclic collector off and hand the
+    caller back the state it had, whether or not the build raised."""
+
+    def test_paused_inside_each_build(self, collector, monkeypatch):
+        populating = spy_on_collector(monkeypatch, catalog, "populate_objects")
+        indexing = spy_on_collector(monkeypatch, database, "InvertedFileIndex")
+        db = build_dataset("SYN", scale=0.05)
+        db.build_index("if")
+        assert populating == indexing == [False]
+
+    def test_state_restored_after_the_builds(self, collector):
+        db = build_dataset("SYN", scale=0.05)
+        assert gc.isenabled() is collector
+        db.build_index("sif")
+        assert gc.isenabled() is collector
+
+    def test_state_restored_when_a_build_raises(self, collector):
+        with pytest.raises(DatasetError):
+            build_dataset("SYN", scale=0.05, num_objects=0)
+        assert gc.isenabled() is collector
+        db = build_dataset("SYN", scale=0.05)
+        with pytest.raises(QueryError):
+            db.build_index("nope")
+        assert gc.isenabled() is collector
+
+
 def dataset_digest(db) -> str:
     """sha-256 over every edge and every object, by id."""
     h = hashlib.sha256()
@@ -106,3 +158,80 @@ class TestGeneratorOutputIsPinned:
     def test_every_edge_and_object(self, name, scale):
         db = build_dataset(name, scale=scale)
         assert dataset_digest(db) == PINNED_DIGESTS[(name, scale)]
+
+
+def _row_ints(matrix, prefix=""):
+    """Each signature row as one int, keyed by ``prefix + term``."""
+    return {
+        prefix + term: matrix.to_bigint(matrix.combined((term,)))
+        for term in matrix.keys()
+    }
+
+
+def _trees_and_rows(index):
+    """``(name -> B+-tree, name -> row int)`` of an IF-family index."""
+    if index.name == "IF":
+        return dict(index._trees), {}
+    if index.name == "SIF-P":
+        return dict(index._trees), _row_ints(index._matrix)
+    trees = dict(index._inverted._trees)
+    rows = _row_ints(index.signatures.matrix)
+    if index.name == "SIF-G":
+        for pair, tree in index._group_trees.items():
+            trees["group:" + "+".join(sorted(pair))] = tree
+        for pair, edges in index._group_bits.items():
+            rows["group:" + "+".join(sorted(pair))] = sum(1 << e for e in edges)
+    return trees, rows
+
+
+def index_layout_digest(db, kind) -> str:
+    """sha-256 over what ``db.build_index(kind)`` writes.
+
+    Every page of the files the build creates (payload and
+    ``size_bytes``; a B+-tree node as its fields), each tree's root
+    page and height, each signature row as an int keyed by term — the
+    order rows sit in may follow the hash seed, their bits may not —
+    and the index's ``size_bytes()``.
+    """
+    before = {f.name for f in db.disk.files()}
+    index = db.build_index(kind)
+    h = hashlib.sha256()
+    for file in db.disk.files():
+        if file.name in before:
+            continue
+        h.update(file.name.encode())
+        for page in file._pages:
+            body = page.payload
+            if not isinstance(body, list):
+                body = (body.leaf, body.keys, body.values, body.children,
+                        body.next_leaf)
+            h.update(repr((page.page_no, page.size_bytes, body)).encode())
+    trees, rows = _trees_and_rows(index)
+    for name in sorted(trees):
+        tree = trees[name]
+        h.update(repr((name, tree._root_page, tree.height)).encode())
+    for name in sorted(rows):
+        h.update(repr((name, rows[name])).encode())
+    h.update(repr(index.size_bytes()).encode())
+    return h.hexdigest()
+
+
+#: What ``build_index`` writes on SYN at scale 0.1, read off the commit
+#: before the bulk-load staging (one store walk for IF and the
+#: signatures, postings filed per page).  Query page reads, the
+#: ``perf/golden`` digests and the figure CSVs all follow from these
+#: pages; change them only on purpose (DESIGN.md §2, "Index layout is
+#: pinned").
+PINNED_INDEX_DIGESTS = {
+    "if": "beaf6857df0ec9423bc67db2855a87e04e96ad1c9639fad1316247a30e06b397",
+    "sif": "2a23232e4dc9343ae335954752e89c7ae791c0a751db30c81dd85896d7a79c62",
+    "sif-p": "a742e7cc51f9fc80b8a59e874809d7952958ba08a3e457c65774707c506d8b35",
+    "sif-g": "eed22bd22208fb76f93538286160d93e20aa606ef328a8234b8600e9fe046fd6",
+}
+
+
+class TestIndexLayoutIsPinned:
+    @pytest.mark.parametrize("kind", sorted(PINNED_INDEX_DIGESTS))
+    def test_every_page_tree_and_row(self, kind):
+        db = build_dataset("SYN", scale=0.1)
+        assert index_layout_digest(db, kind) == PINNED_INDEX_DIGESTS[kind]

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.text import zipf
 from repro.text.vocabulary import Vocabulary
-from repro.text.zipf import ZipfSampler, zipf_probabilities
+from repro.text.zipf import READ_AHEAD, ZipfSampler, zipf_probabilities
 
 
 class TestProbabilities:
@@ -45,6 +46,14 @@ class TestSampler:
         s = ZipfSampler([f"t{i}" for i in range(20)], z=1.0, seed=0)
         assert len(s.sample(7)) == 7
         assert s.vocabulary_size == 20
+
+    def test_negative_count_rejected(self):
+        s = ZipfSampler([f"t{i}" for i in range(20)], z=1.0, seed=0)
+        with pytest.raises(ValueError):
+            s.sample(-1)
+        # Refused without moving the stream.
+        fresh = ZipfSampler([f"t{i}" for i in range(20)], z=1.0, seed=0)
+        assert s.sample(5) == fresh.sample(5)
 
     def test_sample_distinct_unique(self):
         s = ZipfSampler([f"t{i}" for i in range(20)], z=1.1, seed=1)
@@ -139,3 +148,34 @@ class TestSameStreamAsChoice:
             expected = reference(theirs, probs, count)
             got = vocab.sample_terms(count, ours, distinct=distinct)
             assert got == [terms[i] for i in expected]
+
+
+class TestReadAheadRefill:
+    def test_same_stream_across_many_blocks(self, monkeypatch):
+        """SYN's shape — 15 distinct terms from a 25-term topic pool,
+        thousands of times — then one draw longer than a block: the
+        sampler refills its read-ahead again and again, and hands out
+        what the reference draws, call by call."""
+        draws = []
+        real_draw = zipf.draw
+
+        def counted(cdf, rng, size):
+            draws.append(size)
+            return real_draw(cdf, rng, size)
+
+        monkeypatch.setattr(zipf, "draw", counted)
+        terms = [f"t{i}" for i in range(25)]
+        sampler = ZipfSampler(terms, z=1.1, seed=54)
+        rng = np.random.default_rng(54)
+        probs = zipf_probabilities(len(terms), 1.1)
+        for _ in range(2000):
+            expected = choice_distinct(rng, probs, 15)
+            assert sampler.sample_distinct(15) == [terms[i] for i in expected]
+        expected = choice_with_replacement(rng, probs, 10_000)
+        assert sampler.sample(10_000) == [terms[i] for i in expected]
+        for _ in range(50):
+            expected = choice_distinct(rng, probs, 15)
+            assert sampler.sample_distinct(15) == [terms[i] for i in expected]
+        assert len(draws) >= 10
+        assert draws.count(READ_AHEAD) >= 9
+        assert max(draws) > READ_AHEAD  # the long draw, in one refill
