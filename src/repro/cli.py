@@ -55,6 +55,7 @@ from .datasets.catalog import PROFILES, build_dataset
 from .datasets.io import save_dataset
 from .obs import (
     JsonLinesSink,
+    SLOMonitor,
     SLOSpec,
     SlowQueryThreshold,
     database_gauges,
@@ -390,11 +391,11 @@ def _check_slo(db, spec_path: Optional[str]) -> int:
     if not spec_path:
         return 0
     spec = _load_slo(spec_path)
-    checks = spec.evaluate(db.metrics.snapshot())
+    checks = SLOMonitor(spec, db.metrics.snapshot).evaluate()
     print(f"SLO {spec.name}:")
     for check in checks:
-        print(f"  {check.render()}")
-    failed = [c for c in checks if not c.passed]
+        print(f"  {render_check(check)}")
+    failed = [c for c in checks if not c["passed"]]
     if failed:
         print(f"SLO VIOLATED: {len(failed)} of {len(checks)} objectives "
               "failed", file=sys.stderr)

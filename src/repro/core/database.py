@@ -544,18 +544,16 @@ class Database:
 
         The labels are the CH's upward search spaces, so construction
         reuses (or triggers) :meth:`ch_oracle` and then pays one upward
-        sweep per node.  Records ``hub_label.build_seconds`` /
-        ``hub_label.labels`` / ``hub_label.label_entries`` and emits a
-        ``hub_build`` record.  Immutable and shared by all queries; an
-        edge reweight drops it for lazy rebuild.
+        sweep per node.  Records ``hub_label.build_seconds`` and emits a
+        ``hub_build`` record; its sizes are ``hub_label.*`` gauges.
+        Immutable and shared by all queries; an edge reweight drops it
+        for lazy rebuild.
         """
         if self._hub_oracle is None:
             oracle = HubLabelBackend(self.network, ch=self.ch_oracle())
             self.metrics.observe(
                 "hub_label.build_seconds", oracle.build_seconds
             )
-            self.metrics.inc("hub_label.labels", oracle.num_labels)
-            self.metrics.inc("hub_label.label_entries", oracle.label_entries)
             self.metrics.emit({"type": "hub_build", **oracle.stats()})
             self._hub_oracle = oracle
         return self._hub_oracle
@@ -686,7 +684,7 @@ class Database:
 
         self.disable_flight_recorder()
         self.flight_recorder = recorder = FlightRecorder(
-            max_records=max_records, path=path, metrics=self.metrics
+            max_records=max_records, path=path
         )
         self._subscribers += (recorder.record_query,)
         return recorder
@@ -734,17 +732,17 @@ class Database:
 
         ``spec`` is an :class:`~repro.obs.slo.SLOSpec` whose rules read
         the rollup's window snapshot (``query.wall_seconds`` /
-        ``loadtest.latency_seconds`` histograms, ``window.*``
-        counters).  Breach windows are counted into the metrics
-        registry and noted into whatever slow-query log is installed
-        when the breach is seen — before or after this call.  Enables
+        ``loadtest.latency_seconds`` histograms, ``query.*`` and
+        ``window.*`` counters).  Breach windows are counted into the
+        metrics registry and noted into whatever slow-query log is
+        installed when the breach is seen — before or after this call.  Enables
         the rollup on demand; returns the monitor.
         """
-        from ..obs.rollup import LiveSLOMonitor
+        from ..obs.slo import SLOMonitor
 
-        self.live_slo = LiveSLOMonitor(
+        self.live_slo = SLOMonitor(
             spec,
-            self.enable_rollup(),
+            self.enable_rollup().snapshot,
             metrics=self.metrics,
             slowlog=lambda: self.slow_query_log,
         )

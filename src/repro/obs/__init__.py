@@ -14,26 +14,25 @@ and carried on its :class:`~repro.obs.events.QueryEvent`;
 :mod:`repro.obs.explain` narrates a tree as an EXPLAIN report,
 :mod:`repro.obs.slowlog` captures threshold-crossing queries with
 their trees, :mod:`repro.obs.export` writes a registry as Prometheus
-text, and :mod:`repro.obs.slo` evaluates declarative service-level
-objectives against a registry snapshot.
+text, and :mod:`repro.obs.slo` judges declarative service-level
+objectives against a snapshot (:class:`~repro.obs.slo.SLOMonitor`).
 
 The live plane builds on those primitives: :mod:`repro.obs.rollup`
-keeps a sliding window of recent latency/error/cache-hit data and
-feeds the same declarative SLO rules *continuously*
-(:class:`~repro.obs.rollup.LiveSLOMonitor`); :mod:`repro.obs.server`
-serves it all over HTTP (``/metrics``; ``GET /`` lists the routes) for
-scraping while a workload runs.
+keeps a sliding window of recent queries whose snapshot has the
+registry's shape, so the same monitor judges it *continuously*;
+:mod:`repro.obs.server` serves it all over HTTP (``/metrics``; ``GET
+/`` lists the routes) for scraping while a workload runs.
 """
 
 from .explain import ExplainReport, render_span_tree
 from .export import database_gauges, prometheus_text, write_prometheus
 from .export import escape_label_value
 from .events import QueryEvent, stats_to_dict
-from .metrics import Counter, Histogram, MetricsRegistry, StageClock
-from .rollup import LiveSLOMonitor, SlidingWindowRollup, WindowSnapshot
+from .metrics import Histogram, MetricsRegistry, StageClock
+from .rollup import SlidingWindowRollup
 from .server import TelemetryServer
 from .sinks import InMemorySink, JsonLinesSink, Sink
-from .slo import SLOCheck, SLORule, SLOSpec, render_check
+from .slo import SLOMonitor, SLORule, SLOSpec, render_check
 from .slowlog import (
     SlowQueryLog,
     SlowQueryThreshold,
@@ -43,7 +42,6 @@ from .slowlog import (
 from .tracing import NULL_TRACER, NullTracer, Span, Tracer
 
 __all__ = [
-    "Counter",
     "Histogram",
     "MetricsRegistry",
     "StageClock",
@@ -67,11 +65,9 @@ __all__ = [
     "stats_to_dict",
     "SLOSpec",
     "SLORule",
-    "SLOCheck",
+    "SLOMonitor",
     "render_check",
     "SlidingWindowRollup",
-    "WindowSnapshot",
-    "LiveSLOMonitor",
     "TelemetryServer",
     "escape_label_value",
 ]

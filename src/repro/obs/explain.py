@@ -370,10 +370,6 @@ class ExplainReport:
         maint = self.trace.find("com.maintenance")
         return bool(maint is not None and maint.attrs.get("terminated_early"))
 
-    @property
-    def pruned_edges(self) -> int:
-        return int(self.signature_stats().get("edges_pruned", 0))
-
     def top_level_breakdown(self) -> List[Dict[str, Any]]:
         """Wall-clock spent per direct child of the root span.
 

@@ -1,20 +1,20 @@
-"""Metric primitives: counters, histograms and per-stage timers.
+"""Metric primitives: histograms and per-stage timers.
 
 The paper reports one number per experiment (average response time);
 a serving system needs to know *where* each query's time went and what
-the tail looks like.  This module supplies the three primitives the
-rest of the library records into:
+the tail looks like.  This module supplies the primitives the rest of
+the library records into:
 
-* :class:`Counter` — a monotonically increasing integer.
 * :class:`Histogram` — a sample store with percentile queries
   (p50/p95/p99) over everything observed.
 * :class:`StageClock` — a per-query accumulator of named stage
   durations (``expansion``, ``pairwise_dijkstra``, ...).
 
-:class:`MetricsRegistry` names and owns the counters and histograms of
-one :class:`~repro.core.database.Database` and fans per-query records
-out to sinks (:mod:`repro.obs.sinks`).  It is the first subscriber of
-the database's per-query events (:meth:`MetricsRegistry.on_query`).
+:class:`MetricsRegistry` names and owns the counters (plain ints) and
+histograms of one :class:`~repro.core.database.Database` and fans
+per-query records out to sinks (:mod:`repro.obs.sinks`).  It is the
+first subscriber of the database's per-query events
+(:meth:`MetricsRegistry.on_query`).
 
 Instrumentation overhead matters: the hot paths (buffer accesses,
 pairwise node-map lookups) keep plain integer attributes that are read as
@@ -28,11 +28,11 @@ from __future__ import annotations
 import math
 import threading
 import time
+from collections import defaultdict
 from contextlib import contextmanager
 from typing import Dict, List, Optional, Sequence
 
 __all__ = [
-    "Counter",
     "Histogram",
     "StageClock",
     "MetricsRegistry",
@@ -55,22 +55,6 @@ def percentile_of_sorted(ordered: Sequence[float], p: float) -> float:
     hi = min(lo + 1, len(ordered) - 1)
     frac = rank - lo
     return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
-
-
-class Counter:
-    """A named monotonically increasing counter."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0
-
-    def inc(self, n: int = 1) -> None:
-        self.value += n
-
-    def __repr__(self) -> str:  # pragma: no cover — debugging aid
-        return f"Counter({self.name}={self.value})"
 
 
 class Histogram:
@@ -134,10 +118,18 @@ class Histogram:
             self._sorted = True
         return percentile_of_sorted(self._samples, p)
 
-    def samples(self) -> List[float]:
-        """A copy of the kept (stride-subsampled) samples, for merging
-        several histograms into one percentile estimate."""
-        return list(self._samples)
+    @classmethod
+    def merged(cls, name: str, parts: Sequence["Histogram"]) -> "Histogram":
+        """One histogram over every part's stream: count, sum, min and
+        max stay exact; the kept samples are pooled."""
+        merged = cls(name)
+        merged.count = sum(part.count for part in parts)
+        merged.total = sum(part.total for part in parts)
+        merged.min = min(part.min for part in parts)
+        merged.max = max(part.max for part in parts)
+        merged._samples = [s for part in parts for s in part._samples]
+        merged._sorted = False
+        return merged
 
     def summary(self) -> Dict[str, float]:
         if not self.count:
@@ -223,19 +215,12 @@ class MetricsRegistry:
     """
 
     def __init__(self) -> None:
-        self._counters: Dict[str, Counter] = {}
+        self._counters: Dict[str, int] = defaultdict(int)
         self._histograms: Dict[str, Histogram] = {}
         self._sinks: List = []
         self._lock = threading.RLock()
 
     # -- creation / lookup --------------------------------------------
-    def counter(self, name: str) -> Counter:
-        with self._lock:
-            c = self._counters.get(name)
-            if c is None:
-                c = self._counters[name] = Counter(name)
-            return c
-
     def histogram(self, name: str) -> Histogram:
         with self._lock:
             h = self._histograms.get(name)
@@ -246,7 +231,7 @@ class MetricsRegistry:
     # -- recording ----------------------------------------------------
     def inc(self, name: str, n: int = 1) -> None:
         with self._lock:
-            self.counter(name).inc(n)
+            self._counters[name] += n
 
     def observe(self, name: str, value: float) -> None:
         with self._lock:
@@ -309,11 +294,9 @@ class MetricsRegistry:
                 ("io.buffer_hits", stats.io.buffer_hits),
             )
         with self._lock:
+            counters = self._counters
             for name, n in counts:
-                counter = self._counters.get(name)
-                if counter is None:
-                    counter = self._counters[name] = Counter(name)
-                counter.value += n
+                counters[name] += n
             self.observe("query.wall_seconds", stats.wall_seconds)
             self.observe_stages(stats.stage_seconds)
         if self._sinks:
@@ -376,9 +359,7 @@ class MetricsRegistry:
 
     def counters(self) -> Dict[str, int]:
         with self._lock:
-            return {
-                name: c.value for name, c in sorted(self._counters.items())
-            }
+            return dict(sorted(self._counters.items()))
 
     def histograms(self) -> Dict[str, Histogram]:
         with self._lock:

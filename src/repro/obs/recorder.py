@@ -130,18 +130,10 @@ class FlightRecorder(RecordRing):
     ``dropped`` counts evictions).  ``path`` streams every record —
     header, queries and updates alike — to a JSON-lines journal as it
     is captured, flushing per record so a killed run still replays.
-    ``metrics`` optionally counts captures into a shared registry
-    (``recorder.records`` / ``recorder.updates``).
     """
 
-    def __init__(
-        self,
-        max_records: int = 4096,
-        path=None,
-        metrics=None,
-    ) -> None:
+    def __init__(self, max_records: int = 4096, path=None) -> None:
         super().__init__(max_records, path)
-        self.metrics = metrics
         #: Lifetime counters: queries observed (== recorded), updates
         #: journalled.
         self.observed = 0
@@ -182,8 +174,6 @@ class FlightRecorder(RecordRing):
             self.observed += 1
             record["seq"] = self.observed
             self._push(record)
-        if self.metrics is not None:
-            self.metrics.inc("recorder.records")
         return record
 
     def record_update(self, update) -> Dict[str, Any]:
@@ -192,8 +182,6 @@ class FlightRecorder(RecordRing):
         with self._lock:
             self.updates += 1
             self._push(record)
-        if self.metrics is not None:
-            self.metrics.inc("recorder.updates")
         return record
 
     # -- inspection ----------------------------------------------------

@@ -163,13 +163,12 @@ class TelemetryServer:
         return 200, PROMETHEUS_CONTENT_TYPE, text.encode()
 
     def _healthz(self, query) -> Tuple[int, str, bytes]:
-        """Liveness JSON: status, ``data_version`` (epoch), uptime,
-        lifetime query / error / update counts."""
+        """Liveness JSON: status, ``data_version``, uptime, lifetime
+        query / error / update counts."""
         counters = self.db.metrics.counters()
         return self._json({
             "status": "ok",
             "data_version": self.db.data_version,
-            "epoch": self.db.data_version,
             "uptime_seconds": round(self.db.uptime_seconds(), 3),
             "queries": counters.get("query.count", 0),
             "errors": counters.get("query.errors", 0),
@@ -178,14 +177,15 @@ class TelemetryServer:
 
     def _vars(self, query) -> Tuple[int, str, bytes]:
         """The full JSON snapshot: registry counters and histogram
-        summaries, database gauges, the current sliding-window rollup
-        and the live SLO verdict when installed.
+        summaries, database gauges, the current sliding-window
+        snapshot (the registry's shape) and the live SLO verdict when
+        installed.
 
         The window is read before the registry: a query reaches the
         registry before the rollup, so every query the window counts is
         in ``query.count`` (or ``query.errors``) too."""
         rollup = self.db.rollup
-        window = rollup.snapshot().to_dict() if rollup is not None else None
+        window = rollup.snapshot() if rollup is not None else None
         payload = self.db.metrics.snapshot()
         payload["gauges"] = database_gauges(self.db)
         payload["data_version"] = self.db.data_version

@@ -14,9 +14,9 @@ single comparison against one derived value of a
 Rules compare with ``<=`` or ``>=`` (SLOs bound both "keep latency
 down" and "keep hit rates up").  A rule whose metric recorded no data
 passes with ``no_data`` set — an empty run should not trip a gate —
-and :meth:`SLOSpec.evaluate` returns one :class:`SLOCheck` per rule so
-the caller (``repro ... --slo spec.json`` or a test) can render or gate
-on the whole set.
+and :meth:`SLOSpec.evaluate` returns one check dict per rule.
+:class:`SLOMonitor` judges a spec against any snapshot source: the
+registry at the end of a run, a sliding window while it runs.
 
 Specs round-trip through plain dicts (:meth:`SLOSpec.to_dict` /
 :meth:`SLOSpec.from_dict`) so they live in JSON files next to the
@@ -25,9 +25,10 @@ workloads they judge.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+import threading
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
-__all__ = ["SLORule", "SLOSpec", "SLOCheck", "render_check"]
+__all__ = ["SLORule", "SLOSpec", "SLOMonitor", "render_check"]
 
 _KINDS = ("histogram_quantile", "counter_ratio", "counter")
 _OPS = ("<=", ">=")
@@ -91,12 +92,15 @@ class SLORule:
             return None
         return float(counters.get(self.metric, 0)) / denom
 
-    def check(self, snapshot: Dict[str, Any]) -> "SLOCheck":
+    def check(self, snapshot: Dict[str, Any]) -> Dict[str, Any]:
+        """The outcome against ``snapshot`` (what :func:`render_check`
+        reads)."""
         value = self.value(snapshot)
-        if value is None:
-            return SLOCheck(self, None, passed=True, no_data=True)
-        passed = value <= self.threshold if self.op == "<=" else value >= self.threshold
-        return SLOCheck(self, value, passed=passed)
+        passed = value is None or (
+            value <= self.threshold if self.op == "<=" else value >= self.threshold
+        )
+        return {"rule": self.to_dict(), "value": value, "passed": passed,
+                "no_data": value is None}
 
     # -- (de)serialisation ---------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
@@ -129,37 +133,13 @@ class SLORule:
         return f"SLORule({self.name!r}: {self.kind} {self.metric} {self.op} {self.threshold})"
 
 
-class SLOCheck:
-    """The outcome of one rule against one snapshot."""
-
-    __slots__ = ("rule", "value", "passed", "no_data")
-
-    def __init__(
-        self,
-        rule: SLORule,
-        value: Optional[float],
-        passed: bool,
-        no_data: bool = False,
-    ) -> None:
-        self.rule = rule
-        self.value = value
-        self.passed = passed
-        self.no_data = no_data
-
-    def render(self) -> str:
-        return render_check(self.to_dict())
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "rule": self.rule.to_dict(),
-            "value": self.value,
-            "passed": self.passed,
-            "no_data": self.no_data,
-        }
+def shown(value: Any, spec: str = "") -> str:
+    """``value`` formatted by ``spec``; ``?`` when it is not a number."""
+    return format(value, spec) if isinstance(value, (int, float)) else "?"
 
 
 def render_check(check: Dict[str, Any]) -> str:
-    """The one spelling of a check line, over :meth:`SLOCheck.to_dict`.
+    """The one spelling of a check line, over :meth:`SLORule.check`.
 
     The dict form is what a live verdict, a load-test report and a
     persisted ``slo_breach`` record hold, so a key missing from a file
@@ -170,12 +150,9 @@ def render_check(check: Dict[str, Any]) -> str:
     if check.get("no_data"):
         return f"SKIP  {name}: no data for {metric}"
     status = "PASS" if check.get("passed") else "FAIL"
-    value, threshold = check.get("value"), rule.get("threshold")
-    shown = f"{value:.6g}" if isinstance(value, (int, float)) else "?"
-    want = f"{threshold:g}" if isinstance(threshold, (int, float)) else "?"
     return (
-        f"{status}  {name}: {metric} = {shown} "
-        f"(want {rule.get('op', '?')} {want})"
+        f"{status}  {name}: {metric} = {shown(check.get('value'), '.6g')} "
+        f"(want {rule.get('op', '?')} {shown(rule.get('threshold'), 'g')})"
     )
 
 
@@ -188,7 +165,7 @@ class SLOSpec:
         self.name = name
         self.rules = list(rules)
 
-    def evaluate(self, snapshot: Dict[str, Any]) -> List[SLOCheck]:
+    def evaluate(self, snapshot: Dict[str, Any]) -> List[Dict[str, Any]]:
         return [rule.check(snapshot) for rule in self.rules]
 
     def to_dict(self) -> Dict[str, Any]:
@@ -204,3 +181,72 @@ class SLOSpec:
             name=data.get("name", "slo"),
             rules=[SLORule.from_dict(r) for r in data["rules"]],
         )
+
+
+class SLOMonitor:
+    """Judge ``spec`` against whatever ``snapshot()`` returns now:
+    ``db.metrics.snapshot`` for the end-of-run ``--slo`` gate, a
+    sliding window's ``snapshot`` for the live one.
+
+    When any rule fails, ``evaluate()`` records one *breach event*:
+    ``slo.breaches`` (plus per-rule ``slo.breach#<rule>`` labelled
+    counters) and a ``slo_breach`` record in ``metrics``, and a note in
+    the slow-query log ``slowlog()`` returns — asked at every breach,
+    so a monitor may be installed before that log and may outlive it.
+    With neither, a failing evaluation records nothing.
+    """
+
+    def __init__(
+        self,
+        spec: SLOSpec,
+        snapshot: Callable[[], Dict[str, Any]],
+        metrics=None,
+        slowlog: Optional[Callable[[], Any]] = None,
+    ) -> None:
+        self.spec = spec
+        self.snapshot = snapshot
+        self.metrics = metrics
+        self.slowlog = slowlog
+        self._lock = threading.Lock()
+        #: Lifetime evaluation / breach-window counts.
+        self.evaluations = 0
+        self.breaches = 0
+        self._last_checks: List[Dict[str, Any]] = []
+
+    def evaluate(self) -> List[Dict[str, Any]]:
+        snap = self.snapshot()
+        checks = self.spec.evaluate(snap)
+        failed = [c for c in checks if not c["passed"]]
+        with self._lock:
+            self.evaluations += 1
+            if failed:
+                self.breaches += 1
+            self._last_checks = checks
+        if failed:
+            record = {
+                "type": "slo_breach",
+                "spec": self.spec.name,
+                "window": snap,
+                "failed": failed,
+            }
+            if self.metrics is not None:
+                self.metrics.inc("slo.breaches")
+                for check in failed:
+                    self.metrics.inc(f"slo.breach#{check['rule']['name']}")
+                self.metrics.emit(record)
+            log = self.slowlog() if self.slowlog is not None else None
+            if log is not None:
+                log.note(record)
+        return checks
+
+    def verdict(self) -> Dict[str, Any]:
+        """JSON-able state of the most recent evaluation."""
+        with self._lock:
+            checks = list(self._last_checks)
+            return {
+                "spec": self.spec.name,
+                "evaluations": self.evaluations,
+                "breach_windows": self.breaches,
+                "passed": all(c["passed"] for c in checks),
+                "checks": checks,
+            }

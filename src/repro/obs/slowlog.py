@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional
 
 from .sinks import RecordRing
-from .slo import render_check
+from .slo import render_check, shown
 from .tracing import Span
 
 __all__ = [
@@ -189,14 +189,25 @@ class SlowQueryLog(RecordRing):
 
 
 def render_breach_record(record: Dict[str, Any]) -> str:
-    """Narrate one ``slo_breach`` note (from the live SLO monitor)."""
-    window = record.get("window", {}) or {}
+    """Narrate one ``slo_breach`` note (from the live SLO monitor).
+
+    The window is a registry-shaped snapshot; a record written before
+    the window took that shape holds its figures flat
+    (``window_seconds`` / ``count`` / ``qps`` / ``error_rate``), read
+    as the fallbacks below.  A figure the record does not hold prints
+    as ``?``.
+    """
+    window = record.get("window") or {}
+    counters = window.get("counters") or {}
+    finished = [counters.get("query.count"), counters.get("query.errors")]
+    seconds = counters.get("window.seconds", window.get("window_seconds"))
+    queries = window.get("count", None if None in finished else sum(finished))
+    qps = counters.get("window.qps", window.get("qps"))
+    rate = counters.get("window.error_rate", window.get("error_rate"))
     header = (
         f"SLO BREACH  [{record.get('spec', '?')}]  "
-        f"window {window.get('window_seconds', '?')}s: "
-        f"{window.get('count', '?')} queries, "
-        f"qps {window.get('qps', 0.0):.1f}, "
-        f"error rate {100.0 * window.get('error_rate', 0.0):.1f}%"
+        f"window {shown(seconds)}s: {shown(queries)} queries, "
+        f"qps {shown(qps, '.1f')}, error rate {shown(rate, '.1%')}"
     )
     return "\n".join(
         [header, *(f"  {render_check(c)}" for c in record.get("failed", ()))]

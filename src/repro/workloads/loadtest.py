@@ -18,8 +18,8 @@ The driver composes with the live telemetry plane:
   service-time stream, so ``/vars`` and ``/slo`` show the run live.
   The engine's per-query event counts the query (and its error) in
   the window; the observed stream adds a sample only;
-* when an SLO spec is given, a :class:`~repro.obs.rollup.LiveSLOMonitor`
-  is evaluated once per rollup bucket during the run — breach windows
+* when an SLO spec is given, a :class:`~repro.obs.slo.SLOMonitor` over
+  the rollup's window is evaluated once per rollup bucket during the run — breach windows
   are counted and recorded as they happen — and the **final live
   window's verdict gates the run** (CLI exit code).
 
@@ -41,8 +41,7 @@ from ..engine.plan import plan_diversified, plan_sk
 from ..errors import QueryError
 from ..index.base import ObjectIndex
 from ..obs.metrics import percentile_of_sorted
-from ..obs.rollup import LiveSLOMonitor
-from ..obs.slo import SLOSpec
+from ..obs.slo import SLOMonitor, SLOSpec
 
 __all__ = ["LoadTestConfig", "LoadTestReport", "run_loadtest"]
 
@@ -94,7 +93,7 @@ class LoadTestReport:
     #: behind schedule the driver itself fell.
     max_dispatch_lag: float = 0.0
     wall_clock_seconds: float = 0.0
-    #: Live-SLO outcome (``LiveSLOMonitor.verdict()``), when gated.
+    #: Live-SLO outcome (``SLOMonitor.verdict()``), when gated.
     slo: Optional[Dict[str, Any]] = None
 
     @property
@@ -183,7 +182,7 @@ def run_loadtest(
         workers=config.workers,
     )
     rollup = db.enable_rollup()
-    monitor: Optional[LiveSLOMonitor] = None
+    monitor: Optional[SLOMonitor] = None
     if slo_spec is not None:
         monitor = db.use_live_slo(slo_spec)
 

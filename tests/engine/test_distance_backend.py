@@ -80,9 +80,9 @@ class TestBackendSelection:
             "dijkstra"
         )
 
-    # The two tests below read lifetime build counters, so each builds
-    # on a database of its own: the session-scoped ``tiny_db`` has had
-    # its oracles built (and rebuilt) by whichever tests ran before.
+    # The tests below read build records and gauges, so each builds on
+    # a database of its own: the session-scoped ``tiny_db`` has had its
+    # oracles built (and rebuilt) by whichever tests ran before.
     def test_oracle_built_once_and_recorded(self):
         """The hub oracle is built once and recorded; the Contraction
         Hierarchy it is built from is neither a counter nor a record."""
@@ -95,8 +95,8 @@ class TestBackendSelection:
         assert db.ch_oracle() is oracle.ch
         assert len(sink.of_type("hub_build")) == 1
         assert sink.of_type("ch_build") == []
+        assert database_gauges(db)["hub_label.labels"] == oracle.num_labels
         counters = db.metrics.snapshot()["counters"]
-        assert counters["hub_label.labels"] == oracle.num_labels
         assert not [name for name in counters if name.startswith("ch.")]
 
     def test_hub_backend_selected_and_recorded(self):
@@ -108,9 +108,27 @@ class TestBackendSelection:
         # The labels reuse the database's CH (same ordering, no second
         # preprocessing pass).
         assert oracle.ch is db.ch_oracle()
-        counters = db.metrics.snapshot()["counters"]
-        assert counters["hub_label.labels"] == oracle.num_labels
-        assert counters["hub_label.label_entries"] == oracle.label_entries
+        gauges = database_gauges(db)
+        assert gauges["hub_label.labels"] == oracle.num_labels
+        assert gauges["hub_label.label_entries"] == oracle.label_entries
+
+    def test_size_gauges_follow_a_rebuild(self):
+        """A reweight drops the oracle; the rebuilt one's sizes are what
+        the gauges read, and no counter adds them up across builds."""
+        network = random_planar_network(30, seed=2)
+        db = Database(network, distance_backend="hub")
+        db.freeze()
+        db.hub_oracle()
+        edge = next(iter(network.edges()))
+        db.update_edge_weight(edge.edge_id, edge.weight * 2.0)
+        rebuilt = db.hub_oracle()
+        gauges = database_gauges(db)
+        assert gauges["hub_label.labels"] == rebuilt.num_labels
+        assert gauges["hub_label.label_entries"] == rebuilt.label_entries
+        counters = db.metrics.counters()
+        assert counters["hub_label.invalidations"] == 1
+        assert "hub_label.labels" not in counters
+        assert "hub_label.label_entries" not in counters
 
     def test_constructor_selects_hub(self):
         db = Database(random_planar_network(30, seed=2),

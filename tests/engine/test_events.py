@@ -160,7 +160,8 @@ class TestFanOut:
             assert sorted(r["sequence"] for r in records) == expected
         assert db.metrics.counters()["query.count"] == len(plans)
         window = rollup.snapshot()
-        assert window.count == window.stream()["count"] == len(plans)
+        assert window["counters"]["query.count"] == len(plans)
+        assert window["histograms"][DEFAULT_STREAM]["count"] == len(plans)
 
     def test_removed_mid_batch_neither_raises_nor_starves_others(
         self, db, sif, tmp_path
@@ -248,20 +249,41 @@ class TestFailedQuery:
             with pytest.raises(RuntimeError):
                 db.engine.execute(failing_plan)
         window = rollup.snapshot()
-        assert window.count == 40 and window.errors == 30
-        assert window.stream()["count"] == 10
-        assert window.percentile(50) == pytest.approx(0.050)
-        slo = window.to_slo_snapshot()
-        assert slo["counters"]["window.error_rate"] == pytest.approx(0.75)
-        assert slo["histograms"][DEFAULT_STREAM]["p50"] == pytest.approx(0.050)
+        counters = window["counters"]
+        assert counters["query.count"] == 10 and counters["query.errors"] == 30
+        assert window["histograms"][DEFAULT_STREAM]["count"] == 10
+        assert counters["window.error_rate"] == pytest.approx(0.75)
+        assert window["histograms"][DEFAULT_STREAM]["p50"] == pytest.approx(0.050)
 
     def test_window_of_failures_only_has_no_latency(self):
         rollup = SlidingWindowRollup()
         rollup.on_query(make_query_event(error=RuntimeError("x")))
         window = rollup.snapshot()
-        assert window.count == window.errors == 1
-        assert window.percentile(50) != window.percentile(50)  # NaN
-        assert DEFAULT_STREAM not in window.to_slo_snapshot()["histograms"]
+        assert window["counters"]["query.count"] == 0
+        assert window["counters"]["query.errors"] == 1
+        assert DEFAULT_STREAM not in window["histograms"]
+
+    def test_window_and_registry_give_one_verdict(self, db, sif, failing_plan):
+        """One spec judges the lifetime registry and the live window of
+        the same batch alike: they count and time its queries the same."""
+        rollup = db.enable_rollup(window_seconds=60.0)
+        db.engine.execute_many(_plans(db, sif, n=12), workers=4)
+        for _ in range(3):
+            with pytest.raises(RuntimeError):
+                db.engine.execute(failing_plan)
+        spec = SLOSpec(name="one", rules=[
+            SLORule(name="p95", kind="histogram_quantile",
+                    metric=DEFAULT_STREAM, op="<=", threshold=60.0,
+                    quantile=95),
+            SLORule(name="errors", kind="counter_ratio",
+                    metric="query.errors", op="<=", threshold=0.5,
+                    denominator=["query.count", "query.errors"]),
+        ])
+        lifetime = spec.evaluate(db.metrics.snapshot())
+        window = spec.evaluate(rollup.snapshot())
+        assert [c["value"] for c in window] == [c["value"] for c in lifetime]
+        assert lifetime[1]["value"] == pytest.approx(3 / 15)
+        assert all(c["passed"] and not c["no_data"] for c in lifetime)
 
 
 def _always_breached():

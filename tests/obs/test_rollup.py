@@ -2,17 +2,14 @@
 
 from __future__ import annotations
 
+import math
 import threading
 
 import pytest
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.rollup import (
-    DEFAULT_STREAM,
-    LiveSLOMonitor,
-    SlidingWindowRollup,
-)
-from repro.obs.slo import SLORule, SLOSpec
+from repro.obs.rollup import DEFAULT_STREAM, SlidingWindowRollup
+from repro.obs.slo import SLOMonitor, SLORule, SLOSpec
 from repro.obs.slowlog import SlowQueryLog, SlowQueryThreshold
 
 
@@ -31,25 +28,37 @@ def make_rollup(**kwargs) -> "tuple[SlidingWindowRollup, FakeClock]":
     return SlidingWindowRollup(clock=clock, **kwargs), clock
 
 
+def finished(snap) -> int:
+    """Every query the window saw finish, failed ones included."""
+    return snap["counters"]["query.count"] + snap["counters"]["query.errors"]
+
+
+def p(snap, q: int, stream: str = DEFAULT_STREAM) -> float:
+    """The window's ``q``-th percentile of ``stream``; NaN when empty."""
+    summary = snap["histograms"].get(stream)
+    return summary[f"p{q}"] if summary else math.nan
+
+
 class TestSlidingWindowRollup:
     def test_empty_snapshot(self):
         rollup, _ = make_rollup()
         snap = rollup.snapshot()
-        assert snap.count == 0
-        assert snap.qps == 0.0
-        assert snap.error_rate == 0.0
-        assert snap.percentile(95) != snap.percentile(95)  # NaN
+        assert finished(snap) == 0
+        assert snap["counters"]["window.qps"] == 0.0
+        assert snap["counters"]["window.error_rate"] == 0.0
+        assert math.isnan(p(snap, 95))
 
     def test_counts_and_qps(self):
         rollup, clock = make_rollup()
         for i in range(50):
             clock.t = i * 0.1  # 5 seconds of recording at 10/s
             rollup.record(0.001)
-        snap = rollup.snapshot()
-        assert snap.count == 50
+        counters = rollup.snapshot()["counters"]
+        assert counters["query.count"] == 50
         # Covered time is ~5s (clamped to actual recording span).
-        assert snap.qps == pytest.approx(50 / snap.covered_seconds)
-        assert 8.0 <= snap.qps <= 13.0
+        qps = counters["window.qps"]
+        assert qps == pytest.approx(50 / counters["window.covered_seconds"])
+        assert 8.0 <= qps <= 13.0
 
     def test_window_excludes_old_buckets(self):
         rollup, clock = make_rollup(window_seconds=5.0)
@@ -57,17 +66,17 @@ class TestSlidingWindowRollup:
         clock.t = 100.0
         rollup.record(2.0)
         snap = rollup.snapshot()
-        assert snap.count == 1
-        assert snap.percentile(50) == pytest.approx(2.0)
+        assert finished(snap) == 1
+        assert p(snap, 50) == pytest.approx(2.0)
 
     def test_error_rate(self):
         rollup, clock = make_rollup()
         for i in range(10):
             clock.t = i * 0.1
             rollup.record(0.01, error=(i < 2))
-        snap = rollup.snapshot()
-        assert snap.errors == 2
-        assert snap.error_rate == pytest.approx(0.2)
+        counters = rollup.snapshot()["counters"]
+        assert counters["query.errors"] == 2
+        assert counters["window.error_rate"] == pytest.approx(0.2)
 
     def test_percentiles_per_stream(self):
         rollup, clock = make_rollup()
@@ -76,9 +85,9 @@ class TestSlidingWindowRollup:
             rollup.observe(float(i), "a")
             rollup.observe(1000.0 + i, "b")
         snap = rollup.snapshot()
-        assert snap.percentile(50, stream="a") == pytest.approx(49.5, abs=2.0)
-        assert snap.percentile(50, stream="b") == pytest.approx(1049.5, abs=2.0)
-        assert snap.percentile(99, stream="a") <= 99.0
+        assert p(snap, 50, stream="a") == pytest.approx(49.5, abs=2.0)
+        assert p(snap, 50, stream="b") == pytest.approx(1049.5, abs=2.0)
+        assert p(snap, 99, stream="a") <= 99.0
 
     def test_observed_samples_count_no_query(self):
         """A second latency view of a counted query adds samples only,
@@ -89,9 +98,9 @@ class TestSlidingWindowRollup:
         clock.t = 1.5
         rollup.observe(0.03, "observed")
         snap = rollup.snapshot()
-        assert snap.count == 1
-        assert snap.stream("observed")["count"] == 2
-        assert snap.stream()["count"] == 1
+        assert finished(snap) == 1
+        assert snap["histograms"]["observed"]["count"] == 2
+        assert snap["histograms"][DEFAULT_STREAM]["count"] == 1
 
     def test_narrower_window_requested(self):
         rollup, clock = make_rollup(window_seconds=10.0)
@@ -100,15 +109,15 @@ class TestSlidingWindowRollup:
             rollup.record(float(second))
         snap = rollup.snapshot(window_seconds=3.0)
         # Only the last ~3 buckets (seconds 7, 8, 9).
-        assert snap.count == 3
-        assert snap.percentile(50) == pytest.approx(8.0)
+        assert finished(snap) == 3
+        assert p(snap, 50) == pytest.approx(8.0)
 
     def test_bounded_memory_per_bucket(self):
         rollup, clock = make_rollup(max_samples_per_bucket=32)
         for i in range(10_000):
             rollup.record(float(i))  # all in one bucket
         snap = rollup.snapshot()
-        assert snap.count == 10_000
+        assert finished(snap) == 10_000
         # The per-bucket reservoir stays bounded; exact count survives.
         reservoirs = [
             len(b.streams[DEFAULT_STREAM]._samples)
@@ -117,7 +126,7 @@ class TestSlidingWindowRollup:
         ]
         assert reservoirs and all(n <= 32 for n in reservoirs)
         # Subsampled percentiles still track the distribution.
-        assert snap.percentile(50) == pytest.approx(5000.0, rel=0.2)
+        assert p(snap, 50) == pytest.approx(5000.0, rel=0.2)
 
     def test_concurrent_recording(self):
         rollup, _ = make_rollup()
@@ -135,33 +144,41 @@ class TestSlidingWindowRollup:
         for t in threads:
             t.join()
         snap = rollup.snapshot()
-        assert snap.count == 4 * per_thread
-        assert snap.errors == 0
-        p50 = snap.percentile(50)
+        assert finished(snap) == 4 * per_thread
+        assert snap["counters"]["query.errors"] == 0
+        p50 = p(snap, 50)
         assert 0.0 <= p50 <= 31.0  # inside the recorded value range
 
-    def test_to_slo_snapshot_shape(self):
+    def test_snapshot_has_the_registry_shape(self):
         rollup, clock = make_rollup()
         for i in range(20):
             clock.t = i * 0.05
             rollup.record(0.010, error=(i == 0))
-        shaped = rollup.snapshot().to_slo_snapshot()
-        assert shaped["counters"]["window.count"] == 20
-        assert shaped["counters"]["window.errors"] == 1
+        shaped = rollup.snapshot()
+        assert set(shaped) == {"counters", "histograms"}
+        assert shaped["counters"]["query.count"] == 19
+        assert shaped["counters"]["query.errors"] == 1
         assert shaped["counters"]["window.error_rate"] == pytest.approx(0.05)
         assert set(shaped["counters"]) == {
-            "window.count", "window.errors", "window.qps", "window.error_rate",
+            "query.count", "query.errors", "window.seconds",
+            "window.covered_seconds", "window.qps", "window.error_rate",
         }
         hist = shaped["histograms"][DEFAULT_STREAM]
         assert hist["count"] == 20
         assert hist["p95"] == pytest.approx(0.010)
+        # The same keys a registry histogram summary has.
+        registry = MetricsRegistry()
+        registry.observe(DEFAULT_STREAM, 0.010)
+        assert set(hist) == set(
+            registry.snapshot()["histograms"][DEFAULT_STREAM]
+        )
 
-    def test_to_dict_is_jsonable(self):
+    def test_snapshot_is_jsonable(self):
         import json
 
         rollup, _ = make_rollup()
         rollup.record(0.5)
-        json.dumps(rollup.snapshot().to_dict())
+        json.dumps(rollup.snapshot())
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -199,12 +216,12 @@ class TestLiveSLOMonitor:
     def test_passing_window(self):
         rollup, clock = make_rollup()
         metrics = MetricsRegistry()
-        monitor = LiveSLOMonitor(make_spec(), rollup, metrics=metrics)
+        monitor = SLOMonitor(make_spec(), rollup.snapshot, metrics=metrics)
         for i in range(10):
             clock.t = i * 0.1
             rollup.record(0.001)
         checks = monitor.evaluate()
-        assert all(c.passed for c in checks)
+        assert all(c["passed"] for c in checks)
         verdict = monitor.verdict()
         assert verdict["passed"] is True
         assert verdict["breach_windows"] == 0
@@ -215,15 +232,15 @@ class TestLiveSLOMonitor:
         rollup, clock = make_rollup()
         metrics = MetricsRegistry()
         slowlog = SlowQueryLog(SlowQueryThreshold(latency_seconds=100.0))
-        monitor = LiveSLOMonitor(
-            make_spec(p95_threshold=0.001), rollup,
+        monitor = SLOMonitor(
+            make_spec(p95_threshold=0.001), rollup.snapshot,
             metrics=metrics, slowlog=lambda: slowlog,
         )
         for i in range(10):
             clock.t = i * 0.1
             rollup.record(0.5)  # way over the 1 ms p95 bound
         checks = monitor.evaluate()
-        assert any(not c.passed for c in checks)
+        assert any(not c["passed"] for c in checks)
         verdict = monitor.verdict()
         assert verdict["passed"] is False
         assert verdict["breach_windows"] == 1
@@ -238,8 +255,8 @@ class TestLiveSLOMonitor:
     def test_breach_then_recovery(self):
         rollup, clock = make_rollup(window_seconds=2.0)
         metrics = MetricsRegistry()
-        monitor = LiveSLOMonitor(
-            make_spec(p95_threshold=0.01), rollup, metrics=metrics
+        monitor = SLOMonitor(
+            make_spec(p95_threshold=0.01), rollup.snapshot, metrics=metrics
         )
         rollup.record(1.0)
         monitor.evaluate()
@@ -255,9 +272,9 @@ class TestLiveSLOMonitor:
 
     def test_no_data_rules_skip(self):
         rollup, _ = make_rollup()
-        monitor = LiveSLOMonitor(make_spec(), rollup)
+        monitor = SLOMonitor(make_spec(), rollup.snapshot)
         checks = monitor.evaluate()
         # Empty window: quantile rule has no data, rate rule sees 0.
-        by_name = {c.rule.name: c for c in checks}
-        assert by_name["p95"].no_data
-        assert by_name["p95"].passed  # skip, not fail
+        by_name = {c["rule"]["name"]: c for c in checks}
+        assert by_name["p95"]["no_data"]
+        assert by_name["p95"]["passed"]  # skip, not fail

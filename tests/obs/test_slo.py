@@ -3,7 +3,7 @@
 import pytest
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.slo import SLORule, SLOSpec
+from repro.obs.slo import SLORule, SLOSpec, render_check
 
 SNAPSHOT = {
     "counters": {
@@ -46,13 +46,13 @@ class TestEvaluation:
             "<=", 0.05, quantile=95,
         )
         check = rule.check(SNAPSHOT)
-        assert check.passed and check.value == 0.03
+        assert check["passed"] and check["value"] == 0.03
         tight = SLORule(
             "p95 latency", "histogram_quantile", "query.wall_seconds",
             "<=", 0.02, quantile=95,
         ).check(SNAPSHOT)
-        assert not tight.passed
-        assert tight.render() == (
+        assert not tight["passed"]
+        assert render_check(tight) == (
             "FAIL  p95 latency: query.wall_seconds = 0.03 (want <= 0.02)"
         )
 
@@ -63,7 +63,7 @@ class TestEvaluation:
             denominator=("distance_cache.hits", "distance_cache.misses"),
         )
         check = rule.check(SNAPSHOT)
-        assert check.passed and check.value == pytest.approx(0.6)
+        assert check["passed"] and check["value"] == pytest.approx(0.6)
 
     def test_early_termination_share_rule(self):
         rule = SLORule(
@@ -72,24 +72,24 @@ class TestEvaluation:
             denominator=("query.diversified_count",),
         )
         check = rule.check(SNAPSHOT)
-        assert check.passed and check.value == pytest.approx(0.45)
+        assert check["passed"] and check["value"] == pytest.approx(0.45)
 
     def test_counter_rule(self):
         rule = SLORule("ran queries", "counter", "query.count", ">=", 1)
-        assert rule.check(SNAPSHOT).passed
+        assert rule.check(SNAPSHOT)["passed"]
 
     def test_no_data_passes_with_skip(self):
         rule = SLORule(
             "absent", "histogram_quantile", "nope", "<=", 1, quantile=95
         )
         check = rule.check(SNAPSHOT)
-        assert check.passed and check.no_data
-        assert check.render() == "SKIP  absent: no data for nope"
+        assert check["passed"] and check["no_data"]
+        assert render_check(check) == "SKIP  absent: no data for nope"
         ratio = SLORule(
             "zero denom", "counter_ratio", "query.count", ">=", 0.5,
             denominator=("does.not.exist",),
         ).check(SNAPSHOT)
-        assert ratio.passed and ratio.no_data
+        assert ratio["passed"] and ratio["no_data"]
 
 
 class TestSpec:
@@ -104,7 +104,7 @@ class TestSpec:
         ])
         rebuilt = SLOSpec.from_dict(spec.to_dict())
         checks = rebuilt.evaluate(SNAPSHOT)
-        assert [c.passed for c in checks] == [True, True]
+        assert [c["passed"] for c in checks] == [True, True]
         assert spec.to_dict()["schema"] == "repro-slo-spec/v1"
 
     def test_empty_spec_rejected(self):
@@ -121,4 +121,4 @@ class TestSpec:
             SLORule("p99", "histogram_quantile", "query.wall_seconds",
                     "<=", 10.0, quantile=99),
         ])
-        assert all(c.passed for c in spec.evaluate(registry.snapshot()))
+        assert all(c["passed"] for c in spec.evaluate(registry.snapshot()))

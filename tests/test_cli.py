@@ -912,3 +912,59 @@ class TestSlowlogToleranceCommand:
         assert "shadow" not in captured.out.lower()
         assert "2 record(s) rendered" in captured.err
         assert "skipped 1 malformed line(s)" in captured.err
+
+    def test_renders_breaches_of_either_window_shape(self, tmp_path, capsys):
+        """A breach the monitor notes now (the window in the registry's
+        shape), a literal one written before that shape, and two that
+        hold fewer figures: each renders, and an absent figure is
+        ``?`` rather than a made-up zero."""
+        from repro.obs.rollup import SlidingWindowRollup
+        from repro.obs.slo import SLOMonitor, SLORule, SLOSpec
+        from repro.obs.slowlog import SlowQueryLog, SlowQueryThreshold
+
+        path = tmp_path / "slow.jsonl"
+        log = SlowQueryLog(SlowQueryThreshold(latency_seconds=3600.0),
+                           path=path)
+        rollup = SlidingWindowRollup()
+        rollup.record(0.5)
+        rollup.record(None, error=True)
+        spec = SLOSpec(name="now", rules=[SLORule(
+            name="p50", kind="histogram_quantile",
+            metric="query.wall_seconds", op="<=", threshold=0.0,
+            quantile=50,
+        )])
+        SLOMonitor(spec, rollup.snapshot, slowlog=lambda: log).evaluate()
+        log.close()
+        failed = [{"rule": {"name": "p95", "metric": "m", "op": "<=",
+                            "threshold": 0.1}, "value": 0.5}]
+        older = [
+            {"type": "slo_breach", "spec": "before", "failed": failed,
+             "window": {"window_seconds": 10.0, "count": 5, "qps": 0.5,
+                        "error_rate": 0.0, "covered_seconds": 10.0,
+                        "errors": 0, "streams": {}}},
+            {"type": "slo_breach", "spec": "sparse-flat", "failed": failed,
+             "window": {"window_seconds": 10.0}},
+            {"type": "slo_breach", "spec": "sparse-new", "failed": failed,
+             "window": {"counters": {"query.count": 3}, "histograms": {}}},
+        ]
+        with path.open("a", encoding="utf-8") as fh:
+            for record in older:
+                fh.write(json.dumps(record) + "\n")
+        assert main(["slowlog", str(path)]) == 0
+        out = capsys.readouterr().out
+        headers = {
+            line.split("[")[1].split("]")[0]: line
+            for line in out.splitlines() if line.startswith("SLO BREACH")
+        }
+        assert set(headers) == {"now", "before", "sparse-flat", "sparse-new"}
+        assert "window 10.0s: 2 queries" in headers["now"]
+        assert "error rate 50.0%" in headers["now"]
+        assert headers["before"].endswith(
+            "window 10.0s: 5 queries, qps 0.5, error rate 0.0%"
+        )
+        assert headers["sparse-flat"].endswith(
+            "window 10.0s: ? queries, qps ?, error rate ?"
+        )
+        assert headers["sparse-new"].endswith(
+            "window ?s: ? queries, qps ?, error rate ?"
+        )

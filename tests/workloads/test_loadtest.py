@@ -142,8 +142,8 @@ class TestRunLoadtest:
         config = LoadTestConfig(qps=30.0, duration_seconds=0.5, workers=2)
         run_loadtest(tiny_db, tiny_indexes["sif"], queries, config)
         snap = tiny_db.rollup.snapshot()
-        assert OBSERVED_STREAM in snap.streams
-        assert snap.streams[OBSERVED_STREAM]["count"] >= 1
+        assert OBSERVED_STREAM in snap["histograms"]
+        assert snap["histograms"][OBSERVED_STREAM]["count"] >= 1
 
     def test_window_counts_each_query_once(self):
         """The engine's event counts a query in the live window; the
@@ -159,8 +159,11 @@ class TestRunLoadtest:
         report = run_loadtest(db, index, queries, config)
         snap = db.rollup.snapshot()
         assert report.completed == config.total_queries
-        assert snap.count == report.completed
-        assert snap.stream(OBSERVED_STREAM)["count"] == report.completed
+        counters = snap["counters"]
+        assert counters["query.count"] + counters["query.errors"] == (
+            report.completed
+        )
+        assert snap["histograms"][OBSERVED_STREAM]["count"] == report.completed
 
     def test_sk_method(self, tiny_db, tiny_indexes):
         from repro.workloads import generate_sk_queries
