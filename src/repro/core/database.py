@@ -869,7 +869,8 @@ class Database:
     ) -> DiversifiedResult:
         """Diversified SK search via ``"seq"`` or ``"com"``.
 
-        ``method=None`` lets the planner choose from its cost hints
+        ``method=None`` runs SEQ when the query's candidate pool closes
+        inside ``2·k`` arrivals and COM seeded from them otherwise
         (see :func:`repro.engine.plan.plan_diversified`)."""
         plan = plan_diversified(
             self, index, query, method=method,

@@ -1,19 +1,19 @@
-"""Diversified SK search: the SEQ baseline and the incremental COM
-algorithm (paper §4.1 and Algorithm 6).
+"""Diversified SK search: one loop, two exits (paper §4.1, Algorithm 6).
 
-* **SEQ** retrieves *every* object satisfying the spatial keyword
-  constraint (Algorithm 3 run to completion), computes all pairwise
-  network distances and feeds the greedy Algorithm 1.  Its cost is
-  dominated by loading all candidates and the O(n²) pairwise distance
-  computations.
+:func:`diversified_search` buffers the first arrivals of the INE stream
+(Algorithm 3, distance order) with no core-pair bookkeeping.  If the
+stream closes inside the buffer, the buffer is the whole pool and
+**SEQ** scores it: one pair matrix, then the greedy Algorithm 1
+(:func:`diversify_pool`).  If the buffer fills, it seeds the core pairs
+and θ_T (Algorithm 5) and **COM** consumes the rest incrementally, the
+§4.3 diversity bounds (a) pruning visited objects that can never become
+core and (b) terminating the network expansion as soon as no unvisited
+object can contribute — closing the INE generator mid-flight.  The
+buffer's size is all a caller chooses: every arrival for a SEQ pin
+(:func:`seq_search`), ``k`` for a COM pin (:func:`com_search`),
+``SWITCH_FACTOR · k`` un-pinned; ``result.method`` names the exit.
 
-* **COM** consumes the expansion stream incrementally, maintains the
-  core pairs and θ_T (Algorithm 5), and uses the §4.3 diversity bounds
-  to (a) prune visited objects that can never become core and (b)
-  terminate the network expansion as soon as no unvisited object can
-  contribute — closing the INE generator mid-flight.
-
-Both entry points record a per-stage time breakdown into
+Every query records a per-stage time breakdown into
 ``QueryStats.stage_seconds`` (``expansion``, ``object_loading``,
 ``maintenance``/``greedy``, ``pairwise_dijkstra``, ``finalise``).  A
 query's :class:`~repro.network.distance.PairwiseDistanceComputer` is
@@ -21,15 +21,15 @@ its own, so the computer's counters are the query's pairwise counters.
 
 The ``pairwise_dijkstra`` stage is the wall time of every
 pairwise-distance evaluation, whichever backend answers it.  A *set* of
-pair distances — SEQ's pool, COM's first ``k`` arrivals, the pairs of an
-answer — is always one :meth:`PairDistances.matrix` call, which on the
-default backend is one C call (``single_source_rows``) whatever the
-set's size: one per SEQ query; for COM one at the bootstrap and at most
-one more when the answer holds objects that arrived later.  Between the
-two COM asks pair by pair, one streamed arrival at a time, and most of
-those are read off an opponent's kept row.  The standing-query
-refresh (:mod:`repro.core.incremental`) scores its pool through
-:func:`diversify_pool` like SEQ: one call.
+pair distances — SEQ's pool, COM's buffer, the pairs of an answer — is
+always one :meth:`PairDistances.matrix` call, which on the default
+backend is one C call (``single_source_rows``) whatever the set's size:
+one per SEQ exit; on the COM exit one at the bootstrap and at most one
+more when the answer holds objects that arrived later.  Between the two
+COM asks pair by pair, one streamed arrival at a time, and most of
+those are read off an opponent's kept row.  The standing-query refresh
+(:mod:`repro.core.incremental`) scores its pool through
+:func:`diversify_pool` like the SEQ exit: one call.
 """
 
 from __future__ import annotations
@@ -55,7 +55,8 @@ from .ine import INEExpansion
 from .objective import DiversificationObjective
 from .queries import DiversifiedResult, DiversifiedSKQuery, QueryStats, ResultItem
 
-__all__ = ["seq_search", "com_search", "diversify_pool", "PairDistances"]
+__all__ = ["diversified_search", "seq_search", "com_search",
+           "diversify_pool", "PairDistances", "SWITCH_FACTOR"]
 
 
 class PairDistances:
@@ -153,66 +154,26 @@ def diversify_pool(
     return chosen, value
 
 
-def seq_search(
-    provider: AdjacencyProvider,
-    network: RoadNetwork,
-    index: ObjectIndex,
-    query: DiversifiedSKQuery,
+#: Arrivals, times ``k``, an un-pinned query buffers before it commits to
+#: COM.  On seed-7 ``perf/`` streams 3 raised ``mixed_updates``' page
+#: reads, 4 those of ``div_default`` and ``div_wide``.
+SWITCH_FACTOR = 2
+
+
+def diversified_search(
+    provider: AdjacencyProvider, network: RoadNetwork, index: ObjectIndex,
+    query: DiversifiedSKQuery, algorithm: str,
     pairwise: Optional[PairwiseDistanceComputer] = None,
-    tracer=NULL_TRACER,
+    enable_pruning: bool = True, tracer=NULL_TRACER,
 ) -> DiversifiedResult:
-    """The straightforward SEQ implementation (paper §4.1): Algorithm 3
-    run to completion, then :func:`diversify_pool`."""
-    start = time.perf_counter()
-    clock = StageClock()
-    expansion = INEExpansion(
-        provider, network, index, query.position, query.terms,
-        query.delta_max, tracer=tracer,
-    )
-    objective = DiversificationObjective(query.lambda_, query.delta_max)
-    computer = pairwise or PairwiseDistanceComputer(
-        provider, network, cutoff=PAIRWISE_CUTOFF_FACTOR * query.delta_max
-    )
+    """Run one diversified query; ``result.method`` is the exit taken.
 
-    with clock.stage("expansion"):
-        candidates = expansion.run_to_completion()
-    chosen, value = diversify_pool(
-        candidates, query.k, objective, computer, clock, tracer
-    )
-    stats = QueryStats(
-        nodes_accessed=expansion.stats.nodes_accessed,
-        edges_accessed=expansion.stats.edges_accessed,
-        candidates=len(candidates),
-    )
-    result = DiversifiedResult(chosen, value, "SEQ", stats)
-    clock.add("object_loading", expansion.stats.load_seconds)
-    _record_pairwise(stats, computer, clock)
-    stats.stage_seconds = clock.stages
-    stats.wall_seconds = time.perf_counter() - start
-    return result
-
-
-def com_search(
-    provider: AdjacencyProvider,
-    network: RoadNetwork,
-    index: ObjectIndex,
-    query: DiversifiedSKQuery,
-    pairwise: Optional[PairwiseDistanceComputer] = None,
-    enable_pruning: bool = True,
-    tracer=NULL_TRACER,
-) -> DiversifiedResult:
-    """Algorithm 6: incremental diversified SK search.
-
-    ``enable_pruning=False`` disables the diversity bounds (ablation
-    A2): the stream is still processed incrementally but runs to
-    exhaustion, isolating the benefit of the §4.3 pruning.
-
-    The core-pair maintainer batches its θ-bound rows through numpy.
-
-    When ``tracer`` is enabled, every arrival that reaches the pruning
-    decision records a ``com.round`` span (γ, θ_T, the unvisited-pair
-    upper bound, and the action taken), and early termination raises a
-    ``com.early_termination`` event on the enclosing query span.
+    ``algorithm`` is the plan's: ``"seq"`` buffers every arrival,
+    ``"com"`` the first ``k`` and always exits as COM, un-pinned
+    ``SWITCH_FACTOR · k``.  ``enable_pruning=False`` disables the
+    diversity bounds on the COM exit (ablation A2): the stream is still
+    processed incrementally but runs to exhaustion, isolating the
+    benefit of the §4.3 pruning.
     """
     start = time.perf_counter()
     clock = StageClock()
@@ -224,18 +185,58 @@ def com_search(
     computer = pairwise or PairwiseDistanceComputer(
         provider, network, cutoff=PAIRWISE_CUTOFF_FACTOR * query.delta_max
     )
+
+    bootstrap = {"seq": None, "com": query.k}.get(
+        algorithm, SWITCH_FACTOR * query.k
+    )
+    stream = clock.timed_iter(expansion.run(), "expansion")
+    buffer = list(islice(stream, bootstrap))
+    closed = bootstrap is None or len(buffer) < bootstrap
+    if closed and algorithm != "com":  # a COM pin seeds CP from any pool
+        chosen, value = diversify_pool(
+            buffer, query.k, objective, computer, clock, tracer
+        )
+        result = DiversifiedResult(
+            chosen, value, "SEQ", QueryStats(candidates=len(buffer))
+        )
+    else:
+        result = _continue_as_com(
+            stream, buffer, query, objective, computer, clock,
+            enable_pruning, tracer,
+        )
+    stats = result.stats
+    stats.nodes_accessed = expansion.stats.nodes_accessed
+    stats.edges_accessed = expansion.stats.edges_accessed
+    clock.add("object_loading", expansion.stats.load_seconds)
+    _record_pairwise(stats, computer, clock)
+    stats.stage_seconds = clock.stages
+    stats.wall_seconds = time.perf_counter() - start
+    return result
+
+
+def _continue_as_com(
+    stream, buffer: List[ResultItem], query: DiversifiedSKQuery,
+    objective: DiversificationObjective, computer: PairwiseDistanceComputer,
+    clock: StageClock, enable_pruning: bool, tracer,
+) -> DiversifiedResult:
+    """Algorithm 6 from a full buffer: the buffer seeds the core pairs
+    (θ-bound rows batched through numpy), then the stream is taken one
+    arrival at a time.
+
+    When ``tracer`` is enabled, every arrival that reaches the pruning
+    decision records a ``com.round`` span (γ, θ_T, the unvisited-pair
+    upper bound, and the action taken), and early termination raises a
+    ``com.early_termination`` event on the enclosing query span.
+    """
     pairs = PairDistances(computer)
     maintainer = CorePairMaintainer(
         query.k, objective, pairs.distance, tracer=tracer,
         pair_matrix=pairs.matrix,
     )
     tracing = tracer.enabled
-
-    stream = clock.timed_iter(expansion.run(), "expansion")
-    first = list(islice(stream, query.k))
     with clock.stage("maintenance"):
-        maintainer.bootstrap(first)
-    candidates = len(first)
+        maintainer.bootstrap(buffer)
+    candidates = len(buffer)
     terminated_early = False
     pruned_total = 0
 
@@ -310,19 +311,38 @@ def com_search(
             terminated_early=terminated_early,
         )
     stats = QueryStats(
-        nodes_accessed=expansion.stats.nodes_accessed,
-        edges_accessed=expansion.stats.edges_accessed,
         candidates=candidates,
         theta_evaluations=maintainer.theta_evaluations,
         expansion_terminated_early=terminated_early,
     )
     with clock.stage("finalise"):
         # The bootstrap's matrix still covers an answer made of the
-        # first k arrivals; a later arrival in it costs one more.
+        # buffered arrivals; a later arrival in it costs one more.
         value = pairs.objective_value(objective, chosen)
-    result = DiversifiedResult(chosen, value, "COM", stats)
-    clock.add("object_loading", expansion.stats.load_seconds)
-    _record_pairwise(stats, computer, clock)
-    stats.stage_seconds = clock.stages
-    stats.wall_seconds = time.perf_counter() - start
-    return result
+    return DiversifiedResult(chosen, value, "COM", stats)
+
+
+def seq_search(
+    provider: AdjacencyProvider, network: RoadNetwork, index: ObjectIndex,
+    query: DiversifiedSKQuery,
+    pairwise: Optional[PairwiseDistanceComputer] = None, tracer=NULL_TRACER,
+) -> DiversifiedResult:
+    """SEQ pinned (paper §4.1): Algorithm 3 run to completion, then
+    :func:`diversify_pool`."""
+    return diversified_search(
+        provider, network, index, query, "seq", pairwise, tracer=tracer
+    )
+
+
+def com_search(
+    provider: AdjacencyProvider, network: RoadNetwork, index: ObjectIndex,
+    query: DiversifiedSKQuery,
+    pairwise: Optional[PairwiseDistanceComputer] = None,
+    enable_pruning: bool = True, tracer=NULL_TRACER,
+) -> DiversifiedResult:
+    """COM pinned (Algorithm 6): the first ``k`` arrivals seed the core
+    pairs."""
+    return diversified_search(
+        provider, network, index, query, "com", pairwise, enable_pruning,
+        tracer,
+    )

@@ -219,9 +219,9 @@ class IncrementalDiversifiedTopK:
 
         Takes its pairwise computer from where the engine takes a
         query's (``db.pairwise_computer``), scores the pool through the
-        function ``seq_search`` scores its own with (one batched pair
-        matrix, the array greedy, ``f(S)`` read off that matrix) and
-        copies the computer's counters the way ``seq_search`` does.
+        function a query's SEQ exit scores its own with (one batched
+        pair matrix, the array greedy, ``f(S)`` read off that matrix)
+        and copies the computer's counters the way that exit does.
         """
         q = self._query
         computer = self._db.pairwise_computer(q.delta_max)

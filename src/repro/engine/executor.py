@@ -37,7 +37,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import TYPE_CHECKING, Iterable, List, Optional
 
-from ..core.diversified_search import com_search, seq_search
+from ..core.diversified_search import diversified_search
 from ..core.ine import INEExpansion
 from ..core.knn import knn_search
 from ..core.queries import QueryStats, SKResult
@@ -172,26 +172,19 @@ class QueryEngine:
         t = ctx.tracer
         pairwise = db.pairwise_computer(query.delta_max, t)
         with t.span(
-            "query.diversified", method=plan.algorithm.upper(),
-            index=plan.index.name, terms=sorted(query.terms),
+            "query.diversified", index=plan.index.name,
+            terms=sorted(query.terms),
             delta_max=query.delta_max, k=query.k,
             lambda_=query.lambda_, backend=pairwise.backend_name,
         ) as root:
-            if plan.algorithm == "seq":
-                result = seq_search(
-                    db.ccam, db.network, plan.index, query,
-                    pairwise=pairwise, tracer=t,
-                )
-            else:
-                result = com_search(
-                    db.ccam, db.network, plan.index, query,
-                    pairwise=pairwise,
-                    enable_pruning=plan.enable_pruning,
-                    tracer=t,
-                )
+            result = diversified_search(
+                db.ccam, db.network, plan.index, query, plan.algorithm,
+                pairwise, plan.enable_pruning, t,
+            )
             if t.enabled:
                 ctx.trace_signature_summary(len(result))
                 root.set(
+                    method=result.method,
                     candidates=result.stats.candidates,
                     results=len(result),
                     objective_value=result.objective_value,

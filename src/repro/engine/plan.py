@@ -1,15 +1,14 @@
 """Query planning: turn (query, index) into an executable QueryPlan.
 
-The legacy ``Database`` facade made the algorithm choice ad hoc at each
-call site — SK search always ran INE to completion, diversified search
-took a ``method=`` string, kNN was its own entry point.  Diversified
-top-k engines are plan-then-execute pipelines (Qin et al.); this
-module supplies the *plan* half: a small, immutable description of how
-one query will run, with cost hints derived from the dataset's
-statistics and the query keywords' document frequencies.
-
-A :class:`QueryPlan` is pure metadata — building one touches no index
-pages and runs no Dijkstra.  The executor
+A :class:`QueryPlan` is a small, immutable description of how one
+query will run — kind, algorithm, index — with cost hints derived from
+the dataset's statistics and the query keywords' document frequencies.
+It is pure metadata: building one touches no index pages and runs no
+Dijkstra.  The plan decides nothing the query has not yet seen: an
+un-pinned diversified plan (``"auto"``) leaves SEQ vs COM to the pool
+the expansion realises (:mod:`repro.core.diversified_search`), and the
+hints' ``estimated_matches`` is a prediction to read against
+``stats.candidates``.  The executor
 (:class:`~repro.engine.executor.QueryEngine`) consumes plans;
 ``repro explain`` renders them.
 """
@@ -19,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Tuple
 
+from ..core.diversified_search import SWITCH_FACTOR
 from ..core.knn import SKkNNQuery
 from ..core.queries import DiversifiedSKQuery, SKQuery
 from ..errors import QueryError
@@ -33,20 +33,8 @@ __all__ = ["CostHints", "QueryPlan", "plan_sk", "plan_knn", "plan_diversified"]
 _ALGORITHMS = {
     "sk": ("ine",),
     "knn": ("ine-knn",),
-    "diversified": ("seq", "com"),
+    "diversified": ("seq", "com", "auto"),
 }
-
-#: Up to this many *estimated* matches, times k, the planner picks SEQ;
-#: above it COM.  Seed-7 ``perf/`` streams, mean ms a query, best of 3,
-#: SEQ / COM / this rule / the best switch on the *realised* pool size:
-#: ``div_default`` 1.95 / 2.26 / 2.01 / 1.90 (600 queries), ``div_wide``
-#: 9.95 / 5.49 / 5.45 / 5.27 (216).  By realised size SEQ leads up to
-#: ≈ 4·k candidates (2.0 vs 2.7 ms at 10–20) and COM beyond (6.6 vs 19.3
-#: past 80: SEQ's matrix is quadratic, COM stops early), so the estimate
-#: gives away ≤ 6 % of the mean and none of the median to a perfect
-#: switch; always-SEQ would read 44.1 pages a query on ``div_default``
-#: against this rule's 39.1.
-_SEQ_CANDIDATE_FACTOR = 2
 
 
 @dataclass(frozen=True)
@@ -163,13 +151,18 @@ class QueryPlan:
         return "\n".join(lines)
 
 
-def _cost_hints(db: "Database", terms) -> CostHints:
-    # O(|terms|): the store maintains these statistics as objects come
-    # and go, so planning never iterates the objects.
+def _cost_hints(db: "Database", query) -> CostHints:
+    # An offset past the edge's current weight would seed a negative
+    # distance.  O(|terms|): the store maintains these statistics as
+    # objects come and go, so planning never iterates the objects.
+    db.ensure_frozen()
+    pos = query.position
+    if pos.offset > db.network.edge(pos.edge_id).weight:
+        raise QueryError(f"offset {pos.offset} lies beyond edge {pos.edge_id}")
     store = db.store
     num_objects = len(store)
     tf = tuple(sorted(
-        ((term, store.document_frequency(term)) for term in terms),
+        ((term, store.document_frequency(term)) for term in query.terms),
         key=lambda pair: (pair[1], pair[0]),
     ))
     estimated = float(num_objects)
@@ -190,13 +183,12 @@ def _cost_hints(db: "Database", terms) -> CostHints:
 
 def plan_sk(db: "Database", index: ObjectIndex, query: SKQuery) -> QueryPlan:
     """Plan a boolean SK range search (always INE, Algorithm 3)."""
-    db.ensure_frozen()
     return QueryPlan(
         kind="sk",
         query=query,
         index=index,
         algorithm="ine",
-        hints=_cost_hints(db, query.terms),
+        hints=_cost_hints(db, query),
         rationale="SK range search expands the network incrementally (INE)",
     )
 
@@ -205,13 +197,12 @@ def plan_knn(
     db: "Database", index: ObjectIndex, query: SKkNNQuery
 ) -> QueryPlan:
     """Plan a boolean SK kNN search (k items off one INE expansion)."""
-    db.ensure_frozen()
     return QueryPlan(
         kind="knn",
         query=query,
         index=index,
         algorithm="ine-knn",
-        hints=_cost_hints(db, query.terms),
+        hints=_cost_hints(db, query),
         rationale="kNN takes k items off the distance-ordered INE stream",
     )
 
@@ -225,14 +216,12 @@ def plan_diversified(
 ) -> QueryPlan:
     """Plan a diversified SK search.
 
-    ``method`` forces ``"seq"`` or ``"com"``; when ``None`` the planner
-    chooses from the cost hints: COM's incremental core-pair
-    maintenance and §4.3 pruning pay off on large candidate streams,
-    while tiny streams (≲ 2·k estimated matches) are cheaper through
-    SEQ's flat scan.
+    ``method`` pins ``"seq"`` or ``"com"``.  ``None`` plans ``"auto"``:
+    the executor buffers ``SWITCH_FACTOR · k`` arrivals and runs SEQ if
+    the pool closes inside them, COM otherwise — chosen on the pool the
+    query meets, not on ``hints.estimated_matches``.
     """
-    db.ensure_frozen()
-    hints = _cost_hints(db, query.terms)
+    hints = _cost_hints(db, query)
     if method is not None:
         method = method.lower()
         if method not in ("seq", "com"):
@@ -240,19 +229,11 @@ def plan_diversified(
         algorithm = method
         rationale = f"caller forced {method.upper()}"
     else:
-        threshold = _SEQ_CANDIDATE_FACTOR * query.k
-        if hints.estimated_matches <= threshold:
-            algorithm = "seq"
-            rationale = (
-                f"est. {hints.estimated_matches:.1f} matches ≤ "
-                f"{threshold} (2·k): flat SEQ beats COM's bookkeeping"
-            )
-        else:
-            algorithm = "com"
-            rationale = (
-                f"est. {hints.estimated_matches:.1f} matches > "
-                f"{threshold} (2·k): COM's §4.3 pruning pays off"
-            )
+        algorithm = "auto"
+        rationale = (
+            f"SEQ if the pool closes inside {SWITCH_FACTOR * query.k} "
+            f"({SWITCH_FACTOR}·k) arrivals, else COM seeded from them"
+        )
     return QueryPlan(
         kind="diversified",
         query=query,

@@ -99,8 +99,8 @@ class NetworkPosition:
     offset: float  # in weight units, 0 at the reference node n1
 
     def __post_init__(self) -> None:
-        if self.offset < 0:
-            raise GraphError(f"negative offset {self.offset} on edge {self.edge_id}")
+        if not self.offset >= 0:  # rejects nan as well
+            raise GraphError(f"offset {self.offset} on edge {self.edge_id} is not >= 0")
 
 
 class CSRSnapshot:

@@ -93,10 +93,6 @@ class BPlusTree:
     def num_pages(self) -> int:
         return self._file.num_pages
 
-    @property
-    def leaf_capacity(self) -> int:
-        return self._leaf_capacity
-
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------

@@ -130,6 +130,3 @@ class BufferPool:
         """Drop every page; lifetime hit/miss/eviction counters remain."""
         with self._lock:
             self._lru.clear()
-
-    def counters_snapshot(self) -> Tuple[int, int, int]:
-        return (self.hits, self.misses, self.evictions)

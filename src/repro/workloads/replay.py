@@ -7,8 +7,8 @@ This module re-executes that journal from scratch and diffs the
 outcome against the recording:
 
 * queries are **re-planned from their recorded parameters** (position,
-  terms, δmax, k, λ), with the recorded algorithm pinned so the
-  planner's cost model cannot silently reroute them;
+  terms, δmax, k, λ) under the recorded algorithm — a pin pinned, an
+  un-pinned (``auto``) plan un-pinned, taking the exit its pool picks;
 * updates are re-applied **between epoch groups**, restoring the exact
   ``data_version`` each recorded query executed against (object ids
   are sequential, so replayed inserts reproduce the recorded ids — and
@@ -307,10 +307,12 @@ def _build_plan(db, index, record: Dict[str, Any]):
     query = _rebuild_query(record)
     kind = record["kind"]
     if kind == "diversified":
-        # Pin the recorded algorithm: replay must compare like against
-        # like even if data drift would flip the planner's SEQ/COM
-        # choice.
-        return plan_diversified(db, index, query, method=record["algorithm"])
+        # The same pool meets the same switch, so an "auto" record
+        # takes the exit it took live.
+        method = record["algorithm"]
+        return plan_diversified(
+            db, index, query, method=None if method == "auto" else method
+        )
     if kind == "knn":
         return plan_knn(db, index, query)
     return plan_sk(db, index, query)

@@ -21,7 +21,7 @@ object ids, reweights scale a random edge's weight by a factor from
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -31,6 +31,7 @@ from ..core.queries import DiversifiedSKQuery
 from ..engine.plan import plan_diversified
 from ..errors import QueryError
 from ..index.base import ObjectIndex
+from ..network.graph import NetworkPosition
 from .runner import WorkloadReport, _check_workers
 
 __all__ = [
@@ -120,6 +121,18 @@ def generate_update_ops(
     ]
 
 
+def _on_edge_now(
+    db: Database, query: DiversifiedSKQuery, born: Dict[int, float]
+) -> DiversifiedSKQuery:
+    """``query`` at the same fraction along its edge after reweights."""
+    edge_id, offset = query.position.edge_id, query.position.offset
+    weight = db.network.edge(edge_id).weight
+    if weight == born[edge_id]:
+        return query
+    offset = min(offset * weight / born[edge_id], weight)
+    return replace(query, position=NetworkPosition(edge_id, offset))
+
+
 def _apply_update(
     db: Database,
     index: ObjectIndex,
@@ -189,10 +202,16 @@ def run_update_workload(
     for start in range(0, len(queries), size):
         batches.append(queries[start : start + size])
 
+    # Queries are drawn before any update: each keeps the weight its edge
+    # had then, so a reweight moves it along as it moves the objects.
+    born = {q.position.edge_id: db.network.edge(q.position.edge_id).weight
+            for q in queries}
+
     t0 = time.perf_counter()
     for batch_no, batch in enumerate(batches):
         plans = [
-            plan_diversified(db, index, q, method=method) for q in batch
+            plan_diversified(db, index, _on_edge_now(db, q, born), method=method)
+            for q in batch
         ]
         results = db.engine.execute_many(plans, workers=workers)
         for result in results:

@@ -1,14 +1,17 @@
 """Planner behaviour: cost hints, algorithm choice, plan rendering."""
 
+import numpy as np
 import pytest
 
 from repro import Database, NetworkPosition
+from repro.core.diversified_search import SWITCH_FACTOR
 from repro.core.knn import SKkNNQuery
 from repro.core.queries import DiversifiedSKQuery, SKQuery
 from repro.datasets.catalog import build_dataset
+from repro.datasets.synthetic import random_planar_network
 from repro.engine import QueryPlan, plan_diversified, plan_knn, plan_sk
 from repro.engine.plan import CostHints
-from repro.errors import QueryError
+from repro.errors import GraphError, QueryError
 from repro.workloads.queries import (
     WorkloadConfig,
     generate_diversified_queries,
@@ -92,6 +95,33 @@ def _plan_all(db, index, queries):
         plan_knn(db, index, knn),
         plan_diversified(db, index, div, method=None),
     ]
+
+
+def _auto_and_seq(matches: int, k: int, seed: int = 5):
+    """An un-pinned and a pinned-SEQ run of one query on a random road
+    network holding exactly ``matches`` objects with the query's term,
+    every one in range (δmax is the network's total weight), among as
+    many that lack it."""
+    rng = np.random.default_rng(seed)
+    network = random_planar_network(30, seed=seed)
+    db = Database(network, buffer_pages=64)
+    edges = list(network.edges())
+    for i in range(2 * matches):
+        edge = edges[int(rng.integers(len(edges)))]
+        db.add_object(
+            NetworkPosition(edge.edge_id, float(rng.uniform(0, edge.weight))),
+            ["target" if i < matches else "other"],
+        )
+    db.freeze()
+    index = db.build_index("sif", file_prefix=f"switch-{matches}")
+    query = DiversifiedSKQuery.create(
+        NetworkPosition(edges[0].edge_id, 0.0), ["target"],
+        delta_max=sum(e.weight for e in edges), k=k, lambda_=0.6,
+    )
+    auto = db.diversified_search(index, query, method=None)
+    seq = db.diversified_search(index, query, method="seq")
+    assert seq.stats.candidates == matches
+    return auto, seq
 
 
 class TestCostHints:
@@ -227,29 +257,68 @@ class TestDiversifiedChoice:
         with pytest.raises(QueryError):
             plan_diversified(tiny_db, sif, div_query, method="greedy")
 
-    def test_auto_picks_seq_on_tiny_candidate_stream(self, tiny_db, sif, div_query):
-        rare = DiversifiedSKQuery.create(
-            div_query.position, ("zz-not-in-vocab", "zz-neither"),
-            delta_max=div_query.delta_max, k=4,
-        )
-        plan = plan_diversified(tiny_db, sif, rare)
-        assert plan.algorithm == "seq"
-        assert plan.hints.estimated_matches == 0.0
+    def test_auto_exits_seq_below_2k(self):
+        k = 3
+        auto, seq = _auto_and_seq(SWITCH_FACTOR * k - 1, k)
+        assert auto.method == "SEQ"
+        assert auto.stats.candidates == seq.stats.candidates
+        assert auto.objective_value == seq.objective_value
 
-    def test_auto_picks_com_on_large_candidate_stream(self, tiny_db, sif, div_query):
-        term, df = max(
-            tiny_db.keyword_frequencies().items(), key=lambda kv: kv[1]
+    @pytest.mark.parametrize("extra", [0, 1], ids=["2k", "2k+1"])
+    def test_auto_exits_com_from_2k(self, extra):
+        k = 3
+        auto, seq = _auto_and_seq(SWITCH_FACTOR * k + extra, k)
+        assert auto.method == "COM"
+        assert auto.stats.candidates >= SWITCH_FACTOR * k
+        assert auto.objective_value == pytest.approx(
+            seq.objective_value, rel=1e-9
         )
-        assert df > 4  # the fixture vocabulary is Zipfian; heads are fat
-        common = DiversifiedSKQuery.create(
-            div_query.position, (term,), delta_max=div_query.delta_max, k=2,
+
+    def test_auto_plan_names_its_rule_not_the_estimate(
+        self, tiny_db, sif, div_query
+    ):
+        plan = plan_diversified(tiny_db, sif, div_query)
+        assert plan.algorithm == "auto"
+        assert plan.label == f"{sif.name}/AUTO"
+        assert f"{SWITCH_FACTOR * div_query.k} ({SWITCH_FACTOR}·k)" in (
+            plan.rationale
         )
-        plan = plan_diversified(tiny_db, sif, common)
-        assert plan.algorithm == "com"
-        assert plan.hints.estimated_matches == pytest.approx(df)
+        assert "est." not in plan.rationale
 
     def test_plan_carries_execution_knobs(self, tiny_db, sif, div_query):
         plan = plan_diversified(
             tiny_db, sif, div_query, method="com", enable_pruning=False,
         )
         assert plan.enable_pruning is False
+
+
+class TestQueryPositionOnItsEdge:
+    """A query position off its edge is a typed error, not an answer."""
+
+    def test_nan_offset_rejected(self):
+        with pytest.raises(GraphError):
+            NetworkPosition(0, float("nan"))
+
+    def test_offset_beyond_the_edge_rejected_by_every_planner(
+        self, tiny_db, sif, div_query
+    ):
+        edge = tiny_db.network.edge(div_query.position.edge_id)
+        past = NetworkPosition(edge.edge_id, 3 * edge.weight)
+        plans = (
+            (plan_sk, SKQuery(past, div_query.terms, div_query.delta_max)),
+            (plan_knn, SKkNNQuery.create(past, div_query.terms, k=3)),
+            (plan_diversified, DiversifiedSKQuery.create(
+                past, div_query.terms, div_query.delta_max, k=4,
+            )),
+        )
+        for planner, query in plans:
+            with pytest.raises(QueryError, match="beyond edge"):
+                planner(tiny_db, sif, query)
+
+    def test_offset_at_the_far_end_is_on_the_edge(
+        self, tiny_db, sif, div_query
+    ):
+        edge = tiny_db.network.edge(div_query.position.edge_id)
+        end = NetworkPosition(edge.edge_id, edge.weight)
+        query = SKQuery(end, div_query.terms, div_query.delta_max)
+        assert plan_sk(tiny_db, sif, query).kind == "sk"

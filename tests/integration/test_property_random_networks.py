@@ -109,8 +109,9 @@ def test_seq_equals_com_on_random_worlds(seed):
     lam = float(rng.uniform(0.1, 1.0))
     query = DiversifiedSKQuery(position, terms, delta_max, k, lam)
     seq = db.diversified_search(index, query, method="seq")
-    com = db.diversified_search(index, query, method="com")
-    assert com.objective_value == pytest.approx(
-        seq.objective_value, rel=1e-6, abs=1e-9
-    )
-    assert len(seq) == len(com)
+    for method in ("com", None):  # None: the un-pinned plan's switch
+        other = db.diversified_search(index, query, method=method)
+        assert other.objective_value == pytest.approx(
+            seq.objective_value, rel=1e-6, abs=1e-9
+        )
+        assert len(seq) == len(other)

@@ -105,6 +105,22 @@ class TestDatabaseExplain:
         assert report.spans("com.round")
         assert "COM" in report.render()
 
+    def test_unpinned_explain_narrates_the_exit_that_ran(
+        self, tiny_db, tiny_indexes
+    ):
+        """The plan says AUTO; the span tree says which exit answered."""
+        config = WorkloadConfig(
+            num_queries=1, num_keywords=1, k=4, delta_max=4000.0, seed=11
+        )
+        query = generate_diversified_queries(tiny_db, config)[0]
+        report = tiny_db.explain(tiny_indexes["sif"], query, method=None)
+        assert report.plan.label == "SIF/AUTO"
+        assert report.result.method in ("SEQ", "COM")
+        assert report.trace.attrs["method"] == report.result.method
+        assert f"diversified query/{report.result.method} [" in (
+            report.render()
+        )
+
     def test_result_is_returned(self, tiny_db, tiny_indexes, sk_workload):
         report = tiny_db.explain(tiny_indexes["sif"], sk_workload[0])
         assert report.result is not None

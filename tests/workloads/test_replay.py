@@ -65,7 +65,7 @@ class PerturbingBackend:
         return {key: self._warp(value) for key, value in matrix.items()}
 
 
-def record_run(path, with_updates=True):
+def record_run(path, with_updates=True, methods=("seq", "com"), **workload):
     """Capture a small mixed workload (queries + dynamic updates)."""
     db = fresh_db()
     index = db.build_index("sif")
@@ -76,10 +76,13 @@ def record_run(path, with_updates=True):
         data_version=db.data_version,
     )
     queries = generate_diversified_queries(
-        db, WorkloadConfig(num_queries=6, num_keywords=2, k=4, seed=31)
+        db, WorkloadConfig(**{
+            "num_queries": 6, "num_keywords": 2, "k": 4, "seed": 31,
+            **workload,
+        })
     )
     plans = [
-        plan_diversified(db, index, q, method=("seq", "com")[i % 2])
+        plan_diversified(db, index, q, method=methods[i % len(methods)])
         for i, q in enumerate(queries)
     ]
     first = [db.engine.execute(p, sequence=i)
@@ -164,6 +167,29 @@ class TestReplayDeterminism:
             slot["diverged"] == 0 for slot in report.per_label.values()
         )
         assert "PASS — zero divergences" in report.render()
+
+    def test_unpinned_run_replays_unpinned(self, tmp_path):
+        """An un-pinned plan is recorded as ``auto`` and replayed
+        un-pinned: every query takes the exit it took live, so its
+        answer and its ``candidates`` / ``nodes_accessed`` match —
+        among them COM exits that stopped the expansion early."""
+        path = tmp_path / "auto.jsonl"
+        record_run(path, methods=(None,), num_keywords=1, delta_max=3000.0)
+        journal = load_flight_journal(path)
+        assert {q["algorithm"] for q in journal.queries} == {"auto"}
+        stats = [q["stats"] for q in journal.queries]
+        assert all(
+            s["candidates"] is not None and s["nodes_accessed"] is not None
+            for s in stats
+        )
+        # The SEQ exit evaluates no θ; the COM exit's bootstrap does.
+        assert {s["theta_evaluations"] > 0 for s in stats} == {True, False}
+        assert any(s["expansion_terminated_early"] for s in stats)
+        report = run_replay(fresh_db(), journal)
+        assert report.passed, [d.render() for d in report.divergences]
+        assert report.queries_replayed == 6
+        assert sum(report.updates_applied.values()) == 3
+        assert set(report.per_label) == {"SIF/AUTO"}
 
     @pytest.mark.parametrize("backend", DISTANCE_BACKENDS)
     def test_cross_backend_zero_divergences(self, journal_path, backend):

@@ -198,3 +198,41 @@ class TestRun:
             assert got.objective_value == pytest.approx(
                 want.objective_value
             )
+
+
+class TestPendingQueriesFollowReweights:
+    def test_heavy_reweight_run_keeps_every_query_on_its_edge(
+        self, monkeypatch
+    ):
+        """``repro update`` draws every query before its first batch; a
+        reweight that shrinks an edge under a pending query used to
+        leave the query's offset past the edge's end (offset 167.5 on
+        edge 793, weight 153.9, in this run), where the expansion can
+        seed negative distances.  Each pending query now moves with its
+        edge: every plan passes the planner's edge check and every
+        distance is >= 0."""
+        from repro.cli import main
+        from repro.engine.executor import QueryEngine
+
+        results, off_edge = [], []
+        execute_many = QueryEngine.execute_many
+
+        def capture(self, plans, workers=1):
+            for plan in plans:
+                pos = plan.query.position
+                if pos.offset > self.db.network.edge(pos.edge_id).weight:
+                    off_edge.append(pos)
+            batch = execute_many(self, plans, workers)
+            results.extend(batch)
+            return batch
+
+        monkeypatch.setattr(QueryEngine, "execute_many", capture)
+        assert main([
+            "update", "SYN", "--scale", "0.25", "--queries", "60",
+            "--keywords", "2", "--k", "4", "--batches", "6",
+            "--updates-per-batch", "40", "--edge-weight-weight", "5",
+        ]) == 0
+        assert len(results) == 60
+        assert off_edge == []
+        distances = [item.distance for r in results for item in r.items]
+        assert distances and min(distances) >= 0
