@@ -76,8 +76,7 @@ class SIFIndex(ObjectIndex):
         counters = self.counters
         tracer = self.tracer
         start = time.perf_counter()
-        signatures = self._signatures
-        bits = signatures.matrix.to_bigint(signatures.combined_row(terms))
+        bits = self._signatures.combined_row(terms)
         counters.signature_seconds += time.perf_counter() - start
         fetch = self._inverted.load_objects
 

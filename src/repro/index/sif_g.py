@@ -22,7 +22,7 @@ from ..storage.bplustree import BPlusTree
 from ..storage.pagefile import DiskManager, PageFile
 from .base import ObjectIndex
 from .inverted_file import InvertedFileIndex, pack_postings, read_run
-from .signature import SignatureFile
+from .signature import SignatureFile, pack_slots
 
 __all__ = ["SIFGIndex"]
 
@@ -73,7 +73,9 @@ class SIFGIndex(ObjectIndex):
             f"{file_prefix}.groups", category="inverted"
         )
         self._group_trees: Dict[FrozenSet[str], BPlusTree] = {}
-        self._group_bits: Dict[FrozenSet[str], Set[int]] = {}
+        #: pair -> its edges as one int row, bit ``e`` set iff an object
+        #: on edge ``e`` carries both terms.
+        self._group_bits: Dict[FrozenSet[str], int] = {}
         self._build_groups()
         self.build_seconds = time.perf_counter() - start
 
@@ -81,6 +83,7 @@ class SIFGIndex(ObjectIndex):
     def _build_groups(self) -> None:
         top = set(self._top_terms)
         staged: Dict[FrozenSet[str], List[Tuple[int, int, float]]] = {}
+        staged_edges: Dict[FrozenSet[str], List[int]] = {}
         keys = self._inverted._edge_keys
         ordered_edges = sorted(
             self._store.edges_with_objects(), key=keys.__getitem__
@@ -95,7 +98,7 @@ class SIFGIndex(ObjectIndex):
                         staged.setdefault(pair, []).append(
                             (key, obj.object_id, obj.position.offset)
                         )
-                        self._group_bits.setdefault(pair, set()).add(edge_id)
+                        staged_edges.setdefault(pair, []).append(edge_id)
         for pair in sorted(staged, key=sorted):
             edge_pages = pack_postings(self._group_file, staged[pair])
             tree = BPlusTree(self._group_file, key_bytes=8, value_bytes=8)
@@ -103,6 +106,7 @@ class SIFGIndex(ObjectIndex):
                 (edge_key, pages) for (edge_key,), pages in edge_pages.items()
             ])
             self._group_trees[pair] = tree
+            self._group_bits[pair] = pack_slots(staged_edges[pair])
 
     def _cover(self, terms: FrozenSet[str]) -> Tuple[List[FrozenSet[str]], List[str]]:
         """Greedy cover of the query terms by indexed pairs + singletons."""
@@ -127,12 +131,14 @@ class SIFGIndex(ObjectIndex):
         self, terms: FrozenSet[str]
     ) -> Callable[[int], List[SpatioTextualObject]]:
         counters = self.counters
-        # Signature guard: group bits for pairs, plain bits for singles.
+        # Signature guard: the singles' rows ANDed with the pairs' group
+        # rows into one int, so an edge costs one shift as in SIF.
         sig_start = time.perf_counter()
         pairs, singles = self._cover(terms)
-        group_bits = [self._group_bits.get(pair, ()) for pair in pairs]
-        signatures = self._signatures
-        bits = signatures.matrix.to_bigint(signatures.combined_row(singles))
+        bits = self._signatures.combined_row(singles)
+        for pair in pairs:
+            group = self._group_bits[pair]
+            bits = group if bits is None else bits & group
         counters.signature_seconds += time.perf_counter() - sig_start
         # (tree, its postings file) per covering list: pairs, then singles.
         lists = [(self._group_trees[pair], self._group_file) for pair in pairs]
@@ -145,12 +151,9 @@ class SIFGIndex(ObjectIndex):
 
         def load(edge_id: int) -> List[SpatioTextualObject]:
             counters.signature_tests_run += 1
-            passed = bits is None or (edge_id >= 0 and (bits >> edge_id) & 1)
-            for members in group_bits:
-                if edge_id not in members:
-                    passed = False
-                    break
-            if not passed:
+            if bits is not None and (
+                edge_id < 0 or not (bits >> edge_id) & 1
+            ):
                 counters.signature_tests_pruned += 1
                 counters.edges_pruned_by_signature += 1
                 return []

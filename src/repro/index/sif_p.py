@@ -9,7 +9,8 @@ edge, so a passing virtual edge only loads its own objects.
 Only the densest edges are partitioned (the paper considers "the edges
 whose number of objects ranked at the top 10%"), with a bounded number
 of cuts (3 in the experiments); the partition is chosen by the greedy
-(default) or exact DP solver against a query log.
+solver against a query log (the exact DP solver,
+:func:`~repro.index.partition.dp_partition`, is its test reference).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .inverted_file import (
     rarest_first,
     read_run,
 )
-from .partition import QueryLog, dp_partition, greedy_partition, segments_from_cuts
+from .partition import QueryLog, greedy_partition, segments_from_cuts
 from .query_log import frequency_edge_log
 from .signature import PackedBitMatrix
 
@@ -70,14 +71,11 @@ class SIFPIndex(ObjectIndex):
         kd_partition: Optional[KDTreePartition] = None,
         max_cuts: int = 3,
         partition_fraction: float = 0.10,
-        method: str = "greedy",
         log_builder: Optional[LogBuilder] = None,
         min_postings_pages: int = 1,
         seed: int = 7,
         file_prefix: str = "sifp",
     ) -> None:
-        if method not in ("greedy", "dp"):
-            raise ValueError("method must be 'greedy' or 'dp'")
         super().__init__(store)
         self._disk = disk
         self._curve = curve or ZOrderCurve()
@@ -85,7 +83,6 @@ class SIFPIndex(ObjectIndex):
         self._edge_keys = EdgeKeys(self._curve, self._network)
         self._max_cuts = max_cuts
         self._partition_fraction = partition_fraction
-        self._method = method
         self._log_builder = log_builder or _default_log_builder
         self._min_postings_pages = min_postings_pages
         self._rng = np.random.default_rng(seed)
@@ -112,7 +109,7 @@ class SIFPIndex(ObjectIndex):
         #: position, so dynamic maintenance can place new objects and
         #: recompute the positional ranges from the current store.
         self._boundaries: Dict[int, List[float]] = {}
-        #: Packed per-term bitset rows over a *global* virtual-edge slot
+        #: Per-term int rows over a *global* virtual-edge slot
         #: space: every edge owns a contiguous run of
         #: ``max(1, len(segments))`` slots, assigned at build (or lazily
         #: for edges first populated dynamically).  Slot counts are
@@ -149,10 +146,7 @@ class SIFPIndex(ObjectIndex):
         log = self._log_builder(object_keywords, self._rng)
         if not log:
             return ()
-        if self._method == "dp":
-            cuts, _cost = dp_partition(object_keywords, self._max_cuts, log)
-        else:
-            cuts, _cost = greedy_partition(object_keywords, self._max_cuts, log)
+        cuts, _cost = greedy_partition(object_keywords, self._max_cuts, log)
         return cuts
 
     def _alloc_slots(self, edge_id: int, count: int) -> int:
@@ -271,7 +265,7 @@ class SIFPIndex(ObjectIndex):
         if any(t not in matrix for t in signed):
             bits = 0
         else:
-            bits = matrix.to_bigint(matrix.combined(signed))
+            bits = matrix.combined(signed)
         counters.signature_seconds += time.perf_counter() - sig_start
         # One B+-tree descent per query keyword (as in SIF), rarest first.
         trees = [self._trees.get(t) for t in rarest_first(self._store, terms)]

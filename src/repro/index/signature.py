@@ -1,4 +1,4 @@
-"""Per-keyword edge signatures (paper §3.1), packed as bitset rows.
+"""Per-keyword edge signatures (paper §3.1), one Python int per row.
 
 ``I(e, t) = 1`` iff at least one object with keyword ``t`` lies on edge
 ``e``.  An edge can be skipped — zero I/O — when any query keyword has
@@ -16,20 +16,19 @@ Following the paper:
 Signatures are memory-resident at query time ("can be easily fit into
 the main memory"), so the test itself costs no I/O.
 
-Storage layout: one packed ``uint64`` bitset row per signed keyword,
-``ceil(num_slots / 64)`` words wide, over a dense slot space (edge ids
-for SIF, virtual-edge slots for SIF-P).  The AND over a query's terms
-is computed once per distinct term set and cached until the next
-``set``/``clear`` bumps the version — the one cache on this path.  A
-query's loader turns that row into a Python int once
-(:meth:`PackedBitMatrix.to_bigint`) and tests each edge with one shift.
+Storage layout: one arbitrary-precision int per signed keyword, bit
+``s`` set iff slot ``s`` (an edge id for SIF, a virtual-edge slot for
+SIF-P) holds the keyword.  A query's loader ANDs its terms' rows into
+one int and tests each edge with one shift.  Ints are immutable, so a
+row a loader holds never changes under it and no lock is needed.
 """
 
 from __future__ import annotations
 
-import threading
+from functools import reduce
+from operator import and_
 from typing import (
-    Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple,
+    Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set,
 )
 
 import numpy as np
@@ -38,16 +37,23 @@ from ..network.objects import ObjectStore
 from ..spatial.kdtree import KDTreePartition
 from .inverted_file import InvertedFileIndex
 
-__all__ = ["PackedBitMatrix", "SignatureFile"]
+__all__ = ["PackedBitMatrix", "SignatureFile", "pack_slots"]
 
-#: Combined-row cache entries kept before the cache is dropped.  Query
-#: workloads reuse a handful of term sets; dynamic churn invalidates by
-#: version, so the cap only guards against adversarial term diversity.
-_COMBINED_CACHE_CAP = 512
+
+def pack_slots(slots: Iterable[int]) -> int:
+    """One int with bit ``s`` set for every ``s`` in ``slots``."""
+    idx = np.fromiter(slots, dtype=np.int64)
+    if not idx.size:
+        return 0
+    bits = np.zeros(int(idx.max()) + 1, dtype=bool)
+    bits[idx] = True
+    return int.from_bytes(
+        np.packbits(bits, bitorder="little").tobytes(), "little"
+    )
 
 
 class PackedBitMatrix:
-    """Packed bitset rows over a dense slot space, one row per key.
+    """Bitset rows over a dense slot space, one int per key.
 
     The matrix is the storage engine shared by :class:`SignatureFile`
     (slots = edge ids) and SIF-P (slots = global virtual-edge slots).
@@ -59,15 +65,7 @@ class PackedBitMatrix:
 
     def __init__(self, num_slots: int) -> None:
         self._num_slots = max(0, int(num_slots))
-        self._row_of: Dict[str, int] = {}
-        self._version = 0
-        self._combined_cache: Dict[
-            Tuple[int, ...], Tuple[int, object]
-        ] = {}
-        self._cache_lock = threading.Lock()
-        self._words = max(1, (self._num_slots + 63) // 64)
-        self._rows = np.zeros((0, self._words), dtype=np.uint64)
-        self._used_rows = 0
+        self._rows: Dict[str, int] = {}
 
     # ------------------------------------------------------------------
     @property
@@ -76,74 +74,30 @@ class PackedBitMatrix:
 
     @property
     def num_rows(self) -> int:
-        return len(self._row_of)
+        return len(self._rows)
 
     @property
     def num_words(self) -> int:
-        """Words per row — ``ceil(num_slots / 64)`` (at least one)."""
+        """64-bit words per row — ``ceil(num_slots / 64)`` (at least one)."""
         return max(1, (self._num_slots + 63) // 64)
 
-    @property
-    def version(self) -> int:
-        """Bumped on every mutation; invalidates cached combined rows."""
-        return self._version
-
     def __contains__(self, key: str) -> bool:
-        return key in self._row_of
+        return key in self._rows
 
     def keys(self) -> Iterable[str]:
-        return self._row_of.keys()
+        return self._rows.keys()
 
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
     def ensure_slots(self, num_slots: int) -> None:
-        """Grow the slot space (never shrinks; widens rows as needed)."""
-        if num_slots <= self._num_slots:
-            return
-        self._num_slots = int(num_slots)
-        new_words = max(1, (self._num_slots + 63) // 64)
-        if new_words > self._words:
-            widened = np.zeros(
-                (self._rows.shape[0], new_words), dtype=np.uint64
-            )
-            widened[:, : self._words] = self._rows
-            self._rows = widened
-            self._words = new_words
-
-    def add_row(self, key: str) -> int:
-        """Allocate an all-zero row for ``key`` (idempotent)."""
-        row = self._row_of.get(key)
-        if row is not None:
-            return row
-        row = self._used_rows
-        if row >= self._rows.shape[0]:
-            capacity = max(8, self._rows.shape[0] * 2, row + 1)
-            grown = np.zeros((capacity, self._words), dtype=np.uint64)
-            grown[: self._rows.shape[0]] = self._rows
-            self._rows = grown
-        self._used_rows += 1
-        self._row_of[key] = row
-        self._version += 1
-        return row
-
-    def drop_row(self, key: str) -> None:
-        """Forget ``key`` (its physical row is zeroed and abandoned)."""
-        row = self._row_of.pop(key, None)
-        if row is None:
-            return
-        self._rows[row, :] = 0
-        self._version += 1
+        """Grow the slot space (never shrinks)."""
+        self._num_slots = max(self._num_slots, int(num_slots))
 
     def set(self, key: str, slot: int) -> None:
         """Set bit ``slot`` in ``key``'s row, allocating it if absent."""
-        if slot >= self._num_slots:
-            self.ensure_slots(slot + 1)
-        row = self._row_of.get(key)
-        if row is None:
-            row = self.add_row(key)
-        self._rows[row, slot >> 6] |= np.uint64(1 << (slot & 63))
-        self._version += 1
+        self.ensure_slots(slot + 1)
+        self._rows[key] = self._rows.get(key, 0) | (1 << slot)
 
     def clear(self, key: str, slot: int) -> None:
         """Clear bit ``slot`` in ``key``'s row; no-op for absent keys.
@@ -153,99 +107,45 @@ class PackedBitMatrix:
         make the key's absence read as a pass for callers that treat
         missing keys conservatively.
         """
-        row = self._row_of.get(key)
-        if row is None:
-            return
-        if 0 <= slot < self._num_slots:
-            self._rows[row, slot >> 6] &= ~np.uint64(1 << (slot & 63))
-        self._version += 1
+        row = self._rows.get(key)
+        if row is not None and slot >= 0:
+            self._rows[key] = row & ~(1 << slot)
 
     def bulk_set(self, key: str, slots: Iterable[int]) -> None:
-        """Set many bits in one row (build-time path, one version bump)."""
-        slots = list(slots)
-        if not slots:
-            self.add_row(key)
-            return
-        top = max(slots)
-        if top >= self._num_slots:
-            self.ensure_slots(top + 1)
-        row = self.add_row(key)
-        idx = np.asarray(slots, dtype=np.int64)
-        words = idx >> 6
-        masks = np.left_shift(
-            np.uint64(1), (idx & 63).astype(np.uint64)
-        )
-        np.bitwise_or.at(self._rows[row], words, masks)
-        self._version += 1
+        """Set many bits in one row (build-time path, one packing)."""
+        packed = pack_slots(slots)
+        self.ensure_slots(packed.bit_length())
+        self._rows[key] = self._rows.get(key, 0) | packed
 
     # ------------------------------------------------------------------
     # Probing
     # ------------------------------------------------------------------
-    def combined(self, keys: Sequence[str]):
+    def combined(self, keys: Sequence[str]) -> Optional[int]:
         """AND of the given keys' rows; ``None`` means "always pass".
 
         Every key must be present (callers apply their own policy for
-        absent keys first).  The result is cached per distinct key set
-        until the next mutation.
+        absent keys first).
         """
         if not keys:
             return None
-        rows = sorted(self._row_of[k] for k in set(keys))
-        cache_key = tuple(rows)
-        version = self._version
-        hit = self._combined_cache.get(cache_key)
-        if hit is not None and hit[0] == version:
-            return hit[1]
-        if len(rows) == 1:
-            combined = self._rows[rows[0]]
-        else:
-            combined = np.bitwise_and.reduce(
-                self._rows[np.asarray(rows, dtype=np.intp)], axis=0
-            )
-        with self._cache_lock:
-            if len(self._combined_cache) >= _COMBINED_CACHE_CAP:
-                self._combined_cache.clear()
-            self._combined_cache[cache_key] = (version, combined)
-        return combined
+        return reduce(and_, map(self._rows.__getitem__, keys))
 
-    def probe(self, combined, slot: int) -> bool:
+    @staticmethod
+    def probe(combined: Optional[int], slot: int) -> bool:
         """Bit ``slot`` of a combined row (``None`` passes everything)."""
         if combined is None:
             return True
-        if slot < 0 or slot >= self._num_slots:
-            return False
-        return bool(
-            (int(combined[slot >> 6]) >> (slot & 63)) & 1
-        )
-
-    def to_bigint(self, combined) -> Optional[int]:
-        """A combined row as one arbitrary-precision int (or ``None``).
-
-        Scalar probes on a Python int (``(bits >> slot) & 1``) beat
-        numpy scalar indexing, which pays per-element boxing; an
-        index's loader converts once per query and shifts per edge.  A
-        slot past the last word shifts to zero: it fails, as in
-        :meth:`probe`.
-        """
-        if combined is None:
-            return None
-        return int.from_bytes(
-            combined.astype("<u8", copy=False).tobytes(), "little"
-        )
+        return slot >= 0 and bool((combined >> slot) & 1)
 
     def slots_of(self, key: str) -> FrozenSet[int]:
         """The set bits of one key's row (size accounting / edges_of)."""
-        row = self._row_of.get(key)
-        if row is None:
-            return frozenset()
-        out: List[int] = []
-        for wi, word in enumerate(self._rows[row].tolist()):
-            base = wi << 6
-            while word:
-                low = word & -word
-                out.append(base + low.bit_length() - 1)
-                word ^= low
-        return frozenset(out)
+        row = self._rows.get(key, 0)
+        packed = np.frombuffer(
+            row.to_bytes((row.bit_length() + 7) // 8, "little"),
+            dtype=np.uint8,
+        )
+        bits = np.unpackbits(packed, bitorder="little")
+        return frozenset(np.flatnonzero(bits).tolist())
 
     def size_bytes(self) -> int:
         """Packed size: rows × words × 8 bytes."""
@@ -332,7 +232,7 @@ class SignatureFile:
             return True
         return self._matrix.probe(self._matrix.combined((term,)), edge_id)
 
-    def combined_row(self, terms: Iterable[str]):
+    def combined_row(self, terms: Iterable[str]) -> Optional[int]:
         """AND of the signed query terms' rows, ``None`` = always pass.
 
         Unsigned (skipped or never-seen) terms are excluded — they
@@ -345,9 +245,8 @@ class SignatureFile:
     def test(self, edge_id: int, terms: Iterable[str]) -> bool:
         """AND-semantics signature test: ``False`` means *prune the edge*.
 
-        The per-slot reference: the bound loaders shift one bigint
-        instead, and the tests compare that shift against this.  Keep
-        it, and keep it uncached beyond ``PackedBitMatrix.combined``.
+        The per-slot reference: the bound loaders shift the combined
+        row themselves, and the tests compare that shift against this.
         """
         return self._matrix.probe(self.combined_row(terms), edge_id)
 
@@ -403,6 +302,6 @@ class SignatureFile:
                 self._kd.compact_size_bytes(self._matrix.slots_of(term))
                 for term in self._matrix.keys()
             )
-        # Raw fallback: the actual packed representation — one
-        # ceil(num_edges / 64)-word uint64 row per signed keyword.
+        # Raw fallback: one ceil(num_edges / 64)-word row per signed
+        # keyword.
         return self._matrix.size_bytes()

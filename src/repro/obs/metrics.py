@@ -121,13 +121,23 @@ class Histogram:
     @classmethod
     def merged(cls, name: str, parts: Sequence["Histogram"]) -> "Histogram":
         """One histogram over every part's stream: count, sum, min and
-        max stay exact; the kept samples are pooled."""
+        max stay exact; the kept samples are pooled.
+
+        Each part is first thinned to the coarsest stride among the
+        parts (strides are powers of two), so every pooled sample
+        stands for the same number of observations — else a busy part
+        kept at stride 4 would weigh a quarter of a quiet one's.
+        """
         merged = cls(name)
         merged.count = sum(part.count for part in parts)
         merged.total = sum(part.total for part in parts)
         merged.min = min(part.min for part in parts)
         merged.max = max(part.max for part in parts)
-        merged._samples = [s for part in parts for s in part._samples]
+        merged._stride = max(part._stride for part in parts)
+        merged._samples = [
+            s for part in parts
+            for s in part._samples[:: merged._stride // part._stride]
+        ]
         merged._sorted = False
         return merged
 

@@ -160,12 +160,9 @@ class TestGeneratorOutputIsPinned:
         assert dataset_digest(db) == PINNED_DIGESTS[(name, scale)]
 
 
-def _row_ints(matrix, prefix=""):
-    """Each signature row as one int, keyed by ``prefix + term``."""
-    return {
-        prefix + term: matrix.to_bigint(matrix.combined((term,)))
-        for term in matrix.keys()
-    }
+def _row_ints(matrix):
+    """Each signature row (one int), keyed by term."""
+    return {term: matrix.combined((term,)) for term in matrix.keys()}
 
 
 def _trees_and_rows(index):
@@ -179,8 +176,8 @@ def _trees_and_rows(index):
     if index.name == "SIF-G":
         for pair, tree in index._group_trees.items():
             trees["group:" + "+".join(sorted(pair))] = tree
-        for pair, edges in index._group_bits.items():
-            rows["group:" + "+".join(sorted(pair))] = sum(1 << e for e in edges)
+        for pair, row in index._group_bits.items():
+            rows["group:" + "+".join(sorted(pair))] = row
     return trees, rows
 
 

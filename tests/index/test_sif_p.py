@@ -53,24 +53,6 @@ class TestPartitioning:
     def test_unpartitioned_edge_single_segment(self, sifp):
         assert sifp.segments_of(1) == [(0, 0)]
 
-    def test_method_validation(self, fig3_store):
-        disk = DiskManager()
-        with pytest.raises(ValueError):
-            SIFPIndex(fig3_store, disk, method="annealing")
-
-    def test_dp_method_agrees_on_fig3(self, fig3_store):
-        disk = DiskManager(buffer_pages=64)
-        index = SIFPIndex(
-            fig3_store,
-            disk,
-            max_cuts=1,
-            partition_fraction=1.0,
-            method="dp",
-            log_builder=fig3_log_builder,
-            min_postings_pages=1,
-        )
-        assert index.segments_of(0) == [(0, 1), (2, 4)]
-
 
 class TestVirtualEdgePruning:
     def test_fig3_false_hit_avoided(self, sifp):

@@ -1,15 +1,14 @@
-"""Property tests: packed bitset signatures vs a set-model reference.
+"""Property tests: int-row bitset signatures vs a set-model reference.
 
-The packed ``uint64`` rows in :class:`PackedBitMatrix` (and the
-:class:`SignatureFile` built on them) must be observationally identical
-to the obvious reference model — a ``Dict[str, Set[int]]`` with the
-conservative-True rule for unsigned terms.  Hypothesis drives random
-interleavings of builds, dynamic set/clear churn and probes (the
-matrix's own, the bigint shift a bound loader tests an edge with, and
-SIF-P's masked window), including the edge cases a fixed fixture
-misses: rows emptied by clears (kept, prune everything), terms skipped
-by the rare-keyword rule (never tighten the AND), and slot spaces that
-straddle 64-bit word boundaries.
+The int rows in :class:`PackedBitMatrix` (and the :class:`SignatureFile`
+built on them) must be observationally identical to the obvious
+reference model — a ``Dict[str, Set[int]]`` with the conservative-True
+rule for unsigned terms.  Hypothesis drives random interleavings of
+builds, dynamic set/clear churn and probes (the matrix's own, the shift
+a bound loader tests an edge with, and SIF-P's masked window),
+including the edge cases a fixed fixture misses: rows emptied by clears
+(kept, prune everything), terms skipped by the rare-keyword rule (never
+tighten the AND), and slot spaces that straddle 64-bit word boundaries.
 """
 
 from hypothesis import given, settings
@@ -31,7 +30,6 @@ op_st = st.one_of(
     st.tuples(st.just("set"), term_st, slot_st),
     st.tuples(st.just("clear"), term_st, slot_st),
     st.tuples(st.just("bulk"), term_st, st.lists(slot_st, max_size=8)),
-    st.tuples(st.just("drop"), term_st),
 )
 
 
@@ -50,8 +48,6 @@ class SetModel:
                 self.rows[op[1]].discard(op[2])
         elif kind == "bulk":
             self.rows.setdefault(op[1], set()).update(op[2])
-        elif kind == "drop":
-            self.rows.pop(op[1], None)
 
     def combined_slots(self, keys):
         """Slots passing the AND of ``keys`` (all present by contract)."""
@@ -70,8 +66,6 @@ def apply_to_matrix(matrix, op):
         matrix.clear(op[1], op[2])
     elif kind == "bulk":
         matrix.bulk_set(op[1], op[2])
-    elif kind == "drop":
-        matrix.drop_row(op[1])
 
 
 @settings(max_examples=120, deadline=None)
@@ -92,12 +86,9 @@ def test_matrix_matches_set_model(ops, query_terms):
             assert matrix.slots_of(term) == frozenset()
     # Combined AND probes (only over present keys, per the contract).
     present = [t for t in query_terms if t in model.rows]
-    combined = matrix.combined(present)
-    if not present:
-        assert combined is None
+    bits = matrix.combined(present)
+    assert (bits is None) == (not present)
     expected = model.combined_slots(present)
-    bits = matrix.to_bigint(combined)
-    assert (bits is None) == (combined is None)
     # Slots past the last word included: they fail closed in both forms.
     past_end = 64 * matrix.num_words + 70
     for slot in range(past_end):
@@ -105,8 +96,8 @@ def test_matrix_matches_set_model(ops, query_terms):
             True if expected is None
             else slot < matrix.num_slots and slot in expected
         )
-        assert matrix.probe(combined, slot) == want
-        # A bound loader's per-edge test: one shift of the bigint.
+        assert matrix.probe(bits, slot) == want
+        # A bound loader's per-edge test: one shift of the row.
         assert (bits is None or bool((bits >> slot) & 1)) == want
     if bits is None:
         return
@@ -116,7 +107,7 @@ def test_matrix_matches_set_model(ops, query_terms):
         for count in (1, 4, 66):
             window = (bits >> base) & ((1 << count) - 1)
             assert [v for v in range(count) if (window >> v) & 1] == [
-                v for v in range(count) if matrix.probe(combined, base + v)
+                v for v in range(count) if matrix.probe(bits, base + v)
             ]
 
 
@@ -242,7 +233,9 @@ def test_probe_out_of_range_fails_closed():
     assert matrix.probe(combined, 99) is False
 
 
-def test_combined_cache_invalidated_by_mutation():
+def test_combined_sees_every_mutation():
+    """A fresh AND sees the clear; a row already handed out (a bound
+    loader's) is an int and keeps the bits it was bound with."""
     matrix = PackedBitMatrix(4)
     matrix.set("a", 0)
     combined = matrix.combined(["a"])
@@ -250,3 +243,4 @@ def test_combined_cache_invalidated_by_mutation():
     matrix.clear("a", 0)
     fresh = matrix.combined(["a"])
     assert matrix.probe(fresh, 0) is False
+    assert matrix.probe(combined, 0) is True

@@ -128,6 +128,21 @@ class TestSlidingWindowRollup:
         # Subsampled percentiles still track the distribution.
         assert p(snap, 50) == pytest.approx(5000.0, rel=0.2)
 
+    def test_buckets_kept_at_different_strides_weigh_by_queries(self):
+        """A busy bucket subsampled at a coarse stride is not outweighed
+        by a quiet one kept whole: 2 048 queries at 1 ms then 100 at
+        100 ms is a window whose p95 is 1 ms."""
+        rollup, clock = make_rollup(window_seconds=2.0, bucket_seconds=1.0)
+        for _ in range(2048):
+            rollup.record(0.001)
+        clock.t = 1.5
+        for _ in range(100):
+            rollup.record(0.100)
+        snap = rollup.snapshot()
+        assert finished(snap) == 2148
+        assert p(snap, 95) == pytest.approx(0.001)
+        assert p(snap, 99) == pytest.approx(0.100)
+
     def test_concurrent_recording(self):
         rollup, _ = make_rollup()
         per_thread = 2000
