@@ -30,7 +30,6 @@ def test_ablation_buffer_size(ctx, show):
             for pages in sorted({*BUFFER_PAGES, rule}):
                 db.disk.resize_buffer(pages)
                 db.disk.clear_buffer()
-                index.counters.reset()
                 report = run_sk_workload(db, index, queries)
                 rows.append(
                     {

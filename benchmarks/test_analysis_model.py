@@ -47,7 +47,7 @@ def test_analysis_cost_model(ctx, show):
             measured = {}
             edges = 0
             for kind, index in indexes.items():
-                index.counters.reset()
+                index.lifetime_counters.reset()
                 edges = 0
                 for q in queries:
                     exp = INEExpansion(
@@ -56,7 +56,7 @@ def test_analysis_cost_model(ctx, show):
                     )
                     exp.run_to_completion()
                     edges += exp.stats.edges_accessed
-                measured[kind] = index.counters.objects_loaded
+                measured[kind] = index.lifetime_counters.objects_loaded
             rows.append(
                 {
                     "l": l,

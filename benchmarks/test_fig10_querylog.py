@@ -58,7 +58,6 @@ def test_fig10_query_log_models(ctx, show):
             }
             row = {"dataset": dataset}
             for label, index in variants.items():
-                index.counters.reset()
                 report = run_sk_workload(db, index, queries, label=label)
                 row[label] = round(report.avg_false_hit_objects, 2)
             rows.append(row)

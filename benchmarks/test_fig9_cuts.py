@@ -30,7 +30,6 @@ def test_fig9_false_hits_vs_cuts(ctx, show):
         for cuts in CUTS:
             index = ctx.index("SF", "sif-p", db_overrides=DENSE, max_cuts=cuts,
                               file_prefix=f"fig9-sifp{cuts}")
-            index.counters.reset()
             report = run_sk_workload(db, index, queries, label=f"cuts={cuts}")
             rows.append(
                 {
@@ -41,11 +40,9 @@ def test_fig9_false_hits_vs_cuts(ctx, show):
             )
         # Baselines: plain SIF and the space-hungry SIF-G.
         sif = ctx.index("SF", "sif", db_overrides=DENSE, file_prefix="fig9-sif")
-        sif.counters.reset()
         sif_rep = run_sk_workload(db, sif, queries, label="SIF")
         sifg = ctx.index("SF", "sif-g", db_overrides=DENSE, top_terms=25,
                          file_prefix="fig9-sifg")
-        sifg.counters.reset()
         sifg_rep = run_sk_workload(db, sifg, queries, label="SIF-G")
         extras = {
             "SIF_false_hit_objs": round(sif_rep.avg_false_hit_objects, 2),

@@ -27,7 +27,6 @@ def main(scale: float = 0.5) -> None:
     rows = []
     for kind in ("ir", "if", "sif", "sif-p"):
         index = db.build_index(kind)
-        index.counters.reset()
         report = workloads.run_sk_workload(db, index, queries)
         rows.append(
             {

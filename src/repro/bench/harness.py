@@ -105,7 +105,6 @@ class BenchContext:
         db = self.database(profile, **(db_overrides or {}))
         index = self.index(profile, kind, db_overrides=db_overrides, **index_kwargs)
         queries = generate_sk_queries(db, config)
-        index.counters.reset()
         self.cold_buffer(db, index)
         return run_sk_workload(db, index, queries, label=kind.upper())
 
@@ -122,7 +121,6 @@ class BenchContext:
         db = self.database(profile, **(db_overrides or {}))
         index = self.index(profile, kind, db_overrides=db_overrides, **index_kwargs)
         queries = generate_diversified_queries(db, config)
-        index.counters.reset()
         self.cold_buffer(db, index)
         return run_diversified_workload(
             db, index, queries, method=method, enable_pruning=enable_pruning

@@ -555,7 +555,6 @@ def _cmd_diversify(args) -> int:
         queries = _diversified_queries(db, args)
         rows = []
         for method in ("seq", "com"):
-            index.counters.reset()
             rows.append(
                 run_diversified_workload(
                     db, index, queries, method=method, workers=args.workers,
@@ -599,7 +598,6 @@ def _cmd_compare(args) -> int:
         rows = []
         for kind in ("ir", "if", "sif", "sif-p"):
             index = db.build_index(kind)
-            index.counters.reset()
             report = run_sk_workload(db, index, queries, workers=args.workers)
             row = report.row()
             row["build_s"] = round(index.build_seconds, 2)

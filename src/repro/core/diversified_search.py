@@ -40,7 +40,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..index.base import ObjectIndex
+from ..index.base import LoadCounters, ObjectIndex
 from ..network.distance import (
     PAIRWISE_CUTOFF_FACTOR,
     AdjacencyProvider,
@@ -165,6 +165,7 @@ def diversified_search(
     query: DiversifiedSKQuery, algorithm: str,
     pairwise: Optional[PairwiseDistanceComputer] = None,
     enable_pruning: bool = True, tracer=NULL_TRACER,
+    counters: Optional[LoadCounters] = None,
 ) -> DiversifiedResult:
     """Run one diversified query; ``result.method`` is the exit taken.
 
@@ -179,7 +180,7 @@ def diversified_search(
     clock = StageClock()
     expansion = INEExpansion(
         provider, network, index, query.position, query.terms,
-        query.delta_max, tracer=tracer,
+        query.delta_max, counters, tracer,
     )
     objective = DiversificationObjective(query.lambda_, query.delta_max)
     computer = pairwise or PairwiseDistanceComputer(

@@ -19,9 +19,9 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterator, List, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
-from ..index.base import ObjectIndex
+from ..index.base import LoadCounters, ObjectIndex
 from ..network.distance import AdjacencyProvider, seed_distances
 from ..network.graph import NetworkPosition, RoadNetwork
 from ..network.objects import SpatioTextualObject
@@ -44,7 +44,6 @@ class ExpansionStats:
     nodes_accessed: int = 0
     edges_accessed: int = 0
     objects_emitted: int = 0
-    terminated_early: bool = False
     #: Wall seconds spent inside the index's bound loader, per edge
     #: (Algorithm 2: signature test + posting fetch), a sub-stage of
     #: expansion.
@@ -116,6 +115,9 @@ class INEExpansion:
         ``loader(terms)`` once and calls it per edge.
     position, terms, delta_max:
         The SK query.
+    counters:
+        The query's :class:`~repro.index.base.LoadCounters`, handed to
+        the loader (``None``: the index's lifetime totals).
     tracer:
         Optional :class:`~repro.obs.tracing.Tracer`; when enabled the
         expansion records one ``ine.round`` span per
@@ -131,6 +133,7 @@ class INEExpansion:
         position: NetworkPosition,
         terms: FrozenSet[str],
         delta_max: float,
+        counters: Optional[LoadCounters] = None,
         tracer=NULL_TRACER,
     ) -> None:
         self._provider = provider
@@ -139,6 +142,7 @@ class INEExpansion:
         self._position = position
         self._terms = terms
         self._delta_max = delta_max
+        self._counters = counters
         self._tracer = tracer
         self.stats = ExpansionStats()
 
@@ -152,9 +156,8 @@ class INEExpansion:
         neighbors = self._provider.neighbors
         heappush, heappop = heapq.heappush, heapq.heappop
         clock = time.perf_counter
-        # Algorithm 2's per-query half.  Bound here, not in __init__:
-        # the counters slot it resolves belongs to the executing thread.
-        load = self._index.loader(self._terms)
+        # Algorithm 2's per-query half, bound when the stream starts.
+        load = self._index.loader(self._terms, self._counters, self._tracer)
 
         settled: Set[int] = set()
         visited_edges: Set[int] = {query_edge}

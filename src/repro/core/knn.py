@@ -15,10 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import FrozenSet, Iterable, List
+from typing import FrozenSet, Iterable, List, Optional
 
 from ..errors import QueryError
-from ..index.base import ObjectIndex
+from ..index.base import LoadCounters, ObjectIndex
 from ..network.distance import AdjacencyProvider
 from ..network.graph import NetworkPosition, RoadNetwork
 from ..obs.tracing import NULL_TRACER
@@ -85,6 +85,7 @@ def knn_search(
     index: ObjectIndex,
     query: SKkNNQuery,
     tracer=NULL_TRACER,
+    counters: Optional[LoadCounters] = None,
 ) -> SKkNNResult:
     """kNN: the first ``k`` items of one INE expansion out to ``horizon``.
 
@@ -94,7 +95,7 @@ def knn_search(
     """
     expansion = INEExpansion(
         provider, network, index, query.position, query.terms,
-        query.horizon, tracer=tracer,
+        query.horizon, counters, tracer,
     )
     stream = expansion.run()
     items = list(islice(stream, query.k))

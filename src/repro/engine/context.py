@@ -1,22 +1,16 @@
 """Per-execution state: everything one running query mutates.
 
-Historically each query diffed *shared* lifetime counters (index load
-counters, the disk's I/O totals, the buffer pool's eviction count)
-against a snapshot taken at query start.  That breaks the moment two
-queries run concurrently — both diffs see each other's work.
+:class:`ExecutionContext` is the one owner of a query's counters: a
+fresh :class:`~repro.index.base.LoadCounters`, which the executor hands
+to the expansion as an argument, and a per-thread I/O scope
+(:meth:`IOStats.scoped`) that collects the query's page reads and
+buffer evictions.  Index and storage objects are never mutated by a
+query beyond those, which is what makes
+``QueryEngine.execute_many(workers=N)`` sound.
 
-:class:`ExecutionContext` inverts the ownership: the context owns a
-fresh :class:`~repro.index.base.LoadCounters`, a per-thread I/O scope
-and a per-thread buffer-eviction scope for the duration of one query,
-and the shared structures *route* this thread's updates into them
-(:meth:`ObjectIndex.begin_execution`, :meth:`IOStats.scoped`,
-:meth:`BufferPool.eviction_scope`).  Index and storage objects are
-never mutated by a query beyond those thread-local slots, which is
-what makes ``QueryEngine.execute_many(workers=N)`` sound.
-
-On exit the per-execution counters are folded into the lifetime totals
-under their owners' locks, so ``index.lifetime_counters`` and
-``disk.stats`` stay exact across any interleaving.
+On exit both are folded into the lifetime totals under their owners'
+locks, so ``index.lifetime_counters`` and ``disk.stats`` stay exact
+across any interleaving.
 """
 
 from __future__ import annotations
@@ -37,13 +31,12 @@ __all__ = ["ExecutionContext"]
 class ExecutionContext:
     """All mutable state of one query execution, as a context manager.
 
-    Inside the ``with`` block the plan's index routes its counter
-    updates and tracer lookups to this context (on this thread only),
-    the disk's I/O statistics collect into :attr:`io_scope` and buffer
-    evictions triggered by this thread into :attr:`buffer_scope`.
-    Call :meth:`finalise` on the query's stats *before* leaving the
-    block; afterwards every number it filled in is a true per-query
-    value, no shared-counter diffing involved.
+    Inside the ``with`` block the disk's I/O statistics collect into
+    :attr:`io_scope`; the executor passes :attr:`counters` and
+    :attr:`tracer` to the query's expansion.  Call :meth:`finalise` on
+    the query's stats *before* leaving the block; afterwards every
+    number it filled in is a true per-query value, no shared-counter
+    diffing involved.
     """
 
     def __init__(
@@ -76,32 +69,18 @@ class ExecutionContext:
         #: index's lifetime counters when the context closes.
         self.counters = LoadCounters()
         self.io_scope = None
-        self.buffer_scope = None
         self._io_cm = None
-        self._buffer_cm = None
 
     def __enter__(self) -> "ExecutionContext":
-        self.plan.index.begin_execution(self.counters, self.tracer)
-        try:
-            self._io_cm = self.db.disk.stats.scoped()
-            self.io_scope = self._io_cm.__enter__()
-            self._buffer_cm = self.db.disk.buffer.eviction_scope()
-            self.buffer_scope = self._buffer_cm.__enter__()
-        except BaseException:
-            self.plan.index.end_execution()
-            raise
+        self._io_cm = self.db.disk.stats.scoped()
+        self.io_scope = self._io_cm.__enter__()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         try:
-            if self._buffer_cm is not None:
-                self._buffer_cm.__exit__(exc_type, exc, tb)
+            self._io_cm.__exit__(exc_type, exc, tb)
         finally:
-            try:
-                if self._io_cm is not None:
-                    self._io_cm.__exit__(exc_type, exc, tb)
-            finally:
-                self.plan.index.end_execution()
+            self.plan.index.merge_counters(self.counters)
         return False
 
     def finalise(self, stats: "QueryStats") -> None:
@@ -116,7 +95,7 @@ class ExecutionContext:
             raise RuntimeError("finalise() outside the execution context")
         stats.io = self.io_scope.snapshot()
         stats.epoch = self.epoch
-        stats.buffer_evictions = self.buffer_scope.evictions
+        stats.buffer_evictions = self.io_scope.evictions
         stats.objects_loaded = self.counters.objects_loaded
         stats.false_hit_objects = self.counters.false_hit_objects
         stats.stage_seconds["signature"] = self.counters.signature_seconds
@@ -124,10 +103,10 @@ class ExecutionContext:
     def trace_signature_summary(self, results: int) -> None:
         """Attach the per-query ``signature.filter`` summary span.
 
-        Reads this execution's own counters directly — under the
-        context they *are* the per-query deltas — split by index
-        family via the ``partition`` attribute, which is what makes
-        the SIF vs SIF-P comparison visible per query.
+        Reads this execution's own counters — they *are* the per-query
+        values — split by index family via the ``partition`` attribute,
+        which is what makes the SIF vs SIF-P comparison visible per
+        query.
         """
         c = self.counters
         self.tracer.add_span(

@@ -12,8 +12,8 @@ slow-query log and the flight recorder are installed.
 ``execute_many`` runs a batch — serially, or on a thread pool.  The
 concurrency contract:
 
-* Index structures are read-only during queries; per-query counters
-  live in thread-local execution slots (``ObjectIndex.begin_execution``).
+* Index structures are read-only during queries; each query's load
+  counters are its context's, passed to the expansion as an argument.
 * The disk layer (buffer pool, I/O stats) is lock-protected; each
   query gets its *own* ``PairwiseDistanceComputer``
   (``Database.pairwise_computer``), whose node maps die with it.
@@ -121,7 +121,7 @@ class QueryEngine:
         ) as root:
             expansion = INEExpansion(
                 db.ccam, db.network, plan.index, query.position,
-                query.terms, query.delta_max, tracer=t,
+                query.terms, query.delta_max, ctx.counters, t,
             )
             items = expansion.run_to_completion()
             wall = time.perf_counter() - start
@@ -157,7 +157,7 @@ class QueryEngine:
             terms=sorted(query.terms), k=query.k,
         ) as root:
             result = knn_search(
-                db.ccam, db.network, plan.index, query, tracer=t,
+                db.ccam, db.network, plan.index, query, t, ctx.counters,
             )
             if t.enabled:
                 root.set(results=len(result))
@@ -179,7 +179,7 @@ class QueryEngine:
         ) as root:
             result = diversified_search(
                 db.ccam, db.network, plan.index, query, plan.algorithm,
-                pairwise, plan.enable_pruning, t,
+                pairwise, plan.enable_pruning, t, ctx.counters,
             )
             if t.enabled:
                 ctx.trace_signature_summary(len(result))

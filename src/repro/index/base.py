@@ -6,7 +6,8 @@ for the objects on that edge satisfying the keyword constraint
 (Algorithm 2, ``LoadObjects``).  The four indexes of the paper — IR,
 IF, SIF, SIF-P (plus the SIF-G comparison point of Fig. 9) — differ
 only in how much I/O that call costs and how many irrelevant objects it
-loads.
+loads.  Every call counts into the :class:`LoadCounters` its caller
+passes — a query's own, or the index's lifetime totals.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ __all__ = ["LoadCounters", "ObjectIndex"]
 
 @dataclass
 class LoadCounters:
-    """Per-query counters maintained by every index.
+    """Per-query counters every index's loads count into.
 
     ``objects_loaded`` counts object postings fetched from disk;
     ``false_hit_objects`` counts the subset fetched for edges (or
@@ -40,8 +41,7 @@ class LoadCounters:
     #: AND-semantics signature tests run / tests that pruned their
     #: edge.  These live here (not on the shared SignatureFile) so
     #: concurrent queries under ``execute_many(workers=N)`` each count
-    #: into their own per-query slot and the lifetime totals absorb
-    #: exact deltas under the merge lock.
+    #: into their own counters.
     signature_tests_run: int = 0
     signature_tests_pruned: int = 0
     #: Wall seconds spent building the query's signature guard — the
@@ -77,15 +77,13 @@ class LoadCounters:
 class ObjectIndex(abc.ABC):
     """Access path from an edge id to its matching objects.
 
-    Concurrency contract: an index is **read-only during queries**.
-    Per-query load counters and the active tracer live in a per-thread
-    execution slot installed by
-    :class:`~repro.engine.context.ExecutionContext`
-    (:meth:`begin_execution` / :meth:`end_execution`), so concurrent
-    queries on different threads never write into each other's stats.
-    The index's only persistent mutable state — the lifetime counter
-    totals — is updated once per query, at :meth:`end_execution`, under
-    a lock.
+    Concurrency contract: an index is **read-only during queries**.  A
+    query's load counters are passed in by its caller — the
+    :class:`~repro.engine.context.ExecutionContext` owns them — so
+    concurrent queries never write into each other's stats.  The
+    index's only persistent mutable state, :attr:`lifetime_counters`,
+    absorbs one query's counters when its context closes
+    (:meth:`merge_counters`).
     """
 
     #: Short name used in reports ("IR", "IF", "SIF", "SIF-P", "SIF-G").
@@ -93,15 +91,8 @@ class ObjectIndex(abc.ABC):
 
     def __init__(self, store: ObjectStore) -> None:
         self._store = store
-        #: Lifetime counter totals, visible whenever no per-query
-        #: execution slot is active on the calling thread.
-        self._lifetime_counters = LoadCounters()
-        self._default_tracer = NULL_TRACER
-        #: An inner index (SIF's inverted file) forwards its counters
-        #: and tracer to the composite that owns it; see
-        #: :meth:`share_stats_with`.
-        self._stats_parent: Optional["ObjectIndex"] = None
-        self._execution_slots = threading.local()
+        #: Lifetime totals; also where a call without counters counts.
+        self.lifetime_counters = LoadCounters()
         self._merge_lock = threading.Lock()
         #: Wall-clock seconds spent building the index.
         self.build_seconds: float = 0.0
@@ -110,106 +101,37 @@ class ObjectIndex(abc.ABC):
     def store(self) -> ObjectStore:
         return self._store
 
-    # ------------------------------------------------------------------
-    # Per-execution stats routing
-    # ------------------------------------------------------------------
-    @property
-    def counters(self) -> LoadCounters:
-        """The counter set writes should land in *right now*.
-
-        Inside a query this is the executing context's per-query
-        counters (installed per thread); outside it is the lifetime
-        totals, which accumulate one query's deltas at a time.
-        """
-        parent = self._stats_parent
-        if parent is not None:
-            return parent.counters
-        stack = getattr(self._execution_slots, "stack", None)
-        if stack:
-            return stack[-1][0]
-        return self._lifetime_counters
-
-    @property
-    def lifetime_counters(self) -> LoadCounters:
-        """The persistent totals, regardless of any active execution."""
-        parent = self._stats_parent
-        if parent is not None:
-            return parent.lifetime_counters
-        return self._lifetime_counters
-
-    @property
-    def tracer(self):
-        """Tracer for per-edge pruning events.
-
-        Resolves to the executing context's tracer while a query is
-        active on this thread; otherwise to the default (assignable,
-        normally :data:`~repro.obs.tracing.NULL_TRACER`)."""
-        parent = self._stats_parent
-        if parent is not None:
-            return parent.tracer
-        stack = getattr(self._execution_slots, "stack", None)
-        if stack:
-            return stack[-1][1]
-        return self._default_tracer
-
-    @tracer.setter
-    def tracer(self, tracer) -> None:
-        self._default_tracer = tracer
-
-    def share_stats_with(self, parent: "ObjectIndex") -> None:
-        """Forward this index's counters/tracer to ``parent``.
-
-        Composite indexes (SIF wrapping an inverted file) call this so
-        the inner index's loads surface on the composite — including
-        inside per-query execution slots, which only the composite
-        manages."""
-        self._stats_parent = parent
-
-    def begin_execution(self, counters: LoadCounters, tracer) -> None:
-        """Install a per-query stats slot for the calling thread.
-
-        Paired with :meth:`end_execution`; slots nest per thread, so a
-        query that re-enters the index (kNN's radius-doubling rounds)
-        keeps one slot throughout."""
-        stack = getattr(self._execution_slots, "stack", None)
-        if stack is None:
-            stack = self._execution_slots.stack = []
-        stack.append((counters, tracer))
-
-    def end_execution(self) -> None:
-        """Retire the calling thread's slot, folding its per-query
-        counter deltas into the lifetime totals (lock-protected)."""
-        stack = getattr(self._execution_slots, "stack", None)
-        if not stack:
-            return
-        counters, _tracer = stack.pop()
+    def merge_counters(self, counters: LoadCounters) -> None:
+        """Fold one query's counters into the lifetime totals (locked)."""
         with self._merge_lock:
-            self._lifetime_counters.absorb(counters)
+            self.lifetime_counters.absorb(counters)
 
     @abc.abstractmethod
     def load_objects(
-        self, edge_id: int, terms: FrozenSet[str]
+        self, edge_id: int, terms: FrozenSet[str],
+        counters: Optional[LoadCounters] = None,
     ) -> List[SpatioTextualObject]:
         """Algorithm 2: objects on ``edge_id`` containing *all* ``terms``.
 
         Implementations charge their I/O to the shared disk manager and
-        update :attr:`counters`.
+        count into ``counters`` (``None``: :attr:`lifetime_counters`).
         """
 
     def loader(
-        self, terms: FrozenSet[str]
+        self, terms: FrozenSet[str], counters: Optional[LoadCounters] = None,
+        tracer=NULL_TRACER,
     ) -> Callable[[int], List[SpatioTextualObject]]:
         """The per-query half of Algorithm 2: ``load_objects`` with
-        ``terms`` applied.
+        ``terms`` and ``counters`` applied.
 
-        An expansion binds one when it starts, on the executing thread
-        and inside its execution slot, and drops it when it ends.  The
-        signature indexes override this to resolve here what is constant
-        for the query (counters, tracer, the AND of the signed rows), so
-        a loader is never kept across queries or updates.
+        An expansion binds one when it starts and drops it when it
+        ends.  The signature indexes override this to resolve here what
+        is constant for the query (the AND of the signed rows), so a
+        loader is never kept across queries or updates; ``tracer`` gets
+        their per-edge prune events.
         """
         load_objects = self.load_objects
-        return lambda edge_id: load_objects(edge_id, terms)
+        return lambda edge_id: load_objects(edge_id, terms, counters)
 
     @abc.abstractmethod
     def size_bytes(self) -> int:

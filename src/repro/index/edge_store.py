@@ -12,11 +12,11 @@ needed.
 from __future__ import annotations
 
 import time
-from typing import Dict, FrozenSet, List
+from typing import Dict, FrozenSet, List, Optional
 
 from ..network.objects import ObjectStore, SpatioTextualObject
 from ..storage.pagefile import PAGE_SIZE, DiskManager, PageFile
-from .base import ObjectIndex
+from .base import LoadCounters, ObjectIndex
 
 __all__ = ["EdgeStoreIndex"]
 
@@ -55,22 +55,25 @@ class EdgeStoreIndex(ObjectIndex):
             self._edge_pages[edge_id] = pages
 
     def load_objects(
-        self, edge_id: int, terms: FrozenSet[str]
+        self, edge_id: int, terms: FrozenSet[str],
+        counters: Optional[LoadCounters] = None,
     ) -> List[SpatioTextualObject]:
+        if counters is None:
+            counters = self.lifetime_counters
         pages = self._edge_pages.get(edge_id)
         if not pages:
             return []
-        self.counters.edges_probed += 1
+        counters.edges_probed += 1
         loaded: List[SpatioTextualObject] = []
         for page_no in pages:
             for oid in self._file.read(page_no):
                 loaded.append(self._store.get(oid))
-        self.counters.objects_loaded += len(loaded)
+        counters.objects_loaded += len(loaded)
         out = self._filter_and(loaded, terms)
         if not out and loaded:
-            self.counters.false_hits += 1
-            self.counters.false_hit_objects += len(loaded)
-        self.counters.results_returned += len(out)
+            counters.false_hits += 1
+            counters.false_hit_objects += len(loaded)
+        counters.results_returned += len(out)
         out.sort(key=lambda o: o.position.offset)
         return out
 

@@ -38,7 +38,7 @@ from ..network.objects import ObjectStore, SpatioTextualObject
 from ..spatial.zorder import ZOrderCurve
 from ..storage.bplustree import BPlusTree
 from ..storage.pagefile import PAGE_SIZE, DiskManager, PageFile
-from .base import ObjectIndex
+from .base import LoadCounters, ObjectIndex
 
 __all__ = [
     "InvertedFileIndex",
@@ -253,9 +253,12 @@ class InvertedFileIndex(ObjectIndex):
     # Algorithm 2 (without the signature test)
     # ------------------------------------------------------------------
     def load_objects(
-        self, edge_id: int, terms: FrozenSet[str]
+        self, edge_id: int, terms: FrozenSet[str],
+        counters: Optional[LoadCounters] = None,
     ) -> List[SpatioTextualObject]:
-        self.counters.edges_probed += 1
+        if counters is None:
+            counters = self.lifetime_counters
+        counters.edges_probed += 1
         key = self._edge_keys[edge_id]
         loaded_total = 0
         intersection: Optional[Set[int]] = None
@@ -271,12 +274,12 @@ class InvertedFileIndex(ObjectIndex):
             loaded_total += len(loaded)
             ids = set(loaded)
             intersection = ids if intersection is None else intersection & ids
-        self.counters.objects_loaded += loaded_total
+        counters.objects_loaded += loaded_total
         result_ids = intersection or set()
         if not result_ids and loaded_total:
-            self.counters.false_hits += 1
-            self.counters.false_hit_objects += loaded_total
-        self.counters.results_returned += len(result_ids)
+            counters.false_hits += 1
+            counters.false_hit_objects += loaded_total
+        counters.results_returned += len(result_ids)
         out = [self._store.get(oid) for oid in result_ids]
         out.sort(key=lambda o: o.position.offset)
         return out

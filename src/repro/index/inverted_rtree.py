@@ -19,7 +19,7 @@ from ..network.objects import ObjectStore, SpatioTextualObject
 from ..spatial.geometry import MBR
 from ..spatial.rtree import RTree, RTreeEntry
 from ..storage.pagefile import PAGE_SIZE, DiskManager, PageFile
-from .base import ObjectIndex
+from .base import LoadCounters, ObjectIndex
 from .inverted_file import rarest_first
 
 __all__ = ["InvertedRTreeIndex"]
@@ -78,9 +78,12 @@ class InvertedRTreeIndex(ObjectIndex):
             self._trees[term] = tree
 
     def load_objects(
-        self, edge_id: int, terms: FrozenSet[str]
+        self, edge_id: int, terms: FrozenSet[str],
+        counters: Optional[LoadCounters] = None,
     ) -> List[SpatioTextualObject]:
-        self.counters.edges_probed += 1
+        if counters is None:
+            counters = self.lifetime_counters
+        counters.edges_probed += 1
         region = self._store.network.edge(edge_id).mbr
         loaded_total = 0
         intersection: Optional[Set[int]] = None
@@ -97,12 +100,12 @@ class InvertedRTreeIndex(ObjectIndex):
                     if record[oid] == edge_id:
                         ids.add(oid)
             intersection = ids if intersection is None else intersection & ids
-        self.counters.objects_loaded += loaded_total
+        counters.objects_loaded += loaded_total
         result_ids = intersection or set()
         if not result_ids and loaded_total:
-            self.counters.false_hits += 1
-            self.counters.false_hit_objects += loaded_total
-        self.counters.results_returned += len(result_ids)
+            counters.false_hits += 1
+            counters.false_hit_objects += loaded_total
+        counters.results_returned += len(result_ids)
         out = [self._store.get(oid) for oid in result_ids]
         out.sort(key=lambda o: o.position.offset)
         return out

@@ -15,10 +15,11 @@ import time
 from typing import Callable, Dict, FrozenSet, List, Optional
 
 from ..network.objects import ObjectStore, SpatioTextualObject
+from ..obs.tracing import NULL_TRACER
 from ..spatial.kdtree import KDTreePartition
 from ..spatial.zorder import ZOrderCurve
 from ..storage.pagefile import DiskManager
-from .base import ObjectIndex
+from .base import LoadCounters, ObjectIndex
 from .inverted_file import InvertedFileIndex
 from .signature import SignatureFile
 
@@ -59,8 +60,6 @@ class SIFIndex(ObjectIndex):
             term_edges=term_edges,
         )
         self.build_seconds = time.perf_counter() - start
-        # Counters are shared so false hits surface on the SIF object.
-        self._inverted.share_stats_with(self)
 
     @property
     def signatures(self) -> SignatureFile:
@@ -71,10 +70,11 @@ class SIFIndex(ObjectIndex):
         return self._inverted
 
     def loader(
-        self, terms: FrozenSet[str]
+        self, terms: FrozenSet[str], counters: Optional[LoadCounters] = None,
+        tracer=NULL_TRACER,
     ) -> Callable[[int], List[SpatioTextualObject]]:
-        counters = self.counters
-        tracer = self.tracer
+        if counters is None:
+            counters = self.lifetime_counters
         start = time.perf_counter()
         bits = self._signatures.combined_row(terms)
         counters.signature_seconds += time.perf_counter() - start
@@ -92,14 +92,15 @@ class SIFIndex(ObjectIndex):
                         "signature.prune", edge=edge_id, partition="SIF"
                     )
                 return []
-            return fetch(edge_id, terms)
+            return fetch(edge_id, terms, counters)
 
         return load
 
     def load_objects(
-        self, edge_id: int, terms: FrozenSet[str]
+        self, edge_id: int, terms: FrozenSet[str],
+        counters: Optional[LoadCounters] = None,
     ) -> List[SpatioTextualObject]:
-        return self.loader(terms)(edge_id)
+        return self.loader(terms, counters)(edge_id)
 
     def size_bytes(self) -> int:
         return self._inverted.size_bytes() + self._signatures.size_bytes()

@@ -16,11 +16,12 @@ import time
 from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..network.objects import ObjectStore, SpatioTextualObject
+from ..obs.tracing import NULL_TRACER
 from ..spatial.kdtree import KDTreePartition
 from ..spatial.zorder import ZOrderCurve
 from ..storage.bplustree import BPlusTree
 from ..storage.pagefile import DiskManager, PageFile
-from .base import ObjectIndex
+from .base import LoadCounters, ObjectIndex
 from .inverted_file import InvertedFileIndex, pack_postings, read_run
 from .signature import SignatureFile, pack_slots
 
@@ -64,7 +65,6 @@ class SIFGIndex(ObjectIndex):
             kd_partition=kd_partition,
             term_edges=term_edges,
         )
-        self._inverted.share_stats_with(self)
 
         freq = store.keyword_frequencies()
         ranked = sorted(freq, key=lambda t: (-freq[t], t))
@@ -128,9 +128,11 @@ class SIFGIndex(ObjectIndex):
 
     # ------------------------------------------------------------------
     def loader(
-        self, terms: FrozenSet[str]
+        self, terms: FrozenSet[str], counters: Optional[LoadCounters] = None,
+        tracer=NULL_TRACER,
     ) -> Callable[[int], List[SpatioTextualObject]]:
-        counters = self.counters
+        if counters is None:
+            counters = self.lifetime_counters
         # Signature guard: the singles' rows ANDed with the pairs' group
         # rows into one int, so an edge costs one shift as in SIF.
         sig_start = time.perf_counter()
@@ -182,9 +184,10 @@ class SIFGIndex(ObjectIndex):
         return load
 
     def load_objects(
-        self, edge_id: int, terms: FrozenSet[str]
+        self, edge_id: int, terms: FrozenSet[str],
+        counters: Optional[LoadCounters] = None,
     ) -> List[SpatioTextualObject]:
-        return self.loader(terms)(edge_id)
+        return self.loader(terms, counters)(edge_id)
 
     # ------------------------------------------------------------------
     def size_bytes(self) -> int:

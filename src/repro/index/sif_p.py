@@ -22,11 +22,12 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tup
 import numpy as np
 
 from ..network.objects import ObjectStore, SpatioTextualObject
+from ..obs.tracing import NULL_TRACER
 from ..spatial.kdtree import KDTreePartition
 from ..spatial.zorder import ZOrderCurve
 from ..storage.bplustree import BPlusTree
 from ..storage.pagefile import DiskManager, PageFile
-from .base import ObjectIndex
+from .base import LoadCounters, ObjectIndex
 from .inverted_file import (
     POSTING_BYTES,
     EdgeKeys,
@@ -251,10 +252,11 @@ class SIFPIndex(ObjectIndex):
     # Algorithm 2 with per-virtual-edge signatures
     # ------------------------------------------------------------------
     def loader(
-        self, terms: FrozenSet[str]
+        self, terms: FrozenSet[str], counters: Optional[LoadCounters] = None,
+        tracer=NULL_TRACER,
     ) -> Callable[[int], List[SpatioTextualObject]]:
-        counters = self.counters
-        tracer = self.tracer
+        if counters is None:
+            counters = self.lifetime_counters
         sig_start = time.perf_counter()
         # AND the signed terms' rows once; an edge's virtual edges are
         # then one masked window of the result.  A non-unsigned term
@@ -340,9 +342,10 @@ class SIFPIndex(ObjectIndex):
         return load
 
     def load_objects(
-        self, edge_id: int, terms: FrozenSet[str]
+        self, edge_id: int, terms: FrozenSet[str],
+        counters: Optional[LoadCounters] = None,
     ) -> List[SpatioTextualObject]:
-        return self.loader(terms)(edge_id)
+        return self.loader(terms, counters)(edge_id)
 
     # ------------------------------------------------------------------
     def size_bytes(self) -> int:

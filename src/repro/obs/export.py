@@ -180,9 +180,9 @@ def database_gauges(db) -> Dict[str, float]:
 
     ``db`` is a :class:`~repro.core.database.Database`: whichever of
     the hub-label oracle and the flight recorder is installed
-    contributes its state, the buffer pool its hit/miss/eviction counts
-    plus a derived hit rate (``NaN``-free: a pool that was never
-    consulted reports rate 0).
+    contributes its state, the disk's I/O totals the buffer pool's
+    hit/miss/eviction counts plus a derived hit rate (``NaN``-free: a
+    pool that was never consulted reports rate 0).
     """
     gauges: Dict[str, float] = {}
 
@@ -229,13 +229,13 @@ def database_gauges(db) -> Dict[str, float]:
     if db.flight_recorder is not None:
         copy("recorder", db.flight_recorder.summary(), "observed",
              "buffered", "dropped", "updates", "max_records")
-    buffer = db.disk.buffer
-    gauges["buffer_pool.capacity"] = float(buffer.capacity)
-    gauges["buffer_pool.hits"] = float(buffer.hits)
-    gauges["buffer_pool.misses"] = float(buffer.misses)
-    gauges["buffer_pool.evictions"] = float(buffer.evictions)
-    lookups = buffer.hits + buffer.misses
-    gauges["buffer_pool.hit_rate"] = buffer.hits / lookups if lookups else 0.0
+    io = db.disk.stats
+    gauges["buffer_pool.capacity"] = float(db.disk.buffer.capacity)
+    gauges["buffer_pool.hits"] = float(io.buffer_hits)
+    gauges["buffer_pool.misses"] = float(io.physical_reads)
+    gauges["buffer_pool.evictions"] = float(io.evictions)
+    lookups = io.logical_reads
+    gauges["buffer_pool.hit_rate"] = io.buffer_hits / lookups if lookups else 0.0
     return gauges
 
 

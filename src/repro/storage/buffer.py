@@ -6,54 +6,44 @@ across every structure of a database, so hot pages of the road network
 compete with inverted-file pages exactly as they would in one real
 buffer pool.
 
+The pool counts nothing itself: it decides hit or miss, and reports
+each eviction to the database's :class:`~repro.storage.iostats.IOStats`,
+which attributes it to the asking thread's query like every page read.
+
 Concurrency contract: the pool is shared by queries running on
 multiple threads, so every access runs under one internal lock — the
-LRU order book can never be observed mid-eviction and the lifetime
-hit/miss/eviction counters never lose increments.  Per-query eviction
-attribution uses per-thread scopes (:meth:`BufferPool.eviction_scope`);
-hits and misses are already attributed per query by the I/O layer
-(:meth:`repro.storage.iostats.IOStats.scoped`).
+LRU order book can never be observed mid-eviction.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from contextlib import contextmanager
-from typing import Hashable, Tuple
+from typing import Hashable, Optional, Tuple
+
+from .iostats import IOStats
 
 __all__ = ["BufferPool"]
 
 
-class _EvictionScope:
-    """Counts the evictions triggered by one thread's accesses."""
-
-    __slots__ = ("evictions",)
-
-    def __init__(self) -> None:
-        self.evictions = 0
-
-
 class BufferPool:
-    """A counting LRU cache of page identifiers.
+    """An LRU cache of page identifiers.
 
     The pool stores only page *identities* (payloads stay in their page
     files); its job is to decide whether an access is a buffer hit or a
-    physical read, which is all the I/O model needs.
+    physical read, which is all the I/O model needs.  Evictions are
+    recorded in ``stats`` (a private :class:`IOStats` when omitted).
     """
 
-    def __init__(self, capacity: int = 1024) -> None:
+    def __init__(
+        self, capacity: int = 1024, stats: Optional[IOStats] = None
+    ) -> None:
         if capacity < 0:
             raise ValueError("buffer capacity must be non-negative")
         self._capacity = capacity
         self._lru: "OrderedDict[Hashable, None]" = OrderedDict()
         self._lock = threading.Lock()
-        self._scopes = threading.local()
-        #: Lifetime counters, sampled as per-query deltas by the
-        #: metrics layer (plain ints keep the hot path allocation-free).
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
+        self._stats = IOStats() if stats is None else stats
 
     @property
     def capacity(self) -> int:
@@ -65,29 +55,6 @@ class BufferPool:
     def __contains__(self, key: Hashable) -> bool:
         return key in self._lru
 
-    def _record_eviction(self) -> None:
-        self.evictions += 1
-        scope = getattr(self._scopes, "scope", None)
-        if scope is not None:
-            scope.evictions += 1
-
-    @contextmanager
-    def eviction_scope(self):
-        """Attribute evictions caused by this thread's accesses.
-
-        Yields an object whose ``evictions`` attribute counts only the
-        evictions this thread triggered while the scope was active —
-        the per-query delta, exact even when other threads evict
-        concurrently.  Scopes nest per thread (the innermost wins).
-        """
-        scope = _EvictionScope()
-        previous = getattr(self._scopes, "scope", None)
-        self._scopes.scope = scope
-        try:
-            yield scope
-        finally:
-            self._scopes.scope = previous
-
     def access(self, key: Tuple[str, int]) -> bool:
         """Touch a page; returns ``True`` on a buffer hit.
 
@@ -97,17 +64,14 @@ class BufferPool:
         """
         with self._lock:
             if self._capacity == 0:
-                self.misses += 1
                 return False
             if key in self._lru:
                 self._lru.move_to_end(key)
-                self.hits += 1
                 return True
-            self.misses += 1
             self._lru[key] = None
             if len(self._lru) > self._capacity:
                 self._lru.popitem(last=False)
-                self._record_eviction()
+                self._stats.record_eviction()
             return False
 
     def evict_file(self, file_name: str) -> None:
@@ -124,9 +88,9 @@ class BufferPool:
             self._capacity = capacity
             while len(self._lru) > self._capacity:
                 self._lru.popitem(last=False)
-                self._record_eviction()
+                self._stats.record_eviction()
 
     def clear(self) -> None:
-        """Drop every page; lifetime hit/miss/eviction counters remain."""
+        """Drop every page."""
         with self._lock:
             self._lru.clear()

@@ -3,15 +3,17 @@
 The paper evaluates disk-resident indexes and reports the *number of
 disk accesses* next to response time.  Every page access in this
 library flows through an :class:`IOStats` instance so experiments can
-report logical reads, physical reads (buffer misses) and writes, broken
-down by category (road network, inverted file, R-tree, ...).
+report logical reads, physical reads (buffer misses), buffer evictions
+and writes, broken down by category (road network, inverted file,
+R-tree, ...).  It is the one place page accounting lives: the buffer
+pool only decides hit or miss and reports its evictions here.
 
 Concurrency contract: one :class:`IOStats` is shared by every structure
 of a database, including queries running on multiple threads.  A query
-execution opens a per-thread *scope* (:meth:`IOStats.scoped`); reads
-and writes issued by that thread land in the scope, giving exact
-per-query I/O attribution without diffing shared counters, and are
-folded into the global totals (under a lock) when the scope closes.
+execution opens a per-thread *scope* (:meth:`IOStats.scoped`); reads,
+writes and evictions issued by that thread land in the scope, giving
+exact per-query I/O attribution without diffing shared counters, and
+are folded into the global totals (under a lock) when the scope closes.
 Threads without an active scope (index builds, loading) update the
 global counters directly.
 """
@@ -36,6 +38,7 @@ class IOSnapshot:
     writes: int
     buffer_hits: int
     physical_by_category: Dict[str, int]
+    evictions: int = 0
 
     def __sub__(self, other: "IOSnapshot") -> "IOSnapshot":
         by_cat = Counter(self.physical_by_category)
@@ -46,6 +49,7 @@ class IOSnapshot:
             writes=self.writes - other.writes,
             buffer_hits=self.buffer_hits - other.buffer_hits,
             physical_by_category={k: v for k, v in by_cat.items() if v},
+            evictions=self.evictions - other.evictions,
         )
 
 
@@ -58,6 +62,7 @@ class IOStats:
     writes: int = 0
     buffer_hits: int = 0
     physical_by_category: Counter = field(default_factory=Counter)
+    evictions: int = 0
     _scopes: threading.local = field(
         default_factory=threading.local, repr=False, compare=False
     )
@@ -82,6 +87,10 @@ class IOStats:
     def record_write(self, category: str) -> None:
         self._target().writes += 1
 
+    def record_eviction(self) -> None:
+        """Record one buffer eviction caused by this thread's access."""
+        self._target().evictions += 1
+
     def absorb(self, other: "IOStats") -> None:
         """Add another stats object's totals into this one."""
         self.logical_reads += other.logical_reads
@@ -89,6 +98,7 @@ class IOStats:
         self.writes += other.writes
         self.buffer_hits += other.buffer_hits
         self.physical_by_category.update(other.physical_by_category)
+        self.evictions += other.evictions
 
     @contextmanager
     def scoped(self):
@@ -117,6 +127,7 @@ class IOStats:
             writes=self.writes,
             buffer_hits=self.buffer_hits,
             physical_by_category=dict(self.physical_by_category),
+            evictions=self.evictions,
         )
 
     def reset(self) -> None:
@@ -125,3 +136,4 @@ class IOStats:
         self.writes = 0
         self.buffer_hits = 0
         self.physical_by_category.clear()
+        self.evictions = 0

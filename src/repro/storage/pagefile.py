@@ -128,7 +128,7 @@ class DiskManager:
 
     def __init__(self, buffer_pages: int = 1024) -> None:
         self.stats = IOStats()
-        self.buffer = BufferPool(capacity=buffer_pages)
+        self.buffer = BufferPool(capacity=buffer_pages, stats=self.stats)
         self._files: Dict[str, PageFile] = {}
 
     def create_file(self, name: str, category: str) -> PageFile:

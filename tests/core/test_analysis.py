@@ -93,7 +93,7 @@ class TestEmpiricalValidation:
 
     def _measure(self, db, index, queries):
         """(total objects loaded, total edges accessed) over a workload."""
-        index.counters.reset()
+        index.lifetime_counters.reset()
         edges = 0
         for q in queries:
             exp = INEExpansion(
@@ -101,7 +101,7 @@ class TestEmpiricalValidation:
             )
             exp.run_to_completion()
             edges += exp.stats.edges_accessed
-        return index.counters.objects_loaded, edges
+        return index.lifetime_counters.objects_loaded, edges
 
     @pytest.mark.parametrize("l", [1, 2, 3])
     def test_predictions_match_measurements(self, setup, l):

@@ -10,8 +10,10 @@ interleaving; their *sum* (logical reads) must not.
 
 import pytest
 
+from repro.datasets import build_dataset
 from repro.engine import plan_diversified, plan_sk
 from repro.errors import QueryError
+from repro.obs.export import database_gauges
 from repro.obs.metrics import MetricsRegistry
 from repro.workloads.queries import (
     WorkloadConfig,
@@ -19,6 +21,7 @@ from repro.workloads.queries import (
     generate_sk_queries,
 )
 from repro.workloads.runner import run_sk_workload
+from tests.conftest import TINY_PROFILE
 
 #: Metrics that must be identical under any interleaving (per-query
 #: work is independent when every query owns its pairwise computer).
@@ -134,6 +137,34 @@ class TestConcurrentDeterminism:
             assert conc_counters.get(name, 0) == serial_counters.get(name, 0), name
         labels = {r["label"] for r in records if r["type"] == "query"}
         assert labels == {f"{sif.name}/INE", f"{sif.name}/COM"}
+
+
+class TestPerQueryIOUnderWorkers:
+    def test_per_query_io_sums_to_the_disk_totals(self):
+        # A private database whose 8-page buffer makes every query evict.
+        db = build_dataset(TINY_PROFILE, buffer_pages=8)
+        index = db.build_index("sif", file_prefix="conc-io-sif")
+        sk_queries = generate_sk_queries(
+            db, WorkloadConfig(num_queries=8, num_keywords=2, seed=95)
+        )
+        div_queries = generate_diversified_queries(
+            db, WorkloadConfig(num_queries=8, num_keywords=2, k=4, seed=96)
+        )
+        plans = [plan_sk(db, index, q) for q in sk_queries] + [
+            plan_diversified(db, index, q) for q in div_queries
+        ]
+        before = db.disk.stats.snapshot()
+        results = db.engine.execute_many(plans, workers=4)
+        growth = db.disk.stats.snapshot() - before
+
+        stats = [r.stats for r in results]
+        assert sum(s.buffer_evictions for s in stats) == growth.evictions > 0
+        assert sum(s.io.physical_reads for s in stats) == growth.physical_reads
+        assert sum(s.io.buffer_hits for s in stats) == growth.buffer_hits
+        gauges = database_gauges(db)
+        assert gauges["buffer_pool.hits"] + gauges["buffer_pool.misses"] == (
+            db.disk.stats.logical_reads
+        )
 
 
 class TestRunnerWorkers:

@@ -92,9 +92,9 @@ class TestInsertIntoSIF:
     def test_signature_bit_is_set(self, live_db):
         index = live_db.build_index("sif")
         # Before: edge 5 has no "pizza" bit -> pruned with zero loads.
-        index.counters.reset()
+        index.lifetime_counters.reset()
         assert index.load_objects(5, frozenset({"pizza"})) == []
-        assert index.counters.edges_pruned_by_signature == 1
+        assert index.lifetime_counters.edges_pruned_by_signature == 1
         live_db.insert_object(NetworkPosition(5, 30.0), {"pizza"}, [index])
         got = index.load_objects(5, frozenset({"pizza"}))
         assert len(got) == 1
@@ -118,9 +118,9 @@ class TestDeleteFromSIF:
         assert len(index.load_objects(5, frozenset({"pizza"}))) == 1
         # Last carrier gone: the edge prunes by signature again.
         live_db.delete_object(b.object_id, indexes=(index,))
-        index.counters.reset()
+        index.lifetime_counters.reset()
         assert index.load_objects(5, frozenset({"pizza"})) == []
-        assert index.counters.edges_pruned_by_signature == 1
+        assert index.lifetime_counters.edges_pruned_by_signature == 1
 
     def test_burst_equivalence_with_rebuilt(self, live_db):
         index = live_db.build_index("sif")

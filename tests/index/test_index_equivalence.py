@@ -105,31 +105,31 @@ def test_signature_pruning_never_loses_results(tiny_db, tiny_indexes, cases):
 def test_sif_loads_no_more_objects_than_if(tiny_db, tiny_indexes, cases):
     sif = tiny_indexes["sif"]
     inv = tiny_indexes["if"]
-    sif.counters.reset()
-    inv.counters.reset()
+    sif.lifetime_counters.reset()
+    inv.lifetime_counters.reset()
     for edge_id, terms in cases:
         sif.load_objects(edge_id, terms)
         inv.load_objects(edge_id, terms)
-    assert sif.counters.objects_loaded <= inv.counters.objects_loaded
-    assert sif.counters.false_hit_objects <= inv.counters.false_hit_objects
+    assert sif.lifetime_counters.objects_loaded <= inv.lifetime_counters.objects_loaded
+    assert sif.lifetime_counters.false_hit_objects <= inv.lifetime_counters.false_hit_objects
 
 
 def test_sif_p_false_hits_not_worse_than_sif(tiny_db, tiny_indexes, cases):
     sifp = tiny_indexes["sif-p"]
     sif = tiny_indexes["sif"]
-    sifp.counters.reset()
-    sif.counters.reset()
+    sifp.lifetime_counters.reset()
+    sif.lifetime_counters.reset()
     for edge_id, terms in cases:
         sifp.load_objects(edge_id, terms)
         sif.load_objects(edge_id, terms)
-    assert sifp.counters.false_hit_objects <= sif.counters.false_hit_objects
+    assert sifp.lifetime_counters.false_hit_objects <= sif.lifetime_counters.false_hit_objects
 
 
 def test_counters_reset(tiny_indexes):
     index = tiny_indexes["sif"]
-    index.counters.reset()
-    assert index.counters.objects_loaded == 0
-    assert index.counters.edges_probed == 0
+    index.lifetime_counters.reset()
+    assert index.lifetime_counters.objects_loaded == 0
+    assert index.lifetime_counters.edges_probed == 0
 
 
 def test_index_sizes_positive(tiny_indexes):

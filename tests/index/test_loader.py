@@ -1,9 +1,10 @@
-"""Algorithm 2 is split at the query / edge line: ``index.loader(terms)``.
+"""Algorithm 2 is split at the query / edge line:
+``index.loader(terms, counters)``.
 
 An expansion binds one loader when it starts and calls it per edge; the
 signature indexes resolve in that one call what is constant for the
-query (counters, tracer, the AND of the signed rows, SIF-G's pair
-cover, SIF-P's rarest-first trees).  Checked here:
+query (the AND of the signed rows, SIF-G's pair cover, SIF-P's
+rarest-first trees).  Checked here:
 
 * the bound loader and the one-shot ``load_objects`` are one
   implementation — same lists, same ``LoadCounters`` field by field,
@@ -17,7 +18,6 @@ cover, SIF-P's rarest-first trees).  Checked here:
 * the stream COM closes early leaves the expansion's stats final.
 """
 
-import contextlib
 import dataclasses
 import gc
 
@@ -26,17 +26,16 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro import Database, SKQuery
-from repro.core.diversified_search import com_search
+from repro.core.diversified_search import diversified_search
 from repro.core.ine import INEExpansion
 from repro.datasets import build_dataset
 from repro.datasets.catalog import DatasetProfile
-from repro.engine import plan_sk
+from repro.engine import ExecutionContext, plan_sk
 from repro.index.base import LoadCounters
 from repro.index.sif_g import SIFGIndex
 from repro.index.signature import PackedBitMatrix, SignatureFile
 from repro.network.distance import PairwiseDistanceComputer
 from repro.network.graph import NetworkPosition
-from repro.obs.tracing import NULL_TRACER
 from repro.workloads.queries import (
     WorkloadConfig,
     generate_diversified_queries,
@@ -103,25 +102,14 @@ def world():
     return db, indexes, terms
 
 
-@contextlib.contextmanager
-def execution_slot(index):
-    """What ``ExecutionContext`` installs on the index, as its counters."""
-    counters = LoadCounters()
-    index.begin_execution(counters, NULL_TRACER)
-    try:
-        yield counters
-    finally:
-        index.end_execution()
-
-
 def sweep(db, index, bind):
-    """Every edge through ``bind()``'s loader, in one execution slot."""
-    with execution_slot(index) as counters:
-        load = bind()
-        lists = [
-            [o.object_id for o in load(edge.edge_id)]
-            for edge in db.network.edges()
-        ]
+    """Every edge through ``bind(counters)``'s loader, on fresh counters."""
+    counters = LoadCounters()
+    load = bind(counters)
+    lists = [
+        [o.object_id for o in load(edge.edge_id)]
+        for edge in db.network.edges()
+    ]
     return lists, counters
 
 
@@ -180,9 +168,11 @@ class TestBoundLoaderIsLoadObjects:
         db, indexes, vocabulary = world
         index = indexes[name]
         terms = frozenset(vocabulary[i] for i in picks)
-        bound, bound_counters = sweep(db, index, lambda: index.loader(terms))
+        bound, bound_counters = sweep(
+            db, index, lambda c: index.loader(terms, c)
+        )
         one_shot, one_shot_counters = sweep(
-            db, index, lambda: lambda e: index.load_objects(e, terms)
+            db, index, lambda c: lambda e: index.load_objects(e, terms, c)
         )
         assert bound == one_shot
         for field in COUNT_FIELDS:
@@ -221,9 +211,10 @@ class TestLoaderBoundAfterAnUpdate:
         terms = frozenset({"pizza"})
 
         def pruned_by(load):
-            before = index.counters.edges_pruned_by_signature
+            counters = index.lifetime_counters
+            before = counters.edges_pruned_by_signature
             got = load(5)
-            return got, index.counters.edges_pruned_by_signature - before
+            return got, counters.edges_pruned_by_signature - before
 
         assert pruned_by(index.loader(terms)) == ([], 1)
         obj = db.insert_object(NetworkPosition(5, 30.0), {"pizza"}, [index])
@@ -288,13 +279,13 @@ class TestPerQueryCountersUnderWorkers:
         db, indexes, _terms = world
         index = indexes[kind]
         per_query = []
-        begin = index.begin_execution
 
-        def recording(counters, tracer):
-            per_query.append(counters)
-            begin(counters, tracer)
+        class Recording(ExecutionContext):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                per_query.append(self.counters)
 
-        monkeypatch.setattr(index, "begin_execution", recording)
+        monkeypatch.setattr("repro.engine.executor.ExecutionContext", Recording)
         queries = generate_sk_queries(
             db, WorkloadConfig(
                 num_queries=24, num_keywords=2, seed=5, delta_max=8000.0
@@ -337,14 +328,14 @@ class TestEarlyCloseLeavesStatsFinal:
             5000.0,
         )
         provider = CountingProvider(db.ccam)
-        with execution_slot(index) as counters:
-            expansion = INEExpansion(
-                provider, db.network, index, query.position, query.terms,
-                query.delta_max,
-            )
-            stream = expansion.run()
-            taken = [next(stream) for _ in range(4)]
-            stream.close()
+        counters = LoadCounters()
+        expansion = INEExpansion(
+            provider, db.network, index, query.position, query.terms,
+            query.delta_max, counters,
+        )
+        stream = expansion.run()
+        taken = [next(stream) for _ in range(4)]
+        stream.close()
         stats = expansion.stats
         assert stats.objects_emitted == len(taken) == 4
         assert stats.nodes_accessed == provider.calls > 0
@@ -374,14 +365,15 @@ class TestEarlyCloseLeavesStatsFinal:
         stopped = 0
         for query in queries:
             provider = CountingProvider(db.ccam)
-            with execution_slot(index) as counters:
-                result = com_search(
-                    provider, db.network, index, query,
-                    pairwise=PairwiseDistanceComputer(
-                        db.ccam, db.network,
-                        cutoff=2.0 * query.delta_max * 1.001,
-                    ),
-                )
+            counters = LoadCounters()
+            result = diversified_search(
+                provider, db.network, index, query, "com",
+                pairwise=PairwiseDistanceComputer(
+                    db.ccam, db.network,
+                    cutoff=2.0 * query.delta_max * 1.001,
+                ),
+                counters=counters,
+            )
             assert result.stats.nodes_accessed == provider.calls
             assert result.stats.edges_accessed == counters.signature_tests_run
             assert 0.0 < result.stats.stage_seconds["object_loading"] <= (

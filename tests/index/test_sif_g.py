@@ -36,12 +36,12 @@ class TestGroups:
         """Edges 1 and 2 contain both terms separately but never on one
         object's edge-pair list... the *group* list knows they never
         co-occur there, while plain SIF signatures would pass."""
-        index.counters.reset()
+        index.lifetime_counters.reset()
         # Edge 1: hot on one object, new on another -> group bit unset.
         got = index.load_objects(1, frozenset({"hot", "new"}))
         assert got == []
-        assert index.counters.edges_pruned_by_signature == 1
-        assert index.counters.objects_loaded == 0
+        assert index.lifetime_counters.edges_pruned_by_signature == 1
+        assert index.lifetime_counters.objects_loaded == 0
 
     def test_group_true_hit(self, index):
         got = index.load_objects(0, frozenset({"hot", "new"}))

@@ -57,20 +57,20 @@ class TestPartitioning:
 class TestVirtualEdgePruning:
     def test_fig3_false_hit_avoided(self, sifp):
         """q.T = {t2, t4} fails both virtual-edge signature tests."""
-        sifp.counters.reset()
+        sifp.lifetime_counters.reset()
         got = sifp.load_objects(0, frozenset({"t2", "t4"}))
         assert got == []
-        assert sifp.counters.edges_pruned_by_signature == 1
-        assert sifp.counters.objects_loaded == 0
+        assert sifp.lifetime_counters.edges_pruned_by_signature == 1
+        assert sifp.lifetime_counters.objects_loaded == 0
 
     def test_fig3_partial_false_hit(self, sifp):
         """q.T = {t1, t2}: only the first virtual edge is loaded."""
-        sifp.counters.reset()
+        sifp.lifetime_counters.reset()
         got = sifp.load_objects(0, frozenset({"t1", "t2"}))
         assert got == []
         # Only e1 = {o1, o2} passes its signature; its two objects are
         # the false-hit cost (paper: ξ(q3, P) = 2).
-        assert sifp.counters.false_hit_objects == 2
+        assert sifp.lifetime_counters.false_hit_objects == 2
 
     def test_true_hit_returns_object(self, sifp):
         got = sifp.load_objects(0, frozenset({"t1", "t3"}))
@@ -81,9 +81,9 @@ class TestVirtualEdgePruning:
         assert {o.object_id for o in got} == {0, 2, 3, 4}
 
     def test_absent_term_prunes(self, sifp):
-        sifp.counters.reset()
+        sifp.lifetime_counters.reset()
         assert sifp.load_objects(0, frozenset({"t7"})) == []
-        assert sifp.counters.edges_pruned_by_signature == 1
+        assert sifp.lifetime_counters.edges_pruned_by_signature == 1
 
     def test_edge_without_objects(self, sifp):
         assert sifp.load_objects(3, frozenset({"t1"})) == []

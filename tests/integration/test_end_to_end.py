@@ -74,12 +74,12 @@ class TestIOOrdering:
     ):
         ccam = tiny_indexes["ccam"]
         inv = tiny_indexes["if"]
-        ccam.counters.reset()
-        inv.counters.reset()
+        ccam.lifetime_counters.reset()
+        inv.lifetime_counters.reset()
         for q in sk_queries:
             tiny_db.sk_search(ccam, q)
             tiny_db.sk_search(inv, q)
-        assert inv.counters.objects_loaded <= ccam.counters.objects_loaded
+        assert inv.lifetime_counters.objects_loaded <= ccam.lifetime_counters.objects_loaded
 
 
 class TestDiversifiedPipeline:

@@ -10,7 +10,7 @@ bound terminate the network expansion early.
 import pytest
 
 from repro.obs.explain import ExplainReport
-from repro.obs.tracing import NULL_TRACER, Tracer
+from repro.obs.tracing import Tracer
 from repro.workloads.queries import (
     WorkloadConfig,
     generate_diversified_queries,
@@ -92,7 +92,6 @@ class TestDatabaseExplain:
         assert tiny_db.trace_bounds is None
         tiny_db.explain(tiny_indexes["sif"], sk_workload[0])
         assert tiny_db.trace_bounds is None
-        assert tiny_indexes["sif"].tracer is NULL_TRACER
 
     def test_diversified_explain_has_com_nodes(self, tiny_db, tiny_indexes):
         config = WorkloadConfig(
