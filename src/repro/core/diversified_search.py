@@ -40,6 +40,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..errors import QueryError
 from ..index.base import LoadCounters, ObjectIndex
 from ..network.distance import (
     PAIRWISE_CUTOFF_FACTOR,
@@ -59,6 +60,14 @@ __all__ = ["diversified_search", "seq_search", "com_search",
            "diversify_pool", "PairDistances", "SWITCH_FACTOR"]
 
 
+#: An ``inf`` pair of one pool: the items' query distances broke
+#: :class:`PairDistances`' precondition.
+_UNREACHED = (
+    "objects {} and {} of one pool are beyond the pairwise cutoff: an "
+    "item's distance understates its network distance from the query"
+)
+
+
 class PairDistances:
     """Pair distances between result items, from one query's computer.
 
@@ -70,6 +79,15 @@ class PairDistances:
     COM's streamed arrivals, and the provider with no matrix form
     (Dijkstra through CCAM), whose sets are asked pair by pair in the
     order ``objective()`` sums in.
+
+    Both hand the computer the items' query distances as ``reach``, so
+    the C search from a source stops at ``δ(q, s) + δmax`` (plus the
+    cutoff's 0.1 % slack) instead of ``2 · δmax``.  That is exact only
+    when every ``item.distance`` is the item's network distance from
+    the query or an overestimate, as INE and the standing-query pool
+    emit; then no pair of the pool is ``inf``, so an ``inf`` pair
+    raises :class:`~repro.errors.QueryError` instead of scoring a
+    wrong θ.
     """
 
     def __init__(self, computer: PairwiseDistanceComputer) -> None:
@@ -78,14 +96,27 @@ class PairDistances:
         self._row_of: Dict[int, int] = {}
 
     def distance(self, a: ResultItem, b: ResultItem) -> float:
-        return self._computer.distance(a.object.position, b.object.position)
+        d = self._computer.distance(
+            a.object.position, b.object.position, reach=a.distance
+        )
+        if d == float("inf"):
+            raise QueryError(
+                _UNREACHED.format(a.object.object_id, b.object.object_id)
+            )
+        return d
 
     def matrix(self, items: Sequence[ResultItem]) -> "np.ndarray":
         matrix = self._computer.pairwise_matrix(
-            [it.object.position for it in items]
+            [it.object.position for it in items],
+            reach=max((it.distance for it in items), default=0.0),
         )
         if matrix is None:
             matrix = matrix_from_pairs(items, self.distance)
+        elif not np.isfinite(matrix).all():
+            i, j = np.argwhere(~np.isfinite(matrix))[0]
+            raise QueryError(_UNREACHED.format(
+                items[i].object.object_id, items[j].object.object_id
+            ))
         self._matrix = matrix
         self._row_of = {it.object.object_id: i for i, it in enumerate(items)}
         return matrix

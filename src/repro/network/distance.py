@@ -57,7 +57,14 @@ DISTANCE_BACKENDS = ("csgraph", "dijkstra", "hub")
 #: A diversified query's pairwise cutoff, in units of its ``delta_max``:
 #: two candidates within ``delta_max`` of the query are at most
 #: ``2 · delta_max`` apart, and the 0.1 % slack keeps a pair at exactly
-#: that bound from rounding to ``inf``.
+#: that bound from rounding to ``inf``.  The cutoff is the *answer
+#: clamp* (a distance beyond it is ``inf``).  The in-memory search from
+#: a pool's sources stops sooner, at the *limit* ``reach + cutoff / 2``,
+#: ``reach`` being the sources' largest query distance: through the
+#: query, no pool pair ``(s, t)`` is further apart than
+#: ``δ(q, s) + δ(q, t) ≤ reach + delta_max``.  That needs each pool
+#: item's distance to be its exact network distance from the query, or
+#: an overestimate (what INE emits).
 PAIRWISE_CUTOFF_FACTOR = 2.0 * 1.001
 
 
@@ -236,6 +243,11 @@ def single_source_rows(
     ``network.csr_snapshot()``: cell ``(s, r)`` is the distance from
     ``sources[s]`` to node ``node_ids[r]``, ``inf`` where the Python
     loop's dict has no entry (beyond ``cutoff``, or unreachable).
+    ``cutoff`` here is the search radius: a diversified query's
+    computer passes its limit, not its answer clamp (see
+    :data:`PAIRWISE_CUTOFF_FACTOR`).  Every label at or below it is the
+    same float whatever the radius, because with positive weights the
+    path to such a node passes only nodes with smaller labels.
 
     Each source becomes one extra node with two directed edges, to its
     edge's end-nodes at ``offset`` and ``weight - offset`` — the seeds
@@ -392,6 +404,15 @@ class PairwiseDistanceComputer:
     pool's sources in one call.  Through a ``CCAMStore`` every settled
     node stays a charged page access, as in the paper's experiments.
 
+    ``cutoff`` is the answer clamp.  :meth:`pairwise_matrix` and
+    :meth:`distance` also take ``reach``, an upper bound on the query
+    distances of the sources they may run; the C search then stops at
+    the limit ``min(cutoff, reach + cutoff / 2)`` instead of ``cutoff``
+    (:data:`PAIRWISE_CUTOFF_FACTOR` says why no pool pair lies beyond
+    it).  The rows are then exact for pairs within the query's pool
+    only, so a computer given ``reach`` answers that pool's pairs and
+    nothing else.  Without ``reach`` the search runs to ``cutoff``.
+
     A computer lives and dies with its query
     (:meth:`~repro.core.database.Database.pairwise_computer` builds one
     per query), so its maps never outlive the edge weights they were
@@ -424,8 +445,9 @@ class PairwiseDistanceComputer:
         self._cutoff = cutoff
         self._backend = backend
         #: Each source's node map, keyed by its ``(edge_id, offset)``:
-        #: cutoff and provider are fixed per computer, so nothing else
-        #: tells two maps apart.
+        #: cutoff and provider are fixed per computer, and a row cut at
+        #: any call's limit is exact on the query's pool pairs, so
+        #: nothing else tells two maps apart.
         self._maps: Dict[Tuple[int, float], NodeMap] = {}
         #: Pair distances bulk-resolved by :meth:`prefetch`, keyed by
         #: the two positions' ``(edge_id, offset)`` pairs, sorted.
@@ -467,13 +489,22 @@ class PairwiseDistanceComputer:
         return (pos.edge_id, pos.offset)
 
     def _run_dijkstras(
-        self, sources: Sequence[NetworkPosition]
+        self, sources: Sequence[NetworkPosition],
+        reach: Optional[float] = None,
     ) -> List[NodeMap]:
-        """One bounded Dijkstra per source; keeps and returns the maps."""
+        """One bounded Dijkstra per source; keeps and returns the maps.
+
+        In memory the search stops at ``reach + cutoff / 2`` when the
+        caller bounds the sources' query distances by ``reach``; through
+        CCAM it runs to ``cutoff``, every settled node a charged page.
+        """
         start = time.perf_counter()
+        limit = self._cutoff
         if self._in_memory:
+            if reach is not None:
+                limit = min(limit, reach + self._cutoff / 2)
             node_maps = list(
-                single_source_rows(self._provider, sources, self._cutoff)
+                single_source_rows(self._provider, sources, limit)
             )
         else:
             node_maps = [
@@ -493,7 +524,7 @@ class PairwiseDistanceComputer:
                     int(np.isfinite(m).sum()) if self._in_memory else len(m)
                     for m in node_maps
                 ),
-                cutoff=self._cutoff,
+                cutoff=self._cutoff, limit=limit,
             )
         for pos, node_map in zip(sources, node_maps):
             self._maps[self._key(pos)] = node_map
@@ -586,7 +617,10 @@ class PairwiseDistanceComputer:
             )
         return len(matrix)
 
-    def pairwise_matrix(self, positions: Iterable[NetworkPosition]):
+    def pairwise_matrix(
+        self, positions: Iterable[NetworkPosition],
+        reach: Optional[float] = None,
+    ):
         """The full symmetric pairwise matrix as a numpy array.
 
         Served with no per-pair Python — the array greedy consumes the
@@ -594,12 +628,13 @@ class PairwiseDistanceComputer:
         join) or, on the in-memory network with no backend, from the
         sources' rows (:meth:`_matrix_from_rows`).  Returns ``None``
         otherwise (CH, Dijkstra through CCAM); callers fall back to
-        :meth:`pairwise`.
+        :meth:`pairwise`.  ``reach`` bounds the positions' query
+        distances and so the sources' search (class docstring).
         """
         array_kernel = getattr(self._backend, "position_matrix_array", None)
         if array_kernel is None:
             if self._backend is None and self._in_memory:
-                return self._matrix_from_rows(list(positions))
+                return self._matrix_from_rows(list(positions), reach)
             return None
         pos_list = list(positions)
         if len(pos_list) < 2:
@@ -628,7 +663,7 @@ class PairwiseDistanceComputer:
         return matrix
 
     def _matrix_from_rows(
-        self, pos_list: List[NetworkPosition]
+        self, pos_list: List[NetworkPosition], reach: Optional[float]
     ) -> "np.ndarray":
         """What :meth:`pairwise` answers, as a matrix, cell for cell.
 
@@ -668,7 +703,7 @@ class PairwiseDistanceComputer:
                 runs.append(i)
                 break
         if runs:
-            self._run_dijkstras([pos_list[i] for i in runs])
+            self._run_dijkstras([pos_list[i] for i in runs], reach)
         cross_pairs = (n * n - int(same_edge.sum())) // 2
         self.cache_misses += len(runs)
         self.cache_hits += cross_pairs - len(runs)
@@ -709,8 +744,15 @@ class PairwiseDistanceComputer:
                     return False
         return True
 
-    def distance(self, a: NetworkPosition, b: NetworkPosition) -> float:
-        """``δ(a, b)``, or ``inf`` when it exceeds the cutoff."""
+    def distance(
+        self, a: NetworkPosition, b: NetworkPosition,
+        reach: Optional[float] = None,
+    ) -> float:
+        """``δ(a, b)``, or ``inf`` when it exceeds the cutoff.
+
+        ``reach`` bounds ``a``'s query distance, for the search from
+        ``a`` should neither endpoint's map be kept yet.
+        """
         if a.edge_id == b.edge_id:
             return abs(a.offset - b.offset)
         if self._backend is not None:
@@ -725,7 +767,7 @@ class PairwiseDistanceComputer:
             node_map, source, target = maps.get(self._key(b)), b, a
         if node_map is None:
             self.cache_misses += 1
-            node_map, target = self._run_dijkstras([a])[0], b
+            node_map, target = self._run_dijkstras([a], reach)[0], b
         else:
             self.cache_hits += 1
             if self.tracer.enabled:

@@ -122,7 +122,7 @@ def _describe_pairwise(span: Span) -> str:
     )
     return (
         f"{what}: {a.get('map_nodes', '?')} nodes mapped "
-        f"in {_ms(span.duration)}"
+        f"within {_num(a.get('limit', '?'))} in {_ms(span.duration)}"
     )
 
 

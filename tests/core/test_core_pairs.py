@@ -15,7 +15,7 @@ from repro.core.diversified_search import PairDistances
 from repro.core.diversify import greedy_diversify
 from repro.core.objective import DiversificationObjective
 from repro.core.queries import ResultItem
-from repro.network.distance import PairwiseDistanceComputer
+from repro.network.distance import PairwiseDistanceComputer, network_distance
 from repro.network.graph import NetworkPosition
 from repro.network.objects import SpatioTextualObject
 from tests.conftest import make_paperlike_network
@@ -240,25 +240,30 @@ def scalar_bootstrap(items, k, objective, pair_distance):
 def bootstrap_arrivals(draw):
     """``(k, items)``: up to ``k`` arrivals on the paper-like network.
 
-    Positions come from a few offsets on a few edges, so objects share
-    edges and exact positions; query distances come from a coarse grid,
-    so they tie, and ids are shuffled, so tied arrivals are not in id
-    order — as INE can emit them.
+    Positions, the query's among them, come from a few offsets on a few
+    edges, so objects share edges and exact positions and their query
+    distances tie; ids are shuffled, so tied arrivals are not in id
+    order — as INE can emit them.  An item's distance is its network
+    distance from the query (along the edge on the query's own edge, as
+    INE measures it), and only items within δmax = 20 arrive.
     """
     network = make_paperlike_network()
+
+    def position():
+        edge = network.edge(draw(st.integers(0, network.num_edges - 1)))
+        offset = edge.weight * draw(st.sampled_from([0.0, 0.25, 0.5, 1.0]))
+        return NetworkPosition(edge.edge_id, offset)
+
+    query = position()
     k = draw(st.integers(2, 7))
     n = draw(st.integers(0, k))
     ids = draw(st.permutations(range(n)))
     items = []
     for oid in ids:
-        edge = network.edge(draw(st.integers(0, network.num_edges - 1)))
-        offset = edge.weight * draw(st.sampled_from([0.0, 0.25, 0.5, 1.0]))
-        obj = SpatioTextualObject(
-            oid, NetworkPosition(edge.edge_id, offset), frozenset({"x"})
-        )
-        items.append(ResultItem(obj, draw(st.sampled_from(
-            [0.0, 2.5, 2.5, 7.0, 11.0, 11.0, 19.5]
-        ))))
+        obj = SpatioTextualObject(oid, position(), frozenset({"x"}))
+        d = network_distance(network, network, query, obj.position)
+        if d <= 20.0:
+            items.append(ResultItem(obj, d))
     items.sort(key=lambda it: it.distance)  # stable: ties keep drawn order
     return network, k, items
 

@@ -1,5 +1,7 @@
 """Tests for SEQ and COM diversified search (paper §4, Algorithm 6)."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import QueryError
@@ -36,6 +38,24 @@ class TestEquivalence:
             com = tiny_db.diversified_search(sif, q, method="com")
             assert len(seq) == len(com)
             assert len(seq) <= q.k
+
+    def test_k_beyond_the_pool_returns_the_pool(self, tiny_db, sif, queries):
+        """k > |R|: every exit answers with the whole pool R, in the same
+        order and with the bit-equal objective value."""
+        sizes = set()
+        for q in queries:
+            q = dataclasses.replace(q, k=50)
+            pool = tiny_db.sk_search(sif, q.sk_query).object_ids()
+            seq, com, auto = (
+                tiny_db.diversified_search(sif, q, method=method)
+                for method in ("seq", "com", None)
+            )
+            assert sorted(seq.object_ids()) == sorted(pool)
+            for other in (com, auto):
+                assert other.object_ids() == seq.object_ids()
+                assert other.objective_value == seq.objective_value
+            sizes.add(len(pool))
+        assert {0, 1, 2}.issubset(sizes) and max(sizes) > 2
 
     def test_results_satisfy_constraints(self, tiny_db, sif, queries):
         for q in queries:

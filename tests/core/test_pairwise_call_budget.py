@@ -123,7 +123,7 @@ class TestBatchingChangesNoAnswerAndNoCounter:
         ]
         monkeypatch.setattr(
             PairwiseDistanceComputer, "pairwise_matrix",
-            lambda self, positions: None,
+            lambda self, positions, reach=None: None,
         )
         small = 0
         for q, got in zip(queries, batched):

@@ -7,6 +7,8 @@ network the very cells, and the very counters, ``pairwise()`` does.
 Worlds are drawn by hypothesis: node ids with gaps, a second component
 nothing reaches, positions at offset 0 and at offset = weight, several
 positions on one edge, the same position twice, cutoffs that truncate.
+A diversified query's search stops short of its cutoff, at its pool's
+limit; on an INE pool its cells must still equal a full search's.
 """
 
 import math
@@ -17,15 +19,23 @@ import warnings
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.diversified_search import PairDistances
+from repro.core.ine import INEExpansion
+from repro.core.queries import ResultItem
+from repro.errors import QueryError
 from repro.network.distance import (
+    PAIRWISE_CUTOFF_FACTOR,
     PairwiseDistanceComputer,
     single_source_distances,
     single_source_rows,
 )
 from repro.network.graph import CSRSnapshot, NetworkPosition, RoadNetwork
+from repro.network.objects import SpatioTextualObject
+from repro.obs.tracing import NULL_TRACER
 from tests.conftest import make_paperlike_network
 
 weights = st.floats(0.5, 50.0, allow_nan=False).map(lambda w: w / 3.0)
@@ -231,6 +241,86 @@ def test_offset_a_rounding_step_past_the_weight():
         assert row_as_dict(network, row) == single_source_distances(
             network, network, pos, 15.0
         )
+
+
+class EveryObjectMatches:
+    """Algorithm 2 reduced to a lookup by edge: one object per position."""
+
+    def __init__(self, positions):
+        self._on_edge = {}
+        for oid, pos in enumerate(positions):
+            self._on_edge.setdefault(pos.edge_id, []).append(
+                SpatioTextualObject(oid, pos, frozenset({"x"}))
+            )
+
+    def loader(self, terms, counters=None, tracer=NULL_TRACER):
+        return lambda edge_id: self._on_edge.get(edge_id, [])
+
+
+@settings(max_examples=200, deadline=None)
+@given(worlds(), st.data())
+def test_rows_cut_at_the_limit_equal_full_rows_on_every_pool_pair(
+    world, data
+):
+    """A pool INE emits, asked through ``PairDistances`` (whose search
+    stops at ``reach + cutoff / 2``), against the same pool on a
+    computer that searches to the full cutoff: every cell, every pair
+    asked one at a time, and every counter equal.  The query may sit on
+    the island, whose objects are then the whole pool."""
+    network, positions, _ = world
+    query = data.draw(st.sampled_from(positions) if positions else st.builds(
+        NetworkPosition, st.integers(0, network.num_edges - 1), st.just(0.0)
+    ))
+    delta_max = data.draw(st.floats(0.0, 40.0, allow_nan=False))
+    pool = list(INEExpansion(
+        network, network, EveryObjectMatches(positions), query,
+        frozenset({"x"}), delta_max,
+    ).run())
+    cutoff = PAIRWISE_CUTOFF_FACTOR * delta_max
+    cut = PairwiseDistanceComputer(network, network, cutoff=cutoff)
+    full = PairwiseDistanceComputer(network, network, cutoff=cutoff)
+    spots = [it.object.position for it in pool]
+    assert np.array_equal(PairDistances(cut).matrix(pool),
+                          full.pairwise_matrix(spots))
+    n = len(pool)
+    asked = data.draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=12
+    ) if n else st.just([]))
+    cut_pairs = PairwiseDistanceComputer(network, network, cutoff=cutoff)
+    full_pairs = PairwiseDistanceComputer(network, network, cutoff=cutoff)
+    asked_cut = PairDistances(cut_pairs).distance
+    for i, j in asked:
+        assert asked_cut(pool[i], pool[j]) == (
+            full_pairs.distance(spots[i], spots[j])
+        )
+    for a, b in ((cut, full), (cut_pairs, full_pairs)):
+        assert (a.dijkstra_runs, a.cache_hits, a.cache_misses) == (
+            b.dijkstra_runs, b.cache_hits, b.cache_misses
+        )
+
+
+def test_an_understated_query_distance_raises():
+    """Two objects 19 apart, each claimed at distance 0 from a query
+    with δmax 10: the search stops at 10.01, short of both end-nodes of
+    the pair's best path, so the pair comes out beyond the cutoff
+    (20.02) that the full search finds it within.  ``PairDistances``
+    says so instead of scoring the pair as ``inf``."""
+    network = make_paperlike_network()
+    at_n6 = NetworkPosition(network.edge_between(4, 6).edge_id, 4.0)
+    at_n2 = NetworkPosition(network.edge_between(1, 2).edge_id, 12.0)
+    items = [
+        ResultItem(SpatioTextualObject(oid, pos, frozenset({"x"})), 0.0)
+        for oid, pos in enumerate([at_n6, at_n2])
+    ]
+    cutoff = PAIRWISE_CUTOFF_FACTOR * 10.0
+    full = PairwiseDistanceComputer(network, network, cutoff=cutoff)
+    assert full.distance(at_n6, at_n2) == 19.0
+    for ask in (lambda p: p.matrix(items), lambda p: p.distance(*items)):
+        pairs = PairDistances(
+            PairwiseDistanceComputer(network, network, cutoff=cutoff)
+        )
+        with pytest.raises(QueryError, match="understates"):
+            ask(pairs)
 
 
 SCIPY_ARRIVES_WITH_THE_FIRST_PAIRWISE_DISTANCE = """

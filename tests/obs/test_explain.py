@@ -103,6 +103,9 @@ class TestDatabaseExplain:
         assert report.span("com.maintenance") is not None
         assert report.spans("com.round")
         assert "COM" in report.render()
+        # The C search's radius: the sources' reach plus δmax, not 2·δmax.
+        limit = report.span("pairwise.dijkstra").attrs["limit"]
+        assert f"nodes mapped within {limit:.4g} in" in report.render()
 
     def test_unpinned_explain_narrates_the_exit_that_ran(
         self, tiny_db, tiny_indexes
