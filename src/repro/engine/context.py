@@ -3,14 +3,18 @@
 :class:`ExecutionContext` is the one owner of a query's counters: a
 fresh :class:`~repro.index.base.LoadCounters`, which the executor hands
 to the expansion as an argument, and a per-thread I/O scope
-(:meth:`IOStats.scoped`) that collects the query's page reads and
-buffer evictions.  Index and storage objects are never mutated by a
-query beyond those, which is what makes
-``QueryEngine.execute_many(workers=N)`` sound.
+(:meth:`IOStats.scoped`) that logs the query's page reads.  Index and
+storage objects are never mutated by a query beyond those, which is
+what makes ``QueryEngine.execute_many(workers=N)`` sound.  On exit both
+are folded into the lifetime totals under their owners' locks, so
+``index.lifetime_counters`` and ``disk.stats`` stay exact across any
+interleaving.
 
-On exit both are folded into the lifetime totals under their owners'
-locks, so ``index.lifetime_counters`` and ``disk.stats`` stay exact
-across any interleaving.
+The scope's log settles against the buffer pool in one pass, under one
+lock, when its counters are read — :attr:`ExecutionContext.io_scope`
+and :meth:`ExecutionContext.finalise` settle it first — or when the
+context closes, also when the query raises.  So the settle is timed in
+the executor's own frame, not in the expansion that made the reads.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ __all__ = ["ExecutionContext"]
 class ExecutionContext:
     """All mutable state of one query execution, as a context manager.
 
-    Inside the ``with`` block the disk's I/O statistics collect into
+    Inside the ``with`` block the disk's page reads collect into
     :attr:`io_scope`; the executor passes :attr:`counters` and
     :attr:`tracer` to the query's expansion.  Call :meth:`finalise` on
     the query's stats *before* leaving the block; afterwards every
@@ -68,12 +72,18 @@ class ExecutionContext:
         #: Fresh per-execution index load counters; merged into the
         #: index's lifetime counters when the context closes.
         self.counters = LoadCounters()
-        self.io_scope = None
+        self._io = None
         self._io_cm = None
+
+    @property
+    def io_scope(self):
+        """This execution's I/O scope, settled: its counters include
+        every page read so far (``None`` before the block opens)."""
+        return None if self._io is None else self._io.settle()
 
     def __enter__(self) -> "ExecutionContext":
         self._io_cm = self.db.disk.stats.scoped()
-        self.io_scope = self._io_cm.__enter__()
+        self._io = self._io_cm.__enter__()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
@@ -91,11 +101,12 @@ class ExecutionContext:
         object-loading counters and the ``signature`` stage time —
         everything that used to come from shared-counter diffs.
         """
-        if self.io_scope is None:
+        io = self.io_scope
+        if io is None:
             raise RuntimeError("finalise() outside the execution context")
-        stats.io = self.io_scope.snapshot()
+        stats.io = io.snapshot()
         stats.epoch = self.epoch
-        stats.buffer_evictions = self.io_scope.evictions
+        stats.buffer_evictions = io.evictions
         stats.objects_loaded = self.counters.objects_loaded
         stats.false_hit_objects = self.counters.false_hit_objects
         stats.stage_seconds["signature"] = self.counters.signature_seconds

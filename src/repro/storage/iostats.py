@@ -2,20 +2,34 @@
 
 The paper evaluates disk-resident indexes and reports the *number of
 disk accesses* next to response time.  Every page access in this
-library flows through an :class:`IOStats` instance so experiments can
+library is counted in an :class:`IOStats` instance so experiments can
 report logical reads, physical reads (buffer misses), buffer evictions
 and writes, broken down by category (road network, inverted file,
-R-tree, ...).  It is the one place page accounting lives: the buffer
-pool only decides hit or miss and reports its evictions here.
+R-tree, ...).
+
+A read is charged when it is *settled*: the buffer pool's one LRU rule
+(:meth:`~repro.storage.buffer.BufferPool.settle`) runs a list of page
+keys through the pool in order and counts each hit, miss and eviction
+into one :class:`IOStats`.  Inside a scope, :meth:`PageFile.read
+<repro.storage.pagefile.PageFile.read>` only appends the page's key to
+the scope's :attr:`IOStats.log`; the scope settles the whole log in one
+pass when its counters are read (:meth:`IOStats.settle`,
+:meth:`IOStats.snapshot`), when a nested scope opens, and when it
+closes.  A read outside any scope settles at once, through the same
+rule.  Hit or miss depends only on the pool's state and the order of
+accesses, so a serial stream of queries counts exactly what charging
+each read as it happens would.
 
 Concurrency contract: one :class:`IOStats` is shared by every structure
 of a database, including queries running on multiple threads.  A query
-execution opens a per-thread *scope* (:meth:`IOStats.scoped`); reads,
-writes and evictions issued by that thread land in the scope, giving
-exact per-query I/O attribution without diffing shared counters, and
-are folded into the global totals (under a lock) when the scope closes.
-Threads without an active scope (index builds, loading) update the
-global counters directly.
+execution opens a per-thread *scope* (:meth:`IOStats.scoped`); the
+reads and writes that thread issues land in the scope, giving exact
+per-query I/O attribution without diffing shared counters, and are
+folded into the global totals (under a lock) when the scope closes.
+Each scope's log settles as one unit, so under interleaving a query's
+hit/miss split is what a serial run in settle order would give; its
+logical reads never vary.  Threads without an active scope (index
+builds, loading, updates) settle into the global counters directly.
 """
 
 from __future__ import annotations
@@ -24,7 +38,10 @@ import threading
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+
+if TYPE_CHECKING:  # pragma: no cover — import cycle guard
+    from .buffer import BufferPool
 
 __all__ = ["IOStats", "IOSnapshot"]
 
@@ -53,6 +70,13 @@ class IOSnapshot:
         )
 
 
+class _OpenScope(threading.local):
+    """This thread's innermost open scope and its log (``None``: none)."""
+
+    scope: Optional["IOStats"] = None
+    log: Optional[List[Tuple[str, int]]] = None
+
+
 @dataclass
 class IOStats:
     """Mutable I/O counters shared by every structure of one database."""
@@ -63,33 +87,41 @@ class IOStats:
     buffer_hits: int = 0
     physical_by_category: Counter = field(default_factory=Counter)
     evictions: int = 0
-    _scopes: threading.local = field(
-        default_factory=threading.local, repr=False, compare=False
+    #: The pool whose LRU this object's reads settle against.
+    pool: Optional["BufferPool"] = field(
+        default=None, repr=False, compare=False
+    )
+    #: A scope's page reads not yet settled, as ``(file, page)`` keys in
+    #: read order.  Always empty on the global totals.
+    log: List[Tuple[str, int]] = field(
+        default_factory=list, repr=False, compare=False
+    )
+    #: Per thread: the open scope and its log, which ``PageFile.read``
+    #: appends to.
+    current: _OpenScope = field(
+        default_factory=_OpenScope, repr=False, compare=False
     )
     _merge_lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )
 
-    def _target(self) -> "IOStats":
-        """Where this thread's increments land: its scope, or self."""
-        return getattr(self._scopes, "scope", None) or self
+    def settle_unscoped(self, key: Tuple[str, int]) -> None:
+        """Charge one read made outside any scope to the global totals."""
+        with self._merge_lock:
+            self.pool.settle((key,), self)
 
-    def record_read(self, category: str, hit: bool) -> None:
-        """Record one logical page read; ``hit`` marks a buffer hit."""
-        target = self._target()
-        target.logical_reads += 1
-        if hit:
-            target.buffer_hits += 1
-        else:
-            target.physical_reads += 1
-            target.physical_by_category[category] += 1
+    def settle(self) -> "IOStats":
+        """Charge this scope's logged reads, in order; returns ``self``.
+
+        Afterwards every counter includes every read made so far.
+        """
+        if self.log:
+            self.pool.settle(self.log, self)
+            self.log.clear()
+        return self
 
     def record_write(self, category: str) -> None:
-        self._target().writes += 1
-
-    def record_eviction(self) -> None:
-        """Record one buffer eviction caused by this thread's access."""
-        self._target().evictions += 1
+        (self.current.scope or self).writes += 1
 
     def absorb(self, other: "IOStats") -> None:
         """Add another stats object's totals into this one."""
@@ -104,23 +136,32 @@ class IOStats:
     def scoped(self):
         """Collect this thread's I/O into a fresh :class:`IOStats`.
 
-        Yields the scope; its counters are exact per-scope deltas.  On
-        exit the scope is folded into the global totals under a lock,
-        so concurrent scopes on other threads never lose increments.
-        Scopes nest per thread (inner scopes shadow outer ones and fold
-        into the globals, not the outer scope, on exit).
+        Yields the scope; its counters are exact per-scope deltas once
+        settled (:meth:`settle`, :meth:`snapshot`, or leaving the
+        block).  On exit the scope settles, also when the block raises,
+        and is folded into the global totals under a lock, so
+        concurrent scopes on other threads never lose increments.
+        Scopes nest per thread: opening one settles the outer scope
+        first, and an inner scope shadows the outer one and folds into
+        the globals, not the outer scope, on exit.
         """
-        scope = IOStats()
-        previous = getattr(self._scopes, "scope", None)
-        self._scopes.scope = scope
+        current = self.current
+        previous = current.scope
+        if previous is not None:
+            previous.settle()
+        scope = IOStats(pool=self.pool)
+        current.scope, current.log = scope, scope.log
         try:
             yield scope
         finally:
-            self._scopes.scope = previous
+            current.scope = previous
+            current.log = None if previous is None else previous.log
+            scope.settle()
             with self._merge_lock:
                 self.absorb(scope)
 
     def snapshot(self) -> IOSnapshot:
+        self.settle()
         return IOSnapshot(
             logical_reads=self.logical_reads,
             physical_reads=self.physical_reads,

@@ -8,6 +8,12 @@ and counted by :class:`~repro.storage.iostats.IOStats`, so the reported
 "number of disk accesses" matches what a disk-resident implementation
 would incur.
 
+:meth:`PageFile.read` inside a query checks the page number and appends
+the page's ``(file, page)`` key to the thread's open I/O scope; the
+scope runs its whole log through the pool's LRU later, in one pass
+(see :mod:`repro.storage.iostats` for when).  A read outside any scope
+settles at once through the same rule.
+
 Payloads are ordinary Python objects; each page also records an
 estimated on-disk byte size used to derive index sizes (Fig. 6(c)) and
 page fan-outs.
@@ -20,7 +26,6 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import StorageError
 from .buffer import BufferPool
-from .iostats import IOStats
 
 __all__ = ["PAGE_SIZE", "Page", "PageFile", "DiskManager"]
 
@@ -50,6 +55,7 @@ class PageFile:
         self.category = category
         self._disk = disk
         self._pages: List[Page] = []
+        self._current = disk.stats.current
 
     def __len__(self) -> int:
         return len(self._pages)
@@ -77,15 +83,23 @@ class PageFile:
         return page_no
 
     def read(self, page_no: int) -> Any:
-        """Read a page through the buffer pool; returns its payload."""
-        if not 0 <= page_no < len(self._pages):
+        """Read a page through the buffer pool; returns its payload.
+
+        Inside a scope the read is logged, to be settled with the rest
+        of the scope's reads; outside one it settles now.
+        """
+        pages = self._pages
+        if not 0 <= page_no < len(pages):
             raise StorageError(
                 f"page {page_no} out of range for file {self.name!r} "
-                f"({len(self._pages)} pages)"
+                f"({len(pages)} pages)"
             )
-        hit = self._disk.buffer.access((self.name, page_no))
-        self._disk.stats.record_read(self.category, hit)
-        return self._pages[page_no].payload
+        log = self._current.log
+        if log is None:
+            self._disk.stats.settle_unscoped((self.name, page_no))
+        else:
+            log.append((self.name, page_no))
+        return pages[page_no].payload
 
     def read_unbuffered(self, page_no: int) -> Any:
         """Read a page without touching buffer or counters.
@@ -127,8 +141,8 @@ class DiskManager:
     """Owns the page files, the shared buffer pool and the I/O stats."""
 
     def __init__(self, buffer_pages: int = 1024) -> None:
-        self.stats = IOStats()
-        self.buffer = BufferPool(capacity=buffer_pages, stats=self.stats)
+        self.buffer = BufferPool(capacity=buffer_pages)
+        self.stats = self.buffer.stats
         self._files: Dict[str, PageFile] = {}
 
     def create_file(self, name: str, category: str) -> PageFile:
@@ -136,6 +150,7 @@ class DiskManager:
             raise StorageError(f"page file {name!r} already exists")
         pf = PageFile(name, category, self)
         self._files[name] = pf
+        self.buffer.categories[name] = category
         return pf
 
     def get_file(self, name: str) -> PageFile:

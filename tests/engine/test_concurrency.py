@@ -166,6 +166,38 @@ class TestPerQueryIOUnderWorkers:
             db.disk.stats.logical_reads
         )
 
+    def test_each_query_settles_as_one_unit(self):
+        """Each query's log settles whole: its logical reads are its
+        serial run's, and the scopes sum to the disk totals' growth."""
+        db = build_dataset(TINY_PROFILE, buffer_pages=8)
+        index = db.build_index("sif", file_prefix="conc-settle-sif")
+        sk_queries = generate_sk_queries(
+            db, WorkloadConfig(num_queries=8, num_keywords=2, seed=97)
+        )
+        div_queries = generate_diversified_queries(
+            db, WorkloadConfig(num_queries=8, num_keywords=2, k=4, seed=98)
+        )
+        plans = [
+            plan
+            for sk, div in zip(sk_queries, div_queries)
+            for plan in (
+                plan_sk(db, index, sk), plan_diversified(db, index, div)
+            )
+        ]
+        serial = db.engine.execute_many(plans)
+        before = db.disk.stats.snapshot()
+        concurrent = db.engine.execute_many(plans, workers=4)
+        growth = db.disk.stats.snapshot() - before
+
+        assert [r.stats.io.logical_reads for r in concurrent] == [
+            r.stats.io.logical_reads for r in serial
+        ]
+        stats = [r.stats for r in concurrent]
+        assert sum(s.io.logical_reads for s in stats) == growth.logical_reads
+        assert sum(s.io.physical_reads for s in stats) == growth.physical_reads
+        assert sum(s.io.buffer_hits for s in stats) == growth.buffer_hits
+        assert sum(s.buffer_evictions for s in stats) == growth.evictions > 0
+
 
 class TestRunnerWorkers:
     def test_workload_report_matches_serial(self, tiny_db, sif):
