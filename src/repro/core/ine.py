@@ -21,7 +21,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
-from ..index.base import LoadCounters, ObjectIndex
+from ..index.base import GuardedLoader, LoadCounters, ObjectIndex
 from ..network.distance import AdjacencyProvider, seed_distances
 from ..network.graph import NetworkPosition, RoadNetwork
 from ..network.objects import SpatioTextualObject
@@ -44,9 +44,10 @@ class ExpansionStats:
     nodes_accessed: int = 0
     edges_accessed: int = 0
     objects_emitted: int = 0
-    #: Wall seconds spent inside the index's bound loader, per edge
-    #: (Algorithm 2: signature test + posting fetch), a sub-stage of
-    #: expansion.
+    #: Wall seconds spent fetching edges' objects (Algorithm 2), a
+    #: sub-stage of expansion: one timer pair per edge the loader is
+    #: called for.  On SIF and SIF-G that is only the edges that pass
+    #: the inline signature test; on every other index, every edge.
     load_seconds: float = 0.0
 
 
@@ -112,7 +113,9 @@ class INEExpansion:
         The logical road network (edge metadata only; no traversal).
     index:
         Object index implementing Algorithm 2; :meth:`run` binds its
-        ``loader(terms)`` once and calls it per edge.
+        ``loader(terms)`` once and calls it per edge — or, for a
+        :class:`~repro.index.base.GuardedLoader`, tests the edge against
+        its mask inline and calls its ``fetch`` only if the edge passes.
     position, terms, delta_max:
         The SK query.
     counters:
@@ -156,8 +159,19 @@ class INEExpansion:
         neighbors = self._provider.neighbors
         heappush, heappop = heapq.heappush, heapq.heappop
         clock = time.perf_counter
-        # Algorithm 2's per-query half, bound when the stream starts.
-        load = self._index.loader(self._terms, self._counters, self._tracer)
+        tracer = self._tracer
+        tracing = tracer.enabled
+        # Algorithm 2's per-query half, bound when the stream starts.  A
+        # one-bit signature guard is tested here, in this frame: an edge
+        # it prunes costs one shift, and its tests and prunes are counted
+        # in locals and charged to the guard's counters before every
+        # yield and when the stream ends.
+        load = self._index.loader(self._terms, self._counters, tracer)
+        if isinstance(load, GuardedLoader):
+            guard, mask, load = load, load.mask, load.fetch
+        else:
+            guard, mask = None, None
+        tests_charged, pruned = stats.edges_accessed, 0
 
         settled: Set[int] = set()
         visited_edges: Set[int] = {query_edge}
@@ -195,19 +209,27 @@ class INEExpansion:
         # distance (paper: δ(q, p) = w(q, p) on a shared edge) and are
         # never relaxed — the loop below skips the query edge.
         stats.edges_accessed += 1
-        started = clock()
-        matches = load(query_edge)
-        stats.load_seconds += clock() - started
-        for obj in matches:
-            dist = abs(obj.position.offset - position.offset)
-            if dist <= delta_max:
-                queue_object(obj, dist)
+        if mask is not None and (
+            query_edge < 0 or not (mask >> query_edge) & 1
+        ):
+            pruned += 1
+            if tracing:
+                tracer.event(
+                    "signature.prune", edge=query_edge,
+                    partition=guard.partition,
+                )
+        else:
+            started = clock()
+            matches = load(query_edge)
+            stats.load_seconds += clock() - started
+            for obj in matches:
+                dist = abs(obj.position.offset - position.offset)
+                if dist <= delta_max:
+                    queue_object(obj, dist)
 
         for node_id, dist in seed_distances(network, position).items():
             heappush(node_heap, (dist, node_id))
 
-        tracer = self._tracer
-        tracing = tracer.enabled
         rounds = _RoundTrace(tracer, stats, delta_max) if tracing else None
 
         try:
@@ -219,6 +241,11 @@ class INEExpansion:
                 # final: any improvement would route through a node settled
                 # later, at distance >= d_n.
                 if obj_heap and obj_heap[0][0] <= d_n:
+                    if guard is not None:
+                        guard.count(
+                            stats.edges_accessed - tests_charged, pruned
+                        )
+                        tests_charged, pruned = stats.edges_accessed, 0
                     yield from emit_upto(d_n)
                 if d_n > delta_max:
                     # δ_T exceeded δmax: no unvisited node or object can
@@ -243,6 +270,16 @@ class INEExpansion:
                     if edge_id not in visited_edges:
                         visited_edges.add(edge_id)
                         stats.edges_accessed += 1
+                        if mask is not None and (
+                            edge_id < 0 or not (mask >> edge_id) & 1
+                        ):
+                            pruned += 1
+                            if tracing:
+                                tracer.event(
+                                    "signature.prune", edge=edge_id,
+                                    partition=guard.partition,
+                                )
+                            continue
                         started = clock()
                         matches = load(edge_id)
                         stats.load_seconds += clock() - started
@@ -265,9 +302,14 @@ class INEExpansion:
                                 obj, d_n + (edge.weight - obj.position.offset)
                             )
 
+            if guard is not None:
+                guard.count(stats.edges_accessed - tests_charged, pruned)
+                tests_charged, pruned = stats.edges_accessed, 0
             if obj_heap:
                 yield from emit_upto(float("inf"))
         finally:
+            if guard is not None:
+                guard.count(stats.edges_accessed - tests_charged, pruned)
             if tracing:
                 rounds.flush(len(node_heap))
 

@@ -105,6 +105,9 @@ class QueryStats:
     (``expansion``, ``object_loading``, ``signature``,
     ``pairwise_dijkstra``, ``maintenance``, ``finalise``, ...) to wall
     seconds; stages may nest, so they need not sum to ``wall_seconds``.
+    ``object_loading`` times the loader calls only: on SIF and SIF-G the
+    fetches of edges that passed the expansion's inline signature test
+    (see :attr:`~repro.core.ine.ExpansionStats.load_seconds`).
     """
 
     wall_seconds: float = 0.0

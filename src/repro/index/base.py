@@ -20,7 +20,7 @@ from typing import Callable, FrozenSet, List, Optional, Sequence
 from ..network.objects import ObjectStore, SpatioTextualObject
 from ..obs.tracing import NULL_TRACER
 
-__all__ = ["LoadCounters", "ObjectIndex"]
+__all__ = ["GuardedLoader", "LoadCounters", "ObjectIndex"]
 
 
 @dataclass
@@ -72,6 +72,58 @@ class LoadCounters:
         self.signature_tests_run += other.signature_tests_run
         self.signature_tests_pruned += other.signature_tests_pruned
         self.signature_seconds += other.signature_seconds
+
+
+class GuardedLoader:
+    """The per-query loader of a one-bit signature index (SIF, SIF-G).
+
+    Calling it is Algorithm 2 for one edge, as any loader's call is:
+    the signature test ``edge_id >= 0 and (mask >> edge_id) & 1``, then
+    ``fetch(edge_id)`` for an edge that passes.  ``mask`` is the AND of
+    the query's signed rows, built once per query; ``None`` means every
+    query term is unsigned, so every edge passes.
+
+    An expansion that finds this type runs the test itself, inline, and
+    calls ``fetch`` only for edges that pass.  It then owes what a call
+    would have done for the edges it tested: :meth:`count` the tests
+    and prunes, and record one ``signature.prune`` event per pruned
+    edge, tagged ``partition``, when tracing.
+    """
+
+    __slots__ = ("mask", "fetch", "counters", "tracer", "partition")
+
+    def __init__(
+        self,
+        mask: Optional[int],
+        fetch: Callable[[int], List[SpatioTextualObject]],
+        counters: LoadCounters,
+        tracer,
+        partition: str,
+    ) -> None:
+        self.mask = mask
+        self.fetch = fetch
+        self.counters = counters
+        self.tracer = tracer
+        self.partition = partition
+
+    def count(self, tests: int, pruned: int) -> None:
+        """Charge ``tests`` signature tests, ``pruned`` of which pruned."""
+        counters = self.counters
+        counters.signature_tests_run += tests
+        counters.signature_tests_pruned += pruned
+        counters.edges_pruned_by_signature += pruned
+
+    def __call__(self, edge_id: int) -> List[SpatioTextualObject]:
+        mask = self.mask
+        if mask is not None and (edge_id < 0 or not (mask >> edge_id) & 1):
+            self.count(1, 1)
+            if self.tracer.enabled:
+                self.tracer.event(
+                    "signature.prune", edge=edge_id, partition=self.partition
+                )
+            return []
+        self.count(1, 0)
+        return self.fetch(edge_id)
 
 
 class ObjectIndex(abc.ABC):
@@ -128,7 +180,9 @@ class ObjectIndex(abc.ABC):
         ends.  The signature indexes override this to resolve here what
         is constant for the query (the AND of the signed rows), so a
         loader is never kept across queries or updates; ``tracer`` gets
-        their per-edge prune events.
+        their per-edge prune events.  SIF and SIF-G return a
+        :class:`GuardedLoader`, whose mask the expansion tests inline;
+        every other index returns a plain callable, called per edge.
         """
         load_objects = self.load_objects
         return lambda edge_id: load_objects(edge_id, terms, counters)

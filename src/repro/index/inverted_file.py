@@ -255,14 +255,20 @@ class InvertedFileIndex(ObjectIndex):
     def load_objects(
         self, edge_id: int, terms: FrozenSet[str],
         counters: Optional[LoadCounters] = None,
+        order: Optional[Sequence[str]] = None,
     ) -> List[SpatioTextualObject]:
+        """Algorithm 2 without the guard.  ``order`` is
+        ``rarest_first(store, terms)`` when a caller that fetches many
+        edges for one query (SIF's loader) resolved it already."""
         if counters is None:
             counters = self.lifetime_counters
+        if order is None:
+            order = rarest_first(self._store, terms)
         counters.edges_probed += 1
         key = self._edge_keys[edge_id]
         loaded_total = 0
         intersection: Optional[Set[int]] = None
-        for term in rarest_first(self._store, terms):
+        for term in order:
             tree = self._trees.get(term)
             pages = tree.search(key) if tree is not None else None
             if pages is None:

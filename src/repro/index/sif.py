@@ -6,21 +6,22 @@ edges that cannot contain a result.  The pruning is free (signatures
 live in memory); the cost is a slightly larger index (Fig. 6(c)).
 
 The guard is built once per query: :meth:`SIFIndex.loader` ANDs the
-signed rows into one integer, and each edge then costs a shift.
+signed rows into one integer, the mask the expansion shifts per edge;
+only an edge that passes costs a call, IF's posting fetch.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, FrozenSet, List, Optional
+from typing import Dict, FrozenSet, List, Optional
 
 from ..network.objects import ObjectStore, SpatioTextualObject
 from ..obs.tracing import NULL_TRACER
 from ..spatial.kdtree import KDTreePartition
 from ..spatial.zorder import ZOrderCurve
 from ..storage.pagefile import DiskManager
-from .base import LoadCounters, ObjectIndex
-from .inverted_file import InvertedFileIndex
+from .base import GuardedLoader, LoadCounters, ObjectIndex
+from .inverted_file import InvertedFileIndex, rarest_first
 from .signature import SignatureFile
 
 __all__ = ["SIFIndex"]
@@ -72,29 +73,22 @@ class SIFIndex(ObjectIndex):
     def loader(
         self, terms: FrozenSet[str], counters: Optional[LoadCounters] = None,
         tracer=NULL_TRACER,
-    ) -> Callable[[int], List[SpatioTextualObject]]:
+    ) -> GuardedLoader:
+        """The query's guard and fetch: the AND of its signed rows, and
+        IF's posting fetch in the rarest-first order, both resolved
+        once per query."""
         if counters is None:
             counters = self.lifetime_counters
         start = time.perf_counter()
         bits = self._signatures.combined_row(terms)
         counters.signature_seconds += time.perf_counter() - start
-        fetch = self._inverted.load_objects
+        load_objects = self._inverted.load_objects
+        order = rarest_first(self._store, terms)
 
-        def load(edge_id: int) -> List[SpatioTextualObject]:
-            counters.signature_tests_run += 1
-            if bits is not None and (
-                edge_id < 0 or not (bits >> edge_id) & 1
-            ):
-                counters.signature_tests_pruned += 1
-                counters.edges_pruned_by_signature += 1
-                if tracer.enabled:
-                    tracer.event(
-                        "signature.prune", edge=edge_id, partition="SIF"
-                    )
-                return []
-            return fetch(edge_id, terms, counters)
+        def fetch(edge_id: int) -> List[SpatioTextualObject]:
+            return load_objects(edge_id, terms, counters, order)
 
-        return load
+        return GuardedLoader(bits, fetch, counters, tracer, self.name)
 
     def load_objects(
         self, edge_id: int, terms: FrozenSet[str],

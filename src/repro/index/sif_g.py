@@ -13,7 +13,7 @@ space of SIF-P's signatures and still finds SIF-P more cost-effective).
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..network.objects import ObjectStore, SpatioTextualObject
 from ..obs.tracing import NULL_TRACER
@@ -21,7 +21,7 @@ from ..spatial.kdtree import KDTreePartition
 from ..spatial.zorder import ZOrderCurve
 from ..storage.bplustree import BPlusTree
 from ..storage.pagefile import DiskManager, PageFile
-from .base import LoadCounters, ObjectIndex
+from .base import GuardedLoader, LoadCounters, ObjectIndex
 from .inverted_file import InvertedFileIndex, pack_postings, read_run
 from .signature import SignatureFile, pack_slots
 
@@ -130,11 +130,14 @@ class SIFGIndex(ObjectIndex):
     def loader(
         self, terms: FrozenSet[str], counters: Optional[LoadCounters] = None,
         tracer=NULL_TRACER,
-    ) -> Callable[[int], List[SpatioTextualObject]]:
+    ) -> GuardedLoader:
+        """The query's guard and fetch: the AND of the singles' rows and
+        the covering pairs' group rows, and a fetch that intersects the
+        covering lists' postings, both resolved once per query."""
         if counters is None:
             counters = self.lifetime_counters
         # Signature guard: the singles' rows ANDed with the pairs' group
-        # rows into one int, so an edge costs one shift as in SIF.
+        # rows into one mask, so an edge costs one shift as in SIF.
         sig_start = time.perf_counter()
         pairs, singles = self._cover(terms)
         bits = self._signatures.combined_row(singles)
@@ -151,15 +154,7 @@ class SIFGIndex(ObjectIndex):
         edge_keys = self._inverted._edge_keys
         get_object = self._store.get
 
-        def load(edge_id: int) -> List[SpatioTextualObject]:
-            counters.signature_tests_run += 1
-            if bits is not None and (
-                edge_id < 0 or not (bits >> edge_id) & 1
-            ):
-                counters.signature_tests_pruned += 1
-                counters.edges_pruned_by_signature += 1
-                return []
-
+        def fetch(edge_id: int) -> List[SpatioTextualObject]:
             counters.edges_probed += 1
             key = edge_keys[edge_id]
             loaded_total = 0
@@ -181,7 +176,7 @@ class SIFGIndex(ObjectIndex):
             out.sort(key=lambda o: o.position.offset)
             return out
 
-        return load
+        return GuardedLoader(bits, fetch, counters, tracer, self.name)
 
     def load_objects(
         self, edge_id: int, terms: FrozenSet[str],

@@ -245,8 +245,9 @@ class SignatureFile:
     def test(self, edge_id: int, terms: Iterable[str]) -> bool:
         """AND-semantics signature test: ``False`` means *prune the edge*.
 
-        The per-slot reference: the bound loaders shift the combined
-        row themselves, and the tests compare that shift against this.
+        The per-slot reference: the query path shifts the combined
+        row itself (the expansion, inline, for SIF and SIF-G; SIF-P's
+        loader), and the tests compare that shift against this.
         """
         return self._matrix.probe(self.combined_row(terms), edge_id)
 

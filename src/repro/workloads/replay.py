@@ -62,11 +62,15 @@ INDEX_KIND_BY_NAME = {
     "SIF-G": "sif-g",
 }
 
-#: Invariant counters replay compares (beyond the digest), skipped for
-#: a record marked ``result_cache_hit`` — journals written while the
-#: engine had a result cache carry it, and a cached answer did no
-#: expansion.
-_INVARIANT_STATS = ("candidates", "nodes_accessed")
+#: Invariant counters replay compares (beyond the digest): the INE
+#: expansion's search shape, which no distance backend changes.
+#: Skipped for a record marked ``result_cache_hit`` — journals written
+#: while the engine had a result cache carry it, and a cached answer
+#: did no expansion.
+_INVARIANT_STATS = (
+    "candidates", "nodes_accessed", "edges_accessed", "objects_loaded",
+    "false_hit_objects",
+)
 
 #: Header keys of modes that no longer exist (journals recorded while
 #: the engine had a CSR frontier and a scalar scoring mode carry them);
@@ -372,8 +376,7 @@ def _compare(record: Dict[str, Any], result, report: ReplayReport) -> None:
             )
     # Invariant counters: identical answers via different machinery
     # are fine (that is the point of --backend overrides), but the
-    # *search shape* must match when nothing was overridden — and for
-    # candidates/nodes it matches across backends too, because backend
+    # *search shape* must match — across backends too, because backend
     # choice only changes pairwise evaluation, not INE expansion.
     # A recorded result-cache hit did no expansion; skip it.
     recorded_stats = record.get("stats") or {}

@@ -260,7 +260,8 @@ class TestReplayDeterminism:
             assert report.passed, [d.render() for d in report.divergences]
         else:
             assert {d.fieldname for d in report.divergences} == {
-                "candidates", "nodes_accessed",
+                "candidates", "nodes_accessed", "edges_accessed",
+                "objects_loaded",
             }
 
     def test_journal_backend(self):
@@ -307,6 +308,14 @@ class TestReplayCatchesDivergence:
         journal.queries[0]["stats"]["candidates"] += 5
         report = run_replay(fresh_db(), journal)
         assert {d.fieldname for d in report.divergences} == {"candidates"}
+
+    def test_tampered_expansion_shape_caught(self, journal_path):
+        journal = load_flight_journal(journal_path)
+        journal.queries[1]["stats"]["edges_accessed"] += 1
+        report = run_replay(fresh_db(), journal)
+        assert [
+            (d.fieldname, d.seq) for d in report.divergences
+        ] == [("edges_accessed", journal.queries[1]["seq"])]
 
     def test_perturbed_backend_caught(self, journal_path, monkeypatch):
         db = fresh_db()
