@@ -6,7 +6,10 @@ edge's centre point (ties broken by edge id so keys stay unique while
 preserving spatial locality).  Leaf values point at postings pages; the
 postings of one keyword are packed into pages in edge-key order, so
 spatially close edges share pages (the Z-order clustering the paper
-relies on) and small posting lists do not waste whole pages.
+relies on) and small posting lists do not waste whole pages.  A leaf
+value is a *run*: the bare ``int`` page number when the edge's postings
+sit on one page — all but 89 of SYN's 273 294 — and a list of page
+numbers, in page order, only when they continue onto later pages.
 
 ``load_objects`` implements Algorithm 2 without the signature test:
 every query keyword requires a B+-tree descent, and the postings of
@@ -30,7 +33,7 @@ from bisect import bisect_left
 from collections import defaultdict
 from operator import itemgetter
 from typing import (
-    Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple,
+    Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple, Union,
 )
 
 from ..network.graph import RoadNetwork
@@ -46,6 +49,8 @@ __all__ = [
     "edge_zorder_key",
     "pack_postings",
     "read_run",
+    "run_pages",
+    "Run",
     "insert_posting",
     "rarest_first",
     "POSTING_BYTES",
@@ -58,6 +63,10 @@ POSTINGS_PER_PAGE = PAGE_SIZE // POSTING_BYTES
 
 #: A posting: ``(edge_key, object_id, offset)``.
 Posting = Tuple[int, int, float]
+
+#: The pages of one prefix's postings: one page number, or a list of
+#: them in page order when the run continues onto later pages.
+Run = Union[int, List[int]]
 
 
 def edge_zorder_key(curve: ZOrderCurve, network: RoadNetwork, edge_id: int) -> int:
@@ -88,20 +97,21 @@ class EdgeKeys(dict):
 
 def pack_postings(
     file: PageFile, postings: List[tuple], width: int = 1
-) -> Dict[tuple, List[int]]:
+) -> Dict[tuple, Run]:
     """Pack postings (sorted by their prefix) into pages of ``file``.
 
     A posting is filed under its *prefix*, its first ``width`` fields:
     ``(edge_key,)`` by default, ``(edge_key, v_idx)`` for SIF-P.
-    Returns ``prefix -> page numbers holding that prefix's postings`` —
-    the same tuples :func:`read_run` and :func:`insert_posting` take.
-    Pages are shared between consecutive prefixes, so the map's page
-    lists overlap at the boundaries.  The input is sorted, so a prefix
+    Returns ``prefix -> run``, the page number holding that prefix's
+    postings, or the list of them in page order for a prefix that
+    continues onto later pages — the runs :func:`read_run` takes.
+    Pages are shared between consecutive prefixes, so a page that
+    closes one run opens the next.  The input is sorted, so a prefix
     that ended never returns: each page is filed under its distinct
     prefixes, of which only the first can have started on an earlier
     page, and the map comes out in prefix order.
     """
-    prefix_pages: Dict[tuple, List[int]] = {}
+    prefix_pages: Dict[tuple, Run] = {}
     for start in range(0, len(postings), POSTINGS_PER_PAGE):
         chunk = postings[start : start + POSTINGS_PER_PAGE]
         page_no = file.allocate(chunk, size_bytes=len(chunk) * POSTING_BYTES)
@@ -110,11 +120,13 @@ def pack_postings(
             first = next(prefixes)
             pages = prefix_pages.get(first)
             if pages is None:
-                prefix_pages[first] = [page_no]
+                prefix_pages[first] = page_no
+            elif pages.__class__ is int:
+                prefix_pages[first] = [pages, page_no]
             else:
                 pages.append(page_no)
         for prefix in prefixes:
-            prefix_pages[prefix] = [page_no]
+            prefix_pages[prefix] = page_no
     return prefix_pages
 
 
@@ -126,17 +138,26 @@ def _distinct_prefixes(page: List[tuple], width: int) -> Iterator[tuple]:
     return iter(dict.fromkeys(map(itemgetter(*range(width)), page)))
 
 
-def read_run(file: PageFile, pages: Sequence[int], prefix: tuple) -> List[int]:
+def run_pages(pages: Run) -> Sequence[int]:
+    """The page numbers of a run, in page order."""
+    return (pages,) if pages.__class__ is int else pages
+
+
+def read_run(file: PageFile, pages: Run, prefix: tuple) -> List[int]:
     """Object ids of the postings filed under ``prefix`` on ``pages``.
 
-    Every page is read through the buffer, in order; inside it the run
-    is found by bisection — a bare prefix sorts before every posting
-    that extends it, so the comparison stays in C — and only the run is
-    touched: O(log page + matches).  The object id is the field right
-    after the prefix.
+    ``pages`` is a run as :func:`pack_postings` files it: one page
+    number, or a sequence of them.  Every page is read through the
+    buffer, in order; inside it the run is found by bisection — a bare
+    prefix sorts before every posting that extends it, so the
+    comparison stays in C — and only the run is touched:
+    O(log page + matches).  The object id is the field right after the
+    prefix.
     """
     width = len(prefix)
     ids: List[int] = []
+    if pages.__class__ is int:  # run_pages inline: this is the query path
+        pages = (pages,)
     for page_no in pages:
         page = file.read(page_no)
         i = bisect_left(page, prefix)
@@ -310,7 +331,10 @@ class InvertedFileIndex(ObjectIndex):
         For each keyword the posting joins the end of the edge's run
         on its last postings page if that page has free space (the
         page stays sorted by edge key), otherwise a fresh page is
-        allocated and linked from the keyword's B+-tree.  New keywords
+        allocated and linked from the keyword's B+-tree: the run's leaf
+        value becomes its page list plus the new page, a one-page run
+        the list of its two (:meth:`BPlusTree.replace`, uncharged, as an
+        in-place edit of the value was).  New keywords
         get a fresh single-leaf tree.  Keywords are visited in sorted
         order, here and in :meth:`delete_object`: the descents go
         through the buffer and new pages are numbered as they are
@@ -326,7 +350,7 @@ class InvertedFileIndex(ObjectIndex):
                     [posting], size_bytes=POSTING_BYTES
                 )
                 tree = BPlusTree(self._tree_file, key_bytes=8, value_bytes=8)
-                tree.bulk_load([(key, [page_no])])
+                tree.bulk_load([(key, page_no)])
                 self._trees[term] = tree
                 self._pages_per_term[term] = 1
                 continue
@@ -335,14 +359,16 @@ class InvertedFileIndex(ObjectIndex):
                 page_no = self._postings.allocate(
                     [posting], size_bytes=POSTING_BYTES
                 )
-                tree.insert(key, [page_no])
+                tree.insert(key, page_no)
                 self._pages_per_term[term] = self._pages_per_term.get(term, 0) + 1
                 continue
-            if not insert_posting(self._postings, pages[-1], (key,), posting):
+            if not insert_posting(
+                self._postings, run_pages(pages)[-1], (key,), posting
+            ):
                 page_no = self._postings.allocate(
                     [posting], size_bytes=POSTING_BYTES
                 )
-                pages.append(page_no)
+                tree.replace(key, [*run_pages(pages), page_no])
                 self._pages_per_term[term] = self._pages_per_term.get(term, 0) + 1
 
     def delete_object(self, obj: SpatioTextualObject) -> None:
@@ -362,7 +388,7 @@ class InvertedFileIndex(ObjectIndex):
             pages = tree.search(key) if tree is not None else None
             if pages is None:
                 continue
-            for page_no in pages:
+            for page_no in run_pages(pages):
                 payload = self._postings.read_unbuffered(page_no)
                 kept = [
                     p for p in payload

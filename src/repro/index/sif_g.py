@@ -161,7 +161,8 @@ class SIFGIndex(ObjectIndex):
             intersection: Optional[Set[int]] = None
             for tree, file in lists:
                 pages = tree.search(key) if tree is not None else None
-                loaded = read_run(file, pages or (), (key,))
+                # Page 0 is a run like any other: test the miss by identity.
+                loaded = [] if pages is None else read_run(file, pages, (key,))
                 loaded_total += len(loaded)
                 ids = set(loaded)
                 intersection = ids if intersection is None else intersection & ids

@@ -31,10 +31,12 @@ from .base import LoadCounters, ObjectIndex
 from .inverted_file import (
     POSTING_BYTES,
     EdgeKeys,
+    Run,
     insert_posting,
     pack_postings,
     rarest_first,
     read_run,
+    run_pages,
 )
 from .partition import QueryLog, greedy_partition, segments_from_cuts
 from .query_log import frequency_edge_log
@@ -197,12 +199,12 @@ class SIFPIndex(ObjectIndex):
                         staged_bits.setdefault(term, set()).add(base + v_idx)
 
         for term in sorted(staged):
-            # (edge_key, v_idx) -> page numbers, in key order; every
-            # term starts on a fresh page.
+            # (edge_key, v_idx) -> run, in key order; every term starts
+            # on a fresh page.
             first_page = self._postings.num_pages
             ve_pages = pack_postings(self._postings, staged[term], width=2)
-            # Group by edge key for the tree: value = {v_idx: pages}.
-            per_edge: Dict[int, Dict[int, List[int]]] = {}
+            # Group by edge key for the tree: value = {v_idx: run}.
+            per_edge: Dict[int, Dict[int, Run]] = {}
             for (edge_key, v_idx), pages in ve_pages.items():
                 per_edge.setdefault(edge_key, {})[v_idx] = pages
             tree = BPlusTree(self._tree_file, key_bytes=8, value_bytes=8)
@@ -407,7 +409,7 @@ class SIFPIndex(ObjectIndex):
         """Insert one object's postings, bits and segment membership.
 
         Mirrors :meth:`InvertedFileIndex.insert_object` but the tree
-        value is ``{v_idx: pages}`` and the posting carries the virtual
+        value is ``{v_idx: run}`` and the posting carries the virtual
         edge the object's offset falls into (keywords in sorted order,
         for the same reason).
         """
@@ -422,7 +424,7 @@ class SIFPIndex(ObjectIndex):
                     [posting], size_bytes=POSTING_BYTES
                 )
                 tree = BPlusTree(self._tree_file, key_bytes=8, value_bytes=8)
-                tree.bulk_load([(key, {v_idx: [page_no]})])
+                tree.bulk_load([(key, {v_idx: page_no})])
                 self._trees[term] = tree
                 self._pages_per_term[term] = 1
             else:
@@ -431,7 +433,7 @@ class SIFPIndex(ObjectIndex):
                     page_no = self._postings.allocate(
                         [posting], size_bytes=POSTING_BYTES
                     )
-                    tree.insert(key, {v_idx: [page_no]})
+                    tree.insert(key, {v_idx: page_no})
                     self._pages_per_term[term] = (
                         self._pages_per_term.get(term, 0) + 1
                     )
@@ -441,15 +443,16 @@ class SIFPIndex(ObjectIndex):
                         page_no = self._postings.allocate(
                             [posting], size_bytes=POSTING_BYTES
                         )
-                        value[v_idx] = [page_no]
+                        value[v_idx] = page_no
                         self._pages_per_term[term] += 1
                     elif not insert_posting(
-                        self._postings, pages[-1], (key, v_idx), posting
+                        self._postings, run_pages(pages)[-1], (key, v_idx),
+                        posting,
                     ):
                         page_no = self._postings.allocate(
                             [posting], size_bytes=POSTING_BYTES
                         )
-                        pages.append(page_no)
+                        value[v_idx] = [*run_pages(pages), page_no]
                         self._pages_per_term[term] += 1
             if term not in self._unsigned_terms:
                 self._matrix.set(term, self._slot(edge_id, v_idx))
@@ -475,7 +478,7 @@ class SIFPIndex(ObjectIndex):
                 continue
             for v_idx, pages in value.items():
                 survivors = False
-                for page_no in pages:
+                for page_no in run_pages(pages):
                     payload = self._postings.read_unbuffered(page_no)
                     kept = [
                         p for p in payload

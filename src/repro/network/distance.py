@@ -259,9 +259,9 @@ def single_source_rows(
     """
     # Imported on first use, and nothing before the first pairwise
     # distance imports scipy at all (a tier-1 test checks that):
-    # ``scipy.sparse`` + ``csgraph`` are 163 modules, ≈ 0.23 s and
-    # ≈ 24 MiB resident, which a process that only runs boolean SK
-    # queries should not carry.
+    # ``scipy.sparse`` + ``csgraph`` are ≈ 0.23 s and ≈ 25 MiB resident
+    # on top of ``import repro`` (33 MiB over bare numpy), which a
+    # process that only runs boolean SK queries should not carry.
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import dijkstra as csgraph_dijkstra
 

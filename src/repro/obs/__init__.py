@@ -21,7 +21,9 @@ The live plane builds on those primitives: :mod:`repro.obs.rollup`
 keeps a sliding window of recent queries whose snapshot has the
 registry's shape, so the same monitor judges it *continuously*;
 :mod:`repro.obs.server` serves it all over HTTP (``/metrics``; ``GET
-/`` lists the routes) for scraping while a workload runs.
+/`` lists the routes) for scraping while a workload runs.  It is
+imported on first use of :class:`TelemetryServer`, so a process that
+serves nothing does not load ``http.server`` and what it pulls in.
 """
 
 from .explain import ExplainReport, render_span_tree
@@ -30,7 +32,6 @@ from .export import escape_label_value
 from .events import QueryEvent, stats_to_dict
 from .metrics import Histogram, MetricsRegistry, StageClock
 from .rollup import SlidingWindowRollup
-from .server import TelemetryServer
 from .sinks import InMemorySink, JsonLinesSink, Sink
 from .slo import SLOMonitor, SLORule, SLOSpec, render_check
 from .slowlog import (
@@ -71,3 +72,12 @@ __all__ = [
     "TelemetryServer",
     "escape_label_value",
 ]
+
+
+def __getattr__(name: str):
+    # PEP 562: resolve the HTTP server on first use only.
+    if name == "TelemetryServer":
+        from .server import TelemetryServer
+
+        return TelemetryServer
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -4,8 +4,8 @@ The inverted file of paper §3.1 keys the edges of each keyword's
 posting list by the Z-order code of the edge centre and maintains them
 "by a B+ tree".  This module provides that structure: a disk-resident
 B+-tree whose nodes are pages of a :class:`~repro.storage.pagefile.PageFile`,
-supporting bulk loading (index construction), point search, range scans
-and single-key insertion.
+supporting bulk loading (index construction), point search, range scans,
+single-key insertion and in-place value replacement.
 
 Keys are integers (Z-order codes, object ids, ...).  Values are opaque;
 callers provide a byte-size estimate per entry so fan-out honours the
@@ -161,6 +161,25 @@ class BPlusTree:
             self._root_page = self._write_node(root)
             self._height += 1
         self._num_entries += 1
+
+    def replace(self, key: int, value: Any) -> None:
+        """Overwrite the value of an existing ``key`` in place.
+
+        Charges nothing, like an in-place edit of a mutable value that
+        :meth:`search` returned: the descent reads nodes unbuffered and
+        no page is written or resized.  Raises :class:`StorageError` if
+        ``key`` is absent.
+        """
+        if self._root_page is not None:
+            node = self._read_node_unbuffered(self._root_page)
+            while not node.leaf:
+                idx = bisect.bisect_right(node.keys, key)
+                node = self._read_node_unbuffered(node.children[idx])
+            idx = bisect.bisect_left(node.keys, key)
+            if idx < len(node.keys) and node.keys[idx] == key:
+                node.values[idx] = value
+                return
+        raise StorageError(f"no key {key} to replace")
 
     # ------------------------------------------------------------------
     # Queries

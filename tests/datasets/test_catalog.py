@@ -165,7 +165,7 @@ def _row_ints(matrix):
     return {term: matrix.combined((term,)) for term in matrix.keys()}
 
 
-def _trees_and_rows(index):
+def trees_and_rows(index):
     """``(name -> B+-tree, name -> row int)`` of an IF-family index."""
     if index.name == "IF":
         return dict(index._trees), {}
@@ -181,6 +181,16 @@ def _trees_and_rows(index):
     return trees, rows
 
 
+def _as_page_list(value):
+    """A leaf value as the page list it names: a one-page run (an
+    ``int``) as ``[page]``, inside SIF-P's ``{v_idx: run}`` too."""
+    if isinstance(value, int):
+        return [value]
+    if isinstance(value, dict):
+        return {k: _as_page_list(v) for k, v in value.items()}
+    return value
+
+
 def index_layout_digest(db, kind) -> str:
     """sha-256 over what ``db.build_index(kind)`` writes.
 
@@ -188,7 +198,9 @@ def index_layout_digest(db, kind) -> str:
     ``size_bytes``; a B+-tree node as its fields), each tree's root
     page and height, each signature row as an int keyed by term — the
     order rows sit in may follow the hash seed, their bits may not —
-    and the index's ``size_bytes()``.
+    and the index's ``size_bytes()``.  A leaf value is hashed as the
+    page list it names, so how a run is held in memory is not part of
+    the layout; which pages it names is.
     """
     before = {f.name for f in db.disk.files()}
     index = db.build_index(kind)
@@ -200,10 +212,11 @@ def index_layout_digest(db, kind) -> str:
         for page in file._pages:
             body = page.payload
             if not isinstance(body, list):
-                body = (body.leaf, body.keys, body.values, body.children,
-                        body.next_leaf)
+                body = (body.leaf, body.keys,
+                        [_as_page_list(v) for v in body.values],
+                        body.children, body.next_leaf)
             h.update(repr((page.page_no, page.size_bytes, body)).encode())
-    trees, rows = _trees_and_rows(index)
+    trees, rows = trees_and_rows(index)
     for name in sorted(trees):
         tree = trees[name]
         h.update(repr((name, tree._root_page, tree.height)).encode())

@@ -5,7 +5,10 @@ import pytest
 
 from repro import Database, SKQuery
 from repro.errors import QueryError
+from repro.index.inverted_file import POSTINGS_PER_PAGE
 from repro.network.graph import NetworkPosition
+from tests.datasets.test_catalog import trees_and_rows
+from tests.index.test_postings_layout import runs_of
 
 
 @pytest.fixture()
@@ -62,6 +65,33 @@ class TestInsertIntoIF:
             assert sorted(live_db.sk_search(index, q).object_ids()) == sorted(
                 live_db.sk_search(rebuilt, q).object_ids()
             )
+
+
+@pytest.mark.parametrize("kind", ["if", "sif", "sif-p"])
+def test_a_one_page_run_spills_into_a_page_list(live_db, kind):
+    """Inserts onto edges 0 and 3, which share the one page of "pizza",
+    fill that page: the next insert makes the edge's run, that page's
+    ``int``, the list of its two pages in page order, and answers stay
+    those of a fresh rebuild."""
+    index = live_db.build_index(kind)
+    tree = trees_and_rows(index)[0]["pizza"]
+    (page,) = set(runs_of(tree))
+    assert type(page) is int
+    for i in range(POSTINGS_PER_PAGE):
+        edge = live_db.network.edge(3 * (i % 2))
+        offset = float(edge.weight * (i + 1) / (POSTINGS_PER_PAGE + 2))
+        live_db.insert_object(
+            NetworkPosition(edge.edge_id, offset), {"pizza"}, [index]
+        )
+    runs = list(runs_of(tree))
+    assert [run for run in runs if type(run) is not int] == runs
+    assert all(len(run) == 2 and page == run[0] < run[1] for run in runs)
+    rebuilt = live_db.build_index(kind, file_prefix=f"{kind}-rebuilt")
+    for edge_id in (0, 3, 11):
+        q = SKQuery.create(NetworkPosition(edge_id, 0.0), ["pizza"], 5000.0)
+        assert sorted(live_db.sk_search(index, q).object_ids()) == sorted(
+            live_db.sk_search(rebuilt, q).object_ids()
+        )
 
 
 class TestDeleteFromIF:

@@ -7,6 +7,7 @@ from repro.index.inverted_file import (
     edge_zorder_key,
     pack_postings,
     rarest_first,
+    run_pages,
 )
 from repro.network.graph import NetworkPosition
 from repro.network.objects import ObjectStore
@@ -53,7 +54,9 @@ class TestPackPostings:
         postings = [(k, k * 10, 0.0) for k in range(10)]
         edge_pages = pack_postings(file, postings)
         assert file.num_pages == 1
-        assert all(pages == [0] for pages in edge_pages.values())
+        # A run on one page is its bare page number.
+        assert list(edge_pages.values()) == [0] * 10
+        assert all(type(pages) is int for pages in edge_pages.values())
 
     def test_large_list_spans_pages(self):
         disk = DiskManager()
@@ -68,9 +71,11 @@ class TestPackPostings:
         file = disk.create_file("p", category="inverted")
         postings = [(1, i, 0.0) for i in range(200)] + [(2, i, 0.0) for i in range(200)]
         edge_pages = pack_postings(file, postings)
-        assert len(edge_pages[(1,)]) >= 1
+        # Page 0 holds edge 1's 200 postings and the first 56 of edge
+        # 2's, which continue on page 1.
+        assert edge_pages == {(1,): 0, (2,): [0, 1]}
         for pages in edge_pages.values():
-            assert len(pages) == len(set(pages))
+            assert len(run_pages(pages)) == len(set(run_pages(pages)))
 
     def test_pages_hold_the_postings_in_order(self):
         disk = DiskManager()
@@ -94,7 +99,7 @@ class TestPackPostings:
         )
         ve_pages = pack_postings(file, postings, width=2)
         assert file.num_pages == 2
-        assert ve_pages == {(1, 0): [0], (1, 1): [0, 1], (2, 0): [1]}
+        assert ve_pages == {(1, 0): 0, (1, 1): [0, 1], (2, 0): 1}
         assert file.read_unbuffered(1)[0] == (1, 1, 256, 0.0)
 
 

@@ -25,12 +25,14 @@ from repro.index.inverted_file import (
     InvertedFileIndex,
     insert_posting,
     read_run,
+    run_pages,
 )
 from repro.index.sif_p import SIFPIndex
 from repro.network.graph import NetworkPosition
 from repro.network.objects import ObjectStore
 from repro.storage.pagefile import DiskManager
 from tests.conftest import TINY_PROFILE, make_grid4, make_line_network
+from tests.datasets.test_catalog import trees_and_rows
 from tests.index.test_index_equivalence import brute_force, probe_cases
 
 TERMS = ("a", "b", "c", "d")
@@ -162,6 +164,20 @@ class TestReadRunEdges:
         assert read_run(file, [0, 1], (5,)) == [12, 13, 14]
         assert read_run(file, [0], (5,)) == [12, 13]
         assert read_run(file, [1], (5,)) == [14]
+
+    def test_a_one_page_run_is_a_bare_page_number(self, file):
+        """``0`` is a page like any other, and an ``int`` run reads the
+        one page a one-element list reads."""
+        file.allocate([(1, 10, 0.0), (2, 11, 0.0), (5, 12, 0.0), (5, 13, 0.0)])
+        file.allocate([(5, 14, 0.0), (7, 15, 0.0), (9, 16, 0.0)])
+        stats = file._disk.stats
+        for page_no, prefix, ids in ((0, (1,), [10]), (1, (9,), [16])):
+            reads = stats.logical_reads
+            assert read_run(file, page_no, prefix) == ids
+            assert stats.logical_reads - reads == 1
+            assert read_run(file, [page_no], prefix) == ids
+        assert read_run(file, 0, (5,)) == [12, 13]
+        assert read_run(file, 0, (7,)) == []
 
     def test_run_at_index_zero_and_at_the_tail(self, file):
         file.allocate([(1, 10, 0.0), (1, 11, 0.0), (4, 12, 0.0), (9, 13, 0.0)])
@@ -296,6 +312,11 @@ class TestSharedPageUpdates:
         assert index.load_objects(edge_id, terms) == list(
             store.objects_on_edge(edge_id)
         )
+        # The edge's run was page 0, an ``int``; now it is both pages.
+        run = index._trees["t"].search(index._edge_keys[edge_id])
+        if isinstance(run, dict):  # SIF-P: {v_idx: run}
+            (run,) = run.values()
+        assert run == [0, 1]
 
     def test_page_emptied_by_deletes_then_refilled(self, cls):
         store = shared_page_store(8)
@@ -348,12 +369,41 @@ class TestSharedPageUpdates:
         assert pages == sorted(pages)
 
 
+def runs_of(tree):
+    """Every run a tree's leaves hold, SIF-P's ``{v_idx: run}`` flattened."""
+    for _key, value in tree.items():
+        if isinstance(value, dict):
+            yield from value.values()
+        else:
+            yield value
+
+
+@pytest.fixture(scope="module")
+def syn_small():
+    return build_dataset("SYN", scale=0.1)
+
+
+@pytest.mark.parametrize("kind", ["if", "sif", "sif-g", "sif-p"])
+def test_a_run_on_one_page_is_its_page_number(syn_small, kind):
+    """The build files a run on one page as the bare ``int`` — no
+    one-element lists, in a tree leaf or inside SIF-P's dicts — and a
+    run across pages as consecutive page numbers."""
+    index = syn_small.build_index(kind, file_prefix=f"runs-{kind}")
+    trees, _rows = trees_and_rows(index)
+    runs = [run for tree in trees.values() for run in runs_of(tree)]
+    spanning = [run for run in runs if type(run) is not int]
+    assert len(spanning) < len(runs)
+    for run in spanning:
+        assert type(run) is list and len(run) >= 2, run
+        assert run == list(range(run[0], run[0] + len(run))), run
+
+
 def first_page_of(index, term, edge_id):
     """First postings page of ``(term, edge)`` in ``index``'s tree."""
     value = index._trees[term].search(index._edge_keys[edge_id])
-    if isinstance(value, dict):  # SIF-P: {v_idx: pages}
+    if isinstance(value, dict):  # SIF-P: {v_idx: run}
         (value,) = value.values()
-    return value[0]
+    return run_pages(value)[0]
 
 
 class NoScan(list):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import Database, SKQuery
 from repro.index.sif_g import SIFGIndex
 from repro.network.graph import NetworkPosition
 from repro.network.objects import ObjectStore
@@ -79,3 +80,30 @@ class TestGroupEdgeCases:
         # queries fall back to single-term intersection.
         assert index.num_groups == 0
         assert index.load_objects(0, frozenset({"a", "b"})) == []
+
+
+def test_a_group_run_on_page_zero_is_read(line_network):
+    """The first pair's list opens the group file, so its first edge's
+    run is page 0 — a falsy ``int`` that must still be read."""
+    db = Database(line_network, buffer_pages=64)
+    for edge_id in range(4):
+        db.add_object(NetworkPosition(edge_id, 10.0), {"hot", "new"})
+        db.add_object(NetworkPosition(edge_id, 20.0), {"hot"})
+    db.add_object(NetworkPosition(1, 30.0), {"new"})
+    db.freeze()
+    sifg = db.build_index("sif-g", top_terms=2)
+    inverted = db.build_index("if")
+    (tree,) = sifg._group_trees.values()
+    first_key, run = next(tree.items())
+    assert run in (0, [0])  # page 0, as an int or a one-page list
+    first_edge = first_key & 0xFFFFFF
+    terms = frozenset({"hot", "new"})
+    for edge_id in range(4):
+        q = SKQuery.create(NetworkPosition(edge_id, 0.0), sorted(terms), 5000.0)
+        got = sorted(db.sk_search(sifg, q).object_ids())
+        assert got == sorted(db.sk_search(inverted, q).object_ids())
+        assert len(got) == 4
+    sifg.lifetime_counters.reset()
+    loaded = sifg.load_objects(first_edge, terms)
+    assert [o.keywords for o in loaded] == [terms]
+    assert sifg.lifetime_counters.objects_loaded == 1

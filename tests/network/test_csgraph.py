@@ -325,6 +325,7 @@ def test_an_understated_query_distance_raises():
 
 SCIPY_ARRIVES_WITH_THE_FIRST_PAIRWISE_DISTANCE = """
 import sys
+SERVER_MODULES = ("http.server", "socketserver", "ssl", "email")
 from repro import datasets, workloads
 
 db = datasets.build_dataset("SYN", scale=0.1)
@@ -333,15 +334,27 @@ config = workloads.WorkloadConfig(num_queries=1, seed=1)
 db.sk_search(index, workloads.generate_sk_queries(db, config)[0])
 loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
 assert not loaded, f"set-up and an SK query imported {loaded[:5]}"
+served = [m for m in SERVER_MODULES if m in sys.modules]
+assert not served, f"set-up and an SK query imported {served}"
 db.diversified_search(index, workloads.generate_diversified_queries(db, config)[0])
 assert "scipy.sparse.csgraph" in sys.modules
+# scipy brings ``email`` itself (numpy.testing -> importlib.metadata).
+served = [m for m in SERVER_MODULES[:3] if m in sys.modules]
+assert not served, f"set-up and two queries imported {served}"
+from repro.obs import TelemetryServer
+assert TelemetryServer.__module__ == "repro.obs.server"
+assert "http.server" in sys.modules
 """
 
 
 def test_nothing_before_the_first_pairwise_distance_imports_scipy():
     """Import, dataset build, index build and boolean SK queries carry
-    no scipy (0.23 s, 24 MiB); the default pairwise backend brings
-    ``csgraph`` in.  A fresh interpreter, because this one has scipy."""
+    no scipy (0.23 s, ≈ 25 MiB resident on top of ``import repro``);
+    the default pairwise backend brings ``csgraph`` in.  Nor do they
+    carry the telemetry server's ``http.server``, ``socketserver``,
+    ``ssl`` and ``email``, and a diversified query adds only ``email``
+    (with scipy): ``repro.obs.TelemetryServer`` imports them on first
+    use.  A fresh interpreter, because this one has them all."""
     src = Path(__file__).resolve().parents[2] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     done = subprocess.run(

@@ -121,6 +121,44 @@ class TestInsert:
         assert tree.search(149) == "149"
 
 
+class TestReplace:
+    # 256-byte entries: 7 to a leaf, 15 children to a node, so these
+    # sizes bulk-load one to four levels.
+    @pytest.mark.parametrize("n,height", [(5, 1), (50, 2), (500, 3), (5000, 4)])
+    def test_overwrites_in_place_and_charges_nothing(self, n, height):
+        tree, disk = make_tree(
+            [(i, i) for i in range(n)], key_bytes=256, value_bytes=256
+        )
+        assert tree.height == height
+        root = tree._root_page
+        before = disk.stats.snapshot()
+        changed = {0: [0, 1], n // 2: [n // 2, n], n - 1: 7}
+        for key, value in changed.items():
+            tree.replace(key, value)
+        assert disk.stats.snapshot() == before
+        assert (tree._root_page, tree.height, len(tree)) == (root, height, n)
+        expected = [(i, changed.get(i, i)) for i in range(n)]
+        assert list(tree.items()) == expected
+        for key, value in changed.items():
+            assert tree.search(key) == value
+
+    def test_missing_key_raises(self):
+        tree, disk = make_tree(
+            [(i, i) for i in range(0, 100, 2)], key_bytes=256, value_bytes=256
+        )
+        before = disk.stats.snapshot()
+        for key in (-1, 51, 100):
+            with pytest.raises(StorageError):
+                tree.replace(key, [key])
+        assert disk.stats.snapshot() == before
+        assert list(tree.items()) == [(i, i) for i in range(0, 100, 2)]
+
+    def test_empty_tree_raises(self):
+        tree, _ = make_tree()
+        with pytest.raises(StorageError):
+            tree.replace(1, [1])
+
+
 class TestIOAccounting:
     def test_search_charges_descent_but_not_root(self):
         entries = [(i, i) for i in range(2000)]
