@@ -86,6 +86,9 @@ class CorePairMaintainer:
         self._pairs: List[CorePair] = []  # descending by theta
         #: every active (non-pruned) object seen so far, by id
         self._arrived: Dict[int, ResultItem] = {}
+        #: every object seen so far, pruned ones included: what an odd
+        #: ``k``'s last slot is filled from
+        self._seen: Dict[int, ResultItem] = {}
         #: object_id -> best θ against any other active object
         self._best_theta: Dict[int, float] = {}
         self.theta_evaluations = 0
@@ -109,8 +112,8 @@ class CorePairMaintainer:
 
         Members of the core pairs come first; when they do not reach
         ``k`` (odd ``k``, or fewer than ``k`` candidates overall) the
-        closest remaining arrived objects fill the result, matching
-        Algorithm 1's behaviour on small candidate sets.
+        closest other objects seen, pruned ones included, fill the
+        result by ``(distance, id)`` — SEQ's rule for the same slot.
         """
         out: List[ResultItem] = []
         seen: Set[int] = set()
@@ -121,7 +124,7 @@ class CorePairMaintainer:
                     out.append(item)
         if len(out) < self._k:
             spare = [
-                item for oid, item in self._arrived.items() if oid not in seen
+                item for oid, item in self._seen.items() if oid not in seen
             ]
             spare.sort(key=lambda it: (it.distance, it.object.object_id))
             out.extend(spare[: self._k - len(out)])
@@ -208,6 +211,7 @@ class CorePairMaintainer:
             raise ValueError("bootstrap must run on an empty maintainer")
         for item in items:
             self._arrived[item.object.object_id] = item
+        self._seen.update(self._arrived)
         n = len(items)
         if n < 2:
             return
@@ -237,6 +241,7 @@ class CorePairMaintainer:
             return
         others = list(self._arrived.values())
         self._arrived[oid] = item
+        self._seen[oid] = item
 
         # θ against every active object; also refresh best_theta so the
         # COM pruning (Algorithm 6 lines 9-14) is O(1) per object.  The

@@ -20,7 +20,7 @@ from __future__ import annotations
 import gc
 import time
 from contextlib import contextmanager
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional
 
 from ..engine.executor import QueryEngine
 from ..engine.plan import QueryPlan, plan_diversified, plan_knn, plan_sk
@@ -33,14 +33,12 @@ from ..index.sif import SIFIndex
 from ..index.sif_g import SIFGIndex
 from ..index.sif_p import SIFPIndex
 from ..network.ccam import CCAMStore
-from ..network.ch import ContractionHierarchy
 from ..network.distance import (
     DISTANCE_BACKENDS,
     PAIRWISE_CUTOFF_FACTOR,
     PairwiseDistanceComputer,
 )
 from ..network.graph import CSRSnapshot, NetworkPosition, RoadNetwork
-from ..network.hub_labels import HubLabelBackend
 from ..obs.metrics import MetricsRegistry
 from ..obs.slowlog import SlowQueryLog, SlowQueryThreshold
 from ..obs.tracing import NULL_TRACER, Tracer
@@ -53,6 +51,10 @@ from ..storage.pagefile import DiskManager
 from .knn import SKkNNQuery
 from .queries import DiversifiedResult, DiversifiedSKQuery, SKQuery, SKResult
 from .updates import UpdateJournal, UpdateRecord
+
+if TYPE_CHECKING:
+    from ..network.ch import ContractionHierarchy
+    from ..network.hub_labels import HubLabelBackend
 
 __all__ = ["Database", "INDEX_KINDS", "collector_paused"]
 
@@ -131,10 +133,9 @@ class Database:
         ``distance_backend`` selects how diversified queries evaluate
         exact pairwise network distances: ``"csgraph"`` (the default —
         bounded Dijkstras run in C over the in-memory network, no page
-        reads charged), ``"dijkstra"`` (the same Dijkstras as a Python
-        loop through the CCAM pages: the paper's I/O model) or
-        ``"hub"`` (2-hop hub labels; the fastest many-to-many kernel,
-        built lazily on first use); see :meth:`use_distance_backend`.
+        reads charged) or ``"dijkstra"`` (the same Dijkstras as a
+        Python loop through the CCAM pages: the paper's I/O model); see
+        :meth:`use_distance_backend`.
         """
         self.network = network
         self.curve = curve or ZOrderCurve()
@@ -344,15 +345,13 @@ class Database:
             if rescale is not None:
                 rescale(edge_id, factor)
         # Lazy rebuild: drop the oracle and the ordering it is built on;
-        # the next query that needs them pays one preprocessing pass
+        # the next call that needs them pays one preprocessing pass
         # against current weights.  Repairing affected shortcuts and
         # labels in place would be cheaper per update but unsound to
         # get subtly wrong — DESIGN.md "Dynamic updates" records the
         # trade-off.
         self._ch_oracle = None
-        if self._hub_oracle is not None:
-            self._hub_oracle = None
-            self.metrics.inc("hub_label.invalidations")
+        self._hub_oracle = None
         ratio = weight / old.length
         if (
             self._min_weight_per_length is not None
@@ -502,8 +501,7 @@ class Database:
     # Distance backends
     # ------------------------------------------------------------------
     def use_distance_backend(self, name: str) -> None:
-        """Select the pairwise backend: ``csgraph``, ``dijkstra`` or
-        ``hub``.
+        """Select the pairwise backend: ``csgraph`` or ``dijkstra``.
 
         ``csgraph`` runs one bounded Dijkstra per source in C over the
         network's CSR snapshot (:meth:`csr_graph`): nothing to build
@@ -511,12 +509,7 @@ class Database:
         no page read charged.  ``dijkstra`` is the same evaluation as a
         Python loop through the CCAM pages, every settled node a
         charged page access — the paper's cost model; pin it to
-        reproduce the paper's I/O figures.  ``hub`` precomputes 2-hop
-        hub labels: point queries become sorted label merges and the
-        candidate×candidate matrices SEQ needs run through one batched
-        label-join kernel.  The labels are built lazily on the first
-        query that needs them (or eagerly via :meth:`hub_oracle`);
-        switching back and forth costs nothing once built.
+        reproduce the paper's I/O figures.
         """
         name = name.lower()
         if name not in DISTANCE_BACKENDS:
@@ -526,36 +519,36 @@ class Database:
             )
         self.distance_backend = name
 
-    def ch_oracle(self) -> ContractionHierarchy:
+    def ch_oracle(self) -> "ContractionHierarchy":
         """The database's Contraction Hierarchy (built once): the node
         ordering :meth:`hub_oracle` builds its labels from.
 
-        No query selects it as a backend.  Construction runs over the
-        in-memory network (CPU work, not charged I/O — like the KD
-        partition); an edge reweight drops it for lazy rebuild.
-        Immutable and shared by all queries.
+        Construction runs over the in-memory network (CPU work, not
+        charged I/O); an edge reweight drops it for lazy rebuild.
         """
         if self._ch_oracle is None:
+            from ..network.ch import ContractionHierarchy
+
             self._ch_oracle = ContractionHierarchy(self.network)
         return self._ch_oracle
 
-    def hub_oracle(self) -> HubLabelBackend:
-        """The database's hub-label oracle (built once).
+    def hub_oracle(self) -> "HubLabelBackend":
+        """The database's hub-label oracle (built once): exact
+        distances by label joins, not Dijkstra searches.  Tests and the
+        benchmark check the pairwise backends against it by handing it
+        to a computer (``PairwiseDistanceComputer(...,
+        backend=db.hub_oracle())``); no query runs on it.
 
         The labels are the CH's upward search spaces, so construction
-        reuses (or triggers) :meth:`ch_oracle` and then pays one upward
-        sweep per node.  Records ``hub_label.build_seconds`` and emits a
-        ``hub_build`` record; its sizes are ``hub_label.*`` gauges.
-        Immutable and shared by all queries; an edge reweight drops it
-        for lazy rebuild.
+        reuses (or triggers) :meth:`ch_oracle`.  An edge reweight drops
+        it for lazy rebuild.
         """
         if self._hub_oracle is None:
-            oracle = HubLabelBackend(self.network, ch=self.ch_oracle())
-            self.metrics.observe(
-                "hub_label.build_seconds", oracle.build_seconds
+            from ..network.hub_labels import HubLabelBackend
+
+            self._hub_oracle = HubLabelBackend(
+                self.network, ch=self.ch_oracle()
             )
-            self.metrics.emit({"type": "hub_build", **oracle.stats()})
-            self._hub_oracle = oracle
         return self._hub_oracle
 
     def csr_graph(self) -> CSRSnapshot:
@@ -577,10 +570,9 @@ class Database:
         Under ``csgraph`` it traverses the in-memory network (whose CSR
         snapshot is built here, on first use, rather than inside the
         first source's timing); otherwise the CCAM store, so
-        ``dijkstra`` keeps charging every pairwise page access.  Under
-        ``hub`` the hub-label oracle answers instead.  The cutoff is
-        ``PAIRWISE_CUTOFF_FACTOR · delta_max``.  One computer per query:
-        the node maps it keeps die with it.
+        ``dijkstra`` keeps charging every pairwise page access.  The
+        cutoff is ``PAIRWISE_CUTOFF_FACTOR · delta_max``.  One computer
+        per query: the node maps it keeps die with it.
         """
         if self.distance_backend == "csgraph":
             self.csr_graph()
@@ -592,9 +584,6 @@ class Database:
             self.network,
             cutoff=PAIRWISE_CUTOFF_FACTOR * delta_max,
             tracer=tracer,
-            backend=(
-                self.hub_oracle() if self.distance_backend == "hub" else None
-            ),
         )
 
     # ------------------------------------------------------------------

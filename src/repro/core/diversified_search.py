@@ -19,8 +19,8 @@ Every query records a per-stage time breakdown into
 query's :class:`~repro.network.distance.PairwiseDistanceComputer` is
 its own, so the computer's counters are the query's pairwise counters.
 
-The ``pairwise_dijkstra`` stage is the wall time of every
-pairwise-distance evaluation, whichever backend answers it.  A *set* of
+The ``pairwise_dijkstra`` stage is the wall time of the query's
+pairwise Dijkstras, on either backend.  A *set* of
 pair distances — SEQ's pool, COM's buffer, the pairs of an answer — is
 always one :meth:`PairDistances.matrix` call, which on the default
 backend is one C call (``single_source_rows``) whatever the set's size:
@@ -73,7 +73,7 @@ class PairDistances:
 
     A *set* of pair distances goes through :meth:`matrix`: one batched
     call whatever the set's size (``computer.pairwise_matrix`` — one C
-    call on the default backend, the array kernel on hub labels).  The
+    call on the default backend, or an oracle's array kernel).  The
     last matrix is kept, so the objective of an answer that lies inside
     it costs no further distance.  :meth:`distance` answers one pair:
     COM's streamed arrivals, and the provider with no matrix form
@@ -145,11 +145,7 @@ def _record_pairwise(
     stats.distance_cache_hits = computer.cache_hits
     stats.distance_cache_misses = computer.cache_misses
     stats.distance_backend = computer.backend_name
-    counters = computer.backend_counters
-    stats.backend_queries = counters.queries
-    stats.backend_settled_nodes = counters.settled_nodes
-    stats.backend_bucket_hits = counters.bucket_hits
-    clock.add("pairwise_dijkstra", computer.pairwise_seconds)
+    clock.add("pairwise_dijkstra", computer.dijkstra_seconds)
 
 
 def diversify_pool(

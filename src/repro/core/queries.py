@@ -129,9 +129,6 @@ class QueryStats:
     distance_cache_misses: int = 0
     buffer_evictions: int = 0
     distance_backend: str = "dijkstra"
-    backend_queries: int = 0
-    backend_settled_nodes: int = 0
-    backend_bucket_hits: int = 0
     #: Data epoch the query executed against (``Database.data_version``
     #: pinned at context entry); 0 on a never-updated database.
     epoch: int = 0

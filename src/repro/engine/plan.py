@@ -60,9 +60,8 @@ class CostHints:
     #: ``estimated_matches / num_objects`` (0 on an empty store).
     selectivity: float
     #: How pairwise network distances will be evaluated: ``"csgraph"``
-    #: (bounded Dijkstras in C, in memory), ``"dijkstra"`` (the same
-    #: through the CCAM pages) or ``"hub"`` (2-hop hub labels, batched
-    #: label-join kernel).
+    #: (bounded Dijkstras in C, in memory) or ``"dijkstra"`` (the same
+    #: through the CCAM pages, the paper's I/O model).
     distance_backend: str = "dijkstra"
     #: Data epoch the hints were computed at.  A plan built before an
     #: update executes against newer statistics; ``repro explain`` and

@@ -49,10 +49,10 @@ INF = math.inf
 #: in-memory network (:func:`single_source_rows`), nothing charged to
 #: the I/O model and nothing to build; ``dijkstra`` is the same search
 #: as a Python loop through the CCAM pages — the paper's cost model,
-#: every settled node a charged page access; ``hub`` is the 2-hop
-#: hub-label oracle (:mod:`repro.network.hub_labels`), built on a
-#: Contraction-Hierarchies node ordering (:mod:`repro.network.ch`).
-DISTANCE_BACKENDS = ("csgraph", "dijkstra", "hub")
+#: every settled node a charged page access.  The hub-label oracle
+#: (:mod:`repro.network.hub_labels`) is no backend a user selects: tests
+#: and the benchmark hand it to a computer directly (``backend=``).
+DISTANCE_BACKENDS = ("csgraph", "dijkstra")
 
 #: A diversified query's pairwise cutoff, in units of its ``delta_max``:
 #: two candidates within ``delta_max`` of the query are at most
@@ -79,10 +79,9 @@ class BackendCounters:
     """Per-owner counters a :class:`DistanceBackend` increments.
 
     A backend oracle (e.g. one Contraction Hierarchy) is shared by
-    every query of a database, so it cannot keep per-query counters
-    itself.  Callers own one of these and pass it into each call; the
-    owner's numbers are then true per-query deltas even when other
-    threads hammer the same oracle.
+    every caller, so it cannot keep per-caller counters itself.  A
+    caller that wants its own counts owns one of these and passes it
+    into each call; the pairwise computer passes none.
     """
 
     __slots__ = ("queries", "settled_nodes", "bucket_hits", "matrix_cells")
@@ -420,14 +419,13 @@ class PairwiseDistanceComputer:
     the ``cache_hits`` / ``cache_misses`` counters (lookups of the kept
     maps) are that query's.  A computer is **not** thread-safe.
 
-    ``backend`` plugs in a :class:`DistanceBackend` oracle (e.g. hub
-    labels): every cross-edge pair is then answered by the oracle
-    instead of the Dijkstra path, with the oracle's work charged to
-    this computer's own :class:`BackendCounters` and
-    ``backend_seconds``.  :meth:`prefetch` bulk-resolves a candidate
-    set through the oracle's many-to-many kernel; prefetched pairs are
-    served as cache hits.  The oracle itself may be shared across
-    queries and threads (it is immutable after construction).
+    ``backend`` plugs in a :class:`DistanceBackend` oracle (hub labels,
+    which tests and the benchmark check the Dijkstra paths against):
+    every cross-edge pair is then answered by the oracle instead.
+    :meth:`prefetch` bulk-resolves a candidate set through the oracle's
+    many-to-many kernel; prefetched pairs are served as cache hits.
+    The oracle itself may be shared across queries and threads (it is
+    immutable after construction).
     """
 
     def __init__(
@@ -459,10 +457,6 @@ class PairwiseDistanceComputer:
         self.dijkstra_seconds = 0.0
         self.cache_hits = 0
         self.cache_misses = 0
-        #: Oracle-side work of *this* computer (per-query counts even
-        #: on a shared oracle); zero on the Dijkstra backend.
-        self.backend_counters = BackendCounters()
-        self.backend_seconds = 0.0
 
     @property
     def cutoff(self) -> float:
@@ -478,11 +472,6 @@ class PairwiseDistanceComputer:
         if self._backend is not None:
             return self._backend.name
         return "csgraph" if self._in_memory else "dijkstra"
-
-    @property
-    def pairwise_seconds(self) -> float:
-        """Total pairwise-evaluation seconds, whichever backend ran."""
-        return self.dijkstra_seconds + self.backend_seconds
 
     @staticmethod
     def _key(pos: NetworkPosition) -> Tuple[int, float]:
@@ -559,25 +548,7 @@ class PairwiseDistanceComputer:
                 self.cache_hits += 1
                 return d
             self.cache_misses += 1
-        before_settled = self.backend_counters.settled_nodes
-        start = time.perf_counter()
-        d = self._backend.position_distance(
-            a, b, cutoff=self._cutoff, counters=self.backend_counters
-        )
-        elapsed = time.perf_counter() - start
-        self.backend_seconds += elapsed
-        if self.tracer.enabled:
-            # Span named after the backend ("hub.query"), so EXPLAIN
-            # narrates the oracle with its own vocabulary.
-            self.tracer.add_span(
-                f"{self._backend.name}.query", elapsed, start=start,
-                source_edge=a.edge_id, target_edge=b.edge_id,
-                cutoff=self._cutoff,
-                entries_scanned=(
-                    self.backend_counters.settled_nodes - before_settled
-                ),
-            )
-        return d
+        return self._backend.position_distance(a, b, cutoff=self._cutoff)
 
     def prefetch(self, positions: Iterable[NetworkPosition]) -> int:
         """Bulk-resolve all pairwise distances of ``positions``.
@@ -593,28 +564,9 @@ class PairwiseDistanceComputer:
         pos_list = list(positions)
         if len(pos_list) < 2:
             return 0
-        before_settled = self.backend_counters.settled_nodes
-        before_hits = self.backend_counters.bucket_hits
-        start = time.perf_counter()
-        matrix = self._backend.position_matrix(
-            pos_list, cutoff=self._cutoff, counters=self.backend_counters
-        )
+        matrix = self._backend.position_matrix(pos_list, cutoff=self._cutoff)
         for (i, j), d in matrix.items():
             self._pair_cache[self._pair_key(pos_list[i], pos_list[j])] = d
-        elapsed = time.perf_counter() - start
-        self.backend_seconds += elapsed
-        if self.tracer.enabled:
-            self.tracer.add_span(
-                f"{self._backend.name}.many_to_many", elapsed, start=start,
-                positions=len(pos_list), pairs=len(matrix),
-                cutoff=self._cutoff,
-                entries_scanned=(
-                    self.backend_counters.settled_nodes - before_settled
-                ),
-                kernel_hits=(
-                    self.backend_counters.bucket_hits - before_hits
-                ),
-            )
         return len(matrix)
 
     def pairwise_matrix(
@@ -639,28 +591,7 @@ class PairwiseDistanceComputer:
         pos_list = list(positions)
         if len(pos_list) < 2:
             return array_kernel(pos_list)
-        before_settled = self.backend_counters.settled_nodes
-        before_hits = self.backend_counters.bucket_hits
-        start = time.perf_counter()
-        matrix = array_kernel(
-            pos_list, cutoff=self._cutoff, counters=self.backend_counters
-        )
-        elapsed = time.perf_counter() - start
-        self.backend_seconds += elapsed
-        if self.tracer.enabled:
-            self.tracer.add_span(
-                f"{self._backend.name}.many_to_many", elapsed, start=start,
-                positions=len(pos_list),
-                pairs=len(pos_list) * (len(pos_list) - 1) // 2,
-                cutoff=self._cutoff,
-                entries_scanned=(
-                    self.backend_counters.settled_nodes - before_settled
-                ),
-                kernel_hits=(
-                    self.backend_counters.bucket_hits - before_hits
-                ),
-            )
-        return matrix
+        return array_kernel(pos_list, cutoff=self._cutoff)
 
     def _matrix_from_rows(
         self, pos_list: List[NetworkPosition], reach: Optional[float]

@@ -126,26 +126,6 @@ def _describe_pairwise(span: Span) -> str:
     )
 
 
-def _describe_hub_query(span: Span) -> str:
-    a = span.attrs
-    return (
-        f"hub-label point query edge {a.get('source_edge', '?')} → "
-        f"edge {a.get('target_edge', '?')}: "
-        f"{a.get('entries_scanned', '?')} label entries merged "
-        f"in {_ms(span.duration)}"
-    )
-
-
-def _describe_hub_many_to_many(span: Span) -> str:
-    a = span.attrs
-    return (
-        f"hub-label kernel: {a.get('positions', '?')} positions → "
-        f"{a.get('pairs', '?')} matrix pairs, "
-        f"{a.get('entries_scanned', '?')} label entries scanned, "
-        f"{a.get('kernel_hits', '?')} kernel hits in {_ms(span.duration)}"
-    )
-
-
 def _describe_com_round(span: Span) -> str:
     a = span.attrs
     action = a.get("action", "?")
@@ -215,8 +195,6 @@ _FORMATTERS = {
     "ine.round": _describe_ine_round,
     "signature.filter": _describe_signature_filter,
     "pairwise.dijkstra": _describe_pairwise,
-    "hub.query": _describe_hub_query,
-    "hub.many_to_many": _describe_hub_many_to_many,
     "com.round": _describe_com_round,
     "com.maintenance": _describe_com_maintenance,
     "greedy.select": _describe_greedy,

@@ -3,7 +3,7 @@
 Every registry counter becomes a ``counter`` metric, every histogram a
 ``summary`` with quantile lines plus ``_sum``/``_count``, and
 caller-supplied point-in-time values (buffer-pool hit rate and
-evictions, hub-label sizes — see :func:`database_gauges`) become
+evictions, recorder state — see :func:`database_gauges`) become
 ``gauge`` metrics.  Names are sanitised to the Prometheus grammar.  The
 same text is written to a file at the end of a run (``--prom``) and
 served live at ``/metrics`` (:mod:`repro.obs.server`).
@@ -178,11 +178,11 @@ def prometheus_text(
 def database_gauges(db) -> Dict[str, float]:
     """Point-in-time gauge values for a database's shared caches.
 
-    ``db`` is a :class:`~repro.core.database.Database`: whichever of
-    the hub-label oracle and the flight recorder is installed
-    contributes its state, the disk's I/O totals the buffer pool's
-    hit/miss/eviction counts plus a derived hit rate (``NaN``-free: a
-    pool that was never consulted reports rate 0).
+    ``db`` is a :class:`~repro.core.database.Database`: the flight
+    recorder, when installed, contributes its state, the disk's I/O
+    totals the buffer pool's hit/miss/eviction counts plus a derived
+    hit rate (``NaN``-free: a pool that was never consulted reports
+    rate 0).
     """
     gauges: Dict[str, float] = {}
 
@@ -190,8 +190,8 @@ def database_gauges(db) -> Dict[str, float]:
         for name in names:
             gauges[f"{prefix}.{name}"] = float(stats[name])
 
-    # One-hot backend label: repro_distance_backend_hub 1.0 says the
-    # scrape came from a hub-backed run without needing label pairs.
+    # One-hot backend label: repro_distance_backend_dijkstra 1.0 says
+    # the scrape came from a paper-I/O run without needing label pairs.
     # (Imported here: network.distance itself imports obs.tracing.)
     from ..network.distance import DISTANCE_BACKENDS
 
@@ -218,10 +218,6 @@ def database_gauges(db) -> Dict[str, float]:
     if seen_any:
         gauges["signature.bytes"] = sig_bytes
         gauges["signature.signed_terms"] = signed_terms
-    if db._hub_oracle is not None:
-        copy("hub_label", db._hub_oracle.stats(), "build_seconds", "labels",
-             "label_entries", "pruned_entries", "avg_label_size",
-             "max_label_size")
     gauges["data_version"] = float(db.data_version)
     gauges["updates.journal_length"] = float(len(db.update_journal))
     for kind, count in db.update_journal.counts().items():

@@ -206,14 +206,6 @@ class StageClock:
                 close()
 
 
-#: What the three ``QueryStats.backend_*`` fields count, per distance
-#: backend: (queries, settled nodes / label entries, bucket / kernel hits).
-_BACKEND_COUNTERS = {
-    "hub": ("hub_label.queries", "hub_label.entries_scanned",
-            "hub_label.kernel_hits"),
-}
-
-
 class MetricsRegistry:
     """Named counters + histograms of one database, with record sinks.
 
@@ -284,11 +276,6 @@ class MetricsRegistry:
             ("distance_cache.misses", stats.distance_cache_misses),
             ("buffer.evictions", stats.buffer_evictions),
         ]
-        counts += zip(
-            _BACKEND_COUNTERS.get(stats.distance_backend, ()),
-            (stats.backend_queries, stats.backend_settled_nodes,
-             stats.backend_bucket_hits),
-        )
         if event.plan.kind == "diversified":
             # COM's §4.3 early termination is the pruning the paper's
             # diversified-search figures measure; counting it (and the

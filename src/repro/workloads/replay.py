@@ -20,7 +20,7 @@ outcome against the recording:
 
 Run unchanged, replay proves determinism.  Run with a different
 distance backend or worker count (``repro replay FILE
---backend hub --workers 4``), it is a cross-backend / concurrency
+--backend dijkstra --workers 4``), it is a cross-backend / concurrency
 audit: any digest that moves is a real divergence, localised to a
 plan label and a journal sequence number.
 """
@@ -80,7 +80,7 @@ _RETIRED_HEADER_KEYS = ("frontier", "scoring")
 #: Distance backends a header may name that no longer exist; such a
 #: journal replays on ``csgraph`` (no backend ever changed an answer),
 #: and says so the same way.
-_RETIRED_BACKENDS = ("ch",)
+_RETIRED_BACKENDS = ("ch", "hub")
 
 
 def journal_backend(header: Dict[str, Any]) -> Optional[str]:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from types import SimpleNamespace
 
 import pytest
@@ -19,7 +20,9 @@ from repro import (
 )
 from repro.datasets import build_dataset
 from repro.datasets.catalog import DatasetProfile
+from repro.network.distance import PAIRWISE_CUTOFF_FACTOR, PairwiseDistanceComputer
 from repro.obs.events import QueryEvent
+from repro.obs.tracing import NULL_TRACER
 
 
 def make_line_network(num_nodes: int = 5, spacing: float = 100.0) -> RoadNetwork:
@@ -140,6 +143,32 @@ def grid_network9() -> RoadNetwork:
 @pytest.fixture()
 def paper_network() -> RoadNetwork:
     return make_paperlike_network()
+
+
+@contextmanager
+def hub_label_distances(db: Database):
+    """Answer every pairwise distance of ``db``'s queries from its
+    hub-label oracle while the block runs.
+
+    No query selects the labels; this hands them to each computer the
+    engine and the standing query build, so a test can check the
+    Dijkstra backends against an oracle built on other machinery.  The
+    oracle is looked up per computer, so a reweight's lazy rebuild is
+    what the next query sees.
+    """
+
+    def computer(delta_max: float, tracer=NULL_TRACER) -> PairwiseDistanceComputer:
+        return PairwiseDistanceComputer(
+            db.network, db.network,
+            cutoff=PAIRWISE_CUTOFF_FACTOR * delta_max, tracer=tracer,
+            backend=db.hub_oracle(),
+        )
+
+    db.pairwise_computer = computer
+    try:
+        yield db
+    finally:
+        del db.pairwise_computer
 
 
 def make_query_event(label: str = "SIF/COM", stats=None, **fields) -> QueryEvent:

@@ -1,11 +1,14 @@
-"""The DistanceBackend seam: csgraph vs dijkstra vs hub through the engine.
+"""The two distance backends, csgraph and dijkstra, through the engine,
+checked against the hub-label oracle.
 
-The acceptance bar for the oracle backend is *identical answers* —
-same object ids, same objective values — on every SK/diversified
-scenario, with the backend visible in plans, stats, metrics records,
-slow-query logs and Prometheus exports.  The Contraction Hierarchy is
-only the ordering hub labels are built from: no query selects it and
-no metric names it.
+The acceptance bar is *identical answers* — same object ids, same
+objective values — on every SK/diversified scenario, with the backend
+visible in plans, stats, metrics records, slow-query logs and
+Prometheus exports.  Hub labels are no backend a user selects: the
+tests hand the oracle to the engine's computers directly
+(:func:`tests.conftest.hub_label_distances`).  The Contraction
+Hierarchy is only the ordering the labels are built from: no metric
+names either.
 """
 
 import math
@@ -26,6 +29,7 @@ from repro.obs.export import database_gauges, prometheus_text
 from repro.obs.sinks import InMemorySink
 from repro.obs.slowlog import SlowQueryThreshold
 from repro.workloads.queries import WorkloadConfig, generate_diversified_queries
+from tests.conftest import hub_label_distances
 
 
 @pytest.fixture()
@@ -47,9 +51,9 @@ def _run_workload(db, index, queries, method):
 
 class TestBackendSelection:
     def test_unknown_backend_rejected(self, restore_backend):
-        # ``ch`` left the query surface: the Contraction Hierarchy is
-        # only the ordering hub labels are built from.
-        for name in ("astar", "ch"):
+        # ``ch`` and ``hub`` left the query surface: the labels are an
+        # oracle, and the Contraction Hierarchy their ordering.
+        for name in ("astar", "ch", "hub"):
             with pytest.raises(QueryError):
                 restore_backend.use_distance_backend(name)
             with pytest.raises(QueryError):
@@ -80,63 +84,50 @@ class TestBackendSelection:
             "dijkstra"
         )
 
-    # The tests below read build records and gauges, so each builds on
-    # a database of its own: the session-scoped ``tiny_db`` has had its
-    # oracles built (and rebuilt) by whichever tests ran before.
-    def test_oracle_built_once_and_recorded(self):
-        """The hub oracle is built once and recorded; the Contraction
-        Hierarchy it is built from is neither a counter nor a record."""
+    def test_oracle_built_once_and_unrecorded(self):
+        """The hub oracle is built once, on the database's Contraction
+        Hierarchy, and neither leaves a record, a counter nor a gauge
+        — nor does it change which computer a query gets."""
         db = Database(random_planar_network(30, seed=2))
         sink = InMemorySink()
         db.metrics.add_sink(sink)
-        db.use_distance_backend("hub")
         oracle = db.hub_oracle()
         assert db.hub_oracle() is oracle
         assert db.ch_oracle() is oracle.ch
-        assert len(sink.of_type("hub_build")) == 1
-        assert sink.of_type("ch_build") == []
-        assert database_gauges(db)["hub_label.labels"] == oracle.num_labels
-        counters = db.metrics.snapshot()["counters"]
-        assert not [name for name in counters if name.startswith("ch.")]
+        assert db.pairwise_computer(100.0).backend is None
+        assert sink.records == []
+        assert db.metrics.counters() == {}
+        assert not [
+            name for name in database_gauges(db)
+            if name.startswith(("hub", "ch."))
+        ]
 
-    def test_hub_backend_selected_and_recorded(self):
-        db = Database(random_planar_network(30, seed=2))
-        db.use_distance_backend("hub")
-        oracle = db.hub_oracle()
-        assert db.pairwise_computer(100.0).backend is oracle
-        assert db.hub_oracle() is oracle  # built once
+    def test_hub_backend_selected_and_recorded(
+        self, restore_backend, tiny_indexes
+    ):
+        """Handed to the engine's computers, the oracle answers every
+        pair — no Dijkstra runs — and each query's stats and
+        ``query.backend.*`` counter name it."""
+        db = restore_backend
+        config = WorkloadConfig(num_queries=4, num_keywords=2, k=5, seed=71)
+        queries = generate_diversified_queries(db, config)
+        before = db.metrics.counters().get("query.backend.hub", 0)
+        with hub_label_distances(db):
+            oracle = db.hub_oracle()
+            assert db.pairwise_computer(100.0).backend is oracle
+            stats = [
+                db.diversified_search(tiny_indexes["sif"], q, method="seq").stats
+                for q in queries
+            ]
         # The labels reuse the database's CH (same ordering, no second
         # preprocessing pass).
         assert oracle.ch is db.ch_oracle()
-        gauges = database_gauges(db)
-        assert gauges["hub_label.labels"] == oracle.num_labels
-        assert gauges["hub_label.label_entries"] == oracle.label_entries
-
-    def test_size_gauges_follow_a_rebuild(self):
-        """A reweight drops the oracle; the rebuilt one's sizes are what
-        the gauges read, and no counter adds them up across builds."""
-        network = random_planar_network(30, seed=2)
-        db = Database(network, distance_backend="hub")
-        db.freeze()
-        db.hub_oracle()
-        edge = next(iter(network.edges()))
-        db.update_edge_weight(edge.edge_id, edge.weight * 2.0)
-        rebuilt = db.hub_oracle()
-        gauges = database_gauges(db)
-        assert gauges["hub_label.labels"] == rebuilt.num_labels
-        assert gauges["hub_label.label_entries"] == rebuilt.label_entries
-        counters = db.metrics.counters()
-        assert counters["hub_label.invalidations"] == 1
-        assert "hub_label.labels" not in counters
-        assert "hub_label.label_entries" not in counters
-
-    def test_constructor_selects_hub(self):
-        db = Database(random_planar_network(30, seed=2),
-                      distance_backend="hub")
-        assert db.distance_backend == "hub"
-        assert db.pairwise_computer(100.0).backend is (
-            db.hub_oracle()
-        )
+        assert [s.distance_backend for s in stats] == ["hub"] * len(queries)
+        assert all(s.pairwise_dijkstras == 0 for s in stats)
+        after = db.metrics.counters()["query.backend.hub"]
+        assert after - before == len(queries)
+        # Outside the block the engine is back on its own backend.
+        assert db.pairwise_computer(100.0).backend is None
 
 
 class TestAnswerEquivalence:
@@ -155,14 +146,16 @@ class TestAnswerEquivalence:
             method: _run_workload(db, index, queries, method)
             for method in ("seq", "com")
         }
-        db.use_distance_backend("hub")
-        got = {
-            method: _run_workload(db, index, queries, method)
-            for method in ("seq", "com")
-        }
+        db.use_distance_backend("csgraph")
+        with hub_label_distances(db):
+            got = {
+                method: _run_workload(db, index, queries, method)
+                for method in ("seq", "com")
+            }
         assert got == want
         # The session-shared registry may carry earlier tests' queries:
         # compare the per-backend counter *deltas* of this workload.
+        # A query answered by the oracle files under its name.
         after = db.metrics.snapshot()["counters"]
 
         def delta(name):
@@ -172,9 +165,9 @@ class TestAnswerEquivalence:
         assert delta("query.backend.hub") == delta("query.backend.dijkstra")
 
     def test_all_three_backends_agree(self, restore_backend, tiny_indexes):
-        """{csgraph, dijkstra, hub} × {seq, com} returns byte-identical
-        object ids and objective values (rounded to 9 decimals, the
-        repo's equivalence contract)."""
+        """{csgraph, dijkstra, the hub-label oracle} × {seq, com}
+        returns byte-identical object ids and objective values (rounded
+        to 9 decimals, the repo's equivalence contract)."""
         db = restore_backend
         index = tiny_indexes["sif"]
         config = WorkloadConfig(num_queries=6, num_keywords=2, k=5, seed=83)
@@ -186,37 +179,17 @@ class TestAnswerEquivalence:
                 results[(backend, method)] = _run_workload(
                     db, index, queries, method
                 )
+        with hub_label_distances(db):
+            for method in ("seq", "com"):
+                results[("hub", method)] = _run_workload(
+                    db, index, queries, method
+                )
         for (backend, method), got in results.items():
             assert got == results[("dijkstra", method)], (backend, method)
 
-    def test_hub_stats_carry_backend_counters(
-        self, restore_backend, tiny_indexes
-    ):
-        db = restore_backend
-        db.use_distance_backend("hub")
-        index = tiny_indexes["sif"]
-        config = WorkloadConfig(num_queries=4, num_keywords=2, k=5, seed=71)
-        stats = [
-            db.diversified_search(index, q, method="seq").stats
-            for q in generate_diversified_queries(db, config)
-        ]
-        assert all(s.distance_backend == "hub" for s in stats)
-        busy = [s for s in stats if s.backend_queries]
-        assert busy
-        # settled_nodes carries label entries scanned; bucket_hits the
-        # label-join kernel hits; no Dijkstra ran at all.
-        assert all(s.backend_settled_nodes > 0 for s in busy)
-        assert any(s.backend_bucket_hits > 0 for s in busy)
-        assert all(s.pairwise_dijkstras == 0 for s in stats)
-        counters = db.metrics.snapshot()["counters"]
-        assert counters["hub_label.queries"] >= sum(
-            s.backend_queries for s in busy
-        )
-        assert counters["hub_label.kernel_hits"] > 0
-
     def test_stats_carry_backend_counters(self, restore_backend, tiny_indexes):
         """Under ``dijkstra`` every pair comes from a bounded Dijkstra:
-        the oracle counters stay zero and the Dijkstra counter moves."""
+        the stats name the backend and the Dijkstra counter moves."""
         db = restore_backend
         db.use_distance_backend("dijkstra")
         index = tiny_indexes["sif"]
@@ -226,9 +199,6 @@ class TestAnswerEquivalence:
             for q in generate_diversified_queries(db, config)
         ]
         assert all(s.distance_backend == "dijkstra" for s in stats)
-        assert all(
-            s.backend_queries == s.backend_settled_nodes == 0 for s in stats
-        )
         assert any(s.pairwise_dijkstras > 0 for s in stats)
 
     def test_plan_records_backend(self, restore_backend, tiny_indexes):
@@ -237,10 +207,10 @@ class TestAnswerEquivalence:
         query = DiversifiedSKQuery.create(
             db.network.node_position(0), ["a"], delta_max=1000.0, k=3
         )
-        db.use_distance_backend("hub")
+        db.use_distance_backend("csgraph")
         plan = db.plan(index, query, method="com")
-        assert plan.hints.distance_backend == "hub"
-        assert "distance backend: hub" in plan.describe()
+        assert plan.hints.distance_backend == "csgraph"
+        assert "distance backend: csgraph" in plan.describe()
         db.use_distance_backend("dijkstra")
         plan = db.plan(index, query, method="com")
         assert plan.hints.distance_backend == "dijkstra"
@@ -248,7 +218,7 @@ class TestAnswerEquivalence:
 
 
 class TestObservability:
-    @pytest.mark.parametrize("backend", ["csgraph", "hub"])
+    @pytest.mark.parametrize("backend", DISTANCE_BACKENDS)
     def test_sk_and_knn_report_the_backend_they_ran_under(
         self, restore_backend, tiny_indexes, backend
     ):
@@ -284,7 +254,7 @@ class TestObservability:
 
     def test_slowlog_records_backend(self, restore_backend, tiny_indexes):
         db = restore_backend
-        db.use_distance_backend("hub")
+        db.use_distance_backend("dijkstra")
         log = db.enable_slow_query_log(latency_seconds=0.0)
         try:
             index = tiny_indexes["sif"]
@@ -296,26 +266,28 @@ class TestObservability:
             records = log.records()
             assert records
             for record in records:
-                assert record["stats"]["distance_backend"] == "hub"
-                assert "backend_settled_nodes" in record["stats"]
+                assert record["stats"]["distance_backend"] == "dijkstra"
         finally:
             db.disable_slow_query_log()
 
     def test_prometheus_gauges_carry_backend(self, restore_backend):
-        """A hub run built its Contraction Hierarchy too, and exports
-        neither a ``ch`` gauge nor a ``ch.*`` one."""
+        """A database whose oracles are built exports its backend's
+        one-hot gauge and no ``hub`` or ``ch`` one."""
         db = restore_backend
-        db.use_distance_backend("hub")
+        db.use_distance_backend("dijkstra")
         db.hub_oracle()
         assert db.ch_oracle() is not None
         gauges = database_gauges(db)
-        assert gauges["distance_backend.hub"] == 1.0
-        assert gauges["distance_backend.dijkstra"] == 0.0
-        assert not [name for name in gauges if name.startswith("ch.")]
+        assert gauges["distance_backend.dijkstra"] == 1.0
+        assert gauges["distance_backend.csgraph"] == 0.0
+        assert not [
+            name for name in gauges if name.startswith(("hub", "ch."))
+        ]
         text = prometheus_text(db.metrics, gauges=gauges)
-        assert "repro_distance_backend_hub 1.0" in text
-        assert "repro_ch_" not in text
+        assert "repro_distance_backend_dijkstra 1.0" in text
+        assert "repro_ch_" not in text and "repro_hub_" not in text
         assert "distance_backend_ch" not in text
+        assert "distance_backend_hub" not in text
 
     def test_dijkstra_run_exports_zero_ch_gauge(self, restore_backend):
         restore_backend.use_distance_backend("dijkstra")
@@ -343,48 +315,14 @@ class TestObservability:
         rendered = report.render()
         assert "distance backend: dijkstra" in rendered
 
-    def test_prometheus_gauges_carry_hub_stats(self, restore_backend):
-        db = restore_backend
-        db.use_distance_backend("hub")
-        db.hub_oracle()
-        gauges = database_gauges(db)
-        assert gauges["distance_backend.hub"] == 1.0
-        assert gauges["distance_backend.dijkstra"] == 0.0
-        assert gauges["hub_label.labels"] == db.network.num_nodes
-        assert gauges["hub_label.label_entries"] > 0
-        assert gauges["hub_label.avg_label_size"] >= 1.0
-        text = prometheus_text(db.metrics, gauges=gauges)
-        assert "repro_distance_backend_hub 1.0" in text
-        assert "repro_hub_label_label_entries" in text
-
-    def test_explain_narrates_hub_kernel(self, restore_backend, tiny_indexes):
-        db = restore_backend
-        db.use_distance_backend("hub")
-        query = DiversifiedSKQuery.create(
-            db.network.node_position(3),
-            ["a"],
-            delta_max=2000.0,
-            k=3,
-        )
-        report = db.explain(
-            tiny_indexes["sif"], query, method="seq",
-            slow_threshold=SlowQueryThreshold(latency_seconds=math.inf),
-        )
-        rendered = report.render()
-        assert "distance backend: hub" in rendered
-        # The many-to-many prefetch span narrates label-entry scans and
-        # kernel hits through the hub-specific formatter.
-        if "hub-label kernel" in rendered:
-            assert "kernel hits" in rendered
-
 
 class TestHubUpdateInteraction:
-    """Reweight/insert/delete under the hub backend never serve stale
-    distances — the oracle drops at commit and rebuilds lazily."""
+    """Reweight/insert/delete never leave the hub-label oracle serving
+    stale distances — it drops at commit and rebuilds lazily."""
 
     def _fresh_db(self, seed=41):
         network = random_planar_network(60, seed=seed)
-        db = Database(network, buffer_pages=64, distance_backend="hub")
+        db = Database(network, buffer_pages=64)
         import numpy as np
 
         rng = np.random.default_rng(seed)
@@ -405,21 +343,22 @@ class TestHubUpdateInteraction:
         return db, index, query, edges
 
     def _assert_matches_dijkstra(self, db, index, query):
-        got = db.diversified_search(index, query, method="seq")
+        with hub_label_distances(db):
+            got = db.diversified_search(index, query, method="seq")
         db.use_distance_backend("dijkstra")
         want = db.diversified_search(index, query, method="seq")
-        db.use_distance_backend("hub")
+        db.use_distance_backend("csgraph")
         assert got.object_ids() == want.object_ids()
         assert got.objective_value == pytest.approx(want.objective_value)
 
     def test_reweight_triggers_lazy_rebuild(self):
         db, index, query, edges = self._fresh_db()
-        db.diversified_search(index, query, method="seq")
+        with hub_label_distances(db):
+            db.diversified_search(index, query, method="seq")
         oracle = db._hub_oracle
         assert oracle is not None
         db.update_edge_weight(edges[0].edge_id, edges[0].weight * 2.5)
         assert db._hub_oracle is None
-        assert db.metrics.counters()["hub_label.invalidations"] == 1
         self._assert_matches_dijkstra(db, index, query)
         assert db._hub_oracle is not None
         assert db._hub_oracle is not oracle
@@ -443,6 +382,7 @@ class TestHubUpdateInteraction:
         db, index, query, edges = self._fresh_db(seed=47)
         for i, factor in enumerate((1.5, 0.6, 2.0)):
             edge = db.network.edge(edges[i].edge_id)
+            oracle = db.hub_oracle()
             db.update_edge_weight(edge.edge_id, edge.weight * factor)
             self._assert_matches_dijkstra(db, index, query)
-        assert db.metrics.counters()["hub_label.invalidations"] >= 1
+            assert db.hub_oracle() is not oracle

@@ -341,6 +341,9 @@ assert "scipy.sparse.csgraph" in sys.modules
 # scipy brings ``email`` itself (numpy.testing -> importlib.metadata).
 served = [m for m in SERVER_MODULES[:3] if m in sys.modules]
 assert not served, f"set-up and two queries imported {served}"
+oracles = [m for m in ("repro.network.ch", "repro.network.hub_labels")
+           if m in sys.modules]
+assert not oracles, f"set-up and two queries imported {oracles}"
 from repro.obs import TelemetryServer
 assert TelemetryServer.__module__ == "repro.obs.server"
 assert "http.server" in sys.modules
@@ -354,7 +357,9 @@ def test_nothing_before_the_first_pairwise_distance_imports_scipy():
     carry the telemetry server's ``http.server``, ``socketserver``,
     ``ssl`` and ``email``, and a diversified query adds only ``email``
     (with scipy): ``repro.obs.TelemetryServer`` imports them on first
-    use.  A fresh interpreter, because this one has them all."""
+    use.  No query loads the hub-label or CH modules: only
+    ``Database.hub_oracle`` / ``ch_oracle`` do.  A fresh interpreter,
+    because this one has them all."""
     src = Path(__file__).resolve().parents[2] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     done = subprocess.run(

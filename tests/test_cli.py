@@ -286,52 +286,15 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "SEQ" in out and "COM" in out
 
-    def test_diversify_hub_backend(self, tmp_path, capsys):
-        """Hub labels are built on a Contraction Hierarchy, and the run
-        still shows no ``ch.*`` counter, ``ch_build`` record or ``ch``
-        gauge: CH is an ingredient, not a backend."""
-        path = tmp_path / "metrics.jsonl"
-        prom = tmp_path / "metrics.prom"
-        assert main([
-            "diversify", "SYN", "--scale", "0.05", "--queries", "3",
-            "--keywords", "2", "--k", "4", "--distance-backend", "hub",
-            "--metrics", str(path), "--prom", str(prom),
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "SEQ" in out and "COM" in out
-        records = [json.loads(line) for line in path.read_text().splitlines()]
-        query_records = [r for r in records if r["type"] == "query"]
-        assert query_records
-        assert all(
-            r["stats"]["distance_backend"] == "hub" for r in query_records
-        )
-        build_records = [r for r in records if r["type"] == "hub_build"]
-        assert len(build_records) == 1
-        assert build_records[0]["build_seconds"] > 0
-        assert not [r for r in records if r["type"] == "ch_build"]
-        (snapshot,) = [r for r in records if r["type"] == "snapshot"]
-        assert not [c for c in snapshot["counters"] if c.startswith("ch.")]
-        text = prom.read_text()
-        assert "repro_distance_backend_hub 1.0" in text
-        assert "repro_ch_" not in text and "distance_backend_ch" not in text
-
-    def test_explain_hub_backend(self, capsys):
-        assert main([
-            "explain", "SYN", "--scale", "0.05", "--keywords", "2",
-            "--distance-backend", "hub",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "distance backend: hub" in out
-
     def test_bad_backend_rejected(self, capsys):
-        """An unknown backend, and the retired ``ch``, are usage errors
-        on every command that takes a backend."""
+        """An unknown backend, and the retired ``ch`` and ``hub``, are
+        usage errors on every command that takes a backend."""
         commands = ("sk", "diversify", "update", "compare", "loadtest",
                     "explain")
         argvs = [
             [command, "SYN", "--distance-backend", name]
-            for command in commands for name in ("astar", "ch")
-        ] + [["replay", "F", "--backend", "ch"]]
+            for command in commands for name in ("astar", "ch", "hub")
+        ] + [["replay", "F", "--backend", name] for name in ("ch", "hub")]
         for argv in argvs:
             with pytest.raises(SystemExit) as err:
                 main(argv)
@@ -759,10 +722,10 @@ class TestFlightRecorderCLI:
             "--keywords", "2", "--k", "4", "--record", str(journal),
         ]) == 0
         assert main([
-            "replay", str(journal), "--backend", "hub", "--workers", "2",
+            "replay", str(journal), "--backend", "dijkstra", "--workers", "2",
         ]) == 0
         out = capsys.readouterr().out
-        assert "backend=hub" in out
+        assert "backend=dijkstra" in out
         assert "verdict: PASS" in out
 
     @pytest.mark.parametrize("backend", DISTANCE_BACKENDS)
@@ -776,17 +739,19 @@ class TestFlightRecorderCLI:
         assert "verdict: PASS — zero divergences" in out
 
     def test_replay_retired_backend_header(self, tmp_path, capsys):
-        """A journal whose header names the retired ``ch`` backend
-        replays on ``csgraph`` and says so with the retired modes."""
-        journal = _with_header(tmp_path, distance_backend="ch")
-        assert main(["replay", str(journal)]) == 0
-        out = capsys.readouterr().out
-        assert "backend=csgraph" in out
-        assert out.count(
-            "retired modes (frontier=csr, scoring=array, "
-            "distance_backend=ch)"
-        ) == 1
-        assert "verdict: PASS — zero divergences" in out
+        """A journal whose header names a retired backend, ``ch`` or
+        ``hub``, replays on ``csgraph`` and says so with the retired
+        modes."""
+        for backend in ("ch", "hub"):
+            journal = _with_header(tmp_path, distance_backend=backend)
+            assert main(["replay", str(journal)]) == 0
+            out = capsys.readouterr().out
+            assert "backend=csgraph" in out
+            assert out.count(
+                "retired modes (frontier=csr, scoring=array, "
+                f"distance_backend={backend})"
+            ) == 1
+            assert "verdict: PASS — zero divergences" in out
 
     def test_replay_unknown_backend_header(self, tmp_path, capsys):
         journal = _with_header(tmp_path, distance_backend="astar")

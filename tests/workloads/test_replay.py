@@ -28,7 +28,7 @@ from repro.workloads.replay import (
     load_flight_journal,
     run_replay,
 )
-from tests.conftest import TINY_PROFILE
+from tests.conftest import TINY_PROFILE, hub_label_distances
 
 #: Recorded at the commit before the frontier / scoring / no-numpy
 #: switches were deleted (``repro update SYN --scale 0.25 ... --record``).
@@ -191,21 +191,28 @@ class TestReplayDeterminism:
         assert sum(report.updates_applied.values()) == 3
         assert set(report.per_label) == {"SIF/AUTO"}
 
-    @pytest.mark.parametrize("backend", DISTANCE_BACKENDS)
+    @pytest.mark.parametrize("backend", [*DISTANCE_BACKENDS, "hub"])
     def test_cross_backend_zero_divergences(self, journal_path, backend):
+        """Each backend, and the hub-label oracle answering the default
+        backend's computers, replays the journal digest for digest."""
         db = fresh_db()
-        db.use_distance_backend(backend)
-        report = run_replay(db, load_flight_journal(journal_path))
+        if backend == "hub":
+            with hub_label_distances(db):
+                report = run_replay(db, load_flight_journal(journal_path))
+            backend = "csgraph"
+        else:
+            db.use_distance_backend(backend)
+            report = run_replay(db, load_flight_journal(journal_path))
         assert report.passed, [d.render() for d in report.divergences]
         assert report.backend == backend
 
-    @pytest.mark.parametrize("backend", [*DISTANCE_BACKENDS, "ch"])
+    @pytest.mark.parametrize("backend", [*DISTANCE_BACKENDS, "ch", "hub"])
     def test_pre_refactor_journal_zero_divergences(self, backend):
         """A journal recorded while the CSR frontier and the scoring
         switch existed (its header and hints name them) replays clean
         on the backend its header names: the retired keys are noted and
-        ignored.  A header naming the retired ``ch`` backend replays on
-        ``csgraph`` and is noted the same way."""
+        ignored.  A header naming a retired backend, ``ch`` or ``hub``,
+        replays on ``csgraph`` and is noted the same way."""
         journal = load_flight_journal(PR11_JOURNAL)
         assert journal.header["frontier"] == "csr"
         assert journal.header["scoring"] == "array"
@@ -217,7 +224,8 @@ class TestReplayDeterminism:
         db.use_distance_backend(journal_backend(journal.header))
         report = run_replay(db, journal)
         assert report.passed, [d.render() for d in report.divergences]
-        assert report.backend == ("csgraph" if backend == "ch" else backend)
+        retired = backend in ("ch", "hub")
+        assert report.backend == ("csgraph" if retired else backend)
         assert report.queries_replayed == 24
         assert sum(report.updates_applied.values()) == 16
         notes = [
@@ -226,7 +234,7 @@ class TestReplayDeterminism:
         ]
         assert len(notes) == 1
         assert "frontier=csr" in notes[0] and "scoring=array" in notes[0]
-        assert ("distance_backend=ch" in notes[0]) == (backend == "ch")
+        assert (f"distance_backend={backend}" in notes[0]) == retired
 
     @pytest.mark.parametrize("hit", [True, False], ids=["hit", "no-hit"])
     def test_recorded_result_cache_hit_skips_invariant_counters(
@@ -265,8 +273,9 @@ class TestReplayDeterminism:
             }
 
     def test_journal_backend(self):
-        assert journal_backend({"distance_backend": "hub"}) == "hub"
-        assert journal_backend({"distance_backend": "ch"}) == "csgraph"
+        assert journal_backend({"distance_backend": "dijkstra"}) == "dijkstra"
+        for retired in ("ch", "hub"):
+            assert journal_backend({"distance_backend": retired}) == "csgraph"
         # A header with no stamp predates it, and every backend but
         # the Python Dijkstra.
         assert journal_backend({}) == "dijkstra"
