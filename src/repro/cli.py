@@ -641,7 +641,9 @@ def _cmd_slowlog(args) -> int:
             try:
                 record = json.loads(line)
             except ValueError:
-                skipped += 1  # truncated tail of a killed run
+                record = None  # truncated tail of a killed run
+            if not isinstance(record, dict):
+                skipped += 1
                 continue
             if record.get("type") in ("slow_query", "slo_breach"):
                 records.append(record)

@@ -29,28 +29,25 @@ tens of nodes instead:
   :func:`repro.network.distance.seed_distances`; the paper's same-edge
   rule short-circuits shared-edge pairs before any search.
 
-* **Many-to-many** — the full candidate×candidate matrix (what SEQ and
-  the greedy picker consume) runs one upward search per position and
-  joins them through *buckets*: every settled node remembers which
-  positions reached it at what cost, and each bucket's pair
-  combinations lower-bound-merge into the matrix.  ``n`` searches
-  replace ``n·(n−1)/2`` point queries.
+* **Matrix** — the candidate×candidate matrix runs one upward search
+  per position and joins each pair's two search spaces.
 
-Correctness does not depend on the witness-search settle budget: an
-exhausted budget merely inserts a redundant shortcut (whose weight is
-the length of a real path), never a wrong one.  Distances beyond
-``cutoff`` report ``inf``, matching the bounded-Dijkstra backend's
-contract bit for bit.
+No query runs on this oracle: it orders the hub labels
+(:mod:`repro.network.hub_labels`), and tests check the Dijkstra
+backends against it.  Correctness does not depend on the
+witness-search settle budget: an exhausted budget merely inserts a
+redundant shortcut (whose weight is the length of a real path), never
+a wrong one.  Distances beyond ``cutoff`` report ``inf``, matching the
+bounded-Dijkstra backend's contract bit for bit.
 """
 
 from __future__ import annotations
 
 import heapq
-import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..errors import GraphError
-from .distance import INF, BackendCounters, node_source_distances, seed_distances
+from .distance import INF, node_source_distances, seed_distances
 from .graph import NetworkPosition, RoadNetwork
 
 __all__ = ["ContractionHierarchy"]
@@ -80,9 +77,7 @@ class ContractionHierarchy:
 
     Immutable once constructed, so one instance may be shared by every
     query of a database across any number of threads.  Implements the
-    :class:`repro.network.distance.DistanceBackend` protocol; per-call
-    work is charged to the caller's
-    :class:`~repro.network.distance.BackendCounters`.
+    :class:`repro.network.distance.DistanceBackend` protocol.
 
     ``max_witness_settled`` caps each witness search's settled-node
     count.  A smaller budget builds faster but inserts more (still
@@ -112,9 +107,7 @@ class ContractionHierarchy:
         self._up: Dict[int, List[Tuple[int, float]]] = {}
         self.shortcuts_added = 0
         self.num_nodes = network.num_nodes
-        start = time.perf_counter()
         self._contract_all()
-        self.preprocess_seconds = time.perf_counter() - start
         self.upward_edges = sum(len(edges) for edges in self._up.values())
 
     # ------------------------------------------------------------------
@@ -243,30 +236,24 @@ class ContractionHierarchy:
                 best = df + db
         return best
 
-    def node_distance(
-        self,
-        a: int,
-        b: int,
-        cutoff: float = INF,
-        counters: Optional[BackendCounters] = None,
-    ) -> float:
+    def node_distance(self, a: int, b: int, cutoff: float = INF) -> float:
         """Exact node-to-node distance; ``inf`` beyond ``cutoff``."""
         if a == b:
             return 0.0
         forward = self._upward_search({a: 0.0}, cutoff)
         backward = self._upward_search({b: 0.0}, cutoff)
-        if counters is not None:
-            counters.queries += 1
-            counters.settled_nodes += len(forward) + len(backward)
         d = self._join(forward, backward)
         return d if d <= cutoff else INF
 
+    def _position_search(
+        self, pos: NetworkPosition, cutoff: float
+    ) -> Dict[int, float]:
+        """The upward search space of a network position, seeded with
+        its edge's two end-nodes."""
+        return self._upward_search(seed_distances(self._network, pos), cutoff)
+
     def position_distance(
-        self,
-        a: NetworkPosition,
-        b: NetworkPosition,
-        cutoff: float = INF,
-        counters: Optional[BackendCounters] = None,
+        self, a: NetworkPosition, b: NetworkPosition, cutoff: float = INF
     ) -> float:
         """Exact ``δ(a, b)`` between network positions (Equation 1).
 
@@ -277,80 +264,31 @@ class ContractionHierarchy:
         """
         if a.edge_id == b.edge_id:
             return abs(a.offset - b.offset)
-        forward = self._upward_search(seed_distances(self._network, a), cutoff)
-        backward = self._upward_search(seed_distances(self._network, b), cutoff)
-        if counters is not None:
-            counters.queries += 1
-            counters.settled_nodes += len(forward) + len(backward)
-        d = self._join(forward, backward)
+        d = self._join(
+            self._position_search(a, cutoff), self._position_search(b, cutoff)
+        )
         return d if d <= cutoff else INF
 
     def position_matrix(
-        self,
-        positions: Sequence[NetworkPosition],
-        cutoff: float = INF,
-        counters: Optional[BackendCounters] = None,
+        self, positions: Sequence[NetworkPosition], cutoff: float = INF
     ) -> Dict[Tuple[int, int], float]:
-        """The full pairwise matrix via the bucket many-to-many kernel.
+        """The full pairwise matrix as an ``(i, j) → δ`` dict, ``i < j``.
 
-        One upward search per position; every settled node buckets
-        ``(position, cost)`` entries, and each bucket's pair
-        combinations merge into the matrix.  Keys are index pairs
-        ``(i, j)`` with ``i < j``; values follow the same same-edge /
-        cutoff contract as :meth:`position_distance`.
+        One upward search per position; every pair is then the point
+        query's own join (:meth:`position_distance`).
         """
         pos_list = list(positions)
-        n = len(pos_list)
-        buckets: Dict[int, List[Tuple[int, float]]] = {}
-        for j, pos in enumerate(pos_list):
-            settled = self._upward_search(
-                seed_distances(self._network, pos), cutoff
-            )
-            if counters is not None:
-                counters.settled_nodes += len(settled)
-            for node, d in settled.items():
-                buckets.setdefault(node, []).append((j, d))
-        best: Dict[Tuple[int, int], float] = {}
-        bucket_hits = 0
-        for entries in buckets.values():
-            if len(entries) < 2:
-                continue
-            for x in range(len(entries)):
-                i, di = entries[x]
-                for y in range(x + 1, len(entries)):
-                    j, dj = entries[y]
-                    bucket_hits += 1
-                    key = (i, j) if i < j else (j, i)
-                    total = di + dj
-                    cur = best.get(key)
-                    if cur is None or total < cur:
-                        best[key] = total
+        spaces = [self._position_search(pos, cutoff) for pos in pos_list]
         out: Dict[Tuple[int, int], float] = {}
-        for i in range(n):
-            pi = pos_list[i]
-            for j in range(i + 1, n):
-                pj = pos_list[j]
-                if pi.edge_id == pj.edge_id:
-                    out[(i, j)] = abs(pi.offset - pj.offset)
+        for i, a in enumerate(pos_list):
+            for j in range(i + 1, len(pos_list)):
+                b = pos_list[j]
+                if a.edge_id == b.edge_id:
+                    out[(i, j)] = abs(a.offset - b.offset)
                 else:
-                    d = best.get((i, j), INF)
+                    d = self._join(spaces[i], spaces[j])
                     out[(i, j)] = d if d <= cutoff else INF
-        if counters is not None:
-            counters.queries += n
-            counters.bucket_hits += bucket_hits
-            counters.matrix_cells += len(out)
         return out
-
-    # ------------------------------------------------------------------
-    def stats(self) -> Dict[str, float]:
-        """A JSON-able build summary for metrics records and gauges."""
-        return {
-            "nodes": self.num_nodes,
-            "shortcuts_added": self.shortcuts_added,
-            "upward_edges": self.upward_edges,
-            "preprocess_seconds": self.preprocess_seconds,
-            "max_witness_settled": self._witness_settled,
-        }
 
     def __repr__(self) -> str:  # pragma: no cover — debugging aid
         return (

@@ -28,7 +28,6 @@ from .graph import NetworkPosition, RoadNetwork
 __all__ = [
     "AdjacencyProvider",
     "DistanceBackend",
-    "BackendCounters",
     "DISTANCE_BACKENDS",
     "PAIRWISE_CUTOFF_FACTOR",
     "seed_distances",
@@ -75,30 +74,6 @@ class AdjacencyProvider(Protocol):
         ...
 
 
-class BackendCounters:
-    """Per-owner counters a :class:`DistanceBackend` increments.
-
-    A backend oracle (e.g. one Contraction Hierarchy) is shared by
-    every caller, so it cannot keep per-caller counters itself.  A
-    caller that wants its own counts owns one of these and passes it
-    into each call; the pairwise computer passes none.
-    """
-
-    __slots__ = ("queries", "settled_nodes", "bucket_hits", "matrix_cells")
-
-    def __init__(self) -> None:
-        self.queries = 0
-        self.settled_nodes = 0
-        self.bucket_hits = 0
-        self.matrix_cells = 0
-
-    def snapshot(self) -> Tuple[int, int, int, int]:
-        return (
-            self.queries, self.settled_nodes,
-            self.bucket_hits, self.matrix_cells,
-        )
-
-
 class DistanceBackend(Protocol):
     """A pluggable exact network-distance oracle.
 
@@ -107,26 +82,18 @@ class DistanceBackend(Protocol):
     the paper's same-edge rule and a cutoff that maps to ``inf``) and
     the full pairwise matrix over a candidate set — but may do so with
     entirely different machinery (see
-    :class:`repro.network.ch.ContractionHierarchy`).  ``counters`` is
-    an optional :class:`BackendCounters` the call charges its work to.
+    :class:`repro.network.ch.ContractionHierarchy`).
     """
 
     name: str
 
     def position_distance(
-        self,
-        a: NetworkPosition,
-        b: NetworkPosition,
-        cutoff: float = INF,
-        counters: Optional[BackendCounters] = None,
+        self, a: NetworkPosition, b: NetworkPosition, cutoff: float = INF
     ) -> float:
         ...
 
     def position_matrix(
-        self,
-        positions: Sequence[NetworkPosition],
-        cutoff: float = INF,
-        counters: Optional[BackendCounters] = None,
+        self, positions: Sequence[NetworkPosition], cutoff: float = INF
     ) -> Dict[Tuple[int, int], float]:
         ...
 
@@ -423,7 +390,7 @@ class PairwiseDistanceComputer:
     which tests and the benchmark check the Dijkstra paths against):
     every cross-edge pair is then answered by the oracle instead.
     :meth:`prefetch` bulk-resolves a candidate set through the oracle's
-    many-to-many kernel; prefetched pairs are served as cache hits.
+    ``position_matrix``; prefetched pairs are served as cache hits.
     The oracle itself may be shared across queries and threads (it is
     immutable after construction).
     """
@@ -553,11 +520,11 @@ class PairwiseDistanceComputer:
     def prefetch(self, positions: Iterable[NetworkPosition]) -> int:
         """Bulk-resolve all pairwise distances of ``positions``.
 
-        Runs the backend oracle's bucket-based many-to-many kernel once
-        and stores the matrix; later :meth:`distance` calls over these
-        positions are O(1) lookups (counted as cache hits).  A no-op
-        returning 0 on the Dijkstra backend, whose kept per-source node
-        maps already amortise the matrix.
+        Asks the backend oracle for the whole matrix once and stores
+        it; later :meth:`distance` calls over these positions are O(1)
+        lookups (counted as cache hits).  A no-op returning 0 on the
+        Dijkstra backend, whose kept per-source node maps already
+        amortise the matrix.
         """
         if self._backend is None:
             return 0
@@ -575,23 +542,20 @@ class PairwiseDistanceComputer:
     ):
         """The full symmetric pairwise matrix as a numpy array.
 
-        Served with no per-pair Python — the array greedy consumes the
-        result as-is — from the backend's array kernel (the hub-label
-        join) or, on the in-memory network with no backend, from the
-        sources' rows (:meth:`_matrix_from_rows`).  Returns ``None``
-        otherwise (CH, Dijkstra through CCAM); callers fall back to
-        :meth:`pairwise`.  ``reach`` bounds the positions' query
-        distances and so the sources' search (class docstring).
+        Served from the backend's ``position_matrix_array`` (hub
+        labels) or, on the in-memory network with no backend, from the
+        sources' rows (:meth:`_matrix_from_rows`) — the array greedy
+        consumes the result as-is.  Returns ``None`` otherwise (CH,
+        Dijkstra through CCAM); callers fall back to :meth:`pairwise`.
+        ``reach`` bounds the positions' query distances and so the
+        sources' search (class docstring).
         """
-        array_kernel = getattr(self._backend, "position_matrix_array", None)
-        if array_kernel is None:
-            if self._backend is None and self._in_memory:
-                return self._matrix_from_rows(list(positions), reach)
-            return None
-        pos_list = list(positions)
-        if len(pos_list) < 2:
-            return array_kernel(pos_list)
-        return array_kernel(pos_list, cutoff=self._cutoff)
+        array_matrix = getattr(self._backend, "position_matrix_array", None)
+        if array_matrix is not None:
+            return array_matrix(list(positions), cutoff=self._cutoff)
+        if self._backend is None and self._in_memory:
+            return self._matrix_from_rows(list(positions), reach)
+        return None
 
     def _matrix_from_rows(
         self, pos_list: List[NetworkPosition], reach: Optional[float]
@@ -659,22 +623,6 @@ class PairwiseDistanceComputer:
         matrix = np.triu(matrix, 1)
         return matrix + matrix.T
 
-    def _all_pairs_prefetched(self, pos_list: List[NetworkPosition]) -> bool:
-        """True when a prior :meth:`prefetch` already resolved every
-        cross-edge pair of ``pos_list``, so the many-to-many kernel
-        need not run again (the SEQ path prefetches the candidate pool
-        once and then asks for the same matrix during greedy)."""
-        if self._backend is None or not self._pair_cache:
-            return False
-        cache = self._pair_cache
-        for i, a in enumerate(pos_list):
-            for b in pos_list[i + 1 :]:
-                if a.edge_id == b.edge_id:
-                    continue
-                if self._pair_key(a, b) not in cache:
-                    return False
-        return True
-
     def distance(
         self, a: NetworkPosition, b: NetworkPosition,
         reach: Optional[float] = None,
@@ -713,12 +661,11 @@ class PairwiseDistanceComputer:
     ) -> Dict[Tuple[int, int], float]:
         """All pairwise distances among ``positions`` (by index).
 
-        On a backend oracle the whole matrix is resolved through the
-        many-to-many kernel first, so each pair costs one lookup.
+        On a backend oracle the whole matrix is resolved through its
+        :meth:`prefetch` first, so each pair costs one lookup.
         """
         pos_list = list(positions)
-        if not self._all_pairs_prefetched(pos_list):
-            self.prefetch(pos_list)
+        self.prefetch(pos_list)
         out: Dict[Tuple[int, int], float] = {}
         for i in range(len(pos_list)):
             for j in range(i + 1, len(pos_list)):

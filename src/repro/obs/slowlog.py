@@ -233,7 +233,8 @@ def render_record(record: Dict[str, Any]) -> str:
     if record.get("type") == "slo_breach":
         return render_breach_record(record)
     stats = record.get("stats") or {}
-    wall_ms = record.get("wall_seconds", 0.0) * 1e3
+    wall = record.get("wall_seconds", 0.0)
+    wall_ms = wall * 1e3 if isinstance(wall, (int, float)) else None
     # Logs written before the one per-query encoding repeat the count
     # at top level (and the oldest have it only there).
     nodes = stats.get("nodes_accessed", record.get("nodes_accessed", "?"))
@@ -246,7 +247,7 @@ def render_record(record: Dict[str, Any]) -> str:
     )
     header = (
         f"SLOW QUERY #{record.get('seq', '?')}  "
-        f"[{record.get('label', '?')}]  {wall_ms:.3f} ms, "
+        f"[{record.get('label', '?')}]  {shown(wall_ms, '.3f')} ms, "
         f"{nodes} nodes visited{predicted} "
         f"(exceeded: {', '.join(record.get('exceeded', ())) or '?'}; "
         f"worker {record.get('worker') or '?'})"

@@ -15,11 +15,7 @@ import pytest
 from repro.datasets.synthetic import grid_network, random_planar_network
 from repro.errors import GraphError
 from repro.network.ch import ContractionHierarchy
-from repro.network.distance import (
-    BackendCounters,
-    PairwiseDistanceComputer,
-    network_distance,
-)
+from repro.network.distance import PairwiseDistanceComputer, network_distance
 from repro.network.graph import NetworkPosition, RoadNetwork
 
 
@@ -61,15 +57,6 @@ class TestConstruction:
         ch = ContractionHierarchy(line_network)
         assert ch.num_nodes == 5
         assert ch.upward_edges >= 4  # at least the original edges
-
-    def test_stats_dict(self):
-        network = random_planar_network(40, seed=9)
-        ch = ContractionHierarchy(network)
-        stats = ch.stats()
-        assert stats["nodes"] == 40
-        assert stats["upward_edges"] == ch.upward_edges
-        assert stats["preprocess_seconds"] >= 0.0
-        assert stats["shortcuts_added"] == ch.shortcuts_added
 
     def test_empty_network_rejected(self):
         with pytest.raises(GraphError):
@@ -186,19 +173,6 @@ class TestPositionDistances:
             else:
                 assert got == pytest.approx(want)
 
-    def test_counters_charged(self):
-        network = random_planar_network(40, seed=6)
-        ch = ContractionHierarchy(network)
-        rng = random.Random(6)
-        a, b = random_positions(network, rng, 2)
-        counters = BackendCounters()
-        ch.position_distance(a, b, counters=counters)
-        if a.edge_id == b.edge_id:  # pragma: no cover — seed-dependent
-            assert counters.queries == 0
-        else:
-            assert counters.queries == 1
-            assert counters.settled_nodes > 0
-
 
 class TestManyToMany:
     def test_matrix_equals_point_queries(self):
@@ -206,19 +180,16 @@ class TestManyToMany:
         ch = ContractionHierarchy(network)
         rng = random.Random(15)
         positions = random_positions(network, rng, 30)
-        counters = BackendCounters()
-        matrix = ch.position_matrix(positions, counters=counters)
         n = len(positions)
-        assert set(matrix) == {
-            (i, j) for i in range(n) for j in range(i + 1, n)
-        }
-        for (i, j), d in matrix.items():
-            assert d == pytest.approx(
-                ch.position_distance(positions[i], positions[j])
-            )
-        assert counters.queries == n
-        assert counters.matrix_cells == n * (n - 1) // 2
-        assert counters.bucket_hits > 0
+        for cutoff in (math.inf, 1.5):
+            matrix = ch.position_matrix(positions, cutoff=cutoff)
+            assert set(matrix) == {
+                (i, j) for i in range(n) for j in range(i + 1, n)
+            }
+            for (i, j), d in matrix.items():
+                assert d == ch.position_distance(
+                    positions[i], positions[j], cutoff=cutoff
+                ), (cutoff, i, j)
 
     def test_matrix_honours_cutoff(self):
         network = random_planar_network(70, seed=16)
@@ -274,9 +245,9 @@ class TestComputerIntegration:
                 assert got[key] == math.inf
             else:
                 assert got[key] == pytest.approx(d)
-        # The matrix was served by one many-to-many prefetch: the
-        # per-pair loop then hits the computer's pair cache (same-edge
-        # pairs short-circuit before the cache and don't count).
+        # The matrix was served by one prefetch: the per-pair loop
+        # then hits the computer's pair cache (same-edge pairs
+        # short-circuit before the cache and don't count).
         cross_edge = sum(
             1 for (i, j) in want
             if positions[i].edge_id != positions[j].edge_id

@@ -54,11 +54,11 @@ class _FakeBackend:
         self.answer = answer
         self.calls = 0
 
-    def position_distance(self, a, b, cutoff=math.inf, counters=None):
+    def position_distance(self, a, b, cutoff=math.inf):
         self.calls += 1
         return self.answer
 
-    def position_matrix(self, positions, cutoff=math.inf, counters=None):
+    def position_matrix(self, positions, cutoff=math.inf):
         n = len(positions)
         return {
             (i, j): self.answer for i in range(n) for j in range(i + 1, n)

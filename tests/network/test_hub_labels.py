@@ -4,8 +4,9 @@ Same acceptance bar as the CH suite it mirrors: hub-label answers are
 *identical* to the bounded-Dijkstra backend and to the CH oracle the
 labels were derived from — exact distances, the same-edge fiat rule,
 the cutoff → inf contract — on every input, including randomly
-generated connected road networks.  The batched label-join kernel must
-agree with its own point queries cell for cell.
+generated connected road networks.  The pairwise matrix is one point
+query per pair, so it must equal the point queries exactly, cell for
+cell.
 """
 
 import math
@@ -16,11 +17,7 @@ import pytest
 
 from repro.datasets.synthetic import grid_network, random_planar_network
 from repro.network.ch import ContractionHierarchy
-from repro.network.distance import (
-    BackendCounters,
-    PairwiseDistanceComputer,
-    network_distance,
-)
+from repro.network.distance import PairwiseDistanceComputer, network_distance
 from repro.network.graph import NetworkPosition
 from repro.network.hub_labels import HubLabelBackend
 
@@ -46,28 +43,21 @@ class TestConstruction:
         network = random_planar_network(60, seed=3)
         hub = HubLabelBackend(network)
         assert hub.name == "hub"
-        assert hub.num_labels == 60
-        # Every node is in its own label (the upward search settles its
-        # seed), so the average label size is at least 1.
-        assert hub.avg_label_size >= 1.0
-        assert hub.label_entries >= 60
-        assert hub.max_label_size <= 60
+        assert len(hub._labels) == 60
+        # Every node is in its own label at cost 0 (the upward search
+        # settles its seed), and a label holds each hub once, sorted.
+        for node, (hubs, dists) in hub._labels.items():
+            assert dists[list(hubs).index(node)] == 0.0
+            assert list(hubs) == sorted(set(hubs))
+        assert hub.label_entries == sum(
+            len(hubs) for hubs, _ in hub._labels.values()
+        )
 
     def test_reuses_supplied_ch(self):
         network = random_planar_network(40, seed=9)
         ch = ContractionHierarchy(network)
         hub = HubLabelBackend(network, ch=ch)
         assert hub.ch is ch
-
-    def test_stats_dict(self):
-        network = random_planar_network(40, seed=9)
-        hub = HubLabelBackend(network)
-        stats = hub.stats()
-        assert stats["nodes"] == 40
-        assert stats["labels"] == 40
-        assert stats["label_entries"] == hub.label_entries
-        assert stats["build_seconds"] >= 0.0
-        assert stats["ch_shortcuts_added"] == hub.ch.shortcuts_added
 
 
 class TestNodeDistances:
@@ -187,40 +177,27 @@ class TestPositionDistances:
             else:
                 assert got == pytest.approx(want)
 
-    def test_counters_charge_label_entries(self):
-        network = random_planar_network(40, seed=6)
-        hub = HubLabelBackend(network)
-        edges = list(network.edges())
-        a = NetworkPosition(edges[0].edge_id, 0.3 * edges[0].weight)
-        b = NetworkPosition(edges[-1].edge_id, 0.3 * edges[-1].weight)
-        counters = BackendCounters()
-        hub.position_distance(a, b, counters=counters)
-        assert counters.queries == 1
-        # settled_nodes counts label entries scanned by the merge.
-        assert counters.settled_nodes > 0
 
-
-class TestLabelJoinKernel:
+class TestPositionMatrix:
     def test_matrix_equals_point_queries(self):
         network = random_planar_network(70, seed=15)
         hub = HubLabelBackend(network)
         rng = random.Random(15)
         positions = random_positions(network, rng, 30)
-        counters = BackendCounters()
-        matrix = hub.position_matrix(positions, counters=counters)
         n = len(positions)
-        assert set(matrix) == {
-            (i, j) for i in range(n) for j in range(i + 1, n)
-        }
-        for (i, j), d in matrix.items():
-            assert d == pytest.approx(
-                hub.position_distance(positions[i], positions[j])
-            )
-        assert counters.queries == n
-        assert counters.matrix_cells == n * (n - 1) // 2
-        # bucket_hits carries the kernel-hit count (label entries that
-        # joined through a shared hub).
-        assert counters.bucket_hits > 0
+        for cutoff in (math.inf, 1.5):
+            matrix = hub.position_matrix(positions, cutoff=cutoff)
+            array = hub.position_matrix_array(positions, cutoff=cutoff)
+            assert set(matrix) == {
+                (i, j) for i in range(n) for j in range(i + 1, n)
+            }
+            for (i, j), d in matrix.items():
+                want = hub.position_distance(
+                    positions[i], positions[j], cutoff=cutoff
+                )
+                assert d == want, (cutoff, i, j)
+                assert array[i, j] == array[j, i] == want, (cutoff, i, j)
+            assert (array.diagonal() == 0.0).all()
 
     def test_matrix_equals_ch_matrix(self):
         network = random_planar_network(60, seed=25)
@@ -269,20 +246,6 @@ class TestLabelJoinKernel:
         (a,) = random_positions(network, rng, 1)
         assert hub.position_matrix([a]) == {}
 
-    def test_kernel_chunking_is_value_neutral(self, monkeypatch):
-        # Force the min-plus kernel down to single-hub chunks; the
-        # chunked reduction must produce the same matrix.
-        import repro.network.hub_labels as hl
-
-        network = random_planar_network(50, seed=33)
-        hub = HubLabelBackend(network)
-        rng = random.Random(33)
-        positions = random_positions(network, rng, 15)
-        want = hub.position_matrix(positions)
-        monkeypatch.setattr(hl, "_KERNEL_CELL_BUDGET", 1)
-        got = hub.position_matrix(positions)
-        assert got == want
-
 
 class TestComputerIntegration:
     def test_backend_computer_matches_dijkstra_computer(self):
@@ -301,8 +264,8 @@ class TestComputerIntegration:
                 assert got[key] == math.inf
             else:
                 assert got[key] == pytest.approx(d)
-        # One many-to-many prefetch served the matrix; the per-pair
-        # loop then hits the computer's pair cache.
+        # One prefetch served the matrix; the per-pair loop then hits
+        # the computer's pair cache.
         cross_edge = sum(
             1 for (i, j) in want
             if positions[i].edge_id != positions[j].edge_id

@@ -218,6 +218,15 @@ class TestTolerantRendering:
         assert "SLOW QUERY #1" in text
         assert "[epoch" not in text
 
+    def test_null_wall_time_renders_as_unknown(self):
+        record = {
+            "type": "slow_query", "seq": 1, "label": "L",
+            "wall_seconds": None, "exceeded": ["latency"],
+            "stats": {"nodes_accessed": 5},
+        }
+        text = render_record(record)
+        assert "SLOW QUERY #1  [L]  ? ms, 5 nodes visited" in text
+
     def test_record_from_before_the_one_encoding_renders(self):
         """A slow record as the parent of the per-query event wrote it:
         ``nodes_accessed`` / ``distance_backend`` repeated at top level,

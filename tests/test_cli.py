@@ -878,6 +878,25 @@ class TestSlowlogToleranceCommand:
         assert "2 record(s) rendered" in captured.err
         assert "skipped 1 malformed line(s)" in captured.err
 
+    def test_survives_non_object_lines_and_a_null_wall_time(
+        self, tmp_path, capsys
+    ):
+        """Valid JSON that is no record counts as malformed, and a slow
+        record without a wall time renders it as ``?``."""
+        path = tmp_path / "slow.jsonl"
+        record = {
+            "type": "slow_query", "seq": 3, "label": "L",
+            "wall_seconds": None, "nodes_accessed": 5,
+            "exceeded": ["latency"], "worker": "w",
+        }
+        path.write_text(
+            "42\n[1, 2]\nnull\n" + json.dumps(record) + "\n"
+        )
+        assert main(["slowlog", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert "SLOW QUERY #3  [L]  ? ms, 5 nodes visited" in captured.out
+        assert "skipped 3 malformed line(s)" in captured.err
+
     def test_renders_breaches_of_either_window_shape(self, tmp_path, capsys):
         """A breach the monitor notes now (the window in the registry's
         shape), a literal one written before that shape, and two that

@@ -55,13 +55,11 @@ class PerturbingBackend:
             return value
         return value * (1.0 + self.epsilon)
 
-    def position_distance(self, a, b, cutoff=math.inf, counters=None):
-        return self._warp(
-            self.inner.position_distance(a, b, cutoff, counters)
-        )
+    def position_distance(self, a, b, cutoff=math.inf):
+        return self._warp(self.inner.position_distance(a, b, cutoff))
 
-    def position_matrix(self, positions, cutoff=math.inf, counters=None):
-        matrix = self.inner.position_matrix(positions, cutoff, counters)
+    def position_matrix(self, positions, cutoff=math.inf):
+        matrix = self.inner.position_matrix(positions, cutoff)
         return {key: self._warp(value) for key, value in matrix.items()}
 
 
