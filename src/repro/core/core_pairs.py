@@ -45,9 +45,6 @@ class CorePair:
     def members(self) -> Tuple[int, int]:
         return (self.u.object.object_id, self.v.object.object_id)
 
-    def contains(self, object_id: int) -> bool:
-        return object_id in self.members()
-
 
 class CorePairMaintainer:
     """Streams objects in and keeps CP, CO and θ_T up to date."""
@@ -84,6 +81,8 @@ class CorePairMaintainer:
         )
         self._tracer = tracer
         self._pairs: List[CorePair] = []  # descending by theta
+        #: core object id -> θ of the core pair it belongs to
+        self._pair_theta: Dict[int, float] = {}
         #: every active (non-pruned) object seen so far, by id
         self._arrived: Dict[int, ResultItem] = {}
         #: every object seen so far, pruned ones included: what an odd
@@ -135,7 +134,13 @@ class CorePairMaintainer:
         return list(self._arrived.values())
 
     def is_core(self, object_id: int) -> bool:
-        return any(p.contains(object_id) for p in self._pairs)
+        return object_id in self._pair_theta
+
+    def partner_theta(self, object_id: int) -> float:
+        """θ of the core pair holding ``object_id`` (inf for a non-core
+        object).  By Lemma 1 a core object takes a new partner only at
+        a θ at least this high."""
+        return self._pair_theta.get(object_id, float("inf"))
 
     def best_theta(self, object_id: int) -> float:
         """Largest θ between this object and any other active object."""
@@ -233,6 +238,9 @@ class CorePairMaintainer:
             CorePair(float(theta[i, j]), pool[i], pool[j])
             for i, j in greedy_rounds(theta, self._num_pairs)
         ]
+        for pair in self._pairs:
+            for member in pair.members():
+                self._pair_theta[member] = pair.theta
 
     def add(self, item: ResultItem) -> None:
         """Algorithm 5: process one arriving object."""
@@ -281,13 +289,6 @@ class CorePairMaintainer:
 
     _requeued: ResultItem
 
-    def _partner_theta(self, object_id: int) -> float:
-        """θ of the core pair containing ``object_id`` (inf when absent)."""
-        for pair in self._pairs:
-            if pair.contains(object_id):
-                return pair.theta
-        return float("inf")
-
     def _process_arrival(
         self, item: ResultItem, thetas: Dict[int, float]
     ) -> bool:
@@ -302,13 +303,16 @@ class CorePairMaintainer:
         # φ(o): objects with θ(o, o_x) > θ_T not dominating o.  A core
         # object o_x dominates o when θ(o, o_x) < θ(o_x, partner).
         phi: List[Tuple[float, int]] = []
+        pair_theta = self._pair_theta
         for other_id, t in thetas.items():
             if other_id == oid or other_id not in self._arrived:
                 continue
             if t <= theta_t:
                 continue
-            if self.is_core(other_id) and t < self._partner_theta(other_id):
-                continue  # dominated by this core object (Lemma 1)
+            if t < pair_theta.get(other_id, t):
+                # dominated by this core object (Lemma 1); a non-core
+                # object's default, t itself, dominates nothing
+                continue
             phi.append((t, other_id))
         if not phi:
             return False  # case i: o cannot improve CP
@@ -320,23 +324,31 @@ class CorePairMaintainer:
         if not self.is_core(partner_id):
             # Case ii: replace the weakest core pair with (o, o').
             if len(self._pairs) >= self._num_pairs:
-                self._pairs.pop()
+                self._remove_pair(self._pairs[-1])
             self._insert_pair(new_pair)
             return False
         # Case iii: o' is core; (o, o') replaces (o', o_y) and o_y is
         # treated as a fresh arrival.
-        old_pair = next(p for p in self._pairs if p.contains(partner_id))
-        self._pairs.remove(old_pair)
+        old_pair = next(
+            p for p in self._pairs if partner_id in p.members()
+        )
+        self._remove_pair(old_pair)
         kicked = old_pair.v if old_pair.u.object.object_id == partner_id else old_pair.u
         self._insert_pair(new_pair)
         self._requeued = kicked
         return True
 
+    def _remove_pair(self, pair: CorePair) -> None:
+        self._pairs.remove(pair)
+        for member in pair.members():
+            del self._pair_theta[member]
+
     def _insert_pair(self, pair: CorePair) -> None:
         self._pairs.append(pair)
         self._pairs.sort(key=lambda p: -p.theta)
+        u, v = pair.members()
+        self._pair_theta[u] = self._pair_theta[v] = pair.theta
         if self._tracer.enabled:
-            u, v = pair.members()
             self._tracer.event(
                 "com.core_pair", theta=pair.theta, u=u, v=v,
                 theta_t=self.theta_t,

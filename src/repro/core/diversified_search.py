@@ -8,8 +8,23 @@ stream closes inside the buffer, the buffer is the whole pool and
 and θ_T (Algorithm 5) and **COM** consumes the rest incrementally, the
 §4.3 diversity bounds (a) pruning visited objects that can never become
 core and (b) terminating the network expansion as soon as no unvisited
-object can contribute — closing the INE generator mid-flight.  The
-buffer's size is all a caller chooses: every arrival for a SEQ pin
+object can contribute — closing the INE generator mid-flight.
+
+COM's stop test departs from Algorithm 6 as printed.  The paper keeps
+expanding while any active object's visited bound
+``theta_ub_visited(δ(o, q), γ)`` reaches θ_T.  Here a *core* object is
+tested against the θ of its own core pair instead; non-core objects and
+the unvisited-pair bound keep θ_T.  By Lemma 1 a core object ``o_x``
+takes a new partner only at a θ no lower than its pair's (which is
+≥ θ_T), so the rule stops no later than the paper's and returns the
+same answer.  By induction over later arrivals, while every test holds
+no arrival enters φ: a non-core object's bound is below θ_T, a core
+object dominates any arrival below its pair's θ, and any two unvisited
+objects' bound is below θ_T.  So no case ii or iii of Algorithm 5 can
+start, and CP, θ_T and the answer are final.  ``enable_pruning=False``
+(every arrival processed) is the oracle the tests hold it to.
+
+The buffer's size is all a caller chooses: every arrival for a SEQ pin
 (:func:`seq_search`), ``k`` for a COM pin (:func:`com_search`),
 ``SWITCH_FACTOR · k`` un-pinned; ``result.method`` names the exit.
 
@@ -58,6 +73,8 @@ from .queries import DiversifiedResult, DiversifiedSKQuery, QueryStats, ResultIt
 
 __all__ = ["diversified_search", "seq_search", "com_search",
            "diversify_pool", "PairDistances", "SWITCH_FACTOR"]
+
+INF = float("inf")
 
 
 #: An ``inf`` pair of one pool: the items' query distances broke
@@ -251,6 +268,14 @@ def _continue_as_com(
     (θ-bound rows batched through numpy), then the stream is taken one
     arrival at a time.
 
+    The stop test reads each active object's visited bound against θ_T,
+    except that a core object's is read against its own pair's θ
+    (:meth:`CorePairMaintainer.partner_theta`): Lemma 1 rules out any
+    new partner below it, so a later arrival cannot change CP unless
+    some bound reaches its bar.  This departs from Algorithm 6 as
+    printed, which holds core objects to θ_T too; the module docstring
+    gives the proof.  Only non-core objects are pruned.
+
     When ``tracer`` is enabled, every arrival that reaches the pruning
     decision records a ``com.round`` span (γ, θ_T, the unvisited-pair
     upper bound, and the action taken), and early termination raises a
@@ -261,6 +286,7 @@ def _continue_as_com(
         query.k, objective, pairs.distance, tracer=tracer,
         pair_matrix=pairs.matrix,
     )
+    partner_theta = maintainer.partner_theta
     tracing = tracer.enabled
     with clock.stage("maintenance"):
         maintainer.bootstrap(buffer)
@@ -301,12 +327,19 @@ def _continue_as_com(
         pruned_here = 0
         for o_i in maintainer.active_objects():
             oid = o_i.object.object_id
-            if objective.theta_ub_visited(o_i.distance, gamma) >= theta_t:
+            # A core object takes a new partner only at a θ no lower
+            # than its own pair's (Lemma 1); any other object, at a θ
+            # above θ_T.
+            bar = partner_theta(oid)
+            core = bar != INF
+            if objective.theta_ub_visited(o_i.distance, gamma) >= (
+                bar if core else theta_t
+            ):
                 # o_i may still pair with an unvisited object: keep
                 # expanding (Alg. 6 lines 11-12).
                 can_terminate = False
                 break
-            if maintainer.best_theta(oid) < theta_t and not maintainer.is_core(oid):
+            if not core and maintainer.best_theta(oid) < theta_t:
                 # o_i can pair with nothing: drop it (Alg. 6 lines 13-14).
                 maintainer.prune(oid)
                 pruned_here += 1

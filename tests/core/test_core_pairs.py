@@ -130,6 +130,47 @@ class TestBasics:
             it.object.object_id != non_core[0] for it in m.active_objects()
         )
 
+    @pytest.mark.parametrize("k", [2, 4, 5, 8])
+    def test_partner_theta_follows_every_pair_change(self, k):
+        """After the bootstrap and every arrival (case ii replacements
+        and case iii cascades included), ``partner_theta`` is the θ of
+        the pair holding the object, ``inf`` off the pairs, and
+        ``is_core`` agrees."""
+        replaced = repartnered = 0
+        for seed in range(8):
+            items, pd = make_stream(seed, 40)
+            m = CorePairMaintainer(k, DiversificationObjective(0.6, 100.0), pd)
+
+            def partners():
+                out = {}
+                for pair in m.pairs:
+                    u, v = pair.members()
+                    assert u not in out and v not in out  # one pair each
+                    out[u], out[v] = (v, pair.theta), (u, pair.theta)
+                return out
+
+            def check(want):
+                for it in items:
+                    oid = it.object.object_id
+                    theta = want[oid][1] if oid in want else float("inf")
+                    assert m.partner_theta(oid) == theta
+                    assert m.is_core(oid) == (oid in want)
+
+            m.bootstrap(items[:k])
+            check(partners())
+            for it in items[k:]:
+                before = partners()
+                m.add(it)
+                after = partners()
+                check(after)
+                replaced += after.keys() != before.keys()
+                # case iii: a core object kept, with a new partner
+                repartnered += any(
+                    oid in before and before[oid][0] != partner
+                    for oid, (partner, _theta) in after.items()
+                )
+        assert replaced > 0 and repartnered > 0
+
 
 class TestMonotonicity:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
