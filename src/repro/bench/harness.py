@@ -42,8 +42,8 @@ class BenchContext:
 
     Every database is pinned to the ``dijkstra`` distance backend: the
     figure benchmarks reproduce the paper's I/O shape, in which the
-    pairwise Dijkstras of a diversified query walk CCAM pages and are
-    charged for them (Figs 11–16).  An ablation that compares backends
+    pairwise Dijkstras of a diversified query are charged the CCAM page
+    of every node they settle (Figs 11–16).  An ablation that compares backends
     selects them itself and returns to ``dijkstra``.
 
     A database's own buffer rule counts every index built on it, so it

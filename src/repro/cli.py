@@ -147,9 +147,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--distance-backend", choices=DISTANCE_BACKENDS, default="csgraph",
         help="exact pairwise-distance backend: bounded Dijkstras in C "
              "over the in-memory network (default, no pairwise page "
-             "reads) or the same as a Python loop through the CCAM "
-             "pages ('dijkstra', the paper's I/O model) — identical "
-             "answers",
+             "reads) or the same search charging the CCAM page of each "
+             "node it settles, in settle order ('dijkstra', the paper's "
+             "I/O model) — identical answers",
     )
     query.add_argument("--keywords", type=int, default=3, metavar="L")
     query.add_argument("--delta-max", type=float, default=None)

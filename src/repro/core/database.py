@@ -133,8 +133,9 @@ class Database:
         ``distance_backend`` selects how diversified queries evaluate
         exact pairwise network distances: ``"csgraph"`` (the default —
         bounded Dijkstras run in C over the in-memory network, no page
-        reads charged) or ``"dijkstra"`` (the same Dijkstras as a
-        Python loop through the CCAM pages: the paper's I/O model); see
+        reads charged) or ``"dijkstra"`` (the same Dijkstras, charging
+        the CCAM page of every node they settle, in the order the
+        paper's loop settles them: its I/O model); see
         :meth:`use_distance_backend`.
         """
         self.network = network
@@ -506,10 +507,10 @@ class Database:
         ``csgraph`` runs one bounded Dijkstra per source in C over the
         network's CSR snapshot (:meth:`csr_graph`): nothing to build
         beyond one pass over the edges, nothing dropped on a reweight,
-        no page read charged.  ``dijkstra`` is the same evaluation as a
-        Python loop through the CCAM pages, every settled node a
-        charged page access — the paper's cost model; pin it to
-        reproduce the paper's I/O figures.
+        no page read charged.  ``dijkstra`` is the same C search plus
+        the CCAM page reads of the paper's loop, in its settle order,
+        every settled node a charged page access — the paper's cost
+        model; pin it to reproduce the paper's I/O figures.
         """
         name = name.lower()
         if name not in DISTANCE_BACKENDS:
@@ -567,20 +568,17 @@ class Database:
         """The pairwise computer of one diversified query — the
         engine's and the standing query's, built here and nowhere else.
 
-        Under ``csgraph`` it traverses the in-memory network (whose CSR
-        snapshot is built here, on first use, rather than inside the
-        first source's timing); otherwise the CCAM store, so
-        ``dijkstra`` keeps charging every pairwise page access.  The
+        Either backend searches in C over the network's CSR snapshot,
+        built here on first use rather than inside the first source's
+        timing.  Under ``dijkstra`` the computer reads through the CCAM
+        store, charging the page of every node a search settles.  The
         cutoff is ``PAIRWISE_CUTOFF_FACTOR · delta_max``.  One computer
-        per query: the node maps it keeps die with it.
+        per query: the rows it keeps die with it.
         """
-        if self.distance_backend == "csgraph":
-            self.csr_graph()
-            provider = self.network
-        else:
-            provider = self.ccam
+        self.csr_graph()
+        charged = self.distance_backend == "dijkstra"
         return PairwiseDistanceComputer(
-            provider,
+            self.ccam if charged else self.network,
             self.network,
             cutoff=PAIRWISE_CUTOFF_FACTOR * delta_max,
             tracer=tracer,

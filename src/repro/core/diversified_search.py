@@ -66,7 +66,7 @@ from ..network.graph import RoadNetwork
 from ..obs.metrics import StageClock
 from ..obs.tracing import NULL_TRACER
 from .core_pairs import CorePairMaintainer
-from .diversify import greedy_diversify, matrix_from_pairs
+from .diversify import greedy_diversify
 from .ine import INEExpansion
 from .objective import DiversificationObjective
 from .queries import DiversifiedResult, DiversifiedSKQuery, QueryStats, ResultItem
@@ -90,21 +90,20 @@ class PairDistances:
 
     A *set* of pair distances goes through :meth:`matrix`: one batched
     call whatever the set's size (``computer.pairwise_matrix`` — one C
-    call on the default backend, or an oracle's array kernel).  The
-    last matrix is kept, so the objective of an answer that lies inside
-    it costs no further distance.  :meth:`distance` answers one pair:
-    COM's streamed arrivals, and the provider with no matrix form
-    (Dijkstra through CCAM), whose sets are asked pair by pair in the
-    order ``objective()`` sums in.
+    call on either backend, ``dijkstra`` then charging the CCAM pages
+    of each search's settled nodes, or an oracle's ``position_matrix``).
+    The last matrix is kept, so the objective of an answer that lies
+    inside it costs no further distance.  :meth:`distance` answers one
+    pair: COM's streamed arrivals.
 
     Both hand the computer the items' query distances as ``reach``, so
-    the C search from a source stops at ``δ(q, s) + δmax`` (plus the
-    cutoff's 0.1 % slack) instead of ``2 · δmax``.  That is exact only
-    when every ``item.distance`` is the item's network distance from
-    the query or an overestimate, as INE and the standing-query pool
-    emit; then no pair of the pool is ``inf``, so an ``inf`` pair
-    raises :class:`~repro.errors.QueryError` instead of scoring a
-    wrong θ.
+    the uncharged C search from a source stops at ``δ(q, s) + δmax``
+    (plus the cutoff's 0.1 % slack) instead of ``2 · δmax``.  That is
+    exact only when every ``item.distance`` is the item's network
+    distance from the query or an overestimate, as INE and the
+    standing-query pool emit; then no pair of the pool is ``inf``, so
+    an ``inf`` pair raises :class:`~repro.errors.QueryError` instead of
+    scoring a wrong θ.
     """
 
     def __init__(self, computer: PairwiseDistanceComputer) -> None:
@@ -127,9 +126,7 @@ class PairDistances:
             [it.object.position for it in items],
             reach=max((it.distance for it in items), default=0.0),
         )
-        if matrix is None:
-            matrix = matrix_from_pairs(items, self.distance)
-        elif not np.isfinite(matrix).all():
+        if not np.isfinite(matrix).all():
             i, j = np.argwhere(~np.isfinite(matrix))[0]
             raise QueryError(_UNREACHED.format(
                 items[i].object.object_id, items[j].object.object_id

@@ -46,10 +46,11 @@ def matrix_from_pairs(
     items: Sequence[ResultItem], pair_distance: PairDistance
 ) -> "np.ndarray":
     """The pair matrix of ``items``, for a pair source with no batched
-    form (Dijkstra through CCAM, a test's closure): asked one pair
-    at a time in lexicographic ``(i, j)`` order — the order
-    ``objective()`` sums in and the scalar greedy walks — so a caching
-    source runs the same searches either way."""
+    form (a test's closure handed to
+    :class:`~repro.core.core_pairs.CorePairMaintainer`):
+    asked one pair at a time in lexicographic ``(i, j)`` order — the
+    order ``objective()`` sums in and the scalar greedy walks — so a
+    caching source runs the same searches either way."""
     n = len(items)
     matrix = np.zeros((n, n))
     for i, j in combinations(range(n), 2):

@@ -60,8 +60,9 @@ class CostHints:
     #: ``estimated_matches / num_objects`` (0 on an empty store).
     selectivity: float
     #: How pairwise network distances will be evaluated: ``"csgraph"``
-    #: (bounded Dijkstras in C, in memory) or ``"dijkstra"`` (the same
-    #: through the CCAM pages, the paper's I/O model).
+    #: (bounded Dijkstras in C, in memory) or ``"dijkstra"`` (the same,
+    #: charging the CCAM page of each settled node: the paper's I/O
+    #: model).
     distance_backend: str = "dijkstra"
     #: Data epoch the hints were computed at.  A plan built before an
     #: update executes against newer statistics; ``repro explain`` and

@@ -5,10 +5,9 @@ through an *adjacency provider* — either the in-memory
 :class:`~repro.network.graph.RoadNetwork` (uncharged; builders, tests,
 the default pairwise path) or the disk-resident
 :class:`~repro.network.ccam.CCAMStore` (every adjacency access charged
-to the I/O model, as in the paper's experiments).  With nothing to
-charge, a single-source search need not be a Python loop:
-:func:`single_source_rows` runs it in C over the network's CSR
-snapshot and returns the same labels.
+to the I/O model, as in the paper's experiments).  A pairwise search
+runs in C either way (:func:`single_source_rows`); through CCAM it is
+then charged (:class:`PairwiseDistanceComputer`).
 """
 
 from __future__ import annotations
@@ -16,9 +15,7 @@ from __future__ import annotations
 import heapq
 import math
 import time
-from typing import (
-    Dict, Iterable, List, Optional, Protocol, Sequence, Tuple, Union,
-)
+from typing import Dict, Iterable, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
@@ -46,11 +43,12 @@ INF = math.inf
 #: (``Database``, the CLI's ``--distance-backend``).  ``csgraph`` is
 #: the default: one bounded Dijkstra per source, run in C over the
 #: in-memory network (:func:`single_source_rows`), nothing charged to
-#: the I/O model and nothing to build; ``dijkstra`` is the same search
-#: as a Python loop through the CCAM pages — the paper's cost model,
-#: every settled node a charged page access.  The hub-label oracle
-#: (:mod:`repro.network.hub_labels`) is no backend a user selects: tests
-#: and the benchmark hand it to a computer directly (``backend=``).
+#: the I/O model and nothing to build; ``dijkstra`` is the same C
+#: search plus the CCAM page reads of the paper's loop, in its settle
+#: order — the paper's cost model, every settled node a charged page
+#: access.  The hub-label oracle (:mod:`repro.network.hub_labels`) is
+#: no backend a user selects: tests and the benchmark hand it to a
+#: computer directly (``backend=``).
 DISTANCE_BACKENDS = ("csgraph", "dijkstra")
 
 #: A diversified query's pairwise cutoff, in units of its ``delta_max``:
@@ -347,44 +345,41 @@ def network_distance(
     return best if best <= cutoff else INF
 
 
-#: One source's labels: ``{node_id: distance}`` over the settled nodes
-#: (the Python loop), or a dense row over the network's CSR snapshot
-#: with ``inf`` in the unsettled cells (:func:`single_source_rows`).
-NodeMap = Union[Dict[int, float], "np.ndarray"]
-
-
 class PairwiseDistanceComputer:
     """Evaluates the pairwise distances of one diversified query.
 
     Diversified search needs many ``δ(o_i, o_j)`` evaluations over the
     same small set of candidates (paper §4.1 calls this "cost
     expensive").  Each distinct source runs one bounded Dijkstra whose
-    node map the computer keeps; subsequent pairs against that source
+    labels the computer keeps; subsequent pairs against that source
     are O(1).  Distances are symmetric, so a pair is answered from
-    *either* endpoint's kept map before any new Dijkstra runs.
+    *either* endpoint's kept labels before any new Dijkstra runs.
 
-    When ``provider`` is the in-memory :class:`RoadNetwork` there is no
-    page access to charge, so a source's map is a row filled in C
-    (:func:`single_source_rows`) instead of a dict filled by the Python
-    loop — the same labels — and :meth:`pairwise_matrix` runs a whole
-    pool's sources in one call.  Through a ``CCAMStore`` every settled
-    node stays a charged page access, as in the paper's experiments.
+    Every search runs in C (:func:`single_source_rows`), a source's
+    labels a row over the CSR snapshot; :meth:`pairwise_matrix` runs
+    a pool's sources in one call.  The provider decides only whether
+    pages are charged: through a ``CCAMStore``, each settled node's
+    adjacency is then read through it in ``(label, node_id)`` order.
+    That is the heap loop's (:func:`seeded_distances`) settle order —
+    its heap pops those tuples, weights are positive and the labels
+    are the same floats — so the pages charged are the loop's.
 
     ``cutoff`` is the answer clamp.  :meth:`pairwise_matrix` and
     :meth:`distance` also take ``reach``, an upper bound on the query
-    distances of the sources they may run; the C search then stops at
-    the limit ``min(cutoff, reach + cutoff / 2)`` instead of ``cutoff``
-    (:data:`PAIRWISE_CUTOFF_FACTOR` says why no pool pair lies beyond
-    it).  The rows are then exact for pairs within the query's pool
-    only, so a computer given ``reach`` answers that pool's pairs and
-    nothing else.  Without ``reach`` the search runs to ``cutoff``.
+    distances of the sources they may run; an uncharged search then
+    stops at the limit ``min(cutoff, reach + cutoff / 2)`` instead of
+    ``cutoff`` (:data:`PAIRWISE_CUTOFF_FACTOR` says why no pool pair
+    lies beyond it).  The rows are then exact for pairs within the
+    query's pool only, so a computer given ``reach`` answers that
+    pool's pairs and nothing else.  A charged search always runs to
+    ``cutoff``, as the loop it charges for did.
 
     A computer lives and dies with its query
     (:meth:`~repro.core.database.Database.pairwise_computer` builds one
-    per query), so its maps never outlive the edge weights they were
+    per query), so its rows never outlive the edge weights they were
     computed against, and ``dijkstra_runs`` / ``dijkstra_seconds`` and
     the ``cache_hits`` / ``cache_misses`` counters (lookups of the kept
-    maps) are that query's.  A computer is **not** thread-safe.
+    rows) are that query's.  A computer is **not** thread-safe.
 
     ``backend`` plugs in a :class:`DistanceBackend` oracle (hub labels,
     which tests and the benchmark check the Dijkstra paths against):
@@ -405,15 +400,16 @@ class PairwiseDistanceComputer:
     ) -> None:
         self._provider = provider
         self._network = network
-        #: Whether sources run in C and their maps are rows.
-        self._in_memory = isinstance(provider, RoadNetwork)
+        #: Whether each search's settled nodes are read through the
+        #: provider, charging their pages.
+        self._charged = provider is not network
         self._cutoff = cutoff
         self._backend = backend
-        #: Each source's node map, keyed by its ``(edge_id, offset)``:
+        #: Each source's row, keyed by its ``(edge_id, offset)``:
         #: cutoff and provider are fixed per computer, and a row cut at
         #: any call's limit is exact on the query's pool pairs, so
-        #: nothing else tells two maps apart.
-        self._maps: Dict[Tuple[int, float], NodeMap] = {}
+        #: nothing else tells two rows apart.
+        self._rows: Dict[Tuple[int, float], "np.ndarray"] = {}
         #: Pair distances bulk-resolved by :meth:`prefetch`, keyed by
         #: the two positions' ``(edge_id, offset)`` pairs, sorted.
         self._pair_cache: Dict[Tuple, float] = {}
@@ -438,7 +434,7 @@ class PairwiseDistanceComputer:
         """The distance backend answering this computer's pairs."""
         if self._backend is not None:
             return self._backend.name
-        return "csgraph" if self._in_memory else "dijkstra"
+        return "dijkstra" if self._charged else "csgraph"
 
     @staticmethod
     def _key(pos: NetworkPosition) -> Tuple[int, float]:
@@ -447,28 +443,30 @@ class PairwiseDistanceComputer:
     def _run_dijkstras(
         self, sources: Sequence[NetworkPosition],
         reach: Optional[float] = None,
-    ) -> List[NodeMap]:
-        """One bounded Dijkstra per source; keeps and returns the maps.
+    ) -> List["np.ndarray"]:
+        """One bounded Dijkstra per source, all in one C call; keeps
+        and returns the rows.
 
-        In memory the search stops at ``reach + cutoff / 2`` when the
-        caller bounds the sources' query distances by ``reach``; through
-        CCAM it runs to ``cutoff``, every settled node a charged page.
+        Uncharged, the search stops at ``reach + cutoff / 2`` when the
+        caller bounds the sources' query distances by ``reach``.
+        Charged, it runs to ``cutoff`` and then reads every settled
+        node's adjacency through the provider in settle order.
         """
         start = time.perf_counter()
         limit = self._cutoff
-        if self._in_memory:
-            if reach is not None:
-                limit = min(limit, reach + self._cutoff / 2)
-            node_maps = list(
-                single_source_rows(self._provider, sources, limit)
-            )
-        else:
-            node_maps = [
-                single_source_distances(
-                    self._provider, self._network, pos, cutoff=self._cutoff
+        if reach is not None and not self._charged:
+            limit = min(limit, reach + self._cutoff / 2)
+        rows = list(single_source_rows(self._network, sources, limit))
+        if self._charged:
+            node_ids = self._network.csr_snapshot().node_ids
+            neighbors = self._provider.neighbors
+            for row in rows:
+                settled = np.flatnonzero(
+                    np.isfinite(row) & (row <= self._cutoff)
                 )
-                for pos in sources
-            ]
+                ids = node_ids[settled]
+                for node_id in ids[np.lexsort((ids, row[settled]))].tolist():
+                    neighbors(node_id)
         elapsed = time.perf_counter() - start
         self.dijkstra_seconds += elapsed
         self.dijkstra_runs += len(sources)
@@ -476,29 +474,22 @@ class PairwiseDistanceComputer:
             self.tracer.add_span(
                 "pairwise.dijkstra", elapsed, start=start,
                 source_edge=sources[0].edge_id, sources=len(sources),
-                map_nodes=sum(
-                    int(np.isfinite(m).sum()) if self._in_memory else len(m)
-                    for m in node_maps
-                ),
+                map_nodes=sum(int(np.isfinite(row).sum()) for row in rows),
                 cutoff=self._cutoff, limit=limit,
             )
-        for pos, node_map in zip(sources, node_maps):
-            self._maps[self._key(pos)] = node_map
-        return node_maps
+        for pos, row in zip(sources, rows):
+            self._rows[self._key(pos)] = row
+        return rows
 
-    def _map_distance(
-        self, node_map: NodeMap, target: NetworkPosition
+    def _row_distance(
+        self, row: "np.ndarray", target: NetworkPosition
     ) -> float:
-        """Equation 1 from one source's map to a target on another edge."""
-        if not self._in_memory:
-            return position_distance_from_node_map(
-                self._network, node_map, target
-            )
+        """Equation 1 from one source's row to a target on another edge."""
         edge = self._network.edge(target.edge_id)
-        row_of = self._provider.csr_snapshot().index_of
+        row_of = self._network.csr_snapshot().index_of
         return min(
-            node_map.item(row_of[edge.n1]) + target.offset,
-            node_map.item(row_of[edge.n2]) + (edge.weight - target.offset),
+            row.item(row_of[edge.n1]) + target.offset,
+            row.item(row_of[edge.n2]) + (edge.weight - target.offset),
         )
 
     def _pair_key(self, a: NetworkPosition, b: NetworkPosition) -> Tuple:
@@ -522,9 +513,9 @@ class PairwiseDistanceComputer:
 
         Asks the backend oracle for the whole matrix once and stores
         it; later :meth:`distance` calls over these positions are O(1)
-        lookups (counted as cache hits).  A no-op returning 0 on the
-        Dijkstra backend, whose kept per-source node maps already
-        amortise the matrix.
+        lookups (counted as cache hits).  A no-op returning 0 with no
+        backend, whose kept per-source rows already amortise the
+        matrix.
         """
         if self._backend is None:
             return 0
@@ -539,23 +530,30 @@ class PairwiseDistanceComputer:
     def pairwise_matrix(
         self, positions: Iterable[NetworkPosition],
         reach: Optional[float] = None,
-    ):
-        """The full symmetric pairwise matrix as a numpy array.
+    ) -> "np.ndarray":
+        """The full symmetric pairwise matrix as a numpy array, what
+        the array greedy consumes as-is.
 
-        Served from the backend's ``position_matrix_array`` (hub
-        labels) or, on the in-memory network with no backend, from the
-        sources' rows (:meth:`_matrix_from_rows`) — the array greedy
-        consumes the result as-is.  Returns ``None`` otherwise (CH,
-        Dijkstra through CCAM); callers fall back to :meth:`pairwise`.
-        ``reach`` bounds the positions' query distances and so the
-        sources' search (class docstring).
+        With no backend, from the sources' rows
+        (:meth:`_matrix_from_rows`); with one, from the oracle's
+        ``position_matrix``, each cell what :meth:`distance` answers
+        (same-edge rule, ``> cutoff → inf`` clamp).  ``reach`` bounds
+        the positions' query distances and so the sources' search
+        (class docstring).
         """
-        array_matrix = getattr(self._backend, "position_matrix_array", None)
-        if array_matrix is not None:
-            return array_matrix(list(positions), cutoff=self._cutoff)
-        if self._backend is None and self._in_memory:
-            return self._matrix_from_rows(list(positions), reach)
-        return None
+        pos_list = list(positions)
+        if self._backend is None:
+            return self._matrix_from_rows(pos_list, reach)
+        matrix = np.zeros((len(pos_list), len(pos_list)))
+        pairs = self._backend.position_matrix(pos_list, cutoff=self._cutoff)
+        for (i, j), d in pairs.items():
+            a, b = pos_list[i], pos_list[j]
+            if a.edge_id == b.edge_id:
+                d = abs(a.offset - b.offset)
+            elif d > self._cutoff:
+                d = INF
+            matrix[i, j] = matrix[j, i] = d
+        return matrix
 
     def _matrix_from_rows(
         self, pos_list: List[NetworkPosition], reach: Optional[float]
@@ -564,11 +562,12 @@ class PairwiseDistanceComputer:
 
         :meth:`pairwise` walks the pairs ``(i, j)``, ``i < j``, in
         lexicographic order; each cross-edge pair is read from ``i``'s
-        map if kept, else from ``j``'s if kept, else ``i``'s Dijkstra
+        row if kept, else from ``j``'s if kept, else ``i``'s Dijkstra
         runs.  On a fresh computer that is every position with a later
         one on another edge.  Here the walk only *decides* — which
-        sources run, which cells borrow ``j``'s map — then the sources
-        run in one C call and row ``i`` fills cells ``(i, i+1:)`` in
+        sources run, which cells borrow ``j``'s row — then the sources
+        run (and are charged) in ``i`` order in one C call, and row
+        ``i`` fills cells ``(i, i+1:)`` in
         one numpy expression (Equation 1, the ``> cutoff → inf`` clamp
         and the same-edge rule included).  Counters advance as the
         per-pair path's would: one miss per run, one hit per other
@@ -583,8 +582,8 @@ class PairwiseDistanceComputer:
         offsets = np.fromiter((pos.offset for pos in pos_list), np.float64, n)
         same_edge = edge_ids[:, None] == edge_ids[None, :]
 
-        maps = self._maps
-        known = {key for key in keys if key in maps}
+        rows = self._rows
+        known = {key for key in keys if key in rows}
         runs: List[int] = []
         borrowed: List[Tuple[int, int]] = []
         for i in range(n - 1):
@@ -603,12 +602,12 @@ class PairwiseDistanceComputer:
         self.cache_misses += len(runs)
         self.cache_hits += cross_pairs - len(runs)
 
-        csr = self._provider.csr_snapshot()
+        csr = self._network.csr_snapshot()
         heads = csr.edge_rows[edge_ids]
         last_leg = csr.weights[csr.edge_cells[edge_ids, 0]] - offsets
-        owners = [i for i in range(n - 1) if keys[i] in maps]
+        owners = [i for i in range(n - 1) if keys[i] in rows]
         if owners:
-            block = np.stack([maps[keys[i]] for i in owners])
+            block = np.stack([rows[keys[i]] for i in owners])
             cells = np.minimum(
                 block[:, heads[:, 0]] + offsets,
                 block[:, heads[:, 1]] + last_leg,
@@ -616,7 +615,7 @@ class PairwiseDistanceComputer:
             cells[cells > self._cutoff] = INF
             matrix[owners] = cells
         for i, j in borrowed:
-            d = self._map_distance(maps[keys[j]], pos_list[i])
+            d = self._row_distance(rows[keys[j]], pos_list[i])
             matrix[i, j] = d if d <= self._cutoff else INF
         along_edge = np.abs(offsets[:, None] - offsets[None, :])
         matrix[same_edge] = along_edge[same_edge]
@@ -630,7 +629,7 @@ class PairwiseDistanceComputer:
         """``δ(a, b)``, or ``inf`` when it exceeds the cutoff.
 
         ``reach`` bounds ``a``'s query distance, for the search from
-        ``a`` should neither endpoint's map be kept yet.
+        ``a`` should neither endpoint's row be kept yet.
         """
         if a.edge_id == b.edge_id:
             return abs(a.offset - b.offset)
@@ -639,21 +638,21 @@ class PairwiseDistanceComputer:
             # see the same inf-beyond-cutoff contract on every backend.
             d = self._backend_distance(a, b)
             return d if d <= self._cutoff else INF
-        # One lookup, hit or miss, whichever endpoint's map answers it.
-        maps = self._maps
-        node_map, source, target = maps.get(self._key(a)), a, b
-        if node_map is None:
-            node_map, source, target = maps.get(self._key(b)), b, a
-        if node_map is None:
+        # One lookup, hit or miss, whichever endpoint's row answers it.
+        rows = self._rows
+        row, source, target = rows.get(self._key(a)), a, b
+        if row is None:
+            row, source, target = rows.get(self._key(b)), b, a
+        if row is None:
             self.cache_misses += 1
-            node_map, target = self._run_dijkstras([a], reach)[0], b
+            row, target = self._run_dijkstras([a], reach)[0], b
         else:
             self.cache_hits += 1
             if self.tracer.enabled:
                 self.tracer.event(
                     "pairwise.cache_hit", source_edge=source.edge_id
                 )
-        d = self._map_distance(node_map, target)
+        d = self._row_distance(row, target)
         return d if d <= self._cutoff else INF
 
     def pairwise(

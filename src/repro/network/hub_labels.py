@@ -144,17 +144,6 @@ class HubLabelBackend:
                     out[(i, j)] = self._join(labels[i], labels[j], cutoff)
         return out
 
-    def position_matrix_array(
-        self, positions: Sequence[NetworkPosition], cutoff: float = INF
-    ) -> np.ndarray:
-        """:meth:`position_matrix` as a dense symmetric ``n × n`` array
-        with a zero diagonal (what the array greedy consumes)."""
-        pos_list = list(positions)
-        dist = np.zeros((len(pos_list), len(pos_list)))
-        for (i, j), d in self.position_matrix(pos_list, cutoff).items():
-            dist[i, j] = dist[j, i] = d
-        return dist
-
     def __repr__(self) -> str:  # pragma: no cover — debugging aid
         return (
             f"HubLabelBackend(nodes={len(self._labels)}, "

@@ -63,13 +63,13 @@ INDEX_KIND_BY_NAME = {
 }
 
 #: Invariant counters replay compares (beyond the digest): the INE
-#: expansion's search shape, which no distance backend changes.
-#: Skipped for a record marked ``result_cache_hit`` — journals written
-#: while the engine had a result cache carry it, and a cached answer
-#: did no expansion.
+#: expansion's search shape and COM's core-pair work, which no
+#: distance backend changes.  Skipped for a record marked
+#: ``result_cache_hit`` — journals written while the engine had a
+#: result cache carry it, and a cached answer did no expansion.
 _INVARIANT_STATS = (
     "candidates", "nodes_accessed", "edges_accessed", "objects_loaded",
-    "false_hit_objects",
+    "false_hit_objects", "theta_evaluations", "expansion_terminated_early",
 )
 
 #: Header keys of modes that no longer exist (journals recorded while

@@ -6,15 +6,16 @@ and its fixed cost is several sources' worth, so what is budgeted here
 is the number of calls: one per SEQ query whatever the pool size, one
 for a COM query whose pool fits the bootstrap, one per standing-query
 refresh.  The second half checks that asking for a whole set at once
-changed no answer and no counter: the same queries with the batched
-form switched off (the pair-by-pair fallback CCAM uses) return
-the same objects, the same ``f(S)`` bit for bit, and book the same
-Dijkstra runs, cache hits and cache misses.
+changed no answer and no counter: the same queries with the matrix
+asked of the computer one pair at a time, in the order ``objective()``
+sums in, return the same objects, the same ``f(S)`` bit for bit, and
+book the same Dijkstra runs, cache hits and cache misses.
 """
 
 import pytest
 
 import repro.network.distance as distance_module
+from repro.core.diversify import matrix_from_pairs
 from repro.core.incremental import IncrementalDiversifiedTopK
 from repro.network.distance import PairwiseDistanceComputer
 from repro.workloads.queries import WorkloadConfig, generate_diversified_queries
@@ -123,7 +124,10 @@ class TestBatchingChangesNoAnswerAndNoCounter:
         ]
         monkeypatch.setattr(
             PairwiseDistanceComputer, "pairwise_matrix",
-            lambda self, positions, reach=None: None,
+            lambda self, positions, reach=None: matrix_from_pairs(
+                list(positions),
+                lambda a, b: self.distance(a, b, reach=reach),
+            ),
         )
         small = 0
         for q, got in zip(queries, batched):

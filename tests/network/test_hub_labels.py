@@ -187,7 +187,9 @@ class TestPositionMatrix:
         n = len(positions)
         for cutoff in (math.inf, 1.5):
             matrix = hub.position_matrix(positions, cutoff=cutoff)
-            array = hub.position_matrix_array(positions, cutoff=cutoff)
+            array = PairwiseDistanceComputer(
+                network, network, cutoff=cutoff, backend=hub
+            ).pairwise_matrix(positions)
             assert set(matrix) == {
                 (i, j) for i in range(n) for j in range(i + 1, n)
             }

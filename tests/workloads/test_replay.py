@@ -316,6 +316,24 @@ class TestReplayCatchesDivergence:
         report = run_replay(fresh_db(), journal)
         assert {d.fieldname for d in report.divergences} == {"candidates"}
 
+    def test_tampered_core_pair_work_caught(self, journal_path):
+        """COM's θ evaluations and its early stop are invariants too: a
+        change to core-pair maintenance that leaves the expansion shape
+        alone still diverges."""
+        journal = load_flight_journal(journal_path)
+        record = next(
+            q for q in journal.queries if q["stats"]["theta_evaluations"]
+        )
+        record["stats"]["theta_evaluations"] += 1
+        record["stats"]["expansion_terminated_early"] = (
+            not record["stats"]["expansion_terminated_early"]
+        )
+        report = run_replay(fresh_db(), journal)
+        assert sorted((d.fieldname, d.seq) for d in report.divergences) == [
+            ("expansion_terminated_early", record["seq"]),
+            ("theta_evaluations", record["seq"]),
+        ]
+
     def test_tampered_expansion_shape_caught(self, journal_path):
         journal = load_flight_journal(journal_path)
         journal.queries[1]["stats"]["edges_accessed"] += 1
