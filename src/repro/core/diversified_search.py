@@ -97,13 +97,18 @@ class PairDistances:
     pair: COM's streamed arrivals.
 
     Both hand the computer the items' query distances as ``reach``, so
-    the uncharged C search from a source stops at ``δ(q, s) + δmax``
-    (plus the cutoff's 0.1 % slack) instead of ``2 · δmax``.  That is
-    exact only when every ``item.distance`` is the item's network
-    distance from the query or an overestimate, as INE and the
-    standing-query pool emit; then no pair of the pool is ``inf``, so
-    an ``inf`` pair raises :class:`~repro.errors.QueryError` instead of
-    scoring a wrong θ.
+    the uncharged C search stops at the radius its reads may span.  A
+    set is a closed pool: its pairs span at most twice its largest
+    distance, so its sources search to ``2 · reach`` (plus the cutoff's
+    0.1 % slack) unless ``span`` asks for more — a COM bootstrap, whose
+    rows streamed arrivals read too.  One pair searches from its first
+    item to ``δ(q, a) + δmax``.  A kept row read beyond its radius is
+    searched again from its source, or gives ``inf`` when it already
+    reached what the read may span.  All of that is exact only when
+    every ``item.distance`` is the item's network distance from the
+    query or an overestimate, as INE and the standing-query pool emit;
+    then no pair of the pool is ``inf``, so an ``inf`` pair raises
+    :class:`~repro.errors.QueryError` instead of scoring a wrong θ.
     """
 
     def __init__(self, computer: PairwiseDistanceComputer) -> None:
@@ -121,10 +126,15 @@ class PairDistances:
             )
         return d
 
-    def matrix(self, items: Sequence[ResultItem]) -> "np.ndarray":
+    def matrix(
+        self, items: Sequence[ResultItem], span: Optional[float] = None
+    ) -> "np.ndarray":
+        """The pairs of ``items``; ``span`` bounds what later reads of
+        the rows run here may span, beyond the items' own pairs."""
         matrix = self._computer.pairwise_matrix(
             [it.object.position for it in items],
             reach=max((it.distance for it in items), default=0.0),
+            span=span,
         )
         if not np.isfinite(matrix).all():
             i, j = np.argwhere(~np.isfinite(matrix))[0]
@@ -279,9 +289,14 @@ def _continue_as_com(
     ``com.early_termination`` event on the enclosing query span.
     """
     pairs = PairDistances(computer)
+    # The bootstrap's rows are searched as far as a streamed arrival's
+    # exact θ may read them, no further (streamed_pair_span).
+    span = objective.streamed_pair_span(
+        [item.distance for item in buffer], query.k
+    )
     maintainer = CorePairMaintainer(
         query.k, objective, pairs.distance, tracer=tracer,
-        pair_matrix=pairs.matrix,
+        pair_matrix=lambda items: pairs.matrix(items, span),
     )
     partner_theta = maintainer.partner_theta
     tracing = tracer.enabled

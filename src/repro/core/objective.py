@@ -149,3 +149,37 @@ class DiversificationObjective:
         rel = (self.relevance(dist_o) + self.relevance(gamma)) / 2.0
         div_ub = self.diversity(dist_o + self.delta_max)
         return self.lambda_ * rel + (1.0 - self.lambda_) * div_ub
+
+    def streamed_pair_span(
+        self, dists_to_query: Sequence[float], k: int
+    ) -> float:
+        """``S*``: every pair COM asks exactly after bootstrapping on
+        objects at ``dists_to_query`` spans less than this, its span
+        being ``s = δ(u, q) + δ(v, q)``.
+
+        For objects within ``δmax``, the θ bound that stands in for an
+        exact pair (:meth:`CorePairMaintainer._theta_row
+        <repro.core.core_pairs.CorePairMaintainer._theta_row>`) is
+        ``θ(d_u, d_v, s) = λ − (2λ − 1) · s / (2 δmax)``.  Let
+        ``p = ⌊k/2⌋`` and ``d₍ᵢ₎`` the i-th smallest of
+        ``dists_to_query`` (from 0).  The greedy's p-th pair has
+        ``θ ≥ LB = λ (rel(d₍₂ₚ₋₂₎) + rel(d₍₂ₚ₋₁₎)) / 2``: diversity is
+        never negative, and at most ``2(p − 1)`` closer objects are
+        taken before it.  So θ_T starts at ``LB`` or above and never
+        falls (Theorem 1), and a pair is asked exactly only when its
+        bound clears θ_T.  For ``λ > ½`` the bound falls as ``s``
+        grows, so an asked pair has ``s < 2 δmax (λ − LB) / (2λ − 1)``.
+        ``inf`` for ``λ ≤ ½``, where the bound does not fall, and for
+        fewer than ``2p`` objects, which leave CP short of ``p`` pairs.
+        """
+        p = k // 2
+        if self.lambda_ <= 0.5 or p < 1 or len(dists_to_query) < 2 * p:
+            return float("inf")
+        near = sorted(dists_to_query)[2 * p - 2:2 * p]
+        lb = self.lambda_ * (
+            self.relevance(near[0]) + self.relevance(near[1])
+        ) / 2.0
+        return (
+            2.0 * self.delta_max * (self.lambda_ - lb)
+            / (2.0 * self.lambda_ - 1.0)
+        )

@@ -55,13 +55,15 @@ DISTANCE_BACKENDS = ("csgraph", "dijkstra")
 #: two candidates within ``delta_max`` of the query are at most
 #: ``2 · delta_max`` apart, and the 0.1 % slack keeps a pair at exactly
 #: that bound from rounding to ``inf``.  The cutoff is the *answer
-#: clamp* (a distance beyond it is ``inf``).  The in-memory search from
-#: a pool's sources stops sooner, at the *limit* ``reach + cutoff / 2``,
-#: ``reach`` being the sources' largest query distance: through the
-#: query, no pool pair ``(s, t)`` is further apart than
-#: ``δ(q, s) + δ(q, t) ≤ reach + delta_max``.  That needs each pool
-#: item's distance to be its exact network distance from the query, or
-#: an overestimate (what INE emits).
+#: clamp* (a distance beyond it is ``inf``).  An in-memory search stops
+#: sooner, at the *radius* its reads may need: through the query, a pair
+#: ``(s, t)`` is at most ``δ(q, s) + δ(q, t)`` apart, its *span*.  A
+#: closed pool whose largest query distance is ``reach`` searches to
+#: ``reach · PAIRWISE_CUTOFF_FACTOR``; a source that later arrivals may
+#: read searches far enough for their spans too, at most
+#: ``reach + cutoff / 2`` (:class:`PairwiseDistanceComputer`).
+#: That needs each pool item's distance to be its exact network distance
+#: from the query, or an overestimate (what INE emits).
 PAIRWISE_CUTOFF_FACTOR = 2.0 * 1.001
 
 
@@ -366,13 +368,21 @@ class PairwiseDistanceComputer:
 
     ``cutoff`` is the answer clamp.  :meth:`pairwise_matrix` and
     :meth:`distance` also take ``reach``, an upper bound on the query
-    distances of the sources they may run; an uncharged search then
-    stops at the limit ``min(cutoff, reach + cutoff / 2)`` instead of
-    ``cutoff`` (:data:`PAIRWISE_CUTOFF_FACTOR` says why no pool pair
-    lies beyond it).  The rows are then exact for pairs within the
-    query's pool only, so a computer given ``reach`` answers that
-    pool's pairs and nothing else.  A charged search always runs to
-    ``cutoff``, as the loop it charges for did.
+    distances of the positions they are given; an uncharged search then
+    stops at the *radius* its reads may need instead of ``cutoff``
+    (:data:`PAIRWISE_CUTOFF_FACTOR` says why no pair spans more than the
+    sum of its two query distances).  A matrix over a closed pool
+    searches to ``reach · PAIRWISE_CUTOFF_FACTOR``, or further when its
+    ``span`` says later reads of its rows may need it (a COM bootstrap);
+    :meth:`distance` searches to ``reach + cutoff / 2``, what any pair
+    with ``a`` may span.  The rows are then exact for those reads only.
+    A kept row records its radius: a read whose value lies beyond it
+    is not returned.  When the row stops short of what the read may
+    span, the row's *own* source is searched again, to that radius
+    (the other endpoint's row could differ from it in the last bit);
+    when it does not, the pair is ``inf``.  A charged search always
+    runs to ``cutoff``, as the loop it charges for did, so a charged
+    row is never searched again.
 
     A computer lives and dies with its query
     (:meth:`~repro.core.database.Database.pairwise_computer` builds one
@@ -405,11 +415,10 @@ class PairwiseDistanceComputer:
         self._charged = provider is not network
         self._cutoff = cutoff
         self._backend = backend
-        #: Each source's row, keyed by its ``(edge_id, offset)``:
-        #: cutoff and provider are fixed per computer, and a row cut at
-        #: any call's limit is exact on the query's pool pairs, so
-        #: nothing else tells two rows apart.
-        self._rows: Dict[Tuple[int, float], "np.ndarray"] = {}
+        #: Each source's row and the radius it was searched to, keyed
+        #: by the source's ``(edge_id, offset)``: cutoff and provider
+        #: are fixed per computer, so nothing else tells rows apart.
+        self._rows: Dict[Tuple[int, float], Tuple["np.ndarray", float]] = {}
         #: Pair distances bulk-resolved by :meth:`prefetch`, keyed by
         #: the two positions' ``(edge_id, offset)`` pairs, sorted.
         self._pair_cache: Dict[Tuple, float] = {}
@@ -440,22 +449,35 @@ class PairwiseDistanceComputer:
     def _key(pos: NetworkPosition) -> Tuple[int, float]:
         return (pos.edge_id, pos.offset)
 
+    def _limit(self, reach: Optional[float], span: float = INF) -> float:
+        """The radius a search from sources within ``reach`` of the
+        query runs to, when no read of their rows spans more than
+        ``max(2 · reach, span)``.
+
+        ``cutoff`` without ``reach``, and always when charged (the
+        pages charged are those of a search to ``cutoff``); never more
+        than ``reach + cutoff / 2``, what a pair with such a source
+        spans at most.
+        """
+        if reach is None or self._charged:
+            return self._cutoff
+        return min(
+            self._cutoff, reach + self._cutoff / 2,
+            max(reach, span / 2) * PAIRWISE_CUTOFF_FACTOR,
+        )
+
     def _run_dijkstras(
         self, sources: Sequence[NetworkPosition],
-        reach: Optional[float] = None,
+        reach: Optional[float] = None, span: float = INF,
     ) -> List["np.ndarray"]:
-        """One bounded Dijkstra per source, all in one C call; keeps
-        and returns the rows.
+        """One bounded Dijkstra per source, all in one C call, to the
+        radius :meth:`_limit` gives; keeps and returns the rows.
 
-        Uncharged, the search stops at ``reach + cutoff / 2`` when the
-        caller bounds the sources' query distances by ``reach``.
-        Charged, it runs to ``cutoff`` and then reads every settled
-        node's adjacency through the provider in settle order.
+        Charged, the radius is ``cutoff`` and every settled node's
+        adjacency is then read through the provider in settle order.
         """
         start = time.perf_counter()
-        limit = self._cutoff
-        if reach is not None and not self._charged:
-            limit = min(limit, reach + self._cutoff / 2)
+        limit = self._limit(reach, span)
         rows = list(single_source_rows(self._network, sources, limit))
         if self._charged:
             node_ids = self._network.csr_snapshot().node_ids
@@ -478,7 +500,7 @@ class PairwiseDistanceComputer:
                 cutoff=self._cutoff, limit=limit,
             )
         for pos, row in zip(sources, rows):
-            self._rows[self._key(pos)] = row
+            self._rows[self._key(pos)] = (row, limit)
         return rows
 
     def _row_distance(
@@ -529,7 +551,7 @@ class PairwiseDistanceComputer:
 
     def pairwise_matrix(
         self, positions: Iterable[NetworkPosition],
-        reach: Optional[float] = None,
+        reach: Optional[float] = None, span: Optional[float] = None,
     ) -> "np.ndarray":
         """The full symmetric pairwise matrix as a numpy array, what
         the array greedy consumes as-is.
@@ -538,12 +560,14 @@ class PairwiseDistanceComputer:
         (:meth:`_matrix_from_rows`); with one, from the oracle's
         ``position_matrix``, each cell what :meth:`distance` answers
         (same-edge rule, ``> cutoff → inf`` clamp).  ``reach`` bounds
-        the positions' query distances and so the sources' search
-        (class docstring).
+        the positions' query distances, so the positions are a closed
+        pool whose pairs span at most ``2 · reach``; ``span`` is the
+        largest ``δ(q, s) + δ(q, t)`` a later read of a row run here may
+        need, should it exceed that (class docstring).
         """
         pos_list = list(positions)
         if self._backend is None:
-            return self._matrix_from_rows(pos_list, reach)
+            return self._matrix_from_rows(pos_list, reach, span or 0.0)
         matrix = np.zeros((len(pos_list), len(pos_list)))
         pairs = self._backend.position_matrix(pos_list, cutoff=self._cutoff)
         for (i, j), d in pairs.items():
@@ -556,7 +580,8 @@ class PairwiseDistanceComputer:
         return matrix
 
     def _matrix_from_rows(
-        self, pos_list: List[NetworkPosition], reach: Optional[float]
+        self, pos_list: List[NetworkPosition], reach: Optional[float],
+        span: float,
     ) -> "np.ndarray":
         """What :meth:`pairwise` answers, as a matrix, cell for cell.
 
@@ -567,11 +592,13 @@ class PairwiseDistanceComputer:
         one on another edge.  Here the walk only *decides* — which
         sources run, which cells borrow ``j``'s row — then the sources
         run (and are charged) in ``i`` order in one C call, and row
-        ``i`` fills cells ``(i, i+1:)`` in
-        one numpy expression (Equation 1, the ``> cutoff → inf`` clamp
-        and the same-edge rule included).  Counters advance as the
-        per-pair path's would: one miss per run, one hit per other
-        cross-edge pair.
+        ``i`` fills cells ``(i, i+1:)`` in one numpy expression
+        (Equation 1, the clamp at the row's radius and the same-edge
+        rule included).  A row kept before the call that a cell reads
+        beyond its radius, short of the pool's ``2 · reach``, is run
+        again in the same call.  Counters advance as the per-pair
+        path's would: one miss per run, one hit per other cross-edge
+        pair.
         """
         n = len(pos_list)
         matrix = np.zeros((n, n))
@@ -584,6 +611,8 @@ class PairwiseDistanceComputer:
 
         rows = self._rows
         known = {key for key in keys if key in rows}
+        # Only rows kept before the call can fall short of its pairs.
+        kept_before = bool(known)
         runs: List[int] = []
         borrowed: List[Tuple[int, int]] = []
         for i in range(n - 1):
@@ -596,40 +625,87 @@ class PairwiseDistanceComputer:
                 known.add(keys[i])
                 runs.append(i)
                 break
-        if runs:
-            self._run_dijkstras([pos_list[i] for i in runs], reach)
-        cross_pairs = (n * n - int(same_edge.sum())) // 2
-        self.cache_misses += len(runs)
-        self.cache_hits += cross_pairs - len(runs)
 
         csr = self._network.csr_snapshot()
         heads = csr.edge_rows[edge_ids]
         last_leg = csr.weights[csr.edge_cells[edge_ids, 0]] - offsets
-        owners = [i for i in range(n - 1) if keys[i] in rows]
-        if owners:
-            block = np.stack([rows[keys[i]] for i in owners])
-            cells = np.minimum(
+
+        def cells_of(block: "np.ndarray") -> "np.ndarray":
+            return np.minimum(
                 block[:, heads[:, 0]] + offsets,
                 block[:, heads[:, 1]] + last_leg,
             )
-            cells[cells > self._cutoff] = INF
+
+        if kept_before:
+            runs += self._stale_sources(
+                pos_list, keys, same_edge, borrowed, cells_of,
+                self._limit(reach, 0.0),
+            )
+        if runs:
+            self._run_dijkstras([pos_list[i] for i in runs], reach, span)
+        cross_pairs = (n * n - int(same_edge.sum())) // 2
+        self.cache_misses += len(runs)
+        self.cache_hits += cross_pairs - len(runs)
+
+        owners = [i for i in range(n - 1) if keys[i] in rows]
+        if owners:
+            held = [rows[keys[i]] for i in owners]
+            cells = cells_of(np.stack([row for row, _ in held]))
+            # Rows run in this call share its radius.
+            radius = (
+                np.array([r for _, r in held])[:, None] if kept_before
+                else held[0][1]
+            )
+            cells[cells > radius] = INF
             matrix[owners] = cells
         for i, j in borrowed:
-            d = self._row_distance(rows[keys[j]], pos_list[i])
-            matrix[i, j] = d if d <= self._cutoff else INF
+            row, radius = rows[keys[j]]
+            d = self._row_distance(row, pos_list[i])
+            matrix[i, j] = d if d <= radius else INF
         along_edge = np.abs(offsets[:, None] - offsets[None, :])
         matrix[same_edge] = along_edge[same_edge]
         matrix = np.triu(matrix, 1)
         return matrix + matrix.T
 
+    def _stale_sources(
+        self, pos_list: List[NetworkPosition], keys: List[Tuple[int, float]],
+        same_edge: "np.ndarray", borrowed: List[Tuple[int, int]],
+        cells_of, entitled: float,
+    ) -> List[int]:
+        """The positions whose kept rows a matrix reads beyond their
+        radius while the radius falls short of ``entitled``: each
+        source once, the first position that holds it."""
+        rows = self._rows
+        stale: Dict[Tuple[int, float], int] = {}
+        short = [
+            i for i in range(len(pos_list) - 1)
+            if keys[i] in rows and rows[keys[i]][1] < entitled
+        ]
+        if short:
+            radii = np.array([rows[keys[i]][1] for i in short])[:, None]
+            beyond = cells_of(np.stack([rows[keys[i]][0] for i in short]))
+            beyond = (beyond > radii) & np.triu(~same_edge, 1)[short]
+            for i in np.flatnonzero(beyond.any(axis=1)).tolist():
+                stale.setdefault(keys[short[i]], short[i])
+        for i, j in borrowed:
+            kept = rows.get(keys[j])  # None: the walk runs it now
+            if kept is not None and kept[1] < entitled and (
+                self._row_distance(kept[0], pos_list[i]) > kept[1]
+            ):
+                stale.setdefault(keys[j], j)
+        return list(stale.values())
+
     def distance(
         self, a: NetworkPosition, b: NetworkPosition,
         reach: Optional[float] = None,
     ) -> float:
-        """``δ(a, b)``, or ``inf`` when it exceeds the cutoff.
+        """``δ(a, b)``, or ``inf`` when it exceeds the cutoff or what
+        the pair may span.
 
-        ``reach`` bounds ``a``'s query distance, for the search from
-        ``a`` should neither endpoint's row be kept yet.
+        ``reach`` bounds ``a``'s query distance, so the pair spans at
+        most ``reach + cutoff / 2``: the radius a search from ``a``
+        runs to should neither endpoint's row be kept yet, and the one
+        a kept row that stops short of the pair is searched again to.
         """
         if a.edge_id == b.edge_id:
             return abs(a.offset - b.offset)
@@ -640,20 +716,26 @@ class PairwiseDistanceComputer:
             return d if d <= self._cutoff else INF
         # One lookup, hit or miss, whichever endpoint's row answers it.
         rows = self._rows
-        row, source, target = rows.get(self._key(a)), a, b
-        if row is None:
-            row, source, target = rows.get(self._key(b)), b, a
-        if row is None:
-            self.cache_misses += 1
-            row, target = self._run_dijkstras([a], reach)[0], b
+        kept, source, target = rows.get(self._key(a)), a, b
+        if kept is None:
+            kept, source, target = rows.get(self._key(b)), b, a
+        if kept is None:
+            source, target = a, b
         else:
-            self.cache_hits += 1
-            if self.tracer.enabled:
-                self.tracer.event(
-                    "pairwise.cache_hit", source_edge=source.edge_id
-                )
-        d = self._row_distance(row, target)
-        return d if d <= self._cutoff else INF
+            row, radius = kept
+            d = self._row_distance(row, target)
+            if d <= radius or radius >= self._limit(reach):
+                self.cache_hits += 1
+                if self.tracer.enabled:
+                    self.tracer.event(
+                        "pairwise.cache_hit", source_edge=source.edge_id
+                    )
+                return d if d <= radius else INF
+            # The row stops short of what the pair may span: its own
+            # source runs again, further.
+        self.cache_misses += 1
+        d = self._row_distance(self._run_dijkstras([source], reach)[0], target)
+        return d if d <= self._limit(reach) else INF
 
     def pairwise(
         self, positions: Iterable[NetworkPosition]

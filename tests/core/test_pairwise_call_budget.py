@@ -124,7 +124,7 @@ class TestBatchingChangesNoAnswerAndNoCounter:
         ]
         monkeypatch.setattr(
             PairwiseDistanceComputer, "pairwise_matrix",
-            lambda self, positions, reach=None: matrix_from_pairs(
+            lambda self, positions, reach=None, span=None: matrix_from_pairs(
                 list(positions),
                 lambda a, b: self.distance(a, b, reach=reach),
             ),

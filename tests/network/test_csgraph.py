@@ -28,6 +28,7 @@ from repro.core.diversified_search import PairDistances
 from repro.core.ine import INEExpansion
 from repro.core.queries import ResultItem
 from repro.errors import QueryError
+from repro.network import distance as distance_module
 from repro.network.distance import (
     PAIRWISE_CUTOFF_FACTOR,
     PairwiseDistanceComputer,
@@ -141,18 +142,26 @@ def test_matrix_equals_pairwise_cell_for_cell(world):
 def test_matrix_on_a_warm_cache_equals_pairwise(world, data):
     """Maps a computer already keeps are read as the per-pair path
     would read them: from ``i``'s map if kept, else from ``j``'s — no
-    extra Dijkstra, the same floats."""
+    extra Dijkstra, the same floats.  Kept rows may stop short of the
+    cutoff (searched with a ``reach``): a read beyond one runs its
+    source again on either path, and every cell is a fresh computer's
+    (within rounding: a borrowed cell is read from the other end)."""
     network, positions, cutoff = world
     warm = data.draw(st.lists(st.sampled_from(positions), max_size=4)
                      if positions else st.just([]))
+    reach = data.draw(st.one_of(st.none(), st.floats(0.0, 20.0)))
     computers = []
     for _ in range(2):
         computer = PairwiseDistanceComputer(network, network, cutoff=cutoff)
-        computer._run_dijkstras(warm)
+        computer._run_dijkstras(warm, reach)
         computers.append(computer)
     batched, per_pair = computers
     matrix = batched.pairwise_matrix(positions)
     pairs = per_pair.pairwise(positions)
+    fresh = PairwiseDistanceComputer(network, network, cutoff=cutoff)
+    assert np.allclose(
+        matrix, fresh.pairwise_matrix(positions), rtol=1e-12, atol=0.0
+    )
     for (i, j), d in pairs.items():
         assert matrix[i, j] == matrix[j, i] == d, (i, j)
     assert batched.dijkstra_runs == per_pair.dijkstra_runs
@@ -308,10 +317,12 @@ def test_rows_cut_at_the_limit_equal_full_rows_on_every_pool_pair(
 
 def test_an_understated_query_distance_raises():
     """Two objects 19 apart, each claimed at distance 0 from a query
-    with δmax 10: the search stops at 10.01, short of both end-nodes of
-    the pair's best path, so the pair comes out beyond the cutoff
-    (20.02) that the full search finds it within.  ``PairDistances``
-    says so instead of scoring the pair as ``inf``."""
+    with δmax 10.  As a closed pool their sources search to twice their
+    reach, 0; one pair at a time, from the first to its reach plus half
+    the cutoff (20.02), 10.01.  Either way the search ends short of the
+    pair, which comes out beyond a radius it was entitled to, so it is
+    ``inf`` where the full search finds 19.  ``PairDistances`` says so
+    instead of scoring the pair as ``inf``."""
     network = make_paperlike_network()
     at_n6 = NetworkPosition(network.edge_between(4, 6).edge_id, 4.0)
     at_n2 = NetworkPosition(network.edge_between(1, 2).edge_id, 12.0)
@@ -328,6 +339,87 @@ def test_an_understated_query_distance_raises():
         )
         with pytest.raises(QueryError, match="understates"):
             ask(pairs)
+
+
+class TestARowReadBeyondItsRadius:
+    """A kept row records the radius it was searched to.  A read beyond
+    it that the caller is entitled to runs the row's own source again,
+    further; one the row already covered is ``inf``."""
+
+    network = make_paperlike_network()
+    # a midway down n4–n6, b on n1–n4 4.5 from a, c on n0–n3 13 from a
+    a = NetworkPosition(network.edge_between(4, 6).edge_id, 2.0)
+    b = NetworkPosition(network.edge_between(1, 4).edge_id, 2.5)
+    c = NetworkPosition(network.edge_between(0, 3).edge_id, 4.0)
+    cutoff = 100.0
+
+    @pytest.fixture()
+    def sources(self, monkeypatch):
+        """The sources every ``single_source_rows`` call receives."""
+        seen = []
+        real = distance_module.single_source_rows
+
+        def recording(network, positions, cutoff=math.inf):
+            seen.extend(positions)
+            return real(network, positions, cutoff)
+
+        monkeypatch.setattr(distance_module, "single_source_rows", recording)
+        return seen
+
+    def short_row(self, sources):
+        """``a``'s row cut at 2 · 2.5 (a closed pool ``{a, b}``)."""
+        del sources[:]
+        computer = PairwiseDistanceComputer(
+            self.network, self.network, cutoff=self.cutoff
+        )
+        matrix = computer.pairwise_matrix([self.a, self.b], reach=2.5)
+        assert matrix[0, 1] == 4.5
+        assert sources == [self.a] and computer.dijkstra_runs == 1
+        del sources[:]
+        return computer
+
+    def full(self, x, y):
+        return PairwiseDistanceComputer(
+            self.network, self.network, cutoff=self.cutoff
+        ).distance(x, y)
+
+    def test_one_pair(self, sources):
+        want = self.full(self.a, self.c)
+        computer = self.short_row(sources)
+        assert computer.distance(self.a, self.c) == want == 13.0
+        assert computer.distance(self.c, self.a) == 13.0  # now covered
+        assert sources == [self.a] and computer.dijkstra_runs == 2
+
+    def test_owner_cell(self, sources):
+        want = self.full(self.a, self.c)
+        computer = self.short_row(sources)
+        matrix = computer.pairwise_matrix([self.a, self.c], reach=self.cutoff)
+        assert matrix[0, 1] == matrix[1, 0] == want
+        assert sources == [self.a] and computer.dijkstra_runs == 2
+
+    def test_borrowed_cell(self, sources):
+        want = self.full(self.a, self.c)  # c's walk borrows a's row
+        computer = self.short_row(sources)
+        matrix = computer.pairwise_matrix([self.c, self.a], reach=self.cutoff)
+        assert matrix[0, 1] == want
+        assert sources == [self.a] and computer.dijkstra_runs == 2
+
+    def test_a_row_that_reached_the_entitled_radius_gives_inf(self, sources):
+        computer = self.short_row(sources)
+        matrix = computer.pairwise_matrix([self.a, self.c], reach=2.5)
+        assert matrix[0, 1] == math.inf
+        assert sources == [] and computer.dijkstra_runs == 1
+
+    def test_a_charged_row_runs_once(self, sources):
+        class Charged:  # any provider that is not the RoadNetwork itself
+            neighbors = staticmethod(self.network.neighbors)
+
+        computer = PairwiseDistanceComputer(
+            Charged, self.network, cutoff=10.0
+        )
+        computer.pairwise_matrix([self.a, self.b], reach=2.5)
+        assert computer.distance(self.a, self.c) == math.inf  # 13 > 10
+        assert sources == [self.a] and computer.dijkstra_runs == 1
 
 
 SCIPY_ARRIVES_WITH_THE_FIRST_PAIRWISE_DISTANCE = """
