@@ -11,6 +11,7 @@ assumptions and prints them against the closed-form predictions.
 from repro.core.analysis import CostModel
 from repro.core.ine import INEExpansion
 from repro.datasets.catalog import DatasetProfile, build_dataset
+from repro.index.base import LoadCounters
 from repro.workloads.queries import WorkloadConfig, generate_sk_queries
 
 UNIFORM = DatasetProfile(
@@ -47,7 +48,7 @@ def test_analysis_cost_model(ctx, show):
             measured = {}
             edges = 0
             for kind, index in indexes.items():
-                index.lifetime_counters.reset()
+                index.lifetime_counters = LoadCounters()
                 edges = 0
                 for q in queries:
                     exp = INEExpansion(

@@ -49,6 +49,7 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from ..errors import DatasetError, GraphError
+from ..index.base import LoadCounters
 from ..network.distance import (
     PAIRWISE_CUTOFF_FACTOR,
     position_distance_from_node_map,
@@ -114,14 +115,20 @@ class IncrementalDiversifiedTopK:
         # mid-expansion is then replayed by the next refresh instead of
         # being silently half-applied.
         self._epoch = db.data_version
+        # The expansion counts into counters of its own, folded into the
+        # index's lifetime totals under its lock, as a query's are.
+        counters = LoadCounters()
         expansion = INEExpansion(
             db.ccam, db.network, self._index, q.position, q.terms,
-            q.delta_max,
+            q.delta_max, counters,
         )
-        self._pool = {
-            item.object.object_id: item
-            for item in expansion.run_to_completion()
-        }
+        try:
+            self._pool = {
+                item.object.object_id: item
+                for item in expansion.run_to_completion()
+            }
+        finally:
+            self._index.merge_counters(counters)
         self._node_map = None
 
     def _reweight_is_relevant(self, edge_id: int) -> bool:

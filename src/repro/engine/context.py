@@ -127,7 +127,6 @@ class ExecutionContext:
             edges_pruned=c.edges_pruned_by_signature,
             edges_probed=c.edges_probed,
             tests_run=c.signature_tests_run,
-            tests_pruned=c.signature_tests_pruned,
             candidates_tested=c.objects_loaded,
             false_positives=c.false_hit_objects,
             results=results,

@@ -15,12 +15,17 @@ from __future__ import annotations
 import abc
 import threading
 from dataclasses import dataclass
-from typing import Callable, FrozenSet, List, Optional, Sequence
+from typing import Callable, Collection, FrozenSet, List, Optional
 
 from ..network.objects import ObjectStore, SpatioTextualObject
 from ..obs.tracing import NULL_TRACER
 
-__all__ = ["GuardedLoader", "LoadCounters", "ObjectIndex"]
+__all__ = ["GuardedLoader", "LoadCounters", "ObjectIndex", "offset_of"]
+
+
+def offset_of(obj: SpatioTextualObject) -> float:
+    """Sort key of a loader's answer: the object's offset on its edge."""
+    return obj.position.offset
 
 
 @dataclass
@@ -33,44 +38,35 @@ class LoadCounters:
     """
 
     edges_probed: int = 0
+    #: AND-semantics signature tests that pruned their edge.
     edges_pruned_by_signature: int = 0
     objects_loaded: int = 0
-    false_hits: int = 0
     false_hit_objects: int = 0
-    results_returned: int = 0
-    #: AND-semantics signature tests run / tests that pruned their
-    #: edge.  These live here (not on the shared SignatureFile) so
-    #: concurrent queries under ``execute_many(workers=N)`` each count
-    #: into their own counters.
+    #: AND-semantics signature tests run.  These live here (not on the
+    #: shared SignatureFile) so concurrent queries under
+    #: ``execute_many(workers=N)`` each count into their own counters.
     signature_tests_run: int = 0
-    signature_tests_pruned: int = 0
     #: Wall seconds spent building the query's signature guard — the
     #: AND of its signed rows, once per :meth:`ObjectIndex.loader`
     #: (SIF / SIF-P / SIF-G); the per-edge test is one shift and is
     #: not timed.  Sampled as per-query deltas by the metrics layer.
     signature_seconds: float = 0.0
 
-    def reset(self) -> None:
-        self.edges_probed = 0
-        self.edges_pruned_by_signature = 0
-        self.objects_loaded = 0
-        self.false_hits = 0
-        self.false_hit_objects = 0
-        self.results_returned = 0
-        self.signature_tests_run = 0
-        self.signature_tests_pruned = 0
-        self.signature_seconds = 0.0
+    def count_load(self, loaded: int, matches: Collection) -> None:
+        """Count ``loaded`` postings (or object records) read for one
+        edge or virtual edge: all of them false hits when ``matches``,
+        what the edge gave, is empty."""
+        self.objects_loaded += loaded
+        if loaded and not matches:
+            self.false_hit_objects += loaded
 
     def absorb(self, other: "LoadCounters") -> None:
         """Add another counter set's values into this one."""
         self.edges_probed += other.edges_probed
         self.edges_pruned_by_signature += other.edges_pruned_by_signature
         self.objects_loaded += other.objects_loaded
-        self.false_hits += other.false_hits
         self.false_hit_objects += other.false_hit_objects
-        self.results_returned += other.results_returned
         self.signature_tests_run += other.signature_tests_run
-        self.signature_tests_pruned += other.signature_tests_pruned
         self.signature_seconds += other.signature_seconds
 
 
@@ -110,7 +106,6 @@ class GuardedLoader:
         """Charge ``tests`` signature tests, ``pruned`` of which pruned."""
         counters = self.counters
         counters.signature_tests_run += tests
-        counters.signature_tests_pruned += pruned
         counters.edges_pruned_by_signature += pruned
 
     def __call__(self, edge_id: int) -> List[SpatioTextualObject]:
@@ -193,12 +188,3 @@ class ObjectIndex(abc.ABC):
 
     def describe(self) -> str:
         return f"{self.name} ({self.size_bytes() / 1024:.0f} KiB)"
-
-    # ------------------------------------------------------------------
-    # Shared helpers
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _filter_and(
-        objects: Sequence[SpatioTextualObject], terms: FrozenSet[str]
-    ) -> List[SpatioTextualObject]:
-        return [o for o in objects if o.contains_all(terms)]

@@ -16,7 +16,7 @@ from typing import Dict, FrozenSet, List, Optional
 
 from ..network.objects import ObjectStore, SpatioTextualObject
 from ..storage.pagefile import PAGE_SIZE, DiskManager, PageFile
-from .base import LoadCounters, ObjectIndex
+from .base import LoadCounters, ObjectIndex, offset_of
 
 __all__ = ["EdgeStoreIndex"]
 
@@ -68,13 +68,9 @@ class EdgeStoreIndex(ObjectIndex):
         for page_no in pages:
             for oid in self._file.read(page_no):
                 loaded.append(self._store.get(oid))
-        counters.objects_loaded += len(loaded)
-        out = self._filter_and(loaded, terms)
-        if not out and loaded:
-            counters.false_hits += 1
-            counters.false_hit_objects += len(loaded)
-        counters.results_returned += len(out)
-        out.sort(key=lambda o: o.position.offset)
+        out = [o for o in loaded if o.contains_all(terms)]
+        counters.count_load(len(loaded), out)
+        out.sort(key=offset_of)
         return out
 
     def size_bytes(self) -> int:

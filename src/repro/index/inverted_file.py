@@ -17,6 +17,11 @@ every query keyword on the edge are fetched before the
 AND-intersection — which is exactly why false hits hurt IF and motivate
 SIF.
 
+This module owns the run format and Algorithm 2's AND for IF, SIF,
+SIF-G's group lists and SIF-P (:func:`build_term_tree`,
+:func:`append_posting`, :func:`drop_posting`, :func:`and_runs`): no
+other module looks inside a run.
+
 Layout invariant: **a postings page is sorted by its leading key
 fields** — ``edge_key`` here and in SIF-G's group lists,
 ``(edge_key, v_idx)`` in SIF-P.  :func:`pack_postings` writes pages
@@ -33,25 +38,32 @@ from bisect import bisect_left
 from collections import defaultdict
 from operator import itemgetter
 from typing import (
-    Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple, Union,
+    Any, Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Set,
+    Tuple, Union,
 )
 
 from ..network.graph import RoadNetwork
 from ..network.objects import ObjectStore, SpatioTextualObject
+from ..obs.tracing import NULL_TRACER
 from ..spatial.zorder import ZOrderCurve
 from ..storage.bplustree import BPlusTree
 from ..storage.pagefile import PAGE_SIZE, DiskManager, PageFile
-from .base import LoadCounters, ObjectIndex
+from .base import LoadCounters, ObjectIndex, offset_of
 
 __all__ = [
     "InvertedFileIndex",
     "EdgeKeys",
     "edge_zorder_key",
     "pack_postings",
+    "build_term_tree",
     "read_run",
     "run_pages",
     "Run",
     "insert_posting",
+    "append_posting",
+    "drop_posting",
+    "posting_lists",
+    "and_runs",
     "rarest_first",
     "POSTING_BYTES",
     "POSTINGS_PER_PAGE",
@@ -67,6 +79,10 @@ Posting = Tuple[int, int, float]
 #: The pages of one prefix's postings: one page number, or a list of
 #: them in page order when the run continues onto later pages.
 Run = Union[int, List[int]]
+
+#: One keyword's list as the AND reads it: probe -> run or ``None``,
+#: and the file of the run's pages.
+PostingList = Tuple[Callable[[int], Any], PageFile]
 
 
 def edge_zorder_key(curve: ZOrderCurve, network: RoadNetwork, edge_id: int) -> int:
@@ -138,6 +154,26 @@ def _distinct_prefixes(page: List[tuple], width: int) -> Iterator[tuple]:
     return iter(dict.fromkeys(map(itemgetter(*range(width)), page)))
 
 
+def build_term_tree(
+    file: PageFile, tree_file: PageFile, postings: List[tuple], width: int
+) -> Tuple[BPlusTree, Dict[tuple, Run]]:
+    """Pack one keyword's postings into ``file``, then bulk-load its
+    tree into ``tree_file`` (SIF-G passes one file for both).  A leaf
+    value is the edge's run, or ``{v_idx: run}`` for ``width == 2``
+    (SIF-P).  Returns the tree and :func:`pack_postings`'s map."""
+    runs = pack_postings(file, postings, width)
+    if width == 1:
+        entries = [(edge_key, run) for (edge_key,), run in runs.items()]
+    else:
+        per_edge: Dict[int, Dict[int, Run]] = {}
+        for (edge_key, v_idx), run in runs.items():
+            per_edge.setdefault(edge_key, {})[v_idx] = run
+        entries = list(per_edge.items())
+    tree = BPlusTree(tree_file, key_bytes=8, value_bytes=8)
+    tree.bulk_load(entries)
+    return tree, runs
+
+
 def run_pages(pages: Run) -> Sequence[int]:
     """The page numbers of a run, in page order."""
     return (pages,) if pages.__class__ is int else pages
@@ -185,6 +221,103 @@ def insert_posting(
     page.insert(bisect_left(page, after), posting)
     file.rewrite(page_no, size_bytes=len(page) * POSTING_BYTES)
     return True
+
+
+def append_posting(
+    trees: Dict[str, BPlusTree], term: str, file: PageFile,
+    tree_file: PageFile, posting: tuple, width: int,
+) -> bool:
+    """File ``posting``, prefixed by its first ``width`` fields, under
+    ``term``'s tree; returns whether a page was allocated.
+
+    It joins its run's last page if that has room; otherwise a fresh
+    page extends the run, a new leaf entry or a new single-leaf tree.
+    A leaf's run is swapped with the uncharged :meth:`BPlusTree.replace`;
+    SIF-P's ``{v_idx: run}`` is edited in place.
+    """
+    key = posting[0]
+    tree = trees.get(term)
+    value = tree.search(key) if tree is not None else None
+    run = value if width == 1 or value is None else value.get(posting[1])
+    if run is not None and insert_posting(
+        file, run_pages(run)[-1], posting[:width], posting
+    ):
+        return False
+    page_no = file.allocate([posting], size_bytes=POSTING_BYTES)
+    run = page_no if run is None else [*run_pages(run), page_no]
+    if width == 2:
+        if value is not None:
+            value[posting[1]] = run
+            return True
+        run = {posting[1]: run}
+    if tree is None:
+        tree = trees[term] = BPlusTree(tree_file, key_bytes=8, value_bytes=8)
+        tree.bulk_load([(key, run)])
+    elif value is None:
+        tree.insert(key, run)
+    else:
+        tree.replace(key, run)
+    return True
+
+
+def drop_posting(
+    file: PageFile, run: Run, prefix: tuple, object_id: int
+) -> bool:
+    """Remove ``object_id``'s postings on edge ``prefix[0]`` from the
+    pages of ``run``, under any virtual edge; returns whether a posting
+    of ``prefix`` is left.  A page that loses one is rewritten; none is
+    reclaimed: the layout is append-only and a rebuild compacts it."""
+    key = prefix[0]
+    width = len(prefix)
+    left = False
+    for page_no in run_pages(run):
+        page = file.read_unbuffered(page_no)
+        kept = [p for p in page if not (p[0] == key and p[width] == object_id)]
+        if len(kept) != len(page):
+            file.rewrite(page_no, kept, size_bytes=len(kept) * POSTING_BYTES)
+        # The page is sorted, so the prefix's run starts at its bisection.
+        i = bisect_left(kept, prefix)
+        left = left or (i < len(kept) and kept[i][:width] == prefix)
+    return left
+
+
+def posting_lists(
+    trees: Dict[Any, BPlusTree], file: PageFile, terms: Sequence
+) -> List[PostingList]:
+    """Each keyword's ``(tree.search, file)`` in ``terms``' order (a
+    keyword without a tree finds nothing), bound once per query."""
+    return [
+        (trees[term].search if term in trees else {}.get, file)
+        for term in terms
+    ]
+
+
+def and_runs(
+    lists: Sequence[PostingList], probe: int, prefix: tuple,
+    counters: LoadCounters,
+) -> Set[int]:
+    """Algorithm 2's AND over one edge's (or virtual edge's) runs: the
+    ids in every list, the postings read counted into ``counters``.
+
+    Each ``lookup(probe)`` — a B+-tree descent, or a get on the leaf
+    values SIF-P descended first — is followed by its run's read.  A
+    list with no run empties the AND, yet every list is still looked
+    up and read: IF's cost model.
+    """
+    loaded = 0
+    matches: Optional[Set[int]] = None
+    for lookup, file in lists:
+        run = lookup(probe)
+        if run is None:
+            matches = set()
+            continue
+        found = read_run(file, run, prefix)
+        loaded += len(found)
+        ids = set(found)
+        matches = ids if matches is None else matches & ids
+    matches = matches or set()
+    counters.count_load(loaded, matches)
+    return matches
 
 
 def rarest_first(store: ObjectStore, terms: FrozenSet[str]) -> List[str]:
@@ -257,59 +390,64 @@ class InvertedFileIndex(ObjectIndex):
         for term in sorted(staged):
             # Every term starts on a fresh page.
             first_page = self._postings.num_pages
-            edge_pages = pack_postings(self._postings, staged[term])
-            tree = BPlusTree(self._tree_file, key_bytes=8, value_bytes=8)
-            tree.bulk_load([
-                (edge_key, pages) for (edge_key,), pages in edge_pages.items()
-            ])
-            self._trees[term] = tree
+            self._trees[term], runs = build_term_tree(
+                self._postings, self._tree_file, staged[term], width=1
+            )
             self._pages_per_term[term] = self._postings.num_pages - first_page
             if term_edges is not None:
                 # The map holds the term's edge keys once each, in order.
-                term_edges[term] = [
-                    edge_of[edge_key] for (edge_key,) in edge_pages
-                ]
+                term_edges[term] = [edge_of[edge_key] for (edge_key,) in runs]
 
     # ------------------------------------------------------------------
     # Algorithm 2 (without the signature test)
     # ------------------------------------------------------------------
+    @property
+    def edge_keys(self) -> EdgeKeys:
+        return self._edge_keys
+
+    def lists(self, terms: Sequence[str]) -> List[PostingList]:
+        """The keywords' posting lists, in ``terms``' order."""
+        return posting_lists(self._trees, self._postings, terms)
+
+    def fetcher(
+        self, terms: FrozenSet[str], lists: Sequence[PostingList],
+        counters: LoadCounters,
+    ) -> Callable[[int], List[SpatioTextualObject]]:
+        """One query's fetch: :meth:`load_objects` with ``lists`` bound,
+        looked up on the instance so the benchmark's wrapper times it."""
+        load_objects = self.load_objects
+
+        def fetch(edge_id: int) -> List[SpatioTextualObject]:
+            return load_objects(edge_id, terms, counters, lists)
+
+        return fetch
+
+    def loader(
+        self, terms: FrozenSet[str], counters: Optional[LoadCounters] = None,
+        tracer=NULL_TRACER,
+    ) -> Callable[[int], List[SpatioTextualObject]]:
+        """Algorithm 2 without the guard, the keywords' lists bound once
+        in the rarest-first order — also SIF's fetch."""
+        if counters is None:
+            counters = self.lifetime_counters
+        order = rarest_first(self._store, terms)
+        return self.fetcher(terms, self.lists(order), counters)
+
     def load_objects(
         self, edge_id: int, terms: FrozenSet[str],
         counters: Optional[LoadCounters] = None,
-        order: Optional[Sequence[str]] = None,
+        lists: Optional[Sequence[PostingList]] = None,
     ) -> List[SpatioTextualObject]:
-        """Algorithm 2 without the guard.  ``order`` is
-        ``rarest_first(store, terms)`` when a caller that fetches many
-        edges for one query (SIF's loader) resolved it already."""
+        """Algorithm 2 without the guard; ``lists`` are the ones a
+        :meth:`fetcher` bound, else ``terms``' rarest first."""
         if counters is None:
             counters = self.lifetime_counters
-        if order is None:
-            order = rarest_first(self._store, terms)
+        if lists is None:
+            lists = self.lists(rarest_first(self._store, terms))
         counters.edges_probed += 1
         key = self._edge_keys[edge_id]
-        loaded_total = 0
-        intersection: Optional[Set[int]] = None
-        for term in order:
-            tree = self._trees.get(term)
-            pages = tree.search(key) if tree is not None else None
-            if pages is None:
-                # The keyword never occurs on this edge: the descent was
-                # still paid, and postings already fetched are wasted.
-                intersection = set()
-                continue
-            loaded = read_run(self._postings, pages, (key,))
-            loaded_total += len(loaded)
-            ids = set(loaded)
-            intersection = ids if intersection is None else intersection & ids
-        counters.objects_loaded += loaded_total
-        result_ids = intersection or set()
-        if not result_ids and loaded_total:
-            counters.false_hits += 1
-            counters.false_hit_objects += loaded_total
-        counters.results_returned += len(result_ids)
-        out = [self._store.get(oid) for oid in result_ids]
-        out.sort(key=lambda o: o.position.offset)
-        return out
+        matches = and_runs(lists, key, (key,), counters)
+        return sorted(map(self._store.get, matches), key=offset_of)
 
     # ------------------------------------------------------------------
     def size_bytes(self) -> int:
@@ -326,75 +464,30 @@ class InvertedFileIndex(ObjectIndex):
     # Dynamic updates
     # ------------------------------------------------------------------
     def insert_object(self, obj: SpatioTextualObject) -> None:
-        """Insert one new object's postings (dynamic maintenance).
+        """Insert one new object's postings (dynamic maintenance):
+        :func:`append_posting` per keyword.
 
-        For each keyword the posting joins the end of the edge's run
-        on its last postings page if that page has free space (the
-        page stays sorted by edge key), otherwise a fresh page is
-        allocated and linked from the keyword's B+-tree: the run's leaf
-        value becomes its page list plus the new page, a one-page run
-        the list of its two (:meth:`BPlusTree.replace`, uncharged, as an
-        in-place edit of the value was).  New keywords
-        get a fresh single-leaf tree.  Keywords are visited in sorted
-        order, here and in :meth:`delete_object`: the descents go
-        through the buffer and new pages are numbered as they are
-        allocated, so a frozenset's order would make later page reads
-        follow ``PYTHONHASHSEED``.
+        Keywords are visited in sorted order, here and in
+        :meth:`delete_object`: the descents go through the buffer and
+        new pages are numbered as they are allocated, so a frozenset's
+        order would make later page reads follow ``PYTHONHASHSEED``.
         """
         key = self._edge_keys[obj.position.edge_id]
         posting = (key, obj.object_id, obj.position.offset)
+        pages_per_term = self._pages_per_term
         for term in sorted(obj.keywords):
-            tree = self._trees.get(term)
-            if tree is None:
-                page_no = self._postings.allocate(
-                    [posting], size_bytes=POSTING_BYTES
-                )
-                tree = BPlusTree(self._tree_file, key_bytes=8, value_bytes=8)
-                tree.bulk_load([(key, page_no)])
-                self._trees[term] = tree
-                self._pages_per_term[term] = 1
-                continue
-            pages = tree.search(key)
-            if pages is None:
-                page_no = self._postings.allocate(
-                    [posting], size_bytes=POSTING_BYTES
-                )
-                tree.insert(key, page_no)
-                self._pages_per_term[term] = self._pages_per_term.get(term, 0) + 1
-                continue
-            if not insert_posting(
-                self._postings, run_pages(pages)[-1], (key,), posting
+            if append_posting(
+                self._trees, term, self._postings, self._tree_file, posting,
+                width=1,
             ):
-                page_no = self._postings.allocate(
-                    [posting], size_bytes=POSTING_BYTES
-                )
-                tree.replace(key, [*run_pages(pages), page_no])
-                self._pages_per_term[term] = self._pages_per_term.get(term, 0) + 1
+                pages_per_term[term] = pages_per_term.get(term, 0) + 1
 
     def delete_object(self, obj: SpatioTextualObject) -> None:
-        """Remove one object's postings (dynamic maintenance).
-
-        Postings matching ``(edge, object_id)`` are filtered out of the
-        edge's pages in place.  Pages are *not* reclaimed when they
-        empty — like the insert path, the layout is append-only and a
-        rebuild compacts it; emptied pages simply stop yielding
-        postings.  Filtering keys on the edge too because postings
-        pages are shared between Z-order-adjacent edges; it keeps the
-        survivors in order.
-        """
+        """Remove one object's postings (dynamic maintenance):
+        :func:`drop_posting` on the edge's run of each keyword."""
         key = self._edge_keys[obj.position.edge_id]
         for term in sorted(obj.keywords):
             tree = self._trees.get(term)
-            pages = tree.search(key) if tree is not None else None
-            if pages is None:
-                continue
-            for page_no in run_pages(pages):
-                payload = self._postings.read_unbuffered(page_no)
-                kept = [
-                    p for p in payload
-                    if not (p[0] == key and p[1] == obj.object_id)
-                ]
-                if len(kept) != len(payload):
-                    self._postings.rewrite(
-                        page_no, kept, size_bytes=len(kept) * POSTING_BYTES
-                    )
+            run = tree.search(key) if tree is not None else None
+            if run is not None:
+                drop_posting(self._postings, run, (key,), obj.object_id)

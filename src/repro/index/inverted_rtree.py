@@ -19,7 +19,7 @@ from ..network.objects import ObjectStore, SpatioTextualObject
 from ..spatial.geometry import MBR
 from ..spatial.rtree import RTree, RTreeEntry
 from ..storage.pagefile import PAGE_SIZE, DiskManager, PageFile
-from .base import LoadCounters, ObjectIndex
+from .base import LoadCounters, ObjectIndex, offset_of
 from .inverted_file import rarest_first
 
 __all__ = ["InvertedRTreeIndex"]
@@ -100,15 +100,9 @@ class InvertedRTreeIndex(ObjectIndex):
                     if record[oid] == edge_id:
                         ids.add(oid)
             intersection = ids if intersection is None else intersection & ids
-        counters.objects_loaded += loaded_total
         result_ids = intersection or set()
-        if not result_ids and loaded_total:
-            counters.false_hits += 1
-            counters.false_hit_objects += loaded_total
-        counters.results_returned += len(result_ids)
-        out = [self._store.get(oid) for oid in result_ids]
-        out.sort(key=lambda o: o.position.offset)
-        return out
+        counters.count_load(loaded_total, result_ids)
+        return sorted(map(self._store.get, result_ids), key=offset_of)
 
     def size_bytes(self) -> int:
         return self._file.size_bytes + self._records.size_bytes

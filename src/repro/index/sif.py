@@ -21,7 +21,7 @@ from ..spatial.kdtree import KDTreePartition
 from ..spatial.zorder import ZOrderCurve
 from ..storage.pagefile import DiskManager
 from .base import GuardedLoader, LoadCounters, ObjectIndex
-from .inverted_file import InvertedFileIndex, rarest_first
+from .inverted_file import InvertedFileIndex
 from .signature import SignatureFile
 
 __all__ = ["SIFIndex"]
@@ -75,19 +75,13 @@ class SIFIndex(ObjectIndex):
         tracer=NULL_TRACER,
     ) -> GuardedLoader:
         """The query's guard and fetch: the AND of its signed rows, and
-        IF's posting fetch in the rarest-first order, both resolved
-        once per query."""
+        IF's loader, both resolved once per query."""
         if counters is None:
             counters = self.lifetime_counters
         start = time.perf_counter()
         bits = self._signatures.combined_row(terms)
         counters.signature_seconds += time.perf_counter() - start
-        load_objects = self._inverted.load_objects
-        order = rarest_first(self._store, terms)
-
-        def fetch(edge_id: int) -> List[SpatioTextualObject]:
-            return load_objects(edge_id, terms, counters, order)
-
+        fetch = self._inverted.loader(terms, counters)
         return GuardedLoader(bits, fetch, counters, tracer, self.name)
 
     def load_objects(

@@ -13,7 +13,7 @@ space of SIF-P's signatures and still finds SIF-P more cost-effective).
 from __future__ import annotations
 
 import time
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ..network.objects import ObjectStore, SpatioTextualObject
 from ..obs.tracing import NULL_TRACER
@@ -22,7 +22,7 @@ from ..spatial.zorder import ZOrderCurve
 from ..storage.bplustree import BPlusTree
 from ..storage.pagefile import DiskManager, PageFile
 from .base import GuardedLoader, LoadCounters, ObjectIndex
-from .inverted_file import InvertedFileIndex, pack_postings, read_run
+from .inverted_file import InvertedFileIndex, build_term_tree, posting_lists
 from .signature import SignatureFile, pack_slots
 
 __all__ = ["SIFGIndex"]
@@ -84,7 +84,7 @@ class SIFGIndex(ObjectIndex):
         top = set(self._top_terms)
         staged: Dict[FrozenSet[str], List[Tuple[int, int, float]]] = {}
         staged_edges: Dict[FrozenSet[str], List[int]] = {}
-        keys = self._inverted._edge_keys
+        keys = self._inverted.edge_keys
         ordered_edges = sorted(
             self._store.edges_with_objects(), key=keys.__getitem__
         )
@@ -100,12 +100,9 @@ class SIFGIndex(ObjectIndex):
                         )
                         staged_edges.setdefault(pair, []).append(edge_id)
         for pair in sorted(staged, key=sorted):
-            edge_pages = pack_postings(self._group_file, staged[pair])
-            tree = BPlusTree(self._group_file, key_bytes=8, value_bytes=8)
-            tree.bulk_load([
-                (edge_key, pages) for (edge_key,), pages in edge_pages.items()
-            ])
-            self._group_trees[pair] = tree
+            self._group_trees[pair], _runs = build_term_tree(
+                self._group_file, self._group_file, staged[pair], width=1
+            )
             self._group_bits[pair] = pack_slots(staged_edges[pair])
 
     def _cover(self, terms: FrozenSet[str]) -> Tuple[List[FrozenSet[str]], List[str]]:
@@ -145,38 +142,11 @@ class SIFGIndex(ObjectIndex):
             group = self._group_bits[pair]
             bits = group if bits is None else bits & group
         counters.signature_seconds += time.perf_counter() - sig_start
-        # (tree, its postings file) per covering list: pairs, then singles.
-        lists = [(self._group_trees[pair], self._group_file) for pair in pairs]
-        lists += [
-            (self._inverted._trees.get(term), self._inverted._postings)
-            for term in singles
-        ]
-        edge_keys = self._inverted._edge_keys
-        get_object = self._store.get
-
-        def fetch(edge_id: int) -> List[SpatioTextualObject]:
-            counters.edges_probed += 1
-            key = edge_keys[edge_id]
-            loaded_total = 0
-            intersection: Optional[Set[int]] = None
-            for tree, file in lists:
-                pages = tree.search(key) if tree is not None else None
-                # Page 0 is a run like any other: test the miss by identity.
-                loaded = [] if pages is None else read_run(file, pages, (key,))
-                loaded_total += len(loaded)
-                ids = set(loaded)
-                intersection = ids if intersection is None else intersection & ids
-
-            counters.objects_loaded += loaded_total
-            result_ids = intersection or set()
-            if not result_ids and loaded_total:
-                counters.false_hits += 1
-                counters.false_hit_objects += loaded_total
-            counters.results_returned += len(result_ids)
-            out = [get_object(oid) for oid in result_ids]
-            out.sort(key=lambda o: o.position.offset)
-            return out
-
+        # The covering lists: pairs, then singles.
+        lists = posting_lists(self._group_trees, self._group_file, pairs)
+        fetch = self._inverted.fetcher(
+            terms, lists + self._inverted.lists(singles), counters
+        )
         return GuardedLoader(bits, fetch, counters, tracer, self.name)
 
     def load_objects(

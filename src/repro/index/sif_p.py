@@ -27,16 +27,15 @@ from ..spatial.kdtree import KDTreePartition
 from ..spatial.zorder import ZOrderCurve
 from ..storage.bplustree import BPlusTree
 from ..storage.pagefile import DiskManager, PageFile
-from .base import LoadCounters, ObjectIndex
+from .base import LoadCounters, ObjectIndex, offset_of
 from .inverted_file import (
-    POSTING_BYTES,
     EdgeKeys,
-    Run,
-    insert_posting,
-    pack_postings,
+    and_runs,
+    append_posting,
+    build_term_tree,
+    drop_posting,
+    posting_lists,
     rarest_first,
-    read_run,
-    run_pages,
 )
 from .partition import QueryLog, greedy_partition, segments_from_cuts
 from .query_log import frequency_edge_log
@@ -199,17 +198,12 @@ class SIFPIndex(ObjectIndex):
                         staged_bits.setdefault(term, set()).add(base + v_idx)
 
         for term in sorted(staged):
-            # (edge_key, v_idx) -> run, in key order; every term starts
-            # on a fresh page.
+            # The tree's value is {v_idx: run}; every term starts on a
+            # fresh page.
             first_page = self._postings.num_pages
-            ve_pages = pack_postings(self._postings, staged[term], width=2)
-            # Group by edge key for the tree: value = {v_idx: run}.
-            per_edge: Dict[int, Dict[int, Run]] = {}
-            for (edge_key, v_idx), pages in ve_pages.items():
-                per_edge.setdefault(edge_key, {})[v_idx] = pages
-            tree = BPlusTree(self._tree_file, key_bytes=8, value_bytes=8)
-            tree.bulk_load(list(per_edge.items()))
-            self._trees[term] = tree
+            self._trees[term], _runs = build_term_tree(
+                self._postings, self._tree_file, staged[term], width=2
+            )
             self._pages_per_term[term] = self._postings.num_pages - first_page
 
         # The paper's rule: rare keywords (inverted file fits in one
@@ -272,11 +266,12 @@ class SIFPIndex(ObjectIndex):
             bits = matrix.combined(signed)
         counters.signature_seconds += time.perf_counter() - sig_start
         # One B+-tree descent per query keyword (as in SIF), rarest first.
-        trees = [self._trees.get(t) for t in rarest_first(self._store, terms)]
+        lists = posting_lists(
+            self._trees, self._postings, rarest_first(self._store, terms)
+        )
         segments_of = self._segments.get
         slot_base = self._slot_base.get
         edge_keys = self._edge_keys
-        postings = self._postings
         get_object = self._store.get
 
         def load(edge_id: int) -> List[SpatioTextualObject]:
@@ -291,7 +286,6 @@ class SIFPIndex(ObjectIndex):
                 window = 0 if base is None else (bits >> base) & window
             counters.signature_tests_run += 1
             if not window:
-                counters.signature_tests_pruned += 1
                 counters.edges_pruned_by_signature += 1
                 if tracer.enabled:
                     tracer.event(
@@ -309,37 +303,13 @@ class SIFPIndex(ObjectIndex):
                     partition="SIF-P", segments=count, passing=len(passing),
                 )
             key = edge_keys[edge_id]
-            # Only the postings pages of passing virtual edges are read.
-            per_term_pages = [
-                (tree.search(key) if tree is not None else None) or {}
-                for tree in trees
-            ]
-            result_ids: Set[int] = set()
+            # Every keyword is descended first; then only the postings
+            # pages of passing virtual edges are read.
+            runs = [((lookup(key) or {}).get, file) for lookup, file in lists]
+            matches: Set[int] = set()
             for v_idx in passing:
-                loaded = 0
-                intersection: Optional[Set[int]] = None
-                for value in per_term_pages:
-                    pages = value.get(v_idx)
-                    if pages is None:
-                        intersection = set()
-                        continue
-                    found = read_run(postings, pages, (key, v_idx))
-                    loaded += len(found)
-                    ids = set(found)
-                    intersection = (
-                        ids if intersection is None else intersection & ids
-                    )
-                counters.objects_loaded += loaded
-                hits = intersection or set()
-                if not hits and loaded:
-                    counters.false_hits += 1
-                    counters.false_hit_objects += loaded
-                result_ids.update(hits)
-
-            counters.results_returned += len(result_ids)
-            out = [get_object(oid) for oid in result_ids]
-            out.sort(key=lambda o: o.position.offset)
-            return out
+                matches.update(and_runs(runs, v_idx, (key, v_idx), counters))
+            return sorted(map(get_object, matches), key=offset_of)
 
         return load
 
@@ -408,52 +378,22 @@ class SIFPIndex(ObjectIndex):
     def insert_object(self, obj: SpatioTextualObject) -> None:
         """Insert one object's postings, bits and segment membership.
 
-        Mirrors :meth:`InvertedFileIndex.insert_object` but the tree
-        value is ``{v_idx: run}`` and the posting carries the virtual
-        edge the object's offset falls into (keywords in sorted order,
-        for the same reason).
+        The posting carries the virtual edge the object's offset falls
+        into; :func:`append_posting` files it per keyword, in sorted
+        order as IF's insert does.
         """
         edge_id = obj.position.edge_id
-        key = self._edge_keys[edge_id]
         v_idx = self._virtual_index(edge_id, obj.position.offset)
-        posting = (key, v_idx, obj.object_id, obj.position.offset)
+        posting = (
+            self._edge_keys[edge_id], v_idx, obj.object_id, obj.position.offset
+        )
+        pages_per_term = self._pages_per_term
         for term in sorted(obj.keywords):
-            tree = self._trees.get(term)
-            if tree is None:
-                page_no = self._postings.allocate(
-                    [posting], size_bytes=POSTING_BYTES
-                )
-                tree = BPlusTree(self._tree_file, key_bytes=8, value_bytes=8)
-                tree.bulk_load([(key, {v_idx: page_no})])
-                self._trees[term] = tree
-                self._pages_per_term[term] = 1
-            else:
-                value = tree.search(key)
-                if value is None:
-                    page_no = self._postings.allocate(
-                        [posting], size_bytes=POSTING_BYTES
-                    )
-                    tree.insert(key, {v_idx: page_no})
-                    self._pages_per_term[term] = (
-                        self._pages_per_term.get(term, 0) + 1
-                    )
-                else:
-                    pages = value.get(v_idx)
-                    if pages is None:
-                        page_no = self._postings.allocate(
-                            [posting], size_bytes=POSTING_BYTES
-                        )
-                        value[v_idx] = page_no
-                        self._pages_per_term[term] += 1
-                    elif not insert_posting(
-                        self._postings, run_pages(pages)[-1], (key, v_idx),
-                        posting,
-                    ):
-                        page_no = self._postings.allocate(
-                            [posting], size_bytes=POSTING_BYTES
-                        )
-                        value[v_idx] = [*run_pages(pages), page_no]
-                        self._pages_per_term[term] += 1
+            if append_posting(
+                self._trees, term, self._postings, self._tree_file, posting,
+                width=2,
+            ):
+                pages_per_term[term] = pages_per_term.get(term, 0) + 1
             if term not in self._unsigned_terms:
                 self._matrix.set(term, self._slot(edge_id, v_idx))
         self._recompute_segments(edge_id)
@@ -462,38 +402,25 @@ class SIFPIndex(ObjectIndex):
         """Remove one object's postings and any orphaned bits.
 
         Must run after ``ObjectStore.remove`` (segment recomputation
-        reads the store).  Postings are matched by ``(edge, object_id)``
-        across every virtual edge of the keyword's tree value — robust
-        even if duplicate offsets straddling a cut made the build-time
-        ``v_idx`` differ from what the offset resolves to today.  A
-        virtual edge's bit is cleared once no posting for the term
-        survives in it.
+        reads the store).  :func:`drop_posting` runs on every virtual
+        edge of the keyword's tree value — it matches ``(edge,
+        object_id)``, robust even if duplicate offsets straddling a cut
+        made the build-time ``v_idx`` differ from what the offset
+        resolves to today.  A virtual edge's bit is cleared once no
+        posting for the term is left in it.
         """
         edge_id = obj.position.edge_id
         key = self._edge_keys[edge_id]
         for term in sorted(obj.keywords):
             tree = self._trees.get(term)
             value = tree.search(key) if tree is not None else None
-            if not value:
+            if value is None:
                 continue
-            for v_idx, pages in value.items():
-                survivors = False
-                for page_no in run_pages(pages):
-                    payload = self._postings.read_unbuffered(page_no)
-                    kept = [
-                        p for p in payload
-                        if not (p[0] == key and p[2] == obj.object_id)
-                    ]
-                    if len(kept) != len(payload):
-                        self._postings.rewrite(
-                            page_no, kept,
-                            size_bytes=len(kept) * POSTING_BYTES,
-                        )
-                    if not survivors and any(
-                        p[0] == key and p[1] == v_idx for p in kept
-                    ):
-                        survivors = True
-                if not survivors and term in self._matrix:
+            for v_idx, run in value.items():
+                left = drop_posting(
+                    self._postings, run, (key, v_idx), obj.object_id
+                )
+                if not left and term in self._matrix:
                     self._matrix.clear(term, self._slot(edge_id, v_idx))
         self._recompute_segments(edge_id)
 

@@ -12,6 +12,7 @@ from repro.core.analysis import CostModel
 from repro.core.ine import INEExpansion
 from repro.datasets.catalog import DatasetProfile, build_dataset
 from repro.errors import QueryError
+from repro.index.base import LoadCounters
 from repro.workloads.queries import WorkloadConfig, generate_sk_queries
 
 
@@ -93,7 +94,7 @@ class TestEmpiricalValidation:
 
     def _measure(self, db, index, queries):
         """(total objects loaded, total edges accessed) over a workload."""
-        index.lifetime_counters.reset()
+        index.lifetime_counters = LoadCounters()
         edges = 0
         for q in queries:
             exp = INEExpansion(

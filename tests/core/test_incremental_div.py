@@ -7,6 +7,7 @@ same order, same objective value — to running the diversified query
 from scratch against the updated database.
 """
 
+import dataclasses
 import random
 
 import numpy as np
@@ -233,3 +234,48 @@ def test_an_unexpected_error_is_not_swallowed(target, monkeypatch):
     monkeypatch.setattr(getattr(db, owner), name, boom)
     with pytest.raises(RuntimeError, match="not one of ours"):
         m.refresh()
+
+
+# ----------------------------------------------------------------------
+# The standing query's loads count like a query's
+# ----------------------------------------------------------------------
+def test_bootstraps_reach_the_lifetime_totals_only_through_merge():
+    """The bootstrap's expansion, and the re-bootstrap a relevant
+    reweight forces, count into counters of their own that
+    ``merge_counters`` folds in under its lock — never straight into
+    ``index.lifetime_counters``."""
+    db = fresh_db()
+    index = db.build_index("sif", file_prefix="incr-merge")
+    (query,) = generate_diversified_queries(
+        db, WorkloadConfig(num_queries=1, num_keywords=2, k=4, seed=9)
+    )
+    merged = []
+    merge = index.merge_counters
+
+    def recording(counters):
+        merged.append(dataclasses.replace(counters))
+        merge(counters)
+
+    index.merge_counters = recording
+
+    def totals():
+        return dataclasses.asdict(index.lifetime_counters)
+
+    def merged_since(start):
+        sums = dict(start)
+        for counters in merged:
+            for name, value in dataclasses.asdict(counters).items():
+                sums[name] += value
+        return sums
+
+    start = totals()
+    m = IncrementalDiversifiedTopK(db, index, query)
+    assert len(merged) == 1
+    assert merged[0].signature_tests_run > 0
+    assert totals() == merged_since(start)
+    edge = db.network.edge(query.position.edge_id)
+    db.update_edge_weight(edge.edge_id, edge.weight * 1.01)
+    m.refresh()
+    assert m.counters()["full_recomputes"] == 1
+    assert len(merged) == 2
+    assert totals() == merged_since(start)

@@ -204,10 +204,15 @@ def index_layout_digest(db, kind) -> str:
     """
     before = {f.name for f in db.disk.files()}
     index = db.build_index(kind)
+    files = [f for f in db.disk.files() if f.name not in before]
+    return layout_digest(index, files)
+
+
+def layout_digest(index, files) -> str:
+    """:func:`index_layout_digest` of an index as it stands: ``files``
+    are its page files, in creation order."""
     h = hashlib.sha256()
-    for file in db.disk.files():
-        if file.name in before:
-            continue
+    for file in files:
         h.update(file.name.encode())
         for page in file._pages:
             body = page.payload

@@ -5,6 +5,7 @@ import pytest
 
 from repro import Database, SKQuery
 from repro.errors import QueryError
+from repro.index.base import LoadCounters
 from repro.index.inverted_file import POSTINGS_PER_PAGE
 from repro.network.graph import NetworkPosition
 from tests.datasets.test_catalog import trees_and_rows
@@ -122,7 +123,7 @@ class TestInsertIntoSIF:
     def test_signature_bit_is_set(self, live_db):
         index = live_db.build_index("sif")
         # Before: edge 5 has no "pizza" bit -> pruned with zero loads.
-        index.lifetime_counters.reset()
+        index.lifetime_counters = LoadCounters()
         assert index.load_objects(5, frozenset({"pizza"})) == []
         assert index.lifetime_counters.edges_pruned_by_signature == 1
         live_db.insert_object(NetworkPosition(5, 30.0), {"pizza"}, [index])
@@ -148,7 +149,7 @@ class TestDeleteFromSIF:
         assert len(index.load_objects(5, frozenset({"pizza"}))) == 1
         # Last carrier gone: the edge prunes by signature again.
         live_db.delete_object(b.object_id, indexes=(index,))
-        index.lifetime_counters.reset()
+        index.lifetime_counters = LoadCounters()
         assert index.load_objects(5, frozenset({"pizza"})) == []
         assert index.lifetime_counters.edges_pruned_by_signature == 1
 

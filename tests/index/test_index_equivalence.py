@@ -9,6 +9,8 @@ against it over a grid of (edge, keyword-set) probes.
 import numpy as np
 import pytest
 
+from repro.index.base import LoadCounters
+
 
 def brute_force(db, edge_id, terms):
     return sorted(
@@ -105,8 +107,8 @@ def test_signature_pruning_never_loses_results(tiny_db, tiny_indexes, cases):
 def test_sif_loads_no_more_objects_than_if(tiny_db, tiny_indexes, cases):
     sif = tiny_indexes["sif"]
     inv = tiny_indexes["if"]
-    sif.lifetime_counters.reset()
-    inv.lifetime_counters.reset()
+    sif.lifetime_counters = LoadCounters()
+    inv.lifetime_counters = LoadCounters()
     for edge_id, terms in cases:
         sif.load_objects(edge_id, terms)
         inv.load_objects(edge_id, terms)
@@ -117,19 +119,12 @@ def test_sif_loads_no_more_objects_than_if(tiny_db, tiny_indexes, cases):
 def test_sif_p_false_hits_not_worse_than_sif(tiny_db, tiny_indexes, cases):
     sifp = tiny_indexes["sif-p"]
     sif = tiny_indexes["sif"]
-    sifp.lifetime_counters.reset()
-    sif.lifetime_counters.reset()
+    sifp.lifetime_counters = LoadCounters()
+    sif.lifetime_counters = LoadCounters()
     for edge_id, terms in cases:
         sifp.load_objects(edge_id, terms)
         sif.load_objects(edge_id, terms)
     assert sifp.lifetime_counters.false_hit_objects <= sif.lifetime_counters.false_hit_objects
-
-
-def test_counters_reset(tiny_indexes):
-    index = tiny_indexes["sif"]
-    index.lifetime_counters.reset()
-    assert index.lifetime_counters.objects_loaded == 0
-    assert index.lifetime_counters.edges_probed == 0
 
 
 def test_index_sizes_positive(tiny_indexes):

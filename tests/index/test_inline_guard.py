@@ -89,7 +89,6 @@ def expand(db, index, query, take):
             items.append((item.object.object_id, item.distance))
             seen.append((
                 counters.signature_tests_run,
-                counters.signature_tests_pruned,
                 counters.edges_pruned_by_signature,
                 counters.edges_probed,
             ))
@@ -251,7 +250,7 @@ class TestTracedPrunesAreNarrated:
                 ).run_to_completion()
             trace = tracer.last_trace
             assert not any(s.dropped_events for s in trace.walk())
-            assert prune_events(trace) == counters.signature_tests_pruned
+            assert prune_events(trace) == counters.edges_pruned_by_signature
             partitions = {
                 attrs["partition"]
                 for s in trace.walk()
@@ -259,7 +258,7 @@ class TestTracedPrunesAreNarrated:
                 if ev == "signature.prune"
             }
             assert partitions <= {index.name}
-            narrated += counters.signature_tests_pruned
+            narrated += counters.edges_pruned_by_signature
         assert narrated > 0
 
     @pytest.mark.parametrize("name", MASKED)

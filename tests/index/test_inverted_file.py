@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.index.base import LoadCounters
 from repro.index.inverted_file import (
     InvertedFileIndex,
     edge_zorder_key,
@@ -113,10 +114,10 @@ class TestTermOrder:
         """Edge 1 carries "bar" but not the rarer "cafe": the miss
         comes first, and the postings of "bar" are fetched all the
         same — the descent and the load are IF's cost model."""
-        index.lifetime_counters.reset()
+        index.lifetime_counters = LoadCounters()
         assert index.load_objects(1, frozenset({"bar", "cafe"})) == []
         assert index.lifetime_counters.objects_loaded == 1
-        assert index.lifetime_counters.false_hits == 1
+        assert index.lifetime_counters.false_hit_objects == 1
 
 
 class TestLoadObjects:
@@ -138,18 +139,17 @@ class TestLoadObjects:
         assert index.load_objects(2, frozenset({"pizza"})) == []
 
     def test_false_hit_counting(self, index):
-        index.lifetime_counters.reset()
+        index.lifetime_counters = LoadCounters()
         # Edge 0 has pizza objects and bar objects but the pair {bar,
         # cafe} matches nothing: postings for bar are loaded in vain.
         index.load_objects(0, frozenset({"bar", "cafe"}))
-        assert index.lifetime_counters.false_hits == 1
-        assert index.lifetime_counters.false_hit_objects >= 1
+        counters = index.lifetime_counters
+        assert counters.false_hit_objects == counters.objects_loaded >= 1
 
     def test_true_hit_not_counted_as_false(self, index):
-        index.lifetime_counters.reset()
-        index.load_objects(0, frozenset({"pizza"}))
-        assert index.lifetime_counters.false_hits == 0
-        assert index.lifetime_counters.results_returned == 2
+        index.lifetime_counters = LoadCounters()
+        assert len(index.load_objects(0, frozenset({"pizza"}))) == 2
+        assert index.lifetime_counters.false_hit_objects == 0
 
     def test_postings_pages_of(self, index):
         assert index.postings_pages_of("pizza") >= 1

@@ -187,14 +187,12 @@ class TestBoundLoaderIsLoadObjects:
                 for o in db.store.objects_on_edge(edge.edge_id)
                 if o.contains_all(terms)
             )
-        assert bound_counters.results_returned == sum(map(len, bound))
         # And so is the guard: on the signature kinds load_objects is
         # the loader, so the prune counters need a reference of their own.
         kind = INDEXES[name][0]
         if kind.startswith("sif"):
             tests, pruned = guard_reference(db, index, kind, terms)
             assert bound_counters.signature_tests_run == tests
-            assert bound_counters.signature_tests_pruned == pruned
             assert bound_counters.edges_pruned_by_signature == pruned
             assert bound_counters.edges_probed == tests - pruned
 

@@ -446,18 +446,18 @@ def test_load_objects_never_scans_a_page(tiny_db):
 #: terms are now fetched rarest-first instead of in string-hash order.
 PINS = {
     "if": dict(logical_reads=247, physical_reads=22, objects_loaded=197,
-               false_hits=25, false_hit_objects=40),
+               false_hit_objects=40),
     "sif": dict(logical_reads=215, physical_reads=22, objects_loaded=165,
-                false_hits=2, false_hit_objects=8),
+                false_hit_objects=8),
     "sif-p": dict(logical_reads=223, physical_reads=22, objects_loaded=161,
-                  false_hits=2, false_hit_objects=8),
+                  false_hit_objects=8),
     "sif-g": dict(logical_reads=174, physical_reads=19, objects_loaded=110,
-                  false_hits=1, false_hit_objects=3),
+                  false_hit_objects=3),
     # The two baselines, as read when their rows were added (PR 24).
     "ir": dict(logical_reads=851, physical_reads=199, objects_loaded=384,
-               false_hits=48, false_hit_objects=141),
+               false_hit_objects=141),
     "ccam": dict(logical_reads=265, physical_reads=187, objects_loaded=458,
-                 false_hits=103, false_hit_objects=228),
+                 false_hit_objects=228),
 }
 
 
@@ -482,7 +482,6 @@ def test_io_and_load_counters_are_pinned(kind):
     index = db.build_index(kind)
     assert db.disk.buffer.capacity == 8
     db.disk.clear_buffer()
-    false_hits = index.lifetime_counters.false_hits
     got = dict.fromkeys(PINS[kind], 0)
     results = 0
     for query in pinned_queries(db):
@@ -492,6 +491,5 @@ def test_io_and_load_counters_are_pinned(kind):
         got["objects_loaded"] += result.stats.objects_loaded
         got["false_hit_objects"] += result.stats.false_hit_objects
         results += len(result)
-    got["false_hits"] = index.lifetime_counters.false_hits - false_hits
     assert got == PINS[kind]
     assert results == 71

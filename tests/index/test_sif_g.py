@@ -3,6 +3,7 @@
 import pytest
 
 from repro import Database, SKQuery
+from repro.index.base import LoadCounters
 from repro.index.sif_g import SIFGIndex
 from repro.network.graph import NetworkPosition
 from repro.network.objects import ObjectStore
@@ -37,7 +38,7 @@ class TestGroups:
         """Edges 1 and 2 contain both terms separately but never on one
         object's edge-pair list... the *group* list knows they never
         co-occur there, while plain SIF signatures would pass."""
-        index.lifetime_counters.reset()
+        index.lifetime_counters = LoadCounters()
         # Edge 1: hot on one object, new on another -> group bit unset.
         got = index.load_objects(1, frozenset({"hot", "new"}))
         assert got == []
@@ -103,7 +104,7 @@ def test_a_group_run_on_page_zero_is_read(line_network):
         got = sorted(db.sk_search(sifg, q).object_ids())
         assert got == sorted(db.sk_search(inverted, q).object_ids())
         assert len(got) == 4
-    sifg.lifetime_counters.reset()
+    sifg.lifetime_counters = LoadCounters()
     loaded = sifg.load_objects(first_edge, terms)
     assert [o.keywords for o in loaded] == [terms]
     assert sifg.lifetime_counters.objects_loaded == 1

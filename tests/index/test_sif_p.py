@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.index.base import LoadCounters
 from repro.index.sif_p import SIFPIndex
 from repro.network.graph import NetworkPosition
 from repro.network.objects import ObjectStore
@@ -57,7 +58,7 @@ class TestPartitioning:
 class TestVirtualEdgePruning:
     def test_fig3_false_hit_avoided(self, sifp):
         """q.T = {t2, t4} fails both virtual-edge signature tests."""
-        sifp.lifetime_counters.reset()
+        sifp.lifetime_counters = LoadCounters()
         got = sifp.load_objects(0, frozenset({"t2", "t4"}))
         assert got == []
         assert sifp.lifetime_counters.edges_pruned_by_signature == 1
@@ -65,7 +66,7 @@ class TestVirtualEdgePruning:
 
     def test_fig3_partial_false_hit(self, sifp):
         """q.T = {t1, t2}: only the first virtual edge is loaded."""
-        sifp.lifetime_counters.reset()
+        sifp.lifetime_counters = LoadCounters()
         got = sifp.load_objects(0, frozenset({"t1", "t2"}))
         assert got == []
         # Only e1 = {o1, o2} passes its signature; its two objects are
@@ -81,7 +82,7 @@ class TestVirtualEdgePruning:
         assert {o.object_id for o in got} == {0, 2, 3, 4}
 
     def test_absent_term_prunes(self, sifp):
-        sifp.lifetime_counters.reset()
+        sifp.lifetime_counters = LoadCounters()
         assert sifp.load_objects(0, frozenset({"t7"})) == []
         assert sifp.lifetime_counters.edges_pruned_by_signature == 1
 

@@ -7,6 +7,7 @@ cross-check every access path against every other.
 
 import pytest
 
+from repro.index.base import LoadCounters
 from repro.workloads.queries import (
     WorkloadConfig,
     generate_diversified_queries,
@@ -74,8 +75,8 @@ class TestIOOrdering:
     ):
         ccam = tiny_indexes["ccam"]
         inv = tiny_indexes["if"]
-        ccam.lifetime_counters.reset()
-        inv.lifetime_counters.reset()
+        ccam.lifetime_counters = LoadCounters()
+        inv.lifetime_counters = LoadCounters()
         for q in sk_queries:
             tiny_db.sk_search(ccam, q)
             tiny_db.sk_search(inv, q)
