@@ -10,9 +10,10 @@ matching the keywords, exactly what SEQ's exhaustive expansion
 produces) and maintains it against the database's update journal:
 
 * **insert** — if the new object carries all query keywords, its
-  network distance is evaluated against a cached single-source node
-  map (one bounded Dijkstra per refresh batch, reused across inserts);
-  within ``delta_max`` it joins the pool.
+  network distance is read off the labels of the last bootstrap's
+  expansion (INE settles every node within ``delta_max``), so an insert
+  runs no search and reads no page; within ``delta_max`` it joins the
+  pool.
 * **delete** — the object is dropped from the pool by id.
 * **edge_weight** — a reweight can shift *every* candidate's distance
   and the pairwise distances between them; if the edge intersects the
@@ -31,29 +32,22 @@ selection), the refreshed answer is **identical** to re-running
 ``diversified_search`` from scratch at the current epoch — the
 recompute-equivalence contract the property tests enforce.
 
-Distance fidelity
------------------
-Pool distances must be bit-identical to INE's ``δ(q, o)`` or the
-greedy tie-breaks could diverge.  INE computes ``min over settled
-end-nodes of (δ(q, n) + offset-from-n)`` with nodes settled up to
-``delta_max``, and pins objects sharing the query's edge at the
-along-edge distance ``|offset_o - offset_q|`` (paper's same-edge rule,
-applied *instead of* the endpoint paths).  The maintainer mirrors both
-rules: ``single_source_distances(cutoff=delta_max)`` yields exactly
-the settled-node map, and same-edge inserts take the pinned along-edge
-distance without consulting it.
+An insert's distance is the float INE would give it: Equation 1 over
+the expansion's own labels, or the along-edge pin on the query's edge.
+A reweight the maintainer ignores lies beyond
+``PAIRWISE_RADIUS_FACTOR · delta_max``, so it moves no label within
+``delta_max``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from ..errors import DatasetError, GraphError
 from ..index.base import LoadCounters
 from ..network.distance import (
     PAIRWISE_CUTOFF_FACTOR,
     position_distance_from_node_map,
-    single_source_distances,
 )
 from ..obs.metrics import StageClock
 from ..spatial.geometry import project_onto_segment
@@ -95,10 +89,8 @@ class IncrementalDiversifiedTopK:
         self._pool: Dict[int, ResultItem] = {}
         #: Journal epoch the pool reflects.
         self._epoch = 0
-        #: Cached single-source node map for insert distance evaluation;
-        #: distances from the query only change on a (region-relevant)
-        #: reweight, which re-bootstraps and drops the cache.
-        self._node_map: Optional[Dict[int, float]] = None
+        #: The last bootstrap's ``{node: δ(q, node)}`` within delta_max.
+        self._labels: Dict[int, float] = {}
         self.refreshes = 0
         self.incremental_refreshes = 0
         self.full_recomputes = 0
@@ -129,7 +121,7 @@ class IncrementalDiversifiedTopK:
             }
         finally:
             self._index.merge_counters(counters)
-        self._node_map = None
+        self._labels = expansion.labels
 
     def _reweight_is_relevant(self, edge_id: int) -> bool:
         """Could reweighting ``edge_id`` change any distance we rely on?
@@ -158,18 +150,13 @@ class IncrementalDiversifiedTopK:
 
     def _insert_distance(self, obj) -> float:
         """``δ(q, o)`` exactly as INE would have computed it."""
-        db = self._db
         q = self._query
         if obj.position.edge_id == q.position.edge_id:
             # Same-edge rule: pinned along-edge distance, no endpoint
-            # paths (mirrors INE's `pinned` set).
+            # paths (as INE seeds its own edge).
             return abs(obj.position.offset - q.position.offset)
-        if self._node_map is None:
-            self._node_map = single_source_distances(
-                db.ccam, db.network, q.position, cutoff=q.delta_max
-            )
         return position_distance_from_node_map(
-            db.network, self._node_map, obj.position
+            self._db.network, self._labels, obj.position
         )
 
     def refresh(self) -> bool:

@@ -148,6 +148,11 @@ class INEExpansion:
         self._counters = counters
         self._tracer = tracer
         self.stats = ExpansionStats()
+        #: ``{node: δ(q, node)}`` for every node the expansion settled,
+        #: filled as it goes: once the stream is exhausted, every node
+        #: within ``delta_max``, each label the float
+        #: :func:`~repro.network.distance.single_source_distances` gives.
+        self.labels: Dict[int, float] = {}
 
     def run(self) -> Iterator[ResultItem]:
         """Yield matching objects in non-decreasing network distance."""
@@ -173,7 +178,7 @@ class INEExpansion:
             guard, mask = None, None
         tests_charged, pruned = stats.edges_accessed, 0
 
-        settled: Set[int] = set()
+        settled = self.labels = {}
         visited_edges: Set[int] = {query_edge}
         node_heap: List[Tuple[float, int]] = []
         #: matching objects grouped by edge, for endpoint relaxation
@@ -256,7 +261,7 @@ class INEExpansion:
                             "ine.terminated", reason="delta_max", watermark=d_n
                         )
                     break
-                settled.add(node_id)
+                settled[node_id] = d_n
                 stats.nodes_accessed += 1
                 if tracing:
                     rounds.settle(d_n, len(node_heap))

@@ -13,6 +13,7 @@ generator" — one expansion, bounded by the query's ``horizon``.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import FrozenSet, Iterable, List, Optional
@@ -91,8 +92,10 @@ def knn_search(
 
     The stream arrives in non-decreasing distance, so the k-th arrival
     is the k-th nearest match; closing the generator there stops the
-    expansion at the node whose settling finalised it.
+    expansion at the node whose settling finalised it.  The stats carry
+    the SK query's stages: ``expansion`` and its ``object_loading``.
     """
+    start = time.perf_counter()
     expansion = INEExpansion(
         provider, network, index, query.position, query.terms,
         query.horizon, counters, tracer,
@@ -104,5 +107,9 @@ def knn_search(
         nodes_accessed=expansion.stats.nodes_accessed,
         edges_accessed=expansion.stats.edges_accessed,
         candidates=len(items),
+        stage_seconds={
+            "expansion": time.perf_counter() - start,
+            "object_loading": expansion.stats.load_seconds,
+        },
     )
     return SKkNNResult(items, stats)

@@ -271,14 +271,14 @@ def position_distance_from_node_map(
     network: RoadNetwork,
     node_dist: Dict[int, float],
     target: NetworkPosition,
-    source: Optional[NetworkPosition] = None,
 ) -> float:
-    """Evaluate Equation 1 given a map of node distances.
+    """Equation 1 given a map of node distances.
 
     ``δ(q, p) = min(δ(q, n1) + w(n1, p), δ(q, n2) + w(n2, p))`` for a
-    target ``p`` on edge ``(n1, n2)``.  When ``source`` lies on the same
-    edge the along-edge distance ``w(q, p)`` is used (paper's same-edge
-    rule) if it beats the endpoint paths.
+    target ``p`` on edge ``(n1, n2)``; an end-node missing from the map
+    contributes nothing (``inf`` when both are).  The paper's same-edge
+    rule is the caller's: a target on the source's own edge is pinned at
+    the along-edge distance instead.
     """
     edge = network.edge(target.edge_id)
     best = INF
@@ -288,8 +288,6 @@ def position_distance_from_node_map(
     d2 = node_dist.get(edge.n2)
     if d2 is not None:
         best = min(best, d2 + (edge.weight - target.offset))
-    if source is not None and source.edge_id == target.edge_id:
-        best = min(best, abs(source.offset - target.offset))
     return best
 
 
@@ -302,48 +300,19 @@ def network_distance(
 ) -> float:
     """Network distance ``δ(a, b)``; ``inf`` when beyond ``cutoff``.
 
-    Runs a Dijkstra from ``a`` with early termination at ``b``'s edge
-    end-nodes.  On a shared edge the along-edge distance short-circuits
-    it (paper: ``δ(q, p) = w(q, p)`` if both lie on one edge).
+    Two positions on one edge are pinned at the along-edge distance
+    (paper: ``δ(q, p) = w(q, p)`` if both lie on one edge).  Otherwise
+    Equation 1 over the shared search (:func:`seeded_distances`) from
+    ``a``'s seeds, stopped once ``b``'s two end-nodes settle.
     """
     if a.edge_id == b.edge_id:
         return abs(a.offset - b.offset)
     edge_b = network.edge(b.edge_id)
-    targets = {edge_b.n1, edge_b.n2}
-    target_dist: Dict[int, float] = {}
-
-    dist: Dict[int, float] = {}
-    best_known: Dict[int, float] = {}
-    heap: list = []
-    for node_id, d in seed_distances(network, a).items():
-        if d <= cutoff and d < best_known.get(node_id, INF):
-            best_known[node_id] = d
-    for node_id, d in best_known.items():
-        heapq.heappush(heap, (d, node_id))
-    best = INF
-    while heap:
-        d, node_id = heapq.heappop(heap)
-        if node_id in dist:
-            continue
-        if d > cutoff or d >= best:
-            break
-        dist[node_id] = d
-        if node_id in targets:
-            target_dist[node_id] = d
-            via = d + (
-                b.offset if node_id == edge_b.n1 else edge_b.weight - b.offset
-            )
-            best = min(best, via)
-            if len(target_dist) == len(targets):
-                break
-        for _edge_id, other, weight in provider.neighbors(node_id):
-            nd = d + weight
-            if (
-                nd <= cutoff and nd < best and other not in dist
-                and nd < best_known.get(other, INF)
-            ):
-                best_known[other] = nd
-                heapq.heappush(heap, (nd, other))
+    labels = seeded_distances(
+        provider, seed_distances(network, a), cutoff,
+        targets=(edge_b.n1, edge_b.n2),
+    )
+    best = position_distance_from_node_map(network, labels, b)
     return best if best <= cutoff else INF
 
 

@@ -6,6 +6,7 @@ from contextlib import contextmanager
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import settings
 
 from repro import (
     Database,
@@ -23,6 +24,12 @@ from repro.datasets.catalog import DatasetProfile
 from repro.network.distance import PAIRWISE_CUTOFF_FACTOR, PairwiseDistanceComputer
 from repro.obs.events import QueryEvent
 from repro.obs.tracing import NULL_TRACER
+
+# A property failure prints its ``@reproduce_failure`` line, so one seen
+# only in CI can be replayed locally.  Each test keeps its own deadline
+# and example count.
+settings.register_profile("repro", print_blob=True)
+settings.load_profile("repro")
 
 
 def make_line_network(num_nodes: int = 5, spacing: float = 100.0) -> RoadNetwork:

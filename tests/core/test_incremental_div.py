@@ -16,7 +16,9 @@ import pytest
 from repro.core.incremental import IncrementalDiversifiedTopK
 from repro.datasets.catalog import DatasetProfile, build_dataset
 from repro.errors import DatasetError, GraphError
+from repro.network.graph import NetworkPosition
 from repro.workloads.queries import WorkloadConfig, generate_diversified_queries
+from tests.oracle import Oracle
 
 SMALL_PROFILE = DatasetProfile(
     name="TINY-DYN",
@@ -95,6 +97,45 @@ def test_incremental_equals_requery_after_interleaved_updates(seed):
     counters = [m.counters() for m in maintainers]
     assert sum(c["refreshes"] for c in counters) > 0
     assert sum(c["incremental_refreshes"] for c in counters) > 0
+
+
+@pytest.mark.parametrize("seed", [5, 23])
+def test_pool_distances_match_the_oracle(seed):
+    """After every round of interleaved updates the maintained pool is
+    the oracle's range answer, each distance within 1e-9.  Each round
+    inserts, for every query, a matching object on the edge of an object
+    within its range; the maintainer reads the insert's distance off its
+    last bootstrap's labels."""
+    db = fresh_db()
+    index = db.build_index("sif", file_prefix=f"incr-oracle-{seed}")
+    rng = random.Random(seed)
+    queries = generate_diversified_queries(
+        db, WorkloadConfig(num_queries=4, num_keywords=2, k=4, seed=seed)
+    )
+    maintainers = [
+        IncrementalDiversifiedTopK(db, index, q) for q in queries
+    ]
+    for round_no in range(5):
+        oracle = Oracle(db)
+        for q in queries:
+            near = sorted(oracle.sk_range(q.position, set(), q.delta_max))
+            donor = db.store.get(rng.choice(near))
+            edge = db.network.edge(donor.position.edge_id)
+            db.insert_object(
+                NetworkPosition(edge.edge_id, rng.uniform(0, edge.weight)),
+                set(q.terms), indexes=(index,),
+            )
+        for _ in range(3):
+            apply_random_update(db, index, rng)
+        oracle = Oracle(db)
+        for q, m in zip(queries, maintainers):
+            m.refresh()
+            truth = oracle.sk_range(q.position, q.terms, q.delta_max)
+            pool = {oid: item.distance for oid, item in m._pool.items()}
+            assert set(pool) == set(truth), (seed, round_no, q)
+            for oid, d in truth.items():
+                assert abs(pool[oid] - d) <= 1e-9, (seed, round_no, oid)
+    assert sum(m.counters()["incremental_refreshes"] for m in maintainers)
 
 
 def test_insert_then_delete_in_one_batch_is_a_noop(seed=7):

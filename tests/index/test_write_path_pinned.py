@@ -10,13 +10,21 @@ writes over the burst, and each index's layout digest
 (:func:`tests.datasets.test_catalog.layout_digest`) must be the
 numbers below, read off the code before the insert and delete paths
 were shared between the indexes.
+
+Every keyword tree of that database is one pinned root leaf, so its
+burst reads nothing through the buffer.  A second burst runs on SYN at
+scale 0.25, on keywords whose trees have two levels: there each update
+descends to a leaf that is not pinned, so an added or dropped descent
+moves the logical reads.
 """
+
+import pytest
 
 from repro.datasets.catalog import build_dataset
 from repro.index.inverted_file import POSTINGS_PER_PAGE
 from repro.network.graph import NetworkPosition
 from tests.conftest import TINY_PROFILE
-from tests.datasets.test_catalog import layout_digest
+from tests.datasets.test_catalog import layout_digest, trees_and_rows
 
 KINDS = ("if", "sif", "sif-p")
 
@@ -117,3 +125,77 @@ def test_insert_delete_burst_is_pinned():
         name = f"wp-{kind}.postings"
         assert got["pages"][name] > pages_before[name], name
     assert got == PINNED
+
+
+
+
+#: The two-level burst's numbers on SYN 0.25, one database per index.
+PINNED_DEEP = {
+    "if": {
+        "pages": {"deep-if.postings": 652, "deep-if.trees": 611},
+        "logical_reads": 350,
+        "writes": 356,
+        "digest": "fdb9879643e87a4a921d5d3fcaef49c312a547062645c181efa1c6a17286aff9",
+    },
+    "sif": {
+        "pages": {"deep-sif.postings": 652, "deep-sif.trees": 611},
+        "logical_reads": 350,
+        "writes": 356,
+        "digest": "218422cfac21f1b74ad455673b6c5d69babe95f2510104e9a9f26dd22d0f84a6",
+    },
+    "sif-p": {
+        "pages": {"deep-sif-p.postings": 652, "deep-sif-p.trees": 611},
+        "logical_reads": 350,
+        "writes": 356,
+        "digest": "3d76f2001185132ee48e6f555d1470109e312bed2cd8e48a16b086fa4b3599b1",
+    },
+}
+
+
+def deep_burst(db, index):
+    """Inserts and deletes through ``index`` on the three most frequent
+    keywords whose trees have two levels, spread over the whole
+    edge-key range; returns those keywords."""
+    store = db.store
+    freq = store.keyword_frequencies()
+    trees, _rows = trees_and_rows(index)
+    deep = sorted(
+        (t for t, tree in trees.items() if tree.height == 2),
+        key=lambda t: (-freq[t], t),
+    )[:3]
+    edges = sorted(store.edges_with_objects())
+    inserted = []
+    for i in range(40):
+        edge_id = edges[i * len(edges) // 40]
+        inserted.append(db.insert_object(
+            NetworkPosition(edge_id, db.network.edge(edge_id).weight / 3),
+            {deep[i % 3], deep[(i + 1) % 3]}, (index,),
+        ))
+    doomed = sorted(
+        (o for o in store if deep[0] in o.keywords),
+        key=lambda o: o.object_id,
+    )[:20]
+    for obj in doomed + inserted[::4]:
+        db.delete_object(obj.object_id, (index,))
+    return deep
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_burst_on_two_level_trees_is_pinned(kind):
+    db = build_dataset("SYN", scale=0.25)
+    index = db.build_index(kind, file_prefix=f"deep-{kind}")
+    files = [f for f in db.disk.files() if f.name.startswith("deep-")]
+    stats = db.disk.stats
+    reads, writes = stats.logical_reads, stats.writes
+    deep = deep_burst(db, index)
+    trees, _rows = trees_and_rows(index)
+    assert deep == ["t0", "t40", "t80"]
+    assert all(trees[term].height == 2 for term in deep)
+    got = {
+        "pages": {f.name: f.num_pages for f in files},
+        "logical_reads": stats.logical_reads - reads,
+        "writes": stats.writes - writes,
+        "digest": layout_digest(index, files),
+    }
+    assert got["logical_reads"] > 0
+    assert got == PINNED_DEEP[kind]

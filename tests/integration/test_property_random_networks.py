@@ -4,7 +4,9 @@ Each case builds a fresh small world — random planar network, random
 objects, random query — and checks the full pipeline against brute
 force.  These are the heaviest guards against structural bugs that a
 fixed fixture might never exercise (degenerate edges, dead-end nodes,
-objects at offsets 0/weight, queries on empty edges...).
+objects at offsets 0/weight, queries on empty edges...).  The brute
+force is :class:`tests.oracle.Oracle`, which shares no code with the
+engine.
 """
 
 import numpy as np
@@ -17,7 +19,7 @@ from repro.core.ine import INEExpansion
 from repro.core.knn import SKkNNQuery, knn_search
 from repro.datasets.generator import populate_objects
 from repro.datasets.synthetic import random_planar_network
-from repro.network.distance import network_distance
+from tests.oracle import Oracle
 
 
 def build_world(seed):
@@ -49,16 +51,7 @@ def random_query(db, rng, num_terms):
 
 
 def brute_force(db, position, terms, delta_max):
-    out = {}
-    for obj in db.store:
-        if not obj.contains_all(terms):
-            continue
-        d = network_distance(
-            db.network, db.network, position, obj.position, cutoff=delta_max
-        )
-        if d <= delta_max:
-            out[obj.object_id] = d
-    return out
+    return Oracle(db).sk_range(position, terms, delta_max)
 
 
 @settings(max_examples=20, deadline=None)
@@ -115,3 +108,47 @@ def test_seq_equals_com_on_random_worlds(seed):
             seq.objective_value, rel=1e-6, abs=1e-9
         )
         assert len(seq) == len(other)
+
+
+def assert_close(got, want, label):
+    assert abs(got - want) <= 1e-9, (label, got, want)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 2))
+def test_knn_seq_and_com_match_the_oracle(seed, num_terms):
+    """Every answer item's distance, and ``f(S)`` recomputed from the
+    oracle's pair distances, within 1e-9 of the oracle's."""
+    from repro.core.queries import DiversifiedSKQuery
+
+    db, rng = build_world(seed % 7)
+    index = db.build_index("sif", file_prefix=f"oracle-{seed}")
+    position, terms, delta_max = random_query(db, rng, num_terms)
+    oracle = Oracle(db)
+    truth = oracle.sk_range(position, terms)
+
+    k = int(rng.integers(1, 6))
+    knn = knn_search(
+        db.ccam, db.network, index, SKkNNQuery.create(position, terms, k=k)
+    )
+    nearest = sorted(truth.values())[:k]
+    assert len(knn) == len(nearest)
+    for item, want in zip(knn, nearest):
+        assert_close(item.distance, truth[item.object.object_id], "knn")
+        assert_close(item.distance, want, "knn rank")
+
+    query = DiversifiedSKQuery(
+        position, terms, delta_max, int(rng.integers(2, 7)),
+        float(rng.uniform(0.1, 1.0)),
+    )
+    for method in ("seq", "com"):
+        result = db.diversified_search(index, query, method=method)
+        for item in result.items:
+            assert item.distance <= delta_max
+            assert_close(item.distance, truth[item.object.object_id], method)
+        value = oracle.objective(
+            [item.object.position for item in result.items],
+            [truth[item.object.object_id] for item in result.items],
+            delta_max, query.lambda_,
+        )
+        assert_close(result.objective_value, value, (method, "f(S)"))

@@ -188,7 +188,7 @@ class TestPointToPoint:
         d = network_distance(paper_network, paper_network, a, b, cutoff=cutoff)
         assert d == pytest.approx(5.0)  # a -> n2 (1) -> 4 into edge (2,5)
         assert d == pytest.approx(
-            position_distance_from_node_map(paper_network, dist, b, source=a)
+            position_distance_from_node_map(paper_network, dist, b)
         )
         # Targets only reachable through the far seed endpoint are out.
         edge01 = paper_network.edge_between(0, 1)
@@ -242,15 +242,6 @@ class TestEquationOne:
         target = NetworkPosition(2, 25.0)
         d = position_distance_from_node_map(line_network, node_map, target)
         assert d == pytest.approx(225)
-
-    def test_same_edge_shortcut_applies(self, line_network):
-        q = NetworkPosition(1, 10.0)
-        node_map = {1: 10.0, 2: 90.0}
-        target = NetworkPosition(1, 60.0)
-        d = position_distance_from_node_map(
-            line_network, node_map, target, source=q
-        )
-        assert d == pytest.approx(50)
 
     def test_missing_nodes_gives_inf(self, line_network):
         d = position_distance_from_node_map(
