@@ -50,7 +50,7 @@ those are read off an opponent's kept row.  The standing-query refresh
 from __future__ import annotations
 
 import time
-from itertools import islice
+from itertools import combinations, islice
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -149,16 +149,29 @@ class PairDistances:
         self, objective: DiversificationObjective, items: List[ResultItem]
     ) -> float:
         """``f(items)``, from the kept matrix when it covers ``items``,
-        else from one more over exactly them."""
+        else from one more over exactly them.
+
+        The pairs' θ are :meth:`DiversificationObjective.theta_matrix`
+        over the items' rows, element-wise the scalar ``theta``, summed
+        left to right in ``combinations`` order as
+        :meth:`DiversificationObjective.objective` sums them: the same
+        value bit for bit (``np.sum`` reorders the additions, and the
+        builtin ``sum`` compensates them on Python ≥ 3.12).
+        """
         if any(it.object.object_id not in self._row_of for it in items):
             self.matrix(items)
+        dists = [it.distance for it in items]
+        k = len(items)
+        if k < 2:  # the empty set or a singleton: no pair is read
+            return objective.objective(dists, lambda i, j: 0.0)
         rows = [self._row_of[it.object.object_id] for it in items]
-        matrix = self._matrix
-
-        def pd(i: int, j: int) -> float:
-            return float(matrix[rows[i], rows[j]])
-
-        return objective.objective([it.distance for it in items], pd)
+        theta = objective.theta_matrix(
+            np.array(dists), self._matrix.take(rows, 0).take(rows, 1)
+        ).tolist()
+        total = 0.0
+        for i, j in combinations(range(k), 2):
+            total += theta[i][j]
+        return 2.0 * total / (k * (k - 1))
 
 
 def _record_pairwise(

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional
+from typing import AbstractSet, Dict, List, Optional
 
 from ..network.graph import NetworkPosition
 
@@ -36,7 +36,7 @@ class UpdateRecord:
     kind: str  # one of UPDATE_KINDS
     edge_id: int
     #: Keywords of the inserted/deleted object; empty for edge_weight.
-    terms: FrozenSet[str] = frozenset()
+    terms: AbstractSet[str] = frozenset()
     #: Object position for insert/delete (post-commit coordinates).
     position: Optional[NetworkPosition] = None
     #: Object id for insert/delete.

@@ -96,7 +96,7 @@ def save_dataset(store: ObjectStore, path: PathLike) -> None:
             [
                 obj.position.edge_id,
                 obj.position.offset,
-                sorted(obj.keywords),
+                obj.keywords,
             ]
             for obj in store
         ],

@@ -467,15 +467,15 @@ class InvertedFileIndex(ObjectIndex):
         """Insert one new object's postings (dynamic maintenance):
         :func:`append_posting` per keyword.
 
-        Keywords are visited in sorted order, here and in
+        Keywords are visited in their stored, sorted order, here and in
         :meth:`delete_object`: the descents go through the buffer and
-        new pages are numbered as they are allocated, so a frozenset's
-        order would make later page reads follow ``PYTHONHASHSEED``.
+        new pages are numbered as they are allocated, so a hash order
+        would make later page reads follow ``PYTHONHASHSEED``.
         """
         key = self._edge_keys[obj.position.edge_id]
         posting = (key, obj.object_id, obj.position.offset)
         pages_per_term = self._pages_per_term
-        for term in sorted(obj.keywords):
+        for term in obj.keywords:
             if append_posting(
                 self._trees, term, self._postings, self._tree_file, posting,
                 width=1,
@@ -486,7 +486,7 @@ class InvertedFileIndex(ObjectIndex):
         """Remove one object's postings (dynamic maintenance):
         :func:`drop_posting` on the edge's run of each keyword."""
         key = self._edge_keys[obj.position.edge_id]
-        for term in sorted(obj.keywords):
+        for term in obj.keywords:
             tree = self._trees.get(term)
             run = tree.search(key) if tree is not None else None
             if run is not None:

@@ -17,7 +17,7 @@ Two solvers are provided, both driven by a query log:
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
+from typing import AbstractSet, Dict, FrozenSet, List, Sequence, Set, Tuple
 
 __all__ = [
     "QueryLog",
@@ -33,15 +33,16 @@ QueryLog = Sequence[Tuple[FrozenSet[str], float]]
 
 
 def false_hit_cost(
-    group_keywords: Sequence[FrozenSet[str]], terms: FrozenSet[str]
+    group_keywords: Sequence[AbstractSet[str]], terms: FrozenSet[str]
 ) -> int:
     """ξ(q, e') for one virtual edge.
 
     ``group_keywords`` holds the keyword set of every object in the
-    virtual edge.  The cost is the number of objects loaded due to a
-    false hit: the full group size when the signature test passes but
-    no object contains all query keywords, zero otherwise (signature
-    failure or true hit).
+    virtual edge: a ``frozenset``, or an object's
+    :class:`~repro.network.objects.Keywords`.  The cost is the number
+    of objects loaded due to a false hit: the full group size when the
+    signature test passes but no object contains all query keywords,
+    zero otherwise (signature failure or true hit).
     """
     if not group_keywords or not terms:
         return 0
@@ -75,7 +76,7 @@ def segments_from_cuts(m: int, cuts: Sequence[int]) -> List[Tuple[int, int]]:
 
 
 def partition_cost(
-    object_keywords: Sequence[FrozenSet[str]],
+    object_keywords: Sequence[AbstractSet[str]],
     cuts: Sequence[int],
     query_log: QueryLog,
 ) -> float:
@@ -91,7 +92,7 @@ def partition_cost(
 
 
 def _segment_cost_table(
-    object_keywords: Sequence[FrozenSet[str]], query_log: QueryLog
+    object_keywords: Sequence[AbstractSet[str]], query_log: QueryLog
 ) -> Dict[Tuple[int, int], float]:
     """Pre-compute ξ(Q, ·) of every contiguous object range (Eq. 7)."""
     m = len(object_keywords)
@@ -108,7 +109,7 @@ def _segment_cost_table(
 
 
 def dp_partition(
-    object_keywords: Sequence[FrozenSet[str]],
+    object_keywords: Sequence[AbstractSet[str]],
     cuts: int,
     query_log: QueryLog,
 ) -> Tuple[Tuple[int, ...], float]:
@@ -153,7 +154,7 @@ def dp_partition(
 
 
 def _split_costs(
-    object_keywords: Sequence[FrozenSet[str]],
+    object_keywords: Sequence[AbstractSet[str]],
     start: int,
     end: int,
     query_log: QueryLog,
@@ -180,7 +181,7 @@ def _split_costs(
         hit = False
         for i in range(n - 1, -1, -1):
             kws = object_keywords[start + i]
-            missing -= kws
+            missing.difference_update(kws)
             hit = hit or terms <= kws
             suffix_pass[i] = not missing
             suffix_hit[i] = hit
@@ -191,7 +192,7 @@ def _split_costs(
         p_hit = False
         for i in range(n - 1):
             kws = object_keywords[start + i]
-            p_missing = p_missing - kws
+            p_missing = p_missing.difference(kws)
             p_hit = p_hit or terms <= kws
             left_cost = (i + 1) if (not p_missing and not p_hit) else 0
             right_cost = (
@@ -202,7 +203,7 @@ def _split_costs(
 
 
 def greedy_partition(
-    object_keywords: Sequence[FrozenSet[str]],
+    object_keywords: Sequence[AbstractSet[str]],
     cuts: int,
     query_log: QueryLog,
     stop_when_no_improvement: bool = True,

@@ -91,7 +91,7 @@ class SIFGIndex(ObjectIndex):
         for edge_id in ordered_edges:
             key = keys[edge_id]
             for obj in self._store.objects_on_edge(edge_id):
-                present = sorted(obj.keywords & top)
+                present = [t for t in obj.keywords if t in top]
                 for i in range(len(present)):
                     for j in range(i + 1, len(present)):
                         pair = frozenset((present[i], present[j]))

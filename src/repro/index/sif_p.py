@@ -178,10 +178,13 @@ class SIFPIndex(ObjectIndex):
         )
         for edge_id in ordered_edges:
             objects = self._store.objects_on_edge(edge_id)
-            kws = [o.keywords for o in objects]
             cuts: Tuple[int, ...] = ()
             if edge_id in to_partition and len(objects) >= 2:
-                cuts = self._partition_edge(kws)
+                # The partition tests subsets per (query, object group):
+                # one transient frozenset per object keeps them in C.
+                cuts = self._partition_edge(
+                    [frozenset(o.keywords) for o in objects]
+                )
             segments = segments_from_cuts(len(objects), cuts)
             self._segments[edge_id] = segments
             self._boundaries[edge_id] = [
@@ -388,7 +391,7 @@ class SIFPIndex(ObjectIndex):
             self._edge_keys[edge_id], v_idx, obj.object_id, obj.position.offset
         )
         pages_per_term = self._pages_per_term
-        for term in sorted(obj.keywords):
+        for term in obj.keywords:
             if append_posting(
                 self._trees, term, self._postings, self._tree_file, posting,
                 width=2,
@@ -411,7 +414,7 @@ class SIFPIndex(ObjectIndex):
         """
         edge_id = obj.position.edge_id
         key = self._edge_keys[edge_id]
-        for term in sorted(obj.keywords):
+        for term in obj.keywords:
             tree = self._trees.get(term)
             value = tree.search(key) if tree is not None else None
             if value is None:

@@ -91,7 +91,7 @@ class _QuerySampler:
         # "object" mode: keywords of one object, frequency-weighted.
         for _ in range(64):
             obj = self._objects[int(self._rng.integers(0, len(self._objects)))]
-            terms = sorted(obj.keywords)
+            terms = obj.keywords
             if len(terms) < l:
                 continue
             weights = np.array(

@@ -175,3 +175,59 @@ class TestArrayScoring:
         assert got.tolist() == [
             obj.diversity(inf), obj.diversity(0.0), obj.diversity(250.0)
         ]
+
+
+class _KeptMatrix:
+    """A stand-in pairwise computer whose one matrix is given."""
+
+    def __init__(self, matrix):
+        self.matrix = matrix
+
+    def pairwise_matrix(self, positions, reach=0.0, span=None):
+        assert len(positions) == len(self.matrix)
+        return self.matrix
+
+
+class TestPairDistancesObjective:
+    """``PairDistances.objective_value`` scores f(S) from the θ matrix
+    over the kept matrix's rows; it must equal the scalar
+    :meth:`DiversificationObjective.objective` bit for bit."""
+
+    @given(
+        st.lists(dist, min_size=8, max_size=14),
+        st.sampled_from([0, 1, 2, 5, 8]),
+        st.floats(0.0, 1.0),
+        st.sampled_from([300.0, 1000.0, 1500.0]),
+        st.integers(0, 10**6),
+    )
+    def test_equals_the_scalar_objective(self, dists, k, lam, delta_max, seed):
+        import numpy as np
+
+        from repro.core.diversified_search import PairDistances
+        from repro.core.queries import ResultItem
+        from repro.network.graph import NetworkPosition
+        from repro.network.objects import SpatioTextualObject
+
+        rng = np.random.default_rng(seed)
+        n = len(dists)
+        pair = rng.uniform(0.0, 2.5 * delta_max, size=(n, n))
+        pair = (pair + pair.T) / 2.0
+        np.fill_diagonal(pair, 0.0)
+        pool = [
+            ResultItem(
+                SpatioTextualObject(i, NetworkPosition(0, float(i)), {"x"}), d
+            )
+            for i, d in enumerate(dists)
+        ]
+        pairs = PairDistances(_KeptMatrix(pair))
+        pairs.matrix(pool)
+        picked = [int(i) for i in rng.permutation(n)[:k]]
+        chosen = [pool[i] for i in picked]
+        obj = DiversificationObjective(lam, delta_max)
+
+        got = pairs.objective_value(obj, chosen)
+        want = obj.objective(
+            [it.distance for it in chosen],
+            lambda i, j: float(pair[picked[i], picked[j]]),
+        )
+        assert got.hex() == want.hex()

@@ -20,6 +20,7 @@ from repro.index.partition import (
     partition_cost,
     segments_from_cuts,
 )
+from repro.network.objects import Keywords
 
 F = frozenset
 
@@ -200,5 +201,9 @@ class TestGreedyPartition:
         cuts = 2
         _, dp_cost = dp_partition(objects, cuts, log)
         dp_best = min(dp_partition(objects, c, log)[1] for c in range(cuts + 1))
-        _, greedy_cost = greedy_partition(objects, cuts, log)
-        assert greedy_cost >= dp_best - 1e-9
+        greedy = greedy_partition(objects, cuts, log)
+        assert greedy[1] >= dp_best - 1e-9
+        # Objects' stored keywords partition exactly as frozensets do.
+        stored = [Keywords(o) for o in objects]
+        assert greedy_partition(stored, cuts, log) == greedy
+        assert dp_partition(stored, cuts, log)[1] == dp_cost

@@ -1,9 +1,10 @@
 """Smoke check (``python -m pytest -m smoke``; tier-1 deselects it).
 
 What ``build_index`` writes does not depend on the string hash seed.
-The builds iterate keyword frozensets — the staging pass that feeds IF's
-postings and the signature rows, SIF-P's partitioning, SIF-G's pairs —
-so each must come out in an order of its own making.  The seed is fixed
+The builds iterate sets — the staging pass that feeds IF's postings
+and the signature rows, SIF-P's partitioning (over per-object
+frozensets), SIF-G's pairs — so each must come out in an order of its
+own making.  The seed is fixed
 when the interpreter starts: the layout digest of
 ``tests/datasets/test_catalog.py`` (every page, tree root, signature
 row and ``size_bytes()`` of IF, SIF, SIF-P and SIF-G on SYN at scale

@@ -2,7 +2,7 @@
 
 Page reads do not depend on the string hash seed.  Query keywords are
 fetched rarest-first (SIF-G: its pair cover, then the sorted singles)
-and an update visits its keywords sorted, not in frozenset order, so
+and an update visits its keywords in their stored, sorted order, so
 the 8-page LRU sees the same page sequence under any
 ``PYTHONHASHSEED``.  The seed is fixed when the interpreter starts, so
 every run is a subprocess: SYN at scale 0.2, 60 queries, under seeds 1
