@@ -29,9 +29,16 @@ __all__ = ["CorePair", "CorePairMaintainer"]
 
 PairDistance = Callable[[ResultItem, ResultItem], float]
 
-#: Below this many opponents a batched θ row costs more in array setup
-#: than the scalar loop it replaces.
-_ARRAY_ROW_MIN = 8
+#: Far above the few ulps by which a computed θ bound (a value in
+#: [0, 1]) can stray from the real line it rounds: a bound this far
+#: from θ_T puts every cell beyond it on its side of θ_T
+#: (:meth:`CorePairMaintainer._theta_row`).
+_ROUNDING = 1e-12
+
+_OUT_OF_ORDER = (
+    "object {} arrives at distance {}: arrivals come in non-decreasing "
+    "distance, within delta_max"
+)
 
 
 @dataclass
@@ -66,10 +73,11 @@ class CorePairMaintainer:
         insertion, so a trace shows when (and at what θ) the result set
         last changed.
 
-        Each arrival's θ-upper-bound row is batched through numpy
-        (:meth:`DiversificationObjective.theta_batch`) once it is long
-        enough to pay for the array setup — same bounds bit for bit as
-        the object-by-object loop, same counters."""
+        Objects arrive in non-decreasing distance, within δmax, as INE
+        emits them (:meth:`add` raises otherwise): each arrival's θ
+        bound row is then monotone, so it is bisected instead of tested
+        cell by cell (:meth:`_theta_row`) — the same pairs asked, in the
+        same order, and the same counters."""
         if k < 2:
             raise ValueError("k must be at least 2")
         self._k = k
@@ -88,7 +96,8 @@ class CorePairMaintainer:
         #: every object seen so far, pruned ones included: what an odd
         #: ``k``'s last slot is filled from
         self._seen: Dict[int, ResultItem] = {}
-        #: object_id -> best θ against any other active object
+        #: object_id -> best θ against any other active object, of the
+        #: cells that can decide the prune test (:meth:`best_theta`)
         self._best_theta: Dict[int, float] = {}
         self.theta_evaluations = 0
 
@@ -143,7 +152,15 @@ class CorePairMaintainer:
         return self._pair_theta.get(object_id, float("inf"))
 
     def best_theta(self, object_id: int) -> float:
-        """Largest θ between this object and any other active object."""
+        """Largest θ between this object and another active object, of
+        the pairs the prune test ``best_theta < θ_T`` can turn on.
+
+        After :meth:`bootstrap` that is every pair of the pool.  An
+        arrival adds its pairs asked exactly, and the pairs left at a
+        bound equal to θ_T at the time, at that value; a pair left at a
+        bound below θ_T is not counted, since θ_T never falls.  So the
+        prune test reads as it would over every pair, the value may
+        not."""
         return self._best_theta.get(object_id, float("-inf"))
 
     # ------------------------------------------------------------------
@@ -155,53 +172,77 @@ class CorePairMaintainer:
             a.distance, b.distance, self._pair_distance(a, b)
         )
 
-    def _theta_upper_bound(self, a: ResultItem, b: ResultItem) -> float:
-        """Cheap θ upper bound needing no network distance.
-
-        By the triangle inequality through the query point,
-        ``δ(a, b) <= δ(a, q) + δ(b, q)``; θ is monotone in the pair
-        distance, so plugging the bound in yields an upper bound.
-        """
-        return self._objective.theta(
-            a.distance, b.distance, a.distance + b.distance
-        )
-
     def _theta_row(
         self,
         item: ResultItem,
         others: List[ResultItem],
-        theta_t_now: float,
-    ) -> Dict[int, float]:
-        """θ of ``item`` against every object in ``others``.
+        theta_t: float,
+    ) -> Tuple[Dict[int, float], List[int]]:
+        """Exact θ of ``item`` against the opponents in ``others`` whose
+        θ bound clears ``theta_t``, and the ids of those whose bound
+        equals it.
 
-        The θ upper bound (triangle inequality through the query) is
-        evaluated for the whole row; only opponents whose bound clears
-        ``theta_t_now`` get the exact (network-distance) θ.  A long
-        enough row is one ``theta_batch`` call — the per-element
-        arithmetic is identical to the scalar loop, so the ``ub <= θ_T``
-        decisions, ``theta_evaluations`` and the returned values all
-        match.
+        The bound is θ with the pair distance at its triangle-inequality
+        ceiling through the query, ``δ(a, b) ≤ δ(a, q) + δ(b, q)``: θ is
+        monotone in the pair distance, so a pair whose bound is at most
+        θ_T can never enter the core pairs and its exact value decides
+        nothing (φ needs ``θ > θ_T``).  For objects within δmax the
+        bound is ``λ + (1 − 2λ)(d + d′)/(2δmax)``, linear in the
+        opponent's distance ``d′``, and ``others`` are in arrival order,
+        which is distance order: the cells that clear θ_T are one prefix
+        (λ ≥ ½) or one suffix (λ < ½) of the row.  A bisection with the
+        scalar ``theta`` finds its end — probing the row's best cell
+        first, since most rows clear nothing (44 % on seed-7
+        ``div_wide``) — and the cells around it are
+        re-tested one by one until a bound lies more than
+        :data:`_ROUNDING` from θ_T.  The computed bound strays from the
+        real line by a few ulps at most, so each cell beyond that one
+        falls on its side whatever its own rounding, and each cell
+        inside is decided by its own ``ub > θ_T``: the row asks exactly
+        the pairs, in the order, that a test of every cell would.
         """
-        if len(others) >= _ARRAY_ROW_MIN:
-            dists_v = np.fromiter(
-                (o.distance for o in others), np.float64, len(others)
-            )
-            ubs = self._objective.theta_batch(
-                item.distance, dists_v, item.distance + dists_v
-            )
-            return {
-                other.object.object_id: (
-                    ub if ub <= theta_t_now else self._theta(item, other)
-                )
-                for other, ub in zip(others, ubs.tolist())
-            }
-        out: Dict[int, float] = {}
-        for other in others:
-            ub = self._theta_upper_bound(item, other)
-            out[other.object.object_id] = (
-                ub if ub <= theta_t_now else self._theta(item, other)
-            )
-        return out
+        d = item.distance
+        theta = self._objective.theta
+        n = len(others)
+        ubs: Dict[int, float] = {}
+
+        def bound(i: int) -> float:
+            ub = ubs.get(i)
+            if ub is None:
+                e = others[i].distance
+                ub = ubs[i] = theta(d, e, d + e)
+            return ub
+
+        falling = self._objective.lambda_ >= 0.5
+        near, far = theta_t - _ROUNDING, theta_t + _ROUNDING
+        lo, hi = 0, n
+        if n and bound(0 if falling else n - 1) <= theta_t:
+            lo = hi = 0 if falling else n  # not even the best cell clears
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if (bound(mid) > theta_t) == falling:
+                lo = mid + 1
+            else:
+                hi = mid
+        left, right = lo - 1, lo
+        while left >= 0 and near < bound(left) <= far:
+            left -= 1
+        while right < n and near < bound(right) <= far:
+            right += 1
+        window = [(i, bound(i)) for i in range(left + 1, right)]
+        clearing = [i for i, ub in window if ub > theta_t]
+        asked = (
+            [*range(left + 1), *clearing] if falling
+            else [*clearing, *range(right, n)]
+        )
+        thetas = {
+            others[i].object.object_id: self._theta(item, others[i])
+            for i in asked
+        }
+        level = [
+            others[i].object.object_id for i, ub in window if ub == theta_t
+        ]
+        return thetas, level
 
     def bootstrap(self, items: List[ResultItem]) -> None:
         """Initialise CP on the first arrivals with the greedy algorithm.
@@ -214,7 +255,13 @@ class CorePairMaintainer:
         """
         if self._pairs or self._arrived:
             raise ValueError("bootstrap must run on an empty maintainer")
-        for item in items:
+        for i, item in enumerate(items):
+            if item.distance > self._objective.delta_max or (
+                i and item.distance < items[i - 1].distance
+            ):
+                raise ValueError(
+                    _OUT_OF_ORDER.format(item.object.object_id, item.distance)
+                )
             self._arrived[item.object.object_id] = item
         self._seen.update(self._arrived)
         n = len(items)
@@ -243,31 +290,39 @@ class CorePairMaintainer:
                 self._pair_theta[member] = pair.theta
 
     def add(self, item: ResultItem) -> None:
-        """Algorithm 5: process one arriving object."""
+        """Algorithm 5: process one arriving object.
+
+        Raises ``ValueError`` for an arrival closer to the query than
+        the last one, or beyond δmax: its θ bound row would not be
+        monotone in arrival order (:meth:`_theta_row`)."""
         oid = item.object.object_id
         if oid in self._arrived:
             return
         others = list(self._arrived.values())
+        if item.distance > self._objective.delta_max or (
+            others and item.distance < others[-1].distance
+        ):
+            raise ValueError(_OUT_OF_ORDER.format(oid, item.distance))
         self._arrived[oid] = item
         self._seen[oid] = item
 
-        # θ against every active object; also refresh best_theta so the
-        # COM pruning (Algorithm 6 lines 9-14) is O(1) per object.  The
-        # expensive network pair distance is only computed when the
-        # cheap triangle-inequality bound clears θ_T: a pair whose θ
-        # upper bound is below θ_T can never enter the core pairs, so
-        # its exact value is irrelevant to every later decision (φ
-        # membership requires θ > θ_T, and the visited-object pruning
-        # test only asks whether θ stays below θ_T).
+        # θ against every active object whose bound clears θ_T, and
+        # best_theta refreshed from it so the COM pruning (Algorithm 6
+        # lines 9-14) is O(1) per object.  A cell left at its bound is
+        # at most θ_T now, and θ_T never falls (Theorem 1), so it can
+        # decide ``best_theta < θ_T`` only when it equals θ_T: those
+        # cells are recorded at that value, the rest never are.
         theta_t_now = self.theta_t
-        thetas = self._theta_row(item, others, theta_t_now)
+        thetas, level = self._theta_row(item, others, theta_t_now)
+        best = self._best_theta
         for other_id, t in thetas.items():
-            if t > self._best_theta.get(other_id, float("-inf")):
-                self._best_theta[other_id] = t
-        if thetas:
-            self._best_theta[oid] = max(thetas.values())
-        else:
-            self._best_theta[oid] = float("-inf")
+            if t > best.get(other_id, float("-inf")):
+                best[other_id] = t
+        for other_id in level:
+            if theta_t_now > best.get(other_id, float("-inf")):
+                best[other_id] = theta_t_now
+        own = max(thetas.values(), default=float("-inf"))
+        best[oid] = max(own, theta_t_now) if level else own
 
         current = item
         current_thetas = thetas
@@ -279,13 +334,14 @@ class CorePairMaintainer:
             # _process_arrival re-queues a kicked-out object via
             # self._requeued; fetch and continue the cascade.
             current = self._requeued
-            theta_t_now = self.theta_t
             opponents = [
                 other
                 for other in self._arrived.values()
                 if other.object.object_id != current.object.object_id
             ]
-            current_thetas = self._theta_row(current, opponents, theta_t_now)
+            current_thetas, _ = self._theta_row(
+                current, opponents, self.theta_t
+            )
 
     _requeued: ResultItem
 

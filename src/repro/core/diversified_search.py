@@ -285,8 +285,8 @@ def _continue_as_com(
     clock: StageClock, enable_pruning: bool, tracer,
 ) -> DiversifiedResult:
     """Algorithm 6 from a full buffer: the buffer seeds the core pairs
-    (θ-bound rows batched through numpy), then the stream is taken one
-    arrival at a time.
+    (one θ matrix), then the stream is taken one arrival at a time (its
+    θ-bound row bisected, :meth:`CorePairMaintainer._theta_row`).
 
     The stop test reads each active object's visited bound against θ_T,
     except that a core object's is read against its own pair's θ

@@ -92,8 +92,8 @@ class DiversificationObjective:
     # Each *_array method performs the exact same IEEE-754 operations
     # as its scalar twin, in the same order, element-wise — so a theta
     # computed through the matrix path is bit-identical to the scalar
-    # one and every downstream comparison (greedy tie-breaking, COM's
-    # ub-vs-θ_T decisions) resolves the same way.
+    # one and every downstream comparison (greedy tie-breaking, the
+    # COM bootstrap's pairs) resolves the same way.
 
     def relevance_array(self, dists_to_query):
         """Vectorized :meth:`relevance` over an array of distances."""
@@ -104,13 +104,6 @@ class DiversificationObjective:
         return np.clip(
             pair_distances / (2.0 * self.delta_max), 0.0, 1.0
         )
-
-    def theta_batch(self, dist_u: float, dists_v, pair_distances):
-        """θ of one object against a batch: ``θ(u, v_i)`` for all i."""
-        rel = (self.relevance(dist_u) + self.relevance_array(dists_v)) / 2.0
-        return self.lambda_ * rel + (
-            1.0 - self.lambda_
-        ) * self.diversity_array(pair_distances)
 
     def theta_matrix(self, dists_to_query, pair_matrix):
         """The full θ matrix over a candidate pool.
@@ -158,8 +151,10 @@ class DiversificationObjective:
         being ``s = δ(u, q) + δ(v, q)``.
 
         For objects within ``δmax``, the θ bound that stands in for an
-        exact pair (:meth:`CorePairMaintainer._theta_row
-        <repro.core.core_pairs.CorePairMaintainer._theta_row>`) is
+        exact pair (the triangle inequality through the query, which
+        :meth:`CorePairMaintainer._theta_row
+        <repro.core.core_pairs.CorePairMaintainer._theta_row>` bisects
+        each arrival's row on) is
         ``θ(d_u, d_v, s) = λ − (2λ − 1) · s / (2 δmax)``.  Let
         ``p = ⌊k/2⌋`` and ``d₍ᵢ₎`` the i-th smallest of
         ``dists_to_query`` (from 0).  The greedy's p-th pair has

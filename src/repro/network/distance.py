@@ -384,10 +384,13 @@ class PairwiseDistanceComputer:
         self._charged = provider is not network
         self._cutoff = cutoff
         self._backend = backend
-        #: Each source's row and the radius it was searched to, keyed
-        #: by the source's ``(edge_id, offset)``: cutoff and provider
-        #: are fixed per computer, so nothing else tells rows apart.
-        self._rows: Dict[Tuple[int, float], Tuple["np.ndarray", float]] = {}
+        #: Each source's row — the C call's block and the source's index
+        #: in it — and the radius it was searched to, keyed by the
+        #: source's ``(edge_id, offset)``: cutoff and provider are fixed
+        #: per computer, so nothing else tells rows apart.
+        self._rows: Dict[
+            Tuple[int, float], Tuple["np.ndarray", int, float]
+        ] = {}
         #: Pair distances bulk-resolved by :meth:`prefetch`, keyed by
         #: the two positions' ``(edge_id, offset)`` pairs, sorted.
         self._pair_cache: Dict[Tuple, float] = {}
@@ -438,20 +441,21 @@ class PairwiseDistanceComputer:
     def _run_dijkstras(
         self, sources: Sequence[NetworkPosition],
         reach: Optional[float] = None, span: float = INF,
-    ) -> List["np.ndarray"]:
+    ) -> "np.ndarray":
         """One bounded Dijkstra per source, all in one C call, to the
-        radius :meth:`_limit` gives; keeps and returns the rows.
+        radius :meth:`_limit` gives; keeps the rows and returns the
+        call's ``len(sources) × N`` block.
 
         Charged, the radius is ``cutoff`` and every settled node's
         adjacency is then read through the provider in settle order.
         """
         start = time.perf_counter()
         limit = self._limit(reach, span)
-        rows = list(single_source_rows(self._network, sources, limit))
+        block = single_source_rows(self._network, sources, limit)
         if self._charged:
             node_ids = self._network.csr_snapshot().node_ids
             neighbors = self._provider.neighbors
-            for row in rows:
+            for row in block:
                 settled = np.flatnonzero(
                     np.isfinite(row) & (row <= self._cutoff)
                 )
@@ -465,22 +469,23 @@ class PairwiseDistanceComputer:
             self.tracer.add_span(
                 "pairwise.dijkstra", elapsed, start=start,
                 source_edge=sources[0].edge_id, sources=len(sources),
-                map_nodes=sum(int(np.isfinite(row).sum()) for row in rows),
+                map_nodes=int(np.isfinite(block).sum()),
                 cutoff=self._cutoff, limit=limit,
             )
-        for pos, row in zip(sources, rows):
-            self._rows[self._key(pos)] = (row, limit)
-        return rows
+        for s, pos in enumerate(sources):
+            self._rows[self._key(pos)] = (block, s, limit)
+        return block
 
     def _row_distance(
-        self, row: "np.ndarray", target: NetworkPosition
+        self, block: "np.ndarray", s: int, target: NetworkPosition
     ) -> float:
-        """Equation 1 from one source's row to a target on another edge."""
+        """Equation 1 from row ``s`` of ``block`` to a target on another
+        edge."""
         edge = self._network.edge(target.edge_id)
         row_of = self._network.csr_snapshot().index_of
         return min(
-            row.item(row_of[edge.n1]) + target.offset,
-            row.item(row_of[edge.n2]) + (edge.weight - target.offset),
+            block.item(s, row_of[edge.n1]) + target.offset,
+            block.item(s, row_of[edge.n2]) + (edge.weight - target.offset),
         )
 
     def _pair_key(self, a: NetworkPosition, b: NetworkPosition) -> Tuple:
@@ -559,24 +564,36 @@ class PairwiseDistanceComputer:
         row if kept, else from ``j``'s if kept, else ``i``'s Dijkstra
         runs.  On a fresh computer that is every position with a later
         one on another edge.  Here the walk only *decides* — which
-        sources run, which cells borrow ``j``'s row — then the sources
-        run (and are charged) in ``i`` order in one C call, and row
-        ``i`` fills cells ``(i, i+1:)`` in one numpy expression
-        (Equation 1, the clamp at the row's radius and the same-edge
-        rule included).  A row kept before the call that a cell reads
-        beyond its radius, short of the pool's ``2 · reach``, is run
-        again in the same call.  Counters advance as the per-pair
-        path's would: one miss per run, one hit per other cross-edge
-        pair.
+        sources run, which cells borrow ``j``'s row — one step per
+        position: ``i`` runs unless its row is kept or has no cross-edge
+        partner, and only when its first partner's row is kept (a
+        duplicate key, or a warm computer) are its further partners
+        listed.  Then the sources run (and are charged) in ``i`` order
+        in one C call, and the pool's cells are gathered from the kept
+        rows where they lie, the call's block among them, without
+        copying a row (:meth:`_pool_cells`: Equation 1), then clamped
+        at each row's radius, the same-edge rule last.  A row kept
+        before the call that a cell reads beyond its radius, short of
+        the pool's ``2 · reach``, is run again in the same call.
+        Counters advance as the per-pair path's would: one miss per
+        run, one hit per other cross-edge pair.
         """
         n = len(pos_list)
         matrix = np.zeros((n, n))
         if n < 2:
             return matrix
         keys = [self._key(pos) for pos in pos_list]
-        edge_ids = np.fromiter((pos.edge_id for pos in pos_list), np.int64, n)
-        offsets = np.fromiter((pos.offset for pos in pos_list), np.float64, n)
+        edges = [edge_id for edge_id, _ in keys]
+        edge_ids = np.array(edges, dtype=np.int64)
+        offsets = np.array([offset for _, offset in keys], dtype=np.float64)
         same_edge = edge_ids[:, None] == edge_ids[None, :]
+        # Each position's first later partner on another edge (n: none).
+        first_partner = [n] * (n - 1)
+        partner = n
+        for i in range(n - 2, -1, -1):
+            if edges[i + 1] != edges[i]:
+                partner = i + 1
+            first_partner[i] = partner
 
         rows = self._rows
         known = {key for key in keys if key in rows}
@@ -584,26 +601,27 @@ class PairwiseDistanceComputer:
         kept_before = bool(known)
         runs: List[int] = []
         borrowed: List[Tuple[int, int]] = []
-        for i in range(n - 1):
-            for j in np.flatnonzero(~same_edge[i, i + 1:]) + (i + 1):
-                if keys[i] in known:
+        for i, j in enumerate(first_partner):
+            if j == n or keys[i] in known:
+                continue
+            partners = [j] if keys[j] not in known else (
+                np.flatnonzero(~same_edge[i, j:]) + j
+            ).tolist()
+            for j in partners:
+                if keys[j] not in known:
+                    known.add(keys[i])
+                    runs.append(i)
                     break
-                if keys[j] in known:
-                    borrowed.append((i, int(j)))
-                    continue
-                known.add(keys[i])
-                runs.append(i)
-                break
+                borrowed.append((i, j))
 
         csr = self._network.csr_snapshot()
         heads = csr.edge_rows[edge_ids]
-        last_leg = csr.weights[csr.edge_cells[edge_ids, 0]] - offsets
+        legs = np.empty((n, 2))
+        legs[:, 0] = offsets
+        legs[:, 1] = csr.weights[csr.edge_cells[edge_ids, 0]] - offsets
 
-        def cells_of(block: "np.ndarray") -> "np.ndarray":
-            return np.minimum(
-                block[:, heads[:, 0]] + offsets,
-                block[:, heads[:, 1]] + last_leg,
-            )
+        def cells_of(held: List[int]):
+            return self._pool_cells([keys[i] for i in held], heads, legs)
 
         if kept_before:
             runs += self._stale_sources(
@@ -618,23 +636,46 @@ class PairwiseDistanceComputer:
 
         owners = [i for i in range(n - 1) if keys[i] in rows]
         if owners:
-            held = [rows[keys[i]] for i in owners]
-            cells = cells_of(np.stack([row for row, _ in held]))
-            # Rows run in this call share its radius.
-            radius = (
-                np.array([r for _, r in held])[:, None] if kept_before
-                else held[0][1]
-            )
-            cells[cells > radius] = INF
+            cells, radii = cells_of(owners)
+            cells[cells > radii] = INF
             matrix[owners] = cells
         for i, j in borrowed:
-            row, radius = rows[keys[j]]
-            d = self._row_distance(row, pos_list[i])
+            block, s, radius = rows[keys[j]]
+            d = self._row_distance(block, s, pos_list[i])
             matrix[i, j] = d if d <= radius else INF
         along_edge = np.abs(offsets[:, None] - offsets[None, :])
         matrix[same_edge] = along_edge[same_edge]
-        matrix = np.triu(matrix, 1)
-        return matrix + matrix.T
+        at = np.arange(n)
+        return np.where(at[:, None] > at, matrix.T, matrix)
+
+    def _pool_cells(
+        self, held: List[Tuple[int, float]], heads: "np.ndarray",
+        legs: "np.ndarray",
+    ) -> Tuple["np.ndarray", "np.ndarray"]:
+        """Equation 1 from the kept row of each source in ``held`` to
+        every pool position — ``heads[t]`` the rows of ``t``'s edge's
+        end-nodes, ``legs[t]`` its way from each — with each row's
+        radius as a column.
+
+        Rows are read where they lie: one gather per C call's block
+        that holds any of them — a fresh pool's rows all sit in one.
+        """
+        rows = self._rows
+        radii = []
+        groups: Dict[int, Tuple["np.ndarray", List[int], List[int]]] = {}
+        for at, key in enumerate(held):
+            block, s, radius = rows[key]
+            radii.append(radius)
+            group = groups.get(id(block))
+            if group is None:
+                group = groups[id(block)] = (block, [], [])
+            group[1].append(at)
+            group[2].append(s)
+        cells = np.empty((len(held), len(heads)))
+        for block, ats, srcs in groups.values():
+            ways = block[np.array(srcs)[:, None, None], heads] + legs
+            cells[ats] = np.minimum(ways[..., 0], ways[..., 1])
+        return cells, np.array(radii)[:, None]
 
     def _stale_sources(
         self, pos_list: List[NetworkPosition], keys: List[Tuple[int, float]],
@@ -648,18 +689,20 @@ class PairwiseDistanceComputer:
         stale: Dict[Tuple[int, float], int] = {}
         short = [
             i for i in range(len(pos_list) - 1)
-            if keys[i] in rows and rows[keys[i]][1] < entitled
+            if keys[i] in rows and rows[keys[i]][2] < entitled
         ]
         if short:
-            radii = np.array([rows[keys[i]][1] for i in short])[:, None]
-            beyond = cells_of(np.stack([rows[keys[i]][0] for i in short]))
+            beyond, radii = cells_of(short)
             beyond = (beyond > radii) & np.triu(~same_edge, 1)[short]
             for i in np.flatnonzero(beyond.any(axis=1)).tolist():
                 stale.setdefault(keys[short[i]], short[i])
         for i, j in borrowed:
-            kept = rows.get(keys[j])  # None: the walk runs it now
-            if kept is not None and kept[1] < entitled and (
-                self._row_distance(kept[0], pos_list[i]) > kept[1]
+            kept = rows.get(keys[j])
+            if kept is None:  # the walk runs it now
+                continue
+            block, s, radius = kept
+            if radius < entitled and (
+                self._row_distance(block, s, pos_list[i]) > radius
             ):
                 stale.setdefault(keys[j], j)
         return list(stale.values())
@@ -691,8 +734,8 @@ class PairwiseDistanceComputer:
         if kept is None:
             source, target = a, b
         else:
-            row, radius = kept
-            d = self._row_distance(row, target)
+            block, s, radius = kept
+            d = self._row_distance(block, s, target)
             if d <= radius or radius >= self._limit(reach):
                 self.cache_hits += 1
                 if self.tracer.enabled:
@@ -703,7 +746,7 @@ class PairwiseDistanceComputer:
             # The row stops short of what the pair may span: its own
             # source runs again, further.
         self.cache_misses += 1
-        d = self._row_distance(self._run_dijkstras([source], reach)[0], target)
+        d = self._row_distance(self._run_dijkstras([source], reach), 0, target)
         return d if d <= self._limit(reach) else INF
 
     def pairwise(

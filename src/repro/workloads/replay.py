@@ -62,14 +62,24 @@ INDEX_KIND_BY_NAME = {
     "SIF-G": "sif-g",
 }
 
+#: The pairwise searches run and kept-row lookups made: compared only
+#: when both runs' pairs came from searches (a backend of
+#: ``DISTANCE_BACKENDS``), not from an oracle that answers them with
+#: none — the hub labels tests hand a computer, or a retired backend a
+#: journal was recorded on.
+_PAIRWISE_STATS = (
+    "pairwise_dijkstras", "distance_cache_hits", "distance_cache_misses",
+)
+
 #: Invariant counters replay compares (beyond the digest): the INE
-#: expansion's search shape and COM's core-pair work, which no
-#: distance backend changes.  Skipped for a record marked
-#: ``result_cache_hit`` — journals written while the engine had a
-#: result cache carry it, and a cached answer did no expansion.
+#: expansion's search shape, COM's core-pair work and the pairwise
+#: counters, which no distance backend changes.  Skipped for a record
+#: marked ``result_cache_hit`` — journals written while the engine had
+#: a result cache carry it, and a cached answer did no expansion.
 _INVARIANT_STATS = (
     "candidates", "nodes_accessed", "edges_accessed", "objects_loaded",
     "false_hit_objects", "theta_evaluations", "expansion_terminated_early",
+    *_PAIRWISE_STATS,
 )
 
 #: Header keys of modes that no longer exist (journals recorded while
@@ -380,8 +390,15 @@ def _compare(record: Dict[str, Any], result, report: ReplayReport) -> None:
     # choice only changes pairwise evaluation, not INE expansion.
     # A recorded result-cache hit did no expansion; skip it.
     recorded_stats = record.get("stats") or {}
+    searched = (
+        recorded_stats.get("distance_backend") in DISTANCE_BACKENDS
+        and getattr(result.stats, "distance_backend", None)
+        in DISTANCE_BACKENDS
+    )
     if not record.get("result_cache_hit"):
         for name in _INVARIANT_STATS:
+            if name in _PAIRWISE_STATS and not searched:
+                continue
             recorded = recorded_stats.get(name)
             replayed = getattr(result.stats, name, None)
             if recorded is not None and replayed != recorded:

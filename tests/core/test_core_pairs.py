@@ -362,3 +362,179 @@ class TestMatrixBootstrap:
         assert asked == [
             (a, b) for i, a in enumerate(ids) for b in ids[i + 1:]
         ]
+
+
+# ----------------------------------------------------------------------
+# The bisected θ row against the cell-by-cell arrival it replaced
+# ----------------------------------------------------------------------
+class ScalarRowMaintainer(CorePairMaintainer):
+    """Algorithm 5's arrival as it was before its θ bound row became a
+    bisection: every opponent's bound, the exact θ where the bound
+    clears θ_T, and ``best_theta`` raised by every cell, bound or
+    exact.  Kept here as the reference."""
+
+    def _scalar_row(self, item, others, theta_t):
+        out = {}
+        for other in others:
+            ub = self._objective.theta(
+                item.distance, other.distance, item.distance + other.distance
+            )
+            out[other.object.object_id] = (
+                ub if ub <= theta_t else self._theta(item, other)
+            )
+        return out
+
+    def add(self, item):
+        oid = item.object.object_id
+        if oid in self._arrived:
+            return
+        others = list(self._arrived.values())
+        self._arrived[oid] = item
+        self._seen[oid] = item
+        thetas = self._scalar_row(item, others, self.theta_t)
+        for other_id, t in thetas.items():
+            if t > self._best_theta.get(other_id, float("-inf")):
+                self._best_theta[other_id] = t
+        self._best_theta[oid] = max(thetas.values(), default=float("-inf"))
+        current, current_thetas = item, thetas
+        for _ in range(2 * self._num_pairs + 2):
+            if not self._process_arrival(current, current_thetas):
+                break
+            current = self._requeued
+            opponents = [
+                other for other in self._arrived.values()
+                if other.object.object_id != current.object.object_id
+            ]
+            current_thetas = self._scalar_row(current, opponents, self.theta_t)
+
+
+#: Query distances arrivals tie on; with a pair distance at its ceiling
+#: ``d_u + d_v`` a pair's exact θ is its bound, so an arrival's bound
+#: against an opponent can equal θ_T to the bit.
+GRID = [0.0, 12.5, 25.0, 37.5, 50.0, 62.5, 75.0, 100.0]
+
+
+@st.composite
+def arrival_streams(draw):
+    """``(λ, k, items, pd, prune)``: a stream within δmax = 100 in
+    non-decreasing distance with ties, tied arrivals in shuffled id
+    order.  ``δ(a, b) = (d_a + d_b) · min(s_a, s_b)``, each ``s`` 1
+    (the triangle ceiling through the query), ½ or ¼; ``prune[i]``
+    says whether COM's loop would drop object ``i`` once its prune
+    test passes."""
+    lam = draw(st.sampled_from([0.0, 0.3, 0.5, 0.5 + 1e-12, 0.8, 1.0]))
+    k = draw(st.integers(2, 8))
+    dists = sorted(draw(st.lists(
+        st.one_of(st.sampled_from(GRID), st.floats(0.0, 100.0)),
+        min_size=k, max_size=30,
+    )))
+    n = len(dists)
+    ids = draw(st.permutations(range(n)))
+    shrink = draw(st.lists(
+        st.sampled_from([1.0, 1.0, 0.5, 0.25]), min_size=n, max_size=n
+    ))
+    prune = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    items = [
+        ResultItem(SpatioTextualObject(
+            oid, NetworkPosition(0, 0.0), frozenset({"x"})
+        ), d)
+        for oid, d in zip(ids, dists)
+    ]
+    scale = dict(zip(ids, shrink))
+
+    def pd(a, b):
+        return (a.distance + b.distance) * min(
+            scale[a.object.object_id], scale[b.object.object_id]
+        )
+
+    return lam, k, items, pd, prune
+
+
+def twin_maintainers(lam, k, pd):
+    """A maintainer and the reference, each logging its pair asks."""
+    obj = DiversificationObjective(lam, 100.0)
+    twins = []
+    for cls in (CorePairMaintainer, ScalarRowMaintainer):
+        log = []
+
+        def logged(a, b, log=log):
+            log.append((a.object.object_id, b.object.object_id))
+            return pd(a, b)
+
+        twins.append((cls(k, obj, logged), log))
+    return twins
+
+
+def prune_decisions(m):
+    theta_t = m.theta_t
+    return {
+        it.object.object_id: m.best_theta(it.object.object_id) < theta_t
+        for it in m.active_objects()
+    }
+
+
+class TestBisectedRow:
+    @settings(max_examples=400, deadline=None)
+    @given(arrival_streams())
+    def test_equals_the_scalar_row(self, stream):
+        """After every arrival: the same core pairs, θ_T, θ count, pair
+        asks in the same order, and prune decision for every active
+        object — and COM's loop prunes what both decide."""
+        lam, k, items, pd, prune = stream
+        (m, asked), (ref, ref_asked) = twin_maintainers(lam, k, pd)
+        m.bootstrap(items[:k])
+        ref.bootstrap(items[:k])
+        for it in items[k:]:
+            m.add(it)
+            ref.add(it)
+            assert [(p.theta, *p.members()) for p in m.pairs] == [
+                (p.theta, *p.members()) for p in ref.pairs
+            ]
+            assert m.theta_t == ref.theta_t
+            assert m.theta_evaluations == ref.theta_evaluations
+            assert asked == ref_asked
+            decisions = prune_decisions(m)
+            assert decisions == prune_decisions(ref)
+            for oid, drop in decisions.items():
+                if drop and not m.is_core(oid) and prune[oid]:
+                    m.prune(oid)
+                    ref.prune(oid)
+
+    def test_bound_equal_to_theta_t_keeps_its_object(self):
+        """An arrival whose only pair within reach of θ_T has a bound
+        equal to it, never asked exactly: its prune test reads that
+        bound, as the cell-by-cell row did, and does not pass."""
+        def item(oid, d):
+            obj = SpatioTextualObject(oid, NetworkPosition(0, 0.0),
+                                      frozenset({"x"}))
+            return ResultItem(obj, d)
+
+        a, b, c = item(0, 10.0), item(1, 20.0), item(2, 20.0)
+        for cls in (CorePairMaintainer, ScalarRowMaintainer):
+            m = cls(2, DiversificationObjective(0.8, 100.0),
+                    lambda u, v: u.distance + v.distance)
+            m.bootstrap([a, b])
+            m.add(c)  # θ bound against a: θ(20, 10, 30) == θ_T
+            assert m.theta_evaluations == 1
+            assert m.theta_t == m.pairs[0].theta
+            assert not m.best_theta(2) < m.theta_t
+
+    @pytest.mark.parametrize("bad", [[30.0, 40.0, 35.0], [30.0, 100.5]])
+    def test_out_of_order_arrival_rejected(self, bad):
+        """The row is bisected on arrival order being distance order
+        within δmax: anything else is refused, not answered wrong."""
+        items = [
+            ResultItem(SpatioTextualObject(
+                oid, NetworkPosition(0, 0.0), frozenset({"x"})
+            ), d)
+            for oid, d in enumerate(bad)
+        ]
+        obj = DiversificationObjective(0.8, 100.0)
+        m = CorePairMaintainer(2, obj, lambda u, v: 1.0)
+        m.bootstrap(items[:1])
+        for it in items[1:-1]:
+            m.add(it)
+        with pytest.raises(ValueError):
+            m.add(items[-1])
+        with pytest.raises(ValueError):
+            CorePairMaintainer(2, obj, lambda u, v: 1.0).bootstrap(items)

@@ -135,19 +135,6 @@ class TestArrayScoring:
         got = obj.diversity_array(np.asarray(pairs, dtype=np.float64))
         assert got.tolist() == [obj.diversity(p) for p in pairs]
 
-    @given(dist, st.lists(dist, min_size=1, max_size=25))
-    def test_theta_batch_bit_identical(self, d_u, dists_v):
-        import numpy as np
-
-        obj = DiversificationObjective(0.6, 800)
-        dv = np.asarray(dists_v, dtype=np.float64)
-        pairs = d_u + dv  # the triangle bound COM feeds it
-        got = obj.theta_batch(d_u, dv, pairs)
-        want = [
-            obj.theta(d_u, v, d_u + v) for v in dists_v
-        ]
-        assert got.tolist() == want
-
     @given(st.lists(dist, min_size=2, max_size=12), st.integers(0, 10**6))
     def test_theta_matrix_bit_identical(self, dists, seed):
         import numpy as np

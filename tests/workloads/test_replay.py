@@ -267,7 +267,7 @@ class TestReplayDeterminism:
         else:
             assert {d.fieldname for d in report.divergences} == {
                 "candidates", "nodes_accessed", "edges_accessed",
-                "objects_loaded",
+                "objects_loaded", "pairwise_dijkstras",
             }
 
     def test_journal_backend(self):
@@ -332,6 +332,24 @@ class TestReplayCatchesDivergence:
         assert sorted((d.fieldname, d.seq) for d in report.divergences) == [
             ("expansion_terminated_early", record["seq"]),
             ("theta_evaluations", record["seq"]),
+        ]
+
+    def test_tampered_pairwise_work_caught(self, journal_path):
+        """The pairwise searches a query ran and its kept-row lookups
+        are invariants on every backend: a change to how a pool's pairs
+        are resolved that keeps every answer still diverges."""
+        journal = load_flight_journal(journal_path)
+        record = next(
+            q for q in journal.queries if q["stats"]["distance_cache_hits"]
+        )
+        record["stats"]["distance_cache_hits"] += 1
+        record["stats"]["pairwise_dijkstras"] += 1
+        record["stats"]["distance_cache_misses"] -= 1
+        report = run_replay(fresh_db(), journal)
+        assert sorted((d.fieldname, d.seq) for d in report.divergences) == [
+            ("distance_cache_hits", record["seq"]),
+            ("distance_cache_misses", record["seq"]),
+            ("pairwise_dijkstras", record["seq"]),
         ]
 
     def test_tampered_expansion_shape_caught(self, journal_path):
