@@ -22,18 +22,12 @@ import numpy as np
 
 from ..obs.tracing import NULL_TRACER
 from .diversify import PairMatrixBuilder, greedy_rounds, matrix_from_pairs
-from .objective import DiversificationObjective
+from .objective import _ROUNDING, DiversificationObjective
 from .queries import ResultItem
 
 __all__ = ["CorePair", "CorePairMaintainer"]
 
 PairDistance = Callable[[ResultItem, ResultItem], float]
-
-#: Far above the few ulps by which a computed θ bound (a value in
-#: [0, 1]) can stray from the real line it rounds: a bound this far
-#: from θ_T puts every cell beyond it on its side of θ_T
-#: (:meth:`CorePairMaintainer._theta_row`).
-_ROUNDING = 1e-12
 
 _OUT_OF_ORDER = (
     "object {} arrives at distance {}: arrivals come in non-decreasing "

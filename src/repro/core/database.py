@@ -857,8 +857,8 @@ class Database:
         """Diversified SK search via ``"seq"`` or ``"com"``.
 
         ``method=None`` runs SEQ when the query's candidate pool closes
-        inside ``2·k`` arrivals and COM seeded from them otherwise
-        (see :func:`repro.engine.plan.plan_diversified`)."""
+        inside ``2·k`` arrivals or ``λ ≤ ½``, and COM seeded from them
+        otherwise (see :func:`repro.engine.plan.plan_diversified`)."""
         plan = plan_diversified(
             self, index, query, method=method,
             enable_pruning=enable_pruning,

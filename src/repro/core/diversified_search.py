@@ -24,6 +24,27 @@ objects' bound is below θ_T.  So no case ii or iii of Algorithm 5 can
 start, and CP, θ_T and the answer are final.  ``enable_pruning=False``
 (every arrival processed) is the oracle the tests hold it to.
 
+The bounds are tighter than §4.3's, which take an unvisited object's
+relevance at γ and its pair distance at ``2 δmax`` (or
+``δ(o, q) + δmax``) as two separate worst cases.  Both come from one
+distance ``d_u ∈ [γ, δmax]``, and the triangle inequality through the
+query caps the pair at ``d_o + d_u``, so::
+
+    θ(o, u) ≤ θ(d_o, d_u, d_o + d_u)
+            = λ (rel(d_o) + 1 − d_u/δmax)/2 + (1 − λ)(d_o + d_u)/(2δmax)
+
+No clamp binds, and the right side is linear in ``d_u`` with slope
+``(1 − 2λ)/(2δmax)``.  With ``d* = γ`` for ``λ ≥ ½`` and ``δmax``
+below, the visited bound is ``θ(d_o, d*, d_o + d*)`` and, both sides
+unvisited, the unvisited-pair bound ``θ(d*, d*, 2d*)``
+(:meth:`DiversificationObjective.theta_ub_visited`,
+:meth:`~DiversificationObjective.theta_ub_unvisited`).  Pairs whose
+path runs through ``q`` attain them, so each carries a ``1e-12``
+margin against rounding.  At ``λ ≤ ½`` the unvisited-pair bound is
+``1 − λ`` and no θ exceeds that, so COM never stops early there; an
+un-pinned plan runs SEQ instead
+(:func:`repro.engine.plan.plan_diversified`).
+
 The buffer's size is all a caller chooses: every arrival for a SEQ pin
 (:func:`seq_search`), ``k`` for a COM pin (:func:`com_search`),
 ``SWITCH_FACTOR · k`` un-pinned; ``result.method`` names the exit.
@@ -293,8 +314,10 @@ def _continue_as_com(
     (:meth:`CorePairMaintainer.partner_theta`): Lemma 1 rules out any
     new partner below it, so a later arrival cannot change CP unless
     some bound reaches its bar.  This departs from Algorithm 6 as
-    printed, which holds core objects to θ_T too; the module docstring
-    gives the proof.  Only non-core objects are pruned.
+    printed, which holds core objects to θ_T too, and so do the bounds:
+    an unvisited object's relevance and its pair's span are tied to its
+    one distance from the query (θ at the triangle ceiling); the module
+    docstring gives both proofs.  Only non-core objects are pruned.
 
     When ``tracer`` is enabled, every arrival that reaches the pruning
     decision records a ``com.round`` span (γ, θ_T, the unvisited-pair

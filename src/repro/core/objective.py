@@ -27,10 +27,18 @@ from ..errors import QueryError
 
 __all__ = ["DiversificationObjective"]
 
+#: Far above the few ulps by which a computed θ (a value in [0, 1]) can
+#: stray from the real value it rounds: the margin a computed θ bound
+#: carries wherever it may be attained (the §4.3 bounds here, and
+#: :meth:`CorePairMaintainer._theta_row
+#: <repro.core.core_pairs.CorePairMaintainer._theta_row>`'s window).
+_ROUNDING = 1e-12
+
 
 @dataclass(frozen=True)
 class DiversificationObjective:
-    """θ / f evaluation and the §4.3 pruning upper bounds."""
+    """θ / f evaluation and COM's pruning upper bounds (§4.3, with the
+    unvisited side's relevance and span tied to one distance)."""
 
     lambda_: float
     delta_max: float
@@ -125,23 +133,35 @@ class DiversificationObjective:
     def theta_ub_unvisited(self, gamma: float) -> float:
         """Upper bound of θ between any two *unvisited* objects.
 
-        Unvisited objects are at network distance at least ``γ`` from
-        the query (objects arrive in distance order) and at most
-        ``2 δmax`` from each other.
+        Both lie at ``d ∈ [γ, δmax]`` from the query (objects arrive in
+        distance order, within δmax), so their pair is at most the sum
+        of the two (triangle inequality through the query) and
+        ``θ(u, v) ≤ θ(d_u, d_v, d_u + d_v)``, which is linear in each
+        distance with slope ``(1 − 2λ)/(2δmax)``: highest at
+        ``d_u = d_v = d*`` (γ for ``λ ≥ ½``, δmax below).  Never above
+        the paper's ``λ rel(γ) + 1 − λ``, which takes the relevance at γ
+        and the pair at ``2δmax`` separately.  The bound is attained
+        (two objects at γ on paths through ``q``), so a computed θ may
+        sit an ulp above the computed ceiling: it is returned raised by
+        :data:`_ROUNDING`, so COM cannot stop on a rounding error.
         """
-        rel_ub = self.relevance(gamma)
-        return self.lambda_ * rel_ub + (1.0 - self.lambda_)
+        d = gamma if self.lambda_ >= 0.5 else self.delta_max
+        return self.theta(d, d, d + d) + _ROUNDING
 
     def theta_ub_visited(self, dist_o: float, gamma: float) -> float:
         """Upper bound of θ between a visited object and any unvisited one.
 
-        The unvisited side has relevance at most ``rel(γ)``; the pair
-        distance is at most ``δ(o, q) + δmax`` (triangle inequality via
-        the query, since the unvisited object is within ``δmax``).
+        The unvisited object lies at ``d_u ∈ [γ, δmax]`` and its pair
+        with ``o`` is at most ``δ(o, q) + d_u`` (triangle inequality
+        through the query), so ``θ(o, u) ≤ θ(d_o, d_u, d_o + d_u)``:
+        its relevance and its span are tied to the one ``d_u``, and the
+        ceiling is highest at ``d_u = d*`` (γ for ``λ ≥ ½``, δmax
+        below).  Never above the paper's form, relevance at γ and pair
+        at ``δ(o, q) + δmax``.  Raised by :data:`_ROUNDING` as
+        :meth:`theta_ub_unvisited` is.
         """
-        rel = (self.relevance(dist_o) + self.relevance(gamma)) / 2.0
-        div_ub = self.diversity(dist_o + self.delta_max)
-        return self.lambda_ * rel + (1.0 - self.lambda_) * div_ub
+        d = gamma if self.lambda_ >= 0.5 else self.delta_max
+        return self.theta(dist_o, d, dist_o + d) + _ROUNDING
 
     def streamed_pair_span(
         self, dists_to_query: Sequence[float], k: int

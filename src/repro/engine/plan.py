@@ -5,8 +5,9 @@ query will run — kind, algorithm, index — with cost hints derived from
 the dataset's statistics and the query keywords' document frequencies.
 It is pure metadata: building one touches no index pages and runs no
 Dijkstra.  The plan decides nothing the query has not yet seen: an
-un-pinned diversified plan (``"auto"``) leaves SEQ vs COM to the pool
-the expansion realises (:mod:`repro.core.diversified_search`), and the
+un-pinned diversified plan at ``λ > ½`` (``"auto"``; at ``λ ≤ ½`` SEQ)
+leaves SEQ vs COM to the pool the expansion realises
+(:mod:`repro.core.diversified_search`), and the
 hints' ``estimated_matches`` is a prediction to read against
 ``stats.candidates``.  The executor
 (:class:`~repro.engine.executor.QueryEngine`) consumes plans;
@@ -219,7 +220,11 @@ def plan_diversified(
     ``method`` pins ``"seq"`` or ``"com"``.  ``None`` plans ``"auto"``:
     the executor buffers ``SWITCH_FACTOR · k`` arrivals and runs SEQ if
     the pool closes inside them, COM otherwise — chosen on the pool the
-    query meets, not on ``hints.estimated_matches``.
+    query meets, not on ``hints.estimated_matches``.  At ``λ ≤ ½`` it
+    plans ``"seq"``: there no θ exceeds ``1 − λ`` and COM's
+    unvisited-pair bound never drops below that, so COM cannot stop
+    early and would pay one search per streamed arrival for the pool
+    SEQ scores with one.
     """
     hints = _cost_hints(db, query)
     if method is not None:
@@ -228,6 +233,12 @@ def plan_diversified(
             raise QueryError("method must be 'seq' or 'com'")
         algorithm = method
         rationale = f"caller forced {method.upper()}"
+    elif query.lambda_ <= 0.5:
+        algorithm = "seq"
+        rationale = (
+            f"SEQ: at λ={query.lambda_:g} ≤ ½ COM's unvisited-pair bound "
+            "never drops below θ_T, so it could not stop early"
+        )
     else:
         algorithm = "auto"
         rationale = (

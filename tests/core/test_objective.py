@@ -4,10 +4,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.objective import DiversificationObjective
+from repro.core.objective import _ROUNDING, DiversificationObjective
 from repro.errors import QueryError
 
 dist = st.floats(min_value=0.0, max_value=1500.0, allow_nan=False)
+#: A query distance within δmax = 1000, and a λ.
+within = st.floats(min_value=0.0, max_value=1000.0)
+lam = st.floats(min_value=0.0, max_value=1.0)
 
 
 class TestValidation:
@@ -80,26 +83,56 @@ class TestObjectiveValue:
 
 
 class TestPruningBounds:
-    """The §4.3 bounds must dominate every realisable θ."""
+    """The bounds must dominate every θ the triangle inequality allows:
+    an unvisited object lies at ``d ∈ [γ, δmax]`` from the query, and a
+    pair at most at the sum of its two query distances."""
 
-    @given(dist, dist, st.floats(0, 3000, allow_nan=False))
-    def test_unvisited_bound_dominates(self, d1, d2, pair):
-        obj = DiversificationObjective(0.8, 1000)
-        gamma = min(d1, d2)  # both unvisited: at distance >= gamma
-        assert obj.theta(d1, d2, pair) <= obj.theta_ub_unvisited(gamma) + 1e-12
+    @given(lam, within, within, st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+    def test_unvisited_bound_dominates(self, lam, d1, d2, gap, stretch):
+        obj = DiversificationObjective(lam, 1000)
+        gamma = gap * min(d1, d2)  # both unvisited: at distance >= gamma
+        pair = stretch * (d1 + d2)
+        assert obj.theta(d1, d2, pair) <= obj.theta_ub_unvisited(gamma)
 
-    @given(dist, dist)
-    def test_visited_bound_dominates(self, d_o, d_u):
+    @given(lam, within, within, st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+    def test_visited_bound_dominates(self, lam, d_o, d_u, gap, stretch):
+        obj = DiversificationObjective(lam, 1000)
+        gamma = gap * d_u  # the unvisited object arrives at >= gamma
+        pair = stretch * (d_o + d_u)
+        assert obj.theta(d_o, d_u, pair) <= obj.theta_ub_visited(d_o, gamma)
+
+    @given(lam, within, within)
+    def test_never_above_the_papers_bounds(self, lam, d_o, gamma):
+        """The paper's forms take the unvisited side's relevance at γ
+        and its pair at ``2 δmax`` (``δ(o, q) + δmax``) separately."""
+        obj = DiversificationObjective(lam, 1000)
+        paper_unvisited = lam * obj.relevance(gamma) + (1.0 - lam)
+        paper_visited = lam * (
+            obj.relevance(d_o) + obj.relevance(gamma)
+        ) / 2.0 + (1.0 - lam) * obj.diversity(d_o + 1000)
+        assert obj.theta_ub_unvisited(gamma) <= paper_unvisited + _ROUNDING
+        assert obj.theta_ub_visited(d_o, gamma) <= paper_visited + _ROUNDING
+
+    @given(lam, within, within)
+    def test_attained_at_the_triangle_ceiling(self, lam, d_o, gamma):
+        """For λ ≥ ½ an unvisited object at γ whose path to ``o`` runs
+        through the query meets the bound, up to its rounding margin;
+        below ½, one at δmax does."""
+        obj = DiversificationObjective(lam, 1000)
+        d = gamma if lam >= 0.5 else 1000
+        assert obj.theta_ub_visited(d_o, gamma) == (
+            obj.theta(d_o, d, d_o + d) + _ROUNDING
+        )
+        assert obj.theta_ub_unvisited(gamma) == (
+            obj.theta(d, d, d + d) + _ROUNDING
+        )
+
+    def test_tighter_than_the_paper_at_the_defaults(self):
+        """λ 0.8, γ = δmax/2: the unvisited-pair bound is 0.50, where
+        the paper's is 0.60."""
         obj = DiversificationObjective(0.8, 1000)
-        if d_u > 1000:
-            return  # unvisited objects satisfy the range constraint
-        gamma = d_u  # the unvisited object arrives at distance >= gamma
-        pair_ub = d_o + 1000  # triangle inequality through the query
-        for pair in (0.0, pair_ub / 2, pair_ub):
-            assert (
-                obj.theta(d_o, d_u, pair)
-                <= obj.theta_ub_visited(d_o, gamma) + 1e-12
-            )
+        assert obj.theta_ub_unvisited(500) == pytest.approx(0.5)
+        assert 0.8 * obj.relevance(500) + 0.2 == pytest.approx(0.6)
 
     def test_bounds_decay_with_gamma(self):
         obj = DiversificationObjective(0.8, 1000)

@@ -1,5 +1,7 @@
 """Planner behaviour: cost hints, algorithm choice, plan rendering."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -97,7 +99,7 @@ def _plan_all(db, index, queries):
     ]
 
 
-def _auto_and_seq(matches: int, k: int, seed: int = 5):
+def _auto_and_seq(matches: int, k: int, seed: int = 5, lam: float = 0.6):
     """An un-pinned and a pinned-SEQ run of one query on a random road
     network holding exactly ``matches`` objects with the query's term,
     every one in range (δmax is the network's total weight), among as
@@ -116,7 +118,7 @@ def _auto_and_seq(matches: int, k: int, seed: int = 5):
     index = db.build_index("sif", file_prefix=f"switch-{matches}")
     query = DiversifiedSKQuery.create(
         NetworkPosition(edges[0].edge_id, 0.0), ["target"],
-        delta_max=sum(e.weight for e in edges), k=k, lambda_=0.6,
+        delta_max=sum(e.weight for e in edges), k=k, lambda_=lam,
     )
     auto = db.diversified_search(index, query, method=None)
     seq = db.diversified_search(index, query, method="seq")
@@ -273,6 +275,31 @@ class TestDiversifiedChoice:
         assert auto.objective_value == pytest.approx(
             seq.objective_value, rel=1e-9
         )
+
+    @pytest.mark.parametrize("lam", [0.0, 0.3, 0.5])
+    def test_unpinned_plans_seq_at_or_below_half(
+        self, tiny_db, sif, div_query, lam
+    ):
+        """At λ ≤ ½ COM cannot stop early, so an un-pinned query runs
+        SEQ and returns what a SEQ pin returns, even on a pool that
+        would fill the 2·k buffer."""
+        query = dataclasses.replace(div_query, lambda_=lam)
+        plan = plan_diversified(tiny_db, sif, query)
+        assert plan.algorithm == "seq"
+        assert f"λ={lam:g} ≤ ½" in plan.rationale
+        k = 3
+        auto, seq = _auto_and_seq(SWITCH_FACTOR * k + 4, k, lam=lam)
+        assert auto.method == seq.method == "SEQ"
+        assert [it.object.object_id for it in auto.items] == [
+            it.object.object_id for it in seq.items
+        ]
+        assert auto.objective_value == seq.objective_value
+        assert auto.stats.candidates == seq.stats.candidates
+
+    def test_unpinned_plans_auto_above_half(self, tiny_db, sif, div_query):
+        for lam in (0.5 + 1e-9, 0.8):
+            query = dataclasses.replace(div_query, lambda_=lam)
+            assert plan_diversified(tiny_db, sif, query).algorithm == "auto"
 
     def test_auto_plan_names_its_rule_not_the_estimate(
         self, tiny_db, sif, div_query
