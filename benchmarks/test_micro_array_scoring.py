@@ -2,8 +2,9 @@
 
 The array greedy evaluates the whole θ matrix with one
 ``theta_matrix`` call and runs each round as a masked ``argmax``; the
-scalar path walks a lazy per-pair cache in pure Python.  Both produce
-identical selections (property-tested in ``tests/core``); this bench
+scalar reference (``tests/reference.py``) walks a lazy per-pair cache
+in pure Python.  Both produce identical selections (property-tested in
+``tests/core``); this bench
 pins the *performance* claim on pools of >= 256 candidates, where the
 O(n²) θ sweep dominates greedy selection.
 """
@@ -17,6 +18,7 @@ from repro.core.objective import DiversificationObjective
 from repro.core.queries import ResultItem
 from repro.network.graph import NetworkPosition
 from repro.network.objects import SpatioTextualObject
+from tests.reference import scalar_greedy
 
 POOL = 320
 K = 10
@@ -50,23 +52,17 @@ def test_micro_vectorized_objective_beats_scalar(show):
 
         # Warm both paths once (first-touch numpy setup costs), then
         # take the best of three to damp scheduler noise.
-        greedy_diversify(items, K, obj, pd, pair_matrix_builder=builder)
+        greedy_diversify(items, K, obj, builder)
         scalar_s = min(
-            _timed(lambda: greedy_diversify(items, K, obj, pd))
+            _timed(lambda: scalar_greedy(items, K, obj, pd))
             for _ in range(3)
         )
         array_s = min(
-            _timed(
-                lambda: greedy_diversify(
-                    items, K, obj, pd, pair_matrix_builder=builder
-                )
-            )
+            _timed(lambda: greedy_diversify(items, K, obj, builder))
             for _ in range(3)
         )
-        scalar_sel = greedy_diversify(items, K, obj, pd)
-        array_sel = greedy_diversify(
-            items, K, obj, pd, pair_matrix_builder=builder
-        )
+        scalar_sel = scalar_greedy(items, K, obj, pd)
+        array_sel = greedy_diversify(items, K, obj, builder)
         identical = [it.object.object_id for it in scalar_sel] == [
             it.object.object_id for it in array_sel
         ]

@@ -19,6 +19,11 @@ Quickstart::
     result = db.diversified_search(index, query, method="com")
     for item in result:
         print(item.object.object_id, round(item.distance, 1))
+
+``db.diversified_search`` plans and executes through the engine; the
+loop beneath it, :func:`repro.core.diversified_search.diversified_search`,
+takes the query's own ``PairwiseDistanceComputer``
+(``db.pairwise_computer(query.delta_max)``).
 """
 
 from . import datasets, engine, obs, workloads
@@ -32,7 +37,6 @@ from .engine import (
     plan_knn,
     plan_sk,
 )
-from .core.diversified_search import com_search, seq_search
 from .core.ine import INEExpansion
 from .core.knn import SKkNNQuery, SKkNNResult, knn_search
 from .core.objective import DiversificationObjective
@@ -75,8 +79,6 @@ __all__ = [
     "plan_sk",
     "PairwiseDistanceComputer",
     "MetricsRegistry",
-    "com_search",
-    "seq_search",
     "INEExpansion",
     "SKkNNQuery",
     "SKkNNResult",

@@ -3,7 +3,6 @@
 from .analysis import CostModel
 from .core_pairs import CorePair, CorePairMaintainer
 from .database import INDEX_KINDS, Database
-from .diversified_search import com_search, seq_search
 from .diversify import greedy_diversify
 from .ine import ExpansionStats, INEExpansion
 from .knn import SKkNNQuery, SKkNNResult, knn_search
@@ -23,8 +22,6 @@ __all__ = [
     "CorePairMaintainer",
     "INDEX_KINDS",
     "Database",
-    "com_search",
-    "seq_search",
     "greedy_diversify",
     "SKkNNQuery",
     "SKkNNResult",

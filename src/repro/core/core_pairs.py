@@ -16,12 +16,12 @@ re-inserted as a fresh arrival, which can cascade at most k/2 times.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Set, Tuple
 
 import numpy as np
 
 from ..obs.tracing import NULL_TRACER
-from .diversify import PairMatrixBuilder, greedy_rounds, matrix_from_pairs
+from .diversify import PairMatrixBuilder, greedy_rounds
 from .objective import _ROUNDING, DiversificationObjective
 from .queries import ResultItem
 
@@ -55,13 +55,12 @@ class CorePairMaintainer:
         k: int,
         objective: DiversificationObjective,
         pair_distance: PairDistance,
+        pair_matrix: PairMatrixBuilder,
         tracer=NULL_TRACER,
-        pair_matrix: Optional[PairMatrixBuilder] = None,
     ) -> None:
         """``pair_distance`` answers one pair — each streamed arrival
         against the opponents its θ bound could not rule out;
-        ``pair_matrix`` answers the bootstrap's whole set at once
-        (default: ``pair_distance`` asked pair by pair).
+        ``pair_matrix`` answers the bootstrap's whole set at once.
 
         ``tracer`` records a ``com.core_pair`` event on every CP
         insertion, so a trace shows when (and at what θ) the result set
@@ -78,9 +77,7 @@ class CorePairMaintainer:
         self._num_pairs = k // 2
         self._objective = objective
         self._pair_distance = pair_distance
-        self._pair_matrix = pair_matrix or (
-            lambda items: matrix_from_pairs(items, pair_distance)
-        )
+        self._pair_matrix = pair_matrix
         self._tracer = tracer
         self._pairs: List[CorePair] = []  # descending by theta
         #: core object id -> θ of the core pair it belongs to

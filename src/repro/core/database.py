@@ -46,7 +46,6 @@ from ..network.objects import ObjectStore, SpatioTextualObject, build_edge_rtree
 from ..spatial.geometry import Point
 from ..spatial.kdtree import KDTreePartition
 from ..spatial.rtree import RTree
-from ..spatial.zorder import ZOrderCurve
 from ..storage.pagefile import DiskManager
 from .knn import SKkNNQuery
 from .queries import DiversifiedResult, DiversifiedSKQuery, SKQuery, SKResult
@@ -60,6 +59,10 @@ __all__ = ["Database", "INDEX_KINDS", "collector_paused"]
 
 #: Registry of index kinds accepted by :meth:`Database.build_index`.
 INDEX_KINDS = ("ccam", "ir", "if", "sif", "sif-p", "sif-g")
+
+#: The share of the pages on disk an unpinned LRU buffer holds: the
+#: paper's "2 % of the dataset" (§5).
+BUFFER_FRACTION = 0.02
 
 
 @contextmanager
@@ -105,15 +108,13 @@ class Database:
         self,
         network: RoadNetwork,
         buffer_pages: Optional[int] = None,
-        buffer_fraction: float = 0.02,
-        curve: Optional[ZOrderCurve] = None,
         metrics: Optional[MetricsRegistry] = None,
         distance_backend: str = "csgraph",
     ) -> None:
         """Create the disk-resident network structures.
 
         ``buffer_pages`` pins the LRU buffer size; when ``None`` the
-        buffer holds ``max(8, ⌊buffer_fraction × pages on disk⌋)``
+        buffer holds ``max(8, ⌊BUFFER_FRACTION × pages on disk⌋)``
         pages — the paper's "2 % of the dataset" (§5) — counting the
         network's CCAM and R-tree pages and the pages of every index
         built so far.  The rule is applied at :meth:`freeze` and again
@@ -139,7 +140,6 @@ class Database:
         :meth:`use_distance_backend`.
         """
         self.network = network
-        self.curve = curve or ZOrderCurve()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         #: ``None`` while tracing is off; :meth:`enable_tracing` sets the
         #: bounds every execution context builds its query's own tracer
@@ -166,12 +166,11 @@ class Database:
         self.indexes: List[ObjectIndex] = []
         self.disk = DiskManager(buffer_pages=buffer_pages or 1 << 30)
         self._explicit_buffer = buffer_pages
-        self._buffer_fraction = buffer_fraction
         #: Pages on disk when :meth:`freeze` ran (CCAM + edge R-tree),
         #: and the pages each index's build added.
         self._network_pages = 0
         self._index_pages: Dict[ObjectIndex, int] = {}
-        self.ccam = CCAMStore(network, self.disk, curve=self.curve)
+        self.ccam = CCAMStore(network, self.disk)
         rtree_file = self.disk.create_file("network.rtree", category="rtree")
         self.edge_rtree: RTree = build_edge_rtree(network, rtree_file)
         self.store = ObjectStore(network)
@@ -238,7 +237,7 @@ class Database:
         """The LRU capacity the buffer rule gives this database.
 
         ``buffer_pages`` when pinned; otherwise ``max(8,
-        ⌊buffer_fraction × pages⌋)`` of every page on disk or, given
+        ⌊BUFFER_FRACTION × pages⌋)`` of every page on disk or, given
         ``index``, of the network's pages plus the pages that index's
         build added — the buffer a measurement of that one index is
         sized from, whatever else has been built.
@@ -249,7 +248,7 @@ class Database:
             pages = self._disk_pages()
         else:
             pages = self._network_pages + self._index_pages[index]
-        return max(8, int(pages * self._buffer_fraction))
+        return max(8, int(pages * BUFFER_FRACTION))
 
     def _apply_buffer_rule(self) -> None:
         self.disk.resize_buffer(self.buffer_capacity())
@@ -434,14 +433,11 @@ class Database:
             elif kind == "ir":
                 index = InvertedRTreeIndex(self.store, self.disk, **kwargs)
             elif kind == "if":
-                index = InvertedFileIndex(
-                    self.store, self.disk, curve=self.curve, **kwargs
-                )
+                index = InvertedFileIndex(self.store, self.disk, **kwargs)
             elif kind == "sif":
                 index = SIFIndex(
                     self.store,
                     self.disk,
-                    curve=self.curve,
                     kd_partition=self.kd_partition,
                     **kwargs,
                 )
@@ -449,7 +445,6 @@ class Database:
                 index = SIFPIndex(
                     self.store,
                     self.disk,
-                    curve=self.curve,
                     kd_partition=self.kd_partition,
                     **kwargs,
                 )

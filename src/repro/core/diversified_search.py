@@ -46,8 +46,8 @@ un-pinned plan runs SEQ instead
 (:func:`repro.engine.plan.plan_diversified`).
 
 The buffer's size is all a caller chooses: every arrival for a SEQ pin
-(:func:`seq_search`), ``k`` for a COM pin (:func:`com_search`),
-``SWITCH_FACTOR · k`` un-pinned; ``result.method`` names the exit.
+(``"seq"``), ``k`` for a COM pin (``"com"``), ``SWITCH_FACTOR · k``
+un-pinned; ``result.method`` names the exit.
 
 Every query records a per-stage time breakdown into
 ``QueryStats.stage_seconds`` (``expansion``, ``object_loading``,
@@ -78,11 +78,7 @@ import numpy as np
 
 from ..errors import QueryError
 from ..index.base import LoadCounters, ObjectIndex
-from ..network.distance import (
-    PAIRWISE_CUTOFF_FACTOR,
-    AdjacencyProvider,
-    PairwiseDistanceComputer,
-)
+from ..network.distance import AdjacencyProvider, PairwiseDistanceComputer
 from ..network.graph import RoadNetwork
 from ..obs.metrics import StageClock
 from ..obs.tracing import NULL_TRACER
@@ -92,8 +88,8 @@ from .ine import INEExpansion
 from .objective import DiversificationObjective
 from .queries import DiversifiedResult, DiversifiedSKQuery, QueryStats, ResultItem
 
-__all__ = ["diversified_search", "seq_search", "com_search",
-           "diversify_pool", "PairDistances", "SWITCH_FACTOR"]
+__all__ = ["diversified_search", "diversify_pool", "PairDistances",
+           "SWITCH_FACTOR"]
 
 INF = float("inf")
 
@@ -218,17 +214,12 @@ def diversify_pool(
     → ``f(S)``.  Returns the chosen items and their objective value.
 
     Shared with the standing-query refresh, which maintains the pool
-    instead of expanding for it.  The greedy's selections, ordering and
-    per-query Dijkstra counts are those of the scalar
-    ``greedy_diversify`` reference.
+    instead of expanding for it.
     """
     pairs = PairDistances(computer)
     greedy_t0 = time.perf_counter()
     with clock.stage("greedy"):
-        chosen = greedy_diversify(
-            candidates, k, objective, pairs.distance,
-            pair_matrix_builder=pairs.matrix,
-        )
+        chosen = greedy_diversify(candidates, k, objective, pairs.matrix)
     if tracer.enabled:
         tracer.add_span(
             "greedy.select", time.perf_counter() - greedy_t0,
@@ -248,7 +239,7 @@ SWITCH_FACTOR = 2
 def diversified_search(
     provider: AdjacencyProvider, network: RoadNetwork, index: ObjectIndex,
     query: DiversifiedSKQuery, algorithm: str,
-    pairwise: Optional[PairwiseDistanceComputer] = None,
+    pairwise: PairwiseDistanceComputer,
     enable_pruning: bool = True, tracer=NULL_TRACER,
     counters: Optional[LoadCounters] = None,
 ) -> DiversifiedResult:
@@ -256,7 +247,9 @@ def diversified_search(
 
     ``algorithm`` is the plan's: ``"seq"`` buffers every arrival,
     ``"com"`` the first ``k`` and always exits as COM, un-pinned
-    ``SWITCH_FACTOR · k``.  ``enable_pruning=False`` disables the
+    ``SWITCH_FACTOR · k``.  ``pairwise`` is the query's own computer
+    (:meth:`repro.core.database.Database.pairwise_computer`): its
+    counters become the query's.  ``enable_pruning=False`` disables the
     diversity bounds on the COM exit (ablation A2): the stream is still
     processed incrementally but runs to exhaustion, isolating the
     benefit of the §4.3 pruning.
@@ -268,10 +261,6 @@ def diversified_search(
         query.delta_max, counters, tracer,
     )
     objective = DiversificationObjective(query.lambda_, query.delta_max)
-    computer = pairwise or PairwiseDistanceComputer(
-        provider, network, cutoff=PAIRWISE_CUTOFF_FACTOR * query.delta_max
-    )
-
     bootstrap = {"seq": None, "com": query.k}.get(
         algorithm, SWITCH_FACTOR * query.k
     )
@@ -280,21 +269,21 @@ def diversified_search(
     closed = bootstrap is None or len(buffer) < bootstrap
     if closed and algorithm != "com":  # a COM pin seeds CP from any pool
         chosen, value = diversify_pool(
-            buffer, query.k, objective, computer, clock, tracer
+            buffer, query.k, objective, pairwise, clock, tracer
         )
         result = DiversifiedResult(
             chosen, value, "SEQ", QueryStats(candidates=len(buffer))
         )
     else:
         result = _continue_as_com(
-            stream, buffer, query, objective, computer, clock,
+            stream, buffer, query, objective, pairwise, clock,
             enable_pruning, tracer,
         )
     stats = result.stats
     stats.nodes_accessed = expansion.stats.nodes_accessed
     stats.edges_accessed = expansion.stats.edges_accessed
     clock.add("object_loading", expansion.stats.load_seconds)
-    _record_pairwise(stats, computer, clock)
+    _record_pairwise(stats, pairwise, clock)
     stats.stage_seconds = clock.stages
     stats.wall_seconds = time.perf_counter() - start
     return result
@@ -331,8 +320,8 @@ def _continue_as_com(
         [item.distance for item in buffer], query.k
     )
     maintainer = CorePairMaintainer(
-        query.k, objective, pairs.distance, tracer=tracer,
-        pair_matrix=lambda items: pairs.matrix(items, span),
+        query.k, objective, pairs.distance,
+        pair_matrix=lambda items: pairs.matrix(items, span), tracer=tracer,
     )
     partner_theta = maintainer.partner_theta
     tracing = tracer.enabled
@@ -429,29 +418,3 @@ def _continue_as_com(
         # buffered arrivals; a later arrival in it costs one more.
         value = pairs.objective_value(objective, chosen)
     return DiversifiedResult(chosen, value, "COM", stats)
-
-
-def seq_search(
-    provider: AdjacencyProvider, network: RoadNetwork, index: ObjectIndex,
-    query: DiversifiedSKQuery,
-    pairwise: Optional[PairwiseDistanceComputer] = None, tracer=NULL_TRACER,
-) -> DiversifiedResult:
-    """SEQ pinned (paper §4.1): Algorithm 3 run to completion, then
-    :func:`diversify_pool`."""
-    return diversified_search(
-        provider, network, index, query, "seq", pairwise, tracer=tracer
-    )
-
-
-def com_search(
-    provider: AdjacencyProvider, network: RoadNetwork, index: ObjectIndex,
-    query: DiversifiedSKQuery,
-    pairwise: Optional[PairwiseDistanceComputer] = None,
-    enable_pruning: bool = True, tracer=NULL_TRACER,
-) -> DiversifiedResult:
-    """COM pinned (Algorithm 6): the first ``k`` arrivals seed the core
-    pairs."""
-    return diversified_search(
-        provider, network, index, query, "com", pairwise, enable_pruning,
-        tracer,
-    )

@@ -45,7 +45,7 @@ from typing import (
 from ..network.graph import RoadNetwork
 from ..network.objects import ObjectStore, SpatioTextualObject
 from ..obs.tracing import NULL_TRACER
-from ..spatial.zorder import ZOrderCurve
+from ..spatial.zorder import CURVE
 from ..storage.bplustree import BPlusTree
 from ..storage.pagefile import PAGE_SIZE, DiskManager, PageFile
 from .base import LoadCounters, ObjectIndex, offset_of
@@ -85,9 +85,9 @@ Run = Union[int, List[int]]
 PostingList = Tuple[Callable[[int], Any], PageFile]
 
 
-def edge_zorder_key(curve: ZOrderCurve, network: RoadNetwork, edge_id: int) -> int:
+def edge_zorder_key(network: RoadNetwork, edge_id: int) -> int:
     """Unique, locality-preserving B+-tree key for an edge."""
-    code = curve.encode_point(network.edge(edge_id).center)
+    code = CURVE.encode_point(network.edge(edge_id).center)
     return (code << 24) | edge_id
 
 
@@ -99,15 +99,12 @@ class EdgeKeys(dict):
     edge instead of on every load, insert and delete.
     """
 
-    def __init__(self, curve: ZOrderCurve, network: RoadNetwork) -> None:
+    def __init__(self, network: RoadNetwork) -> None:
         super().__init__()
-        self._curve = curve
         self._network = network
 
     def __missing__(self, edge_id: int) -> int:
-        key = self[edge_id] = edge_zorder_key(
-            self._curve, self._network, edge_id
-        )
+        key = self[edge_id] = edge_zorder_key(self._network, edge_id)
         return key
 
 
@@ -343,7 +340,6 @@ class InvertedFileIndex(ObjectIndex):
         self,
         store: ObjectStore,
         disk: DiskManager,
-        curve: Optional[ZOrderCurve] = None,
         file_prefix: str = "if",
         term_edges: Optional[Dict[str, List[int]]] = None,
     ) -> None:
@@ -353,9 +349,8 @@ class InvertedFileIndex(ObjectIndex):
         :class:`~repro.index.signature.SignatureFile` from."""
         super().__init__(store)
         self._disk = disk
-        self._curve = curve or ZOrderCurve()
         self._network = store.network
-        self._edge_keys = EdgeKeys(self._curve, self._network)
+        self._edge_keys = EdgeKeys(self._network)
         self._trees: Dict[str, BPlusTree] = {}
         self._pages_per_term: Dict[str, int] = {}
         self._postings: PageFile = disk.create_file(

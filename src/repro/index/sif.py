@@ -18,7 +18,6 @@ from typing import Dict, FrozenSet, List, Optional
 from ..network.objects import ObjectStore, SpatioTextualObject
 from ..obs.tracing import NULL_TRACER
 from ..spatial.kdtree import KDTreePartition
-from ..spatial.zorder import ZOrderCurve
 from ..storage.pagefile import DiskManager
 from .base import GuardedLoader, LoadCounters, ObjectIndex
 from .inverted_file import InvertedFileIndex
@@ -36,7 +35,6 @@ class SIFIndex(ObjectIndex):
         self,
         store: ObjectStore,
         disk: DiskManager,
-        curve: Optional[ZOrderCurve] = None,
         kd_partition: Optional[KDTreePartition] = None,
         min_postings_pages: int = 1,
         file_prefix: str = "sif",
@@ -47,7 +45,7 @@ class SIFIndex(ObjectIndex):
         # store staged; nothing keeps them past this constructor.
         term_edges: Dict[str, List[int]] = {}
         self._inverted = InvertedFileIndex(
-            store, disk, curve=curve, file_prefix=file_prefix,
+            store, disk, file_prefix=file_prefix,
             term_edges=term_edges,
         )
         if kd_partition is None:

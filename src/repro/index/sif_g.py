@@ -18,7 +18,6 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 from ..network.objects import ObjectStore, SpatioTextualObject
 from ..obs.tracing import NULL_TRACER
 from ..spatial.kdtree import KDTreePartition
-from ..spatial.zorder import ZOrderCurve
 from ..storage.bplustree import BPlusTree
 from ..storage.pagefile import DiskManager, PageFile
 from .base import GuardedLoader, LoadCounters, ObjectIndex
@@ -38,20 +37,18 @@ class SIFGIndex(ObjectIndex):
         store: ObjectStore,
         disk: DiskManager,
         top_terms: int = 10,
-        curve: Optional[ZOrderCurve] = None,
         kd_partition: Optional[KDTreePartition] = None,
         min_postings_pages: int = 1,
         file_prefix: str = "sifg",
     ) -> None:
         super().__init__(store)
-        self._curve = curve or ZOrderCurve()
         self._network = store.network
         start = time.perf_counter()
         # The signatures are built from the edges IF's one walk of the
         # store staged; nothing keeps them past this constructor.
         term_edges: Dict[str, List[int]] = {}
         self._inverted = InvertedFileIndex(
-            store, disk, curve=self._curve, file_prefix=file_prefix,
+            store, disk, file_prefix=file_prefix,
             term_edges=term_edges,
         )
         if kd_partition is None:

@@ -24,7 +24,6 @@ import numpy as np
 from ..network.objects import ObjectStore, SpatioTextualObject
 from ..obs.tracing import NULL_TRACER
 from ..spatial.kdtree import KDTreePartition
-from ..spatial.zorder import ZOrderCurve
 from ..storage.bplustree import BPlusTree
 from ..storage.pagefile import DiskManager, PageFile
 from .base import LoadCounters, ObjectIndex, offset_of
@@ -69,7 +68,6 @@ class SIFPIndex(ObjectIndex):
         self,
         store: ObjectStore,
         disk: DiskManager,
-        curve: Optional[ZOrderCurve] = None,
         kd_partition: Optional[KDTreePartition] = None,
         max_cuts: int = 3,
         partition_fraction: float = 0.10,
@@ -80,9 +78,8 @@ class SIFPIndex(ObjectIndex):
     ) -> None:
         super().__init__(store)
         self._disk = disk
-        self._curve = curve or ZOrderCurve()
         self._network = store.network
-        self._edge_keys = EdgeKeys(self._curve, self._network)
+        self._edge_keys = EdgeKeys(self._network)
         self._max_cuts = max_cuts
         self._partition_fraction = partition_fraction
         self._log_builder = log_builder or _default_log_builder

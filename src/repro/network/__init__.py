@@ -4,7 +4,6 @@ from .ccam import CCAMStore
 from .distance import (
     AdjacencyProvider,
     PairwiseDistanceComputer,
-    network_distance,
     position_distance_from_node_map,
     seed_distances,
     single_source_distances,
@@ -16,7 +15,6 @@ __all__ = [
     "CCAMStore",
     "AdjacencyProvider",
     "PairwiseDistanceComputer",
-    "network_distance",
     "position_distance_from_node_map",
     "seed_distances",
     "single_source_distances",

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Dict, List, Sequence, Tuple
 
 from ..errors import GraphError
-from ..spatial.zorder import ZOrderCurve
+from ..spatial.zorder import CURVE
 from ..storage.pagefile import PAGE_SIZE, DiskManager, PageFile
 from .graph import RoadNetwork
 
@@ -36,11 +36,9 @@ class CCAMStore:
         self,
         network: RoadNetwork,
         disk: DiskManager,
-        curve: ZOrderCurve = None,
         file_name: str = "ccam",
     ) -> None:
         self._network = network
-        self._curve = curve or ZOrderCurve()
         self._file: PageFile = disk.create_file(file_name, category="network")
         self._node_page: Dict[int, int] = {}
         self._build()
@@ -49,7 +47,7 @@ class CCAMStore:
         """Pack adjacency lists into pages in Z-order of the nodes."""
         order = sorted(
             self._network.nodes(),
-            key=lambda n: self._curve.encode_point(n.point),
+            key=lambda n: CURVE.encode_point(n.point),
         )
         page_payload: Dict[int, List[Tuple[int, int, float]]] = {}
         page_bytes = 0

@@ -33,7 +33,6 @@ __all__ = [
     "single_source_distances",
     "single_source_rows",
     "position_distance_from_node_map",
-    "network_distance",
     "PairwiseDistanceComputer",
 ]
 
@@ -289,31 +288,6 @@ def position_distance_from_node_map(
     if d2 is not None:
         best = min(best, d2 + (edge.weight - target.offset))
     return best
-
-
-def network_distance(
-    provider: AdjacencyProvider,
-    network: RoadNetwork,
-    a: NetworkPosition,
-    b: NetworkPosition,
-    cutoff: float = INF,
-) -> float:
-    """Network distance ``δ(a, b)``; ``inf`` when beyond ``cutoff``.
-
-    Two positions on one edge are pinned at the along-edge distance
-    (paper: ``δ(q, p) = w(q, p)`` if both lie on one edge).  Otherwise
-    Equation 1 over the shared search (:func:`seeded_distances`) from
-    ``a``'s seeds, stopped once ``b``'s two end-nodes settle.
-    """
-    if a.edge_id == b.edge_id:
-        return abs(a.offset - b.offset)
-    edge_b = network.edge(b.edge_id)
-    labels = seeded_distances(
-        provider, seed_distances(network, a), cutoff,
-        targets=(edge_b.n1, edge_b.n2),
-    )
-    best = position_distance_from_node_map(network, labels, b)
-    return best if best <= cutoff else INF
 
 
 class PairwiseDistanceComputer:

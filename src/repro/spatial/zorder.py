@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .geometry import Point
 
-__all__ = ["ZOrderCurve", "interleave_bits", "deinterleave_bits"]
+__all__ = ["CURVE", "ZOrderCurve", "interleave_bits", "deinterleave_bits"]
 
 _DEFAULT_BITS = 16
 
@@ -82,3 +82,10 @@ class ZOrderCurve:
         """Centre of the grid cell addressed by ``code``."""
         ix, iy = deinterleave_bits(code, self.bits)
         return Point(self.xmin + ix / self._sx, self.ymin + iy / self._sy)
+
+
+#: The one curve the disk layout is keyed by: CCAM's node order and the
+#: edge keys of IF, SIF, SIF-P and SIF-G.  The default domain,
+#: ``[0, 10 000]²`` at 16 bits a coordinate; a point outside it clamps
+#: to its border.
+CURVE = ZOrderCurve()

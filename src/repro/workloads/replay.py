@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional
@@ -206,6 +207,16 @@ class ReplayReport:
     def passed(self) -> bool:
         return not self.divergences
 
+    @property
+    def queries_diverged(self) -> int:
+        """Replayed queries with at least one divergence."""
+        return sum(slot["diverged"] for slot in self.per_label.values())
+
+    def divergences_by_field(self) -> Dict[str, int]:
+        """Divergences per compared field, most frequent first."""
+        counts = Counter(d.fieldname for d in self.divergences)
+        return dict(counts.most_common())
+
     def _label_slot(self, label: str) -> Dict[str, int]:
         return self.per_label.setdefault(
             label, {"replayed": 0, "diverged": 0}
@@ -261,6 +272,15 @@ class ReplayReport:
                 f"    {label}: {slot['replayed']} replayed, "
                 f"{slot['diverged']} diverged"
             )
+        if self.divergences:
+            lines.append(
+                f"  {self.queries_diverged} of {self.queries_replayed} "
+                "queries diverged; divergences by field: "
+                + ", ".join(
+                    f"{name} {count}"
+                    for name, count in self.divergences_by_field().items()
+                )
+            )
         for divergence in self.divergences[:50]:
             lines.append("  " + divergence.render())
         if len(self.divergences) > 50:
@@ -279,6 +299,8 @@ class ReplayReport:
             "type": "replay",
             "row": self.row(),
             "per_label": {k: dict(v) for k, v in self.per_label.items()},
+            "queries_diverged": self.queries_diverged,
+            "divergences_by_field": self.divergences_by_field(),
             "divergences": [
                 {
                     "seq": d.seq, "label": d.label, "field": d.fieldname,

@@ -16,12 +16,12 @@ import math
 from repro import Database, DiversifiedSKQuery
 from repro.core.ine import INEExpansion
 from repro.core.objective import DiversificationObjective
-from repro.network.distance import network_distance
 from repro.network.graph import NetworkPosition, RoadNetwork
 from tests.core.test_com_stop_rule import (
     assert_matches_exhaustive,
     check_bounds,
 )
+from tests.reference import network_distance
 
 #: Edge weights of each chain, from the hub out; one object sits at
 #: the far end of each, ids in chain order.

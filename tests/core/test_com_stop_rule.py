@@ -30,14 +30,19 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import Database, DiversifiedSKQuery, com_search
+from repro import Database, DiversifiedSKQuery
 from repro.core import diversified_search
 from repro.core.core_pairs import CorePairMaintainer
 from repro.core.ine import INEExpansion
 from repro.core.objective import DiversificationObjective
 from repro.datasets.synthetic import random_planar_network
-from repro.network.distance import network_distance, single_source_distances
+from repro.network.distance import (
+    PAIRWISE_CUTOFF_FACTOR,
+    PairwiseDistanceComputer,
+    single_source_distances,
+)
 from repro.network.graph import NetworkPosition, RoadNetwork
+from tests.reference import network_distance
 
 SPOKE = 1000.0
 HUB = NetworkPosition(0, 0.0)
@@ -103,6 +108,17 @@ def ids(result):
     return [item.object.object_id for item in result.items]
 
 
+def com_search(db, index, query, enable_pruning=True):
+    """COM pinned, with a pairwise computer of its own on the CCAM
+    store: the ``dijkstra`` backend's searches and page charges."""
+    computer = PairwiseDistanceComputer(
+        db.ccam, db.network, cutoff=PAIRWISE_CUTOFF_FACTOR * query.delta_max
+    )
+    return diversified_search.diversified_search(
+        db.ccam, db.network, index, query, "com", computer, enable_pruning
+    )
+
+
 def pruned_run(db, index, query):
     """COM with its pruning, and the maintainer as the loop left it."""
     made = []
@@ -113,16 +129,14 @@ def pruned_run(db, index, query):
             made.append(self)
 
     with mock.patch.object(diversified_search, "CorePairMaintainer", Recording):
-        result = com_search(db.ccam, db.network, index, query)
+        result = com_search(db, index, query)
     return result, made[0]
 
 
 def assert_matches_exhaustive(db, index, query):
     """Pruned COM ≡ exhaustive COM: ids, order and ``f(S)`` exactly."""
     result, maintainer = pruned_run(db, index, query)
-    exhaustive = com_search(
-        db.ccam, db.network, index, query, enable_pruning=False
-    )
+    exhaustive = com_search(db, index, query, enable_pruning=False)
     assert ids(result) == ids(exhaustive), query
     assert result.objective_value == exhaustive.objective_value, query
     return result, maintainer
@@ -238,9 +252,7 @@ def test_pinned_star_world():
     it must take it as object 1's new partner."""
     db, index = drawn_star(np.random.default_rng(62))
     query = star_query(k=2, lam=0.69)
-    exhaustive = com_search(
-        db.ccam, db.network, index, query, enable_pruning=False
-    )
+    exhaustive = com_search(db, index, query, enable_pruning=False)
     assert ids(exhaustive) == [1, 2]
     assert_matches_exhaustive(db, index, query)
 

@@ -15,10 +15,11 @@ from repro.core.diversified_search import PairDistances
 from repro.core.diversify import greedy_diversify
 from repro.core.objective import DiversificationObjective
 from repro.core.queries import ResultItem
-from repro.network.distance import PairwiseDistanceComputer, network_distance
+from repro.network.distance import PairwiseDistanceComputer
 from repro.network.graph import NetworkPosition
 from repro.network.objects import SpatioTextualObject
 from tests.conftest import make_paperlike_network
+from tests.reference import network_distance, pair_by_pair, scalar_greedy
 
 
 def make_stream(seed, n, delta_max=100.0):
@@ -51,7 +52,7 @@ def make_stream(seed, n, delta_max=100.0):
 
 def run_maintainer(items, pd, k, lam=0.8, delta_max=100.0):
     obj = DiversificationObjective(lam, delta_max)
-    m = CorePairMaintainer(k, obj, pd)
+    m = CorePairMaintainer(k, obj, pd, pair_by_pair(pd))
     m.bootstrap(items[:k])
     thetas = [m.theta_t]
     for it in items[k:]:
@@ -72,7 +73,10 @@ def objective_of(items, pd, obj):
 class TestBasics:
     def test_k_validation(self):
         with pytest.raises(ValueError):
-            CorePairMaintainer(1, DiversificationObjective(0.5, 10), lambda a, b: 0)
+            CorePairMaintainer(
+                1, DiversificationObjective(0.5, 10), lambda a, b: 0,
+                pair_by_pair(lambda a, b: 0),
+            )
 
     def test_bootstrap_twice_rejected(self):
         items, pd = make_stream(0, 6)
@@ -83,7 +87,7 @@ class TestBasics:
     def test_duplicate_arrival_ignored(self):
         items, pd = make_stream(1, 8)
         obj = DiversificationObjective(0.8, 100)
-        m = CorePairMaintainer(4, obj, pd)
+        m = CorePairMaintainer(4, obj, pd, pair_by_pair(pd))
         m.bootstrap(items[:4])
         m.add(items[5])
         before = m.theta_t
@@ -104,7 +108,7 @@ class TestBasics:
     def test_fewer_objects_than_k(self):
         items, pd = make_stream(4, 3)
         obj = DiversificationObjective(0.8, 100)
-        m = CorePairMaintainer(8, obj, pd)
+        m = CorePairMaintainer(8, obj, pd, pair_by_pair(pd))
         m.bootstrap(items)
         assert len(m.core_objects()) == 3
 
@@ -139,7 +143,9 @@ class TestBasics:
         replaced = repartnered = 0
         for seed in range(8):
             items, pd = make_stream(seed, 40)
-            m = CorePairMaintainer(k, DiversificationObjective(0.6, 100.0), pd)
+            m = CorePairMaintainer(
+                k, DiversificationObjective(0.6, 100.0), pd, pair_by_pair(pd)
+            )
 
             def partners():
                 out = {}
@@ -189,12 +195,14 @@ class TestEquivalenceWithBatchGreedy:
     def test_incremental_matches_batch_objective(self, seed, k, lam):
         items, pd = make_stream(seed, 30)
         obj = DiversificationObjective(lam, 100)
-        m = CorePairMaintainer(k, obj, pd)
+        m = CorePairMaintainer(k, obj, pd, pair_by_pair(pd))
         m.bootstrap(items[:k])
         for it in items[k:]:
             m.add(it)
         inc = objective_of(m.core_objects()[:k], pd, obj)
-        batch = objective_of(greedy_diversify(items, k, obj, pd), pd, obj)
+        batch = objective_of(
+            greedy_diversify(items, k, obj, pair_by_pair(pd)), pd, obj
+        )
         assert inc == pytest.approx(batch, rel=1e-9)
 
     @settings(max_examples=25, deadline=None)
@@ -202,12 +210,14 @@ class TestEquivalenceWithBatchGreedy:
     def test_property_incremental_equals_batch(self, seed):
         items, pd = make_stream(seed, 24)
         obj = DiversificationObjective(0.8, 100)
-        m = CorePairMaintainer(6, obj, pd)
+        m = CorePairMaintainer(6, obj, pd, pair_by_pair(pd))
         m.bootstrap(items[:6])
         for it in items[6:]:
             m.add(it)
         inc = objective_of(m.core_objects()[:6], pd, obj)
-        batch = objective_of(greedy_diversify(items, 6, obj, pd), pd, obj)
+        batch = objective_of(
+            greedy_diversify(items, 6, obj, pair_by_pair(pd)), pd, obj
+        )
         assert inc == pytest.approx(batch, rel=1e-9)
 
 
@@ -223,7 +233,7 @@ class TestUpperBoundSkip:
             calls["n"] += 1
             return pd(a, b)
 
-        m = CorePairMaintainer(6, obj, counting_pd)
+        m = CorePairMaintainer(6, obj, counting_pd, pair_by_pair(counting_pd))
         m.bootstrap(items[:6])
         for it in items[6:]:
             m.add(it)
@@ -231,7 +241,9 @@ class TestUpperBoundSkip:
         exact_calls = calls["n"]
         # Exhaustive: n * (n-1) / 2 pair evaluations would be 435.
         assert exact_calls < 30 * 29 / 2
-        batch = objective_of(greedy_diversify(items, 6, obj, pd), pd, obj)
+        batch = objective_of(
+            greedy_diversify(items, 6, obj, pair_by_pair(pd)), pd, obj
+        )
         assert with_skip == pytest.approx(batch, rel=1e-9)
 
 
@@ -259,7 +271,7 @@ def scalar_bootstrap(items, k, objective, pair_distance):
                 oid = it.object.object_id
                 if t > best_theta.get(oid, float("-inf")):
                     best_theta[oid] = t
-    remaining = greedy_diversify(items, 2 * num_pairs, objective, pair_distance)
+    remaining = scalar_greedy(items, 2 * num_pairs, objective, pair_distance)
     pairs = []
     while len(remaining) >= 2:
         best = None
@@ -319,9 +331,7 @@ class TestMatrixBootstrap:
         batched = PairwiseDistanceComputer(network, network, cutoff=40.04)
         per_pair = PairwiseDistanceComputer(network, network, cutoff=40.04)
         pairs = PairDistances(batched)
-        m = CorePairMaintainer(
-            k, obj, pairs.distance, pair_matrix=pairs.matrix
-        )
+        m = CorePairMaintainer(k, obj, pairs.distance, pairs.matrix)
         m.bootstrap(items)
 
         want_pairs, want_best = scalar_bootstrap(
@@ -342,8 +352,9 @@ class TestMatrixBootstrap:
     @settings(max_examples=100, deadline=None)
     @given(bootstrap_arrivals())
     def test_default_pair_matrix_asks_pair_by_pair(self, arrivals):
-        """Without ``pair_matrix`` the bootstrap fills the same matrix
-        from ``pair_distance``: same pairs, each pair asked once."""
+        """A pair source with no batched form (the pair-by-pair
+        reference builder) fills the same matrix: same pairs, each pair
+        asked once."""
         network, k, items = arrivals
         obj = DiversificationObjective(0.8, 20.0)
         computer = PairwiseDistanceComputer(network, network, cutoff=40.04)
@@ -354,7 +365,7 @@ class TestMatrixBootstrap:
             asked.append((a.object.object_id, b.object.object_id))
             return pd(a, b)
 
-        m = CorePairMaintainer(k, obj, counting_pd)
+        m = CorePairMaintainer(k, obj, counting_pd, pair_by_pair(counting_pd))
         m.bootstrap(items)
         want_pairs, _best = scalar_bootstrap(items, k, obj, pd)
         assert [(p.theta, *p.members()) for p in m.pairs] == want_pairs
@@ -461,7 +472,7 @@ def twin_maintainers(lam, k, pd):
             log.append((a.object.object_id, b.object.object_id))
             return pd(a, b)
 
-        twins.append((cls(k, obj, logged), log))
+        twins.append((cls(k, obj, logged, pair_by_pair(logged)), log))
     return twins
 
 
@@ -511,8 +522,9 @@ class TestBisectedRow:
 
         a, b, c = item(0, 10.0), item(1, 20.0), item(2, 20.0)
         for cls in (CorePairMaintainer, ScalarRowMaintainer):
-            m = cls(2, DiversificationObjective(0.8, 100.0),
-                    lambda u, v: u.distance + v.distance)
+            ceiling = lambda u, v: u.distance + v.distance  # noqa: E731
+            m = cls(2, DiversificationObjective(0.8, 100.0), ceiling,
+                    pair_by_pair(ceiling))
             m.bootstrap([a, b])
             m.add(c)  # θ bound against a: θ(20, 10, 30) == θ_T
             assert m.theta_evaluations == 1
@@ -530,11 +542,12 @@ class TestBisectedRow:
             for oid, d in enumerate(bad)
         ]
         obj = DiversificationObjective(0.8, 100.0)
-        m = CorePairMaintainer(2, obj, lambda u, v: 1.0)
+        one = lambda u, v: 1.0  # noqa: E731
+        m = CorePairMaintainer(2, obj, one, pair_by_pair(one))
         m.bootstrap(items[:1])
         for it in items[1:-1]:
             m.add(it)
         with pytest.raises(ValueError):
             m.add(items[-1])
         with pytest.raises(ValueError):
-            CorePairMaintainer(2, obj, lambda u, v: 1.0).bootstrap(items)
+            CorePairMaintainer(2, obj, one, pair_by_pair(one)).bootstrap(items)

@@ -1,8 +1,15 @@
-"""Tests for the greedy max-sum diversification (Algorithm 1)."""
+"""Tests for the greedy max-sum diversification (Algorithm 1).
+
+The engine's greedy takes its pairs as one matrix; a test's pair source
+is a closure, handed over through :func:`tests.reference.pair_by_pair`.
+The pure-Python loop it must agree with is
+:func:`tests.reference.scalar_greedy`.
+"""
 
 from itertools import combinations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,6 +18,7 @@ from repro.core.objective import DiversificationObjective
 from repro.core.queries import ResultItem
 from repro.network.graph import NetworkPosition
 from repro.network.objects import SpatioTextualObject
+from tests.reference import pair_by_pair, scalar_greedy
 
 
 def make_items(dists):
@@ -37,14 +45,15 @@ class TestBasics:
     def test_fewer_candidates_than_k(self):
         items = make_items([5.0, 2.0])
         got = greedy_diversify(
-            items, 5, DiversificationObjective(0.5, 100), lambda a, b: 1.0
+            items, 5, DiversificationObjective(0.5, 100),
+            pair_by_pair(lambda a, b: 1.0),
         )
         assert [it.object.object_id for it in got] == [1, 0]  # distance order
 
     def test_exact_k_returned(self):
         items = make_items([1, 2, 3, 4, 5, 6])
         obj = DiversificationObjective(0.5, 100)
-        got = greedy_diversify(items, 4, obj, lambda a, b: 1.0)
+        got = greedy_diversify(items, 4, obj, pair_by_pair(lambda a, b: 1.0))
         assert len(got) == 4
 
     def test_pure_diversity_picks_far_pair(self):
@@ -52,20 +61,20 @@ class TestBasics:
         points = {0: 0.0, 1: 1.0, 2: 2.0, 3: 100.0}
         items = make_items([10.0, 10.0, 10.0, 10.0])
         obj = DiversificationObjective(0.0, 100)
-        got = greedy_diversify(items, 2, obj, euclid_pairs(points))
+        got = greedy_diversify(items, 2, obj, pair_by_pair(euclid_pairs(points)))
         assert {it.object.object_id for it in got} == {0, 3}
 
     def test_pure_relevance_picks_closest(self):
         items = make_items([50.0, 10.0, 90.0, 30.0])
         obj = DiversificationObjective(1.0, 100)
-        got = greedy_diversify(items, 2, obj, lambda a, b: 0.0)
+        got = greedy_diversify(items, 2, obj, pair_by_pair(lambda a, b: 0.0))
         assert {it.object.object_id for it in got} == {1, 3}
 
     def test_odd_k_appends_closest_remaining(self):
         points = {0: 0.0, 1: 100.0, 2: 50.0, 3: 51.0}
         items = make_items([5.0, 5.0, 1.0, 9.0])
         obj = DiversificationObjective(0.0, 100)
-        got = greedy_diversify(items, 3, obj, euclid_pairs(points))
+        got = greedy_diversify(items, 3, obj, pair_by_pair(euclid_pairs(points)))
         ids = {it.object.object_id for it in got}
         assert {0, 1} <= ids
         assert len(ids) == 3
@@ -73,7 +82,7 @@ class TestBasics:
     def test_result_sorted_by_distance(self):
         items = make_items([9.0, 1.0, 5.0, 7.0, 3.0, 2.0])
         obj = DiversificationObjective(0.8, 100)
-        got = greedy_diversify(items, 4, obj, lambda a, b: 10.0)
+        got = greedy_diversify(items, 4, obj, pair_by_pair(lambda a, b: 10.0))
         dists = [it.distance for it in got]
         assert dists == sorted(dists)
 
@@ -104,7 +113,7 @@ def test_greedy_is_2_approximation(seed):
     points = {i: float(coords[i]) for i in range(n)}
     obj = DiversificationObjective(0.5, 100)
     pd = euclid_pairs(points)
-    got = greedy_diversify(items, k, obj, pd)
+    got = greedy_diversify(items, k, obj, pair_by_pair(pd))
     got_dists = [it.distance for it in got]
 
     def pair(i, j):
@@ -115,30 +124,14 @@ def test_greedy_is_2_approximation(seed):
     assert f_greedy >= f_opt / 2.0 - 1e-9
 
 
-def matrix_builder_from(pd):
-    """Build the n×n pair matrix the array path expects from a scalar pd."""
-
-    def build(pool):
-        n = len(pool)
-        mat = np.zeros((n, n), dtype=np.float64)
-        for i in range(n):
-            for j in range(i + 1, n):
-                mat[i, j] = mat[j, i] = pd(pool[i], pool[j])
-        return mat
-
-    return build
-
-
 class TestMatrixScalarIdentity:
     """The masked-argmax matrix path returns exactly what the scalar
-    lazy-θ path returns — same objects, same order — including under
-    ties and unreachable (inf) pairs."""
+    lazy-θ reference returns — same objects, same order — including
+    under ties and unreachable (inf) pairs."""
 
     def run_both(self, items, k, obj, pd):
-        scalar = greedy_diversify(items, k, obj, pd)
-        array = greedy_diversify(
-            items, k, obj, pd, pair_matrix_builder=matrix_builder_from(pd)
-        )
+        scalar = scalar_greedy(items, k, obj, pd)
+        array = greedy_diversify(items, k, obj, pair_by_pair(pd))
         return scalar, array
 
     @settings(max_examples=40, deadline=None)
@@ -217,3 +210,23 @@ class TestMatrixScalarIdentity:
         assert [it.object.object_id for it in array] == [
             it.object.object_id for it in scalar
         ]
+
+    @pytest.mark.parametrize("n", [20, 60])
+    def test_rounded_theta_pools_identical(self, n):
+        """θ on a 0.01 grid — at λ = 0 it is the pair distance itself —
+        so many cells tie, and every round after the first reads the
+        working copy the earlier picks blanked."""
+        rng = np.random.default_rng(n)
+        obj = DiversificationObjective(0.0, 0.5)
+        for _ in range(50):
+            items = make_items(list(np.round(rng.uniform(0, 0.5, size=n), 1)))
+            pair = np.round(rng.uniform(0.0, 1.0, size=(n, n)), 2)
+
+            def pd(a, b, pair=pair):
+                i, j = sorted((a.object.object_id, b.object.object_id))
+                return float(pair[i, j])
+
+            scalar, array = self.run_both(items, 10, obj, pd)
+            assert [it.object.object_id for it in array] == [
+                it.object.object_id for it in scalar
+            ]

@@ -4,9 +4,9 @@
 import pytest
 
 from repro.core.ine import INEExpansion
-from repro.network.distance import network_distance
 from repro.network.graph import NetworkPosition
 from repro.workloads.queries import WorkloadConfig, generate_sk_queries
+from tests.reference import network_distance
 
 
 def brute_force_sk(db, position, terms, delta_max):

@@ -7,7 +7,7 @@ import pytest
 from repro.core.ine import INEExpansion
 from repro.core.knn import SKkNNQuery
 from repro.errors import QueryError
-from repro.network.distance import network_distance
+from tests.reference import network_distance
 
 
 @pytest.fixture(scope="module")

@@ -15,10 +15,10 @@ book the same Dijkstra runs, cache hits and cache misses.
 import pytest
 
 import repro.network.distance as distance_module
-from repro.core.diversify import matrix_from_pairs
 from repro.core.incremental import IncrementalDiversifiedTopK
 from repro.network.distance import PairwiseDistanceComputer
 from repro.workloads.queries import WorkloadConfig, generate_diversified_queries
+from tests.reference import matrix_from_pairs
 
 K = 6
 

@@ -11,7 +11,8 @@ kept map instead of running its Dijkstra cannot change an answer either.
 import numpy as np
 import pytest
 
-from repro import Database, DiversifiedSKQuery, com_search, seq_search
+from repro import Database, DiversifiedSKQuery
+from repro.core.diversified_search import diversified_search
 from repro.datasets.synthetic import random_planar_network
 from repro.network.distance import single_source_distances
 from repro.network.graph import NetworkPosition
@@ -53,12 +54,12 @@ def test_com_variants_match_seq_through_shared_cache(seed):
         query = make_query(db, rng, edges)
         shared = db.pairwise_computer(query.delta_max)
         args = (db.ccam, db.network, index, query)
-        seq = seq_search(*args, pairwise=shared)
+        seq = diversified_search(*args, "seq", shared)
         hits = shared.cache_hits
         variants = {
-            "pruning": com_search(*args, pairwise=shared),
-            "no-pruning": com_search(
-                *args, pairwise=shared, enable_pruning=False
+            "pruning": diversified_search(*args, "com", shared),
+            "no-pruning": diversified_search(
+                *args, "com", shared, enable_pruning=False
             ),
         }
         for name, com in variants.items():

@@ -12,7 +12,6 @@ from repro.index.inverted_file import (
 )
 from repro.network.graph import NetworkPosition
 from repro.network.objects import ObjectStore
-from repro.spatial.zorder import ZOrderCurve
 from repro.storage.pagefile import DiskManager
 
 
@@ -35,16 +34,14 @@ def index(store):
 
 class TestEdgeKeys:
     def test_keys_unique_across_edges(self, line_network):
-        curve = ZOrderCurve()
         keys = {
-            edge_zorder_key(curve, line_network, e.edge_id)
+            edge_zorder_key(line_network, e.edge_id)
             for e in line_network.edges()
         }
         assert len(keys) == line_network.num_edges
 
     def test_key_embeds_edge_id(self, line_network):
-        curve = ZOrderCurve()
-        key = edge_zorder_key(curve, line_network, 2)
+        key = edge_zorder_key(line_network, 2)
         assert key & 0xFFFFFF == 2
 
 

@@ -15,8 +15,9 @@ import pytest
 from repro.datasets.synthetic import grid_network, random_planar_network
 from repro.errors import GraphError
 from repro.network.ch import ContractionHierarchy
-from repro.network.distance import PairwiseDistanceComputer, network_distance
+from repro.network.distance import PairwiseDistanceComputer
 from repro.network.graph import NetworkPosition, RoadNetwork
+from tests.reference import network_distance
 
 
 def to_networkx(network):

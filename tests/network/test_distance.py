@@ -12,13 +12,13 @@ import heapq
 from repro.datasets.synthetic import random_planar_network
 from repro.network.distance import (
     PairwiseDistanceComputer,
-    network_distance,
     node_source_distances,
     position_distance_from_node_map,
     seed_distances,
     single_source_distances,
 )
 from repro.network.graph import NetworkPosition
+from tests.reference import network_distance
 
 
 def to_networkx(network):

@@ -5,11 +5,9 @@ import math
 
 import pytest
 
-from repro.network.distance import (
-    PairwiseDistanceComputer,
-    network_distance,
-)
+from repro.network.distance import PairwiseDistanceComputer
 from repro.network.graph import NetworkPosition
+from tests.reference import network_distance
 
 INF = math.inf
 

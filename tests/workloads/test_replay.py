@@ -310,6 +310,31 @@ class TestReplayCatchesDivergence:
         assert diverged == 1
         assert "FAIL — 1 divergence(s)" in report.render()
 
+    def test_divergences_counted_per_query_and_per_field(
+        self, journal_path
+    ):
+        """Three tampered queries, four divergences over two fields: the
+        report counts both before it lists any, and carries both."""
+        journal = load_flight_journal(journal_path)
+        for record in journal.queries[:3]:
+            record["stats"]["candidates"] += 5
+        journal.queries[2]["digest"] = "0" * 16
+        report = run_replay(fresh_db(), journal)
+        assert report.queries_diverged == 3
+        assert report.divergences_by_field() == {"candidates": 3, "digest": 1}
+        text = report.render()
+        counted = (
+            "3 of 6 queries diverged; divergences by field: "
+            "candidates 3, digest 1"
+        )
+        assert counted in text
+        assert text.index(counted) < text.index("DIVERGENCE")
+        summary = report.summary_record()
+        assert summary["queries_diverged"] == 3
+        assert summary["divergences_by_field"] == {
+            "candidates": 3, "digest": 1,
+        }
+
     def test_tampered_invariant_counter_caught(self, journal_path):
         journal = load_flight_journal(journal_path)
         journal.queries[0]["stats"]["candidates"] += 5

@@ -149,7 +149,7 @@ class TestRun:
         """After the workload, the engine's answer to any query equals
         SEQ run directly against the mutated database with a computer of
         its own — the workload leaves no stale state behind."""
-        from repro.core.diversified_search import seq_search
+        from repro.core.diversified_search import diversified_search
         from repro.engine.plan import plan_diversified
 
         db = make_db()
@@ -166,7 +166,10 @@ class TestRun:
             via_engine = db.engine.execute(
                 plan_diversified(db, index, q, method="seq")
             )
-            scratch = seq_search(db.ccam, db.network, index, q)
+            scratch = diversified_search(
+                db.ccam, db.network, index, q, "seq",
+                db.pairwise_computer(q.delta_max),
+            )
             assert via_engine.object_ids() == scratch.object_ids()
 
     def test_hub_backend_never_serves_stale_answers(self):
