@@ -34,11 +34,9 @@ from .engine import (
     QueryEngine,
     QueryPlan,
     plan_diversified,
-    plan_knn,
     plan_sk,
 )
 from .core.ine import INEExpansion
-from .core.knn import SKkNNQuery, SKkNNResult, knn_search
 from .core.objective import DiversificationObjective
 from .core.queries import (
     DiversifiedResult,
@@ -75,14 +73,10 @@ __all__ = [
     "QueryEngine",
     "QueryPlan",
     "plan_diversified",
-    "plan_knn",
     "plan_sk",
     "PairwiseDistanceComputer",
     "MetricsRegistry",
     "INEExpansion",
-    "SKkNNQuery",
-    "SKkNNResult",
-    "knn_search",
     "DiversificationObjective",
     "DiversifiedResult",
     "DiversifiedSKQuery",

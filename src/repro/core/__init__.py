@@ -5,7 +5,6 @@ from .core_pairs import CorePair, CorePairMaintainer
 from .database import INDEX_KINDS, Database
 from .diversify import greedy_diversify
 from .ine import ExpansionStats, INEExpansion
-from .knn import SKkNNQuery, SKkNNResult, knn_search
 from .objective import DiversificationObjective
 from .queries import (
     DiversifiedResult,
@@ -23,9 +22,6 @@ __all__ = [
     "INDEX_KINDS",
     "Database",
     "greedy_diversify",
-    "SKkNNQuery",
-    "SKkNNResult",
-    "knn_search",
     "ExpansionStats",
     "INEExpansion",
     "DiversificationObjective",

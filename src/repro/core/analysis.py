@@ -99,30 +99,12 @@ class CostModel:
         probability, double-counting the queried keyword's own rarity.
         Both agree that SIF's advantage grows with ``l``; only the
         exact form matches measurements (see
-        ``tests/core/test_analysis.py``), and :meth:`c3_signature_paper`
-        keeps the printed version for reference.
+        ``tests/core/test_analysis.py``).
         """
         pass_others = self.keyword_presence_probability ** max(
             0, num_keywords - 1
         )
         return pass_others * self.c2_inverted_file(edges_accessed, num_keywords)
-
-    def c3_signature_paper(self, edges_accessed: int, num_keywords: int) -> float:
-        """The paper's printed ``C3`` (see :meth:`c3_signature`)."""
-        pass_probability = self.keyword_presence_probability ** num_keywords
-        return pass_probability * self.c2_inverted_file(
-            edges_accessed, num_keywords
-        )
-
-    def predicted_ordering_holds(self, edges_accessed: int, num_keywords: int) -> bool:
-        """The paper's conclusion: ``C3 <= C2 <= C1`` whenever the
-        vocabulary is larger than the keyword sets."""
-        c1 = self.c1_edge_store(edges_accessed)
-        c2 = self.c2_inverted_file(edges_accessed, num_keywords)
-        c3 = self.c3_signature(edges_accessed, num_keywords)
-        return c3 <= c2 + 1e-12 and (
-            c2 <= c1 * num_keywords + 1e-12
-        )
 
     @classmethod
     def from_store(cls, store) -> "CostModel":

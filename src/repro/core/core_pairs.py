@@ -102,10 +102,6 @@ class CorePairMaintainer:
             return float("-inf")
         return self._pairs[-1].theta
 
-    @property
-    def pairs(self) -> List[CorePair]:
-        return list(self._pairs)
-
     def core_objects(self) -> List[ResultItem]:
         """The current diversified result, ordered by distance.
 

@@ -5,7 +5,7 @@ R-tree, the object store and the shared disk manager (buffer pool +
 I/O statistics).  Object indexes are built against it by name.
 
 Query execution lives in :mod:`repro.engine`: the facade's entry
-points (:meth:`Database.sk_search`, :meth:`Database.sk_knn`,
+points (:meth:`Database.sk_search`,
 :meth:`Database.diversified_search`) plan the query
 (:func:`repro.engine.plan.plan_sk` and friends) and hand the plan to
 the database's :class:`~repro.engine.executor.QueryEngine`.  All
@@ -23,7 +23,7 @@ from contextlib import contextmanager
 from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional
 
 from ..engine.executor import QueryEngine
-from ..engine.plan import QueryPlan, plan_diversified, plan_knn, plan_sk
+from ..engine.plan import plan_diversified, plan_sk
 from ..errors import QueryError, ReproError
 from ..index.base import ObjectIndex
 from ..index.edge_store import EdgeStoreIndex
@@ -42,12 +42,10 @@ from ..network.graph import CSRSnapshot, NetworkPosition, RoadNetwork
 from ..obs.metrics import MetricsRegistry
 from ..obs.slowlog import SlowQueryLog, SlowQueryThreshold
 from ..obs.tracing import NULL_TRACER, Tracer
-from ..network.objects import ObjectStore, SpatioTextualObject, build_edge_rtree, snap_point_to_edge
-from ..spatial.geometry import Point
+from ..network.objects import ObjectStore, SpatioTextualObject, build_edge_rtree
 from ..spatial.kdtree import KDTreePartition
 from ..spatial.rtree import RTree
 from ..storage.pagefile import DiskManager
-from .knn import SKkNNQuery
 from .queries import DiversifiedResult, DiversifiedSKQuery, SKQuery, SKResult
 from .updates import UpdateJournal, UpdateRecord
 
@@ -208,14 +206,6 @@ class Database:
     ) -> SpatioTextualObject:
         """Add an object at a known network position."""
         self._ensure_not_frozen()
-        return self.store.add(position, keywords)
-
-    def add_object_at_point(
-        self, point: Point, keywords: Iterable[str]
-    ) -> SpatioTextualObject:
-        """Add an object at a raw 2-d point, snapped to the closest edge."""
-        self._ensure_not_frozen()
-        position = snap_point_to_edge(self.network, self.edge_rtree, point)
         return self.store.add(position, keywords)
 
     def freeze(self) -> None:
@@ -487,12 +477,6 @@ class Database:
     def engine(self, value: QueryEngine) -> None:
         self._engine = value
 
-    def keyword_frequencies(self) -> Dict[str, int]:
-        """Document frequency of every keyword: a fresh O(V) snapshot of
-        the counts the object store maintains through every addition,
-        insertion and deletion (a term no object carries is absent)."""
-        return self.store.keyword_frequencies()
-
     # ------------------------------------------------------------------
     # Distance backends
     # ------------------------------------------------------------------
@@ -596,15 +580,12 @@ class Database:
         finished root rides the query's event
         (:attr:`QueryEvent.trace <repro.obs.events.QueryEvent.trace>`)
         and nothing else keeps it: install a slow-query log to capture
-        the trees (``repro slowlog FILE`` narrates them).
+        the trees (``repro slowlog FILE`` narrates them).  Setting
+        :attr:`trace_bounds` back to ``None`` turns tracing off.
         """
         self.trace_bounds = {
             "max_children": max_children, "max_events": max_events,
         }
-
-    def disable_tracing(self) -> None:
-        """Revert to the zero-overhead no-op path."""
-        self.trace_bounds = None
 
     # ------------------------------------------------------------------
     # Slow-query log
@@ -769,8 +750,7 @@ class Database:
     ) -> "ExplainReport":
         """Plan one query, run it under a temporary tracer, explain it.
 
-        ``query`` may be an :class:`~repro.core.queries.SKQuery`, an
-        :class:`~repro.core.knn.SKkNNQuery` or a
+        ``query`` may be an :class:`~repro.core.queries.SKQuery` or a
         :class:`~repro.core.queries.DiversifiedSKQuery` (routed through
         ``method``).  Whether tracing is on for the database does not
         matter — the temporary tracer rides the execution context.
@@ -790,8 +770,6 @@ class Database:
                 self, index, query, method=method,
                 enable_pruning=enable_pruning,
             )
-        elif isinstance(query, SKkNNQuery):
-            plan = plan_knn(self, index, query)
         else:
             plan = plan_sk(self, index, query)
         tracer = Tracer()
@@ -826,21 +804,10 @@ class Database:
     # ------------------------------------------------------------------
     # Queries (thin wrappers over the engine)
     # ------------------------------------------------------------------
-    def plan(self, index: ObjectIndex, query, **kwargs) -> QueryPlan:
-        """Plan a query without executing it (dispatch on query type)."""
-        if isinstance(query, DiversifiedSKQuery):
-            return plan_diversified(self, index, query, **kwargs)
-        if isinstance(query, SKkNNQuery):
-            return plan_knn(self, index, query, **kwargs)
-        return plan_sk(self, index, query, **kwargs)
-
     def sk_search(self, index: ObjectIndex, query: SKQuery) -> SKResult:
-        """Algorithm 3: boolean SK range search on the road network."""
+        """Algorithm 3: boolean SK range search on the road network;
+        with ``query.limit``, the boolean kNN query."""
         return self.engine.execute(plan_sk(self, index, query))
-
-    def sk_knn(self, index: ObjectIndex, query: SKkNNQuery) -> "SKkNNResult":
-        """Boolean SK k-nearest-neighbour search (see repro.core.knn)."""
-        return self.engine.execute(plan_knn(self, index, query))
 
     def diversified_search(
         self,

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from typing import Dict
 
-from ..errors import DatasetError, GraphError
+from ..errors import DatasetError
 from ..index.base import LoadCounters
 from ..network.distance import (
     PAIRWISE_CUTOFF_FACTOR,
@@ -54,7 +54,13 @@ from ..spatial.geometry import project_onto_segment
 from .diversified_search import _record_pairwise, diversify_pool
 from .ine import INEExpansion
 from .objective import DiversificationObjective
-from .queries import DiversifiedResult, DiversifiedSKQuery, QueryStats, ResultItem
+from .queries import (
+    DiversifiedResult,
+    DiversifiedSKQuery,
+    QueryStats,
+    ResultItem,
+    require_on_edge,
+)
 
 __all__ = ["IncrementalDiversifiedTopK"]
 
@@ -94,6 +100,7 @@ class IncrementalDiversifiedTopK:
         self.refreshes = 0
         self.incremental_refreshes = 0
         self.full_recomputes = 0
+        require_on_edge(db.network, query.position)
         self._bootstrap()
 
     # ------------------------------------------------------------------
@@ -134,12 +141,7 @@ class IncrementalDiversifiedTopK:
         """
         db = self._db
         q = self._query
-        try:
-            query_point = db.network.position_point(q.position)
-        except GraphError:
-            # The query's own edge shrank beneath its offset: the
-            # standing query's geometry itself is stale — recompute.
-            return True
+        query_point = db.network.position_point(q.position)
         edge = db.network.edge(edge_id)
         closest, _t = project_onto_segment(query_point, edge.p1, edge.p2)
         euclid = query_point.distance_to(closest)
@@ -171,6 +173,8 @@ class IncrementalDiversifiedTopK:
         records = db.update_journal.since(self._epoch)
         if not records:
             return False
+        # A reweight may have shrunk the query's own edge beneath it.
+        require_on_edge(db.network, q.position)
         self.refreshes += 1
         changed = False
         for rec in records:
@@ -232,14 +236,6 @@ class IncrementalDiversifiedTopK:
         """:meth:`refresh` then :meth:`result` in one call."""
         self.refresh()
         return self.result()
-
-    @property
-    def pool_size(self) -> int:
-        return len(self._pool)
-
-    @property
-    def epoch(self) -> int:
-        return self._epoch
 
     def counters(self) -> Dict[str, int]:
         return {

@@ -17,7 +17,20 @@ __all__ = [
     "QueryStats",
     "SKResult",
     "DiversifiedResult",
+    "require_on_edge",
 ]
+
+
+def require_on_edge(network, position: NetworkPosition) -> None:
+    """Raise :class:`QueryError` if ``position``'s offset lies past its
+    edge's current weight: an expansion seeded there would start from a
+    negative distance.  Planning checks every query with it, and a
+    standing query re-checks at every refresh, since a reweight can
+    shrink the edge beneath it."""
+    if position.offset > network.edge(position.edge_id).weight:
+        raise QueryError(
+            f"offset {position.offset} lies beyond edge {position.edge_id}"
+        )
 
 
 @dataclass(frozen=True)
@@ -25,24 +38,35 @@ class SKQuery:
     """A boolean spatial keyword query on the road network (Def. §2.1).
 
     Retrieves every object containing *all* of ``terms`` within network
-    distance ``delta_max`` of ``position``.
+    distance ``delta_max`` of ``position``, nearest first.  ``limit``
+    keeps only the first ``limit`` of them — the boolean kNN query: the
+    expansion stream arrives in non-decreasing distance, so its
+    ``limit``-th arrival is the ``limit``-th nearest match, and the
+    expansion stops at the node whose settling finalised it.
     """
 
     position: NetworkPosition
     terms: FrozenSet[str]
     delta_max: float
+    limit: Optional[int] = None
 
     def __post_init__(self) -> None:
         if not self.terms:
             raise QueryError("an SK query needs at least one keyword")
         if not self.delta_max > 0:  # rejects nan as well
             raise QueryError("delta_max must be positive")
+        if self.limit is not None and self.limit <= 0:
+            raise QueryError("limit must be positive")
 
     @classmethod
     def create(
-        cls, position: NetworkPosition, terms: Iterable[str], delta_max: float
+        cls,
+        position: NetworkPosition,
+        terms: Iterable[str],
+        delta_max: float,
+        limit: Optional[int] = None,
     ) -> "SKQuery":
-        return cls(position, frozenset(terms), delta_max)
+        return cls(position, frozenset(terms), delta_max, limit)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@
 Three layers, used in order:
 
 1. **Planner** (:mod:`repro.engine.plan`) — ``plan_sk`` /
-   ``plan_knn`` / ``plan_diversified`` turn a query + index into an
+   ``plan_diversified`` turn a query + index into an
    immutable :class:`QueryPlan` with cost hints and an algorithm
    choice.
 2. **Context** (:mod:`repro.engine.context`) —
@@ -19,7 +19,7 @@ this package directly for planner introspection or concurrent batches.
 
 from .context import ExecutionContext
 from .executor import QueryEngine
-from .plan import CostHints, QueryPlan, plan_diversified, plan_knn, plan_sk
+from .plan import CostHints, QueryPlan, plan_diversified, plan_sk
 
 __all__ = [
     "CostHints",
@@ -27,6 +27,5 @@ __all__ = [
     "QueryEngine",
     "QueryPlan",
     "plan_diversified",
-    "plan_knn",
     "plan_sk",
 ]

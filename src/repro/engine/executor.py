@@ -35,11 +35,11 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
+from itertools import islice
 from typing import TYPE_CHECKING, Iterable, List, Optional
 
 from ..core.diversified_search import diversified_search
 from ..core.ine import INEExpansion
-from ..core.knn import knn_search
 from ..core.queries import QueryStats, SKResult
 from ..errors import QueryError
 from ..obs.events import QueryEvent
@@ -92,8 +92,6 @@ class QueryEngine:
             with ctx:
                 if plan.kind == "sk":
                     result = self._execute_sk(plan, ctx)
-                elif plan.kind == "knn":
-                    result = self._execute_knn(plan, ctx)
                 elif plan.kind == "diversified":
                     result = self._execute_diversified(plan, ctx)
                 else:  # pragma: no cover — QueryPlan validates kind
@@ -123,7 +121,14 @@ class QueryEngine:
                 db.ccam, db.network, plan.index, query.position,
                 query.terms, query.delta_max, ctx.counters, t,
             )
-            items = expansion.run_to_completion()
+            if query.limit is None:
+                items = expansion.run_to_completion()
+            else:
+                # Closing the stream at the limit-th arrival stops the
+                # expansion at the node whose settling finalised it.
+                stream = expansion.run()
+                items = list(islice(stream, query.limit))
+                stream.close()
             wall = time.perf_counter() - start
             if t.enabled:
                 ctx.trace_signature_summary(len(items))
@@ -133,6 +138,8 @@ class QueryEngine:
                     edges_accessed=expansion.stats.edges_accessed,
                     wall_seconds=wall,
                 )
+                if query.limit is not None:
+                    root.set(limit=query.limit)
         stats = QueryStats(
             wall_seconds=wall,
             nodes_accessed=expansion.stats.nodes_accessed,
@@ -146,25 +153,6 @@ class QueryEngine:
         )
         ctx.finalise(stats)
         return SKResult(items, stats)
-
-    def _execute_knn(self, plan: "QueryPlan", ctx: ExecutionContext):
-        db = self.db
-        query = plan.query
-        t = ctx.tracer
-        start = time.perf_counter()
-        with t.span(
-            "query.knn", index=plan.index.name,
-            terms=sorted(query.terms), k=query.k,
-        ) as root:
-            result = knn_search(
-                db.ccam, db.network, plan.index, query, t, ctx.counters,
-            )
-            if t.enabled:
-                root.set(results=len(result))
-        result.stats.wall_seconds = time.perf_counter() - start
-        result.stats.distance_backend = db.distance_backend
-        ctx.finalise(result.stats)
-        return result
 
     def _execute_diversified(self, plan: "QueryPlan", ctx: ExecutionContext):
         db = self.db

@@ -20,20 +20,18 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Tuple
 
 from ..core.diversified_search import SWITCH_FACTOR
-from ..core.knn import SKkNNQuery
-from ..core.queries import DiversifiedSKQuery, SKQuery
+from ..core.queries import DiversifiedSKQuery, SKQuery, require_on_edge
 from ..errors import QueryError
 from ..index.base import ObjectIndex
 
 if TYPE_CHECKING:  # pragma: no cover — import cycle guard
     from ..core.database import Database
 
-__all__ = ["CostHints", "QueryPlan", "plan_sk", "plan_knn", "plan_diversified"]
+__all__ = ["CostHints", "QueryPlan", "plan_sk", "plan_diversified"]
 
 #: Algorithms the executor understands, per query kind.
 _ALGORITHMS = {
     "sk": ("ine",),
-    "knn": ("ine-knn",),
     "diversified": ("seq", "com", "auto"),
 }
 
@@ -74,10 +72,6 @@ class CostHints:
     #: to be stale.
     recent_updates: int = 0
 
-    @property
-    def rarest_term(self) -> Optional[str]:
-        return self.term_frequencies[0][0] if self.term_frequencies else None
-
 
 @dataclass(frozen=True)
 class QueryPlan:
@@ -88,7 +82,7 @@ class QueryPlan:
     mixed-plan runs stay attributable.
     """
 
-    kind: str  # "sk" | "knn" | "diversified"
+    kind: str  # "sk" | "diversified"
     query: object
     index: ObjectIndex = field(repr=False)
     algorithm: str
@@ -124,8 +118,8 @@ class QueryPlan:
         if isinstance(q, DiversifiedSKQuery):
             params.append(f"k={q.k}")
             params.append(f"λ={q.lambda_:g}")
-        if isinstance(q, SKkNNQuery):
-            params.append(f"k={q.k}")
+        if isinstance(q, SKQuery) and q.limit is not None:
+            params.append(f"limit={q.limit}")
         lines.append("  query: " + "  ".join(params))
         if self.kind == "diversified":
             backend = self.hints.distance_backend if self.hints else "dijkstra"
@@ -153,13 +147,10 @@ class QueryPlan:
 
 
 def _cost_hints(db: "Database", query) -> CostHints:
-    # An offset past the edge's current weight would seed a negative
-    # distance.  O(|terms|): the store maintains these statistics as
-    # objects come and go, so planning never iterates the objects.
+    # O(|terms|): the store maintains these statistics as objects come
+    # and go, so planning never iterates the objects.
     db.ensure_frozen()
-    pos = query.position
-    if pos.offset > db.network.edge(pos.edge_id).weight:
-        raise QueryError(f"offset {pos.offset} lies beyond edge {pos.edge_id}")
+    require_on_edge(db.network, query.position)
     store = db.store
     num_objects = len(store)
     tf = tuple(sorted(
@@ -183,7 +174,8 @@ def _cost_hints(db: "Database", query) -> CostHints:
 
 
 def plan_sk(db: "Database", index: ObjectIndex, query: SKQuery) -> QueryPlan:
-    """Plan a boolean SK range search (always INE, Algorithm 3)."""
+    """Plan a boolean SK range search (always INE, Algorithm 3); a
+    query with a ``limit`` takes that many items off the expansion."""
     return QueryPlan(
         kind="sk",
         query=query,
@@ -191,20 +183,6 @@ def plan_sk(db: "Database", index: ObjectIndex, query: SKQuery) -> QueryPlan:
         algorithm="ine",
         hints=_cost_hints(db, query),
         rationale="SK range search expands the network incrementally (INE)",
-    )
-
-
-def plan_knn(
-    db: "Database", index: ObjectIndex, query: SKkNNQuery
-) -> QueryPlan:
-    """Plan a boolean SK kNN search (k items off one INE expansion)."""
-    return QueryPlan(
-        kind="knn",
-        query=query,
-        index=index,
-        algorithm="ine-knn",
-        hints=_cost_hints(db, query),
-        rationale="kNN takes k items off the distance-ordered INE stream",
     )
 
 

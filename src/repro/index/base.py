@@ -144,10 +144,6 @@ class ObjectIndex(abc.ABC):
         #: Wall-clock seconds spent building the index.
         self.build_seconds: float = 0.0
 
-    @property
-    def store(self) -> ObjectStore:
-        return self._store
-
     def merge_counters(self, counters: LoadCounters) -> None:
         """Fold one query's counters into the lifetime totals (locked)."""
         with self._merge_lock:

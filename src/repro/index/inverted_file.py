@@ -448,9 +448,6 @@ class InvertedFileIndex(ObjectIndex):
     def size_bytes(self) -> int:
         return self._postings.size_bytes + self._tree_file.size_bytes
 
-    def has_term(self, term: str) -> bool:
-        return term in self._trees
-
     def postings_pages_of(self, term: str) -> int:
         """Number of postings pages of one keyword (signature threshold)."""
         return self._pages_per_term.get(term, 0)

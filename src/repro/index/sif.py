@@ -64,10 +64,6 @@ class SIFIndex(ObjectIndex):
     def signatures(self) -> SignatureFile:
         return self._signatures
 
-    @property
-    def inverted(self) -> InvertedFileIndex:
-        return self._inverted
-
     def loader(
         self, terms: FrozenSet[str], counters: Optional[LoadCounters] = None,
         tracer=NULL_TRACER,

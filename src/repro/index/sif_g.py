@@ -169,7 +169,3 @@ class SIFGIndex(ObjectIndex):
     @property
     def signatures(self) -> SignatureFile:
         return self._signatures
-
-    @property
-    def num_groups(self) -> int:
-        return len(self._group_trees)

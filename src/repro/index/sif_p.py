@@ -222,28 +222,6 @@ class SIFPIndex(ObjectIndex):
     def num_signed_terms(self) -> int:
         return self._matrix.num_rows
 
-    def _bit(self, edge_id: int, v_idx: int, term: str) -> bool:
-        if term in self._unsigned_terms:
-            return True
-        if term not in self._matrix:
-            return False  # term absent from the whole dataset
-        base = self._slot_base.get(edge_id)
-        if base is None:
-            return False  # edge never received any bit
-        return self._matrix.probe(
-            self._matrix.combined((term,)), base + v_idx
-        )
-
-    def segments_of(self, edge_id: int) -> List[Tuple[int, int]]:
-        """Virtual-edge object ranges of an edge (single range if uncut)."""
-        segs = self._segments.get(edge_id)
-        if segs is not None:
-            return segs
-        return [(0, max(0, len(self._store.objects_on_edge(edge_id)) - 1))]
-
-    def num_partitioned_edges(self) -> int:
-        return sum(1 for segs in self._segments.values() if len(segs) > 1)
-
     # ------------------------------------------------------------------
     # Algorithm 2 with per-virtual-edge signatures
     # ------------------------------------------------------------------

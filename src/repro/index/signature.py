@@ -138,7 +138,7 @@ class PackedBitMatrix:
         return slot >= 0 and bool((combined >> slot) & 1)
 
     def slots_of(self, key: str) -> FrozenSet[int]:
-        """The set bits of one key's row (size accounting / edges_of)."""
+        """The set bits of one key's row (size accounting)."""
         row = self._rows.get(key, 0)
         packed = np.frombuffer(
             row.to_bytes((row.bit_length() + 7) // 8, "little"),
@@ -214,23 +214,9 @@ class SignatureFile:
         return self._matrix.num_rows
 
     @property
-    def skipped_terms(self) -> FrozenSet[str]:
-        """Keywords too rare to receive a signature."""
-        return self._skipped
-
-    @property
     def matrix(self) -> PackedBitMatrix:
         """The packed row storage."""
         return self._matrix
-
-    def has_signature(self, term: str) -> bool:
-        return term in self._matrix
-
-    def bit(self, edge_id: int, term: str) -> bool:
-        """``I(e, t)``; keywords without a signature report ``True``."""
-        if term not in self._matrix:
-            return True
-        return self._matrix.probe(self._matrix.combined((term,)), edge_id)
 
     def combined_row(self, terms: Iterable[str]) -> Optional[int]:
         """AND of the signed query terms' rows, ``None`` = always pass.
@@ -263,9 +249,6 @@ class SignatureFile:
         row = self.combined_row(terms)
         probe = self._matrix.probe
         return [probe(row, edge_id) for edge_id in edge_ids]
-
-    def edges_of(self, term: str) -> FrozenSet[int]:
-        return self._matrix.slots_of(term)
 
     def set_bit(self, edge_id: int, term: str) -> None:
         """Set ``I(e, t) = 1`` (dynamic maintenance).

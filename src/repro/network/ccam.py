@@ -79,14 +79,6 @@ class CCAMStore:
     def num_pages(self) -> int:
         return self._file.num_pages
 
-    @property
-    def size_bytes(self) -> int:
-        return self._file.size_bytes
-
-    @property
-    def network(self) -> RoadNetwork:
-        return self._network
-
     def neighbors(self, node_id: int) -> Sequence[Tuple[int, int, float]]:
         """Adjacency list ``(edge_id, other_node, weight)`` — charged I/O."""
         try:
@@ -95,10 +87,6 @@ class CCAMStore:
             raise GraphError(f"unknown node {node_id}") from None
         payload = self._file.read(page_no)
         return payload[node_id]
-
-    def page_of(self, node_id: int) -> int:
-        """Page number holding a node's adjacency list (for testing)."""
-        return self._node_page[node_id]
 
     def refresh_edge(self, edge_id: int) -> None:
         """Re-copy both end-nodes' adjacency lists after an edge update.

@@ -271,12 +271,6 @@ class RoadNetwork:
     def num_edges(self) -> int:
         return len(self._edges)
 
-    def node(self, node_id: int) -> Node:
-        try:
-            return self._nodes[node_id]
-        except KeyError:
-            raise GraphError(f"unknown node {node_id}") from None
-
     def edge(self, edge_id: int) -> Edge:
         try:
             return self._edges[edge_id]
@@ -313,9 +307,6 @@ class RoadNetwork:
         edge_id = self._edge_by_nodes.get((n1, n2))
         return None if edge_id is None else self._edges[edge_id]
 
-    def degree(self, node_id: int) -> int:
-        return len(self.neighbors(node_id))
-
     # ------------------------------------------------------------------
     # Positions
     # ------------------------------------------------------------------
@@ -339,23 +330,3 @@ class RoadNetwork:
         edge = self.edge(edge_id)
         offset = 0.0 if edge.n1 == node_id else edge.weight
         return NetworkPosition(edge_id, offset)
-
-    def validate(self) -> None:
-        """Sanity-check internal consistency; raises on corruption."""
-        for edge in self._edges.values():
-            if edge.n1 == edge.n2:
-                # Unreachable through add_edge/Edge (both reject loops);
-                # guards against corruption from direct _edges injection.
-                raise GraphError(f"edge {edge.edge_id} is a self-loop")
-            for nid in (edge.n1, edge.n2):
-                if nid not in self._nodes:
-                    raise GraphError(f"edge {edge.edge_id} references unknown {nid}")
-        for node_id, adj in self._adjacency.items():
-            for edge_id, other, weight in adj:
-                edge = self._edges.get(edge_id)
-                if edge is None:
-                    raise GraphError(f"adjacency references unknown edge {edge_id}")
-                if node_id not in (edge.n1, edge.n2) or other not in (edge.n1, edge.n2):
-                    raise GraphError(f"adjacency/edge mismatch on edge {edge_id}")
-                if abs(weight - edge.weight) > 1e-9:
-                    raise GraphError(f"adjacency weight mismatch on edge {edge_id}")

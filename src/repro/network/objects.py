@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..errors import DatasetError, GraphError
 from ..spatial.geometry import Point, project_onto_segment
@@ -124,10 +124,6 @@ class SpatioTextualObject:
     def contains_all(self, terms: Iterable[str]) -> bool:
         """AND semantics of the boolean SK query."""
         return all(t in self.keywords for t in terms)
-
-    def contains_any(self, terms: Iterable[str]) -> bool:
-        return any(t in self.keywords for t in terms)
-
 
 def snap_point_to_edge(
     network: RoadNetwork, edge_rtree: RTree, p: Point, candidates: int = 8
@@ -287,9 +283,6 @@ class ObjectStore:
     # ------------------------------------------------------------------
     # Statistics (Table 2)
     # ------------------------------------------------------------------
-    def vocabulary(self) -> FrozenSet[str]:
-        return frozenset(self._document_frequency)
-
     @property
     def vocabulary_size(self) -> int:
         return len(self._document_frequency)

@@ -8,10 +8,8 @@ pruning machinery — how many edges the signature filter dropped
 (§3.1/§3.3), how far the INE frontier travelled (§2.3), which COM
 round triggered the §4.3 early termination — rather than as raw
 attribute dicts.  ``repro explain`` on the CLI prints exactly this.
-
-The report also exposes the structured side (``spans``,
-``signature_stats``, ``terminated_early``) so tests can assert on
-pruning behaviour without parsing the rendered text.
+The tree itself is the report's ``trace``: a test reads the spans'
+``children``, ``attrs`` and ``events`` there.
 """
 
 from __future__ import annotations
@@ -48,20 +46,11 @@ def _ratio(part: int, whole: int) -> str:
 def _describe_query_sk(span: Span) -> str:
     a = span.attrs
     terms = "+".join(a.get("terms", ())) or "?"
+    limit = f" limit={a['limit']}" if "limit" in a else ""
     return (
         f"SK range query [{a.get('index', '?')}] terms={terms} "
-        f"δmax={_num(a.get('delta_max', '?'))} → "
+        f"δmax={_num(a.get('delta_max', '?'))}{limit} → "
         f"{a.get('results', '?')} results in {_ms(span.duration)}"
-    )
-
-
-def _describe_query_knn(span: Span) -> str:
-    a = span.attrs
-    terms = "+".join(a.get("terms", ())) or "?"
-    return (
-        f"SK kNN query [{a.get('index', '?')}] terms={terms} "
-        f"k={a.get('k', '?')} → {a.get('results', '?')} results "
-        f"in {_ms(span.duration)}"
     )
 
 
@@ -190,7 +179,6 @@ def _describe_generic(span: Span) -> str:
 
 _FORMATTERS = {
     "query.sk": _describe_query_sk,
-    "query.knn": _describe_query_knn,
     "query.diversified": _describe_query_diversified,
     "ine.round": _describe_ine_round,
     "signature.filter": _describe_signature_filter,
@@ -321,32 +309,6 @@ class ExplainReport:
         from .recorder import result_digest
 
         return result_digest(self.result)
-
-    # -- structured access (tests) ------------------------------------
-    def spans(self, name: str) -> List[Span]:
-        """Every span named ``name`` in the trace, depth-first."""
-        return self.trace.find_all(name)
-
-    def span(self, name: str) -> Optional[Span]:
-        return self.trace.find(name)
-
-    def signature_stats(self) -> Dict[str, Any]:
-        """Attrs of the per-query ``signature.filter`` summary span.
-
-        Empty dict when the query recorded none (e.g. an index without
-        signatures).
-        """
-        found = self.trace.find("signature.filter")
-        return dict(found.attrs) if found is not None else {}
-
-    @property
-    def terminated_early(self) -> bool:
-        """Whether the COM §4.3 bound terminated the expansion."""
-        root_attr = self.trace.attrs.get("terminated_early")
-        if root_attr is not None:
-            return bool(root_attr)
-        maint = self.trace.find("com.maintenance")
-        return bool(maint is not None and maint.attrs.get("terminated_early"))
 
     def top_level_breakdown(self) -> List[Dict[str, Any]]:
         """Wall-clock spent per direct child of the root span.

@@ -30,7 +30,10 @@ import threading
 import time
 from collections import defaultdict
 from contextlib import contextmanager
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Sequence
+
+if TYPE_CHECKING:  # pragma: no cover — annotation only
+    from .sinks import Sink
 
 __all__ = [
     "Histogram",
@@ -219,7 +222,7 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._counters: Dict[str, int] = defaultdict(int)
         self._histograms: Dict[str, Histogram] = {}
-        self._sinks: List = []
+        self._sinks: List[Sink] = []
         self._lock = threading.RLock()
 
     # -- creation / lookup --------------------------------------------
@@ -300,11 +303,11 @@ class MetricsRegistry:
             self.emit({"type": "query", **event.to_dict()})
 
     # -- sinks --------------------------------------------------------
-    def add_sink(self, sink) -> None:
+    def add_sink(self, sink: Sink) -> None:
         """Attach a sink; it receives every record passed to :meth:`emit`."""
         self._sinks.append(sink)
 
-    def remove_sink(self, sink) -> None:
+    def remove_sink(self, sink: Sink) -> None:
         if sink in self._sinks:
             self._sinks.remove(sink)
 
@@ -313,32 +316,6 @@ class MetricsRegistry:
         with self._lock:
             for sink in self._sinks:
                 sink.emit(record)
-
-    def close(self) -> None:
-        """Close every attached sink.
-
-        Every sink's ``close`` is attempted even when an earlier one
-        raises (the first error re-raises once all have been tried), so
-        a failing sink can never leave another's file handle open.
-        """
-        first_error: Optional[BaseException] = None
-        for sink in self._sinks:
-            close = getattr(sink, "close", None)
-            if close is None:
-                continue
-            try:
-                close()
-            except BaseException as exc:  # noqa: BLE001 — deferred re-raise
-                if first_error is None:
-                    first_error = exc
-        if first_error is not None:
-            raise first_error
-
-    def __enter__(self) -> "MetricsRegistry":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     # -- reporting ----------------------------------------------------
     @contextmanager

@@ -77,9 +77,9 @@ def result_digest(result, precision: int = DIGEST_PRECISION) -> str:
 def query_to_dict(query) -> Dict[str, Any]:
     """JSON-able query parameters, sufficient to rebuild the query.
 
-    Duck-typed over the three query families (SK range / kNN /
-    diversified): whatever of ``delta_max``, ``k``, ``lambda_`` and
-    ``horizon`` the query carries is captured.
+    Duck-typed over the two query families (SK range / diversified):
+    whatever of ``delta_max``, ``k``, ``lambda_`` and ``limit`` the
+    query carries is captured — ``limit`` only when it is set.
     """
     position = query.position
     out: Dict[str, Any] = {
@@ -93,7 +93,7 @@ def query_to_dict(query) -> Dict[str, Any]:
         ("delta_max", "delta_max"),
         ("k", "k"),
         ("lambda_", "lambda"),
-        ("horizon", "horizon"),
+        ("limit", "limit"),
     ):
         value = getattr(query, attr, None)
         if value is not None:

@@ -35,7 +35,7 @@ attribute read per check and allocates nothing.
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 __all__ = [
     "Span",
@@ -101,26 +101,7 @@ class Span:
         self.duration = self._tracer._now() - self.start
         self._tracer._pop(self)
 
-    # -- introspection (tests, EXPLAIN) -------------------------------
-    def walk(self) -> Iterator["Span"]:
-        """This span and every descendant, depth-first."""
-        yield self
-        for child in self.children:
-            yield from child.walk()
-
-    def find(self, name: str) -> Optional["Span"]:
-        """First descendant (or self) named ``name``."""
-        for span in self.walk():
-            if span.name == name:
-                return span
-        return None
-
-    def find_all(self, name: str) -> List["Span"]:
-        return [s for s in self.walk() if s.name == name]
-
-    def event_count(self, name: str) -> int:
-        return sum(1 for ev_name, _t, _a in self.events if ev_name == name)
-
+    # -- introspection (EXPLAIN, slow-query records) -----------------
     def to_dict(self) -> Dict[str, Any]:
         """JSON-able form of the subtree (debugging, artifacts)."""
         out: Dict[str, Any] = {
@@ -250,10 +231,6 @@ class Tracer:
         return span
 
     # -- events -------------------------------------------------------
-    @property
-    def current(self) -> Optional[Span]:
-        return self._stack[-1] if self._stack else None
-
     def event(self, name: str, **attrs: Any) -> None:
         """Annotate the current span; dropped when no span is open."""
         if self._stack:
@@ -308,10 +285,6 @@ class NullTracer:
 
     def event(self, name: str, **attrs: Any) -> None:
         pass
-
-    @property
-    def current(self) -> None:
-        return None
 
 
 #: The shared disabled tracer.  Identity-comparable: code may test

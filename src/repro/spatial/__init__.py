@@ -1,6 +1,6 @@
 """Spatial primitives: geometry, space-filling curves and spatial trees."""
 
-from .geometry import MBR, Point, point_segment_distance, project_onto_segment
+from .geometry import MBR, Point, project_onto_segment
 from .kdtree import KDNode, KDTreePartition
 from .rtree import RTree, RTreeEntry
 from .zorder import ZOrderCurve, deinterleave_bits, interleave_bits
@@ -8,7 +8,6 @@ from .zorder import ZOrderCurve, deinterleave_bits, interleave_bits
 __all__ = [
     "MBR",
     "Point",
-    "point_segment_distance",
     "project_onto_segment",
     "KDNode",
     "KDTreePartition",

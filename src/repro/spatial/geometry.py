@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, Tuple
 
-__all__ = ["Point", "MBR", "point_segment_distance", "project_onto_segment"]
+__all__ = ["Point", "MBR", "project_onto_segment"]
 
 
 @dataclass(frozen=True, order=True)
@@ -25,9 +25,6 @@ class Point:
     def distance_to(self, other: "Point") -> float:
         """Euclidean distance to ``other``."""
         return math.hypot(self.x - other.x, self.y - other.y)
-
-    def as_tuple(self) -> Tuple[float, float]:
-        return (self.x, self.y)
 
     def __iter__(self) -> Iterator[float]:
         yield self.x
@@ -65,31 +62,8 @@ class MBR:
         return Point((self.xmin + self.xmax) / 2.0, (self.ymin + self.ymax) / 2.0)
 
     @property
-    def width(self) -> float:
-        return self.xmax - self.xmin
-
-    @property
-    def height(self) -> float:
-        return self.ymax - self.ymin
-
-    @property
     def area(self) -> float:
-        return self.width * self.height
-
-    @property
-    def perimeter(self) -> float:
-        return 2.0 * (self.width + self.height)
-
-    def contains_point(self, p: Point) -> bool:
-        return self.xmin <= p.x <= self.xmax and self.ymin <= p.y <= self.ymax
-
-    def contains(self, other: "MBR") -> bool:
-        return (
-            self.xmin <= other.xmin
-            and self.ymin <= other.ymin
-            and self.xmax >= other.xmax
-            and self.ymax >= other.ymax
-        )
+        return (self.xmax - self.xmin) * (self.ymax - self.ymin)
 
     def intersects(self, other: "MBR") -> bool:
         return not (
@@ -140,9 +114,3 @@ def project_onto_segment(p: Point, a: Point, b: Point) -> Tuple[Point, float]:
     t = ((p.x - a.x) * abx + (p.y - a.y) * aby) / seg_len_sq
     t = max(0.0, min(1.0, t))
     return Point(a.x + t * abx, a.y + t * aby), t
-
-
-def point_segment_distance(p: Point, a: Point, b: Point) -> float:
-    """Euclidean distance from ``p`` to segment ``ab``."""
-    closest, _ = project_onto_segment(p, a, b)
-    return p.distance_to(closest)

@@ -58,7 +58,6 @@ class KDTreePartition:
             raise ValueError("leaf_size must be >= 1")
         self._centers = list(centers)
         self._leaf_size = leaf_size
-        self._num_nodes = 0
         if self._centers:
             ids = list(range(len(self._centers)))
             self.root: Optional[KDNode] = self._build(ids, axis=0)
@@ -68,13 +67,7 @@ class KDTreePartition:
     def __len__(self) -> int:
         return len(self._centers)
 
-    @property
-    def num_nodes(self) -> int:
-        """Total number of nodes in the uncompacted tree."""
-        return self._num_nodes
-
     def _build(self, ids: List[int], axis: int) -> KDNode:
-        self._num_nodes += 1
         if len(ids) <= self._leaf_size:
             return KDNode(item_ids=tuple(ids), axis=axis)
         key = (lambda i: self._centers[i].x) if axis == 0 else (

@@ -76,23 +76,10 @@ class RTree:
         self._fanout = fanout
         self._pin_root = pin_root
         self._root_page: Optional[int] = None
-        self._height = 0
         self._num_entries = 0
 
     def __len__(self) -> int:
         return self._num_entries
-
-    @property
-    def height(self) -> int:
-        return self._height
-
-    @property
-    def num_pages(self) -> int:
-        return self._file.num_pages
-
-    @property
-    def fanout(self) -> int:
-        return self._fanout
 
     # ------------------------------------------------------------------
     # Construction (STR bulk load)
@@ -105,7 +92,6 @@ class RTree:
         if not entries:
             root = _RNode(leaf=True)
             self._root_page = self._write_node(root)
-            self._height = 1
             return
 
         groups = self._str_pack(list(entries))
@@ -115,7 +101,6 @@ class RTree:
             node.entries = group
             node.mbr = MBR.union_all([e.mbr for e in group])
             pages.append((node.mbr, self._write_node(node)))
-        self._height = 1
 
         while len(pages) > 1:
             next_pages: List[Tuple[MBR, int]] = []
@@ -126,7 +111,6 @@ class RTree:
                 node.mbr = MBR.union_all([m for m, _ in group])
                 next_pages.append((node.mbr, self._write_node(node)))
             pages = next_pages
-            self._height += 1
         self._root_page = pages[0][1]
 
     def _str_pack(self, entries: List[RTreeEntry]) -> List[List[RTreeEntry]]:
@@ -215,18 +199,6 @@ class RTree:
                         heap, (mbr.min_distance_to_point(p), counter, False, page)
                     )
         return results
-
-    def all_entries(self) -> Iterator[RTreeEntry]:
-        """Unfiltered scan of every leaf entry."""
-        if self._root_page is None:
-            return
-        stack = [self._root_page]
-        while stack:
-            node: _RNode = self._read(stack.pop())
-            if node.leaf:
-                yield from node.entries
-            else:
-                stack.extend(page for _, page in node.children)
 
     # ------------------------------------------------------------------
     def _read(self, page_no: int) -> _RNode:

@@ -85,11 +85,6 @@ class BPlusTree:
         return self._num_entries
 
     @property
-    def height(self) -> int:
-        """Number of levels (0 for an empty tree)."""
-        return self._height
-
-    @property
     def num_pages(self) -> int:
         return self._file.num_pages
 

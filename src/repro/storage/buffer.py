@@ -10,8 +10,8 @@ One rule decides hit or miss: :meth:`BufferPool.settle` runs a list of
 page keys through the pool in order and charges each hit, miss and
 eviction to one :class:`~repro.storage.iostats.IOStats`.  A query's
 reads arrive as one such list, its I/O scope's log, settled when the
-query's counters are read; a read outside any query, and
-:meth:`BufferPool.access`, are the one-key case.  The pool owns the
+query's counters are read; a read outside any query is the one-key
+case.  The pool owns the
 database's global :attr:`~BufferPool.stats` and the file-name →
 category map a miss is counted under.
 
@@ -98,10 +98,6 @@ class BufferPool:
         stats.physical_reads += missed
         stats.evictions += evictions
         return hits
-
-    def access(self, key: Tuple[str, int]) -> bool:
-        """Touch one page, charged to :attr:`stats`; ``True`` on a hit."""
-        return self.settle((key,), self.stats) == 1
 
     def evict_file(self, file_name: str) -> None:
         """Evict every buffered page of one file (file drop)."""

@@ -42,8 +42,7 @@ class Vocabulary:
         if (self._freqs <= 0).any():
             raise ValueError("term frequencies must be positive")
         self._index: Dict[str, int] = {t: i for i, t in enumerate(self._terms)}
-        self._probs = self._freqs / self._freqs.sum()
-        self._cdf = cumulative(self._probs)
+        self._cdf = cumulative(self._freqs / self._freqs.sum())
 
     @classmethod
     def from_corpus(cls, keyword_sets: Iterable[Iterable[str]]) -> "Vocabulary":
@@ -67,12 +66,6 @@ class Vocabulary:
 
     def frequency(self, term: str) -> int:
         return int(self._freqs[self._index[term]])
-
-    def probability(self, term: str) -> float:
-        return float(self._probs[self._index[term]])
-
-    def most_frequent(self, count: int) -> List[str]:
-        return self._terms[:count]
 
     def sample_terms(
         self, count: int, rng: np.random.Generator, distinct: bool = True

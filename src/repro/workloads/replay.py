@@ -34,9 +34,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
-from ..core.knn import SKkNNQuery
 from ..core.queries import DiversifiedSKQuery, SKQuery
-from ..engine.plan import plan_diversified, plan_knn, plan_sk
+from ..engine.plan import plan_diversified, plan_sk
 from ..errors import QueryError
 from ..network.distance import DISTANCE_BACKENDS
 from ..network.graph import NetworkPosition
@@ -328,14 +327,16 @@ def _rebuild_query(record: Dict[str, Any]):
             lambda_=params.get("lambda", 0.8),
         )
     if kind == "knn":
-        return SKkNNQuery(
+        # A record from before kNN became an SK query with a limit.
+        return SKQuery(
             position=position,
             terms=terms,
-            k=params["k"],
-            horizon=params.get("horizon", 1e9),
+            delta_max=params.get("horizon", 1e9),
+            limit=params["k"],
         )
     return SKQuery(
-        position=position, terms=terms, delta_max=params["delta_max"]
+        position=position, terms=terms, delta_max=params["delta_max"],
+        limit=params.get("limit"),
     )
 
 
@@ -349,8 +350,6 @@ def _build_plan(db, index, record: Dict[str, Any]):
         return plan_diversified(
             db, index, query, method=None if method == "auto" else method
         )
-    if kind == "knn":
-        return plan_knn(db, index, query)
     return plan_sk(db, index, query)
 
 

@@ -62,8 +62,12 @@ class TestModelAlgebra:
         assert ratios == sorted(ratios, reverse=True)
 
     def test_ordering_holds(self):
+        """The paper's conclusion: ``C3 <= C2 <= l · C1`` whenever the
+        vocabulary is larger than the keyword sets."""
         model = CostModel(4, 5, 100)
-        assert model.predicted_ordering_holds(10, 3)
+        c1 = model.c1_edge_store(10)
+        c2 = model.c2_inverted_file(10, 3)
+        assert model.c3_signature(10, 3) <= c2 <= 3 * c1
 
 
 UNIFORM = DatasetProfile(

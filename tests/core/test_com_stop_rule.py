@@ -173,7 +173,7 @@ def check_bounds(db, index, query, result, maintainer, distances):
             )
         return objective.theta(a.distance, b.distance, distances[key])
 
-    cores = [item for pair in maintainer.pairs for item in (pair.u, pair.v)]
+    cores = [item for pair in maintainer._pairs for item in (pair.u, pair.v)]
     for o in later:
         for o_i in active:
             assert theta(o_i, o) <= objective.theta_ub_visited(

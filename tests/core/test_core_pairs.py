@@ -115,7 +115,7 @@ class TestBasics:
     def test_prune_core_object_rejected(self):
         items, pd = make_stream(5, 10)
         m, _obj, _ = run_maintainer(items, pd, k=4)
-        core_id = m.pairs[0].u.object.object_id
+        core_id = m._pairs[0].u.object.object_id
         with pytest.raises(ValueError):
             m.prune(core_id)
 
@@ -149,7 +149,7 @@ class TestBasics:
 
             def partners():
                 out = {}
-                for pair in m.pairs:
+                for pair in m._pairs:
                     u, v = pair.members()
                     assert u not in out and v not in out  # one pair each
                     out[u], out[v] = (v, pair.theta), (u, pair.theta)
@@ -337,7 +337,7 @@ class TestMatrixBootstrap:
         want_pairs, want_best = scalar_bootstrap(
             items, k, obj, PairDistances(per_pair).distance
         )
-        assert [(p.theta, *p.members()) for p in m.pairs] == want_pairs
+        assert [(p.theta, *p.members()) for p in m._pairs] == want_pairs
         assert m.theta_t == (
             want_pairs[-1][0] if len(want_pairs) == k // 2
             else float("-inf")
@@ -368,7 +368,7 @@ class TestMatrixBootstrap:
         m = CorePairMaintainer(k, obj, counting_pd, pair_by_pair(counting_pd))
         m.bootstrap(items)
         want_pairs, _best = scalar_bootstrap(items, k, obj, pd)
-        assert [(p.theta, *p.members()) for p in m.pairs] == want_pairs
+        assert [(p.theta, *p.members()) for p in m._pairs] == want_pairs
         ids = [it.object.object_id for it in items]
         assert asked == [
             (a, b) for i, a in enumerate(ids) for b in ids[i + 1:]
@@ -498,8 +498,8 @@ class TestBisectedRow:
         for it in items[k:]:
             m.add(it)
             ref.add(it)
-            assert [(p.theta, *p.members()) for p in m.pairs] == [
-                (p.theta, *p.members()) for p in ref.pairs
+            assert [(p.theta, *p.members()) for p in m._pairs] == [
+                (p.theta, *p.members()) for p in ref._pairs
             ]
             assert m.theta_t == ref.theta_t
             assert m.theta_evaluations == ref.theta_evaluations
@@ -528,7 +528,7 @@ class TestBisectedRow:
             m.bootstrap([a, b])
             m.add(c)  # θ bound against a: θ(20, 10, 30) == θ_T
             assert m.theta_evaluations == 1
-            assert m.theta_t == m.pairs[0].theta
+            assert m.theta_t == m._pairs[0].theta
             assert not m.best_theta(2) < m.theta_t
 
     @pytest.mark.parametrize("bad", [[30.0, 40.0, 35.0], [30.0, 100.5]])

@@ -6,7 +6,6 @@ from repro import Database, DiversifiedSKQuery, SKQuery
 from repro.datasets.catalog import build_dataset
 from repro.errors import QueryError, ReproError
 from repro.network.graph import NetworkPosition
-from repro.spatial.geometry import Point
 from repro.workloads.queries import (
     WorkloadConfig,
     generate_diversified_queries,
@@ -20,7 +19,7 @@ def db(grid_network9):
     db.add_object(NetworkPosition(0, 30.0), {"pizza", "bar"})
     db.add_object(NetworkPosition(0, 60.0), {"pizza"})
     db.add_object(NetworkPosition(5, 20.0), {"pizza", "bar"})
-    db.add_object_at_point(Point(150.0, 98.0), {"bar"})
+    db.add_object(NetworkPosition(7, 50.0), {"bar"})
     db.freeze()
     return db
 

@@ -14,8 +14,9 @@ import numpy as np
 import pytest
 
 from repro.core.incremental import IncrementalDiversifiedTopK
+from repro.core.queries import DiversifiedSKQuery
 from repro.datasets.catalog import DatasetProfile, build_dataset
-from repro.errors import DatasetError, GraphError
+from repro.errors import DatasetError, QueryError
 from repro.network.graph import NetworkPosition
 from repro.workloads.queries import WorkloadConfig, generate_diversified_queries
 from tests.oracle import Oracle
@@ -209,16 +210,14 @@ def test_counters_and_pool_exposed():
     )
     m = IncrementalDiversifiedTopK(db, index, query)
     result = m.current()
-    assert m.epoch == db.data_version
-    assert m.pool_size >= len(result.items)
-    assert result.stats.epoch == m.epoch
+    assert result.stats.epoch == db.data_version
+    assert m.counters()["pool_size"] >= len(result.items)
     c = m.counters()
     assert c["refreshes"] == 0  # bootstrap is not a refresh
     donor = next(iter(db.store))
     db.insert_object(donor.position, {"nope-kw"}, indexes=(index,))
-    m.current()
+    assert m.current().stats.epoch == db.data_version
     assert m.counters()["refreshes"] == 1
-    assert m.epoch == db.data_version
 
 
 # ----------------------------------------------------------------------
@@ -238,27 +237,52 @@ def test_matching_insert_deleted_in_the_same_batch_is_skipped():
     folded: ``ObjectStore.get`` raises ``DatasetError`` and the record
     is skipped, the delete record keeping it out of the pool."""
     db, index, query, m = standing_query("incr-gone")
-    size = m.pool_size
+    size = m.counters()["pool_size"]
     obj = db.insert_object(query.position, set(query.terms), indexes=(index,))
     db.delete_object(obj.object_id, indexes=(index,))
     with pytest.raises(DatasetError):
         db.store.get(obj.object_id)
     assert m.refresh() is False
-    assert m.pool_size == size
+    assert m.counters()["pool_size"] == size
     assert m.counters()["full_recomputes"] == 0
 
 
-def test_query_edge_shrunk_beneath_its_offset_forces_a_recompute():
-    """``position_point`` raises ``GraphError`` once the query's own
-    edge weighs less than the query's offset: the standing query's
-    geometry is stale, so the reweight counts as relevant."""
+def test_query_edge_shrunk_beneath_its_offset_raises():
+    """Once the query's own edge weighs less than the query's offset,
+    ``current()`` raises the planner's ``QueryError`` — as a fresh
+    query there does — instead of answering from an expansion seeded
+    at a negative distance."""
     db, index, query, m = standing_query("incr-shrunk")
     edge = db.network.edge(query.position.edge_id)
     assert query.position.offset > 0.0
     db.update_edge_weight(edge.edge_id, query.position.offset / 2.0)
-    with pytest.raises(GraphError):
-        db.network.position_point(query.position)
-    assert m._reweight_is_relevant(edge.edge_id) is True
+    with pytest.raises(QueryError, match="beyond edge"):
+        db.diversified_search(index, query, method="seq")
+    with pytest.raises(QueryError, match="beyond edge"):
+        m.current()
+
+
+def test_standing_query_on_syn_rejects_a_halved_edge():
+    """SYN 0.1 with SIF, a query at 0.9 of its edge, the edge halved:
+    before the check, ``current()`` answered with distances down to
+    −82 and scored ``f(S)`` with them."""
+    db = build_dataset("SYN", scale=0.1)
+    index = db.build_index("sif")
+    obj = list(db.store)[12]
+    edge = db.network.edge(obj.position.edge_id)
+    query = DiversifiedSKQuery.create(
+        NetworkPosition(edge.edge_id, 0.9 * edge.weight),
+        sorted(obj.keywords)[:1], 3000.0, k=4,
+    )
+    m = IncrementalDiversifiedTopK(db, index, query)
+    assert all(item.distance >= 0.0 for item in m.current())
+    db.update_edge_weight(edge.edge_id, edge.weight / 2, indexes=(index,))
+    with pytest.raises(QueryError, match="beyond edge"):
+        m.current()
+    # Nothing moved: the standing query still answers once the edge
+    # grows back under it.
+    db.update_edge_weight(edge.edge_id, edge.weight, indexes=(index,))
+    assert all(item.distance >= 0.0 for item in m.current())
 
 
 @pytest.mark.parametrize("target", ["store.get", "network.position_point"])

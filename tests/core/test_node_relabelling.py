@@ -24,7 +24,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.database import Database
-from repro.core.knn import SKkNNQuery
 from repro.core.queries import DiversifiedSKQuery, SKQuery
 from repro.datasets.synthetic import random_planar_network
 from repro.network.distance import single_source_distances
@@ -79,7 +78,7 @@ def answers(db, index, position, queries):
             at = position(edge_id, offset)
             sk = db.sk_search(index, SKQuery.create(at, [term], delta_max))
             out.append([(it.object.object_id, it.distance) for it in sk])
-            knn = db.sk_knn(index, SKkNNQuery.create(at, [term], k))
+            knn = db.sk_search(index, SKQuery.create(at, [term], 1e9, limit=k))
             out.append([(it.object.object_id, it.distance) for it in knn])
             query = DiversifiedSKQuery.create(
                 at, [term], delta_max, k=k, lambda_=lam

@@ -105,7 +105,7 @@ class TestCallBudget:
         for q in queries:
             maintainer = IncrementalDiversifiedTopK(tiny_db, sif, q)
             pool = tiny_db.sk_search(sif, q.sk_query).items
-            assert maintainer.pool_size == len(pool)
+            assert maintainer.counters()["pool_size"] == len(pool)
             del c_calls[:]
             result = maintainer.result()
             assert len(c_calls) == (1 if cross_edge(pool) else 0)

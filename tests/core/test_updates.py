@@ -182,7 +182,7 @@ class TestDatabaseUpdates:
             assert_catalogue_matches_recount(live_db.store)
             stats = live_db.dataset_statistics()
             assert stats["num_objects"] == len(list(live_db.store))
-            assert stats["vocabulary_size"] == len(live_db.keyword_frequencies())
+            assert stats["vocabulary_size"] == len(live_db.store.keyword_frequencies())
 
         check()
         sushi = live_db.insert_object(
@@ -195,8 +195,8 @@ class TestDatabaseUpdates:
         live_db.delete_object(sushi.object_id, indexes=(sif,))
         # "sushi" lost its last holder; "bar" did not.
         assert live_db.store.vocabulary_size == vocabulary - 1
-        assert "sushi" not in live_db.keyword_frequencies()
-        assert live_db.keyword_frequencies()["bar"] == 1
+        assert "sushi" not in live_db.store.keyword_frequencies()
+        assert live_db.store.keyword_frequencies()["bar"] == 1
         check()
         live_db.insert_object(NetworkPosition(1, 90.0), {"sushi"}, indexes=(sif,))
         live_db.update_edge_weight(1, 60.0, indexes=(sif,))

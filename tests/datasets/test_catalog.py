@@ -224,7 +224,7 @@ def layout_digest(index, files) -> str:
     trees, rows = trees_and_rows(index)
     for name in sorted(trees):
         tree = trees[name]
-        h.update(repr((name, tree._root_page, tree.height)).encode())
+        h.update(repr((name, tree._root_page, tree._height)).encode())
     for name in sorted(rows):
         h.update(repr((name, rows[name])).encode())
     h.update(repr(index.size_bytes()).encode())

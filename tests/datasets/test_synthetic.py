@@ -13,6 +13,7 @@ from repro.datasets.synthetic import (
     random_planar_network,
 )
 from repro.errors import DatasetError
+from tests.reference import validate_network
 
 
 def is_connected(network):
@@ -67,7 +68,7 @@ class TestGrid:
             assert -1000 <= node.point.y <= 6000
 
     def test_validates(self):
-        grid_network(6, 6, seed=4).validate()
+        validate_network(grid_network(6, 6, seed=4))
 
 
 class TestPlanar:
@@ -99,7 +100,7 @@ class TestPlanar:
             seen.add((e.n1, e.n2))
 
     def test_validates(self):
-        random_planar_network(60, seed=7).validate()
+        validate_network(random_planar_network(60, seed=7))
 
 
 # ----------------------------------------------------------------------

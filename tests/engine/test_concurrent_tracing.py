@@ -18,6 +18,7 @@ from repro.workloads.queries import (
     generate_diversified_queries,
     generate_sk_queries,
 )
+from tests.reference import spans_named, walk_spans
 
 
 @pytest.fixture(scope="module")
@@ -37,7 +38,7 @@ def traced(tiny_db):
     finally:
         sys.setswitchinterval(interval)
         tiny_db.disable_slow_query_log()
-        tiny_db.disable_tracing()
+        tiny_db.trace_bounds = None
 
 
 def _div_fingerprint(results):
@@ -76,13 +77,13 @@ class TestConcurrentTracing:
             assert root.attrs["candidates"] == record["stats"]["candidates"]
             assert root.attrs["method"] == "COM"
             assert root.duration > 0
-            for span in root.walk():
+            for span in walk_spans(root):
                 assert span.start >= 0
                 assert span.duration >= 0
             # Untorn: the same spans the serial run recorded.
             serial_root = Span.from_dict(serial_records[sequence]["trace"])
-            assert [s.name for s in root.walk()] == [
-                s.name for s in serial_root.walk()
+            assert [s.name for s in walk_spans(root)] == [
+                s.name for s in walk_spans(serial_root)
             ]
             assert record["worker"].startswith("repro-query")
 
@@ -101,7 +102,7 @@ class TestConcurrentTracing:
         assert {root.name for root in roots} == {"query.sk"}
         # The per-query signature summary landed inside each tree.
         for root in roots:
-            assert root.find("signature.filter") is not None
+            assert spans_named(root, "signature.filter")
 
     def test_tracing_off_stays_null(self, tiny_db, sif):
         assert tiny_db.trace_bounds is None

@@ -3,8 +3,7 @@
 import pytest
 
 from repro.core.ine import INEExpansion
-from repro.core.knn import SKkNNQuery
-from repro.core.queries import QueryStats
+from repro.core.queries import QueryStats, SKQuery
 from repro.engine import ExecutionContext, plan_sk
 from repro.workloads.queries import WorkloadConfig, generate_sk_queries
 
@@ -86,12 +85,13 @@ class TestExceptionSafety:
 
 class TestStageSeconds:
     def test_knn_and_sk_report_the_same_stages(self, tiny_db, sif, query):
-        """A kNN query runs the SK query's expansion, so it reports the
-        same stages (``expansion``, ``object_loading``, ``signature``)."""
+        """A kNN query (an SK query with a ``limit``) runs the SK
+        query's expansion, so it reports the same stages (``expansion``,
+        ``object_loading``, ``signature``)."""
         sk = tiny_db.sk_search(sif, query)
-        knn = tiny_db.sk_knn(
-            sif, SKkNNQuery.create(query.position, query.terms, k=3)
-        )
+        knn = tiny_db.sk_search(sif, SKQuery.create(
+            query.position, query.terms, query.delta_max, limit=3
+        ))
         assert set(knn.stats.stage_seconds) == set(sk.stats.stage_seconds)
         assert set(sk.stats.stage_seconds) == {
             "expansion", "object_loading", "signature",

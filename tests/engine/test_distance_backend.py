@@ -16,9 +16,9 @@ import math
 import pytest
 
 from repro.core.database import Database
-from repro.core.knn import SKkNNQuery
 from repro.core.queries import DiversifiedSKQuery, SKQuery
 from repro.datasets.synthetic import random_planar_network
+from repro.engine import plan_diversified
 from repro.errors import QueryError
 from repro.network.distance import (
     DISTANCE_BACKENDS,
@@ -208,11 +208,11 @@ class TestAnswerEquivalence:
             db.network.node_position(0), ["a"], delta_max=1000.0, k=3
         )
         db.use_distance_backend("csgraph")
-        plan = db.plan(index, query, method="com")
+        plan = plan_diversified(db, index, query, method="com")
         assert plan.hints.distance_backend == "csgraph"
         assert "distance backend: csgraph" in plan.describe()
         db.use_distance_backend("dijkstra")
-        plan = db.plan(index, query, method="com")
+        plan = plan_diversified(db, index, query, method="com")
         assert plan.hints.distance_backend == "dijkstra"
         assert "distance backend: dijkstra" in plan.describe()
 
@@ -230,14 +230,16 @@ class TestObservability:
         db.use_distance_backend(backend)
         index = tiny_indexes["sif"]
         position = db.network.node_position(3)
-        term = sorted(db.store.vocabulary())[0]
+        term = sorted(db.store.keyword_frequencies().keys())[0]
         sink = InMemorySink()
         db.metrics.add_sink(sink)
         before = db.metrics.snapshot()["counters"]
         try:
             results = [
                 db.sk_search(index, SKQuery.create(position, [term], 2000.0)),
-                db.sk_knn(index, SKkNNQuery.create(position, [term], k=3)),
+                db.sk_search(
+                    index, SKQuery.create(position, [term], 1e9, limit=3)
+                ),
             ]
         finally:
             db.metrics.remove_sink(sink)

@@ -52,7 +52,7 @@ def test_fault_mid_query_is_charged_once_and_leaves_the_buffer_consistent(
         db.engine.execute(plan)
     twin.engine.execute(twin_plan)
     node = order[len(order) // 2]
-    page_no = db.ccam.page_of(node)
+    page_no = db.ccam._node_page[node]
     db.ccam._node_page[node] = db.ccam.num_pages + 3
 
     reads = []

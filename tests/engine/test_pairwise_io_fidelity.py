@@ -36,7 +36,7 @@ def world(backend=None):
     if backend is not None:
         db.use_distance_backend(backend)
     index = db.build_index("sif")
-    freq = db.keyword_frequencies()
+    freq = db.store.keyword_frequencies()
     term = min(freq, key=lambda t: (-freq[t], t))
     return db, index, db.network.node_position(7), term
 

@@ -7,11 +7,10 @@ import pytest
 
 from repro import Database, NetworkPosition
 from repro.core.diversified_search import SWITCH_FACTOR
-from repro.core.knn import SKkNNQuery
 from repro.core.queries import DiversifiedSKQuery, SKQuery
 from repro.datasets.catalog import build_dataset
 from repro.datasets.synthetic import random_planar_network
-from repro.engine import QueryPlan, plan_diversified, plan_knn, plan_sk
+from repro.engine import QueryPlan, plan_diversified, plan_sk
 from repro.engine.plan import CostHints
 from repro.errors import GraphError, QueryError
 from repro.workloads.queries import (
@@ -82,11 +81,12 @@ def recount_hints(db, terms) -> CostHints:
 
 
 def _queries_over(db):
-    """One SK, one kNN and one diversified query over ``db``'s data."""
+    """One SK, one kNN (a limited SK) and one diversified query over
+    ``db``'s data."""
     config = WorkloadConfig(num_queries=1, num_keywords=2, k=4, seed=7)
     sk = generate_sk_queries(db, config)[0]
     div = generate_diversified_queries(db, config)[0]
-    knn = SKkNNQuery.create(div.position, div.terms, k=3)
+    knn = SKQuery.create(div.position, div.terms, div.delta_max, limit=3)
     return sk, knn, div
 
 
@@ -94,7 +94,7 @@ def _plan_all(db, index, queries):
     sk, knn, div = queries
     return [
         plan_sk(db, index, sk),
-        plan_knn(db, index, knn),
+        plan_sk(db, index, knn),
         plan_diversified(db, index, div, method=None),
     ]
 
@@ -135,7 +135,6 @@ class TestCostHints:
         assert {t for t, _ in h.term_frequencies} == set(sk_query.terms)
         freqs = [df for _, df in h.term_frequencies]
         assert freqs == sorted(freqs)  # rarest first
-        assert h.rarest_term == h.term_frequencies[0][0]
         # Independence estimate never exceeds the rarest term's df.
         assert h.estimated_matches <= min(freqs) + 1e-9
         assert 0.0 <= h.selectivity <= 1.0
@@ -197,7 +196,7 @@ class TestCostHints:
         assert after.vocabulary_size == vocabulary - 1
         # Remove every holder of the query's rarest term: its df reads 0
         # and the conjunctive estimate collapses with it.
-        term = after.rarest_term
+        term = after.term_frequencies[0][0]
         for obj in [o for o in db.store if term in o.keywords]:
             db.delete_object(obj.object_id, indexes=(sif,))
         check()
@@ -229,17 +228,25 @@ class TestPlanShapes:
         assert "cost hints" in text
 
     def test_knn_plan(self, tiny_db, sif, div_query):
-        query = SKkNNQuery.create(div_query.position, div_query.terms, k=3)
-        plan = plan_knn(tiny_db, sif, query)
-        assert plan.kind == "knn"
-        assert plan.label.endswith("/INE-KNN")
-        assert "k=3" in plan.describe()
+        """A kNN query is an SK query with a limit: the SK plan, which
+        shows the limit."""
+        query = SKQuery.create(
+            div_query.position, div_query.terms, 1e9, limit=3
+        )
+        plan = plan_sk(tiny_db, sif, query)
+        assert (plan.kind, plan.algorithm) == ("sk", "ine")
+        assert plan.label == f"{sif.name}/INE"
+        assert "limit=3" in plan.describe()
+        unlimited = plan_sk(tiny_db, sif, dataclasses.replace(query, limit=None))
+        assert "limit" not in unlimited.describe()
 
     def test_database_plan_dispatch(self, tiny_db, sif, sk_query, div_query):
-        assert tiny_db.plan(sif, sk_query).kind == "sk"
-        assert tiny_db.plan(sif, div_query).kind == "diversified"
-        knn = SKkNNQuery.create(div_query.position, div_query.terms, k=2)
-        assert tiny_db.plan(sif, knn).kind == "knn"
+        """``Database.explain`` plans by the query's type."""
+        assert tiny_db.explain(sif, sk_query).plan.kind == "sk"
+        assert tiny_db.explain(sif, div_query).plan.kind == "diversified"
+        knn = SKQuery.create(div_query.position, div_query.terms, 1e9, limit=2)
+        report = tiny_db.explain(sif, knn)
+        assert report.plan.kind == "sk" and len(report.result) <= 2
 
     def test_invalid_algorithm_rejected(self, sif, sk_query):
         with pytest.raises(QueryError):
@@ -333,7 +340,7 @@ class TestQueryPositionOnItsEdge:
         past = NetworkPosition(edge.edge_id, 3 * edge.weight)
         plans = (
             (plan_sk, SKQuery(past, div_query.terms, div_query.delta_max)),
-            (plan_knn, SKkNNQuery.create(past, div_query.terms, k=3)),
+            (plan_sk, SKQuery.create(past, div_query.terms, 1e9, limit=3)),
             (plan_diversified, DiversifiedSKQuery.create(
                 past, div_query.terms, div_query.delta_max, k=4,
             )),

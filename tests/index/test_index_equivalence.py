@@ -24,7 +24,7 @@ def probe_cases(db, num_cases=150, seed=9):
     """A deterministic mix of edges and keyword sets (1-3 terms)."""
     rng = np.random.default_rng(seed)
     edges = sorted(db.store.edges_with_objects())
-    vocab = sorted(db.store.vocabulary())
+    vocab = sorted(db.store.keyword_frequencies().keys())
     objects = list(db.store)
     cases = []
     for _ in range(num_cases):

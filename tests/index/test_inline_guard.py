@@ -35,6 +35,7 @@ from repro.workloads.queries import (
     generate_diversified_queries,
 )
 from tests.index.test_loader import INDEXES, world  # noqa: F401  (fixture)
+from tests.reference import event_count, spans_named, walk_spans
 
 MASKED = [
     name for name, (kind, _) in INDEXES.items() if kind in ("sif", "sif-g")
@@ -227,7 +228,7 @@ class TestInlineGuardIsTheLoader:
 
 
 def prune_events(span):
-    return sum(s.event_count("signature.prune") for s in span.walk())
+    return sum(event_count(s, "signature.prune") for s in walk_spans(span))
 
 
 class TestTracedPrunesAreNarrated:
@@ -249,11 +250,11 @@ class TestTracedPrunesAreNarrated:
                     query.delta_max, counters, tracer,
                 ).run_to_completion()
             trace = tracer.last_trace
-            assert not any(s.dropped_events for s in trace.walk())
+            assert not any(s.dropped_events for s in walk_spans(trace))
             assert prune_events(trace) == counters.edges_pruned_by_signature
             partitions = {
                 attrs["partition"]
-                for s in trace.walk()
+                for s in walk_spans(trace)
                 for ev, _t, attrs in s.events
                 if ev == "signature.prune"
             }
@@ -269,7 +270,8 @@ class TestTracedPrunesAreNarrated:
             NetworkPosition(edge_ids(db)[5], 0.0), vocabulary[:2], 3000.0
         )
         report = db.explain(index, query)
-        pruned = report.signature_stats()["edges_pruned"]
+        (summary,) = spans_named(report.trace, "signature.filter")
+        pruned = summary.attrs["edges_pruned"]
         assert pruned > 0
         assert prune_events(report.trace) == pruned
         text = report.render()

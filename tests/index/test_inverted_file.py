@@ -151,8 +151,6 @@ class TestLoadObjects:
     def test_postings_pages_of(self, index):
         assert index.postings_pages_of("pizza") >= 1
         assert index.postings_pages_of("nope") == 0
-        assert index.has_term("pizza")
-        assert not index.has_term("nope")
 
     def test_io_charged_per_query_keyword(self, store):
         disk = DiskManager(buffer_pages=0)

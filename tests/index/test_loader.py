@@ -41,6 +41,7 @@ from repro.workloads.queries import (
     generate_diversified_queries,
     generate_sk_queries,
 )
+from tests.reference import sifp_bit, sifp_segments, signature_edges
 
 PROFILE = DatasetProfile(
     name="LOADER",
@@ -118,7 +119,7 @@ def guard_reference(db, index, kind, terms):
 
     Derived slot by slot, not from the combined row the loaders shift:
     ``SignatureFile.test``, the store's objects for SIF-G's pairs and
-    ``SIFPIndex._bit``.  SIF-P tests only edges that hold objects.
+    SIF-P's per-slot bit (:func:`tests.reference.sifp_bit`).  SIF-P tests only edges that hold objects.
     """
     edge_ids = [edge.edge_id for edge in db.network.edges()]
     if kind == "sif-p":
@@ -126,8 +127,8 @@ def guard_reference(db, index, kind, terms):
 
         def passes(e):
             return any(
-                all(index._bit(e, v, t) for t in terms)
-                for v in range(len(index.segments_of(e)))
+                all(sifp_bit(index, e, v, t) for t in terms)
+                for v in range(len(sifp_segments(index, e)))
             )
     elif kind == "sif-g":
         pairs, singles = index._cover(terms)
@@ -148,10 +149,13 @@ class TestBoundLoaderIsLoadObjects:
     def test_world_has_every_kind_of_term(self, world):
         _db, indexes, terms = world
         sif, rare = indexes["sif"], indexes["sif/rare-unsigned"]
-        assert sif.signatures.has_signature("ghost")
-        assert sif.signatures.edges_of("ghost") == frozenset()
-        assert not sif.signatures.has_signature("never-seen")
-        signed = [t for t in terms if rare.signatures.has_signature(t)]
+        assert sif.signatures.combined_row(["ghost"]) == 0
+        assert signature_edges(sif.signatures, "ghost") == frozenset()
+        assert sif.signatures.combined_row(["never-seen"]) is None
+        signed = [
+            t for t in terms
+            if rare.signatures.combined_row([t]) is not None
+        ]
         assert 2 <= len(signed) < len(terms) - 2
         assert indexes["sif-p/rare-unsigned"]._unsigned_terms
 

@@ -32,7 +32,7 @@ def index(store):
 
 class TestGroups:
     def test_group_built_for_top_pair(self, index):
-        assert index.num_groups == 1
+        assert len(index._group_trees) == 1
 
     def test_group_signature_prunes_non_cooccurring_edges(self, index):
         """Edges 1 and 2 contain both terms separately but never on one
@@ -66,7 +66,7 @@ class TestGroupEdgeCases:
     def test_no_top_terms(self, store):
         disk = DiskManager(buffer_pages=64)
         index = SIFGIndex(store, disk, top_terms=0, file_prefix="g0")
-        assert index.num_groups == 0
+        assert len(index._group_trees) == 0
         got = {o.object_id for o in index.load_objects(0, frozenset({"hot"}))}
         assert got == {0, 1}
 
@@ -79,7 +79,7 @@ class TestGroupEdgeCases:
         index = SIFGIndex(s, disk, top_terms=2, min_postings_pages=1)
         # a and b never co-occur on any object: no group list exists,
         # queries fall back to single-term intersection.
-        assert index.num_groups == 0
+        assert len(index._group_trees) == 0
         assert index.load_objects(0, frozenset({"a", "b"})) == []
 
 

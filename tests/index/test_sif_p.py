@@ -7,6 +7,7 @@ from repro.index.sif_p import SIFPIndex
 from repro.network.graph import NetworkPosition
 from repro.network.objects import ObjectStore
 from repro.storage.pagefile import DiskManager
+from tests.reference import sifp_segments
 
 
 @pytest.fixture()
@@ -48,11 +49,11 @@ def sifp(fig3_store):
 class TestPartitioning:
     def test_paper_cut_is_chosen(self, sifp):
         # The optimal single cut separates {o1, o2} from {o3, o4, o5}.
-        assert sifp.segments_of(0) == [(0, 1), (2, 4)]
-        assert sifp.num_partitioned_edges() == 1
+        assert sifp_segments(sifp, 0) == [(0, 1), (2, 4)]
+        assert [e for e, segs in sifp._segments.items() if len(segs) > 1] == [0]
 
     def test_unpartitioned_edge_single_segment(self, sifp):
-        assert sifp.segments_of(1) == [(0, 0)]
+        assert sifp_segments(sifp, 1) == [(0, 0)]
 
 
 class TestVirtualEdgePruning:

@@ -19,6 +19,7 @@ from repro.index.signature import PackedBitMatrix, SignatureFile
 from repro.network.graph import NetworkPosition, RoadNetwork
 from repro.network.objects import ObjectStore
 from repro.storage.pagefile import DiskManager
+from tests.reference import signature_edges
 
 TERMS = ["a", "b", "c", "d"]
 
@@ -178,7 +179,7 @@ def test_signature_file_matches_reference(placements, dyn_ops, query):
     def ref_test(edge_id, terms):
         # Unsigned terms pass conservatively; signed must contain edge.
         return all(
-            edge_id in ref[t] for t in terms if sig.has_signature(t)
+            edge_id in ref[t] for t in terms if sig.combined_row([t]) is not None
         )
 
     edges = list(range(store.network.num_edges))
@@ -188,8 +189,8 @@ def test_signature_file_matches_reference(placements, dyn_ops, query):
     beyond = [-1] + edges + [len(edges), 200]
     assert sig.test_many(beyond, query) == [sig.test(e, query) for e in beyond]
     for t in TERMS:
-        if sig.has_signature(t):
-            assert sig.edges_of(t) == frozenset(ref.get(t, set()))
+        if sig.combined_row([t]) is not None:
+            assert signature_edges(sig, t) == frozenset(ref.get(t, set()))
 
 
 @settings(max_examples=40, deadline=None)
@@ -218,8 +219,8 @@ def test_emptied_row_prunes_everything():
     sig = SignatureFile(store)
     assert sig.test(2, {"a"}) is True
     sig.clear_bit(2, "a")
-    assert sig.has_signature("a")  # the row survives, emptied
-    assert sig.edges_of("a") == frozenset()
+    assert sig.combined_row(["a"]) == 0  # the row survives, emptied
+    assert signature_edges(sig, "a") == frozenset()
     for e in range(store.network.num_edges):
         assert sig.test(e, {"a"}) is False
 

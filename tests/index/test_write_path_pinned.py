@@ -25,6 +25,7 @@ from repro.index.inverted_file import POSTINGS_PER_PAGE
 from repro.network.graph import NetworkPosition
 from tests.conftest import TINY_PROFILE
 from tests.datasets.test_catalog import layout_digest, trees_and_rows
+from tests.reference import sifp_segments
 
 KINDS = ("if", "sif", "sif-p")
 
@@ -83,7 +84,7 @@ def burst(db, indexes):
         {"fresh", hot}, indexes.values(),
     ))
     # Every object of the cut edge's second virtual edge goes.
-    start, end = sifp.segments_of(cut_edge)[1]
+    start, end = sifp_segments(sifp, cut_edge)[1]
     doomed = store.objects_on_edge(cut_edge)[start : end + 1]
     for obj in list(doomed):
         db.delete_object(obj.object_id, indexes.values())
@@ -108,7 +109,7 @@ def test_insert_delete_burst_is_pinned():
     stats = db.disk.stats
     reads, writes = stats.logical_reads, stats.writes
     cut_edge = burst(db, indexes)
-    start, end = indexes["sif-p"].segments_of(cut_edge)[1]
+    start, end = sifp_segments(indexes["sif-p"], cut_edge)[1]
     assert end == start - 1  # the virtual edge is empty
     got = {
         "pages": {
@@ -160,7 +161,7 @@ def deep_burst(db, index):
     freq = store.keyword_frequencies()
     trees, _rows = trees_and_rows(index)
     deep = sorted(
-        (t for t, tree in trees.items() if tree.height == 2),
+        (t for t, tree in trees.items() if tree._height == 2),
         key=lambda t: (-freq[t], t),
     )[:3]
     edges = sorted(store.edges_with_objects())
@@ -190,7 +191,7 @@ def test_burst_on_two_level_trees_is_pinned(kind):
     deep = deep_burst(db, index)
     trees, _rows = trees_and_rows(index)
     assert deep == ["t0", "t40", "t80"]
-    assert all(trees[term].height == 2 for term in deep)
+    assert all(trees[term]._height == 2 for term in deep)
     got = {
         "pages": {f.name: f.num_pages for f in files},
         "logical_reads": stats.logical_reads - reads,

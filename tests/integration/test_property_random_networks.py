@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from repro.core.database import Database
 from repro.core.ine import INEExpansion
-from repro.core.knn import SKkNNQuery, knn_search
+from repro.core.queries import SKQuery
 from repro.datasets.generator import populate_objects
 from repro.datasets.synthetic import random_planar_network
 from tests.oracle import Oracle
@@ -77,9 +77,8 @@ def test_knn_is_prefix_of_range_stream(seed):
     index = db.build_index("sif", file_prefix=f"knnprop-{seed}")
     position, terms, _ = random_query(db, rng, 1)
     k = int(rng.integers(1, 6))
-    knn = knn_search(
-        db.ccam, db.network, index,
-        SKkNNQuery.create(position, terms, k=k, horizon=50000.0),
+    knn = db.sk_search(
+        index, SKQuery.create(position, terms, 50000.0, limit=k)
     )
     full = INEExpansion(
         db.ccam, db.network, index, position, terms, 50000.0
@@ -128,9 +127,7 @@ def test_knn_seq_and_com_match_the_oracle(seed, num_terms):
     truth = oracle.sk_range(position, terms)
 
     k = int(rng.integers(1, 6))
-    knn = knn_search(
-        db.ccam, db.network, index, SKkNNQuery.create(position, terms, k=k)
-    )
+    knn = db.sk_search(index, SKQuery.create(position, terms, 1e9, limit=k))
     nearest = sorted(truth.values())[:k]
     assert len(knn) == len(nearest)
     for item, want in zip(knn, nearest):

@@ -21,7 +21,7 @@ class TestLayout:
     def test_every_node_is_mapped(self, ccam_setup):
         network, _disk, ccam = ccam_setup
         for node in network.nodes():
-            assert ccam.page_of(node.node_id) >= 0
+            assert ccam._node_page[node.node_id] >= 0
 
     def test_adjacency_matches_in_memory(self, ccam_setup):
         network, _disk, ccam = ccam_setup
@@ -46,7 +46,7 @@ class TestLayout:
         same_page = total = 0
         for edge in network.edges():
             total += 1
-            if ccam.page_of(edge.n1) == ccam.page_of(edge.n2):
+            if ccam._node_page[edge.n1] == ccam._node_page[edge.n2]:
                 same_page += 1
         # A random assignment over ~10 pages would co-locate ~10 %.
         assert same_page / total > 0.25

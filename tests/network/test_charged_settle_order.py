@@ -42,7 +42,7 @@ class Recording:
 def inject_self_loop(network: RoadNetwork, node_id: int, weight: float):
     """A loop edge at ``node_id``, its two adjacency entries included."""
     edge_id = network.num_edges
-    at = network.node(node_id).point
+    at = next(n for n in network.nodes() if n.node_id == node_id).point
     host = next(
         network.edge(e) for e, _o, _w in network.neighbors(node_id)
     )

@@ -10,6 +10,7 @@ from repro.datasets.synthetic import random_planar_network
 from repro.errors import GraphError
 from repro.network.distance import PairwiseDistanceComputer, seed_distances
 from repro.network.graph import NetworkPosition, RoadNetwork
+from tests.reference import validate_network
 
 
 class TestSelfLoopSeeding:
@@ -31,12 +32,12 @@ class TestSelfLoopSeeding:
         network.add_node(0, 0.0, 0.0)
         network.add_node(1, 1.0, 0.0)
         network.add_edge(0, 1)
-        network.validate()
+        validate_network(network)
         # add_edge and Edge both reject loops, so corrupt the store the
         # only way a loop can appear: direct injection.
         network._edges[99] = SimpleNamespace(edge_id=99, n1=0, n2=0, weight=1.0)
         with pytest.raises(GraphError, match="self-loop"):
-            network.validate()
+            validate_network(network)
 
     def test_add_edge_rejects_self_loop(self):
         network = RoadNetwork()

@@ -16,6 +16,7 @@ from repro.workloads.queries import (
     generate_diversified_queries,
     generate_sk_queries,
 )
+from tests.reference import event_count, spans_named
 
 
 @pytest.fixture()
@@ -73,13 +74,19 @@ class TestExplainReport:
         assert "1 × pairwise distances answered from cache" in text
 
 
+def signature_stats(report):
+    """Attrs of the query's one ``signature.filter`` summary span."""
+    (summary,) = spans_named(report.trace, "signature.filter")
+    return summary.attrs
+
+
 class TestDatabaseExplain:
     def test_sk_explain_has_pruning_nodes(self, tiny_db, tiny_indexes,
                                           sk_workload):
         report = tiny_db.explain(tiny_indexes["sif"], sk_workload[0])
         assert report.trace.name == "query.sk"
-        assert report.spans("ine.round"), "expected INE round spans"
-        stats = report.signature_stats()
+        assert spans_named(report.trace, "ine.round"), "expected INE rounds"
+        stats = signature_stats(report)
         assert stats["partition"] == "SIF"
         assert stats["edges_pruned"] + stats["edges_probed"] > 0
         text = report.render()
@@ -100,11 +107,11 @@ class TestDatabaseExplain:
         query = generate_diversified_queries(tiny_db, config)[0]
         report = tiny_db.explain(tiny_indexes["sif"], query, method="com")
         assert report.trace.name == "query.diversified"
-        assert report.span("com.maintenance") is not None
-        assert report.spans("com.round")
+        assert spans_named(report.trace, "com.maintenance")
+        assert spans_named(report.trace, "com.round")
         assert "COM" in report.render()
         # The C search's radius: the sources' reach plus δmax, not 2·δmax.
-        limit = report.span("pairwise.dijkstra").attrs["limit"]
+        limit = spans_named(report.trace, "pairwise.dijkstra")[0].attrs["limit"]
         assert f"nodes mapped within {limit:.4g} in" in report.render()
 
     def test_unpinned_explain_narrates_the_exit_that_ran(
@@ -141,7 +148,7 @@ class TestPruningClaims:
             index = tiny_indexes[kind]
             total = 0
             for query in sk_workload:
-                stats = tiny_db.explain(index, query).signature_stats()
+                stats = signature_stats(tiny_db.explain(index, query))
                 assert stats["partition"] == index.name
                 total += stats["candidates_tested"]
             totals[kind] = total
@@ -163,17 +170,17 @@ class TestPruningClaims:
                 tiny_db.explain(tiny_indexes["sif"], q, method="com")
                 for q in queries
             )
-            if report.terminated_early
+            if report.trace.attrs["terminated_early"]
         ]
         assert early, "no query terminated early under lambda=1"
         report = early[0]
         # The root span, the COM summary and the termination event all
         # agree; the rendered report narrates the decision.
         assert report.trace.attrs["terminated_early"] is True
-        assert report.trace.event_count("com.early_termination") == 1
-        maintenance = report.span("com.maintenance")
+        assert event_count(report.trace, "com.early_termination") == 1
+        (maintenance,) = spans_named(report.trace, "com.maintenance")
         assert maintenance.attrs["terminated_early"] is True
-        rounds = report.spans("com.round")
+        rounds = spans_named(report.trace, "com.round")
         assert rounds[-1].attrs["action"] == "terminate"
         assert "TERMINATE expansion" in report.render()
 
@@ -188,4 +195,4 @@ class TestPruningClaims:
                 tiny_indexes["sif"], query, method="com",
                 enable_pruning=False,
             )
-            assert not report.terminated_early
+            assert not report.trace.attrs["terminated_early"]

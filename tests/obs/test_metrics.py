@@ -165,45 +165,3 @@ class TestMetricsRegistry:
         snap = m.snapshot()
         assert "real" in snap["histograms"]
         assert "empty" not in snap["histograms"]
-
-    def test_close_closes_every_sink_despite_errors(self):
-        class FailingSink:
-            closed = False
-
-            def emit(self, record):
-                pass
-
-            def close(self):
-                self.closed = True
-                raise OSError("disk gone")
-
-        class GoodSink:
-            closed = False
-
-            def emit(self, record):
-                pass
-
-            def close(self):
-                self.closed = True
-
-        m = MetricsRegistry()
-        failing, good = FailingSink(), GoodSink()
-        m.add_sink(failing)
-        m.add_sink(good)
-        with pytest.raises(OSError):
-            m.close()
-        assert failing.closed and good.closed
-
-    def test_context_manager_closes_on_error(self, tmp_path):
-        from repro.obs.sinks import JsonLinesSink
-
-        sink = JsonLinesSink(tmp_path / "out.jsonl")
-        with pytest.raises(RuntimeError):
-            with MetricsRegistry() as m:
-                m.add_sink(sink)
-                m.emit({"n": 1})
-                raise RuntimeError("query blew up")
-        assert sink.closed
-        # The record written before the failure survived on disk.
-        lines = (tmp_path / "out.jsonl").read_text().strip().splitlines()
-        assert len(lines) == 1

@@ -136,7 +136,7 @@ class TestEngineIntegration:
                 assert "diversified query" in rendered
         finally:
             tiny_db.disable_slow_query_log()
-            tiny_db.disable_tracing()
+            tiny_db.trace_bounds = None
 
     def test_fast_queries_not_captured(self, tiny_db, sif):
         log = tiny_db.enable_slow_query_log(latency_seconds=3600.0)

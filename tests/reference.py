@@ -13,7 +13,16 @@ reaches them:
 * :func:`scalar_greedy` — Algorithm 1 as a pure-Python loop with a
   lazy per-pair θ cache: what the array greedy
   (:func:`repro.core.diversify.greedy_diversify`) must pick, pair for
-  pair.
+  pair;
+* :func:`signature_edges`, :func:`sifp_segments` and :func:`sifp_bit`
+  — one keyword's signature row as an edge set, and SIF-P's virtual
+  edges and per-slot bit ``I(e_v, t)``, read slot by slot: what the
+  loaders' combined rows must agree with;
+* :func:`validate_network` — the structural invariants of a road
+  network, for the generators' and the update path's tests;
+* :func:`walk_spans`, :func:`spans_named` and :func:`event_count` — a
+  span tree read depth-first, for the tests of what a traced query
+  records.
 """
 
 from __future__ import annotations
@@ -26,6 +35,7 @@ import numpy as np
 
 from repro.core.objective import DiversificationObjective
 from repro.core.queries import ResultItem
+from repro.errors import GraphError
 from repro.network.distance import (
     AdjacencyProvider,
     position_distance_from_node_map,
@@ -39,6 +49,13 @@ __all__ = [
     "network_distance",
     "pair_by_pair",
     "scalar_greedy",
+    "sifp_bit",
+    "sifp_segments",
+    "signature_edges",
+    "validate_network",
+    "event_count",
+    "spans_named",
+    "walk_spans",
 ]
 
 PairDistance = Callable[[ResultItem, ResultItem], float]
@@ -141,3 +158,75 @@ def scalar_greedy(
     result = [pool[i] for i in chosen[:k]]
     result.sort(key=lambda it: (it.distance, it.object.object_id))
     return result
+
+
+def signature_edges(signatures, term: str) -> frozenset:
+    """The edges whose bit is set in ``term``'s signature row (the
+    row :meth:`~repro.index.signature.SignatureFile.combined_row` of
+    one term gives); empty for an unsigned term, which has no row."""
+    row = signatures.combined_row([term]) or 0
+    return frozenset(i for i in range(row.bit_length()) if (row >> i) & 1)
+
+
+def sifp_segments(index, edge_id: int) -> List[Tuple[int, int]]:
+    """SIF-P's virtual-edge object ranges of an edge; one range when
+    the edge is uncut."""
+    segments = index._segments.get(edge_id)
+    if segments is not None:
+        return segments
+    count = len(index._store.objects_on_edge(edge_id))
+    return [(0, max(0, count - 1))]
+
+
+def sifp_bit(index, edge_id: int, v_idx: int, term: str) -> bool:
+    """SIF-P's ``I(e_v, t)`` for one virtual edge: an unsigned term
+    passes; a term or an edge with no row fails."""
+    if term in index._unsigned_terms:
+        return True
+    matrix = index._matrix
+    base = index._slot_base.get(edge_id)
+    if term not in matrix or base is None:
+        return False
+    return matrix.probe(matrix.combined((term,)), base + v_idx)
+
+
+def validate_network(network: RoadNetwork) -> None:
+    """Raise :class:`~repro.errors.GraphError` unless every edge joins
+    two known, distinct nodes and every adjacency entry agrees with its
+    edge's end-nodes and weight."""
+    nodes = {node.node_id for node in network.nodes()}
+    edges = {edge.edge_id: edge for edge in network.edges()}
+    for edge in edges.values():
+        if edge.n1 == edge.n2:
+            # Unreachable through add_edge / Edge (both reject loops);
+            # guards against corruption from direct _edges injection.
+            raise GraphError(f"edge {edge.edge_id} is a self-loop")
+        for nid in (edge.n1, edge.n2):
+            if nid not in nodes:
+                raise GraphError(f"edge {edge.edge_id} references unknown {nid}")
+    for node_id in nodes:
+        for edge_id, other, weight in network.neighbors(node_id):
+            edge = edges.get(edge_id)
+            if edge is None:
+                raise GraphError(f"adjacency references unknown edge {edge_id}")
+            if node_id not in (edge.n1, edge.n2) or other not in (edge.n1, edge.n2):
+                raise GraphError(f"adjacency/edge mismatch on edge {edge_id}")
+            if abs(weight - edge.weight) > 1e-9:
+                raise GraphError(f"adjacency weight mismatch on edge {edge_id}")
+
+
+def walk_spans(span):
+    """``span`` and every descendant, depth-first."""
+    yield span
+    for child in span.children:
+        yield from walk_spans(child)
+
+
+def spans_named(span, name: str) -> list:
+    """Every span of ``span``'s tree named ``name``, depth-first."""
+    return [s for s in walk_spans(span) if s.name == name]
+
+
+def event_count(span, name: str) -> int:
+    """How many of ``span``'s own events are named ``name``."""
+    return sum(1 for event_name, _t, _a in span.events if event_name == name)

@@ -41,8 +41,9 @@ class TestBulkLoad:
 
     def test_small_fanout_builds_multiple_levels(self):
         entries, _ = random_entries(100)
-        tree, _ = make_tree(entries, fanout=4)
-        assert tree.height >= 3
+        tree, disk = make_tree(entries, fanout=4)
+        # 25 leaves, 7 nodes above them, 2 above those, and the root.
+        assert disk.files()[0].num_pages == 25 + 7 + 2 + 1
         assert len(tree) == 100
 
     def test_invalid_fanout(self):
@@ -54,7 +55,10 @@ class TestBulkLoad:
     def test_all_entries_scan(self):
         entries, _ = random_entries(57)
         tree, _ = make_tree(entries, fanout=8)
-        assert sorted(e.payload for e in tree.all_entries()) == list(range(57))
+        everything = MBR(0, 0, 1000, 1000)
+        assert sorted(e.payload for e in tree.window(everything)) == list(
+            range(57)
+        )
 
 
 class TestWindow:
@@ -124,9 +128,9 @@ class TestIOAccounting:
         tree.bulk_load(entries)
         disk.stats.reset()
         list(tree.window(MBR(0, 0, 1000, 1000)))
-        # A full-space window must touch at least every leaf except the
-        # pinned root.
-        assert disk.stats.physical_reads >= tree.num_pages - 1 - tree.height
+        # A full-space window must touch every node except the pinned
+        # root: the whole file is leaves plus inner nodes.
+        assert disk.stats.physical_reads == file.num_pages - 1
 
     def test_root_is_pinned(self):
         entries, _ = random_entries(10)

@@ -47,7 +47,7 @@ class TestBulkLoad:
         # Tiny entry sizes force realistic fanout; huge sizes force splits.
         entries = [(i, i * 10) for i in range(5000)]
         tree, _ = make_tree(entries, key_bytes=256, value_bytes=256)
-        assert tree.height >= 3
+        assert tree._height >= 3
         for key in (0, 1, 2499, 4998, 4999):
             assert tree.search(key) == key * 10
 
@@ -110,7 +110,7 @@ class TestInsert:
         tree, _ = make_tree([], key_bytes=512, value_bytes=512)
         for i in range(200):
             tree.insert(i, i)
-        assert tree.height >= 2
+        assert tree._height >= 2
         assert [k for k, _ in tree.items()] == list(range(200))
 
     def test_descending_inserts(self):
@@ -129,14 +129,14 @@ class TestReplace:
         tree, disk = make_tree(
             [(i, i) for i in range(n)], key_bytes=256, value_bytes=256
         )
-        assert tree.height == height
+        assert tree._height == height
         root = tree._root_page
         before = disk.stats.snapshot()
         changed = {0: [0, 1], n // 2: [n // 2, n], n - 1: 7}
         for key, value in changed.items():
             tree.replace(key, value)
         assert disk.stats.snapshot() == before
-        assert (tree._root_page, tree.height, len(tree)) == (root, height, n)
+        assert (tree._root_page, tree._height, len(tree)) == (root, height, n)
         expected = [(i, changed.get(i, i)) for i in range(n)]
         assert list(tree.items()) == expected
         for key, value in changed.items():
@@ -169,7 +169,7 @@ class TestIOAccounting:
         disk.stats.reset()
         tree.search(777)
         # Height - 1 reads: every level except the pinned root.
-        assert disk.stats.physical_reads == tree.height - 1
+        assert disk.stats.physical_reads == tree._height - 1
 
     def test_unpinned_root_charges_full_height(self):
         entries = [(i, i) for i in range(2000)]
@@ -179,7 +179,7 @@ class TestIOAccounting:
         tree.bulk_load(entries)
         disk.stats.reset()
         tree.search(777)
-        assert disk.stats.physical_reads == tree.height
+        assert disk.stats.physical_reads == tree._height
 
 
 @settings(max_examples=30, deadline=None)

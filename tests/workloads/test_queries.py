@@ -65,7 +65,7 @@ class TestGeneration:
             num_queries=15, num_keywords=2, keyword_source="frequency", seed=3
         )
         queries = generate_sk_queries(tiny_db, cfg)
-        vocab = tiny_db.store.vocabulary()
+        vocab = tiny_db.store.keyword_frequencies().keys()
         for q in queries:
             assert q.terms <= vocab
 

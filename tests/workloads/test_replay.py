@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 from repro.datasets import build_dataset
-from repro.engine.plan import plan_diversified
+from repro.core.queries import SKQuery
+from repro.engine.plan import plan_diversified, plan_sk
 from repro.errors import QueryError
 from repro.network.distance import (
     DISTANCE_BACKENDS,
@@ -438,3 +439,92 @@ class TestReplayReportShape:
         )
         with pytest.raises(QueryError):
             run_replay(fresh_db(), journal)
+
+
+#: An SK kNN record (``kind: knn``) as the kNN executor wrote it before
+#: kNN became an SK query with a ``limit``, and an SK range record of
+#: the same moment: TINY, SIF, the position of object 42.
+LEGACY_KNN_RECORD = {
+    "type": "flight", "kind": "knn", "label": "SIF/INE-KNN",
+    "algorithm": "ine-knn", "index": "SIF",
+    "query": {"position": {"edge_id": 104, "offset": 58.7502646705722},
+              "terms": ["t17"], "k": 5, "horizon": 1000000000.0},
+    "epoch": 0, "results": 5,
+    "stats": {"nodes_accessed": 5, "edges_accessed": 12,
+              "objects_loaded": 5, "false_hit_objects": 0, "candidates": 5,
+              "pairwise_dijkstras": 0, "theta_evaluations": 0,
+              "expansion_terminated_early": False,
+              "distance_backend": "csgraph"},
+    "sequence": 0, "digest": "afaadcedb374f6e7", "seq": 1,
+}
+SK_RECORD = (
+    '{"type": "flight", "kind": "sk", "label": "SIF/INE", "algorithm": '
+    '"ine", "index": "SIF", "query": {"position": {"edge_id": 104, '
+    '"offset": 58.7502646705722}, "terms": ["t17"], "delta_max": 1500.0}, '
+    '"epoch": 0, "results": 5, "stats": {"nodes_accessed": 8, '
+    '"edges_accessed": 18, "objects_loaded": 6, "false_hit_objects": 0, '
+    '"candidates": 5, "pairwise_dijkstras": 0, "theta_evaluations": 0, '
+    '"expansion_terminated_early": false, "io": {"logical_reads": 13, '
+    '"physical_reads": 1, "buffer_hits": 12}, "distance_cache_hits": 0, '
+    '"distance_cache_misses": 0, "buffer_evictions": 0, '
+    '"distance_backend": "csgraph", "epoch": 0}, "sequence": 1, "hints": '
+    '{"distance_backend": "csgraph", "data_version": 0, '
+    '"estimated_matches": 109.0}, "digest": "afaadcedb374f6e7", "seq": 2}'
+)
+
+
+class TestLimitedSKQueries:
+    """kNN is an SK query with a ``limit``; the journal says so only
+    when the limit is set."""
+
+    def record(self, path):
+        db = fresh_db()
+        index = db.build_index("sif")
+        recorder = db.enable_flight_recorder(path=path)
+        recorder.set_header(
+            profile="TINY", scale=1.0, seed=TINY_PROFILE.seed,
+            distance_backend=db.distance_backend, data_version=0,
+        )
+        at = list(db.store)[42].position
+        for i, query in enumerate((
+            SKQuery.create(at, ["t17"], 1e9, limit=5),
+            SKQuery.create(at, ["t17"], 1500.0),
+        )):
+            db.engine.execute(plan_sk(db, index, query), sequence=i)
+        db.disable_flight_recorder()
+        return load_flight_journal(path)
+
+    def test_limited_query_replays_clean(self, tmp_path):
+        journal = self.record(tmp_path / "limited.jsonl")
+        limited, unlimited = journal.queries
+        assert limited["query"]["limit"] == 5
+        assert limited["results"] == 5
+        assert "limit" not in unlimited["query"]
+        report = run_replay(fresh_db(), journal)
+        assert report.passed, [d.render() for d in report.divergences]
+        assert report.queries_replayed == 2
+
+    def test_unlimited_record_is_unchanged(self, tmp_path):
+        """An SK range record carries no ``limit`` key: it is the record
+        the executor wrote before the field existed, timings aside."""
+        record = self.record(tmp_path / "sk.jsonl").queries[1]
+        for key in ("wall_seconds", "worker"):
+            record.pop(key)
+        for key in ("wall_seconds", "stage_seconds"):
+            record["stats"].pop(key)
+        assert json.dumps(record) == SK_RECORD
+
+    def test_legacy_knn_record_replays_as_a_limited_query(self, tmp_path):
+        path = tmp_path / "legacy_knn.jsonl"
+        header = {
+            "type": "flight_header", "version": 1, "profile": "TINY",
+            "scale": 1.0, "seed": TINY_PROFILE.seed,
+            "distance_backend": "csgraph", "data_version": 0,
+        }
+        path.write_text(
+            json.dumps(header) + "\n" + json.dumps(LEGACY_KNN_RECORD) + "\n"
+        )
+        report = run_replay(fresh_db(), load_flight_journal(path))
+        assert report.passed, [d.render() for d in report.divergences]
+        assert report.queries_replayed == 1
+        assert set(report.per_label) == {"SIF/INE-KNN"}
