@@ -29,12 +29,10 @@ from ..workloads.runner import (
 __all__ = ["BenchContext", "bench_scale"]
 
 
-def bench_scale(default: float = 1.0) -> float:
-    """Dataset scale factor, overridable via ``REPRO_BENCH_SCALE``."""
+def bench_scale() -> float:
+    """Dataset scale factor: 1.0, or ``REPRO_BENCH_SCALE`` when set."""
     raw = os.environ.get("REPRO_BENCH_SCALE")
-    if not raw:
-        return default
-    return float(raw)
+    return float(raw) if raw else 1.0
 
 
 class BenchContext:
@@ -54,8 +52,8 @@ class BenchContext:
     full suite.
     """
 
-    def __init__(self, scale: Optional[float] = None) -> None:
-        self.scale = scale if scale is not None else bench_scale()
+    def __init__(self) -> None:
+        self.scale = bench_scale()
         self._dbs: Dict[Tuple, Database] = {}
         self._indexes: Dict[Tuple, ObjectIndex] = {}
 
@@ -99,11 +97,10 @@ class BenchContext:
         profile: str,
         kind: str,
         config: WorkloadConfig,
-        db_overrides: Optional[dict] = None,
         **index_kwargs,
     ) -> WorkloadReport:
-        db = self.database(profile, **(db_overrides or {}))
-        index = self.index(profile, kind, db_overrides=db_overrides, **index_kwargs)
+        db = self.database(profile)
+        index = self.index(profile, kind, **index_kwargs)
         queries = generate_sk_queries(db, config)
         self.cold_buffer(db, index)
         return run_sk_workload(db, index, queries, label=kind.upper())
@@ -115,13 +112,10 @@ class BenchContext:
         method: str,
         config: WorkloadConfig,
         db_overrides: Optional[dict] = None,
-        enable_pruning: bool = True,
         **index_kwargs,
     ) -> WorkloadReport:
         db = self.database(profile, **(db_overrides or {}))
         index = self.index(profile, kind, db_overrides=db_overrides, **index_kwargs)
         queries = generate_diversified_queries(db, config)
         self.cold_buffer(db, index)
-        return run_diversified_workload(
-            db, index, queries, method=method, enable_pruning=enable_pruning
-        )
+        return run_diversified_workload(db, index, queries, method=method)

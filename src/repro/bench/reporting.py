@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
-__all__ = ["format_table", "print_table", "series_table", "save_csv", "slugify"]
+__all__ = ["format_table", "print_table", "save_csv", "slugify"]
 
 
 def format_table(rows: Sequence[Dict[str, object]], title: str = "") -> str:
@@ -44,21 +44,6 @@ def format_table(rows: Sequence[Dict[str, object]], title: str = "") -> str:
 def print_table(rows: Sequence[Dict[str, object]], title: str = "") -> None:
     print()
     print(format_table(rows, title))
-
-
-def series_table(
-    x_name: str,
-    x_values: Sequence[object],
-    series: Dict[str, Sequence[object]],
-) -> List[Dict[str, object]]:
-    """Build figure-style rows: one row per x value, one column per series."""
-    rows: List[Dict[str, object]] = []
-    for i, x in enumerate(x_values):
-        row: Dict[str, object] = {x_name: x}
-        for label, values in series.items():
-            row[label] = values[i]
-        rows.append(row)
-    return rows
 
 
 def save_csv(rows: Sequence[Dict[str, object]], path) -> None:

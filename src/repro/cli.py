@@ -53,6 +53,7 @@ from .core.database import INDEX_KINDS, Database
 from .network.distance import DISTANCE_BACKENDS
 from .datasets.catalog import PROFILES, build_dataset
 from .datasets.io import save_dataset
+from .errors import ReproError
 from .obs import (
     JsonLinesSink,
     SLOMonitor,
@@ -80,19 +81,39 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _positive_float(text: str) -> float:
-    """A finite float > 0.  Guards rate-style flags (``--qps``,
-    ``--duration``): zero or negative values would busy-loop or crash
-    the load driver long after parsing, so reject them up front."""
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be a non-negative integer")
+    return value
+
+
+def _number(text: str, accept, requirement: str) -> float:
+    """``text`` as a float that ``accept`` holds for (NaN never does:
+    every comparison with it is false), else an argparse error saying
+    the value ``must be <requirement>``.  Bad values stop at parse
+    time, not in a library traceback after the dataset is built."""
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not a number")
-    if not value > 0 or math.isinf(value):
-        raise argparse.ArgumentTypeError(
-            "must be a positive finite number"
-        )
+    if not accept(value):
+        raise argparse.ArgumentTypeError(f"must be {requirement}")
     return value
+
+
+def _positive_float(text: str) -> float:
+    return _number(text, lambda v: 0 < v < math.inf,
+                   "a positive finite number")
+
+
+def _non_negative_float(text: str) -> float:
+    return _number(text, lambda v: 0 <= v < math.inf,
+                   "a non-negative finite number")
+
+
+def _fraction(text: str) -> float:
+    return _number(text, lambda v: 0 <= v <= 1, "a number in [0, 1]")
 
 
 def _port(text: str) -> int:
@@ -137,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     dataset.add_argument(
         "profile", choices=sorted(PROFILES), help="dataset profile"
     )
-    dataset.add_argument("--scale", type=float, default=1.0,
+    dataset.add_argument("--scale", type=_positive_float, default=1.0,
                          help="proportional dataset scale (default 1.0)")
     dataset.add_argument("--seed", type=int, default=None,
                          help="override the profile's generator seed")
@@ -151,12 +172,15 @@ def build_parser() -> argparse.ArgumentParser:
              "node it settles, in settle order ('dijkstra', the paper's "
              "I/O model) — identical answers",
     )
-    query.add_argument("--keywords", type=int, default=3, metavar="L")
-    query.add_argument("--delta-max", type=float, default=None)
+    query.add_argument(
+        "--keywords", type=_positive_int, default=3, metavar="L"
+    )
+    query.add_argument("--delta-max", type=_positive_float, default=None)
     query.add_argument("--workload-seed", type=int, default=101)
     query.add_argument(
-        "--slow-ms", type=float, default=None, metavar="MS",
-        help="latency threshold, milliseconds: a workload captures "
+        "--slow-ms", type=_non_negative_float, default=None, metavar="MS",
+        help="latency threshold, milliseconds (0 captures every query): "
+             "a workload captures "
              "queries whose wall time reaches it in the slow-query log; "
              "`explain` adds a SLOW/OK verdict to its report",
     )
@@ -170,9 +194,9 @@ def build_parser() -> argparse.ArgumentParser:
     index.add_argument("--index", choices=INDEX_KINDS, default="sif")
 
     diversified = group()
-    diversified.add_argument("--k", type=int, default=6)
+    diversified.add_argument("--k", type=_positive_int, default=6)
     diversified.add_argument(
-        "--lambda", dest="lambda_", type=float, default=0.8
+        "--lambda", dest="lambda_", type=_fraction, default=0.8
     )
 
     workers = group()
@@ -184,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     run = group()  # what only a whole workload run takes
-    run.add_argument("--queries", type=int, default=50)
+    run.add_argument("--queries", type=_positive_int, default=50)
     run.add_argument(
         "--metrics", metavar="PATH", default=None, type=_output_path,
         help="write per-query metric records (JSON lines) to PATH",
@@ -224,8 +248,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--record", metavar="PATH", default=None, type=_output_path,
         help="flight-record every executed query (parameters, plan "
              "label, result digest, stats) plus committed updates "
-             "as JSON lines to PATH; re-execute and audit with "
-             "`repro replay PATH`",
+             "as JSON lines to PATH, appending to an existing file "
+             "(replay reads one run: record each to a new PATH); "
+             "re-execute and audit with `repro replay PATH`",
     )
 
     #: What every workload command takes (and ``_workload_run`` reads).
@@ -262,7 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="query batches; updates apply between them (default 4)",
     )
     p.add_argument(
-        "--updates-per-batch", type=int, default=20, metavar="N",
+        "--updates-per-batch", type=_non_negative_int, default=20,
+        metavar="N",
         help="updates applied between consecutive batches (default 20)",
     )
     p.add_argument(
@@ -296,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
              "range query (default com)",
     )
     p.add_argument(
-        "--query", type=int, default=0, metavar="N",
+        "--query", type=_non_negative_int, default=0, metavar="N",
         help="explain the N-th query of the generated workload "
              "(default 0)",
     )
@@ -672,11 +698,16 @@ def _cmd_replay(args) -> int:
     path = Path(args.path)
     if not path.exists():
         print(f"error: {path} does not exist", file=sys.stderr)
-        return 1
+        return 2
     journal = load_flight_journal(path)
     if journal.header is None:
         print(f"error: {path} has no flight_header record — was it "
               "written with --record?", file=sys.stderr)
+        return 2
+    if journal.headers > 1:
+        print(f"error: {path} holds {journal.headers} runs (one "
+              "flight_header each; --record appends): replay one run's "
+              "journal", file=sys.stderr)
         return 2
     if not journal.queries:
         print(f"error: {path} contains no flight records", file=sys.stderr)
@@ -748,9 +779,17 @@ def _cmd_loadtest(args) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """Parse ``argv`` and run the subcommand it names (its ``func``)."""
+    """Parse ``argv`` and run the subcommand it names (its ``func``).
+
+    A library error the parser could not foresee ends the run as a bad
+    argument does: one ``error:`` line and exit 2, no traceback.
+    """
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

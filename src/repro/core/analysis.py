@@ -73,7 +73,7 @@ class CostModel:
         )
 
     # ------------------------------------------------------------------
-    def c1_edge_store(self, edges_accessed: int, num_keywords: int = 1) -> float:
+    def c1_edge_store(self, edges_accessed: int) -> float:
         """``C1``: objects loaded when objects live with their edges."""
         return edges_accessed * self.objects_per_edge
 

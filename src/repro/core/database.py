@@ -106,8 +106,6 @@ class Database:
         self,
         network: RoadNetwork,
         buffer_pages: Optional[int] = None,
-        metrics: Optional[MetricsRegistry] = None,
-        distance_backend: str = "csgraph",
     ) -> None:
         """Create the disk-resident network structures.
 
@@ -119,31 +117,28 @@ class Database:
         after every :meth:`build_index`, so the buffer grows with the
         indexes; see :meth:`buffer_capacity`.
 
-        ``metrics`` optionally injects a shared
-        :class:`~repro.obs.metrics.MetricsRegistry`; by default every
-        database owns its own.  Every query records its latency,
-        per-stage breakdown and counter deltas into it and emits one
-        record per query to any attached sink (see :meth:`publish`).
+        Every database owns a :class:`~repro.obs.metrics.MetricsRegistry`
+        (:attr:`metrics`).  Every query records its latency, per-stage
+        breakdown and counter deltas into it and emits one record per
+        query to any attached sink (see :meth:`publish`).
 
         Tracing is off (the no-op
         :data:`~repro.obs.tracing.NULL_TRACER`, no measurable overhead)
         until :meth:`enable_tracing`.
 
-        ``distance_backend`` selects how diversified queries evaluate
-        exact pairwise network distances: ``"csgraph"`` (the default —
-        bounded Dijkstras run in C over the in-memory network, no page
-        reads charged) or ``"dijkstra"`` (the same Dijkstras, charging
-        the CCAM page of every node they settle, in the order the
-        paper's loop settles them: its I/O model); see
-        :meth:`use_distance_backend`.
+        Diversified queries evaluate exact pairwise network distances
+        on the ``"csgraph"`` backend — bounded Dijkstras run in C over
+        the in-memory network, no page reads charged — until
+        :meth:`use_distance_backend` picks ``"dijkstra"`` (the same
+        Dijkstras, charging the CCAM page of every node they settle, in
+        the order the paper's loop settles them: its I/O model).
         """
         self.network = network
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        #: ``None`` while tracing is off; :meth:`enable_tracing` sets the
-        #: bounds every execution context builds its query's own tracer
-        #: with — which is what makes tracing safe under concurrent
-        #: execution.
-        self.trace_bounds: Optional[Dict[str, int]] = None
+        self.metrics = MetricsRegistry()
+        #: Off until :meth:`enable_tracing`; while on, every execution
+        #: context builds its query's own tracer — which is what makes
+        #: tracing safe under concurrent execution.
+        self.tracing = False
         #: Who hears about each finished query (:meth:`publish`): a
         #: tuple of callables taking the query's event, replaced —
         #: never mutated — by ``enable_*`` / ``disable_*``, so a query
@@ -158,7 +153,7 @@ class Database:
         self.slow_query_log: Optional[SlowQueryLog] = None
         self._ch_oracle: Optional[ContractionHierarchy] = None
         self._hub_oracle: Optional[HubLabelBackend] = None
-        self.use_distance_backend(distance_backend)
+        self.distance_backend = "csgraph"
         #: Every index built through :meth:`build_index`, for
         #: observability gauges (signature bytes / signed terms).
         self.indexes: List[ObjectIndex] = []
@@ -566,26 +561,22 @@ class Database:
     # ------------------------------------------------------------------
     # Tracing
     # ------------------------------------------------------------------
-    def enable_tracing(
-        self, max_children: int = 512, max_events: int = 1024
-    ) -> None:
+    def enable_tracing(self) -> None:
         """Trace every subsequent query.
 
         Each query records its own span tree (INE rounds, signature
-        filtering, pairwise Dijkstras, COM rounds), at most
-        ``max_children`` spans under one parent and ``max_events``
-        events on one span, on a tracer its execution context builds —
+        filtering, pairwise Dijkstras, COM rounds), within the
+        :class:`~repro.obs.tracing.Tracer` bounds, on a tracer its
+        execution context builds —
         so tracing composes with ``execute_many(workers=N)``: a traced
         concurrent batch yields one well-formed tree per query.  The
         finished root rides the query's event
         (:attr:`QueryEvent.trace <repro.obs.events.QueryEvent.trace>`)
         and nothing else keeps it: install a slow-query log to capture
         the trees (``repro slowlog FILE`` narrates them).  Setting
-        :attr:`trace_bounds` back to ``None`` turns tracing off.
+        :attr:`tracing` back to ``False`` turns tracing off.
         """
-        self.trace_bounds = {
-            "max_children": max_children, "max_events": max_events,
-        }
+        self.tracing = True
 
     # ------------------------------------------------------------------
     # Slow-query log
@@ -594,7 +585,6 @@ class Database:
         self,
         latency_seconds: Optional[float] = None,
         visited_nodes: Optional[int] = None,
-        max_records: int = 256,
         path=None,
     ) -> SlowQueryLog:
         """Install a :class:`~repro.obs.slowlog.SlowQueryLog`.
@@ -613,7 +603,6 @@ class Database:
                 latency_seconds=latency_seconds,
                 visited_nodes=visited_nodes,
             ),
-            max_records=max_records,
             path=path,
         )
         self._subscribers += (log.offer,)
@@ -629,9 +618,7 @@ class Database:
     # ------------------------------------------------------------------
     # Flight recorder
     # ------------------------------------------------------------------
-    def enable_flight_recorder(
-        self, max_records: int = 4096, path=None
-    ):
+    def enable_flight_recorder(self, path=None):
         """Install a :class:`~repro.obs.recorder.FlightRecorder`.
 
         Every subsequent query execution is captured — full query
@@ -646,9 +633,7 @@ class Database:
         from ..obs.recorder import FlightRecorder
 
         self.disable_flight_recorder()
-        self.flight_recorder = recorder = FlightRecorder(
-            max_records=max_records, path=path
-        )
+        self.flight_recorder = recorder = FlightRecorder(path=path)
         self._subscribers += (recorder.record_query,)
         return recorder
 
@@ -666,11 +651,7 @@ class Database:
         """Seconds since this database object was created."""
         return time.monotonic() - self._created_monotonic
 
-    def enable_rollup(
-        self,
-        window_seconds: float = 10.0,
-        bucket_seconds: float = 1.0,
-    ):
+    def enable_rollup(self):
         """Install (or return) the sliding-window rollup.
 
         Once installed, every finished query is recorded into it
@@ -683,10 +664,7 @@ class Database:
         if self.rollup is None:
             from ..obs.rollup import SlidingWindowRollup
 
-            self.rollup = SlidingWindowRollup(
-                window_seconds=window_seconds,
-                bucket_seconds=bucket_seconds,
-            )
+            self.rollup = SlidingWindowRollup()
             self._subscribers += (self.rollup.on_query,)
         return self.rollup
 

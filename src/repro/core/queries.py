@@ -93,10 +93,6 @@ class DiversifiedSKQuery:
         if not 0.0 <= self.lambda_ <= 1.0:
             raise QueryError("lambda must lie in [0, 1]")
 
-    @property
-    def sk_query(self) -> SKQuery:
-        return SKQuery(self.position, self.terms, self.delta_max)
-
     @classmethod
     def create(
         cls,

@@ -9,7 +9,7 @@ frequencies follow the Zipf distribution".
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
@@ -47,7 +47,6 @@ def populate_objects(
     avg_keywords: float,
     zipf_z: float = 1.1,
     seed: int = 0,
-    terms: Optional[Sequence[str]] = None,
     num_topics: Optional[int] = None,
 ) -> None:
     """Fill an object store with synthetic spatio-textual objects.
@@ -69,7 +68,7 @@ def populate_objects(
     if avg_keywords < 1:
         raise DatasetError("avg_keywords must be at least 1")
     rng = np.random.default_rng(seed)
-    term_names = list(terms) if terms is not None else make_term_names(vocabulary_size)
+    term_names = make_term_names(vocabulary_size)
     if num_topics is None:
         num_topics = max(1, len(term_names) // 40)
     num_topics = max(1, min(num_topics, len(term_names)))

@@ -34,6 +34,11 @@ __all__ = [
 
 EXTENT = 10000.0
 
+#: A grid node's shift, as a fraction of the cell size, and the share of
+#: non-tree edges a grid drops.
+JITTER = 0.25
+DROP_PROB = 0.08
+
 #: Query rows per distance block of :func:`nearest_points`.
 _BLOCK_ROWS = 128
 
@@ -84,27 +89,24 @@ def nearest_points(
 def grid_network(
     rows: int,
     cols: int,
-    jitter: float = 0.25,
-    drop_prob: float = 0.08,
     seed: int = 0,
-    extent: float = EXTENT,
 ) -> RoadNetwork:
     """A jittered grid network with some edges removed.
 
-    ``jitter`` perturbs node positions by that fraction of the cell
-    size; ``drop_prob`` removes that fraction of the non-tree edges
+    :data:`JITTER` perturbs node positions by that fraction of the cell
+    size; :data:`DROP_PROB` removes that fraction of the non-tree edges
     (connectivity is always preserved: a spanning structure is kept).
     """
     if rows < 2 or cols < 2:
         raise DatasetError("grid needs at least 2x2 nodes")
     rng = np.random.default_rng(seed)
     network = RoadNetwork()
-    dx = extent / (cols - 1)
-    dy = extent / (rows - 1)
+    dx = EXTENT / (cols - 1)
+    dy = EXTENT / (rows - 1)
     for r in range(rows):
         for c in range(cols):
-            jx = rng.uniform(-jitter, jitter) * dx if 0 < c < cols - 1 else 0.0
-            jy = rng.uniform(-jitter, jitter) * dy if 0 < r < rows - 1 else 0.0
+            jx = rng.uniform(-JITTER, JITTER) * dx if 0 < c < cols - 1 else 0.0
+            jy = rng.uniform(-JITTER, JITTER) * dy if 0 < r < rows - 1 else 0.0
             network.add_node(r * cols + c, c * dx + jx, r * dy + jy)
 
     # Horizontal tree backbone plus the first column: always kept.
@@ -116,7 +118,7 @@ def grid_network(
     # Remaining vertical edges are dropped independently.
     for r in range(rows - 1):
         for c in range(1, cols):
-            if rng.random() >= drop_prob:
+            if rng.random() >= DROP_PROB:
                 network.add_edge(r * cols + c, (r + 1) * cols + c)
     return network
 
@@ -125,7 +127,6 @@ def random_planar_network(
     num_nodes: int,
     neighbours: int = 3,
     seed: int = 0,
-    extent: float = EXTENT,
 ) -> RoadNetwork:
     """A k-nearest-neighbour graph over uniform random points.
 
@@ -137,7 +138,7 @@ def random_planar_network(
     if num_nodes < 2:
         raise DatasetError("need at least 2 nodes")
     rng = np.random.default_rng(seed)
-    points = rng.uniform(0.0, extent, size=(num_nodes, 2))
+    points = rng.uniform(0.0, EXTENT, size=(num_nodes, 2))
     network = RoadNetwork()
     for i, (x, y) in enumerate(points):
         network.add_node(i, float(x), float(y))

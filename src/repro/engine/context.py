@@ -51,17 +51,16 @@ class ExecutionContext:
     ) -> None:
         self.db = db
         self.plan = plan
-        bounds = db.trace_bounds
         if tracer is not None:
             # Explicit override (EXPLAIN): trace this query whether or
             # not tracing is on for the database.
             self.tracer = tracer
-        elif bounds is not None:
+        elif db.tracing:
             # Tracing is on: this query gets its *own* bounded span
             # tree, whose root rides the query's event.  Per-query
             # ownership is what makes execute_many(workers=N) with
             # tracing sound — span stacks never cross threads.
-            self.tracer = Tracer(**bounds)
+            self.tracer = Tracer()
         else:
             self.tracer = NULL_TRACER
         #: Data epoch this execution is pinned to, sampled once at

@@ -206,16 +206,15 @@ def greedy_partition(
     object_keywords: Sequence[AbstractSet[str]],
     cuts: int,
     query_log: QueryLog,
-    stop_when_no_improvement: bool = True,
 ) -> Tuple[Tuple[int, ...], float]:
     """Greedy cut refinement (paper §3.3, used in the experiments).
 
     Starting from the whole edge (0 cuts), each iteration adds the
     single cut position that minimises the partition cost, up to
-    ``cuts`` cuts.  Adding a cut only changes the segment it splits, so
-    each round evaluates fresh segments once via :func:`_split_costs`
-    and reuses cached evaluations for the rest.  Returns
-    ``(cut_positions, cost)``.
+    ``cuts`` cuts and only while a cut lowers the cost.  Adding a cut
+    only changes the segment it splits, so each round evaluates fresh
+    segments once via :func:`_split_costs` and reuses cached
+    evaluations for the rest.  Returns ``(cut_positions, cost)``.
     """
     m = len(object_keywords)
     if m <= 1 or cuts <= 0:
@@ -239,7 +238,7 @@ def greedy_partition(
             range(len(segments)), key=lambda i: segments[i][3]
         )
         start, end, _cost, delta, position = segments[seg_idx]
-        if position < 0 or (stop_when_no_improvement and delta >= 0):
+        if position < 0 or delta >= 0:
             break
         l_cost, l_delta, l_pos = evaluate(start, position)
         r_cost, r_delta, r_pos = evaluate(position + 1, end)

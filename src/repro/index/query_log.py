@@ -125,23 +125,27 @@ def workload_log_builder(keyword_sets: Iterable[Iterable[str]]):
     return build
 
 
-def frequency_log_builder(num_queries: int = 32, num_terms: int = 3):
+#: Queries in each edge's synthetic log.
+LOG_QUERIES = 32
+
+
+def frequency_log_builder(num_terms: int = 3):
     """SIF-P-Freq (the default): per-edge frequency-weighted logs."""
 
     def build(
         object_keywords: Sequence[FrozenSet[str]], rng: np.random.Generator
     ) -> QueryLog:
-        return frequency_edge_log(object_keywords, num_queries, num_terms, rng)
+        return frequency_edge_log(object_keywords, LOG_QUERIES, num_terms, rng)
 
     return build
 
 
-def random_log_builder(num_queries: int = 32, num_terms: int = 3):
+def random_log_builder(num_terms: int = 3):
     """SIF-P-Rand: per-edge uniformly random logs (the stress case)."""
 
     def build(
         object_keywords: Sequence[FrozenSet[str]], rng: np.random.Generator
     ) -> QueryLog:
-        return random_edge_log(object_keywords, num_queries, num_terms, rng)
+        return random_edge_log(object_keywords, LOG_QUERIES, num_terms, rng)
 
     return build

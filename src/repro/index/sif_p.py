@@ -37,7 +37,7 @@ from .inverted_file import (
     rarest_first,
 )
 from .partition import QueryLog, greedy_partition, segments_from_cuts
-from .query_log import frequency_edge_log
+from .query_log import frequency_log_builder
 from .signature import PackedBitMatrix
 
 __all__ = ["SIFPIndex", "LogBuilder"]
@@ -50,13 +50,6 @@ _Posting = Tuple[int, int, int, float]
 
 #: Builds a per-edge query log from the keyword sets of its objects.
 LogBuilder = Callable[[Sequence[FrozenSet[str]], np.random.Generator], QueryLog]
-
-
-def _default_log_builder(
-    object_keywords: Sequence[FrozenSet[str]], rng: np.random.Generator
-) -> QueryLog:
-    """SIF-P-Freq: frequency-weighted synthetic log (the paper default)."""
-    return frequency_edge_log(object_keywords, num_queries=32, num_terms=3, rng=rng)
 
 
 class SIFPIndex(ObjectIndex):
@@ -82,7 +75,7 @@ class SIFPIndex(ObjectIndex):
         self._edge_keys = EdgeKeys(self._network)
         self._max_cuts = max_cuts
         self._partition_fraction = partition_fraction
-        self._log_builder = log_builder or _default_log_builder
+        self._log_builder = log_builder or frequency_log_builder()
         self._min_postings_pages = min_postings_pages
         self._rng = np.random.default_rng(seed)
         if kd_partition is None:

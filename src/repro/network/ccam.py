@@ -36,10 +36,9 @@ class CCAMStore:
         self,
         network: RoadNetwork,
         disk: DiskManager,
-        file_name: str = "ccam",
     ) -> None:
         self._network = network
-        self._file: PageFile = disk.create_file(file_name, category="network")
+        self._file: PageFile = disk.create_file("ccam", category="network")
         self._node_page: Dict[int, int] = {}
         self._build()
 

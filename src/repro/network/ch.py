@@ -52,6 +52,10 @@ from .graph import NetworkPosition, RoadNetwork
 
 __all__ = ["ContractionHierarchy"]
 
+#: Settled nodes one witness search may take before it gives up and the
+#: shortcut is inserted.
+MAX_WITNESS_SETTLED = 50
+
 
 class _DictAdjacency:
     """Adjacency-provider view of the mutable contraction-time graph.
@@ -79,27 +83,20 @@ class ContractionHierarchy:
     query of a database across any number of threads.  Implements the
     :class:`repro.network.distance.DistanceBackend` protocol.
 
-    ``max_witness_settled`` caps each witness search's settled-node
-    count.  A smaller budget builds faster but inserts more (still
-    correct) shortcuts; the default is generous enough that road-like
-    graphs stay near-minimal.
+    :data:`MAX_WITNESS_SETTLED` caps each witness search's
+    settled-node count.  A smaller budget builds faster but inserts
+    more (still correct) shortcuts; 50 is generous enough that
+    road-like graphs stay near-minimal.
     """
 
     name = "ch"
 
-    def __init__(
-        self,
-        network: RoadNetwork,
-        max_witness_settled: int = 50,
-    ) -> None:
+    def __init__(self, network: RoadNetwork) -> None:
         if network.num_nodes == 0:
             raise GraphError(
                 "cannot build a contraction hierarchy on an empty network"
             )
-        if max_witness_settled < 1:
-            raise GraphError("max_witness_settled must be >= 1")
         self._network = network
-        self._witness_settled = max_witness_settled
         #: rank[v] = contraction order (0 = contracted first / least
         #: important).  Queries never read it directly — the upward
         #: lists already encode it — but it is invaluable in tests.
@@ -139,7 +136,7 @@ class ContractionHierarchy:
                 cutoff=max(targets.values()),
                 ignore=v,
                 targets=targets,
-                max_settled=self._witness_settled,
+                max_settled=MAX_WITNESS_SETTLED,
             )
             for w, via in targets.items():
                 if witness.get(w, INF) > via:

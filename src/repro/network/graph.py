@@ -65,12 +65,7 @@ class Edge:
 
     @property
     def mbr(self) -> MBR:
-        return MBR(
-            min(self.p1.x, self.p2.x),
-            min(self.p1.y, self.p2.y),
-            max(self.p1.x, self.p2.x),
-            max(self.p1.y, self.p2.y),
-        )
+        return MBR.from_points((self.p1, self.p2))
 
     @property
     def center(self) -> Point:
@@ -82,13 +77,6 @@ class Edge:
             self.p1.x + t * (self.p2.x - self.p1.x),
             self.p1.y + t * (self.p2.y - self.p1.y),
         )
-
-    def weight_offset_from_length(self, length_offset: float) -> float:
-        """Convert a length offset from ``n1`` into a weight offset.
-
-        Paper footnote 1: ``w(n1, p) = w(n1, n2) * d(n1, p) / d(n1, n2)``.
-        """
-        return self.weight * (length_offset / self.length)
 
 
 @dataclass(frozen=True)

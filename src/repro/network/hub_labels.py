@@ -52,12 +52,9 @@ class HubLabelBackend:
         self,
         network: RoadNetwork,
         ch: Optional[ContractionHierarchy] = None,
-        max_witness_settled: int = 50,
     ) -> None:
         if ch is None:
-            ch = ContractionHierarchy(
-                network, max_witness_settled=max_witness_settled
-            )
+            ch = ContractionHierarchy(network)
         self._network = network
         self.ch = ch
         #: Node id → its label: hub node ids, sorted ascending, and the

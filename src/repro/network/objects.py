@@ -20,6 +20,9 @@ from .graph import Edge, NetworkPosition, RoadNetwork
 
 __all__ = ["Keywords", "SpatioTextualObject", "ObjectStore", "snap_point_to_edge"]
 
+#: Edges, nearest by MBR, that :func:`snap_point_to_edge` projects onto.
+SNAP_CANDIDATES = 8
+
 
 class Keywords(tuple):
     """An object's keyword set: its distinct terms as a sorted tuple.
@@ -126,16 +129,16 @@ class SpatioTextualObject:
         return all(t in self.keywords for t in terms)
 
 def snap_point_to_edge(
-    network: RoadNetwork, edge_rtree: RTree, p: Point, candidates: int = 8
+    network: RoadNetwork, edge_rtree: RTree, p: Point
 ) -> NetworkPosition:
     """Snap a raw 2-d point onto its closest road segment.
 
     Paper §5: "we move an object to its closest road segment if it does
     not lie on any edge".  The network R-tree prunes in a
-    branch-and-bound fashion (§2.2); ``candidates`` nearest MBRs are
-    refined with exact point-segment projection.
+    branch-and-bound fashion (§2.2); the :data:`SNAP_CANDIDATES`
+    nearest MBRs are refined with exact point-segment projection.
     """
-    entries = edge_rtree.nearest(p, k=candidates)
+    entries = edge_rtree.nearest(p, k=SNAP_CANDIDATES)
     if not entries:
         raise GraphError("cannot snap onto an empty network")
     best: Optional[Tuple[float, Edge, float]] = None

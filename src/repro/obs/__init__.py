@@ -32,7 +32,7 @@ from .export import escape_label_value
 from .events import QueryEvent, stats_to_dict
 from .metrics import Histogram, MetricsRegistry, StageClock
 from .rollup import SlidingWindowRollup
-from .sinks import InMemorySink, JsonLinesSink, Sink
+from .sinks import JsonLinesSink, Sink
 from .slo import SLOMonitor, SLORule, SLOSpec, render_check
 from .slowlog import (
     SlowQueryLog,
@@ -46,7 +46,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "StageClock",
-    "InMemorySink",
     "JsonLinesSink",
     "Sink",
     "Span",

@@ -35,8 +35,12 @@ VALID_METRIC_NAME = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 VALID_LABEL_NAME = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
 
 
-def _metric_name(name: str, prefix: str) -> str:
-    sanitised = _NAME_RE.sub("_", f"{prefix}_{name}" if prefix else name)
+#: What every exported metric name starts with.
+PREFIX = "repro"
+
+
+def _metric_name(name: str) -> str:
+    sanitised = _NAME_RE.sub("_", f"{PREFIX}_{name}")
     if sanitised and sanitised[0].isdigit():
         sanitised = "_" + sanitised
     return sanitised
@@ -106,7 +110,6 @@ class _Family:
 
 def prometheus_text(
     registry: MetricsRegistry,
-    prefix: str = "repro",
     gauges: Optional[Dict[str, float]] = None,
 ) -> str:
     """Point-in-time exposition of every counter and histogram.
@@ -129,7 +132,7 @@ def prometheus_text(
     families: Dict[str, _Family] = {}
 
     def family(raw: str, kind: str) -> _Family:
-        metric = _metric_name(raw, prefix)
+        metric = _metric_name(raw)
         existing = families.get(metric)
         if existing is None:
             # HELP text references the *sanitised* family name only —
@@ -238,13 +241,12 @@ def database_gauges(db) -> Dict[str, float]:
 def write_prometheus(
     path: Union[str, Path],
     registry: MetricsRegistry,
-    prefix: str = "repro",
     gauges: Optional[Dict[str, float]] = None,
 ) -> Path:
     """Write the exposition text; returns the path."""
     path = Path(path)
     path.write_text(
-        prometheus_text(registry, prefix=prefix, gauges=gauges),
+        prometheus_text(registry, gauges=gauges),
         encoding="utf-8",
     )
     return path

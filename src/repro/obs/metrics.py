@@ -234,20 +234,18 @@ class MetricsRegistry:
             return h
 
     # -- recording ----------------------------------------------------
-    def inc(self, name: str, n: int = 1) -> None:
+    def inc(self, name: str) -> None:
         with self._lock:
-            self._counters[name] += n
+            self._counters[name] += 1
 
     def observe(self, name: str, value: float) -> None:
         with self._lock:
             self.histogram(name).observe(value)
 
-    def observe_stages(
-        self, stages: Dict[str, float], prefix: str = "stage."
-    ) -> None:
+    def observe_stages(self, stages: Dict[str, float]) -> None:
         """Record one query's per-stage seconds into stage histograms."""
         for stage, seconds in stages.items():
-            self.observe(f"{prefix}{stage}.seconds", seconds)
+            self.observe(f"stage.{stage}.seconds", seconds)
 
     def on_query(self, event) -> None:
         """Subscriber: fold one finished (or failed) query into the registry.

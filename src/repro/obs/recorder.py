@@ -52,11 +52,11 @@ __all__ = [
 DIGEST_PRECISION = 9
 
 
-def result_digest(result, precision: int = DIGEST_PRECISION) -> str:
+def result_digest(result) -> str:
     """A stable 16-hex-char digest of one query result.
 
     Covers the ordered object ids, each item's network distance
-    (rounded to ``precision`` significant digits) and — for
+    (rounded to :data:`DIGEST_PRECISION` significant digits) and — for
     diversified results — the rounded objective value.  Identical
     answers from different backends digest identically; any
     reordering, membership change, distance drift above rounding noise
@@ -65,11 +65,11 @@ def result_digest(result, precision: int = DIGEST_PRECISION) -> str:
     parts: List[str] = []
     for item in getattr(result, "items", ()):
         parts.append(
-            f"{item.object.object_id}:{item.distance:.{precision}g}"
+            f"{item.object.object_id}:{item.distance:.{DIGEST_PRECISION}g}"
         )
     objective = getattr(result, "objective_value", None)
     if objective is not None:
-        parts.append(f"obj:{objective:.{precision}g}")
+        parts.append(f"obj:{objective:.{DIGEST_PRECISION}g}")
     payload = "|".join(parts)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
@@ -126,14 +126,16 @@ def update_to_dict(record) -> Dict[str, Any]:
 class FlightRecorder(RecordRing):
     """Thread-safe bounded ring of per-query flight records.
 
-    ``max_records`` bounds the in-memory ring (oldest evicted first;
-    ``dropped`` counts evictions).  ``path`` streams every record —
-    header, queries and updates alike — to a JSON-lines journal as it
+    :attr:`MAX_RECORDS` bounds the in-memory ring (oldest evicted
+    first; ``dropped`` counts evictions).  ``path`` streams every record
+    — header, queries and updates alike — to a JSON-lines journal as it
     is captured, flushing per record so a killed run still replays.
     """
 
-    def __init__(self, max_records: int = 4096, path=None) -> None:
-        super().__init__(max_records, path)
+    MAX_RECORDS = 4096
+
+    def __init__(self, path=None) -> None:
+        super().__init__(path)
         #: Lifetime counters: queries observed (== recorded), updates
         #: journalled.
         self.observed = 0
@@ -193,6 +195,6 @@ class FlightRecorder(RecordRing):
                 "buffered": len(self._records),
                 "dropped": self.dropped,
                 "updates": self.updates,
-                "max_records": self.max_records,
+                "max_records": self.MAX_RECORDS,
                 "path": str(self.path) if self.path is not None else None,
             }

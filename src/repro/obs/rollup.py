@@ -36,6 +36,12 @@ __all__ = ["SlidingWindowRollup"]
 #: lifetime histogram of the same name).
 DEFAULT_STREAM = "query.wall_seconds"
 
+#: The reporting window, the ring's granularity, and the samples one
+#: bucket keeps per stream.
+WINDOW_SECONDS = 10.0
+BUCKET_SECONDS = 1.0
+MAX_SAMPLES_PER_BUCKET = 512
+
 
 class _Bucket:
     """One ring slot: everything recorded during one bucket interval;
@@ -57,29 +63,20 @@ class _Bucket:
 class SlidingWindowRollup:
     """Thread-safe ring buffer of per-interval query aggregates.
 
-    ``window_seconds`` is the default reporting window;
-    ``bucket_seconds`` the ring granularity.  The ring holds
-    ``ceil(window / bucket) + 1`` buckets so a full window is always
-    available while the newest bucket is still filling.  Recording is
-    O(1) under one lock; a snapshot walks at most the ring's buckets.
+    The ring holds ``ceil(WINDOW_SECONDS / BUCKET_SECONDS) + 1``
+    buckets so a full window is always available while the newest
+    bucket is still filling.  Recording is O(1) under one lock; a
+    snapshot walks at most the ring's buckets.  ``clock`` is the time
+    source (a test's fake).
     """
 
-    def __init__(
-        self,
-        window_seconds: float = 10.0,
-        bucket_seconds: float = 1.0,
-        max_samples_per_bucket: int = 512,
-        clock=time.monotonic,
-    ) -> None:
-        if window_seconds <= 0 or bucket_seconds <= 0:
-            raise ValueError("window and bucket seconds must be positive")
-        if bucket_seconds > window_seconds:
-            raise ValueError("bucket_seconds cannot exceed window_seconds")
-        self.window_seconds = float(window_seconds)
-        self.bucket_seconds = float(bucket_seconds)
-        self._max_samples = max_samples_per_bucket
+    def __init__(self, clock=time.monotonic) -> None:
+        self.window_seconds = WINDOW_SECONDS
+        self.bucket_seconds = BUCKET_SECONDS
         self._clock = clock
-        self._num_buckets = int(math.ceil(window_seconds / bucket_seconds)) + 1
+        self._num_buckets = (
+            int(math.ceil(self.window_seconds / self.bucket_seconds)) + 1
+        )
         self._buckets = [_Bucket(-1) for _ in range(self._num_buckets)]
         self._lock = threading.Lock()
         self._start = clock()
@@ -93,10 +90,7 @@ class SlidingWindowRollup:
         return bucket
 
     def record(
-        self,
-        latency_seconds: Optional[float],
-        error: bool = False,
-        now: Optional[float] = None,
+        self, latency_seconds: Optional[float], error: bool = False
     ) -> None:
         """Count one finished query into the current bucket and add its
         latency to :data:`DEFAULT_STREAM`.
@@ -105,10 +99,8 @@ class SlidingWindowRollup:
         observes no sample: a query that failed before it had a
         latency must not pull the window's percentiles towards zero.
         """
-        if now is None:
-            now = self._clock()
         with self._lock:
-            bucket = self._bucket_for(now)
+            bucket = self._bucket_for(self._clock())
             if error:
                 bucket.errors += 1
             else:
@@ -116,26 +108,23 @@ class SlidingWindowRollup:
             if latency_seconds is not None:
                 self._sample(bucket, DEFAULT_STREAM, latency_seconds)
 
-    def observe(
-        self, latency_seconds: float, stream: str,
-        now: Optional[float] = None,
-    ) -> None:
+    def observe(self, latency_seconds: float, stream: str) -> None:
         """Add one latency sample to ``stream``; counts no query.
 
         For a second view of queries :meth:`record` already counted —
         the load driver's queue-inclusive latency — so QPS and error
         rate see each query once.
         """
-        if now is None:
-            now = self._clock()
         with self._lock:
-            self._sample(self._bucket_for(now), stream, latency_seconds)
+            self._sample(
+                self._bucket_for(self._clock()), stream, latency_seconds
+            )
 
     def _sample(self, bucket: _Bucket, stream: str, seconds: float) -> None:
         hist = bucket.streams.get(stream)
         if hist is None:
             hist = bucket.streams[stream] = Histogram(
-                stream, max_samples=self._max_samples
+                stream, max_samples=MAX_SAMPLES_PER_BUCKET
             )
         hist.observe(seconds)
 
@@ -148,23 +137,15 @@ class SlidingWindowRollup:
             self.record(event.stats.wall_seconds)
 
     # -- reporting -----------------------------------------------------
-    def snapshot(
-        self,
-        window_seconds: Optional[float] = None,
-        now: Optional[float] = None,
-    ) -> Dict[str, Dict[str, Any]]:
+    def snapshot(self) -> Dict[str, Dict[str, Any]]:
         """Aggregate every bucket inside the window ending *now*, in the
         registry's snapshot shape.
 
         ``window.qps`` counts every finished query, failed ones too, and
         ``window.error_rate`` is failures over all finished queries.
         """
-        if now is None:
-            now = self._clock()
-        window = (
-            self.window_seconds if window_seconds is None
-            else float(window_seconds)
-        )
+        now = self._clock()
+        window = self.window_seconds
         newest = int((now - self._start) / self.bucket_seconds)
         span = min(
             int(math.ceil(window / self.bucket_seconds)),

@@ -75,10 +75,8 @@ class TelemetryServer:
         db,
         host: str = "127.0.0.1",
         port: int = 0,
-        prefix: str = "repro",
     ) -> None:
         self.db = db
-        self.prefix = prefix
         self._httpd = ThreadingHTTPServer((host, port), _Handler)
         self._httpd.daemon_threads = True
         self._httpd.telemetry = self  # type: ignore[attr-defined]
@@ -156,9 +154,7 @@ class TelemetryServer:
         point-in-time gauges.  The registry is read under its lock, so
         scraping a busy database never sees a half-updated histogram."""
         text = prometheus_text(
-            self.db.metrics,
-            prefix=self.prefix,
-            gauges=database_gauges(self.db),
+            self.db.metrics, gauges=database_gauges(self.db)
         )
         return 200, PROMETHEUS_CONTENT_TYPE, text.encode()
 

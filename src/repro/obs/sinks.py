@@ -1,18 +1,13 @@
 """Metric record sinks: where per-query records go.
 
 A *sink* receives JSON-able dict records via ``emit(record)`` and may
-implement ``close()``.  Two implementations cover the two consumers we
-have today:
-
-* :class:`InMemorySink` — keeps records in a list (tests, notebooks).
-* :class:`JsonLinesSink` — appends one JSON object per line to a file
-  (the CLI's ``--metrics <path>``), flushing on every record so a
-  killed run still leaves usable data.
+implement ``close()``.  :class:`JsonLinesSink` appends one JSON object
+per line to a file (the CLI's ``--metrics <path>``), flushing on every
+record so a killed run still leaves usable data.
 
 :class:`RecordRing` is the container the slow-query log and the flight
-recorder are built on: the most recent ``max_records`` records in
-memory, each optionally streamed to a :class:`JsonLinesSink` as it
-arrives.
+recorder are built on: the most recent records in memory, each
+optionally streamed to a :class:`JsonLinesSink` as it arrives.
 """
 
 from __future__ import annotations
@@ -23,7 +18,7 @@ from collections import deque
 from pathlib import Path
 from typing import Deque, Dict, List, Optional, Protocol, Union
 
-__all__ = ["Sink", "InMemorySink", "JsonLinesSink", "RecordRing"]
+__all__ = ["Sink", "JsonLinesSink", "RecordRing"]
 
 
 class Sink(Protocol):
@@ -31,26 +26,6 @@ class Sink(Protocol):
 
     def emit(self, record: Dict) -> None:
         ...
-
-
-class InMemorySink:
-    """Collects every record in memory."""
-
-    def __init__(self) -> None:
-        self.records: List[Dict] = []
-
-    def emit(self, record: Dict) -> None:
-        self.records.append(record)
-
-    def of_type(self, record_type: str) -> List[Dict]:
-        """Records whose ``"type"`` field equals ``record_type``."""
-        return [r for r in self.records if r.get("type") == record_type]
-
-    def clear(self) -> None:
-        self.records.clear()
-
-    def close(self) -> None:
-        pass
 
 
 def _json_default(value):
@@ -97,18 +72,18 @@ class JsonLinesSink:
 class RecordRing:
     """Thread-safe bounded ring of records with an optional file sink.
 
-    The most recent ``max_records`` records are kept in memory
+    The most recent :attr:`MAX_RECORDS` records are kept in memory
     (``dropped`` counts the evicted); ``path`` also streams every
     record to a JSON-lines file, flushing per record.  Subclasses number
     their records under :attr:`_lock` and append with :meth:`_push`, so
     a record's number and its place in ring and file agree.
     """
 
-    def __init__(self, max_records: int, path=None) -> None:
-        if max_records < 1:
-            raise ValueError("max_records must be >= 1")
-        self.max_records = max_records
-        self._records: Deque[Dict] = deque(maxlen=max_records)
+    #: Each subclass sets its ring's capacity.
+    MAX_RECORDS: int
+
+    def __init__(self, path) -> None:
+        self._records: Deque[Dict] = deque(maxlen=self.MAX_RECORDS)
         self._lock = threading.Lock()
         self._sink = JsonLinesSink(path) if path is not None else None
         self.dropped = 0
@@ -124,7 +99,7 @@ class RecordRing:
         flight on another thread when its log is uninstalled must not
         raise on a closed file.
         """
-        if len(self._records) == self.max_records:
+        if len(self._records) == self.MAX_RECORDS:
             self.dropped += 1
         self._records.append(record)
         if self._sink is not None and not self._sink.closed:

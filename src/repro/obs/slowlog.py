@@ -114,18 +114,16 @@ class SlowQueryThreshold:
 class SlowQueryLog(RecordRing):
     """Thread-safe bounded log of threshold-crossing queries.
 
-    ``max_records`` bounds memory: the most recent offenders are kept,
-    the oldest dropped (``dropped`` counts them).  ``path`` optionally
-    streams every captured record to a JSON-lines file as it happens.
+    :attr:`MAX_RECORDS` bounds memory: the most recent offenders are
+    kept, the oldest dropped (``dropped`` counts them).  ``path``
+    optionally streams every captured record to a JSON-lines file as it
+    happens.
     """
 
-    def __init__(
-        self,
-        threshold: SlowQueryThreshold,
-        max_records: int = 256,
-        path=None,
-    ) -> None:
-        super().__init__(max_records, path)
+    MAX_RECORDS = 256
+
+    def __init__(self, threshold: SlowQueryThreshold, path=None) -> None:
+        super().__init__(path)
         self.threshold = threshold
         #: Queries offered / captured, lifetime.
         self.observed = 0

@@ -21,8 +21,8 @@ A :class:`Tracer` collects one span tree per query:
 * :meth:`Tracer.event` annotates the current span with a point-in-time
   event ("this edge was pruned", "this pair hit the cache").
 
-Both capacities are bounded (``max_children``, ``max_events``) with
-drop counters, so tracing a long query cannot grow memory without
+Both capacities are bounded (:data:`MAX_CHILDREN`, :data:`MAX_EVENTS`)
+with drop counters, so tracing a long query cannot grow memory without
 bound.
 
 The disabled path is :data:`NULL_TRACER` — a singleton whose ``span``
@@ -48,6 +48,11 @@ __all__ = [
 #: One point-in-time annotation: (name, seconds-since-tracer-origin, attrs).
 SpanEvent = Tuple[str, float, Dict[str, Any]]
 
+#: Spans kept under one parent, and events kept on one span; the rest
+#: are only counted (``dropped_children`` / ``dropped_events``).
+MAX_CHILDREN = 512
+MAX_EVENTS = 1024
+
 
 class Span:
     """One named interval in a query's execution.
@@ -56,8 +61,8 @@ class Span:
     and pushes it on the owning tracer's stack, exiting records the
     duration and pops it.  ``set`` updates attributes while the span is
     open (or after — EXPLAIN summaries are attached post-hoc), and
-    ``event`` appends point annotations subject to the tracer's
-    ``max_events`` bound.
+    ``event`` appends point annotations subject to the
+    :data:`MAX_EVENTS` bound.
     """
 
     __slots__ = (
@@ -86,8 +91,7 @@ class Span:
 
     def event(self, name: str, **attrs: Any) -> None:
         tracer = self._tracer
-        limit = tracer.max_events if tracer is not None else 1024
-        if len(self.events) >= limit:
+        if len(self.events) >= MAX_EVENTS:
             self.dropped_events += 1
             return
         now = tracer._now() if tracer is not None else 0.0
@@ -164,11 +168,7 @@ class Tracer:
 
     enabled = True
 
-    def __init__(
-        self, max_children: int = 512, max_events: int = 1024
-    ) -> None:
-        self.max_children = max_children
-        self.max_events = max_events
+    def __init__(self) -> None:
         self.last_trace: Optional[Span] = None
         self._stack: List[Span] = []
         self._origin = time.perf_counter()
@@ -199,7 +199,7 @@ class Tracer:
     def _attach(self, span: Span) -> None:
         if self._stack:
             parent = self._stack[-1]
-            if len(parent.children) >= self.max_children:
+            if len(parent.children) >= MAX_CHILDREN:
                 parent.dropped_children += 1
             else:
                 parent.children.append(span)
@@ -274,7 +274,6 @@ class NullTracer:
 
     enabled = False
     last_trace = None
-    max_events = 0
 
     def span(self, name: str, **attrs: Any) -> _NullSpan:
         return _NULL_SPAN

@@ -3,7 +3,7 @@
 from .geometry import MBR, Point, project_onto_segment
 from .kdtree import KDNode, KDTreePartition
 from .rtree import RTree, RTreeEntry
-from .zorder import ZOrderCurve, deinterleave_bits, interleave_bits
+from .zorder import ZOrderCurve, interleave_bits
 
 __all__ = [
     "MBR",
@@ -14,6 +14,5 @@ __all__ = [
     "RTree",
     "RTreeEntry",
     "ZOrderCurve",
-    "deinterleave_bits",
     "interleave_bits",
 ]

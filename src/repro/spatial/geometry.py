@@ -61,10 +61,6 @@ class MBR:
     def center(self) -> Point:
         return Point((self.xmin + self.xmax) / 2.0, (self.ymin + self.ymax) / 2.0)
 
-    @property
-    def area(self) -> float:
-        return (self.xmax - self.xmin) * (self.ymax - self.ymin)
-
     def intersects(self, other: "MBR") -> bool:
         return not (
             other.xmin > self.xmax
@@ -80,10 +76,6 @@ class MBR:
             max(self.xmax, other.xmax),
             max(self.ymax, other.ymax),
         )
-
-    def enlargement(self, other: "MBR") -> float:
-        """Area increase needed for this MBR to also cover ``other``."""
-        return self.union(other).area - self.area
 
     def min_distance_to_point(self, p: Point) -> float:
         """Smallest Euclidean distance from ``p`` to this rectangle."""

@@ -22,6 +22,13 @@ from .geometry import Point
 
 __all__ = ["KDTreePartition", "KDNode"]
 
+#: Items per leaf: one, the paper's "each leaf node corresponds to the
+#: signature of an edge".
+LEAF_SIZE = 1
+#: Bits a retained node costs in a compacted signature: a bit value
+#: plus a structure bit, as in a succinct tree encoding.
+BITS_PER_NODE = 2
+
 
 @dataclass
 class KDNode:
@@ -44,20 +51,12 @@ class KDNode:
 class KDTreePartition:
     """A static KD-tree over item centre points.
 
-    Parameters
-    ----------
-    centers:
-        ``centers[i]`` is the centre point of item ``i`` (edge ``i``).
-    leaf_size:
-        Maximum number of items per leaf (1 reproduces the paper's
-        "each leaf node corresponds to the signature of an edge").
+    ``centers[i]`` is the centre point of item ``i`` (edge ``i``); a
+    leaf holds at most :data:`LEAF_SIZE` items.
     """
 
-    def __init__(self, centers: Sequence[Point], leaf_size: int = 1) -> None:
-        if leaf_size < 1:
-            raise ValueError("leaf_size must be >= 1")
+    def __init__(self, centers: Sequence[Point]) -> None:
         self._centers = list(centers)
-        self._leaf_size = leaf_size
         if self._centers:
             ids = list(range(len(self._centers)))
             self.root: Optional[KDNode] = self._build(ids, axis=0)
@@ -68,7 +67,7 @@ class KDTreePartition:
         return len(self._centers)
 
     def _build(self, ids: List[int], axis: int) -> KDNode:
-        if len(ids) <= self._leaf_size:
+        if len(ids) <= LEAF_SIZE:
             return KDNode(item_ids=tuple(ids), axis=axis)
         key = (lambda i: self._centers[i].x) if axis == 0 else (
             lambda i: self._centers[i].y
@@ -110,11 +109,10 @@ class KDTreePartition:
         _, count = visit(self.root)
         return count
 
-    def compact_size_bytes(self, ones: Set[int], bits_per_node: int = 2) -> int:
+    def compact_size_bytes(self, ones: Set[int]) -> int:
         """Approximate byte size of the compacted signature.
 
-        Each retained node costs ``bits_per_node`` bits (a bit value
-        plus a structure bit, as in a succinct tree encoding).
+        Each retained node costs :data:`BITS_PER_NODE` bits.
         """
         node_count = self.compact_node_count(ones)
-        return (node_count * bits_per_node + 7) // 8
+        return (node_count * BITS_PER_NODE + 7) // 8

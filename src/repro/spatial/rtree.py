@@ -28,6 +28,9 @@ __all__ = ["RTree", "RTreeEntry"]
 _ENTRY_BYTES = 40  # 4 doubles for the MBR + an 8-byte pointer/payload
 _NODE_HEADER_BYTES = 16
 
+#: Maximum entries per node: what fits in one page.
+FANOUT = max(4, (PAGE_SIZE - _NODE_HEADER_BYTES) // _ENTRY_BYTES)
+
 
 class RTreeEntry:
     """A leaf entry: an MBR plus an opaque payload (edge id, object id...)."""
@@ -50,31 +53,16 @@ class _RNode:
 
 
 class RTree:
-    """Disk-resident R-tree with STR bulk loading.
+    """Disk-resident R-tree with STR bulk loading over the page file
+    ``file``, :data:`FANOUT` entries a node.
 
-    Parameters
-    ----------
-    file:
-        Page file storing the nodes.
-    fanout:
-        Maximum entries per node; defaults to what fits in a 4 KiB page.
+    The root page is memory-resident, as index roots are in practice;
+    other node reads are charged.
     """
 
-    def __init__(
-        self,
-        file: PageFile,
-        fanout: Optional[int] = None,
-        pin_root: bool = True,
-    ) -> None:
-        """``pin_root=True`` keeps the root page memory-resident, as
-        index roots are in practice; other node reads are charged."""
-        if fanout is None:
-            fanout = max(4, (PAGE_SIZE - _NODE_HEADER_BYTES) // _ENTRY_BYTES)
-        if fanout < 2:
-            raise ValueError("R-tree fanout must be at least 2")
+    def __init__(self, file: PageFile) -> None:
         self._file = file
-        self._fanout = fanout
-        self._pin_root = pin_root
+        self._fanout = FANOUT
         self._root_page: Optional[int] = None
         self._num_entries = 0
 
@@ -202,7 +190,7 @@ class RTree:
 
     # ------------------------------------------------------------------
     def _read(self, page_no: int) -> _RNode:
-        if self._pin_root and page_no == self._root_page:
+        if page_no == self._root_page:
             return self._file.read_unbuffered(page_no)
         return self._file.read(page_no)
 

@@ -57,17 +57,15 @@ class BPlusTree:
         file: PageFile,
         key_bytes: int = 8,
         value_bytes: int = 8,
-        pin_root: bool = True,
     ) -> None:
-        """``pin_root=True`` keeps the root page memory-resident (the
-        standard practice for index roots): root accesses are free, all
-        other node reads are charged through the buffer pool."""
+        """The root page is memory-resident (the standard practice for
+        index roots): root accesses are free, all other node reads are
+        charged through the buffer pool."""
         if key_bytes <= 0 or value_bytes <= 0:
             raise ValueError("entry byte sizes must be positive")
         self._file = file
         self._key_bytes = key_bytes
         self._value_bytes = value_bytes
-        self._pin_root = pin_root
         self._leaf_capacity = max(
             2, (PAGE_SIZE - _NODE_HEADER_BYTES) // (key_bytes + value_bytes)
         )
@@ -232,10 +230,8 @@ class BPlusTree:
         return self._file.read(page_no)
 
     def _read_root(self) -> _Node:
-        """Root access; uncharged when the root is pinned."""
-        if self._pin_root:
-            return self._file.read_unbuffered(self._root_page)
-        return self._file.read(self._root_page)
+        """Root access; uncharged, the root being pinned."""
+        return self._file.read_unbuffered(self._root_page)
 
     def _read_node_unbuffered(self, page_no: int) -> _Node:
         return self._file.read_unbuffered(page_no)

@@ -99,13 +99,6 @@ class BufferPool:
         stats.evictions += evictions
         return hits
 
-    def evict_file(self, file_name: str) -> None:
-        """Evict every buffered page of one file (file drop)."""
-        with self._lock:
-            stale = [k for k in self._lru if k[0] == file_name]
-            for key in stale:
-                del self._lru[key]
-
     def resize(self, capacity: int) -> None:
         if capacity < 0:
             raise ValueError("buffer capacity must be non-negative")

@@ -153,26 +153,8 @@ class DiskManager:
         self.buffer.categories[name] = category
         return pf
 
-    def get_file(self, name: str) -> PageFile:
-        try:
-            return self._files[name]
-        except KeyError:
-            raise StorageError(f"unknown page file {name!r}") from None
-
-    def drop_file(self, name: str) -> None:
-        self._files.pop(name, None)
-        self.buffer.evict_file(name)
-
     def files(self) -> Tuple[PageFile, ...]:
         return tuple(self._files.values())
-
-    def total_size_bytes(self, category: Optional[str] = None) -> int:
-        """Total size of all files, optionally restricted to a category."""
-        return sum(
-            f.size_bytes
-            for f in self._files.values()
-            if category is None or f.category == category
-        )
 
     def resize_buffer(self, capacity_pages: int) -> None:
         """Resize the LRU buffer; shrinking evicts least recently used

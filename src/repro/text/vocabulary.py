@@ -18,11 +18,11 @@ from .zipf import cumulative, draw, draw_distinct
 __all__ = ["Vocabulary", "make_term_names"]
 
 
-def make_term_names(count: int, prefix: str = "t") -> List[str]:
+def make_term_names(count: int) -> List[str]:
     """Generate ``count`` synthetic term names ``t0, t1, ...``."""
     if count <= 0:
         raise ValueError("count must be positive")
-    return [f"{prefix}{i}" for i in range(count)]
+    return [f"t{i}" for i in range(count)]
 
 
 class Vocabulary:
@@ -44,14 +44,6 @@ class Vocabulary:
         self._index: Dict[str, int] = {t: i for i, t in enumerate(self._terms)}
         self._cdf = cumulative(self._freqs / self._freqs.sum())
 
-    @classmethod
-    def from_corpus(cls, keyword_sets: Iterable[Iterable[str]]) -> "Vocabulary":
-        freq: Dict[str, int] = {}
-        for kws in keyword_sets:
-            for term in kws:
-                freq[term] = freq.get(term, 0) + 1
-        return cls(freq)
-
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return len(self._terms)
@@ -67,15 +59,11 @@ class Vocabulary:
     def frequency(self, term: str) -> int:
         return int(self._freqs[self._index[term]])
 
-    def sample_terms(
-        self, count: int, rng: np.random.Generator, distinct: bool = True
-    ) -> List[str]:
-        """Frequency-weighted sample of ``count`` terms."""
-        if distinct:
-            take = partial(draw, self._cdf, rng)
-            picked = draw_distinct(take, len(self._terms), count)
-        else:
-            picked = draw(self._cdf, rng, count)
+    def sample_terms(self, count: int, rng: np.random.Generator) -> List[str]:
+        """Frequency-weighted sample of ``count`` distinct terms (all of
+        them when ``count`` exceeds the vocabulary)."""
+        take = partial(draw, self._cdf, rng)
+        picked = draw_distinct(take, len(self._terms), count)
         return [self._terms[i] for i in picked]
 
     def items(self) -> Iterable[Tuple[str, int]]:

@@ -152,7 +152,6 @@ def run_loadtest(
     config: LoadTestConfig,
     slo_spec: Optional[SLOSpec] = None,
     label: str = "",
-    enable_pruning: bool = True,
 ) -> LoadTestReport:
     """Drive ``index`` at a constant offered rate; judge it live.
 
@@ -170,10 +169,9 @@ def run_loadtest(
     for i in range(config.total_queries):
         query = queries[i % len(queries)]
         if isinstance(query, DiversifiedSKQuery) and config.method != "sk":
-            plans.append(plan_diversified(
-                db, index, query, method=config.method,
-                enable_pruning=enable_pruning,
-            ))
+            plans.append(
+                plan_diversified(db, index, query, method=config.method)
+            )
         else:
             plans.append(plan_sk(db, index, query))
     report = LoadTestReport(
@@ -203,7 +201,7 @@ def run_loadtest(
             error = True
         end = clock()
         latency = end - intended
-        rollup.observe(latency, OBSERVED_STREAM, now=end)
+        rollup.observe(latency, OBSERVED_STREAM)
         with lock:
             report.completed += 1
             if error:

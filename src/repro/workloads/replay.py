@@ -116,6 +116,9 @@ class FlightJournal:
     updates: List[Dict[str, Any]] = field(default_factory=list)
     #: Malformed/unknown lines skipped while parsing.
     skipped: int = 0
+    #: ``flight_header`` records read: one per recorded run, since
+    #: ``--record`` appends.  :attr:`header` is the last.
+    headers: int = 0
 
     def __len__(self) -> int:
         return len(self.queries) + len(self.updates)
@@ -143,6 +146,7 @@ def load_flight_journal(path) -> FlightJournal:
             kind = record.get("type") if isinstance(record, dict) else None
             if kind == "flight_header":
                 journal.header = record
+                journal.headers += 1
             elif kind == "flight":
                 journal.queries.append(record)
             elif kind == "flight_update":

@@ -239,8 +239,6 @@ def run_diversified_workload(
     index: ObjectIndex,
     queries: Sequence[DiversifiedSKQuery],
     method: str,
-    label: str = "",
-    enable_pruning: bool = True,
     workers: int = 1,
 ) -> WorkloadReport:
     """Execute diversified queries via SEQ or COM and aggregate metrics.
@@ -249,11 +247,6 @@ def run_diversified_workload(
     (see :func:`run_sk_workload`).
     """
     _check_workers(workers)
-    report = WorkloadReport(label=label or f"{method.upper()}/{index.name}")
-    plans = [
-        plan_diversified(
-            db, index, q, method=method, enable_pruning=enable_pruning
-        )
-        for q in queries
-    ]
+    report = WorkloadReport(label=f"{method.upper()}/{index.name}")
+    plans = [plan_diversified(db, index, q, method=method) for q in queries]
     return _run_plans(db, plans, report, workers)

@@ -174,7 +174,6 @@ def run_update_workload(
     queries: Sequence[DiversifiedSKQuery],
     config: UpdateWorkloadConfig,
     method: str = "seq",
-    label: str = "",
     workers: int = 1,
 ) -> UpdateWorkloadReport:
     """Interleave query batches with update batches.
@@ -188,9 +187,7 @@ def run_update_workload(
     contract for mutation.
     """
     _check_workers(workers)
-    query_report = WorkloadReport(
-        label=label or f"update/{method.upper()}/{index.name}"
-    )
+    query_report = WorkloadReport(label=f"update/{method.upper()}/{index.name}")
     rng = np.random.default_rng(config.seed)
     edge_ids = [edge.edge_id for edge in db.network.edges()]
     applied: Dict[str, int] = {}

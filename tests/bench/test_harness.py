@@ -9,7 +9,7 @@ from repro.workloads.queries import WorkloadConfig
 class TestBenchScale:
     def test_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_BENCH_SCALE", raising=False)
-        assert bench_scale(0.7) == 0.7
+        assert bench_scale() == 1.0
 
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("REPRO_BENCH_SCALE", "0.25")
@@ -18,8 +18,9 @@ class TestBenchScale:
 
 class TestContextCaching:
     @pytest.fixture()
-    def ctx(self):
-        return BenchContext(scale=0.05)
+    def ctx(self, monkeypatch):
+        monkeypatch.setenv("REPRO_BENCH_SCALE", "0.05")
+        return BenchContext()
 
     def test_database_cached(self, ctx):
         a = ctx.database("SYN")

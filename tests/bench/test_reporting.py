@@ -1,6 +1,6 @@
 """Tests for the tabular reporting helpers."""
 
-from repro.bench.reporting import format_table, series_table
+from repro.bench.reporting import format_table
 
 
 class TestFormatTable:
@@ -27,18 +27,6 @@ class TestFormatTable:
         rows = [{"a": 1, "b": 2}, {"a": 3}]
         out = format_table(rows)
         assert "3" in out
-
-
-class TestSeriesTable:
-    def test_rows_per_x(self):
-        rows = series_table("x", [1, 2], {"s1": [10, 20], "s2": [30, 40]})
-        assert rows == [
-            {"x": 1, "s1": 10, "s2": 30},
-            {"x": 2, "s1": 20, "s2": 40},
-        ]
-
-    def test_empty_series(self):
-        assert series_table("x", [], {}) == []
 
 
 class TestCSV:

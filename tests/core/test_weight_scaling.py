@@ -18,6 +18,7 @@ from repro.datasets.catalog import build_dataset
 from repro.network.graph import NetworkPosition
 from repro.workloads.queries import WorkloadConfig, generate_diversified_queries
 from tests.conftest import TINY_PROFILE
+from tests.reference import sk_part
 
 PLANS = {
     "seq": dict(method="seq"),
@@ -30,7 +31,7 @@ def answers(db, index, queries):
     """Every plan's answer to every query, as plain values."""
     out = []
     for query in queries:
-        sk = db.sk_search(index, query.sk_query)
+        sk = db.sk_search(index, sk_part(query))
         out.append(("sk", [(it.object.object_id, it.distance) for it in sk]))
         for plan, options in PLANS.items():
             got = db.diversified_search(index, query, **options)

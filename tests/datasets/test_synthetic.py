@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
+from repro.datasets import synthetic
 from repro.datasets.synthetic import (
     EXTENT,
     grid_network,
@@ -29,8 +30,10 @@ def is_connected(network):
 
 
 class TestGrid:
-    def test_counts(self):
-        n = grid_network(10, 10, drop_prob=0.0, jitter=0.0)
+    def test_counts(self, monkeypatch):
+        monkeypatch.setattr(synthetic, "DROP_PROB", 0.0)
+        monkeypatch.setattr(synthetic, "JITTER", 0.0)
+        n = grid_network(10, 10)
         assert n.num_nodes == 100
         assert n.num_edges == 2 * 10 * 9
 
@@ -38,9 +41,10 @@ class TestGrid:
         with pytest.raises(DatasetError):
             grid_network(1, 5)
 
-    def test_always_connected(self):
+    def test_always_connected(self, monkeypatch):
+        monkeypatch.setattr(synthetic, "DROP_PROB", 0.5)
         for seed in range(5):
-            n = grid_network(8, 8, drop_prob=0.5, seed=seed)
+            n = grid_network(8, 8, seed=seed)
             assert is_connected(n)
 
     def test_determinism(self):
@@ -51,9 +55,10 @@ class TestGrid:
             assert (ea.n1, ea.n2) == (eb.n1, eb.n2)
             assert ea.weight == pytest.approx(eb.weight)
 
-    def test_jitter_moves_interior_nodes(self):
-        flat = grid_network(5, 5, jitter=0.0, seed=1)
-        bumpy = grid_network(5, 5, jitter=0.4, seed=1)
+    def test_jitter_moves_interior_nodes(self, monkeypatch):
+        bumpy = grid_network(5, 5, seed=1)
+        monkeypatch.setattr(synthetic, "JITTER", 0.0)
+        flat = grid_network(5, 5, seed=1)
         moved = sum(
             1
             for a, b in zip(flat.nodes(), bumpy.nodes())
@@ -61,8 +66,9 @@ class TestGrid:
         )
         assert moved > 0
 
-    def test_coordinates_within_extent(self):
-        n = grid_network(7, 7, seed=2, extent=5000)
+    def test_coordinates_within_extent(self, monkeypatch):
+        monkeypatch.setattr(synthetic, "EXTENT", 5000.0)
+        n = grid_network(7, 7, seed=2)
         for node in n.nodes():
             assert -1000 <= node.point.x <= 6000
             assert -1000 <= node.point.y <= 6000

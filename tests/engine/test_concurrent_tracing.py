@@ -38,7 +38,7 @@ def traced(tiny_db):
     finally:
         sys.setswitchinterval(interval)
         tiny_db.disable_slow_query_log()
-        tiny_db.trace_bounds = None
+        tiny_db.tracing = False
 
 
 def _div_fingerprint(results):
@@ -105,7 +105,7 @@ class TestConcurrentTracing:
             assert spans_named(root, "signature.filter")
 
     def test_tracing_off_stays_null(self, tiny_db, sif):
-        assert tiny_db.trace_bounds is None
+        assert tiny_db.tracing is False
         queries = generate_sk_queries(
             tiny_db, WorkloadConfig(num_queries=2, num_keywords=2, seed=73)
         )

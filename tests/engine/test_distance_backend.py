@@ -26,10 +26,10 @@ from repro.network.distance import (
 )
 from repro.network.graph import NetworkPosition
 from repro.obs.export import database_gauges, prometheus_text
-from repro.obs.sinks import InMemorySink
 from repro.obs.slowlog import SlowQueryThreshold
 from repro.workloads.queries import WorkloadConfig, generate_diversified_queries
 from tests.conftest import hub_label_distances
+from tests.reference import InMemorySink
 
 
 @pytest.fixture()
@@ -56,13 +56,13 @@ class TestBackendSelection:
         for name in ("astar", "ch", "hub"):
             with pytest.raises(QueryError):
                 restore_backend.use_distance_backend(name)
-            with pytest.raises(QueryError):
-                Database(random_planar_network(30, seed=2),
-                         distance_backend=name)
 
     def test_constructor_selects_backend(self):
-        db = Database(random_planar_network(30, seed=2),
-                      distance_backend="dijkstra")
+        # A new database pairs on ``csgraph``; ``use_distance_backend``
+        # is the one way to another backend.
+        db = Database(random_planar_network(30, seed=2))
+        assert db.distance_backend == "csgraph"
+        db.use_distance_backend("dijkstra")
         assert db.distance_backend == "dijkstra"
         computer = db.pairwise_computer(100.0)
         assert computer.backend is None

@@ -20,9 +20,9 @@ from repro import QueryStats
 from repro.datasets import build_dataset
 from repro.engine.plan import plan_diversified, plan_sk
 from repro.obs import events
+from repro.obs import rollup as rollup_module
 from repro.obs.events import QueryEvent
 from repro.obs.rollup import DEFAULT_STREAM, SlidingWindowRollup
-from repro.obs.sinks import InMemorySink
 from repro.obs.slo import SLORule, SLOSpec
 from repro.workloads.queries import (
     WorkloadConfig,
@@ -30,6 +30,13 @@ from repro.workloads.queries import (
     generate_sk_queries,
 )
 from tests.conftest import TINY_PROFILE, make_query_event
+from tests.reference import InMemorySink
+
+
+@pytest.fixture(autouse=True)
+def minute_window(monkeypatch):
+    """Rollups here keep a minute, so a slow run loses no query."""
+    monkeypatch.setattr(rollup_module, "WINDOW_SECONDS", 60.0)
 
 
 @pytest.fixture()
@@ -142,7 +149,7 @@ class TestFanOut:
     def test_each_query_reaches_each_subscriber_exactly_once(self, db, sif):
         sink = InMemorySink()
         db.metrics.add_sink(sink)
-        rollup = db.enable_rollup(window_seconds=60.0)
+        rollup = db.enable_rollup()
         log = db.enable_slow_query_log(latency_seconds=0.0)
         recorder = db.enable_flight_recorder()
         plans = _plans(db, sif, n=48)
@@ -240,7 +247,7 @@ class TestFailedQuery:
         """Ten 50 ms queries and thirty failures: the window p50 is
         50 ms and three quarters of the window failed.  (A failure used
         to be observed as a 0.0 s sample: p50 0.0.)"""
-        rollup = db.enable_rollup(window_seconds=60.0)
+        rollup = db.enable_rollup()
         for _ in range(10):
             rollup.on_query(
                 make_query_event(stats=QueryStats(wall_seconds=0.050))
@@ -266,7 +273,7 @@ class TestFailedQuery:
     def test_window_and_registry_give_one_verdict(self, db, sif, failing_plan):
         """One spec judges the lifetime registry and the live window of
         the same batch alike: they count and time its queries the same."""
-        rollup = db.enable_rollup(window_seconds=60.0)
+        rollup = db.enable_rollup()
         db.engine.execute_many(_plans(db, sif, n=12), workers=4)
         for _ in range(3):
             with pytest.raises(RuntimeError):

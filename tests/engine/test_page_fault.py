@@ -83,8 +83,9 @@ def test_fault_mid_query_is_charged_once_and_leaves_the_buffer_consistent(
     # The twin makes the same reads outside any query: same charges.
     db.ccam._node_page[node] = page_no
     twin_before = twin.disk.stats.snapshot()
+    files = {f.name: f for f in twin.disk.files()}
     for name, number in reads:
-        twin.disk.get_file(name).read(number)
+        files[name].read(number)
     assert twin.disk.stats.snapshot() - twin_before == growth
 
     # ... and the same buffer: the query, repaired, reads the same pages.

@@ -14,6 +14,7 @@ import pytest
 
 from repro.datasets.synthetic import grid_network, random_planar_network
 from repro.errors import GraphError
+from repro.network import ch as ch_module
 from repro.network.ch import ContractionHierarchy
 from repro.network.distance import PairwiseDistanceComputer
 from repro.network.graph import NetworkPosition, RoadNetwork
@@ -63,9 +64,10 @@ class TestConstruction:
         with pytest.raises(GraphError):
             ContractionHierarchy(RoadNetwork())
 
-    def test_bad_witness_budget_rejected(self, line_network):
-        with pytest.raises(GraphError):
-            ContractionHierarchy(line_network, max_witness_settled=0)
+    def test_bad_witness_budget_rejected(self):
+        # The witness budget is a constant; a witness search must be
+        # allowed to settle at least its source.
+        assert ch_module.MAX_WITNESS_SETTLED >= 1
 
     def test_single_node_network(self):
         network = RoadNetwork()
@@ -98,12 +100,13 @@ class TestNodeDistances:
             for b in nodes:
                 assert ch.node_distance(a, b) == pytest.approx(expected[a][b])
 
-    def test_tight_witness_budget_stays_exact(self):
+    def test_tight_witness_budget_stays_exact(self, monkeypatch):
         # An exhausted witness budget adds redundant shortcuts, never
         # wrong ones — answers must not change.
         network = random_planar_network(50, seed=13)
         generous = ContractionHierarchy(network)
-        stingy = ContractionHierarchy(network, max_witness_settled=1)
+        monkeypatch.setattr(ch_module, "MAX_WITNESS_SETTLED", 1)
+        stingy = ContractionHierarchy(network)
         assert stingy.shortcuts_added >= generous.shortcuts_added
         nodes = [n.node_id for n in network.nodes()]
         rng = random.Random(13)

@@ -125,14 +125,6 @@ class TestEdgeGeometry:
         e = n.add_edge(0, 1)
         assert e.point_at_fraction(0.25) == Point(25, 0)
 
-    def test_weight_offset_from_length(self):
-        n = RoadNetwork()
-        n.add_node(0, 0, 0)
-        n.add_node(1, 100, 0)
-        e = n.add_edge(0, 1, weight=10.0)
-        # Paper footnote 1: proportional conversion.
-        assert e.weight_offset_from_length(50.0) == pytest.approx(5.0)
-
 
 class TestPositions:
     def test_negative_offset_rejected(self):

@@ -16,6 +16,7 @@ import networkx as nx
 import pytest
 
 from repro.datasets.synthetic import grid_network, random_planar_network
+from repro.network import ch as ch_module
 from repro.network.ch import ContractionHierarchy
 from repro.network.distance import PairwiseDistanceComputer
 from repro.network.graph import NetworkPosition
@@ -87,12 +88,13 @@ class TestNodeDistances:
                     expected[a][b]
                 )
 
-    def test_starved_witness_budget_stays_exact(self):
+    def test_starved_witness_budget_stays_exact(self, monkeypatch):
         # A CH built with an exhausted witness budget has redundant
         # shortcuts; the labels built on it are larger but still exact.
         network = random_planar_network(50, seed=13)
         generous = HubLabelBackend(network)
-        stingy = HubLabelBackend(network, max_witness_settled=1)
+        monkeypatch.setattr(ch_module, "MAX_WITNESS_SETTLED", 1)
+        stingy = HubLabelBackend(network)
         assert stingy.label_entries >= generous.label_entries
         nodes = [n.node_id for n in network.nodes()]
         rng = random.Random(13)

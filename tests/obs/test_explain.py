@@ -96,9 +96,9 @@ class TestDatabaseExplain:
     def test_explain_restores_the_installed_tracer(self, tiny_db,
                                                    tiny_indexes,
                                                    sk_workload):
-        assert tiny_db.trace_bounds is None
+        assert tiny_db.tracing is False
         tiny_db.explain(tiny_indexes["sif"], sk_workload[0])
-        assert tiny_db.trace_bounds is None
+        assert tiny_db.tracing is False
 
     def test_diversified_explain_has_com_nodes(self, tiny_db, tiny_indexes):
         config = WorkloadConfig(

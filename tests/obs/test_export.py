@@ -1,5 +1,6 @@
 """Tests for the Prometheus exporter (repro.obs.export)."""
 
+from repro.obs import export
 from repro.obs.export import prometheus_text, write_prometheus
 from repro.obs.metrics import MetricsRegistry
 
@@ -7,8 +8,10 @@ from repro.obs.metrics import MetricsRegistry
 class TestPrometheus:
     def make_registry(self) -> MetricsRegistry:
         registry = MetricsRegistry()
-        registry.inc("query.count", 6)
-        registry.inc("distance_cache.hits", 14)
+        for _ in range(6):
+            registry.inc("query.count")
+        for _ in range(14):
+            registry.inc("distance_cache.hits")
         for value in (0.1, 0.2, 0.3, 0.4):
             registry.observe("stage.expansion.seconds", value)
         registry.histogram("stage.empty.seconds")  # never observed
@@ -34,8 +37,9 @@ class TestPrometheus:
         assert "stage_empty" not in text
         assert "NaN" not in text
 
-    def test_prefix_override(self):
-        text = prometheus_text(self.make_registry(), prefix="x")
+    def test_prefix_override(self, monkeypatch):
+        monkeypatch.setattr(export, "PREFIX", "x")
+        text = prometheus_text(self.make_registry())
         assert "x_query_count 6" in text
 
     def test_write(self, tmp_path):

@@ -29,8 +29,9 @@ class TestEscaping:
 
     def test_plan_label_with_slash_round_trips(self):
         registry = MetricsRegistry()
-        registry.inc("query.plan#SIF/COM", 3)
-        registry.inc('query.plan#weird"label\nx', 1)
+        for _ in range(3):
+            registry.inc("query.plan#SIF/COM")
+        registry.inc('query.plan#weird"label\nx')
         text = prometheus_text(registry)
         assert 'repro_query_plan{plan="SIF/COM"} 3' in text
         assert 'repro_query_plan{plan="weird\\"label\\nx"} 1' in text
@@ -65,8 +66,9 @@ class TestFamilies:
 
     def test_colliding_raw_names_share_one_family(self):
         registry = MetricsRegistry()
-        registry.inc("query.a-b", 1)
-        registry.inc("query.a/b", 2)  # sanitizes to the same family
+        registry.inc("query.a-b")
+        for _ in range(2):  # sanitizes to the same family
+            registry.inc("query.a/b")
         text = prometheus_text(registry)
         assert text.count("# TYPE repro_query_a_b counter") == 1
         values = sorted(
@@ -81,7 +83,8 @@ class TestFamilies:
         for i, name in enumerate(
             ("query.count", "buffer.hits", "cache.miss", "x.y.z")
         ):
-            registry.inc(name, i + 1)
+            for _ in range(i + 1):
+                registry.inc(name)
             expected["repro_" + name.replace(".", "_")] = i + 1
         text = prometheus_text(registry)
         parsed = {}

@@ -139,8 +139,9 @@ class TestFlightRecorder:
             db.engine.execute(plan)
         assert [r["digest"] for r in recorder.records()] == first
 
-    def test_ring_bounds_and_dropped_counter(self):
-        recorder = FlightRecorder(max_records=3)
+    def test_ring_bounds_and_dropped_counter(self, monkeypatch):
+        monkeypatch.setattr(FlightRecorder, "MAX_RECORDS", 3)
+        recorder = FlightRecorder()
         for update in _fake_updates(5):
             recorder.record_update(update)
         assert len(recorder) == 3
@@ -150,8 +151,10 @@ class TestFlightRecorder:
         assert summary["buffered"] == 3
 
     def test_max_records_validated(self):
-        with pytest.raises(ValueError):
-            FlightRecorder(max_records=0)
+        # The ring's capacity is a positive class constant.
+        assert FlightRecorder.MAX_RECORDS >= 1
+        summary = FlightRecorder().summary()
+        assert summary["max_records"] == FlightRecorder.MAX_RECORDS
 
     def test_jsonl_persistence_header_first(
         self, recording_db, tiny_indexes, tmp_path

@@ -7,6 +7,7 @@ import threading
 
 import pytest
 
+from repro.obs import rollup as rollup_module
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.rollup import DEFAULT_STREAM, SlidingWindowRollup
 from repro.obs.slo import SLOMonitor, SLORule, SLOSpec
@@ -21,11 +22,9 @@ class FakeClock:
         return self.t
 
 
-def make_rollup(**kwargs) -> "tuple[SlidingWindowRollup, FakeClock]":
+def make_rollup() -> "tuple[SlidingWindowRollup, FakeClock]":
     clock = FakeClock()
-    kwargs.setdefault("window_seconds", 10.0)
-    kwargs.setdefault("bucket_seconds", 1.0)
-    return SlidingWindowRollup(clock=clock, **kwargs), clock
+    return SlidingWindowRollup(clock=clock), clock
 
 
 def finished(snap) -> int:
@@ -61,7 +60,7 @@ class TestSlidingWindowRollup:
         assert 8.0 <= qps <= 13.0
 
     def test_window_excludes_old_buckets(self):
-        rollup, clock = make_rollup(window_seconds=5.0)
+        rollup, clock = make_rollup()
         rollup.record(1.0)
         clock.t = 100.0
         rollup.record(2.0)
@@ -102,18 +101,20 @@ class TestSlidingWindowRollup:
         assert snap["histograms"]["observed"]["count"] == 2
         assert snap["histograms"][DEFAULT_STREAM]["count"] == 1
 
-    def test_narrower_window_requested(self):
-        rollup, clock = make_rollup(window_seconds=10.0)
+    def test_narrower_window_requested(self, monkeypatch):
+        monkeypatch.setattr(rollup_module, "WINDOW_SECONDS", 3.0)
+        rollup, clock = make_rollup()
         for second in range(10):
             clock.t = float(second) + 0.5
             rollup.record(float(second))
-        snap = rollup.snapshot(window_seconds=3.0)
+        snap = rollup.snapshot()
         # Only the last ~3 buckets (seconds 7, 8, 9).
         assert finished(snap) == 3
         assert p(snap, 50) == pytest.approx(8.0)
 
-    def test_bounded_memory_per_bucket(self):
-        rollup, clock = make_rollup(max_samples_per_bucket=32)
+    def test_bounded_memory_per_bucket(self, monkeypatch):
+        monkeypatch.setattr(rollup_module, "MAX_SAMPLES_PER_BUCKET", 32)
+        rollup, clock = make_rollup()
         for i in range(10_000):
             rollup.record(float(i))  # all in one bucket
         snap = rollup.snapshot()
@@ -132,7 +133,7 @@ class TestSlidingWindowRollup:
         """A busy bucket subsampled at a coarse stride is not outweighed
         by a quiet one kept whole: 2 048 queries at 1 ms then 100 at
         100 ms is a window whose p95 is 1 ms."""
-        rollup, clock = make_rollup(window_seconds=2.0, bucket_seconds=1.0)
+        rollup, clock = make_rollup()
         for _ in range(2048):
             rollup.record(0.001)
         clock.t = 1.5
@@ -196,12 +197,15 @@ class TestSlidingWindowRollup:
         json.dumps(rollup.snapshot())
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            SlidingWindowRollup(window_seconds=0)
-        with pytest.raises(ValueError):
-            SlidingWindowRollup(bucket_seconds=0)
-        with pytest.raises(ValueError):
-            SlidingWindowRollup(window_seconds=1.0, bucket_seconds=2.0)
+        # The window and bucket are constants; the ring needs both
+        # positive, a bucket no wider than the window, and one spare
+        # bucket beyond the window's.
+        window = rollup_module.WINDOW_SECONDS
+        bucket = rollup_module.BUCKET_SECONDS
+        assert 0 < bucket <= window
+        assert rollup_module.MAX_SAMPLES_PER_BUCKET >= 1
+        rollup, _ = make_rollup()
+        assert len(rollup._buckets) == math.ceil(window / bucket) + 1
 
 
 def make_spec(p95_threshold: float = 1.0, error_threshold: float = 0.5):
@@ -268,7 +272,7 @@ class TestLiveSLOMonitor:
         assert notes[0]["failed"][0]["rule"]["name"] == "p95"
 
     def test_breach_then_recovery(self):
-        rollup, clock = make_rollup(window_seconds=2.0)
+        rollup, clock = make_rollup()
         metrics = MetricsRegistry()
         monitor = SLOMonitor(
             make_spec(p95_threshold=0.01), rollup.snapshot, metrics=metrics

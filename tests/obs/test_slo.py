@@ -113,7 +113,8 @@ class TestSpec:
 
     def test_against_live_registry_snapshot(self):
         registry = MetricsRegistry()
-        registry.inc("query.count", 3)
+        for _ in range(3):
+            registry.inc("query.count")
         for value in (0.01, 0.02, 0.03):
             registry.observe("query.wall_seconds", value)
         spec = SLOSpec("live", [

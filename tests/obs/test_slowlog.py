@@ -64,10 +64,9 @@ class TestSlowQueryLog:
         summary = log.summary()
         assert summary["observed"] == 2 and summary["captured"] == 1
 
-    def test_bounded_keeps_most_recent(self):
-        log = SlowQueryLog(
-            SlowQueryThreshold(latency_seconds=0), max_records=2
-        )
+    def test_bounded_keeps_most_recent(self, monkeypatch):
+        monkeypatch.setattr(SlowQueryLog, "MAX_RECORDS", 2)
+        log = SlowQueryLog(SlowQueryThreshold(latency_seconds=0))
         for i in range(4):
             log.offer(make_query_event(f"L{i}/INE", _stats()))
         records = log.records()
@@ -136,7 +135,7 @@ class TestEngineIntegration:
                 assert "diversified query" in rendered
         finally:
             tiny_db.disable_slow_query_log()
-            tiny_db.trace_bounds = None
+            tiny_db.tracing = False
 
     def test_fast_queries_not_captured(self, tiny_db, sif):
         log = tiny_db.enable_slow_query_log(latency_seconds=3600.0)
@@ -252,10 +251,9 @@ class TestTolerantRendering:
         assert "SLOW QUERY #1  [SIF/COM]  22.900 ms, 7 nodes visited" in text
         assert "stages: maintenance 22.300 ms, expansion 0.400 ms" in text
 
-    def test_note_appends_and_respects_bound(self):
-        log = SlowQueryLog(
-            SlowQueryThreshold(latency_seconds=0), max_records=2
-        )
+    def test_note_appends_and_respects_bound(self, monkeypatch):
+        monkeypatch.setattr(SlowQueryLog, "MAX_RECORDS", 2)
+        log = SlowQueryLog(SlowQueryThreshold(latency_seconds=0))
         log.offer(make_query_event("L/INE", _stats()))
         log.note({"type": "slo_breach", "spec": "s", "window": {}, "failed": []})
         log.note({"type": "slo_breach", "spec": "s2", "window": {}, "failed": []})

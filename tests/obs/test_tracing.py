@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.obs import tracing
 from repro.obs.tracing import NULL_TRACER, NullTracer, Span, Tracer
 from tests.reference import event_count
 
@@ -111,8 +112,9 @@ class TestEvents:
         tracer.event("orphan")
         assert tracer.last_trace is None
 
-    def test_max_events_bound_with_drop_counter(self):
-        tracer = Tracer(max_events=2)
+    def test_max_events_bound_with_drop_counter(self, monkeypatch):
+        monkeypatch.setattr(tracing, "MAX_EVENTS", 2)
+        tracer = Tracer()
         with tracer.span("root") as span:
             for _ in range(5):
                 tracer.event("e")
@@ -122,8 +124,9 @@ class TestEvents:
 
 
 class TestBounds:
-    def test_max_children_bound(self):
-        tracer = Tracer(max_children=2)
+    def test_max_children_bound(self, monkeypatch):
+        monkeypatch.setattr(tracing, "MAX_CHILDREN", 2)
+        tracer = Tracer()
         with tracer.span("root") as root:
             for i in range(4):
                 tracer.add_span("c", 0.0, n=i)

@@ -22,7 +22,11 @@ reaches them:
   network, for the generators' and the update path's tests;
 * :func:`walk_spans`, :func:`spans_named` and :func:`event_count` — a
   span tree read depth-first, for the tests of what a traced query
-  records.
+  records;
+* :func:`sk_part` — the boolean SK range query under a diversified
+  one, whose answer is the diversified query's candidate pool;
+* :class:`InMemorySink` — a metrics sink that keeps every record, for
+  the tests of what a query emits.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from typing import Callable, Dict, List, Sequence, Tuple
 import numpy as np
 
 from repro.core.objective import DiversificationObjective
-from repro.core.queries import ResultItem
+from repro.core.queries import ResultItem, SKQuery
 from repro.errors import GraphError
 from repro.network.distance import (
     AdjacencyProvider,
@@ -56,6 +60,8 @@ __all__ = [
     "event_count",
     "spans_named",
     "walk_spans",
+    "sk_part",
+    "InMemorySink",
 ]
 
 PairDistance = Callable[[ResultItem, ResultItem], float]
@@ -230,3 +236,23 @@ def spans_named(span, name: str) -> list:
 def event_count(span, name: str) -> int:
     """How many of ``span``'s own events are named ``name``."""
     return sum(1 for event_name, _t, _a in span.events if event_name == name)
+
+
+def sk_part(query) -> SKQuery:
+    """The SK range query over a diversified query's position, terms
+    and δmax."""
+    return SKQuery(query.position, query.terms, query.delta_max)
+
+
+class InMemorySink:
+    """Collects every record a metrics registry emits."""
+
+    def __init__(self) -> None:
+        self.records: List[Dict] = []
+
+    def emit(self, record: Dict) -> None:
+        self.records.append(record)
+
+    def of_type(self, record_type: str) -> List[Dict]:
+        """Records whose ``"type"`` field equals ``record_type``."""
+        return [r for r in self.records if r.get("type") == record_type]

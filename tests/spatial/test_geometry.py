@@ -44,7 +44,6 @@ class TestMBR:
 
     def test_point_mbr_is_valid(self):
         box = MBR(5, 5, 5, 5)
-        assert box.area == 0.0
         assert box.center == Point(5, 5)
 
     def test_from_points(self):
@@ -58,7 +57,6 @@ class TestMBR:
     def test_center_and_dims(self):
         box = MBR(0, 0, 4, 2)
         assert box.center == Point(2, 1)
-        assert box.area == 8
 
     def test_intersects_touching_edges(self):
         a = MBR(0, 0, 1, 1)
@@ -82,12 +80,6 @@ class TestMBR:
         a = MBR(0, 0, 1, 1)
         b = MBR(2, 2, 3, 3)
         assert a.union(b) == MBR(0, 0, 3, 3)
-
-    def test_enlargement_zero_when_contained(self):
-        outer = MBR(0, 0, 10, 10)
-        inner = MBR(2, 2, 5, 5)
-        assert outer.enlargement(inner) == 0.0
-        assert inner.enlargement(outer) == pytest.approx(100 - 9)
 
     def test_min_distance_inside_is_zero(self):
         box = MBR(0, 0, 10, 10)

@@ -1,10 +1,10 @@
 """Tests for the KD-tree signature-compaction partitioner."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.spatial import kdtree
 from repro.spatial.geometry import Point
 from repro.spatial.kdtree import KDTreePartition
 
@@ -37,8 +37,10 @@ class TestConstruction:
         assert num_nodes(tree) == 1
 
     def test_invalid_leaf_size(self):
-        with pytest.raises(ValueError):
-            KDTreePartition([Point(0, 0)], leaf_size=0)
+        # One edge a leaf, the paper's "each leaf node corresponds to the
+        # signature of an edge": n items make a full tree of 2n - 1 nodes.
+        assert kdtree.LEAF_SIZE == 1
+        assert num_nodes(KDTreePartition(random_centers(9))) == 2 * 9 - 1
 
     def test_all_items_covered_once(self):
         centers = random_centers(33)
@@ -100,9 +102,10 @@ class TestCompaction:
         count = tree.compact_node_count(ones)
         assert 1 <= count <= num_nodes(tree)
 
-    def test_leaf_size_greater_than_one(self):
+    def test_leaf_size_greater_than_one(self, monkeypatch):
+        monkeypatch.setattr(kdtree, "LEAF_SIZE", 4)
         centers = random_centers(40, seed=9)
-        tree = KDTreePartition(centers, leaf_size=4)
+        tree = KDTreePartition(centers)
         assert num_nodes(tree) < 2 * 40 - 1
         assert tree.compact_node_count(set()) == 1
         assert tree.compact_node_count({0}) >= 1

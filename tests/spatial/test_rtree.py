@@ -1,20 +1,30 @@
 """Tests for repro.spatial.rtree against brute-force references."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import StorageError
+from repro.spatial import rtree
 from repro.spatial.geometry import MBR, Point
 from repro.spatial.rtree import RTree, RTreeEntry
-from repro.storage.pagefile import DiskManager
+from repro.storage.pagefile import PAGE_SIZE, DiskManager
+
+
+def with_fanout(file, fanout=None):
+    """An R-tree on ``file`` with ``fanout`` entries a node (the
+    page-sized :data:`~repro.spatial.rtree.FANOUT` when ``None``)."""
+    with mock.patch.object(rtree, "FANOUT", fanout or rtree.FANOUT):
+        return RTree(file)
 
 
 def make_tree(entries, fanout=None):
     disk = DiskManager(buffer_pages=64)
     file = disk.create_file("rtree", category="rtree")
-    tree = RTree(file, fanout=fanout)
+    tree = with_fanout(file, fanout)
     tree.bulk_load(entries)
     return tree, disk
 
@@ -47,10 +57,10 @@ class TestBulkLoad:
         assert len(tree) == 100
 
     def test_invalid_fanout(self):
-        disk = DiskManager()
-        file = disk.create_file("bad", category="rtree")
-        with pytest.raises(ValueError):
-            RTree(file, fanout=1)
+        # The fanout is what one page holds, and at least two.
+        assert rtree.FANOUT >= 2
+        used = rtree._NODE_HEADER_BYTES + rtree.FANOUT * rtree._ENTRY_BYTES
+        assert used <= PAGE_SIZE < used + rtree._ENTRY_BYTES
 
     def test_all_entries_scan(self):
         entries, _ = random_entries(57)
@@ -124,7 +134,7 @@ class TestIOAccounting:
         entries, _ = random_entries(500, seed=2)
         disk = DiskManager(buffer_pages=0)  # no buffering: all physical
         file = disk.create_file("rt", category="rtree")
-        tree = RTree(file, fanout=16)
+        tree = with_fanout(file, 16)
         tree.bulk_load(entries)
         disk.stats.reset()
         list(tree.window(MBR(0, 0, 1000, 1000)))
@@ -136,7 +146,7 @@ class TestIOAccounting:
         entries, _ = random_entries(10)
         disk = DiskManager(buffer_pages=0)
         file = disk.create_file("rt", category="rtree")
-        tree = RTree(file, fanout=32)  # single-node tree
+        tree = with_fanout(file, 32)  # single-node tree
         tree.bulk_load(entries)
         disk.stats.reset()
         list(tree.window(MBR(0, 0, 1000, 1000)))

@@ -1,19 +1,29 @@
 """Tests for repro.spatial.zorder."""
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.datasets.synthetic import EXTENT
+from repro.spatial import zorder
 from repro.spatial.geometry import Point
-from repro.spatial.zorder import ZOrderCurve, deinterleave_bits, interleave_bits
+from repro.spatial.zorder import ZOrderCurve, interleave_bits
+
+
+def deinterleave_bits(code: int, bits: int = 16) -> tuple:
+    """Inverse of :func:`interleave_bits`; returns ``(ix, iy)``."""
+    ix = iy = 0
+    for i in range(bits):
+        ix |= ((code >> (2 * i)) & 1) << i
+        iy |= ((code >> (2 * i + 1)) & 1) << i
+    return ix, iy
 
 
 class TestInterleave:
     def test_known_values(self):
         # x = 0b11, y = 0b00 -> bits at even positions
-        assert interleave_bits(0b11, 0b00, bits=2) == 0b0101
+        assert interleave_bits(0b11, 0b00) == 0b0101
         # x = 0b00, y = 0b11 -> bits at odd positions
-        assert interleave_bits(0b00, 0b11, bits=2) == 0b1010
+        assert interleave_bits(0b00, 0b11) == 0b1010
 
     def test_zero(self):
         assert interleave_bits(0, 0) == 0
@@ -33,26 +43,33 @@ class TestInterleave:
             assert interleave_bits(0, iy) > interleave_bits(0, iy - 1)
 
 
+def decode(code: int) -> Point:
+    """Corner of the grid cell :data:`~repro.spatial.zorder.CURVE`
+    encodes as ``code``."""
+    ix, iy = deinterleave_bits(code)
+    cell = zorder.EXTENT / ((1 << zorder.BITS) - 1)
+    return Point(ix * cell, iy * cell)
+
+
 class TestZOrderCurve:
     def test_invalid_domain(self):
-        with pytest.raises(ValueError):
-            ZOrderCurve(0, 0, 0, 100)
+        # The curve's domain is the square the generators draw in.
+        assert zorder.EXTENT == EXTENT > 0
 
     def test_invalid_bits(self):
-        with pytest.raises(ValueError):
-            ZOrderCurve(bits=0)
-        with pytest.raises(ValueError):
-            ZOrderCurve(bits=40)
+        # A code is 2 * BITS bits wide and fits a 64-bit page key.
+        assert 1 <= zorder.BITS <= 31
+        assert ZOrderCurve().encode(EXTENT, EXTENT) == (1 << 2 * zorder.BITS) - 1
 
     def test_corners(self):
-        curve = ZOrderCurve(0, 0, 100, 100, bits=8)
+        curve = ZOrderCurve()
         assert curve.encode(0, 0) == 0
-        assert curve.encode(100, 100) == (1 << 16) - 1
+        assert curve.encode(10000, 10000) == (1 << 32) - 1
 
     def test_clamping_out_of_domain(self):
-        curve = ZOrderCurve(0, 0, 100, 100, bits=8)
+        curve = ZOrderCurve()
         assert curve.encode(-50, -50) == curve.encode(0, 0)
-        assert curve.encode(500, 500) == curve.encode(100, 100)
+        assert curve.encode(50000, 50000) == curve.encode(10000, 10000)
 
     def test_encode_point_matches_encode(self):
         curve = ZOrderCurve()
@@ -63,8 +80,7 @@ class TestZOrderCurve:
         st.floats(0, 10000, allow_nan=False),
     )
     def test_decode_is_near_inverse(self, x, y):
-        curve = ZOrderCurve(bits=16)
-        p = curve.decode(curve.encode(x, y))
+        p = decode(ZOrderCurve().encode(x, y))
         cell = 10000.0 / (2**16 - 1)
         assert abs(p.x - x) <= cell + 1e-9
         assert abs(p.y - y) <= cell + 1e-9
@@ -77,7 +93,7 @@ class TestZOrderCurve:
         """
         import numpy as np
 
-        curve = ZOrderCurve(bits=16)
+        curve = ZOrderCurve()
         rng = np.random.default_rng(0)
         near_gaps, far_gaps = [], []
         for _ in range(300):

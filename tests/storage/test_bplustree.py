@@ -171,11 +171,17 @@ class TestIOAccounting:
         # Height - 1 reads: every level except the pinned root.
         assert disk.stats.physical_reads == tree._height - 1
 
-    def test_unpinned_root_charges_full_height(self):
+    def test_unpinned_root_charges_full_height(self, monkeypatch):
+        # The pin saves exactly the root's read: read through the
+        # buffer like any other node, a lookup charges every level.
+        monkeypatch.setattr(
+            BPlusTree, "_read_root",
+            lambda self: self._read_node(self._root_page),
+        )
         entries = [(i, i) for i in range(2000)]
         disk = DiskManager(buffer_pages=0)
         file = disk.create_file("bt", category="inverted")
-        tree = BPlusTree(file, key_bytes=128, value_bytes=128, pin_root=False)
+        tree = BPlusTree(file, key_bytes=128, value_bytes=128)
         tree.bulk_load(entries)
         disk.stats.reset()
         tree.search(777)

@@ -45,15 +45,6 @@ class TestBasics:
         assert access(pool, ("f", 0)) is True
         assert access(pool, ("f", 1)) is False
 
-    def test_evict_file(self):
-        pool = BufferPool(capacity=8)
-        access(pool, ("a", 0))
-        access(pool, ("a", 1))
-        access(pool, ("b", 0))
-        pool.evict_file("a")
-        assert ("a", 0) not in pool
-        assert ("b", 0) in pool
-
     def test_resize_down_evicts_lru(self):
         pool = BufferPool(capacity=4)
         for i in range(4):

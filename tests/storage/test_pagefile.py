@@ -29,19 +29,6 @@ class TestPageFile:
         with pytest.raises(StorageError):
             disk.create_file("data", category="x")
 
-    def test_unknown_file_rejected(self):
-        disk = DiskManager()
-        with pytest.raises(StorageError):
-            disk.get_file("nope")
-
-    def test_drop_file_evicts_buffer(self):
-        disk = DiskManager(buffer_pages=4)
-        f = disk.create_file("data", category="x")
-        p = f.allocate("payload")
-        f.read(p)
-        disk.drop_file("data")
-        assert ("data", p) not in disk.buffer
-
     def test_read_unbuffered_charges_nothing(self):
         disk = DiskManager(buffer_pages=4)
         f = disk.create_file("data", category="x")
@@ -84,17 +71,6 @@ class TestIOAccounting:
         assert delta.logical_reads == 3
         assert delta.physical_reads == 3
         assert delta.physical_by_category == {"rtree": 3}
-
-    def test_total_size_by_category(self):
-        disk = DiskManager()
-        a = disk.create_file("a", category="network")
-        b = disk.create_file("b", category="inverted")
-        a.allocate("x")
-        b.allocate("y")
-        b.allocate("z")
-        assert disk.total_size_bytes("network") == PAGE_SIZE
-        assert disk.total_size_bytes("inverted") == 2 * PAGE_SIZE
-        assert disk.total_size_bytes() == 3 * PAGE_SIZE
 
     def test_clear_buffer_forces_misses(self):
         disk = DiskManager(buffer_pages=8)

@@ -34,29 +34,29 @@ def _with_header(tmp_path, **fields):
 FLAG_SURFACE = {
     "info": {
         "profile": (None, ("NA", "SF", "SYN", "TW"), None),
-        "--scale": (1.0, None, "float"),
+        "--scale": (1.0, None, "_positive_float"),
         "--seed": (None, None, "int"),
     },
     "generate": {
         "profile": (None, ("NA", "SF", "SYN", "TW"), None),
-        "--scale": (1.0, None, "float"),
+        "--scale": (1.0, None, "_positive_float"),
         "--seed": (None, None, "int"),
         "--out": (None, None, None),
     },
     "sk": {
         "profile": (None, ("NA", "SF", "SYN", "TW"), None),
-        "--scale": (1.0, None, "float"),
+        "--scale": (1.0, None, "_positive_float"),
         "--seed": (None, None, "int"),
         "--distance-backend": ("csgraph", DISTANCE_BACKENDS, None),
-        "--queries": (50, None, "int"),
-        "--keywords": (3, None, "int"),
-        "--delta-max": (None, None, "float"),
+        "--queries": (50, None, "_positive_int"),
+        "--keywords": (3, None, "_positive_int"),
+        "--delta-max": (None, None, "_positive_float"),
         "--workload-seed": (101, None, "int"),
         "--workers": (1, None, "_positive_int"),
         "--metrics": (None, None, "_output_path"),
         "--trace": (False, None, None),
         "--prom": (None, None, "_output_path"),
-        "--slow-ms": (None, None, "float"),
+        "--slow-ms": (None, None, "_non_negative_float"),
         "--slow-nodes": (None, None, "_positive_int"),
         "--slowlog": (None, None, "_output_path"),
         "--slo": (None, None, None),
@@ -70,18 +70,18 @@ FLAG_SURFACE = {
     },
     "diversify": {
         "profile": (None, ("NA", "SF", "SYN", "TW"), None),
-        "--scale": (1.0, None, "float"),
+        "--scale": (1.0, None, "_positive_float"),
         "--seed": (None, None, "int"),
         "--distance-backend": ("csgraph", DISTANCE_BACKENDS, None),
-        "--queries": (50, None, "int"),
-        "--keywords": (3, None, "int"),
-        "--delta-max": (None, None, "float"),
+        "--queries": (50, None, "_positive_int"),
+        "--keywords": (3, None, "_positive_int"),
+        "--delta-max": (None, None, "_positive_float"),
         "--workload-seed": (101, None, "int"),
         "--workers": (1, None, "_positive_int"),
         "--metrics": (None, None, "_output_path"),
         "--trace": (False, None, None),
         "--prom": (None, None, "_output_path"),
-        "--slow-ms": (None, None, "float"),
+        "--slow-ms": (None, None, "_non_negative_float"),
         "--slow-nodes": (None, None, "_positive_int"),
         "--slowlog": (None, None, "_output_path"),
         "--slo": (None, None, None),
@@ -92,23 +92,23 @@ FLAG_SURFACE = {
             ("ccam", "ir", "if", "sif", "sif-p", "sif-g"),
             None,
         ),
-        "--k": (6, None, "int"),
-        "--lambda": (0.8, None, "float"),
+        "--k": (6, None, "_positive_int"),
+        "--lambda": (0.8, None, "_fraction"),
     },
     "update": {
         "profile": (None, ("NA", "SF", "SYN", "TW"), None),
-        "--scale": (1.0, None, "float"),
+        "--scale": (1.0, None, "_positive_float"),
         "--seed": (None, None, "int"),
         "--distance-backend": ("csgraph", DISTANCE_BACKENDS, None),
-        "--queries": (50, None, "int"),
-        "--keywords": (3, None, "int"),
-        "--delta-max": (None, None, "float"),
+        "--queries": (50, None, "_positive_int"),
+        "--keywords": (3, None, "_positive_int"),
+        "--delta-max": (None, None, "_positive_float"),
         "--workload-seed": (101, None, "int"),
         "--workers": (1, None, "_positive_int"),
         "--metrics": (None, None, "_output_path"),
         "--trace": (False, None, None),
         "--prom": (None, None, "_output_path"),
-        "--slow-ms": (None, None, "float"),
+        "--slow-ms": (None, None, "_non_negative_float"),
         "--slow-nodes": (None, None, "_positive_int"),
         "--slowlog": (None, None, "_output_path"),
         "--slo": (None, None, None),
@@ -119,11 +119,11 @@ FLAG_SURFACE = {
             ("ccam", "ir", "if", "sif", "sif-p", "sif-g"),
             None,
         ),
-        "--k": (6, None, "int"),
-        "--lambda": (0.8, None, "float"),
+        "--k": (6, None, "_positive_int"),
+        "--lambda": (0.8, None, "_fraction"),
         "--method": ("seq", ("seq", "com"), None),
         "--batches": (4, None, "_positive_int"),
-        "--updates-per-batch": (20, None, "int"),
+        "--updates-per-batch": (20, None, "_non_negative_int"),
         "--update-seed": (202, None, "int"),
         "--insert-weight": (0.4, None, "float"),
         "--delete-weight": (0.4, None, "float"),
@@ -131,18 +131,18 @@ FLAG_SURFACE = {
     },
     "compare": {
         "profile": (None, ("NA", "SF", "SYN", "TW"), None),
-        "--scale": (1.0, None, "float"),
+        "--scale": (1.0, None, "_positive_float"),
         "--seed": (None, None, "int"),
         "--distance-backend": ("csgraph", DISTANCE_BACKENDS, None),
-        "--queries": (50, None, "int"),
-        "--keywords": (3, None, "int"),
-        "--delta-max": (None, None, "float"),
+        "--queries": (50, None, "_positive_int"),
+        "--keywords": (3, None, "_positive_int"),
+        "--delta-max": (None, None, "_positive_float"),
         "--workload-seed": (101, None, "int"),
         "--workers": (1, None, "_positive_int"),
         "--metrics": (None, None, "_output_path"),
         "--trace": (False, None, None),
         "--prom": (None, None, "_output_path"),
-        "--slow-ms": (None, None, "float"),
+        "--slow-ms": (None, None, "_non_negative_float"),
         "--slow-nodes": (None, None, "_positive_int"),
         "--slowlog": (None, None, "_output_path"),
         "--slo": (None, None, None),
@@ -151,7 +151,7 @@ FLAG_SURFACE = {
     },
     "explain": {
         "profile": (None, ("NA", "SF", "SYN", "TW"), None),
-        "--scale": (1.0, None, "float"),
+        "--scale": (1.0, None, "_positive_float"),
         "--seed": (None, None, "int"),
         "--distance-backend": ("csgraph", DISTANCE_BACKENDS, None),
         "--index": (
@@ -160,14 +160,14 @@ FLAG_SURFACE = {
             None,
         ),
         "--method": ("com", ("com", "seq", "sk"), None),
-        "--keywords": (3, None, "int"),
-        "--delta-max": (None, None, "float"),
+        "--keywords": (3, None, "_positive_int"),
+        "--delta-max": (None, None, "_positive_float"),
         "--workload-seed": (101, None, "int"),
-        "--k": (6, None, "int"),
-        "--lambda": (0.8, None, "float"),
-        "--query": (0, None, "int"),
+        "--k": (6, None, "_positive_int"),
+        "--lambda": (0.8, None, "_fraction"),
+        "--query": (0, None, "_non_negative_int"),
         "--no-pruning": (False, None, None),
-        "--slow-ms": (None, None, "float"),
+        "--slow-ms": (None, None, "_non_negative_float"),
         "--slow-nodes": (None, None, "_positive_int"),
     },
     "slowlog": {
@@ -176,18 +176,18 @@ FLAG_SURFACE = {
     },
     "loadtest": {
         "profile": (None, ("NA", "SF", "SYN", "TW"), None),
-        "--scale": (1.0, None, "float"),
+        "--scale": (1.0, None, "_positive_float"),
         "--seed": (None, None, "int"),
         "--distance-backend": ("csgraph", DISTANCE_BACKENDS, None),
-        "--queries": (50, None, "int"),
-        "--keywords": (3, None, "int"),
-        "--delta-max": (None, None, "float"),
+        "--queries": (50, None, "_positive_int"),
+        "--keywords": (3, None, "_positive_int"),
+        "--delta-max": (None, None, "_positive_float"),
         "--workload-seed": (101, None, "int"),
         "--workers": (1, None, "_positive_int"),
         "--metrics": (None, None, "_output_path"),
         "--trace": (False, None, None),
         "--prom": (None, None, "_output_path"),
-        "--slow-ms": (None, None, "float"),
+        "--slow-ms": (None, None, "_non_negative_float"),
         "--slow-nodes": (None, None, "_positive_int"),
         "--slowlog": (None, None, "_output_path"),
         "--slo": (None, None, None),
@@ -199,8 +199,8 @@ FLAG_SURFACE = {
             None,
         ),
         "--method": ("seq", ("seq", "com", "sk"), None),
-        "--k": (6, None, "int"),
-        "--lambda": (0.8, None, "float"),
+        "--k": (6, None, "_positive_int"),
+        "--lambda": (0.8, None, "_fraction"),
         "--qps": (20.0, None, "_positive_float"),
         "--duration": (10.0, None, "_positive_float"),
     },
@@ -683,6 +683,18 @@ class TestFlagValidation:
             # flag accepted and ignored.
             ["diversify", "SYN", "--shadow-backend", "ch"],
             ["diversify", "SYN", "--shadow-rate", "0.5"],
+            # Numeric flags a library call would reject only after the
+            # dataset is built, with a traceback.
+            ["sk", "SYN", "--slow-ms", "-1"],
+            ["sk", "SYN", "--delta-max", "-5"],
+            ["sk", "SYN", "--delta-max", "nan"],
+            ["sk", "SYN", "--scale", "0"],
+            ["sk", "SYN", "--queries", "0"],
+            ["sk", "SYN", "--keywords", "0"],
+            ["diversify", "SYN", "--k", "0"],
+            ["diversify", "SYN", "--lambda", "2"],
+            ["explain", "SYN", "--query", "-1"],
+            ["update", "SYN", "--updates-per-batch", "-1"],
         ]
         for argv in bad:
             with pytest.raises(SystemExit) as err:
@@ -694,6 +706,14 @@ class TestFlagValidation:
             "loadtest", "SYN", "--qps", "12.5", "--duration", "0.5",
         ])
         assert args.qps == 12.5
+        # The bounds themselves are valid: 0 ms captures every query.
+        args = build_parser().parse_args([
+            "update", "SYN", "--slow-ms", "0", "--lambda", "1",
+            "--updates-per-batch", "0",
+        ])
+        assert (args.slow_ms, args.lambda_, args.updates_per_batch) == (
+            0.0, 1.0, 0,
+        )
 
 
 class TestFlightRecorderCLI:
@@ -790,8 +810,25 @@ class TestFlightRecorderCLI:
         assert "FAIL" in out
         assert "DIVERGENCE" in out
 
-    def test_replay_missing_file(self, tmp_path):
-        assert main(["replay", str(tmp_path / "absent.jsonl")]) == 1
+    def test_replay_missing_file(self, tmp_path, capsys):
+        # Exit 1 means "diverged" only; an unusable journal is 2.
+        assert main(["replay", str(tmp_path / "absent.jsonl")]) == 2
+        assert "does not exist" in capsys.readouterr().err
+
+    def test_replay_two_run_journal(self, tmp_path, capsys):
+        """``--record`` appends, so a reused path holds two runs; their
+        records would merge under the last header, so replay refuses."""
+        journal = tmp_path / "flight.jsonl"
+        for _ in range(2):
+            assert main([
+                "diversify", "SYN", "--scale", "0.05", "--queries", "2",
+                "--keywords", "2", "--k", "4", "--record", str(journal),
+            ]) == 0
+        capsys.readouterr()
+        assert main(["replay", str(journal)]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "holds 2 runs" in err
+        assert "Traceback" not in err
 
     def test_replay_headerless_journal(self, tmp_path, capsys):
         path = tmp_path / "bare.jsonl"

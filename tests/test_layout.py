@@ -92,23 +92,6 @@ OWED = {
         "the oracle's module goes whole once perf/ stops resolving it",
     "repro.network.hub_labels:HubLabelBackend.node_distance":
         "the oracle's module goes whole once perf/ stops resolving it",
-    **{
-        name: "its own tests are its only caller; they go with it"
-        for name in (
-            "repro.bench.reporting:series_table",
-            "repro.core.queries:DiversifiedSKQuery.sk_query",
-            "repro.network.graph:Edge.weight_offset_from_length",
-            "repro.obs.sinks:InMemorySink",
-            "repro.obs.sinks:InMemorySink.of_type",
-            "repro.spatial.geometry:MBR.from_points",
-            "repro.spatial.geometry:MBR.enlargement",
-            "repro.spatial.zorder:ZOrderCurve.decode",
-            "repro.storage.pagefile:DiskManager.get_file",
-            "repro.storage.pagefile:DiskManager.drop_file",
-            "repro.storage.pagefile:DiskManager.total_size_bytes",
-            "repro.text.vocabulary:Vocabulary.from_corpus",
-        )
-    },
 }
 
 _IDENT = re.compile(r"[A-Za-z_]\w*")
@@ -238,3 +221,125 @@ def test_every_public_definition_has_a_caller_outside_the_tests():
     unnamed = unnamed_definitions()
     assert [name for name in unnamed if name not in OWED] == []
     assert sorted(set(OWED) - set(unnamed)) == []
+
+
+# ----------------------------------------------------------------------
+# Nothing in src/ that only a test sets
+# ----------------------------------------------------------------------
+#: Why a setting may stay with no caller outside the tests.  The set is
+#: closed: a parameter with any other reason becomes a constant.
+TIME_FAKE = "a test's fake of time"
+ADDRESS = "a deployment address"
+PERF = "perf/ passes or resolves it"
+
+#: Defaulted parameters no call in :data:`USERS` passes, each with its
+#: reason.  The set may only shrink: a parameter that leaves it must
+#: leave its signature or find a caller.
+UNSET = {
+    "repro.obs.rollup:SlidingWindowRollup.__init__(clock)": TIME_FAKE,
+    "repro.core.database:Database.serve_telemetry(host)": ADDRESS,
+    "repro.network.distance:PairwiseDistanceComputer.__init__(backend)": PERF,
+    "repro.network.ch:ContractionHierarchy.node_distance(cutoff)": PERF,
+    "repro.network.hub_labels:HubLabelBackend.node_distance(cutoff)": PERF,
+}
+
+
+def defaulted_parameters(function, bound: bool):
+    """``(name, position)`` of each parameter of ``function`` that has
+    a default; ``position`` counts the call's positional arguments
+    (``None`` for a keyword-only one), and a bound method's first
+    parameter is no argument."""
+    args = function.args
+    positional = args.posonlyargs + args.args
+    if bound:
+        positional = positional[1:]
+    first = len(positional) - len(args.defaults)
+    yield from (
+        (arg.arg, i) for i, arg in enumerate(positional) if i >= first
+    )
+    yield from (
+        (arg.arg, None)
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+        if default is not None
+    )
+
+
+def public_settings():
+    """``(qualified name, callee, parameter, position)`` of every
+    defaulted parameter of a public ``src/repro`` function, method or
+    ``__init__``; a call reaches an ``__init__`` through its class's
+    name."""
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        module = ".".join(path.relative_to(SRC).with_suffix("").parts)
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in tree.body:
+            if not isinstance(
+                node, (ast.FunctionDef, ast.ClassDef)
+            ) or node.name.startswith("_"):
+                continue
+            if isinstance(node, ast.FunctionDef):
+                for param, position in defaulted_parameters(node, False):
+                    yield f"{module}:{node.name}", node.name, param, position
+                continue
+            for item in node.body:
+                if not isinstance(item, ast.FunctionDef) or (
+                    item.name.startswith("_") and item.name != "__init__"
+                ):
+                    continue
+                static = any(
+                    getattr(d, "id", None) == "staticmethod"
+                    for d in item.decorator_list
+                )
+                callee = node.name if item.name == "__init__" else item.name
+                for param, position in defaulted_parameters(item, not static):
+                    yield (
+                        f"{module}:{node.name}.{item.name}", callee, param,
+                        position,
+                    )
+
+
+def passes(call: ast.Call, param: str, position) -> bool:
+    """Whether ``call`` sets ``param``: by keyword, by position, or
+    through a ``*args`` / ``**kwargs`` that may hold it."""
+    if any(k.arg is None or k.arg == param for k in call.keywords):
+        return True
+    if position is None:
+        return False
+    return any(
+        i == position or (isinstance(arg, ast.Starred) and i <= position)
+        for i, arg in enumerate(call.args)
+    )
+
+
+def unset_settings():
+    """``module:qualname(parameter)`` of each public setting under
+    ``src/repro`` that no call in :data:`USERS` passes, a call being
+    matched to its callee by name (``cls(...)`` to its class's)."""
+    calls = {}
+    for top in USERS:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", None) or getattr(
+                        node.func, "attr", None
+                    )
+                    calls.setdefault(name, []).append(node)
+                elif isinstance(node, ast.ClassDef):
+                    calls.setdefault(node.name, []).extend(
+                        call for call in ast.walk(node)
+                        if isinstance(call, ast.Call)
+                        and getattr(call.func, "id", None) == "cls"
+                    )
+    return [
+        f"{qualname}({param})"
+        for qualname, callee, param, position in public_settings()
+        if not any(passes(c, param, position) for c in calls.get(callee, ()))
+    ]
+
+
+def test_every_public_setting_has_a_caller_outside_the_tests():
+    unset = unset_settings()
+    assert set(UNSET.values()) <= {TIME_FAKE, ADDRESS, PERF}
+    assert [name for name in unset if name not in UNSET] == []
+    assert sorted(set(UNSET) - set(unset)) == []

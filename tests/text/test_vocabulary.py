@@ -9,7 +9,6 @@ from repro.text.vocabulary import Vocabulary, make_term_names
 class TestMakeTermNames:
     def test_names(self):
         assert make_term_names(3) == ["t0", "t1", "t2"]
-        assert make_term_names(2, prefix="kw") == ["kw0", "kw1"]
 
     def test_invalid_count(self):
         with pytest.raises(ValueError):
@@ -35,11 +34,6 @@ class TestVocabulary:
         assert "a" in v and "z" not in v
         assert len(v) == 2
 
-    def test_from_corpus(self):
-        v = Vocabulary.from_corpus([{"a", "b"}, {"a"}, {"a", "c"}])
-        assert v.frequency("a") == 3
-        assert v.frequency("b") == 1
-
     def test_items(self):
         v = Vocabulary({"a": 2, "b": 1})
         assert list(v.items()) == [("a", 2), ("b", 1)]
@@ -60,8 +54,3 @@ class TestVocabulary:
         v = Vocabulary({"a": 1, "b": 2})
         rng = np.random.default_rng(2)
         assert sorted(v.sample_terms(10, rng)) == ["a", "b"]
-
-    def test_sample_with_replacement(self):
-        v = Vocabulary({"a": 1})
-        rng = np.random.default_rng(3)
-        assert v.sample_terms(3, rng, distinct=False) == ["a", "a", "a"]

@@ -143,10 +143,9 @@ class TestSameStreamAsChoice:
         probs = np.array([vocab.frequency(t) for t in terms], dtype=np.float64)
         probs /= probs.sum()
         ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-        for distinct, count in calls:
-            reference = choice_distinct if distinct else choice_with_replacement
-            expected = reference(theirs, probs, count)
-            got = vocab.sample_terms(count, ours, distinct=distinct)
+        for _distinct, count in calls:
+            expected = choice_distinct(theirs, probs, count)
+            got = vocab.sample_terms(count, ours)
             assert got == [terms[i] for i in expected]
 
 

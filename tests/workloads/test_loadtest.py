@@ -181,7 +181,7 @@ class TestRunLoadtest:
         assert report.errors == 0
 
     def test_summary_record_emitted(self, tiny_db, tiny_indexes, queries):
-        from repro.obs.sinks import InMemorySink
+        from tests.reference import InMemorySink
 
         sink = InMemorySink()
         tiny_db.metrics.add_sink(sink)
